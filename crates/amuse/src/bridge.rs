@@ -8,6 +8,32 @@
 //! [`Channel`]s, so the identical bridge runs against in-process workers,
 //! thread workers, or workers spread across the simulated jungle.
 //!
+//! # One coupling field per position epoch
+//!
+//! A p-kick only changes velocities, and the coupling field depends only
+//! on positions and masses. A *position epoch* therefore ends only at a
+//! request that moves or re-weights particles — [`Request::EvolveTo`],
+//! [`Request::LoadState`], [`Request::SetMasses`], [`Request::AddGas`] —
+//! and none of those can occur between the closing kick of substep *i*
+//! and the opening kick of substep *i+1*. So the bridge evaluates the
+//! field (two snapshots, two [`Request::ComputeKick`]s) once to open an
+//! iteration and once after every evolve, and the opening phase of
+//! substeps 2..s sends the `dv` buffers the closing phase left in the
+//! scratch a second time: `s+1` evaluations per iteration instead of
+//! `2s`, `10s+4` unsharded calls instead of `14s`. The re-applied phase
+//! is still a separate pair of half-kicks, so every velocity sees the
+//! same sequence of f64 additions as under the naive
+//! kick–evolve–kick loop and all state stays bitwise equal to it (the
+//! naive loop survives as a test oracle, `tests/bridge_field_reuse.rs`).
+//!
+//! Iteration boundaries stay cold on purpose: every iteration opens
+//! with a fresh evaluation even when the previous one ended without a
+//! stellar exchange. The bridge so keeps no hidden state across a
+//! checkpoint boundary (a restored run is determined by the checkpoint
+//! alone), call and byte accounting stay a pure function of the
+//! iterations run, and [`Bridge::restore`], [`Bridge::replace_channel`]
+//! and [`Bridge::heal_channels`] need no invalidation logic.
+//!
 //! Beyond the paper: the bridge is *fault-tolerant*, removing the §5
 //! limitation ("if one worker crashes, the entire simulation crashes").
 //! [`Bridge::snapshot`] captures the complete solver state as a
@@ -160,6 +186,13 @@ pub struct IterationReport {
     pub supernovae: u32,
     /// Wind mass-loss events applied.
     pub wind_events: u32,
+    /// Coupling fields evaluated (full p-kick phases: snapshot both
+    /// systems, two `ComputeKick`s). `substeps + 1` when both particle
+    /// sets are non-empty.
+    pub coupling_fields: u32,
+    /// P-kick phases that re-applied the field of the preceding phase
+    /// instead of evaluating it again (`substeps - 1`).
+    pub kicks_reapplied: u32,
     /// Call-sequence trace (only when `cfg.trace`).
     pub trace: Vec<String>,
 }
@@ -174,6 +207,15 @@ struct KickScratch {
     gas: ParticleData,
     dv_stars: Vec<[f64; 3]>,
     dv_gas: Vec<[f64; 3]>,
+}
+
+/// Where a p-kick phase gets its coupling field from.
+#[derive(Clone, Copy, PartialEq)]
+enum Field {
+    /// Snapshot both systems and evaluate the field at their positions.
+    Evaluate,
+    /// Apply the field the preceding phase left in [`KickScratch`].
+    Reuse,
 }
 
 /// The combined solver.
@@ -301,8 +343,10 @@ impl Bridge {
     pub fn try_iteration(&mut self) -> Result<IterationReport, BridgeError> {
         let mut rep = IterationReport::default();
         let calls0 = self.total_calls();
-        for _ in 0..self.cfg.substeps {
-            self.kick(0.5 * self.cfg.dt, &mut rep)?;
+        for substep in 0..self.cfg.substeps {
+            // nothing has moved since the previous substep's closing kick
+            let field = if substep == 0 { Field::Evaluate } else { Field::Reuse };
+            self.kick(field, &mut rep)?;
             let t_next = self.time + self.cfg.dt;
             if rep.trace.len() < 64 && self.cfg.trace {
                 rep.trace.push(format!(
@@ -318,7 +362,7 @@ impl Bridge {
             let rh = self.hydro.collect();
             expect_ok(Role::Gravity, "evolve", rg)?;
             expect_ok(Role::Hydro, "evolve", rh)?;
-            self.kick(0.5 * self.cfg.dt, &mut rep)?;
+            self.kick(Field::Evaluate, &mut rep)?;
             self.time = t_next;
         }
         self.iterations += 1;
@@ -338,37 +382,58 @@ impl Bridge {
             + self.stellar.as_ref().map(|s| s.stats().calls).unwrap_or(0)
     }
 
-    /// One p-kick phase: mutual gravitational kicks between the star and
-    /// gas systems, computed by the coupling model. All buffers come from
-    /// the bridge-held scratch, so over in-process channels the phase
-    /// allocates nothing once warm.
-    fn kick(&mut self, half_dt: f64, rep: &mut IterationReport) -> Result<(), BridgeError> {
+    /// One p-kick phase: mutual gravitational half-kicks (`dt/2`) between
+    /// the star and gas systems, computed by the coupling model. All
+    /// buffers come from the bridge-held scratch, so over in-process
+    /// channels the phase allocates nothing once warm.
+    ///
+    /// [`Field::Evaluate`] snapshots both systems and evaluates the field
+    /// at their current positions; [`Field::Reuse`] sends the `dv` buffers
+    /// the preceding phase left in the scratch again. That is valid only
+    /// while no position epoch has ended in between — no `EvolveTo`,
+    /// `LoadState`, `SetMasses` or `AddGas` since that phase (see the
+    /// module docs) — which [`Bridge::try_iteration`] guarantees by
+    /// asking for it only between a closing kick and the next opening
+    /// one; it is then bitwise equal to evaluating again, because the
+    /// same positions and masses give the same accelerations.
+    fn kick(&mut self, field: Field, rep: &mut IterationReport) -> Result<(), BridgeError> {
+        let half_dt = 0.5 * self.cfg.dt;
+        let reuse = field == Field::Reuse;
         if self.cfg.trace && rep.trace.len() < 64 {
-            rep.trace.push(format!("p-kick (dt/2 = {half_dt:.5})"));
+            let note = if reuse { ", field reused" } else { "" };
+            rep.trace.push(format!("p-kick (dt/2 = {half_dt:.5}{note})"));
         }
-        if !self.gravity.snapshot_into(&mut self.scratch.stars) {
-            return Err(worker_err(Role::Gravity, "snapshot", "snapshot_into failed"));
+        if !reuse {
+            if !self.gravity.snapshot_into(&mut self.scratch.stars) {
+                return Err(worker_err(Role::Gravity, "snapshot", "snapshot_into failed"));
+            }
+            if !self.hydro.snapshot_into(&mut self.scratch.gas) {
+                return Err(worker_err(Role::Hydro, "snapshot", "snapshot_into failed"));
+            }
         }
-        if !self.hydro.snapshot_into(&mut self.scratch.gas) {
-            return Err(worker_err(Role::Hydro, "snapshot", "snapshot_into failed"));
-        }
+        // the snapshots are those of this position epoch either way
         let (stars, gas) = (&self.scratch.stars, &self.scratch.gas);
         if stars.mass.is_empty() || gas.mass.is_empty() {
             return Ok(());
         }
-        // gas pulls on stars
-        self.coupling
-            .compute_kick_into(&stars.pos, &gas.pos, &gas.mass, &mut self.scratch.dv_stars)
-            .ok_or_else(|| worker_err(Role::Coupling, "compute-kick", "no accelerations"))?;
-        // stars pull on gas
-        self.coupling
-            .compute_kick_into(&gas.pos, &stars.pos, &stars.mass, &mut self.scratch.dv_gas)
-            .ok_or_else(|| worker_err(Role::Coupling, "compute-kick", "no accelerations"))?;
-        // scale accelerations to velocity kicks in place
-        for a in self.scratch.dv_stars.iter_mut().chain(&mut self.scratch.dv_gas) {
-            for k in a {
-                *k *= half_dt;
+        if reuse {
+            rep.kicks_reapplied += 1;
+        } else {
+            // gas pulls on stars
+            self.coupling
+                .compute_kick_into(&stars.pos, &gas.pos, &gas.mass, &mut self.scratch.dv_stars)
+                .ok_or_else(|| worker_err(Role::Coupling, "compute-kick", "no accelerations"))?;
+            // stars pull on gas
+            self.coupling
+                .compute_kick_into(&gas.pos, &stars.pos, &stars.mass, &mut self.scratch.dv_gas)
+                .ok_or_else(|| worker_err(Role::Coupling, "compute-kick", "no accelerations"))?;
+            // scale accelerations to velocity kicks in place
+            for a in self.scratch.dv_stars.iter_mut().chain(&mut self.scratch.dv_gas) {
+                for k in a {
+                    *k *= half_dt;
+                }
             }
+            rep.coupling_fields += 1;
         }
         let r1 = self.gravity.kick_slice(&self.scratch.dv_stars);
         expect_ok(Role::Gravity, "kick", r1)?;
@@ -389,10 +454,8 @@ impl Bridge {
             Response::StellarUpdate { masses, events } => (masses, events),
             other => return Err(worker_err(Role::Stellar, "evolve", format!("{other:?}"))),
         };
-        let stars = match self.gravity.call(Request::GetParticles) {
-            Response::Particles(p) => p,
-            other => return Err(worker_err(Role::Gravity, "snapshot", format!("{other:?}"))),
-        };
+        // the closing kick's snapshot: same position epoch, no new fetch
+        let stars = &self.scratch.stars;
         if masses_msun.len() != stars.mass.len() {
             return Err(worker_err(
                 Role::Stellar,
@@ -650,10 +713,20 @@ mod tests {
         assert!(joined.contains("evolve gravity"), "{joined}");
         assert!(joined.contains("||"), "parallel marker: {joined}");
         assert!(joined.contains("stellar exchange"), "{joined}");
-        // kick-evolve-kick ordering within a substep
-        let first_kick = joined.find("p-kick").unwrap();
-        let first_evolve = joined.find("evolve gravity").unwrap();
-        assert!(first_kick < first_evolve);
+        // kick-evolve-kick within each of the two substeps; only the
+        // second substep's opening kick reuses the field
+        let kinds: Vec<&str> = rep
+            .trace
+            .iter()
+            .map(|l| match l {
+                l if l.contains("field reused") => "reuse",
+                l if l.starts_with("p-kick") => "kick",
+                l if l.starts_with("evolve") => "evolve",
+                _ => "stellar",
+            })
+            .collect();
+        assert_eq!(kinds, ["kick", "evolve", "kick", "reuse", "evolve", "kick", "stellar"]);
+        assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (3, 1));
     }
 
     #[test]

@@ -25,7 +25,12 @@ fn main() {
     }
     println!("\n(circles in Fig 7 = model calls; the p-kicks run through the");
     println!(" coupling model; gas and gravity evolve in parallel; the stellar");
-    println!(" exchange happens only every n-th step)");
+    println!(" exchange happens only every n-th step; a \"field reused\" p-kick");
+    println!(" applies the previous phase's field again — nothing moved in between)");
+    println!(
+        "\ncoupling fields evaluated: {}, p-kick phases re-applied: {}",
+        rep.coupling_fields, rep.kicks_reapplied
+    );
     let (gs, hs, cs, ss) = bridge.channel_stats();
     println!(
         "\ncalls: gravity {}, hydro {}, coupling {}, stellar {}",

@@ -1,7 +1,7 @@
 //! # jc-bench — the evaluation harness
 //!
 //! One binary per table/figure of the paper's evaluation (§6) plus
-//! Criterion benches for the ablations. See DESIGN.md's experiment index:
+//! Criterion benches for the ablations:
 //!
 //! | target | reproduces |
 //! |---|---|

@@ -26,7 +26,7 @@
 //! * [`perfmodel`] — the calibration: sustained device throughputs for the
 //!   paper's hardware and per-model work budgets chosen so the §6.2 lab
 //!   scenarios land near the published 353 / 89 / 84 / 62.4 s/iteration
-//!   (EXPERIMENTS.md records paper-vs-measured).
+//!   (`tests/scenario_smoke.rs` pins paper-vs-modeled to 5%).
 //! * [`scenarios`] — the Fig 12 lab topology, the Fig 9 SC11 topology, and
 //!   the four-scenario runner behind Table 1.
 //! * [`loopback`] — a real (wall-clock) in-memory loopback channel

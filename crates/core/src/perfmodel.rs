@@ -2,12 +2,13 @@
 //!
 //! The paper's lab machines are gone; their sustained throughputs on these
 //! kernels are modeled here. The per-iteration work budgets (`WORK_*`) are
-//! calibrated against the four §6.2 scenario runtimes — see DESIGN.md
-//! ("Performance-model calibration") and EXPERIMENTS.md for the
-//! paper-vs-measured table. The *shape* constraints the calibration must
-//! preserve: CPU-only is ~4× slower than a local GPU; a faster remote GPU
-//! (Tesla C2050, 30 km away) slightly beats the slow local GPU (GeForce
-//! 9600GT); the fully distributed jungle wins overall.
+//! calibrated against the four §6.2 scenario runtimes — the analytic
+//! sums in this module's tests and `tests/scenario_smoke.rs` hold the
+//! paper-vs-modeled comparison (`table1_lab_scenarios` prints it). The
+//! *shape* constraints the calibration must preserve: CPU-only is ~4×
+//! slower than a local GPU; a faster remote GPU (Tesla C2050, 30 km away)
+//! slightly beats the slow local GPU (GeForce 9600GT); the fully
+//! distributed jungle wins overall.
 
 use jc_amuse::worker::Request;
 
@@ -80,15 +81,20 @@ impl PerfProfile {
     ///
     /// * `EvolveTo` carries the model's per-iteration budget divided by the
     ///   substep count (gravity/hydro evolve once per substep).
-    /// * `ComputeKick` is called 4× per substep (two kicks × two
-    ///   directions), so the coupling budget is divided accordingly.
+    /// * `ComputeKick` is called `2·(s+1)` times per iteration: the bridge
+    ///   evaluates one coupling field (two directions) per position
+    ///   epoch — once to open the iteration and once after every evolve
+    ///   (see `jc_amuse::bridge`) — so the coupling budget is divided
+    ///   accordingly.
     /// * Everything else (snapshots, kicks, bookkeeping) is minor.
     pub fn work_gflop(&self, req: &Request) -> f64 {
         let s = self.substeps as f64;
         match (self.kind, req) {
             (ModelKind::Gravity, Request::EvolveTo(_)) => work::GRAVITY_GFLOP / s,
             (ModelKind::Hydro, Request::EvolveTo(_)) => work::GAS_GFLOP / s,
-            (ModelKind::Coupling, Request::ComputeKick { .. }) => work::COUPLING_GFLOP / (4.0 * s),
+            (ModelKind::Coupling, Request::ComputeKick { .. }) => {
+                work::COUPLING_GFLOP / (2.0 * (s + 1.0))
+            }
             (ModelKind::Stellar, Request::EvolveStars(_)) => work::SSE_GFLOP,
             // snapshot serialization cost etc.
             (_, Request::GetParticles) => 0.001,
@@ -140,8 +146,9 @@ mod tests {
         let p = PerfProfile { kind: ModelKind::Coupling, substeps: 8 };
         let kick =
             Request::ComputeKick { targets: vec![], source_pos: vec![], source_mass: vec![] };
-        // 4 kicks per substep × 8 substeps = 32 calls per iteration
-        assert!((p.work_gflop(&kick) * 32.0 - work::COUPLING_GFLOP).abs() < 1e-9);
+        // (8 substeps + 1) field evaluations × 2 directions = 18 calls
+        // per iteration
+        assert!((p.work_gflop(&kick) * 18.0 - work::COUPLING_GFLOP).abs() < 1e-9);
         let g = PerfProfile { kind: ModelKind::Gravity, substeps: 8 };
         assert!((g.work_gflop(&Request::EvolveTo(0.0)) * 8.0 - work::GRAVITY_GFLOP).abs() < 1e-9);
     }

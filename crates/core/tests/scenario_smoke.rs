@@ -15,10 +15,12 @@ fn lab_scenarios_reproduce_paper_shape() {
     assert!(secs[0] > secs[1], "local GPU beats CPU: {secs:?}");
     assert!(secs[1] > secs[2], "remote Tesla beats local 9600GT: {secs:?}");
     assert!(secs[2] > secs[3], "full jungle wins: {secs:?}");
-    // rough factors: S1 within 15% of paper, S2/S3 within 20%
-    assert!((secs[0] - 353.0).abs() / 353.0 < 0.15, "S1 = {}", secs[0]);
-    assert!((secs[1] - 89.0).abs() / 89.0 < 0.20, "S2 = {}", secs[1]);
-    assert!((secs[2] - 84.0).abs() / 84.0 < 0.20, "S3 = {}", secs[2]);
+    // S1-S3 within 5% of the paper: tight enough that a change to the
+    // bridge's call pattern that de-calibrates `PerfProfile::work_gflop`
+    // fails here instead of drifting
+    assert!((secs[0] - 353.0).abs() / 353.0 < 0.05, "S1 = {}", secs[0]);
+    assert!((secs[1] - 89.0).abs() / 89.0 < 0.05, "S2 = {}", secs[1]);
+    assert!((secs[2] - 84.0).abs() / 84.0 < 0.05, "S3 = {}", secs[2]);
     // the paper's S4 is 62.4 s; our prototype parallelizes/overlaps better
     // and lands much lower — assert only that it wins and stays sub-S3.
     assert!(secs[3] < 62.4, "S4 = {}", secs[3]);

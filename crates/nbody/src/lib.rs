@@ -27,7 +27,7 @@
 //!
 //! [`plummer`] generates the paper's initial conditions (Plummer spheres
 //! with a Salpeter IMF); [`diagnostics`] provides the energy/virial checks
-//! the tests and EXPERIMENTS.md lean on.
+//! the tests lean on.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -22,6 +22,6 @@ fn main() {
     println!(
         "note: our full-jungle prototype overlaps WAN transfers with compute and\n\
          parallelizes all models, so scenario 4 lands well below the paper's 62.4 s;\n\
-         the ordering and the CPU→GPU→remote-GPU factors match (see EXPERIMENTS.md)."
+         the ordering and the CPU→GPU→remote-GPU factors match (pinned by crates/core/tests/scenario_smoke.rs)."
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! Re-exports every workspace crate under one roof so the examples and
 //! integration tests can `use jungle::...`. See the README for the map of
-//! the system and DESIGN.md for the full inventory.
+//! the system and docs/ARCHITECTURE.md for the full inventory.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -96,6 +96,32 @@ enum Transport {
     Reactor,
 }
 
+/// One channel to `addr` over `transport`, retrying under `retry` and
+/// faulted per `faults`.
+fn faulty_channel(
+    transport: Transport,
+    reactor: &Rc<RefCell<Reactor>>,
+    addr: std::net::SocketAddr,
+    name: String,
+    retry: RetryPolicy,
+    faults: StreamFaults,
+) -> Box<dyn Channel> {
+    match transport {
+        Transport::Blocking => Box::new(
+            SocketChannel::connect(addr, name)
+                .expect("connect")
+                .with_retry(retry)
+                .with_chaos(faults),
+        ),
+        Transport::Reactor => Box::new(
+            ReactorChannel::connect(reactor, addr, name)
+                .expect("connect")
+                .with_retry(retry)
+                .with_chaos(faults),
+        ),
+    }
+}
+
 /// Run one seeded fault schedule over a live loopback TCP cluster with
 /// `k` coupling shards and compare the final state bitwise against the
 /// fault-free reference. Returns `(recoveries, in_place_retries)` on
@@ -142,20 +168,7 @@ fn run_chaos_seed(
             let (addr, h) = spawn_flaky_tcp_worker(format!("fi-{i}"), CouplingWorker::fi, fuse);
             handles.push(h);
             let faults = plan.stream_faults(k, i);
-            match transport {
-                Transport::Blocking => Box::new(
-                    SocketChannel::connect(addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-                Transport::Reactor => Box::new(
-                    ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-            }
+            faulty_channel(transport, &reactor, addr, format!("fi-{i}"), retry, faults)
         })
         .collect();
 
@@ -329,20 +342,7 @@ fn transient_schedule(transport: Transport) {
         .map(|(i, faults)| {
             let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
             handles.push(h);
-            match transport {
-                Transport::Blocking => Box::new(
-                    SocketChannel::connect(addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-                Transport::Reactor => Box::new(
-                    ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-            }
+            faulty_channel(transport, &reactor, addr, format!("fi-{i}"), retry, faults)
         })
         .collect();
     let pool = ShardedChannel::with_counts(shards, vec![0; 2]);
@@ -389,4 +389,92 @@ fn a_transient_schedule_completes_without_a_single_restore() {
 #[test]
 fn a_transient_schedule_over_the_reactor_retries_in_place() {
     transient_schedule(Transport::Reactor);
+}
+
+// The bridge re-applies a coupling field across the kick→kick boundary
+// between substeps, so the closing `Kick` of substep 1 and the opening
+// `Kick` of substep 2 reach a worker back to back with byte-identical
+// payloads — they differ only in their sequence stamp. With two
+// substeps they are frames 5 and 6 of the gravity and of the hydro
+// connection (`get kick evolve get kick | kick evolve get kick`).
+// Each schedule below loses the response of the first (the coupler
+// resends it: the worker must replay, not re-apply) and then the
+// request or the response of the second (the worker must apply it
+// exactly once, as a *new* frame, although it equals the cached one).
+// A swallowed or double-applied half-kick changes the digest.
+fn identical_kick_pair_schedule(transport: Transport) {
+    let reference = baseline();
+    // The first fault costs one resend, which shifts every later
+    // frame-op by one: the second kick is sent as frame 7 (8 when
+    // resent) and answered as frame 7.
+    let schedules = [
+        StreamFaults::default()
+            .with_read(5, IoFault::ReadTimeout)
+            .with_write(7, IoFault::WriteTimeout),
+        StreamFaults::default()
+            .with_read(5, IoFault::ShortRead)
+            .with_write(7, IoFault::PartialWrite),
+        StreamFaults::default()
+            .with_read(5, IoFault::CorruptHeader)
+            .with_read(7, IoFault::ReadTimeout),
+    ];
+    for (seed, faults) in schedules.into_iter().enumerate() {
+        let reactor = Reactor::new_shared().expect("reactor");
+        let c = cluster();
+        let mut handles = Vec::new();
+        let retry = RetryPolicy {
+            backoff_base_ms: 1,
+            backoff_max_ms: 8,
+            ..RetryPolicy::standard(seed as u64)
+        };
+        let mut connect = |name: &str, (addr, handle), faults: StreamFaults| {
+            handles.push(handle);
+            faulty_channel(transport, &reactor, addr, name.into(), retry, faults)
+        };
+        let (stars_ics, gas_ics, imf) =
+            (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
+        let gravity = connect(
+            "grav",
+            spawn_tcp_worker("grav", move || GravityWorker::new(stars_ics, Backend::Scalar)),
+            faults.clone(),
+        );
+        let hydro =
+            connect("hydro", spawn_tcp_worker("hydro", move || HydroWorker::new(gas_ics)), faults);
+        let calm = StreamFaults::default;
+        let coupling = connect("fi", spawn_tcp_worker("fi", CouplingWorker::fi), calm());
+        let stellar =
+            connect("sse", spawn_tcp_worker("sse", move || StellarWorker::new(imf, 0.02)), calm());
+
+        let mut bridge = Bridge::new(gravity, hydro, coupling, Some(stellar), config(&c));
+        for i in 0..ITERATIONS {
+            let rep = bridge.try_iteration().expect("transient faults are absorbed in place");
+            assert_eq!(rep.kicks_reapplied, 1, "the schedule needs a back-to-back kick pair");
+            if i == 0 {
+                let (g, h, ..) = bridge.channel_stats();
+                assert_eq!((g.retries, h.retries), (2, 2), "schedule {seed}: both faults fired");
+            }
+        }
+
+        let (stars, gas) = bridge.snapshots();
+        assert_eq!(bridge.model_time().to_bits(), reference.time.to_bits());
+        assert_eq!(bridge.total_supernovae(), reference.supernovae);
+        assert!(bitwise_eq(&stars, &reference.stars), "schedule {seed}: star state diverged");
+        assert!(bitwise_eq(&gas, &reference.gas), "schedule {seed}: gas state diverged");
+
+        drop(bridge);
+        for h in handles {
+            h.join().expect("server thread").expect("server exits cleanly");
+        }
+    }
+}
+
+#[test]
+fn identical_consecutive_kick_frames_survive_drops_and_duplicates() {
+    identical_kick_pair_schedule(Transport::Blocking);
+}
+
+/// The same three schedules over the event-driven transport.
+#[test]
+fn identical_consecutive_kick_frames_survive_over_the_reactor() {
+    identical_kick_pair_schedule(Transport::Reactor);
 }

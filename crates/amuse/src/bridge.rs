@@ -47,7 +47,7 @@
 //! that never failed.
 //!
 //! Recovery is two-tiered. *Transient* transport faults never reach
-//! this module: a [`crate::socket::SocketChannel`] under a
+//! this module: a [`crate::reactor::ReactorChannel`] under a
 //! [`crate::chaos::RetryPolicy`] absorbs them by resending the same
 //! sequence-numbered frame (deduplicated worker-side, so even mutating
 //! requests retry safely). What does reach the bridge is *fatal* —
@@ -107,7 +107,7 @@ impl Default for BridgeConfig {
 /// By the time a failure reaches this type it is *fatal* by
 /// definition: transient transport faults (timeouts, dropped
 /// connections, torn frames) are absorbed one layer down, where a
-/// [`crate::socket::SocketChannel`] under a
+/// [`crate::reactor::ReactorChannel`] under a
 /// [`crate::chaos::RetryPolicy`] resends the identical sequence-
 /// numbered frame in place and the worker deduplicates it. A
 /// `BridgeError` therefore means in-place retry was exhausted (or

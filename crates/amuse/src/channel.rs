@@ -131,14 +131,14 @@ pub trait Channel {
     }
 
     /// Does this channel overlap in-flight requests? `true` means the
-    /// two-phase fast paths below genuinely pipeline (the request is on
-    /// the wire when `submit_*` returns, and other channels' I/O makes
-    /// progress while this one is collected), so a fan-out of
-    /// `submit_*` calls followed by collects overlaps all the round
+    /// two-phase fast paths below genuinely pipeline (a submitted
+    /// request leaves no later than the first collect of the fan-out,
+    /// and the worker computes while other channels are collected), so
+    /// `submit_*` calls followed by collects overlap all the round
     /// trips. The default `false` keeps in-process channels on the
     /// borrowing one-shot fast paths, which are allocation-free for
-    /// them — [`crate::ShardedChannel`] consults this to pick its
-    /// scatter-gather mode.
+    /// them — this observable property, not a user switch, is what
+    /// [`crate::ShardedChannel`] picks its scatter-gather mode by.
     fn pipelines(&self) -> bool {
         false
     }

@@ -19,10 +19,11 @@
 //! `SystemTime`, no `Instant`, no external RNG, so the `determinism`
 //! lint holds for the injected path too).
 //!
-//! Transport faults are injected by [`ChaosStream`], a wrapper the
-//! [`crate::SocketChannel`] interposes around its `TcpStream` for one
-//! frame at a time; checkpoint truncation by [`ChaosWriter`], a shim
-//! over the container writer; worker crashes map onto
+//! Transport faults are applied by the TCP client itself
+//! ([`crate::reactor`]) at frame-op boundaries — it draws from its
+//! [`StreamFaults`] once per sent frame, per receive attempt and per
+//! reconnect; checkpoint truncation by [`ChaosWriter`], a shim over
+//! the container writer; worker crashes map onto
 //! [`crate::socket::spawn_flaky_tcp_worker`]'s fuse; and
 //! `jc_deploy`'s process supervisor exposes a plan-driven kill hook.
 //! On the recovery side, [`RetryPolicy`] bounds the in-place
@@ -32,7 +33,7 @@
 //! "Failure model" section of `docs/ARCHITECTURE.md` for which recovery
 //! path owns which site.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// The deterministic generator behind every schedule: splitmix64
 /// (Steele et al.), chosen because it is seedable, splittable by XOR,
@@ -182,7 +183,7 @@ impl FaultPlan {
 
     /// The transport faults the plan assigns to stream `idx` of
     /// `streams` — hand the result to
-    /// [`crate::SocketChannel::with_chaos`].
+    /// [`crate::ReactorChannel::with_chaos`].
     pub fn stream_faults(&self, streams: usize, idx: usize) -> StreamFaults {
         let mut f = StreamFaults::default();
         for sf in self.schedule(streams) {
@@ -233,7 +234,7 @@ impl FaultPlan {
     }
 }
 
-/// One transport-level fault, as applied by [`ChaosStream`].
+/// One transport-level fault, as applied by [`crate::ReactorChannel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoFault {
     /// Fail the frame read with `TimedOut` before any byte arrives.
@@ -249,7 +250,7 @@ pub enum IoFault {
 }
 
 /// The per-stream fault state a [`FaultPlan`] hands to one
-/// [`crate::SocketChannel`]: which frame-ops fault, counted site-local
+/// [`crate::ReactorChannel`]: which frame-ops fault, counted site-local
 /// (received frames, sent frames, reconnect attempts). Each scheduled
 /// fault fires exactly once. Tests may also build these directly with
 /// the builder methods to script a precise schedule.
@@ -328,78 +329,6 @@ impl StreamFaults {
     }
 }
 
-/// The transport wrapper: a [`Read`]/[`Write`] adapter over any stream
-/// that applies at most one [`IoFault`] to the frame currently moving
-/// through it. [`crate::SocketChannel`] interposes one per frame op;
-/// the injected errors are indistinguishable from the real network
-/// failures they model, so the whole recovery stack downstream is
-/// exercised unmodified.
-pub struct ChaosStream<'a, S> {
-    inner: &'a mut S,
-    fault: Option<IoFault>,
-    touched: bool,
-}
-
-impl<'a, S> ChaosStream<'a, S> {
-    /// Wrap `inner` for one frame op, applying `fault` if given.
-    pub fn new(inner: &'a mut S, fault: Option<IoFault>) -> ChaosStream<'a, S> {
-        ChaosStream { inner, fault, touched: false }
-    }
-}
-
-impl<S: Read> Read for ChaosStream<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self.fault {
-            Some(IoFault::ReadTimeout) => {
-                self.fault = None;
-                Err(std::io::Error::new(std::io::ErrorKind::TimedOut, "chaos: read timeout"))
-            }
-            Some(IoFault::ShortRead) => {
-                self.fault = None;
-                Ok(0)
-            }
-            Some(IoFault::CorruptHeader) if !self.touched => {
-                // flip the first byte of the first read — that is the
-                // frame's magic byte, so the decoder reports BadMagic
-                self.touched = true;
-                let n = self.inner.read(buf)?;
-                if n > 0 {
-                    buf[0] ^= 0x01;
-                    self.fault = None;
-                }
-                Ok(n)
-            }
-            _ => self.inner.read(buf),
-        }
-    }
-}
-
-impl<S: Write> Write for ChaosStream<'_, S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self.fault.take() {
-            Some(IoFault::WriteTimeout) => {
-                Err(std::io::Error::new(std::io::ErrorKind::TimedOut, "chaos: write timeout"))
-            }
-            Some(IoFault::PartialWrite) => {
-                let half = buf.len() / 2;
-                if half > 0 {
-                    let _ = self.inner.write(&buf[..half]);
-                    let _ = self.inner.flush();
-                }
-                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "chaos: partial write"))
-            }
-            other => {
-                self.fault = other;
-                self.inner.write(buf)
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// The checkpoint I/O shim: a writer that models a lying disk. It
 /// passes the first `keep` bytes through and then *silently succeeds*
 /// while dropping everything else — the failure mode a power cut
@@ -440,7 +369,7 @@ impl<W: Write> Write for ChaosWriter<W> {
 
 /// Bounded retry with exponential backoff and seed-derived jitter — the
 /// recovery half of the chaos layer, consumed by
-/// [`crate::SocketChannel::with_retry`].
+/// [`crate::ReactorChannel::with_retry`].
 ///
 /// The default is [`RetryPolicy::none`]: zero retries, exactly the
 /// pre-chaos behavior (one wire failure poisons the channel and
@@ -565,22 +494,6 @@ mod tests {
         assert_eq!(f.next_read(), Some(IoFault::ReadTimeout));
         assert_eq!(f.next_read(), None);
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn chaos_stream_corrupts_exactly_the_magic_byte() {
-        let frame = [0xAAu8; 40];
-        let mut src = std::io::Cursor::new(frame.as_slice());
-        let mut cs = ChaosStream::new(&mut src, Some(IoFault::CorruptHeader));
-        let mut out = [0u8; 40];
-        let mut got = 0;
-        while got < 40 {
-            let n = cs.read(&mut out[got..]).unwrap();
-            assert!(n > 0);
-            got += n;
-        }
-        assert_eq!(out[0], 0xAB, "first byte flipped");
-        assert!(out[1..].iter().all(|&b| b == 0xAA), "payload untouched");
     }
 
     #[test]

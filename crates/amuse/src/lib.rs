@@ -28,24 +28,23 @@
 //!   requests and responses; the physical frame size of every message
 //!   equals its modeled `wire_size`, so socket-channel accounting and
 //!   simulated accounting agree exactly.
-//! * [`socket`] — the real socket channel: [`socket::SocketChannel`]
-//!   speaks [`wire`] over TCP, [`socket::WorkerServer`] serves any
-//!   [`worker::ModelWorker`] behind a `TcpListener` (the `jungle-worker`
-//!   binary in `jc-deploy` wraps it).
-//! * [`reactor`] — the event-driven coupler core: a single-threaded
-//!   readiness [`reactor::Reactor`] owning every shard socket in
-//!   non-blocking mode, with incremental frame decoding
-//!   ([`reactor::FrameDecoder`]) and coalesced vectored writes.
-//!   [`reactor::ReactorChannel`] speaks the same [`wire`] protocol as
-//!   [`socket::SocketChannel`] — bitwise-identical results, pinned by
-//!   the `reactor_equivalence` test layer — but supports genuinely
-//!   pipelined requests across many shards from one thread.
+//! * [`socket`] — the server half of the socket channel:
+//!   [`socket::WorkerServer`] serves any [`worker::ModelWorker`] behind
+//!   a `TcpListener` (the `jungle-worker` binary in `jc-deploy` wraps
+//!   it); [`socket::SocketChannel`] is the stand-alone client, a facade
+//!   over one [`reactor::ReactorChannel`].
+//! * [`reactor`] — the TCP client: a single-threaded readiness
+//!   [`reactor::Reactor`] owning every worker socket in non-blocking
+//!   mode, with incremental frame decoding ([`reactor::FrameDecoder`])
+//!   and coalesced vectored writes. [`reactor::ReactorChannel`] speaks
+//!   [`wire`] with sequence stamping, retry, fault injection and
+//!   genuinely pipelined requests across many shards from one thread.
 //! * [`shard`] — [`shard::ShardedChannel`] fans one logical model out
 //!   over a pool of workers: particle-range decomposition for state
 //!   ops, target scatter–gather for the coupling kick. When every
 //!   shard channel reports [`channel::Channel::pipelines`], fan-out
 //!   uses the two-phase `submit_*`/`collect_*` API so all K shards
-//!   compute concurrently (`JC_LOCKSTEP=1` restores serial calls).
+//!   compute concurrently.
 //! * [`bridge`] — the Fig 7 combined gravitational/hydro/stellar solver:
 //!   kick–drift–kick coupling via the tree-gravity worker, parallel evolve
 //!   of gas and stars, and the slower stellar-evolution exchange every
@@ -82,7 +81,7 @@ pub mod worker;
 
 pub use bridge::{Bridge, BridgeConfig, BridgeError, IterationReport, RecoveryPolicy};
 pub use channel::{Channel, ChannelStats, LocalChannel, ThreadChannel};
-pub use chaos::{ChaosStream, ChaosWriter, FaultKind, FaultPlan, RetryPolicy, StreamFaults};
+pub use chaos::{ChaosWriter, FaultKind, FaultPlan, RetryPolicy, StreamFaults};
 pub use checkpoint::{Checkpoint, CheckpointError, ModelState, Role};
 pub use cluster::EmbeddedCluster;
 pub use reactor::{FrameDecoder, Reactor, ReactorChannel};

@@ -1,53 +1,71 @@
-//! The event-driven coupler core: one readiness-driven loop owning all
-//! shard sockets.
+//! The TCP client: one readiness-driven loop owning every worker socket.
 //!
-//! The blocking [`crate::SocketChannel`] drives each worker lock-step:
-//! write a frame, sleep in `read`, repeat — K shards cost K serialized
-//! round trips. This module replaces the transport underneath with a
-//! single-threaded reactor ([`Reactor`]): every shard socket is
-//! registered non-blocking under a connection token, a `poll(2)`-backed
-//! poller (the `polling` shim) reports readiness, and per-connection
-//! state machines make incremental progress — partial writes resume
-//! from where they stopped, partial reads accumulate in an incremental
-//! frame decoder ([`FrameDecoder`]) until a full v2 wire frame is
-//! available. [`ReactorChannel`] keeps the exact [`Channel`] surface
-//! (and byte accounting) of the blocking channel, so the bridge, the
-//! sharded pool, checkpointing, and the chaos layer run unchanged on
-//! top of it.
+//! A single-threaded [`Reactor`] registers each socket non-blocking
+//! under a connection token, a `poll(2)`-backed poller (the `polling`
+//! shim) reports readiness, and per-connection state machines make
+//! incremental progress — partial writes resume where they stopped,
+//! partial reads accumulate in an incremental [`FrameDecoder`] until a
+//! full v2 wire frame is available. [`ReactorChannel`] is the one
+//! implementation of the client half of the protocol: sequence
+//! stamping, the poison rule, reconnect, the retry/backoff/deadline
+//! loop, fault injection, byte accounting and the teardown drain all
+//! live here. [`crate::SocketChannel`] is a facade over one
+//! `ReactorChannel` on a private reactor.
 //!
-//! # Pipelining
+//! # Pipelining and flushing
 //!
-//! Because all connections live in one loop, *gathering one shard's
-//! reply advances every other shard's I/O too*: a fan-out of K requests
-//! followed by K collects overlaps all K round trips regardless of
-//! collect order. On a single connection, requests submitted
-//! back-to-back are coalesced into one vectored write (one syscall, one
-//! wakeup at the peer) and their replies are decoded in order from
-//! whatever byte boundaries the kernel delivers. Queue depth > 1 on one
-//! connection is allowed only with retry and chaos disabled: the
-//! server's dedup cache remembers only the *last* mutating frame, so a
-//! reconnect-and-resend of two in-flight mutations could double-apply
-//! the first one. Depth-1 per connection (what [`crate::ShardedChannel`]
-//! uses — the fan-out is *across* connections) keeps the full
-//! retry/backoff/heal machinery of the blocking path.
+//! Because all connections of a reactor live in one loop, *gathering
+//! one shard's reply advances every other shard's I/O too*: a fan-out
+//! of K requests followed by K collects overlaps all K round trips
+//! regardless of collect order. `submit*` only queues its frame; the
+//! bytes leave at the next blocking wait on any channel of the reactor,
+//! so requests submitted back-to-back on one connection coalesce into
+//! one vectored write (one syscall, one wakeup at the peer) and their
+//! replies are decoded in order from whatever byte boundaries the
+//! kernel delivers. A `SocketChannel` has no sibling whose wait would
+//! flush for it, so the facade pushes each frame at submit. Queue
+//! depth > 1 on one connection is allowed only with retry and chaos
+//! disabled: the server's dedup cache remembers only the *last*
+//! mutating frame, so a reconnect-and-resend of two in-flight mutations
+//! could double-apply the first one. Depth-1 per connection (what
+//! [`crate::ShardedChannel`] uses — the fan-out is *across*
+//! connections) keeps the full retry/backoff/heal machinery.
 //!
-//! # Equivalence with the blocking path
+//! # Faults, retry and the timeout rule
 //!
-//! [`ReactorChannel`] mirrors [`crate::SocketChannel`] observable
-//! behavior exactly: the same sequence stamping, the same
-//! [`crate::chaos::StreamFaults`] consumption points (one write draw
-//! per send attempt, one read draw per receive attempt, one refusal
-//! draw per reconnect), the same poison/retry/backoff state machine,
-//! and the same [`ChannelStats`] byte accounting. Timeouts come from
-//! bounding the poller wait with `JC_NET_TIMEOUT_MS` instead of
-//! `SO_RCVTIMEO` — a silent peer surfaces as the same transient
-//! `Io(TimedOut)`. `tests/reactor_equivalence.rs` pins full bridge runs
-//! over both transports to bitwise-identical results, and the chaos
-//! suites drive the same seeded fault schedules through both.
+//! By default one wire failure poisons the channel (fail fast, escalate
+//! to the heal/restore path). A channel built
+//! [`ReactorChannel::with_retry`] instead absorbs *transient* faults
+//! (see [`WireError::is_transient`]) in place: back off, reconnect,
+//! resend the identical sequence-stamped frame; the server's dedup
+//! cache (see [`crate::socket`]) replays its cached response to a
+//! duplicate, so even mutating requests like `Kick` are applied exactly
+//! once. [`crate::chaos::StreamFaults`] are consumed at frame-op
+//! boundaries: one write draw per submitted frame, one read draw per
+//! receive attempt, one refusal draw per reconnect.
+//!
+//! `JC_NET_TIMEOUT_MS` (default 5000) bounds the poller waits of a
+//! retry-enabled channel only (`max_retries > 0`): a silent peer
+//! surfaces as the transient `Io(TimedOut)` and is retried. A channel
+//! without retry waits for its reply indefinitely — a paper-scale
+//! `EvolveTo` legitimately takes longer than any fixed bound, and with
+//! no retry a timeout could only poison the channel. Teardown drains
+//! (`Drop`, [`crate::SocketChannel::shutdown_worker`]) are always
+//! bounded.
+//!
+//! # Accounting
+//!
+//! Every frame is physically [`Request::wire_size`]/
+//! [`Response::wire_size`] bytes long, so [`ChannelStats`] counted from
+//! *actual* bytes agree exactly with the modeled accounting of the
+//! in-process channels. A call counts its frame once — an absorbed
+//! resend ticks `retries` instead, and a call that fails after its
+//! frame left still credits `bytes_out`. Buffers are recycled: a warm
+//! round trip through the borrowing fast paths (`snapshot_into`,
+//! `kick_slice`, `compute_kick_into`) allocates nothing coupler-side.
 
 use crate::channel::{Channel, ChannelStats};
 use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
-use crate::socket::net_timeout;
 use crate::wire::{self, WireError, HEADER_LEN, READ_CHUNK};
 use crate::worker::{ParticleData, Request, Response};
 use polling::{Event, Events, Poller};
@@ -57,6 +75,18 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::rc::Rc;
 use std::time::Duration;
+
+/// The client I/O timeout: `JC_NET_TIMEOUT_MS` (milliseconds, default
+/// 5000). Read when a channel is built or torn down, never per frame —
+/// see the module docs for which waits it bounds.
+pub(crate) fn net_timeout() -> Duration {
+    let ms = std::env::var("JC_NET_TIMEOUT_MS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .filter(|&v| v > 0)
+        .unwrap_or(5_000);
+    Duration::from_millis(ms)
+}
 
 // --------------------------------------------------------------------------
 // incremental frame decoder
@@ -129,8 +159,7 @@ impl FrameDecoder {
     }
 
     /// Chaos hook: corrupt the first byte of the next frame at the
-    /// moment it arrives, as [`crate::chaos::ChaosStream`] does on the
-    /// blocking path. If header bytes already arrived, they are
+    /// moment it arrives. If header bytes already arrived, they are
     /// corrupted retroactively (the flip would have landed on them);
     /// if the header was already *validated*, the resulting error is
     /// returned so the caller can surface it.
@@ -142,8 +171,8 @@ impl FrameDecoder {
         self.buf[0] ^= 0x01;
         if self.filled >= HEADER_LEN {
             // the header had already passed validation; re-validate the
-            // now-corrupt bytes to produce the error the blocking
-            // decoder would have reported
+            // now-corrupt bytes to produce the error a decoder seeing
+            // them fresh would have reported
             self.total = None;
             return Some(
                 wire::parse_header(&self.buf[..HEADER_LEN]).err().unwrap_or(WireError::BadMagic(0)),
@@ -377,11 +406,6 @@ impl Reactor {
         Ok(Rc::new(RefCell::new(Reactor::new()?)))
     }
 
-    /// Live connections (registered and not torn down).
-    pub fn connections(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
-    }
-
     fn conn(&mut self, token: usize) -> &mut Conn {
         self.conns[token].as_mut().expect("live reactor connection")
     }
@@ -485,8 +509,7 @@ impl Reactor {
     }
 
     /// Chaos `PartialWrite`: half the frame leaves, then the connection
-    /// is declared broken — exactly the blocking `ChaosStream` torn
-    /// write.
+    /// is declared broken.
     fn partial_write(&mut self, token: usize, frame: Vec<u8>) {
         let conn = self.conn(token);
         let half = frame.len() / 2;
@@ -604,9 +627,10 @@ impl Reactor {
     }
 
     /// One readiness round: restate every connection's interest
-    /// (level-triggered), wait up to `timeout`, dispatch reads and
-    /// writes. `Ok(false)` means a genuine timeout — zero events.
-    fn drive(&mut self, timeout: Duration) -> std::io::Result<bool> {
+    /// (level-triggered), wait up to `timeout` (`None`: indefinitely),
+    /// dispatch reads and writes. `Ok(false)` means a genuine timeout —
+    /// zero events.
+    fn drive(&mut self, timeout: Option<Duration>) -> std::io::Result<bool> {
         for (key, slot) in self.conns.iter().enumerate() {
             if let Some(c) = slot {
                 let ev = Event {
@@ -617,7 +641,7 @@ impl Reactor {
                 let _ = self.poller.modify(&c.stream, ev);
             }
         }
-        let n = self.poller.wait(&mut self.events, Some(timeout))?;
+        let n = self.poller.wait(&mut self.events, timeout)?;
         let mut evs = std::mem::take(&mut self.scratch);
         evs.clear();
         evs.extend(self.events.iter());
@@ -633,8 +657,7 @@ impl Reactor {
         Ok(n > 0)
     }
 
-    // ---- chaos draws, at the same frame-op boundaries as the blocking
-    // channel ----
+    // ---- chaos draws, one per frame op ----
 
     fn consume_write_fault(&mut self, token: usize) -> Option<IoFault> {
         self.conn(token).faults.as_mut()?.next_write()
@@ -655,8 +678,8 @@ impl Reactor {
     /// Chaos `CorruptHeader` for a receive attempt: corrupt whatever of
     /// the response has arrived (or arm the decoder for its first
     /// byte). If the response already completed into the ready slot,
-    /// the corruption is applied there — the error the blocking path
-    /// would have decoded replaces the clean result.
+    /// the corruption is applied there — the header error replaces the
+    /// clean result.
     fn corrupt_response(&mut self, token: usize) {
         let conn = self.conn(token);
         if let Some(Ok(_)) = conn.ready {
@@ -677,9 +700,7 @@ impl Reactor {
 // the channel
 
 /// An RPC channel to one worker over a [`Reactor`]-owned non-blocking
-/// socket: the event-driven counterpart of [`crate::SocketChannel`],
-/// with identical request encoding, sequence stamping, retry/backoff,
-/// chaos injection, stats accounting, and teardown behavior.
+/// socket.
 pub struct ReactorChannel {
     reactor: Rc<RefCell<Reactor>>,
     token: usize,
@@ -687,17 +708,29 @@ pub struct ReactorChannel {
     stats: ChannelStats,
     /// Frame lengths of submitted-but-uncollected requests, in order.
     pending: VecDeque<u64>,
-    /// First wire-level failure; fail fast afterwards (see
-    /// [`crate::SocketChannel`]'s poison discipline).
+    /// First wire-level failure seen on this stream. After one, frame
+    /// alignment can no longer be trusted (a half-read payload would be
+    /// parsed as headers), so the channel fails fast with this error
+    /// instead of returning garbage forever — the same
+    /// connection-fatal treatment the server gives protocol errors.
     poisoned: Option<WireError>,
-    /// Send `Stop` on drop (disarmed after an explicit `Shutdown`).
-    stop_on_drop: bool,
-    /// Dialed address, for transparent reconnection.
-    addr: Option<SocketAddr>,
-    /// In-place retry policy for transient faults.
+    /// Send `Stop` on drop (disarmed after an explicit `Shutdown`, so a
+    /// stop frame is never written at a server that already exited).
+    pub(crate) stop_on_drop: bool,
+    /// The address we dialed, for transparent reconnection. `None` only
+    /// if the peer address could not be resolved at connect time (then
+    /// retries degrade to fail-fast).
+    pub(crate) addr: Option<SocketAddr>,
+    /// In-place retry policy for transient faults. The default,
+    /// [`RetryPolicy::none`], is fail-fast.
     retry: RetryPolicy,
-    /// Sequence stamp of the most recent frame (wraps, skipping 0).
-    seq: u16,
+    /// Bound on each poller wait of a round trip (`None`: wait for the
+    /// reply indefinitely) — the module docs' timeout rule.
+    pub(crate) wait: Option<Duration>,
+    /// Sequence stamp of the most recent frame (wraps past `u16::MAX`,
+    /// skipping the unsequenced 0). A resend reuses it, which is what
+    /// lets the server deduplicate.
+    pub(crate) seq: u16,
     /// Chaos is armed on this channel (restricts pipeline depth to 1).
     has_faults: bool,
 }
@@ -724,34 +757,46 @@ impl ReactorChannel {
             stop_on_drop: true,
             addr: peer,
             retry: RetryPolicy::none(),
+            wait: None,
             seq: 0,
             has_faults: false,
         })
     }
 
-    /// Enable bounded in-place retry for transient faults — the same
-    /// reconnect-and-resend discipline as
-    /// [`crate::SocketChannel::with_retry`]. No socket timeouts are
-    /// involved: the reactor bounds its poller waits with
-    /// `JC_NET_TIMEOUT_MS` instead.
+    /// Enable bounded in-place retry for transient transport faults
+    /// (see [`WireError::is_transient`]): on failure the channel
+    /// reconnects to the original address and resends the identical
+    /// sequence-stamped frame — the server's dedup makes that safe even
+    /// for mutating requests. A retry-enabled channel also bounds every
+    /// poller wait with `JC_NET_TIMEOUT_MS`, so a wedged worker surfaces
+    /// as a retryable `TimedOut` instead of a hang.
     pub fn with_retry(mut self, retry: RetryPolicy) -> ReactorChannel {
+        self.wait = (retry.max_retries > 0).then(net_timeout);
         self.retry = retry;
         self
     }
 
     /// Interpose deterministic fault injection on this channel's
-    /// transport (see [`crate::chaos::FaultPlan`]). Faults are consumed
-    /// at the same frame-op boundaries as the blocking channel, so a
-    /// seeded schedule maps identically onto both transports.
+    /// transport (the chaos harness hook — see
+    /// [`crate::chaos::FaultPlan`]).
     pub fn with_chaos(mut self, faults: StreamFaults) -> ReactorChannel {
         self.reactor.borrow_mut().set_faults(self.token, faults);
         self.has_faults = true;
         self
     }
 
-    /// The shared reactor this channel drives.
-    pub fn reactor(&self) -> Rc<RefCell<Reactor>> {
-        Rc::clone(&self.reactor)
+    /// Start this connection's queued frames moving now instead of at
+    /// the next blocking wait — for a channel whose reactor no sibling
+    /// will drive (the [`crate::SocketChannel`] facade).
+    pub(crate) fn push(&mut self) {
+        self.reactor.borrow_mut().try_flush(self.token);
+    }
+
+    /// Run `f` on the connection's stream (tests break it from
+    /// underneath the channel).
+    #[cfg(test)]
+    pub(crate) fn with_stream<R>(&self, f: impl FnOnce(&TcpStream) -> R) -> R {
+        f(&self.reactor.borrow_mut().conn(self.token).stream)
     }
 
     /// Encode one request with `build`, stamp it, and start it moving.
@@ -791,7 +836,7 @@ impl ReactorChannel {
     /// Drive the reactor until this connection's queued writes have
     /// fully left; `Ok` carries the submitted frame's length (the
     /// `bytes_out` credit).
-    fn finish_send(&mut self, frame_len: u64, timeout: Duration) -> Result<u64, WireError> {
+    fn finish_send(&mut self, frame_len: u64) -> Result<u64, WireError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
@@ -803,75 +848,58 @@ impl ReactorChannel {
             let state = self.reactor.borrow_mut().flush_state(self.token);
             match state {
                 FlushState::Done => return Ok(frame_len),
-                FlushState::Failed(e) => {
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-                FlushState::Pending => {
-                    if !self.drive(timeout)? {
-                        let e = WireError::Io(std::io::ErrorKind::TimedOut);
-                        self.poisoned = Some(e.clone());
-                        return Err(e);
-                    }
-                }
+                FlushState::Failed(e) => return self.poison(e),
+                FlushState::Pending => self.drive()?,
             }
         }
     }
 
     /// One receive attempt: draw the chaos read fault for this frame
     /// op, then drive the reactor until a response completes (or the
-    /// wait times out). Mirrors the blocking `recv` error-for-error.
-    fn recv(&mut self, timeout: Duration) -> Result<u64, WireError> {
+    /// wait times out).
+    fn recv(&mut self) -> Result<u64, WireError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
         let fault = self.reactor.borrow_mut().consume_read_fault(self.token);
         match fault {
             Some(IoFault::ReadTimeout) => {
-                let e = WireError::Io(std::io::ErrorKind::TimedOut);
-                self.poisoned = Some(e.clone());
-                return Err(e);
+                return self.poison(WireError::Io(std::io::ErrorKind::TimedOut))
             }
-            Some(IoFault::ShortRead) => {
-                let e = WireError::Closed;
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
+            Some(IoFault::ShortRead) => return self.poison(WireError::Closed),
             Some(IoFault::CorruptHeader) => self.reactor.borrow_mut().corrupt_response(self.token),
             _ => {}
         }
         loop {
-            if let Some(r) = self.reactor.borrow_mut().take_ready(self.token) {
-                return match r {
-                    Ok(n) => Ok(n),
-                    Err(e) => {
-                        self.poisoned = Some(e.clone());
-                        Err(e)
-                    }
-                };
+            let ready = self.reactor.borrow_mut().take_ready(self.token);
+            if let Some(r) = ready {
+                return r.or_else(|e| self.poison(e));
             }
-            if !self.drive(timeout)? {
-                let e = WireError::Io(std::io::ErrorKind::TimedOut);
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
+            self.drive()?;
         }
     }
 
-    /// One reactor round; poller failures poison the channel.
-    fn drive(&mut self, timeout: Duration) -> Result<bool, WireError> {
-        self.reactor.borrow_mut().drive(timeout).map_err(|e| {
-            let err = WireError::Io(e.kind());
-            self.poisoned = Some(err.clone());
-            err
-        })
+    /// Poison the channel with `e` and fail with it.
+    fn poison<T>(&mut self, e: WireError) -> Result<T, WireError> {
+        self.poisoned = Some(e.clone());
+        Err(e)
+    }
+
+    /// One reactor round, bounded by `self.wait`; a wait that times
+    /// out and a poller failure both poison the channel.
+    fn drive(&mut self) -> Result<(), WireError> {
+        let progressed = self.reactor.borrow_mut().drive(self.wait);
+        match progressed {
+            Ok(true) => Ok(()),
+            Ok(false) => self.poison(WireError::Io(std::io::ErrorKind::TimedOut)),
+            Err(e) => self.poison(WireError::Io(e.kind())),
+        }
     }
 
     /// Tear down the stream and dial the stored address again,
-    /// clearing the poison on success. Chaos may deterministically
-    /// refuse the attempt. Mirrors the blocking reconnect exactly
-    /// (including shutting the old stream down *before* dialing, which
-    /// unwedges a server blocked mid-read on a torn frame).
+    /// clearing the poison on success (the new stream's framing is
+    /// trusted from scratch). Chaos may deterministically refuse the
+    /// attempt.
     fn reconnect(&mut self) -> bool {
         let Some(addr) = self.addr else { return false };
         if self.reactor.borrow_mut().connect_refused(self.token) {
@@ -891,20 +919,25 @@ impl ReactorChannel {
         }
     }
 
-    /// Complete the oldest outstanding round trip, retrying transient
-    /// failures in place per the [`RetryPolicy`] — the verbatim
-    /// state machine of the blocking channel's `complete`.
+    /// Complete the oldest outstanding round trip, updating the stats
+    /// from the actual bytes moved. Transient failures (send *or*
+    /// receive) are retried in place per the [`RetryPolicy`]: back off,
+    /// reconnect, resend the identical frame — the server replays its
+    /// cached response if the original was applied, so the request
+    /// takes effect exactly once. A successful call counts once in the
+    /// stats, plus one `retries` tick per absorbed fault; fatal errors
+    /// (and exhausted retries) surface to the caller with the channel
+    /// poisoned.
     fn complete_front(&mut self) -> Result<(), WireError> {
         let frame_len = self.pending.pop_front().expect("no outstanding call");
-        let timeout = net_timeout();
         let mut attempt = 0u32;
         let deadline =
             (self.retry.deadline_ms > 0).then(|| Duration::from_millis(self.retry.deadline_ms));
         let started = deadline.map(|_| std::time::Instant::now());
-        let mut sent = self.finish_send(frame_len, timeout);
+        let mut sent = self.finish_send(frame_len);
         loop {
             let r = match &sent {
-                Ok(out) => self.recv(timeout).map(|inb| (*out, inb)),
+                Ok(out) => self.recv().map(|inb| (*out, inb)),
                 Err(e) => Err(e.clone()),
             };
             match r {
@@ -915,8 +948,9 @@ impl ReactorChannel {
                     return Ok(());
                 }
                 Err(e) => {
-                    // same deadline discipline as the blocking channel:
-                    // stop before the next backoff crosses the budget
+                    // Give up before the next backoff would cross the
+                    // per-request deadline, with the typed non-transient
+                    // error so the caller escalates instead of retrying.
                     let over_deadline = started.is_some_and(|t0| {
                         t0.elapsed() + self.retry.backoff(attempt + 1) >= deadline.unwrap()
                     });
@@ -927,10 +961,9 @@ impl ReactorChannel {
                             self.stats.bytes_out += *out;
                         }
                         if over_deadline && e.is_transient() {
-                            let d =
-                                WireError::DeadlineExceeded { budget_ms: self.retry.deadline_ms };
-                            self.poisoned = Some(d.clone());
-                            return Err(d);
+                            return self.poison(WireError::DeadlineExceeded {
+                                budget_ms: self.retry.deadline_ms,
+                            });
                         }
                         return Err(e);
                     }
@@ -939,7 +972,7 @@ impl ReactorChannel {
                     std::thread::sleep(self.retry.backoff(attempt));
                     sent = if self.reconnect() {
                         self.reactor.borrow_mut().resend_last(self.token);
-                        self.finish_send(frame_len, timeout)
+                        self.finish_send(frame_len)
                     } else {
                         Err(e)
                     };
@@ -1096,10 +1129,13 @@ impl Channel for ReactorChannel {
 
 impl Drop for ReactorChannel {
     fn drop(&mut self) {
-        // Mirror the blocking channel's teardown: finish pushing any
-        // queued request bytes, drain the responses still owed (bounded
-        // by the net timeout), send Stop so the server's serve loop can
-        // exit, then shut the socket down.
+        // Best-effort shutdown so the server's serve loop can exit:
+        // finish pushing any queued request bytes, drain the responses
+        // still owed (a channel dropped while outstanding, e.g. the
+        // coupler unwinding mid-fan-out) — bounded by the net timeout so
+        // a wedged worker cannot hang the drop — then send Stop;
+        // otherwise the server would return to `accept` and wait for a
+        // client that never comes.
         let torn = self.reactor.borrow_mut().take_conn(self.token);
         let Some(torn) = torn else { return };
         let mut stream = torn.stream;
@@ -1211,6 +1247,22 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_in_place_flips_exactly_the_magic_byte() {
+        let frame = &encode_some_frames()[1];
+        // armed before any byte arrives, and applied retroactively to
+        // header bytes already buffered: either way only byte 0 flips
+        for fed_first in [0usize, 10] {
+            let mut d = FrameDecoder::new();
+            d.feed(&frame[..fed_first]).unwrap();
+            assert!(d.corrupt_in_place().is_none(), "header not validated yet");
+            d.feed(&frame[fed_first..20]).unwrap();
+            assert_eq!(d.frame()[0], frame[0] ^ 0x01, "first byte flipped");
+            assert_eq!(&d.frame()[1..], &frame[1..20], "rest untouched");
+            assert!(matches!(d.feed(&frame[20..]), Err(WireError::BadMagic(_))));
+        }
+    }
+
+    #[test]
     fn reactor_channel_roundtrips_against_a_real_worker() {
         let ics = plummer_sphere(32, 5);
         let (addr, handle) =
@@ -1233,16 +1285,16 @@ mod tests {
         let ics = plummer_sphere(24, 9);
         let dv = vec![[2e-4, -1e-4, 5e-4]; 24];
 
-        // blocking reference
+        // lock-step reference: one request at a time
         let (addr, handle) = spawn_tcp_worker("grav-a", {
             let ics = ics.clone();
             move || GravityWorker::new(ics, Backend::Scalar)
         });
-        let mut blocking = SocketChannel::connect(addr, "grav-a").unwrap();
+        let mut lockstep = SocketChannel::connect(addr, "grav-a").unwrap();
         let mut snap_ref = ParticleData::default();
-        assert!(blocking.snapshot_into(&mut snap_ref));
-        let kick_ref = blocking.kick_slice(&dv);
-        drop(blocking);
+        assert!(lockstep.snapshot_into(&mut snap_ref));
+        let kick_ref = lockstep.kick_slice(&dv);
+        drop(lockstep);
         handle.join().unwrap().unwrap();
 
         // pipelined: both requests in flight before either response
@@ -1263,6 +1315,28 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_sibling_does_not_time_out_the_live_channel() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dead_addr = listener.local_addr().unwrap();
+        let killer = std::thread::spawn(move || drop(listener.accept().unwrap()));
+        let (addr, handle) =
+            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 3), Backend::Scalar));
+        let reactor = Reactor::new_shared().unwrap();
+        let mut dead = ReactorChannel::connect(&reactor, dead_addr, "dead").unwrap();
+        let mut live = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
+        killer.join().unwrap();
+        assert!(matches!(dead.call(Request::Ping), Response::Error(_)));
+        // the hung-up socket stays registered (parked) next to the live
+        // one: its POLLHUP must not end the live channel's waits
+        for _ in 0..3 {
+            let r = live.call(Request::Ping);
+            assert!(matches!(r, Response::Ok { .. }), "{r:?}");
+        }
+        drop(live);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn idle_reactor_wait_times_out() {
         let ics = plummer_sphere(4, 3);
         let (addr, handle) =
@@ -1270,7 +1344,7 @@ mod tests {
         let reactor = Reactor::new_shared().unwrap();
         let ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
         // nothing queued, nothing owed: a bounded wait elapses quietly
-        let progressed = reactor.borrow_mut().drive(Duration::from_millis(30)).unwrap();
+        let progressed = reactor.borrow_mut().drive(Some(Duration::from_millis(30))).unwrap();
         assert!(!progressed, "no events on an idle connection");
         drop(ch);
         handle.join().unwrap().unwrap();

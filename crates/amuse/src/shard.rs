@@ -38,8 +38,8 @@
 //! Failure semantics split into two tiers. *Transient* transport
 //! faults (timeouts, dropped connections, torn frames — anything
 //! [`crate::wire::WireError::is_transient`]) are absorbed **below**
-//! this layer: each [`SocketChannel`](crate::socket::SocketChannel)
-//! stamps mutating requests with a sequence number and, under a
+//! this layer: each [`ReactorChannel`](crate::reactor::ReactorChannel)
+//! stamps its requests with a sequence number and, under a
 //! [`RetryPolicy`](crate::chaos::RetryPolicy), resends the identical
 //! frame in place; the worker's last-applied-seq dedup cache makes the
 //! resend idempotent, so even `Kick`/`SetMasses` retry safely without
@@ -163,14 +163,6 @@ pub struct ShardedChannel {
     respawns: u64,
     /// Shards excluded (no replacement available) so far.
     exclusions: u64,
-    /// Force serial lock-step fan-out even when every shard pipelines
-    /// (`JC_LOCKSTEP=1`, or [`ShardedChannel::with_lockstep`]).
-    lockstep: bool,
-}
-
-/// `JC_LOCKSTEP=1` (or `true`) disables pipelined fan-out globally.
-fn lockstep_from_env() -> bool {
-    matches!(std::env::var("JC_LOCKSTEP").ok().as_deref(), Some("1") | Some("true"))
 }
 
 impl ShardedChannel {
@@ -208,22 +200,16 @@ impl ShardedChannel {
             supervisor: None,
             respawns: 0,
             exclusions: 0,
-            lockstep: lockstep_from_env(),
         }
-    }
-
-    /// Force (or undo) serial lock-step fan-out regardless of what the
-    /// shard channels support; overrides `JC_LOCKSTEP`.
-    pub fn with_lockstep(mut self, lockstep: bool) -> ShardedChannel {
-        self.lockstep = lockstep;
-        self
     }
 
     /// True when the state-op fast paths fan out in two phases (all
     /// shards submitted before any collect) so the K workers compute —
-    /// and their frames fly — concurrently instead of one at a time.
+    /// and their frames fly — concurrently instead of one at a time:
+    /// exactly when every shard [`Channel::pipelines`]. In-process
+    /// shards do not, and are called serially.
     pub fn pipelined(&self) -> bool {
-        !self.lockstep && self.shards.iter().all(|s| s.pipelines())
+        self.shards.iter().all(|s| s.pipelines())
     }
 
     /// Attach a supervisor that can respawn dead shards (see
@@ -515,9 +501,9 @@ impl Channel for ShardedChannel {
         }
     }
 
-    /// A sharded pool pipelines when every member does (and the
-    /// lock-step escape hatch is off), letting an outer composition —
-    /// nested pools, the bridge — overlap this pool with its siblings.
+    /// A sharded pool pipelines when every member does, letting an
+    /// outer composition — nested pools, the bridge — overlap this pool
+    /// with its siblings.
     fn pipelines(&self) -> bool {
         self.pipelined()
     }

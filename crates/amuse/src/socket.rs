@@ -3,44 +3,26 @@
 //! This is the paper's "channel based on sockets": the same
 //! [`Channel`] RPC surface as [`crate::LocalChannel`] and
 //! [`crate::ThreadChannel`], but every call is one wire frame (see
-//! [`crate::wire`]) over a `std::net::TcpStream`. The server side,
-//! [`WorkerServer`], serves any [`ModelWorker`] over a
-//! `std::net::TcpListener` — it is what the `jungle-worker` binary
-//! wraps.
+//! [`crate::wire`]) over loopback or real TCP.
 //!
-//! Both sides keep one reusable encode buffer and one reusable decode
-//! buffer, and the borrowing fast paths (`snapshot_into`, `kick_slice`,
-//! `compute_kick_into`) encode straight from the caller's slices and
-//! decode straight into the caller's buffers — a warm bridge step over
-//! a `SocketChannel` performs no coupler-side heap allocation.
-//!
-//! Because every frame is physically [`Request::wire_size`]/
-//! [`Response::wire_size`] bytes long, the [`ChannelStats`] this channel
-//! accumulates from *actual* bytes sent and received agree exactly with
-//! the modeled accounting of the in-process channels. Each logical call
-//! counts its frame once — a resend absorbed by the retry layer ticks
-//! `retries` instead of double-counting bytes, and a call that fails
-//! after its frame left still credits `bytes_out` for that frame (the
-//! response that never arrived contributes nothing to `bytes_in`).
-//!
-//! # Transient faults: in-place retry
-//!
-//! By default one wire failure poisons the channel (fail fast, escalate
-//! to the heal/restore path). A channel built
-//! [`SocketChannel::with_retry`] instead absorbs *transient* faults
-//! (see [`WireError::is_transient`]) in place: back off, reconnect,
-//! resend the identical frame. Every request frame carries a sequence
-//! number (`wire::set_seq`) and the server remembers the last applied
-//! one per worker together with a fingerprint of the frame it arrived
-//! in, replaying its cached response to a duplicate (`wire::frame_seq`
-//! plus matching bytes — seq alone can collide across connections or
-//! after wrap, see `Dedup` in this file) — so even mutating requests like `Kick`
-//! are applied exactly once no matter how many times the transport
-//! fails underneath. The `JC_NET_TIMEOUT_MS` knob (default 5000) bounds
-//! teardown drains and, for retry-enabled channels, every read/write.
+//! * [`WorkerServer`] serves any [`ModelWorker`] over a
+//!   `std::net::TcpListener` — it is what the `jungle-worker` binary
+//!   wraps. It reuses its frame and encode buffers, batches the replies
+//!   of a pipelined burst, and keeps the per-worker dedup cache that
+//!   makes client retries idempotent: every request frame carries a
+//!   sequence number (`wire::frame_seq`), and a duplicate of the last
+//!   applied mutating frame — same number *and* same bytes, see `Dedup`
+//!   — gets the cached response replayed instead of being re-applied.
+//! * [`SocketChannel`] is the stand-alone client: a facade over one
+//!   [`ReactorChannel`] on a private [`Reactor`]. The client protocol
+//!   (stamping, retry, faults, timeouts, accounting, teardown) is
+//!   implemented once, in [`crate::reactor`]; pools that want their
+//!   round trips to overlap put `ReactorChannel`s on one shared reactor
+//!   instead.
 
 use crate::channel::{Channel, ChannelStats};
-use crate::chaos::{ChaosStream, RetryPolicy, StreamFaults};
+use crate::chaos::{RetryPolicy, StreamFaults};
+use crate::reactor::{net_timeout, Reactor, ReactorChannel};
 use crate::wire::{self, WireError};
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
 use std::io::{Read, Write};
@@ -48,60 +30,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// The socket-layer I/O timeout: `JC_NET_TIMEOUT_MS` (milliseconds,
-/// default 5000 — the bound that used to be hardcoded). Governs the
-/// teardown drains ([`SocketChannel::shutdown_worker`], `Drop`) and the
-/// read/write timeouts applied to retry-enabled channels. Read from the
-/// environment on every call — it is only consulted at connect/teardown
-/// time, never per frame, and tests and harnesses adjust the knob
-/// between runs.
-pub(crate) fn net_timeout() -> std::time::Duration {
-    let ms = std::env::var("JC_NET_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(5_000);
-    std::time::Duration::from_millis(ms)
-}
-
-/// An RPC channel to a worker behind a TCP socket.
-pub struct SocketChannel {
-    stream: TcpStream,
-    name: String,
-    stats: ChannelStats,
-    /// The outstanding asynchronous call: request bytes sent, or the
-    /// send error to surface from `collect` (submit must not panic —
-    /// a dead peer is reported the same way the synchronous path
-    /// reports it, as a `Response::Error`).
-    pending: Option<Result<u64, WireError>>,
-    /// First wire-level failure seen on this stream. After one, frame
-    /// alignment can no longer be trusted (a half-read payload would be
-    /// parsed as headers), so the channel fails fast with this error
-    /// instead of returning garbage forever — the same
-    /// connection-fatal treatment the server gives protocol errors.
-    poisoned: Option<WireError>,
-    /// Reused encode buffer.
-    wbuf: Vec<u8>,
-    /// Reused decode buffer (scratch: only the leading frame is live).
-    rbuf: Vec<u8>,
-    /// Send `Stop` on drop (disarmed after an explicit `Shutdown`, so a
-    /// stop frame is never written at a server that already exited).
-    stop_on_drop: bool,
-    /// The address we dialed, for transparent reconnection. `None` only
-    /// if the peer address could not be resolved at connect time (then
-    /// retries degrade to fail-fast).
-    addr: Option<SocketAddr>,
-    /// In-place retry policy for transient faults. The default,
-    /// [`RetryPolicy::none`], keeps the historical fail-fast behavior.
-    retry: RetryPolicy,
-    /// The sequence number of the frame currently in `wbuf` (wraps,
-    /// skipping the unsequenced 0). A resend reuses it, which is what
-    /// lets the server deduplicate.
-    seq: u16,
-    /// Chaos injection for this channel's transport, if any (see
-    /// [`crate::chaos::FaultPlan::stream_faults`]).
-    faults: Option<StreamFaults>,
-}
+/// An RPC channel to a worker behind a TCP socket: one
+/// [`ReactorChannel`] on a reactor of its own. Unlike channels sharing
+/// a reactor, every `submit*` puts its frame on the wire before
+/// returning, so independent `SocketChannel`s still overlap their
+/// workers' compute.
+pub struct SocketChannel(pub(crate) ReactorChannel);
 
 impl SocketChannel {
     /// Connect to a worker server. `name` is the local display name for
@@ -110,49 +44,17 @@ impl SocketChannel {
         addr: impl ToSocketAddrs,
         name: impl Into<String>,
     ) -> std::io::Result<SocketChannel> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let peer = stream.peer_addr().ok();
-        Ok(SocketChannel {
-            stream,
-            name: name.into(),
-            stats: ChannelStats::default(),
-            pending: None,
-            poisoned: None,
-            wbuf: Vec::new(),
-            rbuf: Vec::new(),
-            stop_on_drop: true,
-            addr: peer,
-            retry: RetryPolicy::none(),
-            seq: 0,
-            faults: None,
-        })
+        Ok(SocketChannel(ReactorChannel::connect(&Reactor::new_shared()?, addr, name)?))
     }
 
-    /// Enable bounded in-place retry for transient transport faults
-    /// (see [`WireError::is_transient`]): on failure the channel
-    /// reconnects to the original address and resends the identical
-    /// sequence-stamped frame — the server's dedup makes that safe even
-    /// for mutating requests. A retry-enabled channel also gets real
-    /// read/write timeouts (`JC_NET_TIMEOUT_MS`, default 5 s), so a
-    /// wedged worker surfaces as a retryable `TimedOut` instead of a
-    /// hang.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> SocketChannel {
-        if retry.max_retries > 0 {
-            let t = net_timeout();
-            let _ = self.stream.set_read_timeout(Some(t));
-            let _ = self.stream.set_write_timeout(Some(t));
-        }
-        self.retry = retry;
-        self
+    /// See [`ReactorChannel::with_retry`].
+    pub fn with_retry(self, retry: RetryPolicy) -> SocketChannel {
+        SocketChannel(self.0.with_retry(retry))
     }
 
-    /// Interpose deterministic fault injection on this channel's
-    /// transport (the chaos harness hook — see
-    /// [`crate::chaos::FaultPlan`]).
-    pub fn with_chaos(mut self, faults: StreamFaults) -> SocketChannel {
-        self.faults = Some(faults);
-        self
+    /// See [`ReactorChannel::with_chaos`].
+    pub fn with_chaos(self, faults: StreamFaults) -> SocketChannel {
+        SocketChannel(self.0.with_chaos(faults))
     }
 
     /// Ask the server behind `addr` to terminate cleanly: one
@@ -169,235 +71,53 @@ impl SocketChannel {
         // sequentially, so if another coupler still holds its current
         // session this request waits in the backlog — a supervisor's
         // teardown must not block forever on it.
-        let _ = c.stream.set_read_timeout(Some(net_timeout()));
-        c.stop_on_drop = false;
+        c.0.wait = Some(net_timeout());
+        c.0.stop_on_drop = false;
         matches!(c.call(Request::Shutdown), Response::Ok { .. })
     }
 
     /// The peer address.
     pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.stream.peer_addr()
-    }
-
-    /// Stamp the frame in `wbuf` with the next sequence number (wraps
-    /// past `u16::MAX`, skipping the unsequenced 0). Retries resend the
-    /// same buffer and therefore the same number.
-    fn stamp_next_seq(&mut self) {
-        self.seq = if self.seq == u16::MAX { 1 } else { self.seq + 1 };
-        wire::set_seq(&mut self.wbuf, self.seq);
-    }
-
-    /// Send the frame currently in `wbuf`; record its bytes.
-    fn send(&mut self) -> Result<u64, WireError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        let bytes = self.wbuf.len() as u64;
-        let r = match &mut self.faults {
-            Some(f) => {
-                let mut cs = ChaosStream::new(&mut self.stream, f.next_write());
-                wire::write_frame(&mut cs, &self.wbuf)
-            }
-            None => wire::write_frame(&mut self.stream, &self.wbuf),
-        };
-        match r {
-            Ok(()) => Ok(bytes),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Receive one frame into `rbuf`; returns its byte count.
-    fn recv(&mut self) -> Result<u64, WireError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        let r = match &mut self.faults {
-            Some(f) => {
-                let mut cs = ChaosStream::new(&mut self.stream, f.next_read());
-                wire::read_frame(&mut cs, &mut self.rbuf)
-            }
-            None => wire::read_frame(&mut self.stream, &mut self.rbuf),
-        };
-        match r {
-            Ok(n) => Ok(n as u64),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Tear down the current stream and dial the stored address again.
-    /// On success the poison is cleared (the new stream's framing is
-    /// trusted from scratch). Chaos may deterministically refuse the
-    /// attempt.
-    fn reconnect(&mut self) -> bool {
-        let Some(addr) = self.addr else { return false };
-        if let Some(f) = &mut self.faults {
-            if f.next_connect_refused() {
-                return false;
-            }
-        }
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        let timeout = std::time::Duration::from_millis(self.retry.connect_timeout_ms.max(1));
-        match TcpStream::connect_timeout(&addr, timeout) {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                if self.retry.max_retries > 0 {
-                    let t = net_timeout();
-                    let _ = s.set_read_timeout(Some(t));
-                    let _ = s.set_write_timeout(Some(t));
-                }
-                self.stream = s;
-                self.poisoned = None;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Complete one round trip for the seq-stamped request in `wbuf`
-    /// whose send outcome is `sent`, updating the stats from the actual
-    /// bytes moved. Transient failures (send *or* receive) are retried
-    /// in place per the [`RetryPolicy`]: back off, reconnect, resend
-    /// the identical frame — the server replays its cached response if
-    /// the original was applied, so the request takes effect exactly
-    /// once. A successful call counts once in the stats, plus one
-    /// `retries` tick per absorbed fault; fatal errors (and exhausted
-    /// retries) surface to the caller with the channel poisoned.
-    fn complete(&mut self, mut sent: Result<u64, WireError>) -> Result<(), WireError> {
-        let mut attempt = 0u32;
-        let deadline = (self.retry.deadline_ms > 0)
-            .then(|| std::time::Duration::from_millis(self.retry.deadline_ms));
-        let started = deadline.map(|_| std::time::Instant::now());
-        loop {
-            let r = match &sent {
-                Ok(out) => self.recv().map(|inb| (*out, inb)),
-                Err(e) => Err(e.clone()),
-            };
-            match r {
-                Ok((out, inb)) => {
-                    self.stats.calls += 1;
-                    self.stats.bytes_out += out;
-                    self.stats.bytes_in += inb;
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Give up before the next backoff would cross the
-                    // per-request deadline, with the typed non-transient
-                    // error so the caller escalates instead of retrying.
-                    let over_deadline = started.is_some_and(|t0| {
-                        t0.elapsed() + self.retry.backoff(attempt + 1) >= deadline.unwrap()
-                    });
-                    if attempt >= self.retry.max_retries || !e.is_transient() || over_deadline {
-                        // The request frame may have physically left even
-                        // though the round trip failed (send ok, recv
-                        // fatal): keep bytes_out honest about what this
-                        // attempt actually wrote.
-                        if let Ok(out) = &sent {
-                            self.stats.bytes_out += *out;
-                        }
-                        if over_deadline && e.is_transient() {
-                            let d =
-                                WireError::DeadlineExceeded { budget_ms: self.retry.deadline_ms };
-                            self.poisoned = Some(d.clone());
-                            return Err(d);
-                        }
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    sent = if self.reconnect() { self.send() } else { Err(e) };
-                }
-            }
-        }
-    }
-
-    /// One full round trip for a request already encoded (and
-    /// seq-stamped) in `wbuf`.
-    fn transact(&mut self) -> Result<(), WireError> {
-        let sent = self.send();
-        self.complete(sent)
+        self.0.addr.ok_or_else(|| std::io::ErrorKind::NotConnected.into())
     }
 }
 
 impl Channel for SocketChannel {
     fn call(&mut self, req: Request) -> Response {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        wire::encode_request(&req, &mut self.wbuf);
-        self.stamp_next_seq();
-        if let Err(e) = self.transact() {
-            self.stats.calls += 1;
-            return Response::Error(format!("wire error: {e}"));
-        }
-        match wire::decode_response(&self.rbuf) {
-            Ok(resp) => {
-                self.stats.flops += resp.flops();
-                resp
-            }
-            Err(e) => Response::Error(format!("wire error: {e}")),
-        }
+        self.0.call(req)
     }
 
     fn submit(&mut self, req: Request) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        wire::encode_request(&req, &mut self.wbuf);
-        self.stamp_next_seq();
-        self.pending = Some(self.send());
+        self.0.submit(req);
+        self.0.push();
     }
 
     fn collect(&mut self) -> Response {
-        // `wbuf` still holds the submitted frame (one outstanding call
-        // per channel), so `complete` can retry a transient failure of
-        // either half of the round trip by resending it.
-        let sent = self.pending.take().expect("no outstanding call");
-        match self.complete(sent) {
-            Ok(()) => match wire::decode_response(&self.rbuf) {
-                Ok(resp) => {
-                    self.stats.flops += resp.flops();
-                    resp
-                }
-                Err(e) => Response::Error(format!("wire error: {e}")),
-            },
-            Err(e) => {
-                self.stats.calls += 1;
-                Response::Error(format!("wire error: {e}"))
-            }
-        }
+        self.0.collect()
     }
 
     fn stats(&self) -> ChannelStats {
-        self.stats
+        self.0.stats()
     }
 
     fn worker_name(&self) -> String {
-        self.name.clone()
+        self.0.worker_name()
     }
 
     fn set_deadline(&mut self, deadline_ms: u64) {
-        self.retry.deadline_ms = deadline_ms;
+        self.0.set_deadline(deadline_ms);
     }
 
-    /// The blocking socket still pipelines *across* channels: `submit`
-    /// (and the `submit_*` fast paths) put the frame on the wire before
-    /// returning, so K sockets fan out concurrently even though each
-    /// collect then blocks in turn.
     fn pipelines(&self) -> bool {
-        true
+        self.0.pipelines()
     }
 
     fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        self.submit_snapshot();
-        self.collect_snapshot_into(out)
+        self.0.snapshot_into(out)
     }
 
     fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        self.submit_kick_slice(dv);
-        self.collect_kick()
+        self.0.kick_slice(dv)
     }
 
     fn compute_kick_into(
@@ -407,48 +127,25 @@ impl Channel for SocketChannel {
         source_mass: &[f64],
         out: &mut Vec<[f64; 3]>,
     ) -> Option<f64> {
-        self.submit_compute_kick(targets, source_pos, source_mass);
-        self.collect_accelerations_into(out)
+        self.0.compute_kick_into(targets, source_pos, source_mass, out)
     }
 
     fn submit_snapshot(&mut self) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        wire::encode_simple_request(wire::op::GET_PARTICLES, &mut self.wbuf);
-        self.stamp_next_seq();
-        self.pending = Some(self.send());
+        self.0.submit_snapshot();
+        self.0.push();
     }
 
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        let sent = self.pending.take().expect("no outstanding call");
-        if self.complete(sent).is_err() {
-            return false;
-        }
-        wire::decode_particles_into(&self.rbuf, out).is_ok()
+        self.0.collect_snapshot_into(out)
     }
 
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        wire::encode_kick(dv, &mut self.wbuf);
-        self.stamp_next_seq();
-        self.pending = Some(self.send());
+        self.0.submit_kick_slice(dv);
+        self.0.push();
     }
 
     fn collect_kick(&mut self) -> Response {
-        let sent = self.pending.take().expect("no outstanding call");
-        if let Err(e) = self.complete(sent) {
-            self.stats.calls += 1;
-            return Response::Error(format!("wire error: {e}"));
-        }
-        match wire::decode_ok(&self.rbuf) {
-            Ok(flops) => {
-                self.stats.flops += flops;
-                Response::Ok { flops }
-            }
-            // not an Ok frame: surface whatever the worker actually said
-            Err(WireError::Unexpected(_)) => wire::decode_response(&self.rbuf)
-                .unwrap_or_else(|e| Response::Error(format!("wire error: {e}"))),
-            Err(e) => Response::Error(format!("wire error: {e}")),
-        }
+        self.0.collect_kick()
     }
 
     fn submit_compute_kick(
@@ -457,45 +154,12 @@ impl Channel for SocketChannel {
         source_pos: &[[f64; 3]],
         source_mass: &[f64],
     ) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        wire::encode_compute_kick(targets, source_pos, source_mass, &mut self.wbuf);
-        self.stamp_next_seq();
-        self.pending = Some(self.send());
+        self.0.submit_compute_kick(targets, source_pos, source_mass);
+        self.0.push();
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        let sent = self.pending.take().expect("no outstanding call");
-        if self.complete(sent).is_err() {
-            return None;
-        }
-        match wire::decode_accelerations_into(&self.rbuf, out) {
-            Ok(flops) => {
-                self.stats.flops += flops;
-                Some(flops)
-            }
-            Err(_) => None,
-        }
-    }
-}
-
-impl Drop for SocketChannel {
-    fn drop(&mut self) {
-        // Best-effort shutdown so the server's serve loop can exit. A
-        // dropped-while-outstanding channel (e.g. the coupler unwinding
-        // mid-fan-out) first drains the pending response — bounded by a
-        // read timeout so a wedged worker cannot hang the drop — and
-        // then sends Stop like the idle path; otherwise the server
-        // would return to `accept` and wait for a client that never
-        // comes.
-        if self.poisoned.is_none() && self.stop_on_drop {
-            if matches!(self.pending.take(), Some(Ok(_))) {
-                let _ = self.stream.set_read_timeout(Some(net_timeout()));
-                let _ = wire::read_frame(&mut self.stream, &mut self.rbuf);
-            }
-            wire::encode_simple_request(wire::op::STOP, &mut self.wbuf);
-            let _ = wire::write_frame(&mut self.stream, &self.wbuf);
-        }
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        self.0.collect_accelerations_into(out)
     }
 }
 
@@ -1178,7 +842,7 @@ mod tests {
             let mut c = SocketChannel::connect(addr, "grav").unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
             // break the stream from underneath the channel
-            c.stream.shutdown(std::net::Shutdown::Both).unwrap();
+            c.0.with_stream(|s| s.shutdown(std::net::Shutdown::Both)).unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Error(_)));
             drop(c); // poisoned: sends nothing
         }
@@ -1270,7 +934,7 @@ mod tests {
             let mut a = SocketChannel::connect(addr, "first").unwrap();
             // first request mutating: seq 1 lands in the dedup cache
             assert!(matches!(a.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
-            a.stop_on_drop = false; // vanish without Stop, server keeps listening
+            a.0.stop_on_drop = false; // vanish without Stop, server keeps listening
         }
         let mut b = SocketChannel::connect(addr, "second").unwrap();
         // b's first request is also seq 1, also mutating, different bytes
@@ -1301,7 +965,7 @@ mod tests {
         {
             let mut a = SocketChannel::connect(addr, "doomed").unwrap();
             assert!(matches!(a.call(Request::Kick(vec![[0.1, 0.0, 0.0]; 4])), Response::Ok { .. }));
-            a.stop_on_drop = false;
+            a.0.stop_on_drop = false;
         }
         assert!(SocketChannel::shutdown_worker(addr), "worker acknowledges the shutdown");
         handle.join().unwrap().unwrap(); // server actually exited
@@ -1320,7 +984,7 @@ mod tests {
             Response::Particles(p) => p,
             other => panic!("{other:?}"),
         };
-        c.seq = 0; // next stamp is 1 again, as after a full wrap
+        c.0.seq = 0; // next stamp is 1 again, as after a full wrap
         assert!(matches!(c.call(Request::Kick(vec![[0.0, 0.25, 0.0]; 4])), Response::Ok { .. }));
         match c.call(Request::GetParticles) {
             Response::Particles(p) => {

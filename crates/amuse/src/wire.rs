@@ -78,7 +78,7 @@
 //! (little-endian u16, written by [`set_seq`], read back by
 //! [`frame_seq`]). `begin_frame` stamps 0 — "unsequenced" — so encoders
 //! that never retry are unchanged, and pre-seq peers (which wrote and
-//! ignored zeros here) stay wire-compatible. A [`crate::SocketChannel`]
+//! ignored zeros here) stay wire-compatible. A [`crate::ReactorChannel`]
 //! stamps each fresh request with the next nonzero sequence number and
 //! *reuses* it when it resends the same frame after a transient
 //! transport fault; the server ([`crate::WorkerServer`]) remembers the

@@ -75,8 +75,8 @@ fn state_bits(s: &ModelState) -> Vec<u64> {
 /// `chaos`, the seed's transport faults are injected into every shard
 /// channel (crash fuses are out of scope here — this pool has no
 /// supervisor, so only the in-place retry tier may fire). With
-/// `reactor`, the pool runs over event-driven [`ReactorChannel`]s on
-/// one shared [`Reactor`] instead of blocking [`SocketChannel`]s — the
+/// `reactor`, the pool runs over [`ReactorChannel`]s on one shared
+/// [`Reactor`] instead of [`SocketChannel`]s on private ones — the
 /// same seeded schedule must be absorbed identically on both.
 fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool, reactor: bool) -> Vec<u64> {
     let plan = FaultPlan::seeded(seed);

@@ -4,10 +4,10 @@
 //! happens to deliver — a frame may arrive in one read or in dozens of
 //! fragments split at arbitrary offsets, including inside the header.
 //! The decoder's contract: any split of a valid frame reassembles to
-//! the exact bytes the one-shot blocking reader would have produced,
-//! it never consumes past the frame boundary, and hostile input errors
-//! out with bounded allocation and no panic — the same guarantees
-//! `wire_robustness.rs` pins for the blocking path.
+//! the exact bytes the one-shot `wire::read_frame` would have
+//! produced, it never consumes past the frame boundary, and hostile
+//! input errors out with bounded allocation and no panic — the same
+//! guarantees `wire_robustness.rs` pins for `read_frame` itself.
 
 use jc_amuse::reactor::FrameDecoder;
 use jc_amuse::wire::{self, WireError};

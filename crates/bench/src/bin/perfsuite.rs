@@ -14,10 +14,10 @@
 //! * `--quick` — small-N subset (CI per-PR job)
 //! * `--socket` — add transport-overhead rows: one bridge-style RPC
 //!   round trip (snapshot + kick) per transport — in-process
-//!   `LocalChannel`, blocking loopback-TCP `SocketChannel`
-//!   (`*_socket_lockstep`), and the pipelined `ReactorChannel`
-//!   (`*_socket`) — plus K=3 `ComputeKick` fan-out rows
-//!   (`coupling_fanout_k3` pipelined vs `_lockstep`) — so the
+//!   `LocalChannel`, the loopback-TCP `SocketChannel` facade one
+//!   request at a time (`*_socket_lockstep`), and a `ReactorChannel`
+//!   with both requests in flight (`*_socket`) — plus the K=3
+//!   `ComputeKick` fan-out row (`coupling_fanout_k3`) — so the
 //!   BENCH_*.json trajectory tracks what the wire costs on top of the
 //!   kernel (`interactions_per_s` holds payload bytes/s for these rows)
 //! * `--checkpoint` — add fault-tolerance overhead rows: serializing a
@@ -165,8 +165,7 @@ fn main() {
         // latency (not the tree kernel) dominates: the pipelined row
         // shows K round trips overlapping toward one.
         let n_fan = channel_ns[0];
-        samples.push(bench_coupling_fanout(n_fan, repeats, 3, false));
-        samples.push(bench_coupling_fanout(n_fan, repeats, 3, true));
+        samples.push(bench_coupling_fanout(n_fan, repeats, 3));
     }
     if checkpoint {
         let ck_stars: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
@@ -427,21 +426,21 @@ fn bench_sph_forces(n: usize, repeats: usize, simd: bool) -> Sample {
 enum Transport {
     /// In-process `LocalChannel` — the zero-wire reference.
     Local,
-    /// Blocking `SocketChannel`: one request in flight at a time, two
-    /// full round trips per step (the pre-reactor transport).
+    /// `SocketChannel` (the facade over a private reactor): one request
+    /// in flight at a time, two full round trips per step.
     SocketLockstep,
     /// `ReactorChannel` with the snapshot and the kick submitted
-    /// together — the event-driven coupler's production path, one
-    /// coalesced write and one gather per step.
+    /// together — the coupler's production path, one coalesced write
+    /// and one gather per step.
     SocketPipelined,
 }
 
 /// One bridge-style RPC round trip — a full particle snapshot plus a
-/// kick — over an in-process channel, a blocking loopback TCP socket,
-/// or the pipelined reactor. The same worker, the same payloads: the
-/// difference between the rows is pure transport (encode + syscalls +
-/// wire + decode, and for the reactor row how many syscall round trips
-/// the step costs). `interactions_per_s` reports payload bytes/s for
+/// kick — over an in-process channel, a loopback TCP socket driven
+/// lock-step, or the same client pipelined. The same worker, the same
+/// payloads: the difference between the rows is pure transport (encode,
+/// syscalls, wire, decode, and for the socket rows how many syscall
+/// round trips the step costs). `interactions_per_s` reports payload bytes/s for
 /// these rows.
 fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sample {
     use jc_amuse::channel::{Channel, LocalChannel};
@@ -512,13 +511,11 @@ fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sa
     }
 }
 
-/// K-shard `ComputeKick` scatter–gather over loopback TCP workers:
-/// pipelined (all K requests in flight at once through the reactor)
-/// versus lock-step (K blocking round trips, one after another). The
-/// gap between the two rows is the latency overlap the event-driven
-/// coupler buys on the coupling fan-out. `interactions_per_s` reports
-/// wire bytes/s measured from the pool's own channel accounting.
-fn bench_coupling_fanout(n: usize, repeats: usize, k: usize, lockstep: bool) -> Sample {
+/// K-shard `ComputeKick` scatter–gather over loopback TCP workers, all
+/// K requests in flight at once through one reactor.
+/// `interactions_per_s` reports wire bytes/s measured from the pool's
+/// own channel accounting.
+fn bench_coupling_fanout(n: usize, repeats: usize, k: usize) -> Sample {
     use jc_amuse::channel::Channel;
     use jc_amuse::shard::ShardedChannel;
     use jc_amuse::worker::CouplingWorker;
@@ -537,8 +534,8 @@ fn bench_coupling_fanout(n: usize, repeats: usize, k: usize, lockstep: bool) -> 
             ) as Box<dyn Channel>
         })
         .collect();
-    let mut pool = ShardedChannel::with_counts(shards, vec![0; k]).with_lockstep(lockstep);
-    assert_eq!(pool.pipelined(), !lockstep);
+    let mut pool = ShardedChannel::with_counts(shards, vec![0; k]);
+    assert!(pool.pipelined());
 
     let mut acc = Vec::new();
     let before = pool.stats();
@@ -557,9 +554,8 @@ fn bench_coupling_fanout(n: usize, repeats: usize, k: usize, lockstep: bool) -> 
     for h in handles {
         let _ = h.join();
     }
-    let suffix = if lockstep { "_lockstep" } else { "" };
     Sample {
-        kernel: Box::leak(format!("coupling_fanout_k{k}{suffix}").into_boxed_str()),
+        kernel: Box::leak(format!("coupling_fanout_k{k}").into_boxed_str()),
         n,
         ns_per_step: ns,
         interactions_per_s: bytes_per_step as f64 / ns * 1e9,
@@ -718,8 +714,7 @@ fn bench_service_shed(repeats: usize) -> Sample {
 }
 
 /// Print the socket-vs-local transport overhead per N (for both socket
-/// transports), plus the pipelined-vs-lock-step gap on the K=3
-/// coupling fan-out.
+/// rows).
 fn report_transport_overhead(samples: &[Sample]) {
     let find = |kernel: &str, n: usize| {
         samples.iter().find(move |l| l.kernel == kernel && l.n == n).map(|l| l.ns_per_step)
@@ -728,29 +723,16 @@ fn report_transport_overhead(samples: &[Sample]) {
         s.kernel == "channel_roundtrip_socket" || s.kernel == "channel_roundtrip_socket_lockstep"
     }) {
         if let Some(local) = find("channel_roundtrip_local", s.n) {
-            let label =
-                if s.kernel.ends_with("_lockstep") { "blocking socket" } else { "reactor socket" };
+            let label = if s.kernel.ends_with("_lockstep") {
+                "lock-step socket"
+            } else {
+                "pipelined socket"
+            };
             println!(
                 "{label} transport overhead at N={}: {:.2}x local round trip ({:.1} MB/s payload)",
                 s.n,
                 s.ns_per_step / local,
                 s.interactions_per_s / 1e6
-            );
-        }
-    }
-    for s in samples
-        .iter()
-        .filter(|s| s.kernel.starts_with("coupling_fanout") && !s.kernel.ends_with("_lockstep"))
-    {
-        if let Some(lockstep) = find(&format!("{}_lockstep", s.kernel), s.n) {
-            println!(
-                "{} at N={}: pipelined fan-out {:.2}x faster than lock-step \
-                 ({:.0} ns vs {:.0} ns per kick)",
-                s.kernel,
-                s.n,
-                lockstep / s.ns_per_step,
-                s.ns_per_step,
-                lockstep
             );
         }
     }

@@ -22,14 +22,10 @@ pub const JC_ENV: &[(&str, &str)] = &[
          unset or unparsable means no faults.",
     ),
     (
-        "JC_LOCKSTEP",
-        "Set to 1/true to force ShardedChannel fan-out back to serial lock-step calls even when \
-         every shard channel supports pipelining; escape hatch and A/B baseline.",
-    ),
-    (
         "JC_NET_TIMEOUT_MS",
-        "Socket-channel read/write timeout in milliseconds (connects, drains, and retry-enabled \
-         channels); defaults to 5000.",
+        "TCP client I/O timeout in milliseconds: bounds teardown drains and every wait of a \
+         retry-enabled channel (a channel without retry waits for its reply indefinitely); \
+         defaults to 5000.",
     ),
     (
         "JC_POOL_SIZE",

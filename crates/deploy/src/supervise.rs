@@ -7,7 +7,7 @@
 //! ([`WorkerSpec`]) for each shard of a pool and implements
 //! [`jc_amuse::ShardSupervisor`], so a
 //! [`jc_amuse::ShardedChannel`] whose worker process dies gets a fresh
-//! process and a fresh [`SocketChannel`] to it — the coupler then
+//! process and a fresh [`ReactorChannel`] to it — the coupler then
 //! restores model state from its last checkpoint and replays
 //! (see `jc_amuse::bridge::Bridge::iteration_recovering`).
 //!
@@ -121,16 +121,15 @@ pub struct ProcessSupervisor {
     /// two supervisors in one process (parallel tests) must never read
     /// each other's port files.
     token: u64,
-    /// When set, every channel handed out (initial launch and respawn
-    /// alike) is a [`ReactorChannel`] registered on this shared event
-    /// loop instead of a blocking [`SocketChannel`], so a
+    /// The event loop every channel handed out (initial launch and
+    /// respawn alike) is registered on, so a
     /// [`jc_amuse::ShardedChannel`] over the pool fans out pipelined.
-    reactor: Option<Rc<RefCell<Reactor>>>,
-    /// When set, every channel handed out carries this retry policy
-    /// (in-place resend of transient faults, optional per-request
-    /// deadline) — the service layer's warm pools lease channels that
-    /// must already know how to ride out a flaky link.
-    retry: Option<jc_amuse::chaos::RetryPolicy>,
+    reactor: Rc<RefCell<Reactor>>,
+    /// Every channel handed out carries this retry policy (in-place
+    /// resend of transient faults, optional per-request deadline;
+    /// default none) — the service layer's warm pools lease channels
+    /// that must already know how to ride out a flaky link.
+    retry: jc_amuse::chaos::RetryPolicy,
 }
 
 static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -147,26 +146,15 @@ impl ProcessSupervisor {
             startup_timeout: Duration::from_secs(10),
             port_dir: std::env::temp_dir(),
             token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            reactor: None,
-            retry: None,
+            reactor: Reactor::new_shared().expect("create the supervisor's poller"),
+            retry: jc_amuse::chaos::RetryPolicy::none(),
         }
     }
 
     /// Hand out channels armed with `retry` (applies to
     /// [`ProcessSupervisor::spawn_all`] and every later respawn alike).
     pub fn with_retry(mut self, retry: jc_amuse::chaos::RetryPolicy) -> ProcessSupervisor {
-        self.retry = Some(retry);
-        self
-    }
-
-    /// Hand out event-driven [`ReactorChannel`]s on `reactor` instead
-    /// of blocking [`SocketChannel`]s. Applies to [`spawn_all`] and to
-    /// every later [`ShardSupervisor::respawn`], so a healed pool stays
-    /// on the same transport it started on.
-    ///
-    /// [`spawn_all`]: ProcessSupervisor::spawn_all
-    pub fn with_reactor(mut self, reactor: Rc<RefCell<Reactor>>) -> ProcessSupervisor {
-        self.reactor = Some(reactor);
+        self.retry = retry;
         self
     }
 
@@ -182,8 +170,7 @@ impl ProcessSupervisor {
         self.port_dir.join(format!("jungle-worker-{}-{}-{i}.port", std::process::id(), self.token))
     }
 
-    /// Launch one worker process and connect to it over whichever
-    /// transport this supervisor is configured for.
+    /// Launch one worker process and connect to it.
     fn launch(&mut self, i: usize) -> io::Result<Box<dyn Channel>> {
         let port_file = self.port_file(i);
         let _ = std::fs::remove_file(&port_file);
@@ -215,22 +202,7 @@ impl ProcessSupervisor {
         let _ = std::fs::remove_file(&port_file);
         self.slots[i].addr = Some(addr);
         let name = format!("{}-{i}", self.specs[i].model);
-        match &self.reactor {
-            Some(r) => {
-                let mut ch = ReactorChannel::connect(r, addr, name)?;
-                if let Some(p) = &self.retry {
-                    ch = ch.with_retry(*p);
-                }
-                Ok(Box::new(ch))
-            }
-            None => {
-                let mut ch = SocketChannel::connect(addr, name)?;
-                if let Some(p) = &self.retry {
-                    ch = ch.with_retry(*p);
-                }
-                Ok(Box::new(ch))
-            }
-        }
+        Ok(Box::new(ReactorChannel::connect(&self.reactor, addr, name)?.with_retry(self.retry)))
     }
 
     /// Launch every worker and return one connected channel per spec

@@ -20,19 +20,17 @@
 //! the idempotent-retry handle): `parse_header`, `set_seq` and
 //! `frame_seq` in `wire.rs` must all name `SEQ_OFFSET` (a hardcoded
 //! offset in any one of them is silent stamp/parse drift), and the
-//! socket channel must reference `set_seq` (client stamping),
-//! `frame_seq` (server recognition) and `last_seq` (the dedup cache) —
-//! losing any leg silently turns "safe to resend" back into
-//! "double-applies on retry".
+//! three legs of the idempotent retry must exist: the server
+//! (`socket.rs`) must reference `frame_seq` (recognition) and
+//! `last_seq` (the dedup cache), the client (`reactor.rs`) `set_seq`
+//! (stamping) — losing any leg silently turns "safe to resend" back
+//! into "double-applies on retry".
 //!
-//! The event-driven channel (`reactor.rs`) is held to the same codec
-//! surface: it must reference `encode_request` / `decode_response`
-//! (frames built or parsed anywhere else escape every exhaustiveness
-//! check above), `set_seq` (pipelined retries must stay idempotent
-//! too), and `parse_header` (the incremental decoder sizes its payload
-//! buffer from a *validated* header, never raw bytes). This is what
-//! keeps "reactor path bitwise-identical to the blocking path" a
-//! structural property rather than a test-coverage hope.
+//! The client is also held to the codec surface: it must reference
+//! `encode_request` / `decode_response` (frames built or parsed
+//! anywhere else escape every exhaustiveness check above) and
+//! `parse_header` (the incremental decoder sizes its payload buffer
+//! from a *validated* header, never raw bytes).
 
 use crate::lexer::Kind;
 use crate::{match_brace, Diagnostic, SourceFile};
@@ -44,9 +42,9 @@ const LINT: &str = "wire-exhaustiveness";
 pub const WIRE_PATH: &str = "crates/amuse/src/wire.rs";
 /// Where the `wire_size` traffic model lives.
 pub const WORKER_PATH: &str = "crates/amuse/src/worker.rs";
-/// Where the socket channel (seq stamping + server dedup) lives.
+/// Where the worker server (seq recognition + dedup) lives.
 pub const SOCKET_PATH: &str = "crates/amuse/src/socket.rs";
-/// Where the event-driven (reactor) channel lives.
+/// Where the TCP client (the reactor channel: seq stamping) lives.
 pub const REACTOR_PATH: &str = "crates/amuse/src/reactor.rs";
 
 /// One parsed `pub const NAME: u8 = 0x..;` opcode.
@@ -58,10 +56,10 @@ struct Opcode {
 
 /// Check the protocol pair. `worker` carries the `wire_size` model; if
 /// absent, the variant cross-check reports that instead of silently
-/// passing. `socket` carries the seq stamp/dedup call sites; when
-/// present, the sequence-number pass runs on both files. `reactor`
-/// carries the event-driven channel; when present, its codec legs are
-/// checked against the same surface.
+/// passing. `socket` carries the server's seq recognition/dedup call
+/// sites; when present, the sequence-number pass runs on both files.
+/// `reactor` carries the client; when present, its stamping and codec
+/// legs are checked.
 pub fn check(
     wire: &SourceFile,
     worker: Option<&SourceFile>,
@@ -162,7 +160,8 @@ pub fn check(
     }
 
     // Sequence-number field: stamp, parse and dedup must agree on one
-    // offset and all three legs must exist.
+    // offset and the server's two legs must exist (the client's
+    // stamping leg is checked with the reactor below).
     if let Some(s) = socket {
         for func in ["parse_header", "set_seq", "frame_seq"] {
             match fns.get(func) {
@@ -170,8 +169,8 @@ pub fn check(
                     wire,
                     1,
                     format!(
-                        "no `fn {func}` found — the sequence-number surface the socket \
-                         channel's idempotent retry stands on has drifted"
+                        "no `fn {func}` found — the sequence-number surface the \
+                         idempotent retry stands on has drifted"
                     ),
                 )),
                 Some(&(lo, hi)) => {
@@ -192,7 +191,6 @@ pub fn check(
         let scode = s.code();
         let referenced = |name: &str| scode.iter().any(|&ti| s.tokens[ti].is_ident(name));
         for (name, why) in [
-            ("set_seq", "requests go out unsequenced, so a resent mutating request double-applies"),
             ("frame_seq", "the server cannot recognize a resent frame as a duplicate"),
             ("last_seq", "the dedup cache is gone — a replayed mutating request re-executes"),
         ] {
@@ -201,17 +199,15 @@ pub fn check(
                     path: s.path.clone(),
                     line: 1,
                     lint: LINT,
-                    message: format!("`{name}` is never referenced in the socket channel — {why}"),
+                    message: format!("`{name}` is never referenced in the worker server — {why}"),
                 });
             }
         }
     }
 
-    // Reactor legs: the non-blocking channel must build, stamp and
-    // parse frames through the exact same codec surface the blocking
-    // channel uses — a hand-rolled frame or header parse in the
-    // pipelined path would sit outside every exhaustiveness check
-    // above and outside the bitwise-equivalence guarantee.
+    // Client legs: the reactor channel must build, stamp and parse
+    // frames through the shared codec surface — a hand-rolled frame or
+    // header parse would sit outside every exhaustiveness check above.
     if let Some(r) = reactor {
         let rcode = r.code();
         let referenced = |name: &str| rcode.iter().any(|&ti| r.tokens[ti].is_ident(name));
@@ -223,14 +219,10 @@ pub fn check(
             ),
             (
                 "decode_response",
-                "replies would be parsed outside the one decode surface the equivalence \
-                 tests pin to the blocking path",
+                "replies would be parsed outside the one decode surface the exhaustiveness \
+                 checks cover",
             ),
-            (
-                "set_seq",
-                "pipelined mutating requests go out unsequenced, so a reactor retry \
-                 double-applies",
-            ),
+            ("set_seq", "requests go out unsequenced, so a resent mutating request double-applies"),
             (
                 "parse_header",
                 "the incremental decoder would size its payload buffer from unvalidated \

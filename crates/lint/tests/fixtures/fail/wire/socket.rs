@@ -1,7 +1,7 @@
-//! Fail fixture: the socket channel stamps sequence numbers but lost
-//! both the server-side recognition (`frame_seq`) and the dedup cache
-//! (`last_seq`) — a resent mutating request would re-execute.
+//! Fail fixture: the worker server lost both the recognition of a
+//! resent frame (`frame_seq`) and the dedup cache (`last_seq`) — a
+//! resent mutating request would re-execute.
 
-pub fn stamp(frame: &mut [u8], seq: u16) {
-    crate::wire::set_seq(frame, seq);
+pub fn serve(frame: &[u8]) -> u8 {
+    frame[5] // every frame is applied, duplicate or not
 }

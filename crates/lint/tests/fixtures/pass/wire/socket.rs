@@ -1,14 +1,11 @@
-//! Pass fixture: the socket channel references all three legs of the
-//! sequence-number contract — client stamping (`set_seq`), server
-//! recognition (`frame_seq`), and the dedup cache (`last_seq`).
+//! Pass fixture: the worker server references both of its legs of the
+//! sequence-number contract — recognition (`frame_seq`) and the dedup
+//! cache (`last_seq`). Stamping (`set_seq`) is the client's leg and
+//! lives in the reactor fixture.
 
 pub struct Dedup {
     pub last_seq: u16,
     pub cached: Vec<u8>,
-}
-
-pub fn stamp(frame: &mut [u8], seq: u16) {
-    crate::wire::set_seq(frame, seq);
 }
 
 pub fn serve(frame: &[u8], dedup: &mut Dedup) -> bool {

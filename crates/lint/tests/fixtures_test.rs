@@ -74,7 +74,7 @@ fn wire_fail_fixture_exact_diagnostics() {
             && x.message.contains("`set_seq` does not name `SEQ_OFFSET`")),
         "{msgs:?}"
     );
-    // the socket fixture stamps but never recognizes or deduplicates
+    // the server fixture never recognizes or deduplicates a resend
     assert!(
         d.iter().any(|x| x.path == wire::SOCKET_PATH
             && x.message.contains("`frame_seq` is never referenced")),

@@ -63,6 +63,10 @@ impl Event {
 #[derive(Default)]
 pub struct Events {
     inner: Vec<Event>,
+    /// The `pollfd` array handed to `poll(2)`, refilled in place on
+    /// every wait so a warm wait allocates nothing.
+    #[cfg(unix)]
+    fds: Vec<sys::PollFd>,
 }
 
 impl Events {
@@ -165,15 +169,18 @@ impl Poller {
     #[cfg(unix)]
     fn wait_impl(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
         let slots = self.slots.lock().unwrap();
-        let mut fds: Vec<sys::PollFd> = slots
-            .iter()
-            .map(|s| sys::PollFd {
-                fd: s.fd,
-                events: (if s.interest.readable { sys::POLLIN } else { 0 })
-                    | (if s.interest.writable { sys::POLLOUT } else { 0 }),
-                revents: 0,
-            })
-            .collect();
+        let Events { inner, fds } = events;
+        fds.clear();
+        fds.extend(slots.iter().map(|s| sys::PollFd {
+            // poll(2) reports hangups and errors whether asked or not;
+            // a negative fd is skipped, which is what keeps a parked
+            // source from waking (and so falsely "timing out") waits
+            // that are about its siblings
+            fd: if s.interest.readable || s.interest.writable { s.fd } else { -1 },
+            events: (if s.interest.readable { sys::POLLIN } else { 0 })
+                | (if s.interest.writable { sys::POLLOUT } else { 0 }),
+            revents: 0,
+        }));
         let timeout_ms: i32 = match timeout {
             None => -1,
             // round up so a sub-millisecond timeout still sleeps
@@ -206,7 +213,7 @@ impl Poller {
             let readable = slot.interest.readable && (pfd.revents & sys::POLLIN != 0 || err);
             let writable = slot.interest.writable && (pfd.revents & sys::POLLOUT != 0 || err);
             if readable || writable {
-                events.inner.push(Event { key: slot.interest.key, readable, writable });
+                inner.push(Event { key: slot.interest.key, readable, writable });
             }
         }
         Ok(())
@@ -323,6 +330,19 @@ mod tests {
         let n = poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
         assert_eq!(n, 0);
         drop(b);
+    }
+
+    #[test]
+    fn hangup_on_a_parked_source_wakes_nobody() {
+        let (a, b) = pair();
+        drop(b);
+        let poller = Poller::new().unwrap();
+        poller.add(&a, Event::none(4)).unwrap();
+        let mut events = Events::new();
+        let t0 = std::time::Instant::now();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(60))).unwrap();
+        assert_eq!(n, 0);
+        assert!(t0.elapsed() >= Duration::from_millis(50), "returned early: not a timeout");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Two recovery tiers are exercised and distinguished:
 //!
-//! * transient faults are absorbed *in place* by the socket channel's
+//! * transient faults are absorbed *in place* by the TCP client's
 //!   sequence-numbered resend (worker-side dedup makes mutating
 //!   requests idempotent) — zero checkpoint restores;
 //! * worker crashes surface as fatal and take the heavy path —
@@ -87,12 +87,14 @@ fn baseline() -> Reference {
     Reference { stars, gas, supernovae: bridge.total_supernovae(), time: bridge.model_time() }
 }
 
-/// Which transport a chaos soak drives its channels over.
+/// Which reactor topology a chaos soak drives its channels over — the
+/// client is the same, what differs is when frames flush and whose
+/// waits advance whose I/O.
 #[derive(Clone, Copy, PartialEq)]
 enum Transport {
-    /// Blocking [`SocketChannel`]s.
-    Blocking,
-    /// Event-driven [`ReactorChannel`]s on one shared [`Reactor`].
+    /// [`SocketChannel`]s: every channel alone on a private reactor.
+    Private,
+    /// [`ReactorChannel`]s on one shared [`Reactor`].
     Reactor,
 }
 
@@ -107,7 +109,7 @@ fn faulty_channel(
     faults: StreamFaults,
 ) -> Box<dyn Channel> {
     match transport {
-        Transport::Blocking => Box::new(
+        Transport::Private => Box::new(
             SocketChannel::connect(addr, name)
                 .expect("connect")
                 .with_retry(retry)
@@ -144,7 +146,7 @@ fn run_chaos_seed(
     let reactor = Reactor::new_shared().expect("reactor");
     let connect = |addr: std::net::SocketAddr, name: String| -> std::io::Result<Box<dyn Channel>> {
         match transport {
-            Transport::Blocking => Ok(Box::new(SocketChannel::connect(addr, name)?)),
+            Transport::Private => Ok(Box::new(SocketChannel::connect(addr, name)?)),
             Transport::Reactor => Ok(Box::new(ReactorChannel::connect(&reactor, addr, name)?)),
         }
     };
@@ -181,7 +183,7 @@ fn run_chaos_seed(
         respawned_c.borrow_mut().push(h);
         let name = format!("fi-{i}-respawn");
         match transport {
-            Transport::Blocking => {
+            Transport::Private => {
                 Some(Box::new(SocketChannel::connect(addr, name).ok()?) as Box<dyn Channel>)
             }
             Transport::Reactor => {
@@ -295,12 +297,12 @@ fn sweep_all_seeds(transport: Transport) {
 
 #[test]
 fn every_seeded_fault_schedule_converges_to_the_fault_free_run() {
-    sweep_all_seeds(Transport::Blocking);
+    sweep_all_seeds(Transport::Private);
 }
 
-/// The same 32 seeds through the event-driven transport: chaos draws
-/// land at identical frame-op boundaries, so every schedule must
-/// converge bitwise exactly as it does over blocking sockets —
+/// The same 32 seeds with every channel on one shared reactor: chaos
+/// draws land at identical frame-op boundaries, so every schedule must
+/// converge bitwise exactly as it does over private reactors —
 /// transient faults absorbed by in-place resends, crashes taking the
 /// respawn/restore path.
 #[test]
@@ -381,7 +383,7 @@ fn transient_schedule(transport: Transport) {
 
 #[test]
 fn a_transient_schedule_completes_without_a_single_restore() {
-    transient_schedule(Transport::Blocking);
+    transient_schedule(Transport::Private);
 }
 
 /// The same hand-built transient schedule absorbed entirely in place by
@@ -470,7 +472,7 @@ fn identical_kick_pair_schedule(transport: Transport) {
 
 #[test]
 fn identical_consecutive_kick_frames_survive_drops_and_duplicates() {
-    identical_kick_pair_schedule(Transport::Blocking);
+    identical_kick_pair_schedule(Transport::Private);
 }
 
 /// The same three schedules over the event-driven transport.

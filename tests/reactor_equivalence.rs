@@ -1,14 +1,14 @@
-//! Equivalence layer: the event-driven reactor transport is pinned to
-//! the blocking one.
+//! Equivalence layer: the TCP transport is pinned to the in-process
+//! one, in both topologies.
 //!
-//! [`ReactorChannel`] speaks the same wire protocol as
-//! [`SocketChannel`] but through a non-blocking readiness loop with
-//! pipelined fan-out. Nothing about that may be *observable* except
-//! latency: every test here runs identical work over `LocalChannel`,
-//! `SocketChannel`, and `ReactorChannel` (for pool sizes K=1, 2, 3
-//! where sharding applies) and demands bitwise-equal model state and
-//! identical byte accounting. These tests are the contract that lets
-//! the bridge switch transports freely.
+//! [`ReactorChannel`]s on one shared reactor pipeline their fan-out;
+//! a [`SocketChannel`] is the same client alone on a private reactor,
+//! driven one request at a time. Nothing about either may be
+//! *observable* except latency: every test here runs identical work
+//! over `LocalChannel`, `SocketChannel`, and `ReactorChannel` (for pool
+//! sizes K=1, 2, 3 where sharding applies) and demands bitwise-equal
+//! model state and identical byte accounting. These tests are the
+//! contract that lets the bridge switch transports freely.
 
 use jungle::amuse::channel::{Channel, LocalChannel};
 use jungle::amuse::reactor::{Reactor, ReactorChannel};
@@ -59,7 +59,7 @@ fn run_local(iterations: usize) -> (ParticleData, ParticleData) {
 
 /// A full Bridge run with all four model workers behind one shared
 /// reactor must be bitwise-identical to the all-local run (and hence,
-/// by `socket_channel.rs`, to the blocking-socket run).
+/// by `socket_channel.rs`, to the private-reactor `SocketChannel` run).
 #[test]
 fn bridge_over_reactor_is_bitwise_identical_to_local() {
     let c = cluster();
@@ -105,8 +105,8 @@ fn bridge_over_reactor_is_bitwise_identical_to_local() {
 }
 
 /// Pipelined pools over the reactor, K = 1, 2, 3: coupling
-/// scatter-gather and gravity state ops must match the blocking-socket
-/// pools and the unsharded local worker bit for bit.
+/// scatter-gather must match the unsharded local worker bit for bit
+/// (which `sharded_channel.rs` pins the `SocketChannel` pools to).
 #[test]
 fn reactor_pools_match_blocking_pools_for_k_1_2_3() {
     let scene = plummer_sphere(151, 23);
@@ -169,11 +169,10 @@ fn reactor_pools_match_blocking_pools_for_k_1_2_3() {
     }
 }
 
-/// Range-sharded gravity state ops over reactor pools: pipelined
-/// fan-out and the `JC_LOCKSTEP`-style serial fallback must both match
-/// the unsharded local answer bitwise.
+/// Range-sharded gravity state ops over pipelined reactor pools must
+/// match the unsharded local answer bitwise.
 #[test]
-fn reactor_state_ops_match_local_pipelined_and_lockstep() {
+fn reactor_state_ops_match_local_pipelined() {
     let ics = plummer_sphere(40, 31);
     let dv: Vec<[f64; 3]> = (0..40).map(|i| [1e-4 * i as f64, -2e-5, 3e-5 * i as f64]).collect();
     let masses: Vec<f64> = (0..40).map(|i| 0.02 + 1e-4 * i as f64).collect();
@@ -184,7 +183,7 @@ fn reactor_state_ops_match_local_pipelined_and_lockstep() {
     let mut expected = ParticleData::default();
     assert!(single.snapshot_into(&mut expected));
 
-    for (k, lockstep) in [(2usize, false), (3, false), (3, true)] {
+    for k in [2usize, 3] {
         let reactor = Reactor::new_shared().unwrap();
         let counts = partition(40, k);
         let mut handles = Vec::new();
@@ -203,8 +202,8 @@ fn reactor_state_ops_match_local_pipelined_and_lockstep() {
                     as Box<dyn Channel>
             })
             .collect();
-        let mut pool = ShardedChannel::new(shards).with_lockstep(lockstep);
-        assert_eq!(pool.pipelined(), !lockstep);
+        let mut pool = ShardedChannel::new(shards);
+        assert!(pool.pipelined());
         assert_eq!(pool.total_particles(), 40);
 
         let r = pool.kick_slice(&dv);
@@ -213,10 +212,7 @@ fn reactor_state_ops_match_local_pipelined_and_lockstep() {
         assert!(matches!(r, Response::Ok { .. }), "k={k}: {r:?}");
         let mut got = ParticleData::default();
         assert!(pool.snapshot_into(&mut got));
-        assert!(
-            bitwise_eq(&got, &expected),
-            "k={k} lockstep={lockstep}: reactor pool state diverged"
-        );
+        assert!(bitwise_eq(&got, &expected), "k={k}: reactor pool state diverged");
 
         drop(pool);
         for h in handles {
@@ -227,7 +223,7 @@ fn reactor_state_ops_match_local_pipelined_and_lockstep() {
 
 /// Byte accounting through the reactor must equal the modeled
 /// `wire_size()` of every request and response — the same pin the
-/// blocking channel carries in `socket_channel.rs`.
+/// `SocketChannel` facade carries in `socket_channel.rs`.
 #[test]
 fn reactor_stats_match_modeled_wire_sizes() {
     let c = cluster();
@@ -281,7 +277,7 @@ fn reactor_stats_match_modeled_wire_sizes() {
 }
 
 /// Two requests genuinely in flight on one connection: depth-2
-/// pipelining must deliver the same answers as two blocking round
+/// pipelining must deliver the same answers as two lock-step round
 /// trips on a `SocketChannel` against an identical worker.
 #[test]
 fn depth_two_pipelining_matches_blocking_round_trips() {

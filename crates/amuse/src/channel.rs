@@ -48,24 +48,42 @@ impl ChannelStats {
 
 /// An RPC channel to one worker.
 ///
-/// The `*_into`/`*_slice` methods are borrowing fast paths used by the
-/// bridge's per-step hot loop. The defaults route through the ordinary
-/// RPC (a remote channel must move full copies over the wire anyway, and
-/// the accounting stays identical); [`LocalChannel`] overrides them to
-/// hand borrowed slices straight to the worker, so an in-process bridge
-/// step constructs no payload `Vec`s.
+/// One rule: **two-phase is the primitive.** Every operation is a
+/// `submit*` that starts a round trip and the matching `collect*` that
+/// finishes it; at most one may be outstanding per channel (AMUSE's
+/// per-worker request pipeline is depth-1 too). A channel implements
+/// [`Channel::submit`], [`Channel::collect`], [`Channel::stats`] and
+/// [`Channel::worker_name`]; everything else is provided.
+///
+/// * [`Channel::call`] and the one-shots ([`Channel::snapshot_into`],
+///   [`Channel::kick_slice`], [`Channel::compute_kick_into`]) are sugar —
+///   a submit collected at once. No channel overrides them, so wrapping
+///   or instrumenting a channel means covering the two-phase legs only.
+/// * The typed legs (`submit_snapshot`/`collect_snapshot_into`,
+///   `submit_kick_slice`/`collect_kick`, `submit_compute_kick`/
+///   `collect_accelerations_into`) are the bridge's per-step hot loop
+///   over borrowed slices. They default to the generic legs with owned
+///   payloads; a channel overrides a pair to skip the copies
+///   ([`LocalChannel`] hands the slices to its worker, the TCP channels
+///   encode from and decode into them) with the same result and the
+///   same accounting as the generic request.
+/// * [`Channel::pipelines`] only *reports* whether submitted requests
+///   overlap; no code path is selected on it.
 pub trait Channel {
-    /// Synchronous call.
-    fn call(&mut self, req: Request) -> Response;
-    /// Fire an asynchronous call. At most one may be outstanding per
-    /// channel (AMUSE's per-worker request pipeline is depth-1 too).
+    /// Start a call.
     fn submit(&mut self, req: Request);
-    /// Wait for the outstanding asynchronous call.
+    /// Wait for the outstanding call.
     fn collect(&mut self) -> Response;
     /// Accounting.
     fn stats(&self) -> ChannelStats;
     /// Worker name.
     fn worker_name(&self) -> String;
+
+    /// Synchronous call: a submit collected at once.
+    fn call(&mut self, req: Request) -> Response {
+        self.submit(req);
+        self.collect()
+    }
 
     /// Liveness check and best-effort repair (the failover hook). The
     /// default is a heartbeat: one [`Request::Ping`] round trip, `true`
@@ -92,19 +110,15 @@ pub trait Channel {
     /// Snapshot the worker's particles into `out` (reusing its buffers).
     /// Counts as one [`Request::GetParticles`] call in the stats.
     fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        match self.call(Request::GetParticles) {
-            Response::Particles(p) => {
-                *out = p;
-                true
-            }
-            _ => false,
-        }
+        self.submit_snapshot();
+        self.collect_snapshot_into(out)
     }
 
     /// Apply velocity kicks from a borrowed slice. Counts as one
     /// [`Request::Kick`] call in the stats.
     fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        self.call(Request::Kick(dv.to_vec()))
+        self.submit_kick_slice(dv);
+        self.collect_kick()
     }
 
     /// Compute coupling accelerations into `out` (cleared and refilled).
@@ -117,40 +131,27 @@ pub trait Channel {
         source_mass: &[f64],
         out: &mut Vec<[f64; 3]>,
     ) -> Option<f64> {
-        match self.call(Request::ComputeKick {
-            targets: targets.to_vec(),
-            source_pos: source_pos.to_vec(),
-            source_mass: source_mass.to_vec(),
-        }) {
-            Response::Accelerations { acc, flops } => {
-                *out = acc;
-                Some(flops)
-            }
-            _ => None,
-        }
+        self.submit_compute_kick(targets, source_pos, source_mass);
+        self.collect_accelerations_into(out)
     }
 
-    /// Does this channel overlap in-flight requests? `true` means the
-    /// two-phase fast paths below genuinely pipeline (a submitted
-    /// request leaves no later than the first collect of the fan-out,
-    /// and the worker computes while other channels are collected), so
-    /// `submit_*` calls followed by collects overlap all the round
-    /// trips. The default `false` keeps in-process channels on the
-    /// borrowing one-shot fast paths, which are allocation-free for
-    /// them — this observable property, not a user switch, is what
-    /// [`crate::ShardedChannel`] picks its scatter-gather mode by.
+    /// Does this channel overlap in-flight requests? `true` means a
+    /// submitted request leaves no later than the first collect of a
+    /// fan-out and the worker computes while other channels are
+    /// collected, so K submits followed by K collects cost one round
+    /// trip, not K. In-process channels do their work inside `submit*`
+    /// and report `false`. A read-only property: every fan-out
+    /// scatters then gathers regardless.
     fn pipelines(&self) -> bool {
         false
     }
 
-    /// Two-phase [`Channel::snapshot_into`]: start the
-    /// [`Request::GetParticles`] round trip.
+    /// Start a [`Request::GetParticles`] round trip.
     fn submit_snapshot(&mut self) {
         self.submit(Request::GetParticles)
     }
 
-    /// Finish a [`Channel::submit_snapshot`]; same result and
-    /// accounting as the one-shot `snapshot_into`.
+    /// Finish a [`Channel::submit_snapshot`] into `out`.
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
         match self.collect() {
             Response::Particles(p) => {
@@ -161,8 +162,7 @@ pub trait Channel {
         }
     }
 
-    /// Two-phase [`Channel::kick_slice`]: start the [`Request::Kick`]
-    /// round trip.
+    /// Start a [`Request::Kick`] round trip from a borrowed slice.
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
         self.submit(Request::Kick(dv.to_vec()))
     }
@@ -172,23 +172,18 @@ pub trait Channel {
         self.collect()
     }
 
-    /// Two-phase [`Channel::compute_kick_into`]: start the
-    /// [`Request::ComputeKick`] round trip.
+    /// Start a [`Request::ComputeKick`] round trip from borrowed slices.
     fn submit_compute_kick(
         &mut self,
         targets: &[[f64; 3]],
         source_pos: &[[f64; 3]],
         source_mass: &[f64],
     ) {
-        self.submit(Request::ComputeKick {
-            targets: targets.to_vec(),
-            source_pos: source_pos.to_vec(),
-            source_mass: source_mass.to_vec(),
-        })
+        self.submit(owned_compute_kick(targets, source_pos, source_mass))
     }
 
-    /// Finish a [`Channel::submit_compute_kick`]; same result and
-    /// accounting as the one-shot `compute_kick_into`.
+    /// Finish a [`Channel::submit_compute_kick`] into `out` (cleared and
+    /// refilled); the modeled flops, or `None` on failure.
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
         match self.collect() {
             Response::Accelerations { acc, flops } => {
@@ -200,6 +195,19 @@ pub trait Channel {
     }
 }
 
+/// The owned [`Request::ComputeKick`] of three borrowed slices.
+fn owned_compute_kick(
+    targets: &[[f64; 3]],
+    source_pos: &[[f64; 3]],
+    source_mass: &[f64],
+) -> Request {
+    Request::ComputeKick {
+        targets: targets.to_vec(),
+        source_pos: source_pos.to_vec(),
+        source_mass: source_mass.to_vec(),
+    }
+}
+
 fn account(stats: &mut ChannelStats, req_bytes: u64, resp: &Response) {
     stats.calls += 1;
     stats.bytes_out += req_bytes;
@@ -207,38 +215,69 @@ fn account(stats: &mut ChannelStats, req_bytes: u64, resp: &Response) {
     stats.flops += resp.flops();
 }
 
-/// The in-process channel: requests execute immediately on the caller's
-/// thread. `submit`/`collect` still work (they just buffer the response),
-/// so bridge code is oblivious to the channel kind.
+/// What a [`LocalChannel`] holds between a submit and its collect.
+enum Parked {
+    /// The finished (and accounted) response.
+    Response(Response),
+    /// A snapshot, taken when it is collected — straight into the
+    /// collector's buffer.
+    Snapshot,
+    /// Accelerations, computed and accounted, waiting in
+    /// `LocalChannel::acc` with these modeled flops.
+    Accelerations(f64),
+}
+
+/// The in-process channel: the worker lives in the caller, so a request
+/// executes inside its `submit*` leg (a snapshot inside its collect) and
+/// the result is parked until collected. The typed legs hand borrowed
+/// slices straight to the worker's borrowed entry points
+/// ([`ModelWorker::kick_slice`] and friends) and book exactly what the
+/// equivalent [`Request`] would have, so a warm in-process bridge step
+/// allocates nothing; a worker that declines a borrowed leg gets the
+/// owned request through [`ModelWorker::handle`] instead.
 pub struct LocalChannel {
     worker: Box<dyn ModelWorker>,
     stats: ChannelStats,
-    pending: Option<Response>,
+    pending: Option<Parked>,
+    /// Where `submit_compute_kick` parks its accelerations;
+    /// `collect_accelerations_into` swaps it with the caller's buffer.
+    acc: Vec<[f64; 3]>,
 }
 
 impl LocalChannel {
     /// Wrap a worker.
     pub fn new(worker: Box<dyn ModelWorker>) -> LocalChannel {
-        LocalChannel { worker, stats: ChannelStats::default(), pending: None }
+        LocalChannel { worker, stats: ChannelStats::default(), pending: None, acc: Vec::new() }
     }
-}
 
-impl Channel for LocalChannel {
-    fn call(&mut self, req: Request) -> Response {
+    /// Every submit leg starts here: one call may be outstanding.
+    fn assert_idle(&self) {
+        assert!(self.pending.is_none(), "one outstanding call per channel");
+    }
+
+    /// One accounted round trip through [`ModelWorker::handle`].
+    fn roundtrip(&mut self, req: Request) -> Response {
         let rb = req.wire_size();
         let resp = self.worker.handle(req);
         account(&mut self.stats, rb, &resp);
         resp
     }
+}
 
+impl Channel for LocalChannel {
     fn submit(&mut self, req: Request) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        let resp = self.call(req);
-        self.pending = Some(resp);
+        self.assert_idle();
+        self.pending = Some(Parked::Response(self.roundtrip(req)));
     }
 
     fn collect(&mut self) -> Response {
-        self.pending.take().expect("no outstanding call")
+        match self.pending.take().expect("no outstanding call") {
+            Parked::Response(resp) => resp,
+            Parked::Snapshot => self.roundtrip(Request::GetParticles),
+            Parked::Accelerations(flops) => {
+                Response::Accelerations { acc: std::mem::take(&mut self.acc), flops }
+            }
+        }
     }
 
     fn stats(&self) -> ChannelStats {
@@ -249,63 +288,92 @@ impl Channel for LocalChannel {
         self.worker.name()
     }
 
-    fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        if self.worker.snapshot_into(out) {
-            // account exactly like the Request::GetParticles round trip
-            self.stats.calls += 1;
-            self.stats.bytes_out += Request::GetParticles.wire_size();
-            self.stats.bytes_in += out.wire_size() + 32;
-            true
-        } else {
-            match self.call(Request::GetParticles) {
-                Response::Particles(p) => {
-                    *out = p;
-                    true
-                }
-                _ => false,
+    // jc-lint: no-alloc
+    fn submit_snapshot(&mut self) {
+        self.assert_idle();
+        self.pending = Some(Parked::Snapshot);
+    }
+
+    // jc-lint: no-alloc
+    fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
+        let resp = match self.pending.take().expect("no outstanding call") {
+            Parked::Snapshot if self.worker.snapshot_into(out) => {
+                // account exactly like the Request::GetParticles round trip
+                self.stats.calls += 1;
+                self.stats.bytes_out += Request::GetParticles.wire_size();
+                self.stats.bytes_in += out.wire_size() + 32;
+                return true;
             }
+            // cold path: the worker declined the borrowed leg
+            Parked::Snapshot => self.roundtrip(Request::GetParticles),
+            Parked::Response(resp) => resp,
+            Parked::Accelerations(_) => return false,
+        };
+        match resp {
+            Response::Particles(p) => {
+                *out = p;
+                true
+            }
+            _ => false,
         }
     }
 
-    fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        match self.worker.kick_slice(dv) {
+    // jc-lint: no-alloc
+    fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
+        self.assert_idle();
+        let resp = match self.worker.kick_slice(dv) {
             Some(flops) => {
                 let resp = Response::Ok { flops };
                 account(&mut self.stats, 24 * dv.len() as u64 + 32, &resp);
                 resp
             }
-            None => self.call(Request::Kick(dv.to_vec())),
-        }
+            // jc-lint: allow(no-alloc): cold path — the worker declined the borrowed leg
+            None => self.roundtrip(Request::Kick(dv.to_vec())),
+        };
+        self.pending = Some(Parked::Response(resp));
     }
 
-    fn compute_kick_into(
+    // jc-lint: no-alloc
+    fn submit_compute_kick(
         &mut self,
         targets: &[[f64; 3]],
         source_pos: &[[f64; 3]],
         source_mass: &[f64],
-        out: &mut Vec<[f64; 3]>,
-    ) -> Option<f64> {
-        match self.worker.compute_kick_into(targets, source_pos, source_mass, out) {
-            Some(flops) => {
-                self.stats.calls += 1;
-                self.stats.bytes_out += 24 * (targets.len() + source_pos.len()) as u64
-                    + 8 * source_mass.len() as u64
-                    + 32;
-                self.stats.bytes_in += 24 * out.len() as u64 + 32;
-                self.stats.flops += flops;
+    ) {
+        self.assert_idle();
+        let parked =
+            match self.worker.compute_kick_into(targets, source_pos, source_mass, &mut self.acc) {
+                Some(flops) => {
+                    self.stats.calls += 1;
+                    self.stats.bytes_out += 24 * (targets.len() + source_pos.len()) as u64
+                        + 8 * source_mass.len() as u64
+                        + 32;
+                    self.stats.bytes_in += 24 * self.acc.len() as u64 + 32;
+                    self.stats.flops += flops;
+                    Parked::Accelerations(flops)
+                }
+                // cold path: the worker declined the borrowed leg
+                None => Parked::Response(self.roundtrip(owned_compute_kick(
+                    targets,
+                    source_pos,
+                    source_mass,
+                ))),
+            };
+        self.pending = Some(parked);
+    }
+
+    // jc-lint: no-alloc
+    fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
+        match self.pending.take().expect("no outstanding call") {
+            Parked::Accelerations(flops) => {
+                std::mem::swap(out, &mut self.acc);
                 Some(flops)
             }
-            None => match self.call(Request::ComputeKick {
-                targets: targets.to_vec(),
-                source_pos: source_pos.to_vec(),
-                source_mass: source_mass.to_vec(),
-            }) {
-                Response::Accelerations { acc, flops } => {
-                    *out = acc;
-                    Some(flops)
-                }
-                _ => None,
-            },
+            Parked::Response(Response::Accelerations { acc, flops }) => {
+                *out = acc;
+                Some(flops)
+            }
+            _ => None,
         }
     }
 }
@@ -368,11 +436,6 @@ impl ThreadChannel {
 }
 
 impl Channel for ThreadChannel {
-    fn call(&mut self, req: Request) -> Response {
-        self.submit(req);
-        self.collect()
-    }
-
     fn submit(&mut self, req: Request) {
         assert!(self.pending_bytes.is_none(), "one outstanding call per channel");
         self.pending_bytes = Some(req.wire_size());
@@ -423,6 +486,96 @@ mod tests {
         }
         assert_eq!(c.stats().calls, 2);
         assert!(c.stats().bytes_in > 0);
+    }
+
+    /// Forwards only the two required methods: a worker with no
+    /// borrowed legs.
+    struct HandleOnly<W>(W);
+
+    impl<W: ModelWorker> ModelWorker for HandleOnly<W> {
+        fn handle(&mut self, req: Request) -> Response {
+            self.0.handle(req)
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    /// The three typed ops through `call(Request::..)` on `by_call` and
+    /// through the two-phase legs on `by_legs`: same data, same books.
+    fn legs_match_call(mut by_call: LocalChannel, mut by_legs: LocalChannel, n: usize) {
+        let same_books = |a: &LocalChannel, b: &LocalChannel, op: &str| {
+            assert_eq!(a.stats(), b.stats(), "{op}: accounting diverged");
+        };
+        let scene = plummer_sphere(n.max(3), 4);
+        let dv = vec![[1e-4, -2e-4, 3e-4]; n];
+
+        by_legs.submit_kick_slice(&dv);
+        let (a, b) = (by_call.call(Request::Kick(dv)), by_legs.collect_kick());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        same_books(&by_call, &by_legs, "kick");
+
+        let mut snap = ParticleData::default();
+        by_legs.submit_snapshot();
+        let got = by_legs.collect_snapshot_into(&mut snap);
+        match by_call.call(Request::GetParticles) {
+            Response::Particles(p) => {
+                assert!(got);
+                assert_eq!((p.mass, p.pos, p.vel), (snap.mass, snap.pos, snap.vel));
+            }
+            _ => assert!(!got),
+        }
+        same_books(&by_call, &by_legs, "snapshot");
+
+        let mut acc = vec![[9.0; 3]; 2];
+        by_legs.submit_compute_kick(&scene.pos, &scene.pos, &scene.mass);
+        let got = by_legs.collect_accelerations_into(&mut acc);
+        match by_call.call(Request::ComputeKick {
+            targets: scene.pos.clone(),
+            source_pos: scene.pos.clone(),
+            source_mass: scene.mass.clone(),
+        }) {
+            Response::Accelerations { acc: expected, flops } => {
+                assert_eq!(got, Some(flops));
+                assert_eq!(acc, expected);
+            }
+            _ => assert_eq!(got, None),
+        }
+        same_books(&by_call, &by_legs, "compute-kick");
+        assert_eq!(by_legs.stats().calls, 3);
+    }
+
+    #[test]
+    fn local_two_phase_legs_match_call_in_data_and_accounting() {
+        use crate::worker::CouplingWorker;
+        let local = |w: Box<dyn ModelWorker>| LocalChannel::new(w);
+        let grav = || GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar);
+        // borrowed legs, the same workers without them, and mixed
+        legs_match_call(local(Box::new(grav())), local(Box::new(grav())), 8);
+        legs_match_call(
+            local(Box::new(HandleOnly(grav()))),
+            local(Box::new(HandleOnly(grav()))),
+            8,
+        );
+        legs_match_call(local(Box::new(grav())), local(Box::new(HandleOnly(grav()))), 8);
+        let fi = CouplingWorker::fi;
+        legs_match_call(local(Box::new(fi())), local(Box::new(fi())), 0);
+        legs_match_call(local(Box::new(HandleOnly(fi()))), local(Box::new(HandleOnly(fi()))), 0);
+        legs_match_call(local(Box::new(fi())), local(Box::new(HandleOnly(fi()))), 0);
+    }
+
+    #[test]
+    fn local_generic_collect_finishes_a_typed_submit() {
+        // a wrapper may pair any submit leg with the generic collect
+        let mut c = LocalChannel::new(Box::new(crate::worker::CouplingWorker::fi()));
+        let scene = plummer_sphere(5, 2);
+        c.submit_compute_kick(&scene.pos, &scene.pos, &scene.mass);
+        assert!(matches!(c.collect(), Response::Accelerations { acc, .. } if acc.len() == 5));
+        let mut g =
+            LocalChannel::new(Box::new(GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar)));
+        g.submit_snapshot();
+        assert!(matches!(g.collect(), Response::Particles(p) if p.mass.len() == 8));
+        assert_eq!((c.stats().calls, g.stats().calls), (1, 1));
     }
 
     #[test]

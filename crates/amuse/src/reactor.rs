@@ -61,8 +61,8 @@
 //! in-process channels. A call counts its frame once — an absorbed
 //! resend ticks `retries` instead, and a call that fails after its
 //! frame left still credits `bytes_out`. Buffers are recycled: a warm
-//! round trip through the borrowing fast paths (`snapshot_into`,
-//! `kick_slice`, `compute_kick_into`) allocates nothing coupler-side.
+//! round trip through the typed legs (snapshot, kick, compute-kick)
+//! allocates nothing coupler-side.
 
 use crate::channel::{Channel, ChannelStats};
 use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
@@ -91,9 +91,10 @@ pub(crate) fn net_timeout() -> Duration {
 // --------------------------------------------------------------------------
 // incremental frame decoder
 
-/// Incremental decoder for one v2 wire frame: feed bytes in whatever
-/// pieces the transport delivers (1-byte reads, header/payload
-/// straddles, several frames per read) and get exactly the frame
+/// Incremental decoder for one v2 wire frame: pump it from a
+/// non-blocking reader ([`FrameDecoder::read_from`]) in whatever pieces
+/// the transport delivers (1-byte reads, header/payload straddles,
+/// several frames per buffer) and get exactly the frame
 /// [`wire::read_frame`] would have produced.
 ///
 /// The contract mirrors `read_frame` point for point: the header is
@@ -104,10 +105,10 @@ pub(crate) fn net_timeout() -> Duration {
 /// peer really sent. The buffer is monotone scratch — bytes past the
 /// completed frame's length are stale and must be ignored.
 ///
-/// A decoder never consumes past the end of the current frame, so the
-/// caller can hand it a buffer containing several concatenated frames
-/// and loop: [`FrameDecoder::feed`] reports how many bytes it took and
-/// whether the frame completed.
+/// A decoder never reads past the end of the current frame, so several
+/// concatenated frames in the reader's buffer are taken one at a time:
+/// [`FrameDecoder::reset`] (or [`FrameDecoder::swap_into`]) and pump
+/// again.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -187,61 +188,6 @@ impl FrameDecoder {
     pub fn swap_into(&mut self, other: &mut Vec<u8>) {
         std::mem::swap(&mut self.buf, other);
         self.reset();
-    }
-
-    /// Feed a slice of transport bytes. Returns `(consumed, complete)`:
-    /// how many bytes were taken (never past the end of the current
-    /// frame) and whether the frame is now complete. Validation errors
-    /// are exactly [`wire::read_frame`]'s.
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<(usize, bool), WireError> {
-        let mut consumed = 0usize;
-        loop {
-            if self.filled < HEADER_LEN {
-                let want = HEADER_LEN - self.filled;
-                let take = want.min(bytes.len() - consumed);
-                if take == 0 {
-                    return Ok((consumed, false));
-                }
-                if self.buf.len() < HEADER_LEN {
-                    self.buf.resize(HEADER_LEN, 0);
-                }
-                self.buf[self.filled..self.filled + take]
-                    .copy_from_slice(&bytes[consumed..consumed + take]);
-                let first = self.filled == 0;
-                self.filled += take;
-                consumed += take;
-                if first && self.corrupt_next {
-                    self.buf[0] ^= 0x01;
-                    self.corrupt_next = false;
-                }
-                if self.filled < HEADER_LEN {
-                    return Ok((consumed, false));
-                }
-                let h = wire::parse_header(&self.buf[..HEADER_LEN])?;
-                self.total = Some(HEADER_LEN + h.len as usize);
-            }
-            let total = self.total.expect("header parsed");
-            if self.filled >= total {
-                return Ok((consumed, true));
-            }
-            let take = (total - self.filled).min(bytes.len() - consumed);
-            if take == 0 {
-                return Ok((consumed, false));
-            }
-            // grow towards `total` only as bytes actually arrive — the
-            // same hostile-length bound as read_frame
-            let end = total.min(self.filled + take).max(self.buf.len().min(total));
-            if self.buf.len() < end {
-                self.buf.resize(end, 0);
-            }
-            self.buf[self.filled..self.filled + take]
-                .copy_from_slice(&bytes[consumed..consumed + take]);
-            self.filled += take;
-            consumed += take;
-            if self.filled == total {
-                return Ok((consumed, true));
-            }
-        }
     }
 
     /// Pump the decoder from a (typically non-blocking) reader until
@@ -376,8 +322,8 @@ struct TornDown {
 ///
 /// Channels share one reactor behind `Rc<RefCell<..>>`
 /// ([`Reactor::new_shared`]); each [`ReactorChannel`] holds a token
-/// into the connection table and drives the loop from its blocking
-/// entry points (`collect`, the fast paths). Driving the loop for one
+/// into the connection table and drives the loop from its `collect*`
+/// legs. Driving the loop for one
 /// channel advances *all* connections — that is where scatter-gather
 /// overlap comes from.
 pub struct Reactor {
@@ -997,18 +943,6 @@ impl ReactorChannel {
 }
 
 impl Channel for ReactorChannel {
-    fn call(&mut self, req: Request) -> Response {
-        assert!(self.pending.is_empty(), "one outstanding call per channel");
-        self.submit_with(|buf| wire::encode_request(&req, buf));
-        match self.complete_front() {
-            Ok(()) => self.decode_collected(),
-            Err(e) => {
-                self.stats.calls += 1;
-                Response::Error(format!("wire error: {e}"))
-            }
-        }
-    }
-
     fn submit(&mut self, req: Request) {
         assert!(self.pending.is_empty(), "one outstanding call per channel");
         self.submit_with(|buf| wire::encode_request(&req, buf));
@@ -1038,27 +972,6 @@ impl Channel for ReactorChannel {
 
     fn pipelines(&self) -> bool {
         true
-    }
-
-    fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        self.submit_snapshot();
-        self.collect_snapshot_into(out)
-    }
-
-    fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        self.submit_kick_slice(dv);
-        self.collect_kick()
-    }
-
-    fn compute_kick_into(
-        &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
-        out: &mut Vec<[f64; 3]>,
-    ) -> Option<f64> {
-        self.submit_compute_kick(targets, source_pos, source_mass);
-        self.collect_accelerations_into(out)
     }
 
     fn submit_snapshot(&mut self) {
@@ -1187,23 +1100,54 @@ mod tests {
         frames
     }
 
+    /// A non-blocking reader that delivers `data` in the pieces cut at
+    /// `edges` (ascending offsets): `WouldBlock` once at every edge and
+    /// for good at the end, never EOF.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        pos: usize,
+        edges: Vec<usize>,
+        next: usize,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn every(data: &'a [u8], step: usize) -> Pieces<'a> {
+            Pieces { data, pos: 0, edges: (step..data.len()).step_by(step).collect(), next: 0 }
+        }
+
+        /// Pump `d` until its frame completes or `data` runs out.
+        fn pump(&mut self, d: &mut FrameDecoder) -> Result<Option<usize>, WireError> {
+            loop {
+                match d.read_from(self)? {
+                    None if self.pos < self.data.len() => {}
+                    done => return Ok(done),
+                }
+            }
+        }
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let stop =
+                self.edges.get(self.next).map_or(self.data.len(), |&e| e.min(self.data.len()));
+            if self.pos >= stop {
+                self.next = (self.next + 1).min(self.edges.len());
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(stop - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
     #[test]
     fn decoder_matches_one_shot_reader_at_any_split() {
         for frame in encode_some_frames() {
             for split in [1usize, 7, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 1] {
                 let mut d = FrameDecoder::new();
-                let mut fed = 0;
-                let mut complete = false;
-                while fed < frame.len() {
-                    let end = (fed + split).min(frame.len());
-                    let (n, done) = d.feed(&frame[fed..end]).expect("clean frame");
-                    fed += n;
-                    complete = done;
-                    if done {
-                        break;
-                    }
-                }
-                assert!(complete, "frame completes");
+                let len = Pieces::every(&frame, split).pump(&mut d).expect("clean frame");
+                assert_eq!(len, Some(frame.len()), "frame completes");
                 let mut one_shot = Vec::new();
                 let n = wire::read_frame(&mut std::io::Cursor::new(&frame), &mut one_shot).unwrap();
                 assert_eq!(d.frame(), &one_shot[..n]);
@@ -1214,18 +1158,16 @@ mod tests {
     #[test]
     fn decoder_consumes_exactly_one_frame_from_a_batch() {
         let frames = encode_some_frames();
-        let mut batch = Vec::new();
-        for f in &frames {
-            batch.extend_from_slice(f);
-        }
+        let batch = frames.concat();
+        let mut reader = Pieces::every(&batch, batch.len());
         let mut d = FrameDecoder::new();
         let mut off = 0;
         for f in &frames {
-            let (n, done) = d.feed(&batch[off..]).expect("clean frames");
-            assert!(done, "whole frame available");
-            assert_eq!(n, f.len(), "never reads past the frame end");
+            let len = reader.pump(&mut d).expect("clean frames");
+            assert_eq!(len, Some(f.len()), "whole frame available");
+            off += f.len();
+            assert_eq!(reader.pos, off, "never reads past the frame end");
             assert_eq!(d.frame(), &f[..]);
-            off += n;
             d.reset();
         }
         assert_eq!(off, batch.len());
@@ -1236,13 +1178,13 @@ mod tests {
         // bad magic
         let mut d = FrameDecoder::new();
         let junk = [0xFFu8; HEADER_LEN];
-        assert!(matches!(d.feed(&junk), Err(WireError::BadMagic(_))));
+        assert!(matches!(Pieces::every(&junk, 5).pump(&mut d), Err(WireError::BadMagic(_))));
         // oversized length never allocates the declared payload
         let mut frame = Vec::new();
         wire::encode_simple_request(wire::op::PING, &mut frame);
         frame[8..16].copy_from_slice(&(wire::MAX_PAYLOAD + 1).to_le_bytes());
         let mut d = FrameDecoder::new();
-        assert!(matches!(d.feed(&frame), Err(WireError::Oversized(_))));
+        assert!(matches!(Pieces::every(&frame, 64).pump(&mut d), Err(WireError::Oversized(_))));
         assert!(d.buf.capacity() <= 2 * HEADER_LEN, "no payload allocation");
     }
 
@@ -1253,12 +1195,14 @@ mod tests {
         // header bytes already buffered: either way only byte 0 flips
         for fed_first in [0usize, 10] {
             let mut d = FrameDecoder::new();
-            d.feed(&frame[..fed_first]).unwrap();
+            let mut reader = Pieces { data: frame, pos: 0, edges: vec![fed_first, 20], next: 0 };
+            assert_eq!(d.read_from(&mut reader), Ok(None));
+            assert_eq!(reader.pos, fed_first);
             assert!(d.corrupt_in_place().is_none(), "header not validated yet");
-            d.feed(&frame[fed_first..20]).unwrap();
+            assert_eq!(d.read_from(&mut reader), Ok(None));
             assert_eq!(d.frame()[0], frame[0] ^ 0x01, "first byte flipped");
             assert_eq!(&d.frame()[1..], &frame[1..20], "rest untouched");
-            assert!(matches!(d.feed(&frame[20..]), Err(WireError::BadMagic(_))));
+            assert!(matches!(reader.pump(&mut d), Err(WireError::BadMagic(_))));
         }
     }
 

@@ -29,11 +29,12 @@
 //! approximations, not bitwise reproductions; shard those models only
 //! when that is understood.
 //!
-//! The asynchronous `submit`/`collect` path fans out to every shard
-//! before collecting, so shards genuinely overlap (K socket workers run
-//! concurrently). The borrowing fast paths instead run shard-by-shard
-//! against per-shard scratch buffers, keeping the bridge's hot loop
-//! allocation-free once warm.
+//! Every operation is one scatter (`submit*`: all shards addressed
+//! before any reply is awaited) and one gather (`collect*`), so shards
+//! that can overlap do — K socket workers, worker threads, or nested
+//! pools run concurrently — and the one-shots are the [`Channel`]
+//! defaults on top. The typed legs gather through per-shard scratch
+//! buffers, keeping the bridge's hot loop allocation-free once warm.
 //!
 //! Failure semantics split into two tiers. *Transient* transport
 //! faults (timeouts, dropped connections, torn frames — anything
@@ -68,21 +69,20 @@ use crate::checkpoint::{scatter_states, ModelState};
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
 
-/// Contiguous range sizes for `total` particles over `k` shards: the
-/// first shards get `ceil(total / k)` until the remainder runs out.
-/// (`jungle-worker --shard i/K` slices with the same rule, so a worker
-/// pool launched from the CLI lines up with the coupler's scatter.)
+/// Contiguous `[start, end)` ranges for `total` particles over `k`
+/// shards: the first shards get `ceil(total / k)` until the remainder
+/// runs out (`k > 0`).
+fn ranges(total: usize, k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let chunk = total.div_ceil(k);
+    (0..k).map(move |i| ((i * chunk).min(total), ((i + 1) * chunk).min(total)))
+}
+
+/// The sizes of those ranges. (`jungle-worker --shard i/K` slices with
+/// the same rule, so a worker pool launched from the CLI lines up with
+/// the coupler's scatter.)
 pub fn partition(total: usize, k: usize) -> Vec<usize> {
     assert!(k > 0, "at least one shard");
-    let chunk = total.div_ceil(k);
-    let mut counts = Vec::with_capacity(k);
-    let mut left = total;
-    for _ in 0..k {
-        let c = chunk.min(left);
-        counts.push(c);
-        left -= c;
-    }
-    counts
+    ranges(total, k).map(|(a, b)| b - a).collect()
 }
 
 /// Respawns dead shard workers — the deploy layer's hook into the
@@ -114,6 +114,9 @@ where
 enum Pending {
     /// All shards answered `Ok`; sum flops.
     Broadcast,
+    /// [`Pending::Broadcast`] started by the typed kick leg (so it is
+    /// gathered by the matching one).
+    Kick,
     /// Concatenate particle snapshots in shard order.
     Concat,
     /// Concatenate stellar masses; remap event star indices.
@@ -137,8 +140,9 @@ enum Pending {
         /// Grow the shard's particle count on an `Ok` response.
         grow: bool,
     },
-    /// Scatter validation failed before any shard was addressed; no
-    /// fan-out is outstanding and `collect` returns the stored error.
+    /// The scatter was refused before any shard was addressed (length
+    /// mismatch, empty pool); no fan-out is outstanding and the collect
+    /// leg returns the stored error.
     Failed(Response),
 }
 
@@ -203,11 +207,10 @@ impl ShardedChannel {
         }
     }
 
-    /// True when the state-op fast paths fan out in two phases (all
-    /// shards submitted before any collect) so the K workers compute —
-    /// and their frames fly — concurrently instead of one at a time:
-    /// exactly when every shard [`Channel::pipelines`]. In-process
-    /// shards do not, and are called serially.
+    /// Does every shard [`Channel::pipelines`]? Then a scatter's K round
+    /// trips overlap: the workers compute — and their frames fly —
+    /// concurrently instead of one at a time. In-process shards do
+    /// their work inside the scatter itself and report `false`.
     pub fn pipelined(&self) -> bool {
         self.shards.iter().all(|s| s.pipelines())
     }
@@ -257,58 +260,93 @@ impl ShardedChannel {
         (start, start + self.counts[i])
     }
 
-    /// Scatter a per-particle vector into per-shard slices, submitting
-    /// `make(slice)` to each shard. Errors if the length disagrees with
-    /// the known decomposition.
-    fn scatter_submit<T: Clone>(
-        &mut self,
-        data: &[T],
-        make: impl Fn(Vec<T>) -> Request,
-    ) -> Result<(), Box<Response>> {
-        if data.len() != self.total_particles() {
-            return Err(Box::new(Response::Error(format!(
-                "sharded scatter length mismatch: got {}, shards own {}",
-                data.len(),
-                self.total_particles()
-            ))));
+    /// Every scatter starts here: one fan-out may be outstanding, and a
+    /// pool whose shards were all excluded refuses it (parked as
+    /// [`Pending::Failed`], `false`) instead of indexing into nothing.
+    fn begin(&mut self) -> bool {
+        assert!(self.pending.is_none(), "one outstanding call per channel");
+        if self.shards.is_empty() {
+            self.pending = Some(Pending::Failed(Response::Error(
+                "sharded pool is empty: every shard was excluded".into(),
+            )));
         }
-        for i in 0..self.shards.len() {
-            let (a, b) = self.range(i);
-            self.shards[i].submit(make(data[a..b].to_vec()));
-        }
-        Ok(())
+        !self.shards.is_empty()
     }
 
-    fn collect_broadcast(&mut self) -> Response {
+    /// [`ShardedChannel::begin`] for a per-particle vector of `len`
+    /// elements, which must match the known decomposition.
+    fn begin_scatter(&mut self, len: usize) -> bool {
+        if !self.begin() {
+            return false;
+        }
+        let owned = self.total_particles();
+        if len != owned {
+            self.pending = Some(Pending::Failed(Response::Error(format!(
+                "sharded scatter length mismatch: got {len}, shards own {owned}"
+            ))));
+        }
+        len == owned
+    }
+
+    /// Gather `Ok`s, summing flops; the first other answer wins. Every
+    /// shard is collected even after a failure: their pipelines must be
+    /// left clean.
+    fn gather_ok(&mut self, collect: fn(&mut dyn Channel) -> Response) -> Response {
         let mut flops = 0.0;
         let mut failure: Option<Response> = None;
         for s in &mut self.shards {
-            match s.collect() {
+            match collect(s.as_mut()) {
                 Response::Ok { flops: f } => flops += f,
                 other => {
-                    if failure.is_none() {
-                        failure = Some(other);
-                    }
+                    failure.get_or_insert(other);
                 }
             }
         }
         failure.unwrap_or(Response::Ok { flops })
     }
 
-    fn collect_concat(&mut self) -> Response {
-        let mut all = ParticleData::default();
-        for i in 0..self.shards.len() {
-            match self.shards[i].collect() {
-                Response::Particles(p) => {
-                    self.counts[i] = p.mass.len(); // refresh the observed layout
-                    all.mass.extend_from_slice(&p.mass);
-                    all.pos.extend_from_slice(&p.pos);
-                    all.vel.extend_from_slice(&p.vel);
-                }
-                other => return self.drain_after_failure(i + 1, other),
+    /// Gather the sub-snapshots through the per-shard scratch and
+    /// concatenate them into `out` in shard order, refreshing the
+    /// observed layout.
+    fn gather_snapshot(&mut self, out: &mut ParticleData) -> bool {
+        let mut ok = true;
+        for (s, scratch) in self.shards.iter_mut().zip(&mut self.snap_scratch) {
+            ok &= s.collect_snapshot_into(scratch);
+        }
+        if !ok {
+            return false;
+        }
+        out.mass.clear();
+        out.pos.clear();
+        out.vel.clear();
+        for (count, scratch) in self.counts.iter_mut().zip(&self.snap_scratch) {
+            *count = scratch.mass.len();
+            out.mass.extend_from_slice(&scratch.mass);
+            out.pos.extend_from_slice(&scratch.pos);
+            out.vel.extend_from_slice(&scratch.vel);
+        }
+        true
+    }
+
+    /// Gather the per-shard accelerations through the scratch and
+    /// concatenate them into `out` in shard order; flops are summed.
+    fn gather_accelerations(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
+        let mut flops = 0.0;
+        let mut ok = true;
+        for (s, acc) in self.shards.iter_mut().zip(&mut self.acc_scratch) {
+            match s.collect_accelerations_into(acc) {
+                Some(f) => flops += f,
+                None => ok = false,
             }
         }
-        Response::Particles(all)
+        if !ok {
+            return None;
+        }
+        out.clear();
+        for acc in &self.acc_scratch {
+            out.extend_from_slice(acc);
+        }
+        Some(flops)
     }
 
     fn collect_stellar(&mut self) -> Response {
@@ -334,21 +372,6 @@ impl ShardedChannel {
         Response::StellarUpdate { masses, events }
     }
 
-    fn collect_gather(&mut self) -> Response {
-        let mut acc = Vec::new();
-        let mut flops = 0.0;
-        for i in 0..self.shards.len() {
-            match self.shards[i].collect() {
-                Response::Accelerations { acc: a, flops: f } => {
-                    acc.extend_from_slice(&a);
-                    flops += f;
-                }
-                other => return self.drain_after_failure(i + 1, other),
-            }
-        }
-        Response::Accelerations { acc, flops }
-    }
-
     fn collect_state(&mut self) -> Response {
         let mut acc: Option<ModelState> = None;
         for i in 0..self.shards.len() {
@@ -367,16 +390,6 @@ impl ShardedChannel {
         Response::State(acc.expect("at least one shard"))
     }
 
-    fn collect_load(&mut self, counts: Option<Vec<usize>>) -> Response {
-        let resp = self.collect_broadcast();
-        if matches!(resp, Response::Ok { .. }) {
-            if let Some(c) = counts {
-                self.counts = c;
-            }
-        }
-        resp
-    }
-
     /// A shard answered wrongly mid-gather: drain the remaining shards
     /// (their pipelines must be left clean) and surface the failure.
     fn drain_after_failure(&mut self, next: usize, failure: Response) -> Response {
@@ -388,53 +401,26 @@ impl ShardedChannel {
 }
 
 impl Channel for ShardedChannel {
-    fn call(&mut self, req: Request) -> Response {
-        self.submit(req);
-        self.collect()
-    }
-
     fn submit(&mut self, req: Request) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
         let pending = match req {
-            Request::GetParticles => {
-                for s in &mut self.shards {
-                    s.submit(Request::GetParticles);
-                }
-                Pending::Concat
-            }
-            Request::Kick(dv) => match self.scatter_submit(&dv, Request::Kick) {
-                Ok(()) => Pending::Broadcast,
-                Err(resp) => Pending::Failed(*resp),
-            },
-            Request::SetMasses(m) => match self.scatter_submit(&m, Request::SetMasses) {
-                Ok(()) => Pending::Broadcast,
-                Err(resp) => Pending::Failed(*resp),
-            },
+            // the typed ops have one scatter each: their typed legs
+            Request::GetParticles => return self.submit_snapshot(),
+            Request::Kick(dv) => return self.submit_kick_slice(&dv),
             Request::ComputeKick { targets, source_pos, source_mass } => {
-                let counts = partition(targets.len(), self.shards.len());
-                let mut off = 0usize;
-                for (i, c) in counts.iter().enumerate() {
-                    self.shards[i].submit(Request::ComputeKick {
-                        targets: targets[off..off + c].to_vec(),
-                        source_pos: source_pos.clone(),
-                        source_mass: source_mass.clone(),
-                    });
-                    off += c;
-                }
-                Pending::Gather
+                return self.submit_compute_kick(&targets, &source_pos, &source_mass)
             }
-            Request::EvolveStars(t) => {
-                for s in &mut self.shards {
-                    s.submit(Request::EvolveStars(t));
+            Request::SetMasses(m) => {
+                if !self.begin_scatter(m.len()) {
+                    return;
                 }
-                Pending::Stellar
-            }
-            Request::SaveState => {
-                for s in &mut self.shards {
-                    s.submit(Request::SaveState);
+                for i in 0..self.shards.len() {
+                    let (a, b) = self.range(i);
+                    self.shards[i].submit(Request::SetMasses(m[a..b].to_vec()));
                 }
-                Pending::State
+                Pending::Broadcast
             }
+            // every arm below addresses shards: an empty pool refuses first
+            _ if !self.begin() => return,
             Request::LoadState(state) => {
                 // canonical contiguous re-partition of the authoritative
                 // state over however many shards are alive right now
@@ -451,12 +437,16 @@ impl Channel for ShardedChannel {
                 self.shards[last].submit(Request::AddGas { pos, mass, u });
                 Pending::Single { shard: last, grow: true }
             }
-            other => {
-                // Ping / EvolveTo / InjectEnergy / Stop: plain broadcast
+            broadcast => {
                 for s in &mut self.shards {
-                    s.submit(other.clone());
+                    s.submit(broadcast.clone());
                 }
-                Pending::Broadcast
+                match broadcast {
+                    Request::EvolveStars(_) => Pending::Stellar,
+                    Request::SaveState => Pending::State,
+                    // Ping / EvolveTo / InjectEnergy / Stop
+                    _ => Pending::Broadcast,
+                }
             }
         };
         self.pending = Some(pending);
@@ -464,12 +454,36 @@ impl Channel for ShardedChannel {
 
     fn collect(&mut self) -> Response {
         match self.pending.take().expect("no outstanding call") {
-            Pending::Broadcast => self.collect_broadcast(),
-            Pending::Concat => self.collect_concat(),
+            Pending::Broadcast => self.gather_ok(|s| s.collect()),
+            Pending::Kick => self.gather_ok(|s| s.collect_kick()),
+            Pending::Concat => {
+                let mut all = ParticleData::default();
+                if self.gather_snapshot(&mut all) {
+                    Response::Particles(all)
+                } else {
+                    Response::Error(
+                        "sharded snapshot: a shard did not answer with particles".into(),
+                    )
+                }
+            }
             Pending::Stellar => self.collect_stellar(),
-            Pending::Gather => self.collect_gather(),
+            Pending::Gather => {
+                let mut acc = Vec::new();
+                match self.gather_accelerations(&mut acc) {
+                    Some(flops) => Response::Accelerations { acc, flops },
+                    None => Response::Error(
+                        "sharded compute-kick: a shard did not answer with accelerations".into(),
+                    ),
+                }
+            }
             Pending::State => self.collect_state(),
-            Pending::Load { counts } => self.collect_load(counts),
+            Pending::Load { counts } => {
+                let resp = self.gather_ok(|s| s.collect());
+                if let (Response::Ok { .. }, Some(c)) = (&resp, counts) {
+                    self.counts = c;
+                }
+                resp
+            }
             Pending::Single { shard, grow } => {
                 let resp = self.shards[shard].collect();
                 if grow && matches!(resp, Response::Ok { .. }) {
@@ -490,7 +504,10 @@ impl Channel for ShardedChannel {
     }
 
     fn worker_name(&self) -> String {
-        format!("{}×{}", self.shards[0].worker_name(), self.shards.len())
+        match self.shards.first() {
+            Some(s) => format!("{}×{}", s.worker_name(), self.shards.len()),
+            None => "(empty pool)".into(),
+        }
     }
 
     /// Every member channel gets the same per-request budget — a pool
@@ -501,9 +518,7 @@ impl Channel for ShardedChannel {
         }
     }
 
-    /// A sharded pool pipelines when every member does, letting an
-    /// outer composition — nested pools, the bridge — overlap this pool
-    /// with its siblings.
+    /// A sharded pool pipelines when every member does.
     fn pipelines(&self) -> bool {
         self.pipelined()
     }
@@ -548,130 +563,59 @@ impl Channel for ShardedChannel {
         !self.shards.is_empty()
     }
 
-    fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        out.mass.clear();
-        out.pos.clear();
-        out.vel.clear();
-        if self.pipelined() {
-            // Phase one: every shard has the request on the wire before
-            // any reply is awaited, so the K workers encode and send
-            // their snapshots concurrently.
+    fn submit_snapshot(&mut self) {
+        if self.begin() {
             for s in &mut self.shards {
                 s.submit_snapshot();
             }
-            let mut ok = true;
-            for i in 0..self.shards.len() {
-                // Even after a failure every remaining collect runs:
-                // the shards' pipelines must be left clean.
-                if !self.shards[i].collect_snapshot_into(&mut self.snap_scratch[i]) {
-                    ok = false;
-                }
-            }
-            if !ok {
-                return false;
-            }
-            for i in 0..self.shards.len() {
-                let scratch = &self.snap_scratch[i];
-                self.counts[i] = scratch.mass.len();
-                out.mass.extend_from_slice(&scratch.mass);
-                out.pos.extend_from_slice(&scratch.pos);
-                out.vel.extend_from_slice(&scratch.vel);
-            }
-            return true;
+            self.pending = Some(Pending::Concat);
         }
-        for i in 0..self.shards.len() {
-            let scratch = &mut self.snap_scratch[i];
-            if !self.shards[i].snapshot_into(scratch) {
-                return false;
-            }
-            self.counts[i] = scratch.mass.len();
-            out.mass.extend_from_slice(&scratch.mass);
-            out.pos.extend_from_slice(&scratch.pos);
-            out.vel.extend_from_slice(&scratch.vel);
-        }
-        true
     }
 
-    fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        if dv.len() != self.total_particles() {
-            return Response::Error(format!(
-                "sharded kick length mismatch: got {}, shards own {}",
-                dv.len(),
-                self.total_particles()
-            ));
+    fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
+        if matches!(self.pending, Some(Pending::Concat)) {
+            self.pending = None;
+            return self.gather_snapshot(out);
         }
-        let mut flops = 0.0;
-        if self.pipelined() {
+        // a refused scatter (or a caller mixing legs): finish whatever it is
+        let _ = self.collect();
+        false
+    }
+
+    fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
+        if self.begin_scatter(dv.len()) {
             for i in 0..self.shards.len() {
                 let (a, b) = self.range(i);
                 self.shards[i].submit_kick_slice(&dv[a..b]);
             }
-            let mut failure: Option<Response> = None;
-            for s in &mut self.shards {
-                match s.collect_kick() {
-                    Response::Ok { flops: f } => flops += f,
-                    other => {
-                        if failure.is_none() {
-                            failure = Some(other);
-                        }
-                    }
-                }
-            }
-            return failure.unwrap_or(Response::Ok { flops });
+            self.pending = Some(Pending::Kick);
         }
-        for i in 0..self.shards.len() {
-            let (a, b) = self.range(i);
-            match self.shards[i].kick_slice(&dv[a..b]) {
-                Response::Ok { flops: f } => flops += f,
-                other => return other,
-            }
-        }
-        Response::Ok { flops }
     }
 
-    fn compute_kick_into(
+    fn submit_compute_kick(
         &mut self,
         targets: &[[f64; 3]],
         source_pos: &[[f64; 3]],
         source_mass: &[f64],
-        out: &mut Vec<[f64; 3]>,
-    ) -> Option<f64> {
-        let counts = partition(targets.len(), self.shards.len());
-        let mut flops = 0.0;
-        if self.pipelined() {
-            let mut off = 0usize;
-            for (i, c) in counts.iter().enumerate() {
-                self.shards[i].submit_compute_kick(&targets[off..off + c], source_pos, source_mass);
-                off += c;
+    ) {
+        if self.begin() {
+            // targets split by the `partition` rule, sources broadcast
+            let cuts = ranges(targets.len(), self.shards.len());
+            for (s, (a, b)) in self.shards.iter_mut().zip(cuts) {
+                s.submit_compute_kick(&targets[a..b], source_pos, source_mass);
             }
-            let mut ok = true;
-            for i in 0..self.shards.len() {
-                match self.shards[i].collect_accelerations_into(&mut self.acc_scratch[i]) {
-                    Some(f) => flops += f,
-                    None => ok = false,
-                }
-            }
-            if !ok {
-                return None;
-            }
-        } else {
-            let mut off = 0usize;
-            for (i, c) in counts.iter().enumerate() {
-                let acc = &mut self.acc_scratch[i];
-                flops += self.shards[i].compute_kick_into(
-                    &targets[off..off + c],
-                    source_pos,
-                    source_mass,
-                    acc,
-                )?;
-                off += c;
-            }
+            self.pending = Some(Pending::Gather);
         }
-        out.clear();
-        for acc in &self.acc_scratch {
-            out.extend_from_slice(acc);
+    }
+
+    fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
+        if matches!(self.pending, Some(Pending::Gather)) {
+            self.pending = None;
+            return self.gather_accelerations(out);
         }
-        Some(flops)
+        // a refused scatter (or a caller mixing legs): finish whatever it is
+        let _ = self.collect();
+        None
     }
 }
 
@@ -823,6 +767,112 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(pool.total_particles(), 8, "counts refreshed from the gather");
+    }
+
+    /// A coupling worker that answers only once its peer has *started*
+    /// the same request: the typed fan-out completes iff both shards are
+    /// addressed before either is collected. (A serial fan-out would
+    /// leave shard 0 waiting for a peer that is never started.)
+    struct Rendezvous {
+        to_peer: std::sync::mpsc::Sender<()>,
+        from_peer: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl crate::worker::ModelWorker for Rendezvous {
+        fn handle(&mut self, req: Request) -> Response {
+            let Request::ComputeKick { targets, .. } = req else {
+                return Response::Ok { flops: 0.0 };
+            };
+            let _ = self.to_peer.send(());
+            match self.from_peer.recv_timeout(std::time::Duration::from_secs(5)) {
+                Ok(()) => Response::Accelerations { acc: targets, flops: 1.0 },
+                Err(_) => Response::Error("peer shard was never started".into()),
+            }
+        }
+
+        fn name(&self) -> String {
+            "rendezvous".into()
+        }
+    }
+
+    #[test]
+    fn thread_channel_shards_overlap_on_the_typed_legs() {
+        use crate::channel::ThreadChannel;
+        let (to_b, from_a) = std::sync::mpsc::channel();
+        let (to_a, from_b) = std::sync::mpsc::channel();
+        let shards: Vec<Box<dyn Channel>> = vec![
+            Box::new(ThreadChannel::spawn("a", move || Rendezvous {
+                to_peer: to_b,
+                from_peer: from_b,
+            })),
+            Box::new(ThreadChannel::spawn("b", move || Rendezvous {
+                to_peer: to_a,
+                from_peer: from_a,
+            })),
+        ];
+        let mut pool = ShardedChannel::with_counts(shards, Vec::new());
+        assert!(!pool.pipelined(), "thread channels do not claim to pipeline");
+        let targets: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, 0.0, 0.0]).collect();
+        let mut acc = Vec::new();
+        let flops = pool.compute_kick_into(&targets, &[], &[], &mut acc);
+        assert_eq!(flops, Some(2.0), "both shards must be in flight at once");
+        assert_eq!(acc, targets, "gathered in shard order");
+    }
+
+    #[test]
+    fn an_emptied_pool_fails_every_leg_typed() {
+        // a fuse-less stand-in for a dead worker: never answers Ok
+        struct Dead;
+        impl crate::worker::ModelWorker for Dead {
+            fn handle(&mut self, _req: Request) -> Response {
+                Response::Error("dead".into())
+            }
+            fn name(&self) -> String {
+                "dead".into()
+            }
+        }
+        // no supervisor: heal can only exclude, and excludes them all
+        let mut pool = ShardedChannel::with_counts(vec![local(Dead), local(Dead)], Vec::new());
+        assert!(!pool.heal(), "nothing left to heal");
+        assert_eq!((pool.shard_count(), pool.exclusions()), (0, 2));
+        assert_eq!(pool.worker_name(), "(empty pool)");
+        assert!(pool.heartbeat().is_empty());
+        assert!(!pool.heal());
+
+        let err = |r: Response| assert!(matches!(r, Response::Error(_)), "{r:?}");
+        let requests = [
+            Request::Ping,
+            Request::GetParticles,
+            Request::Kick(Vec::new()),
+            Request::SetMasses(Vec::new()),
+            Request::ComputeKick {
+                targets: vec![[0.0; 3]],
+                source_pos: Vec::new(),
+                source_mass: Vec::new(),
+            },
+            Request::EvolveStars(1.0),
+            Request::SaveState,
+            Request::LoadState(ModelState::Stateless),
+            Request::AddGas { pos: [0.0; 3], mass: 1.0, u: 1.0 },
+        ];
+        for req in requests {
+            err(pool.call(req.clone()));
+            pool.submit(req);
+            err(pool.collect());
+        }
+        // the typed legs, one-shot and two-phase
+        let mut snap = ParticleData::default();
+        let mut acc = Vec::new();
+        assert!(!pool.snapshot_into(&mut snap));
+        err(pool.kick_slice(&[]));
+        assert_eq!(pool.compute_kick_into(&[[0.0; 3]], &[], &[], &mut acc), None);
+        pool.submit_snapshot();
+        assert!(!pool.collect_snapshot_into(&mut snap));
+        pool.submit_kick_slice(&[]);
+        err(pool.collect_kick());
+        pool.submit_compute_kick(&[[0.0; 3]], &[], &[]);
+        assert_eq!(pool.collect_accelerations_into(&mut acc), None);
+        assert_eq!(pool.stats(), ChannelStats::default());
     }
 
     #[test]

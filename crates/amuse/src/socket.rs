@@ -83,10 +83,6 @@ impl SocketChannel {
 }
 
 impl Channel for SocketChannel {
-    fn call(&mut self, req: Request) -> Response {
-        self.0.call(req)
-    }
-
     fn submit(&mut self, req: Request) {
         self.0.submit(req);
         self.0.push();
@@ -110,24 +106,6 @@ impl Channel for SocketChannel {
 
     fn pipelines(&self) -> bool {
         self.0.pipelines()
-    }
-
-    fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        self.0.snapshot_into(out)
-    }
-
-    fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        self.0.kick_slice(dv)
-    }
-
-    fn compute_kick_into(
-        &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
-        out: &mut Vec<[f64; 3]>,
-    ) -> Option<f64> {
-        self.0.compute_kick_into(targets, source_pos, source_mass, out)
     }
 
     fn submit_snapshot(&mut self) {

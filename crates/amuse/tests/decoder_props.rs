@@ -1,18 +1,62 @@
 //! Property tests for the incremental frame decoder.
 //!
-//! The reactor feeds [`FrameDecoder`] whatever byte counts the kernel
-//! happens to deliver — a frame may arrive in one read or in dozens of
-//! fragments split at arbitrary offsets, including inside the header.
-//! The decoder's contract: any split of a valid frame reassembles to
-//! the exact bytes the one-shot `wire::read_frame` would have
-//! produced, it never consumes past the frame boundary, and hostile
-//! input errors out with bounded allocation and no panic — the same
-//! guarantees `wire_robustness.rs` pins for `read_frame` itself.
+//! The reactor pumps [`FrameDecoder::read_from`] with whatever byte
+//! counts the kernel happens to deliver — a frame may arrive in one read
+//! or in dozens of fragments split at arbitrary offsets, including
+//! inside the header. The decoder's contract: any split of a valid
+//! frame reassembles to the exact bytes the one-shot `wire::read_frame`
+//! would have produced, it never reads past the frame boundary, and
+//! hostile input errors out with bounded allocation and no panic — the
+//! same guarantees `wire_robustness.rs` pins for `read_frame` itself.
 
 use jc_amuse::reactor::FrameDecoder;
 use jc_amuse::wire::{self, WireError};
 use jc_amuse::worker::Request;
 use proptest::prelude::*;
+use std::io::Read;
+
+/// A non-blocking socket whose bytes arrive in fragments: `data` cut at
+/// `cuts` (arbitrary, possibly repeated or out-of-range offsets), with
+/// `WouldBlock` once at every cut and for good at the end — never EOF.
+struct Fragments<'a> {
+    data: &'a [u8],
+    pos: usize,
+    edges: Vec<usize>,
+    next: usize,
+}
+
+impl<'a> Fragments<'a> {
+    fn new(data: &'a [u8], cuts: &[usize]) -> Fragments<'a> {
+        let mut edges: Vec<usize> = cuts.iter().map(|&c| c % (data.len() + 1)).collect();
+        edges.sort_unstable();
+        Fragments { data, pos: 0, edges, next: 0 }
+    }
+
+    /// Pump `d` across the fragment edges until its frame completes
+    /// (`Some(len)`) or the bytes run out (`None`).
+    fn pump(&mut self, d: &mut FrameDecoder) -> Result<Option<usize>, WireError> {
+        loop {
+            match d.read_from(self)? {
+                None if self.pos < self.data.len() => {}
+                done => return Ok(done),
+            }
+        }
+    }
+}
+
+impl Read for Fragments<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let stop = self.edges.get(self.next).copied().unwrap_or(self.data.len());
+        if self.pos >= stop {
+            self.next = (self.next + 1).min(self.edges.len());
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(stop - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
 
 /// An arbitrary valid request frame, seq-stamped.
 fn valid_frame(n: usize, seq: u16, op: u8) -> Vec<u8> {
@@ -34,27 +78,15 @@ fn valid_frame(n: usize, seq: u16, op: u8) -> Vec<u8> {
     buf
 }
 
-/// Feed `frame` to a decoder in fragments cut at `cuts` (arbitrary,
-/// possibly repeated or out-of-range offsets), returning the decoded
-/// frame.
-fn feed_in_fragments(frame: &[u8], cuts: &[usize]) -> Vec<u8> {
-    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (frame.len() + 1)).collect();
-    bounds.push(0);
-    bounds.push(frame.len());
-    bounds.sort_unstable();
+/// Decode `frame` delivered in fragments cut at `cuts`, returning the
+/// decoded frame.
+fn decode_in_fragments(frame: &[u8], cuts: &[usize]) -> Vec<u8> {
     let mut d = FrameDecoder::new();
-    for w in bounds.windows(2) {
-        let chunk = &frame[w[0]..w[1]];
-        let mut offset = 0;
-        while offset < chunk.len() {
-            let (used, complete) = d.feed(&chunk[offset..]).expect("valid frame must decode");
-            offset += used;
-            if complete {
-                assert_eq!(offset, chunk.len(), "decoder consumed past the frame boundary");
-            }
-        }
-    }
-    assert!(d.is_complete(), "all bytes fed but frame not complete");
+    let mut reader = Fragments::new(frame, cuts);
+    let len = reader.pump(&mut d).expect("valid frame must decode");
+    assert_eq!(len, Some(frame.len()), "all bytes delivered but frame not complete");
+    assert_eq!(reader.pos, frame.len());
+    assert!(d.is_complete());
     d.frame().to_vec()
 }
 
@@ -69,7 +101,7 @@ proptest! {
         cuts in proptest::collection::vec(any::<usize>(), 0..12),
     ) {
         let frame = valid_frame(n, seq, op);
-        let reassembled = feed_in_fragments(&frame, &cuts);
+        let reassembled = decode_in_fragments(&frame, &cuts);
         prop_assert_eq!(&reassembled, &frame);
         prop_assert_eq!(wire::frame_seq(&reassembled), seq);
         // and the one-shot decode agrees on the payload's meaning
@@ -92,19 +124,18 @@ proptest! {
         batch.extend_from_slice(&second);
 
         let mut d = FrameDecoder::new();
-        let (used, complete) = d.feed(&batch).expect("valid");
-        prop_assert!(complete);
-        prop_assert_eq!(used, first.len());
+        let mut reader = Fragments::new(&batch, &[]);
+        prop_assert_eq!(reader.pump(&mut d), Ok(Some(first.len())));
+        prop_assert!(reader.pos == first.len(), "decoder read past the frame boundary");
         prop_assert_eq!(d.frame(), &first[..]);
 
         d.reset();
-        let (used2, complete2) = d.feed(&batch[used..]).expect("valid");
-        prop_assert!(complete2);
-        prop_assert_eq!(used2, second.len());
+        prop_assert_eq!(reader.pump(&mut d), Ok(Some(second.len())));
+        prop_assert_eq!(reader.pos, batch.len());
         prop_assert_eq!(d.frame(), &second[..]);
     }
 
-    /// Hostile bytes — random garbage fed at random split points — must
+    /// Hostile bytes — random garbage arriving at random split points — must
     /// produce a typed error or keep waiting for more input, never
     /// panic, and never allocate beyond the header until a validated
     /// length is known.
@@ -113,37 +144,15 @@ proptest! {
         junk in proptest::collection::vec(any::<u8>(), 0..256),
         cuts in proptest::collection::vec(any::<usize>(), 0..8),
     ) {
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (junk.len() + 1)).collect();
-        bounds.push(0);
-        bounds.push(junk.len());
-        bounds.sort_unstable();
         let mut d = FrameDecoder::new();
-        'outer: for w in bounds.windows(2) {
-            let chunk = &junk[w[0]..w[1]];
-            let mut offset = 0;
-            while offset < chunk.len() {
-                match d.feed(&chunk[offset..]) {
-                    Ok((used, complete)) => {
-                        prop_assert!(used > 0 || chunk[offset..].is_empty());
-                        offset += used;
-                        if complete {
-                            break 'outer;
-                        }
-                    }
-                    Err(e) => {
-                        // header rejection happens before any payload
-                        // allocation
-                        prop_assert!(matches!(
-                            e,
-                            WireError::BadMagic(_)
-                                | WireError::BadVersion(_)
-                                | WireError::Oversized(_)
-                                | WireError::Truncated { .. }
-                        ), "unexpected error {e:?}");
-                        break 'outer;
-                    }
-                }
-            }
+        match Fragments::new(&junk, &cuts).pump(&mut d) {
+            // a complete (tiny) frame, or still waiting for more input
+            Ok(_) => {}
+            // header rejection happens before any payload allocation
+            Err(e) => prop_assert!(matches!(
+                e,
+                WireError::BadMagic(_) | WireError::BadVersion(_) | WireError::Oversized(_)
+            ), "unexpected error {e:?}"),
         }
         // garbage that merely *claims* a huge length must not have
         // provoked a huge buffer: growth is bounded by bytes received
@@ -166,12 +175,13 @@ proptest! {
         let frame = valid_frame(n, 3, 1);
         let cut = ((frame.len() - 1) as f64 * cut_frac) as usize;
         let mut d = FrameDecoder::new();
-        let mut offset = 0;
-        while offset < cut {
-            let (used, complete) = d.feed(&frame[offset..cut]).expect("prefix of valid frame");
-            prop_assert!(!complete, "incomplete frame reported complete at {cut}/{}", frame.len());
-            offset += used;
-        }
+        let pumped = Fragments::new(&frame[..cut], &[cut / 2]).pump(&mut d);
+        prop_assert!(
+            pumped == Ok(None),
+            "incomplete frame reported complete at {cut}/{}: {pumped:?}",
+            frame.len()
+        );
+        prop_assert_eq!(d.filled(), cut);
         prop_assert!(!d.is_complete());
     }
 }

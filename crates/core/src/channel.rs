@@ -13,12 +13,11 @@ static NEXT_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::ne
 
 /// The coupler side of the Ibis channel for one worker.
 ///
-/// `call` injects an envelope through the daemon's loopback and *drives the
-/// event loop* until the reply lands — the coupler blocking on a
-/// synchronous RPC, with virtual time advancing by exactly the modeled
-/// communication + compute cost. `submit`/`collect` inject without
-/// draining, so two channels submitted back-to-back run their workers in
-/// parallel virtual time (the Fig 7 parallel evolve).
+/// `submit` injects an envelope through the daemon's loopback; `collect`
+/// *drives the event loop* until the reply lands — the coupler blocking
+/// on the RPC, with virtual time advancing by exactly the modeled
+/// communication + compute cost. Two channels submitted back-to-back run
+/// their workers in parallel virtual time (the Fig 7 parallel evolve).
 pub struct IbisChannel {
     sim: Rc<RefCell<Sim>>,
     daemon: DaemonHandle,
@@ -89,16 +88,6 @@ impl IbisChannel {
 }
 
 impl Channel for IbisChannel {
-    fn call(&mut self, req: Request) -> Response {
-        let (seq, req_bytes) = self.inject(req);
-        let resp = self.drain_until(seq);
-        self.stats.calls += 1;
-        self.stats.bytes_out += req_bytes;
-        self.stats.bytes_in += ((resp.wire_size() as f64) * self.byte_scale) as u64;
-        self.stats.flops += resp.flops();
-        resp
-    }
-
     fn submit(&mut self, req: Request) {
         assert!(self.pending.is_none(), "one outstanding call per channel");
         let p = self.inject(req);

@@ -46,15 +46,16 @@ pub(crate) struct HostChannels {
     pub(crate) stellar: Option<Box<dyn Channel>>,
 }
 
-/// Channel wrapper enforcing the host kill switch at every call
-/// boundary. While the switch is off it is a transparent delegate
-/// (including the borrowing and two-phase fast paths, so warm in-process
-/// hosts keep their allocation-free hot loop).
+/// Channel wrapper enforcing the host kill switch on both legs of every
+/// round trip (`call` and the one-shots are those legs by default).
+/// While the switch is off it is a transparent delegate, typed legs
+/// included, so warm in-process hosts keep their allocation-free hot
+/// loop.
 pub(crate) struct GuardedChannel {
     inner: Box<dyn Channel>,
     dead: Arc<AtomicBool>,
-    /// A submit that found the host dead parks the error here so the
-    /// matching collect fails without desyncing the inner channel.
+    /// A submit that found the host dead was not forwarded: the
+    /// matching collect must fail without touching the inner channel.
     pending_dead: bool,
 }
 
@@ -70,29 +71,35 @@ impl GuardedChannel {
     fn dead_response(&self) -> Response {
         Response::Error(format!("host killed ({})", self.inner.worker_name()))
     }
+
+    /// The submit gate: a dead host is not addressed at all.
+    fn gate_submit(&mut self, submit: impl FnOnce(&mut dyn Channel)) {
+        if self.is_dead() {
+            self.pending_dead = true;
+        } else {
+            submit(self.inner.as_mut());
+        }
+    }
+
+    /// The collect gate: `None` when the host is dead. A request that
+    /// was forwarded is always collected — the inner channel stays in
+    /// step — but the answer of a host killed meanwhile is dropped.
+    fn gate_collect<R>(&mut self, collect: impl FnOnce(&mut dyn Channel) -> R) -> Option<R> {
+        if std::mem::take(&mut self.pending_dead) {
+            return None;
+        }
+        let answer = collect(self.inner.as_mut());
+        (!self.is_dead()).then_some(answer)
+    }
 }
 
 impl Channel for GuardedChannel {
-    fn call(&mut self, req: Request) -> Response {
-        if self.is_dead() {
-            return self.dead_response();
-        }
-        self.inner.call(req)
-    }
-
     fn submit(&mut self, req: Request) {
-        if self.is_dead() {
-            self.pending_dead = true;
-            return;
-        }
-        self.inner.submit(req)
+        self.gate_submit(|c| c.submit(req))
     }
 
     fn collect(&mut self) -> Response {
-        if std::mem::take(&mut self.pending_dead) {
-            return self.dead_response();
-        }
-        self.inner.collect()
+        self.gate_collect(|c| c.collect()).unwrap_or_else(|| self.dead_response())
     }
 
     fn stats(&self) -> ChannelStats {
@@ -117,55 +124,20 @@ impl Channel for GuardedChannel {
         self.inner.pipelines()
     }
 
-    fn snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        !self.is_dead() && self.inner.snapshot_into(out)
-    }
-
-    fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Response {
-        if self.is_dead() {
-            return self.dead_response();
-        }
-        self.inner.kick_slice(dv)
-    }
-
-    fn compute_kick_into(
-        &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
-        out: &mut Vec<[f64; 3]>,
-    ) -> Option<f64> {
-        if self.is_dead() {
-            return None;
-        }
-        self.inner.compute_kick_into(targets, source_pos, source_mass, out)
-    }
-
     fn submit_snapshot(&mut self) {
-        if self.is_dead() {
-            self.pending_dead = true;
-            return;
-        }
-        self.inner.submit_snapshot()
+        self.gate_submit(|c| c.submit_snapshot())
     }
 
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        !std::mem::take(&mut self.pending_dead) && self.inner.collect_snapshot_into(out)
+        self.gate_collect(|c| c.collect_snapshot_into(out)).unwrap_or(false)
     }
 
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
-        if self.is_dead() {
-            self.pending_dead = true;
-            return;
-        }
-        self.inner.submit_kick_slice(dv)
+        self.gate_submit(|c| c.submit_kick_slice(dv))
     }
 
     fn collect_kick(&mut self) -> Response {
-        if std::mem::take(&mut self.pending_dead) {
-            return self.dead_response();
-        }
-        self.inner.collect_kick()
+        self.gate_collect(|c| c.collect_kick()).unwrap_or_else(|| self.dead_response())
     }
 
     fn submit_compute_kick(
@@ -174,18 +146,11 @@ impl Channel for GuardedChannel {
         source_pos: &[[f64; 3]],
         source_mass: &[f64],
     ) {
-        if self.is_dead() {
-            self.pending_dead = true;
-            return;
-        }
-        self.inner.submit_compute_kick(targets, source_pos, source_mass)
+        self.gate_submit(|c| c.submit_compute_kick(targets, source_pos, source_mass))
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        if std::mem::take(&mut self.pending_dead) {
-            return None;
-        }
-        self.inner.collect_accelerations_into(out)
+        self.gate_collect(|c| c.collect_accelerations_into(out)).flatten()
     }
 }
 
@@ -402,6 +367,58 @@ mod tests {
         let mut out = ParticleData::default();
         ch.submit_snapshot();
         assert!(!ch.collect_snapshot_into(&mut out));
+    }
+
+    #[test]
+    fn a_kill_before_or_during_a_round_trip_fails_it_without_desync() {
+        let dead = Arc::new(AtomicBool::new(false));
+        let cluster = EmbeddedCluster::build(4, 8, 0.5, 1);
+        let (_, _, c, _) = cluster.local_workers(false);
+        let mut grav = local_guarded(&dead);
+        let mut fi = GuardedChannel::new(Box::new(LocalChannel::new(c)), Arc::clone(&dead));
+        let (pos, mass) = (cluster.stars.pos.clone(), cluster.stars.mass.clone());
+        let dv = vec![[0.0; 3]; 4];
+        let mut snap = ParticleData::default();
+        let mut acc = Vec::new();
+
+        // killed before the submit: the inner channel never sees the request
+        dead.store(true, Ordering::SeqCst);
+        grav.submit_snapshot();
+        assert!(!grav.collect_snapshot_into(&mut snap));
+        grav.submit_kick_slice(&dv);
+        assert!(matches!(grav.collect_kick(), Response::Error(_)));
+        fi.submit_compute_kick(&pos, &pos, &mass);
+        assert_eq!(fi.collect_accelerations_into(&mut acc), None);
+        assert!(!grav.snapshot_into(&mut snap), "the one-shots are the same two legs");
+        assert_eq!((grav.stats().calls, fi.stats().calls), (0, 0));
+
+        // killed between submit and collect: the request is in flight, so
+        // it is collected (an uncollected one would trip the inner
+        // channel's one-outstanding-call assert below) and then failed
+        for leg in 0..4 {
+            dead.store(false, Ordering::SeqCst);
+            match leg {
+                0 => grav.submit_snapshot(),
+                1 => grav.submit_kick_slice(&dv),
+                2 => grav.submit(Request::Ping),
+                _ => fi.submit_compute_kick(&pos, &pos, &mass),
+            }
+            dead.store(true, Ordering::SeqCst);
+            match leg {
+                0 => assert!(!grav.collect_snapshot_into(&mut snap)),
+                1 => assert!(matches!(grav.collect_kick(), Response::Error(_))),
+                2 => assert!(matches!(grav.collect(), Response::Error(_))),
+                _ => assert_eq!(fi.collect_accelerations_into(&mut acc), None),
+            }
+        }
+        assert_eq!((grav.stats().calls, fi.stats().calls), (3, 1));
+
+        // a re-warmed host: both channels answer again, in step
+        dead.store(false, Ordering::SeqCst);
+        assert!(grav.snapshot_into(&mut snap));
+        assert!(matches!(grav.kick_slice(&dv), Response::Ok { .. }));
+        assert!(fi.compute_kick_into(&pos, &pos, &mass, &mut acc).is_some());
+        assert_eq!((snap.mass.len(), acc.len()), (4, 4));
     }
 
     #[test]

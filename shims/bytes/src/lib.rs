@@ -14,16 +14,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Bytes {
-        Bytes::default()
-    }
-
-    /// Copy a slice into a new buffer.
-    pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes { data: data.into() }
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -51,18 +41,6 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         Bytes { data: v.into() }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Bytes {
-        Bytes { data: v.into() }
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(v: &'static str) -> Bytes {
-        Bytes { data: v.as_bytes().into() }
     }
 }
 

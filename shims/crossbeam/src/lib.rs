@@ -1,16 +1,14 @@
 //! Offline stand-in for `crossbeam`.
 //!
 //! Only `crossbeam::channel` is provided, backed by `std::sync::mpsc`.
-//! The workspace uses `unbounded`, `bounded`, `send`, `recv`,
-//! `try_recv` and `recv_timeout`; senders are cloneable like the real
-//! crate's. (std receivers are not cloneable — none of our call sites
-//! clone them.)
+//! The workspace uses `unbounded`, `bounded`, `send` and `recv`;
+//! senders are cloneable like the real crate's. (std receivers are not
+//! cloneable — none of our call sites clone them.)
 
 pub mod channel {
     use std::sync::mpsc;
-    use std::time::Duration;
 
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, TryRecvError};
+    pub use std::sync::mpsc::RecvError;
 
     /// Sending half; unifies std's bounded/unbounded sender types.
     pub enum Sender<T> {
@@ -66,21 +64,6 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             self.inner.recv()
         }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner.try_recv()
-        }
-
-        /// Receive with a timeout.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.inner.recv_timeout(timeout)
-        }
-
-        /// Blocking iterator over incoming messages.
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.inner.iter()
-        }
     }
 
     /// Channel with no backpressure.
@@ -127,9 +110,10 @@ pub mod channel {
             tx.send(1).unwrap();
             tx2.send(2).unwrap();
             drop((tx, tx2));
-            let mut got: Vec<u8> = rx.iter().collect();
+            let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
             got.sort_unstable();
             assert_eq!(got, vec![1, 2]);
+            assert!(rx.recv().is_err(), "every sender hung up");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Offline stand-in for `rayon`.
 //!
-//! Supports the pipelines this workspace uses —
-//! `par_iter() / into_par_iter()` followed by `enumerate` / `zip` /
-//! `map` and terminated by `collect` / `sum` / `for_each` — with real
-//! parallelism: the element list is materialized, split into one
-//! contiguous chunk per available core, and mapped on scoped threads.
+//! Supports the pipeline this workspace uses —
+//! `par_iter() / into_par_iter()` followed by `map` and terminated by
+//! `collect` — with real parallelism: the element list is materialized,
+//! split into one contiguous chunk per available core, and mapped on
+//! scoped threads.
 //! Order is preserved, so results are identical to the sequential
 //! evaluation (the nbody tests assert bitwise backend equality).
 
@@ -85,32 +85,9 @@ pub trait ParallelIterator: Sized {
         Map { base: self, f }
     }
 
-    /// Pair each element with its index.
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { base: self }
-    }
-
-    /// Zip with another parallel iterator (shorter side truncates).
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
     /// Collect into any `FromIterator` container.
     fn collect<C: FromIterator<Self::Item>>(self) -> C {
         self.into_vec().into_iter().collect()
-    }
-
-    /// Sum the elements.
-    fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-        self.into_vec().into_iter().sum()
-    }
-
-    /// Apply `f` to every element (driven in parallel via `map`).
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-    {
-        let _ = parallel_map(self.into_vec(), &|x| f(x));
     }
 }
 
@@ -141,31 +118,6 @@ where
     type Item = R;
     fn into_vec(self) -> Vec<R> {
         parallel_map(self.base.into_vec(), &self.f)
-    }
-}
-
-/// `enumerate` stage.
-pub struct Enumerate<B> {
-    base: B,
-}
-
-impl<B: ParallelIterator> ParallelIterator for Enumerate<B> {
-    type Item = (usize, B::Item);
-    fn into_vec(self) -> Vec<(usize, B::Item)> {
-        self.base.into_vec().into_iter().enumerate().collect()
-    }
-}
-
-/// `zip` stage.
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-    fn into_vec(self) -> Vec<(A::Item, B::Item)> {
-        self.a.into_vec().into_iter().zip(self.b.into_vec()).collect()
     }
 }
 
@@ -225,22 +177,6 @@ mod tests {
     fn map_collect_preserves_order() {
         let out: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_iter_enumerate_matches_sequential() {
-        let data: Vec<f64> = (0..257).map(|i| i as f64).collect();
-        let out: Vec<f64> = data.par_iter().enumerate().map(|(i, x)| x + i as f64).collect();
-        let seq: Vec<f64> = data.iter().enumerate().map(|(i, x)| x + i as f64).collect();
-        assert_eq!(out, seq);
-    }
-
-    #[test]
-    fn zip_and_sum() {
-        let a = vec![1u64, 2, 3];
-        let b = vec![10u64, 20, 30];
-        let s: u64 = a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum();
-        assert_eq!(s, 10 + 40 + 90);
     }
 
     #[test]

@@ -316,3 +316,86 @@ fn depth_two_pipelining_matches_blocking_round_trips() {
 
     assert!(bitwise_eq(&blocking, &pipelined), "depth-2 pipelining changed the snapshot");
 }
+
+/// A pool nested in a pool scatters through both levels before any
+/// reply is awaited, and must be indistinguishable from the flat pool
+/// over the same four loopback workers: state ops and the coupling
+/// scatter-gather bitwise equal, byte accounting identical.
+#[test]
+fn nested_reactor_pool_matches_flat_pool() {
+    let ics = plummer_sphere(42, 13);
+    let scene = plummer_sphere(151, 23);
+    let dv: Vec<[f64; 3]> = (0..42).map(|i| [1e-4 * i as f64, -2e-5, 3e-5 * i as f64]).collect();
+
+    let run = |nested: bool| {
+        let reactor = Reactor::new_shared().unwrap();
+        let mut handles = Vec::new();
+        let connect = |name: String, addr| {
+            Box::new(ReactorChannel::connect(&reactor, addr, name).unwrap()) as Box<dyn Channel>
+        };
+        let mut grav = Vec::new();
+        let mut fi = Vec::new();
+        let mut off = 0usize;
+        for (i, c) in partition(42, 4).into_iter().enumerate() {
+            let sub = ics.slice(off, off + c);
+            off += c;
+            let (addr, h) = spawn_tcp_worker(format!("grav-{i}"), move || {
+                GravityWorker::new(sub, Backend::Scalar)
+            });
+            handles.push(h);
+            grav.push(connect(format!("grav-{i}"), addr));
+            let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
+            handles.push(h);
+            fi.push(connect(format!("fi-{i}"), addr));
+        }
+        let pool = |mut shards: Vec<Box<dyn Channel>>| {
+            if nested {
+                let back = shards.split_off(2);
+                shards = vec![
+                    Box::new(ShardedChannel::new(shards)),
+                    Box::new(ShardedChannel::new(back)),
+                ];
+            }
+            ShardedChannel::new(shards)
+        };
+        let (mut grav, mut fi) = (pool(grav), pool(fi));
+        assert!(grav.pipelined() && fi.pipelined());
+        assert_eq!(grav.total_particles(), 42);
+        // assembling a pool probes each member once; count from here
+        let traffic = |a: &ShardedChannel, b: &ShardedChannel| {
+            let (a, b) = (a.stats(), b.stats());
+            (a.calls + b.calls, a.bytes_out + b.bytes_out, a.bytes_in + b.bytes_in)
+        };
+        let before = traffic(&grav, &fi);
+
+        let r = grav.kick_slice(&dv);
+        assert!(matches!(r, Response::Ok { .. }), "nested={nested}: {r:?}");
+        let mut snap = ParticleData::default();
+        assert!(grav.snapshot_into(&mut snap));
+        let mut acc = Vec::new();
+        fi.compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut acc)
+            .expect("pool compute_kick_into");
+        let after = traffic(&grav, &fi);
+        let moved = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+
+        drop((grav, fi));
+        for h in handles {
+            h.join().unwrap().unwrap();
+        }
+        (snap, acc, moved)
+    };
+
+    let (flat_snap, flat_acc, flat_moved) = run(false);
+    let (nested_snap, nested_acc, nested_moved) = run(true);
+    assert!(bitwise_eq(&flat_snap, &nested_snap), "nested pool state diverged from the flat pool");
+    assert_eq!(flat_acc.len(), 151);
+    assert_eq!(flat_acc.len(), nested_acc.len());
+    for (a, b) in flat_acc.iter().zip(&nested_acc) {
+        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "nested pool accelerations diverged");
+    }
+    assert_eq!(flat_moved.0, 12, "three ops over four leaves each");
+    assert_eq!(
+        flat_moved, nested_moved,
+        "nesting changed the traffic (calls, bytes out, bytes in)"
+    );
+}

@@ -7,6 +7,7 @@
 //! the simulation."
 
 use crate::bridge::BridgeConfig;
+use crate::checkpoint::{Checkpoint, ModelState};
 use crate::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ModelWorker, ParticleData, StellarWorker,
 };
@@ -34,6 +35,9 @@ pub struct EmbeddedCluster {
 }
 
 impl EmbeddedCluster {
+    /// Metallicity of the stellar population (solar).
+    pub const METALLICITY: f64 = 0.02;
+
     /// Build a cluster of `n_stars` stars embedded in `n_gas` gas
     /// particles, with `gas_fraction` of the total mass in gas.
     ///
@@ -102,8 +106,44 @@ impl EmbeddedCluster {
         } else {
             Box::new(CouplingWorker::fi())
         };
-        let stellar = Box::new(StellarWorker::new(self.star_masses_msun.clone(), 0.02));
+        let stellar =
+            Box::new(StellarWorker::new(self.star_masses_msun.clone(), Self::METALLICITY));
         (gravity, hydro, coupling, stellar)
+    }
+
+    /// The t=0 checkpoint of this cluster: exactly what a `SaveState` of
+    /// freshly built [`EmbeddedCluster::local_workers`] (either kernel
+    /// flavour) answers, assembled from the columns without building a
+    /// worker. Restoring it onto warm workers *is* placing the cluster.
+    pub fn initial_checkpoint(&self) -> Checkpoint {
+        let (stars, gas) = (&self.stars, &self.gas);
+        Checkpoint {
+            time: 0.0,
+            iterations: 0,
+            total_supernovae: 0,
+            gravity: ModelState::Gravity {
+                time: 0.0,
+                mass: stars.mass.clone(),
+                pos: stars.pos.clone(),
+                vel: stars.vel.clone(),
+            },
+            hydro: ModelState::Hydro {
+                time: 0.0,
+                mass: gas.mass.clone(),
+                pos: gas.pos.clone(),
+                vel: gas.vel.clone(),
+                u: gas.u.clone(),
+                rho: gas.rho.clone(),
+                h: gas.h.clone(),
+            },
+            coupling: ModelState::Stateless,
+            stellar: Some(ModelState::Stellar {
+                time_myr: 0.0,
+                z: Self::METALLICITY,
+                initial_masses: self.star_masses_msun.clone(),
+                exploded: vec![false; self.star_masses_msun.len()],
+            }),
+        }
     }
 }
 
@@ -227,6 +267,39 @@ mod tests {
         let r = half_mass_radius(&stars);
         // Plummer half-mass radius ≈ 1.3 a ≈ 0.77 for virial radius 1
         assert!(r > 0.3 && r < 1.5, "r_h = {r}");
+    }
+
+    #[test]
+    fn initial_checkpoint_is_the_save_state_of_fresh_workers() {
+        use crate::channel::{Channel, LocalChannel};
+        let container = |ck: &Checkpoint| {
+            let mut bytes = Vec::new();
+            ck.write_to(&mut bytes).expect("write to a Vec");
+            bytes
+        };
+        let local = |w: Box<dyn ModelWorker>| Box::new(LocalChannel::new(w)) as Box<dyn Channel>;
+        for (n_stars, n_gas) in [(8, 24), (8, 32), (128, 512)] {
+            for seed in [1, 7, 42, 301] {
+                let c = EmbeddedCluster::build(n_stars, n_gas, 0.5, seed);
+                let direct = container(&c.initial_checkpoint());
+                for use_gpu in [false, true] {
+                    let (g, h, k, s) = c.local_workers(use_gpu);
+                    let mut fresh = crate::Bridge::new(
+                        local(g),
+                        local(h),
+                        local(k),
+                        Some(local(s)),
+                        c.bridge_config(),
+                    );
+                    let saved = fresh.snapshot().expect("SaveState gather");
+                    assert_eq!(
+                        direct,
+                        container(&saved),
+                        "({n_stars},{n_gas}) seed {seed} gpu {use_gpu}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

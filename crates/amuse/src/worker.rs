@@ -484,7 +484,18 @@ impl ModelWorker for StellarWorker {
                 if initial_masses.len() != exploded.len() {
                     return Response::Error("ragged stellar state".into());
                 }
-                self.model = SseModel::restored(initial_masses, z, time_myr, exploded);
+                // the fits assert on these; a bad frame must cost an
+                // error response, not the worker
+                if let Some(m) = initial_masses.iter().find(|m| !(m.is_finite() && **m > 0.0)) {
+                    return Response::Error(format!("invalid stellar state: initial mass {m}"));
+                }
+                if !(z.is_finite() && z > 0.0) {
+                    return Response::Error(format!("invalid stellar state: metallicity {z}"));
+                }
+                if !(time_myr.is_finite() && time_myr >= 0.0) {
+                    return Response::Error(format!("invalid stellar state: time {time_myr} Myr"));
+                }
+                self.model.restore_state(initial_masses, z, time_myr, exploded);
                 Response::Ok { flops: 0.0 }
             }
             Request::LoadState(other) => {
@@ -606,6 +617,48 @@ mod tests {
         let mut w = StellarWorker::new(vec![1.0, 20.0], 0.02);
         match w.handle(Request::EvolveStars(5.0)) {
             Response::StellarUpdate { masses, .. } => assert_eq!(masses.len(), 2),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_stellar_state_is_an_error_not_a_panic() {
+        use crate::channel::{Channel, LocalChannel};
+        let mut ch = LocalChannel::new(Box::new(StellarWorker::new(vec![1.0, 20.0], 0.02)));
+        let load = |initial_masses: Vec<f64>, z: f64, time_myr: f64| {
+            let exploded = vec![false; initial_masses.len()];
+            Request::LoadState(ModelState::Stellar { time_myr, z, initial_masses, exploded })
+        };
+        let bad = [
+            load(vec![1.0, -3.0], 0.02, 5.0),
+            load(vec![0.0], 0.02, 5.0),
+            load(vec![f64::NAN], 0.02, 5.0),
+            load(vec![f64::INFINITY], 0.02, 5.0),
+            load(vec![1.0], 0.0, 5.0),
+            load(vec![1.0], -0.02, 5.0),
+            load(vec![1.0], f64::NAN, 5.0),
+            load(vec![1.0], 0.02, -1.0),
+            load(vec![1.0], 0.02, f64::NAN),
+            load(vec![1.0], 0.02, f64::INFINITY),
+        ];
+        for req in bad {
+            let what = format!("{req:?}");
+            match ch.call(req) {
+                Response::Error(e) => assert!(e.starts_with("invalid stellar state: "), "{e}"),
+                other => panic!("{what} answered {other:?}"),
+            }
+            // the worker survived, with the state it had
+            assert!(matches!(ch.call(Request::Ping), Response::Ok { .. }));
+            match ch.call(Request::SaveState) {
+                Response::State(ModelState::Stellar { initial_masses, .. }) => {
+                    assert_eq!(initial_masses, vec![1.0, 20.0])
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(matches!(ch.call(load(vec![2.0, 9.0, 30.0], 0.02, 5.0)), Response::Ok { .. }));
+        match ch.call(Request::EvolveStars(6.0)) {
+            Response::StellarUpdate { masses, .. } => assert_eq!(masses.len(), 3),
             other => panic!("{other:?}"),
         }
     }

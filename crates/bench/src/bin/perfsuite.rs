@@ -580,7 +580,7 @@ fn bench_checkpoint(n_stars: usize, repeats: usize, restore: bool) -> Sample {
         Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),
         Some(Box::new(LocalChannel::new(Box::new(StellarWorker::new(
             c.star_masses_msun.clone(),
-            0.02,
+            EmbeddedCluster::METALLICITY,
         ))))),
         c.bridge_config(),
     );
@@ -637,17 +637,17 @@ fn bench_service_p99(sessions: usize, repeats: usize) -> Sample {
                 service.submit(&format!("tenant-{}", i % 4), spec).expect("admitted")
             })
             .collect();
-        let mut wall_ms: Vec<u64> = ids
+        let mut wall_us: Vec<u64> = ids
             .iter()
             .map(|id| match service.wait(*id) {
-                Some(SessionStatus::Completed { wall_ms, .. }) => wall_ms,
+                Some(SessionStatus::Completed { wall_us, .. }) => wall_us,
                 other => panic!("service bench session failed: {other:?}"),
             })
             .collect();
         let elapsed = t0.elapsed().as_secs_f64();
         service.shutdown();
-        wall_ms.sort_unstable();
-        let p99 = wall_ms[((wall_ms.len() - 1) as f64 * 0.99).round() as usize] as f64 * 1e6;
+        wall_us.sort_unstable();
+        let p99 = wall_us[((wall_us.len() - 1) as f64 * 0.99).round() as usize] as f64 * 1e3;
         if p99 < best_p99_ns {
             best_p99_ns = p99;
             best_rate = sessions as f64 / elapsed;

@@ -19,18 +19,20 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every method delegates to `System`, which upholds the full
 // `GlobalAlloc` contract; the only addition is a thread-local counter
-// bump (`try_with` so a counter access during TLS teardown cannot
-// panic inside the allocator). No pointer is invented, retained, or
-// changed on the way through.
+// bump per call and per byte (`try_with` so a counter access during TLS
+// teardown cannot panic inside the allocator). No pointer is invented,
+// retained, or changed on the way through.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller's `Layout` obligations are forwarded to `System`
     // unchanged (required trait method; the count is a side effect).
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
         // SAFETY: `layout` is the caller's, passed through verbatim.
         unsafe { System.alloc(layout) }
     }
@@ -46,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // produced by `System.alloc` under `layout`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + new_size as u64));
         // SAFETY: arguments are the caller's, passed through verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,6 +62,44 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(|c| c.get());
     f();
     ALLOCS.with(|c| c.get()) - before
+}
+
+/// Bytes requested from the allocator by `f` on this thread.
+fn count_alloc_bytes(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(|c| c.get());
+    f();
+    BYTES.with(|c| c.get()) - before
+}
+
+#[test]
+fn same_metallicity_stellar_load_state_keeps_the_table() {
+    // Placing a session is a `LoadState` on a warm stellar worker. The
+    // evolution table (3 columns × 64×64 f64 = 96 KiB) depends only on
+    // the metallicity, so a same-`z` restore must re-derive the 8 star
+    // states and nothing else — a silent table rebuild shows up here.
+    use jc_amuse::{Channel, LocalChannel, ModelState, Request, Response, StellarWorker};
+    let z = jc_amuse::EmbeddedCluster::METALLICITY;
+    let mut ch = LocalChannel::new(Box::new(StellarWorker::new(vec![1.0; 8], z)));
+    let state = |time_myr: f64| ModelState::Stellar {
+        time_myr,
+        z,
+        initial_masses: vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0],
+        exploded: vec![false; 8],
+    };
+    assert!(matches!(ch.call(Request::LoadState(state(0.0))), Response::Ok { .. }));
+    let req = Request::LoadState(state(12.5));
+    let bytes = count_alloc_bytes(|| assert!(matches!(ch.call(req), Response::Ok { .. })));
+    assert!(bytes < 4096, "same-z stellar LoadState allocated {bytes} bytes");
+    // the guard can see a rebuild: another metallicity pays for a table
+    let other = ModelState::Stellar {
+        time_myr: 0.0,
+        z: 0.008,
+        initial_masses: vec![1.0; 8],
+        exploded: vec![false; 8],
+    };
+    let req = Request::LoadState(other);
+    let bytes = count_alloc_bytes(|| assert!(matches!(ch.call(req), Response::Ok { .. })));
+    assert!(bytes >= 96 * 1024, "a new metallicity must rebuild the table ({bytes} bytes)");
 }
 
 #[test]

@@ -130,12 +130,13 @@ fn sibling_worker_binary() -> Option<PathBuf> {
     candidate.exists().then_some(candidate)
 }
 
-fn percentile(sorted_ms: &[u64], p: f64) -> u64 {
-    if sorted_ms.is_empty() {
-        return 0;
+/// Percentile of sorted microsecond samples, in milliseconds.
+fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
+    if sorted_us.is_empty() {
+        return 0.0;
     }
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
+    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
+    sorted_us[idx.min(sorted_us.len() - 1)] as f64 / 1e3
 }
 
 fn main() {
@@ -189,13 +190,13 @@ fn main() {
         }
     }
 
-    let mut wall_ms: Vec<u64> = Vec::with_capacity(ids.len());
+    let mut wall_us: Vec<u64> = Vec::with_capacity(ids.len());
     let mut failed = 0u64;
     let mut migrations = 0u64;
     for id in &ids {
         match service.wait(*id) {
-            Some(jc_service::SessionStatus::Completed { wall_ms: ms, migrations: m, .. }) => {
-                wall_ms.push(ms);
+            Some(jc_service::SessionStatus::Completed { wall_us: us, migrations: m, .. }) => {
+                wall_us.push(us);
                 migrations += m as u64;
             }
             Some(jc_service::SessionStatus::Failed { failure, migrations: m }) => {
@@ -214,10 +215,10 @@ fn main() {
     let counters = service.counters();
     service.shutdown();
 
-    wall_ms.sort_unstable();
-    let p50 = percentile(&wall_ms, 0.50);
-    let p99 = percentile(&wall_ms, 0.99);
-    let served = wall_ms.len() as u64;
+    wall_us.sort_unstable();
+    let p50 = percentile_ms(&wall_us, 0.50);
+    let p99 = percentile_ms(&wall_us, 0.99);
+    let served = wall_us.len() as u64;
     let submitted_total = args.sessions as u64;
     let accounted = served + failed + shed_overloaded + shed_quota == submitted_total
         && counters.submitted == served + failed
@@ -230,7 +231,7 @@ fn main() {
              \"pool\":{pool_size},\"served\":{served},\"failed\":{failed},\
              \"shed_overloaded\":{shed_overloaded},\"shed_quota\":{shed_quota},\
              \"migrations\":{migrations},\"chaos_kills\":{},\"rewarms\":{},\
-             \"p50_ms\":{p50},\"p99_ms\":{p99},\"elapsed_ms\":{},\"accounting_clean\":{accounted}}}",
+             \"p50_ms\":{p50:.3},\"p99_ms\":{p99:.3},\"elapsed_ms\":{},\"accounting_clean\":{accounted}}}",
             counters.chaos_kills,
             counters.rewarms,
             elapsed.as_millis(),
@@ -247,7 +248,7 @@ fn main() {
             shed_overloaded + shed_quota
         );
         println!(
-            "  migrations {migrations}  chaos kills {}  re-warms {}  p50 {p50} ms  p99 {p99} ms",
+            "  migrations {migrations}  chaos kills {}  re-warms {}  p50 {p50:.3} ms  p99 {p99:.3} ms",
             counters.chaos_kills, counters.rewarms
         );
         println!("  accounting clean: {accounted}");

@@ -16,7 +16,7 @@ use crate::session::{
 };
 use jc_amuse::channel::ChannelStats;
 use jc_amuse::chaos::{FaultPlan, RetryPolicy};
-use jc_amuse::worker::{ModelWorker, ParticleData, Request, Response};
+use jc_amuse::worker::{ParticleData, Response};
 use jc_amuse::{
     wire, Bridge, BridgeConfig, Checkpoint, EmbeddedCluster, ModelState, RecoveryPolicy,
 };
@@ -131,7 +131,9 @@ pub struct ServiceCounters {
 /// migrated checkpoint.
 struct Work {
     id: SessionId,
-    resume: Option<Box<Checkpoint>>,
+    /// What a migrated session resumes from: its last good checkpoint
+    /// and the bridge config its first placement derived from the spec.
+    resume: Option<Box<(BridgeConfig, Checkpoint)>>,
     /// Hosts this session must not run on again (each failed it once).
     exclude: Vec<usize>,
     migrations: u32,
@@ -463,37 +465,13 @@ fn executor_main(shared: Arc<Shared>, index: usize, kill: Arc<AtomicBool>) {
     }
 }
 
-/// Bridge config + initial checkpoint for a spec. The checkpoint is a
-/// `SaveState` of freshly built local workers, so fresh placement and
+/// Bridge config + t=0 checkpoint for a spec, so fresh placement and
 /// migration are the *same* operation: restore onto a warm host.
-fn initial_checkpoint(spec: &SessionSpec) -> Result<(BridgeConfig, Checkpoint), String> {
+fn initial_checkpoint(spec: &SessionSpec) -> (BridgeConfig, Checkpoint) {
     let cluster = EmbeddedCluster::build(spec.stars, spec.gas, spec.gas_fraction, spec.seed);
     let mut cfg = cluster.bridge_config();
     cfg.substeps = spec.substeps;
-    let (mut g, mut h, mut c, mut s) = cluster.local_workers(false);
-    let save = |w: &mut Box<dyn ModelWorker>| match w.handle(Request::SaveState) {
-        Response::State(st) => Ok(st),
-        other => Err(format!("SaveState answered {other:?}")),
-    };
-    let ck = Checkpoint {
-        time: 0.0,
-        iterations: 0,
-        total_supernovae: 0,
-        gravity: save(&mut g)?,
-        hydro: save(&mut h)?,
-        coupling: save(&mut c)?,
-        stellar: Some(save(&mut s)?),
-    };
-    Ok((cfg, ck))
-}
-
-/// Session bridge config for a resume (units are a pure function of the
-/// spec, so this agrees with what the first placement used).
-fn bridge_config_for(spec: &SessionSpec) -> BridgeConfig {
-    let cluster = EmbeddedCluster::build(spec.stars, spec.gas, spec.gas_fraction, spec.seed);
-    let mut cfg = cluster.bridge_config();
-    cfg.substeps = spec.substeps;
-    cfg
+    (cfg, cluster.initial_checkpoint())
 }
 
 fn particles_of(state: &ModelState) -> Option<ParticleData> {
@@ -602,18 +580,13 @@ fn run_session(shared: &Shared, index: usize, host: &mut WarmHost, mut work: Wor
 
     // checkpoint to place: the migrated state, or a fresh one
     let (cfg, ck) = match work.resume.take() {
-        Some(ck) => (bridge_config_for(&spec), *ck),
-        None => match initial_checkpoint(&spec) {
-            Ok(pair) => pair,
-            Err(e) => {
-                // not a host fault — the spec itself could not be built
-                return fail(shared, &work, SessionFailure::Unrecoverable { detail: e });
-            }
-        },
+        Some(resume) => *resume,
+        None => initial_checkpoint(&spec),
     };
 
     let quad = host.lease().expect("a warm host has its channel quad");
-    let mut bridge = Bridge::new(quad.gravity, quad.hydro, quad.coupling, quad.stellar, cfg);
+    let mut bridge =
+        Bridge::new(quad.gravity, quad.hydro, quad.coupling, quad.stellar, cfg.clone());
     if let Some(d) = deadline {
         let remaining = d.saturating_duration_since(Instant::now()).as_millis() as u64;
         bridge.set_request_deadline(remaining.max(1));
@@ -642,7 +615,7 @@ fn run_session(shared: &Shared, index: usize, host: &mut WarmHost, mut work: Wor
                 iterations,
                 migrations: work.migrations,
                 digest,
-                wall_ms: work.enqueued.elapsed().as_millis() as u64,
+                wall_us: work.enqueued.elapsed().as_micros() as u64,
                 stats: work.stats,
             };
             finish(shared, &mut st, work.id, status);
@@ -659,7 +632,7 @@ fn run_session(shared: &Shared, index: usize, host: &mut WarmHost, mut work: Wor
             // migrate with the last good checkpoint (None only if the
             // restore itself failed — then the next host rebuilds the
             // initial state from the spec, same result)
-            work.resume = ck_opt.take().map(Box::new);
+            work.resume = ck_opt.take().map(|ck| Box::new((cfg, ck)));
             migrate_or_fail(shared, index, work, detail);
         }
     }

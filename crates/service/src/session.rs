@@ -107,8 +107,8 @@ pub enum SessionStatus {
         /// sessions with the same [`SessionSpec`] must agree on this no
         /// matter which hosts ran them or how often they migrated.
         digest: u64,
-        /// Wall-clock from submission to completion, milliseconds.
-        wall_ms: u64,
+        /// Wall-clock from submission to completion, microseconds.
+        wall_us: u64,
         /// Channel traffic of the whole session, summed over all four
         /// worker channels and every host it ran on.
         stats: ChannelStats,

@@ -45,8 +45,8 @@ fn baseline_digest(spec: &SessionSpec) -> u64 {
 
 fn completed(status: Option<SessionStatus>) -> (u64, u32, u64) {
     match status {
-        Some(SessionStatus::Completed { digest, migrations, wall_ms, .. }) => {
-            (digest, migrations, wall_ms)
+        Some(SessionStatus::Completed { digest, migrations, wall_us, .. }) => {
+            (digest, migrations, wall_us)
         }
         other => panic!("expected Completed, got {other:?}"),
     }

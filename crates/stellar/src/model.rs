@@ -42,6 +42,20 @@ pub enum StellarEvent {
     },
 }
 
+/// The one place a star's reported state is derived: a table lookup at
+/// (`m0`, `age_myr`).
+fn star_at(table: &EvolutionTable, m0: f64, age_myr: f64) -> StarState {
+    let p = table.lookup(m0, age_myr);
+    StarState {
+        initial_mass: m0,
+        mass: p.mass,
+        radius: p.radius,
+        luminosity: p.luminosity,
+        phase: p.phase,
+        age_myr,
+    }
+}
+
 /// The SSE model: owns a population, a lookup table, and the model clock.
 pub struct SseModel {
     table: EvolutionTable,
@@ -59,20 +73,7 @@ impl SseModel {
     /// Create a model from ZAMS masses at metallicity `z`.
     pub fn new(initial_masses: Vec<f64>, z: f64) -> SseModel {
         let table = EvolutionTable::standard(z);
-        let states = initial_masses
-            .iter()
-            .map(|&m| {
-                let p = table.lookup(m, 0.0);
-                StarState {
-                    initial_mass: m,
-                    mass: p.mass,
-                    radius: p.radius,
-                    luminosity: p.luminosity,
-                    phase: p.phase,
-                    age_myr: 0.0,
-                }
-            })
-            .collect();
+        let states = initial_masses.iter().map(|&m| star_at(&table, m, 0.0)).collect();
         let n = initial_masses.len();
         SseModel {
             table,
@@ -85,25 +86,50 @@ impl SseModel {
         }
     }
 
-    /// Rebuild a model at a checkpointed time. Star states are a pure
-    /// function of (initial mass, metallicity, age), so the lookup at
-    /// `time_myr` reproduces them bitwise; the `exploded` flags are the
-    /// only evolution history that must be carried explicitly (each
-    /// supernova fires exactly once).
+    /// Rebuild a model at a checkpointed time: [`SseModel::new`] followed
+    /// by [`SseModel::restore_state`].
     pub fn restored(
         initial_masses: Vec<f64>,
         z: f64,
         time_myr: f64,
         exploded: Vec<bool>,
     ) -> SseModel {
-        assert_eq!(initial_masses.len(), exploded.len(), "one exploded flag per star");
-        let mut m = SseModel::new(initial_masses, z);
-        if time_myr > 0.0 {
-            // fast-forward (events discarded: they already happened)
-            let _ = m.evolve_to(time_myr);
-        }
-        m.exploded = exploded;
+        let mut m = SseModel::new(Vec::new(), z);
+        m.restore_state(initial_masses, z, time_myr, exploded);
         m
+    }
+
+    /// Overwrite the population from a checkpoint and set the model clock,
+    /// which may move backwards. Star states are a pure function of
+    /// (initial mass, metallicity, age), so the lookup at `time_myr`
+    /// reproduces them bitwise; the `exploded` flags are the only
+    /// evolution history that must be carried explicitly (each supernova
+    /// fires exactly once). Restoring re-derives per-star state, never
+    /// the per-metallicity table: the table is kept when `z` is bitwise
+    /// the one it was built for, so a restore costs N lookups. The result
+    /// is what a fresh model evolved once to `time_myr` holds (`lookups`
+    /// included); a `time_myr` that is not positive restores the t=0
+    /// model.
+    pub fn restore_state(
+        &mut self,
+        initial_masses: Vec<f64>,
+        z: f64,
+        time_myr: f64,
+        exploded: Vec<bool>,
+    ) {
+        assert_eq!(initial_masses.len(), exploded.len(), "one exploded flag per star");
+        if z.to_bits() != self.z.to_bits() {
+            self.table = EvolutionTable::standard(z);
+            self.z = z;
+        }
+        let evolved = time_myr > 0.0;
+        let t = if evolved { time_myr } else { 0.0 };
+        self.states.clear();
+        self.states.extend(initial_masses.iter().map(|&m| star_at(&self.table, m, t)));
+        self.lookups = if evolved { initial_masses.len() as u64 } else { 0 };
+        self.time_myr = t;
+        self.initial_masses = initial_masses;
+        self.exploded = exploded;
     }
 
     /// Metallicity the population was built with.
@@ -160,16 +186,8 @@ impl SseModel {
         for i in 0..self.states.len() {
             let m0 = self.initial_masses[i];
             let before = self.states[i].mass;
-            let p = self.table.lookup(m0, t_myr);
+            self.states[i] = star_at(&self.table, m0, t_myr);
             self.lookups += 1;
-            self.states[i] = StarState {
-                initial_mass: m0,
-                mass: p.mass,
-                radius: p.radius,
-                luminosity: p.luminosity,
-                phase: p.phase,
-                age_myr: t_myr,
-            };
             if !self.exploded[i] && supernova_between(m0, self.z, t0, t_myr) {
                 self.exploded[i] = true;
                 let (_, remnant) = fits::remnant_of(m0);

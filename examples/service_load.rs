@@ -61,11 +61,11 @@ fn main() {
     }
     let submitted = t0.elapsed();
 
-    let mut wall_ms: Vec<u64> = Vec::with_capacity(ids.len());
+    let mut wall_us: Vec<u64> = Vec::with_capacity(ids.len());
     let mut failed = 0u64;
     for id in &ids {
         match service.wait(*id) {
-            Some(SessionStatus::Completed { wall_ms: ms, .. }) => wall_ms.push(ms),
+            Some(SessionStatus::Completed { wall_us: us, .. }) => wall_us.push(us),
             Some(SessionStatus::Failed { failure, .. }) => {
                 eprintln!("session {id} failed: {failure}");
                 failed += 1;
@@ -78,19 +78,19 @@ fn main() {
     let counters = service.counters();
     service.shutdown();
 
-    wall_ms.sort_unstable();
+    wall_us.sort_unstable();
     let pct = |p: f64| {
-        let idx = ((wall_ms.len().max(1) as f64 - 1.0) * p).round() as usize;
-        wall_ms.get(idx).copied().unwrap_or(0)
+        let idx = ((wall_us.len().max(1) as f64 - 1.0) * p).round() as usize;
+        wall_us.get(idx).copied().unwrap_or(0) as f64 / 1e3
     };
-    let served = wall_ms.len() as u64;
+    let served = wall_us.len() as u64;
     println!(
         "  submitted in {:.0} ms, drained in {:.2} s ({:.0} sessions/s)",
         submitted.as_secs_f64() * 1e3,
         elapsed.as_secs_f64(),
         served as f64 / elapsed.as_secs_f64()
     );
-    println!("  latency (submit→complete): p50 {} ms  p99 {} ms", pct(0.50), pct(0.99));
+    println!("  latency (submit→complete): p50 {:.3} ms  p99 {:.3} ms", pct(0.50), pct(0.99));
     println!(
         "  served {served}  failed {failed}  shed {} (overloaded {shed_overloaded} / quota {shed_quota})",
         shed_overloaded + shed_quota

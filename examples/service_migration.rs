@@ -37,9 +37,10 @@ fn main() {
     service.kill_host(host);
 
     match service.wait(id) {
-        Some(SessionStatus::Completed { digest, migrations, iterations, wall_ms, .. }) => {
+        Some(SessionStatus::Completed { digest, migrations, iterations, wall_us, .. }) => {
             println!(
-                "  completed: {iterations} iterations, {migrations} migration(s), {wall_ms} ms"
+                "  completed: {iterations} iterations, {migrations} migration(s), {:.3} ms",
+                wall_us as f64 / 1e3
             );
             println!("  digest {digest:#018x} — bitwise match: {}", digest == want);
             assert_eq!(digest, want, "migrated run must equal the fault-free run");

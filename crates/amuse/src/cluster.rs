@@ -302,6 +302,47 @@ mod tests {
         }
     }
 
+    /// "What a worker runs": `local_workers(false)` hands out exactly the
+    /// workers a caller gets from the plain constructors — the contract a
+    /// remote deployment (and the benchmark's TCP twin) relies on when it
+    /// builds its own and expects the local digest.
+    #[test]
+    fn local_workers_are_the_plainly_constructed_workers() {
+        use crate::worker::{Request, Response};
+        let c = EmbeddedCluster::build(24, 96, 0.5, 5);
+        let (mut g, mut h, mut k, _) = c.local_workers(false);
+        let mut plain_g = GravityWorker::new(c.stars.clone(), Backend::CpuParallel);
+        let mut plain_h = HydroWorker::new(c.gas.clone());
+        let mut plain_k = CouplingWorker::fi();
+        let state_after = |w: &mut dyn ModelWorker, t: f64| {
+            assert!(matches!(w.handle(Request::EvolveTo(t)), Response::Ok { .. }));
+            match w.handle(Request::SaveState) {
+                Response::State(s) => s,
+                other => panic!("no state: {other:?}"),
+            }
+        };
+        assert_eq!(state_after(g.as_mut(), 0.02), state_after(&mut plain_g, 0.02), "gravity");
+        assert_eq!(state_after(h.as_mut(), 0.02), state_after(&mut plain_h, 0.02), "hydro");
+        let kick = |w: &mut dyn ModelWorker| {
+            let mut borrowed = Vec::new();
+            w.compute_kick_into(&c.stars.pos, &c.gas.pos, &c.gas.mass, &mut borrowed)
+                .expect("coupling worker computes kicks");
+            let owned = w.handle(Request::ComputeKick {
+                targets: c.stars.pos.clone(),
+                source_pos: c.gas.pos.clone(),
+                source_mass: c.gas.mass.clone(),
+            });
+            match owned {
+                Response::Accelerations { acc, .. } => {
+                    assert_eq!(acc, borrowed, "owned vs borrowed")
+                }
+                other => panic!("no accelerations: {other:?}"),
+            }
+            borrowed
+        };
+        assert_eq!(kick(k.as_mut()), kick(&mut plain_k), "coupling");
+    }
+
     #[test]
     fn deterministic_by_seed() {
         let a = EmbeddedCluster::build(32, 32, 0.5, 11);

@@ -549,7 +549,10 @@ impl ModelWorker for CouplingWorker {
                 if source_pos.len() != source_mass.len() {
                     return Response::Error("source arrays length mismatch".into());
                 }
-                let acc = self.solver.accelerations(&targets, &source_pos, &source_mass);
+                // the walk `compute_kick_into` runs: owned and borrowed
+                // requests must answer bitwise alike
+                let mut acc = Vec::new();
+                self.solver.accelerations_into(&targets, &source_pos, &source_mass, &mut acc);
                 Response::Accelerations { acc, flops: self.solver.last_flops() }
             }
             _ => Response::Unsupported,

@@ -57,7 +57,12 @@
 //! perfsuite numbers are reproducible on shared machines (CI pins it).
 //! Backend coverage: the scalar reference kernels keep their historical
 //! row names (`nbody_acc_jerk`, `sph_density_csr`, `sph_forces`,
-//! `tree_walk`); the SoA compute paths get `*_simd` rows next to them.
+//! `tree_walk`); the SoA compute paths — what workers run — get `*_simd`
+//! rows next to them, and every row built on a `GravityWorker` or
+//! `PhiGrape` uses `Backend::CpuParallel` like the workers do.
+//! `sph_step_n512` / `sph_step_n24` time one whole `Gadget` step, and
+//! the `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
+//! measurement behind `jc_sph`'s direct-sweep crossover.
 //! The former `tree_build_walk` row is split into `tree_build` and
 //! `tree_walk` so an N-driven throughput drop can be attributed to the
 //! octree build or to the walk.
@@ -154,6 +159,15 @@ fn main() {
         samples.push(bench_sph_forces(n, repeats, false));
         samples.push(bench_sph_forces(n, repeats, true));
     }
+    // one Gadget step as a worker runs it, at the two sizes workers run
+    // (the benchmark's 512-gas cluster, a 24-gas service session)
+    for n in [512, 24] {
+        samples.push(bench_sph_step(n, repeats));
+    }
+    let crossover_ns: &[usize] = &[256, 512, 1024, 2048, 4096, 8192];
+    for &n in crossover_ns {
+        samples.extend(bench_sph_neighbors(n, repeats));
+    }
     if socket {
         let channel_ns: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
         for &n in channel_ns {
@@ -219,6 +233,7 @@ fn main() {
         );
     }
     report_speedup(&samples);
+    report_neighbors_crossover(&samples);
     report_transport_overhead(&samples);
 
     let json = render_json(&samples, quick);
@@ -318,8 +333,9 @@ fn bench_acc_jerk(n: usize, repeats: usize, backend: Backend) -> Sample {
 
 fn bench_hermite(n: usize, repeats: usize) -> Sample {
     // time a fixed-length evolve and normalize per Hermite step
-    let mut g =
-        PhiGrape::new(plummer_sphere(n, 7), Backend::Scalar).with_softening(0.01).with_eta(0.01);
+    let mut g = PhiGrape::new(plummer_sphere(n, 7), Backend::CpuParallel)
+        .with_softening(0.01)
+        .with_eta(0.01);
     g.evolve_model(1e-4); // warm: forces + scratch
     let mut steps = 0u64;
     let mut t_end = g.model_time();
@@ -421,6 +437,88 @@ fn bench_sph_forces(n: usize, repeats: usize, simd: bool) -> Sample {
     }
 }
 
+/// One `Gadget` KDK step exactly as a `HydroWorker` runs it — one
+/// refresh (density + forces + self-gravity tree) plus the O(n)
+/// integrator loops — normalized per step over a short `evolve_model`.
+/// `interactions_per_s` reports modeled flop/s.
+fn bench_sph_step(n: usize, repeats: usize) -> Sample {
+    let mut g = jc_sph::Gadget::new(plummer_gas(n, 1.0, 13));
+    g.evolve_model(1e-3); // warm: rates + scratch
+    let (steps0, flops0) = (g.steps, g.flops);
+    let mut t_end = g.model_time();
+    let t0 = Instant::now();
+    for _ in 0..repeats.max(1) {
+        t_end += 0.02;
+        g.evolve_model(t_end);
+    }
+    let ns = t0.elapsed().as_secs_f64() * 1e9;
+    let per_step = ns / (g.steps - steps0).max(1) as f64;
+    Sample {
+        kernel: if n == 512 { "sph_step_n512" } else { "sph_step_n24" },
+        n,
+        ns_per_step: per_step,
+        interactions_per_s: (g.flops - flops0) / ns * 1e9,
+    }
+}
+
+/// The two candidate searches the density pass chooses between, each
+/// answering one query per particle at its adapted `h`: the direct SoA
+/// sweep (column fill included) and the CSR grid (build at the median
+/// `h` included). Same result sets; `interactions_per_s` reports
+/// candidates found per second. The rows are the provenance of the
+/// crossover constant in `jc_sph::density`.
+fn bench_sph_neighbors(n: usize, repeats: usize) -> [Sample; 2] {
+    use jc_compute::soa::Soa3;
+    use jc_sph::grid::{sweep_within, CsrGrid};
+
+    let mut gas = plummer_gas(n, 1.0, 13);
+    compute_density_with(&mut gas, &mut SphScratch::new());
+    let mut sorted_h = gas.h.clone();
+    sorted_h.sort_unstable_by(f64::total_cmp);
+    let cell = sorted_h[n / 2];
+    let (mut cols, mut grid) = (Soa3::new(), CsrGrid::new());
+    let mut found = 0u64;
+    let direct = best_ns(repeats, || {
+        found = 0;
+        cols.fill_from(&gas.pos);
+        for (c, &h) in gas.pos.iter().zip(&gas.h) {
+            sweep_within(&cols, c, h, |_, _| found += 1);
+        }
+    });
+    let found_direct = found;
+    let gridded = best_ns(repeats, || {
+        found = 0;
+        grid.build_into(&gas.pos, cell);
+        for (c, &h) in gas.pos.iter().zip(&gas.h) {
+            grid.for_each_within(&gas.pos, c, h, |_, _| found += 1);
+        }
+    });
+    assert_eq!(found, found_direct, "direct and grid searches disagree at n={n}");
+    let row = |kernel, ns: f64| Sample {
+        kernel,
+        n,
+        ns_per_step: ns,
+        interactions_per_s: found as f64 / ns * 1e9,
+    };
+    [row("sph_neighbors_direct", direct), row("sph_neighbors_grid", gridded)]
+}
+
+/// Print the direct-vs-grid candidate-search ratio per N — the committed
+/// measurement behind `jc_sph::density`'s crossover constant.
+fn report_neighbors_crossover(samples: &[Sample]) {
+    for d in samples.iter().filter(|s| s.kernel == "sph_neighbors_direct") {
+        if let Some(g) = samples.iter().find(|g| g.kernel == "sph_neighbors_grid" && g.n == d.n) {
+            println!(
+                "sph_neighbors_crossover N={}: direct {:.0} us, grid {:.0} us — grid/direct {:.2}x",
+                d.n,
+                d.ns_per_step / 1e3,
+                g.ns_per_step / 1e3,
+                g.ns_per_step / d.ns_per_step
+            );
+        }
+    }
+}
+
 /// Which transport carries the channel round-trip rows.
 #[derive(Clone, Copy)]
 enum Transport {
@@ -467,7 +565,7 @@ fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sa
 
     match transport {
         Transport::Local => {
-            let mut ch = LocalChannel::new(Box::new(GravityWorker::new(ics, Backend::Scalar)));
+            let mut ch = LocalChannel::new(Box::new(GravityWorker::new(ics, Backend::CpuParallel)));
             let ns = best_ns(repeats, || {
                 assert!(ch.snapshot_into(&mut snap));
                 assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
@@ -476,7 +574,7 @@ fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sa
         }
         Transport::SocketLockstep => {
             let (addr, handle) = jc_amuse::spawn_tcp_worker("perf-grav", move || {
-                GravityWorker::new(ics, Backend::Scalar)
+                GravityWorker::new(ics, Backend::CpuParallel)
             });
             let mut ch =
                 SocketChannel::connect(addr, "perf-grav").expect("connect loopback worker");
@@ -490,7 +588,7 @@ fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sa
         }
         Transport::SocketPipelined => {
             let (addr, handle) = jc_amuse::spawn_tcp_worker("perf-grav", move || {
-                GravityWorker::new(ics, Backend::Scalar)
+                GravityWorker::new(ics, Backend::CpuParallel)
             });
             let reactor = Reactor::new_shared().expect("reactor");
             let mut ch = ReactorChannel::connect(&reactor, addr, "perf-grav")
@@ -575,7 +673,10 @@ fn bench_checkpoint(n_stars: usize, repeats: usize, restore: bool) -> Sample {
 
     let c = EmbeddedCluster::build(n_stars, 4 * n_stars, 0.5, 29);
     let mut bridge = Bridge::new(
-        Box::new(LocalChannel::new(Box::new(GravityWorker::new(c.stars.clone(), Backend::Scalar)))),
+        Box::new(LocalChannel::new(Box::new(GravityWorker::new(
+            c.stars.clone(),
+            Backend::CpuParallel,
+        )))),
         Box::new(LocalChannel::new(Box::new(HydroWorker::new(c.gas.clone())))),
         Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),
         Some(Box::new(LocalChannel::new(Box::new(StellarWorker::new(

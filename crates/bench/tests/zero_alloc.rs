@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator tracks allocations made by the *current
 //! thread*. The kernel tests pin their strictly sequential mode
-//! (`max_threads = 1` / `Backend::Scalar`), whose steady state must be
-//! allocation-free end to end. The pool test pins the *parallel* mode's
+//! (`max_threads = 1` / a particle count below the parallel grain), whose
+//! steady state must be allocation-free end to end — on the SoA paths
+//! workers run and on the scalar references alike. The pool test pins the *parallel* mode's
 //! caller-side handoff: once the persistent workers exist and the
 //! bounded channel buffers are warm, a fanning-out `chunked` call must
 //! also allocate nothing on the calling thread. Each path is warmed
@@ -107,6 +108,7 @@ fn sph_density_and_forces_steady_state_allocates_nothing() {
     let mut gas = jc_sph::particles::plummer_gas(800, 1.0, 5);
     let mut scratch = jc_sph::SphScratch::new();
     scratch.max_threads = 1;
+    scratch.simd = false; // the scalar reference path
     let mut rates = jc_sph::HydroRates::new();
     // warm: adapt h to its fixed point and grow every buffer to its
     // high-water mark
@@ -155,21 +157,24 @@ fn simd_soa_acc_jerk_steady_state_allocates_nothing() {
 
 #[test]
 fn simd_sph_density_and_forces_steady_state_allocates_nothing() {
-    let mut gas = jc_sph::particles::plummer_gas(800, 1.0, 5);
-    let mut scratch = jc_sph::SphScratch::new();
-    scratch.max_threads = 1;
-    scratch.simd = true;
-    let mut rates = jc_sph::HydroRates::new();
-    for _ in 0..3 {
-        jc_sph::density::compute_density_with(&mut gas, &mut scratch);
-        jc_sph::forces::hydro_rates_into(&gas, &mut scratch, &mut rates);
+    // both sides of the neighbour-search crossover: direct sweep, grid
+    for n_gas in [800, 2200] {
+        let mut gas = jc_sph::particles::plummer_gas(n_gas, 1.0, 5);
+        let mut scratch = jc_sph::SphScratch::new();
+        scratch.max_threads = 1;
+        scratch.simd = true;
+        let mut rates = jc_sph::HydroRates::new();
+        for _ in 0..3 {
+            jc_sph::density::compute_density_with(&mut gas, &mut scratch);
+            jc_sph::forces::hydro_rates_into(&gas, &mut scratch, &mut rates);
+        }
+        let n = count_allocs(|| {
+            jc_sph::density::compute_density_with(&mut gas, &mut scratch);
+            jc_sph::forces::hydro_rates_into(&gas, &mut scratch, &mut rates);
+        });
+        assert_eq!(n, 0, "SoA SPH density+forces at n={n_gas} made {n} heap allocations");
+        assert!(rates.interactions > 0, "sanity: work actually happened");
     }
-    let n = count_allocs(|| {
-        jc_sph::density::compute_density_with(&mut gas, &mut scratch);
-        jc_sph::forces::hydro_rates_into(&gas, &mut scratch, &mut rates);
-    });
-    assert_eq!(n, 0, "SoA SPH density+forces steady state made {n} heap allocations");
-    assert!(rates.interactions > 0, "sanity: work actually happened");
 }
 
 #[test]
@@ -205,6 +210,40 @@ fn hermite_step_steady_state_allocates_nothing() {
     });
     assert_eq!(n, 0, "Hermite steps made {n} heap allocations");
     assert!(g.force_evals > evals0, "sanity: steps actually ran");
+}
+
+#[test]
+fn hermite_step_on_the_worker_backend_allocates_nothing() {
+    // what `GravityWorker`s run: `CpuParallel`, here at the parallel
+    // grain (64) so the step stays on the calling thread
+    let ics = jc_nbody::plummer::plummer_sphere(64, 3);
+    let mut g = jc_nbody::PhiGrape::new(ics, jc_nbody::Backend::CpuParallel).with_softening(0.01);
+    g.evolve_model(0.02); // warm: forces valid, scratch and SoA mirror sized
+    let evals0 = g.force_evals;
+    let n = count_allocs(|| {
+        g.evolve_model(0.03);
+    });
+    assert_eq!(n, 0, "CpuParallel Hermite steps made {n} heap allocations");
+    assert!(g.force_evals > evals0, "sanity: steps actually ran");
+}
+
+#[test]
+fn gadget_step_steady_state_allocates_nothing() {
+    // one `HydroWorker` step — density, neighbour lists, forces and the
+    // self-gravity tree — at the sizes workers run: the benchmark's
+    // 512-gas cluster and a 24-gas service session (direct-sweep side
+    // of the neighbour-search crossover)
+    for n in [512, 24] {
+        let gas = jc_sph::particles::plummer_gas(n, 1.0, 5);
+        let mut g = jc_sph::Gadget::new(gas).with_max_threads(1);
+        g.evolve_model(0.02); // warm: every scratch buffer at its high-water mark
+        let steps0 = g.steps;
+        let allocs = count_allocs(|| {
+            g.evolve_model(0.025);
+        });
+        assert_eq!(allocs, 0, "Gadget steps at n={n} made {allocs} heap allocations");
+        assert!(g.steps > steps0, "sanity: steps actually ran");
+    }
 }
 
 #[test]
@@ -347,6 +386,7 @@ fn tree_build_and_walk_steady_state_allocates_nothing() {
     let mass = vec![1.0 / 2000.0; 2000];
     let mut solver = jc_treegrav::TreeGravity::new(0.5, 0.01);
     solver.max_threads = 1;
+    solver.simd = false; // the scalar reference walk
     let mut acc = Vec::new();
     // warm: arena, stacks and output grow to their high-water mark
     solver.accelerations_into(&pos, &pos, &mass, &mut acc);

@@ -12,26 +12,29 @@ pub const FLOPS_PER_PAIR: f64 = 60.0;
 /// Which implementation computes the forces.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Backend {
-    /// Single-core reference loop.
+    /// Single-core reference loop: sources summed strictly in order. The
+    /// SoA backends below are bound to it by tolerance-bounded property
+    /// tests, not bitwise.
     Scalar,
-    /// Thread-parallel over targets (the CPU kernel). Same arithmetic as
-    /// [`Backend::Scalar`], bitwise identical results.
+    /// The CPU kernel every worker runs: thread-parallel over targets on
+    /// the structure-of-arrays compute path — sources mirrored into
+    /// aligned `x/y/z/m` columns ([`jc_compute::soa`]) and accumulated
+    /// in [`LANES`]-wide lane arrays with a fixed pairwise reduction
+    /// order. Bitwise run-to-run stable and independent of the
+    /// worker-thread count and SIMD width, but equal to
+    /// [`Backend::Scalar`] only to rounding (sources are summed
+    /// lane-by-lane instead of strictly in order).
     CpuParallel,
-    /// Same arithmetic as `CpuParallel`; the jungle simulator charges its
-    /// cost to a GPU device model instead of CPU cores.
+    /// Same arithmetic as `CpuParallel` (bitwise); the jungle simulator
+    /// charges its cost to a GPU device model instead of CPU cores.
     GpuModel,
-    /// Structure-of-arrays compute path: sources mirrored into aligned
-    /// `x/y/z/m` columns ([`jc_compute::soa`]) and accumulated in
-    /// [`LANES`]-wide lane arrays with a fixed pairwise reduction order.
-    /// Bitwise run-to-run stable and independent of the worker-thread
-    /// count, but *not* bitwise equal to the scalar backends (sources
-    /// are summed lane-by-lane instead of strictly in order); it carries
-    /// its own golden vectors plus tolerance-bounded property tests.
+    /// A second name for the path `CpuParallel` runs, kept from when the
+    /// SoA kernel was opt-in.
     SimdSoa,
 }
 
 thread_local! {
-    /// Reusable SoA mirror of the source set for [`Backend::SimdSoa`]
+    /// Reusable SoA mirror of the source set for the SoA backends
     /// (thread-local: the coupler may drive several models from
     /// different threads at once). Steady-state refills allocate
     /// nothing once capacity is warm.
@@ -62,24 +65,21 @@ pub fn acc_jerk(
     (acc, jerk)
 }
 
-/// Minimum targets per worker thread before the parallel backends fan
-/// out to scoped threads.
+/// Minimum targets per worker thread before the SoA backends fan out
+/// to pool workers.
 const PAR_GRAIN: usize = 64;
 
 /// [`acc_jerk`] writing into caller-provided slices (`acc.len() ==
 /// jerk.len() == t_pos.len()`, validated once per call) — the
 /// zero-allocation steady-state path for [`Backend::Scalar`] and, once
-/// its thread-local SoA mirror is warm, for [`Backend::SimdSoa`] below
-/// the parallel grain. The parallel backends write each target's row in
-/// place from scoped worker threads and allocate only thread-spawn
-/// bookkeeping.
+/// their thread-local SoA mirror is warm, for the SoA backends (pooled
+/// workers write each target's row in place).
 ///
-/// Determinism: the accumulation over sources is sequential within each
-/// target for `Scalar`/`CpuParallel`/`GpuModel`, so those three produce
-/// bitwise identical results for any worker count (property-tested).
-/// `SimdSoa` is bitwise stable run-to-run and across worker counts, but
-/// matches the scalar backends only to rounding (lane-wise summation);
-/// see [`Backend::SimdSoa`].
+/// Determinism: `Scalar` accumulates sequentially over sources within
+/// each target. `CpuParallel`/`GpuModel`/`SimdSoa` run one body — bitwise
+/// identical to each other, run-to-run and across worker counts — and
+/// match `Scalar` only to rounding (lane-wise summation); see
+/// [`Backend::CpuParallel`].
 // jc-lint: no-alloc
 #[allow(clippy::too_many_arguments)]
 pub fn acc_jerk_into(
@@ -126,24 +126,7 @@ pub fn acc_jerk_into(
                 one(i, a, j);
             }
         }
-        Backend::CpuParallel | Backend::GpuModel => {
-            let workers = par::threads_for(n, 0, PAR_GRAIN);
-            // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
-            let mut units = vec![(); workers];
-            par::chunked(
-                workers,
-                (acc, jerk),
-                &mut units,
-                (),
-                |s0, (ac, jc), _| {
-                    for (k, (a, j)) in ac.iter_mut().zip(jc.iter_mut()).enumerate() {
-                        one(s0 + k, a, j);
-                    }
-                },
-                |(), ()| (),
-            );
-        }
-        Backend::SimdSoa => SOA_SOURCES.with(|cell| {
+        Backend::CpuParallel | Backend::GpuModel | Backend::SimdSoa => SOA_SOURCES.with(|cell| {
             let mut soa = cell.borrow_mut();
             soa.fill_from(s_mass, s_pos, s_vel);
             let soa = &*soa;
@@ -452,10 +435,10 @@ pub fn potential(
 }
 
 /// Gravitational potential of each target written into `phi`
-/// (`phi.len() == t_pos.len()`). The scalar backends accumulate
-/// sequentially over sources (bitwise identical to each other, any
-/// worker count); [`Backend::SimdSoa`] uses the [`LANES`]-wide lane
-/// accumulators with the fixed [`reduce_lanes`] order.
+/// (`phi.len() == t_pos.len()`). [`Backend::Scalar`] accumulates
+/// sequentially over sources; every other backend uses the
+/// [`LANES`]-wide lane accumulators with the fixed [`reduce_lanes`]
+/// order (bitwise identical to each other, any worker count).
 // jc-lint: no-alloc
 pub fn potential_into(
     backend: Backend,
@@ -487,24 +470,7 @@ pub fn potential_into(
                 one(i, out);
             }
         }
-        Backend::CpuParallel | Backend::GpuModel => {
-            let workers = par::threads_for(n, 0, PAR_GRAIN);
-            // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
-            let mut units = vec![(); workers];
-            par::chunked(
-                workers,
-                &mut *phi,
-                &mut units,
-                (),
-                |s0, chunk: &mut [f64], _| {
-                    for (k, out) in chunk.iter_mut().enumerate() {
-                        one(s0 + k, out);
-                    }
-                },
-                |(), ()| (),
-            );
-        }
-        Backend::SimdSoa => SOA_SOURCES.with(|cell| {
+        Backend::CpuParallel | Backend::GpuModel | Backend::SimdSoa => SOA_SOURCES.with(|cell| {
             let mut soa = cell.borrow_mut();
             soa.fill_from_positions(s_mass, s_pos);
             let soa = &*soa;
@@ -710,9 +676,11 @@ mod tests {
             p.push([rnd(), rnd(), rnd()]);
             v.push([rnd(), rnd(), rnd()]);
         }
-        let (a0, j0) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a1, j1) = acc_jerk(Backend::CpuParallel, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a2, j2) = acc_jerk(Backend::GpuModel, &p, &v, &m, &p, &v, 1e-4, true);
+        // one SoA body behind three names; `Scalar` is bound to it by
+        // `simd_soa_matches_scalar_within_tolerance`
+        let (a0, j0) = acc_jerk(Backend::CpuParallel, &p, &v, &m, &p, &v, 1e-4, true);
+        let (a1, j1) = acc_jerk(Backend::GpuModel, &p, &v, &m, &p, &v, 1e-4, true);
+        let (a2, j2) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
         assert_eq!(a0, a1);
         assert_eq!(a0, a2);
         assert_eq!(j0, j1);

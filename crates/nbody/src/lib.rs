@@ -6,24 +6,25 @@
 //!
 //! The integrator is the classic 4th-order Hermite predictor–corrector with
 //! a shared adaptive timestep (Aarseth criterion) and Plummer softening,
-//! operating in dimensionless N-body units (G = 1). Four force backends
+//! operating in dimensionless N-body units (G = 1). The force backends
 //! exercise the paper's multi-kernel point:
 //!
-//! * [`kernels::Backend::Scalar`] — one core, reference implementation.
-//! * [`kernels::Backend::CpuParallel`] — thread-parallel over targets
-//!   (the "CPU variant").
-//! * [`kernels::Backend::GpuModel`] — the same data-parallel force loop,
-//!   *plus* a device cost model (GFLOP/s + transfer) used by the jungle
-//!   simulator to account virtual time. Results are bit-identical to the
-//!   CPU backends because per-target accumulation is sequential in `j` —
-//!   the backends differ in *where* and *how fast* they run, never in the
-//!   physics, exactly the paper's definition of a multi-kernel model.
-//! * [`kernels::Backend::SimdSoa`] — the structure-of-arrays compute
-//!   path: sources mirrored into aligned `x/y/z/m` columns
+//! * [`kernels::Backend::CpuParallel`] — the "CPU variant" and what every
+//!   worker runs: thread-parallel over targets on the structure-of-arrays
+//!   compute path — sources mirrored into aligned `x/y/z/m` columns
 //!   ([`jc_compute::soa`]) and accumulated 4 lanes wide with a fixed
-//!   reduction order. Bitwise run-to-run stable (any worker count) but
-//!   equal to the scalar backends only to rounding; it carries its own
-//!   golden vectors and tolerance-bounded property tests.
+//!   reduction order. Bitwise stable run to run, for any worker count
+//!   and SIMD width.
+//! * [`kernels::Backend::GpuModel`] — the same force loop (bitwise),
+//!   *plus* a device cost model (GFLOP/s + transfer) used by the jungle
+//!   simulator to account virtual time — the backends differ in *where*
+//!   and *how fast* they run, never in the physics, exactly the paper's
+//!   definition of a multi-kernel model.
+//! * [`kernels::Backend::SimdSoa`] — a second name for the `CpuParallel`
+//!   path, from when it was opt-in.
+//! * [`kernels::Backend::Scalar`] — one core, sources summed strictly in
+//!   order: the named reference the SoA path is bound to by
+//!   tolerance-bounded property tests (equal to rounding, not bitwise).
 //!
 //! [`plummer`] generates the paper's initial conditions (Plummer spheres
 //! with a Salpeter IMF); [`diagnostics`] provides the energy/virial checks

@@ -1,8 +1,9 @@
-//! Golden-vector determinism tests: the refactored `acc_jerk` /
-//! `acc_jerk_into` must reproduce the pre-refactor kernel bitwise, on
-//! every backend. The vectors below were captured from the original
-//! allocating implementation (24-particle LCG cloud, seed 42, eps² =
-//! 1e-4) before the scratch-buffer refactor.
+//! Golden-vector determinism tests. `Backend::Scalar` — the in-order
+//! reference — must reproduce the pre-refactor kernel bitwise (vectors
+//! captured from the original allocating implementation: 24-particle LCG
+//! cloud, seed 42, eps² = 1e-4, before the scratch-buffer refactor). The
+//! backends workers run (`CpuParallel`, `GpuModel`, and their second name
+//! `SimdSoa`) share one SoA body and are pinned to its own vectors below.
 
 use jc_nbody::kernels::{acc_jerk, acc_jerk_into, potential_into, Backend};
 
@@ -94,13 +95,19 @@ fn assert_bits(label: &str, got: &[[f64; 3]], want: &[u64]) {
     }
 }
 
+/// The backends that run the SoA body, under every name it has.
+const SOA_BACKENDS: [Backend; 3] = [Backend::CpuParallel, Backend::GpuModel, Backend::SimdSoa];
+
 #[test]
 fn acc_jerk_matches_pre_refactor_golden_on_all_backends() {
     let (m, p, v) = cloud(N, 42);
-    for backend in [Backend::Scalar, Backend::CpuParallel, Backend::GpuModel] {
+    let (a, j) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 1e-4, true);
+    assert_bits("acc", &a, &GOLDEN_ACC);
+    assert_bits("jerk", &j, &GOLDEN_JERK);
+    for backend in SOA_BACKENDS {
         let (a, j) = acc_jerk(backend, &p, &v, &m, &p, &v, 1e-4, true);
-        assert_bits("acc", &a, &GOLDEN_ACC);
-        assert_bits("jerk", &j, &GOLDEN_JERK);
+        assert_bits("simd acc", &a, &GOLDEN_SIMD_ACC);
+        assert_bits("simd jerk", &j, &GOLDEN_SIMD_JERK);
     }
 }
 
@@ -109,21 +116,25 @@ fn acc_jerk_into_matches_pre_refactor_golden() {
     let (m, p, v) = cloud(N, 42);
     let mut a = vec![[0.0; 3]; N];
     let mut j = vec![[0.0; 3]; N];
-    for backend in [Backend::Scalar, Backend::CpuParallel, Backend::GpuModel] {
+    for (backend, acc, jerk) in [
+        (Backend::Scalar, &GOLDEN_ACC, &GOLDEN_JERK),
+        (Backend::CpuParallel, &GOLDEN_SIMD_ACC, &GOLDEN_SIMD_JERK),
+        (Backend::GpuModel, &GOLDEN_SIMD_ACC, &GOLDEN_SIMD_JERK),
+    ] {
         // dirty the buffers: the kernel must fully overwrite them
         a.iter_mut().for_each(|x| *x = [f64::NAN; 3]);
         j.iter_mut().for_each(|x| *x = [f64::NAN; 3]);
         acc_jerk_into(backend, &p, &v, &m, &p, &v, 1e-4, true, &mut a, &mut j);
-        assert_bits("acc", &a, &GOLDEN_ACC);
-        assert_bits("jerk", &j, &GOLDEN_JERK);
+        assert_bits("acc", &a, acc);
+        assert_bits("jerk", &j, jerk);
     }
 }
 
-// --- Backend::SimdSoa golden vectors -------------------------------------
+// --- SoA-path golden vectors ---------------------------------------------
 //
 // The SoA compute path sums sources lane-by-lane (fixed 4-wide batches,
 // pairwise lane reduction), so its results differ from the scalar
-// backends by rounding — it gets its *own* golden vectors, captured from
+// reference by rounding — it gets its *own* golden vectors, captured from
 // the same 24-particle cloud. The AVX2 intrinsics clone and the portable
 // fallback body execute the identical IEEE operation sequence, so these
 // bits hold on any machine (pinned by a unit test comparing the two
@@ -209,12 +220,14 @@ fn simd_soa_matches_its_own_golden_vectors() {
 fn simd_soa_potential_matches_its_own_golden_vector() {
     let (m, p, _) = cloud(N, 42);
     let mut phi = vec![0.0; N];
-    potential_into(Backend::SimdSoa, &p, &m, &p, 1e-4, true, &mut phi);
-    for (i, (got, want)) in phi.iter().zip(&GOLDEN_SIMD_PHI).enumerate() {
-        assert_eq!(
-            got.to_bits(),
-            *want,
-            "phi[{i}] = {got} diverges from the SimdSoa golden vector"
-        );
+    for backend in SOA_BACKENDS {
+        potential_into(backend, &p, &m, &p, 1e-4, true, &mut phi);
+        for (i, (got, want)) in phi.iter().zip(&GOLDEN_SIMD_PHI).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                *want,
+                "phi[{i}] = {got} diverges from the SoA golden vector"
+            );
+        }
     }
 }

@@ -1,13 +1,17 @@
-//! Adaptive density estimation over the CSR neighbour grid.
+//! Adaptive density estimation, and the step's one neighbour search.
 //!
-//! The hot path is allocation-free in steady state: the grid, the
-//! per-thread candidate buffers and the cached per-particle neighbour
-//! lists all live in a [`SphScratch`] owned by the caller and are reused
-//! across steps. Results are bitwise-identical to the pre-refactor
-//! HashMap-grid pass (`crate::legacy`): same cell decomposition, same
-//! candidate visit order, same accumulation order.
+//! The hot path is allocation-free in steady state: the search
+//! structure, the per-thread candidate buffers and the cached
+//! per-particle neighbour lists all live in a [`SphScratch`] owned by the
+//! caller and are reused across steps. Candidates come from a direct
+//! sweep of the SoA position columns below `DIRECT_BELOW` particles and
+//! from the CSR cell grid above it — the same candidate *sets* either
+//! way, chosen by the particle count alone. The scalar reference path
+//! (`simd = false`) stays bitwise-identical to the pre-refactor
+//! HashMap-grid pass (`crate::legacy`): it re-sorts every final candidate
+//! set into that pass's accumulation order.
 
-use crate::grid::CsrGrid;
+use crate::grid::{sweep_within, CsrGrid};
 use crate::kernel::w;
 use crate::particles::GasParticles;
 use jc_compute::par;
@@ -22,6 +26,16 @@ pub(crate) const H_ITERS: usize = 4;
 
 /// Minimum particles per worker thread before fanning out.
 const PAR_GRAIN: usize = 64;
+
+/// Particle count below which the candidate search sweeps the SoA
+/// position columns directly instead of querying the [`CsrGrid`]: one
+/// query per particle never amortises a grid over a small, centrally
+/// concentrated set. Chosen from the `sph_neighbors_direct` /
+/// `sph_neighbors_grid` rows of `BENCH_PR16.json` (perfsuite's
+/// `sph_neighbors_crossover` report, n = 256 … 8192): the sweep wins up
+/// to n = 2048 and has lost by 4096. A pure function of `n`, so results
+/// do not depend on threads, shards or transport.
+const DIRECT_BELOW: usize = 2048;
 
 /// Candidate buffer entry: (particle index, squared distance).
 pub(crate) type Candidate = (u32, f64);
@@ -178,55 +192,68 @@ impl GasSoa {
     }
 }
 
-/// Reusable scratch for the SPH kernels: the CSR grid, per-thread
-/// candidate buffers, and the cached per-particle neighbour lists that
-/// [`crate::forces::hydro_rates_into`] consumes.
+/// Reusable scratch for the SPH kernels: the neighbour search structure,
+/// per-thread candidate buffers, and the cached per-particle neighbour
+/// lists that [`crate::forces::hydro_rates_into`] consumes.
+///
+/// One neighbour search per step: while [`compute_density_with`] adapts
+/// the smoothing lengths it stages each particle's final candidate set
+/// `C(i) = { j : r_ij ≤ h_i }`. A pair interacts iff `r < (h_i + h_j)/2`,
+/// which implies `r ≤ max(h_i, h_j)`, i.e. `j ∈ C(i)` or `i ∈ C(j)` — so
+/// the force pass's lists are the staged sets merged with their
+/// transpose and filtered by the exact pair predicate, with no second
+/// search. List `i` holds exactly the partners particle `i` interacts
+/// with, in an order that is a function of the particle set alone.
 ///
 /// Ownership contract: the caller owns the scratch and keeps it across
-/// steps; [`compute_density_with`] (re)builds the grid each call and
-/// marks the neighbour cache stale; `hydro_rates_into` refreshes the
-/// cache lazily from that grid, validating once per call that the grid
-/// was built for the current particle count.
+/// steps; [`compute_density_with`] stages the candidate sets each call
+/// and marks the neighbour lists stale; `hydro_rates_into` rebuilds them
+/// lazily from the staged sets, validating once per call that those were
+/// staged for the current particle count.
 pub struct SphScratch {
     /// Worker-thread cap: 0 = auto (one per core or the `JC_THREADS`
     /// override, subject to a minimum grain), 1 = strictly sequential.
     /// The sequential path performs zero heap allocations in steady
     /// state; parallel runs allocate only thread-spawn bookkeeping.
     pub max_threads: usize,
-    /// Select the SIMD-friendly SoA compute path: density sums and force
-    /// gathers run [`LANES`] wide over aligned SoA gas columns with the
-    /// fixed [`reduce_lanes`] reduction order, and the density pass skips
-    /// the legacy-order candidate re-sort. Results are bitwise stable
-    /// from run to run (any thread count) but match the scalar path only
-    /// to rounding — the scalar path stays the bitwise-pinned reference.
+    /// The SoA compute path every worker runs (`true`, the default):
+    /// density sums and force gathers run [`LANES`] wide over aligned SoA
+    /// gas columns with the fixed [`reduce_lanes`] reduction order, and
+    /// the density pass skips the legacy-order candidate re-sort. Results
+    /// are bitwise stable from run to run (any thread count, any SIMD
+    /// width). `false` names the scalar reference path, bitwise-pinned to
+    /// the pre-refactor pass; the two agree to rounding.
     pub simd: bool,
     pub(crate) grid: CsrGrid,
-    /// Cached-neighbour CSR offsets (`n + 1` entries) and indices. List
-    /// `i` holds every particle within `(h[i] + max(h))/2` of particle
-    /// `i`, which covers every symmetrized pair support `h_ij`.
+    /// Staged candidate sets `C(i)` in CSR form (`n + 1` offsets).
+    cand_off: Vec<u32>,
+    cand_idx: Vec<u32>,
+    /// Transpose of the staged sets (counting-sort scratch).
+    t_off: Vec<u32>,
+    t_idx: Vec<u32>,
+    /// Neighbour-list CSR offsets (`n + 1` entries) and indices.
     nbr_off: Vec<u32>,
     nbr_idx: Vec<u32>,
-    /// One candidate buffer per worker thread.
-    bufs: Vec<Vec<Candidate>>,
-    /// Per-worker staging areas for the cache fill (one grid query per
-    /// particle: ids staged here, then memcpy'd into `nbr_idx`).
-    stage: Vec<Vec<u32>>,
+    /// Per worker thread: the candidate buffer and the staged ids of the
+    /// worker's chunk (concatenated in chunk order into `cand_idx`).
+    finders: Vec<(Vec<Candidate>, Vec<u32>)>,
     /// Scratch copy of `h` for the median cell-size estimate.
     h_tmp: Vec<f64>,
-    /// Per-particle legacy-grid sort keys: the adaptation runs on a finer
-    /// grid than the legacy pass, so the final density sum re-sorts its
-    /// candidates into the legacy visit order (coarse cell, then index)
-    /// to stay bitwise-reproducible.
+    /// Per-particle legacy-grid sort keys (scalar path only): the final
+    /// density sum re-sorts its candidates into the legacy visit order
+    /// (coarse cell, then index) to stay bitwise-reproducible.
     sort_key: Vec<u128>,
-    /// Particle count the neighbour cache was built for.
+    /// Particle count the neighbour lists were built for.
     cached_n: usize,
-    /// Particle count the grid was built for.
-    grid_for: usize,
-    /// SoA gas mirror for the SIMD gather paths.
+    /// Particle count the candidate sets were staged for.
+    staged_for: usize,
+    /// SoA gas mirror for the SIMD gather paths and the direct sweep.
     pub(crate) soa: GasSoa,
     /// Per-worker staged active-pair columns for the force pass's SoA
     /// path (see [`PairCols`]).
     pairs: Vec<PairCols>,
+    /// [`DIRECT_BELOW`], except in the crossover tests.
+    direct_below: usize,
 }
 
 impl Default for SphScratch {
@@ -240,23 +267,35 @@ impl SphScratch {
     pub fn new() -> SphScratch {
         SphScratch {
             max_threads: 0,
-            simd: false,
+            simd: true,
             grid: CsrGrid::new(),
+            cand_off: Vec::new(),
+            cand_idx: Vec::new(),
+            t_off: Vec::new(),
+            t_idx: Vec::new(),
             nbr_off: Vec::new(),
             nbr_idx: Vec::new(),
-            bufs: Vec::new(),
-            stage: Vec::new(),
+            finders: Vec::new(),
             h_tmp: Vec::new(),
             sort_key: Vec::new(),
             cached_n: usize::MAX,
-            grid_for: usize::MAX,
+            staged_for: usize::MAX,
             soa: GasSoa::default(),
             pairs: Vec::new(),
+            direct_below: DIRECT_BELOW,
         }
     }
 
-    /// Worker count for a problem of size `n` (shared by the density,
-    /// cache-fill and force passes) — the workspace-wide policy from
+    /// A scratch whose direct-sweep crossover is `direct_below` instead
+    /// of [`DIRECT_BELOW`] (0 = always the grid, `usize::MAX` = always
+    /// the sweep), so tests can put one particle set on both sides.
+    #[cfg(test)]
+    pub(crate) fn with_crossover(direct_below: usize) -> SphScratch {
+        SphScratch { direct_below, ..SphScratch::new() }
+    }
+
+    /// Worker count for a problem of size `n` (shared by the density and
+    /// force passes) — the workspace-wide policy from
     /// [`jc_compute::par::threads_for`]. Core detection is lazy and the
     /// explicit cap wins over `JC_THREADS`, so the sequential mode
     /// (`max_threads == 1`) never touches the (allocating) auto
@@ -286,7 +325,8 @@ impl SphScratch {
         (self.cached_n != usize::MAX).then_some(self.cached_n)
     }
 
-    /// Total cached neighbour entries.
+    /// Total cached neighbour entries — once built, exactly the force
+    /// pass's interaction count.
     pub fn cached_neighbor_entries(&self) -> usize {
         self.nbr_idx.len()
     }
@@ -296,82 +336,117 @@ impl SphScratch {
     /// Gadget path gets the cache for free from [`compute_density_with`]).
     pub fn cache_neighbors(&mut self, gas: &GasParticles) {
         let n = gas.len();
-        if n == 0 {
-            self.nbr_off.clear();
-            self.nbr_off.push(0);
-            self.nbr_idx.clear();
-            self.cached_n = 0;
-            return;
+        let direct = n < self.direct_below;
+        if direct {
+            self.soa.pos.fill_from(&gas.pos);
+        } else {
+            let mean_h = (gas.h.iter().sum::<f64>() / n as f64).max(1e-6);
+            self.grid.build_into(&gas.pos, mean_h);
         }
-        let mean_h = (gas.h.iter().sum::<f64>() / n as f64).max(1e-6);
-        self.grid.build_into(&gas.pos, mean_h);
-        self.grid_for = n;
-        self.fill_neighbor_cache(&gas.pos, &gas.h);
+        let search =
+            Search { pos: &gas.pos, grid: &self.grid, cols: direct.then_some(&self.soa.pos) };
+        if self.finders.is_empty() {
+            self.finders.push(Default::default());
+        }
+        let buf = &mut self.finders[0].0;
+        self.cand_off.clear();
+        self.cand_off.push(0);
+        self.cand_idx.clear();
+        for (c, &h) in gas.pos.iter().zip(&gas.h) {
+            fill_candidates(buf, &search, c, h);
+            self.cand_idx.extend(buf.iter().map(|&(j, _)| j));
+            self.cand_off.push(self.cand_idx.len() as u32);
+        }
+        self.staged_for = n;
+        self.symmetrize(&gas.pos, &gas.h);
     }
 
-    /// Ensure the neighbour cache is current for `gas`, filling it from
-    /// the grid the density pass built (the force pass's entry point).
-    /// Panics if the grid itself is stale — the caller must run
-    /// [`compute_density_with`] (or [`SphScratch::cache_neighbors`])
-    /// for this particle set first.
+    /// Ensure the neighbour lists are current for `gas`, building them
+    /// from the candidate sets the density pass staged (the force pass's
+    /// entry point). Panics if the staged sets themselves are stale — the
+    /// caller must run [`compute_density_with`] (or
+    /// [`SphScratch::cache_neighbors`]) for this particle set first.
     pub(crate) fn ensure_cache(&mut self, gas: &GasParticles) {
         let n = gas.len();
         if self.cached_n == n {
             return;
         }
         assert_eq!(
-            self.grid_for, n,
+            self.staged_for, n,
             "stale neighbour grid: run compute_density_with (or cache_neighbors) for this gas first"
         );
-        self.fill_neighbor_cache(&gas.pos, &gas.h);
+        self.symmetrize(&gas.pos, &gas.h);
     }
 
-    /// Fill `nbr_off`/`nbr_idx` from the already-built grid: list `i`
-    /// holds neighbours within `(h[i] + h_max)/2`, which contains every
-    /// pair with `r < h_ij` regardless of which side is larger. One grid
-    /// query per particle: each worker stages its chunk's ids in a
-    /// reusable buffer and records the per-particle counts, then the
-    /// stages are concatenated into the CSR arrays.
-    fn fill_neighbor_cache(&mut self, pos: &[[f64; 3]], h: &[f64]) {
+    /// Build `nbr_off`/`nbr_idx` from the staged candidate sets: transpose
+    /// them with a counting sort, then list `i` is `C(i)` followed by the
+    /// rest of its transposed row — the `j` with `i ∈ C(j)` that `C(i)`
+    /// missed, i.e. `r > h_i` — each filtered by the force pass's exact
+    /// pair predicate. No search, and an order that depends on the
+    /// particle set alone. Survivors are compacted without a branch (the
+    /// predicate passes about half the time, which no predictor learns).
+    // jc-lint: no-alloc
+    fn symmetrize(&mut self, pos: &[[f64; 3]], h: &[f64]) {
         let n = pos.len();
-        let h_max = h.iter().cloned().fold(0.0f64, f64::max).max(1e-6);
-        let threads = self.threads_for(n);
-        let grid = &self.grid;
+        let (c_off, c_idx) = (&self.cand_off, &self.cand_idx);
+        let (t_off, t_idx) = (&mut self.t_off, &mut self.t_idx);
+        t_off.clear();
+        t_off.resize(n + 1, 0);
+        for &j in c_idx {
+            t_off[j as usize + 1] += 1;
+        }
+        for i in 0..n {
+            t_off[i + 1] += t_off[i];
+        }
+        t_idx.clear();
+        t_idx.resize(c_idx.len(), 0);
+        // cursor pass: t_off[j] ends up at the *end* of row j
+        for i in 0..n {
+            for &j in &c_idx[c_off[i] as usize..c_off[i + 1] as usize] {
+                t_idx[t_off[j as usize] as usize] = i as u32;
+                t_off[j as usize] += 1;
+            }
+        }
+        let out = &mut self.nbr_idx;
+        out.clear();
+        out.resize(c_idx.len() + t_idx.len(), 0);
         self.nbr_off.clear();
-        self.nbr_off.resize(n + 1, 0);
-        self.stage.resize_with(threads, Vec::new);
-        for stage in &mut self.stage {
-            stage.clear(); // a previous call may have used more workers
+        self.nbr_off.push(0);
+        let (mut k, mut t_start) = (0usize, 0usize);
+        for i in 0..n {
+            let (p, hi) = (pos[i], h[i]);
+            // (r², h_ij²) of the pair (i, j), in the force pass's arithmetic
+            let pair = |j: u32| {
+                let q = &pos[j as usize];
+                let d = [p[0] - q[0], p[1] - q[1], p[2] - q[2]];
+                let h_ij = 0.5 * (hi + h[j as usize]);
+                (d[0] * d[0] + d[1] * d[1] + d[2] * d[2], h_ij * h_ij)
+            };
+            for &j in &c_idx[c_off[i] as usize..c_off[i + 1] as usize] {
+                let (r2, h2) = pair(j);
+                out[k] = j;
+                k += ((r2 < h2) & (r2 != 0.0)) as usize; // r² ≠ 0 also drops j = i
+            }
+            for &j in &t_idx[t_start..t_off[i] as usize] {
+                let (r2, h2) = pair(j);
+                out[k] = j;
+                k += ((r2 < h2) & (r2 > hi * hi)) as usize; // r ≤ h_i: already in C(i)
+            }
+            t_start = t_off[i] as usize;
+            self.nbr_off.push(k as u32);
         }
-        let counts = &mut self.nbr_off[1..];
-        par::chunked(
-            threads,
-            counts,
-            &mut self.stage,
-            (),
-            |s0, cc: &mut [u32], stage| {
-                stage.clear();
-                for (k, c) in cc.iter_mut().enumerate() {
-                    let i = s0 + k;
-                    let before = stage.len();
-                    grid.for_each_within(pos, &pos[i], 0.5 * (h[i] + h_max), |j, _| stage.push(j));
-                    *c = (stage.len() - before) as u32;
-                }
-            },
-            |(), ()| (),
-        );
-        for i in 1..=n {
-            self.nbr_off[i] += self.nbr_off[i - 1];
-        }
-        // stages are in ascending-chunk order: concatenation is the CSR
-        // index array
-        self.nbr_idx.clear();
-        for stage in &self.stage {
-            self.nbr_idx.extend_from_slice(stage);
-        }
-        debug_assert_eq!(self.nbr_idx.len(), self.nbr_off[n] as usize);
+        out.truncate(k);
         self.cached_n = n;
     }
+}
+
+/// Where [`fill_candidates`] looks: the SoA position columns when the
+/// set is below the crossover (`cols`), otherwise the grid over `pos`.
+#[derive(Clone, Copy)]
+struct Search<'a> {
+    pos: &'a [[f64; 3]],
+    grid: &'a CsrGrid,
+    cols: Option<&'a Soa3>,
 }
 
 /// Mean-interparticle-spacing smoothing length estimate (shared with the
@@ -403,20 +478,24 @@ pub fn compute_density(gas: &mut GasParticles) -> u64 {
 
 /// Compute densities with adaptive smoothing lengths, reusing `scratch`.
 /// Each particle's `h` is adapted so roughly [`N_NEIGHBORS`] particles
-/// fall inside it. Marks the cached neighbour lists stale; the force pass
-/// ([`crate::forces::hydro_rates_into`]) refreshes them lazily from the
-/// grid built here. Returns the total number of neighbour interactions
-/// of the adaptation (for the cost model).
+/// fall inside it. Stages every particle's final candidate set and marks
+/// the cached neighbour lists stale; the force pass
+/// ([`crate::forces::hydro_rates_into`]) rebuilds them lazily from the
+/// staged sets, without searching again. Returns the total number of
+/// neighbour interactions of the adaptation (for the cost model).
 // jc-lint: no-alloc
 pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) -> u64 {
     let n = gas.len();
     scratch.cached_n = usize::MAX;
+    scratch.staged_for = n;
+    scratch.cand_off.clear();
+    scratch.cand_off.resize(n + 1, 0);
+    scratch.cand_idx.clear();
     if n == 0 {
         scratch.nbr_off.clear();
         scratch.nbr_off.push(0);
         scratch.nbr_idx.clear();
         scratch.cached_n = 0;
-        scratch.grid_for = 0;
         return 0;
     }
     let h_mean = h_mean_of(&gas.pos);
@@ -430,57 +509,76 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
     // dense regions packed into a handful of cells. Grid at the median
     // incoming h instead (clamped to the legacy cell): candidate SETS —
     // and so neighbour counts, h trajectories and interaction totals —
-    // are cell-size-independent, and the final density sums restore the
-    // legacy accumulation order via the per-particle sort keys below.
+    // are independent of the cell size and of grid-versus-sweep, and the
+    // scalar path's final density sums restore the legacy accumulation
+    // order via the per-particle sort keys below.
     let cell_legacy = h_mean.max(1e-6);
-    scratch.h_tmp.clear();
-    scratch.h_tmp.extend_from_slice(&gas.h);
-    let mid = scratch.h_tmp.len() / 2;
-    let (_, median_h, _) = scratch.h_tmp.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-    let cell = median_h.clamp(cell_legacy / 16.0, cell_legacy).max(1e-6);
-    scratch.grid.build_into(&gas.pos, cell);
-    scratch.grid_for = n;
+    let direct = n < scratch.direct_below;
+    if direct {
+        scratch.soa.pos.fill_from(&gas.pos);
+    } else {
+        scratch.h_tmp.clear();
+        scratch.h_tmp.extend_from_slice(&gas.h);
+        let mid = scratch.h_tmp.len() / 2;
+        let (_, median_h, _) = scratch.h_tmp.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
+        let cell = median_h.clamp(cell_legacy / 16.0, cell_legacy).max(1e-6);
+        scratch.grid.build_into(&gas.pos, cell);
+    }
     let simd = scratch.simd;
+    scratch.sort_key.clear();
     if simd {
         // the SoA path neither re-sorts candidates into legacy order nor
         // needs the keys — it gathers masses through the aligned column
-        scratch.sort_key.clear();
         scratch.soa.fill_mass(gas);
     } else {
-        scratch.sort_key.clear();
         scratch
             .sort_key
             .extend(gas.pos.iter().map(|p| CsrGrid::pack(CsrGrid::key(p, cell_legacy))));
     }
     let threads = scratch.threads_for(n);
-    // jc-lint: allow(no-alloc): Vec::new is the resize_with element factory — empty Vecs don't allocate
-    scratch.bufs.resize_with(threads, Vec::new);
+    // jc-lint: allow(no-alloc): Default is the resize_with element factory — empty Vecs don't allocate
+    scratch.finders.resize_with(threads, Default::default);
+    for (_, ids) in &mut scratch.finders {
+        ids.clear(); // a previous call may have used more workers
+    }
     let GasParticles { pos, mass, rho, h, .. } = gas;
     let (pos, mass) = (&*pos, &*mass);
-    let grid = &scratch.grid;
+    let search = Search { pos, grid: &scratch.grid, cols: direct.then_some(&scratch.soa.pos) };
     let sort_key = &*scratch.sort_key;
     let soa_m = scratch.soa.m.as_slice();
-    par::chunked(
+    let inter = par::chunked(
         threads,
-        (rho.as_mut_slice(), h.as_mut_slice()),
-        &mut scratch.bufs,
+        (rho.as_mut_slice(), h.as_mut_slice(), &mut scratch.cand_off[1..]),
+        &mut scratch.finders,
         0u64,
-        |s0, (rc, hc): (&mut [f64], &mut [f64]), buf| {
+        |s0, (rc, hc, cc): (&mut [f64], &mut [f64], &mut [u32]), (buf, ids)| {
             let mut inter = 0u64;
-            for (k, (r, hh)) in rc.iter_mut().zip(hc.iter_mut()).enumerate() {
+            for (k, ((r, hh), cnt)) in rc.iter_mut().zip(hc.iter_mut()).zip(cc).enumerate() {
                 let (rv, hv, it) = if simd {
-                    adapt_one_simd(s0 + k, pos, soa_m, grid, *hh, h_mean, buf)
+                    adapt_one_simd(s0 + k, soa_m, &search, *hh, h_mean, buf)
                 } else {
-                    adapt_one(s0 + k, pos, mass, grid, sort_key, *hh, h_mean, buf)
+                    adapt_one(s0 + k, mass, &search, sort_key, *hh, h_mean, buf)
                 };
                 *r = rv;
                 *hh = hv;
                 inter += it;
+                *cnt = buf.len() as u32;
+                ids.extend(buf.iter().map(|&(j, _)| j));
             }
             inter
         },
         |a, b| a + b,
-    )
+    );
+    // worker stages are in ascending-chunk order: their concatenation is
+    // the CSR index array of the per-particle counts
+    for i in 0..n {
+        scratch.cand_off[i + 1] += scratch.cand_off[i];
+    }
+    for (_, ids) in &scratch.finders {
+        scratch.cand_idx.extend_from_slice(ids);
+    }
+    debug_assert_eq!(scratch.cand_idx.len(), scratch.cand_off[n] as usize);
+    inter
 }
 
 /// One particle's h-adaptation. Three departures from the legacy loop,
@@ -498,18 +596,16 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
 ///   re-sorted into the legacy accumulation order (coarse legacy cell in
 ///   lexicographic order, then ascending index), term-for-term identical
 ///   to the pre-refactor pass.
-#[allow(clippy::too_many_arguments)]
 fn adapt_one(
     i: usize,
-    pos: &[[f64; 3]],
     mass: &[f64],
-    grid: &CsrGrid,
+    search: &Search,
     sort_key: &[u128],
     h_in: f64,
     h_mean: f64,
     buf: &mut Vec<Candidate>,
 ) -> (f64, f64, u64) {
-    let (h, inter) = adapt_h(i, pos, grid, h_in, h_mean, buf);
+    let (h, inter) = adapt_h(i, search, h_in, h_mean, buf);
     buf.sort_unstable_by_key(|&(j, _)| (sort_key[j as usize], j));
     let mut rho = sum_density(buf, mass, h);
     if rho <= 0.0 {
@@ -520,26 +616,26 @@ fn adapt_one(
 }
 
 /// The shared h-adaptation trajectory: iterate `h` towards
-/// [`N_NEIGHBORS`] candidates, leaving the final candidate set (in grid
-/// visit order) in `buf`. Both density paths run exactly this loop —
+/// [`N_NEIGHBORS`] candidates, leaving the final candidate set — every
+/// particle within the returned `h`, in search order — in `buf`. Both
+/// density paths run exactly this loop —
 /// the "identical adaptation trajectory" invariant the SoA tests pin is
 /// this one function, not two synchronized copies. Returns the final
 /// `h` and the interaction total.
 fn adapt_h(
     i: usize,
-    pos: &[[f64; 3]],
-    grid: &CsrGrid,
+    search: &Search,
     h_in: f64,
     h_mean: f64,
     buf: &mut Vec<Candidate>,
 ) -> (f64, u64) {
-    let c = pos[i];
+    let c = search.pos[i];
     let mut h = h_in.min(h_mean * 8.0).max(h_mean * 0.05);
     let mut inter = 0u64;
     let mut buf_h = f64::NAN; // the h the buffer currently holds
     for _ in 0..H_ITERS {
         if buf_h != h {
-            fill_candidates(buf, grid, pos, &c, h);
+            fill_candidates(buf, search, &c, h);
             buf_h = h;
         }
         inter += buf.len() as u64;
@@ -555,7 +651,7 @@ fn adapt_h(
                 let r2 = h * h;
                 buf.retain(|&(_, d2)| d2 <= r2);
             } else {
-                fill_candidates(buf, grid, pos, &c, h);
+                fill_candidates(buf, search, &c, h);
             }
             buf_h = h;
         }
@@ -563,16 +659,15 @@ fn adapt_h(
     (h, inter)
 }
 
+/// The one seam every neighbour search goes through: fill `buf` with
+/// every particle within `h` of `c`, as `(index, squared distance)`.
 #[inline]
-fn fill_candidates(
-    buf: &mut Vec<Candidate>,
-    grid: &CsrGrid,
-    pos: &[[f64; 3]],
-    c: &[f64; 3],
-    h: f64,
-) {
+fn fill_candidates(buf: &mut Vec<Candidate>, search: &Search, c: &[f64; 3], h: f64) {
     buf.clear();
-    grid.for_each_within(pos, c, h, |j, d2| buf.push((j, d2)));
+    match search.cols {
+        Some(cols) => sweep_within(cols, c, h, |j, d2| buf.push((j, d2))),
+        None => search.grid.for_each_within(search.pos, c, h, |j, d2| buf.push((j, d2))),
+    }
 }
 
 fn sum_density(buf: &[Candidate], mass: &[f64], h: f64) -> f64 {
@@ -586,19 +681,18 @@ fn sum_density(buf: &[Candidate], mass: &[f64], h: f64) -> f64 {
 /// [`adapt_one`] for the SoA path ([`SphScratch::simd`]): the same
 /// h-adaptation trajectory (identical candidate sets, counts and
 /// interaction totals), but the final density sum runs [`LANES`] wide
-/// over the aligned mass column in grid-candidate order — the legacy
+/// over the aligned mass column in search order — the legacy
 /// re-sort (and the whole sort-key machinery) is skipped, since this
 /// path is bound to the scalar reference by tolerance, not bitwise.
 fn adapt_one_simd(
     i: usize,
-    pos: &[[f64; 3]],
     mass: &[f64],
-    grid: &CsrGrid,
+    search: &Search,
     h_in: f64,
     h_mean: f64,
     buf: &mut Vec<Candidate>,
 ) -> (f64, f64, u64) {
-    let (h, inter) = adapt_h(i, pos, grid, h_in, h_mean, buf);
+    let (h, inter) = adapt_h(i, search, h_in, h_mean, buf);
     let mut rho = sum_density_lanes(buf, mass, h);
     if rho <= 0.0 {
         rho = mass[i] * w(0.0, h);
@@ -734,8 +828,8 @@ mod tests {
         let mut a = crate::particles::plummer_gas(1200, 1.0, 7);
         let mut b = a.clone();
         let mut scalar = SphScratch::new();
+        scalar.simd = false;
         let mut simd = SphScratch::new();
-        simd.simd = true;
         let ia = compute_density_with(&mut a, &mut scalar);
         let ib = compute_density_with(&mut b, &mut simd);
         // the adaptation trajectory is shared: same candidate sets, same
@@ -775,9 +869,9 @@ mod tests {
         let mut a = crate::particles::plummer_gas(1500, 1.0, 7);
         let mut b = a.clone();
         let mut seq = SphScratch::new();
-        seq.max_threads = 1;
+        (seq.simd, seq.max_threads) = (false, 1);
         let mut par = SphScratch::new();
-        par.max_threads = 8;
+        (par.simd, par.max_threads) = (false, 8);
         let ia = compute_density_with(&mut a, &mut seq);
         let ib = compute_density_with(&mut b, &mut par);
         assert_eq!(ia, ib);
@@ -798,26 +892,116 @@ mod tests {
         compute_density_with(&mut gas, &mut scratch);
         scratch.ensure_cache(&gas);
         assert_eq!(scratch.cached_for(), Some(gas.len()));
-        let h_max = gas.h.iter().cloned().fold(0.0f64, f64::max);
-        // every pair with r < h_ij must be present in i's cached list
+        // list i is exactly the pairs with 0 < r < h_ij
         for i in (0..gas.len()).step_by(37) {
-            let nbr = scratch.neighbors(i);
-            for j in 0..gas.len() {
-                let d = [
-                    gas.pos[i][0] - gas.pos[j][0],
-                    gas.pos[i][1] - gas.pos[j][1],
-                    gas.pos[i][2] - gas.pos[j][2],
-                ];
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                let h_ij = 0.5 * (gas.h[i] + gas.h[j]);
-                if r2 < h_ij * h_ij {
-                    assert!(
-                        nbr.contains(&(j as u32)),
-                        "pair ({i},{j}) missing from cache (r={}, h_ij={h_ij}, h_max={h_max})",
-                        r2.sqrt()
-                    );
+            let want: Vec<u32> = (0..gas.len())
+                .filter(|&j| {
+                    let d = [
+                        gas.pos[i][0] - gas.pos[j][0],
+                        gas.pos[i][1] - gas.pos[j][1],
+                        gas.pos[i][2] - gas.pos[j][2],
+                    ];
+                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    let h_ij = 0.5 * (gas.h[i] + gas.h[j]);
+                    r2 < h_ij * h_ij && r2 != 0.0
+                })
+                .map(|j| j as u32)
+                .collect();
+            assert_eq!(sorted(scratch.neighbors(i)), want, "list {i}");
+        }
+    }
+
+    /// Run the density pass on `gas` with the crossover forced to
+    /// `direct_below`; returns `(interactions, h, rho, neighbour lists)`.
+    fn run_at(
+        gas: &GasParticles,
+        direct_below: usize,
+        simd: bool,
+    ) -> (u64, Vec<u64>, Vec<f64>, Vec<Vec<u32>>) {
+        let mut g = gas.clone();
+        let mut scratch = SphScratch::with_crossover(direct_below);
+        scratch.simd = simd;
+        let inter = compute_density_with(&mut g, &mut scratch);
+        scratch.ensure_cache(&g);
+        let lists = (0..g.len()).map(|i| sorted(scratch.neighbors(i))).collect();
+        (inter, g.h.iter().map(|h| h.to_bits()).collect(), g.rho, lists)
+    }
+
+    fn sorted(list: &[u32]) -> Vec<u32> {
+        let mut v = list.to_vec();
+        v.sort_unstable();
+        v
+    }
+
+    /// Sweep and grid must agree on everything that is a function of the
+    /// candidate *sets*: h trajectory, interaction total, neighbour sets
+    /// — and, on the scalar path (which re-sorts), the densities bitwise.
+    fn assert_search_paths_agree(gas: &GasParticles) {
+        for simd in [false, true] {
+            let grid = run_at(gas, 0, simd);
+            let sweep = run_at(gas, usize::MAX, simd);
+            assert_eq!(grid.0, sweep.0, "interaction totals (simd={simd})");
+            assert_eq!(grid.1, sweep.1, "h trajectories (simd={simd})");
+            assert_eq!(grid.3, sweep.3, "neighbour lists (simd={simd})");
+            for (i, (a, b)) in grid.2.iter().zip(&sweep.2).enumerate() {
+                if simd {
+                    assert!((a - b).abs() <= 1e-12 * a.abs(), "rho[{i}]: {a} vs {b}");
+                } else {
+                    assert_eq!(a.to_bits(), b.to_bits(), "rho[{i}]: {a} vs {b}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn crossover_picks_the_path_by_particle_count_alone() {
+        // T − 1 sweeps, T and T + 1 grid: each must equal both forced
+        // paths on the same set
+        const T: usize = 96;
+        for n in [T - 1, T, T + 1] {
+            let gas = crate::particles::plummer_gas(n, 1.0, n as u64);
+            assert_search_paths_agree(&gas);
+            let bits = |rho: &[f64]| rho.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            let at_t = run_at(&gas, T, true);
+            let forced = run_at(&gas, if n < T { usize::MAX } else { 0 }, true);
+            assert_eq!((at_t.0, &at_t.1, bits(&at_t.2)), (forced.0, &forced.1, bits(&forced.2)));
+        }
+    }
+
+    #[test]
+    fn search_paths_agree_on_degenerate_sets() {
+        // n ∈ {1, 2, 3}, coincident particles, zero mass, ±1e6 coordinates
+        for n in 1..=3 {
+            assert_search_paths_agree(&crate::particles::plummer_gas(n, 1.0, 5));
+        }
+        let mut gas = crate::particles::plummer_gas(40, 1.0, 9);
+        gas.pos[7] = gas.pos[3];
+        gas.pos[8] = gas.pos[3];
+        gas.mass[5] = 0.0;
+        gas.pos[11] = [1e6, -1e6, 1e6];
+        gas.pos[12] = [-1e6, 1e6, -1e6];
+        assert_search_paths_agree(&gas);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn search_paths_agree_on_random_clouds(
+            pts in proptest::collection::vec(
+                ((-2.0f64..2.0, -2.0f64..2.0, -2.0f64..2.0), 0.0f64..1.0),
+                1..160,
+            ),
+            dup in 0usize..4,
+        ) {
+            let mut gas = GasParticles::new();
+            for &((x, y, z), m) in &pts {
+                gas.push(m, [x, y, z], [0.0; 3], 1.0);
+            }
+            for &((x, y, z), _) in pts.iter().take(dup) {
+                gas.push(0.5, [x, y, z], [0.0; 3], 1.0); // coincident copies
+            }
+            assert_search_paths_agree(&gas);
         }
     }
 }

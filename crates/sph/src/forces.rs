@@ -1,9 +1,10 @@
 //! SPH pressure forces, artificial viscosity and the energy equation.
 //!
-//! The force pass gathers from the per-particle neighbour lists cached by
-//! the density pass ([`crate::density::SphScratch`]) instead of re-querying
-//! the grid at the global maximum smoothing length, and writes into a
-//! caller-owned [`HydroRates`] — allocation-free in steady state.
+//! The force pass gathers from the per-particle neighbour lists built from
+//! what the density pass's search already found
+//! ([`crate::density::SphScratch`]) — it never searches itself — and
+//! writes into a caller-owned [`HydroRates`], allocation-free in steady
+//! state.
 
 use crate::density::{PairCols, SphScratch};
 use crate::kernel::grad_w;
@@ -48,9 +49,9 @@ pub fn hydro_rates(gas: &GasParticles) -> HydroRates {
 }
 
 /// Compute SPH rates into `out`, gathering from the per-particle
-/// neighbour lists cached in `scratch`. The cache is refreshed lazily
-/// from the grid the density pass built (lengths validated once per
-/// call: the grid must have been built for this particle count by
+/// neighbour lists cached in `scratch`. The lists are rebuilt lazily
+/// from the candidate sets the density pass staged (validated once per
+/// call: they must have been staged for this particle count by
 /// [`crate::density::compute_density_with`] or
 /// [`SphScratch::cache_neighbors`]).
 ///
@@ -169,15 +170,15 @@ struct TargetCtx {
 ///
 /// Two phases, each dispatched once per list to the widest instruction
 /// set the CPU offers. The *filter* pass runs the pair predicate
-/// (`r² < h_ij²`, non-coincident) over the whole cached list — the
-/// lists are built at the conservative `(h_i + h_max)/2` radius, so
-/// under a percent of candidates typically survive and this sweep
-/// dominates the pass. Each candidate probe is one packed
-/// [`crate::density::FiltRow`] load (the split SoA columns would cost
-/// four lines); the vector filters batch 4 or 8 candidates per
-/// iteration with the predicate as a compare mask, and stage the
-/// survivors' `(j, dx, dy, dz, r², h_ij)` — values the predicate
-/// already computed — as parallel columns in the per-worker
+/// (`r² < h_ij²`, non-coincident) over the cached list — which holds
+/// exactly the active pairs when it comes from the density pass, so
+/// this is where the pair geometry is derived, not where pairs are
+/// found. Each probe is one packed [`crate::density::FiltRow`] load
+/// (the split SoA columns would cost four lines); the vector filters
+/// batch 4 or 8 candidates per iteration with the predicate as a
+/// compare mask, and stage the survivors' `(j, dx, dy, dz, r², h_ij)`
+/// — values the predicate already computed — as parallel columns in
+/// the per-worker
 /// [`PairCols`]. The *interaction* pass ([`eval_pair_cols`]) then runs
 /// the expensive pair math over actives only: staged columns come back
 /// as sequential vector loads, per-neighbour values as single-line
@@ -201,9 +202,7 @@ fn hydro_one_simd(
     let evalr = soa.evalr.as_slice();
     let fi = filt[i];
     // filter: stage the active pairs (preserving list order), dispatched
-    // to the widest filter the CPU offers — the cached lists are built
-    // at the conservative `(h_i + h_max)/2` radius, so under 1% of
-    // candidates survive and the sweep dominates the whole force pass.
+    // to the widest filter the CPU offers
     cols.clear();
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx2")
@@ -264,8 +263,8 @@ fn filter_stage_scalar(
 /// iteration. Each candidate's packed [`crate::density::FiltRow`] is
 /// one 32-byte vector load; a 4×4 transpose turns the four rows into
 /// `x/y/z/h` lane vectors, the predicate becomes a compare mask, and
-/// with under 1% acceptance the movemask is almost always zero — the
-/// staging spill is the rare path. Produces bitwise-identical staged
+/// the lanes it sets are spilled to the staging columns. Produces
+/// bitwise-identical staged
 /// columns to [`filter_stage_scalar`] in the same order (elementwise
 /// IEEE ops; a self-pair fails `r2 != 0` exactly as it fails `j != i`).
 // SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
@@ -1162,6 +1161,7 @@ mod tests {
     fn simd_forces_match_scalar_within_tolerance() {
         let mut gas = plummer_gas(900, 1.0, 13);
         let mut scratch = crate::density::SphScratch::new();
+        scratch.simd = false;
         compute_density_with(&mut gas, &mut scratch);
         let mut scalar = HydroRates::new();
         hydro_rates_into(&gas, &mut scratch, &mut scalar);
@@ -1236,8 +1236,10 @@ mod tests {
         // The vector filters (4- and 8-wide, wherever the CPU offers
         // them) must stage exactly the pairs the scalar reference
         // predicate stages — same set, same order, same bits in every
-        // column. Neighbour lists of every length class exercise the
-        // group/batch/tail splits.
+        // column. Each particle is filtered over its neighbour list
+        // (every length class of the group/batch/tail splits, all
+        // accepted) and over the whole set (mostly rejected, including
+        // the self-pair).
         let mut gas = plummer_gas(700, 1.0, 23);
         let mut scratch = crate::density::SphScratch::new();
         compute_density_with(&mut gas, &mut scratch);
@@ -1246,41 +1248,54 @@ mod tests {
         let (soa, nbr_off, nbr_idx, _) = scratch.force_view();
         let filt = soa.filt.as_slice();
         let evalr = soa.evalr.as_slice();
+        let everyone: Vec<u32> = (0..gas.len() as u32).collect();
         let mut reference = PairCols::default();
         let mut dispatched = PairCols::default();
         for i in 0..gas.len() {
-            let nbr = &nbr_idx[nbr_off[i] as usize..nbr_off[i + 1] as usize];
-            reference.clear();
-            filter_stage_scalar(i, filt[i], filt, evalr, nbr, &mut reference);
-            for width in ["avx2", "avx512"] {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    dispatched.clear();
-                    if width == "avx2" && std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: gated on runtime AVX2 detection.
-                        unsafe { filter_stage_avx2(i, filt[i], filt, evalr, nbr, &mut dispatched) };
-                    } else if width == "avx512"
-                        && std::arch::is_x86_feature_detected!("avx512f")
-                        && std::arch::is_x86_feature_detected!("avx2")
+            let list = &nbr_idx[nbr_off[i] as usize..nbr_off[i + 1] as usize];
+            for nbr in [list, &everyone[..]] {
+                reference.clear();
+                filter_stage_scalar(i, filt[i], filt, evalr, nbr, &mut reference);
+                let (mut staged, mut listed) = (reference.j.clone(), list.to_vec());
+                staged.sort_unstable();
+                listed.sort_unstable();
+                assert_eq!(staged, listed, "the lists hold exactly the active pairs");
+                for width in ["avx2", "avx512"] {
+                    #[cfg(target_arch = "x86_64")]
                     {
-                        // SAFETY: gated on runtime AVX-512F + AVX2 detection.
-                        unsafe {
-                            filter_stage_avx512(i, filt[i], filt, evalr, nbr, &mut dispatched)
-                        };
-                    } else {
-                        continue;
-                    }
-                    assert_eq!(reference.j, dispatched.j, "{width} staged set at i={i}");
-                    for (a, b) in [
-                        (&reference.dx, &dispatched.dx),
-                        (&reference.dy, &dispatched.dy),
-                        (&reference.dz, &dispatched.dz),
-                        (&reference.r2, &dispatched.r2),
-                        (&reference.h, &dispatched.h),
-                    ] {
-                        assert_eq!(a.len(), b.len());
-                        for (x, y) in a.iter().zip(b.iter()) {
-                            assert_eq!(x.to_bits(), y.to_bits(), "{width} column bits at i={i}");
+                        dispatched.clear();
+                        if width == "avx2" && std::arch::is_x86_feature_detected!("avx2") {
+                            // SAFETY: gated on runtime AVX2 detection.
+                            unsafe {
+                                filter_stage_avx2(i, filt[i], filt, evalr, nbr, &mut dispatched)
+                            };
+                        } else if width == "avx512"
+                            && std::arch::is_x86_feature_detected!("avx512f")
+                            && std::arch::is_x86_feature_detected!("avx2")
+                        {
+                            // SAFETY: gated on runtime AVX-512F + AVX2 detection.
+                            unsafe {
+                                filter_stage_avx512(i, filt[i], filt, evalr, nbr, &mut dispatched)
+                            };
+                        } else {
+                            continue;
+                        }
+                        assert_eq!(reference.j, dispatched.j, "{width} staged set at i={i}");
+                        for (a, b) in [
+                            (&reference.dx, &dispatched.dx),
+                            (&reference.dy, &dispatched.dy),
+                            (&reference.dz, &dispatched.dz),
+                            (&reference.r2, &dispatched.r2),
+                            (&reference.h, &dispatched.h),
+                        ] {
+                            assert_eq!(a.len(), b.len());
+                            for (x, y) in a.iter().zip(b.iter()) {
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "{width} column bits at i={i}"
+                                );
+                            }
                         }
                     }
                 }

@@ -2,7 +2,6 @@
 
 use crate::density::{compute_density_with, SphScratch};
 use crate::forces::{hydro_rates_into, HydroRates};
-use crate::grid::CsrGrid;
 use crate::particles::GasParticles;
 use jc_treegrav::TreeGravity;
 
@@ -172,31 +171,35 @@ impl Gadget {
         if self.gas.is_empty() || energy <= 0.0 {
             return 0;
         }
-        let grid = CsrGrid::build(&self.gas.pos, radius.max(1e-6));
-        let mut targets = grid.within(&self.gas.pos, &center, radius);
-        if targets.is_empty() {
-            // nearest particle
-            let mut best = 0usize;
-            let mut bd = f64::INFINITY;
-            for (i, p) in self.gas.pos.iter().enumerate() {
-                let d = (p[0] - center[0]).powi(2)
-                    + (p[1] - center[1]).powi(2)
-                    + (p[2] - center[2]).powi(2);
-                if d < bd {
-                    bd = d;
-                    best = i;
+        // one linear pass: a grid could never amortise a single query
+        let d2_of = |p: &[f64; 3]| {
+            (p[0] - center[0]).powi(2) + (p[1] - center[1]).powi(2) + (p[2] - center[2]).powi(2)
+        };
+        let r2 = radius * radius;
+        let (mut heated, mut m_tot, mut nearest) = (0usize, 0.0f64, (f64::INFINITY, 0usize));
+        for (i, p) in self.gas.pos.iter().enumerate() {
+            let d2 = d2_of(p);
+            if d2 <= r2 {
+                heated += 1;
+                m_tot += self.gas.mass[i];
+            } else if d2 < nearest.0 {
+                nearest = (d2, i);
+            }
+        }
+        if heated == 0 {
+            // nothing in range: the nearest particle takes it all
+            self.gas.u[nearest.1] += energy / self.gas.mass[nearest.1];
+            heated = 1;
+        } else {
+            for (p, u) in self.gas.pos.iter().zip(&mut self.gas.u) {
+                if d2_of(p) <= r2 {
+                    // mass-weighted share, converted to specific energy
+                    *u += energy / m_tot;
                 }
             }
-            targets.push(best as u32);
-        }
-        let m_tot: f64 = targets.iter().map(|&i| self.gas.mass[i as usize]).sum();
-        for &i in &targets {
-            let i = i as usize;
-            // mass-weighted share, converted to specific energy
-            self.gas.u[i] += energy / m_tot;
         }
         self.rates_valid = false;
-        targets.len()
+        heated
     }
 
     /// Add gas mass at a position (stellar winds returning mass to the

@@ -13,6 +13,8 @@
 //! inside each cell — so density sums accumulate in the identical order
 //! and reproduce the pre-refactor results bitwise (see `tests/golden.rs`).
 
+use jc_compute::soa::{Soa3, LANES};
+
 /// Maximum dense-table cells per particle before falling back to the
 /// sorted-key (sparse) layout. The table costs 4 bytes per cell and one
 /// zeroing sweep per rebuild, so a generous budget is cheap, and the
@@ -369,9 +371,70 @@ impl CsrGrid {
     }
 }
 
+/// The direct counterpart of [`CsrGrid::for_each_within`]: visit every
+/// particle within `radius` of `center` by sweeping the SoA position
+/// columns [`LANES`] wide in index order — no structure to build, which
+/// is what wins while the set is small (see the crossover in
+/// [`crate::density`]). Same `d² ≤ r²` arithmetic as the grid's scan, so
+/// the visited set and every squared distance are bit-identical to it;
+/// only the order (ascending index) differs.
+// jc-lint: no-alloc
+#[inline]
+pub fn sweep_within(cols: &Soa3, center: &[f64; 3], radius: f64, mut f: impl FnMut(u32, f64)) {
+    let (x, y, z) = (cols.x.as_slice(), cols.y.as_slice(), cols.z.as_slice());
+    let r2 = radius * radius;
+    let d2_of = |x: f64, y: f64, z: f64| {
+        let d = [x - center[0], y - center[1], z - center[2]];
+        d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    };
+    let lanes = x.chunks_exact(LANES).zip(y.chunks_exact(LANES)).zip(z.chunks_exact(LANES));
+    for (b, ((xs, ys), zs)) in lanes.enumerate() {
+        let mut d2 = [0.0f64; LANES];
+        for l in 0..LANES {
+            d2[l] = d2_of(xs[l], ys[l], zs[l]);
+        }
+        if d2.iter().any(|&d| d <= r2) {
+            for (l, &d) in d2.iter().enumerate() {
+                if d <= r2 {
+                    f((b * LANES + l) as u32, d);
+                }
+            }
+        }
+    }
+    for j in x.len() / LANES * LANES..x.len() {
+        let d = d2_of(x[j], y[j], z[j]);
+        if d <= r2 {
+            f(j as u32, d);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_visits_what_the_grid_visits() {
+        let pos: Vec<[f64; 3]> = (0..203)
+            .map(|i| {
+                let t = i as f64 * 0.618;
+                [t.sin(), t.cos(), (t * 0.5).sin()]
+            })
+            .collect();
+        let grid = CsrGrid::build(&pos, 0.2);
+        let mut cols = Soa3::new();
+        cols.fill_from(&pos);
+        for c in pos.iter().step_by(7) {
+            for r in [0.0, 0.1, 0.35, 5.0] {
+                let mut a = Vec::new();
+                grid.for_each_within(&pos, c, r, |j, d2| a.push((j, d2.to_bits())));
+                a.sort_unstable();
+                let mut b = Vec::new();
+                sweep_within(&cols, c, r, |j, d2| b.push((j, d2.to_bits())));
+                assert_eq!(a, b, "r={r}");
+            }
+        }
+    }
 
     #[test]
     fn finds_all_in_radius() {

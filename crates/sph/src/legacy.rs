@@ -147,7 +147,10 @@ mod tests {
         let mut a = crate::particles::plummer_gas(400, 1.0, 21);
         let mut b = a.clone();
         let ia = compute_density(&mut a);
-        let ib = crate::density::compute_density(&mut b);
+        // the scalar reference path is the one pinned to this pass
+        let mut scalar = crate::density::SphScratch::new();
+        scalar.simd = false;
+        let ib = crate::density::compute_density_with(&mut b, &mut scalar);
         assert_eq!(ia, ib, "interaction counts diverge");
         for i in 0..a.len() {
             assert_eq!(a.rho[i].to_bits(), b.rho[i].to_bits(), "rho[{i}]");

@@ -1,10 +1,12 @@
-//! Golden-vector determinism tests: the CSR-grid density pass must
-//! reproduce the pre-refactor HashMap-grid pass bitwise — same cells,
-//! same candidate order, same accumulation order. Captured from the
-//! original implementation (64-particle Plummer gas, seed 3) before the
-//! refactor.
+//! Golden-vector determinism tests. The scalar reference density pass
+//! (`simd = false`) must reproduce the pre-refactor HashMap-grid pass
+//! bitwise — same candidate sets, same accumulation order; captured from
+//! the original implementation (64-particle Plummer gas, seed 3) before
+//! the refactor. The SoA path workers run (the default) is pinned to its
+//! own vectors: densities, force-pass rates and signal speed.
 
-use jc_sph::density::{compute_density, compute_density_with, SphScratch};
+use jc_sph::density::{compute_density_with, SphScratch};
+use jc_sph::forces::{hydro_rates_into, HydroRates};
 use jc_sph::particles::plummer_gas;
 
 const N: usize = 64;
@@ -50,6 +52,13 @@ const GOLDEN_H: [u64; N] = [
     0x400098878b883711, 0x3feb662ae8f37e2d, 0x3ff005e8fcb87fe8, 0x3ff2ff5a299d0072,
 ];
 
+/// The scalar reference path — the one pinned to the pre-refactor pass.
+fn scalar_scratch() -> SphScratch {
+    let mut scratch = SphScratch::new();
+    scratch.simd = false;
+    scratch
+}
+
 fn check(gas: &jc_sph::GasParticles) {
     for i in 0..N {
         assert_eq!(
@@ -70,7 +79,7 @@ fn check(gas: &jc_sph::GasParticles) {
 #[test]
 fn density_matches_pre_refactor_golden() {
     let mut gas = plummer_gas(N, 1.0, 3);
-    assert_eq!(compute_density(&mut gas), GOLDEN_INTERACTIONS);
+    assert_eq!(compute_density_with(&mut gas, &mut scalar_scratch()), GOLDEN_INTERACTIONS);
     check(&gas);
 }
 
@@ -78,7 +87,7 @@ fn density_matches_pre_refactor_golden() {
 fn density_with_scratch_matches_golden_sequential_and_parallel() {
     for threads in [1, 0] {
         let mut gas = plummer_gas(N, 1.0, 3);
-        let mut scratch = SphScratch::new();
+        let mut scratch = scalar_scratch();
         scratch.max_threads = threads;
         assert_eq!(
             compute_density_with(&mut gas, &mut scratch),
@@ -94,4 +103,150 @@ fn legacy_reference_still_matches_golden() {
     let mut gas = plummer_gas(N, 1.0, 3);
     assert_eq!(jc_sph::legacy::compute_density(&mut gas), GOLDEN_INTERACTIONS);
     check(&gas);
+}
+
+// --- SoA-path golden vectors ---------------------------------------------
+//
+// The default path sums densities and pair rates lane-by-lane in search
+// order, so it differs from the scalar reference by rounding and carries
+// its own vectors (same 64-particle gas; below the direct-sweep crossover).
+// The h trajectory and the interaction total are shared with the scalar
+// path (`GOLDEN_H`, `GOLDEN_INTERACTIONS`). Every SIMD tier executes the
+// portable body's IEEE operation sequence (pinned by unit tests in
+// `jc_sph::forces`), so these bits hold on any machine and thread count.
+
+#[rustfmt::skip]
+const GOLDEN_SOA_RHO: [u64; 64] = [
+    0x3fd8e445cea4f979, 0x3f91ad38f6e2788c, 0x3fcf3ae91654666b, 0x3fe847ba8e7ad4dc,
+    0x3fd1099a72f3aca2, 0x3fb4d55ff235f13c, 0x3f966d34d14cf905, 0x3fd99a3303f79625,
+    0x3f92e9247a67ba72, 0x3fb2b6027ada38d5, 0x3f6720858664c935, 0x3fd19aa8e6e9b1cf,
+    0x3fe32e65bb590855, 0x3f79747040f6687b, 0x3fe284ce068973fb, 0x3f7690086a0e20c2,
+    0x3fbb74be2b3b2548, 0x3fb4aac65150b3b5, 0x3fecc62a71139beb, 0x3f680b53d3dee3da,
+    0x3fe9dca121d493d5, 0x3fe31e498aac0dbf, 0x3fc0c0f2ae293470, 0x3f75a27647748c63,
+    0x3f6ee574fc9dc284, 0x3f83c7e2573eb479, 0x3fc3c91df2163e00, 0x3fe15541a2b6bdbb,
+    0x3fa5eda7f5862043, 0x3fb390b16ac18fec, 0x3fa102ab8cb68c15, 0x3fc1c1a490901cc6,
+    0x3fcd3d9fe698fb80, 0x3fe7b2f206d6c785, 0x3f93882e0e609342, 0x3f8c278891793032,
+    0x3fd9ebf4117c8a72, 0x3fcad39ceed7c50e, 0x3fbcd6d2c380a9bb, 0x3f64eaf63642544c,
+    0x3f8ce59f33068d98, 0x3fc37697cf2f8055, 0x3fcc83c1c8081cf9, 0x3f949739ac81adb4,
+    0x3fa0509c1c03c2d6, 0x3fe804491e2724ef, 0x3fa19e1e80c6a5b9, 0x3fe3c6996b790de3,
+    0x3fc7898158258a4c, 0x3f7b0035da731f33, 0x3fd5c3ea65af5d84, 0x3fe6dd992f519021,
+    0x3fad74cca46a2ae3, 0x3fdff9f9a122cf10, 0x3f6a308b87d2454b, 0x3fa2abd5e4e15123,
+    0x3fb5e4ee7809e243, 0x3fc2665878e29a13, 0x3fd43c6419cc616f, 0x3fd98465b9c5ec0b,
+    0x3f91590d4ed1f195, 0x3fc7979d7a97747e, 0x3fc1ae87f17f1395, 0x3fb6acf61eb22a0c,
+];
+
+const GOLDEN_SOA_FORCE_INTERACTIONS: u64 = 1580;
+const GOLDEN_SOA_V_SIGNAL_MAX: u64 = 0x3ff0df4012785362;
+
+#[rustfmt::skip]
+const GOLDEN_SOA_ACC: [u64; 192] = [
+    0x3ffd7efe30964483, 0xc00ce73d87e7c5b0, 0x3fe6218254f7c0a8,
+    0x3fd84b9681e74ec5, 0x3fd45617baddc060, 0x3fb40489b9384227,
+    0xbffd13f80d7b02e1, 0xbfe9cd71869f6a57, 0x3ff5e0851e32779e,
+    0x3fd476f5b5bd556c, 0x3ff03622cb7b859d, 0x3ff9eb034e795f6e,
+    0x40014448cf06d7c8, 0x3faa1bb14620b4a6, 0xbfe81fb9569ceb14,
+    0x3fc8ebf1cd498ecb, 0xbff636f49ff56d47, 0xbfd933e35faa3aa6,
+    0xbfd429a12ecb5225, 0x3fd03c35039bd152, 0x3fc63ff0b3617bda,
+    0x40015a1ba98b04ea, 0xbfee0c4e37c30929, 0xbff25b911ca212ac,
+    0x3fdbbf429beebf46, 0xbfc06a098a924df7, 0x3fb33eeb3b39db9b,
+    0xbfda225b524adb5b, 0x3ff1dcd955aaeaa3, 0xbfe9cd5962c5322e,
+    0xbfbbb5b861210875, 0xbfa5307692cd4dc5, 0xbf91b123a2af0af8,
+    0x3fdeecfe95444d16, 0x3fd04cebed0de7ab, 0x3ffe0bcba9e6bb80,
+    0xbfecf24c20c408e6, 0x3ffc20ae2895661f, 0xbfebe32f06de5bf0,
+    0xbfbf34f4b7b341f0, 0x3facc72322110428, 0xbf6c75ce58a002f4,
+    0xbff24102cca66ae4, 0xbffd1f2cab251b30, 0x3fe578c85ac25e41,
+    0xbfc253344caed894, 0xbfb831c5e2d44c3c, 0x3fc9d173fc5329ad,
+    0xbfc14193ce04146d, 0xbfd26cfd4ca72d7c, 0xbff71eb79f752a28,
+    0x3fe0f7736c437eca, 0x3fe18e96cec019df, 0xbfede6dcd4b778e3,
+    0x3fe05e49c377e4da, 0x3fdcd47bdb2dbc50, 0xbfdf835699bed34b,
+    0x3fbb6133514e22dc, 0xbf9d3eaf71fab467, 0x3f9a027d857113bc,
+    0x3fc16964b4662344, 0x3ff806d5339def24, 0xbfe44a454efd1012,
+    0x3ff77f616065114c, 0xbfce4b5876d9dba2, 0x3ff49db3993127c3,
+    0x3fcfcf5a72fe7b18, 0xbff261a8765a1fcc, 0xbfeb582c083f0f4a,
+    0xbf9dde8c753ad6a5, 0x3fb4f9682177a50c, 0xbfc1e06ca5f491b4,
+    0xbfb71907083f75b0, 0xbfb7ae515eea2c54, 0xbfb67452f5737f06,
+    0xbfb6c3ca368f5903, 0xbfc5d8e5fcc08a1e, 0xbfcfe9360a25b608,
+    0x3fefad021af62158, 0x3fa96634ec5c7f98, 0xbfe71da7835f59d4,
+    0xbffcc71cb622dc22, 0xbff88d276f09473d, 0x3fd95cc62f0e9d60,
+    0xbfaa06155e387cff, 0x3fe4e8b7eea0e917, 0x3fe82911995eb904,
+    0xbfe88f92012f813f, 0xbfc8d7197db20054, 0xbff425c9a63611f7,
+    0x3fde44c257ca367c, 0x3fbfdfe49a12c504, 0x3fda8c1385c6430f,
+    0x3fea0e8905bdd742, 0x3fed0dfbe6511891, 0x3fd61a935f995a56,
+    0xbff70215effc783d, 0x3ff46fc228cab7cb, 0xbff7a23fe0fe5bd4,
+    0x3fe168b5abe9f3f2, 0xbfbfadface901d0e, 0xc0015afb42a5c0be,
+    0x3fc1c8fd414ac574, 0xbfcc93706633e161, 0x3fb4b60f1e38e9f2,
+    0x3fb18bb0c962faa6, 0xbfce684c7f14a5db, 0xbf860139a88f13ec,
+    0x3ffcd637ccbdac2f, 0x3ff380010441e684, 0xbfea2cd234f86922,
+    0xbff665329e769361, 0x3ff8c01d70b84b0c, 0x4005ab1104513feb,
+    0xbfd9eb1c326133fe, 0xbff4365ed0bd018e, 0xbfa7c468a3284d5c,
+    0xbf80763f9537242c, 0x3fb4c3732e4fb3c8, 0x3f92ecd77b7baa77,
+    0x3fb73b1707adc48d, 0xbfc0480928327664, 0xbfd1c1663f7334a0,
+    0x3ff3c0f8f018e384, 0xbfef86b59e96778b, 0x3fd17045bca909da,
+    0xbfdeceae0518b6b6, 0xbffb71d2fc6deab8, 0x400a0f644c12fd61,
+    0x3fd0dc26d5b41872, 0xbfd061ca288f4cc9, 0x3fd20b98582bb962,
+    0x3fdbe8b35c19c5f7, 0x3fb01c347212a9c0, 0xbfc36e6b3a131c48,
+    0x3fe34a3b8ab37c53, 0xbfd4a42ae4ed583f, 0x3ff17d91840cc150,
+    0x3fccc7855fd8d704, 0xbfd6a83f0599dc6c, 0x3fe2f3aaf4e81cef,
+    0xbffd4674d604546a, 0x3ffcf31c41e63aec, 0x3fc408a8806639b2,
+    0x3fedc76e0f99940e, 0xbfba065433f18d62, 0x3ff2169d97dfb5d5,
+    0xbf7743488b1459ea, 0x3fb5c841e6218e7d, 0xbf78dbd582495ec6,
+    0x3fe976b8be59af97, 0xc0039520c75c6731, 0xbff69907cc93367c,
+    0xbfd707a900bb28ef, 0x3ffa0e193f075d46, 0xbfecc794348d3fe7,
+    0xbff1deb9202172b0, 0x3fc994185437e1f6, 0x3fe9c32218bb5df6,
+    0xc00048927b7b69a2, 0xbff36cd1b06cc28e, 0xc0035039c7027f18,
+    0xbfabcdc4f694da11, 0x3f8740a680d60386, 0x3fbaf5e24777a2c5,
+    0xbfe328752c617dad, 0x3fd047032614f322, 0xbfccb8c9d906ed3e,
+    0x3fe0213be7f9c864, 0x3fecece0bd0e0694, 0xbfbda37139321a70,
+    0x3fe1f3676007e576, 0xbfc9b04165678388, 0xbff1e048669799e4,
+    0x3fea4d8584726a7f, 0x3ff49af38cb00d66, 0x3ff0b7d6c82ce999,
+    0xc00abdf59df83595, 0x3fe0f1f00881d80d, 0x3fd0764dd0dfe7ee,
+    0xbfc5d996da9e8342, 0xbfdb6beda00dab87, 0xbfb0d1acf8237640,
+    0xbfcbaad52d107246, 0x400207c1466a1ad4, 0x3ff1a38c3ffd328e,
+    0x3fbba6b4ffd5b96a, 0x3fede67c99c20bef, 0xbfd436b31166485d,
+    0xbff01a3eadf03192, 0xbfe65b7ff216a8f0, 0xbfe1c322cdafd79e,
+];
+
+#[rustfmt::skip]
+const GOLDEN_SOA_DU: [u64; 64] = [
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+];
+
+fn assert_bits(label: &str, got: &[f64], want: &[u64]) {
+    assert_eq!(got.len(), want.len(), "{label} length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), *w, "{label}[{i}] = {g} diverges from the SoA golden vector");
+    }
+}
+
+#[test]
+fn soa_density_and_forces_match_their_own_golden_vectors() {
+    for threads in [1, 0] {
+        let mut gas = plummer_gas(N, 1.0, 3);
+        let mut scratch = SphScratch::new();
+        scratch.max_threads = threads;
+        assert_eq!(compute_density_with(&mut gas, &mut scratch), GOLDEN_INTERACTIONS);
+        assert_bits("rho", &gas.rho, &GOLDEN_SOA_RHO);
+        assert_bits("h", &gas.h, &GOLDEN_H);
+        let mut rates = HydroRates::new();
+        hydro_rates_into(&gas, &mut scratch, &mut rates);
+        assert_eq!(rates.interactions, GOLDEN_SOA_FORCE_INTERACTIONS);
+        assert_eq!(rates.v_signal_max.to_bits(), GOLDEN_SOA_V_SIGNAL_MAX);
+        assert_bits("acc", rates.acc.as_flattened(), &GOLDEN_SOA_ACC);
+        assert_bits("du", &rates.du, &GOLDEN_SOA_DU);
+    }
 }

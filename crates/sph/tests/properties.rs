@@ -77,8 +77,8 @@ proptest! {
         let mut a = jc_sph::particles::plummer_gas(n, 1.0, seed);
         let mut b = a.clone();
         let mut scalar = jc_sph::SphScratch::new();
+        scalar.simd = false;
         let mut simd = jc_sph::SphScratch::new();
-        simd.simd = true;
         let ia = jc_sph::density::compute_density_with(&mut a, &mut scalar);
         let ib = jc_sph::density::compute_density_with(&mut b, &mut simd);
         prop_assert_eq!(ia, ib);
@@ -106,5 +106,43 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// One neighbour search per step: the lists the force pass gathers
+    /// from hold exactly the ordered pairs the reference predicate
+    /// (`0 < r < (h_i + h_j)/2`) accepts — counted by brute force — on
+    /// both kernels, with the same interaction count and signal speed.
+    #[test]
+    fn force_lists_are_exactly_the_interacting_pairs(mut gas in arb_gas(96), dup in 0usize..3) {
+        for k in 0..dup {
+            let (p, v) = (gas.pos[k], gas.vel[k]);
+            gas.push(1.0 / 64.0, p, v, 1.0); // coincident pairs never interact
+        }
+        let mut scratch = jc_sph::SphScratch::new();
+        scratch.simd = false;
+        jc_sph::density::compute_density_with(&mut gas, &mut scratch);
+        let n = gas.len();
+        let brute = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| {
+                let d = [
+                    gas.pos[i][0] - gas.pos[j][0],
+                    gas.pos[i][1] - gas.pos[j][1],
+                    gas.pos[i][2] - gas.pos[j][2],
+                ];
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                let h_ij = 0.5 * (gas.h[i] + gas.h[j]);
+                r2 < h_ij * h_ij && r2 != 0.0
+            })
+            .count();
+        let mut scalar = jc_sph::HydroRates::new();
+        jc_sph::forces::hydro_rates_into(&gas, &mut scratch, &mut scalar);
+        prop_assert_eq!(scalar.interactions, brute as u64);
+        prop_assert_eq!(scratch.cached_neighbor_entries(), brute);
+        scratch.simd = true; // same densities, same lists, the SoA gather
+        let mut soa = jc_sph::HydroRates::new();
+        jc_sph::forces::hydro_rates_into(&gas, &mut scratch, &mut soa);
+        prop_assert_eq!(soa.interactions, brute as u64);
+        prop_assert_eq!(soa.v_signal_max.to_bits(), scalar.v_signal_max.to_bits());
     }
 }

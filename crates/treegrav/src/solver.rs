@@ -22,18 +22,19 @@ pub struct TreeGravity {
     /// sequential (the steady-state walk then performs zero heap
     /// allocations).
     pub max_threads: usize,
-    /// Select the SIMD-friendly SoA walk: the traversal runs over a
-    /// compact cache-packed mirror of the octree (`WalkTree`, rebuilt
-    /// per [`TreeGravity::rebuild`]), stages every accepted node's
-    /// `[dx, dy, dz, mass]` row for a *block* of targets at a time in a
-    /// per-worker interaction list, and evaluates the monopoles with
-    /// the widest available instruction set (AVX-512 → AVX2 → portable
-    /// [`LANES`]-wide lanes, all op-for-op bitwise identical) under the
-    /// fixed [`reduce_lanes`] reduction order. Acceptance decisions are
-    /// identical to the scalar walk (same interaction counts); results
-    /// are bitwise stable from run to run (any worker count) but equal
-    /// to the scalar walk only to rounding — the scalar walk stays the
-    /// bitwise-pinned reference.
+    /// The SoA walk every worker runs (`true`, the default): the
+    /// traversal runs over a compact cache-packed mirror of the octree
+    /// (`WalkTree`, rebuilt per [`TreeGravity::rebuild`]), stages every
+    /// accepted node's `[dx, dy, dz, mass]` row for a *block* of targets
+    /// at a time in a per-worker interaction list, and evaluates the
+    /// monopoles with the widest available instruction set (AVX-512 →
+    /// AVX2 → portable [`LANES`]-wide lanes, all op-for-op bitwise
+    /// identical) under the fixed [`reduce_lanes`] reduction order.
+    /// Results are bitwise stable from run to run (any worker count,
+    /// any SIMD width). `false` names the scalar reference walk — what
+    /// the allocating [`TreeGravity::accelerations`] always runs: same
+    /// acceptance decisions (same interaction counts), results equal to
+    /// the SoA walk only to rounding.
     pub simd: bool,
     interactions: AtomicU64,
     /// Reused octree arena (rebuilt in place every call).
@@ -177,7 +178,7 @@ impl TreeGravity {
             theta,
             eps2: eps * eps,
             max_threads: 0,
-            simd: false,
+            simd: true,
             interactions: AtomicU64::new(0),
             tree: Octree::new(),
             open2: Vec::new(),
@@ -187,8 +188,8 @@ impl TreeGravity {
     }
 
     /// Accelerations on `targets` due to `(s_pos, s_mass)`. G = 1.
-    /// Allocating convenience path; hot callers use
-    /// [`TreeGravity::accelerations_into`].
+    /// Allocating scalar reference walk (ignores [`TreeGravity::simd`]);
+    /// workers and hot callers use [`TreeGravity::accelerations_into`].
     pub fn accelerations(
         &self,
         targets: &[[f64; 3]],
@@ -219,9 +220,9 @@ impl TreeGravity {
 
     /// Accelerations on `targets` written into `out` (cleared and
     /// resized), reusing the solver's octree arena and traversal state —
-    /// the zero-allocation steady-state path. Results are bitwise
-    /// identical to [`TreeGravity::accelerations`] (scalar walk; the
-    /// [`TreeGravity::simd`] walk carries its own rounding contract).
+    /// the zero-allocation steady-state path. With `simd = false` results
+    /// are bitwise identical to [`TreeGravity::accelerations`]; the
+    /// default [`TreeGravity::simd`] walk equals it to rounding.
     /// Equivalent to [`TreeGravity::rebuild`] followed by
     /// [`TreeGravity::walk_targets`].
     // jc-lint: no-alloc
@@ -788,6 +789,7 @@ mod tests {
         let (pos, mass) = cloud(800, 17);
         let (tpos, _) = cloud(128, 4);
         let mut solver = TreeGravity::new(0.5, 0.01);
+        solver.simd = false; // the allocating path is the scalar walk
         let a = solver.accelerations(&tpos, &pos, &mass);
         let n_a = solver.last_interactions();
         let mut b = Vec::new();
@@ -807,11 +809,11 @@ mod tests {
         let (pos, mass) = cloud(1500, 23);
         let (tpos, _) = cloud(257, 6); // odd count exercises tail lanes
         let mut scalar = TreeGravity::new(0.5, 0.01);
+        scalar.simd = false;
         let mut a = Vec::new();
         scalar.accelerations_into(&tpos, &pos, &mass, &mut a);
         let n_scalar = scalar.last_interactions();
         let mut simd = TreeGravity::new(0.5, 0.01);
-        simd.simd = true;
         let mut b = Vec::new();
         simd.accelerations_into(&tpos, &pos, &mass, &mut b);
         // identical traversal: the acceptance decisions (and so the

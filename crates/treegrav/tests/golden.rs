@@ -1,7 +1,9 @@
-//! Golden-vector determinism tests: the tree walk over the reused node
-//! arena must reproduce the pre-refactor build-from-scratch walk bitwise.
-//! Captured from the original implementation (96-source / 16-target LCG
-//! clouds, θ = 0.5, ε = 0.01) before the scratch refactor.
+//! Golden-vector determinism tests: the scalar reference walk
+//! (`simd = false`) over the reused node arena must reproduce the
+//! pre-refactor build-from-scratch walk bitwise. Captured from the
+//! original implementation (96-source / 16-target LCG clouds, θ = 0.5,
+//! ε = 0.01) before the scratch refactor. The SoA walk workers run (the
+//! default) is pinned to its own vector.
 
 use jc_treegrav::TreeGravity;
 
@@ -40,12 +42,16 @@ fn cloud(n: usize, seed: u64) -> (Vec<[f64; 3]>, Vec<f64>) {
 }
 
 fn assert_bits(got: &[[f64; 3]]) {
+    assert_bits_of(got, &GOLDEN_ACC);
+}
+
+fn assert_bits_of(got: &[[f64; 3]], want: &[u64; NT * 3]) {
     for (i, a) in got.iter().enumerate() {
         for k in 0..3 {
             assert_eq!(
                 a[k].to_bits(),
-                GOLDEN_ACC[i * 3 + k],
-                "acc[{i}][{k}] = {} diverges from the pre-refactor walk",
+                want[i * 3 + k],
+                "acc[{i}][{k}] = {} diverges from its golden vector",
                 a[k]
             );
         }
@@ -68,12 +74,55 @@ fn reused_arena_walk_matches_pre_refactor_golden() {
     let (tpos, _) = cloud(NT, 9);
     for threads in [0, 1] {
         let mut fi = TreeGravity::new(0.5, 0.01);
+        fi.simd = false; // the scalar reference walk
         fi.max_threads = threads;
         let mut acc = Vec::new();
         // warm the arena on a different set, then rebuild into it
         fi.accelerations_into(&tpos, &tpos, &[1.0; NT], &mut acc);
         fi.accelerations_into(&tpos, &pos, &mass, &mut acc);
         assert_bits(&acc);
+        assert_eq!(fi.last_interactions(), GOLDEN_INTERACTIONS, "threads = {threads}");
+    }
+}
+
+// --- SoA-walk golden vector ----------------------------------------------
+//
+// Same traversal and acceptance decisions as the scalar walk (same
+// interaction count), monopoles summed lane-by-lane: equal to
+// `GOLDEN_ACC` to rounding. Every SIMD tier executes the portable body's
+// IEEE operation sequence (pinned by a unit test in `jc_treegrav::solver`),
+// so these bits hold on any machine and thread count.
+
+#[rustfmt::skip]
+const GOLDEN_SOA_ACC: [u64; 48] = [
+    0x3ffb49779bfeccb9, 0xbfe842a87ad56f7a, 0xc00339d15f211830,
+    0x3ff73cbc8f57cbfb, 0xbfef3f1b731be850, 0x3ff2aaea72f64ab9,
+    0x3fdd3906992b2932, 0x3fccb155a3122e24, 0xbffb2086b6f685f2,
+    0x400253a941b3eeb0, 0x3fdb9a9326a83b46, 0xbff10a4583c906e4,
+    0xbfdc8abd5a31f5b0, 0x40069e32e9bcd6c6, 0xbff86584fd997a44,
+    0x4008bcef7edf162c, 0xbfecd506acd2f69e, 0x3fe9b280a385c545,
+    0xbfff9b2f577c8092, 0x3fe84f1646fe940c, 0x3ffbdfa64ec92bce,
+    0x4001bec854f617df, 0xbff714dcfbcd96c8, 0x3ff4e4ebee9e7d07,
+    0xbfdebf1ae2e4a8e3, 0x3ff6629b7da37078, 0xc00922f0cb0a7eba,
+    0x3ff76d391b018e44, 0x3ff0b4ee56db7b06, 0x3fea4ba94f66c540,
+    0x3ff8320af82574c0, 0x3ff2946f5b117695, 0xbfc1c984a7f6a7a5,
+    0x3fd57efda43dbcea, 0x3ff68c27d20be8d7, 0x3fe12c7b9354d468,
+    0xbfeb7507b0c5a088, 0x3fee8c95e5804c7e, 0x3ffdc17230db1bc5,
+    0xc001488fc7d6cb66, 0x3fd9ddab4798b7a3, 0x3ff4acae01841e7a,
+    0x3fffcf5cf0d691f1, 0x3ff81c229e8debb8, 0x3ff4bfccd7ae1329,
+    0xbfe2296a67e753b6, 0xbfd66dd824521019, 0x3ff520c0b4bc2ba8,
+];
+
+#[test]
+fn soa_walk_matches_its_own_golden_vector() {
+    let (pos, mass) = cloud(96, 3);
+    let (tpos, _) = cloud(NT, 9);
+    for threads in [0, 1] {
+        let mut fi = TreeGravity::new(0.5, 0.01);
+        fi.max_threads = threads;
+        let mut acc = Vec::new();
+        fi.accelerations_into(&tpos, &pos, &mass, &mut acc);
+        assert_bits_of(&acc, &GOLDEN_SOA_ACC);
         assert_eq!(fi.last_interactions(), GOLDEN_INTERACTIONS, "threads = {threads}");
     }
 }

@@ -71,7 +71,10 @@ struct Reference {
 fn baseline() -> Reference {
     let c = cluster();
     let mut bridge = Bridge::new(
-        Box::new(LocalChannel::new(Box::new(GravityWorker::new(c.stars.clone(), Backend::Scalar)))),
+        Box::new(LocalChannel::new(Box::new(GravityWorker::new(
+            c.stars.clone(),
+            Backend::CpuParallel,
+        )))),
         Box::new(LocalChannel::new(Box::new(HydroWorker::new(c.gas.clone())))),
         Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),
         Some(Box::new(LocalChannel::new(Box::new(StellarWorker::new(
@@ -98,7 +101,7 @@ fn run_seed(seed: u64, k: usize, reference: &Reference) -> Result<(u32, u64), St
 
     let (stars_ics, gas_ics, imf) = (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
     let (g_addr, g_h) =
-        spawn_tcp_worker("grav", move || GravityWorker::new(stars_ics, Backend::Scalar));
+        spawn_tcp_worker("grav", move || GravityWorker::new(stars_ics, Backend::CpuParallel));
     let (h_addr, h_h) = spawn_tcp_worker("hydro", move || HydroWorker::new(gas_ics));
     let (s_addr, s_h) = spawn_tcp_worker("sse", move || StellarWorker::new(imf, 0.02));
     handles.extend([g_h, h_h, s_h]);

@@ -39,7 +39,7 @@ fn main() {
     let stars = cluster.stars.clone();
     let gas = cluster.gas.clone();
     let imf = cluster.star_masses_msun.clone();
-    let g_addr = fleet.spawn("phigrape", move || GravityWorker::new(stars, Backend::Scalar));
+    let g_addr = fleet.spawn("phigrape", move || GravityWorker::new(stars, Backend::CpuParallel));
     let h_addr = fleet.spawn("gadget", move || HydroWorker::new(gas));
     let s_addr = fleet.spawn("sse", move || StellarWorker::new(imf, 0.02));
 
@@ -94,7 +94,7 @@ fn main() {
     let mut local = Bridge::new(
         Box::new(LocalChannel::new(Box::new(GravityWorker::new(
             cluster.stars.clone(),
-            Backend::Scalar,
+            Backend::CpuParallel,
         )))),
         Box::new(LocalChannel::new(Box::new(HydroWorker::new(cluster.gas.clone())))),
         Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),

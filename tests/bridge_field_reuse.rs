@@ -54,7 +54,10 @@ fn bitwise_eq(a: &ParticleData, b: &ParticleData) -> bool {
 /// The four in-process channels of a fresh cluster.
 fn local_channels(c: &EmbeddedCluster) -> [Box<dyn Channel>; 4] {
     [
-        Box::new(LocalChannel::new(Box::new(GravityWorker::new(c.stars.clone(), Backend::Scalar)))),
+        Box::new(LocalChannel::new(Box::new(GravityWorker::new(
+            c.stars.clone(),
+            Backend::CpuParallel,
+        )))),
         Box::new(LocalChannel::new(Box::new(HydroWorker::new(c.gas.clone())))),
         Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),
         Box::new(LocalChannel::new(Box::new(StellarWorker::new(c.star_masses_msun.clone(), 0.02)))),
@@ -206,7 +209,7 @@ fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
         let (stars, gas, imf) = (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
         let gravity = connect(
             "grav",
-            fleet.spawn("grav", move || GravityWorker::new(stars, Backend::Scalar)),
+            fleet.spawn("grav", move || GravityWorker::new(stars, Backend::CpuParallel)),
         );
         let hydro = connect("hydro", fleet.spawn("hydro", move || HydroWorker::new(gas)));
         let stellar = connect("sse", fleet.spawn("sse", move || StellarWorker::new(imf, 0.02)));

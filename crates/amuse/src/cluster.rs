@@ -341,6 +341,10 @@ mod tests {
             borrowed
         };
         assert_eq!(kick(k.as_mut()), kick(&mut plain_k), "coupling");
+        // 96 sources sit below the gravity crossover, where both
+        // personalities sum every pair exactly — §6.2's "which kernel is
+        // used has no influence in the result", bitwise
+        assert_eq!(kick(&mut CouplingWorker::octgrav()), kick(&mut plain_k), "octgrav vs fi");
     }
 
     #[test]

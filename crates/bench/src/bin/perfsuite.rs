@@ -63,9 +63,13 @@
 //! `sph_step_n512` / `sph_step_n24` time one whole `Gadget` step, and
 //! the `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
 //! measurement behind `jc_sph`'s direct-sweep crossover.
-//! The former `tree_build_walk` row is split into `tree_build` and
-//! `tree_walk` so an N-driven throughput drop can be attributed to the
-//! octree build or to the walk.
+//! `tree_build` and `tree_walk` attribute an N-driven throughput drop to
+//! the octree build or to the walk; `tree_build_walk` /
+//! `tree_build_walk_octgrav` (both halves, as one `accelerations_into`
+//! at or above the crossover costs at θ = 0.5 / 0.75) sit next to
+//! `gravity_direct` (mirror + exact sum, what it costs below) at every
+//! crossover N and at the coupling kick's 128 × 512 shape — the
+//! measurement behind `jc_treegrav`'s direct-sum crossover.
 
 use jc_nbody::kernels::{acc_jerk_into, Backend};
 use jc_nbody::plummer::plummer_sphere;
@@ -168,6 +172,12 @@ fn main() {
     for &n in crossover_ns {
         samples.extend(bench_sph_neighbors(n, repeats));
     }
+    for &n in crossover_ns {
+        samples.extend(bench_gravity_structures(n, n, repeats));
+    }
+    // the coupling kick of the benchmark's cluster: 128 stars in the
+    // field of 512 gas particles
+    samples.extend(bench_gravity_structures(128, 512, repeats));
     if socket {
         let channel_ns: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
         for &n in channel_ns {
@@ -234,6 +244,7 @@ fn main() {
     }
     report_speedup(&samples);
     report_neighbors_crossover(&samples);
+    report_gravity_crossover(&samples);
     report_transport_overhead(&samples);
 
     let json = render_json(&samples, quick);
@@ -515,6 +526,79 @@ fn report_neighbors_crossover(samples: &[Sample]) {
                 g.ns_per_step / 1e3,
                 g.ns_per_step / d.ns_per_step
             );
+        }
+    }
+}
+
+/// The two structures `TreeGravity::accelerations_into` chooses between,
+/// each answering `targets` Plummer positions in the field of `n`
+/// sources from cold inputs, on the calling thread: the exact direct sum
+/// (column mirror included) and the SoA Barnes–Hut walk (octree build
+/// included). `targets == n` is the self-gravity shape: `gravity_direct`
+/// against `tree_build_walk` (Fi, θ = 0.5) and `tree_build_walk_octgrav`
+/// (θ = 0.75 — the widest angle any worker runs, so the cheapest tree
+/// the one θ-blind rule has to beat). The one cross-set shape gets the
+/// direct/Fi pair under `_128x512` names. `interactions_per_s` reports
+/// pairs, resp. accepted nodes, per second. The rows are the provenance
+/// of the crossover constant in `jc_treegrav::solver`.
+fn bench_gravity_structures(targets: usize, n: usize, repeats: usize) -> Vec<Sample> {
+    use jc_compute::gravity::accelerations_direct;
+    use jc_compute::soa::SoaBodies;
+
+    let ics = plummer_sphere(n, 11);
+    let tpos = &ics.pos[..targets];
+    let row = |kernel, ns: f64, inter: f64| Sample {
+        kernel,
+        n,
+        ns_per_step: ns,
+        interactions_per_s: inter / ns * 1e9,
+    };
+    let tree = |kernel, theta: f64| {
+        let mut solver = TreeGravity::new(theta, 0.01);
+        solver.max_threads = 1;
+        let mut acc = Vec::new();
+        let ns = best_ns(repeats, || {
+            solver.rebuild(&ics.pos, &ics.mass);
+            solver.walk_targets(tpos, &mut acc);
+        });
+        row(kernel, ns, solver.last_interactions() as f64)
+    };
+    let mut cols = SoaBodies::new();
+    let mut exact = vec![[0.0; 3]; targets];
+    let direct = best_ns(repeats, || {
+        cols.fill_from_positions(&ics.mass, &ics.pos);
+        accelerations_direct(tpos, &cols, 1e-4, &mut exact);
+    });
+    let pairs = (targets * n) as f64;
+    if targets == n {
+        vec![
+            row("gravity_direct", direct, pairs),
+            tree("tree_build_walk", 0.5),
+            tree("tree_build_walk_octgrav", 0.75),
+        ]
+    } else {
+        vec![row("gravity_direct_128x512", direct, pairs), tree("tree_build_walk_128x512", 0.5)]
+    }
+}
+
+/// Print the tree-vs-direct ratio per N — the committed measurement
+/// behind `jc_treegrav::solver`'s crossover constant.
+fn report_gravity_crossover(samples: &[Sample]) {
+    for (direct, tree) in [
+        ("gravity_direct", "tree_build_walk"),
+        ("gravity_direct", "tree_build_walk_octgrav"),
+        ("gravity_direct_128x512", "tree_build_walk_128x512"),
+    ] {
+        for d in samples.iter().filter(|s| s.kernel == direct) {
+            if let Some(t) = samples.iter().find(|t| t.kernel == tree && t.n == d.n) {
+                println!(
+                    "tree_vs_direct_crossover N={}: {direct} {:.0} us, {tree} {:.0} us — tree/direct {:.2}x",
+                    d.n,
+                    d.ns_per_step / 1e3,
+                    t.ns_per_step / 1e3,
+                    t.ns_per_step / d.ns_per_step
+                );
+            }
         }
     }
 }

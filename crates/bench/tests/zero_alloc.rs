@@ -1,7 +1,7 @@
 //! Steady-state zero-allocation proof for every kernel hot path.
 //!
-//! A counting global allocator tracks allocations made by the *current
-//! thread*. The kernel tests pin their strictly sequential mode
+//! A counting global allocator (`common`) tracks allocations made by the
+//! *current thread*. The kernel tests pin their strictly sequential mode
 //! (`max_threads = 1` / a particle count below the parallel grain), whose
 //! steady state must be allocation-free end to end — on the SoA paths
 //! workers run and on the scalar references alike. The pool test pins the *parallel* mode's
@@ -13,64 +13,8 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every method delegates to `System`, which upholds the full
-// `GlobalAlloc` contract; the only addition is a thread-local counter
-// bump per call and per byte (`try_with` so a counter access during TLS
-// teardown cannot panic inside the allocator). No pointer is invented,
-// retained, or changed on the way through.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: caller's `Layout` obligations are forwarded to `System`
-    // unchanged (required trait method; the count is a side effect).
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
-        // SAFETY: `layout` is the caller's, passed through verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller guarantees `ptr` came from this allocator with
-    // this `layout`; since `alloc` is `System.alloc`, forwarding holds.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` are the caller's, passed through verbatim.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: same forwarding argument as `dealloc` — `ptr` was
-    // produced by `System.alloc` under `layout`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = BYTES.try_with(|c| c.set(c.get() + new_size as u64));
-        // SAFETY: arguments are the caller's, passed through verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f` on this thread.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(|c| c.get());
-    f();
-    ALLOCS.with(|c| c.get()) - before
-}
-
-/// Bytes requested from the allocator by `f` on this thread.
-fn count_alloc_bytes(f: impl FnOnce()) -> u64 {
-    let before = BYTES.with(|c| c.get());
-    f();
-    BYTES.with(|c| c.get()) - before
-}
+mod common;
+use common::{count_alloc_bytes, count_allocs};
 
 #[test]
 fn same_metallicity_stellar_load_state_keeps_the_table() {
@@ -177,26 +121,57 @@ fn simd_sph_density_and_forces_steady_state_allocates_nothing() {
     }
 }
 
-#[test]
-fn simd_tree_walk_steady_state_allocates_nothing() {
+/// `n` LCG-cloud positions with equal masses.
+fn lcg_cloud(n: usize) -> (Vec<[f64; 3]>, Vec<f64>) {
     let mut x = 11u64;
     let mut rnd = || {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
     };
-    let pos: Vec<[f64; 3]> = (0..2000).map(|_| [rnd(), rnd(), rnd()]).collect();
-    let mass = vec![1.0 / 2000.0; 2000];
+    ((0..n).map(|_| [rnd(), rnd(), rnd()]).collect(), vec![1.0 / n as f64; n])
+}
+
+#[test]
+fn simd_tree_walk_steady_state_allocates_nothing() {
+    let (pos, mass) = lcg_cloud(2000);
     let mut solver = jc_treegrav::TreeGravity::new(0.5, 0.01);
     solver.max_threads = 1;
     solver.simd = true;
     let mut acc = Vec::new();
-    solver.accelerations_into(&pos, &pos, &mass, &mut acc);
-    solver.accelerations_into(&pos, &pos, &mass, &mut acc);
-    let n = count_allocs(|| {
-        solver.accelerations_into(&pos, &pos, &mass, &mut acc);
-    });
+    // build + walk by name: `accelerations_into` would sum 2000 sources
+    // directly
+    let mut build_and_walk = |acc: &mut Vec<[f64; 3]>| {
+        solver.rebuild(&pos, &mass);
+        solver.walk_targets(&pos, acc);
+    };
+    build_and_walk(&mut acc);
+    build_and_walk(&mut acc);
+    let n = count_allocs(|| build_and_walk(&mut acc));
     assert_eq!(n, 0, "SoA octree rebuild + walk made {n} heap allocations");
     assert!(solver.last_interactions() > 0, "sanity: the walk actually ran");
+}
+
+#[test]
+fn direct_sum_gravity_steady_state_allocates_nothing() {
+    // what `accelerations_into` runs below the crossover, in the two
+    // shapes workers call it: self-gravity (a `Gadget` refresh) and
+    // cross-set (a coupling kick)
+    let (pos, mass) = lcg_cloud(512);
+    let mut solver = jc_treegrav::TreeGravity::new(0.5, 0.01);
+    solver.max_threads = 1;
+    let mut acc = Vec::new();
+    for targets in [&pos[..], &pos[..128]] {
+        solver.accelerations_into(targets, &pos, &mass, &mut acc);
+        let n = count_allocs(|| {
+            solver.accelerations_into(targets, &pos, &mass, &mut acc);
+        });
+        assert_eq!(n, 0, "direct sum over {} targets made {n} heap allocations", targets.len());
+        assert_eq!(
+            solver.last_interactions(),
+            (targets.len() * pos.len()) as u64,
+            "sanity: every pair was summed, no tree was walked"
+        );
+    }
 }
 
 #[test]
@@ -377,13 +352,7 @@ fn pooled_parallel_chunked_steady_state_allocates_nothing() {
 
 #[test]
 fn tree_build_and_walk_steady_state_allocates_nothing() {
-    let mut x = 11u64;
-    let mut rnd = || {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    };
-    let pos: Vec<[f64; 3]> = (0..2000).map(|_| [rnd(), rnd(), rnd()]).collect();
-    let mass = vec![1.0 / 2000.0; 2000];
+    let (pos, mass) = lcg_cloud(2000);
     let mut solver = jc_treegrav::TreeGravity::new(0.5, 0.01);
     solver.max_threads = 1;
     solver.simd = false; // the scalar reference walk

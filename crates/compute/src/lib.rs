@@ -5,11 +5,14 @@
 //! stays out of the way. With the coupling, transport and failover
 //! layers allocation-free, the remaining wall-clock sits in the scalar
 //! array-of-structs inner loops of the kernel crates. This crate holds
-//! the two pieces those loops share:
+//! the pieces those loops share:
 //!
 //! * [`soa`] — cache-line-aligned structure-of-arrays column buffers
 //!   (`x/y/z/m`) with conversions from/to the `[f64; 3]` AoS particle
-//!   sets, the memory layout the fixed-width batched kernels read; and
+//!   sets, the memory layout the fixed-width batched kernels read;
+//! * [`gravity`] — the acceleration-only direct-summation lane kernel
+//!   over those columns, shared here because `jc_treegrav` (which sums
+//!   directly below its crossover) does not depend on `jc_nbody`; and
 //! * [`par`] — the unified parallel chunking core ([`par::chunked`])
 //!   that replaces the hand-rolled `std::thread::scope` +
 //!   `split_at_mut` splitting loops previously duplicated across
@@ -30,6 +33,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(unreachable_pub)]
 
+pub mod gravity;
 pub mod par;
 mod pool;
 pub mod soa;

@@ -45,11 +45,14 @@ fn cores() -> usize {
 ///
 /// The environment is read *per resolution* — deliberately not cached,
 /// so an in-process `JC_THREADS` change (perfsuite's thread-sweep rows,
-/// test harnesses) takes effect on the next kernel call. The read is
-/// off the hot path: [`threads_for`] resolves it only when the grain
-/// policy actually allows fanning out, and a set `JC_THREADS` means the
-/// caller has already opted out of the strict sequential mode. (Core
-/// detection stays cached — it allocates and cannot change.)
+/// test harnesses) takes effect on the next resolution. A set variable
+/// costs one heap allocation per read (`std::env::var` returns a
+/// `String`), and [`threads_for`] reads it whenever the grain policy
+/// allows fanning out — so callers that run many kernel passes per
+/// request (`PhiGrape::evolve_model`, `Gadget::evolve_model`) resolve
+/// once per request and pass the count down as an explicit cap instead
+/// of resolving per pass. (Core detection stays cached — it allocates
+/// and cannot change.)
 fn auto_threads() -> usize {
     std::env::var("JC_THREADS")
         .ok()

@@ -1,7 +1,8 @@
 //! The 4th-order Hermite predictor–corrector integrator (PhiGRAPE).
 
-use crate::kernels::{acc_jerk_into, eval_flops, Backend};
+use crate::kernels::{acc_jerk_into_capped, eval_flops, Backend, PAR_GRAIN};
 use crate::particle::ParticleSet;
+use jc_compute::par;
 
 /// Reusable per-integrator step buffers: saved state for the
 /// predictor–corrector plus the force/jerk output slices. Held across
@@ -88,11 +89,13 @@ impl PhiGrape {
         self.time
     }
 
-    fn refresh_forces(&mut self) {
+    /// One force evaluation on `threads` workers (the count
+    /// [`PhiGrape::evolve_model`] resolved for the whole request).
+    fn refresh_forces(&mut self, threads: usize) {
         let n = self.particles.len();
         self.acc.resize(n, [0.0; 3]);
         self.jerk.resize(n, [0.0; 3]);
-        acc_jerk_into(
+        acc_jerk_into_capped(
             self.backend,
             &self.particles.pos,
             &self.particles.vel,
@@ -103,6 +106,7 @@ impl PhiGrape {
             true,
             &mut self.acc,
             &mut self.jerk,
+            threads,
         );
         self.force_evals += 1;
         self.flops += eval_flops(n, n);
@@ -126,7 +130,7 @@ impl PhiGrape {
     /// new time are kept for the next step. State is staged in the
     /// reusable scratch (lengths validated once here, not per force
     /// call), so the steady-state step allocates nothing.
-    fn step(&mut self, dt: f64) {
+    fn step(&mut self, dt: f64, threads: usize) {
         let n = self.particles.len();
         self.scratch.ensure(n);
         self.scratch.pos0.copy_from_slice(&self.particles.pos);
@@ -150,7 +154,7 @@ impl PhiGrape {
             }
         }
         // evaluate at predicted state
-        self.refresh_forces();
+        self.refresh_forces(threads);
         // corrector (Hermite 4th order, Makino form)
         for i in 0..n {
             let (pos0, vel0) = (&self.scratch.pos0, &self.scratch.vel0);
@@ -176,13 +180,21 @@ impl PhiGrape {
             self.time = t_end;
             return 0;
         }
+        // The worker count is resolved once per request, not once per
+        // force evaluation: with `JC_THREADS` set the resolution is an
+        // allocating environment read, and the particle count cannot
+        // change under an evolve. (`Scalar` never fans out.)
+        let threads = match self.backend {
+            Backend::Scalar => 1,
+            _ => par::threads_for(self.particles.len(), 0, PAR_GRAIN),
+        };
         if !self.forces_valid {
-            self.refresh_forces();
+            self.refresh_forces(threads);
         }
         let mut steps = 0;
         while self.time < t_end - 1e-12 {
             let dt = self.shared_dt().min(t_end - self.time);
-            self.step(dt);
+            self.step(dt, threads);
             steps += 1;
             assert!(steps < 10_000_000, "timestep collapse");
         }

@@ -67,7 +67,7 @@ pub fn acc_jerk(
 
 /// Minimum targets per worker thread before the SoA backends fan out
 /// to pool workers.
-const PAR_GRAIN: usize = 64;
+pub(crate) const PAR_GRAIN: usize = 64;
 
 /// [`acc_jerk`] writing into caller-provided slices (`acc.len() ==
 /// jerk.len() == t_pos.len()`, validated once per call) — the
@@ -80,6 +80,12 @@ const PAR_GRAIN: usize = 64;
 /// identical to each other, run-to-run and across worker counts — and
 /// match `Scalar` only to rounding (lane-wise summation); see
 /// [`Backend::CpuParallel`].
+///
+/// The worker cap is resolved here, per call (`JC_THREADS` is an
+/// allocating environment read once the grain allows fanning out); an
+/// integrator that makes many calls per request
+/// ([`crate::PhiGrape::evolve_model`]) resolves it once and passes the
+/// count down instead.
 // jc-lint: no-alloc
 #[allow(clippy::too_many_arguments)]
 pub fn acc_jerk_into(
@@ -93,6 +99,26 @@ pub fn acc_jerk_into(
     same_set: bool,
     acc: &mut [[f64; 3]],
     jerk: &mut [[f64; 3]],
+) {
+    acc_jerk_into_capped(backend, t_pos, t_vel, s_mass, s_pos, s_vel, eps2, same_set, acc, jerk, 0);
+}
+
+/// [`acc_jerk_into`] under an explicit worker cap (`max_threads` as in
+/// [`par::threads_for`]: 0 = resolve `JC_THREADS` / the core count now).
+// jc-lint: no-alloc
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn acc_jerk_into_capped(
+    backend: Backend,
+    t_pos: &[[f64; 3]],
+    t_vel: &[[f64; 3]],
+    s_mass: &[f64],
+    s_pos: &[[f64; 3]],
+    s_vel: &[[f64; 3]],
+    eps2: f64,
+    same_set: bool,
+    acc: &mut [[f64; 3]],
+    jerk: &mut [[f64; 3]],
+    max_threads: usize,
 ) {
     let n = t_pos.len();
     assert_eq!(acc.len(), n, "acc buffer length mismatch");
@@ -130,7 +156,7 @@ pub fn acc_jerk_into(
             let mut soa = cell.borrow_mut();
             soa.fill_from(s_mass, s_pos, s_vel);
             let soa = &*soa;
-            let workers = par::threads_for(n, 0, PAR_GRAIN);
+            let workers = par::threads_for(n, max_threads, PAR_GRAIN);
             // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
             let mut units = vec![(); workers];
             par::chunked(

@@ -25,7 +25,7 @@ pub const N_NEIGHBORS: usize = 32;
 pub(crate) const H_ITERS: usize = 4;
 
 /// Minimum particles per worker thread before fanning out.
-const PAR_GRAIN: usize = 64;
+pub(crate) const PAR_GRAIN: usize = 64;
 
 /// Particle count below which the candidate search sweeps the SoA
 /// position columns directly instead of querying the [`CsrGrid`]: one

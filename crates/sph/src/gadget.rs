@@ -1,8 +1,9 @@
 //! The Gadget model: leapfrog KDK over hydro + self-gravity.
 
-use crate::density::{compute_density_with, SphScratch};
+use crate::density::{compute_density_with, SphScratch, PAR_GRAIN};
 use crate::forces::{hydro_rates_into, HydroRates};
 use crate::particles::GasParticles;
+use jc_compute::par;
 use jc_treegrav::TreeGravity;
 
 /// Courant factor.
@@ -14,6 +15,10 @@ pub struct Gadget {
     pub gas: GasParticles,
     gravity: TreeGravity,
     self_gravity: bool,
+    /// Configured worker cap (0 = auto); [`Gadget::evolve_model`]
+    /// resolves it once per call and hands the result to `scratch` and
+    /// `gravity`.
+    max_threads: usize,
     time: f64,
     /// Accumulated modeled flops (density + forces + gravity).
     pub flops: f64,
@@ -34,6 +39,7 @@ impl Gadget {
             gas,
             gravity: TreeGravity::new(0.6, 0.05),
             self_gravity: true,
+            max_threads: 0,
             time: 0.0,
             flops: 0.0,
             steps: 0,
@@ -47,8 +53,7 @@ impl Gadget {
     /// Cap the kernel worker threads (1 = strictly sequential; the
     /// steady-state step then performs zero heap allocations).
     pub fn with_max_threads(mut self, threads: usize) -> Gadget {
-        self.scratch.max_threads = threads;
-        self.gravity.max_threads = threads;
+        self.max_threads = threads;
         self
     }
 
@@ -109,6 +114,13 @@ impl Gadget {
             self.time = t_end;
             return 0;
         }
+        // The worker count is resolved once per request, not once per
+        // kernel pass: with `JC_THREADS` set the resolution is an
+        // allocating environment read, and the particle count cannot
+        // change under an evolve.
+        let threads = par::threads_for(self.gas.len(), self.max_threads, PAR_GRAIN);
+        self.scratch.max_threads = threads;
+        self.gravity.max_threads = threads;
         let mut vsig = if self.rates_valid { 0.0 } else { self.refresh_rates() };
         let mut steps = 0;
         while self.time < t_end - 1e-12 {

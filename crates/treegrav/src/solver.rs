@@ -1,9 +1,12 @@
-//! The Barnes–Hut walk and the two kernel personalities (Octgrav / Fi).
+//! The gravity solver — exact direct sum below a measured source-count
+//! crossover, Barnes–Hut walk above it — and the two kernel
+//! personalities (Octgrav / Fi).
 
 use crate::octree::Octree;
 use crate::FLOPS_PER_INTERACTION;
+use jc_compute::gravity::accelerations_direct;
 use jc_compute::par;
-use jc_compute::soa::{reduce_lanes, LANES};
+use jc_compute::soa::{reduce_lanes, SoaBodies, LANES};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,8 +15,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// acceptance criterion: a cell of size `s` whose center of mass sits a
 /// distance `delta` from its geometric center is accepted when
 /// `distance > s / theta + delta`.
+///
+/// [`TreeGravity::accelerations_into`] — the entry point every worker
+/// calls — picks its structure by population: with fewer than
+/// `DIRECT_BELOW` (4096) sources (and [`TreeGravity::simd`] on) no tree is
+/// built and every pair is summed exactly by the
+/// [`jc_compute::gravity`] lane kernel, which is both faster and free of
+/// the θ-error at those sizes. `theta` then has no influence, so the
+/// [`Fi`] and [`Octgrav`] personalities answer bitwise alike.
+/// [`TreeGravity::rebuild`], [`TreeGravity::walk_targets`] and the
+/// allocating [`TreeGravity::accelerations`] always mean the tree.
 pub struct TreeGravity {
-    /// Opening angle.
+    /// Opening angle (tree walk only).
     pub theta: f64,
     /// Softening squared.
     pub eps2: f64,
@@ -22,19 +35,23 @@ pub struct TreeGravity {
     /// sequential (the steady-state walk then performs zero heap
     /// allocations).
     pub max_threads: usize,
-    /// The SoA walk every worker runs (`true`, the default): the
-    /// traversal runs over a compact cache-packed mirror of the octree
-    /// (`WalkTree`, rebuilt per [`TreeGravity::rebuild`]), stages every
+    /// The SoA compute paths every worker runs (`true`, the default).
+    /// Below `DIRECT_BELOW` sources [`TreeGravity::accelerations_into`]
+    /// sums every pair directly (see the type docs). At or above it, and
+    /// always through [`TreeGravity::walk_targets`], this selects the SoA
+    /// walk: the traversal runs over a compact cache-packed mirror of the
+    /// octree (`WalkTree`, rebuilt per [`TreeGravity::rebuild`]), stages every
     /// accepted node's `[dx, dy, dz, mass]` row for a *block* of targets
     /// at a time in a per-worker interaction list, and evaluates the
     /// monopoles with the widest available instruction set (AVX-512 →
     /// AVX2 → portable [`LANES`]-wide lanes, all op-for-op bitwise
     /// identical) under the fixed [`reduce_lanes`] reduction order.
     /// Results are bitwise stable from run to run (any worker count,
-    /// any SIMD width). `false` names the scalar reference walk — what
-    /// the allocating [`TreeGravity::accelerations`] always runs: same
-    /// acceptance decisions (same interaction counts), results equal to
-    /// the SoA walk only to rounding.
+    /// any SIMD width). `false` names the scalar reference walk at
+    /// every source count — what the allocating
+    /// [`TreeGravity::accelerations`] always runs: same acceptance
+    /// decisions (same interaction counts), results equal to the SoA
+    /// walk only to rounding.
     pub simd: bool,
     interactions: AtomicU64,
     /// Reused octree arena (rebuilt in place every call).
@@ -50,10 +67,31 @@ pub struct TreeGravity {
     walk: WalkTree,
     /// Reused per-worker traversal state (stack + interaction list).
     walkers: Vec<WalkScratch>,
+    /// Reused `x/y/z/m` mirror of the sources for the direct sum.
+    sources: SoaBodies,
+    /// [`DIRECT_BELOW`], except in the crossover tests.
+    direct_below: usize,
 }
 
 /// Minimum targets per worker thread before fanning out.
 const PAR_GRAIN: usize = 64;
+
+/// Source count below which [`TreeGravity::accelerations_into`] sums
+/// every pair directly instead of building and walking a tree. Chosen
+/// from the `gravity_direct` / `tree_build_walk` /
+/// `tree_build_walk_octgrav` rows of `BENCH_PR21.json` (perfsuite's
+/// `tree_vs_direct_crossover` report, self-gravity at n = 256 … 8192,
+/// `JC_THREADS=1`): mirror + sum beats build + walk 3.2× at n = 256 and
+/// 1.9× at 2048 against Fi's θ = 0.5, where it still wins at 4096 (1.2×)
+/// and has lost by 8192; against Octgrav's θ = 0.75 — the cheapest tree
+/// this one θ-blind rule has to beat — it wins 2.0× at 512, breaks even
+/// at 2048 (0.97×) and has lost by 4096 (0.87×). So every measured n
+/// below the constant goes to the side that is no slower for any
+/// personality. The rule reads the *source* count only — a sharded
+/// coupler splits the targets K ways while every shard receives all
+/// sources, so a rule in the target count would make results depend on
+/// K; as it is they depend on neither threads, shards nor transport.
+const DIRECT_BELOW: usize = 4096;
 
 /// Targets staged per interaction-list batch on the SIMD walk: the
 /// traversal fills one shared list for a block of targets (per-target
@@ -184,7 +222,17 @@ impl TreeGravity {
             open2: Vec::new(),
             walk: WalkTree::default(),
             walkers: Vec::new(),
+            sources: SoaBodies::new(),
+            direct_below: DIRECT_BELOW,
         }
+    }
+
+    /// A solver whose direct-sum crossover is `direct_below` sources
+    /// instead of [`DIRECT_BELOW`], so tests can put one small cloud on
+    /// both sides.
+    #[cfg(test)]
+    pub(crate) fn with_crossover(theta: f64, eps: f64, direct_below: usize) -> TreeGravity {
+        TreeGravity { direct_below, ..TreeGravity::new(theta, eps) }
     }
 
     /// Accelerations on `targets` due to `(s_pos, s_mass)`. G = 1.
@@ -219,12 +267,15 @@ impl TreeGravity {
     }
 
     /// Accelerations on `targets` written into `out` (cleared and
-    /// resized), reusing the solver's octree arena and traversal state —
-    /// the zero-allocation steady-state path. With `simd = false` results
-    /// are bitwise identical to [`TreeGravity::accelerations`]; the
-    /// default [`TreeGravity::simd`] walk equals it to rounding.
-    /// Equivalent to [`TreeGravity::rebuild`] followed by
-    /// [`TreeGravity::walk_targets`].
+    /// resized), reusing the solver's buffers — the zero-allocation
+    /// steady-state path every worker calls. The structure is picked by
+    /// the source count alone: below `DIRECT_BELOW` (4096) sources (with
+    /// [`TreeGravity::simd`] on) every pair is summed exactly; otherwise
+    /// this is [`TreeGravity::rebuild`] followed by
+    /// [`TreeGravity::walk_targets`]. With `simd = false` results are
+    /// bitwise identical to [`TreeGravity::accelerations`]; the SoA walk
+    /// equals it to rounding, the direct sum to rounding plus the walk's
+    /// θ-error.
     // jc-lint: no-alloc
     pub fn accelerations_into(
         &mut self,
@@ -233,8 +284,45 @@ impl TreeGravity {
         s_mass: &[f64],
         out: &mut Vec<[f64; 3]>,
     ) {
-        self.rebuild(s_pos, s_mass);
-        self.walk_targets(targets, out);
+        if self.simd && s_pos.len() < self.direct_below {
+            self.sum_directly(targets, s_pos, s_mass, out);
+        } else {
+            self.rebuild(s_pos, s_mass);
+            self.walk_targets(targets, out);
+        }
+    }
+
+    /// The below-crossover half of [`TreeGravity::accelerations_into`]:
+    /// mirror the sources into the SoA columns, then sum every
+    /// target–source pair, chunked over targets like the walk. Each
+    /// target's sum runs over all sources in column order whatever chunk
+    /// it is in, so results are bitwise independent of the worker count.
+    // jc-lint: no-alloc
+    fn sum_directly(
+        &mut self,
+        targets: &[[f64; 3]],
+        s_pos: &[[f64; 3]],
+        s_mass: &[f64],
+        out: &mut Vec<[f64; 3]>,
+    ) {
+        out.clear();
+        out.resize(targets.len(), [0.0; 3]);
+        self.sources.fill_from_positions(s_mass, s_pos);
+        let threads = par::threads_for(targets.len(), self.max_threads, PAR_GRAIN);
+        // one (unused) state per chunk: the kernel needs no scratch
+        self.walkers.resize_with(threads, WalkScratch::default);
+        let (sources, eps2) = (&self.sources, self.eps2);
+        par::chunked(
+            threads,
+            (targets, out.as_mut_slice()),
+            &mut self.walkers,
+            (),
+            |_, (tc, oc): (&[[f64; 3]], &mut [[f64; 3]]), _| {
+                accelerations_direct(tc, sources, eps2, oc)
+            },
+            |(), ()| (),
+        );
+        self.interactions.store((targets.len() * s_pos.len()) as u64, Ordering::Relaxed);
     }
 
     /// Rebuild the octree over the sources, reusing the node arena —
@@ -287,9 +375,15 @@ impl TreeGravity {
         self.interactions.store(total, Ordering::Relaxed);
     }
 
-    /// Particle–node interactions performed by the last
-    /// [`TreeGravity::accelerations`] / [`TreeGravity::accelerations_into`]
-    /// call.
+    /// Interactions performed by the last [`TreeGravity::accelerations`]
+    /// / [`TreeGravity::accelerations_into`] call: accepted
+    /// particle–node pairs for a walk, the exact `targets × sources`
+    /// pair count for a direct sum. The direct sum therefore *reports
+    /// more* (512² = 262 k pairs where the θ = 0.6 walk accepted ≈ 117 k
+    /// nodes) while taking less time — each pair costs ≈ 2 ns against
+    /// ≈ 10 ns per traversed node — so modeled flop counters built on
+    /// this rise across the crossover. That is the work actually done,
+    /// not a regression to "fix".
     pub fn last_interactions(&self) -> u64 {
         self.interactions.load(Ordering::Relaxed)
     }
@@ -813,9 +907,11 @@ mod tests {
         let mut a = Vec::new();
         scalar.accelerations_into(&tpos, &pos, &mass, &mut a);
         let n_scalar = scalar.last_interactions();
+        // the SoA walk by name: 1500 sources would be summed directly
         let mut simd = TreeGravity::new(0.5, 0.01);
         let mut b = Vec::new();
-        simd.accelerations_into(&tpos, &pos, &mass, &mut b);
+        simd.rebuild(&pos, &mass);
+        simd.walk_targets(&tpos, &mut b);
         // identical traversal: the acceptance decisions (and so the
         // interaction count) cannot depend on the evaluation order
         assert_eq!(n_scalar, simd.last_interactions());
@@ -823,7 +919,7 @@ mod tests {
         // bitwise stable across reruns and worker counts
         let mut c = Vec::new();
         simd.max_threads = 7;
-        simd.accelerations_into(&tpos, &pos, &mass, &mut c);
+        simd.walk_targets(&tpos, &mut c);
         assert_eq!(b, c, "simd walk not run-to-run stable");
     }
 
@@ -853,7 +949,8 @@ mod tests {
     fn rebuild_walk_split_matches_combined() {
         let (pos, mass) = cloud(900, 31);
         let (tpos, _) = cloud(100, 2);
-        let mut solver = TreeGravity::new(0.5, 0.01);
+        // at or above the crossover the combined call is build + walk
+        let mut solver = TreeGravity::with_crossover(0.5, 0.01, 900);
         let mut combined = Vec::new();
         solver.accelerations_into(&tpos, &pos, &mass, &mut combined);
         let mut split = Vec::new();
@@ -922,5 +1019,97 @@ mod tests {
         let fi = TreeGravity::new(0.5, 0.01);
         let a = fi.accelerations(&[[0.0; 3]], &[[0.0; 3]], &[1.0]);
         assert!(a[0].iter().all(|x| x.is_finite()));
+    }
+
+    /// What `accelerations_into` must equal on the direct side: the
+    /// `jc_compute` lane kernel over all targets in one chunk.
+    fn lane_sum(
+        targets: &[[f64; 3]],
+        s_pos: &[[f64; 3]],
+        s_mass: &[f64],
+        eps2: f64,
+    ) -> Vec<[f64; 3]> {
+        let mut src = SoaBodies::new();
+        src.fill_from_positions(s_mass, s_pos);
+        let mut out = vec![[0.0; 3]; targets.len()];
+        accelerations_direct(targets, &src, eps2, &mut out);
+        out
+    }
+
+    #[test]
+    fn structure_is_picked_by_source_count_alone() {
+        const CROSS: usize = 40;
+        let (all, _) = cloud(400, 12);
+        // one target and many — the target count must not enter the rule
+        for nt in [1usize, 300] {
+            let tpos = &all[..nt];
+            for ns in [CROSS - 1, CROSS, CROSS + 1] {
+                let (pos, mass) = cloud(ns, 77);
+                let mut solver = TreeGravity::with_crossover(0.5, 0.01, CROSS);
+                let mut got = Vec::new();
+                solver.accelerations_into(tpos, &pos, &mass, &mut got);
+                let inter = solver.last_interactions();
+                if ns < CROSS {
+                    assert_eq!(got, lane_sum(tpos, &pos, &mass, solver.eps2), "{nt}×{ns}");
+                    assert_eq!(inter, (nt * ns) as u64, "direct sum counts every pair");
+                } else {
+                    let mut walked = Vec::new();
+                    solver.rebuild(&pos, &mass);
+                    solver.walk_targets(tpos, &mut walked);
+                    assert_eq!(got, walked, "{nt}×{ns}");
+                    assert_eq!(inter, solver.last_interactions());
+                    assert!(inter < (nt * ns) as u64, "the walk accepts cells");
+                }
+            }
+        }
+        // `simd = false` names the tree walk at every source count
+        let (pos, mass) = cloud(CROSS - 1, 77);
+        let mut scalar = TreeGravity::new(0.5, 0.01);
+        scalar.simd = false;
+        let mut got = Vec::new();
+        scalar.accelerations_into(&all[..9], &pos, &mass, &mut got);
+        assert_eq!(got, scalar.accelerations(&all[..9], &pos, &mass));
+    }
+
+    #[test]
+    fn direct_sum_does_not_depend_on_threads_or_target_split() {
+        let (pos, mass) = cloud(300, 21);
+        let (tpos, _) = cloud(512, 5); // 7 workers × the 64-target grain
+        let sum = |max_threads: usize, targets: &[[f64; 3]]| {
+            let mut solver = TreeGravity::new(0.5, 0.01);
+            solver.max_threads = max_threads;
+            let mut out = Vec::new();
+            solver.accelerations_into(targets, &pos, &mass, &mut out);
+            assert_eq!(solver.last_interactions(), (targets.len() * pos.len()) as u64);
+            out
+        };
+        let whole = sum(1, &tpos);
+        assert_eq!(whole, lane_sum(&tpos, &pos, &mass, 1e-4));
+        for threads in [2, 7] {
+            assert_eq!(sum(threads, &tpos), whole, "threads = {threads}");
+        }
+        // a sharded coupler hands each of K shards a contiguous slice of
+        // the targets and all of the sources
+        for k in [2usize, 3] {
+            let split: Vec<[f64; 3]> =
+                tpos.chunks(tpos.len().div_ceil(k)).flat_map(|shard| sum(0, shard)).collect();
+            assert_eq!(split, whole, "K = {k}");
+        }
+    }
+
+    #[test]
+    fn direct_sum_edge_cases() {
+        let mut solver = TreeGravity::new(0.5, 0.0);
+        let mut out = vec![[9.0; 3]];
+        // no sources, no targets
+        solver.accelerations_into(&[[0.0; 3]], &[], &[], &mut out);
+        assert_eq!(out, vec![[0.0; 3]]);
+        solver.accelerations_into(&[], &[[1.0; 3]], &[1.0], &mut out);
+        assert!(out.is_empty());
+        assert_eq!(solver.last_interactions(), 0);
+        // one source is a point mass
+        solver.accelerations_into(&[[0.0; 3]], &[[0.0, 0.0, 2.0]], &[4.0], &mut out);
+        assert_eq!(out, vec![[0.0, 0.0, 1.0]]);
+        assert_eq!(solver.last_interactions(), 1);
     }
 }

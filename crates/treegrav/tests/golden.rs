@@ -2,8 +2,10 @@
 //! (`simd = false`) over the reused node arena must reproduce the
 //! pre-refactor build-from-scratch walk bitwise. Captured from the
 //! original implementation (96-source / 16-target LCG clouds, θ = 0.5,
-//! ε = 0.01) before the scratch refactor. The SoA walk workers run (the
-//! default) is pinned to its own vector.
+//! ε = 0.01) before the scratch refactor. The SoA walk and the exact
+//! direct sum workers run below the crossover (96 sources: what
+//! `accelerations_into` picks by default) are each pinned to their own
+//! vector.
 
 use jc_treegrav::TreeGravity;
 
@@ -121,8 +123,53 @@ fn soa_walk_matches_its_own_golden_vector() {
         let mut fi = TreeGravity::new(0.5, 0.01);
         fi.max_threads = threads;
         let mut acc = Vec::new();
-        fi.accelerations_into(&tpos, &pos, &mass, &mut acc);
+        // the walk by name: 96 sources are summed directly otherwise
+        fi.rebuild(&pos, &mass);
+        fi.walk_targets(&tpos, &mut acc);
         assert_bits_of(&acc, &GOLDEN_SOA_ACC);
         assert_eq!(fi.last_interactions(), GOLDEN_INTERACTIONS, "threads = {threads}");
+    }
+}
+
+// --- direct-sum golden vector ---------------------------------------------
+//
+// The same clouds through `accelerations_into` at its defaults: 96
+// sources sit below the crossover, so every pair is summed exactly by
+// the `jc_compute::gravity` lane kernel. Equal to `GOLDEN_ACC` to the
+// walk's θ-error (≈ 1e-3 here), not to rounding. One portable body is
+// compiled per instruction set, so these bits hold on any machine and
+// thread count — and for any opening angle.
+
+#[rustfmt::skip]
+const GOLDEN_DIRECT_ACC: [u64; 48] = [
+    0x3ffb42ce0b1eb79c, 0xbfe8407bc0535dd8, 0xc0032ddce7397a7f,
+    0x3ff73ec3f981056a, 0xbfef516db954fd34, 0x3ff2afbda59373b8,
+    0x3fdd2767b2a1e884, 0x3fcd68fbe4ae8f5e, 0xbffad6c52b9a9716,
+    0x400261fb91781767, 0x3fdbd58816d0844f, 0xbff0f9bca3983ab2,
+    0xbfdc712729d09860, 0x4006ad02c98a7eac, 0xbff875370efdb5fc,
+    0x4008c038e9a65640, 0xbfecf7318126e080, 0x3fe9541738972d37,
+    0xbfffa446b33c6d5b, 0x3fe83586dbe34546, 0x3ffbf1044884dcc7,
+    0x4001cdf55559448d, 0xbff70a4cd4dbe8f3, 0x3ff5053e80541b4f,
+    0xbfdf062be9d04a8c, 0x3ff68c215b6b2df8, 0xc0090be7387fb4cc,
+    0x3ff7799457422d64, 0x3ff0af54708dcbd4, 0x3fea89cb7731f9ae,
+    0x3ff84a1f4a30e7b4, 0x3ff30c8eb11e1c92, 0xbfc3433daba5c9e0,
+    0x3fd57fd673b761a0, 0x3ff68889c6ddf03e, 0x3fe15cc5e7c16d12,
+    0xbfebe2ad8d07c981, 0x3fee89983f15deaf, 0x3ffdb2b8aca9f4a0,
+    0xc0015a084bbc072f, 0x3fd9e87722404259, 0x3ff4c3699a9cdb0e,
+    0x3fffcccbba996bc6, 0x3ff8050731108596, 0x3ff4b2c340a17829,
+    0xbfe2530116be0804, 0xbfd6b41b34d53a53, 0x3ff511bfc7c0ef7c,
+];
+
+#[test]
+fn direct_sum_matches_its_own_golden_vector() {
+    let (pos, mass) = cloud(96, 3);
+    let (tpos, _) = cloud(NT, 9);
+    for (theta, threads) in [(0.5, 0), (0.5, 1), (0.75, 0)] {
+        let mut solver = TreeGravity::new(theta, 0.01);
+        solver.max_threads = threads;
+        let mut acc = Vec::new();
+        solver.accelerations_into(&tpos, &pos, &mass, &mut acc);
+        assert_bits_of(&acc, &GOLDEN_DIRECT_ACC);
+        assert_eq!(solver.last_interactions(), (NT * 96) as u64, "threads = {threads}");
     }
 }

@@ -1,4 +1,5 @@
-//! Property tests: the Barnes-Hut approximation against direct summation.
+//! Property tests: the Barnes-Hut approximation, and the exact sum
+//! workers run below the crossover, against in-order direct summation.
 
 use jc_treegrav::TreeGravity;
 use proptest::prelude::*;
@@ -61,9 +62,11 @@ proptest! {
         let mut a = Vec::new();
         scalar.accelerations_into(&pos, &pos, &mass, &mut a);
         let n_scalar = scalar.last_interactions();
+        // the walk by name: 300 sources would be summed directly
         let mut simd = TreeGravity::new(0.6, 0.02);
         let mut b = Vec::new();
-        simd.accelerations_into(&pos, &pos, &mass, &mut b);
+        simd.rebuild(&pos, &mass);
+        simd.walk_targets(&pos, &mut b);
         prop_assert_eq!(n_scalar, simd.last_interactions());
         let scale = a
             .iter()
@@ -75,6 +78,36 @@ proptest! {
                 prop_assert!(
                     (x[k] - y[k]).abs() <= 1e-11 * scale,
                     "acc[{}][{}]: {} vs {}", i, k, x[k], y[k]
+                );
+            }
+        }
+    }
+
+    /// Below the crossover `accelerations_into` is the exact sum: equal
+    /// to the in-order reference to summation-order rounding on any
+    /// cloud — duplicated positions and targets sitting on sources
+    /// included — softened or not.
+    #[test]
+    fn direct_sum_matches_in_order_reference(
+        (mut pos, mass) in arb_cloud(150),
+        dup in proptest::collection::vec((0usize..150, 0usize..150), 0..8),
+        softened in any::<bool>(),
+    ) {
+        for (from, to) in dup {
+            pos[to] = pos[from];
+        }
+        let mut solver = TreeGravity::new(0.5, if softened { 0.05 } else { 0.0 });
+        let mut got = Vec::new();
+        solver.accelerations_into(&pos, &pos, &mass, &mut got);
+        prop_assert_eq!(solver.last_interactions(), 150 * 150);
+        let exact = direct(&pos, &pos, &mass, solver.eps2);
+        let scale = exact.iter().flatten().fold(0.0f64, |s, x| s.max(x.abs())).max(1e-300);
+        for (i, (g, e)) in got.iter().zip(&exact).enumerate() {
+            for k in 0..3 {
+                prop_assert!(g[k].is_finite());
+                prop_assert!(
+                    (g[k] - e[k]).abs() <= 1e-13 * scale,
+                    "acc[{}][{}]: {} vs {}", i, k, g[k], e[k]
                 );
             }
         }

@@ -1,10 +1,11 @@
 //! perfsuite — the repo's machine-readable kernel performance baseline.
 //!
 //! Times every compute kernel the paper's Table 1 scenarios exercise
-//! (direct-summation gravity, Hermite steps, Barnes–Hut tree walks, SPH
-//! density and forces — plus the pre-refactor HashMap-grid density pass
-//! as the fixed reference point) at several N on fixed seeds, and writes
-//! the results as JSON so every perf PR leaves a trajectory point behind.
+//! (direct-summation gravity, block-step Hermite evolves, Barnes–Hut tree
+//! walks, SPH density and forces — plus the pre-refactor HashMap-grid
+//! density pass as the fixed reference point) at several N on fixed seeds,
+//! and writes the results as JSON so every perf PR leaves a trajectory
+//! point behind.
 //!
 //! ```text
 //! perfsuite [--quick] [--socket] [--checkpoint] [--service] [--out PATH] [--check BASELINE] [--repeats K]
@@ -60,6 +61,9 @@
 //! `tree_walk`); the SoA compute paths — what workers run — get `*_simd`
 //! rows next to them, and every row built on a `GravityWorker` or
 //! `PhiGrape` uses `Backend::CpuParallel` like the workers do.
+//! `hermite_evolve` times one gravity `EvolveTo(1/64)` at the two star
+//! counts workers run (`interactions_per_s` from the integrator's own
+//! flop count: a block step evaluates only the active stars).
 //! `sph_step_n512` / `sph_step_n24` time one whole `Gadget` step, and
 //! the `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
 //! measurement behind `jc_sph`'s direct-sweep crossover.
@@ -71,7 +75,7 @@
 //! crossover N and at the coupling kick's 128 × 512 shape — the
 //! measurement behind `jc_treegrav`'s direct-sum crossover.
 
-use jc_nbody::kernels::{acc_jerk_into, Backend};
+use jc_nbody::kernels::{acc_jerk_into, Backend, FLOPS_PER_PAIR};
 use jc_nbody::plummer::plummer_sphere;
 use jc_nbody::PhiGrape;
 use jc_sph::density::{compute_density_with, SphScratch};
@@ -149,7 +153,11 @@ fn main() {
     for &n in gravity_ns {
         samples.push(bench_acc_jerk(n, repeats, Backend::Scalar));
         samples.push(bench_acc_jerk(n, repeats, Backend::SimdSoa));
-        samples.push(bench_hermite(n, repeats));
+    }
+    // one gravity `EvolveTo` as a worker runs it, at the two sizes
+    // workers run (the benchmark's 128-star cluster, an 8-star session)
+    for n in [128, 8] {
+        samples.push(bench_hermite_evolve(n, repeats));
     }
     for &n in tree_ns {
         samples.push(bench_tree_build(n, repeats));
@@ -342,29 +350,29 @@ fn bench_acc_jerk(n: usize, repeats: usize, backend: Backend) -> Sample {
     Sample { kernel, n, ns_per_step: ns, interactions_per_s: inter / ns * 1e9 }
 }
 
-fn bench_hermite(n: usize, repeats: usize) -> Sample {
-    // time a fixed-length evolve and normalize per Hermite step
+/// One `EvolveTo(1/64)` exactly as a `GravityWorker` runs it, on a
+/// Plummer set pre-evolved to t = 0.25 so the stars have spread over
+/// their block-step levels: mean ns per `evolve_model` call, and the
+/// pair interactions the integrator itself counted per second.
+fn bench_hermite_evolve(n: usize, repeats: usize) -> Sample {
     let mut g = PhiGrape::new(plummer_sphere(n, 7), Backend::CpuParallel)
         .with_softening(0.01)
         .with_eta(0.01);
-    g.evolve_model(1e-4); // warm: forces + scratch
-    let mut steps = 0u64;
-    let mut t_end = g.model_time();
-    let ns = best_ns(repeats, || {
-        t_end += 0.002;
-        steps += g.evolve_model(t_end);
-    });
-    // steps of the best repeat are not separable; use the mean cost
-    let total = steps.max(1) as f64;
-    let per_step = ns * (repeats as f64 + 1.0) / total.max(1.0);
-    // one N² force evaluation per steady-state step (the predictor uses
-    // the forces carried over from the previous step)
-    let inter = (n * n) as f64;
+    let mut t_end = 0.25;
+    g.evolve_model(t_end); // warm: forces + scratch
+    let calls = repeats.max(1);
+    let flops0 = g.flops;
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        t_end += 1.0 / 64.0;
+        g.evolve_model(t_end);
+    }
+    let ns = t0.elapsed().as_secs_f64() * 1e9;
     Sample {
-        kernel: "hermite_step",
+        kernel: "hermite_evolve",
         n,
-        ns_per_step: per_step,
-        interactions_per_s: inter / per_step * 1e9,
+        ns_per_step: ns / calls as f64,
+        interactions_per_s: (g.flops - flops0) / FLOPS_PER_PAIR / ns * 1e9,
     }
 }
 

@@ -14,6 +14,7 @@
 //! | `no-alloc` | functions tagged `// jc-lint: no-alloc` never call `Vec::new` / `vec!` / `clone` / `format!` / friends |
 //! | `determinism` | kernel and checkpoint-replay crates never use `HashMap`/`HashSet` or wall-clock time |
 //! | `env-registry` | every `std::env::var("JC_*")` read is registered in `jc_core::envreg` and documented in the README |
+//! | `doc-refs` | every `BENCH_*.json` and back-ticked repo path that README.md, docs/ARCHITECTURE.md or CHANGES.md's newest entry names exists |
 //!
 //! Like the offline shims, the tool is dependency-free: a small
 //! hand-rolled lexer ([`lexer`]) over the workspace sources, plus one
@@ -247,6 +248,14 @@ pub fn run_all(root: &Path) -> Vec<Diagnostic> {
     let registry = files.iter().find(|f| f.path == lints::env_registry::REGISTRY_PATH);
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
     diags.extend(lints::env_registry::check(&files, registry, &readme));
+
+    // The docs name files that exist.
+    for (doc, newest_only) in lints::doc_refs::DOCS {
+        if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
+            let exists = |rel: &str| root.join(rel).exists();
+            diags.extend(lints::doc_refs::check(doc, &text, newest_only, &exists));
+        }
+    }
 
     // The unsafe ledger must match the committed inventory.
     diags.extend(ledger::verify(root, &sites));

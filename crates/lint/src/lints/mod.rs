@@ -1,4 +1,4 @@
-//! The five contract lints.
+//! The six contract lints.
 //!
 //! Each submodule is one pass over a [`crate::SourceFile`] token stream
 //! (plus, for the cross-file contracts, the registry/README/worker
@@ -8,6 +8,7 @@
 //! reasonless waiver does not waive.
 
 pub mod determinism;
+pub mod doc_refs;
 pub mod env_registry;
 pub mod no_alloc;
 pub mod unsafe_audit;

@@ -2,7 +2,7 @@
 //! are pinned (file, line, lint), a pass fixture that stays quiet, and
 //! the real workspace itself must be clean.
 
-use jc_lint::lints::{determinism, env_registry, no_alloc, unsafe_audit, wire};
+use jc_lint::lints::{determinism, doc_refs, env_registry, no_alloc, unsafe_audit, wire};
 use jc_lint::{Diagnostic, SourceFile};
 use std::path::PathBuf;
 
@@ -198,6 +198,41 @@ fn env_registry_pass_fixture_is_quiet() {
         .expect("fixture readme");
     let d = env_registry::check(&[code], Some(&registry), &readme);
     assert!(d.is_empty(), "{d:#?}");
+}
+
+/// The tree the `doc_refs` fixtures are written against.
+fn fixture_tree(rel: &str) -> bool {
+    const TREE: [&str; 5] =
+        ["BENCH_PR8.json", "crates/a/", "crates/a/src/lib.rs", "crates/a/tests/golden.rs", "docs/"];
+    TREE.contains(&rel)
+}
+
+fn fixture_text(rel: &str) -> String {
+    std::fs::read_to_string(crate_dir().join("tests/fixtures").join(rel)).expect("fixture doc")
+}
+
+#[test]
+fn doc_refs_fail_fixture_exact_diagnostics() {
+    let text = fixture_text("fail/doc_refs.md");
+    let d = doc_refs::check("README.md", &text, false, &fixture_tree);
+    let doc_refs = |lines: &[u32]| lines.iter().map(|&l| (l, "doc-refs")).collect::<Vec<_>>();
+    assert_eq!(lines(&d), doc_refs(&[3, 5, 7, 9, 10]), "{d:#?}");
+    assert!(d[0].message.contains("`BENCH_PR7.json`"));
+    assert!(d[1].message.contains("`crates/a/src/old_kernel.rs`"), "line suffix is stripped");
+    assert!(d[2].message.contains("`crates/b/tests/golden.rs`"), "alternation is expanded");
+    // an append-only log answers for its newest entry only
+    let d = doc_refs::check("CHANGES.md", &text, true, &fixture_tree);
+    assert_eq!(lines(&d), doc_refs(&[10]), "{d:#?}");
+    assert!(d[0].message.contains("`docs/MISSING.md`"));
+}
+
+#[test]
+fn doc_refs_pass_fixture_is_quiet() {
+    let text = fixture_text("pass/doc_refs.md");
+    for newest_only in [false, true] {
+        let d = doc_refs::check("README.md", &text, newest_only, &fixture_tree);
+        assert!(d.is_empty(), "{d:#?}");
+    }
 }
 
 /// The real gate: the workspace this crate ships in must be clean. This

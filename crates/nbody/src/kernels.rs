@@ -69,6 +69,54 @@ pub fn acc_jerk(
 /// to pool workers.
 pub(crate) const PAR_GRAIN: usize = 64;
 
+/// The targets of one force evaluation.
+#[derive(Clone, Copy)]
+pub(crate) enum Targets<'a> {
+    /// Target `k` is `(pos[k], vel[k])`; with `same_set` it is also
+    /// source `k` (the shape the public entry points take).
+    Rows { pos: &'a [[f64; 3]], vel: &'a [[f64; 3]], same_set: bool },
+    /// Target `k` is source `ids[k]`, read from the source set itself —
+    /// the block integrator's active list, evaluated without a gather.
+    Sources(&'a [u32]),
+}
+
+/// "Interacts with every source": the self index of a target that is
+/// not a member of the source set. No source index reaches it.
+const NO_SELF: usize = usize::MAX;
+
+impl Targets<'_> {
+    /// How many targets.
+    fn len(&self) -> usize {
+        match self {
+            Targets::Rows { pos, .. } => pos.len(),
+            Targets::Sources(ids) => ids.len(),
+        }
+    }
+
+    /// Target `k`: the index of the source it must not interact with
+    /// (itself, or [`NO_SELF`]), its position and its velocity.
+    /// `source` reads one row of the source set. The self-interaction
+    /// is keyed to the *source index*, never to `k`, so an index list
+    /// in any order masks the right lane.
+    #[inline(always)]
+    fn get(
+        &self,
+        k: usize,
+        source: impl Fn(usize) -> ([f64; 3], [f64; 3]),
+    ) -> (usize, [f64; 3], [f64; 3]) {
+        match *self {
+            Targets::Rows { pos, vel, same_set } => {
+                (if same_set { k } else { NO_SELF }, pos[k], vel[k])
+            }
+            Targets::Sources(ids) => {
+                let i = ids[k] as usize;
+                let (p, v) = source(i);
+                (i, p, v)
+            }
+        }
+    }
+}
+
 /// [`acc_jerk`] writing into caller-provided slices (`acc.len() ==
 /// jerk.len() == t_pos.len()`, validated once per call) — the
 /// zero-allocation steady-state path for [`Backend::Scalar`] and, once
@@ -100,36 +148,37 @@ pub fn acc_jerk_into(
     acc: &mut [[f64; 3]],
     jerk: &mut [[f64; 3]],
 ) {
-    acc_jerk_into_capped(backend, t_pos, t_vel, s_mass, s_pos, s_vel, eps2, same_set, acc, jerk, 0);
+    let targets = Targets::Rows { pos: t_pos, vel: t_vel, same_set };
+    match backend {
+        Backend::Scalar => acc_jerk_scalar(targets, s_mass, s_pos, s_vel, eps2, acc, jerk),
+        Backend::CpuParallel | Backend::GpuModel | Backend::SimdSoa => SOA_SOURCES.with(|cell| {
+            let mut soa = cell.borrow_mut();
+            soa.fill_from(s_mass, s_pos, s_vel);
+            acc_jerk_soa(targets, &soa, eps2, acc, jerk, 0);
+        }),
+    }
 }
 
-/// [`acc_jerk_into`] under an explicit worker cap (`max_threads` as in
-/// [`par::threads_for`]: 0 = resolve `JC_THREADS` / the core count now).
+/// The [`Backend::Scalar`] kernel: each target sums its sources strictly
+/// in order on the calling thread.
 // jc-lint: no-alloc
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn acc_jerk_into_capped(
-    backend: Backend,
-    t_pos: &[[f64; 3]],
-    t_vel: &[[f64; 3]],
+pub(crate) fn acc_jerk_scalar(
+    targets: Targets,
     s_mass: &[f64],
     s_pos: &[[f64; 3]],
     s_vel: &[[f64; 3]],
     eps2: f64,
-    same_set: bool,
     acc: &mut [[f64; 3]],
     jerk: &mut [[f64; 3]],
-    max_threads: usize,
 ) {
-    let n = t_pos.len();
-    assert_eq!(acc.len(), n, "acc buffer length mismatch");
-    assert_eq!(jerk.len(), n, "jerk buffer length mismatch");
-    let one = |i: usize, a: &mut [f64; 3], j: &mut [f64; 3]| {
-        let pi = t_pos[i];
-        let vi = t_vel[i];
+    assert_eq!(acc.len(), targets.len(), "acc buffer length mismatch");
+    assert_eq!(jerk.len(), targets.len(), "jerk buffer length mismatch");
+    for (k, (a, j)) in acc.iter_mut().zip(jerk.iter_mut()).enumerate() {
+        let (i, pi, vi) = targets.get(k, |i| (s_pos[i], s_vel[i]));
         *a = [0.0f64; 3];
         *j = [0.0f64; 3];
         for (jj, (&mj, (pj, vj))) in s_mass.iter().zip(s_pos.iter().zip(s_vel)).enumerate() {
-            if same_set && jj == i {
+            if jj == i {
                 continue;
             }
             let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
@@ -144,37 +193,40 @@ pub(crate) fn acc_jerk_into_capped(
                 j[k] += mj * (dv[k] - alpha * dx[k]) * inv_r3;
             }
         }
-    };
-
-    match backend {
-        Backend::Scalar => {
-            for (i, (a, j)) in acc.iter_mut().zip(jerk.iter_mut()).enumerate() {
-                one(i, a, j);
-            }
-        }
-        Backend::CpuParallel | Backend::GpuModel | Backend::SimdSoa => SOA_SOURCES.with(|cell| {
-            let mut soa = cell.borrow_mut();
-            soa.fill_from(s_mass, s_pos, s_vel);
-            let soa = &*soa;
-            let workers = par::threads_for(n, max_threads, PAR_GRAIN);
-            // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
-            let mut units = vec![(); workers];
-            par::chunked(
-                workers,
-                (acc, jerk),
-                &mut units,
-                (),
-                |s0, (ac, jc), _| {
-                    acc_jerk_simd_chunk(s0, t_pos, t_vel, soa, eps2, same_set, ac, jc);
-                },
-                |(), ()| (),
-            );
-        }),
     }
 }
 
-/// One worker chunk of [`Backend::SimdSoa`] targets, dispatched once per
-/// chunk to the widest available instruction set.
+/// The SoA kernel every other backend runs, over source columns the
+/// caller already holds: chunked over targets on at most `max_threads`
+/// workers (as in [`par::threads_for`]: 0 = resolve `JC_THREADS` / the
+/// core count now).
+// jc-lint: no-alloc
+pub(crate) fn acc_jerk_soa(
+    targets: Targets,
+    src: &SoaBodies,
+    eps2: f64,
+    acc: &mut [[f64; 3]],
+    jerk: &mut [[f64; 3]],
+    max_threads: usize,
+) {
+    let n = targets.len();
+    assert_eq!(acc.len(), n, "acc buffer length mismatch");
+    assert_eq!(jerk.len(), n, "jerk buffer length mismatch");
+    let workers = par::threads_for(n, max_threads, PAR_GRAIN);
+    // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
+    let mut units = vec![(); workers];
+    par::chunked(
+        workers,
+        (acc, jerk),
+        &mut units,
+        (),
+        |s0, (ac, jc), _| acc_jerk_simd_chunk(s0, targets, src, eps2, ac, jc),
+        |(), ()| (),
+    );
+}
+
+/// One worker chunk of SoA targets, dispatched once per chunk to the
+/// widest available instruction set.
 ///
 /// rustc compiles for baseline x86-64 (SSE2) by default, which caps the
 /// packed `sqrt`/`div` the lane loop turns into at 2 doubles; the AVX2
@@ -182,14 +234,11 @@ pub(crate) fn acc_jerk_into_capped(
 /// *identical* sequence of IEEE operations (no fast-math, no fused
 /// multiply-add contraction), so results are bitwise identical across
 /// the dispatch — the golden vectors hold on any machine.
-#[allow(clippy::too_many_arguments)]
 fn acc_jerk_simd_chunk(
     s0: usize,
-    t_pos: &[[f64; 3]],
-    t_vel: &[[f64; 3]],
+    targets: Targets,
     src: &SoaBodies,
     eps2: f64,
-    same_set: bool,
     ac: &mut [[f64; 3]],
     jc: &mut [[f64; 3]],
 ) {
@@ -197,9 +246,9 @@ fn acc_jerk_simd_chunk(
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the avx2 clone is only reached when the CPU reports
         // the feature at runtime.
-        return unsafe { acc_jerk_simd_chunk_avx2(s0, t_pos, t_vel, src, eps2, same_set, ac, jc) };
+        return unsafe { acc_jerk_simd_chunk_avx2(s0, targets, src, eps2, ac, jc) };
     }
-    acc_jerk_simd_chunk_body(s0, t_pos, t_vel, src, eps2, same_set, ac, jc);
+    acc_jerk_simd_chunk_body(s0, targets, src, eps2, ac, jc);
 }
 
 /// AVX2 implementation of [`acc_jerk_simd_chunk_body`]: the identical
@@ -207,22 +256,19 @@ fn acc_jerk_simd_chunk(
 /// intrinsics (the auto-vectorizer settles for 128-bit SLP on this
 /// body, leaving half the `sqrt`/`div` throughput on the table). The
 /// self-interaction mask compares an exact-integer f64 index vector
-/// against the target index — lanes that match get mass 0 and divisor
-/// 1, exactly like the scalar select — so results stay bitwise equal to
-/// the portable body.
+/// against the target's source index — lanes that match get mass 0 and
+/// divisor 1, exactly like the scalar select — so results stay bitwise
+/// equal to the portable body.
 // SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
 // call; the only call site is gated on `is_x86_feature_detected!("avx2")`,
 // so the AVX2 instructions are never executed on a CPU without them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn acc_jerk_simd_chunk_avx2(
     s0: usize,
-    t_pos: &[[f64; 3]],
-    t_vel: &[[f64; 3]],
+    targets: Targets,
     src: &SoaBodies,
     eps2: f64,
-    same_set: bool,
     ac: &mut [[f64; 3]],
     jc: &mut [[f64; 3]],
 ) {
@@ -247,14 +293,13 @@ unsafe fn acc_jerk_simd_chunk_avx2(
         let three = _mm256_set1_pd(3.0);
         let step = _mm256_set1_pd(LANES as f64);
         for (k, (a, j)) in ac.iter_mut().zip(jc.iter_mut()).enumerate() {
-            let i = s0 + k;
-            let [pix, piy, piz] = t_pos[i];
-            let [vix, viy, viz] = t_vel[i];
+            let (i, [pix, piy, piz], [vix, viy, viz]) =
+                targets.get(s0 + k, |i| ([sx[i], sy[i], sz[i]], [svx[i], svy[i], svz[i]]));
             let (pxv, pyv, pzv) = (_mm256_set1_pd(pix), _mm256_set1_pd(piy), _mm256_set1_pd(piz));
             let (vxv, vyv, vzv) = (_mm256_set1_pd(vix), _mm256_set1_pd(viy), _mm256_set1_pd(viz));
             // lane indices as exact-integer f64s; a never-matching
             // sentinel turns the self-mask off for cross-set sums
-            let iv = _mm256_set1_pd(if same_set { i as f64 } else { -1.0 });
+            let iv = _mm256_set1_pd(if i == NO_SELF { -1.0 } else { i as f64 });
             let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
             let mut axv = _mm256_setzero_pd();
             let mut ayv = _mm256_setzero_pd();
@@ -324,7 +369,7 @@ unsafe fn acc_jerk_simd_chunk_avx2(
                 let dvy = svy[jj] - viy;
                 let dvz = svz[jj] - viz;
                 let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let (m, r2g) = if same_set && jj == i { (0.0, 1.0) } else { (sm[jj], r2) };
+                let (m, r2g) = if jj == i { (0.0, 1.0) } else { (sm[jj], r2) };
                 let inv_r = 1.0 / r2g.sqrt();
                 let inv_r2 = inv_r * inv_r;
                 let inv_r3 = inv_r2 * inv_r;
@@ -344,23 +389,21 @@ unsafe fn acc_jerk_simd_chunk_avx2(
     }
 }
 
-/// The [`Backend::SimdSoa`] inner loops: for each target in the chunk,
-/// scan the SoA source columns in batches of [`LANES`], lane `l` of a
-/// batch accumulating source `o + l`; the `< LANES` tail lands in lanes
-/// `0..tail`, and the accumulators are reduced with [`reduce_lanes`].
-/// The batch body is branch-free (the `same_set` self-interaction is
-/// masked by zeroing the mass and guarding the divisor) and reads the
+/// The SoA inner loops: for each target in the chunk (targets
+/// `s0..s0 + ac.len()` of the call), scan the source columns in batches
+/// of [`LANES`], lane `l` of a batch accumulating source `o + l`; the
+/// `< LANES` tail lands in lanes `0..tail`, and the accumulators are
+/// reduced with [`reduce_lanes`]. The batch body is branch-free (the
+/// self-interaction is masked by zeroing the mass and guarding the
+/// divisor, so an unsoftened pair never divides by zero) and reads the
 /// columns through fixed-size array refs, so the compiler lowers it to
 /// packed loads, `sqrt`s and `div`s over the aligned columns.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn acc_jerk_simd_chunk_body(
     s0: usize,
-    t_pos: &[[f64; 3]],
-    t_vel: &[[f64; 3]],
+    targets: Targets,
     src: &SoaBodies,
     eps2: f64,
-    same_set: bool,
     ac: &mut [[f64; 3]],
     jc: &mut [[f64; 3]],
 ) {
@@ -370,14 +413,13 @@ fn acc_jerk_simd_chunk_body(
     let n = sm.len();
     let batches = n / LANES;
     for (k, (a, j)) in ac.iter_mut().zip(jc.iter_mut()).enumerate() {
-        let i = s0 + k;
-        let [pix, piy, piz] = t_pos[i];
-        let [vix, viy, viz] = t_vel[i];
+        let (i, [pix, piy, piz], [vix, viy, viz]) =
+            targets.get(s0 + k, |i| ([sx[i], sy[i], sz[i]], [svx[i], svy[i], svz[i]]));
         let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
         let (mut jxl, mut jyl, mut jzl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
         // One lane of the whole scan is the self-interaction (at most):
         // keep the hot batch body select-free and route only the batch
-        // containing `i` through the masked variant.
+        // containing source `i` through the masked variant.
         macro_rules! lane {
             ($l:expr, $o:expr, $xs:expr, $ys:expr, $zs:expr, $vxs:expr, $vys:expr, $vzs:expr,
              $ms:expr, $masked:expr) => {{
@@ -413,7 +455,7 @@ fn acc_jerk_simd_chunk_body(
             let vys: &[f64; LANES] = svy[o..o + LANES].try_into().unwrap();
             let vzs: &[f64; LANES] = svz[o..o + LANES].try_into().unwrap();
             let ms: &[f64; LANES] = sm[o..o + LANES].try_into().unwrap();
-            if same_set && i.wrapping_sub(o) < LANES {
+            if i.wrapping_sub(o) < LANES {
                 for l in 0..LANES {
                     lane!(l, o, xs, ys, zs, vxs, vys, vzs, ms, true);
                 }
@@ -436,7 +478,7 @@ fn acc_jerk_simd_chunk_body(
                     &svy[o..],
                     &svz[o..],
                     &sm[o..],
-                    same_set
+                    true
                 );
             }
         }
@@ -805,7 +847,8 @@ mod tests {
         soa.fill_from(&m, &p, &v);
         let mut a1 = vec![[0.0; 3]; 77];
         let mut j1 = vec![[0.0; 3]; 77];
-        acc_jerk_simd_chunk_body(0, &p, &v, &soa, 1e-4, true, &mut a1, &mut j1);
+        let rows = Targets::Rows { pos: &p, vel: &v, same_set: true };
+        acc_jerk_simd_chunk_body(0, rows, &soa, 1e-4, &mut a1, &mut j1);
         assert_eq!(a0, a1, "portable SimdSoa body diverges from dispatched acc");
         assert_eq!(j0, j1, "portable SimdSoa body diverges from dispatched jerk");
         let mut phi0 = vec![0.0; 77];
@@ -814,6 +857,38 @@ mod tests {
         soa.fill_from_positions(&m, &p);
         potential_simd_chunk_body(0, &p, &soa, 1e-4, true, &mut phi1);
         assert_eq!(phi0, phi1, "portable SimdSoa body diverges from dispatched phi");
+    }
+
+    #[test]
+    fn index_list_targets_mask_by_source_index() {
+        // a gathered, out-of-order target list on an *unsoftened* set:
+        // the self-interaction is keyed to `ids[k]`, not to `k`, so no
+        // target divides by its own zero separation and every row is
+        // bitwise the row the full evaluation gives that star
+        let (m, p, v) = lcg_cloud(13, 4);
+        let ids = [11u32, 2, 12, 5, 0];
+        let targets = Targets::Sources(&ids);
+        let mut soa = SoaBodies::new();
+        soa.fill_from(&m, &p, &v);
+        let mut a1 = vec![[f64::NAN; 3]; ids.len()];
+        let mut j1 = vec![[f64::NAN; 3]; ids.len()];
+        for backend in [Backend::Scalar, Backend::CpuParallel] {
+            let (a0, j0) = acc_jerk(backend, &p, &v, &m, &p, &v, 0.0, true);
+            match backend {
+                Backend::Scalar => acc_jerk_scalar(targets, &m, &p, &v, 0.0, &mut a1, &mut j1),
+                _ => acc_jerk_soa(targets, &soa, 0.0, &mut a1, &mut j1, 1),
+            }
+            for (k, &i) in ids.iter().enumerate() {
+                assert!(a1[k].iter().chain(&j1[k]).all(|x| x.is_finite()), "{backend:?} row {k}");
+                assert_eq!(a1[k], a0[i as usize], "{backend:?} acc of star {i}");
+                assert_eq!(j1[k], j0[i as usize], "{backend:?} jerk of star {i}");
+            }
+        }
+        // the portable body and the dispatched clone agree on index lists too
+        let mut a2 = vec![[0.0; 3]; ids.len()];
+        let mut j2 = vec![[0.0; 3]; ids.len()];
+        acc_jerk_simd_chunk_body(0, targets, &soa, 0.0, &mut a2, &mut j2);
+        assert_eq!((a1, j1), (a2, j2));
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! embedded-cluster simulation: PhiGRAPE (Harfst et al. \[7\]), *"written in
 //! Fortran, available in both a CPU and a GPU (using CUDA) variant"*.
 //!
-//! The integrator is the classic 4th-order Hermite predictor–corrector with
-//! a shared adaptive timestep (Aarseth criterion) and Plummer softening,
-//! operating in dimensionless N-body units (G = 1). The force backends
+//! The integrator is the classic 4th-order Hermite predictor–corrector on
+//! *block time steps*, as PhiGRAPE's is: every star steps on its own
+//! power-of-two level of the call's span (the longest within its Aarseth
+//! limit `eta |a| / |j|`), each sub-step predicts all stars but evaluates
+//! and corrects only those whose step ends there, and every
+//! [`PhiGrape::evolve_model`] returns with all stars synchronised on
+//! `t_end`. The schedule is a function of the particle set alone. Plummer
+//! softening, dimensionless N-body units (G = 1). The force backends
 //! exercise the paper's multi-kernel point:
 //!
 //! * [`kernels::Backend::CpuParallel`] — the "CPU variant" and what every

@@ -8,29 +8,58 @@
 //! [`Channel`]s, so the identical bridge runs against in-process workers,
 //! thread workers, or workers spread across the simulated jungle.
 //!
-//! # One coupling field per position epoch
+//! # One coupling field per position epoch, one round trip per dependency
 //!
 //! A p-kick only changes velocities, and the coupling field depends only
 //! on positions and masses. A *position epoch* therefore ends only at a
-//! request that moves or re-weights particles — [`Request::EvolveTo`],
+//! request that moves or re-weights particles — an evolve,
 //! [`Request::LoadState`], [`Request::SetMasses`], [`Request::AddGas`] —
 //! and none of those can occur between the closing kick of substep *i*
-//! and the opening kick of substep *i+1*. So the bridge evaluates the
-//! field (two snapshots, two [`Request::ComputeKick`]s) once to open an
-//! iteration and once after every evolve, and the opening phase of
-//! substeps 2..s sends the `dv` buffers the closing phase left in the
-//! scratch a second time: `s+1` evaluations per iteration instead of
-//! `2s`, `10s+4` unsharded calls instead of `14s`. The re-applied phase
-//! is still a separate pair of half-kicks, so every velocity sees the
-//! same sequence of f64 additions as under the naive
-//! kick–evolve–kick loop and all state stays bitwise equal to it (the
-//! naive loop survives as a test oracle, `tests/bridge_field_reuse.rs`).
+//! and the opening kick of substep *i+1*: the two half-kicks are the
+//! same vector. So the dataflow of an iteration of `s` substeps is
+//! three-deep per substep, and the bridge sends exactly that:
+//!
+//! ```text
+//! open     GetParticles → gravity ‖ GetParticles → hydro     both in flight together
+//!          ComputeField → coupling (K shards in flight)      dv = field · dt/2
+//! substep  Step{dv, n, t} → gravity ‖ Step{dv, n, t} → hydro  kick n times, evolve,
+//!   1..s                                                      answer (mass, pos)
+//!          ComputeField → coupling                            field at the new positions
+//! close    Kick(dv) → gravity ‖ Kick(dv) → hydro              the last closing half-kick
+//! ```
+//!
+//! * [`Request::ComputeField`] carries both `(pos, mass)` sets once and
+//!   is answered by both acceleration slices, so a field evaluation is
+//!   one call per coupling shard and no position travels as a target
+//!   beside itself as a source.
+//! * [`Request::Step`] is the opening half-kick, the evolve and the
+//!   snapshot that opens the next field in one round trip; the answer
+//!   drops the velocities, which the bridge never reads. Substep 1 sends
+//!   `n = 1`. From substep 2 on the closing half-kick of the previous
+//!   substep rides along as `n = 2`: the worker adds `dv` twice, *as two
+//!   separate additions* — `(v + dv) + dv`, not `v + 2·dv`, which rounds
+//!   differently — so every velocity sees the same sequence of f64
+//!   additions as under the naive kick–evolve–kick loop and all state
+//!   stays bitwise equal to it (the naive loop survives as a test
+//!   oracle, `tests/bridge_field_reuse.rs`).
+//!
+//! That is `4 + 2s + K(s+1)` calls per iteration over `K` coupling
+//! shards (`s+1` field evaluations, `s` steps per dynamics worker, two
+//! snapshots, two kicks) at a serial depth of `2s + 3` round trips; the
+//! six single-purpose round trips per phase it replaces cost `10s + 4`
+//! calls unsharded at depth `10s`. Both composites are served by the
+//! worker's *host* ([`crate::host`]), which decomposes them into the
+//! same [`crate::worker::ModelWorker`] calls the separate requests
+//! made, in the same order: no kernel, digest or flop count can tell
+//! the difference. An empty particle set is not a special case — its
+//! field is the kernel's answer for no sources, as in the naive loop.
 //!
 //! Iteration boundaries stay cold on purpose: every iteration opens
-//! with a fresh evaluation even when the previous one ended without a
-//! stellar exchange. The bridge so keeps no hidden state across a
-//! checkpoint boundary (a restored run is determined by the checkpoint
-//! alone), call and byte accounting stay a pure function of the
+//! with fresh snapshots and a fresh evaluation even when the previous
+//! one ended without a stellar exchange. The bridge so keeps no hidden
+//! state across a checkpoint boundary (a restored run is determined by
+//! the checkpoint alone), the workers keep none at all (a field request
+//! is stateless), call and byte accounting stay a pure function of the
 //! iterations run, and [`Bridge::restore`], [`Bridge::replace_channel`]
 //! and [`Bridge::heal_channels`] need no invalidation logic.
 //!
@@ -186,36 +215,31 @@ pub struct IterationReport {
     pub supernovae: u32,
     /// Wind mass-loss events applied.
     pub wind_events: u32,
-    /// Coupling fields evaluated (full p-kick phases: snapshot both
-    /// systems, two `ComputeKick`s). `substeps + 1` when both particle
-    /// sets are non-empty.
+    /// Coupling fields evaluated (one [`Request::ComputeField`] each):
+    /// `substeps + 1`.
     pub coupling_fields: u32,
-    /// P-kick phases that re-applied the field of the preceding phase
-    /// instead of evaluating it again (`substeps - 1`).
+    /// Opening p-kicks that re-applied the field of the closing p-kick
+    /// before them — the [`Request::Step`]s sent with `n = 2`
+    /// (`substeps - 1`).
     pub kicks_reapplied: u32,
     /// Call-sequence trace (only when `cfg.trace`).
     pub trace: Vec<String>,
 }
 
-/// Reusable buffers for the p-kick phases, held across steps so a kick
-/// over in-process channels constructs no `Vec`s: snapshots land in
-/// reused [`ParticleData`]s, the coupling accelerations in reused output
-/// buffers that are then scaled to velocity kicks in place.
+/// Reusable buffers for the substeps, held across steps so an iteration
+/// over in-process channels constructs no `Vec`s: snapshots and step
+/// answers land in reused [`ParticleData`]s, the coupling accelerations
+/// in a reused buffer that is then scaled to velocity kicks in place.
 #[derive(Default)]
 struct KickScratch {
+    /// Where the stars are in the current position epoch (after the
+    /// first step: masses and positions only).
     stars: ParticleData,
+    /// Likewise the gas.
     gas: ParticleData,
-    dv_stars: Vec<[f64; 3]>,
-    dv_gas: Vec<[f64; 3]>,
-}
-
-/// Where a p-kick phase gets its coupling field from.
-#[derive(Clone, Copy, PartialEq)]
-enum Field {
-    /// Snapshot both systems and evaluate the field at their positions.
-    Evaluate,
-    /// Apply the field the preceding phase left in [`KickScratch`].
-    Reuse,
+    /// The current epoch's half-kick: one entry per star, then one per
+    /// gas particle.
+    dv: Vec<[f64; 3]>,
 }
 
 /// The combined solver.
@@ -343,28 +367,56 @@ impl Bridge {
     pub fn try_iteration(&mut self) -> Result<IterationReport, BridgeError> {
         let mut rep = IterationReport::default();
         let calls0 = self.total_calls();
+        let half_dt = 0.5 * self.cfg.dt;
+        // open cold: where both systems are now, and the field there
+        self.gravity.submit_snapshot();
+        self.hydro.submit_snapshot();
+        let got_stars = self.gravity.collect_snapshot_into(&mut self.scratch.stars);
+        let got_gas = self.hydro.collect_snapshot_into(&mut self.scratch.gas);
+        if !got_stars {
+            return Err(worker_err(Role::Gravity, "snapshot", "no particles"));
+        }
+        if !got_gas {
+            return Err(worker_err(Role::Hydro, "snapshot", "no particles"));
+        }
+        self.evaluate_field(&mut rep)?;
         for substep in 0..self.cfg.substeps {
-            // nothing has moved since the previous substep's closing kick
-            let field = if substep == 0 { Field::Evaluate } else { Field::Reuse };
-            self.kick(field, &mut rep)?;
+            // nothing has moved since the previous substep's closing
+            // p-kick: it and this substep's opening p-kick are the same
+            // vector, applied twice
+            let n = if substep == 0 { 1 } else { 2 };
+            rep.kicks_reapplied += n - 1;
             let t_next = self.time + self.cfg.dt;
-            if rep.trace.len() < 64 && self.cfg.trace {
-                rep.trace.push(format!(
-                    "evolve gravity -> t={t_next:.5} || evolve hydro -> t={t_next:.5}"
-                ));
-            }
-            // parallel evolve ("The evolve step can be done in parallel");
-            // both responses are collected before either is judged so the
-            // pipelines stay clean even when one worker died
-            self.gravity.submit(Request::EvolveTo(t_next));
-            self.hydro.submit(Request::EvolveTo(t_next));
-            let rg = self.gravity.collect();
-            let rh = self.hydro.collect();
-            expect_ok(Role::Gravity, "evolve", rg)?;
-            expect_ok(Role::Hydro, "evolve", rh)?;
-            self.kick(Field::Evaluate, &mut rep)?;
+            self.trace(&mut rep, || {
+                let note = if n == 2 { ", field reused" } else { "" };
+                format!("p-kick (dt/2 = {half_dt:.5}{note})")
+            });
+            self.trace(&mut rep, || {
+                format!("evolve gravity -> t={t_next:.5} || evolve hydro -> t={t_next:.5}")
+            });
+            // parallel kick + evolve ("The evolve step can be done in
+            // parallel"); both responses are collected before either is
+            // judged so the pipelines stay clean even when one worker died
+            let (dv_stars, dv_gas) = self.scratch.dv.split_at(self.scratch.stars.mass.len());
+            self.gravity.submit_step(dv_stars, n, t_next);
+            self.hydro.submit_step(dv_gas, n, t_next);
+            let rg = self.gravity.collect_step_into(&mut self.scratch.stars);
+            let rh = self.hydro.collect_step_into(&mut self.scratch.gas);
+            expect_ok(Role::Gravity, "step", rg)?;
+            expect_ok(Role::Hydro, "step", rh)?;
+            // the closing p-kick's field; it is applied by the next
+            // substep's step, or below
+            self.trace(&mut rep, || format!("p-kick (dt/2 = {half_dt:.5})"));
+            self.evaluate_field(&mut rep)?;
             self.time = t_next;
         }
+        let (dv_stars, dv_gas) = self.scratch.dv.split_at(self.scratch.stars.mass.len());
+        self.gravity.submit_kick_slice(dv_stars);
+        self.hydro.submit_kick_slice(dv_gas);
+        let rg = self.gravity.collect_kick();
+        let rh = self.hydro.collect_kick();
+        expect_ok(Role::Gravity, "kick", rg)?;
+        expect_ok(Role::Hydro, "kick", rh)?;
         self.iterations += 1;
         if self.iterations.is_multiple_of(self.cfg.stellar_interval as u64) {
             self.stellar_exchange(&mut rep)?;
@@ -382,63 +434,40 @@ impl Bridge {
             + self.stellar.as_ref().map(|s| s.stats().calls).unwrap_or(0)
     }
 
-    /// One p-kick phase: mutual gravitational half-kicks (`dt/2`) between
-    /// the star and gas systems, computed by the coupling model. All
-    /// buffers come from the bridge-held scratch, so over in-process
-    /// channels the phase allocates nothing once warm.
-    ///
-    /// [`Field::Evaluate`] snapshots both systems and evaluates the field
-    /// at their current positions; [`Field::Reuse`] sends the `dv` buffers
-    /// the preceding phase left in the scratch again. That is valid only
-    /// while no position epoch has ended in between — no `EvolveTo`,
-    /// `LoadState`, `SetMasses` or `AddGas` since that phase (see the
-    /// module docs) — which [`Bridge::try_iteration`] guarantees by
-    /// asking for it only between a closing kick and the next opening
-    /// one; it is then bitwise equal to evaluating again, because the
-    /// same positions and masses give the same accelerations.
-    fn kick(&mut self, field: Field, rep: &mut IterationReport) -> Result<(), BridgeError> {
-        let half_dt = 0.5 * self.cfg.dt;
-        let reuse = field == Field::Reuse;
+    /// Record one line of the Fig 7 call sequence (only when
+    /// `cfg.trace`).
+    fn trace(&self, rep: &mut IterationReport, line: impl FnOnce() -> String) {
         if self.cfg.trace && rep.trace.len() < 64 {
-            let note = if reuse { ", field reused" } else { "" };
-            rep.trace.push(format!("p-kick (dt/2 = {half_dt:.5}{note})"));
+            rep.trace.push(line());
         }
-        if !reuse {
-            if !self.gravity.snapshot_into(&mut self.scratch.stars) {
-                return Err(worker_err(Role::Gravity, "snapshot", "snapshot_into failed"));
+    }
+
+    /// Evaluate the coupling field at the positions in the scratch —
+    /// gas pulling on stars, stars pulling on gas — and scale it to this
+    /// epoch's half-kick (`dt/2`) in place. All buffers are the
+    /// bridge-held scratch, so over in-process channels this allocates
+    /// nothing once warm.
+    fn evaluate_field(&mut self, rep: &mut IterationReport) -> Result<(), BridgeError> {
+        let KickScratch { stars, gas, dv } = &mut self.scratch;
+        let (n_stars, n_gas) = (stars.mass.len(), gas.mass.len());
+        self.coupling.submit_field(stars, gas, (0, n_stars), (0, n_gas));
+        self.coupling
+            .collect_accelerations_into(dv)
+            .ok_or_else(|| worker_err(Role::Coupling, "compute-field", "no accelerations"))?;
+        if dv.len() != n_stars + n_gas {
+            return Err(worker_err(
+                Role::Coupling,
+                "compute-field",
+                format!("{} accelerations for {n_stars} stars + {n_gas} gas", dv.len()),
+            ));
+        }
+        let half_dt = 0.5 * self.cfg.dt;
+        for a in dv.iter_mut() {
+            for k in a {
+                *k *= half_dt;
             }
-            if !self.hydro.snapshot_into(&mut self.scratch.gas) {
-                return Err(worker_err(Role::Hydro, "snapshot", "snapshot_into failed"));
-            }
         }
-        // the snapshots are those of this position epoch either way
-        let (stars, gas) = (&self.scratch.stars, &self.scratch.gas);
-        if stars.mass.is_empty() || gas.mass.is_empty() {
-            return Ok(());
-        }
-        if reuse {
-            rep.kicks_reapplied += 1;
-        } else {
-            // gas pulls on stars
-            self.coupling
-                .compute_kick_into(&stars.pos, &gas.pos, &gas.mass, &mut self.scratch.dv_stars)
-                .ok_or_else(|| worker_err(Role::Coupling, "compute-kick", "no accelerations"))?;
-            // stars pull on gas
-            self.coupling
-                .compute_kick_into(&gas.pos, &stars.pos, &stars.mass, &mut self.scratch.dv_gas)
-                .ok_or_else(|| worker_err(Role::Coupling, "compute-kick", "no accelerations"))?;
-            // scale accelerations to velocity kicks in place
-            for a in self.scratch.dv_stars.iter_mut().chain(&mut self.scratch.dv_gas) {
-                for k in a {
-                    *k *= half_dt;
-                }
-            }
-            rep.coupling_fields += 1;
-        }
-        let r1 = self.gravity.kick_slice(&self.scratch.dv_stars);
-        expect_ok(Role::Gravity, "kick", r1)?;
-        let r2 = self.hydro.kick_slice(&self.scratch.dv_gas);
-        expect_ok(Role::Hydro, "kick", r2)?;
+        rep.coupling_fields += 1;
         Ok(())
     }
 
@@ -454,7 +483,8 @@ impl Bridge {
             Response::StellarUpdate { masses, events } => (masses, events),
             other => return Err(worker_err(Role::Stellar, "evolve", format!("{other:?}"))),
         };
-        // the closing kick's snapshot: same position epoch, no new fetch
+        // where the last step left the stars: same position epoch, no
+        // new fetch
         let stars = &self.scratch.stars;
         if masses_msun.len() != stars.mass.len() {
             return Err(worker_err(
@@ -467,35 +497,36 @@ impl Bridge {
         let masses_nb: Vec<f64> = masses_msun.iter().map(|m| m / self.cfg.mass_unit_msun).collect();
         let r = self.gravity.call(Request::SetMasses(masses_nb));
         expect_ok(Role::Gravity, "set-masses", r)?;
-        // feedback into the gas
+        // feedback into the gas; a lost supernova or wind particle is a
+        // failed iteration, not a quieter one
+        let mut feedback = |req: Request| {
+            let r = self.hydro.call(req);
+            expect_ok(Role::Hydro, "feedback", r)
+        };
         for ev in events {
             match ev {
                 StellarEvent::Supernova { star, ejected_mass, energy_foe: _ } => {
                     rep.supernovae += 1;
                     let pos = stars.pos[star];
-                    let _ = self.hydro.call(Request::InjectEnergy {
+                    feedback(Request::InjectEnergy {
                         center: pos,
                         radius: self.cfg.sn_radius,
                         energy: self.cfg.sn_energy,
-                    });
+                    })?;
                     let m_nb = ejected_mass / self.cfg.mass_unit_msun;
                     if m_nb > 0.0 {
-                        let _ = self.hydro.call(Request::AddGas {
+                        feedback(Request::AddGas {
                             pos,
                             mass: m_nb,
                             u: self.cfg.sn_energy / m_nb.max(1e-9) * 0.1,
-                        });
+                        })?;
                     }
                 }
                 StellarEvent::WindMassLoss { star, mass } => {
                     rep.wind_events += 1;
                     let m_nb = mass / self.cfg.mass_unit_msun;
                     if m_nb > 1e-12 {
-                        let _ = self.hydro.call(Request::AddGas {
-                            pos: stars.pos[star],
-                            mass: m_nb,
-                            u: 1e-3,
-                        });
+                        feedback(Request::AddGas { pos: stars.pos[star], mass: m_nb, u: 1e-3 })?;
                     }
                 }
             }

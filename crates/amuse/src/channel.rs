@@ -12,6 +12,7 @@
 //! * The Ibis channel is `jc_core::IbisChannel`, routing these same
 //!   requests through the simulated jungle.
 
+use crate::host::{self, owned_compute_kick};
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
 use crossbeam::channel as xchan;
 
@@ -59,14 +60,17 @@ impl ChannelStats {
 ///   [`Channel::kick_slice`], [`Channel::compute_kick_into`]) are sugar —
 ///   a submit collected at once. No channel overrides them, so wrapping
 ///   or instrumenting a channel means covering the two-phase legs only.
-/// * The typed legs (`submit_snapshot`/`collect_snapshot_into`,
-///   `submit_kick_slice`/`collect_kick`, `submit_compute_kick`/
-///   `collect_accelerations_into`) are the bridge's per-step hot loop
-///   over borrowed slices. They default to the generic legs with owned
-///   payloads; a channel overrides a pair to skip the copies
-///   ([`LocalChannel`] hands the slices to its worker, the TCP channels
-///   encode from and decode into them) with the same result and the
-///   same accounting as the generic request.
+/// * The typed legs are the generic legs over borrowed slices. They
+///   default to the generic legs with owned payloads; a channel
+///   overrides a pair to skip the copies ([`LocalChannel`] hands the
+///   slices to its worker, the TCP channels encode from and decode
+///   into them) with the same result and the same accounting as the
+///   generic request. The bridge's hot loop is `submit_snapshot`/
+///   `collect_snapshot_into`, `submit_step`/`collect_step_into`,
+///   `submit_field`/`collect_accelerations_into` and
+///   `submit_kick_slice`/`collect_kick`, and those are the pairs the
+///   channels override; `submit_compute_kick` is the provided default
+///   everywhere.
 /// * [`Channel::pipelines`] only *reports* whether submitted requests
 ///   overlap; no code path is selected on it.
 pub trait Channel {
@@ -172,6 +176,40 @@ pub trait Channel {
         self.collect()
     }
 
+    /// Start a [`Request::Step`] round trip from a borrowed half-kick.
+    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
+        self.submit(Request::Step { dv: dv.to_vec(), n, t })
+    }
+
+    /// Finish a [`Channel::submit_step`]: `Ok` carries the flops of the
+    /// kicks and the evolve, and the stepped masses and positions are in
+    /// `out` (velocities are not sent: `out.vel` is left empty). Anything
+    /// else is what the worker answered instead.
+    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
+        stepped_into(self.collect(), out)
+    }
+
+    /// Start a [`Request::ComputeField`] round trip from borrowed sets
+    /// (their velocity columns are not looked at). It is finished by
+    /// [`Channel::collect_accelerations_into`]: the star range's
+    /// accelerations, then the gas range's.
+    fn submit_field(
+        &mut self,
+        stars: &ParticleData,
+        gas: &ParticleData,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
+    ) {
+        self.submit(Request::ComputeField {
+            star_pos: stars.pos.clone(),
+            star_mass: stars.mass.clone(),
+            gas_pos: gas.pos.clone(),
+            gas_mass: gas.mass.clone(),
+            star_range,
+            gas_range,
+        })
+    }
+
     /// Start a [`Request::ComputeKick`] round trip from borrowed slices.
     fn submit_compute_kick(
         &mut self,
@@ -182,8 +220,10 @@ pub trait Channel {
         self.submit(owned_compute_kick(targets, source_pos, source_mass))
     }
 
-    /// Finish a [`Channel::submit_compute_kick`] into `out` (cleared and
-    /// refilled); the modeled flops, or `None` on failure.
+    /// Finish a round trip answered by [`Response::Accelerations`]
+    /// ([`Channel::submit_field`], [`Channel::submit_compute_kick`]) into
+    /// `out` (cleared and refilled); the modeled flops, or `None` on
+    /// failure.
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
         match self.collect() {
             Response::Accelerations { acc, flops } => {
@@ -195,16 +235,17 @@ pub trait Channel {
     }
 }
 
-/// The owned [`Request::ComputeKick`] of three borrowed slices.
-fn owned_compute_kick(
-    targets: &[[f64; 3]],
-    source_pos: &[[f64; 3]],
-    source_mass: &[f64],
-) -> Request {
-    Request::ComputeKick {
-        targets: targets.to_vec(),
-        source_pos: source_pos.to_vec(),
-        source_mass: source_mass.to_vec(),
+/// What [`Channel::collect_step_into`] makes of an owned response: a
+/// [`Response::Stepped`] moves its columns into `out` and becomes `Ok`.
+pub(crate) fn stepped_into(resp: Response, out: &mut ParticleData) -> Response {
+    match resp {
+        Response::Stepped { mass, pos, flops } => {
+            out.mass = mass;
+            out.pos = pos;
+            out.vel.clear();
+            Response::Ok { flops }
+        }
+        other => other,
     }
 }
 
@@ -225,29 +266,42 @@ enum Parked {
     /// Accelerations, computed and accounted, waiting in
     /// `LocalChannel::acc` with these modeled flops.
     Accelerations(f64),
+    /// A step whose kicks and evolve ran (these flops, this many request
+    /// bytes); the answer's columns are copied, and the round trip
+    /// accounted, when it is collected — straight into the collector's
+    /// buffer.
+    Stepped(f64, u64),
 }
 
 /// The in-process channel: the worker lives in the caller, so a request
 /// executes inside its `submit*` leg (a snapshot inside its collect) and
-/// the result is parked until collected. The typed legs hand borrowed
-/// slices straight to the worker's borrowed entry points
-/// ([`ModelWorker::kick_slice`] and friends) and book exactly what the
-/// equivalent [`Request`] would have, so a warm in-process bridge step
-/// allocates nothing; a worker that declines a borrowed leg gets the
-/// owned request through [`ModelWorker::handle`] instead.
+/// the result is parked until collected. Requests reach the worker
+/// through [`crate::host`]; the typed legs hand borrowed slices straight
+/// to its borrowed entry points and book exactly what the equivalent
+/// [`Request`] would have, so a warm in-process bridge step allocates
+/// nothing; a worker that declines a borrowed leg gets the owned request
+/// through [`ModelWorker::handle`] instead.
 pub struct LocalChannel {
     worker: Box<dyn ModelWorker>,
     stats: ChannelStats,
     pending: Option<Parked>,
-    /// Where `submit_compute_kick` parks its accelerations;
+    /// Where `submit_field` parks its accelerations;
     /// `collect_accelerations_into` swaps it with the caller's buffer.
     acc: Vec<[f64; 3]>,
+    /// Staging for the second half of a field (see [`host::field_into`]).
+    tmp: Vec<[f64; 3]>,
 }
 
 impl LocalChannel {
     /// Wrap a worker.
     pub fn new(worker: Box<dyn ModelWorker>) -> LocalChannel {
-        LocalChannel { worker, stats: ChannelStats::default(), pending: None, acc: Vec::new() }
+        LocalChannel {
+            worker,
+            stats: ChannelStats::default(),
+            pending: None,
+            acc: Vec::new(),
+            tmp: Vec::new(),
+        }
     }
 
     /// Every submit leg starts here: one call may be outstanding.
@@ -255,12 +309,31 @@ impl LocalChannel {
         assert!(self.pending.is_none(), "one outstanding call per channel");
     }
 
-    /// One accounted round trip through [`ModelWorker::handle`].
+    /// One accounted round trip through [`host::serve`].
     fn roundtrip(&mut self, req: Request) -> Response {
         let rb = req.wire_size();
-        let resp = self.worker.handle(req);
+        let resp = host::serve(self.worker.as_mut(), req);
         account(&mut self.stats, rb, &resp);
         resp
+    }
+
+    /// Finish a parked step: copy the answer's columns into `out` and
+    /// account the round trip like the `Request::Step` it stands for.
+    // jc-lint: no-alloc
+    fn finish_step(&mut self, flops: f64, req_bytes: u64, out: &mut ParticleData) -> Response {
+        match host::positions_into(self.worker.as_mut(), out) {
+            Ok(()) => {
+                self.stats.calls += 1;
+                self.stats.bytes_out += req_bytes;
+                self.stats.bytes_in += 32 * out.mass.len() as u64 + 32;
+                self.stats.flops += flops;
+                Response::Ok { flops }
+            }
+            Err(resp) => {
+                account(&mut self.stats, req_bytes, &resp);
+                resp
+            }
+        }
     }
 }
 
@@ -276,6 +349,13 @@ impl Channel for LocalChannel {
             Parked::Snapshot => self.roundtrip(Request::GetParticles),
             Parked::Accelerations(flops) => {
                 Response::Accelerations { acc: std::mem::take(&mut self.acc), flops }
+            }
+            Parked::Stepped(flops, req_bytes) => {
+                let mut p = ParticleData::default();
+                match self.finish_step(flops, req_bytes, &mut p) {
+                    Response::Ok { flops } => Response::Stepped { mass: p.mass, pos: p.pos, flops },
+                    other => other,
+                }
             }
         }
     }
@@ -307,7 +387,7 @@ impl Channel for LocalChannel {
             // cold path: the worker declined the borrowed leg
             Parked::Snapshot => self.roundtrip(Request::GetParticles),
             Parked::Response(resp) => resp,
-            Parked::Accelerations(_) => return false,
+            Parked::Accelerations(_) | Parked::Stepped(..) => return false,
         };
         match resp {
             Response::Particles(p) => {
@@ -334,32 +414,66 @@ impl Channel for LocalChannel {
     }
 
     // jc-lint: no-alloc
-    fn submit_compute_kick(
+    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
+        self.assert_idle();
+        let req_bytes = 24 * dv.len() as u64 + 8 + 32;
+        self.pending = Some(match host::step(self.worker.as_mut(), dv, n, t) {
+            Ok(flops) => Parked::Stepped(flops, req_bytes),
+            Err(resp) => {
+                account(&mut self.stats, req_bytes, &resp);
+                Parked::Response(resp)
+            }
+        });
+    }
+
+    // jc-lint: no-alloc
+    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
+        match self.pending.take().expect("no outstanding call") {
+            Parked::Stepped(flops, req_bytes) => self.finish_step(flops, req_bytes, out),
+            other => {
+                self.pending = Some(other);
+                // jc-lint: allow(no-alloc): cold path — a generic submit or a refused step
+                stepped_into(self.collect(), out)
+            }
+        }
+    }
+
+    // jc-lint: no-alloc
+    fn submit_field(
         &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
+        stars: &ParticleData,
+        gas: &ParticleData,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
     ) {
         self.assert_idle();
-        let parked =
-            match self.worker.compute_kick_into(targets, source_pos, source_mass, &mut self.acc) {
-                Some(flops) => {
-                    self.stats.calls += 1;
-                    self.stats.bytes_out += 24 * (targets.len() + source_pos.len()) as u64
-                        + 8 * source_mass.len() as u64
-                        + 32;
-                    self.stats.bytes_in += 24 * self.acc.len() as u64 + 32;
-                    self.stats.flops += flops;
-                    Parked::Accelerations(flops)
-                }
-                // cold path: the worker declined the borrowed leg
-                None => Parked::Response(self.roundtrip(owned_compute_kick(
-                    targets,
-                    source_pos,
-                    source_mass,
-                ))),
-            };
-        self.pending = Some(parked);
+        let req_bytes = 24 * (stars.pos.len() + gas.pos.len()) as u64
+            + 8 * (stars.mass.len() + gas.mass.len()) as u64
+            + 32
+            + 32;
+        let (acc, tmp) = (&mut self.acc, &mut self.tmp);
+        let answer = host::field_into(
+            self.worker.as_mut(),
+            (&stars.pos, &stars.mass),
+            (&gas.pos, &gas.mass),
+            star_range,
+            gas_range,
+            acc,
+            tmp,
+        );
+        self.pending = Some(match answer {
+            Ok(flops) => {
+                self.stats.calls += 1;
+                self.stats.bytes_out += req_bytes;
+                self.stats.bytes_in += 24 * self.acc.len() as u64 + 32;
+                self.stats.flops += flops;
+                Parked::Accelerations(flops)
+            }
+            Err(resp) => {
+                account(&mut self.stats, req_bytes, &resp);
+                Parked::Response(resp)
+            }
+        });
     }
 
     // jc-lint: no-alloc
@@ -414,7 +528,7 @@ impl ThreadChannel {
                     match msg {
                         ThreadMsg::Call(req) => {
                             let stop = matches!(req, Request::Stop | Request::Shutdown);
-                            let resp = worker.handle(req);
+                            let resp = host::serve(&mut worker, req);
                             if tx_resp.send(resp).is_err() || stop {
                                 break;
                             }
@@ -470,6 +584,7 @@ impl Drop for ThreadChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::tests::HandleOnly;
     use crate::worker::{GravityWorker, StellarWorker};
     use jc_nbody::plummer::plummer_sphere;
     use jc_nbody::Backend;
@@ -488,20 +603,7 @@ mod tests {
         assert!(c.stats().bytes_in > 0);
     }
 
-    /// Forwards only the two required methods: a worker with no
-    /// borrowed legs.
-    struct HandleOnly<W>(W);
-
-    impl<W: ModelWorker> ModelWorker for HandleOnly<W> {
-        fn handle(&mut self, req: Request) -> Response {
-            self.0.handle(req)
-        }
-        fn name(&self) -> String {
-            self.0.name()
-        }
-    }
-
-    /// The three typed ops through `call(Request::..)` on `by_call` and
+    /// The typed ops through `call(Request::..)` on `by_call` and
     /// through the two-phase legs on `by_legs`: same data, same books.
     fn legs_match_call(mut by_call: LocalChannel, mut by_legs: LocalChannel, n: usize) {
         let same_books = |a: &LocalChannel, b: &LocalChannel, op: &str| {
@@ -542,7 +644,47 @@ mod tests {
             _ => assert_eq!(got, None),
         }
         same_books(&by_call, &by_legs, "compute-kick");
-        assert_eq!(by_legs.stats().calls, 3);
+
+        // a step: refused by a stateless worker, the same either way
+        let dv = vec![[1e-4, -2e-4, 3e-4]; n];
+        let mut stepped = ParticleData { vel: vec![[7.0; 3]], ..ParticleData::default() };
+        by_legs.submit_step(&dv, 2, 0.01);
+        let got = by_legs.collect_step_into(&mut stepped);
+        match (by_call.call(Request::Step { dv, n: 2, t: 0.01 }), got) {
+            (Response::Stepped { mass, pos, flops }, Response::Ok { flops: f }) => {
+                assert_eq!((mass, pos, flops), (stepped.mass, stepped.pos, f));
+                assert!(stepped.vel.is_empty(), "a step answers no velocities");
+            }
+            (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        }
+        same_books(&by_call, &by_legs, "step");
+
+        // a field: refused by a dynamics worker, the same either way
+        let set = |p: &jc_nbody::ParticleSet| ParticleData {
+            mass: p.mass.clone(),
+            pos: p.pos.clone(),
+            vel: vec![],
+        };
+        let (stars, gas) = (set(&scene), set(&plummer_sphere(5, 6)));
+        let (star_range, gas_range) = ((1, stars.mass.len()), (0, 4));
+        by_legs.submit_field(&stars, &gas, star_range, gas_range);
+        let got = by_legs.collect_accelerations_into(&mut acc);
+        match by_call.call(Request::ComputeField {
+            star_pos: stars.pos,
+            star_mass: stars.mass,
+            gas_pos: gas.pos,
+            gas_mass: gas.mass,
+            star_range,
+            gas_range,
+        }) {
+            Response::Accelerations { acc: expected, flops } => {
+                assert_eq!(got, Some(flops));
+                assert_eq!(acc, expected);
+            }
+            _ => assert_eq!(got, None),
+        }
+        same_books(&by_call, &by_legs, "field");
+        assert_eq!(by_legs.stats().calls, 5);
     }
 
     #[test]
@@ -571,11 +713,25 @@ mod tests {
         let scene = plummer_sphere(5, 2);
         c.submit_compute_kick(&scene.pos, &scene.pos, &scene.mass);
         assert!(matches!(c.collect(), Response::Accelerations { acc, .. } if acc.len() == 5));
+        let set = |p: &jc_nbody::ParticleSet| ParticleData {
+            mass: p.mass.clone(),
+            pos: p.pos.clone(),
+            vel: vec![],
+        };
+        c.submit_field(&set(&scene), &set(&scene), (0, 5), (2, 5));
+        assert!(matches!(c.collect(), Response::Accelerations { acc, .. } if acc.len() == 8));
         let mut g =
             LocalChannel::new(Box::new(GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar)));
         g.submit_snapshot();
         assert!(matches!(g.collect(), Response::Particles(p) if p.mass.len() == 8));
-        assert_eq!((c.stats().calls, g.stats().calls), (1, 1));
+        g.submit_step(&[[1e-3; 3]; 8], 1, 0.01);
+        assert!(matches!(g.collect(), Response::Stepped { mass, .. } if mass.len() == 8));
+        // and the other way round: a typed collect finishes a generic submit
+        g.submit(Request::Step { dv: vec![[1e-3; 3]; 8], n: 1, t: 0.02 });
+        let mut out = ParticleData::default();
+        assert!(matches!(g.collect_step_into(&mut out), Response::Ok { .. }));
+        assert_eq!(out.pos.len(), 8);
+        assert_eq!((c.stats().calls, g.stats().calls), (2, 3));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   kernels: PhiGRAPE gravity, Gadget SPH, SSE stellar evolution, and the
 //!   Octgrav/Fi coupling kick. Every payload knows its simulated wire size,
 //!   so any channel can account traffic exactly.
+//! * [`host`] — what every worker host does with a request: the two
+//!   composite requests of the bridge's substep ([`worker::Request::Step`],
+//!   [`worker::Request::ComputeField`]) are decomposed there, once, into
+//!   the six [`worker::ModelWorker`] methods.
 //! * [`channel`] — the [`channel::Channel`] trait with synchronous `call`
 //!   and asynchronous `submit`/`collect`, plus two in-process
 //!   implementations: [`channel::LocalChannel`] (the default MPI-like
@@ -73,6 +77,7 @@ pub mod channel;
 pub mod chaos;
 pub mod checkpoint;
 pub mod cluster;
+pub mod host;
 pub mod reactor;
 pub mod shard;
 pub mod socket;

@@ -61,7 +61,7 @@
 //! in-process channels. A call counts its frame once — an absorbed
 //! resend ticks `retries` instead, and a call that fails after its
 //! frame left still credits `bytes_out`. Buffers are recycled: a warm
-//! round trip through the typed legs (snapshot, kick, compute-kick)
+//! round trip through the typed legs (snapshot, step, field, kick)
 //! allocates nothing coupler-side.
 
 use crate::channel::{Channel, ChannelStats};
@@ -927,18 +927,29 @@ impl ReactorChannel {
         }
     }
 
-    /// Decode the completed response as a generic [`Response`].
-    fn decode_collected(&mut self) -> Response {
-        let reactor = self.reactor.borrow();
-        let decoded = wire::decode_response(reactor.resp(self.token));
-        drop(reactor);
-        match decoded {
-            Ok(resp) => {
-                self.stats.flops += resp.flops();
-                resp
-            }
-            Err(e) => Response::Error(format!("wire error: {e}")),
+    /// Complete the oldest round trip and decode its response with
+    /// `decode`, a typed fast path (flops are credited by the caller) or
+    /// [`wire::decode_response`]. A valid frame of another kind than
+    /// the fast path expects is surfaced as what the worker actually
+    /// said.
+    // the error is the response the caller surfaces, moved once
+    #[allow(clippy::result_large_err)]
+    fn collect_with<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+    ) -> Result<T, Response> {
+        if let Err(e) = self.complete_front() {
+            // the failed round trip still counts as a call
+            self.stats.calls += 1;
+            return Err(Response::Error(format!("wire error: {e}")));
         }
+        let reactor = self.reactor.borrow();
+        let frame = reactor.resp(self.token);
+        decode(frame).map_err(|e| match e {
+            WireError::Unexpected(_) => wire::decode_response(frame)
+                .unwrap_or_else(|e| Response::Error(format!("wire error: {e}"))),
+            e => Response::Error(format!("wire error: {e}")),
+        })
     }
 }
 
@@ -949,13 +960,9 @@ impl Channel for ReactorChannel {
     }
 
     fn collect(&mut self) -> Response {
-        match self.complete_front() {
-            Ok(()) => self.decode_collected(),
-            Err(e) => {
-                self.stats.calls += 1;
-                Response::Error(format!("wire error: {e}"))
-            }
-        }
+        let resp = self.collect_with(wire::decode_response).unwrap_or_else(|failure| failure);
+        self.stats.flops += resp.flops();
+        resp
     }
 
     fn stats(&self) -> ChannelStats {
@@ -979,11 +986,7 @@ impl Channel for ReactorChannel {
     }
 
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        if self.complete_front().is_err() {
-            return false;
-        }
-        let reactor = self.reactor.borrow();
-        wire::decode_particles_into(reactor.resp(self.token), out).is_ok()
+        self.collect_with(|frame| wire::decode_particles_into(frame, out)).is_ok()
     }
 
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
@@ -991,52 +994,51 @@ impl Channel for ReactorChannel {
     }
 
     fn collect_kick(&mut self) -> Response {
-        if let Err(e) = self.complete_front() {
-            self.stats.calls += 1;
-            return Response::Error(format!("wire error: {e}"));
-        }
-        let reactor = self.reactor.borrow();
-        let decoded = wire::decode_ok(reactor.resp(self.token));
-        match decoded {
+        match self.collect_with(wire::decode_ok) {
             Ok(flops) => {
-                drop(reactor);
                 self.stats.flops += flops;
                 Response::Ok { flops }
             }
-            // not an Ok frame: surface whatever the worker actually said
-            Err(WireError::Unexpected(_)) => {
-                let resp = wire::decode_response(reactor.resp(self.token))
-                    .unwrap_or_else(|e| Response::Error(format!("wire error: {e}")));
-                drop(reactor);
-                resp
-            }
-            Err(e) => Response::Error(format!("wire error: {e}")),
+            Err(other) => other,
         }
     }
 
-    fn submit_compute_kick(
+    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
+        self.submit_with(|buf| wire::encode_step(dv, n, t, buf));
+    }
+
+    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
+        match self.collect_with(|frame| wire::decode_stepped_into(frame, out)) {
+            Ok(flops) => {
+                self.stats.flops += flops;
+                Response::Ok { flops }
+            }
+            Err(other) => other,
+        }
+    }
+
+    fn submit_field(
         &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
+        stars: &ParticleData,
+        gas: &ParticleData,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
     ) {
-        self.submit_with(|buf| wire::encode_compute_kick(targets, source_pos, source_mass, buf));
+        self.submit_with(|buf| {
+            wire::encode_compute_field(
+                (&stars.pos, &stars.mass),
+                (&gas.pos, &gas.mass),
+                star_range,
+                gas_range,
+                buf,
+            )
+        });
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        if self.complete_front().is_err() {
-            return None;
-        }
-        let reactor = self.reactor.borrow();
-        let decoded = wire::decode_accelerations_into(reactor.resp(self.token), out);
-        drop(reactor);
-        match decoded {
-            Ok(flops) => {
-                self.stats.flops += flops;
-                Some(flops)
-            }
-            Err(_) => None,
-        }
+        let flops = self.collect_with(|frame| wire::decode_accelerations_into(frame, out)).ok()?;
+        self.stats.flops += flops;
+        Some(flops)
     }
 }
 

@@ -3,16 +3,22 @@
 //! A [`ShardedChannel`] owns K inner [`Channel`]s and presents them to
 //! the bridge as a single worker. Requests are decomposed per particle:
 //!
+//! | request | scatter | gather |
+//! |---|---|---|
+//! | `GetParticles` | broadcast | sub-snapshots concatenated in shard order |
+//! | `Kick`, `SetMasses` | each shard its range's slice | `Ok`s, flops summed |
+//! | `Step` | each shard its range's slice of `dv`; `n` and `t` broadcast | masses and positions concatenated in shard order, flops summed |
+//! | `ComputeField` | both sets broadcast; each of the two target ranges cut by the `partition` rule, shard *i* gets the *i*-th piece of each | every shard's star piece in shard order, then every shard's gas piece; flops summed |
+//! | `ComputeKick` | targets cut by the `partition` rule, sources broadcast | accelerations concatenated in shard order, flops summed |
+//!
 //! * **Range decomposition** — each shard owns one contiguous particle
-//!   range (first shards get the ceil-sized chunk). [`Request::Kick`]
-//!   and [`Request::SetMasses`] scatter the matching slice to each
-//!   shard; [`Request::GetParticles`] gathers the sub-snapshots back in
-//!   shard order.
-//! * **Scatter–gather** — [`Request::ComputeKick`] splits the *targets*
-//!   across shards and broadcasts the sources; since the coupling
-//!   solver evaluates each target independently against a tree built
-//!   from the sources alone, the gathered accelerations are bitwise
-//!   identical to the unsharded answer.
+//!   range (first shards get the ceil-sized chunk); the per-particle
+//!   vectors of `Kick`, `SetMasses` and `Step` are cut along it.
+//! * **Scatter–gather** — the coupling requests split their *targets*
+//!   across shards and broadcast the sources; since the coupling
+//!   solver evaluates each target independently against the sources
+//!   alone, the gathered accelerations are bitwise identical to the
+//!   unsharded answer.
 //! * **Broadcast** — `Ping`/`EvolveTo`/`EvolveStars`/`InjectEnergy`/
 //!   `Stop` go to every shard; flops are summed. A stellar update
 //!   gathers the per-shard masses in order and remaps event star
@@ -123,6 +129,12 @@ enum Pending {
     Stellar,
     /// Concatenate accelerations in shard order; sum flops.
     Gather,
+    /// Concatenate the star pieces of the shards' accelerations
+    /// (`field_stars` each), then the gas pieces; sum flops.
+    Field,
+    /// Concatenate stepped masses and positions in shard order; sum
+    /// flops.
+    Step,
     /// Append checkpoint states in shard order.
     State,
     /// All shards answered `Ok` to a state scatter; on success adopt
@@ -154,8 +166,10 @@ pub struct ShardedChannel {
     pending: Option<Pending>,
     /// Per-shard snapshot scratch for the gathering fast path.
     snap_scratch: Vec<ParticleData>,
-    /// Per-shard acceleration scratch for the compute-kick fast path.
+    /// Per-shard acceleration scratch for the gathering fast path.
     acc_scratch: Vec<Vec<[f64; 3]>>,
+    /// Star targets each shard got in the outstanding field scatter.
+    field_stars: Vec<usize>,
     /// Respawns dead shards during [`ShardedChannel::heal`].
     supervisor: Option<Box<dyn ShardSupervisor>>,
     /// Original launch slot of each current shard: exclusions remove
@@ -201,6 +215,7 @@ impl ShardedChannel {
             slots: (0..k).collect(),
             snap_scratch: (0..k).map(|_| ParticleData::default()).collect(),
             acc_scratch: (0..k).map(|_| Vec::new()).collect(),
+            field_stars: vec![0; k],
             supervisor: None,
             respawns: 0,
             exclusions: 0,
@@ -305,16 +320,31 @@ impl ShardedChannel {
         failure.unwrap_or(Response::Ok { flops })
     }
 
-    /// Gather the sub-snapshots through the per-shard scratch and
-    /// concatenate them into `out` in shard order, refreshing the
-    /// observed layout.
-    fn gather_snapshot(&mut self, out: &mut ParticleData) -> bool {
-        let mut ok = true;
+    /// Gather the sub-snapshots (or, with `stepped`, the step answers:
+    /// no velocities) through the per-shard scratch and concatenate
+    /// them into `out` in shard order, refreshing the observed layout.
+    /// `Ok` sums the flops; every shard is collected even after a
+    /// failure, and the first failure wins.
+    fn gather_particles(&mut self, stepped: bool, out: &mut ParticleData) -> Response {
+        let mut flops = 0.0;
+        let mut failure: Option<Response> = None;
         for (s, scratch) in self.shards.iter_mut().zip(&mut self.snap_scratch) {
-            ok &= s.collect_snapshot_into(scratch);
+            let resp = if stepped {
+                s.collect_step_into(scratch)
+            } else if s.collect_snapshot_into(scratch) {
+                Response::Ok { flops: 0.0 }
+            } else {
+                Response::Error("sharded snapshot: a shard did not answer with particles".into())
+            };
+            match resp {
+                Response::Ok { flops: f } => flops += f,
+                other => {
+                    failure.get_or_insert(other);
+                }
+            }
         }
-        if !ok {
-            return false;
+        if let Some(failure) = failure {
+            return failure;
         }
         out.mass.clear();
         out.pos.clear();
@@ -325,12 +355,14 @@ impl ShardedChannel {
             out.pos.extend_from_slice(&scratch.pos);
             out.vel.extend_from_slice(&scratch.vel);
         }
-        true
+        Response::Ok { flops }
     }
 
     /// Gather the per-shard accelerations through the scratch and
-    /// concatenate them into `out` in shard order; flops are summed.
-    fn gather_accelerations(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
+    /// concatenate them into `out`; flops are summed. A compute-kick
+    /// gathers in shard order; a field (`split`) gathers every shard's
+    /// star piece in shard order, then every shard's gas piece.
+    fn gather_accelerations(&mut self, split: bool, out: &mut Vec<[f64; 3]>) -> Option<f64> {
         let mut flops = 0.0;
         let mut ok = true;
         for (s, acc) in self.shards.iter_mut().zip(&mut self.acc_scratch) {
@@ -339,12 +371,24 @@ impl ShardedChannel {
                 None => ok = false,
             }
         }
-        if !ok {
+        // a shard that answers fewer accelerations than its star piece
+        // cannot be cut
+        let cuts = self.acc_scratch.iter().zip(&self.field_stars);
+        if !ok || (split && cuts.clone().any(|(acc, &stars)| acc.len() < stars)) {
             return None;
         }
         out.clear();
-        for acc in &self.acc_scratch {
-            out.extend_from_slice(acc);
+        if split {
+            for (acc, &stars) in cuts.clone() {
+                out.extend_from_slice(&acc[..stars]);
+            }
+            for (acc, &stars) in cuts {
+                out.extend_from_slice(&acc[stars..]);
+            }
+        } else {
+            for acc in &self.acc_scratch {
+                out.extend_from_slice(acc);
+            }
         }
         Some(flops)
     }
@@ -406,8 +450,29 @@ impl Channel for ShardedChannel {
             // the typed ops have one scatter each: their typed legs
             Request::GetParticles => return self.submit_snapshot(),
             Request::Kick(dv) => return self.submit_kick_slice(&dv),
+            Request::Step { dv, n, t } => return self.submit_step(&dv, n, t),
+            Request::ComputeField {
+                star_pos,
+                star_mass,
+                gas_pos,
+                gas_mass,
+                star_range,
+                gas_range,
+            } => {
+                let stars = ParticleData { mass: star_mass, pos: star_pos, vel: Vec::new() };
+                let gas = ParticleData { mass: gas_mass, pos: gas_pos, vel: Vec::new() };
+                return self.submit_field(&stars, &gas, star_range, gas_range);
+            }
             Request::ComputeKick { targets, source_pos, source_mass } => {
-                return self.submit_compute_kick(&targets, &source_pos, &source_mass)
+                if !self.begin() {
+                    return;
+                }
+                // targets split by the `partition` rule, sources broadcast
+                let cuts = ranges(targets.len(), self.shards.len());
+                for (s, (a, b)) in self.shards.iter_mut().zip(cuts) {
+                    s.submit_compute_kick(&targets[a..b], &source_pos, &source_mass);
+                }
+                Pending::Gather
             }
             Request::SetMasses(m) => {
                 if !self.begin_scatter(m.len()) {
@@ -458,21 +523,27 @@ impl Channel for ShardedChannel {
             Pending::Kick => self.gather_ok(|s| s.collect_kick()),
             Pending::Concat => {
                 let mut all = ParticleData::default();
-                if self.gather_snapshot(&mut all) {
-                    Response::Particles(all)
-                } else {
-                    Response::Error(
-                        "sharded snapshot: a shard did not answer with particles".into(),
-                    )
+                match self.gather_particles(false, &mut all) {
+                    Response::Ok { .. } => Response::Particles(all),
+                    failure => failure,
+                }
+            }
+            Pending::Step => {
+                let mut all = ParticleData::default();
+                match self.gather_particles(true, &mut all) {
+                    Response::Ok { flops } => {
+                        Response::Stepped { mass: all.mass, pos: all.pos, flops }
+                    }
+                    failure => failure,
                 }
             }
             Pending::Stellar => self.collect_stellar(),
-            Pending::Gather => {
+            split @ (Pending::Gather | Pending::Field) => {
                 let mut acc = Vec::new();
-                match self.gather_accelerations(&mut acc) {
+                match self.gather_accelerations(matches!(split, Pending::Field), &mut acc) {
                     Some(flops) => Response::Accelerations { acc, flops },
                     None => Response::Error(
-                        "sharded compute-kick: a shard did not answer with accelerations".into(),
+                        "sharded coupling: a shard did not answer with its accelerations".into(),
                     ),
                 }
             }
@@ -556,6 +627,7 @@ impl Channel for ShardedChannel {
                     self.slots.remove(i);
                     self.snap_scratch.remove(i);
                     self.acc_scratch.remove(i);
+                    self.field_stars.remove(i);
                     self.exclusions += 1;
                 }
             }
@@ -575,11 +647,30 @@ impl Channel for ShardedChannel {
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
         if matches!(self.pending, Some(Pending::Concat)) {
             self.pending = None;
-            return self.gather_snapshot(out);
+            return matches!(self.gather_particles(false, out), Response::Ok { .. });
         }
         // a refused scatter (or a caller mixing legs): finish whatever it is
         let _ = self.collect();
         false
+    }
+
+    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
+        if self.begin_scatter(dv.len()) {
+            for i in 0..self.shards.len() {
+                let (a, b) = self.range(i);
+                self.shards[i].submit_step(&dv[a..b], n, t);
+            }
+            self.pending = Some(Pending::Step);
+        }
+    }
+
+    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
+        if matches!(self.pending, Some(Pending::Step)) {
+            self.pending = None;
+            return self.gather_particles(true, out);
+        }
+        // a refused scatter (or a caller mixing legs): finish whatever it is
+        crate::channel::stepped_into(self.collect(), out)
     }
 
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
@@ -592,30 +683,50 @@ impl Channel for ShardedChannel {
         }
     }
 
-    fn submit_compute_kick(
+    fn submit_field(
         &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
+        stars: &ParticleData,
+        gas: &ParticleData,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
     ) {
-        if self.begin() {
-            // targets split by the `partition` rule, sources broadcast
-            let cuts = ranges(targets.len(), self.shards.len());
-            for (s, (a, b)) in self.shards.iter_mut().zip(cuts) {
-                s.submit_compute_kick(&targets[a..b], source_pos, source_mass);
-            }
-            self.pending = Some(Pending::Gather);
+        if !self.begin() {
+            return;
         }
+        let sets = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
+        if let Err(refusal) = crate::host::check_field(sets.0, sets.1, star_range, gas_range) {
+            self.pending = Some(Pending::Failed(refusal));
+            return;
+        }
+        // both sets broadcast; shard i gets the i-th piece of each range
+        let k = self.shards.len();
+        let star_cuts = ranges(star_range.1 - star_range.0, k);
+        let gas_cuts = ranges(gas_range.1 - gas_range.0, k);
+        for (i, ((sa, sb), (ga, gb))) in star_cuts.zip(gas_cuts).enumerate() {
+            self.field_stars[i] = sb - sa;
+            self.shards[i].submit_field(
+                stars,
+                gas,
+                (star_range.0 + sa, star_range.0 + sb),
+                (gas_range.0 + ga, gas_range.0 + gb),
+            );
+        }
+        self.pending = Some(Pending::Field);
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        if matches!(self.pending, Some(Pending::Gather)) {
-            self.pending = None;
-            return self.gather_accelerations(out);
-        }
-        // a refused scatter (or a caller mixing legs): finish whatever it is
-        let _ = self.collect();
-        None
+        let split = match self.pending {
+            Some(Pending::Gather) => false,
+            Some(Pending::Field) => true,
+            _ => {
+                // a refused scatter (or a caller mixing legs): finish
+                // whatever it is
+                let _ = self.collect();
+                return None;
+            }
+        };
+        self.pending = None;
+        self.gather_accelerations(split, out)
     }
 }
 
@@ -675,6 +786,109 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    fn field_of(stars: &jc_nbody::ParticleSet, gas: &jc_nbody::ParticleSet) -> [ParticleData; 2] {
+        [stars, gas].map(|p| ParticleData {
+            mass: p.mass.clone(),
+            pos: p.pos.clone(),
+            vel: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn sharded_field_matches_unsharded_bitwise() {
+        // 23 stars, 31 gas: no pool below cuts either range evenly
+        let [stars, gas] = field_of(&plummer_sphere(23, 5), &plummer_sphere(31, 6));
+        let field = |ch: &mut dyn Channel, star_range, gas_range| {
+            let mut acc = vec![[9.0; 3]; 2];
+            ch.submit_field(&stars, &gas, star_range, gas_range);
+            let flops = ch.collect_accelerations_into(&mut acc).expect("accelerations");
+            (acc, flops)
+        };
+        let pool = |k: usize| -> Box<dyn Channel> {
+            let shards = (0..k).map(|_| local(CouplingWorker::fi())).collect();
+            Box::new(ShardedChannel::with_counts(shards, Vec::new()))
+        };
+        for (star_range, gas_range) in [((0, 23), (0, 31)), ((5, 22), (31, 31)), ((0, 0), (7, 8))] {
+            let (want, want_flops) =
+                field(local(CouplingWorker::fi()).as_mut(), star_range, gas_range);
+            assert_eq!(want.len(), star_range.1 - star_range.0 + gas_range.1 - gas_range.0);
+            for k in 1..=4 {
+                let (acc, flops) = field(pool(k).as_mut(), star_range, gas_range);
+                assert_eq!(acc, want, "k={k}: star slices in shard order, then gas slices");
+                assert_eq!(flops, want_flops, "k={k}");
+            }
+            // a pool of pools cuts the cuts
+            let mut nested = ShardedChannel::with_counts(vec![pool(2), pool(3)], Vec::new());
+            assert_eq!(field(&mut nested, star_range, gas_range).0, want, "nested");
+            // and the owned request takes the same scatter
+            let owned = nested.call(Request::ComputeField {
+                star_pos: stars.pos.clone(),
+                star_mass: stars.mass.clone(),
+                gas_pos: gas.pos.clone(),
+                gas_mass: gas.mass.clone(),
+                star_range,
+                gas_range,
+            });
+            assert!(matches!(owned, Response::Accelerations { acc, .. } if acc == want));
+        }
+        // reversed and outside ranges are refused, by the pool or its shards
+        for (star_range, gas_range) in [((3, 2), (0, 31)), ((0, 24), (0, 31)), ((0, 23), (30, 32))]
+        {
+            let mut p = pool(2);
+            p.submit_field(&stars, &gas, star_range, gas_range);
+            assert_eq!(p.collect_accelerations_into(&mut Vec::new()), None);
+            assert!(matches!(p.call(Request::Ping), Response::Ok { .. }), "left drained");
+        }
+    }
+
+    #[test]
+    fn sharded_step_matches_unsharded() {
+        // a step over a sharded *coupled* model is the documented
+        // domain-decomposition approximation; what must be exact is the
+        // scatter of `dv`, the kick count, and the gather in shard order
+        let ics = plummer_sphere(23, 8);
+        let dv: Vec<[f64; 3]> = (0..23).map(|i| [i as f64 * 1e-4, -1e-5, 2e-5]).collect();
+        let counts = partition(23, 3);
+        let mut off = 0;
+        let mut reference = ParticleData::default();
+        let mut flops = 0.0;
+        let shards: Vec<Box<dyn Channel>> = counts
+            .iter()
+            .map(|&c| {
+                let sub = || GravityWorker::new(ics.slice(off, off + c), Backend::Scalar);
+                // what each shard answers on its own
+                let mut alone = local(sub());
+                let mut part = ParticleData::default();
+                alone.submit_step(&dv[off..off + c], 2, 0.01);
+                match alone.collect_step_into(&mut part) {
+                    Response::Ok { flops: f } => flops += f,
+                    other => panic!("{other:?}"),
+                }
+                reference.mass.extend(part.mass);
+                reference.pos.extend(part.pos);
+                let shard = local(sub());
+                off += c;
+                shard
+            })
+            .collect();
+        let mut sharded = ShardedChannel::new(shards);
+        let mut got = ParticleData { vel: vec![[1.0; 3]], ..ParticleData::default() };
+        sharded.submit_step(&dv, 2, 0.01);
+        let r = sharded.collect_step_into(&mut got);
+        assert!(matches!(r, Response::Ok { flops: f } if f == flops), "{r:?}");
+        assert_eq!((&got.mass, &got.pos), (&reference.mass, &reference.pos));
+        assert!(got.vel.is_empty());
+        // the owned request, on the already stepped pool: same shape
+        match sharded.call(Request::Step { dv: dv.clone(), n: 1, t: 0.02 }) {
+            Response::Stepped { mass, pos, .. } => assert_eq!((mass.len(), pos.len()), (23, 23)),
+            other => panic!("{other:?}"),
+        }
+        // a ragged `dv` is refused before any shard is addressed
+        sharded.submit_step(&dv[..22], 1, 0.03);
+        assert!(matches!(sharded.collect_step_into(&mut got), Response::Error(_)));
+        assert!(matches!(sharded.call(Request::Step { dv, n: 3, t: 0.03 }), Response::Error(_)));
     }
 
     #[test]
@@ -817,6 +1031,16 @@ mod tests {
         let flops = pool.compute_kick_into(&targets, &[], &[], &mut acc);
         assert_eq!(flops, Some(2.0), "both shards must be in flight at once");
         assert_eq!(acc, targets, "gathered in shard order");
+
+        // a field likewise: each shard's host asks for both directions,
+        // and each direction waits for the peer shard's
+        let stars = ParticleData { mass: vec![1.0; 5], pos: targets.clone(), vel: Vec::new() };
+        let gas = ParticleData { mass: vec![1.0; 3], pos: targets[..3].to_vec(), vel: Vec::new() };
+        pool.submit_field(&stars, &gas, (0, 5), (0, 3));
+        let flops = pool.collect_accelerations_into(&mut acc);
+        assert_eq!(flops, Some(4.0), "both shards must be in flight at once");
+        let star_then_gas: Vec<_> = targets.iter().chain(&targets[..3]).copied().collect();
+        assert_eq!(acc, star_then_gas, "star pieces in shard order, then gas pieces");
     }
 
     #[test]
@@ -850,6 +1074,15 @@ mod tests {
                 source_pos: Vec::new(),
                 source_mass: Vec::new(),
             },
+            Request::Step { dv: Vec::new(), n: 1, t: 1.0 },
+            Request::ComputeField {
+                star_pos: vec![[0.0; 3]],
+                star_mass: vec![1.0],
+                gas_pos: Vec::new(),
+                gas_mass: Vec::new(),
+                star_range: (0, 1),
+                gas_range: (0, 0),
+            },
             Request::EvolveStars(1.0),
             Request::SaveState,
             Request::LoadState(ModelState::Stateless),
@@ -871,6 +1104,10 @@ mod tests {
         pool.submit_kick_slice(&[]);
         err(pool.collect_kick());
         pool.submit_compute_kick(&[[0.0; 3]], &[], &[]);
+        assert_eq!(pool.collect_accelerations_into(&mut acc), None);
+        pool.submit_step(&[], 1, 1.0);
+        err(pool.collect_step_into(&mut snap));
+        pool.submit_field(&snap, &snap, (0, 0), (0, 0));
         assert_eq!(pool.collect_accelerations_into(&mut acc), None);
         assert_eq!(pool.stats(), ChannelStats::default());
     }

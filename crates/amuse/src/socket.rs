@@ -22,6 +22,7 @@
 
 use crate::channel::{Channel, ChannelStats};
 use crate::chaos::{RetryPolicy, StreamFaults};
+use crate::host;
 use crate::reactor::{net_timeout, Reactor, ReactorChannel};
 use crate::wire::{self, WireError};
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
@@ -126,13 +127,23 @@ impl Channel for SocketChannel {
         self.0.collect_kick()
     }
 
-    fn submit_compute_kick(
+    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
+        self.0.submit_step(dv, n, t);
+        self.0.push();
+    }
+
+    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
+        self.0.collect_step_into(out)
+    }
+
+    fn submit_field(
         &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
+        stars: &ParticleData,
+        gas: &ParticleData,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
     ) {
-        self.0.submit_compute_kick(targets, source_pos, source_mass);
+        self.0.submit_field(stars, gas, star_range, gas_range);
         self.0.push();
     }
 
@@ -289,16 +300,18 @@ enum Served {
 }
 
 /// Reusable decode/encode scratch for [`serve_connection`]'s per-step
-/// fast paths, so a steady-state snapshot/kick/coupling request costs
+/// fast paths, so a steady-state snapshot/step/field/kick request costs
 /// the server no allocation.
 #[derive(Default)]
 struct ServeScratch {
     snap: ParticleData,
     dv: Vec<[f64; 3]>,
-    targets: Vec<[f64; 3]>,
-    source_pos: Vec<[f64; 3]>,
-    source_mass: Vec<f64>,
+    /// The two sets of a field request (velocity columns unused).
+    stars: ParticleData,
+    gas: ParticleData,
     acc: Vec<[f64; 3]>,
+    /// Staging for the second half of a field (see [`host::field_into`]).
+    tmp: Vec<[f64; 3]>,
     /// Encoded-but-unflushed response frames (see `emit`).
     batch: Vec<u8>,
     /// Backing storage for the connection's [`RequestReader`].
@@ -431,149 +444,123 @@ fn serve_connection(
             }
             continue;
         }
-        // Per-step fast paths: snapshot, kick, and the coupling kick
-        // bypass `decode_request`/`worker.handle`'s owned `Request`/
-        // `Response` round trip and run on reused scratch instead,
-        // appending the response frame straight into the write batch
-        // (no staging copy). Every leg that cannot take the fast path
-        // (validation failure, a worker without the capability) falls
-        // through to the generic path below, which replies with the
-        // exact same frames — byte-for-byte — that a fast-path-less
-        // server would produce.
+        // Per-step fast paths: snapshot, kick, step and the coupling
+        // field bypass `decode_request`'s owned `Request` and the owned
+        // `Response` of `host::serve`: they decode into reused scratch
+        // and append the response frame straight into the write batch
+        // (no staging copy). A leg the worker declines answers through
+        // the owned types with the exact same frames — byte-for-byte —
+        // that a fast-path-less server would produce.
         let resp_start = scratch.batch.len();
-        enum Fast {
-            /// Response appended to the batch; `bool` is
-            /// `Request::mutating()`.
-            Done(bool),
-            Fallback,
+        type Range = (usize, usize);
+        enum Decoded {
+            Snapshot,
+            /// Half-kick in `scratch.dv`.
+            Kick,
+            /// Half-kick in `scratch.dv`; kick count and target time.
+            Step(u32, f64),
+            /// Sets in `scratch.stars` / `scratch.gas`; target ranges.
+            Field(Range, Range),
+            Other(Request),
         }
-        let fast = match frame.get(5).copied() {
+        let decoded = match frame.get(5).copied() {
             Some(wire::op::GET_PARTICLES) if frame.len() == wire::HEADER_LEN => {
-                if let Some(f) = fuse {
-                    if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                        let _ = write_all_to(stream, &scratch.batch);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        return Served::Crashed;
-                    }
-                }
-                if let Some((mass, pos, vel)) = worker.particles() {
-                    // zero-copy leg: encode straight from the worker's
-                    // arrays into the write batch, skipping both the
-                    // `ParticleData` staging copy and the batch copy
-                    wire::encode_particles_frame(mass, pos, vel, &mut scratch.batch);
-                    Fast::Done(false)
-                } else if worker.snapshot_into(&mut scratch.snap) {
-                    wire::encode_particles_frame(
-                        &scratch.snap.mass,
-                        &scratch.snap.pos,
-                        &scratch.snap.vel,
-                        &mut scratch.batch,
-                    );
-                    Fast::Done(false)
-                } else {
-                    // fuse already burned: the fallback must not burn twice
-                    match wire::decode_request(frame) {
-                        Ok(req) => {
-                            let mutating = req.mutating();
-                            wire::encode_response(&worker.handle(req), out);
-                            scratch.batch.extend_from_slice(out);
-                            Fast::Done(mutating)
-                        }
-                        Err(_) => Fast::Fallback,
-                    }
-                }
+                Ok(Decoded::Snapshot)
             }
-            Some(wire::op::KICK) if wire::decode_kick_into(frame, &mut scratch.dv).is_ok() => {
-                if let Some(f) = fuse {
-                    if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                        let _ = write_all_to(stream, &scratch.batch);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        return Served::Crashed;
+            Some(wire::op::KICK) => {
+                wire::decode_kick_into(frame, &mut scratch.dv).map(|()| Decoded::Kick)
+            }
+            Some(wire::op::STEP) => {
+                wire::decode_step_into(frame, &mut scratch.dv).map(|(n, t)| Decoded::Step(n, t))
+            }
+            Some(wire::op::COMPUTE_FIELD) => {
+                wire::decode_compute_field_into(frame, &mut scratch.stars, &mut scratch.gas)
+                    .map(|(stars, gas)| Decoded::Field(stars, gas))
+            }
+            _ => wire::decode_request(frame).map(Decoded::Other),
+        };
+        let decoded = match decoded {
+            Ok(d) => d,
+            Err(e) => {
+                wire::encode_response(&Response::Error(format!("protocol error: {e}")), out);
+                scratch.batch.extend_from_slice(out);
+                let _ = flush_batch(stream, &mut scratch.batch, false);
+                return Served::KeepListening;
+            }
+        };
+        if let Some(f) = fuse {
+            if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                // injected crash: vanish mid-conversation, no reply
+                let _ = write_all_to(stream, &scratch.batch);
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return Served::Crashed;
+            }
+        }
+        // `owned` is an answer no borrowed encoder has written yet
+        let (stop, mutating, owned) = match decoded {
+            Decoded::Snapshot => {
+                // zero-copy when the worker lends its columns: straight
+                // from its arrays into the write batch
+                let owned = match host::particles(worker, &mut scratch.snap) {
+                    Ok((mass, pos, vel)) => {
+                        wire::encode_particles_frame(mass, pos, vel, &mut scratch.batch);
+                        None
                     }
-                }
-                match worker.kick_slice(&scratch.dv) {
+                    Err(resp) => Some(resp),
+                };
+                (false, false, owned)
+            }
+            Decoded::Kick => {
+                let owned = match worker.kick_slice(&scratch.dv) {
                     Some(flops) => {
                         wire::encode_ok_frame(flops, &mut scratch.batch);
-                        Fast::Done(true)
+                        None
                     }
-                    None => {
-                        let req = Request::Kick(std::mem::take(&mut scratch.dv));
-                        wire::encode_response(&worker.handle(req), out);
-                        scratch.batch.extend_from_slice(out);
-                        Fast::Done(true)
-                    }
-                }
-            }
-            Some(wire::op::COMPUTE_KICK)
-                if wire::decode_compute_kick_into(
-                    frame,
-                    &mut scratch.targets,
-                    &mut scratch.source_pos,
-                    &mut scratch.source_mass,
-                )
-                .is_ok() =>
-            {
-                if let Some(f) = fuse {
-                    if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                        let _ = write_all_to(stream, &scratch.batch);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        return Served::Crashed;
-                    }
-                }
-                match worker.compute_kick_into(
-                    &scratch.targets,
-                    &scratch.source_pos,
-                    &scratch.source_mass,
-                    &mut scratch.acc,
-                ) {
-                    Some(flops) => {
-                        wire::encode_accelerations_frame(&scratch.acc, flops, &mut scratch.batch);
-                        Fast::Done(false)
-                    }
-                    None => {
-                        let req = Request::ComputeKick {
-                            targets: std::mem::take(&mut scratch.targets),
-                            source_pos: std::mem::take(&mut scratch.source_pos),
-                            source_mass: std::mem::take(&mut scratch.source_mass),
-                        };
-                        wire::encode_response(&worker.handle(req), out);
-                        scratch.batch.extend_from_slice(out);
-                        Fast::Done(false)
-                    }
-                }
-            }
-            _ => Fast::Fallback,
-        };
-        let (stop, mutating) = match fast {
-            Fast::Done(mutating) => (false, mutating),
-            Fast::Fallback => {
-                let req = match wire::decode_request(frame) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        wire::encode_response(
-                            &Response::Error(format!("protocol error: {e}")),
-                            out,
-                        );
-                        scratch.batch.extend_from_slice(out);
-                        let _ = flush_batch(stream, &mut scratch.batch, false);
-                        return Served::KeepListening;
-                    }
+                    None => Some(worker.handle(Request::Kick(std::mem::take(&mut scratch.dv)))),
                 };
-                if let Some(f) = fuse {
-                    if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                        // injected crash: vanish mid-conversation, no reply
-                        let _ = write_all_to(stream, &scratch.batch);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        return Served::Crashed;
+                (false, true, owned)
+            }
+            Decoded::Step(n, t) => {
+                let owned = match host::step(worker, &scratch.dv, n, t) {
+                    Ok(flops) => match host::particles(worker, &mut scratch.snap) {
+                        Ok((mass, pos, _)) => {
+                            wire::encode_stepped_frame(mass, pos, flops, &mut scratch.batch);
+                            None
+                        }
+                        Err(resp) => Some(resp),
+                    },
+                    Err(resp) => Some(resp),
+                };
+                (false, true, owned)
+            }
+            Decoded::Field(star_range, gas_range) => {
+                let (stars, gas) = (&scratch.stars, &scratch.gas);
+                let owned = match host::field_into(
+                    worker,
+                    (&stars.pos, &stars.mass),
+                    (&gas.pos, &gas.mass),
+                    star_range,
+                    gas_range,
+                    &mut scratch.acc,
+                    &mut scratch.tmp,
+                ) {
+                    Ok(flops) => {
+                        wire::encode_accelerations_frame(&scratch.acc, flops, &mut scratch.batch);
+                        None
                     }
-                }
+                    Err(resp) => Some(resp),
+                };
+                (false, false, owned)
+            }
+            Decoded::Other(req) => {
                 let stop = matches!(req, Request::Stop | Request::Shutdown);
-                let mutating = req.mutating();
-                wire::encode_response(&worker.handle(req), out);
-                scratch.batch.extend_from_slice(out);
-                (stop, mutating)
+                (stop, req.mutating(), Some(host::serve(worker, req)))
             }
         };
+        if let Some(resp) = owned {
+            wire::encode_response(&resp, out);
+            scratch.batch.extend_from_slice(out);
+        }
         // Cache before the reply leaves: if the write (or the coupler's
         // read of it) fails, the retried frame must find the cache.
         if seq != 0 && mutating {
@@ -882,6 +869,51 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        drop(c);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn lost_response_to_a_step_is_replayed_not_re_applied() {
+        use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
+        let grav = || GravityWorker::new(plummer_sphere(6, 9), Backend::CpuParallel);
+        let dv = vec![[0.5, -0.25, 0.125]; 6];
+        let state = |c: &mut SocketChannel| match c.call(Request::GetParticles) {
+            Response::Particles(p) => (p.mass, p.pos, p.vel),
+            other => panic!("{other:?}"),
+        };
+        // control: one clean step that kicks twice
+        let (addr, handle) = spawn_tcp_worker("ctrl", grav);
+        let mut ctrl = SocketChannel::connect(addr, "ctrl").unwrap();
+        let mut expected = ParticleData::default();
+        ctrl.submit_step(&dv, 2, 0.01);
+        let flops = match ctrl.collect_step_into(&mut expected) {
+            Response::Ok { flops } => flops,
+            other => panic!("{other:?}"),
+        };
+        let expected_state = state(&mut ctrl);
+        drop(ctrl);
+        handle.join().unwrap().unwrap();
+
+        // chaos: the step's response is lost to an injected read
+        // timeout; the retry resends the same sequence number and the
+        // server must replay the answer it gave — the same positions,
+        // the same flops — not kick twice more and evolve again
+        let (addr, handle) = spawn_tcp_worker("flaky", grav);
+        let mut c = SocketChannel::connect(addr, "flaky")
+            .unwrap()
+            .with_retry(RetryPolicy { backoff_base_ms: 1, ..RetryPolicy::standard(7) })
+            .with_chaos(StreamFaults::default().with_read(1, IoFault::ReadTimeout));
+        let mut got = ParticleData::default();
+        c.submit_step(&dv, 2, 0.01);
+        match c.collect_step_into(&mut got) {
+            Response::Ok { flops: f } => assert_eq!(f.to_bits(), flops.to_bits()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(c.stats().retries, 1, "exactly one in-place retry");
+        assert_eq!((got.mass, got.pos), (expected.mass, expected.pos), "the replayed answer");
+        assert!(got.vel.is_empty());
+        assert_eq!(state(&mut c), expected_state, "kicked twice and evolved exactly once");
         drop(c);
         handle.join().unwrap().unwrap();
     }

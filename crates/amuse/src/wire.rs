@@ -12,7 +12,7 @@
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic 0x4A43_5752 ("JCWR", little-endian u32)
 //!      4     1  version (the *lowest* protocol version defining the opcode)
-//!      5     1  opcode (request 0x01..=0x0D, response 0x81..=0x87)
+//!      5     1  opcode (request 0x01..=0x0F, response 0x81..=0x88)
 //!      6     2  sequence number (u16, 0 = unsequenced; see below)
 //!      8     8  payload length in bytes (u64)
 //!     16     8  aux0 — opcode-specific count / bits (u64)
@@ -34,7 +34,8 @@
 //!   that defines its opcode ([`opcode_version`]) — never its own
 //!   [`VERSION`]. Version 1 covers the original RPC surface; version 2
 //!   added the checkpoint/failover opcodes (`SaveState` / `LoadState` /
-//!   `Shutdown` / `State`).
+//!   `Shutdown` / `State`); version 3 the bridge's composite substep
+//!   (`Step` / `ComputeField` / `Stepped`, laid out below).
 //! * A decoder accepts every version up to its own [`VERSION`] and
 //!   rejects newer frames with [`WireError::BadVersion`] *before*
 //!   trusting the length field. A frame whose version byte is older
@@ -68,6 +69,24 @@
 //! writes to disk — the checkpoint container is a sequence of wire
 //! frames behind a 40-byte file header.
 //!
+//! # Composite substep frames
+//!
+//! ```text
+//! opcode        aux0     aux1        payload                            length
+//! ------------  -------  ----------  ---------------------------------  ------------
+//! Step          n        kick count  t, dv[3n]                          8 + 24 n
+//! ComputeField  n_stars  n_gas       star_lo, star_hi, gas_lo, gas_hi
+//!                                    (u64), star_pos[3s], star_mass[s],
+//!                                    gas_pos[3g], gas_mass[g]           32 + 32 (s+g)
+//! Stepped       n        flops bits  mass[n], pos[3n]                   32 n
+//! ```
+//!
+//! A `ComputeField` is answered by an `Accelerations` frame holding the
+//! star range's accelerations followed by the gas range's. Decoding
+//! checks the length against the counts; whether the kick count is 1 or
+//! 2 and the ranges lie inside the sets is the serving host's check
+//! ([`crate::host`]), answered with a typed `Error` frame.
+//!
 //! The `decode_*_into` functions are the coupler-side fast paths: they
 //! parse a response frame straight into caller-owned buffers, so a warm
 //! [`crate::SocketChannel`] round trip performs no heap allocation.
@@ -93,6 +112,7 @@
 //! `docs/ARCHITECTURE.md`.
 
 use crate::checkpoint::ModelState;
+use crate::host::FieldSet;
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
 use std::io::{Read, Write};
@@ -101,7 +121,7 @@ use std::io::{Read, Write};
 pub const MAGIC: u32 = 0x4A43_5752;
 /// Current protocol version (see the module docs for the negotiation
 /// rules; individual frames are stamped with [`opcode_version`]).
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 32;
 /// Maximum accepted payload size (256 MiB). A length prefix beyond this
@@ -144,6 +164,10 @@ pub mod op {
     pub const LOAD_STATE: u8 = 0x0C;
     /// [`super::Request::Shutdown`] (protocol v2)
     pub const SHUTDOWN: u8 = 0x0D;
+    /// [`super::Request::Step`] (protocol v3)
+    pub const STEP: u8 = 0x0E;
+    /// [`super::Request::ComputeField`] (protocol v3)
+    pub const COMPUTE_FIELD: u8 = 0x0F;
     /// [`super::Response::Ok`]
     pub const RESP_OK: u8 = 0x81;
     /// [`super::Response::Particles`]
@@ -158,6 +182,8 @@ pub mod op {
     pub const RESP_ERROR: u8 = 0x86;
     /// [`super::Response::State`] (protocol v2)
     pub const RESP_STATE: u8 = 0x87;
+    /// [`super::Response::Stepped`] (protocol v3)
+    pub const RESP_STEPPED: u8 = 0x88;
 }
 
 /// The lowest protocol version that defines `opcode` — what encoders
@@ -186,6 +212,7 @@ pub const fn opcode_version(opcode: u8) -> u8 {
         | op::RESP_UNSUPPORTED
         | op::RESP_ERROR => 1,
         op::SAVE_STATE | op::LOAD_STATE | op::SHUTDOWN | op::RESP_STATE => 2,
+        op::STEP | op::COMPUTE_FIELD | op::RESP_STEPPED => 3,
         _ => 1,
     }
 }
@@ -579,6 +606,51 @@ pub fn encode_compute_kick(
     put_f64s(buf, source_mass);
 }
 
+/// Encode `Step` from a borrowed half-kick (the coupler's per-substep
+/// fast path).
+pub fn encode_step(dv: &[[f64; 3]], n: u32, t: f64, buf: &mut Vec<u8>) {
+    begin_frame(buf, op::STEP, 8 + 24 * dv.len() as u64, dv.len() as u64, n as u64);
+    put_f64(buf, t);
+    put_v3s(buf, dv);
+}
+
+/// Encode `ComputeField` from borrowed sets. Each set's positions and
+/// masses must have equal length.
+pub fn encode_compute_field(
+    stars: FieldSet<'_>,
+    gas: FieldSet<'_>,
+    star_range: (usize, usize),
+    gas_range: (usize, usize),
+    buf: &mut Vec<u8>,
+) {
+    assert!(
+        stars.0.len() == stars.1.len() && gas.0.len() == gas.1.len(),
+        "field set arrays length mismatch"
+    );
+    let (s, g) = (stars.0.len() as u64, gas.0.len() as u64);
+    begin_frame(buf, op::COMPUTE_FIELD, 32 + 32 * (s + g), s, g);
+    for bound in [star_range.0, star_range.1, gas_range.0, gas_range.1] {
+        put_u64(buf, bound as u64);
+    }
+    for (pos, mass) in [stars, gas] {
+        put_v3s(buf, pos);
+        put_f64s(buf, mass);
+    }
+}
+
+/// Encode a `Stepped` response frame straight from borrowed columns
+/// (the server's `Step` fast path; flops ride in aux1 so the payload
+/// stays the modeled 32·n). **Appends** to `buf`, like
+/// [`encode_particles_frame`].
+// jc-lint: no-alloc
+pub fn encode_stepped_frame(mass: &[f64], pos: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
+    let n = mass.len();
+    assert!(pos.len() == n, "ragged step answer");
+    begin_frame_at(buf, op::RESP_STEPPED, 32 * n as u64, n as u64, flops.to_bits());
+    put_f64s(buf, mass);
+    put_v3s(buf, pos);
+}
+
 /// The `aux0` kind tag of a state body (see the module docs).
 fn state_kind_tag(s: &ModelState) -> u64 {
     match s {
@@ -706,6 +778,16 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
         Request::ComputeKick { targets, source_pos, source_mass } => {
             encode_compute_kick(targets, source_pos, source_mass, buf)
         }
+        Request::Step { dv, n, t } => encode_step(dv, *n, *t, buf),
+        Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, star_range, gas_range } => {
+            encode_compute_field(
+                (star_pos, star_mass),
+                (gas_pos, gas_mass),
+                *star_range,
+                *gas_range,
+                buf,
+            )
+        }
         Request::InjectEnergy { center, radius, energy } => {
             begin_frame(buf, op::INJECT_ENERGY, 40, 0, 0);
             put_v3(buf, center);
@@ -740,6 +822,10 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
         Response::Accelerations { acc, flops } => {
             buf.clear();
             encode_accelerations_frame(acc, *flops, buf);
+        }
+        Response::Stepped { mass, pos, flops } => {
+            buf.clear();
+            encode_stepped_frame(mass, pos, *flops, buf);
         }
         Response::StellarUpdate { masses, events } => {
             let len = 8 * masses.len() as u64 + 32 * events.len() as u64;
@@ -903,6 +989,23 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
                 source_mass: get_f64s(&p[off_sm..off_sm + 8 * s]),
             })
         }
+        op::STEP => {
+            let mut dv = Vec::new();
+            let (n, t) = decode_step_into(frame, &mut dv)?;
+            Ok(Request::Step { dv, n, t })
+        }
+        op::COMPUTE_FIELD => {
+            let (mut stars, mut gas) = (ParticleData::default(), ParticleData::default());
+            let (star_range, gas_range) = decode_compute_field_into(frame, &mut stars, &mut gas)?;
+            Ok(Request::ComputeField {
+                star_pos: stars.pos,
+                star_mass: stars.mass,
+                gas_pos: gas.pos,
+                gas_mass: gas.mass,
+                star_range,
+                gas_range,
+            })
+        }
         op::INJECT_ENERGY | op::ADD_GAS => {
             if h.len != 40 {
                 return Err(bad_length(&h));
@@ -938,6 +1041,11 @@ pub fn decode_response(frame: &[u8]) -> Result<Response, WireError> {
             let mut acc = Vec::new();
             let flops = decode_accelerations_into(frame, &mut acc)?;
             Ok(Response::Accelerations { acc, flops })
+        }
+        op::RESP_STEPPED => {
+            let mut out = ParticleData::default();
+            let flops = decode_stepped_into(frame, &mut out)?;
+            Ok(Response::Stepped { mass: out.mass, pos: out.pos, flops })
         }
         op::RESP_STELLAR_UPDATE => {
             let m = h.aux0;
@@ -1036,6 +1144,70 @@ pub fn decode_compute_kick_into(
     get_v3s_into(source_pos, &p[off_sp..off_sm]);
     get_f64s_into(source_mass, &p[off_sm..off_sm + 8 * s]);
     Ok(())
+}
+
+/// Fast path: decode a `Step` request's half-kick into reusable scratch
+/// (the server's per-substep hot path), returning its kick count and
+/// target time. A count beyond `u32` saturates; the host refuses it.
+// jc-lint: no-alloc
+pub fn decode_step_into(frame: &[u8], dv: &mut Vec<[f64; 3]>) -> Result<(u32, f64), WireError> {
+    let (h, p) = parse_frame(frame)?;
+    if h.opcode != op::STEP {
+        return Err(WireError::Unexpected(h.opcode));
+    }
+    if h.aux0.checked_mul(24).and_then(|b| b.checked_add(8)) != Some(h.len) {
+        return Err(bad_length(&h));
+    }
+    get_v3s_into(dv, &p[8..8 + 24 * h.aux0 as usize]);
+    Ok((u32::try_from(h.aux1).unwrap_or(u32::MAX), get_f64(p, 0)))
+}
+
+/// Fast path: decode a `ComputeField` request's two sets into reusable
+/// scratch (the coupling server's hot path; the velocity columns are
+/// cleared), returning the star and gas target ranges as sent — a
+/// bound beyond `usize` saturates; the host refuses ranges outside the
+/// sets.
+// jc-lint: no-alloc
+#[allow(clippy::type_complexity)]
+pub fn decode_compute_field_into(
+    frame: &[u8],
+    stars: &mut ParticleData,
+    gas: &mut ParticleData,
+) -> Result<((usize, usize), (usize, usize)), WireError> {
+    let (h, p) = parse_frame(frame)?;
+    if h.opcode != op::COMPUTE_FIELD {
+        return Err(WireError::Unexpected(h.opcode));
+    }
+    let (s, g) = (h.aux0, h.aux1);
+    let expect = s.checked_add(g).and_then(|n| n.checked_mul(32)).and_then(|b| b.checked_add(32));
+    if expect != Some(h.len) {
+        return Err(bad_length(&h));
+    }
+    let bound = |i: usize| usize::try_from(get_u64(p, 8 * i)).unwrap_or(usize::MAX);
+    let mut off = 32;
+    for (set, n) in [(stars, s as usize), (gas, g as usize)] {
+        get_v3s_into(&mut set.pos, &p[off..off + 24 * n]);
+        get_f64s_into(&mut set.mass, &p[off + 24 * n..off + 32 * n]);
+        set.vel.clear();
+        off += 32 * n;
+    }
+    Ok(((bound(0), bound(1)), (bound(2), bound(3))))
+}
+
+/// Fast path: decode a `Stepped` response's masses and positions into
+/// `out` (its velocity column is cleared: none are sent), returning the
+/// modeled flops carried in aux1.
+// jc-lint: no-alloc
+pub fn decode_stepped_into(frame: &[u8], out: &mut ParticleData) -> Result<f64, WireError> {
+    let (h, p) = parse_frame(frame)?;
+    if h.opcode != op::RESP_STEPPED {
+        return Err(WireError::Unexpected(h.opcode));
+    }
+    let n = checked_count(&h, h.aux0, 32, h.len)?;
+    get_f64s_into(&mut out.mass, &p[..8 * n]);
+    get_v3s_into(&mut out.pos, &p[8 * n..32 * n]);
+    out.vel.clear();
+    Ok(f64::from_bits(h.aux1))
 }
 
 /// Fast path: decode an `Accelerations` response into `out` (cleared

@@ -61,6 +61,42 @@ pub enum Request {
         /// Source masses.
         source_mass: Vec<f64>,
     },
+    /// One bridge substep on a dynamics worker: apply the half-kick `dv`
+    /// `n` times — as `n` separate additions, so velocities see the f64
+    /// sequence of `n` [`Request::Kick`]s — then evolve to `t`, and
+    /// answer [`Response::Stepped`] with the masses and positions the
+    /// next coupling field is evaluated at. Served by the worker's host
+    /// (see [`crate::host`]), never by [`ModelWorker::handle`].
+    Step {
+        /// The half-kick, one velocity increment per particle.
+        dv: Vec<[f64; 3]>,
+        /// Applications of `dv`: 1, or 2 when the closing half-kick of
+        /// the previous substep and the opening one of this substep are
+        /// the same vector.
+        n: u32,
+        /// Absolute time to evolve to after the kicks.
+        t: f64,
+    },
+    /// The mutual coupling field of two particle sets, both shipped
+    /// once: the accelerations of the stars in `star_range` due to all
+    /// gas, followed by those of the gas in `gas_range` due to all
+    /// stars, in one [`Response::Accelerations`]. Stateless; served by
+    /// the worker's host (see [`crate::host`]) as two
+    /// [`ModelWorker::compute_kick_into`] evaluations.
+    ComputeField {
+        /// Star positions.
+        star_pos: Vec<[f64; 3]>,
+        /// Star masses.
+        star_mass: Vec<f64>,
+        /// Gas positions.
+        gas_pos: Vec<[f64; 3]>,
+        /// Gas masses.
+        gas_mass: Vec<f64>,
+        /// `[start, end)` of the star targets to evaluate.
+        star_range: (usize, usize),
+        /// `[start, end)` of the gas targets to evaluate.
+        gas_range: (usize, usize),
+    },
     /// Evolve the stellar population to `t_myr`.
     EvolveStars(f64),
     /// Inject thermal energy (supernova feedback).
@@ -107,6 +143,12 @@ impl Request {
             Request::ComputeKick { targets, source_pos, source_mass } => {
                 24 * (targets.len() + source_pos.len()) as u64 + 8 * source_mass.len() as u64
             }
+            Request::Step { dv, .. } => 8 + 24 * dv.len() as u64,
+            // four range bounds, then both sets as (pos, mass)
+            Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, .. } => {
+                32 + 24 * (star_pos.len() + gas_pos.len()) as u64
+                    + 8 * (star_mass.len() + gas_mass.len()) as u64
+            }
             Request::InjectEnergy { .. } => 40,
             Request::AddGas { .. } => 40,
         };
@@ -130,6 +172,7 @@ impl Request {
             Request::Ping
             | Request::GetParticles
             | Request::ComputeKick { .. }
+            | Request::ComputeField { .. }
             | Request::SaveState
             | Request::Stop
             | Request::Shutdown => false,
@@ -137,6 +180,7 @@ impl Request {
             | Request::EvolveStars(_)
             | Request::SetMasses(_)
             | Request::Kick(_)
+            | Request::Step { .. }
             | Request::InjectEnergy { .. }
             | Request::AddGas { .. }
             | Request::LoadState(_) => true,
@@ -161,6 +205,17 @@ pub enum Response {
         /// Work performed.
         flops: f64,
     },
+    /// The answer to [`Request::Step`]: where the particles are after
+    /// the evolve. Velocities are not sent — the coupling field does not
+    /// depend on them.
+    Stepped {
+        /// Masses.
+        mass: Vec<f64>,
+        /// Positions.
+        pos: Vec<[f64; 3]>,
+        /// Work performed by the kicks and the evolve.
+        flops: f64,
+    },
     /// Stellar update.
     StellarUpdate {
         /// Current masses, MSun, per star.
@@ -183,6 +238,7 @@ impl Response {
             Response::Ok { .. } => 8,
             Response::Particles(p) => p.wire_size(),
             Response::Accelerations { acc, .. } => 24 * acc.len() as u64,
+            Response::Stepped { mass, pos, .. } => 8 * mass.len() as u64 + 24 * pos.len() as u64,
             Response::StellarUpdate { masses, events } => {
                 8 * masses.len() as u64 + 32 * events.len() as u64
             }
@@ -198,6 +254,7 @@ impl Response {
         match self {
             Response::Ok { flops } => *flops,
             Response::Accelerations { flops, .. } => *flops,
+            Response::Stepped { flops, .. } => *flops,
             _ => 0.0,
         }
     }
@@ -208,6 +265,11 @@ impl Response {
 pub type ParticleColumns<'a> = (&'a [f64], &'a [[f64; 3]], &'a [[f64; 3]]);
 
 /// A model worker: one kernel behind the RPC boundary.
+///
+/// A worker is reached through a *host* ([`crate::host::serve`]), which
+/// decomposes the composite requests [`Request::Step`] and
+/// [`Request::ComputeField`] into the methods below: a worker never
+/// sees either, and implements neither.
 ///
 /// The three `*_into`/`*_slice` methods are borrowing fast paths for
 /// in-process channels: same semantics as the corresponding [`Request`]s

@@ -3,7 +3,11 @@
 //! payloads, and 10k-particle snapshots — and every encoded frame must be
 //! exactly its modeled `wire_size()` long.
 
-use jc_amuse::wire::{decode_request, decode_response, encode_request, encode_response};
+use jc_amuse::wire::{
+    decode_compute_field_into, decode_request, decode_response, decode_step_into,
+    decode_stepped_into, encode_compute_field, encode_request, encode_response, encode_step,
+    encode_stepped_frame,
+};
 use jc_amuse::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
 use proptest::collection::vec;
@@ -41,6 +45,31 @@ fn any_request() -> BoxedStrategy<Request> {
             let (source_pos, source_mass) = src.into_iter().unzip();
             Request::ComputeKick { targets, source_pos, source_mass }
         }),
+        (vec(any_v3(), 0..40), any::<u32>(), any_f64()).prop_map(|(dv, n, t)| Request::Step {
+            dv,
+            n,
+            t
+        }),
+        (
+            vec((any_v3(), any_f64()), 0..20),
+            vec((any_v3(), any_f64()), 0..20),
+            (any::<usize>(), any::<usize>()),
+            (any::<usize>(), any::<usize>())
+        )
+            .prop_map(|(stars, gas, star_range, gas_range)| {
+                // any bounds travel: refusing ranges outside the sets is
+                // the serving host's job, not the codec's
+                let (star_pos, star_mass) = stars.into_iter().unzip();
+                let (gas_pos, gas_mass) = gas.into_iter().unzip();
+                Request::ComputeField {
+                    star_pos,
+                    star_mass,
+                    gas_pos,
+                    gas_mass,
+                    star_range,
+                    gas_range,
+                }
+            }),
         (any_v3(), any_f64(), any_f64())
             .prop_map(|(center, radius, energy)| Request::InjectEnergy { center, radius, energy }),
         (any_v3(), any_f64(), any_f64()).prop_map(|(pos, mass, u)| Request::AddGas {
@@ -75,6 +104,11 @@ fn any_response() -> BoxedStrategy<Response> {
         any_particles(30).prop_map(Response::Particles),
         (vec(any_v3(), 0..30), any_f64())
             .prop_map(|(acc, flops)| Response::Accelerations { acc, flops }),
+        (any_particles(30), any_f64()).prop_map(|(p, flops)| Response::Stepped {
+            mass: p.mass,
+            pos: p.pos,
+            flops
+        }),
         (vec(any_f64(), 0..30), vec(any_event(), 0..10))
             .prop_map(|(masses, events)| Response::StellarUpdate { masses, events }),
         Just(Response::Unsupported),
@@ -133,6 +167,33 @@ fn request_eq(a: &Request, b: &Request) -> bool {
             Request::ComputeKick { targets: t1, source_pos: p1, source_mass: m1 },
             Request::ComputeKick { targets: t2, source_pos: p2, source_mass: m2 },
         ) => vv3_eq(t1, t2) && vv3_eq(p1, p2) && vf_eq(m1, m2),
+        (Request::Step { dv: d1, n: n1, t: t1 }, Request::Step { dv: d2, n: n2, t: t2 }) => {
+            vv3_eq(d1, d2) && n1 == n2 && f64_eq(*t1, *t2)
+        }
+        (
+            Request::ComputeField {
+                star_pos: sp1,
+                star_mass: sm1,
+                gas_pos: gp1,
+                gas_mass: gm1,
+                star_range: sr1,
+                gas_range: gr1,
+            },
+            Request::ComputeField {
+                star_pos: sp2,
+                star_mass: sm2,
+                gas_pos: gp2,
+                gas_mass: gm2,
+                star_range: sr2,
+                gas_range: gr2,
+            },
+        ) => {
+            vv3_eq(sp1, sp2)
+                && vf_eq(sm1, sm2)
+                && vv3_eq(gp1, gp2)
+                && vf_eq(gm1, gm2)
+                && (sr1, gr1) == (sr2, gr2)
+        }
         (
             Request::InjectEnergy { center: c1, radius: r1, energy: e1 },
             Request::InjectEnergy { center: c2, radius: r2, energy: e2 },
@@ -153,6 +214,10 @@ fn response_eq(a: &Response, b: &Response) -> bool {
             Response::Accelerations { acc: a1, flops: f1 },
             Response::Accelerations { acc: a2, flops: f2 },
         ) => vv3_eq(a1, a2) && f64_eq(*f1, *f2),
+        (
+            Response::Stepped { mass: m1, pos: p1, flops: f1 },
+            Response::Stepped { mass: m2, pos: p2, flops: f2 },
+        ) => vf_eq(m1, m2) && vv3_eq(p1, p2) && f64_eq(*f1, *f2),
         (
             Response::StellarUpdate { masses: m1, events: e1 },
             Response::StellarUpdate { masses: m2, events: e2 },
@@ -182,6 +247,56 @@ proptest! {
         prop_assert_eq!(buf.len() as u64, resp.wire_size());
         let back = decode_response(&buf).expect("valid frame must decode");
         prop_assert!(response_eq(&resp, &back), "round trip changed {:?}", resp);
+    }
+
+    /// The borrowed encoders and the scratch decoders of the composite
+    /// substep write and read the frames of the owned codec, into
+    /// buffers that held something else before.
+    #[test]
+    fn borrowed_composite_codecs_agree_with_the_owned_ones(
+        req in any_request(),
+        stale in any_particles(30),
+        flops in any_f64(),
+    ) {
+        let (mut owned, mut borrowed) = (Vec::new(), vec![0xAAu8; 7]);
+        encode_request(&req, &mut owned);
+        match &req {
+            Request::Step { dv, n, t } => {
+                encode_step(dv, *n, *t, &mut borrowed);
+                prop_assert!(owned == borrowed);
+                let mut into = stale.pos.clone();
+                let (n2, t2) = decode_step_into(&owned, &mut into).expect("valid frame");
+                prop_assert!(vv3_eq(dv, &into) && *n == n2 && f64_eq(*t, t2));
+            }
+            Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, star_range, gas_range } => {
+                encode_compute_field(
+                    (star_pos, star_mass),
+                    (gas_pos, gas_mass),
+                    *star_range,
+                    *gas_range,
+                    &mut borrowed,
+                );
+                prop_assert!(owned == borrowed);
+                let (mut stars, mut gas) = (stale.clone(), stale.clone());
+                let ranges =
+                    decode_compute_field_into(&owned, &mut stars, &mut gas).expect("valid frame");
+                prop_assert_eq!(ranges, (*star_range, *gas_range));
+                prop_assert!(vv3_eq(star_pos, &stars.pos) && vf_eq(star_mass, &stars.mass));
+                prop_assert!(vv3_eq(gas_pos, &gas.pos) && vf_eq(gas_mass, &gas.mass));
+                prop_assert!(stars.vel.is_empty() && gas.vel.is_empty());
+            }
+            _ => {}
+        }
+        // the step's answer, whatever the request was
+        let resp = Response::Stepped { mass: stale.mass.clone(), pos: stale.pos.clone(), flops };
+        encode_response(&resp, &mut owned);
+        borrowed.clear(); // the frame encoders append
+        encode_stepped_frame(&stale.mass, &stale.pos, flops, &mut borrowed);
+        prop_assert!(owned == borrowed);
+        let mut into = stale.clone();
+        let got = decode_stepped_into(&owned, &mut into).expect("valid frame");
+        prop_assert!(f64_eq(got, flops) && vf_eq(&into.mass, &stale.mass));
+        prop_assert!(vv3_eq(&into.pos, &stale.pos) && into.vel.is_empty());
     }
 
     #[test]
@@ -233,9 +348,30 @@ fn empty_payload_variants_round_trip() {
         assert_eq!(buf.len(), 32, "{req:?} must be header-only");
         assert!(request_eq(&req, &decode_request(&buf).unwrap()));
     }
+    // the composites of empty sets still carry their scalars
+    for (req, len) in [
+        (Request::Step { dv: Vec::new(), n: 1, t: 0.5 }, 32 + 8),
+        (
+            Request::ComputeField {
+                star_pos: Vec::new(),
+                star_mass: Vec::new(),
+                gas_pos: Vec::new(),
+                gas_mass: Vec::new(),
+                star_range: (0, 0),
+                gas_range: (0, 0),
+            },
+            32 + 32,
+        ),
+    ] {
+        let mut buf = Vec::new();
+        encode_request(&req, &mut buf);
+        assert_eq!(buf.len(), len, "{req:?}");
+        assert!(request_eq(&req, &decode_request(&buf).unwrap()));
+    }
     for resp in [
         Response::Particles(ParticleData::default()),
         Response::Accelerations { acc: Vec::new(), flops: 0.0 },
+        Response::Stepped { mass: Vec::new(), pos: Vec::new(), flops: 0.0 },
         Response::StellarUpdate { masses: Vec::new(), events: Vec::new() },
         Response::Error(String::new()),
     ] {

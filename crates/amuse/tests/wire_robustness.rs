@@ -8,7 +8,7 @@ use jc_amuse::wire::{
     self, decode_request, decode_response, encode_request, encode_response, op, read_frame,
     WireError, HEADER_LEN, MAX_PAYLOAD,
 };
-use jc_amuse::worker::{GravityWorker, ParticleData, Request, Response};
+use jc_amuse::worker::{CouplingWorker, GravityWorker, ParticleData, Request, Response};
 use jc_amuse::{Channel, SocketChannel};
 use jc_nbody::plummer::plummer_sphere;
 use jc_nbody::Backend;
@@ -21,8 +21,54 @@ fn valid_request_frame() -> Vec<u8> {
     buf
 }
 
+fn step_frame() -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_request(&Request::Step { dv: vec![[1.0, 2.0, 3.0]; 4], n: 2, t: 0.25 }, &mut buf);
+    buf
+}
+
+fn field_request(star_range: (usize, usize), gas_range: (usize, usize)) -> Request {
+    Request::ComputeField {
+        star_pos: vec![[1.0, 0.0, 0.0]; 3],
+        star_mass: vec![0.5; 3],
+        gas_pos: vec![[0.0, 1.0, 0.0]; 5],
+        gas_mass: vec![0.1; 5],
+        star_range,
+        gas_range,
+    }
+}
+
+fn field_frame() -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_request(&field_request((1, 3), (0, 4)), &mut buf);
+    buf
+}
+
+fn stepped_frame() -> Vec<u8> {
+    let mut buf = Vec::new();
+    let resp = Response::Stepped { mass: vec![1.0; 3], pos: vec![[0.5; 3]; 3], flops: 9.0 };
+    encode_response(&resp, &mut buf);
+    buf
+}
+
 #[test]
 fn every_truncation_of_a_valid_frame_errors_cleanly() {
+    // the composite substep's frames cut at every byte, through the
+    // owned decoders and the scratch ones the server and coupler run
+    for frame in [step_frame(), field_frame()] {
+        for cut in 0..frame.len() {
+            assert!(decode_request(&frame[..cut]).is_err(), "{cut}-byte prefix");
+            assert!(wire::decode_step_into(&frame[..cut], &mut Vec::new()).is_err());
+            let (mut stars, mut gas) = (ParticleData::default(), ParticleData::default());
+            assert!(wire::decode_compute_field_into(&frame[..cut], &mut stars, &mut gas).is_err());
+        }
+    }
+    let frame = stepped_frame();
+    for cut in 0..frame.len() {
+        assert!(decode_response(&frame[..cut]).is_err(), "{cut}-byte prefix");
+        assert!(wire::decode_stepped_into(&frame[..cut], &mut ParticleData::default()).is_err());
+    }
+
     let frame = valid_request_frame();
     for cut in 0..frame.len() {
         let r = decode_request(&frame[..cut]);
@@ -137,6 +183,87 @@ fn inconsistent_aux_counts_are_rejected() {
     encode_request(&Request::Kick(Vec::new()), &mut buf);
     buf[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(matches!(decode_request(&buf), Err(WireError::BadLength { .. })));
+
+    // the composite substep's counts: a lie in either aux field, and
+    // every overflow of count × stride (+ the fixed part), is a
+    // BadLength from the owned and from the scratch decoder — before
+    // anything is sized from the count
+    let huge = [u64::MAX, u64::MAX / 24, u64::MAX / 32, (u64::MAX - 32) / 32 + 1, 1 << 60];
+    for (frame, aux_offsets) in
+        [(step_frame(), &[16usize][..]), (field_frame(), &[16, 24]), (stepped_frame(), &[16])]
+    {
+        for &off in aux_offsets {
+            let honest = u64::from_le_bytes(frame[off..off + 8].try_into().unwrap());
+            for lie in huge.into_iter().chain([honest + 1, honest.wrapping_sub(1)]) {
+                let mut buf = frame.clone();
+                buf[off..off + 8].copy_from_slice(&lie.to_le_bytes());
+                let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
+                let errors = [
+                    decode_request(&buf).err(),
+                    decode_response(&buf).err(),
+                    wire::decode_step_into(&buf, &mut a.pos).err(),
+                    wire::decode_compute_field_into(&buf, &mut a, &mut b).err(),
+                    wire::decode_stepped_into(&buf, &mut a).err(),
+                ];
+                assert!(errors.iter().all(Option::is_some), "aux at {off} = {lie}: {errors:?}");
+                assert!(
+                    errors.iter().flatten().any(|e| matches!(e, WireError::BadLength { .. })),
+                    "aux at {off} = {lie}: {errors:?}"
+                );
+                let sized = a.pos.capacity() + a.mass.capacity() + b.pos.capacity();
+                assert!(sized <= 64, "a decoder sized a buffer from a refused count: {sized}");
+            }
+        }
+    }
+}
+
+/// What the codec lets through, the serving host refuses with a typed
+/// `Error` frame — a kick count other than 1 or 2, a `dv` of the wrong
+/// length, target ranges outside the sets or reversed — and the worker
+/// behind it is untouched and keeps serving.
+#[test]
+fn hosts_refuse_malformed_composites_with_a_typed_error() {
+    let refused = |r: Response, what: &str| match r {
+        Response::Error(e) => assert!(!e.contains("wire error"), "{what}: {e}"),
+        other => panic!("{what}: {other:?}"),
+    };
+    let (addr, handle) = jc_amuse::spawn_tcp_worker("grav", || {
+        GravityWorker::new(plummer_sphere(4, 1), Backend::Scalar)
+    });
+    let mut grav = SocketChannel::connect(addr, "grav").unwrap();
+    let before = grav.call(Request::GetParticles);
+    for (n, len) in [(0u32, 4usize), (3, 4), (u32::MAX, 4), (1, 3), (2, 5), (1, 0)] {
+        let step = Request::Step { dv: vec![[0.5; 3]; len], n, t: 1.0 };
+        refused(grav.call(step), &format!("step n={n} over {len} of 4 particles"));
+        // the typed legs surface the same refusal
+        grav.submit_step(&vec![[0.5; 3]; len], n, 1.0);
+        refused(grav.collect_step_into(&mut ParticleData::default()), "typed step leg");
+    }
+    let after = grav.call(Request::GetParticles);
+    assert_eq!(format!("{before:?}"), format!("{after:?}"), "a refused step applied nothing");
+    drop(grav);
+    handle.join().unwrap().unwrap();
+
+    let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", CouplingWorker::fi);
+    let mut fi = SocketChannel::connect(addr, "fi").unwrap();
+    let outside = [
+        ((0, 4), (0, 5)),
+        ((0, 3), (0, 6)),
+        ((2, 1), (0, 5)),
+        ((0, 3), (5, 4)),
+        ((usize::MAX - 1, usize::MAX), (0, 5)),
+        ((0, usize::MAX), (0, 5)),
+    ];
+    for (star_range, gas_range) in outside {
+        let what = format!("field over {star_range:?}/{gas_range:?} of 3 stars, 5 gas");
+        refused(fi.call(field_request(star_range, gas_range)), &what);
+    }
+    match fi.call(field_request((1, 3), (0, 4))) {
+        Response::Accelerations { acc, .. } => assert_eq!(acc.len(), 2 + 4),
+        other => panic!("{other:?}"),
+    }
+    drop(fi);
+    handle.join().unwrap().unwrap();
 }
 
 #[test]
@@ -177,12 +304,17 @@ proptest! {
     /// Single-byte corruption of a valid frame either still decodes (the
     /// flipped byte was payload data) or errors cleanly — never panics.
     #[test]
-    fn single_byte_corruption_never_panics(pos in 0usize..128, flip in 1u8..255) {
-        let mut frame = valid_request_frame();
-        let pos = pos % frame.len();
-        frame[pos] ^= flip;
-        let _ = decode_request(&frame);
-        let _ = decode_response(&frame);
+    fn single_byte_corruption_never_panics(pos in 0usize..400, flip in 1u8..255) {
+        for mut frame in [valid_request_frame(), step_frame(), field_frame(), stepped_frame()] {
+            let pos = pos % frame.len();
+            frame[pos] ^= flip;
+            let _ = decode_request(&frame);
+            let _ = decode_response(&frame);
+            let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
+            let _ = wire::decode_step_into(&frame, &mut a.pos);
+            let _ = wire::decode_compute_field_into(&frame, &mut a, &mut b);
+            let _ = wire::decode_stepped_into(&frame, &mut a);
+        }
     }
 }
 

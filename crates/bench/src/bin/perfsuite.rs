@@ -18,7 +18,7 @@
 //!   `LocalChannel`, the loopback-TCP `SocketChannel` facade one
 //!   request at a time (`*_socket_lockstep`), and a `ReactorChannel`
 //!   with both requests in flight (`*_socket`) — plus the K=3
-//!   `ComputeKick` fan-out row (`coupling_fanout_k3`) — so the
+//!   `ComputeField` fan-out row (`coupling_fanout_k3`) — so the
 //!   BENCH_*.json trajectory tracks what the wire costs on top of the
 //!   kernel (`interactions_per_s` holds payload bytes/s for these rows)
 //! * `--checkpoint` — add fault-tolerance overhead rows: serializing a
@@ -701,10 +701,12 @@ fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sa
     }
 }
 
-/// K-shard `ComputeKick` scatter–gather over loopback TCP workers, all
-/// K requests in flight at once through one reactor.
-/// `interactions_per_s` reports wire bytes/s measured from the pool's
-/// own channel accounting.
+/// K-shard `ComputeField` scatter–gather over loopback TCP workers —
+/// the bridge's coupling round trip: the same `n` particles as both
+/// sets, so each shard gets both sets once and evaluates its piece of
+/// both directions — all K requests in flight at once through one
+/// reactor. `interactions_per_s` reports wire bytes/s measured from the
+/// pool's own channel accounting.
 fn bench_coupling_fanout(n: usize, repeats: usize, k: usize) -> Sample {
     use jc_amuse::channel::Channel;
     use jc_amuse::shard::ShardedChannel;
@@ -727,18 +729,19 @@ fn bench_coupling_fanout(n: usize, repeats: usize, k: usize) -> Sample {
     let mut pool = ShardedChannel::with_counts(shards, vec![0; k]);
     assert!(pool.pipelined());
 
+    let set = jc_amuse::worker::ParticleData { mass: scene.mass, pos: scene.pos, vel: Vec::new() };
     let mut acc = Vec::new();
+    let mut field = |pool: &mut ShardedChannel| {
+        pool.submit_field(&set, &set, (0, n), (0, n));
+        pool.collect_accelerations_into(&mut acc).expect("fan-out field")
+    };
     let before = pool.stats();
-    let flops = pool
-        .compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut acc)
-        .expect("fan-out compute_kick");
-    assert!(flops > 0.0);
+    assert!(field(&mut pool) > 0.0);
     let st = pool.stats();
     let bytes_per_step = (st.bytes_out - before.bytes_out) + (st.bytes_in - before.bytes_in);
 
     let ns = best_ns(repeats, || {
-        pool.compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut acc)
-            .expect("fan-out compute_kick");
+        field(&mut pool);
     });
     drop(pool); // sends Stop to every shard
     for h in handles {

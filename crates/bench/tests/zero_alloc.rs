@@ -239,36 +239,52 @@ fn socket_channel_coupler_hot_path_allocates_nothing() {
     let mut ch = SocketChannel::connect(addr, "grav").unwrap();
     let mut snap = jc_amuse::worker::ParticleData::default();
     let dv = vec![[1e-9; 3]; n];
+    // the bridge's three round trips to a dynamics worker
+    let mut t = 0.0;
+    let mut round = |ch: &mut SocketChannel, snap: &mut jc_amuse::worker::ParticleData| {
+        t += 1e-4;
+        assert!(ch.snapshot_into(snap));
+        ch.submit_step(&dv, 2, t);
+        assert!(matches!(ch.collect_step_into(snap), Response::Ok { .. }));
+        assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
+    };
     // warm: grow the channel's encode/decode buffers and the snapshot
     for _ in 0..3 {
-        assert!(ch.snapshot_into(&mut snap));
-        assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
+        round(&mut ch, &mut snap);
     }
-    let allocs = count_allocs(|| {
-        assert!(ch.snapshot_into(&mut snap));
-        assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
-    });
-    assert_eq!(allocs, 0, "socket snapshot+kick made {allocs} heap allocations");
-    assert_eq!(snap.mass.len(), n, "sanity: snapshots actually crossed the wire");
+    let allocs = count_allocs(|| round(&mut ch, &mut snap));
+    assert_eq!(allocs, 0, "socket snapshot+step+kick made {allocs} heap allocations");
+    assert_eq!(snap.mass.len(), n, "sanity: particles actually crossed the wire");
+    assert!(snap.vel.is_empty(), "sanity: the last answer was a step's");
     drop(ch); // sends Stop so the server thread exits
     handle.join().unwrap().unwrap();
 }
 
+/// Two particle sets for a coupling field (velocities are not sent).
+fn field_sets(n_stars: usize, n_gas: usize) -> [jc_amuse::worker::ParticleData; 2] {
+    [(n_stars, 4), (n_gas, 5)].map(|(n, seed)| {
+        let p = jc_nbody::plummer::plummer_sphere(n, seed);
+        jc_amuse::worker::ParticleData { mass: p.mass, pos: p.pos, vel: Vec::new() }
+    })
+}
+
 #[test]
-fn socket_compute_kick_steady_state_allocates_nothing() {
+fn socket_field_steady_state_allocates_nothing() {
     use jc_amuse::{Channel, SocketChannel};
     let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", jc_amuse::CouplingWorker::fi);
     let mut ch = SocketChannel::connect(addr, "fi").unwrap();
-    let scene = jc_nbody::plummer::plummer_sphere(512, 4);
+    let [stars, gas] = field_sets(128, 512);
     let mut acc = Vec::new();
+    let field = |ch: &mut SocketChannel, acc: &mut Vec<[f64; 3]>| {
+        ch.submit_field(&stars, &gas, (0, 128), (0, 512));
+        ch.collect_accelerations_into(acc).expect("the field's accelerations");
+    };
     for _ in 0..2 {
-        ch.compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut acc).unwrap();
+        field(&mut ch, &mut acc);
     }
-    let allocs = count_allocs(|| {
-        ch.compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut acc).unwrap();
-    });
-    assert_eq!(allocs, 0, "socket compute-kick made {allocs} heap allocations");
-    assert_eq!(acc.len(), 512, "sanity: accelerations actually crossed the wire");
+    let allocs = count_allocs(|| field(&mut ch, &mut acc));
+    assert_eq!(allocs, 0, "socket field made {allocs} heap allocations");
+    assert_eq!(acc.len(), 128 + 512, "sanity: accelerations actually crossed the wire");
     drop(ch);
     handle.join().unwrap().unwrap();
 }
@@ -295,16 +311,70 @@ fn sharded_local_pool_hot_path_allocates_nothing() {
     let mut pool = ShardedChannel::new(shards);
     let mut snap = jc_amuse::worker::ParticleData::default();
     let dv = vec![[1e-9; 3]; 96];
+    let mut t = 0.0;
+    let mut round = |pool: &mut ShardedChannel, snap: &mut jc_amuse::worker::ParticleData| {
+        t += 1e-4;
+        assert!(pool.snapshot_into(snap));
+        pool.submit_step(&dv, 1, t);
+        assert!(matches!(pool.collect_step_into(snap), Response::Ok { .. }));
+        assert!(matches!(pool.kick_slice(&dv), Response::Ok { .. }));
+    };
     for _ in 0..3 {
-        assert!(pool.snapshot_into(&mut snap));
-        assert!(matches!(pool.kick_slice(&dv), Response::Ok { .. }));
+        round(&mut pool, &mut snap);
     }
-    let allocs = count_allocs(|| {
-        assert!(pool.snapshot_into(&mut snap));
-        assert!(matches!(pool.kick_slice(&dv), Response::Ok { .. }));
-    });
-    assert_eq!(allocs, 0, "sharded snapshot+kick made {allocs} heap allocations");
+    let allocs = count_allocs(|| round(&mut pool, &mut snap));
+    assert_eq!(allocs, 0, "sharded snapshot+step+kick made {allocs} heap allocations");
     assert_eq!(snap.mass.len(), 96);
+
+    // and the coupling pool: a field scattered over three shards
+    let shards: Vec<Box<dyn Channel>> = (0..3)
+        .map(|_| {
+            Box::new(LocalChannel::new(Box::new(jc_amuse::CouplingWorker::fi())))
+                as Box<dyn Channel>
+        })
+        .collect();
+    let mut pool = ShardedChannel::with_counts(shards, vec![0; 3]);
+    let [stars, gas] = field_sets(50, 97);
+    let mut acc = Vec::new();
+    let field = |pool: &mut ShardedChannel, acc: &mut Vec<[f64; 3]>| {
+        pool.submit_field(&stars, &gas, (0, 50), (0, 97));
+        pool.collect_accelerations_into(acc).expect("the field's accelerations");
+    };
+    for _ in 0..2 {
+        field(&mut pool, &mut acc);
+    }
+    let allocs = count_allocs(|| field(&mut pool, &mut acc));
+    assert_eq!(allocs, 0, "sharded field made {allocs} heap allocations");
+    assert_eq!(acc.len(), 50 + 97);
+}
+
+#[test]
+fn warm_in_process_iteration_allocates_nothing() {
+    // the whole coupled iteration over `LocalChannel`s: two snapshots,
+    // steps, fields and kicks, all through borrowed legs into the
+    // bridge's and the channels' scratch. Below the kernels' 64-target
+    // parallel grain, so no worker-count resolution reads the
+    // environment; the stellar exchange (which returns owned vectors)
+    // stays out of the measured iteration.
+    use jc_amuse::{Bridge, EmbeddedCluster, LocalChannel};
+    let c = EmbeddedCluster::build(24, 48, 0.5, 31);
+    let (g, h, cp, _) = c.local_workers(false);
+    let mut cfg = c.bridge_config();
+    cfg.substeps = 3;
+    let mut bridge = Bridge::new(
+        Box::new(LocalChannel::new(g)),
+        Box::new(LocalChannel::new(h)),
+        Box::new(LocalChannel::new(cp)),
+        None,
+        cfg,
+    );
+    for _ in 0..2 {
+        bridge.iteration();
+    }
+    let mut calls = 0;
+    let allocs = count_allocs(|| calls = bridge.try_iteration().expect("iteration").calls);
+    assert_eq!(allocs, 0, "a warm in-process iteration made {allocs} heap allocations");
+    assert_eq!(calls, 4 + 2 * 3 + 4, "sanity: the whole iteration ran");
 }
 
 #[test]

@@ -79,19 +79,26 @@ pub struct PerfProfile {
 impl PerfProfile {
     /// Modeled work of one request, in GFLOP.
     ///
-    /// * `EvolveTo` carries the model's per-iteration budget divided by the
-    ///   substep count (gravity/hydro evolve once per substep).
-    /// * `ComputeKick` is called `2·(s+1)` times per iteration: the bridge
-    ///   evaluates one coupling field (two directions) per position
-    ///   epoch — once to open the iteration and once after every evolve
-    ///   (see `jc_amuse::bridge`) — so the coupling budget is divided
-    ///   accordingly.
+    /// The budgets follow the bridge's protocol (see `jc_amuse::bridge`):
+    ///
+    /// * `Step` carries the model's per-iteration budget divided by the
+    ///   substep count — gravity/hydro evolve once per substep, inside
+    ///   the step. A bare `EvolveTo` is the same evolve and carries the
+    ///   same budget.
+    /// * `ComputeField` is called `s+1` times per iteration — one
+    ///   coupling field (both directions) per position epoch, once to
+    ///   open the iteration and once after every step — so it carries
+    ///   the coupling budget divided by `s+1`. A bare `ComputeKick` is
+    ///   one direction of a field: half of that.
     /// * Everything else (snapshots, kicks, bookkeeping) is minor.
     pub fn work_gflop(&self, req: &Request) -> f64 {
         let s = self.substeps as f64;
         match (self.kind, req) {
-            (ModelKind::Gravity, Request::EvolveTo(_)) => work::GRAVITY_GFLOP / s,
-            (ModelKind::Hydro, Request::EvolveTo(_)) => work::GAS_GFLOP / s,
+            (ModelKind::Gravity, Request::Step { .. } | Request::EvolveTo(_)) => {
+                work::GRAVITY_GFLOP / s
+            }
+            (ModelKind::Hydro, Request::Step { .. } | Request::EvolveTo(_)) => work::GAS_GFLOP / s,
+            (ModelKind::Coupling, Request::ComputeField { .. }) => work::COUPLING_GFLOP / (s + 1.0),
             (ModelKind::Coupling, Request::ComputeKick { .. }) => {
                 work::COUPLING_GFLOP / (2.0 * (s + 1.0))
             }
@@ -144,13 +151,29 @@ mod tests {
     #[test]
     fn work_profile_splits_budgets_over_substeps() {
         let p = PerfProfile { kind: ModelKind::Coupling, substeps: 8 };
+        let field = Request::ComputeField {
+            star_pos: vec![],
+            star_mass: vec![],
+            gas_pos: vec![],
+            gas_mass: vec![],
+            star_range: (0, 0),
+            gas_range: (0, 0),
+        };
+        // 8 substeps + 1 field evaluations = 9 calls per iteration
+        assert!((p.work_gflop(&field) * 9.0 - work::COUPLING_GFLOP).abs() < 1e-9);
+        // one direction alone is half a field
         let kick =
             Request::ComputeKick { targets: vec![], source_pos: vec![], source_mass: vec![] };
-        // (8 substeps + 1) field evaluations × 2 directions = 18 calls
-        // per iteration
-        assert!((p.work_gflop(&kick) * 18.0 - work::COUPLING_GFLOP).abs() < 1e-9);
-        let g = PerfProfile { kind: ModelKind::Gravity, substeps: 8 };
-        assert!((g.work_gflop(&Request::EvolveTo(0.0)) * 8.0 - work::GRAVITY_GFLOP).abs() < 1e-9);
+        assert_eq!(p.work_gflop(&kick) * 2.0, p.work_gflop(&field));
+        // one step per substep carries the evolve
+        let step = Request::Step { dv: vec![], n: 1, t: 0.0 };
+        for (kind, budget) in
+            [(ModelKind::Gravity, work::GRAVITY_GFLOP), (ModelKind::Hydro, work::GAS_GFLOP)]
+        {
+            let m = PerfProfile { kind, substeps: 8 };
+            assert!((m.work_gflop(&step) * 8.0 - budget).abs() < 1e-9);
+            assert_eq!(m.work_gflop(&step), m.work_gflop(&Request::EvolveTo(0.0)));
+        }
     }
 
     #[test]

@@ -144,10 +144,11 @@ impl Actor for WorkerProxy {
         };
         let daemon = env.reply_to;
         let worker = self.taken.as_mut().expect("proxy started");
-        let is_evolve = matches!(env.request, Request::EvolveTo(_));
-        // real execution (loopback hop to the worker process)
+        let is_evolve = matches!(env.request, Request::Step { .. } | Request::EvolveTo(_));
+        // real execution (loopback hop to the worker process); the proxy
+        // is the worker's host, so composites are decomposed here
         let work_gflop = self.profile.work_gflop(&env.request);
-        let response = worker.handle(env.request);
+        let response = jc_amuse::host::serve(worker.as_mut(), env.request);
         // modeled duration on this worker's resource slice, serialized on
         // the shared (host, device) ledger
         let dur = SimDuration::from_secs_f64(work_gflop / self.gflops);

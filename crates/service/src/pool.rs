@@ -140,13 +140,22 @@ impl Channel for GuardedChannel {
         self.gate_collect(|c| c.collect_kick()).unwrap_or_else(|| self.dead_response())
     }
 
-    fn submit_compute_kick(
+    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
+        self.gate_submit(|c| c.submit_step(dv, n, t))
+    }
+
+    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
+        self.gate_collect(|c| c.collect_step_into(out)).unwrap_or_else(|| self.dead_response())
+    }
+
+    fn submit_field(
         &mut self,
-        targets: &[[f64; 3]],
-        source_pos: &[[f64; 3]],
-        source_mass: &[f64],
+        stars: &ParticleData,
+        gas: &ParticleData,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
     ) {
-        self.gate_submit(|c| c.submit_compute_kick(targets, source_pos, source_mass))
+        self.gate_submit(|c| c.submit_field(stars, gas, star_range, gas_range))
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {

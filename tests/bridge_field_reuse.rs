@@ -1,20 +1,27 @@
-//! The bridge evaluates one coupling field per *position epoch* and
-//! re-applies it across the kick→kick boundary between substeps (see
-//! the `jc_amuse::bridge` module docs). That must be invisible in
+//! The bridge evaluates one coupling field per *position epoch*, sends
+//! each substep's kick, evolve and snapshot as one `Step`, and lets the
+//! closing half-kick of substep *i* ride in the step of substep *i+1*
+//! (see the `jc_amuse::bridge` module docs). That must be invisible in
 //! state and visible only in the call pattern:
 //!
 //! * **oracle** — a hand-driven naive Fig 7 loop (a full p-kick phase
 //!   before and after every evolve, a fresh snapshot for the stellar
-//!   exchange) against the public [`Channel`] API produces bitwise the
-//!   same particles as [`Bridge::iteration`], in process and over
-//!   loopback TCP with a sharded coupling pool;
-//! * **counts** — `10s+4` calls per iteration, `2(s+1)` `ComputeKick`s,
-//!   and the exact per-role request sequence;
-//! * **edges** — empty particle sets short-circuit both kinds of phase,
-//!   and a worker failure inside a re-applied phase is reported and
+//!   exchange) built from `GetParticles`/`ComputeKick`/`Kick`/`EvolveTo`
+//!   against the public [`Channel`] API produces bitwise the same
+//!   particles as [`Bridge::iteration`] — in process, over worker
+//!   threads and over loopback TCP, with K ∈ {1, 2, 3} coupling shards,
+//!   particle counts no K divides, and either set empty;
+//! * **counts** — `4 + 2s + K(s+1)` calls per iteration, of which
+//!   `K(s+1)` are `ComputeField`s, and the exact per-role sequence the
+//!   *workers* see, which is the naive loop's;
+//! * **legs** — a channel that implements only the four required
+//!   `Channel` methods makes the same calls and moves the same bytes as
+//!   the channels' borrowed legs;
+//! * **edges** — an empty particle set is not a special case, and a
+//!   worker failure inside a step or a feedback call is reported and
 //!   recovered like any other.
 
-use jungle::amuse::channel::{Channel, LocalChannel};
+use jungle::amuse::channel::{Channel, ChannelStats, LocalChannel, ThreadChannel};
 use jungle::amuse::reactor::{Reactor, ReactorChannel};
 use jungle::amuse::shard::ShardedChannel;
 use jungle::amuse::socket::WorkerFleet;
@@ -51,16 +58,17 @@ fn bitwise_eq(a: &ParticleData, b: &ParticleData) -> bool {
     f(&a.mass, &b.mass) && v(&a.pos, &b.pos) && v(&a.vel, &b.vel)
 }
 
+fn local(w: impl ModelWorker + 'static) -> Box<dyn Channel> {
+    Box::new(LocalChannel::new(Box::new(w)))
+}
+
 /// The four in-process channels of a fresh cluster.
 fn local_channels(c: &EmbeddedCluster) -> [Box<dyn Channel>; 4] {
     [
-        Box::new(LocalChannel::new(Box::new(GravityWorker::new(
-            c.stars.clone(),
-            Backend::CpuParallel,
-        )))),
-        Box::new(LocalChannel::new(Box::new(HydroWorker::new(c.gas.clone())))),
-        Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),
-        Box::new(LocalChannel::new(Box::new(StellarWorker::new(c.star_masses_msun.clone(), 0.02)))),
+        local(GravityWorker::new(c.stars.clone(), Backend::CpuParallel)),
+        local(HydroWorker::new(c.gas.clone())),
+        local(CouplingWorker::fi()),
+        local(StellarWorker::new(c.star_masses_msun.clone(), 0.02)),
     ]
 }
 
@@ -189,10 +197,7 @@ fn bridge_matches_the_naive_loop_in_process() {
 }
 
 /// The same grid over loopback TCP: every model behind a
-/// [`ReactorChannel`], the coupling model a K=2 pool. The re-applied
-/// kick frames are byte-identical to their predecessors on the same
-/// connection, so this also covers the worker-side dedup in the calm
-/// case.
+/// [`ReactorChannel`], the coupling model a K=2 pool.
 #[test]
 fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
     let c = cluster();
@@ -202,30 +207,13 @@ fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
 
         // fleet first, so it outlives the bridge on every exit path
         let mut fleet = WorkerFleet::new();
-        let reactor = Reactor::new_shared().unwrap();
-        let connect = |name: &str, addr| -> Box<dyn Channel> {
-            Box::new(ReactorChannel::connect(&reactor, addr, name).unwrap())
-        };
-        let (stars, gas, imf) = (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
-        let gravity = connect(
-            "grav",
-            fleet.spawn("grav", move || GravityWorker::new(stars, Backend::CpuParallel)),
-        );
-        let hydro = connect("hydro", fleet.spawn("hydro", move || HydroWorker::new(gas)));
-        let stellar = connect("sse", fleet.spawn("sse", move || StellarWorker::new(imf, 0.02)));
-        let shards = ["fi-0", "fi-1"]
-            .map(|name| connect(name, fleet.spawn(name, CouplingWorker::fi)))
-            .into_iter()
-            .collect();
-        let pool = ShardedChannel::with_counts(shards, vec![0; 2]);
-
-        let mut bridge = bridge_over([gravity, hydro, Box::new(pool), stellar], cfg);
+        let mut bridge = bridge_over(channels_over(Transport::Tcp, 2, &c, &mut fleet), cfg);
         for _ in 0..ITERATIONS {
             let coupling0 = bridge.channel_stats().2.calls;
             bridge.iteration();
-            // each of the 2(s+1) ComputeKicks fans out to both shards
+            // each of the s+1 ComputeFields fans out to both shards
             let coupling = bridge.channel_stats().2.calls - coupling0;
-            assert_eq!(coupling, 2 * 2 * (substeps as u64 + 1), "s={substeps}");
+            assert_eq!(coupling, 2 * (substeps as u64 + 1), "s={substeps}");
         }
         let got = outcome_of(&mut bridge);
         drop(bridge); // Stop frames shut the servers down
@@ -234,14 +222,205 @@ fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
     }
 }
 
+/// How a bridge under test reaches its workers.
+#[derive(Clone, Copy, Debug)]
+enum Transport {
+    /// [`LocalChannel`]s: the channels' borrowed legs, in the caller.
+    Local,
+    /// [`ThreadChannel`]s: owned requests, served on worker threads.
+    Thread,
+    /// [`ReactorChannel`]s on one reactor, workers behind loopback TCP
+    /// servers spawned into the fleet.
+    Tcp,
+}
+
+/// Channels to fresh workers of `c` over `transport`, the coupling
+/// model a pool of `k` shards (a bare channel for `k == 1`).
+fn channels_over(
+    transport: Transport,
+    k: usize,
+    c: &EmbeddedCluster,
+    fleet: &mut WorkerFleet,
+) -> [Box<dyn Channel>; 4] {
+    channels_wrapped(transport, k, c, fleet, &|ch| ch)
+}
+
+/// [`channels_over`] with `wrap` around every channel: each worker's,
+/// and the pool over the wrapped shards.
+fn channels_wrapped(
+    transport: Transport,
+    k: usize,
+    c: &EmbeddedCluster,
+    fleet: &mut WorkerFleet,
+    wrap: &dyn Fn(Box<dyn Channel>) -> Box<dyn Channel>,
+) -> [Box<dyn Channel>; 4] {
+    let reactor = Reactor::new_shared().unwrap();
+    let (stars, gas, imf) = (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
+    fn over<W: ModelWorker + 'static>(
+        transport: Transport,
+        reactor: &Rc<RefCell<Reactor>>,
+        fleet: &mut WorkerFleet,
+        name: &str,
+        make: impl FnOnce() -> W + Send + 'static,
+    ) -> Box<dyn Channel> {
+        match transport {
+            Transport::Local => local(make()),
+            Transport::Thread => Box::new(ThreadChannel::spawn(name, make)),
+            Transport::Tcp => {
+                let addr = fleet.spawn(name, make);
+                Box::new(ReactorChannel::connect(reactor, addr, name).unwrap())
+            }
+        }
+    }
+    let gravity = wrap(over(transport, &reactor, fleet, "grav", move || {
+        GravityWorker::new(stars, Backend::CpuParallel)
+    }));
+    let hydro = wrap(over(transport, &reactor, fleet, "hydro", move || HydroWorker::new(gas)));
+    let stellar =
+        wrap(over(transport, &reactor, fleet, "sse", move || StellarWorker::new(imf, 0.02)));
+    let mut shards: Vec<Box<dyn Channel>> = (0..k)
+        .map(|i| wrap(over(transport, &reactor, fleet, &format!("fi-{i}"), CouplingWorker::fi)))
+        .collect();
+    let coupling = if k == 1 {
+        shards.pop().unwrap()
+    } else {
+        wrap(Box::new(ShardedChannel::with_counts(shards, vec![0; k])))
+    };
+    [gravity, hydro, coupling, stellar]
+}
+
+/// 17 stars and 65 gas particles: neither 2 nor 3 divides either count,
+/// so every pool below cuts both target ranges unevenly.
+fn uneven_cluster() -> EmbeddedCluster {
+    EmbeddedCluster::build(17, 65, 0.5, 29)
+}
+
+#[test]
+fn bridge_matches_the_naive_loop_on_every_transport_and_shard_count() {
+    let c = uneven_cluster();
+    let cfg = config(&c, 3, 1);
+    let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
+    for transport in [Transport::Local, Transport::Thread, Transport::Tcp] {
+        for k in 1..=3usize {
+            let mut fleet = WorkerFleet::new();
+            let mut bridge = bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+            for _ in 0..ITERATIONS {
+                let rep = bridge.iteration();
+                let feedback = rep.supernovae as u64 + rep.wind_events as u64;
+                // 4 + 2s + K(s+1), the stellar pair, and at most two
+                // feedback calls per event
+                let fixed = 4 + 2 * 3 + k as u64 * 4 + 2;
+                assert!(
+                    (fixed..=fixed + 2 * feedback).contains(&rep.calls),
+                    "{transport:?} K={k}: {} calls, {feedback} events",
+                    rep.calls
+                );
+            }
+            let got = outcome_of(&mut bridge);
+            drop(bridge);
+            fleet.join_all().expect("every server exits cleanly");
+            assert_same(&got, &want, &format!("{transport:?} K={k}"));
+        }
+    }
+}
+
+#[test]
+fn bridge_matches_the_naive_loop_when_a_set_is_empty() {
+    let full = uneven_cluster();
+    let no_stars = EmbeddedCluster {
+        stars: full.stars.slice(0, 0),
+        star_masses_msun: Vec::new(),
+        ..uneven_cluster()
+    };
+    let no_gas = EmbeddedCluster { gas: full.gas.slice(0, 0), ..uneven_cluster() };
+    for (c, what) in [(no_stars, "no stars"), (no_gas, "no gas")] {
+        let cfg = config(&c, 2, 1);
+        let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
+        for (transport, k) in [(Transport::Local, 1), (Transport::Local, 3), (Transport::Tcp, 2)] {
+            let mut fleet = WorkerFleet::new();
+            let mut bridge = bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+            for _ in 0..ITERATIONS {
+                bridge.iteration();
+            }
+            let got = outcome_of(&mut bridge);
+            drop(bridge);
+            fleet.join_all().expect("every server exits cleanly");
+            assert_same(&got, &want, &format!("{what}, {transport:?} K={k}"));
+        }
+    }
+}
+
+/// A [`Channel`] with the four required methods and nothing else, so
+/// every typed leg above it is the provided default: owned requests
+/// through `submit`, owned responses through `collect` — what a wrapper
+/// that predates a leg (the benchmark's tracing channel) forwards.
+struct FourMethods(Box<dyn Channel>);
+
+impl Channel for FourMethods {
+    fn submit(&mut self, req: Request) {
+        self.0.submit(req)
+    }
+    fn collect(&mut self) -> Response {
+        self.0.collect()
+    }
+    fn stats(&self) -> ChannelStats {
+        self.0.stats()
+    }
+    fn worker_name(&self) -> String {
+        self.0.worker_name()
+    }
+}
+
+#[test]
+fn a_four_method_channel_makes_the_same_calls_and_bytes_as_the_borrowed_legs() {
+    let c = uneven_cluster();
+    let cfg = config(&c, 3, 1);
+    for transport in [Transport::Local, Transport::Tcp] {
+        let mut runs = Vec::new();
+        for wrapped in [false, true] {
+            let mut fleet = WorkerFleet::new();
+            let wrap = |ch: Box<dyn Channel>| -> Box<dyn Channel> {
+                if wrapped {
+                    Box::new(FourMethods(ch))
+                } else {
+                    ch
+                }
+            };
+            // K = 2: the generic path at both levels of the pool
+            let channels = channels_wrapped(transport, 2, &c, &mut fleet, &wrap);
+            let mut bridge = bridge_over(channels, cfg.clone());
+            for _ in 0..ITERATIONS {
+                bridge.iteration();
+            }
+            let stats = bridge.channel_stats();
+            runs.push((outcome_of(&mut bridge), stats));
+            drop(bridge);
+            fleet.join_all().expect("every server exits cleanly");
+        }
+        let [(plain, plain_stats), (generic, generic_stats)] = &runs[..] else { unreachable!() };
+        assert_same(generic, plain, &format!("{transport:?}: four-method channels"));
+        let books = |s: &ChannelStats| (s.calls, s.bytes_out, s.bytes_in, s.flops.to_bits());
+        assert_eq!(books(&plain_stats.0), books(&generic_stats.0), "{transport:?}: gravity");
+        assert_eq!(books(&plain_stats.1), books(&generic_stats.1), "{transport:?}: hydro");
+        assert_eq!(books(&plain_stats.2), books(&generic_stats.2), "{transport:?}: coupling");
+        assert!(plain_stats.2.calls > 0 && plain_stats.0.bytes_in > 0);
+    }
+}
+
 /// A worker wrapper that logs every request it is handed (the
-/// borrowing fast paths fall back to `handle`, so nothing bypasses it)
-/// and can fail exactly one of them.
+/// borrowing fast paths fall back to `handle`, so nothing bypasses it —
+/// and the host decomposes the composites before they get here) and
+/// can fail exactly one of them.
 struct Probe {
     inner: Box<dyn ModelWorker>,
     log: Rc<RefCell<Vec<&'static str>>>,
-    /// 1-based index of the request to answer with an error.
+    /// 1-based index, among the counted requests, of the one to answer
+    /// with an error.
     fail_at: Option<usize>,
+    /// Count only these requests towards `fail_at` (`None`: all).
+    fail_op: Option<&'static str>,
+    /// Requests counted so far.
+    counted: usize,
 }
 
 fn op(req: &Request) -> &'static str {
@@ -252,16 +431,21 @@ fn op(req: &Request) -> &'static str {
         Request::ComputeKick { .. } => "compute-kick",
         Request::EvolveStars(_) => "evolve-stars",
         Request::SetMasses(_) => "set-masses",
-        Request::InjectEnergy { .. } | Request::AddGas { .. } => "feedback",
+        Request::InjectEnergy { .. } => "inject-energy",
+        Request::AddGas { .. } => "add-gas",
         _ => "other",
     }
 }
 
 impl ModelWorker for Probe {
     fn handle(&mut self, req: Request) -> Response {
-        self.log.borrow_mut().push(op(&req));
-        if self.fail_at == Some(self.log.borrow().len()) {
-            return Response::Error("injected failure".into());
+        let op = op(&req);
+        self.log.borrow_mut().push(op);
+        if self.fail_op.is_none_or(|f| f == op) {
+            self.counted += 1;
+            if self.fail_at == Some(self.counted) {
+                return Response::Error("injected failure".into());
+            }
         }
         self.inner.handle(req)
     }
@@ -274,7 +458,13 @@ type Log = Rc<RefCell<Vec<&'static str>>>;
 
 /// A local channel to `inner` behind a [`Probe`] writing to `log`.
 fn probed(inner: Box<dyn ModelWorker>, log: &Log, fail_at: Option<usize>) -> Box<dyn Channel> {
-    Box::new(LocalChannel::new(Box::new(Probe { inner, log: log.clone(), fail_at })))
+    Box::new(LocalChannel::new(Box::new(Probe {
+        inner,
+        log: log.clone(),
+        fail_at,
+        fail_op: None,
+        counted: 0,
+    })))
 }
 
 /// Local channels with every worker behind a [`Probe`]; the returned
@@ -294,24 +484,40 @@ fn probed_channels(
     (channels, logs)
 }
 
+/// What a dynamics worker is asked over one iteration of `s` substeps:
+/// the naive loop's kick–evolve–kick, whatever round trips carried it.
+fn worker_sequence(s: usize) -> Vec<&'static str> {
+    // open; then per substep the step's kick(s), evolve and snapshot —
+    // from the second substep on the closing kick of the one before
+    // comes first; then the last closing kick
+    let mut seq = vec!["get", "kick", "evolve", "get"];
+    for _ in 1..s {
+        seq.extend(["kick", "kick", "evolve", "get"]);
+    }
+    seq.push("kick");
+    seq
+}
+
 #[test]
-fn an_iteration_makes_10s_plus_4_calls_in_the_documented_order() {
+fn an_iteration_makes_4_plus_2s_plus_k_s_plus_1_calls_in_the_documented_order() {
     let c = cluster();
     for substeps in [1u32, 2, 3, 8] {
         let (channels, logs) = probed_channels(&c, None);
         let mut bridge = bridge_over(channels, config(&c, substeps, 2));
         let s = substeps as usize;
+        // K = 1: two snapshots, s steps per dynamics worker, s+1 fields,
+        // two kicks
+        let calls = 4 + 2 * substeps as u64 + (substeps as u64 + 1);
 
         // iteration 1: no stellar exchange
         let rep = bridge.iteration();
-        assert_eq!(rep.calls, 10 * substeps as u64 + 4, "s={substeps}");
-        let mut per_model = vec!["get", "kick", "evolve", "get", "kick"];
-        for _ in 1..s {
-            // the re-applied opening kick follows the closing kick directly
-            per_model.extend(["kick", "evolve", "get", "kick"]);
-        }
+        assert_eq!(rep.calls, calls, "s={substeps}");
+        let (g, h, cp, _) = bridge.channel_stats();
+        assert_eq!((g.calls, h.calls, cp.calls), (s as u64 + 2, s as u64 + 2, s as u64 + 1));
+        let mut per_model = worker_sequence(s);
         assert_eq!(*logs[0].borrow(), per_model, "gravity, s={substeps}");
         assert_eq!(*logs[1].borrow(), per_model, "hydro, s={substeps}");
+        // each field is served as its two directions
         assert_eq!(*logs[2].borrow(), vec!["compute-kick"; 2 * (s + 1)], "s={substeps}");
         assert!(logs[3].borrow().is_empty());
 
@@ -321,8 +527,9 @@ fn an_iteration_makes_10s_plus_4_calls_in_the_documented_order() {
             log.borrow_mut().clear();
         }
         let rep = bridge.iteration();
-        let feedback = logs[1].borrow().iter().filter(|&&o| o == "feedback").count();
-        assert_eq!(rep.calls, 10 * substeps as u64 + 4 + 2 + feedback as u64, "s={substeps}");
+        let feedback =
+            logs[1].borrow().iter().filter(|&&o| o == "inject-energy" || o == "add-gas").count();
+        assert_eq!(rep.calls, calls + 2 + feedback as u64, "s={substeps}");
         per_model.push("set-masses");
         assert_eq!(*logs[0].borrow(), per_model, "gravity with exchange, s={substeps}");
         assert_eq!(*logs[3].borrow(), ["evolve-stars"]);
@@ -349,7 +556,7 @@ impl ModelWorker for Inert {
 }
 
 #[test]
-fn an_empty_set_short_circuits_full_and_reapplied_phases() {
+fn an_empty_set_is_not_a_special_case() {
     let c = cluster();
     let some = |n: usize| ParticleData {
         mass: vec![1.0; n],
@@ -363,18 +570,19 @@ fn an_empty_set_short_circuits_full_and_reapplied_phases() {
         let mut bridge = Bridge::new(g, h, cp, None, config(&c, 3, 1));
         let rep = bridge.iteration();
 
-        // s+1 snapshot pairs, s evolve pairs, and not one kick
-        assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (0, 0));
-        assert_eq!(rep.calls, 2 * 4 + 2 * 3);
-        let per_model = ["get", "evolve", "get", "evolve", "get", "evolve", "get"];
-        assert_eq!(*logs[0].borrow(), per_model, "stars={n_stars} gas={n_gas}");
-        assert_eq!(*logs[1].borrow(), per_model, "stars={n_stars} gas={n_gas}");
-        assert!(logs[2].borrow().is_empty(), "no field to compute");
+        // the same calls as with both sets populated: the empty set's
+        // half of every field and kick is simply empty
+        assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (4, 2));
+        assert_eq!(rep.calls, 4 + 2 * 3 + 4);
+        assert_eq!(*logs[0].borrow(), worker_sequence(3), "stars={n_stars} gas={n_gas}");
+        assert_eq!(*logs[1].borrow(), worker_sequence(3), "stars={n_stars} gas={n_gas}");
+        assert_eq!(logs[2].borrow().len(), 2 * 4);
     }
 }
 
 /// Gravity's 6th request with two substeps is the re-applied kick that
-/// opens substep 2: `get kick evolve get kick | kick`.
+/// opens substep 2 — the second application of the step's `n = 2`:
+/// `get | kick evolve get | kick kick …`.
 const REAPPLIED_KICK: usize = 6;
 
 #[test]
@@ -383,12 +591,15 @@ fn a_failure_in_a_reapplied_phase_is_a_kick_error() {
     let (channels, logs) = probed_channels(&c, Some(REAPPLIED_KICK));
     let mut bridge = bridge_over(channels, config(&c, 2, 1));
     match bridge.try_iteration() {
-        Err(BridgeError::Worker { role: Role::Gravity, op: "kick", .. }) => {}
-        other => panic!("expected a gravity kick failure, got {other:?}"),
+        // the step that carried the kick reports what the kick said
+        Err(BridgeError::Worker { role: Role::Gravity, op: "step", detail }) => {
+            assert!(detail.contains("injected failure"), "{detail}")
+        }
+        other => panic!("expected a gravity step failure, got {other:?}"),
     }
     let log = logs[0].borrow();
     assert_eq!(log[REAPPLIED_KICK - 2..], ["kick", "kick"], "the failure hit the reused phase");
-    // the phase stopped there: no field was evaluated for it
+    // the step stopped there: it did not evolve, and no field followed it
     assert_eq!(logs[2].borrow().len(), 2 * 2);
 }
 
@@ -409,5 +620,63 @@ fn recovery_replays_a_failed_reapplied_phase_to_the_same_digest() {
         recoveries += rec;
     }
     assert_eq!(recoveries, 1, "the injected failure fires exactly once");
+    assert_same(&outcome_of(&mut bridge), &want, "recovered run");
+}
+
+/// One substep per iteration, an exchange after every one, and a
+/// stellar clock running 1000× fast: the cluster's most massive star
+/// explodes at the first exchange, so there is an `AddGas` to refuse.
+fn supernova_config(c: &EmbeddedCluster) -> BridgeConfig {
+    let cfg = config(c, 1, 1);
+    BridgeConfig { time_unit_myr: 1000.0 * cfg.time_unit_myr, ..cfg }
+}
+
+/// Channels of `c` with the hydro worker behind a [`Probe`] that refuses
+/// its first `AddGas`.
+fn channels_refusing_the_first_add_gas(c: &EmbeddedCluster) -> ([Box<dyn Channel>; 4], Log) {
+    let log = Log::default();
+    let [g, _, cp, s] = local_channels(c);
+    let hydro = Box::new(LocalChannel::new(Box::new(Probe {
+        inner: Box::new(HydroWorker::new(c.gas.clone())),
+        log: log.clone(),
+        fail_at: Some(1),
+        fail_op: Some("add-gas"),
+        counted: 0,
+    })));
+    ([g, hydro, cp, s], log)
+}
+
+#[test]
+fn a_refused_feedback_call_fails_the_iteration() {
+    let c = cluster();
+    let (channels, log) = channels_refusing_the_first_add_gas(&c);
+    let mut bridge = bridge_over(channels, supernova_config(&c));
+    match bridge.try_iteration() {
+        Err(BridgeError::Worker { role: Role::Hydro, op: "feedback", detail }) => {
+            assert!(detail.contains("injected failure"), "{detail}")
+        }
+        other => panic!("expected a hydro feedback failure, got {other:?}"),
+    }
+    let log = log.borrow();
+    assert_eq!(log[log.len() - 2..], ["inject-energy", "add-gas"], "stopped at the refusal");
+}
+
+#[test]
+fn recovery_replays_a_refused_feedback_call_to_the_same_digest() {
+    let c = cluster();
+    let cfg = supernova_config(&c);
+    let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
+    assert!(want.3 > 0, "sanity: the reference run has a supernova to feed back");
+    let (channels, log) = channels_refusing_the_first_add_gas(&c);
+    let mut bridge = bridge_over(channels, cfg);
+    let policy = RecoveryPolicy::default();
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut recoveries = 0;
+    for _ in 0..ITERATIONS {
+        let (_rep, rec) = bridge.iteration_recovering(&mut checkpoint, &policy).expect("recovers");
+        recoveries += rec;
+    }
+    assert_eq!(recoveries, 1, "the refusal fires exactly once");
+    assert!(log.borrow().iter().filter(|&&o| o == "add-gas").count() >= 2, "and was replayed");
     assert_same(&outcome_of(&mut bridge), &want, "recovered run");
 }

@@ -394,31 +394,32 @@ fn a_transient_schedule_over_the_reactor_retries_in_place() {
 }
 
 // The bridge re-applies a coupling field across the kick→kick boundary
-// between substeps, so the closing `Kick` of substep 1 and the opening
-// `Kick` of substep 2 reach a worker back to back with byte-identical
-// payloads — they differ only in their sequence stamp. With two
-// substeps they are frames 5 and 6 of the gravity and of the hydro
-// connection (`get kick evolve get kick | kick evolve get kick`).
-// Each schedule below loses the response of the first (the coupler
-// resends it: the worker must replay, not re-apply) and then the
-// request or the response of the second (the worker must apply it
-// exactly once, as a *new* frame, although it equals the cached one).
-// A swallowed or double-applied half-kick changes the digest.
+// between substeps: the closing half-kick of substep 1 and the opening
+// one of substep 2 are the same vector, and reach a worker as one
+// `Step` with `n = 2` — two additions, one evolve, one frame. With two
+// substeps the gravity and the hydro connection each carry
+// `get step(n=1) step(n=2) kick` per iteration, so that step is frame
+// 3 and the last closing `Kick` frame 4. Each schedule below loses the
+// response of the step (the coupler resends it: the worker must replay
+// the positions it answered, not kick twice more and evolve again) and
+// then the request or the response of the kick behind it (the worker
+// must apply it exactly once). A swallowed or double-applied half-kick
+// changes the digest.
 fn identical_kick_pair_schedule(transport: Transport) {
     let reference = baseline();
-    // The first fault costs one resend, which shifts every later
-    // frame-op by one: the second kick is sent as frame 7 (8 when
-    // resent) and answered as frame 7.
+    // Write draws count submitted frames, read draws receive attempts:
+    // the step's lost response costs one extra attempt, so the kick is
+    // sent as frame 4 and answered at attempt 5.
     let schedules = [
         StreamFaults::default()
-            .with_read(5, IoFault::ReadTimeout)
-            .with_write(7, IoFault::WriteTimeout),
+            .with_read(3, IoFault::ReadTimeout)
+            .with_write(4, IoFault::WriteTimeout),
         StreamFaults::default()
-            .with_read(5, IoFault::ShortRead)
-            .with_write(7, IoFault::PartialWrite),
+            .with_read(3, IoFault::ShortRead)
+            .with_write(4, IoFault::PartialWrite),
         StreamFaults::default()
-            .with_read(5, IoFault::CorruptHeader)
-            .with_read(7, IoFault::ReadTimeout),
+            .with_read(3, IoFault::CorruptHeader)
+            .with_read(5, IoFault::ReadTimeout),
     ];
     for (seed, faults) in schedules.into_iter().enumerate() {
         let reactor = Reactor::new_shared().expect("reactor");
@@ -450,7 +451,7 @@ fn identical_kick_pair_schedule(transport: Transport) {
         let mut bridge = Bridge::new(gravity, hydro, coupling, Some(stellar), config(&c));
         for i in 0..ITERATIONS {
             let rep = bridge.try_iteration().expect("transient faults are absorbed in place");
-            assert_eq!(rep.kicks_reapplied, 1, "the schedule needs a back-to-back kick pair");
+            assert_eq!(rep.kicks_reapplied, 1, "the schedule needs a step that kicks twice");
             if i == 0 {
                 let (g, h, ..) = bridge.channel_stats();
                 assert_eq!((g.retries, h.retries), (2, 2), "schedule {seed}: both faults fired");

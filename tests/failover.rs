@@ -34,8 +34,11 @@ const ITERATIONS: u32 = 4;
 /// Iterations completed before the victim's fuse is armed.
 const CLEAN_ITERATIONS: u32 = 2;
 /// Requests the victim still serves after arming — small enough that it
-/// dies inside the next iteration's kick fan-out.
-const FUSE: i64 = 5;
+/// dies inside the next iteration's field fan-out: an iteration of 4
+/// substeps sends a coupling shard 5 `ComputeField`s (each one request
+/// to a TCP server, two `ComputeKick`s to `CrashAfter`, which has no
+/// borrowed legs), then the checkpoint's `SaveState`.
+const FUSE: i64 = 3;
 
 fn cluster() -> EmbeddedCluster {
     EmbeddedCluster::build(32, 128, 0.5, 17)
@@ -142,7 +145,7 @@ fn tcp_shard_killed_mid_iteration_recovers_bitwise() {
         for i in 0..ITERATIONS {
             if i == CLEAN_ITERATIONS {
                 // arm the fuse: the victim dies a few requests into this
-                // iteration's kick fan-out
+                // iteration's field fan-out
                 fuses[victim].store(FUSE, Ordering::SeqCst);
             }
             let (_rep, rec) = bridge

@@ -113,6 +113,7 @@ fn socket_stats_match_modeled_wire_sizes() {
         Request::Kick(vec![[1e-5; 3]; n]),
         Request::SetMasses(c.stars.mass.clone()),
         Request::EvolveTo(1.0 / 128.0),
+        Request::Step { dv: vec![[1e-5; 3]; n], n: 2, t: 1.0 / 64.0 },
         Request::EvolveStars(1.0), // unsupported by gravity: still a round trip
     ];
     let mut expect_out = 0u64;
@@ -137,13 +138,18 @@ fn socket_stats_match_modeled_wire_sizes() {
     let dv = vec![[0.0; 3]; n];
     let r = ch.kick_slice(&dv);
     assert!(matches!(r, Response::Ok { .. }), "{r:?}");
+    ch.submit_step(&dv, 1, 3.0 / 128.0);
+    let r = ch.collect_step_into(&mut snap);
+    assert!(matches!(r, Response::Ok { .. }), "{r:?}");
     let st2 = ch.stats();
-    assert_eq!(st2.calls, expect_calls + 2);
+    assert_eq!(st2.calls, expect_calls + 3);
+    let step = Request::Step { dv: dv.clone(), n: 1, t: 0.0 };
     assert_eq!(
         st2.bytes_out - st.bytes_out,
-        Request::GetParticles.wire_size() + Request::Kick(dv).wire_size()
+        Request::GetParticles.wire_size() + Request::Kick(dv).wire_size() + step.wire_size()
     );
-    assert_eq!(st2.bytes_in - st.bytes_in, snap.wire_size() + 32 + 40);
+    // a snapshot, an Ok, and a step's answer: masses and positions
+    assert_eq!(st2.bytes_in - st.bytes_in, (56 * n + 32) as u64 + 40 + (32 * n + 32) as u64);
 
     drop(ch);
     handle.join().unwrap().unwrap();

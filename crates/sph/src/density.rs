@@ -31,11 +31,12 @@ pub(crate) const PAR_GRAIN: usize = 64;
 /// position columns directly instead of querying the [`CsrGrid`]: one
 /// query per particle never amortises a grid over a small, centrally
 /// concentrated set. Chosen from the `sph_neighbors_direct` /
-/// `sph_neighbors_grid` rows of `BENCH_PR16.json` (perfsuite's
-/// `sph_neighbors_crossover` report, n = 256 … 8192): the sweep wins up
-/// to n = 2048 and has lost by 4096. A pure function of `n`, so results
-/// do not depend on threads, shards or transport.
-const DIRECT_BELOW: usize = 2048;
+/// `sph_neighbors_grid` rows of `BENCH_PR24.json` (perfsuite's
+/// `sph_neighbors_crossover` report, n = 256 … 8192): the blocked sweep
+/// wins up to n = 4096 (1.4×; 2.0× at 2048) and has lost by 8192. A pure
+/// function of `n`, so results do not depend on threads, shards or
+/// transport.
+const DIRECT_BELOW: usize = 4096;
 
 /// Candidate buffer entry: (particle index, squared distance).
 pub(crate) type Candidate = (u32, f64);
@@ -581,7 +582,7 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
     inter
 }
 
-/// One particle's h-adaptation. Three departures from the legacy loop,
+/// One particle's h-adaptation. Four departures from the legacy loop,
 /// none observable in the results:
 ///
 /// * where the legacy pass re-queries the grid for an unchanged `h` (the
@@ -591,6 +592,11 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
 /// * a shrinking `h` filters the buffer in order on the stored squared
 ///   distances instead of re-scanning the grid (the new candidate set is
 ///   a subset of the old one);
+/// * a growing `h` re-scans only while some particle is still outside:
+///   once the buffer holds the whole set a wider search returns it again,
+///   same order, same distances (a set smaller than 0.8 ·
+///   [`N_NEIGHBORS`] grows `h` on every iteration and would otherwise
+///   search [`H_ITERS`] times per particle for nothing);
 /// * the per-iteration density sums — all dead values except the last —
 ///   are dropped; the one surviving sum runs over the final buffer,
 ///   re-sorted into the legacy accumulation order (coarse legacy cell in
@@ -650,7 +656,7 @@ fn adapt_h(
             if h < buf_h {
                 let r2 = h * h;
                 buf.retain(|&(_, d2)| d2 <= r2);
-            } else {
+            } else if buf.len() < search.pos.len() {
                 fill_candidates(buf, search, &c, h);
             }
             buf_h = h;

@@ -11,7 +11,8 @@ const C_COURANT: f64 = 0.25;
 
 /// The Gadget-equivalent SPH model.
 pub struct Gadget {
-    /// The gas.
+    /// The gas. Read freely; write only through the methods below, which
+    /// keep the cached rates and self-gravity in step with it.
     pub gas: GasParticles,
     gravity: TreeGravity,
     self_gravity: bool,
@@ -20,7 +21,9 @@ pub struct Gadget {
     /// `gravity`.
     max_threads: usize,
     time: f64,
-    /// Accumulated modeled flops (density + forces + gravity).
+    /// Accumulated modeled flops (density + forces + every self-gravity
+    /// evaluation actually made — a refresh that reuses `g_acc` charges
+    /// none).
     pub flops: f64,
     /// Steps taken.
     pub steps: u64,
@@ -28,7 +31,14 @@ pub struct Gadget {
     /// cache. Held across steps so the hot loop never allocates.
     scratch: SphScratch,
     rates: HydroRates,
+    /// Self-gravity of the gas on itself: a pure function of `(pos, mass)`,
+    /// so it is valid for a *position epoch* — `g_acc_valid` holds from
+    /// the refresh that filled it until positions, masses or the particle
+    /// count change (the drift, [`Gadget::restore_state`],
+    /// [`Gadget::add_mass`]). [`Gadget::kick`] and
+    /// [`Gadget::inject_energy`] move no particle and do not end it.
     g_acc: Vec<[f64; 3]>,
+    g_acc_valid: bool,
     rates_valid: bool,
 }
 
@@ -46,6 +56,7 @@ impl Gadget {
             scratch: SphScratch::new(),
             rates: HydroRates::new(),
             g_acc: Vec::new(),
+            g_acc_valid: false,
             rates_valid: false,
         }
     }
@@ -74,13 +85,16 @@ impl Gadget {
         hydro_rates_into(&self.gas, &mut self.scratch, &mut self.rates);
         self.flops += inter_d as f64 * 30.0 + self.rates.interactions as f64 * 60.0;
         if self.self_gravity && n > 1 {
-            self.gravity.accelerations_into(
-                &self.gas.pos,
-                &self.gas.pos,
-                &self.gas.mass,
-                &mut self.g_acc,
-            );
-            self.flops += self.gravity.last_flops();
+            if !self.g_acc_valid {
+                self.gravity.accelerations_into(
+                    &self.gas.pos,
+                    &self.gas.pos,
+                    &self.gas.mass,
+                    &mut self.g_acc,
+                );
+                self.flops += self.gravity.last_flops();
+                self.g_acc_valid = true;
+            }
             for (a, ga) in self.rates.acc.iter_mut().zip(&self.g_acc) {
                 for k in 0..3 {
                     a[k] += ga[k];
@@ -121,7 +135,8 @@ impl Gadget {
         let threads = par::threads_for(self.gas.len(), self.max_threads, PAR_GRAIN);
         self.scratch.max_threads = threads;
         self.gravity.max_threads = threads;
-        let mut vsig = if self.rates_valid { 0.0 } else { self.refresh_rates() };
+        let mut vsig =
+            if self.rates_valid { self.rates.v_signal_max } else { self.refresh_rates() };
         let mut steps = 0;
         while self.time < t_end - 1e-12 {
             let dt = self.timestep(vsig.max(1e-8)).min(t_end - self.time);
@@ -133,6 +148,7 @@ impl Gadget {
                 }
                 self.gas.u[i] = (self.gas.u[i] + 0.5 * dt * self.rates.du[i]).max(1e-10);
             }
+            self.g_acc_valid = false;
             // re-evaluate at the drifted state
             vsig = self.refresh_rates();
             // kick (half)
@@ -153,18 +169,24 @@ impl Gadget {
     /// Overwrite the gas state from a checkpoint: replace every particle
     /// column (including the adapted smoothing lengths `h`, which seed
     /// the next density iteration) and set the model clock, which may
-    /// move backwards. Cached rates are discarded, so the next
-    /// [`Gadget::evolve_model`] re-derives density/forces from the
-    /// restored columns — bitwise-identical to an uninterrupted run at
-    /// any point where the rates cache is already invalid (after a kick
-    /// or feedback, i.e. every bridge iteration boundary).
+    /// move backwards. Cached rates and the cached self-gravity are
+    /// discarded, so the next [`Gadget::evolve_model`] re-derives
+    /// density/forces/gravity from the restored columns —
+    /// bitwise-identical to an uninterrupted run at any point where the
+    /// rates cache is already invalid (after a kick or feedback, i.e.
+    /// every bridge iteration boundary): self-gravity is a pure function
+    /// of the restored `(pos, mass)`, so re-evaluating it reproduces what
+    /// the uninterrupted run still holds.
     pub fn restore_state(&mut self, gas: GasParticles, time: f64) {
         self.gas = gas;
         self.time = time;
         self.rates_valid = false;
+        self.g_acc_valid = false;
     }
 
-    /// Apply external velocity kicks (BRIDGE coupling).
+    /// Apply external velocity kicks (BRIDGE coupling). Invalidates the
+    /// cached rates (viscosity reads velocities) but moves no particle, so
+    /// the cached self-gravity stays valid.
     pub fn kick(&mut self, dv: &[[f64; 3]]) {
         assert_eq!(dv.len(), self.gas.len());
         for (v, d) in self.gas.vel.iter_mut().zip(dv) {
@@ -220,6 +242,7 @@ impl Gadget {
     pub fn add_mass(&mut self, pos: [f64; 3], mass: f64, u: f64) {
         self.gas.push(mass, pos, [0.0; 3], u.max(1e-10));
         self.rates_valid = false;
+        self.g_acc_valid = false;
     }
 
     /// Total energy (kinetic + thermal; gravitational PE omitted — used
@@ -302,6 +325,96 @@ mod tests {
         let mut g = Gadget::new(GasParticles::new());
         assert_eq!(g.evolve_model(2.0), 0);
         assert_eq!(g.model_time(), 2.0);
+    }
+
+    /// Every bit of dynamical state: all six columns and the clock.
+    fn state_bits(g: &Gadget) -> Vec<u64> {
+        let gas = &g.gas;
+        let scalars = gas.mass.iter().chain(&gas.u).chain(&gas.h).chain(&gas.rho);
+        let vectors = gas.pos.iter().chain(&gas.vel).flatten();
+        scalars.chain(vectors).chain([&g.time]).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn back_to_back_evolve_keeps_the_signal_velocity() {
+        // Split an evolve exactly where its first step ends: the second
+        // call must open with the Courant step the uninterrupted loop
+        // takes there, i.e. with the signal velocity of the last refresh.
+        // The ball is hot outside and cool inside, so the fastest signal
+        // belongs to a pair far from the particle whose `h` sets the step
+        // and a call that forgets it takes a visibly longer first step.
+        let hot_ball = || {
+            let mut gas = plummer_gas(200, 1.0, 13);
+            for (u, p) in gas.u.iter_mut().zip(&gas.pos) {
+                *u *= 1.0 + 200.0 * (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]);
+            }
+            Gadget::new(gas).with_self_gravity(false)
+        };
+        let mut split = hot_ball();
+        let v0 = split.refresh_rates();
+        let dt1 = split.timestep(v0.max(1e-8));
+        assert!(dt1 < 5e-3, "the Courant condition, not the cap, must set the step");
+        let t_end = 3.5 * dt1;
+        let mut whole = hot_ball();
+        whole.evolve_model(t_end);
+        assert_eq!(split.evolve_model(dt1), 1);
+        assert_eq!(split.model_time(), dt1);
+        assert_ne!(
+            split.timestep(split.rates.v_signal_max),
+            split.timestep(1e-8),
+            "the measured signal velocity must be what limits the next step"
+        );
+        split.evolve_model(t_end);
+        assert_eq!(split.steps, whole.steps);
+        assert_eq!(state_bits(&split), state_bits(&whole));
+    }
+
+    #[test]
+    fn gravity_epoch_is_transparent() {
+        // One op sequence through three models: `cached` reuses `g_acc`
+        // within a position epoch; `fresh` drops it before every op, so
+        // each of its refreshes evaluates gravity (all but an evolve's
+        // first follow a drift, which ends the epoch anyway); `restored`
+        // is `cached` rebuilt from a checkpoint at every point where the
+        // rates are invalid.
+        let mut s = 0x9e3779b97f4a7c15u64;
+        let mut rnd = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut cached = Gadget::new(plummer_gas(96, 1.0, 29));
+        let mut fresh = Gadget::new(plummer_gas(96, 1.0, 29));
+        let mut restored = Gadget::new(GasParticles::new());
+        restored.restore_state(cached.gas.clone(), cached.model_time());
+        let mut t = 0.0;
+        for _ in 0..40 {
+            let op = (rnd() * 5.0) as usize;
+            fresh.g_acc_valid = false;
+            for g in [&mut cached, &mut fresh, &mut restored] {
+                match op {
+                    0 => {
+                        let dv: Vec<[f64; 3]> =
+                            (0..g.gas.len()).map(|i| [1e-3 * i as f64, -2e-3, 5e-4]).collect();
+                        g.kick(&dv);
+                    }
+                    1 => assert!(g.inject_energy([0.1, -0.2, 0.0], 0.4, 0.5) > 0),
+                    2 => g.add_mass([0.3, 0.1, -0.2], 1e-3, 0.8),
+                    3 => g.restore_state(g.gas.clone(), g.model_time()),
+                    _ => {
+                        g.evolve_model(t + 7e-3);
+                    }
+                }
+            }
+            if op >= 4 {
+                t += 7e-3;
+            } else {
+                restored.restore_state(cached.gas.clone(), cached.model_time());
+            }
+            assert_eq!(state_bits(&cached), state_bits(&fresh), "op {op}: cache changed a result");
+            assert_eq!(state_bits(&cached), state_bits(&restored), "op {op}: restore diverged");
+        }
+        // flops charge the gravity evaluations made, so the gap is the reuse
+        assert!(fresh.flops > cached.flops, "no refresh reused the cached gravity");
     }
 
     fn mean_radius(gas: &GasParticles) -> f64 {

@@ -13,7 +13,7 @@
 //! inside each cell — so density sums accumulate in the identical order
 //! and reproduce the pre-refactor results bitwise (see `tests/golden.rs`).
 
-use jc_compute::soa::{Soa3, LANES};
+use jc_compute::soa::Soa3;
 
 /// Maximum dense-table cells per particle before falling back to the
 /// sorted-key (sparse) layout. The table costs 4 bytes per cell and one
@@ -371,41 +371,100 @@ impl CsrGrid {
     }
 }
 
+/// Candidates tested per block of [`sweep_within`]: one bit each of the
+/// block's `u64` hit mask, and a `d²` row (512 B) that stays on the stack.
+const BLOCK: usize = 64;
+
 /// The direct counterpart of [`CsrGrid::for_each_within`]: visit every
 /// particle within `radius` of `center` by sweeping the SoA position
-/// columns [`LANES`] wide in index order — no structure to build, which
-/// is what wins while the set is small (see the crossover in
-/// [`crate::density`]). Same `d² ≤ r²` arithmetic as the grid's scan, so
-/// the visited set and every squared distance are bit-identical to it;
-/// only the order (ascending index) differs.
+/// columns in index order — no structure to build, which is what wins
+/// while the set is small (see the crossover in [`crate::density`]).
+/// Same `d² ≤ r²` arithmetic as the grid's scan, so the visited set and
+/// every squared distance are bit-identical to it; only the order
+/// (ascending index) differs.
+///
+/// There is one body ([`sweep_body`]), instantiated for the baseline and
+/// inside a thin `avx2` wrapper behind runtime detection — the
+/// [`jc_compute::gravity`] pattern: the compiler writes the wide code and
+/// both tiers execute the same IEEE operations.
 // jc-lint: no-alloc
 #[inline]
-pub fn sweep_within(cols: &Soa3, center: &[f64; 3], radius: f64, mut f: impl FnMut(u32, f64)) {
-    let (x, y, z) = (cols.x.as_slice(), cols.y.as_slice(), cols.z.as_slice());
-    let r2 = radius * radius;
-    let d2_of = |x: f64, y: f64, z: f64| {
-        let d = [x - center[0], y - center[1], z - center[2]];
-        d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    };
-    let lanes = x.chunks_exact(LANES).zip(y.chunks_exact(LANES)).zip(z.chunks_exact(LANES));
-    for (b, ((xs, ys), zs)) in lanes.enumerate() {
-        let mut d2 = [0.0f64; LANES];
-        for l in 0..LANES {
-            d2[l] = d2_of(xs[l], ys[l], zs[l]);
-        }
-        if d2.iter().any(|&d| d <= r2) {
-            for (l, &d) in d2.iter().enumerate() {
-                if d <= r2 {
-                    f((b * LANES + l) as u32, d);
-                }
-            }
-        }
+pub fn sweep_within(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64)) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the avx2 instantiation is only reached when the CPU
+        // reports the feature at runtime.
+        return unsafe { sweep_within_avx2(cols, center, radius, f) };
     }
-    for j in x.len() / LANES * LANES..x.len() {
-        let d = d2_of(x[j], y[j], z[j]);
-        if d <= r2 {
-            f(j as u32, d);
-        }
+    sweep_body(cols, center, radius, f);
+}
+
+/// [`sweep_body`] compiled for AVX2.
+// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
+// call; the only call site is gated on runtime detection of the
+// feature. The body is safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_within_avx2(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64)) {
+    sweep_body(cols, center, radius, f);
+}
+
+/// The one sweep body, at whatever instruction set the caller was
+/// compiled for: whole [`BLOCK`]s first (a compile-time length, so the
+/// compiler unrolls them into straight-line vector code), then the
+/// partial tail block through the same [`sweep_block`].
+// jc-lint: no-alloc
+#[inline(always)]
+fn sweep_body(cols: &Soa3, center: &[f64; 3], radius: f64, mut f: impl FnMut(u32, f64)) {
+    let n = cols.x.len();
+    let (x, y, z) = (&cols.x[..n], &cols.y[..n], &cols.z[..n]);
+    let r2 = radius * radius;
+    let full = n - n % BLOCK;
+    let blocks = x[..full]
+        .chunks_exact(BLOCK)
+        .zip(y[..full].chunks_exact(BLOCK))
+        .zip(z[..full].chunks_exact(BLOCK));
+    for (b, ((xs, ys), zs)) in blocks.enumerate() {
+        sweep_block(b * BLOCK, xs, ys, zs, center, r2, &mut f);
+    }
+    if full < n {
+        sweep_block(full, &x[full..], &y[full..], &z[full..], center, r2, &mut f);
+    }
+}
+
+/// One block of at most [`BLOCK`] candidates starting at index `base`:
+/// write every `d²` into a stack row (a plain loop over three contiguous
+/// columns, which the compiler vectorises), fold `d² ≤ r²` into a
+/// bitmask without branching, then call the visitor once per set bit in
+/// ascending index with the stored `d²` — the only data-dependent branch
+/// left is the loop over the hits themselves.
+// jc-lint: no-alloc
+#[inline(always)]
+fn sweep_block(
+    base: usize,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    center: &[f64; 3],
+    r2: f64,
+    f: &mut impl FnMut(u32, f64),
+) {
+    let len = xs.len();
+    let (ys, zs) = (&ys[..len], &zs[..len]);
+    let mut row = [0.0f64; BLOCK];
+    let d2 = &mut row[..len];
+    for l in 0..len {
+        let d = [xs[l] - center[0], ys[l] - center[1], zs[l] - center[2]];
+        d2[l] = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+    }
+    let mut hits = 0u64;
+    for (l, &d) in d2.iter().enumerate() {
+        hits |= u64::from(d <= r2) << l;
+    }
+    while hits != 0 {
+        let l = hits.trailing_zeros() as usize;
+        f((base + l) as u32, d2[l]);
+        hits &= hits - 1;
     }
 }
 
@@ -432,6 +491,54 @@ mod tests {
                 let mut b = Vec::new();
                 sweep_within(&cols, c, r, |j, d2| b.push((j, d2.to_bits())));
                 assert_eq!(a, b, "r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_tiers_match_a_scalar_loop_bitwise() {
+        // every block-count class (none, one partial, exactly one, one
+        // plus a tail, many) at spreads that put `d²` in very different
+        // binades; the first three points coincide
+        let mut s = 7u64;
+        let mut rnd = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        type Hits = Vec<(u32, u64)>;
+        for n in [0usize, 1, 3, 4, 5, 63, 64, 65, 127, 129, 511, 513] {
+            for spread in [1.0, 2e6] {
+                let mut pos: Vec<[f64; 3]> =
+                    (0..n).map(|_| [rnd() * spread, rnd() * spread, rnd() * spread]).collect();
+                for k in 1..n.min(3) {
+                    pos[k] = pos[0];
+                }
+                let mut cols = Soa3::new();
+                cols.fill_from(&pos);
+                let centers = [pos.first().copied().unwrap_or([0.0; 3]), [0.1 * spread; 3]];
+                for c in &centers {
+                    // nothing but coincident points, a handful, a typical
+                    // neighbourhood, everything
+                    for radius in [0.0, 1e-9 * spread, 0.05 * spread, 0.3 * spread, 4.0 * spread] {
+                        let r2 = radius * radius;
+                        let mut naive = Hits::new();
+                        for (j, p) in pos.iter().enumerate() {
+                            let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+                            let d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                            if d2 <= r2 {
+                                naive.push((j as u32, d2.to_bits()));
+                            }
+                        }
+                        let (mut dispatched, mut portable) = (Hits::new(), Hits::new());
+                        sweep_within(&cols, c, radius, |j, d2| dispatched.push((j, d2.to_bits())));
+                        sweep_body(&cols, c, radius, |j, d2| portable.push((j, d2.to_bits())));
+                        assert_eq!(dispatched, naive, "dispatched: n={n} r={radius}");
+                        assert_eq!(portable, naive, "portable: n={n} r={radius}");
+                        if radius >= 4.0 * spread {
+                            assert_eq!(naive.len(), n, "radius ≥ bounding box visits everyone");
+                        }
+                    }
+                }
             }
         }
     }

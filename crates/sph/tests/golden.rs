@@ -105,6 +105,27 @@ fn legacy_reference_still_matches_golden() {
     check(&gas);
 }
 
+#[test]
+fn sets_below_the_neighbour_target_match_the_legacy_pass() {
+    // fewer particles than the target count: `h` grows on every
+    // iteration, and once a search has returned the whole set the wider
+    // ones are skipped — the legacy pass, which repeats every query, is
+    // the oracle that skipping them changes nothing (two passes, so the
+    // second starts from adapted `h`)
+    for n in [1, 2, 7, 16, 24, 25, 26, 40] {
+        let (mut gas, mut legacy) = (plummer_gas(n, 1.0, 5), plummer_gas(n, 1.0, 5));
+        let mut scratch = scalar_scratch();
+        for pass in 0..2 {
+            let inter = compute_density_with(&mut gas, &mut scratch);
+            assert_eq!(inter, jc_sph::legacy::compute_density(&mut legacy), "n={n} pass {pass}");
+            for i in 0..n {
+                assert_eq!(gas.rho[i].to_bits(), legacy.rho[i].to_bits(), "n={n} rho[{i}]");
+                assert_eq!(gas.h[i].to_bits(), legacy.h[i].to_bits(), "n={n} h[{i}]");
+            }
+        }
+    }
+}
+
 // --- SoA-path golden vectors ---------------------------------------------
 //
 // The default path sums densities and pair rates lane-by-lane in search

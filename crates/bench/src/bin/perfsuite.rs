@@ -8,33 +8,11 @@
 //! point behind.
 //!
 //! ```text
-//! perfsuite [--quick] [--socket] [--checkpoint] [--service] [--out PATH] [--check BASELINE] [--repeats K]
+//! perfsuite [--quick] [--out PATH] [--check BASELINE] [--repeats K]
 //! perfsuite --compare OLD.json NEW.json
 //! ```
 //!
 //! * `--quick` — small-N subset (CI per-PR job)
-//! * `--socket` — add transport-overhead rows: one bridge-style RPC
-//!   round trip (snapshot + kick) per transport — in-process
-//!   `LocalChannel`, the loopback-TCP `SocketChannel` facade one
-//!   request at a time (`*_socket_lockstep`), and a `ReactorChannel`
-//!   with both requests in flight (`*_socket`) — plus the K=3
-//!   `ComputeField` fan-out row (`coupling_fanout_k3`) — so the
-//!   BENCH_*.json trajectory tracks what the wire costs on top of the
-//!   kernel (`interactions_per_s` holds payload bytes/s for these rows)
-//! * `--checkpoint` — add fault-tolerance overhead rows: serializing a
-//!   full bridge checkpoint (`checkpoint_snapshot`: SaveState gather +
-//!   container encode) and applying one (`checkpoint_restore`:
-//!   LoadState scatter). `interactions_per_s` holds container bytes/s,
-//!   so the trajectory tracks what a per-iteration checkpoint costs
-//!   next to an iteration itself
-//! * `--service` — add multi-session service rows:
-//!   `service_session_p99` drives a burst of small sessions through the
-//!   warm in-process pool (`ns_per_step` = p99 submit→complete latency,
-//!   `interactions_per_s` = sessions/s), and `service_shed_rate` bursts
-//!   4× a tiny queue bound to time the typed admission decision
-//!   (`ns_per_step` = ns per submit, `interactions_per_s` = shed
-//!   fraction). Both are scheduling/latency rows, so the gates report
-//!   them without failing on them
 //! * `--out` — output path (default `bench.json`; pass an explicit
 //!   `BENCH_PRn.json` when recording a committed baseline)
 //! * `--check` — compare against a committed baseline JSON and exit
@@ -59,8 +37,8 @@
 //! Backend coverage: the scalar reference kernels keep their historical
 //! row names (`nbody_acc_jerk`, `sph_density_csr`, `sph_forces`,
 //! `tree_walk`); the SoA compute paths — what workers run — get `*_simd`
-//! rows next to them, and every row built on a `GravityWorker` or
-//! `PhiGrape` uses `Backend::CpuParallel` like the workers do.
+//! rows next to them, and every row built on `PhiGrape` uses
+//! `Backend::CpuParallel` like the workers do.
 //! `hermite_evolve` times one gravity `EvolveTo(1/64)` at the two star
 //! counts workers run (`interactions_per_s` from the integrator's own
 //! flop count: a block step evaluates only the active stars).
@@ -74,6 +52,10 @@
 //! `gravity_direct` (mirror + exact sum, what it costs below) at every
 //! crossover N and at the coupling kick's 128 × 512 shape — the
 //! measurement behind `jc_treegrav`'s direct-sum crossover.
+//!
+//! Transport, checkpoint and service costs are not timed here: the
+//! `benchmark/` package's per-layer probes (`socket.*`, `checkpoint.*`,
+//! `service.*`) measure them end to end.
 
 use jc_nbody::kernels::{acc_jerk_into, Backend, FLOPS_PER_PAIR};
 use jc_nbody::plummer::plummer_sphere;
@@ -86,15 +68,6 @@ use std::time::Instant;
 
 /// Allowed slowdown versus the committed baseline before `--check` fails.
 const REGRESSION_FACTOR: f64 = 2.0;
-
-/// Rows dominated by syscall/loopback latency rather than CPU: the
-/// CPU-bound calibration cannot normalize them across machines, so the
-/// gates report them for the trajectory but never fail on them.
-fn latency_bound(kernel: &str) -> bool {
-    kernel.starts_with("channel_roundtrip")
-        || kernel.starts_with("coupling_fanout")
-        || kernel.starts_with("service_")
-}
 
 /// One measured point.
 struct Sample {
@@ -114,9 +87,6 @@ fn main() {
         std::process::exit(compare_files(&args[1], &args[2]));
     }
     let mut quick = false;
-    let mut socket = false;
-    let mut checkpoint = false;
-    let mut service = false;
     // not a committed BENCH_*.json: a bare run must never clobber a
     // checked-in baseline
     let mut out_path = String::from("bench.json");
@@ -126,9 +96,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--socket" => socket = true,
-            "--checkpoint" => checkpoint = true,
-            "--service" => service = true,
             "--out" => out_path = it.next().expect("--out needs a path").clone(),
             "--check" => check_path = Some(it.next().expect("--check needs a path").clone()),
             "--repeats" => {
@@ -137,8 +104,7 @@ fn main() {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: perfsuite [--quick] [--socket] [--checkpoint] [--service] \
-                     [--out PATH] [--check BASELINE] [--repeats K]"
+                    "usage: perfsuite [--quick] [--out PATH] [--check BASELINE] [--repeats K]"
                 );
                 std::process::exit(2);
             }
@@ -186,32 +152,6 @@ fn main() {
     // the coupling kick of the benchmark's cluster: 128 stars in the
     // field of 512 gas particles
     samples.extend(bench_gravity_structures(128, 512, repeats));
-    if socket {
-        let channel_ns: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
-        for &n in channel_ns {
-            samples.push(bench_channel_roundtrip(n, repeats, Transport::Local));
-            samples.push(bench_channel_roundtrip(n, repeats, Transport::SocketLockstep));
-            samples.push(bench_channel_roundtrip(n, repeats, Transport::SocketPipelined));
-        }
-        // K=3 coupling fan-out at the smallest channel N, where transport
-        // latency (not the tree kernel) dominates: the pipelined row
-        // shows K round trips overlapping toward one.
-        let n_fan = channel_ns[0];
-        samples.push(bench_coupling_fanout(n_fan, repeats, 3));
-    }
-    if checkpoint {
-        let ck_stars: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
-        for &n in ck_stars {
-            samples.push(bench_checkpoint(n, repeats, false));
-            samples.push(bench_checkpoint(n, repeats, true));
-        }
-    }
-    if service {
-        let sessions = if quick { 200 } else { 1000 };
-        samples.push(bench_service_p99(sessions, repeats));
-        samples.push(bench_service_shed(repeats));
-    }
-
     // Multi-thread scaling rows (all modes): the parallel kernels at
     // JC_THREADS ∈ {1, 2, phys-cores}, each at the mode's largest N so
     // the grain policy cannot floor the worker count. `JC_THREADS` is
@@ -253,7 +193,6 @@ fn main() {
     report_speedup(&samples);
     report_neighbors_crossover(&samples);
     report_gravity_crossover(&samples);
-    report_transport_overhead(&samples);
 
     let json = render_json(&samples, quick);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
@@ -611,329 +550,6 @@ fn report_gravity_crossover(samples: &[Sample]) {
     }
 }
 
-/// Which transport carries the channel round-trip rows.
-#[derive(Clone, Copy)]
-enum Transport {
-    /// In-process `LocalChannel` — the zero-wire reference.
-    Local,
-    /// `SocketChannel` (the facade over a private reactor): one request
-    /// in flight at a time, two full round trips per step.
-    SocketLockstep,
-    /// `ReactorChannel` with the snapshot and the kick submitted
-    /// together — the coupler's production path, one coalesced write
-    /// and one gather per step.
-    SocketPipelined,
-}
-
-/// One bridge-style RPC round trip — a full particle snapshot plus a
-/// kick — over an in-process channel, a loopback TCP socket driven
-/// lock-step, or the same client pipelined. The same worker, the same
-/// payloads: the difference between the rows is pure transport (encode,
-/// syscalls, wire, decode, and for the socket rows how many syscall
-/// round trips the step costs). `interactions_per_s` reports payload bytes/s for
-/// these rows.
-fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sample {
-    use jc_amuse::channel::{Channel, LocalChannel};
-    use jc_amuse::worker::{GravityWorker, ParticleData, Request, Response};
-    use jc_amuse::{Reactor, ReactorChannel, SocketChannel};
-    use jc_nbody::Backend;
-
-    let ics = plummer_sphere(n, 21);
-    let mut snap = ParticleData::default();
-    let dv = vec![[0.0; 3]; n];
-    let bytes_per_step =
-        (Request::GetParticles.wire_size() + 32 + 56 * n as u64) + (24 * n as u64 + 32 + 40); // snapshot req+resp, kick req+resp
-    let kernel = match transport {
-        Transport::Local => "channel_roundtrip_local",
-        Transport::SocketLockstep => "channel_roundtrip_socket_lockstep",
-        Transport::SocketPipelined => "channel_roundtrip_socket",
-    };
-    let sample = |ns: f64| Sample {
-        kernel,
-        n,
-        ns_per_step: ns,
-        interactions_per_s: bytes_per_step as f64 / ns * 1e9,
-    };
-
-    match transport {
-        Transport::Local => {
-            let mut ch = LocalChannel::new(Box::new(GravityWorker::new(ics, Backend::CpuParallel)));
-            let ns = best_ns(repeats, || {
-                assert!(ch.snapshot_into(&mut snap));
-                assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
-            });
-            sample(ns)
-        }
-        Transport::SocketLockstep => {
-            let (addr, handle) = jc_amuse::spawn_tcp_worker("perf-grav", move || {
-                GravityWorker::new(ics, Backend::CpuParallel)
-            });
-            let mut ch =
-                SocketChannel::connect(addr, "perf-grav").expect("connect loopback worker");
-            let ns = best_ns(repeats, || {
-                assert!(ch.snapshot_into(&mut snap));
-                assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
-            });
-            drop(ch); // sends Stop
-            let _ = handle.join();
-            sample(ns)
-        }
-        Transport::SocketPipelined => {
-            let (addr, handle) = jc_amuse::spawn_tcp_worker("perf-grav", move || {
-                GravityWorker::new(ics, Backend::CpuParallel)
-            });
-            let reactor = Reactor::new_shared().expect("reactor");
-            let mut ch = ReactorChannel::connect(&reactor, addr, "perf-grav")
-                .expect("connect loopback worker");
-            let ns = best_ns(repeats, || {
-                // Both requests leave in one coalesced write; the kick
-                // does not depend on the snapshot, so this depth-2 is
-                // exactly what the bridge issues.
-                ch.submit_snapshot();
-                ch.submit_kick_slice(&dv);
-                assert!(ch.collect_snapshot_into(&mut snap));
-                assert!(matches!(ch.collect_kick(), Response::Ok { .. }));
-            });
-            drop(ch); // sends Stop
-            let _ = handle.join();
-            sample(ns)
-        }
-    }
-}
-
-/// K-shard `ComputeField` scatter–gather over loopback TCP workers —
-/// the bridge's coupling round trip: the same `n` particles as both
-/// sets, so each shard gets both sets once and evaluates its piece of
-/// both directions — all K requests in flight at once through one
-/// reactor. `interactions_per_s` reports wire bytes/s measured from the
-/// pool's own channel accounting.
-fn bench_coupling_fanout(n: usize, repeats: usize, k: usize) -> Sample {
-    use jc_amuse::channel::Channel;
-    use jc_amuse::shard::ShardedChannel;
-    use jc_amuse::worker::CouplingWorker;
-    use jc_amuse::{Reactor, ReactorChannel};
-
-    let scene = plummer_sphere(n, 23);
-    let reactor = Reactor::new_shared().expect("reactor");
-    let mut handles = Vec::new();
-    let shards: Vec<Box<dyn Channel>> = (0..k)
-        .map(|i| {
-            let (addr, h) = jc_amuse::spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
-            handles.push(h);
-            Box::new(
-                ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
-                    .expect("connect loopback shard"),
-            ) as Box<dyn Channel>
-        })
-        .collect();
-    let mut pool = ShardedChannel::with_counts(shards, vec![0; k]);
-    assert!(pool.pipelined());
-
-    let set = jc_amuse::worker::ParticleData { mass: scene.mass, pos: scene.pos, vel: Vec::new() };
-    let mut acc = Vec::new();
-    let mut field = |pool: &mut ShardedChannel| {
-        pool.submit_field(&set, &set, (0, n), (0, n));
-        pool.collect_accelerations_into(&mut acc).expect("fan-out field")
-    };
-    let before = pool.stats();
-    assert!(field(&mut pool) > 0.0);
-    let st = pool.stats();
-    let bytes_per_step = (st.bytes_out - before.bytes_out) + (st.bytes_in - before.bytes_in);
-
-    let ns = best_ns(repeats, || {
-        field(&mut pool);
-    });
-    drop(pool); // sends Stop to every shard
-    for h in handles {
-        let _ = h.join();
-    }
-    Sample {
-        kernel: Box::leak(format!("coupling_fanout_k{k}").into_boxed_str()),
-        n,
-        ns_per_step: ns,
-        interactions_per_s: bytes_per_step as f64 / ns * 1e9,
-    }
-}
-
-/// Fault-tolerance overhead: serialize (`restore == false`) or apply
-/// (`restore == true`) a complete bridge checkpoint over in-process
-/// channels — SaveState gather + container encode versus LoadState
-/// scatter. `n_stars` stars plus 4·n gas; `interactions_per_s` reports
-/// container bytes/s.
-fn bench_checkpoint(n_stars: usize, repeats: usize, restore: bool) -> Sample {
-    use jc_amuse::channel::LocalChannel;
-    use jc_amuse::worker::{CouplingWorker, GravityWorker, HydroWorker, StellarWorker};
-    use jc_amuse::{Bridge, EmbeddedCluster};
-    use jc_nbody::Backend;
-
-    let c = EmbeddedCluster::build(n_stars, 4 * n_stars, 0.5, 29);
-    let mut bridge = Bridge::new(
-        Box::new(LocalChannel::new(Box::new(GravityWorker::new(
-            c.stars.clone(),
-            Backend::CpuParallel,
-        )))),
-        Box::new(LocalChannel::new(Box::new(HydroWorker::new(c.gas.clone())))),
-        Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))),
-        Some(Box::new(LocalChannel::new(Box::new(StellarWorker::new(
-            c.star_masses_msun.clone(),
-            EmbeddedCluster::METALLICITY,
-        ))))),
-        c.bridge_config(),
-    );
-    let reference = bridge.snapshot().expect("snapshot");
-    let mut container = Vec::new();
-    reference.write_to(&mut container).expect("encode container");
-    let bytes = container.len() as f64;
-
-    let ns = if restore {
-        best_ns(repeats, || {
-            bridge.restore(&reference).expect("restore");
-        })
-    } else {
-        best_ns(repeats, || {
-            let ck = bridge.snapshot().expect("snapshot");
-            container.clear();
-            ck.write_to(&mut container).expect("encode container");
-        })
-    };
-    Sample {
-        kernel: if restore { "checkpoint_restore" } else { "checkpoint_snapshot" },
-        n: n_stars,
-        ns_per_step: ns,
-        interactions_per_s: bytes / ns * 1e9,
-    }
-}
-
-/// `--service`: p99 submit→complete latency for a burst of small
-/// sessions through the warm in-process pool. `n` is the session count,
-/// `ns_per_step` the best (lowest) p99 across repeats, and
-/// `interactions_per_s` the session throughput of that repeat.
-fn bench_service_p99(sessions: usize, repeats: usize) -> Sample {
-    use jc_service::{QuotaPolicy, Service, ServiceConfig, SessionSpec, SessionStatus};
-
-    let mut best_p99_ns = f64::INFINITY;
-    let mut best_rate = 0.0f64;
-    for _ in 0..repeats.max(1) {
-        let service = Service::new(ServiceConfig {
-            pool_size: 2,
-            quota: QuotaPolicy { max_queue_depth: sessions, per_tenant_in_flight: sessions },
-            ..ServiceConfig::default()
-        });
-        let t0 = Instant::now();
-        let ids: Vec<_> = (0..sessions)
-            .map(|i| {
-                let spec = SessionSpec {
-                    stars: 8,
-                    gas: 24,
-                    seed: 1 + i as u64,
-                    iterations: 2,
-                    substeps: 1,
-                    ..SessionSpec::default()
-                };
-                service.submit(&format!("tenant-{}", i % 4), spec).expect("admitted")
-            })
-            .collect();
-        let mut wall_us: Vec<u64> = ids
-            .iter()
-            .map(|id| match service.wait(*id) {
-                Some(SessionStatus::Completed { wall_us, .. }) => wall_us,
-                other => panic!("service bench session failed: {other:?}"),
-            })
-            .collect();
-        let elapsed = t0.elapsed().as_secs_f64();
-        service.shutdown();
-        wall_us.sort_unstable();
-        let p99 = wall_us[((wall_us.len() - 1) as f64 * 0.99).round() as usize] as f64 * 1e3;
-        if p99 < best_p99_ns {
-            best_p99_ns = p99;
-            best_rate = sessions as f64 / elapsed;
-        }
-    }
-    Sample {
-        kernel: "service_session_p99",
-        n: sessions,
-        ns_per_step: best_p99_ns,
-        interactions_per_s: best_rate,
-    }
-}
-
-/// `--service`: the typed admission decision under overload. A burst of
-/// 4× a tiny queue bound hits one slow host; `ns_per_step` is the mean
-/// cost of one `submit()` (admit or shed — never block),
-/// `interactions_per_s` the shed fraction of the burst.
-fn bench_service_shed(repeats: usize) -> Sample {
-    use jc_service::{QuotaPolicy, Service, ServiceConfig, SessionSpec, SubmitError};
-
-    const DEPTH: usize = 16;
-    const BURST: usize = 4 * DEPTH;
-    let mut best_ns = f64::INFINITY;
-    let mut best_shed = 0.0f64;
-    for _ in 0..repeats.max(1) {
-        let service = Service::new(ServiceConfig {
-            pool_size: 1,
-            quota: QuotaPolicy { max_queue_depth: DEPTH, per_tenant_in_flight: BURST },
-            ..ServiceConfig::default()
-        });
-        let spec = SessionSpec {
-            stars: 16,
-            gas: 64,
-            iterations: 4,
-            substeps: 2,
-            ..SessionSpec::default()
-        };
-        let mut shed = 0usize;
-        let t0 = Instant::now();
-        let mut ids = Vec::with_capacity(BURST);
-        for _ in 0..BURST {
-            match service.submit("burst", spec.clone()) {
-                Ok(id) => ids.push(id),
-                Err(SubmitError::Overloaded { .. }) => shed += 1,
-                Err(e) => panic!("unexpected rejection: {e}"),
-            }
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / BURST as f64;
-        for id in ids {
-            service.wait(id);
-        }
-        service.shutdown();
-        if ns < best_ns {
-            best_ns = ns;
-            best_shed = shed as f64 / BURST as f64;
-        }
-    }
-    Sample {
-        kernel: "service_shed_rate",
-        n: BURST,
-        ns_per_step: best_ns,
-        interactions_per_s: best_shed,
-    }
-}
-
-/// Print the socket-vs-local transport overhead per N (for both socket
-/// rows).
-fn report_transport_overhead(samples: &[Sample]) {
-    let find = |kernel: &str, n: usize| {
-        samples.iter().find(move |l| l.kernel == kernel && l.n == n).map(|l| l.ns_per_step)
-    };
-    for s in samples.iter().filter(|s| {
-        s.kernel == "channel_roundtrip_socket" || s.kernel == "channel_roundtrip_socket_lockstep"
-    }) {
-        if let Some(local) = find("channel_roundtrip_local", s.n) {
-            let label = if s.kernel.ends_with("_lockstep") {
-                "lock-step socket"
-            } else {
-                "pipelined socket"
-            };
-            println!(
-                "{label} transport overhead at N={}: {:.2}x local round trip ({:.1} MB/s payload)",
-                s.n,
-                s.ns_per_step / local,
-                s.interactions_per_s / 1e6
-            );
-        }
-    }
-}
-
 fn render_json(samples: &[Sample], quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -1021,8 +637,7 @@ fn load_rows(path: &str) -> Result<Vec<Row>, String> {
 /// when any kernel in NEW regressed more than [`REGRESSION_FACTOR`]×
 /// against OLD after machine normalization (the frozen
 /// `sph_density_legacy` rows measure the machine, exactly as in
-/// `--check`). The calibration kernel and the latency-bound
-/// `channel_roundtrip_*` rows are reported for information only.
+/// `--check`). The calibration kernel is reported for information only.
 fn compare_files(old_path: &str, new_path: &str) -> i32 {
     let (old, new) = match (load_rows(old_path), load_rows(new_path)) {
         (Ok(o), Ok(n)) => (o, n),
@@ -1081,8 +696,7 @@ fn compare_files(old_path: &str, new_path: &str) -> i32 {
     for (k, n, new_ns) in &new {
         let Some(old_ns) = find(&old, k, *n) else { continue };
         let speedup = old_ns / new_ns * calibration;
-        let info_only = k == "sph_density_legacy" || latency_bound(k);
-        let verdict = if info_only {
+        let verdict = if k == "sph_density_legacy" {
             "(info)"
         } else {
             compared += 1;
@@ -1135,29 +749,6 @@ fn check_against(samples: &[Sample], baseline_path: &str) -> i32 {
     for s in samples {
         if s.kernel == "sph_density_legacy" {
             continue; // the calibration kernel cannot regress by code
-        }
-        // Transport rows are dominated by syscall/loopback latency, which
-        // the CPU-bound calibration cannot normalize — on shared CI
-        // runners they would gate PRs on the machine, not the code.
-        // Report them for the trajectory, never fail on them.
-        if latency_bound(s.kernel) {
-            if let Some(base_ns) = results
-                .iter()
-                .find(|r| {
-                    r.get("kernel").and_then(|k| k.as_str()) == Some(s.kernel)
-                        && r.get("n").and_then(|n| n.as_f64()) == Some(s.n as f64)
-                })
-                .and_then(|b| b.get("ns_per_step"))
-                .and_then(|v| v.as_f64())
-            {
-                println!(
-                    "check {:<24} N={:<6} {:.2}x of baseline (info only: latency-bound)",
-                    s.kernel,
-                    s.n,
-                    s.ns_per_step / base_ns / calibration
-                );
-            }
-            continue;
         }
         let base = results.iter().find(|r| {
             r.get("kernel").and_then(|k| k.as_str()) == Some(s.kernel)

@@ -168,27 +168,23 @@ struct TargetCtx {
 /// One particle's rates on the SoA path
 /// ([`crate::density::SphScratch::simd`]).
 ///
-/// Two phases, each dispatched once per list to the widest instruction
-/// set the CPU offers. The *filter* pass runs the pair predicate
-/// (`r² < h_ij²`, non-coincident) over the cached list — which holds
-/// exactly the active pairs when it comes from the density pass, so
-/// this is where the pair geometry is derived, not where pairs are
-/// found. Each probe is one packed [`crate::density::FiltRow`] load
-/// (the split SoA columns would cost four lines); the vector filters
-/// batch 4 or 8 candidates per iteration with the predicate as a
-/// compare mask, and stage the survivors' `(j, dx, dy, dz, r², h_ij)`
-/// — values the predicate already computed — as parallel columns in
-/// the per-worker
-/// [`PairCols`]. The *interaction* pass ([`eval_pair_cols`]) then runs
-/// the expensive pair math over actives only: staged columns come back
-/// as sequential vector loads, per-neighbour values as single-line
-/// [`crate::density::EvalRow`] reads (prefetched at staging time), the
-/// viscosity branch becomes a select on `vr < 0`, and the spline
-/// gradient evaluates both pieces and selects by `q`. Accumulation is
-/// lane-wise with the fixed [`reduce_lanes`] reduction — bitwise stable
-/// run to run and across dispatch tiers, equal to the scalar path only
-/// to rounding. The interaction count and `v_signal_max` match the
-/// scalar path *exactly* (same predicate, same signal-speed values,
+/// Two phases. The *filter* pass ([`filter_stage`], one portable body,
+/// no dispatch) runs the pair predicate (`r² < h_ij²`, non-coincident)
+/// over the cached list — which holds exactly the active pairs when it
+/// comes from the density pass, so this is where the pair geometry is
+/// derived, not where pairs are found — and stages the survivors'
+/// `(j, dx, dy, dz, r², h_ij)`, values the predicate already computed,
+/// as parallel columns in the per-worker [`PairCols`]. The *interaction*
+/// pass ([`eval_pair_cols`]) then runs the expensive pair math over
+/// actives only: staged columns come back as sequential vector loads,
+/// per-neighbour values as single-line [`crate::density::EvalRow`] reads
+/// (prefetched at staging time), the viscosity branch becomes a select
+/// on `vr < 0`, and the spline gradient evaluates both pieces and
+/// selects by `q`. Accumulation is lane-wise with the fixed
+/// [`reduce_lanes`] reduction — bitwise stable run to run and on either
+/// side of `eval_pair_cols`'s dispatch, equal to the scalar path only to
+/// rounding. The interaction count and `v_signal_max` match the scalar
+/// path *exactly* (same predicate, same signal-speed values,
 /// order-independent max).
 fn hydro_one_simd(
     i: usize,
@@ -198,25 +194,9 @@ fn hydro_one_simd(
     acc: &mut [f64; 3],
     du: &mut f64,
 ) -> (u64, f64) {
-    let filt = soa.filt.as_slice();
     let evalr = soa.evalr.as_slice();
-    let fi = filt[i];
-    // filter: stage the active pairs (preserving list order), dispatched
-    // to the widest filter the CPU offers
     cols.clear();
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx2")
-    {
-        // SAFETY: gated on runtime AVX-512F + AVX2 detection.
-        unsafe { filter_stage_avx512(i, fi, filt, evalr, nbr, cols) };
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: gated on runtime AVX2 detection.
-        unsafe { filter_stage_avx2(i, fi, filt, evalr, nbr, cols) };
-    } else {
-        filter_stage_scalar(i, fi, filt, evalr, nbr, cols);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    filter_stage_scalar(i, fi, filt, evalr, nbr, cols);
+    filter_stage(i, soa.filt.as_slice(), evalr, nbr, cols);
     let ei = &evalr[i];
     let rhoi = ei.rho.max(1e-12);
     let ctx =
@@ -225,22 +205,22 @@ fn hydro_one_simd(
     (cols.len() as u64, vsig)
 }
 
-/// Portable filter phase of [`hydro_one_simd`]: one packed
-/// [`crate::density::FiltRow`] probe per candidate (prefetched `PF`
-/// candidates ahead); each accepted pair prefetches its
-/// [`crate::density::EvalRow`] so the interaction pass finds the line
-/// resident. The `j != i` clause is redundant with `r2 != 0.0` (a
-/// self-pair has zero separation) but kept so this reference predicate
-/// reads exactly like the scalar path's.
-fn filter_stage_scalar(
+/// Filter phase of [`hydro_one_simd`]: one packed
+/// [`crate::density::FiltRow`] probe per candidate of `nbr` (the split
+/// SoA columns would cost four lines; prefetched `PF` candidates ahead),
+/// the survivors appended to `cols` in list order; each accepted pair
+/// prefetches its [`crate::density::EvalRow`] so the interaction pass
+/// finds the line resident. The `j != i` clause is redundant with
+/// `r2 != 0.0` (a self-pair has zero separation) but kept so the
+/// predicate reads exactly like the scalar path's.
+fn filter_stage(
     i: usize,
-    fi: crate::density::FiltRow,
     filt: &[crate::density::FiltRow],
     evalr: &[crate::density::EvalRow],
     nbr: &[u32],
     cols: &mut PairCols,
 ) {
-    let (pix, piy, piz, hi) = (fi.x, fi.y, fi.z, fi.h);
+    let crate::density::FiltRow { x: pix, y: piy, z: piz, h: hi } = filt[i];
     const PF: usize = 16;
     let last = nbr.len().saturating_sub(1);
     for (k, &j32) in nbr.iter().enumerate() {
@@ -255,232 +235,6 @@ fn filter_stage_scalar(
         if r2 < h_ij * h_ij && r2 != 0.0 && j != i {
             prefetch_row(evalr, j);
             cols.push(j32, dx, dy, dz, r2, h_ij);
-        }
-    }
-}
-
-/// AVX2 filter phase of [`hydro_one_simd`]: four candidates per
-/// iteration. Each candidate's packed [`crate::density::FiltRow`] is
-/// one 32-byte vector load; a 4×4 transpose turns the four rows into
-/// `x/y/z/h` lane vectors, the predicate becomes a compare mask, and
-/// the lanes it sets are spilled to the staging columns. Produces
-/// bitwise-identical staged
-/// columns to [`filter_stage_scalar`] in the same order (elementwise
-/// IEEE ops; a self-pair fails `r2 != 0` exactly as it fails `j != i`).
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on `is_x86_feature_detected!("avx2")`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn filter_stage_avx2(
-    i: usize,
-    fi: crate::density::FiltRow,
-    filt: &[crate::density::FiltRow],
-    evalr: &[crate::density::EvalRow],
-    nbr: &[u32],
-    cols: &mut PairCols,
-) {
-    use std::arch::x86_64::*;
-    let n = nbr.len();
-    let batches = n / LANES;
-    // SAFETY: every candidate index in `nbr` is a valid particle index
-    // (the grid stages only in-range indices), so the row loads stay in
-    // bounds of `filt`; spills target local stack arrays; prefetches
-    // are pure hints. The AVX2 intrinsics are available per the
-    // `#[target_feature]` contract discharged at the gated call site.
-    unsafe {
-        let pixv = _mm256_set1_pd(fi.x);
-        let piyv = _mm256_set1_pd(fi.y);
-        let pizv = _mm256_set1_pd(fi.z);
-        let hiv = _mm256_set1_pd(fi.h);
-        let halfv = _mm256_set1_pd(0.5);
-        let zerov = _mm256_setzero_pd();
-        for b in 0..batches {
-            let o = b * LANES;
-            if o + 2 * LANES <= n {
-                // pull the next batch's rows while this one transposes
-                for l in 0..LANES {
-                    prefetch_row(filt, nbr[o + LANES + l] as usize);
-                }
-            }
-            let j0 = nbr[o] as usize;
-            let j1 = nbr[o + 1] as usize;
-            let j2 = nbr[o + 2] as usize;
-            let j3 = nbr[o + 3] as usize;
-            let r0 = _mm256_loadu_pd(filt.as_ptr().add(j0) as *const f64);
-            let r1 = _mm256_loadu_pd(filt.as_ptr().add(j1) as *const f64);
-            let r2r = _mm256_loadu_pd(filt.as_ptr().add(j2) as *const f64);
-            let r3 = _mm256_loadu_pd(filt.as_ptr().add(j3) as *const f64);
-            let t0 = _mm256_unpacklo_pd(r0, r1); // x0 x1 z0 z1
-            let t1 = _mm256_unpackhi_pd(r0, r1); // y0 y1 h0 h1
-            let t2 = _mm256_unpacklo_pd(r2r, r3); // x2 x3 z2 z3
-            let t3 = _mm256_unpackhi_pd(r2r, r3); // y2 y3 h2 h3
-            let xv = _mm256_permute2f128_pd::<0x20>(t0, t2);
-            let yv = _mm256_permute2f128_pd::<0x20>(t1, t3);
-            let zv = _mm256_permute2f128_pd::<0x31>(t0, t2);
-            let hv = _mm256_permute2f128_pd::<0x31>(t1, t3);
-            let dx = _mm256_sub_pd(pixv, xv);
-            let dy = _mm256_sub_pd(piyv, yv);
-            let dz = _mm256_sub_pd(pizv, zv);
-            let r2v = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                _mm256_mul_pd(dz, dz),
-            );
-            let h_ij = _mm256_mul_pd(halfv, _mm256_add_pd(hiv, hv));
-            let mask = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LT_OQ>(r2v, _mm256_mul_pd(h_ij, h_ij)),
-                _mm256_cmp_pd::<_CMP_NEQ_OQ>(r2v, zerov),
-            );
-            let mbits = _mm256_movemask_pd(mask);
-            if mbits != 0 {
-                let mut dxl = [0.0f64; LANES];
-                let mut dyl = [0.0f64; LANES];
-                let mut dzl = [0.0f64; LANES];
-                let mut r2l = [0.0f64; LANES];
-                let mut hl = [0.0f64; LANES];
-                _mm256_storeu_pd(dxl.as_mut_ptr(), dx);
-                _mm256_storeu_pd(dyl.as_mut_ptr(), dy);
-                _mm256_storeu_pd(dzl.as_mut_ptr(), dz);
-                _mm256_storeu_pd(r2l.as_mut_ptr(), r2v);
-                _mm256_storeu_pd(hl.as_mut_ptr(), h_ij);
-                for l in 0..LANES {
-                    if mbits & (1 << l) != 0 {
-                        let j32 = nbr[o + l];
-                        prefetch_row(evalr, j32 as usize);
-                        cols.push(j32, dxl[l], dyl[l], dzl[l], r2l[l], hl[l]);
-                    }
-                }
-            }
-        }
-        // leftover candidates: the scalar predicate, verbatim
-        let (pix, piy, piz, hi) = (fi.x, fi.y, fi.z, fi.h);
-        for &j32 in &nbr[batches * LANES..] {
-            let j = j32 as usize;
-            let f = &filt[j];
-            let dx = pix - f.x;
-            let dy = piy - f.y;
-            let dz = piz - f.z;
-            let r2 = dx * dx + dy * dy + dz * dz;
-            let h_ij = 0.5 * (hi + f.h);
-            if r2 < h_ij * h_ij && r2 != 0.0 && j != i {
-                prefetch_row(evalr, j);
-                cols.push(j32, dx, dy, dz, r2, h_ij);
-            }
-        }
-    }
-}
-
-/// AVX-512 filter phase of [`hydro_one_simd`]: eight candidates per
-/// iteration — the 8-wide shape of [`filter_stage_avx2`] (two 4×4 row
-/// transposes widened into ZMM lanes, the predicate as a native 8-bit
-/// compare mask). Elementwise IEEE ops at any width are exact, so the
-/// staged columns stay bitwise identical to [`filter_stage_scalar`]'s,
-/// in the same order.
-// SAFETY: `#[target_feature(enable = "avx512f,avx2")]` makes this fn
-// unsafe to call; the only call site is gated on runtime detection of
-// both features.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2")]
-unsafe fn filter_stage_avx512(
-    i: usize,
-    fi: crate::density::FiltRow,
-    filt: &[crate::density::FiltRow],
-    evalr: &[crate::density::EvalRow],
-    nbr: &[u32],
-    cols: &mut PairCols,
-) {
-    use std::arch::x86_64::*;
-    const W: usize = 2 * LANES;
-    let n = nbr.len();
-    let groups = n / W;
-    // SAFETY: every candidate index in `nbr` is a valid particle index
-    // (the grid stages only in-range indices), so the row loads stay in
-    // bounds of `filt`; spills target local stack arrays; prefetches
-    // are pure hints. The AVX-512/AVX2 intrinsics are available per the
-    // `#[target_feature]` contract discharged at the gated call site.
-    unsafe {
-        let pixv = _mm512_set1_pd(fi.x);
-        let piyv = _mm512_set1_pd(fi.y);
-        let pizv = _mm512_set1_pd(fi.z);
-        let hiv = _mm512_set1_pd(fi.h);
-        let halfv = _mm512_set1_pd(0.5);
-        let zerov = _mm512_setzero_pd();
-        for g in 0..groups {
-            let o = g * W;
-            if o + 2 * W <= n {
-                // pull the next group's rows while this one transposes
-                for l in 0..W {
-                    prefetch_row(filt, nbr[o + W + l] as usize);
-                }
-            }
-            // transpose rows 0..4 and 4..8 into x/y/z/h quads, then
-            // widen each pair of quads into one ZMM register
-            let mut quads = [_mm256_setzero_pd(); 8];
-            for half in 0..2 {
-                let j0 = nbr[o + 4 * half] as usize;
-                let j1 = nbr[o + 4 * half + 1] as usize;
-                let j2 = nbr[o + 4 * half + 2] as usize;
-                let j3 = nbr[o + 4 * half + 3] as usize;
-                let r0 = _mm256_loadu_pd(filt.as_ptr().add(j0) as *const f64);
-                let r1 = _mm256_loadu_pd(filt.as_ptr().add(j1) as *const f64);
-                let r2r = _mm256_loadu_pd(filt.as_ptr().add(j2) as *const f64);
-                let r3 = _mm256_loadu_pd(filt.as_ptr().add(j3) as *const f64);
-                let t0 = _mm256_unpacklo_pd(r0, r1); // x0 x1 z0 z1
-                let t1 = _mm256_unpackhi_pd(r0, r1); // y0 y1 h0 h1
-                let t2 = _mm256_unpacklo_pd(r2r, r3); // x2 x3 z2 z3
-                let t3 = _mm256_unpackhi_pd(r2r, r3); // y2 y3 h2 h3
-                quads[4 * half] = _mm256_permute2f128_pd::<0x20>(t0, t2);
-                quads[4 * half + 1] = _mm256_permute2f128_pd::<0x20>(t1, t3);
-                quads[4 * half + 2] = _mm256_permute2f128_pd::<0x31>(t0, t2);
-                quads[4 * half + 3] = _mm256_permute2f128_pd::<0x31>(t1, t3);
-            }
-            let xv = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(quads[0]), quads[4]);
-            let yv = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(quads[1]), quads[5]);
-            let zv = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(quads[2]), quads[6]);
-            let hv = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(quads[3]), quads[7]);
-            let dx = _mm512_sub_pd(pixv, xv);
-            let dy = _mm512_sub_pd(piyv, yv);
-            let dz = _mm512_sub_pd(pizv, zv);
-            let r2v = _mm512_add_pd(
-                _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-                _mm512_mul_pd(dz, dz),
-            );
-            let h_ij = _mm512_mul_pd(halfv, _mm512_add_pd(hiv, hv));
-            let mbits = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(r2v, _mm512_mul_pd(h_ij, h_ij))
-                & _mm512_cmp_pd_mask::<_CMP_NEQ_OQ>(r2v, zerov);
-            if mbits != 0 {
-                let mut dxl = [0.0f64; W];
-                let mut dyl = [0.0f64; W];
-                let mut dzl = [0.0f64; W];
-                let mut r2l = [0.0f64; W];
-                let mut hl = [0.0f64; W];
-                _mm512_storeu_pd(dxl.as_mut_ptr(), dx);
-                _mm512_storeu_pd(dyl.as_mut_ptr(), dy);
-                _mm512_storeu_pd(dzl.as_mut_ptr(), dz);
-                _mm512_storeu_pd(r2l.as_mut_ptr(), r2v);
-                _mm512_storeu_pd(hl.as_mut_ptr(), h_ij);
-                for l in 0..W {
-                    if mbits & (1 << l) != 0 {
-                        let j32 = nbr[o + l];
-                        prefetch_row(evalr, j32 as usize);
-                        cols.push(j32, dxl[l], dyl[l], dzl[l], r2l[l], hl[l]);
-                    }
-                }
-            }
-        }
-        // leftover candidates: the scalar predicate, verbatim
-        let (pix, piy, piz, hi) = (fi.x, fi.y, fi.z, fi.h);
-        for &j32 in &nbr[groups * W..] {
-            let j = j32 as usize;
-            let f = &filt[j];
-            let dx = pix - f.x;
-            let dy = piy - f.y;
-            let dz = piz - f.z;
-            let r2 = dx * dx + dy * dy + dz * dz;
-            let h_ij = 0.5 * (hi + f.h);
-            if r2 < h_ij * h_ij && r2 != 0.0 && j != i {
-                prefetch_row(evalr, j);
-                cols.push(j32, dx, dy, dz, r2, h_ij);
-            }
         }
     }
 }
@@ -502,11 +256,11 @@ fn prefetch_row<T>(rows: &[T], i: usize) {
     let _ = (rows, i);
 }
 
-/// Evaluate the staged active pairs for one target, dispatched once per
-/// list to the widest available instruction set (see [`hydro_one_simd`];
-/// the AVX-512 and AVX2 clones and the portable body execute the
-/// identical IEEE operation sequence, so results are
-/// machine-independent). Returns the target's signal-speed maximum.
+/// Evaluate the staged active pairs for one target (see
+/// [`hydro_one_simd`]): the hand-written AVX2 clone where the CPU reports
+/// AVX2 at runtime, the portable body otherwise. Both execute the
+/// identical IEEE operation sequence, so results are machine-independent.
+/// Returns the target's signal-speed maximum.
 fn eval_pair_cols(
     cols: &PairCols,
     ctx: &TargetCtx,
@@ -515,27 +269,97 @@ fn eval_pair_cols(
     du: &mut f64,
 ) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
-            // SAFETY: the avx512 clone is only reached when the CPU
-            // reports both features at runtime.
-            return unsafe { eval_pair_cols_avx512(cols, ctx, soa, acc, du) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 clone is only reached when the CPU
-            // reports the feature at runtime.
-            return unsafe { eval_pair_cols_avx2(cols, ctx, soa, acc, du) };
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the avx2 clone is only reached when the CPU reports the
+        // feature at runtime.
+        return unsafe { eval_pair_cols_avx2(cols, ctx, soa, acc, du) };
     }
     eval_pair_cols_body(cols, ctx, soa, acc, du)
 }
 
-/// Portable [`LANES`]-wide staged-pair evaluation (the non-AVX fallback
-/// of [`eval_pair_cols`]) — same operation sequence as the hardware
-/// clones, narrower vectors.
+/// The [`LANES`]-wide accumulators of the staged-pair evaluators: staged
+/// pair `p` always folds into lane `p % LANES`.
+struct PairLanes {
+    ax: [f64; LANES],
+    ay: [f64; LANES],
+    az: [f64; LANES],
+    du: [f64; LANES],
+    vsig: [f64; LANES],
+}
+
+impl PairLanes {
+    /// Zeroed accumulators; every lane's signal speed starts at the
+    /// target's sound speed `ci`.
+    #[inline(always)]
+    fn new(ci: f64) -> PairLanes {
+        let zero = [0.0; LANES];
+        PairLanes { ax: zero, ay: zero, az: zero, du: zero, vsig: [ci; LANES] }
+    }
+
+    /// Reduce the lanes in the fixed [`reduce_lanes`] order into the
+    /// target's rates; returns its signal-speed maximum.
+    #[inline(always)]
+    fn finish(&self, acc: &mut [f64; 3], du: &mut f64) -> f64 {
+        *acc = [reduce_lanes(self.ax), reduce_lanes(self.ay), reduce_lanes(self.az)];
+        *du = reduce_lanes(self.du);
+        self.vsig[0].max(self.vsig[1]).max(self.vsig[2]).max(self.vsig[3])
+    }
+}
+
+/// Fold staged pair `p` into its lane — the per-pair arithmetic of the
+/// staged-pair evaluators, written once: the portable body runs it for
+/// every pair, the AVX2 clone for its fewer-than-[`LANES`] tail.
 #[inline(always)]
+fn pair_into(
+    lanes: &mut PairLanes,
+    cols: &PairCols,
+    p: usize,
+    ctx: &TargetCtx,
+    evalr: &[crate::density::EvalRow],
+) {
+    let l = p % LANES;
+    let [vix, viy, viz] = ctx.vi;
+    let (ci, rhoi, pi_rho2) = (ctx.ci, ctx.rhoi, ctx.pi_rho2);
+    let e = &evalr[cols.j[p] as usize];
+    let dx = cols.dx[p];
+    let dy = cols.dy[p];
+    let dz = cols.dz[p];
+    let r2 = cols.r2[p];
+    let h_ij = cols.h[p];
+    let r = r2.sqrt();
+    let dvx = vix - e.vx;
+    let dvy = viy - e.vy;
+    let dvz = viz - e.vz;
+    let vr = dvx * dx + dvy * dy + dvz * dz;
+    let rhoj = e.rho.max(1e-12);
+    // artificial viscosity as a select on approach
+    let cj = e.cs;
+    let mu = h_ij * vr / (r2 + 0.01 * h_ij * h_ij);
+    let c_mean = 0.5 * (ci + cj);
+    let rho_mean = 0.5 * (rhoi + rhoj);
+    let visc_full = (-ALPHA * c_mean * mu + BETA * mu * mu) / rho_mean;
+    let approaching = vr < 0.0;
+    let visc = if approaching { visc_full } else { 0.0 };
+    let vsig_cand = if approaching { c_mean - mu } else { ci };
+    // cubic-spline gradient, both pieces evaluated and selected
+    let sigma_h = 8.0 / (std::f64::consts::PI * h_ij * h_ij * h_ij) / h_ij;
+    let q = r / h_ij;
+    let t = 1.0 - q;
+    let near = -12.0 * q + 18.0 * q * q;
+    let far = -6.0 * t * t;
+    let piece = if q < 0.5 { near } else { far };
+    let dwr_over_r = sigma_h * piece / r;
+    let coeff = pi_rho2 + e.pres / (rhoj * rhoj) + visc;
+    let scale = e.m * coeff * dwr_over_r;
+    lanes.ax[l] -= scale * dx;
+    lanes.ay[l] -= scale * dy;
+    lanes.az[l] -= scale * dz;
+    lanes.du[l] += 0.5 * scale * vr;
+    lanes.vsig[l] = lanes.vsig[l].max(vsig_cand);
+}
+
+/// Portable staged-pair evaluation (the non-AVX2 side of
+/// [`eval_pair_cols`]): [`pair_into`] over every staged pair.
 fn eval_pair_cols_body(
     cols: &PairCols,
     ctx: &TargetCtx,
@@ -544,69 +368,11 @@ fn eval_pair_cols_body(
     du: &mut f64,
 ) -> f64 {
     let evalr = soa.evalr.as_slice();
-    let [vix, viy, viz] = ctx.vi;
-    let (ci, rhoi, pi_rho2) = (ctx.ci, ctx.rhoi, ctx.pi_rho2);
-    let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-    let mut dul = [0.0f64; LANES];
-    let mut vsigl = [ci; LANES];
-    macro_rules! lane {
-        ($l:expr, $p:expr) => {{
-            let l = $l;
-            let p = $p;
-            let e = &evalr[cols.j[p] as usize];
-            let dx = cols.dx[p];
-            let dy = cols.dy[p];
-            let dz = cols.dz[p];
-            let r2 = cols.r2[p];
-            let h_ij = cols.h[p];
-            let r = r2.sqrt();
-            let dvx = vix - e.vx;
-            let dvy = viy - e.vy;
-            let dvz = viz - e.vz;
-            let vr = dvx * dx + dvy * dy + dvz * dz;
-            let rhoj = e.rho.max(1e-12);
-            // artificial viscosity as a select on approach
-            let cj = e.cs;
-            let mu = h_ij * vr / (r2 + 0.01 * h_ij * h_ij);
-            let c_mean = 0.5 * (ci + cj);
-            let rho_mean = 0.5 * (rhoi + rhoj);
-            let visc_full = (-ALPHA * c_mean * mu + BETA * mu * mu) / rho_mean;
-            let approaching = vr < 0.0;
-            let visc = if approaching { visc_full } else { 0.0 };
-            let vsig_cand = if approaching { c_mean - mu } else { ci };
-            // cubic-spline gradient, both pieces evaluated and selected
-            let sigma_h = 8.0 / (std::f64::consts::PI * h_ij * h_ij * h_ij) / h_ij;
-            let q = r / h_ij;
-            let t = 1.0 - q;
-            let near = -12.0 * q + 18.0 * q * q;
-            let far = -6.0 * t * t;
-            let piece = if q < 0.5 { near } else { far };
-            let dwr_over_r = sigma_h * piece / r;
-            let coeff = pi_rho2 + e.pres / (rhoj * rhoj) + visc;
-            let scale = e.m * coeff * dwr_over_r;
-            axl[l] -= scale * dx;
-            ayl[l] -= scale * dy;
-            azl[l] -= scale * dz;
-            dul[l] += 0.5 * scale * vr;
-            vsigl[l] = vsigl[l].max(vsig_cand);
-        }};
+    let mut lanes = PairLanes::new(ctx.ci);
+    for p in 0..cols.len() {
+        pair_into(&mut lanes, cols, p, ctx, evalr);
     }
-    let n = cols.len();
-    let batches = n / LANES;
-    for b in 0..batches {
-        let o = b * LANES;
-        for l in 0..LANES {
-            lane!(l, o + l);
-        }
-    }
-    for l in 0..n - batches * LANES {
-        lane!(l, batches * LANES + l);
-    }
-    acc[0] = reduce_lanes(axl);
-    acc[1] = reduce_lanes(ayl);
-    acc[2] = reduce_lanes(azl);
-    *du = reduce_lanes(dul);
-    vsigl[0].max(vsigl[1]).max(vsigl[2]).max(vsigl[3])
+    lanes.finish(acc, du)
 }
 
 /// AVX2 implementation of [`eval_pair_cols_body`]: four staged pairs per
@@ -614,8 +380,9 @@ fn eval_pair_cols_body(
 /// the per-neighbour values packed lane-wise from the single-line
 /// [`crate::density::EvalRow`]s (prefetched by the filter phase; four
 /// resident lines per batch, where per-column gathers cost 28),
-/// branches as blends. Every operation is elementwise and in the
-/// portable body's exact order, so results are bitwise identical to it.
+/// branches as blends; the tail goes through [`pair_into`]. Every
+/// operation is elementwise and in the portable body's exact order, so
+/// results are bitwise identical to it.
 // SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
 // call; the only call site is gated on `is_x86_feature_detected!("avx2")`,
 // so the AVX2 instructions are never executed on a CPU without them.
@@ -632,13 +399,14 @@ unsafe fn eval_pair_cols_avx2(
     let evalr = soa.evalr.as_slice();
     let n = cols.len();
     let batches = n / LANES;
+    let mut lanes = PairLanes::new(ctx.ci);
     // SAFETY: column loads read indices `o .. o + 3` with
     // `o = b * LANES` and `b < n / LANES`, in bounds of every column
     // (all columns share length `n`); row indices come from `cols.j`,
     // which stages only valid particle indices, so they index `evalr`
     // in bounds (checked indexing regardless); the `storeu` spills
-    // target local stack arrays. The AVX2 intrinsics are available per
-    // the `#[target_feature]` contract discharged at the
+    // target the `LANES`-long lane arrays. The AVX2 intrinsics are
+    // available per the `#[target_feature]` contract discharged at the
     // detection-gated call site.
     unsafe {
         let zero = _mm256_setzero_pd();
@@ -732,336 +500,16 @@ unsafe fn eval_pair_cols_avx2(
             duv = _mm256_add_pd(duv, _mm256_mul_pd(_mm256_mul_pd(half, scale), vr));
             vsigv = _mm256_max_pd(vsigv, vsig_cand);
         }
-        let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-        let mut dul = [0.0f64; LANES];
-        let mut vsigl = [0.0f64; LANES];
-        _mm256_storeu_pd(axl.as_mut_ptr(), axv);
-        _mm256_storeu_pd(ayl.as_mut_ptr(), ayv);
-        _mm256_storeu_pd(azl.as_mut_ptr(), azv);
-        _mm256_storeu_pd(dul.as_mut_ptr(), duv);
-        _mm256_storeu_pd(vsigl.as_mut_ptr(), vsigv);
-        eval_pair_cols_tail(
-            cols,
-            ctx,
-            soa,
-            batches * LANES,
-            &mut axl,
-            &mut ayl,
-            &mut azl,
-            &mut dul,
-            &mut vsigl,
-        );
-        acc[0] = reduce_lanes(axl);
-        acc[1] = reduce_lanes(ayl);
-        acc[2] = reduce_lanes(azl);
-        *du = reduce_lanes(dul);
-        vsigl[0].max(vsigl[1]).max(vsigl[2]).max(vsigl[3])
+        _mm256_storeu_pd(lanes.ax.as_mut_ptr(), axv);
+        _mm256_storeu_pd(lanes.ay.as_mut_ptr(), ayv);
+        _mm256_storeu_pd(lanes.az.as_mut_ptr(), azv);
+        _mm256_storeu_pd(lanes.du.as_mut_ptr(), duv);
+        _mm256_storeu_pd(lanes.vsig.as_mut_ptr(), vsigv);
     }
-}
-
-/// Scalar tail of the staged-pair evaluators: pairs `o ..` (fewer than
-/// [`LANES`]) folded into the spilled lane accumulators with the exact
-/// lane arithmetic of [`eval_pair_cols_body`]. Shared by the AVX2 and
-/// AVX-512 clones so the tail is written (and audited) once.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn eval_pair_cols_tail(
-    cols: &PairCols,
-    ctx: &TargetCtx,
-    soa: &crate::density::GasSoa,
-    o: usize,
-    axl: &mut [f64; LANES],
-    ayl: &mut [f64; LANES],
-    azl: &mut [f64; LANES],
-    dul: &mut [f64; LANES],
-    vsigl: &mut [f64; LANES],
-) {
-    let evalr = soa.evalr.as_slice();
-    let [vix, viy, viz] = ctx.vi;
-    let (ci, rhoi, pi_rho2) = (ctx.ci, ctx.rhoi, ctx.pi_rho2);
-    for l in 0..cols.len() - o {
-        let p = o + l;
-        let e = &evalr[cols.j[p] as usize];
-        let dx = cols.dx[p];
-        let dy = cols.dy[p];
-        let dz = cols.dz[p];
-        let r2 = cols.r2[p];
-        let h_ij = cols.h[p];
-        let r = r2.sqrt();
-        let dvx = vix - e.vx;
-        let dvy = viy - e.vy;
-        let dvz = viz - e.vz;
-        let vr = dvx * dx + dvy * dy + dvz * dz;
-        let rhoj = e.rho.max(1e-12);
-        let cj = e.cs;
-        let mu = h_ij * vr / (r2 + 0.01 * h_ij * h_ij);
-        let c_mean = 0.5 * (ci + cj);
-        let rho_mean = 0.5 * (rhoi + rhoj);
-        let visc_full = (-ALPHA * c_mean * mu + BETA * mu * mu) / rho_mean;
-        let approaching = vr < 0.0;
-        let visc = if approaching { visc_full } else { 0.0 };
-        let vsig_cand = if approaching { c_mean - mu } else { ci };
-        let sigma_h = 8.0 / (std::f64::consts::PI * h_ij * h_ij * h_ij) / h_ij;
-        let q = r / h_ij;
-        let t = 1.0 - q;
-        let near = -12.0 * q + 18.0 * q * q;
-        let far = -6.0 * t * t;
-        let piece = if q < 0.5 { near } else { far };
-        let dwr_over_r = sigma_h * piece / r;
-        let coeff = pi_rho2 + e.pres / (rhoj * rhoj) + visc;
-        let scale = e.m * coeff * dwr_over_r;
-        axl[l] -= scale * dx;
-        ayl[l] -= scale * dy;
-        azl[l] -= scale * dz;
-        dul[l] += 0.5 * scale * vr;
-        vsigl[l] = vsigl[l].max(vsig_cand);
+    for p in batches * LANES..n {
+        pair_into(&mut lanes, cols, p, ctx, evalr);
     }
-}
-
-/// AVX-512 implementation of [`eval_pair_cols_body`]: eight staged pairs
-/// per iteration with 8-wide elementwise math, the per-neighbour values
-/// packed lane-wise from single-line [`crate::density::EvalRow`]s.
-/// Accumulation stays [`LANES`]-wide and *sequential* (low half, then
-/// high half of every 8-wide product), reproducing the portable body's
-/// exact batch order — elementwise IEEE ops give the same result at any
-/// vector width, so all dispatch tiers stay bitwise identical. A
-/// leftover 4-batch is evaluated via the AVX2 clone's shape; the last
-/// `< LANES` pairs via the shared scalar tail.
-// SAFETY: `#[target_feature(enable = "avx512f,avx2")]` makes this fn
-// unsafe to call; the only call site is gated on runtime detection of
-// both features, so the instructions are never executed on a CPU
-// without them.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2")]
-unsafe fn eval_pair_cols_avx512(
-    cols: &PairCols,
-    ctx: &TargetCtx,
-    soa: &crate::density::GasSoa,
-    acc: &mut [f64; 3],
-    du: &mut f64,
-) -> f64 {
-    use std::arch::x86_64::*;
-    let evalr = soa.evalr.as_slice();
-    let n = cols.len();
-    let groups = n / (2 * LANES);
-    // SAFETY: column loads read indices `o .. o + 7` with
-    // `o = g * 2 * LANES` and `g < n / (2 * LANES)`, in bounds of every
-    // column (all columns share length `n`); row indices come from
-    // `cols.j`, which stages only valid particle indices, so they index
-    // `evalr` in bounds (checked indexing regardless); the `storeu`
-    // spills target local stack arrays. The AVX-512/AVX2 intrinsics are
-    // available per the `#[target_feature]` contract discharged at the
-    // detection-gated call site.
-    unsafe {
-        let zero8 = _mm512_setzero_pd();
-        let half8 = _mm512_set1_pd(0.5);
-        let one8 = _mm512_set1_pd(1.0);
-        let c001_8 = _mm512_set1_pd(0.01);
-        let eight8 = _mm512_set1_pd(8.0);
-        let pi8 = _mm512_set1_pd(std::f64::consts::PI);
-        let neg_alpha8 = _mm512_set1_pd(-ALPHA);
-        let beta8 = _mm512_set1_pd(BETA);
-        let neg12_8 = _mm512_set1_pd(-12.0);
-        let p18_8 = _mm512_set1_pd(18.0);
-        let neg6_8 = _mm512_set1_pd(-6.0);
-        let rho_floor8 = _mm512_set1_pd(1e-12);
-        let ci8 = _mm512_set1_pd(ctx.ci);
-        let rhoi8 = _mm512_set1_pd(ctx.rhoi);
-        let pi_rho2_8 = _mm512_set1_pd(ctx.pi_rho2);
-        let vix8 = _mm512_set1_pd(ctx.vi[0]);
-        let viy8 = _mm512_set1_pd(ctx.vi[1]);
-        let viz8 = _mm512_set1_pd(ctx.vi[2]);
-        let mut axv = _mm256_setzero_pd();
-        let mut ayv = _mm256_setzero_pd();
-        let mut azv = _mm256_setzero_pd();
-        let mut duv = _mm256_setzero_pd();
-        let mut vsigv = _mm256_set1_pd(ctx.ci);
-        for g in 0..groups {
-            let o = g * 2 * LANES;
-            let e: [&crate::density::EvalRow; 8] = [
-                &evalr[cols.j[o] as usize],
-                &evalr[cols.j[o + 1] as usize],
-                &evalr[cols.j[o + 2] as usize],
-                &evalr[cols.j[o + 3] as usize],
-                &evalr[cols.j[o + 4] as usize],
-                &evalr[cols.j[o + 5] as usize],
-                &evalr[cols.j[o + 6] as usize],
-                &evalr[cols.j[o + 7] as usize],
-            ];
-            macro_rules! pack8 {
-                ($f:ident) => {
-                    _mm512_set_pd(
-                        e[7].$f, e[6].$f, e[5].$f, e[4].$f, e[3].$f, e[2].$f, e[1].$f, e[0].$f,
-                    )
-                };
-            }
-            let dx = _mm512_loadu_pd(cols.dx.as_ptr().add(o));
-            let dy = _mm512_loadu_pd(cols.dy.as_ptr().add(o));
-            let dz = _mm512_loadu_pd(cols.dz.as_ptr().add(o));
-            let r2 = _mm512_loadu_pd(cols.r2.as_ptr().add(o));
-            let hv = _mm512_loadu_pd(cols.h.as_ptr().add(o));
-            let r = _mm512_sqrt_pd(r2);
-            let dvx = _mm512_sub_pd(vix8, pack8!(vx));
-            let dvy = _mm512_sub_pd(viy8, pack8!(vy));
-            let dvz = _mm512_sub_pd(viz8, pack8!(vz));
-            let vr = _mm512_add_pd(
-                _mm512_add_pd(_mm512_mul_pd(dvx, dx), _mm512_mul_pd(dvy, dy)),
-                _mm512_mul_pd(dvz, dz),
-            );
-            let rhoj = _mm512_max_pd(pack8!(rho), rho_floor8);
-            let cj = pack8!(cs);
-            let mu = _mm512_div_pd(
-                _mm512_mul_pd(hv, vr),
-                _mm512_add_pd(r2, _mm512_mul_pd(_mm512_mul_pd(c001_8, hv), hv)),
-            );
-            let c_mean = _mm512_mul_pd(half8, _mm512_add_pd(ci8, cj));
-            let rho_mean = _mm512_mul_pd(half8, _mm512_add_pd(rhoi8, rhoj));
-            let visc_full = _mm512_div_pd(
-                _mm512_add_pd(
-                    _mm512_mul_pd(_mm512_mul_pd(neg_alpha8, c_mean), mu),
-                    _mm512_mul_pd(_mm512_mul_pd(beta8, mu), mu),
-                ),
-                rho_mean,
-            );
-            let approaching = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(vr, zero8);
-            let visc = _mm512_mask_blend_pd(approaching, zero8, visc_full);
-            let vsig_cand = _mm512_mask_blend_pd(approaching, ci8, _mm512_sub_pd(c_mean, mu));
-            let sigma_h = _mm512_div_pd(
-                _mm512_div_pd(eight8, _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(pi8, hv), hv), hv)),
-                hv,
-            );
-            let q = _mm512_div_pd(r, hv);
-            let t = _mm512_sub_pd(one8, q);
-            let near =
-                _mm512_add_pd(_mm512_mul_pd(neg12_8, q), _mm512_mul_pd(_mm512_mul_pd(p18_8, q), q));
-            let far = _mm512_mul_pd(_mm512_mul_pd(neg6_8, t), t);
-            let piece = _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(q, half8), far, near);
-            let dwr_over_r = _mm512_div_pd(_mm512_mul_pd(sigma_h, piece), r);
-            let coeff = _mm512_add_pd(
-                _mm512_add_pd(pi_rho2_8, _mm512_div_pd(pack8!(pres), _mm512_mul_pd(rhoj, rhoj))),
-                visc,
-            );
-            let scale = _mm512_mul_pd(_mm512_mul_pd(pack8!(m), coeff), dwr_over_r);
-            let px = _mm512_mul_pd(scale, dx);
-            let py = _mm512_mul_pd(scale, dy);
-            let pz = _mm512_mul_pd(scale, dz);
-            let pu = _mm512_mul_pd(_mm512_mul_pd(half8, scale), vr);
-            // Two sequential 4-wide folds — the portable batch order.
-            axv = _mm256_sub_pd(axv, _mm512_castpd512_pd256(px));
-            axv = _mm256_sub_pd(axv, _mm512_extractf64x4_pd::<1>(px));
-            ayv = _mm256_sub_pd(ayv, _mm512_castpd512_pd256(py));
-            ayv = _mm256_sub_pd(ayv, _mm512_extractf64x4_pd::<1>(py));
-            azv = _mm256_sub_pd(azv, _mm512_castpd512_pd256(pz));
-            azv = _mm256_sub_pd(azv, _mm512_extractf64x4_pd::<1>(pz));
-            duv = _mm256_add_pd(duv, _mm512_castpd512_pd256(pu));
-            duv = _mm256_add_pd(duv, _mm512_extractf64x4_pd::<1>(pu));
-            vsigv = _mm256_max_pd(vsigv, _mm512_castpd512_pd256(vsig_cand));
-            vsigv = _mm256_max_pd(vsigv, _mm512_extractf64x4_pd::<1>(vsig_cand));
-        }
-        let mut o = groups * 2 * LANES;
-        if n - o >= LANES {
-            // One leftover full batch, evaluated 4-wide: same op
-            // sequence as the AVX2 clone (and the portable body).
-            let zero = _mm256_setzero_pd();
-            let half = _mm256_set1_pd(0.5);
-            let onev = _mm256_set1_pd(1.0);
-            let c001 = _mm256_set1_pd(0.01);
-            let eight = _mm256_set1_pd(8.0);
-            let piv = _mm256_set1_pd(std::f64::consts::PI);
-            let neg_alpha = _mm256_set1_pd(-ALPHA);
-            let betav = _mm256_set1_pd(BETA);
-            let neg12 = _mm256_set1_pd(-12.0);
-            let p18 = _mm256_set1_pd(18.0);
-            let neg6 = _mm256_set1_pd(-6.0);
-            let rho_floor = _mm256_set1_pd(1e-12);
-            let civ = _mm256_set1_pd(ctx.ci);
-            let rhoiv = _mm256_set1_pd(ctx.rhoi);
-            let pi_rho2v = _mm256_set1_pd(ctx.pi_rho2);
-            let vixv = _mm256_set1_pd(ctx.vi[0]);
-            let viyv = _mm256_set1_pd(ctx.vi[1]);
-            let vizv = _mm256_set1_pd(ctx.vi[2]);
-            let e0 = &evalr[cols.j[o] as usize];
-            let e1 = &evalr[cols.j[o + 1] as usize];
-            let e2 = &evalr[cols.j[o + 2] as usize];
-            let e3 = &evalr[cols.j[o + 3] as usize];
-            let dx = _mm256_loadu_pd(cols.dx.as_ptr().add(o));
-            let dy = _mm256_loadu_pd(cols.dy.as_ptr().add(o));
-            let dz = _mm256_loadu_pd(cols.dz.as_ptr().add(o));
-            let r2 = _mm256_loadu_pd(cols.r2.as_ptr().add(o));
-            let hv = _mm256_loadu_pd(cols.h.as_ptr().add(o));
-            let r = _mm256_sqrt_pd(r2);
-            let dvx = _mm256_sub_pd(vixv, _mm256_set_pd(e3.vx, e2.vx, e1.vx, e0.vx));
-            let dvy = _mm256_sub_pd(viyv, _mm256_set_pd(e3.vy, e2.vy, e1.vy, e0.vy));
-            let dvz = _mm256_sub_pd(vizv, _mm256_set_pd(e3.vz, e2.vz, e1.vz, e0.vz));
-            let vr = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dvx, dx), _mm256_mul_pd(dvy, dy)),
-                _mm256_mul_pd(dvz, dz),
-            );
-            let rhoj = _mm256_max_pd(_mm256_set_pd(e3.rho, e2.rho, e1.rho, e0.rho), rho_floor);
-            let cj = _mm256_set_pd(e3.cs, e2.cs, e1.cs, e0.cs);
-            let mu = _mm256_div_pd(
-                _mm256_mul_pd(hv, vr),
-                _mm256_add_pd(r2, _mm256_mul_pd(_mm256_mul_pd(c001, hv), hv)),
-            );
-            let c_mean = _mm256_mul_pd(half, _mm256_add_pd(civ, cj));
-            let rho_mean = _mm256_mul_pd(half, _mm256_add_pd(rhoiv, rhoj));
-            let visc_full = _mm256_div_pd(
-                _mm256_add_pd(
-                    _mm256_mul_pd(_mm256_mul_pd(neg_alpha, c_mean), mu),
-                    _mm256_mul_pd(_mm256_mul_pd(betav, mu), mu),
-                ),
-                rho_mean,
-            );
-            let approaching = _mm256_cmp_pd::<_CMP_LT_OQ>(vr, zero);
-            let visc = _mm256_blendv_pd(zero, visc_full, approaching);
-            let vsig_cand = _mm256_blendv_pd(civ, _mm256_sub_pd(c_mean, mu), approaching);
-            let sigma_h = _mm256_div_pd(
-                _mm256_div_pd(eight, _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(piv, hv), hv), hv)),
-                hv,
-            );
-            let q = _mm256_div_pd(r, hv);
-            let t = _mm256_sub_pd(onev, q);
-            let near =
-                _mm256_add_pd(_mm256_mul_pd(neg12, q), _mm256_mul_pd(_mm256_mul_pd(p18, q), q));
-            let far = _mm256_mul_pd(_mm256_mul_pd(neg6, t), t);
-            let piece = _mm256_blendv_pd(far, near, _mm256_cmp_pd::<_CMP_LT_OQ>(q, half));
-            let dwr_over_r = _mm256_div_pd(_mm256_mul_pd(sigma_h, piece), r);
-            let coeff = _mm256_add_pd(
-                _mm256_add_pd(
-                    pi_rho2v,
-                    _mm256_div_pd(
-                        _mm256_set_pd(e3.pres, e2.pres, e1.pres, e0.pres),
-                        _mm256_mul_pd(rhoj, rhoj),
-                    ),
-                ),
-                visc,
-            );
-            let scale = _mm256_mul_pd(
-                _mm256_mul_pd(_mm256_set_pd(e3.m, e2.m, e1.m, e0.m), coeff),
-                dwr_over_r,
-            );
-            axv = _mm256_sub_pd(axv, _mm256_mul_pd(scale, dx));
-            ayv = _mm256_sub_pd(ayv, _mm256_mul_pd(scale, dy));
-            azv = _mm256_sub_pd(azv, _mm256_mul_pd(scale, dz));
-            duv = _mm256_add_pd(duv, _mm256_mul_pd(_mm256_mul_pd(half, scale), vr));
-            vsigv = _mm256_max_pd(vsigv, vsig_cand);
-            o += LANES;
-        }
-        let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-        let mut dul = [0.0f64; LANES];
-        let mut vsigl = [0.0f64; LANES];
-        _mm256_storeu_pd(axl.as_mut_ptr(), axv);
-        _mm256_storeu_pd(ayl.as_mut_ptr(), ayv);
-        _mm256_storeu_pd(azl.as_mut_ptr(), azv);
-        _mm256_storeu_pd(dul.as_mut_ptr(), duv);
-        _mm256_storeu_pd(vsigl.as_mut_ptr(), vsigv);
-        eval_pair_cols_tail(cols, ctx, soa, o, &mut axl, &mut ayl, &mut azl, &mut dul, &mut vsigl);
-        acc[0] = reduce_lanes(axl);
-        acc[1] = reduce_lanes(ayl);
-        acc[2] = reduce_lanes(azl);
-        *du = reduce_lanes(dul);
-        vsigl[0].max(vsigl[1]).max(vsigl[2]).max(vsigl[3])
-    }
+    lanes.finish(acc, du)
 }
 
 #[cfg(test)]
@@ -1201,10 +649,10 @@ mod tests {
 
     #[test]
     fn staged_eval_dispatch_tiers_match_portable_body_bitwise() {
-        // Per-particle neighbour lists give every length class (8-wide
-        // groups, leftover 4-batches, scalar tails). The dispatched
-        // evaluator (widest tier the CPU offers) must be bitwise
-        // identical to the portable body on identical staged columns.
+        // Per-particle neighbour lists give every length class (4-wide
+        // batches, scalar tails). The dispatched evaluator (the AVX2
+        // clone where the CPU has it) must be bitwise identical to the
+        // portable body on identical staged columns.
         let mut gas = plummer_gas(700, 1.0, 11);
         let mut scratch = crate::density::SphScratch::new();
         compute_density_with(&mut gas, &mut scratch);
@@ -1232,14 +680,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_dispatch_tiers_match_scalar_filter_bitwise() {
-        // The vector filters (4- and 8-wide, wherever the CPU offers
-        // them) must stage exactly the pairs the scalar reference
-        // predicate stages — same set, same order, same bits in every
-        // column. Each particle is filtered over its neighbour list
-        // (every length class of the group/batch/tail splits, all
-        // accepted) and over the whole set (mostly rejected, including
-        // the self-pair).
+    fn force_lists_stage_exactly_the_active_pairs() {
+        // The filter must stage exactly the pairs the cached list holds,
+        // whether it runs over that list (all accepted) or over the
+        // whole set (mostly rejected, including the self-pair).
         let mut gas = plummer_gas(700, 1.0, 23);
         let mut scratch = crate::density::SphScratch::new();
         compute_density_with(&mut gas, &mut scratch);
@@ -1249,56 +693,16 @@ mod tests {
         let filt = soa.filt.as_slice();
         let evalr = soa.evalr.as_slice();
         let everyone: Vec<u32> = (0..gas.len() as u32).collect();
-        let mut reference = PairCols::default();
-        let mut dispatched = PairCols::default();
+        let mut staged = PairCols::default();
         for i in 0..gas.len() {
             let list = &nbr_idx[nbr_off[i] as usize..nbr_off[i + 1] as usize];
             for nbr in [list, &everyone[..]] {
-                reference.clear();
-                filter_stage_scalar(i, filt[i], filt, evalr, nbr, &mut reference);
-                let (mut staged, mut listed) = (reference.j.clone(), list.to_vec());
-                staged.sort_unstable();
+                staged.clear();
+                filter_stage(i, filt, evalr, nbr, &mut staged);
+                let (mut got, mut listed) = (staged.j.clone(), list.to_vec());
+                got.sort_unstable();
                 listed.sort_unstable();
-                assert_eq!(staged, listed, "the lists hold exactly the active pairs");
-                for width in ["avx2", "avx512"] {
-                    #[cfg(target_arch = "x86_64")]
-                    {
-                        dispatched.clear();
-                        if width == "avx2" && std::arch::is_x86_feature_detected!("avx2") {
-                            // SAFETY: gated on runtime AVX2 detection.
-                            unsafe {
-                                filter_stage_avx2(i, filt[i], filt, evalr, nbr, &mut dispatched)
-                            };
-                        } else if width == "avx512"
-                            && std::arch::is_x86_feature_detected!("avx512f")
-                            && std::arch::is_x86_feature_detected!("avx2")
-                        {
-                            // SAFETY: gated on runtime AVX-512F + AVX2 detection.
-                            unsafe {
-                                filter_stage_avx512(i, filt[i], filt, evalr, nbr, &mut dispatched)
-                            };
-                        } else {
-                            continue;
-                        }
-                        assert_eq!(reference.j, dispatched.j, "{width} staged set at i={i}");
-                        for (a, b) in [
-                            (&reference.dx, &dispatched.dx),
-                            (&reference.dy, &dispatched.dy),
-                            (&reference.dz, &dispatched.dz),
-                            (&reference.r2, &dispatched.r2),
-                            (&reference.h, &dispatched.h),
-                        ] {
-                            assert_eq!(a.len(), b.len());
-                            for (x, y) in a.iter().zip(b.iter()) {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    y.to_bits(),
-                                    "{width} column bits at i={i}"
-                                );
-                            }
-                        }
-                    }
-                }
+                assert_eq!(got, listed, "the lists hold exactly the active pairs at i={i}");
             }
         }
     }

@@ -383,7 +383,7 @@ const BLOCK: usize = 64;
 /// every squared distance are bit-identical to it; only the order
 /// (ascending index) differs.
 ///
-/// There is one body ([`sweep_body`]), instantiated for the baseline and
+/// There is one body (`sweep_body`), instantiated for the baseline and
 /// inside a thin `avx2` wrapper behind runtime detection — the
 /// [`jc_compute::gravity`] pattern: the compiler writes the wide code and
 /// both tiers execute the same IEEE operations.

@@ -43,11 +43,10 @@ pub struct TreeGravity {
     /// octree (`WalkTree`, rebuilt per [`TreeGravity::rebuild`]), stages every
     /// accepted node's `[dx, dy, dz, mass]` row for a *block* of targets
     /// at a time in a per-worker interaction list, and evaluates the
-    /// monopoles with the widest available instruction set (AVX-512 →
-    /// AVX2 → portable [`LANES`]-wide lanes, all op-for-op bitwise
-    /// identical) under the fixed [`reduce_lanes`] reduction order.
-    /// Results are bitwise stable from run to run (any worker count,
-    /// any SIMD width). `false` names the scalar reference walk at
+    /// monopoles with one portable [`LANES`]-wide body under the fixed
+    /// [`reduce_lanes`] reduction order. Results are bitwise stable from
+    /// run to run and machine to machine (any worker count, any
+    /// instruction set). `false` names the scalar reference walk at
     /// every source count — what the allocating
     /// [`TreeGravity::accelerations`] always runs: same acceptance
     /// decisions (same interaction counts), results equal to the SoA
@@ -96,8 +95,8 @@ const DIRECT_BELOW: usize = 4096;
 /// Targets staged per interaction-list batch on the SIMD walk: the
 /// traversal fills one shared list for a block of targets (per-target
 /// extents recorded on the stack), then the evaluator sweeps the block
-/// — the list stays hot in cache and the per-call dispatch/reduction
-/// overhead is amortized across the block.
+/// — the list stays hot in cache and the per-call reduction overhead is
+/// amortized across the block.
 const TARGET_BLOCK: usize = 8;
 
 /// Per-worker traversal state: the explicit walk stack, plus the SoA
@@ -108,8 +107,8 @@ struct WalkScratch {
     stack: Vec<u32>,
     /// Accepted-node interaction list, one `[dx, dy, dz, mass]` row per
     /// node (the separation vector is already computed by the acceptance
-    /// test) — a single push per acceptance; the evaluator transposes
-    /// rows to lanes in registers. Holds a whole [`TARGET_BLOCK`] of
+    /// test) — a single push per acceptance; the evaluator reads row
+    /// `p` into lane `p % LANES`. Holds a whole [`TARGET_BLOCK`] of
     /// targets' rows per batch (contiguous per-target extents). Staged
     /// rows always have `|dx|² + ε² > 0`: the traversal filters the
     /// zero-distance zero-softening case before staging.
@@ -524,241 +523,13 @@ fn walk_block_simd(
     w.list.len() as u64
 }
 
-/// Evaluate the staged monopole interactions for one target, dispatched
-/// once per list to the widest available instruction set (see
-/// [`walk_block_simd`]; the AVX-512 and AVX2 clones and the portable
-/// body execute the identical IEEE operation sequence, so results are
-/// machine-independent).
+/// Evaluate the staged monopole interactions for one target (see
+/// [`walk_block_simd`]): one portable [`LANES`]-wide body with no
+/// dispatch — row `p` folds into lane `p % LANES`, and the lanes reduce
+/// in the fixed [`reduce_lanes`] order, so results are
+/// machine-independent. The walk is traversal-bound: hand-written AVX2
+/// and AVX-512 clones of this loop measured no faster and are gone.
 fn eval_interaction_list(list: &[[f64; 4]], eps2: f64, acc: &mut [f64; 3]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
-            // SAFETY: the avx512 clone is only reached when the CPU
-            // reports both features at runtime.
-            return unsafe { eval_interaction_list_avx512(list, eps2, acc) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 clone is only reached when the CPU reports
-            // the feature at runtime.
-            return unsafe { eval_interaction_list_avx2(list, eps2, acc) };
-        }
-    }
-    eval_interaction_list_body(list, eps2, acc);
-}
-
-/// Transpose four consecutive `[dx, dy, dz, m]` rows starting at `o`
-/// into lane vectors. Shared by the AVX2 and AVX-512 evaluators.
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; callers are themselves feature-gated clones and must pass
-// `o + 3 < list.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn transpose_rows4(
-    list: &[[f64; 4]],
-    o: usize,
-) -> (
-    std::arch::x86_64::__m256d,
-    std::arch::x86_64::__m256d,
-    std::arch::x86_64::__m256d,
-    std::arch::x86_64::__m256d,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: the unaligned loads read whole `[f64; 4]` rows at indices
-    // `o .. o + 3`, in bounds per the caller contract; `loadu` has no
-    // alignment requirement.
-    unsafe {
-        let r0 = _mm256_loadu_pd(list[o].as_ptr());
-        let r1 = _mm256_loadu_pd(list[o + 1].as_ptr());
-        let r2_ = _mm256_loadu_pd(list[o + 2].as_ptr());
-        let r3 = _mm256_loadu_pd(list[o + 3].as_ptr());
-        let t0 = _mm256_unpacklo_pd(r0, r1);
-        let t1 = _mm256_unpackhi_pd(r0, r1);
-        let t2 = _mm256_unpacklo_pd(r2_, r3);
-        let t3 = _mm256_unpackhi_pd(r2_, r3);
-        let dx = _mm256_permute2f128_pd::<0x20>(t0, t2);
-        let dy = _mm256_permute2f128_pd::<0x20>(t1, t3);
-        let dz = _mm256_permute2f128_pd::<0x31>(t0, t2);
-        let m = _mm256_permute2f128_pd::<0x31>(t1, t3);
-        (dx, dy, dz, m)
-    }
-}
-
-/// AVX-512 implementation of [`eval_interaction_list_body`]: eight
-/// staged rows per iteration — two 4×4 in-register transposes widened to
-/// one zmm vector — with the monopole arithmetic evaluated 8-wide
-/// elementwise. Accumulation stays [`LANES`]-wide and *sequential* (low
-/// half, then high half): elementwise IEEE ops give the same result at
-/// any vector width, and the two 4-wide adds reproduce the portable
-/// body's exact batch order, so all three dispatch tiers stay bitwise
-/// identical.
-// SAFETY: `#[target_feature(enable = "avx512f,avx2")]` makes this fn
-// unsafe to call; the only call site is gated on runtime detection of
-// both features, so the instructions are never executed on a CPU
-// without them.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2")]
-unsafe fn eval_interaction_list_avx512(list: &[[f64; 4]], eps2: f64, acc: &mut [f64; 3]) {
-    use std::arch::x86_64::*;
-    let n = list.len();
-    let groups = n / (2 * LANES);
-    // SAFETY: row loads go through `transpose_rows4` at offsets
-    // `g * 2 * LANES (+ LANES)` with `g < n / (2 * LANES)`, so every
-    // row index is `< n`; the `storeu` spills target local stack
-    // arrays. The AVX-512/AVX2 intrinsics are available per the
-    // `#[target_feature]` contract discharged at the detection-gated
-    // call site.
-    unsafe {
-        let eps2v8 = _mm512_set1_pd(eps2);
-        let ones8 = _mm512_set1_pd(1.0);
-        let mut axv = _mm256_setzero_pd();
-        let mut ayv = _mm256_setzero_pd();
-        let mut azv = _mm256_setzero_pd();
-        for g in 0..groups {
-            let o = g * 2 * LANES;
-            let (dx_lo, dy_lo, dz_lo, m_lo) = transpose_rows4(list, o);
-            let (dx_hi, dy_hi, dz_hi, m_hi) = transpose_rows4(list, o + LANES);
-            let dx = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(dx_lo), dx_hi);
-            let dy = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(dy_lo), dy_hi);
-            let dz = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(dz_lo), dz_hi);
-            let m = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(m_lo), m_hi);
-            let r2s = _mm512_add_pd(
-                _mm512_add_pd(
-                    _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-                    _mm512_mul_pd(dz, dz),
-                ),
-                eps2v8,
-            );
-            let inv_r3 = _mm512_div_pd(ones8, _mm512_mul_pd(r2s, _mm512_sqrt_pd(r2s)));
-            let mir3 = _mm512_mul_pd(m, inv_r3);
-            let px = _mm512_mul_pd(mir3, dx);
-            let py = _mm512_mul_pd(mir3, dy);
-            let pz = _mm512_mul_pd(mir3, dz);
-            // Two sequential 4-wide adds — the portable batch order.
-            axv = _mm256_add_pd(axv, _mm512_castpd512_pd256(px));
-            axv = _mm256_add_pd(axv, _mm512_extractf64x4_pd::<1>(px));
-            ayv = _mm256_add_pd(ayv, _mm512_castpd512_pd256(py));
-            ayv = _mm256_add_pd(ayv, _mm512_extractf64x4_pd::<1>(py));
-            azv = _mm256_add_pd(azv, _mm512_castpd512_pd256(pz));
-            azv = _mm256_add_pd(azv, _mm512_extractf64x4_pd::<1>(pz));
-        }
-        let mut o = groups * 2 * LANES;
-        if n - o >= LANES {
-            // One leftover full batch: evaluate it 4-wide (AVX2 form),
-            // keeping the portable body's per-batch op sequence.
-            let eps2v = _mm256_set1_pd(eps2);
-            let ones = _mm256_set1_pd(1.0);
-            let (dx, dy, dz, m) = transpose_rows4(list, o);
-            let r2s = _mm256_add_pd(
-                _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                    _mm256_mul_pd(dz, dz),
-                ),
-                eps2v,
-            );
-            let inv_r3 = _mm256_div_pd(ones, _mm256_mul_pd(r2s, _mm256_sqrt_pd(r2s)));
-            let mir3 = _mm256_mul_pd(m, inv_r3);
-            axv = _mm256_add_pd(axv, _mm256_mul_pd(mir3, dx));
-            ayv = _mm256_add_pd(ayv, _mm256_mul_pd(mir3, dy));
-            azv = _mm256_add_pd(azv, _mm256_mul_pd(mir3, dz));
-            o += LANES;
-        }
-        let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-        _mm256_storeu_pd(axl.as_mut_ptr(), axv);
-        _mm256_storeu_pd(ayl.as_mut_ptr(), ayv);
-        _mm256_storeu_pd(azl.as_mut_ptr(), azv);
-        for (l, row) in list[o..].iter().enumerate() {
-            let [dx, dy, dz, m] = *row;
-            let r2s = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r3 = 1.0 / (r2s * r2s.sqrt());
-            let mir3 = m * inv_r3;
-            axl[l] += mir3 * dx;
-            ayl[l] += mir3 * dy;
-            azl[l] += mir3 * dz;
-        }
-        *acc = [reduce_lanes(axl), reduce_lanes(ayl), reduce_lanes(azl)];
-    }
-}
-
-/// AVX2 implementation of [`eval_interaction_list_body`]: four
-/// `[dx, dy, dz, m]` rows are loaded and transposed to lanes in
-/// registers, then evaluated with 4-wide packed arithmetic — sequential
-/// loads, no gathers, no masks (staged rows are pre-filtered, see
-/// [`WalkScratch::list`]).
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on `is_x86_feature_detected!("avx2")`,
-// so the AVX2 instructions are never executed on a CPU without them.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn eval_interaction_list_avx2(list: &[[f64; 4]], eps2: f64, acc: &mut [f64; 3]) {
-    use std::arch::x86_64::*;
-    let n = list.len();
-    let batches = n / LANES;
-    // SAFETY: the unaligned loads read whole `[f64; 4]` rows at indices
-    // `o .. o + 3` with `o = b * LANES` and `b < n / LANES`, so every
-    // row index is `< n`; `loadu` has no alignment requirement and the
-    // `storeu` spills target local stack arrays. The AVX2 intrinsics
-    // are available per the `#[target_feature]` contract discharged at
-    // the detection-gated call site.
-    unsafe {
-        let eps2v = _mm256_set1_pd(eps2);
-        let ones = _mm256_set1_pd(1.0);
-        let mut axv = _mm256_setzero_pd();
-        let mut ayv = _mm256_setzero_pd();
-        let mut azv = _mm256_setzero_pd();
-        for b in 0..batches {
-            let o = b * LANES;
-            // 4x4 transpose: rows [dx dy dz m] -> lane vectors
-            let r0 = _mm256_loadu_pd(list[o].as_ptr());
-            let r1 = _mm256_loadu_pd(list[o + 1].as_ptr());
-            let r2_ = _mm256_loadu_pd(list[o + 2].as_ptr());
-            let r3 = _mm256_loadu_pd(list[o + 3].as_ptr());
-            let t0 = _mm256_unpacklo_pd(r0, r1);
-            let t1 = _mm256_unpackhi_pd(r0, r1);
-            let t2 = _mm256_unpacklo_pd(r2_, r3);
-            let t3 = _mm256_unpackhi_pd(r2_, r3);
-            let dx = _mm256_permute2f128_pd::<0x20>(t0, t2);
-            let dy = _mm256_permute2f128_pd::<0x20>(t1, t3);
-            let dz = _mm256_permute2f128_pd::<0x31>(t0, t2);
-            let m = _mm256_permute2f128_pd::<0x31>(t1, t3);
-            let r2s = _mm256_add_pd(
-                _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                    _mm256_mul_pd(dz, dz),
-                ),
-                eps2v,
-            );
-            let inv_r3 = _mm256_div_pd(ones, _mm256_mul_pd(r2s, _mm256_sqrt_pd(r2s)));
-            let mir3 = _mm256_mul_pd(m, inv_r3);
-            axv = _mm256_add_pd(axv, _mm256_mul_pd(mir3, dx));
-            ayv = _mm256_add_pd(ayv, _mm256_mul_pd(mir3, dy));
-            azv = _mm256_add_pd(azv, _mm256_mul_pd(mir3, dz));
-        }
-        let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-        _mm256_storeu_pd(axl.as_mut_ptr(), axv);
-        _mm256_storeu_pd(ayl.as_mut_ptr(), ayv);
-        _mm256_storeu_pd(azl.as_mut_ptr(), azv);
-        let o = batches * LANES;
-        for (l, row) in list[o..].iter().enumerate() {
-            let [dx, dy, dz, m] = *row;
-            let r2s = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r3 = 1.0 / (r2s * r2s.sqrt());
-            let mir3 = m * inv_r3;
-            axl[l] += mir3 * dx;
-            ayl[l] += mir3 * dy;
-            azl[l] += mir3 * dz;
-        }
-        *acc = [reduce_lanes(axl), reduce_lanes(ayl), reduce_lanes(azl)];
-    }
-}
-
-/// Portable [`LANES`]-wide monopole evaluation (the non-AVX2 fallback of
-/// [`eval_interaction_list`]) — same operation sequence, narrower
-/// hardware vectors.
-#[inline(always)]
-fn eval_interaction_list_body(list: &[[f64; 4]], eps2: f64, acc: &mut [f64; 3]) {
     let n = list.len();
     let batches = n / LANES;
     let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
@@ -921,28 +692,6 @@ mod tests {
         simd.max_threads = 7;
         simd.walk_targets(&tpos, &mut c);
         assert_eq!(b, c, "simd walk not run-to-run stable");
-    }
-
-    #[test]
-    fn eval_dispatch_tiers_match_portable_body_bitwise() {
-        // Every list length class: 8-row groups, a leftover 4-batch,
-        // and 1–3 scalar tail lanes. The dispatched path (widest tier
-        // the CPU offers) must be bitwise identical to the portable
-        // body.
-        let mut x = 42u64;
-        let mut rnd = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 23, 31, 64] {
-            let list: Vec<[f64; 4]> =
-                (0..n).map(|_| [rnd(), rnd(), rnd(), rnd().abs() + 0.1]).collect();
-            let mut dispatched = [0.0f64; 3];
-            let mut portable = [0.0f64; 3];
-            eval_interaction_list(&list, 1e-4, &mut dispatched);
-            eval_interaction_list_body(&list, 1e-4, &mut portable);
-            assert_eq!(dispatched, portable, "tier divergence at n={n}");
-        }
     }
 
     #[test]

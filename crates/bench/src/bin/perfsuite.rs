@@ -2,10 +2,9 @@
 //!
 //! Times every compute kernel the paper's Table 1 scenarios exercise
 //! (direct-summation gravity, block-step Hermite evolves, Barnes–Hut tree
-//! walks, SPH density and forces — plus the pre-refactor HashMap-grid
-//! density pass as the fixed reference point) at several N on fixed seeds,
-//! and writes the results as JSON so every perf PR leaves a trajectory
-//! point behind.
+//! walks, SPH density and forces) at several N on fixed seeds, plus one
+//! frozen calibration loop that measures the machine, and writes the
+//! results as JSON so every perf PR leaves a trajectory point behind.
 //!
 //! ```text
 //! perfsuite [--quick] [--out PATH] [--check BASELINE] [--repeats K]
@@ -17,14 +16,16 @@
 //!   `BENCH_PRn.json` when recording a committed baseline)
 //! * `--check` — compare against a committed baseline JSON and exit
 //!   non-zero if any matching kernel regressed more than 2× in ns/step
+//!   (machine-normalized by the `calibration` row; a baseline without
+//!   that row is refused with exit code 2)
 //! * `--repeats` — timing repeats per kernel (default 3; best is kept)
 //! * `--compare OLD.json NEW.json` — no benching: print a per-kernel
 //!   speedup table between two result files (machine-normalized via the
-//!   frozen `sph_density_legacy` rows) and exit non-zero if any kernel
-//!   in NEW regressed more than 2× against OLD, **or** if NEW is
-//!   missing a kernel name OLD has (rows present on only one side are
-//!   named either way) — CI diffs the PR's JSON artifact against the
-//!   committed baseline with this
+//!   `calibration` rows, exit code 2 if either file lacks one) and exit
+//!   non-zero if any kernel in NEW regressed more than 2× against OLD,
+//!   **or** if NEW is missing a kernel name OLD has (rows present on
+//!   only one side are named either way) — CI diffs the PR's JSON
+//!   artifact against the committed baseline with this
 //!
 //! Every mode also records multi-thread scaling rows: the parallel
 //! kernels re-run at `JC_THREADS` ∈ {1, 2, phys-cores} as
@@ -64,10 +65,15 @@ use jc_sph::density::{compute_density_with, SphScratch};
 use jc_sph::forces::{hydro_rates_into, HydroRates};
 use jc_sph::particles::plummer_gas;
 use jc_treegrav::TreeGravity;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Allowed slowdown versus the committed baseline before `--check` fails.
 const REGRESSION_FACTOR: f64 = 2.0;
+
+/// The row that measures the machine rather than the code (see
+/// [`bench_calibration`]).
+const CALIBRATION: &str = "calibration";
 
 /// One measured point.
 struct Sample {
@@ -111,7 +117,7 @@ fn main() {
         }
     }
 
-    let mut samples = Vec::new();
+    let mut samples = vec![bench_calibration(repeats)];
     let gravity_ns: &[usize] = if quick { &[256] } else { &[256, 1024, 4096] };
     let tree_ns: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
     let sph_ns: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
@@ -133,7 +139,6 @@ fn main() {
     for &n in sph_ns {
         samples.push(bench_sph_density(n, repeats, false));
         samples.push(bench_sph_density(n, repeats, true));
-        samples.push(bench_sph_density_legacy(n, repeats));
         samples.push(bench_sph_forces(n, repeats, false));
         samples.push(bench_sph_forces(n, repeats, true));
     }
@@ -227,20 +232,8 @@ fn report_scaling(sweep_rows: &[Sample], sweep: &[usize]) {
     }
 }
 
-/// Print the CSR-vs-legacy SPH density speedup and the SoA-vs-scalar
-/// speedup of every kernel that has both rows.
+/// Print the SoA-vs-scalar speedup of every kernel that has both rows.
 fn report_speedup(samples: &[Sample]) {
-    for s in samples.iter().filter(|s| s.kernel == "sph_density_csr") {
-        if let Some(legacy) =
-            samples.iter().find(|l| l.kernel == "sph_density_legacy" && l.n == s.n)
-        {
-            println!(
-                "sph density speedup vs legacy grid at N={}: {:.2}x",
-                s.n,
-                legacy.ns_per_step / s.ns_per_step
-            );
-        }
-    }
     for (simd, scalar) in [
         ("nbody_acc_jerk_simd", "nbody_acc_jerk"),
         ("sph_density_simd", "sph_density_csr"),
@@ -269,6 +262,36 @@ fn best_ns(repeats: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() * 1e9);
     }
     best
+}
+
+/// The machine-speed calibration row: a loop written here and shared
+/// with no kernel, so no kernel change can move it. Over a fixed cloud
+/// of 1024 points, every ordered pair is a squared distance, a branch
+/// on it, and a `sqrt` and a divide for the near ones — the scalar mix
+/// the neighbour and gravity kernels are made of. Frozen: its
+/// current/baseline ratio measures only the machine.
+fn bench_calibration(repeats: usize) -> Sample {
+    const N: usize = 1024;
+    let mut x = 1u64;
+    let mut rnd = || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let pos: Vec<[f64; 3]> = (0..N).map(|_| [rnd(), rnd(), rnd()]).collect();
+    let ns = best_ns(repeats, || {
+        let mut sum = 0.0;
+        for a in black_box(&pos) {
+            for b in &pos {
+                let d2 = (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2);
+                if d2 < 0.04 {
+                    sum += 1.0 / (d2 + 1e-4).sqrt();
+                }
+            }
+        }
+        black_box(sum);
+    });
+    let pairs = (N * N) as f64;
+    Sample { kernel: CALIBRATION, n: N, ns_per_step: ns, interactions_per_s: pairs / ns * 1e9 }
 }
 
 fn bench_acc_jerk(n: usize, repeats: usize, backend: Backend) -> Sample {
@@ -356,22 +379,6 @@ fn bench_sph_density(n: usize, repeats: usize, simd: bool) -> Sample {
     });
     Sample {
         kernel: if simd { "sph_density_simd" } else { "sph_density_csr" },
-        n,
-        ns_per_step: ns,
-        interactions_per_s: inter as f64 / ns * 1e9,
-    }
-}
-
-fn bench_sph_density_legacy(n: usize, repeats: usize) -> Sample {
-    let gas0 = plummer_gas(n, 1.0, 13);
-    let mut gas = gas0.clone();
-    let mut inter = 0u64;
-    let ns = best_ns(repeats, || {
-        gas.h.copy_from_slice(&gas0.h);
-        inter = jc_sph::legacy::compute_density(&mut gas);
-    });
-    Sample {
-        kernel: "sph_density_legacy",
         n,
         ns_per_step: ns,
         interactions_per_s: inter as f64 / ns * 1e9,
@@ -575,37 +582,26 @@ fn render_json(samples: &[Sample], quick: bool) -> String {
     s
 }
 
-/// Machine-speed calibration: `sph_density_legacy` is frozen reference
-/// code that no PR can change, so its current/baseline timing ratio
-/// (geometric mean over matching N) measures how fast this machine is
-/// relative to the one that recorded the baseline. Dividing every
-/// kernel's factor by it makes the 2× gate compare code, not machines.
-fn machine_calibration(samples: &[Sample], baseline: &jc_deploy::json::Value) -> f64 {
-    let Some(results) = baseline.get("results").and_then(|r| r.as_array()) else {
-        return 1.0;
+/// Machine-speed calibration: the [`CALIBRATION`] row's new/old timing
+/// ratio measures how fast this machine is relative to the one that
+/// recorded `old`. Dividing every kernel's factor by it makes the 2×
+/// gate compare code, not machines. It rests on a single measurement, so
+/// it is clamped: one noisy sample on a shared runner cannot rescale
+/// every kernel into a spurious pass or fail. A side without the row is
+/// an error, not a ratio of 1 — uncalibrated times would compare machines.
+fn machine_calibration(
+    old: &[Row],
+    old_path: &str,
+    new: &[Row],
+    new_path: &str,
+) -> Result<f64, String> {
+    let find = |rows: &[Row], path: &str| {
+        rows.iter()
+            .find(|(k, _, ns)| k == CALIBRATION && *ns > 0.0)
+            .map(|&(_, _, ns)| ns)
+            .ok_or_else(|| format!("{path} has no `{CALIBRATION}` row to normalize machine speed"))
     };
-    let mut log_sum = 0.0;
-    let mut count = 0u32;
-    for s in samples.iter().filter(|s| s.kernel == "sph_density_legacy") {
-        let base = results.iter().find(|r| {
-            r.get("kernel").and_then(|k| k.as_str()) == Some(s.kernel)
-                && r.get("n").and_then(|n| n.as_f64()) == Some(s.n as f64)
-        });
-        if let Some(base_ns) = base.and_then(|b| b.get("ns_per_step")).and_then(|v| v.as_f64()) {
-            if base_ns > 0.0 && s.ns_per_step > 0.0 {
-                log_sum += (s.ns_per_step / base_ns).ln();
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        1.0
-    } else {
-        // In --quick runs the calibration rests on a single legacy
-        // measurement; clamp it so one noisy sample on a shared runner
-        // cannot rescale every kernel into a spurious pass or fail.
-        (log_sum / count as f64).exp().clamp(0.5, 2.0)
-    }
+    Ok((find(new, new_path)? / find(old, old_path)?).clamp(0.5, 2.0))
 }
 
 /// One `(kernel, n, ns_per_step)` row pulled out of a results JSON.
@@ -635,9 +631,9 @@ fn load_rows(path: &str) -> Result<Vec<Row>, String> {
 /// `perfsuite --compare OLD.json NEW.json`: print a per-kernel speedup
 /// table between two result files and return the exit code — non-zero
 /// when any kernel in NEW regressed more than [`REGRESSION_FACTOR`]×
-/// against OLD after machine normalization (the frozen
-/// `sph_density_legacy` rows measure the machine, exactly as in
-/// `--check`). The calibration kernel is reported for information only.
+/// against OLD after machine normalization (the [`CALIBRATION`] rows
+/// measure the machine, exactly as in `--check`). The calibration row is
+/// reported for information only.
 fn compare_files(old_path: &str, new_path: &str) -> i32 {
     let (old, new) = match (load_rows(old_path), load_rows(new_path)) {
         (Ok(o), Ok(n)) => (o, n),
@@ -649,21 +645,15 @@ fn compare_files(old_path: &str, new_path: &str) -> i32 {
     let find = |rows: &[Row], kernel: &str, n: f64| -> Option<f64> {
         rows.iter().find(|(k, rn, _)| k == kernel && *rn == n).map(|&(_, _, ns)| ns)
     };
-    // machine calibration: geometric mean of new/old over the frozen
-    // legacy rows, clamped against single-sample noise
-    let mut log_sum = 0.0;
-    let mut count = 0u32;
-    for (k, n, new_ns) in new.iter().filter(|(k, _, _)| k == "sph_density_legacy") {
-        if let Some(old_ns) = find(&old, k, *n) {
-            if old_ns > 0.0 && *new_ns > 0.0 {
-                log_sum += (new_ns / old_ns).ln();
-                count += 1;
-            }
+    let calibration = match machine_calibration(&old, old_path, &new, new_path) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
         }
-    }
-    let calibration = if count == 0 { 1.0 } else { (log_sum / count as f64).exp().clamp(0.5, 2.0) };
+    };
     println!("comparing {new_path} against {old_path}");
-    println!("machine calibration (sph_density_legacy new/old): {calibration:.2}x");
+    println!("machine calibration ({CALIBRATION} new/old): {calibration:.2}x");
     println!(
         "{:<24} {:>8} {:>14} {:>14} {:>9}",
         "kernel", "N", "old ns/step", "new ns/step", "speedup"
@@ -696,7 +686,7 @@ fn compare_files(old_path: &str, new_path: &str) -> i32 {
     for (k, n, new_ns) in &new {
         let Some(old_ns) = find(&old, k, *n) else { continue };
         let speedup = old_ns / new_ns * calibration;
-        let verdict = if k == "sph_density_legacy" {
+        let verdict = if k == CALIBRATION {
             "(info)"
         } else {
             compared += 1;
@@ -724,41 +714,28 @@ fn compare_files(old_path: &str, new_path: &str) -> i32 {
 
 /// Compare against a committed baseline; returns the process exit code.
 fn check_against(samples: &[Sample], baseline_path: &str) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 2;
-        }
-    };
-    let doc = match jc_deploy::json::parse(&text) {
+    let run: Vec<Row> =
+        samples.iter().map(|s| (s.kernel.to_string(), s.n as f64, s.ns_per_step)).collect();
+    let loaded = load_rows(baseline_path).and_then(|base| {
+        let calibration = machine_calibration(&base, baseline_path, &run, "this run")?;
+        Ok((base, calibration))
+    });
+    let (base, calibration) = match loaded {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("cannot parse baseline {baseline_path}: {e:?}");
+            eprintln!("{e}");
             return 2;
         }
     };
-    let calibration = machine_calibration(samples, &doc);
-    println!("machine calibration (sph_density_legacy vs baseline): {calibration:.2}x");
-    let Some(results) = doc.get("results").and_then(|r| r.as_array()) else {
-        eprintln!("baseline {baseline_path} has no results array");
-        return 2;
-    };
+    println!("machine calibration ({CALIBRATION} vs baseline): {calibration:.2}x");
     let mut compared = 0;
     let mut failed = 0;
-    for s in samples {
-        if s.kernel == "sph_density_legacy" {
-            continue; // the calibration kernel cannot regress by code
-        }
-        let base = results.iter().find(|r| {
-            r.get("kernel").and_then(|k| k.as_str()) == Some(s.kernel)
-                && r.get("n").and_then(|n| n.as_f64()) == Some(s.n as f64)
-        });
-        let Some(base_ns) = base.and_then(|b| b.get("ns_per_step")).and_then(|v| v.as_f64()) else {
+    for (kernel, n, ns) in run.iter().filter(|(k, _, _)| k != CALIBRATION) {
+        let Some(&(_, _, base_ns)) = base.iter().find(|(k, bn, _)| k == kernel && bn == n) else {
             continue;
         };
         compared += 1;
-        let factor = s.ns_per_step / base_ns / calibration;
+        let factor = ns / base_ns / calibration;
         let verdict = if factor > REGRESSION_FACTOR {
             failed += 1;
             "REGRESSED"
@@ -766,8 +743,7 @@ fn check_against(samples: &[Sample], baseline_path: &str) -> i32 {
             "ok"
         };
         println!(
-            "check {:<24} N={:<6} {:.2}x of baseline, machine-normalized ({verdict})",
-            s.kernel, s.n, factor
+            "check {kernel:<24} N={n:<6} {factor:.2}x of baseline, machine-normalized ({verdict})"
         );
     }
     if compared == 0 {

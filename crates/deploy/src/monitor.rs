@@ -5,7 +5,7 @@
 //! 3D traffic visualization with per-site load (red) and memory (blue) bars
 //! where "IPL traffic is shown in blue, while MPI traffic is shown in
 //! orange". This module renders all four as plain text so examples and
-//! benches can print them.
+//! the figure binaries can print them.
 
 use jc_gat::{GatRealm, JobState};
 use jc_netsim::metrics::{Metrics, TrafficClass};

@@ -14,8 +14,8 @@
 //! checkpoint/shard/chaos layers of `jc_amuse` (a fault plan must be a
 //! pure function of its seed, or a failing soak seed stops
 //! reproducing). `#[cfg(test)]` modules are exempt (tests may
-//! time things); a deliberate use — e.g. a frozen legacy baseline —
-//! carries a file waiver `// jc-lint: allow-file(determinism): <reason>`.
+//! time things); a deliberate use carries a file waiver
+//! `// jc-lint: allow-file(determinism): <reason>`.
 
 use crate::lexer::Kind;
 use crate::{match_brace, Diagnostic, SourceFile};

@@ -559,9 +559,9 @@ pub fn potential_into(
     }
 }
 
-/// One worker chunk of [`Backend::SimdSoa`] potential targets —
-/// dispatched like [`acc_jerk_simd_chunk`], identical results across
-/// the dispatch.
+/// One worker chunk of [`Backend::SimdSoa`] potential targets: the one
+/// body, at AVX2 width when the CPU has it (bitwise identical results
+/// across the dispatch, as in `jc_compute::gravity`).
 fn potential_simd_chunk(
     s0: usize,
     t_pos: &[[f64; 3]],
@@ -572,20 +572,17 @@ fn potential_simd_chunk(
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 clone is only reached when the CPU reports
-        // the feature at runtime.
+        // SAFETY: the avx2 instantiation is only reached when the CPU
+        // reports the feature at runtime.
         return unsafe { potential_simd_chunk_avx2(s0, t_pos, src, eps2, same_set, phi) };
     }
     potential_simd_chunk_body(s0, t_pos, src, eps2, same_set, phi);
 }
 
-/// AVX2 implementation of [`potential_simd_chunk_body`] — explicit
-/// packed intrinsics mirroring the portable body op for op (see
-/// [`acc_jerk_simd_chunk_avx2`] for the masking scheme), bitwise equal
-/// results.
+/// [`potential_simd_chunk_body`] compiled for AVX2.
 // SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on `is_x86_feature_detected!("avx2")`,
-// so the AVX2 instructions are never executed on a CPU without them.
+// call; the only call site is gated on runtime detection of the
+// feature. The body is safe code.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn potential_simd_chunk_avx2(
@@ -596,63 +593,14 @@ unsafe fn potential_simd_chunk_avx2(
     same_set: bool,
     phi: &mut [f64],
 ) {
-    use std::arch::x86_64::*;
-    let (sx, sy, sz) = (src.pos.x.as_slice(), src.pos.y.as_slice(), src.pos.z.as_slice());
-    let sm = src.mass.as_slice();
-    let n = sm.len();
-    let batches = n / LANES;
-    // SAFETY: same argument as `acc_jerk_simd_chunk_avx2` — aligned
-    // loads read `o + LANES <= n` elements of equal-length, 64-byte-
-    // aligned SoA columns at 32-byte-multiple offsets; the feature
-    // contract is discharged at the detection-gated call site.
-    unsafe {
-        let eps2v = _mm256_set1_pd(eps2);
-        let ones = _mm256_set1_pd(1.0);
-        let step = _mm256_set1_pd(LANES as f64);
-        for (k, out) in phi.iter_mut().enumerate() {
-            let i = s0 + k;
-            let [pix, piy, piz] = t_pos[i];
-            let (pxv, pyv, pzv) = (_mm256_set1_pd(pix), _mm256_set1_pd(piy), _mm256_set1_pd(piz));
-            let iv = _mm256_set1_pd(if same_set { i as f64 } else { -1.0 });
-            let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-            let mut pv = _mm256_setzero_pd();
-            for b in 0..batches {
-                let o = b * LANES;
-                let dx = _mm256_sub_pd(_mm256_load_pd(sx.as_ptr().add(o)), pxv);
-                let dy = _mm256_sub_pd(_mm256_load_pd(sy.as_ptr().add(o)), pyv);
-                let dz = _mm256_sub_pd(_mm256_load_pd(sz.as_ptr().add(o)), pzv);
-                let r2 = _mm256_add_pd(
-                    _mm256_add_pd(
-                        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                        _mm256_mul_pd(dz, dz),
-                    ),
-                    eps2v,
-                );
-                let mask = _mm256_cmp_pd::<_CMP_EQ_OQ>(idx, iv);
-                idx = _mm256_add_pd(idx, step);
-                let m = _mm256_andnot_pd(mask, _mm256_load_pd(sm.as_ptr().add(o)));
-                let r2g = _mm256_blendv_pd(r2, ones, mask);
-                pv = _mm256_sub_pd(pv, _mm256_div_pd(m, _mm256_sqrt_pd(r2g)));
-            }
-            let mut p = [0.0f64; LANES];
-            _mm256_storeu_pd(p.as_mut_ptr(), pv);
-            let o = batches * LANES;
-            for jj in o..n {
-                let l = jj - o;
-                let dx = sx[jj] - pix;
-                let dy = sy[jj] - piy;
-                let dz = sz[jj] - piz;
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let (m, r2g) = if same_set && jj == i { (0.0, 1.0) } else { (sm[jj], r2) };
-                p[l] -= m / r2g.sqrt();
-            }
-            *out = reduce_lanes(p);
-        }
-    }
+    potential_simd_chunk_body(s0, t_pos, src, eps2, same_set, phi);
 }
 
-/// The [`LANES`]-wide potential sum over the SoA source columns — masked
-/// and reduced exactly like [`acc_jerk_simd_chunk_body`].
+/// The [`LANES`]-wide potential sum over the SoA source columns,
+/// reduced like [`acc_jerk_simd_chunk_body`]. The self-pair (mass 0,
+/// divisor 1) is selected only in the one batch that holds it: a
+/// per-lane select in every batch stops the compiler from vectorising
+/// the loop.
 #[inline(always)]
 fn potential_simd_chunk_body(
     s0: usize,
@@ -662,41 +610,46 @@ fn potential_simd_chunk_body(
     same_set: bool,
     phi: &mut [f64],
 ) {
-    let (sx, sy, sz) = (src.pos.x.as_slice(), src.pos.y.as_slice(), src.pos.z.as_slice());
-    let sm = src.mass.as_slice();
-    let n = sm.len();
-    let batches = n / LANES;
-    for (k, out) in phi.iter_mut().enumerate() {
-        let i = s0 + k;
+    let n = src.len();
+    let (sx, sy, sz) = (&src.pos.x[..n], &src.pos.y[..n], &src.pos.z[..n]);
+    let sm = &src.mass[..n];
+    let full = n - n % LANES;
+    for (i, out) in (s0..).zip(phi.iter_mut()) {
         let [pix, piy, piz] = t_pos[i];
         let mut p = [0.0f64; LANES];
-        for b in 0..batches {
-            let o = b * LANES;
-            let xs: &[f64; LANES] = sx[o..o + LANES].try_into().unwrap();
-            let ys: &[f64; LANES] = sy[o..o + LANES].try_into().unwrap();
-            let zs: &[f64; LANES] = sz[o..o + LANES].try_into().unwrap();
-            let ms: &[f64; LANES] = sm[o..o + LANES].try_into().unwrap();
-            for l in 0..LANES {
-                let dx = xs[l] - pix;
-                let dy = ys[l] - piy;
-                let dz = zs[l] - piz;
+        macro_rules! lane {
+            ($l:expr, $x:expr, $y:expr, $z:expr, $m:expr, $skip:expr) => {{
+                let (dx, dy, dz) = ($x - pix, $y - piy, $z - piz);
                 let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let skip = same_set && o + l == i;
-                let m = if skip { 0.0 } else { ms[l] };
-                let r2g = if skip { 1.0 } else { r2 };
-                p[l] -= m / r2g.sqrt();
+                let (m, r2g) = if $skip { (0.0, 1.0) } else { ($m, r2) };
+                p[$l] -= m / r2g.sqrt();
+            }};
+        }
+        let self_batch = if same_set { i / LANES } else { usize::MAX };
+        let batches = sx[..full]
+            .chunks_exact(LANES)
+            .zip(sy[..full].chunks_exact(LANES))
+            .zip(sz[..full].chunks_exact(LANES).zip(sm[..full].chunks_exact(LANES)));
+        for (b, ((x, y), (z, m))) in batches.enumerate() {
+            if b == self_batch {
+                for l in 0..LANES {
+                    lane!(l, x[l], y[l], z[l], m[l], b * LANES + l == i);
+                }
+            } else {
+                for l in 0..LANES {
+                    lane!(l, x[l], y[l], z[l], m[l], false);
+                }
             }
         }
-        for jj in (batches * LANES)..n {
-            let l = jj - batches * LANES;
-            let dx = sx[jj] - pix;
-            let dy = sy[jj] - piy;
-            let dz = sz[jj] - piz;
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let skip = same_set && jj == i;
-            let m = if skip { 0.0 } else { sm[jj] };
-            let r2g = if skip { 1.0 } else { r2 };
-            p[l] -= m / r2g.sqrt();
+        for l in 0..n - full {
+            lane!(
+                l,
+                sx[full + l],
+                sy[full + l],
+                sz[full + l],
+                sm[full + l],
+                same_set && full + l == i
+            );
         }
         *out = reduce_lanes(p);
     }
@@ -839,8 +792,7 @@ mod tests {
     fn simd_portable_body_matches_dispatched_path_bitwise() {
         // the golden vectors must hold on machines without AVX2: the
         // portable fallback body and whatever the runtime dispatch
-        // picked (the intrinsics clone, here) execute the identical
-        // IEEE operation sequence
+        // picked execute the identical IEEE operation sequence
         let (m, p, v) = lcg_cloud(77, 21);
         let (a0, j0) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
         let mut soa = SoaBodies::new();
@@ -851,12 +803,23 @@ mod tests {
         acc_jerk_simd_chunk_body(0, rows, &soa, 1e-4, &mut a1, &mut j1);
         assert_eq!(a0, a1, "portable SimdSoa body diverges from dispatched acc");
         assert_eq!(j0, j1, "portable SimdSoa body diverges from dispatched jerk");
-        let mut phi0 = vec![0.0; 77];
-        potential_into(Backend::SimdSoa, &p, &m, &p, 1e-4, true, &mut phi0);
-        let mut phi1 = vec![0.0; 77];
-        soa.fill_from_positions(&m, &p);
-        potential_simd_chunk_body(0, &p, &soa, 1e-4, true, &mut phi1);
-        assert_eq!(phi0, phi1, "portable SimdSoa body diverges from dispatched phi");
+        // potential, on every batch shape: whole batches, 1–3 tail lanes
+        // (the self-pair in the masked batch or in the tail), none; and
+        // the unsoftened self-pair
+        let (_, others, _) = lcg_cloud(9, 4);
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 31, 64, 97, 130] {
+            let (m, p, _) = lcg_cloud(n, 21);
+            soa.fill_from_positions(&m, &p);
+            for (targets, same_set) in [(&p, true), (&others, false)] {
+                for eps2 in [1e-4, 0.0] {
+                    let mut phi0 = vec![f64::NAN; targets.len()];
+                    let mut phi1 = vec![f64::NAN; targets.len()];
+                    potential_into(Backend::SimdSoa, targets, &m, &p, eps2, same_set, &mut phi0);
+                    potential_simd_chunk_body(0, targets, &soa, eps2, same_set, &mut phi1);
+                    assert_eq!(phi0, phi1, "phi: n={n}, same_set={same_set}, eps2={eps2}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! from the CSR cell grid above it — the same candidate *sets* either
 //! way, chosen by the particle count alone. The scalar reference path
 //! (`simd = false`) stays bitwise-identical to the pre-refactor
-//! HashMap-grid pass (`crate::legacy`): it re-sorts every final candidate
-//! set into that pass's accumulation order.
+//! HashMap-grid pass (a naive oracle of it lives in `tests/golden.rs`): it
+//! re-sorts every final candidate set into that pass's accumulation order.
 
 use crate::grid::{sweep_within, CsrGrid};
 use crate::kernel::w;
@@ -450,8 +450,8 @@ struct Search<'a> {
     cols: Option<&'a Soa3>,
 }
 
-/// Mean-interparticle-spacing smoothing length estimate (shared with the
-/// legacy reference pass so both seed the adaptation identically).
+/// Mean-interparticle-spacing smoothing length estimate (the pre-refactor
+/// pass's seed, which the `tests/golden.rs` oracle recomputes).
 pub(crate) fn h_mean_of(pos: &[[f64; 3]]) -> f64 {
     let n = pos.len();
     let mut lo = [f64::INFINITY; 3];

@@ -555,29 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_grid_order() {
-        // identical candidate sequence to the HashMap grid, including the
-        // within-cell ascending-index order the density sums rely on
-        let mut pos = Vec::new();
-        let mut x = 5u64;
-        let mut rnd = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        for _ in 0..200 {
-            pos.push([rnd(), rnd(), rnd()]);
-        }
-        let csr = CsrGrid::build(&pos, 0.17);
-        let legacy = crate::legacy::NeighborGrid::build(&pos, 0.17);
-        for probe in 0..20 {
-            let c = pos[probe * 7];
-            for &r in &[0.05, 0.17, 0.3, 5.0] {
-                assert_eq!(csr.within(&pos, &c, r), legacy.within(&pos, &c, r), "r={r}");
-            }
-        }
-    }
-
-    #[test]
     fn oversized_radius_is_clamped_to_occupied_cells() {
         let pos = vec![[0.0; 3], [0.1, 0.0, 0.0]];
         let grid = CsrGrid::build(&pos, 1e-3);

@@ -36,7 +36,6 @@ pub mod forces;
 pub mod gadget;
 pub mod grid;
 pub mod kernel;
-pub mod legacy;
 pub mod mpi;
 pub mod particles;
 

@@ -2,12 +2,15 @@
 //! (`simd = false`) must reproduce the pre-refactor HashMap-grid pass
 //! bitwise — same candidate sets, same accumulation order; captured from
 //! the original implementation (64-particle Plummer gas, seed 3) before
-//! the refactor. The SoA path workers run (the default) is pinned to its
-//! own vectors: densities, force-pass rates and signal speed.
+//! the refactor, and reproduced here by a naive O(n²) oracle of that
+//! pass. The SoA path workers run (the default) is pinned to its own
+//! vectors: densities, force-pass rates and signal speed.
 
-use jc_sph::density::{compute_density_with, SphScratch};
+use jc_sph::density::{compute_density_with, SphScratch, N_NEIGHBORS};
 use jc_sph::forces::{hydro_rates_into, HydroRates};
+use jc_sph::kernel::w;
 use jc_sph::particles::plummer_gas;
+use jc_sph::{CsrGrid, GasParticles};
 
 const N: usize = 64;
 const GOLDEN_INTERACTIONS: u64 = 2241;
@@ -98,30 +101,145 @@ fn density_with_scratch_matches_golden_sequential_and_parallel() {
     }
 }
 
+// --- the pre-refactor pass, as a naive oracle -----------------------------
+//
+// The pre-refactor pass gridded the set into a HashMap of cells of size
+// `h_mean` and answered each query by visiting the cells around the centre
+// in lexicographic key order, each cell's particles in ascending index. The
+// oracle finds the same candidates by brute force and sorts them into that
+// order, and it repeats every query that pass made.
+
+/// The pass's seed smoothing length: the mean interparticle spacing of
+/// the bounding box, floored by its diagonal.
+fn h_mean(pos: &[[f64; 3]]) -> f64 {
+    let n = pos.len() as f64;
+    let (mut lo, mut hi) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
+    for p in pos {
+        for k in 0..3 {
+            lo[k] = lo[k].min(p[k]);
+            hi[k] = hi[k].max(p[k]);
+        }
+    }
+    let vol = (hi[0] - lo[0]).max(1e-6) * (hi[1] - lo[1]).max(1e-6) * (hi[2] - lo[2]).max(1e-6);
+    let diag = ((hi[0] - lo[0]).powi(2) + (hi[1] - lo[1]).powi(2) + (hi[2] - lo[2]).powi(2))
+        .sqrt()
+        .max(1e-6);
+    (vol / n * N_NEIGHBORS as f64).cbrt().max(diag / n.cbrt()).max(1e-6)
+}
+
+/// Every particle within `radius` of `c`, sorted by (cell key at `cell`,
+/// index): the HashMap grid's visit order.
+fn legacy_within(pos: &[[f64; 3]], cell: f64, c: &[f64; 3], radius: f64) -> Vec<u32> {
+    let key = |j: u32| (pos[j as usize].map(|x| (x / cell).floor() as i32), j);
+    let mut hits: Vec<u32> = (0..pos.len() as u32)
+        .filter(|&j| {
+            let p = pos[j as usize];
+            let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+            d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= radius * radius
+        })
+        .collect();
+    hits.sort_by_key(|&j| key(j));
+    hits
+}
+
+/// The pre-refactor adaptive density pass over [`legacy_within`]:
+/// writes `rho` and `h`, returns the interaction total.
+fn legacy_density(gas: &mut GasParticles) -> u64 {
+    const H_ITERS: usize = 4;
+    let n = gas.len();
+    if n == 0 {
+        return 0;
+    }
+    let h_mean = h_mean(&gas.pos);
+    let cell = h_mean.max(1e-6);
+    let (pos, mass) = (&gas.pos, &gas.mass);
+    let sum = |c: &[f64; 3], h: f64| {
+        let mut rho = 0.0;
+        for j in legacy_within(pos, cell, c, h) {
+            let p = &pos[j as usize];
+            let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+            rho += mass[j as usize] * w((d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt(), h);
+        }
+        rho
+    };
+    let mut total = 0;
+    for i in 0..n {
+        let h0 = if gas.h[i] <= 0.0 || !gas.h[i].is_finite() { h_mean } else { gas.h[i] };
+        let mut h = h0.min(h_mean * 8.0).max(h_mean * 0.05);
+        let mut rho = 0.0;
+        for _ in 0..H_ITERS {
+            let found = legacy_within(pos, cell, &pos[i], h).len();
+            total += found as u64;
+            let found = found.max(1) as f64;
+            if found > 0.8 * N_NEIGHBORS as f64 && found < 1.3 * N_NEIGHBORS as f64 {
+                rho = sum(&pos[i], h);
+                break;
+            }
+            h *= (N_NEIGHBORS as f64 / found).cbrt().clamp(0.5, 2.0);
+            h = h.clamp(h_mean * 0.05, h_mean * 8.0);
+            rho = sum(&pos[i], h);
+        }
+        if rho <= 0.0 {
+            rho = mass[i] * w(0.0, h);
+        }
+        (gas.rho[i], gas.h[i]) = (rho, h);
+    }
+    total
+}
+
 #[test]
 fn legacy_reference_still_matches_golden() {
     let mut gas = plummer_gas(N, 1.0, 3);
-    assert_eq!(jc_sph::legacy::compute_density(&mut gas), GOLDEN_INTERACTIONS);
+    assert_eq!(legacy_density(&mut gas), GOLDEN_INTERACTIONS);
     check(&gas);
+}
+
+/// Scalar-path passes against the oracle, bitwise, each pass starting
+/// from the `h` the previous one adapted.
+fn assert_scalar_path_matches_oracle(n: usize, seed: u64, passes: usize) {
+    let (mut gas, mut legacy) = (plummer_gas(n, 1.0, seed), plummer_gas(n, 1.0, seed));
+    let mut scratch = scalar_scratch();
+    for pass in 0..passes {
+        let inter = compute_density_with(&mut gas, &mut scratch);
+        assert_eq!(inter, legacy_density(&mut legacy), "n={n} pass {pass}");
+        for i in 0..n {
+            assert_eq!(gas.rho[i].to_bits(), legacy.rho[i].to_bits(), "n={n} rho[{i}]");
+            assert_eq!(gas.h[i].to_bits(), legacy.h[i].to_bits(), "n={n} h[{i}]");
+        }
+    }
 }
 
 #[test]
 fn sets_below_the_neighbour_target_match_the_legacy_pass() {
     // fewer particles than the target count: `h` grows on every
     // iteration, and once a search has returned the whole set the wider
-    // ones are skipped — the legacy pass, which repeats every query, is
-    // the oracle that skipping them changes nothing (two passes, so the
-    // second starts from adapted `h`)
+    // ones are skipped — the oracle, which repeats every query, shows
+    // that skipping them changes nothing
     for n in [1, 2, 7, 16, 24, 25, 26, 40] {
-        let (mut gas, mut legacy) = (plummer_gas(n, 1.0, 5), plummer_gas(n, 1.0, 5));
-        let mut scratch = scalar_scratch();
-        for pass in 0..2 {
-            let inter = compute_density_with(&mut gas, &mut scratch);
-            assert_eq!(inter, jc_sph::legacy::compute_density(&mut legacy), "n={n} pass {pass}");
-            for i in 0..n {
-                assert_eq!(gas.rho[i].to_bits(), legacy.rho[i].to_bits(), "n={n} rho[{i}]");
-                assert_eq!(gas.h[i].to_bits(), legacy.h[i].to_bits(), "n={n} h[{i}]");
-            }
+        assert_scalar_path_matches_oracle(n, 5, 2);
+    }
+}
+
+#[test]
+fn legacy_density_matches_csr_density_bitwise() {
+    assert_scalar_path_matches_oracle(400, 21, 1);
+}
+
+#[test]
+fn matches_legacy_grid_order() {
+    // identical candidate sequence to the HashMap grid, including the
+    // within-cell ascending-index order the density sums rely on
+    let mut x = 5u64;
+    let mut rnd = || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+    };
+    let pos: Vec<[f64; 3]> = (0..200).map(|_| [rnd(), rnd(), rnd()]).collect();
+    let csr = CsrGrid::build(&pos, 0.17);
+    for probe in 0..20 {
+        let c = pos[probe * 7];
+        for r in [0.05, 0.17, 0.3, 5.0] {
+            assert_eq!(csr.within(&pos, &c, r), legacy_within(&pos, 0.17, &c, r), "r={r}");
         }
     }
 }

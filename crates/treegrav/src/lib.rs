@@ -13,7 +13,8 @@
 //!
 //! * [`Octgrav`] — GPU-hosted: wider opening angle (the GPU tree code
 //!   trades accuracy for throughput), cost charged to the device model.
-//! * [`Fi`] — CPU-hosted: tighter opening angle, rayon-parallel walk.
+//! * [`Fi`] — CPU-hosted: tighter opening angle, parallel over targets
+//!   on the `jc_compute::par::chunked` worker pool.
 //!
 //! The solver picks its structure by population. A tree amortises only
 //! over many sources: below a measured source-count crossover

@@ -35,14 +35,16 @@
 //! * [`socket`] — the server half of the socket channel:
 //!   [`socket::WorkerServer`] serves any [`worker::ModelWorker`] behind
 //!   a `TcpListener` (the `jungle-worker` binary in `jc-deploy` wraps
-//!   it); [`socket::SocketChannel`] is the stand-alone client, a facade
-//!   over one [`reactor::ReactorChannel`].
+//!   it) as a thin driver over the socket-free [`socket::ServerCore`];
+//!   [`socket::SocketChannel`] is the stand-alone client, a facade over
+//!   one [`reactor::ReactorChannel`].
 //! * [`reactor`] — the TCP client: a single-threaded readiness
 //!   [`reactor::Reactor`] owning every worker socket in non-blocking
-//!   mode, with incremental frame decoding ([`reactor::FrameDecoder`])
-//!   and coalesced vectored writes. [`reactor::ReactorChannel`] speaks
-//!   [`wire`] with sequence stamping, retry, fault injection and
-//!   genuinely pipelined requests across many shards from one thread.
+//!   mode, with incremental frame decoding ([`reactor::FrameDecoder`],
+//!   the framer the server uses too). [`reactor::ReactorChannel`]
+//!   speaks [`wire`] with sequence stamping, retry and fault injection,
+//!   one request in flight per connection and many shards in flight at
+//!   once from one thread.
 //! * [`shard`] — [`shard::ShardedChannel`] fans one logical model out
 //!   over a pool of workers: particle-range decomposition for state
 //!   ops, target scatter–gather for the coupling kick. When every

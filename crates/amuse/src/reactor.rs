@@ -12,24 +12,21 @@
 //! live here. [`crate::SocketChannel`] is a facade over one
 //! `ReactorChannel` on a private reactor.
 //!
-//! # Pipelining and flushing
+//! # Overlap and flushing
 //!
 //! Because all connections of a reactor live in one loop, *gathering
 //! one shard's reply advances every other shard's I/O too*: a fan-out
 //! of K requests followed by K collects overlaps all K round trips
-//! regardless of collect order. `submit*` only queues its frame; the
-//! bytes leave at the next blocking wait on any channel of the reactor,
-//! so requests submitted back-to-back on one connection coalesce into
-//! one vectored write (one syscall, one wakeup at the peer) and their
-//! replies are decoded in order from whatever byte boundaries the
-//! kernel delivers. A `SocketChannel` has no sibling whose wait would
-//! flush for it, so the facade pushes each frame at submit. Queue
-//! depth > 1 on one connection is allowed only with retry and chaos
-//! disabled: the server's dedup cache remembers only the *last*
-//! mutating frame, so a reconnect-and-resend of two in-flight mutations
-//! could double-apply the first one. Depth-1 per connection (what
-//! [`crate::ShardedChannel`] uses — the fan-out is *across*
-//! connections) keeps the full retry/backoff/heal machinery.
+//! regardless of collect order. `submit*` only encodes its frame into
+//! the connection's one frame buffer; the bytes leave at the next
+//! blocking wait on any channel of the reactor, so a K-shard scatter
+//! reaches all K sockets before the first gather blocks. A
+//! `SocketChannel` has no sibling whose wait would flush for it, so the
+//! facade pushes each frame at submit. A channel has at most one call
+//! outstanding (the [`Channel`] contract, asserted on every leg): the
+//! fan-out is *across* connections. That is also what makes a resend
+//! safe — the server's dedup cache remembers only the *last* mutating
+//! frame, which is the one frame a retry can carry.
 //!
 //! # Faults, retry and the timeout rule
 //!
@@ -70,8 +67,7 @@ use crate::wire::{self, WireError, HEADER_LEN, READ_CHUNK};
 use crate::worker::{ParticleData, Request, Response};
 use polling::{Event, Events, Poller};
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::rc::Rc;
 use std::time::Duration;
@@ -91,27 +87,29 @@ pub(crate) fn net_timeout() -> Duration {
 // --------------------------------------------------------------------------
 // incremental frame decoder
 
-/// Incremental decoder for one v2 wire frame: pump it from a
-/// non-blocking reader ([`FrameDecoder::read_from`]) in whatever pieces
-/// the transport delivers (1-byte reads, header/payload straddles,
-/// several frames per buffer) and get exactly the frame
-/// [`wire::read_frame`] would have produced.
+/// Incremental decoder for a stream of v2 wire frames — the one framer
+/// both halves of a connection use (the client's non-blocking sockets
+/// here, the server's blocking ones in [`crate::socket`]). Pump it from
+/// a reader ([`FrameDecoder::read_from`]) in whatever pieces the
+/// transport delivers (1-byte reads, header/payload straddles, several
+/// frames per read) and get exactly the frames [`wire::read_frame`]
+/// would have produced, in order.
 ///
-/// The contract mirrors `read_frame` point for point: the header is
-/// validated (magic, version, length cap) the moment its 32nd byte
-/// arrives and *before* any payload allocation; the scratch buffer then
-/// grows in [`READ_CHUNK`] steps only as payload bytes actually arrive,
-/// so a hostile length prefix pins at most one chunk beyond what the
-/// peer really sent. The buffer is monotone scratch — bytes past the
-/// completed frame's length are stale and must be ignored.
-///
-/// A decoder never reads past the end of the current frame, so several
-/// concatenated frames in the reader's buffer are taken one at a time:
-/// [`FrameDecoder::reset`] (or [`FrameDecoder::swap_into`]) and pump
-/// again.
+/// Each `read` fills the free scratch — one [`READ_CHUNK`], more once
+/// it has grown for a larger frame — so a small frame costs one
+/// syscall, and bytes read past a frame's end carry over as the start
+/// of the next: [`FrameDecoder::advance`] past a taken frame, and a
+/// frame already complete in the buffer comes back without another
+/// `read`. The header is validated (magic, version, length cap) the
+/// moment its 32nd byte arrives, before anything is sized from it, and
+/// the scratch then grows toward the frame's end one chunk at a time as
+/// bytes arrive, so a hostile length prefix pins at most one chunk
+/// beyond what the peer really sent.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Bytes buffered: the current frame's so far, then any read past
+    /// its end.
     filled: usize,
     /// Header + payload size, known once the header is parsed.
     total: Option<usize>,
@@ -127,8 +125,8 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Bytes of the current (possibly incomplete) frame accumulated so
-    /// far.
+    /// Bytes buffered so far: the current (possibly incomplete) frame's,
+    /// plus any read past its end.
     pub fn filled(&self) -> usize {
         self.filled
     }
@@ -138,10 +136,10 @@ impl FrameDecoder {
         self.total.is_some_and(|t| self.filled >= t)
     }
 
-    /// The accumulated frame bytes (`..filled()`). Only a full frame
+    /// The current frame's bytes accumulated so far. Only a full frame
     /// ([`FrameDecoder::is_complete`]) is decodable.
     pub fn frame(&self) -> &[u8] {
-        &self.buf[..self.filled]
+        &self.buf[..self.total.map_or(self.filled, |t| t.min(self.filled))]
     }
 
     /// Capacity of the internal accumulation buffer — what a hostile
@@ -152,11 +150,23 @@ impl FrameDecoder {
         self.buf.capacity()
     }
 
-    /// Forget the current frame (scratch capacity is kept).
+    /// Forget everything buffered, for a fresh stream (scratch capacity
+    /// is kept).
     pub fn reset(&mut self) {
         self.filled = 0;
         self.total = None;
         self.corrupt_next = false;
+    }
+
+    /// Drop the completed current frame: the bytes read past its end
+    /// become the start of the next one. A no-op while the current frame
+    /// is incomplete.
+    pub fn advance(&mut self) {
+        if let Some(total) = self.total.filter(|&t| self.filled >= t) {
+            self.buf.copy_within(total..self.filled, 0);
+            self.filled -= total;
+            self.total = None;
+        }
     }
 
     /// Chaos hook: corrupt the first byte of the next frame at the
@@ -182,67 +192,41 @@ impl FrameDecoder {
         None
     }
 
-    /// Swap the internal scratch with `other` and reset. Lets a caller
-    /// take a completed frame without copying while recycling its old
-    /// buffer as the next frame's scratch.
-    pub fn swap_into(&mut self, other: &mut Vec<u8>) {
-        std::mem::swap(&mut self.buf, other);
-        self.reset();
-    }
-
-    /// Pump the decoder from a (typically non-blocking) reader until
-    /// the frame completes (`Ok(Some(len))`), the reader has no bytes
-    /// right now (`Ok(None)` on `WouldBlock`), or the stream fails with
-    /// exactly the errors [`wire::read_frame`] reports: EOF between
-    /// frames is [`WireError::Closed`], EOF mid-frame is
-    /// [`WireError::Truncated`]. Never reads past the end of the
-    /// current frame, so pipelined responses stay aligned.
+    /// Pump the decoder from a (blocking or non-blocking) reader until
+    /// the current frame completes (`Ok(Some(len))` — at once, with no
+    /// `read`, if it already has), the reader has no bytes right now
+    /// (`Ok(None)` on `WouldBlock`), or the stream fails with exactly
+    /// the errors [`wire::read_frame`] reports: EOF between frames is
+    /// [`WireError::Closed`], EOF mid-frame is [`WireError::Truncated`].
     pub fn read_from(&mut self, r: &mut impl Read) -> Result<Option<usize>, WireError> {
         loop {
-            if let Some(total) = self.total {
-                if self.filled >= total {
-                    return Ok(Some(total));
-                }
+            if self.total.is_none() && self.filled >= HEADER_LEN {
+                let h = wire::parse_header(&self.buf[..HEADER_LEN])?;
+                self.total = Some(HEADER_LEN + h.len as usize);
             }
-            let (start, end) = if self.filled < HEADER_LEN {
-                if self.buf.len() < HEADER_LEN {
-                    self.buf.resize(HEADER_LEN, 0);
-                }
-                (self.filled, HEADER_LEN)
-            } else {
-                let total = self.total.expect("header parsed");
-                // grow in READ_CHUNK steps as bytes arrive, like
-                // read_frame's payload loop
-                let end = total.min(self.filled + READ_CHUNK).max(self.buf.len().min(total));
-                if self.buf.len() < end {
-                    self.buf.resize(end, 0);
-                }
-                (self.filled, end)
-            };
-            match r.read(&mut self.buf[start..end]) {
+            if let Some(total) = self.total.filter(|&t| self.filled >= t) {
+                return Ok(Some(total));
+            }
+            // one chunk of read-ahead room, grown toward a validated
+            // frame end one chunk at a time as its bytes arrive
+            let want = READ_CHUNK.max(self.total.map_or(0, |t| t.min(self.filled + READ_CHUNK)));
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            match r.read(&mut self.buf[self.filled..]) {
                 Ok(0) => {
-                    return Err(if self.filled == 0 {
-                        WireError::Closed
-                    } else if self.filled < HEADER_LEN {
-                        WireError::Truncated { expected: HEADER_LEN, got: self.filled }
-                    } else {
-                        WireError::Truncated {
-                            expected: self.total.expect("header parsed"),
-                            got: self.filled,
-                        }
+                    return Err(match self.total {
+                        _ if self.filled == 0 => WireError::Closed,
+                        Some(expected) => WireError::Truncated { expected, got: self.filled },
+                        None => WireError::Truncated { expected: HEADER_LEN, got: self.filled },
                     });
                 }
                 Ok(n) => {
-                    let first = self.filled == 0;
-                    self.filled += n;
-                    if first && self.corrupt_next {
+                    if self.filled == 0 && self.corrupt_next {
                         self.buf[0] ^= 0x01;
                         self.corrupt_next = false;
                     }
-                    if self.total.is_none() && self.filled >= HEADER_LEN {
-                        let h = wire::parse_header(&self.buf[..HEADER_LEN])?;
-                        self.total = Some(HEADER_LEN + h.len as usize);
-                    }
+                    self.filled += n;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
@@ -255,67 +239,24 @@ impl FrameDecoder {
 // --------------------------------------------------------------------------
 // the reactor
 
-/// Whether a connection's queued writes have fully left.
-enum FlushState {
-    /// Frames (or frame tails) still queued.
-    Pending,
-    /// Everything queued has been written.
-    Done,
-    /// A write failed; the error is sticky until reconnect.
-    Failed(WireError),
-}
-
-/// Per-connection state machine: a non-blocking stream, a write queue
-/// with a resume offset (partial writes continue where they stopped),
-/// an incremental decoder, and a one-deep completed-response slot
-/// (reading pauses while it is occupied — natural backpressure).
+/// Per-connection state machine: a non-blocking stream, the one request
+/// frame with a written offset (partial writes continue where they
+/// stopped; a resend rewinds), an incremental decoder, and a one-deep
+/// completed-response slot (reading pauses while it is occupied).
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Frames queued to write; the front is written up to `out_pos`.
-    outq: VecDeque<Vec<u8>>,
-    out_pos: usize,
-    /// First write failure (sticky until reconnect/resend).
+    /// The current request frame, kept whole so a retry can resend the
+    /// identical bytes; `out[sent..]` is still to be written.
+    out: Vec<u8>,
+    sent: usize,
+    /// First write failure (sticky until reconnect).
     write_err: Option<WireError>,
-    /// The most recent fully-written (or fault-stashed) frame, retained
-    /// so a depth-1 retry can resend the identical bytes.
-    last_frame: Vec<u8>,
-    /// A completed response: its byte count, or the read error.
+    /// A completed response (its byte count, the bytes are the
+    /// decoder's current frame), or the read error.
     ready: Option<Result<u64, WireError>>,
-    /// The completed response's bytes (leading `ready` length is live).
-    resp: Vec<u8>,
-    /// Recycled frame buffers for future sends.
-    spare: Vec<Vec<u8>>,
     /// Deterministic fault injection for this connection, if any.
     faults: Option<StreamFaults>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            decoder: FrameDecoder::new(),
-            outq: VecDeque::new(),
-            out_pos: 0,
-            write_err: None,
-            last_frame: Vec::new(),
-            ready: None,
-            resp: Vec::new(),
-            spare: Vec::new(),
-            faults: None,
-        }
-    }
-}
-
-/// What [`Reactor::take_conn`] hands back for channel teardown.
-struct TornDown {
-    stream: TcpStream,
-    /// Unwritten queued bytes (the front frame's tail first).
-    tail: Vec<u8>,
-    /// A completed response was sitting in the ready slot.
-    had_ready: bool,
-    /// The connection's writes had failed.
-    write_failed: bool,
 }
 
 /// The single-threaded event loop owning every registered connection.
@@ -361,7 +302,15 @@ impl Reactor {
         stream.set_nonblocking(true)?;
         let token = self.conns.iter().position(|c| c.is_none()).unwrap_or(self.conns.len());
         self.poller.add(&stream, polling::Event::none(token))?;
-        let conn = Conn::new(stream);
+        let conn = Conn {
+            stream,
+            decoder: FrameDecoder::new(),
+            out: Vec::new(),
+            sent: 0,
+            write_err: None,
+            ready: None,
+            faults: None,
+        };
         if token == self.conns.len() {
             self.conns.push(Some(conn));
         } else {
@@ -371,7 +320,8 @@ impl Reactor {
     }
 
     /// Swap in a freshly-dialed stream after a reconnect: all transport
-    /// state is reset; chaos state and recycled buffers survive.
+    /// state is reset and the current frame is rewound, so it is resent
+    /// whole at the next flush; chaos state and buffers survive.
     fn replace_stream(&mut self, token: usize, stream: TcpStream) -> std::io::Result<()> {
         stream.set_nonblocking(true)?;
         {
@@ -384,192 +334,72 @@ impl Reactor {
         let conn = self.conn(token);
         conn.stream = stream;
         conn.decoder.reset();
-        while let Some(f) = conn.outq.pop_front() {
-            conn.spare.push(f);
-        }
-        conn.out_pos = 0;
+        conn.sent = 0;
         conn.write_err = None;
         conn.ready = None;
         Ok(())
     }
 
-    /// Deregister and dismantle a connection for channel teardown.
-    fn take_conn(&mut self, token: usize) -> Option<TornDown> {
+    /// Deregister a connection for channel teardown.
+    fn take_conn(&mut self, token: usize) -> Option<Conn> {
         let conn = self.conns.get_mut(token)?.take()?;
         let _ = self.poller.delete(&conn.stream);
-        let mut tail = Vec::new();
-        for (i, f) in conn.outq.iter().enumerate() {
-            tail.extend_from_slice(if i == 0 { &f[conn.out_pos..] } else { f });
-        }
-        Some(TornDown {
-            stream: conn.stream,
-            tail,
-            had_ready: matches!(conn.ready, Some(Ok(_))),
-            write_failed: conn.write_err.is_some(),
-        })
+        Some(conn)
     }
 
-    /// A recycled (or fresh) buffer to encode the next frame into.
-    fn take_buf(&mut self, token: usize) -> Vec<u8> {
-        self.conn(token).spare.pop().unwrap_or_default()
-    }
-
-    /// Queue `frame` for writing. The bytes leave lazily — at the next
-    /// [`Reactor::flush_all`] (every channel wait starts with one) or
-    /// writable event — so a pipelined burst submitted back-to-back on
-    /// one connection coalesces into a single vectored write, and the
-    /// server is woken once with the whole burst already in its receive
-    /// buffer instead of once per frame.
-    fn enqueue(&mut self, token: usize, frame: Vec<u8>) {
-        self.conn(token).outq.push_back(frame);
-    }
-
-    /// Opportunistically push every connection's queued request bytes.
-    /// Called on entry to a channel's wait loop: by then the caller has
-    /// submitted everything it is going to submit before blocking, so
-    /// this is the coalescing point for lazily [`Reactor::enqueue`]d
-    /// frames — including those of *other* channels sharing the
-    /// reactor, which keeps a scatter-gather fan-out's requests leaving
-    /// before the first gather blocks.
+    /// Push every connection's unwritten request bytes. Called on entry
+    /// to a channel's wait loop: by then the caller has submitted
+    /// everything it is going to submit before blocking — including on
+    /// *other* channels sharing the reactor, which keeps a
+    /// scatter-gather fan-out's requests leaving before the first
+    /// gather blocks.
     fn flush_all(&mut self) {
         for token in 0..self.conns.len() {
-            let live = self
-                .conns
-                .get(token)
-                .is_some_and(|s| s.as_ref().is_some_and(|c| !c.outq.is_empty()));
-            if live {
+            if self.conns[token].is_some() {
                 self.try_flush(token);
             }
         }
     }
 
-    /// Retain `frame` as the connection's resend frame without sending
-    /// it (the submit was suppressed: channel poisoned or a write fault
-    /// consumed the attempt).
-    fn stash(&mut self, token: usize, frame: Vec<u8>) {
-        let conn = self.conn(token);
-        let old = std::mem::replace(&mut conn.last_frame, frame);
-        if !old.is_empty() {
-            conn.spare.push(old);
-        }
-    }
-
-    /// Chaos `PartialWrite`: half the frame leaves, then the connection
-    /// is declared broken.
-    fn partial_write(&mut self, token: usize, frame: Vec<u8>) {
-        let conn = self.conn(token);
-        let half = frame.len() / 2;
-        if half > 0 {
-            let _ = conn.stream.write(&frame[..half]);
-        }
-        conn.write_err = Some(WireError::Io(std::io::ErrorKind::BrokenPipe));
-        self.stash(token, frame);
-    }
-
-    /// Mark a synthesized whole-frame write fault (chaos
-    /// `WriteTimeout`): nothing leaves, the queued state fails.
-    fn fail_write(&mut self, token: usize, frame: Vec<u8>, err: WireError) {
-        self.conn(token).write_err = Some(err);
-        self.stash(token, frame);
-    }
-
-    /// Re-queue the retained frame for a retry resend on a (fresh)
-    /// connection.
-    fn resend_last(&mut self, token: usize) {
-        let conn = self.conn(token);
-        let frame = std::mem::take(&mut conn.last_frame);
-        debug_assert!(!frame.is_empty(), "a retry always has a retained frame");
-        conn.outq.push_back(frame);
-        self.try_flush(token);
-    }
-
-    /// Non-blocking vectored flush: write as much of the queue as the
-    /// socket accepts, coalescing queued frames into one syscall.
+    /// Non-blocking flush: write as much of the frame as the socket
+    /// accepts.
     fn try_flush(&mut self, token: usize) {
         let conn = self.conn(token);
-        if conn.write_err.is_some() {
-            return;
-        }
-        while !conn.outq.is_empty() {
-            let wrote = if conn.outq.len() == 1 {
-                conn.stream.write(&conn.outq[0][conn.out_pos..])
-            } else {
-                let slices: Vec<IoSlice<'_>> = conn
-                    .outq
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| IoSlice::new(if i == 0 { &f[conn.out_pos..] } else { f }))
-                    .collect();
-                conn.stream.write_vectored(&slices)
-            };
-            match wrote {
-                Ok(mut n) => {
-                    while n > 0 {
-                        let front_left = conn.outq[0].len() - conn.out_pos;
-                        if n >= front_left {
-                            n -= front_left;
-                            conn.out_pos = 0;
-                            let done = conn.outq.pop_front().expect("front exists");
-                            let old = std::mem::replace(&mut conn.last_frame, done);
-                            if !old.is_empty() {
-                                conn.spare.push(old);
-                            }
-                        } else {
-                            conn.out_pos += n;
-                            n = 0;
-                        }
-                    }
-                }
+        while conn.write_err.is_none() && conn.sent < conn.out.len() {
+            match conn.stream.write(&conn.out[conn.sent..]) {
+                Ok(0) => conn.write_err = Some(WireError::Io(std::io::ErrorKind::WriteZero)),
+                Ok(n) => conn.sent += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) => {
-                    conn.write_err = Some(WireError::Io(e.kind()));
-                    return;
-                }
+                Err(e) => conn.write_err = Some(WireError::Io(e.kind())),
             }
         }
     }
 
-    fn flush_state(&mut self, token: usize) -> FlushState {
+    /// Has the connection's frame fully left? A write failure is sticky
+    /// until reconnect.
+    fn flushed(&mut self, token: usize) -> Result<bool, WireError> {
         let conn = self.conn(token);
-        if let Some(e) = &conn.write_err {
-            FlushState::Failed(e.clone())
-        } else if conn.outq.is_empty() {
-            FlushState::Done
-        } else {
-            FlushState::Pending
+        match &conn.write_err {
+            Some(e) => Err(e.clone()),
+            None => Ok(conn.sent == conn.out.len()),
         }
     }
 
     /// Pump one connection's reads until a frame completes, the kernel
     /// runs dry, or the stream errors. Paused while a completed
-    /// response waits in the ready slot (backpressure keeps pipelined
-    /// replies aligned).
+    /// response waits in the ready slot.
     fn drive_read(&mut self, token: usize) {
         let Some(Some(conn)) = self.conns.get_mut(token) else { return };
-        if conn.ready.is_some() {
-            return;
-        }
-        match conn.decoder.read_from(&mut conn.stream) {
-            Ok(Some(total)) => {
-                conn.decoder.swap_into(&mut conn.resp);
-                conn.ready = Some(Ok(total as u64));
-            }
-            Ok(None) => {}
-            Err(e) => conn.ready = Some(Err(e)),
+        if conn.ready.is_none() {
+            conn.ready =
+                conn.decoder.read_from(&mut conn.stream).transpose().map(|r| r.map(|t| t as u64));
         }
     }
 
     /// Take a connection's completed response (length or read error).
     fn take_ready(&mut self, token: usize) -> Option<Result<u64, WireError>> {
         self.conn(token).ready.take()
-    }
-
-    /// The bytes of the response last surfaced by
-    /// [`Reactor::take_ready`] (leading frame is live, tail is stale
-    /// scratch).
-    fn resp(&self, token: usize) -> &[u8] {
-        &self.conns[token].as_ref().expect("live reactor connection").resp
     }
 
     /// One readiness round: restate every connection's interest
@@ -582,7 +412,7 @@ impl Reactor {
                 let ev = Event {
                     key,
                     readable: c.ready.is_none(),
-                    writable: !c.outq.is_empty() && c.write_err.is_none(),
+                    writable: c.sent < c.out.len() && c.write_err.is_none(),
                 };
                 let _ = self.poller.modify(&c.stream, ev);
             }
@@ -605,10 +435,6 @@ impl Reactor {
 
     // ---- chaos draws, one per frame op ----
 
-    fn consume_write_fault(&mut self, token: usize) -> Option<IoFault> {
-        self.conn(token).faults.as_mut()?.next_write()
-    }
-
     fn consume_read_fault(&mut self, token: usize) -> Option<IoFault> {
         self.conn(token).faults.as_mut()?.next_read()
     }
@@ -617,25 +443,12 @@ impl Reactor {
         self.conn(token).faults.as_mut().is_some_and(|f| f.next_connect_refused())
     }
 
-    fn set_faults(&mut self, token: usize, faults: StreamFaults) {
-        self.conn(token).faults = Some(faults);
-    }
-
     /// Chaos `CorruptHeader` for a receive attempt: corrupt whatever of
-    /// the response has arrived (or arm the decoder for its first
-    /// byte). If the response already completed into the ready slot,
-    /// the corruption is applied there — the header error replaces the
-    /// clean result.
+    /// the response has arrived — a completed one included, whose clean
+    /// result the header error then replaces — or arm the decoder for
+    /// its first byte.
     fn corrupt_response(&mut self, token: usize) {
         let conn = self.conn(token);
-        if let Some(Ok(_)) = conn.ready {
-            conn.resp[0] ^= 0x01;
-            let err = wire::parse_header(&conn.resp[..HEADER_LEN.min(conn.resp.len())])
-                .err()
-                .unwrap_or(WireError::BadMagic(0));
-            conn.ready = Some(Err(err));
-            return;
-        }
         if let Some(err) = conn.decoder.corrupt_in_place() {
             conn.ready = Some(Err(err));
         }
@@ -652,8 +465,8 @@ pub struct ReactorChannel {
     token: usize,
     name: String,
     stats: ChannelStats,
-    /// Frame lengths of submitted-but-uncollected requests, in order.
-    pending: VecDeque<u64>,
+    /// Frame length of the submitted-but-uncollected request, if any.
+    pending: Option<u64>,
     /// First wire-level failure seen on this stream. After one, frame
     /// alignment can no longer be trusted (a half-read payload would be
     /// parsed as headers), so the channel fails fast with this error
@@ -677,8 +490,6 @@ pub struct ReactorChannel {
     /// skipping the unsequenced 0). A resend reuses it, which is what
     /// lets the server deduplicate.
     pub(crate) seq: u16,
-    /// Chaos is armed on this channel (restricts pipeline depth to 1).
-    has_faults: bool,
 }
 
 impl ReactorChannel {
@@ -698,14 +509,13 @@ impl ReactorChannel {
             token,
             name: name.into(),
             stats: ChannelStats::default(),
-            pending: VecDeque::new(),
+            pending: None,
             poisoned: None,
             stop_on_drop: true,
             addr: peer,
             retry: RetryPolicy::none(),
             wait: None,
             seq: 0,
-            has_faults: false,
         })
     }
 
@@ -725,15 +535,14 @@ impl ReactorChannel {
     /// Interpose deterministic fault injection on this channel's
     /// transport (the chaos harness hook — see
     /// [`crate::chaos::FaultPlan`]).
-    pub fn with_chaos(mut self, faults: StreamFaults) -> ReactorChannel {
-        self.reactor.borrow_mut().set_faults(self.token, faults);
-        self.has_faults = true;
+    pub fn with_chaos(self, faults: StreamFaults) -> ReactorChannel {
+        self.reactor.borrow_mut().conn(self.token).faults = Some(faults);
         self
     }
 
-    /// Start this connection's queued frames moving now instead of at
-    /// the next blocking wait — for a channel whose reactor no sibling
-    /// will drive (the [`crate::SocketChannel`] facade).
+    /// Start this connection's frame moving now instead of at the next
+    /// blocking wait — for a channel whose reactor no sibling will
+    /// drive (the [`crate::SocketChannel`] facade).
     pub(crate) fn push(&mut self) {
         self.reactor.borrow_mut().try_flush(self.token);
     }
@@ -745,57 +554,51 @@ impl ReactorChannel {
         f(&self.reactor.borrow_mut().conn(self.token).stream)
     }
 
-    /// Encode one request with `build`, stamp it, and start it moving.
-    /// Depth > 1 is the pipelined mode and requires retry and chaos
-    /// disabled (see the module docs on the dedup-cache hazard).
+    /// Encode one request with `build` into the connection's frame
+    /// buffer, stamp it and draw its write fault; the bytes leave at the
+    /// next flush. A poisoned channel keeps the frame for a resend but
+    /// sends nothing.
     fn submit_with(&mut self, build: impl FnOnce(&mut Vec<u8>)) {
-        if !self.pending.is_empty() {
-            assert!(
-                self.retry.max_retries == 0 && !self.has_faults,
-                "pipeline depth > 1 requires retry and chaos disabled"
-            );
-        }
+        assert!(self.pending.is_none(), "one outstanding call per channel");
         let mut reactor = self.reactor.borrow_mut();
-        let mut frame = reactor.take_buf(self.token);
-        build(&mut frame);
+        let conn = reactor.conn(self.token);
+        build(&mut conn.out);
         self.seq = if self.seq == u16::MAX { 1 } else { self.seq + 1 };
-        wire::set_seq(&mut frame, self.seq);
-        let len = frame.len() as u64;
-        if self.poisoned.is_some() {
-            reactor.stash(self.token, frame);
-        } else {
-            match reactor.consume_write_fault(self.token) {
+        wire::set_seq(&mut conn.out, self.seq);
+        let len = conn.out.len();
+        conn.sent = if self.poisoned.is_some() { len } else { 0 };
+        if self.poisoned.is_none() {
+            match conn.faults.as_mut().and_then(StreamFaults::next_write) {
                 Some(IoFault::WriteTimeout) => {
-                    reactor.fail_write(
-                        self.token,
-                        frame,
-                        WireError::Io(std::io::ErrorKind::TimedOut),
-                    );
+                    conn.write_err = Some(WireError::Io(std::io::ErrorKind::TimedOut));
                 }
-                Some(IoFault::PartialWrite) => reactor.partial_write(self.token, frame),
-                _ => reactor.enqueue(self.token, frame),
+                Some(IoFault::PartialWrite) => {
+                    // half the frame leaves, then the connection breaks
+                    let _ = conn.stream.write(&conn.out[..len / 2]);
+                    conn.write_err = Some(WireError::Io(std::io::ErrorKind::BrokenPipe));
+                }
+                _ => {}
             }
         }
-        self.pending.push_back(len);
+        self.pending = Some(len as u64);
     }
 
-    /// Drive the reactor until this connection's queued writes have
-    /// fully left; `Ok` carries the submitted frame's length (the
-    /// `bytes_out` credit).
+    /// Drive the reactor until this connection's frame has fully left;
+    /// `Ok` carries the submitted frame's length (the `bytes_out`
+    /// credit).
     fn finish_send(&mut self, frame_len: u64) -> Result<u64, WireError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        // The caller is about to block on this round trip: everything
-        // lazily queued (on every connection of the reactor) goes out
-        // now, coalesced per connection into one vectored write.
+        // The caller is about to block on this round trip: every frame
+        // submitted on any connection of the reactor goes out now.
         self.reactor.borrow_mut().flush_all();
         loop {
-            let state = self.reactor.borrow_mut().flush_state(self.token);
-            match state {
-                FlushState::Done => return Ok(frame_len),
-                FlushState::Failed(e) => return self.poison(e),
-                FlushState::Pending => self.drive()?,
+            let flushed = self.reactor.borrow_mut().flushed(self.token);
+            match flushed {
+                Ok(true) => return Ok(frame_len),
+                Ok(false) => self.drive()?,
+                Err(e) => return self.poison(e),
             }
         }
     }
@@ -865,17 +668,17 @@ impl ReactorChannel {
         }
     }
 
-    /// Complete the oldest outstanding round trip, updating the stats
-    /// from the actual bytes moved. Transient failures (send *or*
-    /// receive) are retried in place per the [`RetryPolicy`]: back off,
-    /// reconnect, resend the identical frame — the server replays its
-    /// cached response if the original was applied, so the request
-    /// takes effect exactly once. A successful call counts once in the
-    /// stats, plus one `retries` tick per absorbed fault; fatal errors
-    /// (and exhausted retries) surface to the caller with the channel
+    /// Complete the outstanding round trip, updating the stats from the
+    /// actual bytes moved. Transient failures (send *or* receive) are
+    /// retried in place per the [`RetryPolicy`]: back off, reconnect,
+    /// resend the identical frame — the server replays its cached
+    /// response if the original was applied, so the request takes
+    /// effect exactly once. A successful call counts once in the stats,
+    /// plus one `retries` tick per absorbed fault; fatal errors (and
+    /// exhausted retries) surface to the caller with the channel
     /// poisoned.
-    fn complete_front(&mut self) -> Result<(), WireError> {
-        let frame_len = self.pending.pop_front().expect("no outstanding call");
+    fn complete(&mut self) -> Result<(), WireError> {
+        let frame_len = self.pending.take().expect("no outstanding call");
         let mut attempt = 0u32;
         let deadline =
             (self.retry.deadline_ms > 0).then(|| Duration::from_millis(self.retry.deadline_ms));
@@ -916,46 +719,43 @@ impl ReactorChannel {
                     attempt += 1;
                     self.stats.retries += 1;
                     std::thread::sleep(self.retry.backoff(attempt));
-                    sent = if self.reconnect() {
-                        self.reactor.borrow_mut().resend_last(self.token);
-                        self.finish_send(frame_len)
-                    } else {
-                        Err(e)
-                    };
+                    sent = if self.reconnect() { self.finish_send(frame_len) } else { Err(e) };
                 }
             }
         }
     }
 
-    /// Complete the oldest round trip and decode its response with
-    /// `decode`, a typed fast path (flops are credited by the caller) or
-    /// [`wire::decode_response`]. A valid frame of another kind than
-    /// the fast path expects is surfaced as what the worker actually
-    /// said.
+    /// Complete the round trip and decode its response, straight out of
+    /// the connection's decoder, with `decode`: a typed fast path
+    /// (flops are credited by the caller) or [`wire::decode_response`].
+    /// A valid frame of another kind than the fast path expects is
+    /// surfaced as what the worker actually said.
     // the error is the response the caller surfaces, moved once
     #[allow(clippy::result_large_err)]
     fn collect_with<T>(
         &mut self,
         decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
     ) -> Result<T, Response> {
-        if let Err(e) = self.complete_front() {
+        if let Err(e) = self.complete() {
             // the failed round trip still counts as a call
             self.stats.calls += 1;
             return Err(Response::Error(format!("wire error: {e}")));
         }
-        let reactor = self.reactor.borrow();
-        let frame = reactor.resp(self.token);
-        decode(frame).map_err(|e| match e {
+        let mut reactor = self.reactor.borrow_mut();
+        let decoder = &mut reactor.conn(self.token).decoder;
+        let frame = decoder.frame();
+        let decoded = decode(frame).map_err(|e| match e {
             WireError::Unexpected(_) => wire::decode_response(frame)
                 .unwrap_or_else(|e| Response::Error(format!("wire error: {e}"))),
             e => Response::Error(format!("wire error: {e}")),
-        })
+        });
+        decoder.advance();
+        decoded
     }
 }
 
 impl Channel for ReactorChannel {
     fn submit(&mut self, req: Request) {
-        assert!(self.pending.is_empty(), "one outstanding call per channel");
         self.submit_with(|buf| wire::encode_request(&req, buf));
     }
 
@@ -1045,37 +845,29 @@ impl Channel for ReactorChannel {
 impl Drop for ReactorChannel {
     fn drop(&mut self) {
         // Best-effort shutdown so the server's serve loop can exit:
-        // finish pushing any queued request bytes, drain the responses
-        // still owed (a channel dropped while outstanding, e.g. the
-        // coupler unwinding mid-fan-out) — bounded by the net timeout so
-        // a wedged worker cannot hang the drop — then send Stop;
-        // otherwise the server would return to `accept` and wait for a
-        // client that never comes.
-        let torn = self.reactor.borrow_mut().take_conn(self.token);
-        let Some(torn) = torn else { return };
-        let mut stream = torn.stream;
-        if self.poisoned.is_none() && self.stop_on_drop && !torn.write_failed {
-            let _ = stream.set_nonblocking(false);
+        // finish pushing the request frame, drain the response still
+        // owed (a channel dropped while outstanding, e.g. the coupler
+        // unwinding mid-fan-out) through the decoder that may already
+        // hold part of it — bounded by the net timeout so a wedged
+        // worker cannot hang the drop — then send Stop; otherwise the
+        // server would return to `accept` and wait for a client that
+        // never comes.
+        let conn = self.reactor.borrow_mut().take_conn(self.token);
+        let Some(mut conn) = conn else { return };
+        if self.poisoned.is_none() && self.stop_on_drop && conn.write_err.is_none() {
+            let _ = conn.stream.set_nonblocking(false);
             let t = net_timeout();
-            let _ = stream.set_write_timeout(Some(t));
-            let _ = stream.set_read_timeout(Some(t));
-            let flushed = torn.tail.is_empty() || stream.write_all(&torn.tail).is_ok();
-            if flushed {
-                let mut owed = self.pending.len().saturating_sub(usize::from(torn.had_ready));
-                let mut scratch = Vec::new();
-                while owed > 0 {
-                    if wire::read_frame(&mut stream, &mut scratch).is_err() {
-                        break;
-                    }
-                    owed -= 1;
-                }
-                if owed == 0 {
-                    wire::encode_simple_request(wire::op::STOP, &mut scratch);
-                    let _ = wire::write_frame(&mut stream, &scratch);
-                }
+            let _ = conn.stream.set_write_timeout(Some(t));
+            let _ = conn.stream.set_read_timeout(Some(t));
+            let flushed = conn.stream.write_all(&conn.out[conn.sent..]).is_ok();
+            let owed = self.pending.is_some() && !matches!(conn.ready, Some(Ok(_)));
+            if flushed && (!owed || matches!(conn.decoder.read_from(&mut conn.stream), Ok(Some(_))))
+            {
+                wire::encode_simple_request(wire::op::STOP, &mut conn.out);
+                let _ = conn.stream.write_all(&conn.out);
             }
         }
-        let _ = stream.shutdown(Shutdown::Both);
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -1084,7 +876,6 @@ mod tests {
     use super::*;
     use crate::socket::spawn_tcp_worker;
     use crate::worker::GravityWorker;
-    use crate::SocketChannel;
     use jc_nbody::plummer::plummer_sphere;
     use jc_nbody::Backend;
 
@@ -1158,21 +949,19 @@ mod tests {
     }
 
     #[test]
-    fn decoder_consumes_exactly_one_frame_from_a_batch() {
+    fn decoder_yields_a_batch_in_order_at_any_split() {
         let frames = encode_some_frames();
         let batch = frames.concat();
-        let mut reader = Pieces::every(&batch, batch.len());
-        let mut d = FrameDecoder::new();
-        let mut off = 0;
-        for f in &frames {
-            let len = reader.pump(&mut d).expect("clean frames");
-            assert_eq!(len, Some(f.len()), "whole frame available");
-            off += f.len();
-            assert_eq!(reader.pos, off, "never reads past the frame end");
-            assert_eq!(d.frame(), &f[..]);
-            d.reset();
+        for split in [1usize, 7, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 1, batch.len()] {
+            let mut reader = Pieces::every(&batch, split);
+            let mut d = FrameDecoder::new();
+            for f in &frames {
+                assert_eq!(reader.pump(&mut d), Ok(Some(f.len())), "split {split}");
+                assert_eq!(d.frame(), &f[..], "split {split}");
+                d.advance();
+            }
+            assert_eq!((reader.pos, d.filled()), (batch.len(), 0), "split {split}");
         }
-        assert_eq!(off, batch.len());
     }
 
     #[test]
@@ -1187,7 +976,7 @@ mod tests {
         frame[8..16].copy_from_slice(&(wire::MAX_PAYLOAD + 1).to_le_bytes());
         let mut d = FrameDecoder::new();
         assert!(matches!(Pieces::every(&frame, 64).pump(&mut d), Err(WireError::Oversized(_))));
-        assert!(d.buf.capacity() <= 2 * HEADER_LEN, "no payload allocation");
+        assert!(d.buf.capacity() <= READ_CHUNK, "nothing sized beyond one read-ahead chunk");
     }
 
     #[test]
@@ -1227,37 +1016,48 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_depth_two_coalesces_and_matches_blocking() {
-        let ics = plummer_sphere(24, 9);
-        let dv = vec![[2e-4, -1e-4, 5e-4]; 24];
-
-        // lock-step reference: one request at a time
-        let (addr, handle) = spawn_tcp_worker("grav-a", {
-            let ics = ics.clone();
-            move || GravityWorker::new(ics, Backend::Scalar)
-        });
-        let mut lockstep = SocketChannel::connect(addr, "grav-a").unwrap();
-        let mut snap_ref = ParticleData::default();
-        assert!(lockstep.snapshot_into(&mut snap_ref));
-        let kick_ref = lockstep.kick_slice(&dv);
-        drop(lockstep);
-        handle.join().unwrap().unwrap();
-
-        // pipelined: both requests in flight before either response
-        let (addr, handle) =
-            spawn_tcp_worker("grav-b", move || GravityWorker::new(ics, Backend::Scalar));
+    #[should_panic(expected = "one outstanding call per channel")]
+    fn a_second_typed_submit_before_its_collect_panics() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let reactor = Reactor::new_shared().unwrap();
-        let mut ch = ReactorChannel::connect(&reactor, addr, "grav-b").unwrap();
-        let mut snap = ParticleData::default();
+        let mut ch =
+            ReactorChannel::connect(&reactor, listener.local_addr().unwrap(), "idle").unwrap();
+        ch.stop_on_drop = false; // the unwind must not wait for a reply
         ch.submit_snapshot();
-        ch.submit_kick_slice(&dv);
-        assert!(ch.collect_snapshot_into(&mut snap));
-        let kick = ch.collect_kick();
-        assert_eq!(snap.pos, snap_ref.pos);
-        assert_eq!(snap.vel, snap_ref.vel);
-        assert!(matches!((&kick, &kick_ref), (Response::Ok { .. }, Response::Ok { .. })));
+        ch.submit_kick_slice(&[[0.0; 3]]);
+    }
+
+    #[test]
+    fn teardown_drains_a_response_half_read_into_the_decoder() {
+        // 36 of the owed reply's 40 bytes reach the decoder while the
+        // reactor runs: the drop must read only the last 4 and then stop
+        // the server, not start a fresh frame there and time out
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (go, rest) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut frame = Vec::new();
+            wire::read_frame(&mut s, &mut frame).unwrap();
+            let mut ok = Vec::new();
+            wire::encode_response(&Response::Ok { flops: 1.0 }, &mut ok);
+            s.write_all(&ok[..36]).unwrap();
+            rest.recv().unwrap();
+            s.write_all(&ok[36..]).unwrap();
+            wire::read_frame(&mut s, &mut frame).map(|n| frame[..n][5])
+        });
+        let reactor = Reactor::new_shared().unwrap();
+        let mut ch = ReactorChannel::connect(&reactor, addr, "half").unwrap();
+        ch.submit(Request::Ping);
+        ch.push();
+        while reactor.borrow_mut().conn(ch.token).decoder.filled() < 36 {
+            reactor.borrow_mut().drive(Some(Duration::from_secs(5))).unwrap();
+        }
+        go.send(()).unwrap();
+        let t0 = std::time::Instant::now();
         drop(ch);
-        handle.join().unwrap().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(2), "the drop took {:?}", t0.elapsed());
+        assert_eq!(server.join().unwrap(), Ok(wire::op::STOP), "the server was sent Stop");
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //!
 //! * [`WorkerServer`] serves any [`ModelWorker`] over a
 //!   `std::net::TcpListener` — it is what the `jungle-worker` binary
-//!   wraps. It reuses its frame and encode buffers, batches the replies
-//!   of a pipelined burst, and keeps the per-worker dedup cache that
-//!   makes client retries idempotent: every request frame carries a
-//!   sequence number (`wire::frame_seq`), and a duplicate of the last
-//!   applied mutating frame — same number *and* same bytes, see `Dedup`
-//!   — gets the cached response replayed instead of being re-applied.
+//!   wraps. It is a thin accept-and-read driver: requests are framed by
+//!   the same [`FrameDecoder`] the client uses, and each frame goes to
+//!   a socket-free [`ServerCore`] whose reply is written before the
+//!   next frame is read. The core reuses its encode buffers and keeps
+//!   the per-worker dedup cache that makes client retries idempotent:
+//!   every request frame carries a sequence number (`wire::frame_seq`),
+//!   and a duplicate of the last applied mutating frame — same number
+//!   *and* same bytes, see `Dedup` — gets the cached response replayed
+//!   instead of being re-applied.
 //! * [`SocketChannel`] is the stand-alone client: a facade over one
 //!   [`ReactorChannel`] on a private [`Reactor`]. The client protocol
 //!   (stamping, retry, faults, timeouts, accounting, teardown) is
@@ -23,11 +26,11 @@
 use crate::channel::{Channel, ChannelStats};
 use crate::chaos::{RetryPolicy, StreamFaults};
 use crate::host;
-use crate::reactor::{net_timeout, Reactor, ReactorChannel};
+use crate::reactor::{net_timeout, FrameDecoder, Reactor, ReactorChannel};
 use crate::wire::{self, WireError};
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -179,7 +182,7 @@ impl WorkerServer {
     /// Serve `worker` until a [`Request::Stop`] or [`Request::Shutdown`]
     /// arrives. Frame and encode buffers are reused across requests and
     /// connections, so a steady-state request costs the server no
-    /// allocation either.
+    /// allocation either (`zero_alloc` pins that on [`ServerCore`]).
     pub fn serve(&self, worker: &mut dyn ModelWorker) -> std::io::Result<()> {
         self.serve_with_fuse(worker, None)
     }
@@ -191,33 +194,40 @@ impl WorkerServer {
     /// network-visible signature of a node crash (the coupler sees a
     /// truncated stream, never an error response). The server thread
     /// still terminates deterministically, so tests can join it.
+    ///
+    /// Protocol errors are connection-fatal: framing can no longer be
+    /// trusted, so the server replies with a [`Response::Error`] frame
+    /// (best-effort) and drops the connection — it never panics and
+    /// stays available for the next `accept`.
     pub fn serve_with_fuse(
         &self,
         worker: &mut dyn ModelWorker,
         fuse: Option<&AtomicI64>,
     ) -> std::io::Result<()> {
-        let mut frame = Vec::new();
-        let mut out = Vec::new();
-        let mut scratch = ServeScratch::default();
-        // Idempotency state outlives connections on purpose: a coupler
-        // that reconnects after a transient fault resends the same
-        // sequence number on the *new* connection and must still hit
-        // the dedup cache.
-        let mut dedup = Dedup::default();
+        let mut core = ServerCore::new(worker, fuse);
+        let mut decoder = FrameDecoder::new();
         loop {
-            let (stream, _peer) = self.listener.accept()?;
+            let (mut stream, _peer) = self.listener.accept()?;
             stream.set_nodelay(true)?;
-            match serve_connection(
-                &stream,
-                worker,
-                &mut frame,
-                &mut out,
-                &mut scratch,
-                fuse,
-                &mut dedup,
-            ) {
-                Served::KeepListening => {}
-                Served::ShutDown | Served::Crashed => return Ok(()),
+            decoder.reset();
+            let next = loop {
+                let (reply, next) = match decoder.read_from(&mut stream) {
+                    Ok(Some(_)) => core.handle(decoder.frame()),
+                    Ok(None) | Err(WireError::Closed) => break Next::Hangup,
+                    Err(e) => (core.protocol_error(&e), Next::Hangup),
+                };
+                if stream.write_all(reply).is_err() || next != Next::Continue {
+                    break next;
+                }
+                decoder.advance();
+            };
+            match next {
+                Next::Continue | Next::Hangup => {}
+                Next::ShutDown => return Ok(()),
+                Next::Crash => {
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return Ok(());
+                }
             }
         }
     }
@@ -289,21 +299,39 @@ pub(crate) fn frame_fingerprint(frame: &[u8]) -> u64 {
     h
 }
 
-/// How one connection ended.
-enum Served {
-    /// Clean disconnect or protocol error: back to `accept`.
-    KeepListening,
+/// What a connection does once [`ServerCore::handle`]'s reply is
+/// written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next {
+    /// Read the next request.
+    Continue,
+    /// Protocol error (or clean disconnect): drop the connection and go
+    /// back to `accept`.
+    Hangup,
     /// A `Stop`/`Shutdown` asked the whole server to exit.
     ShutDown,
-    /// The failure-injection fuse fired: simulated node crash.
-    Crashed,
+    /// The failure-injection fuse fired: simulated node crash — the
+    /// connection is cut with no reply and the server exits.
+    Crash,
 }
 
-/// Reusable decode/encode scratch for [`serve_connection`]'s per-step
-/// fast paths, so a steady-state snapshot/step/field/kick request costs
-/// the server no allocation.
-#[derive(Default)]
-struct ServeScratch {
+/// The socket-free half of [`WorkerServer`]: one request frame in, the
+/// reply bytes and the connection's [`Next`] step out.
+///
+/// Per frame, in order: the dedup replay of a resent mutating request,
+/// decode, the crash fuse, the worker (per-step fast paths or
+/// [`host::serve`]), then the dedup cache. Decode and encode scratch,
+/// the reply buffer and the dedup state all live here and are reused,
+/// so a warm snapshot/step/field/kick request allocates nothing.
+pub struct ServerCore<'a> {
+    worker: &'a mut dyn ModelWorker,
+    fuse: Option<&'a AtomicI64>,
+    /// Outlives connections on purpose: a coupler that reconnects after
+    /// a transient fault resends the same sequence number on the *new*
+    /// connection and must still hit the cache.
+    dedup: Dedup,
+    /// The reply to the current frame.
+    out: Vec<u8>,
     snap: ParticleData,
     dv: Vec<[f64; 3]>,
     /// The two sets of a field request (velocity columns unused).
@@ -312,118 +340,35 @@ struct ServeScratch {
     acc: Vec<[f64; 3]>,
     /// Staging for the second half of a field (see [`host::field_into`]).
     tmp: Vec<[f64; 3]>,
-    /// Encoded-but-unflushed response frames (see `emit`).
-    batch: Vec<u8>,
-    /// Backing storage for the connection's [`RequestReader`].
-    rdbuf: Vec<u8>,
 }
 
-/// Buffered reads over the server's half of a connection: one kernel
-/// read pulls in as many bytes as have arrived (up to the buffer), so
-/// a pipelined burst's worth of requests costs one syscall instead of
-/// two per frame — and "bytes left over in the buffer" answers the
-/// keep-the-response-batched question for free, where the kernel-level
-/// peek needs three syscalls.
-struct RequestReader<'a> {
-    stream: &'a TcpStream,
-    buf: &'a mut Vec<u8>,
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> RequestReader<'a> {
-    fn new(stream: &'a TcpStream, buf: &'a mut Vec<u8>) -> RequestReader<'a> {
-        buf.resize(wire::READ_CHUNK, 0);
-        RequestReader { stream, buf, pos: 0, end: 0 }
-    }
-
-    /// At least one byte of a further request already read ahead?
-    fn buffered(&self) -> bool {
-        self.pos < self.end
-    }
-}
-
-impl Read for RequestReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.end {
-            let n = (self.end - self.pos).min(out.len());
-            out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
+impl<'a> ServerCore<'a> {
+    /// A core serving `worker`; see [`WorkerServer::serve_with_fuse`]
+    /// for `fuse`.
+    pub fn new(worker: &'a mut dyn ModelWorker, fuse: Option<&'a AtomicI64>) -> ServerCore<'a> {
+        ServerCore {
+            worker,
+            fuse,
+            dedup: Dedup::default(),
+            out: Vec::new(),
+            snap: ParticleData::default(),
+            dv: Vec::new(),
+            stars: ParticleData::default(),
+            gas: ParticleData::default(),
+            acc: Vec::new(),
+            tmp: Vec::new(),
         }
-        let mut s = self.stream;
-        // Reads at least as large as the buffer skip it: no gain from
-        // the extra copy, and a big payload lands in one syscall anyway.
-        if out.len() >= self.buf.len() {
-            return s.read(out);
-        }
-        let n = s.read(self.buf)?;
-        self.pos = 0;
-        self.end = n;
-        let k = n.min(out.len());
-        out[..k].copy_from_slice(&self.buf[..k]);
-        self.pos = k;
-        Ok(k)
     }
-}
 
-/// `write_all` through a shared [`TcpStream`] reference (reads of the
-/// same stream go through the [`RequestReader`]'s shared borrow).
-fn write_all_to(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<()> {
-    stream.write_all(bytes)
-}
-
-/// Responses a pipelined burst may keep batched before the server
-/// flushes regardless, bounding server-side buffering.
-const BATCH_FLUSH_BYTES: usize = 1 << 20;
-
-/// Serve one established connection.
-///
-/// Protocol errors are connection-fatal: framing can no longer be
-/// trusted, so the server replies with a [`Response::Error`] frame
-/// (best-effort) and drops the connection — it never panics and stays
-/// available for the next `accept`.
-fn serve_connection(
-    stream: &TcpStream,
-    worker: &mut dyn ModelWorker,
-    frame: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-    scratch: &mut ServeScratch,
-    fuse: Option<&AtomicI64>,
-    dedup: &mut Dedup,
-) -> Served {
-    scratch.batch.clear();
-    let ServeScratch { rdbuf, .. } = scratch;
-    let mut reader = RequestReader::new(stream, rdbuf);
-    // Flush the batched response bytes unless the client provably has
-    // another request in flight (`more`, computed at the call site) and
-    // the batch is under its size bound. The response was already
-    // appended to `batch` by the caller. Returns `false` on a write
-    // error.
-    fn flush_batch(stream: &TcpStream, batch: &mut Vec<u8>, more: bool) -> bool {
-        if more && batch.len() < BATCH_FLUSH_BYTES {
-            return true;
-        }
-        let ok = write_all_to(stream, batch).is_ok();
-        batch.clear();
-        ok
+    /// The reply to a request that could not be framed or decoded;
+    /// the connection then hangs up.
+    pub fn protocol_error(&mut self, e: &WireError) -> &[u8] {
+        wire::encode_response(&Response::Error(format!("protocol error: {e}")), &mut self.out);
+        &self.out
     }
-    loop {
-        let len = match wire::read_frame(&mut reader, frame) {
-            Ok(len) => len,
-            Err(WireError::Closed) => return Served::KeepListening,
-            Err(e) => {
-                wire::encode_response(&Response::Error(format!("protocol error: {e}")), out);
-                scratch.batch.extend_from_slice(out);
-                let _ = flush_batch(stream, &mut scratch.batch, false);
-                return Served::KeepListening;
-            }
-        };
-        // `frame` is a monotonic scratch: only the leading `len` bytes
-        // are this frame (the tail is stale). Slicing here means the
-        // dedup fingerprint and the fast-path decoders see exactly the
-        // frame's bytes, never the scratch high-water mark.
-        let frame = &frame[..len];
+
+    /// Serve one whole request frame.
+    pub fn handle(&mut self, frame: &[u8]) -> (&[u8], Next) {
         // Idempotent retry: a duplicate of the last applied mutating
         // request — same nonzero sequence number AND the same frame
         // bytes, i.e. the coupler resent a frame whose response it lost
@@ -433,33 +378,27 @@ fn serve_connection(
         // mistaken for a resend; see `Dedup`.
         let seq = wire::frame_seq(frame);
         if seq != 0
-            && seq == dedup.last_seq
-            && !dedup.cached.is_empty()
-            && frame_fingerprint(frame) == dedup.req_fp
+            && seq == self.dedup.last_seq
+            && !self.dedup.cached.is_empty()
+            && frame_fingerprint(frame) == self.dedup.req_fp
         {
-            let more = reader.buffered();
-            scratch.batch.extend_from_slice(&dedup.cached);
-            if !flush_batch(stream, &mut scratch.batch, more) {
-                return Served::KeepListening;
-            }
-            continue;
+            return (&self.dedup.cached, Next::Continue);
         }
         // Per-step fast paths: snapshot, kick, step and the coupling
         // field bypass `decode_request`'s owned `Request` and the owned
         // `Response` of `host::serve`: they decode into reused scratch
-        // and append the response frame straight into the write batch
-        // (no staging copy). A leg the worker declines answers through
-        // the owned types with the exact same frames — byte-for-byte —
-        // that a fast-path-less server would produce.
-        let resp_start = scratch.batch.len();
+        // and encode the reply straight into `out`. A leg the worker
+        // declines answers through the owned types with the exact same
+        // frames — byte-for-byte — that a fast-path-less server would
+        // produce.
         type Range = (usize, usize);
         enum Decoded {
             Snapshot,
-            /// Half-kick in `scratch.dv`.
+            /// Half-kick in `dv`.
             Kick,
-            /// Half-kick in `scratch.dv`; kick count and target time.
+            /// Half-kick in `dv`; kick count and target time.
             Step(u32, f64),
-            /// Sets in `scratch.stars` / `scratch.gas`; target ranges.
+            /// Sets in `stars` / `gas`; target ranges.
             Field(Range, Range),
             Other(Request),
         }
@@ -468,124 +407,103 @@ fn serve_connection(
                 Ok(Decoded::Snapshot)
             }
             Some(wire::op::KICK) => {
-                wire::decode_kick_into(frame, &mut scratch.dv).map(|()| Decoded::Kick)
+                wire::decode_kick_into(frame, &mut self.dv).map(|()| Decoded::Kick)
             }
             Some(wire::op::STEP) => {
-                wire::decode_step_into(frame, &mut scratch.dv).map(|(n, t)| Decoded::Step(n, t))
+                wire::decode_step_into(frame, &mut self.dv).map(|(n, t)| Decoded::Step(n, t))
             }
             Some(wire::op::COMPUTE_FIELD) => {
-                wire::decode_compute_field_into(frame, &mut scratch.stars, &mut scratch.gas)
+                wire::decode_compute_field_into(frame, &mut self.stars, &mut self.gas)
                     .map(|(stars, gas)| Decoded::Field(stars, gas))
             }
             _ => wire::decode_request(frame).map(Decoded::Other),
         };
         let decoded = match decoded {
             Ok(d) => d,
-            Err(e) => {
-                wire::encode_response(&Response::Error(format!("protocol error: {e}")), out);
-                scratch.batch.extend_from_slice(out);
-                let _ = flush_batch(stream, &mut scratch.batch, false);
-                return Served::KeepListening;
-            }
+            Err(e) => return (self.protocol_error(&e), Next::Hangup),
         };
-        if let Some(f) = fuse {
+        if let Some(f) = self.fuse {
             if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                // injected crash: vanish mid-conversation, no reply
-                let _ = write_all_to(stream, &scratch.batch);
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return Served::Crashed;
+                return (&[], Next::Crash);
             }
         }
+        let worker = &mut *self.worker;
         // `owned` is an answer no borrowed encoder has written yet
-        let (stop, mutating, owned) = match decoded {
+        let (next, mutating, owned) = match decoded {
             Decoded::Snapshot => {
                 // zero-copy when the worker lends its columns: straight
-                // from its arrays into the write batch
-                let owned = match host::particles(worker, &mut scratch.snap) {
+                // from its arrays into the reply
+                let owned = match host::particles(worker, &mut self.snap) {
                     Ok((mass, pos, vel)) => {
-                        wire::encode_particles_frame(mass, pos, vel, &mut scratch.batch);
+                        wire::encode_particles_frame(mass, pos, vel, &mut self.out);
                         None
                     }
                     Err(resp) => Some(resp),
                 };
-                (false, false, owned)
+                (Next::Continue, false, owned)
             }
             Decoded::Kick => {
-                let owned = match worker.kick_slice(&scratch.dv) {
+                let owned = match worker.kick_slice(&self.dv) {
                     Some(flops) => {
-                        wire::encode_ok_frame(flops, &mut scratch.batch);
+                        wire::encode_ok_frame(flops, &mut self.out);
                         None
                     }
-                    None => Some(worker.handle(Request::Kick(std::mem::take(&mut scratch.dv)))),
+                    None => Some(worker.handle(Request::Kick(std::mem::take(&mut self.dv)))),
                 };
-                (false, true, owned)
+                (Next::Continue, true, owned)
             }
             Decoded::Step(n, t) => {
-                let owned = match host::step(worker, &scratch.dv, n, t) {
-                    Ok(flops) => match host::particles(worker, &mut scratch.snap) {
+                let owned = match host::step(worker, &self.dv, n, t) {
+                    Ok(flops) => match host::particles(worker, &mut self.snap) {
                         Ok((mass, pos, _)) => {
-                            wire::encode_stepped_frame(mass, pos, flops, &mut scratch.batch);
+                            wire::encode_stepped_frame(mass, pos, flops, &mut self.out);
                             None
                         }
                         Err(resp) => Some(resp),
                     },
                     Err(resp) => Some(resp),
                 };
-                (false, true, owned)
+                (Next::Continue, true, owned)
             }
             Decoded::Field(star_range, gas_range) => {
-                let (stars, gas) = (&scratch.stars, &scratch.gas);
+                let (stars, gas) = (&self.stars, &self.gas);
                 let owned = match host::field_into(
                     worker,
                     (&stars.pos, &stars.mass),
                     (&gas.pos, &gas.mass),
                     star_range,
                     gas_range,
-                    &mut scratch.acc,
-                    &mut scratch.tmp,
+                    &mut self.acc,
+                    &mut self.tmp,
                 ) {
                     Ok(flops) => {
-                        wire::encode_accelerations_frame(&scratch.acc, flops, &mut scratch.batch);
+                        wire::encode_accelerations_frame(&self.acc, flops, &mut self.out);
                         None
                     }
                     Err(resp) => Some(resp),
                 };
-                (false, false, owned)
+                (Next::Continue, false, owned)
             }
             Decoded::Other(req) => {
-                let stop = matches!(req, Request::Stop | Request::Shutdown);
-                (stop, req.mutating(), Some(host::serve(worker, req)))
+                let next = match req {
+                    Request::Stop | Request::Shutdown => Next::ShutDown,
+                    _ => Next::Continue,
+                };
+                (next, req.mutating(), Some(host::serve(worker, req)))
             }
         };
         if let Some(resp) = owned {
-            wire::encode_response(&resp, out);
-            scratch.batch.extend_from_slice(out);
+            wire::encode_response(&resp, &mut self.out);
         }
         // Cache before the reply leaves: if the write (or the coupler's
         // read of it) fails, the retried frame must find the cache.
         if seq != 0 && mutating {
-            dedup.last_seq = seq;
-            dedup.req_fp = frame_fingerprint(frame);
-            dedup.cached.clear();
-            dedup.cached.extend_from_slice(&scratch.batch[resp_start..]);
+            self.dedup.last_seq = seq;
+            self.dedup.req_fp = frame_fingerprint(frame);
+            self.dedup.cached.clear();
+            self.dedup.cached.extend_from_slice(&self.out);
         }
-        // A Stop/Shutdown reply always flushes: the conversation is
-        // over. "More requests in flight" is answered by the read-ahead
-        // buffer alone: a pipelining coupler's burst leaves in one
-        // vectored write and lands in one kernel read, so further
-        // requests of a burst are always already buffered — and when
-        // the buffer is dry, flushing immediately is always *safe*
-        // (deferral is the only thing that needs proof of a further
-        // request), it just forgoes batching for bursts over
-        // [`wire::READ_CHUNK`]. A kernel-level peek could recover those,
-        // but costs three syscalls on every lock-step request.
-        let more = !stop && reader.buffered();
-        if !flush_batch(stream, &mut scratch.batch, more) {
-            return if stop { Served::ShutDown } else { Served::KeepListening };
-        }
-        if stop {
-            return Served::ShutDown;
-        }
+        (&self.out, next)
     }
 }
 
@@ -603,17 +521,7 @@ where
     F: FnOnce() -> W + Send + 'static,
     W: ModelWorker + 'static,
 {
-    let server = WorkerServer::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-    let addr = server.local_addr().expect("listener address");
-    let name = name.into();
-    let handle = std::thread::Builder::new()
-        .name(format!("tcp-worker-{name}"))
-        .spawn(move || {
-            let mut worker = factory();
-            server.serve(&mut worker)
-        })
-        .expect("spawn worker server thread");
-    (addr, handle)
+    spawn_worker(name.into(), factory, None)
 }
 
 /// [`spawn_tcp_worker`] with a crash fuse: the worker serves normally
@@ -631,14 +539,26 @@ where
     F: FnOnce() -> W + Send + 'static,
     W: ModelWorker + 'static,
 {
+    spawn_worker(name.into(), factory, Some(fuse))
+}
+
+/// The body of both spawners.
+fn spawn_worker<F, W>(
+    name: String,
+    factory: F,
+    fuse: Option<Arc<AtomicI64>>,
+) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>)
+where
+    F: FnOnce() -> W + Send + 'static,
+    W: ModelWorker + 'static,
+{
     let server = WorkerServer::bind(("127.0.0.1", 0)).expect("bind loopback listener");
     let addr = server.local_addr().expect("listener address");
-    let name = name.into();
     let handle = std::thread::Builder::new()
         .name(format!("tcp-worker-{name}"))
         .spawn(move || {
             let mut worker = factory();
-            server.serve_with_fuse(&mut worker, Some(&fuse))
+            server.serve_with_fuse(&mut worker, fuse.as_deref())
         })
         .expect("spawn worker server thread");
     (addr, handle)
@@ -723,6 +643,7 @@ mod tests {
     use crate::worker::{GravityWorker, StellarWorker};
     use jc_nbody::plummer::plummer_sphere;
     use jc_nbody::Backend;
+    use std::net::TcpStream;
 
     #[test]
     fn socket_channel_round_trips_over_real_tcp() {

@@ -115,7 +115,7 @@ use crate::checkpoint::ModelState;
 use crate::host::FieldSet;
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Frame magic ("JCWR" as a little-endian u32).
 pub const MAGIC: u32 = 0x4A43_5752;
@@ -510,14 +510,6 @@ fn get_v3s(p: &[u8]) -> Vec<[f64; 3]> {
 /// payload length and aux fields; the payload follows.
 fn begin_frame(buf: &mut Vec<u8>, opcode: u8, payload_len: u64, aux0: u64, aux1: u64) {
     buf.clear();
-    begin_frame_at(buf, opcode, payload_len, aux0, aux1);
-}
-
-/// [`begin_frame`] without the clear: the header is appended after
-/// whatever `buf` already holds. The appending frame encoders build on
-/// this so a server can encode a pipelined burst's responses
-/// back-to-back into one write buffer.
-fn begin_frame_at(buf: &mut Vec<u8>, opcode: u8, payload_len: u64, aux0: u64, aux1: u64) {
     buf.reserve(HEADER_LEN + payload_len as usize);
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.push(opcode_version(opcode));
@@ -535,14 +527,12 @@ pub fn encode_simple_request(opcode: u8, buf: &mut Vec<u8>) {
 
 /// Encode a `Particles` response frame straight from borrowed columns —
 /// the server's `GetParticles` fast path, skipping the owned
-/// [`Response`] a `worker.handle` round would allocate. **Appends** to
-/// `buf` (unlike the clearing `encode_*` family): the server batches a
-/// pipelined burst's responses back-to-back in one write buffer.
+/// [`Response`] a `worker.handle` round would allocate.
 // jc-lint: no-alloc
 pub fn encode_particles_frame(mass: &[f64], pos: &[[f64; 3]], vel: &[[f64; 3]], buf: &mut Vec<u8>) {
     let n = mass.len();
     assert!(pos.len() == n && vel.len() == n, "ragged particle snapshot");
-    begin_frame_at(buf, op::RESP_PARTICLES, 56 * n as u64, n as u64, 0);
+    begin_frame(buf, op::RESP_PARTICLES, 56 * n as u64, n as u64, 0);
     put_f64s(buf, mass);
     put_v3s(buf, pos);
     put_v3s(buf, vel);
@@ -550,11 +540,10 @@ pub fn encode_particles_frame(mass: &[f64], pos: &[[f64; 3]], vel: &[[f64; 3]], 
 
 /// Encode an `Accelerations` response frame from a borrowed slice (the
 /// server's `ComputeKick` fast path; flops ride in aux1 so the payload
-/// stays the modeled 24·n). **Appends** to `buf`, like
-/// [`encode_particles_frame`].
+/// stays the modeled 24·n).
 // jc-lint: no-alloc
 pub fn encode_accelerations_frame(acc: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
-    begin_frame_at(
+    begin_frame(
         buf,
         op::RESP_ACCELERATIONS,
         24 * acc.len() as u64,
@@ -565,10 +554,9 @@ pub fn encode_accelerations_frame(acc: &[[f64; 3]], flops: f64, buf: &mut Vec<u8
 }
 
 /// Encode an `Ok` response frame (the server's mutating fast paths).
-/// **Appends** to `buf`, like [`encode_particles_frame`].
 // jc-lint: no-alloc
 pub fn encode_ok_frame(flops: f64, buf: &mut Vec<u8>) {
-    begin_frame_at(buf, op::RESP_OK, 8, 0, 0);
+    begin_frame(buf, op::RESP_OK, 8, 0, 0);
     put_f64(buf, flops);
 }
 
@@ -640,13 +628,12 @@ pub fn encode_compute_field(
 
 /// Encode a `Stepped` response frame straight from borrowed columns
 /// (the server's `Step` fast path; flops ride in aux1 so the payload
-/// stays the modeled 32·n). **Appends** to `buf`, like
-/// [`encode_particles_frame`].
+/// stays the modeled 32·n).
 // jc-lint: no-alloc
 pub fn encode_stepped_frame(mass: &[f64], pos: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
     let n = mass.len();
     assert!(pos.len() == n, "ragged step answer");
-    begin_frame_at(buf, op::RESP_STEPPED, 32 * n as u64, n as u64, flops.to_bits());
+    begin_frame(buf, op::RESP_STEPPED, 32 * n as u64, n as u64, flops.to_bits());
     put_f64s(buf, mass);
     put_v3s(buf, pos);
 }
@@ -813,20 +800,9 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
             begin_frame(buf, op::RESP_OK, 8, 0, 0);
             put_f64(buf, *flops);
         }
-        // the frame encoders append; this entry point clears like the
-        // rest of the `encode_*` family
-        Response::Particles(p) => {
-            buf.clear();
-            encode_particles_frame(&p.mass, &p.pos, &p.vel, buf);
-        }
-        Response::Accelerations { acc, flops } => {
-            buf.clear();
-            encode_accelerations_frame(acc, *flops, buf);
-        }
-        Response::Stepped { mass, pos, flops } => {
-            buf.clear();
-            encode_stepped_frame(mass, pos, *flops, buf);
-        }
+        Response::Particles(p) => encode_particles_frame(&p.mass, &p.pos, &p.vel, buf),
+        Response::Accelerations { acc, flops } => encode_accelerations_frame(acc, *flops, buf),
+        Response::Stepped { mass, pos, flops } => encode_stepped_frame(mass, pos, *flops, buf),
         Response::StellarUpdate { masses, events } => {
             let len = 8 * masses.len() as u64 + 32 * events.len() as u64;
             begin_frame(
@@ -1238,12 +1214,6 @@ pub fn decode_ok(frame: &[u8]) -> Result<f64, WireError> {
 
 // --------------------------------------------------------------------------
 // framed I/O
-
-/// Write one already-encoded frame.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
-    w.write_all(frame).map_err(|e| WireError::Io(e.kind()))?;
-    w.flush().map_err(|e| WireError::Io(e.kind()))
-}
 
 /// Read one frame into `buf`, returning the frame's length in bytes.
 ///

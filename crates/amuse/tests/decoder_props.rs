@@ -1,13 +1,17 @@
-//! Property tests for the incremental frame decoder.
+//! Property tests for the incremental frame decoder — the one framer
+//! both ends of a connection use (the client reactor and the worker
+//! server).
 //!
-//! The reactor pumps [`FrameDecoder::read_from`] with whatever byte
-//! counts the kernel happens to deliver — a frame may arrive in one read
-//! or in dozens of fragments split at arbitrary offsets, including
-//! inside the header. The decoder's contract: any split of a valid
-//! frame reassembles to the exact bytes the one-shot `wire::read_frame`
-//! would have produced, it never reads past the frame boundary, and
-//! hostile input errors out with bounded allocation and no panic — the
-//! same guarantees `wire_robustness.rs` pins for `read_frame` itself.
+//! Both pump [`FrameDecoder::read_from`] with whatever byte counts the
+//! kernel happens to deliver — a frame may arrive in one read or in
+//! dozens of fragments split at arbitrary offsets, including inside the
+//! header, and one read may carry the end of one frame and the start of
+//! the next. The decoder's contract: any split of a stream of valid
+//! frames reassembles to exactly the frames the one-shot
+//! `wire::read_frame` would have produced, in order; a frame delivered
+//! whole costs one `read`; and hostile input errors out with bounded
+//! allocation and no panic — the same guarantees `wire_robustness.rs`
+//! pins for `read_frame` itself.
 
 use jc_amuse::reactor::FrameDecoder;
 use jc_amuse::wire::{self, WireError};
@@ -18,18 +22,20 @@ use std::io::Read;
 /// A non-blocking socket whose bytes arrive in fragments: `data` cut at
 /// `cuts` (arbitrary, possibly repeated or out-of-range offsets), with
 /// `WouldBlock` once at every cut and for good at the end — never EOF.
+/// `reads` counts the calls to `read`.
 struct Fragments<'a> {
     data: &'a [u8],
     pos: usize,
     edges: Vec<usize>,
     next: usize,
+    reads: usize,
 }
 
 impl<'a> Fragments<'a> {
     fn new(data: &'a [u8], cuts: &[usize]) -> Fragments<'a> {
         let mut edges: Vec<usize> = cuts.iter().map(|&c| c % (data.len() + 1)).collect();
         edges.sort_unstable();
-        Fragments { data, pos: 0, edges, next: 0 }
+        Fragments { data, pos: 0, edges, next: 0, reads: 0 }
     }
 
     /// Pump `d` across the fragment edges until its frame completes
@@ -46,6 +52,7 @@ impl<'a> Fragments<'a> {
 
 impl Read for Fragments<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
         let stop = self.edges.get(self.next).copied().unwrap_or(self.data.len());
         if self.pos >= stop {
             self.next = (self.next + 1).min(self.edges.len());
@@ -110,29 +117,44 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Two frames concatenated: the decoder stops exactly at the first
-    /// boundary; a fresh decoder picks up the second frame bit-for-bit.
+    /// Concatenated frames split anywhere come out of one decoder in
+    /// order, bit for bit: bytes read past a frame's end carry over as
+    /// the start of the next, and nothing is left once the last frame
+    /// is taken.
     #[test]
-    fn decoder_never_eats_into_the_next_frame(
-        n in 0usize..24,
-        m in 0usize..24,
-        ops in (0u8..4, 0u8..4),
+    fn a_split_batch_decodes_in_order(
+        frames in proptest::collection::vec((0usize..24, 0u8..4), 1..5),
+        cuts in proptest::collection::vec(any::<usize>(), 0..12),
     ) {
-        let first = valid_frame(n, 7, ops.0);
-        let second = valid_frame(m, 8, ops.1);
-        let mut batch = first.clone();
-        batch.extend_from_slice(&second);
-
+        let frames: Vec<Vec<u8>> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, &(n, op))| valid_frame(n, i as u16 + 1, op))
+            .collect();
+        let batch = frames.concat();
         let mut d = FrameDecoder::new();
-        let mut reader = Fragments::new(&batch, &[]);
-        prop_assert_eq!(reader.pump(&mut d), Ok(Some(first.len())));
-        prop_assert!(reader.pos == first.len(), "decoder read past the frame boundary");
-        prop_assert_eq!(d.frame(), &first[..]);
+        let mut reader = Fragments::new(&batch, &cuts);
+        for f in &frames {
+            prop_assert_eq!(reader.pump(&mut d), Ok(Some(f.len())));
+            prop_assert_eq!(d.frame(), &f[..]);
+            d.advance();
+        }
+        prop_assert_eq!((reader.pos, d.filled()), (batch.len(), 0));
+    }
 
-        d.reset();
-        prop_assert_eq!(reader.pump(&mut d), Ok(Some(second.len())));
-        prop_assert_eq!(reader.pos, batch.len());
-        prop_assert_eq!(d.frame(), &second[..]);
+    /// A frame that arrives whole (here: any frame up to one
+    /// `READ_CHUNK`) completes in exactly one `read` — no separate
+    /// header read.
+    #[test]
+    fn a_whole_frame_completes_in_one_read(
+        n in 0usize..40,
+        op in 0u8..4,
+    ) {
+        let frame = valid_frame(n, 5, op);
+        let mut d = FrameDecoder::new();
+        let mut reader = Fragments::new(&frame, &[]);
+        prop_assert_eq!(d.read_from(&mut reader), Ok(Some(frame.len())));
+        prop_assert_eq!(reader.reads, 1);
     }
 
     /// Hostile bytes — random garbage arriving at random split points — must

@@ -1,13 +1,14 @@
 //! Graceful drain pin: a v2 `Shutdown` (or `Stop`) arriving *behind* a
-//! pipelined burst must not cost any in-flight response.
+//! burst of requests must not cost any in-flight response.
 //!
-//! The server batches responses to a pipelined burst (they stay in the
-//! write batch while further requests are already buffered). The hazard
-//! this pins against: a serve loop that exits on Stop/Shutdown before
-//! flushing the batch would eat the burst's buffered responses — the
-//! coupler would see its last few calls vanish. The whole burst is
-//! written in one syscall so it lands in the server's read-ahead buffer
-//! together, which is exactly the batching-path shape (`jungle-worker`
+//! The server replies frame by frame: every reply is written before the
+//! next request is taken. The whole burst is written in one syscall, so
+//! most of it lands in the server's `FrameDecoder` read-ahead together
+//! and later frames are served from bytes already buffered, with no
+//! further `read`. The hazard this pins against: a serve loop that
+//! blocks in `read` while complete frames sit in its buffer, or that
+//! exits on Stop/Shutdown before the replies ahead of it are written —
+//! the coupler would see its last few calls vanish (`jungle-worker`
 //! wraps this same `WorkerServer::serve` loop).
 
 use jc_amuse::wire;
@@ -71,6 +72,6 @@ fn stop_behind_a_pipelined_burst_loses_no_response() {
 
 #[test]
 fn shutdown_behind_a_long_burst_loses_no_response() {
-    // enough frames that the batch spans several read-ahead refills
+    // a longer burst: ~40 KB, whatever pieces the kernel delivers it in
     drain_after(96, wire::op::SHUTDOWN);
 }

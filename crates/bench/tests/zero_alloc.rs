@@ -290,6 +290,61 @@ fn socket_field_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn server_core_steady_state_allocates_nothing() {
+    // The server half of those round trips, run on this thread: a warm
+    // `ServerCore` decodes into reused scratch, encodes each reply
+    // straight into its reply buffer, and copies the mutating ones into
+    // the dedup cache, all without touching the heap.
+    use jc_amuse::socket::{Next, ServerCore};
+    use jc_amuse::wire::{self, op};
+    let mut seq = 0u16;
+    // serve each frame under a fresh sequence number: answered, not
+    // replayed, and every mutating answer stored for dedup
+    let mut serve = |core: &mut ServerCore<'_>, frame: &mut Vec<u8>, answer: u8| {
+        seq += 1;
+        wire::set_seq(frame, seq);
+        let (reply, next) = core.handle(frame);
+        assert_eq!((reply[5], next), (answer, Next::Continue));
+    };
+
+    let n = 256usize;
+    let mut grav = jc_amuse::GravityWorker::new(
+        jc_nbody::plummer::plummer_sphere(n, 9),
+        jc_nbody::Backend::Scalar,
+    );
+    let mut core = ServerCore::new(&mut grav, None);
+    let dv = vec![[1e-9; 3]; n];
+    let (mut snap, mut step, mut kick) = (Vec::new(), Vec::new(), Vec::new());
+    wire::encode_simple_request(op::GET_PARTICLES, &mut snap);
+    wire::encode_kick(&dv, &mut kick);
+    let mut t = 0.0;
+    let mut round = |core: &mut ServerCore<'_>| {
+        t += 1e-4;
+        wire::encode_step(&dv, 2, t, &mut step);
+        serve(core, &mut snap, op::RESP_PARTICLES);
+        serve(core, &mut step, op::RESP_STEPPED);
+        serve(core, &mut kick, op::RESP_OK);
+    };
+    for _ in 0..3 {
+        round(&mut core);
+    }
+    let allocs = count_allocs(|| round(&mut core));
+    assert_eq!(allocs, 0, "server snapshot+step+kick made {allocs} heap allocations");
+
+    let mut fi = jc_amuse::CouplingWorker::fi();
+    let mut core = ServerCore::new(&mut fi, None);
+    let [stars, gas] = field_sets(128, 512);
+    let mut field = Vec::new();
+    let sets = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
+    wire::encode_compute_field(sets.0, sets.1, (0, 128), (0, 512), &mut field);
+    for _ in 0..2 {
+        serve(&mut core, &mut field, op::RESP_ACCELERATIONS);
+    }
+    let allocs = count_allocs(|| serve(&mut core, &mut field, op::RESP_ACCELERATIONS));
+    assert_eq!(allocs, 0, "server field made {allocs} heap allocations");
+}
+
+#[test]
 fn sharded_local_pool_hot_path_allocates_nothing() {
     // The sharded fast paths gather through per-shard scratch buffers;
     // over in-process shards the whole scatter-gather must go quiet too.

@@ -24,7 +24,9 @@
 //! (`socket.rs`) must reference `frame_seq` (recognition) and
 //! `last_seq` (the dedup cache), the client (`reactor.rs`) `set_seq`
 //! (stamping) — losing any leg silently turns "safe to resend" back
-//! into "double-applies on retry".
+//! into "double-applies on retry". The server must also frame its
+//! requests through `FrameDecoder`, the one framer both ends share, so
+//! a second server-side framer cannot return unnoticed.
 //!
 //! The client is also held to the codec surface: it must reference
 //! `encode_request` / `decode_response` (frames built or parsed
@@ -193,6 +195,10 @@ pub fn check(
         for (name, why) in [
             ("frame_seq", "the server cannot recognize a resent frame as a duplicate"),
             ("last_seq", "the dedup cache is gone — a replayed mutating request re-executes"),
+            (
+                "FrameDecoder",
+                "requests are framed by a second framer, outside the one both ends share",
+            ),
         ] {
             if !referenced(name) {
                 diags.push(Diagnostic {

@@ -57,7 +57,7 @@ fn wire_fail_fixture_exact_diagnostics() {
     let reactor = fixture("fail/wire/reactor.rs", wire::REACTOR_PATH);
     let d = wire::check(&w, Some(&worker), Some(&socket), Some(&reactor));
     let msgs: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
-    assert_eq!(d.len(), 9, "{d:#?}");
+    assert_eq!(d.len(), 10, "{d:#?}");
     // SHUTDOWN (declared at fixture line 8): missing version + decode arm
     assert!(d.iter().any(|x| x.line == 8
         && x.path == wire::WIRE_PATH
@@ -84,6 +84,12 @@ fn wire_fail_fixture_exact_diagnostics() {
         d.iter()
             .any(|x| x.path == wire::SOCKET_PATH
                 && x.message.contains("`last_seq` is never referenced")),
+        "{msgs:?}"
+    );
+    // ... and frames its requests with a reader of its own
+    assert!(
+        d.iter().any(|x| x.path == wire::SOCKET_PATH
+            && x.message.contains("`FrameDecoder` is never referenced")),
         "{msgs:?}"
     );
     // the reactor fixture encodes through the shared surface but

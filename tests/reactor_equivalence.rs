@@ -2,7 +2,7 @@
 //! one, in both topologies.
 //!
 //! [`ReactorChannel`]s on one shared reactor pipeline their fan-out;
-//! a [`SocketChannel`] is the same client alone on a private reactor,
+//! a `SocketChannel` is the same client alone on a private reactor,
 //! driven one request at a time. Nothing about either may be
 //! *observable* except latency: every test here runs identical work
 //! over `LocalChannel`, `SocketChannel`, and `ReactorChannel` (for pool
@@ -17,7 +17,7 @@ use jungle::amuse::socket::spawn_tcp_worker;
 use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ParticleData, Request, Response, StellarWorker,
 };
-use jungle::amuse::{Bridge, EmbeddedCluster, SocketChannel};
+use jungle::amuse::{Bridge, EmbeddedCluster};
 use jungle::nbody::plummer::plummer_sphere;
 use jungle::nbody::Backend;
 
@@ -280,47 +280,6 @@ fn reactor_stats_match_modeled_wire_sizes() {
 
     drop(ch);
     handle.join().unwrap().unwrap();
-}
-
-/// Two requests genuinely in flight on one connection: depth-2
-/// pipelining must deliver the same answers as two lock-step round
-/// trips on a `SocketChannel` against an identical worker.
-#[test]
-fn depth_two_pipelining_matches_blocking_round_trips() {
-    let ics = plummer_sphere(64, 5);
-    let dv: Vec<[f64; 3]> = (0..64).map(|i| [1e-5 * i as f64, 2e-5, -1e-5]).collect();
-
-    let blocking = {
-        let sub = ics.clone();
-        let (addr, h) = spawn_tcp_worker("grav", move || GravityWorker::new(sub, Backend::Scalar));
-        let mut ch = SocketChannel::connect(addr, "grav").unwrap();
-        let mut snap = ParticleData::default();
-        assert!(ch.snapshot_into(&mut snap));
-        let r = ch.kick_slice(&dv);
-        assert!(matches!(r, Response::Ok { .. }), "{r:?}");
-        drop(ch);
-        h.join().unwrap().unwrap();
-        snap
-    };
-
-    let pipelined = {
-        let sub = ics.clone();
-        let (addr, h) = spawn_tcp_worker("grav", move || GravityWorker::new(sub, Backend::Scalar));
-        let reactor = Reactor::new_shared().unwrap();
-        let mut ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
-        // both frames submitted before either reply is awaited
-        ch.submit_snapshot();
-        ch.submit_kick_slice(&dv);
-        let mut snap = ParticleData::default();
-        assert!(ch.collect_snapshot_into(&mut snap));
-        let r = ch.collect_kick();
-        assert!(matches!(r, Response::Ok { .. }), "{r:?}");
-        drop(ch);
-        h.join().unwrap().unwrap();
-        snap
-    };
-
-    assert!(bitwise_eq(&blocking, &pipelined), "depth-2 pipelining changed the snapshot");
 }
 
 /// A pool nested in a pool scatters through both levels before any

@@ -50,8 +50,10 @@
 //! the octree build or to the walk; `tree_build_walk` /
 //! `tree_build_walk_octgrav` (both halves, as one `accelerations_into`
 //! at or above the crossover costs at θ = 0.5 / 0.75) sit next to
-//! `gravity_direct` (mirror + exact sum, what it costs below) at every
-//! crossover N and at the coupling kick's 128 × 512 shape — the
+//! `gravity_direct` (mirror + exact sum, what it costs below) and
+//! `gravity_self` (mirror + pair-symmetric sum, what a `Gadget`
+//! refresh costs below) at every crossover N, and next to
+//! `gravity_direct_128x512` at the coupling kick's shape — the
 //! measurement behind `jc_treegrav`'s direct-sum crossover.
 //!
 //! Transport, checkpoint and service costs are not timed here: the
@@ -403,7 +405,7 @@ fn bench_sph_forces(n: usize, repeats: usize, simd: bool) -> Sample {
 }
 
 /// One `Gadget` KDK step exactly as a `HydroWorker` runs it — one
-/// refresh (density + forces + self-gravity tree) plus the O(n)
+/// refresh (density + forces + pair-symmetric self-gravity) plus the O(n)
 /// integrator loops — normalized per step over a short `evolve_model`.
 /// `interactions_per_s` reports modeled flop/s.
 fn bench_sph_step(n: usize, repeats: usize) -> Sample {
@@ -484,19 +486,23 @@ fn report_neighbors_crossover(samples: &[Sample]) {
     }
 }
 
-/// The two structures `TreeGravity::accelerations_into` chooses between,
-/// each answering `targets` Plummer positions in the field of `n`
-/// sources from cold inputs, on the calling thread: the exact direct sum
-/// (column mirror included) and the SoA Barnes–Hut walk (octree build
-/// included). `targets == n` is the self-gravity shape: `gravity_direct`
-/// against `tree_build_walk` (Fi, θ = 0.5) and `tree_build_walk_octgrav`
-/// (θ = 0.75 — the widest angle any worker runs, so the cheapest tree
-/// the one θ-blind rule has to beat). The one cross-set shape gets the
-/// direct/Fi pair under `_128x512` names. `interactions_per_s` reports
-/// pairs, resp. accepted nodes, per second. The rows are the provenance
-/// of the crossover constant in `jc_treegrav::solver`.
+/// The structures `TreeGravity`'s entry points choose between, each
+/// answering `targets` Plummer positions in the field of `n` sources from
+/// cold inputs, on the calling thread: the exact direct sum (column
+/// mirror included) and the SoA Barnes–Hut walk (octree build included).
+/// `targets == n` is the self-gravity shape: `gravity_direct` and
+/// `gravity_self` — the pair-symmetric sum `self_accelerations_into`
+/// runs below the crossover, timed through its `jc_compute` body so the
+/// row exists at every N — against `tree_build_walk` (Fi, θ = 0.5) and
+/// `tree_build_walk_octgrav` (θ = 0.75 — the widest angle any worker
+/// runs, so the cheapest tree the one θ-blind rule has to beat). The one
+/// cross-set shape gets the direct/Fi pair under `_128x512` names.
+/// `interactions_per_s` reports pairs (ordered for `gravity_direct`,
+/// unordered for `gravity_self`), resp. accepted nodes, per second. The
+/// rows are the provenance of the crossover constant in
+/// `jc_treegrav::solver`.
 fn bench_gravity_structures(targets: usize, n: usize, repeats: usize) -> Vec<Sample> {
-    use jc_compute::gravity::accelerations_direct;
+    use jc_compute::gravity::{accelerations_direct, self_accelerations, PairScratch};
     use jc_compute::soa::SoaBodies;
 
     let ics = plummer_sphere(n, 11);
@@ -525,8 +531,14 @@ fn bench_gravity_structures(targets: usize, n: usize, repeats: usize) -> Vec<Sam
     });
     let pairs = (targets * n) as f64;
     if targets == n {
+        let mut scratch = PairScratch::new();
+        let symmetric = best_ns(repeats, || {
+            cols.fill_from_positions(&ics.mass, &ics.pos);
+            self_accelerations(&cols, 1e-4, 1, &mut scratch, &mut exact);
+        });
         vec![
             row("gravity_direct", direct, pairs),
+            row("gravity_self", symmetric, (n * (n - 1) / 2) as f64),
             tree("tree_build_walk", 0.5),
             tree("tree_build_walk_octgrav", 0.75),
         ]
@@ -541,6 +553,8 @@ fn report_gravity_crossover(samples: &[Sample]) {
     for (direct, tree) in [
         ("gravity_direct", "tree_build_walk"),
         ("gravity_direct", "tree_build_walk_octgrav"),
+        ("gravity_self", "tree_build_walk"),
+        ("gravity_self", "tree_build_walk_octgrav"),
         ("gravity_direct_128x512", "tree_build_walk_128x512"),
     ] {
         for d in samples.iter().filter(|s| s.kernel == direct) {

@@ -153,9 +153,8 @@ fn simd_tree_walk_steady_state_allocates_nothing() {
 
 #[test]
 fn direct_sum_gravity_steady_state_allocates_nothing() {
-    // what `accelerations_into` runs below the crossover, in the two
-    // shapes workers call it: self-gravity (a `Gadget` refresh) and
-    // cross-set (a coupling kick)
+    // what `accelerations_into` runs below the crossover, over the whole
+    // set and over the coupling kick's 128 targets
     let (pos, mass) = lcg_cloud(512);
     let mut solver = jc_treegrav::TreeGravity::new(0.5, 0.01);
     solver.max_threads = 1;
@@ -170,6 +169,29 @@ fn direct_sum_gravity_steady_state_allocates_nothing() {
             solver.last_interactions(),
             (targets.len() * pos.len()) as u64,
             "sanity: every pair was summed, no tree was walked"
+        );
+    }
+}
+
+#[test]
+fn pair_symmetric_self_gravity_steady_state_allocates_nothing() {
+    // what a `Gadget` refresh runs for its self-gravity, at the
+    // benchmark's 512 gas (8 blocks of partial columns) and a 24-gas
+    // service session (one block)
+    for n in [512, 24] {
+        let (pos, mass) = lcg_cloud(n);
+        let mut solver = jc_treegrav::TreeGravity::new(0.6, 0.05);
+        solver.max_threads = 1;
+        let mut acc = Vec::new();
+        solver.self_accelerations_into(&pos, &mass, &mut acc);
+        let allocs = count_allocs(|| {
+            solver.self_accelerations_into(&pos, &mass, &mut acc);
+        });
+        assert_eq!(allocs, 0, "pair-symmetric sum at n={n} made {allocs} heap allocations");
+        assert_eq!(
+            solver.last_interactions(),
+            (n * (n - 1) / 2) as u64,
+            "sanity: every unordered pair was summed once, no tree was walked"
         );
     }
 }
@@ -205,7 +227,7 @@ fn hermite_step_on_the_worker_backend_allocates_nothing() {
 #[test]
 fn gadget_step_steady_state_allocates_nothing() {
     // one `HydroWorker` step — density, neighbour lists, forces and the
-    // self-gravity tree — at the sizes workers run: the benchmark's
+    // pair-symmetric self-gravity — at the sizes workers run: the benchmark's
     // 512-gas cluster and a 24-gas service session (direct-sweep side
     // of the neighbour-search crossover)
     for n in [512, 24] {

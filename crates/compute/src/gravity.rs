@@ -1,26 +1,41 @@
-//! The acceleration-only direct-summation lane kernel.
+//! The acceleration-only direct-summation lane kernels.
 //!
-//! One target against every source, [`LANES`] sources at a time: the
-//! sources sit in aligned `x/y/z/m` columns ([`SoaBodies`]), each lane
-//! accumulates its own partial acceleration, and the lanes are folded
-//! once per target in the fixed [`reduce_lanes`] order. There is exactly
-//! one body: it is `#[inline(always)]` and instantiated once for the
-//! baseline and once inside a thin `#[target_feature(enable = "avx2")]`
-//! wrapper, so the compiler writes the wide code and both dispatch tiers
-//! execute the same IEEE operation sequence — results are bitwise
-//! identical on every machine by construction (Rust never contracts
-//! `a * b + c` into a fused multiply-add). The loop is bound by the
-//! divider (one packed `sqrt` and one packed `div` per [`LANES`] pairs),
-//! which is why there is no AVX-512 tier: an `avx512f` instantiation of
-//! this body ran at the AVX2 instantiation's rate to within 0.2 % when
-//! the kernel was sized (PR 21 in CHANGES.md has the numbers).
+//! Two bodies over aligned `x/y/z/m` columns ([`SoaBodies`]):
+//!
+//! * [`accelerations_direct`] — one target against every source,
+//!   [`LANES`] sources at a time: each lane accumulates its own partial
+//!   acceleration, and the lanes are folded once per target in the fixed
+//!   [`reduce_lanes`] order. Targets and sources may be any two sets
+//!   (the coupling kicks).
+//! * [`self_accelerations`] — one set acting on itself, each unordered
+//!   pair `i < j` evaluated once (Newton's third law): the pair's
+//!   `1 / r³` is computed once, `m_j·d/r³` is staged for row `i` and
+//!   `m_i·d/r³` is subtracted from the contiguous `j` block of the
+//!   acceleration columns. Row `i`'s staged terms are then folded in the
+//!   same fixed [`LANES`] order. That halves the divider work of
+//!   `accelerations_direct(pos, pos)`.
+//!
+//! Both follow one rule. The body is `#[inline(always)]` and
+//! instantiated once for the baseline and once inside a thin
+//! `#[target_feature(enable = "avx2")]` wrapper, so the compiler writes
+//! the wide code and both dispatch tiers execute the same IEEE operation
+//! sequence — results are bitwise identical on every machine by
+//! construction (Rust never contracts `a * b + c` into a fused
+//! multiply-add). The loops are bound by the divider (one packed `sqrt`
+//! and one packed `div` per [`LANES`] pairs), which is why there is no
+//! AVX-512 tier: an `avx512f` instantiation of the direct body ran at the
+//! AVX2 instantiation's rate to within 0.2 % when the kernel was sized
+//! (CHANGES.md has the sizing numbers).
 //!
 //! A source at zero distance contributes nothing. With softening
 //! (`eps2 > 0`) that falls out of the arithmetic — the separation is
-//! zero, the denominator is not — so the hot body carries no test; only
-//! the `eps2 == 0` instantiation selects the pair away.
+//! zero, the denominator is not — so the hot bodies carry no test; only
+//! the `eps2 == 0` instantiations select the pair away (in both
+//! directions, for the pair-symmetric body).
 
+use crate::par;
 use crate::soa::{reduce_lanes, SoaBodies, LANES};
+use std::ops::Range;
 
 /// Accelerations (G = 1) on every target of one worker chunk due to all
 /// of `src` (position and mass columns; velocities are not read),
@@ -46,12 +61,9 @@ pub fn accelerations_direct(
 }
 
 /// [`accelerations_direct_body`] compiled for AVX2.
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on runtime detection of the
-// feature. The body is safe code.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn accelerations_direct_avx2(
+fn accelerations_direct_avx2(
     targets: &[[f64; 3]],
     src: &SoaBodies,
     eps2: f64,
@@ -120,6 +132,222 @@ fn accelerations_direct_body<const GUARD: bool>(
     }
 }
 
+/// Pairs per block of [`self_accelerations`]: the rows are cut into
+/// blocks of about this many pairs (one block up to n = 181), each a
+/// unit of work a worker takes whole.
+const BLOCK_PAIRS: usize = 16 * 1024;
+
+/// Most blocks one [`self_accelerations`] call is cut into. Bounds the
+/// partial columns to `MAX_BLOCKS × n` rows and the fan-out to as many
+/// workers; n = 512 makes 8 blocks and ≈ 70 KB of partials.
+const MAX_BLOCKS: usize = 16;
+
+/// Reusable scratch of [`self_accelerations`]: the row blocks with
+/// their partial acceleration columns, and one row stage per worker.
+/// Allocation-free once warm at a given `n`.
+#[derive(Default)]
+pub struct PairScratch {
+    blocks: Vec<PairBlock>,
+    stages: Vec<RowStage>,
+}
+
+impl PairScratch {
+    /// Empty scratch (no allocation until first use).
+    pub fn new() -> PairScratch {
+        PairScratch::default()
+    }
+
+    /// Cut `n` rows into blocks of about equal *pair* count — the
+    /// triangle is lopsided, so row `i` carries `n - 1 - i` pairs — and
+    /// size each block's partial columns to the rows `start..n` it can
+    /// touch. The cut is a function of `n` alone.
+    fn plan(&mut self, n: usize) {
+        let pairs = n * n.saturating_sub(1) / 2;
+        let count = pairs.div_ceil(BLOCK_PAIRS).clamp(1, MAX_BLOCKS);
+        self.blocks.resize_with(count, PairBlock::default);
+        let (mut row, mut done) = (0, 0);
+        for (k, block) in self.blocks.iter_mut().enumerate() {
+            let start = row;
+            while row < n && (k + 1 == count || done * count < (k + 1) * pairs) {
+                done += n - 1 - row;
+                row += 1;
+            }
+            block.rows = start..row;
+            for c in &mut block.acc {
+                c.resize(n - start, 0.0);
+            }
+        }
+    }
+}
+
+/// One block of rows and the partial accelerations of particles
+/// `rows.start..n` that its pairs sum to: row `i`'s own staged terms, and
+/// the `j` scatter of every row of the block before `j`.
+#[derive(Default)]
+struct PairBlock {
+    rows: Range<usize>,
+    acc: [Vec<f64>; 3],
+}
+
+/// One row's `m_j·d/r³` terms (`j > i`), staged for the fixed-order fold.
+#[derive(Default)]
+struct RowStage([Vec<f64>; 3]);
+
+/// Accelerations (G = 1) of the set `src` on itself, written over `out`
+/// (`out.len() == src.len()`), Plummer-softened by `eps2`: every
+/// unordered pair is evaluated once (module docs). Equal to
+/// `accelerations_direct(pos, src, …)` to rounding, and bitwise
+/// independent of `max_threads` (0 = auto, see [`par::threads_for`]):
+/// the rows are cut into blocks whose boundaries depend on `src.len()`
+/// alone, each block sums into its own partial columns, and the
+/// partials are folded into `out` in block order — sequential mode runs
+/// the same blocks, in order, through the same partials.
+// jc-lint: no-alloc
+pub fn self_accelerations(
+    src: &SoaBodies,
+    eps2: f64,
+    max_threads: usize,
+    scratch: &mut PairScratch,
+    out: &mut [[f64; 3]],
+) {
+    let n = src.len();
+    assert_eq!(out.len(), n, "acc buffer length mismatch");
+    scratch.plan(n);
+    let threads = par::threads_for(scratch.blocks.len(), max_threads, 1);
+    scratch.stages.resize_with(threads, RowStage::default);
+    for stage in &mut scratch.stages {
+        for c in &mut stage.0 {
+            c.resize(n, 0.0);
+        }
+    }
+    par::chunked(
+        threads,
+        scratch.blocks.as_mut_slice(),
+        &mut scratch.stages,
+        (),
+        |_, chunk: &mut [PairBlock], stage| {
+            for block in chunk {
+                pair_rows(src, eps2, block, stage);
+            }
+        },
+        |(), ()| (),
+    );
+    fold_blocks(&scratch.blocks, out);
+}
+
+/// Fold the blocks' partial columns into `out`, in block order.
+fn fold_blocks(blocks: &[PairBlock], out: &mut [[f64; 3]]) {
+    let (first, rest) = blocks.split_first().expect("plan makes at least one block");
+    let [fx, fy, fz] = &first.acc;
+    for (a, ((x, y), z)) in out.iter_mut().zip(fx.iter().zip(fy).zip(fz)) {
+        *a = [*x, *y, *z];
+    }
+    for block in rest {
+        let [bx, by, bz] = &block.acc;
+        for (a, ((x, y), z)) in out[block.rows.start..].iter_mut().zip(bx.iter().zip(by).zip(bz)) {
+            a[0] += x;
+            a[1] += y;
+            a[2] += z;
+        }
+    }
+}
+
+/// Run one block of [`self_accelerations`] at the widest instruction set
+/// the CPU reports.
+fn pair_rows(src: &SoaBodies, eps2: f64, block: &mut PairBlock, stage: &mut RowStage) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the avx2 instantiation is only reached when the CPU
+        // reports the feature at runtime.
+        return unsafe { pair_rows_avx2(src, eps2, block, stage) };
+    }
+    pair_rows_portable(src, eps2, block, stage);
+}
+
+/// [`pair_rows_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pair_rows_avx2(src: &SoaBodies, eps2: f64, block: &mut PairBlock, stage: &mut RowStage) {
+    pair_rows_portable(src, eps2, block, stage);
+}
+
+/// The pair-symmetric body at whatever instruction set the caller was
+/// compiled for.
+#[inline(always)]
+fn pair_rows_portable(src: &SoaBodies, eps2: f64, block: &mut PairBlock, stage: &mut RowStage) {
+    if eps2 == 0.0 {
+        pair_rows_body::<true>(src, eps2, block, stage);
+    } else {
+        pair_rows_body::<false>(src, eps2, block, stage);
+    }
+}
+
+/// The pair-symmetric body over one block of rows, written over the
+/// block's partial columns. Each row is two passes: an element-wise pass
+/// over `j > i` that computes the pair's `1 / r³` once, subtracts
+/// `m_i·d/r³` from the `j` columns and stages `m_j·d/r³`, then the
+/// [`LANES`]-wide fixed-order fold of the stage into row `i`. (A single
+/// pass accumulating `i` in lane registers vectorizes only 2 wide.)
+/// `GUARD` is the `eps2 == 0` instantiation: a coincident pair gets
+/// `1 / r³ = 0`, so it contributes nothing either way.
+#[inline(always)]
+fn pair_rows_body<const GUARD: bool>(
+    src: &SoaBodies,
+    eps2: f64,
+    block: &mut PairBlock,
+    stage: &mut RowStage,
+) {
+    let n = src.len();
+    let (x, y, z, m) = (&src.pos.x[..n], &src.pos.y[..n], &src.pos.z[..n], &src.mass[..n]);
+    let r0 = block.rows.start;
+    let [ax, ay, az] = &mut block.acc;
+    let [sx, sy, sz] = &mut stage.0;
+    for c in [&mut *ax, &mut *ay, &mut *az] {
+        c.fill(0.0);
+    }
+    for i in block.rows.clone() {
+        let (xi, yi, zi, mi) = (x[i], y[i], z[i], m[i]);
+        let (lo, hi) = (i + 1, n);
+        let len = hi - lo;
+        let (xj, yj, zj, mj) = (&x[lo..hi], &y[lo..hi], &z[lo..hi], &m[lo..hi]);
+        let (axj, ayj, azj) =
+            (&mut ax[lo - r0..hi - r0], &mut ay[lo - r0..hi - r0], &mut az[lo - r0..hi - r0]);
+        let (sxj, syj, szj) = (&mut sx[..len], &mut sy[..len], &mut sz[..len]);
+        for k in 0..len {
+            let (dx, dy, dz) = (xj[k] - xi, yj[k] - yi, zj[k] - zi);
+            let r2s = dx * dx + dy * dy + dz * dz + eps2;
+            let inv = if GUARD && r2s == 0.0 { 0.0 } else { 1.0 / (r2s * r2s.sqrt()) };
+            let (fx, fy, fz) = (inv * dx, inv * dy, inv * dz);
+            axj[k] -= mi * fx;
+            ayj[k] -= mi * fy;
+            azj[k] -= mi * fz;
+            sxj[k] = mj[k] * fx;
+            syj[k] = mj[k] * fy;
+            szj[k] = mj[k] * fz;
+        }
+        ax[i - r0] += fold_lanes(sxj);
+        ay[i - r0] += fold_lanes(syj);
+        az[i - r0] += fold_lanes(szj);
+    }
+}
+
+/// Sum `v` with element `p` in lane `p % LANES`, the lanes reduced in the
+/// fixed [`reduce_lanes`] order.
+#[inline(always)]
+fn fold_lanes(v: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; LANES];
+    let mut batches = v.chunks_exact(LANES);
+    for b in &mut batches {
+        for l in 0..LANES {
+            lanes[l] += b[l];
+        }
+    }
+    for (l, e) in batches.remainder().iter().enumerate() {
+        lanes[l] += e;
+    }
+    reduce_lanes(lanes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,5 +399,132 @@ mod tests {
         let mut off = [[0.0; 3]];
         accelerations_direct(&[pos[2]], &mirror(&pos, &without), 0.0, &mut off);
         assert_eq!(on, off);
+    }
+
+    /// [`self_accelerations`] through the dispatched body, sequentially.
+    fn pair_sum(src: &SoaBodies, eps2: f64) -> Vec<[f64; 3]> {
+        let mut out = vec![[f64::NAN; 3]; src.len()];
+        self_accelerations(src, eps2, 1, &mut PairScratch::new(), &mut out);
+        out
+    }
+
+    /// The same plan and fold, every block through the baseline
+    /// instantiation of the body.
+    fn pair_sum_portable(src: &SoaBodies, eps2: f64) -> Vec<[f64; 3]> {
+        let mut scratch = PairScratch::new();
+        scratch.plan(src.len());
+        let mut stage = RowStage::default();
+        for c in &mut stage.0 {
+            c.resize(src.len(), 0.0);
+        }
+        for block in &mut scratch.blocks {
+            pair_rows_portable(src, eps2, block, &mut stage);
+        }
+        let mut out = vec![[f64::NAN; 3]; src.len()];
+        fold_blocks(&scratch.blocks, &mut out);
+        out
+    }
+
+    fn rel_err(a: &[[f64; 3]], b: &[[f64; 3]]) -> f64 {
+        let norm = |v: &[f64; 3]| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| norm(&[x[0] - y[0], x[1] - y[1], x[2] - y[2]]) / norm(y).max(1e-300))
+            .fold(0.0, f64::max)
+    }
+
+    /// Sizes of every class: empty, 1–3 tail lanes, whole batches, and
+    /// one past the single-block size (3 blocks).
+    const PAIR_SIZES: [usize; 14] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 97, 181, 300];
+
+    #[test]
+    fn pair_sum_dispatched_matches_portable_bitwise() {
+        let blocks = |n| {
+            let mut probe = PairScratch::new();
+            probe.plan(n);
+            probe.blocks.len()
+        };
+        assert_eq!((blocks(181), blocks(300)), (1, 3), "sizes straddle the block grain");
+        for eps2 in [1e-4, 0.0] {
+            for n in PAIR_SIZES {
+                let (pos, mass) = cloud(n, 42);
+                let src = mirror(&pos, &mass);
+                let portable = pair_sum_portable(&src, eps2);
+                assert_eq!(pair_sum(&src, eps2), portable, "n={n}, eps2={eps2}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_sum_matches_the_directed_sum() {
+        for eps2 in [1e-4, 0.0] {
+            for n in PAIR_SIZES {
+                let (pos, mass) = cloud(n, 7);
+                let src = mirror(&pos, &mass);
+                let mut directed = vec![[0.0; 3]; n];
+                accelerations_direct(&pos, &src, eps2, &mut directed);
+                let pairs = pair_sum(&src, eps2);
+                let err = rel_err(&pairs, &directed);
+                assert!(err <= 1e-12, "n={n}, eps2={eps2}: relative error {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_sum_conserves_momentum() {
+        for n in [2usize, 9, 97, 300] {
+            let (pos, mass) = cloud(n, 11);
+            let acc = pair_sum(&mirror(&pos, &mass), 1e-4);
+            let (mut net, mut scale) = ([0.0f64; 3], 0.0f64);
+            for (a, m) in acc.iter().zip(&mass) {
+                for k in 0..3 {
+                    net[k] += m * a[k];
+                    scale += (m * a[k]).abs();
+                }
+            }
+            for k in 0..3 {
+                assert!(net[k].abs() <= 1e-14 * scale, "n={n}: Σ m a = {net:?} of {scale}");
+            }
+        }
+    }
+
+    #[test]
+    fn unsoftened_coincident_pair_is_skipped_both_ways() {
+        // particle 5 sits on particle 2: each still feels every other one
+        let (mut pos, mass) = cloud(9, 5);
+        pos[5] = pos[2];
+        let acc = pair_sum(&mirror(&pos, &mass), 0.0);
+        assert!(acc.iter().flatten().all(|x| x.is_finite()), "{acc:?}");
+        let mut directed = vec![[0.0; 3]; 9];
+        accelerations_direct(&pos, &mirror(&pos, &mass), 0.0, &mut directed);
+        assert!(rel_err(&acc, &directed) <= 1e-12);
+        // the pair pulls on neither: the two coincident particles feel
+        // the same field
+        for (a2, a5) in acc[2].iter().zip(&acc[5]) {
+            assert!((a2 - a5).abs() <= 1e-12 * a2.abs().max(a5.abs()), "{a2} vs {a5}");
+        }
+    }
+
+    #[test]
+    fn blocks_cover_the_rows_balanced_by_pairs() {
+        let mut scratch = PairScratch::new();
+        for n in [0usize, 1, 2, 181, 182, 300, 512, 4095] {
+            scratch.plan(n);
+            let (blocks, count) = (&scratch.blocks, scratch.blocks.len());
+            assert_eq!(blocks[0].rows.start, 0);
+            assert_eq!(blocks[count - 1].rows.end, n);
+            assert!(blocks.windows(2).all(|w| w[0].rows.end == w[1].rows.start));
+            let pairs = |b: &PairBlock| b.rows.clone().map(|i| n - 1 - i).sum::<usize>();
+            let per_block = (n * n.saturating_sub(1) / 2).div_ceil(count);
+            for b in blocks {
+                assert!(!b.rows.is_empty() || n == 0, "n={n}: empty block {:?}", b.rows);
+                assert!(pairs(b) <= per_block + n, "n={n}: block {:?} is lopsided", b.rows);
+                assert_eq!(b.acc[0].len(), n - b.rows.start);
+            }
+        }
+        scratch.plan(512);
+        assert_eq!(scratch.blocks.len(), 8);
+        scratch.plan(4095);
+        assert_eq!(scratch.blocks.len(), MAX_BLOCKS);
     }
 }

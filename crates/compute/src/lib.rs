@@ -10,9 +10,11 @@
 //! * [`soa`] — cache-line-aligned structure-of-arrays column buffers
 //!   (`x/y/z/m`) with conversions from/to the `[f64; 3]` AoS particle
 //!   sets, the memory layout the fixed-width batched kernels read;
-//! * [`gravity`] — the acceleration-only direct-summation lane kernel
-//!   over those columns, shared here because `jc_treegrav` (which sums
-//!   directly below its crossover) does not depend on `jc_nbody`; and
+//! * [`gravity`] — the acceleration-only direct-summation lane kernels
+//!   over those columns (one set on another, and a set on itself with
+//!   each pair evaluated once), shared here because `jc_treegrav` (which
+//!   sums directly below its crossover) does not depend on `jc_nbody`;
+//!   and
 //! * [`par`] — the unified parallel chunking core ([`par::chunked`])
 //!   that replaces the hand-rolled `std::thread::scope` +
 //!   `split_at_mut` splitting loops previously duplicated across

@@ -86,8 +86,7 @@ impl Gadget {
         self.flops += inter_d as f64 * 30.0 + self.rates.interactions as f64 * 60.0;
         if self.self_gravity && n > 1 {
             if !self.g_acc_valid {
-                self.gravity.accelerations_into(
-                    &self.gas.pos,
+                self.gravity.self_accelerations_into(
                     &self.gas.pos,
                     &self.gas.mass,
                     &mut self.g_acc,

@@ -10,7 +10,9 @@
 //!   neighbour count ([`kernel`], [`density`]);
 //! * symmetrized pressure forces with Monaghan artificial viscosity and the
 //!   adiabatic energy equation ([`forces`]);
-//! * self-gravity through the shared Barnes–Hut tree (`jc-treegrav`);
+//! * self-gravity through the shared gravity solver (`jc-treegrav`: a
+//!   pair-symmetric direct sum at the sizes run here, the Barnes–Hut tree
+//!   above its crossover);
 //! * kick–drift–kick leapfrog with a global Courant-limited timestep
 //!   ([`gadget::Gadget::evolve_model`]).
 //!

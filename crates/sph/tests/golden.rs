@@ -4,7 +4,8 @@
 //! the original implementation (64-particle Plummer gas, seed 3) before
 //! the refactor, and reproduced here by a naive O(n²) oracle of that
 //! pass. The SoA path workers run (the default) is pinned to its own
-//! vectors: densities, force-pass rates and signal speed.
+//! vectors: densities, force-pass rates and signal speed; a few whole
+//! `Gadget` steps with self-gravity are pinned by a state digest.
 
 use jc_sph::density::{compute_density_with, SphScratch, N_NEIGHBORS};
 use jc_sph::forces::{hydro_rates_into, HydroRates};
@@ -387,5 +388,42 @@ fn soa_density_and_forces_match_their_own_golden_vectors() {
         assert_eq!(rates.v_signal_max.to_bits(), GOLDEN_SOA_V_SIGNAL_MAX);
         assert_bits("acc", rates.acc.as_flattened(), &GOLDEN_SOA_ACC);
         assert_bits("du", &rates.du, &GOLDEN_SOA_DU);
+    }
+}
+
+// --- Gadget with self-gravity: a state-bits pin ----------------------------
+//
+// A few KDK steps of a 128-gas Plummer ball with self-gravity on, as a
+// `HydroWorker` runs them: density, forces and the pair-symmetric
+// self-gravity sum in every refresh. Every bit of the end state — all six
+// particle columns and the clock — is folded into one FNV-1a digest, so
+// any kernel change that moves a bit (the vectors above pin density and
+// forces only) re-baselines this pin on purpose.
+
+const GADGET_GAS: usize = 128;
+const GOLDEN_GADGET_STEPS: u64 = 3;
+const GOLDEN_GADGET_DIGEST: u64 = 0xfdce1b74f79c35c1;
+
+fn gadget_state_digest(g: &jc_sph::Gadget) -> u64 {
+    let gas = &g.gas;
+    let scalars = gas.mass.iter().chain(&gas.u).chain(&gas.h).chain(&gas.rho);
+    let vectors = gas.pos.iter().chain(&gas.vel).flatten();
+    let time = g.model_time();
+    scalars.chain(vectors).chain([&time]).fold(0xcbf29ce484222325u64, |h, v| {
+        v.to_bits().to_le_bytes().iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    })
+}
+
+#[test]
+fn gadget_with_self_gravity_matches_its_state_pin() {
+    for threads in [1, 0] {
+        let mut g = jc_sph::Gadget::new(plummer_gas(GADGET_GAS, 1.0, 7)).with_max_threads(threads);
+        g.evolve_model(0.012);
+        assert_eq!(g.steps, GOLDEN_GADGET_STEPS, "threads = {threads}");
+        assert_eq!(
+            gadget_state_digest(&g),
+            GOLDEN_GADGET_DIGEST,
+            "the Gadget end state moved (threads = {threads})"
+        );
     }
 }

@@ -18,24 +18,27 @@
 //!
 //! The solver picks its structure by population. A tree amortises only
 //! over many sources: below a measured source-count crossover
-//! [`solver::TreeGravity::accelerations_into`] — what every worker
-//! calls — builds no tree and sums every target–source pair exactly
+//! [`solver::TreeGravity::accelerations_into`] — what every coupling
+//! kick calls — builds no tree and sums every target–source pair exactly
 //! through the [`jc_compute::gravity`] lane kernel, which is what the
 //! paper's own star kernel (PhiGRAPE) does and, at the ≤ 512 sources
-//! the coupled runs here hold, 2–4× faster than build + walk. The
-//! opening angle then has no say, so both personalities give the same
-//! bits — §6.2's "which kernel is used has no influence in the result".
-//! The choice reads the source count only, never the target count (a
-//! sharded coupler splits targets), threads or transport.
+//! the coupled runs here hold, 2–4× faster than build + walk. For a set
+//! on itself (SPH self-gravity)
+//! [`solver::TreeGravity::self_accelerations_into`] applies the same rule
+//! and below it evaluates each unordered pair once. The opening angle
+//! then has no say, so both personalities give the same bits — §6.2's
+//! "which kernel is used has no influence in the result". The choice
+//! reads the source count only, never the target count (a sharded
+//! coupler splits targets), threads or transport.
 //!
 //! Flop accounting ([`solver::TreeGravity::last_interactions`]) feeds the
 //! jungle performance model: tree gravity is O(N log N) interactions versus
 //! the O(N²) of direct summation, which is why the coupling model dominated
 //! the CPU-only scenario in §6.2. Below the crossover the count *is* the
-//! O(N²) pair count — larger than the walk's accepted-node count at the
-//! same N, and cheaper, because a pair costs a fifth of a traversed node
-//! — so modeled flops per iteration rose when the direct sum landed
-//! while wall time fell.
+//! O(N²) pair count (`n(n−1)/2` for self-gravity) — no smaller than the
+//! walk's accepted-node count at the same N, and cheaper, because a pair
+//! costs a fifth of a traversed node — so modeled flops per iteration
+//! rose when the direct sum landed while wall time fell.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -4,7 +4,7 @@
 
 use crate::octree::Octree;
 use crate::FLOPS_PER_INTERACTION;
-use jc_compute::gravity::accelerations_direct;
+use jc_compute::gravity::{accelerations_direct, self_accelerations, PairScratch};
 use jc_compute::par;
 use jc_compute::soa::{reduce_lanes, SoaBodies, LANES};
 use rayon::prelude::*;
@@ -16,15 +16,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// distance `delta` from its geometric center is accepted when
 /// `distance > s / theta + delta`.
 ///
-/// [`TreeGravity::accelerations_into`] — the entry point every worker
-/// calls — picks its structure by population: with fewer than
+/// The two entry points workers call — [`TreeGravity::accelerations_into`]
+/// for one set in the field of another (the coupling kicks) and
+/// [`TreeGravity::self_accelerations_into`] for a set on itself (SPH
+/// self-gravity) — pick their structure by population: with fewer than
 /// `DIRECT_BELOW` (4096) sources (and [`TreeGravity::simd`] on) no tree is
-/// built and every pair is summed exactly by the
-/// [`jc_compute::gravity`] lane kernel, which is both faster and free of
-/// the θ-error at those sizes. `theta` then has no influence, so the
-/// [`Fi`] and [`Octgrav`] personalities answer bitwise alike.
-/// [`TreeGravity::rebuild`], [`TreeGravity::walk_targets`] and the
-/// allocating [`TreeGravity::accelerations`] always mean the tree.
+/// built and every pair is summed exactly by a [`jc_compute::gravity`]
+/// lane kernel, which is both faster and free of the θ-error at those
+/// sizes. `theta` then has no influence, so the [`Fi`] and [`Octgrav`]
+/// personalities answer bitwise alike. [`TreeGravity::rebuild`],
+/// [`TreeGravity::walk_targets`] and the allocating
+/// [`TreeGravity::accelerations`] always mean the tree.
 pub struct TreeGravity {
     /// Opening angle (tree walk only).
     pub theta: f64,
@@ -66,8 +68,11 @@ pub struct TreeGravity {
     walk: WalkTree,
     /// Reused per-worker traversal state (stack + interaction list).
     walkers: Vec<WalkScratch>,
-    /// Reused `x/y/z/m` mirror of the sources for the direct sum.
+    /// Reused `x/y/z/m` mirror of the sources for the direct sums.
     sources: SoaBodies,
+    /// Reused blocks, partial columns and row stages of the
+    /// pair-symmetric sum.
+    pairs: PairScratch,
     /// [`DIRECT_BELOW`], except in the crossover tests.
     direct_below: usize,
 }
@@ -75,8 +80,9 @@ pub struct TreeGravity {
 /// Minimum targets per worker thread before fanning out.
 const PAR_GRAIN: usize = 64;
 
-/// Source count below which [`TreeGravity::accelerations_into`] sums
-/// every pair directly instead of building and walking a tree. Chosen
+/// Source count below which [`TreeGravity::accelerations_into`] and
+/// [`TreeGravity::self_accelerations_into`] sum directly instead of
+/// building and walking a tree. Chosen
 /// from the `gravity_direct` / `tree_build_walk` /
 /// `tree_build_walk_octgrav` rows of `BENCH_PR21.json` (perfsuite's
 /// `tree_vs_direct_crossover` report, self-gravity at n = 256 … 8192,
@@ -86,7 +92,11 @@ const PAR_GRAIN: usize = 64;
 /// this one θ-blind rule has to beat — it wins 2.0× at 512, breaks even
 /// at 2048 (0.97×) and has lost by 4096 (0.87×). So every measured n
 /// below the constant goes to the side that is no slower for any
-/// personality. The rule reads the *source* count only — a sharded
+/// personality. The pair-symmetric self-gravity sum halves the divider
+/// work and would move its own edge out (the `gravity_self` rows of
+/// `BENCH_PR28.json`: 1.4× over Octgrav's tree at 2048, 0.85× at 4096);
+/// one constant serves both shapes, and no run here holds more than 512
+/// gas. The rule reads the *source* count only — a sharded
 /// coupler splits the targets K ways while every shard receives all
 /// sources, so a rule in the target count would make results depend on
 /// K; as it is they depend on neither threads, shards nor transport.
@@ -222,6 +232,7 @@ impl TreeGravity {
             walk: WalkTree::default(),
             walkers: Vec::new(),
             sources: SoaBodies::new(),
+            pairs: PairScratch::new(),
             direct_below: DIRECT_BELOW,
         }
     }
@@ -324,6 +335,45 @@ impl TreeGravity {
         self.interactions.store((targets.len() * s_pos.len()) as u64, Ordering::Relaxed);
     }
 
+    /// Accelerations of the set `(pos, mass)` on itself written into
+    /// `out` (cleared and resized) — what a `Gadget` refresh calls for
+    /// its self-gravity. The same population rule as
+    /// [`TreeGravity::accelerations_into`]: below `DIRECT_BELOW` (4096)
+    /// particles (with [`TreeGravity::simd`] on) every unordered pair is
+    /// summed once by [`jc_compute::gravity::self_accelerations`],
+    /// bitwise independent of [`TreeGravity::max_threads`] and equal to
+    /// `accelerations_into(pos, pos, mass, …)` to rounding; otherwise
+    /// this is [`TreeGravity::rebuild`] followed by
+    /// [`TreeGravity::walk_targets`], exactly what `accelerations_into`
+    /// runs there.
+    // jc-lint: no-alloc
+    pub fn self_accelerations_into(
+        &mut self,
+        pos: &[[f64; 3]],
+        mass: &[f64],
+        out: &mut Vec<[f64; 3]>,
+    ) {
+        if self.simd && pos.len() < self.direct_below {
+            self.sum_pairs(pos, mass, out);
+        } else {
+            self.rebuild(pos, mass);
+            self.walk_targets(pos, out);
+        }
+    }
+
+    /// The below-crossover half of
+    /// [`TreeGravity::self_accelerations_into`]: mirror the set into the
+    /// SoA columns, then sum each unordered pair once.
+    // jc-lint: no-alloc
+    fn sum_pairs(&mut self, pos: &[[f64; 3]], mass: &[f64], out: &mut Vec<[f64; 3]>) {
+        let n = pos.len();
+        out.clear();
+        out.resize(n, [0.0; 3]);
+        self.sources.fill_from_positions(mass, pos);
+        self_accelerations(&self.sources, self.eps2, self.max_threads, &mut self.pairs, out);
+        self.interactions.store((n * n.saturating_sub(1) / 2) as u64, Ordering::Relaxed);
+    }
+
     /// Rebuild the octree over the sources, reusing the node arena —
     /// the build half of [`TreeGravity::accelerations_into`], exposed so
     /// build and walk cost can be measured (and amortized) separately.
@@ -374,15 +424,17 @@ impl TreeGravity {
         self.interactions.store(total, Ordering::Relaxed);
     }
 
-    /// Interactions performed by the last [`TreeGravity::accelerations`]
-    /// / [`TreeGravity::accelerations_into`] call: accepted
-    /// particle–node pairs for a walk, the exact `targets × sources`
-    /// pair count for a direct sum. The direct sum therefore *reports
-    /// more* (512² = 262 k pairs where the θ = 0.6 walk accepted ≈ 117 k
-    /// nodes) while taking less time — each pair costs ≈ 2 ns against
-    /// ≈ 10 ns per traversed node — so modeled flop counters built on
-    /// this rise across the crossover. That is the work actually done,
-    /// not a regression to "fix".
+    /// Interactions performed by the last call: accepted particle–node
+    /// pairs for a walk, the exact `targets × sources` pair count for a
+    /// direct sum, and the `n(n−1)/2` unordered pairs the pair-symmetric
+    /// sum of [`TreeGravity::self_accelerations_into`] evaluates. A direct
+    /// sum can therefore *report more* than the walk it replaces — at 512
+    /// particles the pair-symmetric sum evaluates 131 k pairs where the
+    /// θ = 0.6 walk accepted ≈ 117 k nodes — while taking far less time,
+    /// because a pair costs ≈ 2 ns against ≈ 10 ns per traversed node.
+    /// Modeled flop counters built on this therefore do not fall across
+    /// the crossover. That is the work actually done, not a regression to
+    /// "fix".
     pub fn last_interactions(&self) -> u64 {
         self.interactions.load(Ordering::Relaxed)
     }
@@ -844,6 +896,73 @@ mod tests {
                 tpos.chunks(tpos.len().div_ceil(k)).flat_map(|shard| sum(0, shard)).collect();
             assert_eq!(split, whole, "K = {k}");
         }
+    }
+
+    #[test]
+    fn self_gravity_is_picked_by_population_alone() {
+        const CROSS: usize = 40;
+        for n in [CROSS - 1, CROSS, CROSS + 1] {
+            let (pos, mass) = cloud(n, 77);
+            let mut solver = TreeGravity::with_crossover(0.5, 0.01, CROSS);
+            let mut got = Vec::new();
+            solver.self_accelerations_into(&pos, &mass, &mut got);
+            let inter = solver.last_interactions();
+            let mut want = Vec::new();
+            if n < CROSS {
+                // the pair-symmetric sum: each unordered pair once, equal
+                // to the directed sum to rounding
+                solver.accelerations_into(&pos, &pos, &mass, &mut want);
+                assert!(rel_err(&got, &want) < 1e-12, "n = {n}: {}", rel_err(&got, &want));
+                assert_eq!(inter, (n * (n - 1) / 2) as u64, "each pair counted once");
+            } else {
+                solver.rebuild(&pos, &mass);
+                solver.walk_targets(&pos, &mut want);
+                assert_eq!(got, want, "n = {n}");
+                assert_eq!(inter, solver.last_interactions());
+            }
+        }
+        // `simd = false` names the tree walk at every population
+        let (pos, mass) = cloud(CROSS - 1, 77);
+        let mut scalar = TreeGravity::new(0.5, 0.01);
+        scalar.simd = false;
+        let mut got = Vec::new();
+        scalar.self_accelerations_into(&pos, &mass, &mut got);
+        assert_eq!(got, scalar.accelerations(&pos, &pos, &mass));
+    }
+
+    #[test]
+    fn pair_sum_does_not_depend_on_threads() {
+        // 8 blocks of the pair-symmetric sum, so 7 workers really fan out
+        let (pos, mass) = cloud(512, 21);
+        let sum = |max_threads: usize| {
+            let mut solver = TreeGravity::new(0.5, 0.01);
+            solver.max_threads = max_threads;
+            let mut out = Vec::new();
+            solver.self_accelerations_into(&pos, &mass, &mut out);
+            assert_eq!(solver.last_interactions(), 512 * 511 / 2);
+            out
+        };
+        let whole = sum(1);
+        assert!(rel_err(&whole, &lane_sum(&pos, &pos, &mass, 1e-4)) < 1e-12);
+        for threads in [0, 2, 7] {
+            assert_eq!(sum(threads), whole, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn pair_sum_edge_cases() {
+        let mut solver = TreeGravity::new(0.5, 0.0);
+        let mut out = vec![[9.0; 3]];
+        solver.self_accelerations_into(&[], &[], &mut out);
+        assert!(out.is_empty());
+        assert_eq!(solver.last_interactions(), 0);
+        // one particle feels nothing; two pull on each other
+        solver.self_accelerations_into(&[[0.0; 3]], &[1.0], &mut out);
+        assert_eq!(out, vec![[0.0; 3]]);
+        assert_eq!(solver.last_interactions(), 0);
+        solver.self_accelerations_into(&[[0.0; 3], [0.0, 0.0, 2.0]], &[4.0, 8.0], &mut out);
+        assert_eq!(out, vec![[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]]);
+        assert_eq!(solver.last_interactions(), 1);
     }
 
     #[test]

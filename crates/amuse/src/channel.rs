@@ -3,16 +3,25 @@
 //! "AMUSE communicates with workers using a channel, in an RPC-like method.
 //! Both synchronous and asynchronous calls are supported. The default
 //! channel uses MPI [...] however, a channel based on sockets is also
-//! available. For this paper, we added an Ibis channel" (§4.1). Here:
+//! available. For this paper, we added an Ibis channel" (§4.1). As in
+//! AMUSE, the protocol is written once and only the transport under it
+//! changes: a [`ClientCore`] speaks [`crate::wire`] frames over any
+//! [`Link`] that carries them.
 //!
-//! * [`LocalChannel`] — worker lives in the caller (stands in for the MPI
-//!   channel's same-machine case).
+//! * [`LocalChannel`] — the client core over the worker's own
+//!   [`ServerCore`] in the caller (stands in for the MPI channel's
+//!   same-machine case): every request is encoded, served and decoded
+//!   as over TCP, with no socket and no thread.
+//! * [`crate::ReactorChannel`] — the same client core over a TCP
+//!   connection of a [`crate::Reactor`] (the socket channel).
 //! * [`ThreadChannel`] — worker runs on its own OS thread behind crossbeam
-//!   queues (stands in for the socket channel; gives real async overlap).
+//!   queues, carrying [`Request`] values, not frames: the codec-free
+//!   reference the frame path is tested against.
 //! * The Ibis channel is `jc_core::IbisChannel`, routing these same
 //!   requests through the simulated jungle.
 
-use crate::host::{self, owned_compute_kick};
+use crate::host::{self, owned_compute_kick, ServerCore};
+use crate::wire::{self, WireError};
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
 use crossbeam::channel as xchan;
 
@@ -62,11 +71,11 @@ impl ChannelStats {
 ///   or instrumenting a channel means covering the two-phase legs only.
 /// * The typed legs are the generic legs over borrowed slices. They
 ///   default to the generic legs with owned payloads; a channel
-///   overrides a pair to skip the copies ([`LocalChannel`] hands the
-///   slices to its worker, the TCP channels encode from and decode
-///   into them) with the same result and the same accounting as the
-///   generic request. The bridge's hot loop is `submit_snapshot`/
-///   `collect_snapshot_into`, `submit_step`/`collect_step_into`,
+///   overrides a pair to skip the copies ([`ClientCore`] encodes from
+///   and decodes into them, in process and over TCP alike) with the
+///   same result and the same accounting as the generic request. The
+///   bridge's hot loop is `submit_snapshot`/`collect_snapshot_into`,
+///   `submit_step`/`collect_step_into`,
 ///   `submit_field`/`collect_accelerations_into` and
 ///   `submit_kick_slice`/`collect_kick`, and those are the pairs the
 ///   channels override; `submit_compute_kick` is the provided default
@@ -249,115 +258,145 @@ pub(crate) fn stepped_into(resp: Response, out: &mut ParticleData) -> Response {
     }
 }
 
-fn account(stats: &mut ChannelStats, req_bytes: u64, resp: &Response) {
-    stats.calls += 1;
-    stats.bytes_out += req_bytes;
-    stats.bytes_in += resp.wire_size();
-    stats.flops += resp.flops();
+/// What carries a [`ClientCore`]'s frames: each stamped request frame
+/// to the worker, the reply frame back. In process the worker's own
+/// [`ServerCore`] is the link; over TCP it is a
+/// [`crate::reactor::ReactorLink`]. The link only moves bytes: the codec,
+/// stamping, the one-outstanding rule and the accounting are the core's.
+pub trait Link {
+    /// Lend the link's frame buffer to `write`, which fills it with a
+    /// whole stamped request, and start that frame toward the worker.
+    fn send(&mut self, write: impl FnOnce(&mut Vec<u8>));
+
+    /// Finish the round trip [`Link::send`] started and hand the reply
+    /// frame to `read`. Each transient fault absorbed in place on the way
+    /// ticks `retries`. `Err` is the failure the call surfaces and
+    /// whether the request frame left (its bytes count as sent then).
+    fn recv<T>(
+        &mut self,
+        retries: &mut u64,
+        read: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, (WireError, bool)>;
+
+    /// The worker's display name.
+    fn name(&self) -> String;
+
+    /// See [`Channel::set_deadline`]; a link that never retries has no
+    /// use for it.
+    fn set_deadline(&mut self, _deadline_ms: u64) {}
+
+    /// See [`Channel::pipelines`].
+    fn pipelines(&self) -> bool {
+        false
+    }
 }
 
-/// What a [`LocalChannel`] holds between a submit and its collect.
-enum Parked {
-    /// The finished (and accounted) response.
-    Response(Response),
-    /// A snapshot, taken when it is collected — straight into the
-    /// collector's buffer.
-    Snapshot,
-    /// Accelerations, computed and accounted, waiting in
-    /// `LocalChannel::acc` with these modeled flops.
-    Accelerations(f64),
-    /// A step whose kicks and evolve ran (these flops, this many request
-    /// bytes); the answer's columns are copied, and the round trip
-    /// accounted, when it is collected — straight into the collector's
-    /// buffer.
-    Stepped(f64, u64),
-}
-
-/// The in-process channel: the worker lives in the caller, so a request
-/// executes inside its `submit*` leg (a snapshot inside its collect) and
-/// the result is parked until collected. Requests reach the worker
-/// through [`crate::host`]; the typed legs hand borrowed slices straight
-/// to its borrowed entry points and book exactly what the equivalent
-/// [`Request`] would have, so a warm in-process bridge step allocates
-/// nothing; a worker that declines a borrowed leg gets the owned request
-/// through [`ModelWorker::handle`] instead.
-pub struct LocalChannel {
-    worker: Box<dyn ModelWorker>,
+/// The client half of the protocol, written once for every [`Link`].
+///
+/// Each request — an owned [`Request`], or the typed legs' borrowed
+/// slices — is encoded straight into the link's frame buffer and
+/// stamped with the next sequence number; its reply is decoded out of the
+/// link's buffer (into the caller's buffers on the typed legs), and a
+/// reply of another kind than a typed leg expects is surfaced as what
+/// the worker said. [`ChannelStats`] are booked from the frames' actual
+/// lengths, so a warm round trip through the typed legs allocates
+/// nothing client-side.
+///
+/// A request the wire cannot frame — columns of different lengths — is
+/// refused before it is encoded, with the answer its host or worker
+/// gives the owned request. A refused call books nothing.
+pub struct ClientCore<L> {
+    pub(crate) link: L,
     stats: ChannelStats,
-    pending: Option<Parked>,
-    /// Where `submit_field` parks its accelerations;
-    /// `collect_accelerations_into` swaps it with the caller's buffer.
-    acc: Vec<[f64; 3]>,
-    /// Staging for the second half of a field (see [`host::field_into`]).
-    tmp: Vec<[f64; 3]>,
+    /// The outstanding call: its request frame's length, or its refusal.
+    pending: Option<Result<u64, Response>>,
+    /// Sequence stamp of the most recent frame (wraps past `u16::MAX`,
+    /// skipping the unsequenced 0). A resend reuses it, which is what
+    /// lets the server deduplicate.
+    pub(crate) seq: u16,
 }
 
-impl LocalChannel {
-    /// Wrap a worker.
-    pub fn new(worker: Box<dyn ModelWorker>) -> LocalChannel {
-        LocalChannel {
-            worker,
-            stats: ChannelStats::default(),
-            pending: None,
-            acc: Vec::new(),
-            tmp: Vec::new(),
-        }
+impl<L: Link> ClientCore<L> {
+    /// A client over `link`.
+    pub(crate) fn over(link: L) -> ClientCore<L> {
+        ClientCore { link, stats: ChannelStats::default(), pending: None, seq: 0 }
     }
 
-    /// Every submit leg starts here: one call may be outstanding.
-    fn assert_idle(&self) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-    }
-
-    /// One accounted round trip through [`host::serve`].
-    fn roundtrip(&mut self, req: Request) -> Response {
-        let rb = req.wire_size();
-        let resp = host::serve(self.worker.as_mut(), req);
-        account(&mut self.stats, rb, &resp);
-        resp
-    }
-
-    /// Finish a parked step: copy the answer's columns into `out` and
-    /// account the round trip like the `Request::Step` it stands for.
+    /// Encode a request with `encode`, stamp it and send it.
     // jc-lint: no-alloc
-    fn finish_step(&mut self, flops: f64, req_bytes: u64, out: &mut ParticleData) -> Response {
-        match host::positions_into(self.worker.as_mut(), out) {
-            Ok(()) => {
-                self.stats.calls += 1;
-                self.stats.bytes_out += req_bytes;
-                self.stats.bytes_in += 32 * out.mass.len() as u64 + 32;
-                self.stats.flops += flops;
-                Response::Ok { flops }
-            }
-            Err(resp) => {
-                account(&mut self.stats, req_bytes, &resp);
-                resp
-            }
+    fn submit_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        assert!(self.pending.is_none(), "one outstanding call per channel");
+        self.seq = if self.seq == u16::MAX { 1 } else { self.seq + 1 };
+        let (seq, mut len) = (self.seq, 0);
+        self.link.send(|frame| {
+            encode(frame);
+            wire::set_seq(frame, seq);
+            len = frame.len() as u64;
+        });
+        self.pending = Some(Ok(len));
+    }
+
+    /// Submit a refusal instead of a request: nothing is sent, and the
+    /// collect surfaces `refusal`.
+    fn refuse(&mut self, refusal: Response) {
+        assert!(self.pending.is_none(), "one outstanding call per channel");
+        self.pending = Some(Err(refusal));
+    }
+
+    /// Finish the outstanding call and decode its reply with `decode`, a
+    /// typed leg's decoder or [`wire::decode_response`], booking the
+    /// `flops` of what it decoded. A valid frame of another kind than
+    /// `decode` expects comes back as the owned response it carries.
+    // jc-lint: no-alloc
+    // the error is the response the caller surfaces, moved once
+    #[allow(clippy::result_large_err)]
+    fn collect_with<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+        flops: impl FnOnce(&T) -> f64,
+    ) -> Result<T, Response> {
+        let sent_bytes = self.pending.take().expect("no outstanding call")?;
+        let stats = &mut self.stats;
+        stats.calls += 1;
+        let (retries, bytes_in) = (&mut stats.retries, &mut stats.bytes_in);
+        let (sent, answer) = match self.link.recv(retries, |frame| {
+            *bytes_in += frame.len() as u64;
+            decode(frame).map_err(|e| match e {
+                WireError::Unexpected(_) => {
+                    wire::decode_response(frame).unwrap_or_else(wire_failure)
+                }
+                e => wire_failure(e),
+            })
+        }) {
+            Ok(answer) => (true, answer),
+            Err((e, sent)) => (sent, Err(wire_failure(e))),
+        };
+        if sent {
+            stats.bytes_out += sent_bytes;
         }
+        stats.flops += match &answer {
+            Ok(decoded) => flops(decoded),
+            Err(other) => other.flops(),
+        };
+        answer
     }
 }
 
-impl Channel for LocalChannel {
+/// The failed call's answer.
+fn wire_failure(e: WireError) -> Response {
+    Response::Error(format!("wire error: {e}"))
+}
+
+impl<L: Link> Channel for ClientCore<L> {
     fn submit(&mut self, req: Request) {
-        self.assert_idle();
-        self.pending = Some(Parked::Response(self.roundtrip(req)));
+        match host::check_columns(&req) {
+            Ok(()) => self.submit_with(|buf| wire::encode_request(&req, buf)),
+            Err(refusal) => self.refuse(refusal),
+        }
     }
 
     fn collect(&mut self) -> Response {
-        match self.pending.take().expect("no outstanding call") {
-            Parked::Response(resp) => resp,
-            Parked::Snapshot => self.roundtrip(Request::GetParticles),
-            Parked::Accelerations(flops) => {
-                Response::Accelerations { acc: std::mem::take(&mut self.acc), flops }
-            }
-            Parked::Stepped(flops, req_bytes) => {
-                let mut p = ParticleData::default();
-                match self.finish_step(flops, req_bytes, &mut p) {
-                    Response::Ok { flops } => Response::Stepped { mass: p.mass, pos: p.pos, flops },
-                    other => other,
-                }
-            }
-        }
+        self.collect_with(wire::decode_response, Response::flops).unwrap_or_else(|other| other)
     }
 
     fn stats(&self) -> ChannelStats {
@@ -365,77 +404,47 @@ impl Channel for LocalChannel {
     }
 
     fn worker_name(&self) -> String {
-        self.worker.name()
+        self.link.name()
+    }
+
+    fn set_deadline(&mut self, deadline_ms: u64) {
+        self.link.set_deadline(deadline_ms);
+    }
+
+    fn pipelines(&self) -> bool {
+        self.link.pipelines()
     }
 
     // jc-lint: no-alloc
     fn submit_snapshot(&mut self) {
-        self.assert_idle();
-        self.pending = Some(Parked::Snapshot);
+        self.submit_with(|buf| wire::encode_simple_request(wire::op::GET_PARTICLES, buf));
     }
 
     // jc-lint: no-alloc
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        let resp = match self.pending.take().expect("no outstanding call") {
-            Parked::Snapshot if self.worker.snapshot_into(out) => {
-                // account exactly like the Request::GetParticles round trip
-                self.stats.calls += 1;
-                self.stats.bytes_out += Request::GetParticles.wire_size();
-                self.stats.bytes_in += out.wire_size() + 32;
-                return true;
-            }
-            // cold path: the worker declined the borrowed leg
-            Parked::Snapshot => self.roundtrip(Request::GetParticles),
-            Parked::Response(resp) => resp,
-            Parked::Accelerations(_) | Parked::Stepped(..) => return false,
-        };
-        match resp {
-            Response::Particles(p) => {
-                *out = p;
-                true
-            }
-            _ => false,
-        }
+        self.collect_with(|frame| wire::decode_particles_into(frame, out), |_| 0.0).is_ok()
     }
 
     // jc-lint: no-alloc
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
-        self.assert_idle();
-        let resp = match self.worker.kick_slice(dv) {
-            Some(flops) => {
-                let resp = Response::Ok { flops };
-                account(&mut self.stats, 24 * dv.len() as u64 + 32, &resp);
-                resp
-            }
-            // jc-lint: allow(no-alloc): cold path — the worker declined the borrowed leg
-            None => self.roundtrip(Request::Kick(dv.to_vec())),
-        };
-        self.pending = Some(Parked::Response(resp));
+        self.submit_with(|buf| wire::encode_kick(dv, buf));
+    }
+
+    // jc-lint: no-alloc
+    fn collect_kick(&mut self) -> Response {
+        let answer = self.collect_with(wire::decode_ok, |&flops| flops);
+        answer.map_or_else(|other| other, |flops| Response::Ok { flops })
     }
 
     // jc-lint: no-alloc
     fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
-        self.assert_idle();
-        let req_bytes = 24 * dv.len() as u64 + 8 + 32;
-        self.pending = Some(match host::step(self.worker.as_mut(), dv, n, t) {
-            Ok(flops) => Parked::Stepped(flops, req_bytes),
-            Err(resp) => {
-                account(&mut self.stats, req_bytes, &resp);
-                Parked::Response(resp)
-            }
-        });
+        self.submit_with(|buf| wire::encode_step(dv, n, t, buf));
     }
 
     // jc-lint: no-alloc
     fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
-        match self.pending.take().expect("no outstanding call") {
-            Parked::Stepped(flops, req_bytes) => self.finish_step(flops, req_bytes, out),
-            other => {
-                self.pending = Some(other);
-                // jc-lint: allow(no-alloc): cold path — a generic submit or a refused step
-                stepped_into(self.collect(), out)
-            }
-        }
+        let answer = self.collect_with(|frame| wire::decode_stepped_into(frame, out), |&f| f);
+        answer.map_or_else(|other| other, |flops| Response::Ok { flops })
     }
 
     // jc-lint: no-alloc
@@ -446,49 +455,32 @@ impl Channel for LocalChannel {
         star_range: (usize, usize),
         gas_range: (usize, usize),
     ) {
-        self.assert_idle();
-        let req_bytes = 24 * (stars.pos.len() + gas.pos.len()) as u64
-            + 8 * (stars.mass.len() + gas.mass.len()) as u64
-            + 32
-            + 32;
-        let (acc, tmp) = (&mut self.acc, &mut self.tmp);
-        let answer = host::field_into(
-            self.worker.as_mut(),
-            (&stars.pos, &stars.mass),
-            (&gas.pos, &gas.mass),
-            star_range,
-            gas_range,
-            acc,
-            tmp,
-        );
-        self.pending = Some(match answer {
-            Ok(flops) => {
-                self.stats.calls += 1;
-                self.stats.bytes_out += req_bytes;
-                self.stats.bytes_in += 24 * self.acc.len() as u64 + 32;
-                self.stats.flops += flops;
-                Parked::Accelerations(flops)
-            }
-            Err(resp) => {
-                account(&mut self.stats, req_bytes, &resp);
-                Parked::Response(resp)
-            }
-        });
+        let (stars, gas) = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
+        match host::check_sets(stars, gas) {
+            Ok(()) => self.submit_with(|buf| {
+                wire::encode_compute_field(stars, gas, star_range, gas_range, buf)
+            }),
+            Err(refusal) => self.refuse(refusal),
+        }
     }
 
     // jc-lint: no-alloc
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        match self.pending.take().expect("no outstanding call") {
-            Parked::Accelerations(flops) => {
-                std::mem::swap(out, &mut self.acc);
-                Some(flops)
-            }
-            Parked::Response(Response::Accelerations { acc, flops }) => {
-                *out = acc;
-                Some(flops)
-            }
-            _ => None,
-        }
+        self.collect_with(|frame| wire::decode_accelerations_into(frame, out), |&f| f).ok()
+    }
+}
+
+/// The in-process channel: the client core over the worker's own
+/// [`ServerCore`], in the caller. A request is encoded and served inside
+/// its `submit*` leg and the reply decoded inside the `collect*` leg —
+/// the TCP client's frames and the server's fast paths, with no socket,
+/// no thread and nothing to retry.
+pub type LocalChannel = ClientCore<ServerCore<'static, Box<dyn ModelWorker>>>;
+
+impl LocalChannel {
+    /// Wrap a worker.
+    pub fn new(worker: Box<dyn ModelWorker>) -> LocalChannel {
+        ClientCore::over(ServerCore::with_worker(worker, None))
     }
 }
 
@@ -497,9 +489,11 @@ enum ThreadMsg {
     Shutdown,
 }
 
-/// A worker on its own OS thread. Requests travel over crossbeam channels;
-/// `submit`/`collect` give true overlap (the paper's parallel evolve of
-/// gas and gravity on different resources).
+/// A worker on its own OS thread. Requests travel over crossbeam channels
+/// as values, never encoded, and are booked at their modeled
+/// `wire_size` — the codec-free reference [`LocalChannel`]'s frames are
+/// tested against. `submit`/`collect` give true overlap (the paper's
+/// parallel evolve of gas and gravity on different resources).
 pub struct ThreadChannel {
     tx: xchan::Sender<ThreadMsg>,
     rx: xchan::Receiver<Response>,
@@ -559,7 +553,10 @@ impl Channel for ThreadChannel {
     fn collect(&mut self) -> Response {
         let rb = self.pending_bytes.take().expect("no outstanding call");
         let resp = self.rx.recv().expect("worker thread alive");
-        account(&mut self.stats, rb, &resp);
+        self.stats.calls += 1;
+        self.stats.bytes_out += rb;
+        self.stats.bytes_in += resp.wire_size();
+        self.stats.flops += resp.flops();
         resp
     }
 
@@ -704,6 +701,163 @@ mod tests {
         legs_match_call(local(Box::new(fi())), local(Box::new(fi())), 0);
         legs_match_call(local(Box::new(HandleOnly(fi()))), local(Box::new(HandleOnly(fi()))), 0);
         legs_match_call(local(Box::new(fi())), local(Box::new(HandleOnly(fi()))), 0);
+    }
+
+    /// The same worker behind the frame path and behind the value path.
+    fn frames_and_values<W: ModelWorker + 'static>(make: fn() -> W) -> [Box<dyn Channel>; 2] {
+        [Box::new(LocalChannel::new(Box::new(make()))), Box::new(ThreadChannel::spawn("ref", make))]
+    }
+
+    #[test]
+    fn local_frames_match_the_thread_reference_bitwise() {
+        use crate::worker::{CouplingWorker, HydroWorker};
+        let grav = || GravityWorker::new(plummer_sphere(6, 3), Backend::Scalar);
+        let dv: Vec<[f64; 3]> = (0..6).map(|i| [1e-3 * i as f64, -2e-4, 5e-4]).collect();
+        let (stars, gas) = (plummer_sphere(5, 4), plummer_sphere(7, 5));
+        let set = |p: &jc_nbody::ParticleSet| ParticleData {
+            mass: p.mass.clone(),
+            pos: p.pos.clone(),
+            vel: vec![],
+        };
+        let (star_set, gas_set) = (set(&stars), set(&gas));
+        // every request kind by `call`, each to a worker that serves it,
+        // plus an `Unsupported` and an `Error` answer
+        let scripts = [
+            (
+                vec![
+                    Request::Ping,
+                    Request::GetParticles,
+                    Request::Kick(dv.clone()),
+                    Request::SetMasses(vec![0.2; 6]),
+                    Request::EvolveTo(0.01),
+                    Request::Step { dv: dv.clone(), n: 1, t: 0.02 },
+                    Request::Step { dv: dv.clone(), n: 2, t: 0.03 },
+                    Request::EvolveStars(1.0),
+                    Request::Kick(vec![[0.0; 3]; 5]),
+                ],
+                frames_and_values(grav),
+            ),
+            (
+                vec![
+                    owned_compute_kick(&gas.pos, &stars.pos, &stars.mass),
+                    Request::ComputeField {
+                        star_pos: stars.pos.clone(),
+                        star_mass: stars.mass.clone(),
+                        gas_pos: gas.pos.clone(),
+                        gas_mass: gas.mass.clone(),
+                        star_range: (1, 5),
+                        gas_range: (0, 6),
+                    },
+                ],
+                frames_and_values(CouplingWorker::fi),
+            ),
+            (
+                vec![Request::EvolveStars(12.0)],
+                frames_and_values(|| StellarWorker::new(vec![1.0, 9.0, 30.0], 0.02)),
+            ),
+            (
+                vec![
+                    Request::InjectEnergy { center: [0.0; 3], radius: 0.5, energy: 1e-3 },
+                    Request::AddGas { pos: [0.1, 0.0, 0.0], mass: 1e-3, u: 0.05 },
+                ],
+                frames_and_values(|| HydroWorker::new(jc_sph::particles::plummer_gas(12, 1.0, 6))),
+            ),
+        ];
+        for (requests, channels) in scripts {
+            let transcripts = channels.map(|mut ch| {
+                let mut said: Vec<String> = Vec::new();
+                for req in requests.clone() {
+                    said.push(format!("{:?}", ch.call(req)));
+                }
+                // a state round trip: what was saved loads back
+                let state = ch.call(Request::SaveState);
+                said.push(format!("{state:?}"));
+                if let Response::State(s) = state {
+                    said.push(format!("{:?}", ch.call(Request::LoadState(s))));
+                }
+                // and the typed legs, whatever the worker makes of them
+                let mut p = ParticleData::default();
+                let ok = ch.snapshot_into(&mut p);
+                said.push(format!("{ok} {p:?}"));
+                said.push(format!("{:?}", ch.kick_slice(&dv)));
+                for n in [1, 2] {
+                    ch.submit_step(&dv, n, 0.04 * n as f64);
+                    let r = ch.collect_step_into(&mut p);
+                    said.push(format!("{r:?} {p:?}"));
+                }
+                let mut acc = Vec::new();
+                let f = ch.compute_kick_into(&gas.pos, &stars.pos, &stars.mass, &mut acc);
+                said.push(format!("{f:?} {acc:?}"));
+                ch.submit_field(&star_set, &gas_set, (0, 5), (2, 7));
+                let f = ch.collect_accelerations_into(&mut acc);
+                said.push(format!("{f:?} {acc:?}"));
+                (said, ch.stats())
+            });
+            let [(frames, frame_books), (values, value_books)] = transcripts;
+            assert_eq!(frames, values, "the frame path answers what the value path does");
+            assert_eq!(frame_books, value_books, "and books the same bytes, calls and flops");
+            assert_eq!(frame_books.retries, 0);
+        }
+    }
+
+    #[test]
+    fn ragged_requests_are_refused_alike_on_every_channel() {
+        use crate::checkpoint::ModelState;
+        use crate::worker::CouplingWorker;
+        let (addr, server) = crate::socket::spawn_tcp_worker("fi", CouplingWorker::fi);
+        let reactor = crate::reactor::Reactor::new_shared().unwrap();
+        let local =
+            || -> Box<dyn Channel> { Box::new(LocalChannel::new(Box::new(CouplingWorker::fi()))) };
+        let channels: [Box<dyn Channel>; 3] = [
+            local(),
+            Box::new(crate::ReactorChannel::connect(&reactor, addr, "fi").unwrap()),
+            Box::new(crate::ShardedChannel::with_counts(vec![local(), local()], Vec::new())),
+        ];
+        // columns of different lengths: no frame can carry them
+        let (stars, gas) = (plummer_sphere(4, 1), plummer_sphere(3, 2));
+        let ragged = ParticleData { mass: stars.mass[..3].to_vec(), pos: stars.pos, vel: vec![] };
+        let gas = ParticleData { mass: gas.mass, pos: gas.pos, vel: vec![] };
+        let requests = || {
+            [
+                Request::ComputeField {
+                    star_pos: ragged.pos.clone(),
+                    star_mass: ragged.mass.clone(),
+                    gas_pos: gas.pos.clone(),
+                    gas_mass: gas.mass.clone(),
+                    star_range: (0, 3),
+                    gas_range: (0, 3),
+                },
+                Request::ComputeKick {
+                    targets: gas.pos.clone(),
+                    source_pos: ragged.pos.clone(),
+                    source_mass: ragged.mass.clone(),
+                },
+                Request::LoadState(ModelState::Gravity {
+                    time: 0.0,
+                    mass: ragged.mass.clone(),
+                    pos: ragged.pos.clone(),
+                    vel: vec![[0.0; 3]; 3],
+                }),
+            ]
+        };
+        let answers = requests().map(|req| match req {
+            Request::ComputeKick { .. } => "source arrays length mismatch",
+            Request::LoadState(_) => "ragged gravity state",
+            _ => "field set arrays length mismatch",
+        });
+        for mut ch in channels {
+            for (req, answer) in requests().into_iter().zip(answers) {
+                let r = ch.call(req);
+                assert!(matches!(&r, Response::Error(e) if e == answer), "{r:?}");
+            }
+            let mut acc = vec![[1.0; 3]];
+            ch.submit_field(&ragged, &gas, (0, 3), (0, 3));
+            assert_eq!(ch.collect_accelerations_into(&mut acc), None);
+            assert_eq!(ch.compute_kick_into(&gas.pos, &ragged.pos, &ragged.mass, &mut acc), None);
+            assert_eq!(ch.stats(), ChannelStats::default(), "a refusal books nothing");
+            assert!(matches!(ch.call(Request::Ping), Response::Ok { .. }), "still usable");
+        }
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -295,6 +295,22 @@ impl ModelState {
         self.len() == 0
     }
 
+    /// `Err` names a ragged state — columns of different lengths — in
+    /// the words its worker refuses it with. The wire sizes a state
+    /// frame from one column, so such a state cannot be framed.
+    pub(crate) fn check_columns(&self) -> Result<(), String> {
+        let n = self.len();
+        let even = match self {
+            ModelState::Stateless => true,
+            ModelState::Gravity { pos, vel, .. } => pos.len() == n && vel.len() == n,
+            ModelState::Hydro { pos, vel, u, rho, h, .. } => {
+                [pos.len(), vel.len(), u.len(), rho.len(), h.len()] == [n; 5]
+            }
+            ModelState::Stellar { exploded, .. } => exploded.len() == n,
+        };
+        even.then_some(()).ok_or_else(|| format!("ragged {} state", self.kind()))
+    }
+
     /// Copy of the contiguous element range `[start, end)` (every column
     /// cut identically — the shard scatter slice). Scalars (time, z)
     /// are carried along unchanged.

@@ -1,11 +1,11 @@
 //! What a worker's *host* does with a request.
 //!
 //! A [`ModelWorker`] is one kernel behind six methods. Whatever hosts
-//! it — [`crate::LocalChannel`] in the caller, [`crate::ThreadChannel`]'s
-//! thread, [`crate::WorkerServer`] behind TCP, `jc_core`'s simulated
-//! proxy — hands it requests through this module, and the two composite
-//! requests of the bridge's substep are decomposed here, once, into
-//! those six methods:
+//! it — a [`ServerCore`] (in the caller behind [`crate::LocalChannel`],
+//! behind TCP in [`crate::WorkerServer`]), [`crate::ThreadChannel`]'s
+//! thread, `jc_core`'s simulated proxy — hands it requests through this
+//! module, and the two composite requests of the bridge's substep are
+//! decomposed here, once, into those six methods:
 //!
 //! * [`Request::Step`] = `n` × [`ModelWorker::kick_slice`], then
 //!   `handle(EvolveTo)`, then the particle columns
@@ -17,13 +17,18 @@
 //! as the six separate round trips called it — same arguments, same
 //! order, same f64 results — and a worker that declines a borrowed
 //! method gets the owned request through `handle` instead, as the
-//! channels have always done.
+//! channels have always done. [`ServerCore`] is the host that speaks
+//! frames, in process (as a [`Link`]) and behind TCP alike.
 
 // `Err(Response)` throughout: the error *is* the frame the host answers
 // with, moved once on the cold path — boxing it would buy nothing.
 #![allow(clippy::result_large_err)]
 
+use crate::channel::Link;
+use crate::wire::{self, WireError};
 use crate::worker::{ModelWorker, ParticleColumns, ParticleData, Request, Response};
+use std::ops::DerefMut;
+use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Execute one request on `worker`: composites are decomposed, anything
 /// else is the worker's own business.
@@ -34,9 +39,10 @@ pub fn serve(worker: &mut dyn ModelWorker, req: Request) -> Response {
                 Ok(flops) => flops,
                 Err(resp) => return resp,
             };
-            let mut p = ParticleData::default();
-            match positions_into(worker, &mut p) {
-                Ok(()) => Response::Stepped { mass: p.mass, pos: p.pos, flops },
+            match particles(worker, &mut ParticleData::default()) {
+                Ok((mass, pos, _)) => {
+                    Response::Stepped { mass: mass.to_vec(), pos: pos.to_vec(), flops }
+                }
                 Err(resp) => resp,
             }
         }
@@ -101,28 +107,6 @@ pub fn particles<'a>(
     Ok(worker.particles().unwrap_or((&scratch.mass, &scratch.pos, &scratch.vel)))
 }
 
-/// What a [`Request::Step`] answers with, copied into `out`: the
-/// worker's masses and positions, `out.vel` left empty.
-// jc-lint: no-alloc
-pub fn positions_into(
-    worker: &mut dyn ModelWorker,
-    out: &mut ParticleData,
-) -> Result<(), Response> {
-    if let Some((mass, pos, _)) = worker.particles() {
-        out.mass.clear();
-        out.mass.extend_from_slice(mass);
-        out.pos.clear();
-        out.pos.extend_from_slice(pos);
-    } else if !worker.snapshot_into(out) {
-        match worker.handle(Request::GetParticles) {
-            Response::Particles(p) => *out = p,
-            other => return Err(other),
-        }
-    }
-    out.vel.clear();
-    Ok(())
-}
-
 /// Borrowed `(positions, masses)` of one particle set.
 pub type FieldSet<'a> = (&'a [[f64; 3]], &'a [f64]);
 
@@ -150,6 +134,33 @@ pub fn field_into(
     Ok(star_flops + gas_flops)
 }
 
+/// The typed refusal of a request whose columns disagree in length, the
+/// one shape the wire cannot frame (a header counts one column, the
+/// payload carries them all). A client refuses it before encoding, with
+/// the answer a host or worker gives the owned request.
+pub(crate) fn check_columns(req: &Request) -> Result<(), Response> {
+    match req {
+        Request::ComputeKick { source_pos, source_mass, .. }
+            if source_pos.len() != source_mass.len() =>
+        {
+            Err(Response::Error("source arrays length mismatch".into()))
+        }
+        Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, .. } => {
+            check_sets((star_pos, star_mass), (gas_pos, gas_mass))
+        }
+        Request::LoadState(state) => state.check_columns().map_err(Response::Error),
+        _ => Ok(()),
+    }
+}
+
+/// The typed refusal of a [`Request::ComputeField`] with ragged sets.
+pub(crate) fn check_sets(stars: FieldSet<'_>, gas: FieldSet<'_>) -> Result<(), Response> {
+    if stars.0.len() != stars.1.len() || gas.0.len() != gas.1.len() {
+        return Err(Response::Error("field set arrays length mismatch".into()));
+    }
+    Ok(())
+}
+
 /// The typed refusal of a malformed [`Request::ComputeField`]: ragged
 /// sets, or target ranges reversed or outside them.
 pub(crate) fn check_field(
@@ -158,10 +169,8 @@ pub(crate) fn check_field(
     star_range: (usize, usize),
     gas_range: (usize, usize),
 ) -> Result<(), Response> {
+    check_sets(stars, gas)?;
     let inside = |(a, b): (usize, usize), len: usize| a <= b && b <= len;
-    if stars.0.len() != stars.1.len() || gas.0.len() != gas.1.len() {
-        return Err(Response::Error("field set arrays length mismatch".into()));
-    }
     if !inside(star_range, stars.0.len()) || !inside(gas_range, gas.0.len()) {
         return Err(Response::Error(format!(
             "field target ranges {star_range:?}/{gas_range:?} outside sets of {} stars, {} gas",
@@ -204,6 +213,321 @@ pub(crate) fn owned_compute_kick(
         targets: targets.to_vec(),
         source_pos: source_pos.to_vec(),
         source_mass: source_mass.to_vec(),
+    }
+}
+
+/// Per-worker idempotency state: the last applied nonzero sequence
+/// number, a fingerprint of the exact request frame it was applied
+/// for, and, when that request was mutating, the encoded response to
+/// replay on a duplicate. Non-mutating requests are not recorded —
+/// re-executing a pure read of deterministic state yields bit-identical
+/// bytes anyway, so caching (possibly megabytes of) snapshot frames
+/// would buy nothing.
+///
+/// The fingerprint is what makes seq matching sound: this state
+/// intentionally outlives connections (a retried frame arrives on a
+/// *new* connection) and the 16-bit seq space wraps, so seq equality
+/// alone cannot prove the incoming frame is a resend — a fresh channel
+/// restarts its numbering at 1 (landing exactly on a stale `last_seq`
+/// whenever the previous connection's first request was mutating, e.g.
+/// a `Shutdown` or `LoadState` after the prior coupler died), and a
+/// long-lived channel reuses a number after 65535 frames. A genuine
+/// retry resends the identical bytes (same encode buffer, same stamp),
+/// so replay additionally requires the fingerprints to match; a
+/// colliding *new* request hashes differently and is applied normally,
+/// overwriting the cache.
+#[derive(Default)]
+struct Dedup {
+    last_seq: u16,
+    req_fp: u64,
+    cached: Vec<u8>,
+}
+
+/// FNV-1a (64-bit) over a whole request frame — the frame identity the
+/// dedup cache keys on alongside `last_seq`. Deterministic and
+/// dependency-free; a false replay now needs an accidental 64-bit hash
+/// collision on top of a wrapped/reused seq, which is beyond the
+/// cooperative failure model here (byte-identical mutating frames that
+/// legitimately collide — say, the same `SetMasses` payload exactly
+/// 65535 frames apart — remain theoretically indistinguishable from a
+/// resend, as they would be under full byte comparison too).
+///
+/// Folds four independent 8-byte FNV lanes per 32-byte block instead of
+/// hashing byte-at-a-time: the hash runs on every mutating request in
+/// the worker's serve loop, and the serial `wrapping_mul` dependency
+/// chain of single-lane FNV dominated the per-step cost on large kick
+/// frames (the four lanes let the multiplies overlap). This is only an
+/// in-process cache key — both the compare and the store leg use this
+/// same function, so the exact digest values are free to change.
+fn frame_fingerprint(frame: &[u8]) -> u64 {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut lanes = [SEED, SEED ^ 1, SEED ^ 2, SEED ^ 3];
+    let mut blocks = frame.chunks_exact(32);
+    for b in blocks.by_ref() {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane ^= u64::from_le_bytes(b[8 * k..8 * k + 8].try_into().unwrap());
+            *lane = lane.wrapping_mul(PRIME);
+        }
+    }
+    let mut h = SEED;
+    for &b in blocks.remainder() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    for lane in lanes {
+        h ^= lane;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// What a connection does once [`ServerCore::handle`]'s reply is
+/// written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next {
+    /// Read the next request.
+    Continue,
+    /// Protocol error (or clean disconnect): drop the connection and go
+    /// back to `accept`.
+    Hangup,
+    /// A `Stop`/`Shutdown` asked the whole server to exit.
+    ShutDown,
+    /// The failure-injection fuse fired: simulated node crash — the
+    /// connection is cut with no reply and the server exits.
+    Crash,
+}
+
+/// A socket-free worker server: one request frame in, the reply bytes
+/// and the connection's [`Next`] step out.
+///
+/// Per frame, in order: the dedup replay of a resent mutating request,
+/// decode, the crash fuse, the worker (per-step fast paths or
+/// [`serve`]), then the dedup cache. Decode and encode scratch, the
+/// reply buffer and the dedup state all live here and are reused, so a
+/// warm snapshot/step/field/kick request allocates nothing.
+///
+/// `W` is how the core holds its worker: borrowed for a
+/// [`crate::WorkerServer`]'s serve loop ([`ServerCore::new`]), boxed
+/// when a [`crate::LocalChannel`] owns it ([`ServerCore::with_worker`]).
+pub struct ServerCore<'a, W = &'a mut dyn ModelWorker> {
+    worker: W,
+    fuse: Option<&'a AtomicI64>,
+    /// Outlives connections on purpose: a coupler that reconnects after
+    /// a transient fault resends the same sequence number on the *new*
+    /// connection and must still hit the cache.
+    dedup: Dedup,
+    /// The reply to the last frame handled (empty after a crash).
+    out: Vec<u8>,
+    /// Where an in-process client writes its request (see [`Link`]).
+    inbox: Vec<u8>,
+    snap: ParticleData,
+    dv: Vec<[f64; 3]>,
+    /// The two sets of a field request (velocity columns unused).
+    stars: ParticleData,
+    gas: ParticleData,
+    acc: Vec<[f64; 3]>,
+    /// Staging for the second half of a field (see [`field_into`]).
+    tmp: Vec<[f64; 3]>,
+}
+
+impl<'a> ServerCore<'a> {
+    /// A core serving a borrowed `worker`; see
+    /// [`crate::WorkerServer::serve_with_fuse`] for `fuse`.
+    pub fn new(worker: &'a mut dyn ModelWorker, fuse: Option<&'a AtomicI64>) -> ServerCore<'a> {
+        ServerCore::with_worker(worker, fuse)
+    }
+}
+
+impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
+    /// A core serving the worker behind any handle to it.
+    pub fn with_worker(worker: W, fuse: Option<&'a AtomicI64>) -> ServerCore<'a, W> {
+        ServerCore {
+            worker,
+            fuse,
+            dedup: Dedup::default(),
+            out: Vec::new(),
+            inbox: Vec::new(),
+            snap: ParticleData::default(),
+            dv: Vec::new(),
+            stars: ParticleData::default(),
+            gas: ParticleData::default(),
+            acc: Vec::new(),
+            tmp: Vec::new(),
+        }
+    }
+
+    /// The reply to a request that could not be framed or decoded;
+    /// the connection then hangs up.
+    pub fn protocol_error(&mut self, e: &WireError) -> &[u8] {
+        wire::encode_response(&Response::Error(format!("protocol error: {e}")), &mut self.out);
+        &self.out
+    }
+
+    /// Serve one whole request frame.
+    pub fn handle(&mut self, frame: &[u8]) -> (&[u8], Next) {
+        // Idempotent retry: a duplicate of the last applied mutating
+        // request — same nonzero sequence number AND the same frame
+        // bytes, i.e. the coupler resent a frame whose response it lost
+        // — replays the cached response without re-applying, before the
+        // fuse or the worker sees it. The fingerprint check keeps a seq
+        // collision from a different channel (or after wrap) from being
+        // mistaken for a resend; see `Dedup`.
+        let seq = wire::frame_seq(frame);
+        if seq != 0
+            && seq == self.dedup.last_seq
+            && !self.dedup.cached.is_empty()
+            && frame_fingerprint(frame) == self.dedup.req_fp
+        {
+            self.out.clone_from(&self.dedup.cached);
+            return (&self.out, Next::Continue);
+        }
+        // Per-step fast paths: snapshot, kick, step and the coupling
+        // field bypass `decode_request`'s owned `Request` and the owned
+        // `Response` of `serve`: they decode into reused scratch and
+        // encode the reply straight into `out`. A leg the worker
+        // declines answers through the owned types with the exact same
+        // frames — byte-for-byte — that a fast-path-less server would
+        // produce.
+        type Range = (usize, usize);
+        enum Decoded {
+            Snapshot,
+            /// Half-kick in `dv`.
+            Kick,
+            /// Half-kick in `dv`; kick count and target time.
+            Step(u32, f64),
+            /// Sets in `stars` / `gas`; target ranges.
+            Field(Range, Range),
+            Other(Request),
+        }
+        let decoded = match frame.get(5).copied() {
+            Some(wire::op::GET_PARTICLES) if frame.len() == wire::HEADER_LEN => {
+                Ok(Decoded::Snapshot)
+            }
+            Some(wire::op::KICK) => {
+                wire::decode_kick_into(frame, &mut self.dv).map(|()| Decoded::Kick)
+            }
+            Some(wire::op::STEP) => {
+                wire::decode_step_into(frame, &mut self.dv).map(|(n, t)| Decoded::Step(n, t))
+            }
+            Some(wire::op::COMPUTE_FIELD) => {
+                wire::decode_compute_field_into(frame, &mut self.stars, &mut self.gas)
+                    .map(|(stars, gas)| Decoded::Field(stars, gas))
+            }
+            _ => wire::decode_request(frame).map(Decoded::Other),
+        };
+        let decoded = match decoded {
+            Ok(d) => d,
+            Err(e) => return (self.protocol_error(&e), Next::Hangup),
+        };
+        if let Some(f) = self.fuse {
+            if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                self.out.clear();
+                return (&self.out, Next::Crash);
+            }
+        }
+        let worker: &mut dyn ModelWorker = &mut *self.worker;
+        // `owned` is an answer no borrowed encoder has written yet
+        let (next, mutating, owned) = match decoded {
+            Decoded::Snapshot => {
+                // zero-copy when the worker lends its columns: straight
+                // from its arrays into the reply
+                let owned = match particles(worker, &mut self.snap) {
+                    Ok((mass, pos, vel)) => {
+                        wire::encode_particles_frame(mass, pos, vel, &mut self.out);
+                        None
+                    }
+                    Err(resp) => Some(resp),
+                };
+                (Next::Continue, false, owned)
+            }
+            Decoded::Kick => {
+                let owned = match worker.kick_slice(&self.dv) {
+                    Some(flops) => {
+                        wire::encode_ok_frame(flops, &mut self.out);
+                        None
+                    }
+                    None => Some(worker.handle(Request::Kick(std::mem::take(&mut self.dv)))),
+                };
+                (Next::Continue, true, owned)
+            }
+            Decoded::Step(n, t) => {
+                let owned = match step(worker, &self.dv, n, t) {
+                    Ok(flops) => match particles(worker, &mut self.snap) {
+                        Ok((mass, pos, _)) => {
+                            wire::encode_stepped_frame(mass, pos, flops, &mut self.out);
+                            None
+                        }
+                        Err(resp) => Some(resp),
+                    },
+                    Err(resp) => Some(resp),
+                };
+                (Next::Continue, true, owned)
+            }
+            Decoded::Field(star_range, gas_range) => {
+                let (stars, gas) = (&self.stars, &self.gas);
+                let owned = match field_into(
+                    worker,
+                    (&stars.pos, &stars.mass),
+                    (&gas.pos, &gas.mass),
+                    star_range,
+                    gas_range,
+                    &mut self.acc,
+                    &mut self.tmp,
+                ) {
+                    Ok(flops) => {
+                        wire::encode_accelerations_frame(&self.acc, flops, &mut self.out);
+                        None
+                    }
+                    Err(resp) => Some(resp),
+                };
+                (Next::Continue, false, owned)
+            }
+            Decoded::Other(req) => {
+                let next = match req {
+                    Request::Stop | Request::Shutdown => Next::ShutDown,
+                    _ => Next::Continue,
+                };
+                (next, req.mutating(), Some(serve(worker, req)))
+            }
+        };
+        if let Some(resp) = owned {
+            wire::encode_response(&resp, &mut self.out);
+        }
+        // Cache before the reply leaves: if the write (or the coupler's
+        // read of it) fails, the retried frame must find the cache.
+        if seq != 0 && mutating {
+            self.dedup.last_seq = seq;
+            self.dedup.req_fp = frame_fingerprint(frame);
+            self.dedup.cached.clear();
+            self.dedup.cached.extend_from_slice(&self.out);
+        }
+        (&self.out, next)
+    }
+}
+
+/// In process the core is the link: a request is written into its
+/// inbox and served as it is sent, and the reply is read straight out of
+/// the reply buffer. No byte can be lost on the way, so nothing is ever
+/// retried.
+impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> Link for ServerCore<'a, W> {
+    fn send(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let mut frame = std::mem::take(&mut self.inbox);
+        write(&mut frame);
+        self.handle(&frame);
+        self.inbox = frame;
+    }
+
+    fn recv<T>(
+        &mut self,
+        _retries: &mut u64,
+        read: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, (WireError, bool)> {
+        Ok(read(&self.out))
+    }
+
+    fn name(&self) -> String {
+        self.worker.name()
     }
 }
 

@@ -19,32 +19,35 @@
 //! * [`host`] — what every worker host does with a request: the two
 //!   composite requests of the bridge's substep ([`worker::Request::Step`],
 //!   [`worker::Request::ComputeField`]) are decomposed there, once, into
-//!   the six [`worker::ModelWorker`] methods.
+//!   the six [`worker::ModelWorker`] methods; [`host::ServerCore`] serves
+//!   request frames with them, socket-free, and keeps the dedup cache.
 //! * [`channel`] — the [`channel::Channel`] trait with synchronous `call`
-//!   and asynchronous `submit`/`collect`, plus two in-process
-//!   implementations: [`channel::LocalChannel`] (the default MPI-like
-//!   same-process channel) and [`channel::ThreadChannel`] (a real worker
-//!   thread fed over crossbeam queues). The *Ibis* channel that sends these
-//!   same requests across the simulated jungle lives in `jc-core`, exactly
-//!   as the paper adds its Ibis channel next to the existing MPI and socket
-//!   channels.
+//!   and asynchronous `submit`/`collect`, and [`channel::ClientCore`], the
+//!   client protocol written once over any [`channel::Link`].
+//!   [`channel::LocalChannel`] (the default MPI-like same-process
+//!   channel) is that core over the worker's own `ServerCore`;
+//!   [`channel::ThreadChannel`] (a real worker thread fed over crossbeam
+//!   queues) carries `Request` values, the codec-free reference. The
+//!   *Ibis* channel that sends these same requests across the simulated
+//!   jungle lives in `jc-core`, exactly as the paper adds its Ibis
+//!   channel next to the existing MPI and socket channels.
 //! * [`wire`] — the length-prefixed, versioned binary codec for
 //!   requests and responses; the physical frame size of every message
-//!   equals its modeled `wire_size`, so socket-channel accounting and
-//!   simulated accounting agree exactly.
+//!   equals its modeled `wire_size`, so frame accounting and simulated
+//!   accounting agree exactly.
 //! * [`socket`] — the server half of the socket channel:
 //!   [`socket::WorkerServer`] serves any [`worker::ModelWorker`] behind
 //!   a `TcpListener` (the `jungle-worker` binary in `jc-deploy` wraps
-//!   it) as a thin driver over the socket-free [`socket::ServerCore`];
+//!   it) as a thin driver over a `ServerCore`;
 //!   [`socket::SocketChannel`] is the stand-alone client, a facade over
 //!   one [`reactor::ReactorChannel`].
 //! * [`reactor`] — the TCP client: a single-threaded readiness
 //!   [`reactor::Reactor`] owning every worker socket in non-blocking
 //!   mode, with incremental frame decoding ([`reactor::FrameDecoder`],
-//!   the framer the server uses too). [`reactor::ReactorChannel`]
-//!   speaks [`wire`] with sequence stamping, retry and fault injection,
-//!   one request in flight per connection and many shards in flight at
-//!   once from one thread.
+//!   the framer the server uses too). [`reactor::ReactorChannel`] is the
+//!   client core over a [`reactor::ReactorLink`] (retry, fault
+//!   injection): one request in flight per connection and many shards
+//!   in flight at once from one thread.
 //! * [`shard`] — [`shard::ShardedChannel`] fans one logical model out
 //!   over a pool of workers: particle-range decomposition for state
 //!   ops, target scatter–gather for the coupling kick. When every

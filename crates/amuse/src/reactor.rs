@@ -5,28 +5,28 @@
 //! shim) reports readiness, and per-connection state machines make
 //! incremental progress — partial writes resume where they stopped,
 //! partial reads accumulate in an incremental [`FrameDecoder`] until a
-//! full v2 wire frame is available. [`ReactorChannel`] is the one
-//! implementation of the client half of the protocol: sequence
-//! stamping, the poison rule, reconnect, the retry/backoff/deadline
-//! loop, fault injection, byte accounting and the teardown drain all
-//! live here. [`crate::SocketChannel`] is a facade over one
-//! `ReactorChannel` on a private reactor.
+//! full v2 wire frame is available. A [`ReactorChannel`] is the
+//! [`ClientCore`] — codec, sequence stamping and byte accounting,
+//! written once for the in-process and TCP channels alike — over a
+//! [`ReactorLink`], which holds what only a real connection needs: the
+//! poison rule, reconnect, the retry/backoff/deadline loop, fault
+//! injection and the teardown drain. [`crate::SocketChannel`] is a
+//! facade over one `ReactorChannel` on a private reactor.
 //!
 //! # Overlap and flushing
 //!
 //! Because all connections of a reactor live in one loop, *gathering
 //! one shard's reply advances every other shard's I/O too*: a fan-out
 //! of K requests followed by K collects overlaps all K round trips
-//! regardless of collect order. `submit*` only encodes its frame into
-//! the connection's one frame buffer; the bytes leave at the next
-//! blocking wait on any channel of the reactor, so a K-shard scatter
-//! reaches all K sockets before the first gather blocks. A
-//! `SocketChannel` has no sibling whose wait would flush for it, so the
-//! facade pushes each frame at submit. A channel has at most one call
-//! outstanding (the [`Channel`] contract, asserted on every leg): the
-//! fan-out is *across* connections. That is also what makes a resend
-//! safe — the server's dedup cache remembers only the *last* mutating
-//! frame, which is the one frame a retry can carry.
+//! regardless of collect order. A frame starts leaving at its
+//! `submit*`: the link writes what the socket takes at once, and any
+//! blocking wait on any channel of the reactor finishes the rest, so
+//! every frame of a K-shard scatter is on its way before the first
+//! gather blocks. A channel has at most one call outstanding (the
+//! [`crate::Channel`] contract, asserted on every leg): the fan-out is
+//! *across* connections. That is also what makes a resend safe — the
+//! server's dedup cache remembers only the *last* mutating frame, which
+//! is the one frame a retry can carry.
 //!
 //! # Faults, retry and the timeout rule
 //!
@@ -35,7 +35,7 @@
 //! [`ReactorChannel::with_retry`] instead absorbs *transient* faults
 //! (see [`WireError::is_transient`]) in place: back off, reconnect,
 //! resend the identical sequence-stamped frame; the server's dedup
-//! cache (see [`crate::socket`]) replays its cached response to a
+//! cache (see [`crate::host::ServerCore`]) replays its cached response to a
 //! duplicate, so even mutating requests like `Kick` are applied exactly
 //! once. [`crate::chaos::StreamFaults`] are consumed at frame-op
 //! boundaries: one write draw per submitted frame, one read draw per
@@ -52,19 +52,16 @@
 //!
 //! # Accounting
 //!
-//! Every frame is physically [`Request::wire_size`]/
-//! [`Response::wire_size`] bytes long, so [`ChannelStats`] counted from
-//! *actual* bytes agree exactly with the modeled accounting of the
-//! in-process channels. A call counts its frame once — an absorbed
-//! resend ticks `retries` instead, and a call that fails after its
-//! frame left still credits `bytes_out`. Buffers are recycled: a warm
-//! round trip through the typed legs (snapshot, step, field, kick)
+//! The core books [`crate::ChannelStats`] from the frames' actual
+//! lengths, over TCP as in process. A call counts its frame once — an
+//! absorbed resend ticks `retries` instead, and a call that fails after
+//! its frame left still credits `bytes_out`. Buffers are recycled: a
+//! warm round trip through the typed legs (snapshot, step, field, kick)
 //! allocates nothing coupler-side.
 
-use crate::channel::{Channel, ChannelStats};
+use crate::channel::{ClientCore, Link};
 use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
 use crate::wire::{self, WireError, HEADER_LEN, READ_CHUNK};
-use crate::worker::{ParticleData, Request, Response};
 use polling::{Event, Events, Poller};
 use std::cell::RefCell;
 use std::io::{Read, Write};
@@ -252,9 +249,9 @@ struct Conn {
     sent: usize,
     /// First write failure (sticky until reconnect).
     write_err: Option<WireError>,
-    /// A completed response (its byte count, the bytes are the
-    /// decoder's current frame), or the read error.
-    ready: Option<Result<u64, WireError>>,
+    /// A completed response (its bytes are the decoder's current
+    /// frame), or the read error.
+    ready: Option<Result<(), WireError>>,
     /// Deterministic fault injection for this connection, if any.
     faults: Option<StreamFaults>,
 }
@@ -347,20 +344,6 @@ impl Reactor {
         Some(conn)
     }
 
-    /// Push every connection's unwritten request bytes. Called on entry
-    /// to a channel's wait loop: by then the caller has submitted
-    /// everything it is going to submit before blocking — including on
-    /// *other* channels sharing the reactor, which keeps a
-    /// scatter-gather fan-out's requests leaving before the first
-    /// gather blocks.
-    fn flush_all(&mut self) {
-        for token in 0..self.conns.len() {
-            if self.conns[token].is_some() {
-                self.try_flush(token);
-            }
-        }
-    }
-
     /// Non-blocking flush: write as much of the frame as the socket
     /// accepts.
     fn try_flush(&mut self, token: usize) {
@@ -392,13 +375,12 @@ impl Reactor {
     fn drive_read(&mut self, token: usize) {
         let Some(Some(conn)) = self.conns.get_mut(token) else { return };
         if conn.ready.is_none() {
-            conn.ready =
-                conn.decoder.read_from(&mut conn.stream).transpose().map(|r| r.map(|t| t as u64));
+            conn.ready = conn.decoder.read_from(&mut conn.stream).transpose().map(|r| r.map(drop));
         }
     }
 
-    /// Take a connection's completed response (length or read error).
-    fn take_ready(&mut self, token: usize) -> Option<Result<u64, WireError>> {
+    /// Take a connection's completed response (or read error).
+    fn take_ready(&mut self, token: usize) -> Option<Result<(), WireError>> {
         self.conn(token).ready.take()
     }
 
@@ -459,14 +441,19 @@ impl Reactor {
 // the channel
 
 /// An RPC channel to one worker over a [`Reactor`]-owned non-blocking
-/// socket.
-pub struct ReactorChannel {
+/// socket: the [`ClientCore`] over a [`ReactorLink`].
+pub type ReactorChannel = ClientCore<ReactorLink>;
+
+/// A [`ReactorChannel`]'s transport: its connection in a shared
+/// [`Reactor`], and what makes that connection dependable — the poison
+/// rule, reconnect, the retry/backoff/deadline loop, fault draws and
+/// the teardown drain.
+pub struct ReactorLink {
     reactor: Rc<RefCell<Reactor>>,
     token: usize,
     name: String,
-    stats: ChannelStats,
-    /// Frame length of the submitted-but-uncollected request, if any.
-    pending: Option<u64>,
+    /// A reply is owed to the frame last sent and not yet collected.
+    owed: bool,
     /// First wire-level failure seen on this stream. After one, frame
     /// alignment can no longer be trusted (a half-read payload would be
     /// parsed as headers), so the channel fails fast with this error
@@ -486,10 +473,6 @@ pub struct ReactorChannel {
     /// Bound on each poller wait of a round trip (`None`: wait for the
     /// reply indefinitely) — the module docs' timeout rule.
     pub(crate) wait: Option<Duration>,
-    /// Sequence stamp of the most recent frame (wraps past `u16::MAX`,
-    /// skipping the unsequenced 0). A resend reuses it, which is what
-    /// lets the server deduplicate.
-    pub(crate) seq: u16,
 }
 
 impl ReactorChannel {
@@ -504,19 +487,17 @@ impl ReactorChannel {
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr().ok();
         let token = reactor.borrow_mut().register(stream)?;
-        Ok(ReactorChannel {
+        Ok(ClientCore::over(ReactorLink {
             reactor: Rc::clone(reactor),
             token,
             name: name.into(),
-            stats: ChannelStats::default(),
-            pending: None,
+            owed: false,
             poisoned: None,
             stop_on_drop: true,
             addr: peer,
             retry: RetryPolicy::none(),
             wait: None,
-            seq: 0,
-        })
+        }))
     }
 
     /// Enable bounded in-place retry for transient transport faults
@@ -527,8 +508,8 @@ impl ReactorChannel {
     /// poller wait with `JC_NET_TIMEOUT_MS`, so a wedged worker surfaces
     /// as a retryable `TimedOut` instead of a hang.
     pub fn with_retry(mut self, retry: RetryPolicy) -> ReactorChannel {
-        self.wait = (retry.max_retries > 0).then(net_timeout);
-        self.retry = retry;
+        self.link.wait = (retry.max_retries > 0).then(net_timeout);
+        self.link.retry = retry;
         self
     }
 
@@ -536,17 +517,12 @@ impl ReactorChannel {
     /// transport (the chaos harness hook — see
     /// [`crate::chaos::FaultPlan`]).
     pub fn with_chaos(self, faults: StreamFaults) -> ReactorChannel {
-        self.reactor.borrow_mut().conn(self.token).faults = Some(faults);
+        self.link.reactor.borrow_mut().conn(self.link.token).faults = Some(faults);
         self
     }
+}
 
-    /// Start this connection's frame moving now instead of at the next
-    /// blocking wait — for a channel whose reactor no sibling will
-    /// drive (the [`crate::SocketChannel`] facade).
-    pub(crate) fn push(&mut self) {
-        self.reactor.borrow_mut().try_flush(self.token);
-    }
-
+impl ReactorLink {
     /// Run `f` on the connection's stream (tests break it from
     /// underneath the channel).
     #[cfg(test)]
@@ -554,49 +530,15 @@ impl ReactorChannel {
         f(&self.reactor.borrow_mut().conn(self.token).stream)
     }
 
-    /// Encode one request with `build` into the connection's frame
-    /// buffer, stamp it and draw its write fault; the bytes leave at the
-    /// next flush. A poisoned channel keeps the frame for a resend but
-    /// sends nothing.
-    fn submit_with(&mut self, build: impl FnOnce(&mut Vec<u8>)) {
-        assert!(self.pending.is_none(), "one outstanding call per channel");
-        let mut reactor = self.reactor.borrow_mut();
-        let conn = reactor.conn(self.token);
-        build(&mut conn.out);
-        self.seq = if self.seq == u16::MAX { 1 } else { self.seq + 1 };
-        wire::set_seq(&mut conn.out, self.seq);
-        let len = conn.out.len();
-        conn.sent = if self.poisoned.is_some() { len } else { 0 };
-        if self.poisoned.is_none() {
-            match conn.faults.as_mut().and_then(StreamFaults::next_write) {
-                Some(IoFault::WriteTimeout) => {
-                    conn.write_err = Some(WireError::Io(std::io::ErrorKind::TimedOut));
-                }
-                Some(IoFault::PartialWrite) => {
-                    // half the frame leaves, then the connection breaks
-                    let _ = conn.stream.write(&conn.out[..len / 2]);
-                    conn.write_err = Some(WireError::Io(std::io::ErrorKind::BrokenPipe));
-                }
-                _ => {}
-            }
-        }
-        self.pending = Some(len as u64);
-    }
-
-    /// Drive the reactor until this connection's frame has fully left;
-    /// `Ok` carries the submitted frame's length (the `bytes_out`
-    /// credit).
-    fn finish_send(&mut self, frame_len: u64) -> Result<u64, WireError> {
+    /// Drive the reactor until this connection's frame has fully left.
+    fn finish_send(&mut self) -> Result<(), WireError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        // The caller is about to block on this round trip: every frame
-        // submitted on any connection of the reactor goes out now.
-        self.reactor.borrow_mut().flush_all();
         loop {
             let flushed = self.reactor.borrow_mut().flushed(self.token);
             match flushed {
-                Ok(true) => return Ok(frame_len),
+                Ok(true) => return Ok(()),
                 Ok(false) => self.drive()?,
                 Err(e) => return self.poison(e),
             }
@@ -606,7 +548,7 @@ impl ReactorChannel {
     /// One receive attempt: draw the chaos read fault for this frame
     /// op, then drive the reactor until a response completes (or the
     /// wait times out).
-    fn recv(&mut self) -> Result<u64, WireError> {
+    fn receive(&mut self) -> Result<(), WireError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
@@ -667,109 +609,92 @@ impl ReactorChannel {
             Err(_) => false,
         }
     }
+}
 
-    /// Complete the outstanding round trip, updating the stats from the
-    /// actual bytes moved. Transient failures (send *or* receive) are
-    /// retried in place per the [`RetryPolicy`]: back off, reconnect,
-    /// resend the identical frame — the server replays its cached
-    /// response if the original was applied, so the request takes
-    /// effect exactly once. A successful call counts once in the stats,
-    /// plus one `retries` tick per absorbed fault; fatal errors (and
-    /// exhausted retries) surface to the caller with the channel
-    /// poisoned.
-    fn complete(&mut self) -> Result<(), WireError> {
-        let frame_len = self.pending.take().expect("no outstanding call");
+impl Link for ReactorLink {
+    /// Have `write` fill the connection's one frame buffer, draw the
+    /// frame's write fault and write what the socket takes at once; the
+    /// reactor's waits finish the rest. A poisoned link keeps the frame
+    /// for a resend but sends nothing.
+    fn send(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let mut reactor = self.reactor.borrow_mut();
+        let conn = reactor.conn(self.token);
+        write(&mut conn.out);
+        self.owed = true;
+        let len = conn.out.len();
+        if self.poisoned.is_some() {
+            conn.sent = len;
+            return;
+        }
+        conn.sent = 0;
+        match conn.faults.as_mut().and_then(StreamFaults::next_write) {
+            Some(IoFault::WriteTimeout) => {
+                conn.write_err = Some(WireError::Io(std::io::ErrorKind::TimedOut));
+            }
+            Some(IoFault::PartialWrite) => {
+                // half the frame leaves, then the connection breaks
+                let _ = conn.stream.write(&conn.out[..len / 2]);
+                conn.write_err = Some(WireError::Io(std::io::ErrorKind::BrokenPipe));
+            }
+            _ => {}
+        }
+        reactor.try_flush(self.token);
+    }
+
+    /// Complete the round trip and hand `read` the reply straight out
+    /// of the connection's decoder. Transient failures (send *or*
+    /// receive) are retried in place per the [`RetryPolicy`]: back off,
+    /// reconnect, resend the identical frame — the server replays its
+    /// cached response if the original was applied, so the request takes
+    /// effect exactly once. Fatal errors (and exhausted retries) surface
+    /// with the channel poisoned.
+    fn recv<T>(
+        &mut self,
+        retries: &mut u64,
+        read: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, (WireError, bool)> {
+        self.owed = false;
         let mut attempt = 0u32;
         let deadline =
             (self.retry.deadline_ms > 0).then(|| Duration::from_millis(self.retry.deadline_ms));
         let started = deadline.map(|_| std::time::Instant::now());
-        let mut sent = self.finish_send(frame_len);
+        let mut sent = self.finish_send();
         loop {
-            let r = match &sent {
-                Ok(out) => self.recv().map(|inb| (*out, inb)),
-                Err(e) => Err(e.clone()),
+            let e = match &sent {
+                Ok(()) => match self.receive() {
+                    Ok(()) => break,
+                    Err(e) => e,
+                },
+                Err(e) => e.clone(),
             };
-            match r {
-                Ok((out, inb)) => {
-                    self.stats.calls += 1;
-                    self.stats.bytes_out += out;
-                    self.stats.bytes_in += inb;
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Give up before the next backoff would cross the
-                    // per-request deadline, with the typed non-transient
-                    // error so the caller escalates instead of retrying.
-                    let over_deadline = started.is_some_and(|t0| {
-                        t0.elapsed() + self.retry.backoff(attempt + 1) >= deadline.unwrap()
-                    });
-                    if attempt >= self.retry.max_retries || !e.is_transient() || over_deadline {
-                        // the frame may have physically left even though
-                        // the round trip failed: keep bytes_out honest
-                        if let Ok(out) = &sent {
-                            self.stats.bytes_out += *out;
-                        }
-                        if over_deadline && e.is_transient() {
-                            return self.poison(WireError::DeadlineExceeded {
-                                budget_ms: self.retry.deadline_ms,
-                            });
-                        }
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    sent = if self.reconnect() { self.finish_send(frame_len) } else { Err(e) };
-                }
+            // Give up before the next backoff would cross the
+            // per-request deadline, with the typed non-transient error
+            // so the caller escalates instead of retrying.
+            let over_deadline = started.is_some_and(|t0| {
+                t0.elapsed() + self.retry.backoff(attempt + 1) >= deadline.unwrap()
+            });
+            if attempt >= self.retry.max_retries || !e.is_transient() || over_deadline {
+                let e = if over_deadline && e.is_transient() {
+                    let budget_ms = self.retry.deadline_ms;
+                    self.poisoned.insert(WireError::DeadlineExceeded { budget_ms }).clone()
+                } else {
+                    e
+                };
+                return Err((e, sent.is_ok()));
             }
-        }
-    }
-
-    /// Complete the round trip and decode its response, straight out of
-    /// the connection's decoder, with `decode`: a typed fast path
-    /// (flops are credited by the caller) or [`wire::decode_response`].
-    /// A valid frame of another kind than the fast path expects is
-    /// surfaced as what the worker actually said.
-    // the error is the response the caller surfaces, moved once
-    #[allow(clippy::result_large_err)]
-    fn collect_with<T>(
-        &mut self,
-        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
-    ) -> Result<T, Response> {
-        if let Err(e) = self.complete() {
-            // the failed round trip still counts as a call
-            self.stats.calls += 1;
-            return Err(Response::Error(format!("wire error: {e}")));
+            attempt += 1;
+            *retries += 1;
+            std::thread::sleep(self.retry.backoff(attempt));
+            sent = if self.reconnect() { self.finish_send() } else { Err(e) };
         }
         let mut reactor = self.reactor.borrow_mut();
         let decoder = &mut reactor.conn(self.token).decoder;
-        let frame = decoder.frame();
-        let decoded = decode(frame).map_err(|e| match e {
-            WireError::Unexpected(_) => wire::decode_response(frame)
-                .unwrap_or_else(|e| Response::Error(format!("wire error: {e}"))),
-            e => Response::Error(format!("wire error: {e}")),
-        });
+        let answer = read(decoder.frame());
         decoder.advance();
-        decoded
-    }
-}
-
-impl Channel for ReactorChannel {
-    fn submit(&mut self, req: Request) {
-        self.submit_with(|buf| wire::encode_request(&req, buf));
+        Ok(answer)
     }
 
-    fn collect(&mut self) -> Response {
-        let resp = self.collect_with(wire::decode_response).unwrap_or_else(|failure| failure);
-        self.stats.flops += resp.flops();
-        resp
-    }
-
-    fn stats(&self) -> ChannelStats {
-        self.stats
-    }
-
-    fn worker_name(&self) -> String {
+    fn name(&self) -> String {
         self.name.clone()
     }
 
@@ -780,69 +705,9 @@ impl Channel for ReactorChannel {
     fn pipelines(&self) -> bool {
         true
     }
-
-    fn submit_snapshot(&mut self) {
-        self.submit_with(|buf| wire::encode_simple_request(wire::op::GET_PARTICLES, buf));
-    }
-
-    fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        self.collect_with(|frame| wire::decode_particles_into(frame, out)).is_ok()
-    }
-
-    fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
-        self.submit_with(|buf| wire::encode_kick(dv, buf));
-    }
-
-    fn collect_kick(&mut self) -> Response {
-        match self.collect_with(wire::decode_ok) {
-            Ok(flops) => {
-                self.stats.flops += flops;
-                Response::Ok { flops }
-            }
-            Err(other) => other,
-        }
-    }
-
-    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
-        self.submit_with(|buf| wire::encode_step(dv, n, t, buf));
-    }
-
-    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
-        match self.collect_with(|frame| wire::decode_stepped_into(frame, out)) {
-            Ok(flops) => {
-                self.stats.flops += flops;
-                Response::Ok { flops }
-            }
-            Err(other) => other,
-        }
-    }
-
-    fn submit_field(
-        &mut self,
-        stars: &ParticleData,
-        gas: &ParticleData,
-        star_range: (usize, usize),
-        gas_range: (usize, usize),
-    ) {
-        self.submit_with(|buf| {
-            wire::encode_compute_field(
-                (&stars.pos, &stars.mass),
-                (&gas.pos, &gas.mass),
-                star_range,
-                gas_range,
-                buf,
-            )
-        });
-    }
-
-    fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        let flops = self.collect_with(|frame| wire::decode_accelerations_into(frame, out)).ok()?;
-        self.stats.flops += flops;
-        Some(flops)
-    }
 }
 
-impl Drop for ReactorChannel {
+impl Drop for ReactorLink {
     fn drop(&mut self) {
         // Best-effort shutdown so the server's serve loop can exit:
         // finish pushing the request frame, drain the response still
@@ -860,7 +725,7 @@ impl Drop for ReactorChannel {
             let _ = conn.stream.set_write_timeout(Some(t));
             let _ = conn.stream.set_read_timeout(Some(t));
             let flushed = conn.stream.write_all(&conn.out[conn.sent..]).is_ok();
-            let owed = self.pending.is_some() && !matches!(conn.ready, Some(Ok(_)));
+            let owed = self.owed && !matches!(conn.ready, Some(Ok(())));
             if flushed && (!owed || matches!(conn.decoder.read_from(&mut conn.stream), Ok(Some(_))))
             {
                 wire::encode_simple_request(wire::op::STOP, &mut conn.out);
@@ -874,8 +739,9 @@ impl Drop for ReactorChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Channel;
     use crate::socket::spawn_tcp_worker;
-    use crate::worker::GravityWorker;
+    use crate::worker::{GravityWorker, ParticleData, Request, Response};
     use jc_nbody::plummer::plummer_sphere;
     use jc_nbody::Backend;
 
@@ -1022,7 +888,7 @@ mod tests {
         let reactor = Reactor::new_shared().unwrap();
         let mut ch =
             ReactorChannel::connect(&reactor, listener.local_addr().unwrap(), "idle").unwrap();
-        ch.stop_on_drop = false; // the unwind must not wait for a reply
+        ch.link.stop_on_drop = false; // the unwind must not wait for a reply
         ch.submit_snapshot();
         ch.submit_kick_slice(&[[0.0; 3]]);
     }
@@ -1049,8 +915,7 @@ mod tests {
         let reactor = Reactor::new_shared().unwrap();
         let mut ch = ReactorChannel::connect(&reactor, addr, "half").unwrap();
         ch.submit(Request::Ping);
-        ch.push();
-        while reactor.borrow_mut().conn(ch.token).decoder.filled() < 36 {
+        while reactor.borrow_mut().conn(ch.link.token).decoder.filled() < 36 {
             reactor.borrow_mut().drive(Some(Duration::from_secs(5))).unwrap();
         }
         go.send(()).unwrap();

@@ -153,8 +153,8 @@ enum Pending {
         grow: bool,
     },
     /// The scatter was refused before any shard was addressed (length
-    /// mismatch, empty pool); no fan-out is outstanding and the collect
-    /// leg returns the stored error.
+    /// mismatch, ragged columns, empty pool); no fan-out is outstanding
+    /// and the collect leg returns the stored error.
     Failed(Response),
 }
 
@@ -446,6 +446,12 @@ impl ShardedChannel {
 
 impl Channel for ShardedChannel {
     fn submit(&mut self, req: Request) {
+        // a request no shard could be sent is refused as its shards would
+        if let Err(refusal) = crate::host::check_columns(&req) {
+            assert!(self.pending.is_none(), "one outstanding call per channel");
+            self.pending = Some(Pending::Failed(refusal));
+            return;
+        }
         let pending = match req {
             // the typed ops have one scatter each: their typed legs
             Request::GetParticles => return self.submit_snapshot(),

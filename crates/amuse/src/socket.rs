@@ -1,44 +1,38 @@
 //! The socket channel: real TCP between coupler and worker.
 //!
 //! This is the paper's "channel based on sockets": the same
-//! [`Channel`] RPC surface as [`crate::LocalChannel`] and
-//! [`crate::ThreadChannel`], but every call is one wire frame (see
-//! [`crate::wire`]) over loopback or real TCP.
+//! [`Channel`] RPC surface and the same frames (see [`crate::wire`]) as
+//! [`crate::LocalChannel`], carried over loopback or real TCP.
 //!
 //! * [`WorkerServer`] serves any [`ModelWorker`] over a
 //!   `std::net::TcpListener` — it is what the `jungle-worker` binary
 //!   wraps. It is a thin accept-and-read driver: requests are framed by
 //!   the same [`FrameDecoder`] the client uses, and each frame goes to
-//!   a socket-free [`ServerCore`] whose reply is written before the
-//!   next frame is read. The core reuses its encode buffers and keeps
-//!   the per-worker dedup cache that makes client retries idempotent:
-//!   every request frame carries a sequence number (`wire::frame_seq`),
-//!   and a duplicate of the last applied mutating frame — same number
-//!   *and* same bytes, see `Dedup` — gets the cached response replayed
-//!   instead of being re-applied.
+//!   the socket-free [`ServerCore`] (in [`crate::host`], with its
+//!   per-worker dedup cache) whose reply is written before the next
+//!   frame is read.
 //! * [`SocketChannel`] is the stand-alone client: a facade over one
 //!   [`ReactorChannel`] on a private [`Reactor`]. The client protocol
-//!   (stamping, retry, faults, timeouts, accounting, teardown) is
-//!   implemented once, in [`crate::reactor`]; pools that want their
-//!   round trips to overlap put `ReactorChannel`s on one shared reactor
-//!   instead.
+//!   is implemented once — the codec, stamping and accounting in
+//!   [`crate::channel::ClientCore`], retry, faults, timeouts and
+//!   teardown in [`crate::reactor`]; pools that want their round trips
+//!   to overlap put `ReactorChannel`s on one shared reactor instead.
 
 use crate::channel::{Channel, ChannelStats};
 use crate::chaos::{RetryPolicy, StreamFaults};
-use crate::host;
+use crate::host::{Next, ServerCore};
 use crate::reactor::{net_timeout, FrameDecoder, Reactor, ReactorChannel};
-use crate::wire::{self, WireError};
+use crate::wire::WireError;
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
 
 /// An RPC channel to a worker behind a TCP socket: one
-/// [`ReactorChannel`] on a reactor of its own. Unlike channels sharing
-/// a reactor, every `submit*` puts its frame on the wire before
-/// returning, so independent `SocketChannel`s still overlap their
-/// workers' compute.
+/// [`ReactorChannel`] on a reactor of its own. Every `submit*` starts
+/// its frame on the wire before returning, so independent
+/// `SocketChannel`s still overlap their workers' compute.
 pub struct SocketChannel(pub(crate) ReactorChannel);
 
 impl SocketChannel {
@@ -75,21 +69,20 @@ impl SocketChannel {
         // sequentially, so if another coupler still holds its current
         // session this request waits in the backlog — a supervisor's
         // teardown must not block forever on it.
-        c.0.wait = Some(net_timeout());
-        c.0.stop_on_drop = false;
+        c.0.link.wait = Some(net_timeout());
+        c.0.link.stop_on_drop = false;
         matches!(c.call(Request::Shutdown), Response::Ok { .. })
     }
 
     /// The peer address.
     pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.0.addr.ok_or_else(|| std::io::ErrorKind::NotConnected.into())
+        self.0.link.addr.ok_or_else(|| std::io::ErrorKind::NotConnected.into())
     }
 }
 
 impl Channel for SocketChannel {
     fn submit(&mut self, req: Request) {
         self.0.submit(req);
-        self.0.push();
     }
 
     fn collect(&mut self) -> Response {
@@ -114,7 +107,6 @@ impl Channel for SocketChannel {
 
     fn submit_snapshot(&mut self) {
         self.0.submit_snapshot();
-        self.0.push();
     }
 
     fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
@@ -123,7 +115,6 @@ impl Channel for SocketChannel {
 
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
         self.0.submit_kick_slice(dv);
-        self.0.push();
     }
 
     fn collect_kick(&mut self) -> Response {
@@ -132,7 +123,6 @@ impl Channel for SocketChannel {
 
     fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
         self.0.submit_step(dv, n, t);
-        self.0.push();
     }
 
     fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
@@ -147,7 +137,6 @@ impl Channel for SocketChannel {
         gas_range: (usize, usize),
     ) {
         self.0.submit_field(stars, gas, star_range, gas_range);
-        self.0.push();
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
@@ -230,280 +219,6 @@ impl WorkerServer {
                 }
             }
         }
-    }
-}
-
-/// Per-worker idempotency state: the last applied nonzero sequence
-/// number, a fingerprint of the exact request frame it was applied
-/// for, and, when that request was mutating, the encoded response to
-/// replay on a duplicate. Non-mutating requests are not recorded —
-/// re-executing a pure read of deterministic state yields bit-identical
-/// bytes anyway, so caching (possibly megabytes of) snapshot frames
-/// would buy nothing.
-///
-/// The fingerprint is what makes seq matching sound: this state
-/// intentionally outlives connections (a retried frame arrives on a
-/// *new* connection) and the 16-bit seq space wraps, so seq equality
-/// alone cannot prove the incoming frame is a resend — a fresh channel
-/// restarts its numbering at 1 (landing exactly on a stale `last_seq`
-/// whenever the previous connection's first request was mutating, e.g.
-/// a `Shutdown` or `LoadState` after the prior coupler died), and a
-/// long-lived channel reuses a number after 65535 frames. A genuine
-/// retry resends the identical bytes (same encode buffer, same stamp),
-/// so replay additionally requires the fingerprints to match; a
-/// colliding *new* request hashes differently and is applied normally,
-/// overwriting the cache.
-#[derive(Default)]
-struct Dedup {
-    last_seq: u16,
-    req_fp: u64,
-    cached: Vec<u8>,
-}
-
-/// FNV-1a (64-bit) over a whole request frame — the frame identity the
-/// dedup cache keys on alongside `last_seq`. Deterministic and
-/// dependency-free; a false replay now needs an accidental 64-bit hash
-/// collision on top of a wrapped/reused seq, which is beyond the
-/// cooperative failure model here (byte-identical mutating frames that
-/// legitimately collide — say, the same `SetMasses` payload exactly
-/// 65535 frames apart — remain theoretically indistinguishable from a
-/// resend, as they would be under full byte comparison too).
-///
-/// Folds four independent 8-byte FNV lanes per 32-byte block instead of
-/// hashing byte-at-a-time: the hash runs on every mutating request in
-/// the worker's serve loop, and the serial `wrapping_mul` dependency
-/// chain of single-lane FNV dominated the per-step cost on large kick
-/// frames (the four lanes let the multiplies overlap). This is only an
-/// in-process cache key — both the compare and the store leg use this
-/// same function, so the exact digest values are free to change.
-pub(crate) fn frame_fingerprint(frame: &[u8]) -> u64 {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut lanes = [SEED, SEED ^ 1, SEED ^ 2, SEED ^ 3];
-    let mut blocks = frame.chunks_exact(32);
-    for b in blocks.by_ref() {
-        for (k, lane) in lanes.iter_mut().enumerate() {
-            *lane ^= u64::from_le_bytes(b[8 * k..8 * k + 8].try_into().unwrap());
-            *lane = lane.wrapping_mul(PRIME);
-        }
-    }
-    let mut h = SEED;
-    for &b in blocks.remainder() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    for lane in lanes {
-        h ^= lane;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// What a connection does once [`ServerCore::handle`]'s reply is
-/// written.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Next {
-    /// Read the next request.
-    Continue,
-    /// Protocol error (or clean disconnect): drop the connection and go
-    /// back to `accept`.
-    Hangup,
-    /// A `Stop`/`Shutdown` asked the whole server to exit.
-    ShutDown,
-    /// The failure-injection fuse fired: simulated node crash — the
-    /// connection is cut with no reply and the server exits.
-    Crash,
-}
-
-/// The socket-free half of [`WorkerServer`]: one request frame in, the
-/// reply bytes and the connection's [`Next`] step out.
-///
-/// Per frame, in order: the dedup replay of a resent mutating request,
-/// decode, the crash fuse, the worker (per-step fast paths or
-/// [`host::serve`]), then the dedup cache. Decode and encode scratch,
-/// the reply buffer and the dedup state all live here and are reused,
-/// so a warm snapshot/step/field/kick request allocates nothing.
-pub struct ServerCore<'a> {
-    worker: &'a mut dyn ModelWorker,
-    fuse: Option<&'a AtomicI64>,
-    /// Outlives connections on purpose: a coupler that reconnects after
-    /// a transient fault resends the same sequence number on the *new*
-    /// connection and must still hit the cache.
-    dedup: Dedup,
-    /// The reply to the current frame.
-    out: Vec<u8>,
-    snap: ParticleData,
-    dv: Vec<[f64; 3]>,
-    /// The two sets of a field request (velocity columns unused).
-    stars: ParticleData,
-    gas: ParticleData,
-    acc: Vec<[f64; 3]>,
-    /// Staging for the second half of a field (see [`host::field_into`]).
-    tmp: Vec<[f64; 3]>,
-}
-
-impl<'a> ServerCore<'a> {
-    /// A core serving `worker`; see [`WorkerServer::serve_with_fuse`]
-    /// for `fuse`.
-    pub fn new(worker: &'a mut dyn ModelWorker, fuse: Option<&'a AtomicI64>) -> ServerCore<'a> {
-        ServerCore {
-            worker,
-            fuse,
-            dedup: Dedup::default(),
-            out: Vec::new(),
-            snap: ParticleData::default(),
-            dv: Vec::new(),
-            stars: ParticleData::default(),
-            gas: ParticleData::default(),
-            acc: Vec::new(),
-            tmp: Vec::new(),
-        }
-    }
-
-    /// The reply to a request that could not be framed or decoded;
-    /// the connection then hangs up.
-    pub fn protocol_error(&mut self, e: &WireError) -> &[u8] {
-        wire::encode_response(&Response::Error(format!("protocol error: {e}")), &mut self.out);
-        &self.out
-    }
-
-    /// Serve one whole request frame.
-    pub fn handle(&mut self, frame: &[u8]) -> (&[u8], Next) {
-        // Idempotent retry: a duplicate of the last applied mutating
-        // request — same nonzero sequence number AND the same frame
-        // bytes, i.e. the coupler resent a frame whose response it lost
-        // — replays the cached response without re-applying, before the
-        // fuse or the worker sees it. The fingerprint check keeps a seq
-        // collision from a different channel (or after wrap) from being
-        // mistaken for a resend; see `Dedup`.
-        let seq = wire::frame_seq(frame);
-        if seq != 0
-            && seq == self.dedup.last_seq
-            && !self.dedup.cached.is_empty()
-            && frame_fingerprint(frame) == self.dedup.req_fp
-        {
-            return (&self.dedup.cached, Next::Continue);
-        }
-        // Per-step fast paths: snapshot, kick, step and the coupling
-        // field bypass `decode_request`'s owned `Request` and the owned
-        // `Response` of `host::serve`: they decode into reused scratch
-        // and encode the reply straight into `out`. A leg the worker
-        // declines answers through the owned types with the exact same
-        // frames — byte-for-byte — that a fast-path-less server would
-        // produce.
-        type Range = (usize, usize);
-        enum Decoded {
-            Snapshot,
-            /// Half-kick in `dv`.
-            Kick,
-            /// Half-kick in `dv`; kick count and target time.
-            Step(u32, f64),
-            /// Sets in `stars` / `gas`; target ranges.
-            Field(Range, Range),
-            Other(Request),
-        }
-        let decoded = match frame.get(5).copied() {
-            Some(wire::op::GET_PARTICLES) if frame.len() == wire::HEADER_LEN => {
-                Ok(Decoded::Snapshot)
-            }
-            Some(wire::op::KICK) => {
-                wire::decode_kick_into(frame, &mut self.dv).map(|()| Decoded::Kick)
-            }
-            Some(wire::op::STEP) => {
-                wire::decode_step_into(frame, &mut self.dv).map(|(n, t)| Decoded::Step(n, t))
-            }
-            Some(wire::op::COMPUTE_FIELD) => {
-                wire::decode_compute_field_into(frame, &mut self.stars, &mut self.gas)
-                    .map(|(stars, gas)| Decoded::Field(stars, gas))
-            }
-            _ => wire::decode_request(frame).map(Decoded::Other),
-        };
-        let decoded = match decoded {
-            Ok(d) => d,
-            Err(e) => return (self.protocol_error(&e), Next::Hangup),
-        };
-        if let Some(f) = self.fuse {
-            if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                return (&[], Next::Crash);
-            }
-        }
-        let worker = &mut *self.worker;
-        // `owned` is an answer no borrowed encoder has written yet
-        let (next, mutating, owned) = match decoded {
-            Decoded::Snapshot => {
-                // zero-copy when the worker lends its columns: straight
-                // from its arrays into the reply
-                let owned = match host::particles(worker, &mut self.snap) {
-                    Ok((mass, pos, vel)) => {
-                        wire::encode_particles_frame(mass, pos, vel, &mut self.out);
-                        None
-                    }
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, false, owned)
-            }
-            Decoded::Kick => {
-                let owned = match worker.kick_slice(&self.dv) {
-                    Some(flops) => {
-                        wire::encode_ok_frame(flops, &mut self.out);
-                        None
-                    }
-                    None => Some(worker.handle(Request::Kick(std::mem::take(&mut self.dv)))),
-                };
-                (Next::Continue, true, owned)
-            }
-            Decoded::Step(n, t) => {
-                let owned = match host::step(worker, &self.dv, n, t) {
-                    Ok(flops) => match host::particles(worker, &mut self.snap) {
-                        Ok((mass, pos, _)) => {
-                            wire::encode_stepped_frame(mass, pos, flops, &mut self.out);
-                            None
-                        }
-                        Err(resp) => Some(resp),
-                    },
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, true, owned)
-            }
-            Decoded::Field(star_range, gas_range) => {
-                let (stars, gas) = (&self.stars, &self.gas);
-                let owned = match host::field_into(
-                    worker,
-                    (&stars.pos, &stars.mass),
-                    (&gas.pos, &gas.mass),
-                    star_range,
-                    gas_range,
-                    &mut self.acc,
-                    &mut self.tmp,
-                ) {
-                    Ok(flops) => {
-                        wire::encode_accelerations_frame(&self.acc, flops, &mut self.out);
-                        None
-                    }
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, false, owned)
-            }
-            Decoded::Other(req) => {
-                let next = match req {
-                    Request::Stop | Request::Shutdown => Next::ShutDown,
-                    _ => Next::Continue,
-                };
-                (next, req.mutating(), Some(host::serve(worker, req)))
-            }
-        };
-        if let Some(resp) = owned {
-            wire::encode_response(&resp, &mut self.out);
-        }
-        // Cache before the reply leaves: if the write (or the coupler's
-        // read of it) fails, the retried frame must find the cache.
-        if seq != 0 && mutating {
-            self.dedup.last_seq = seq;
-            self.dedup.req_fp = frame_fingerprint(frame);
-            self.dedup.cached.clear();
-            self.dedup.cached.extend_from_slice(&self.out);
-        }
-        (&self.out, next)
     }
 }
 
@@ -728,7 +443,7 @@ mod tests {
             let mut c = SocketChannel::connect(addr, "grav").unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
             // break the stream from underneath the channel
-            c.0.with_stream(|s| s.shutdown(std::net::Shutdown::Both)).unwrap();
+            c.0.link.with_stream(|s| s.shutdown(std::net::Shutdown::Both)).unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Error(_)));
             drop(c); // poisoned: sends nothing
         }
@@ -865,7 +580,7 @@ mod tests {
             let mut a = SocketChannel::connect(addr, "first").unwrap();
             // first request mutating: seq 1 lands in the dedup cache
             assert!(matches!(a.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
-            a.0.stop_on_drop = false; // vanish without Stop, server keeps listening
+            a.0.link.stop_on_drop = false; // vanish without Stop, server keeps listening
         }
         let mut b = SocketChannel::connect(addr, "second").unwrap();
         // b's first request is also seq 1, also mutating, different bytes
@@ -896,7 +611,7 @@ mod tests {
         {
             let mut a = SocketChannel::connect(addr, "doomed").unwrap();
             assert!(matches!(a.call(Request::Kick(vec![[0.1, 0.0, 0.0]; 4])), Response::Ok { .. }));
-            a.0.stop_on_drop = false;
+            a.0.link.stop_on_drop = false;
         }
         assert!(SocketChannel::shutdown_worker(addr), "worker acknowledges the shutdown");
         handle.join().unwrap().unwrap(); // server actually exited

@@ -655,21 +655,8 @@ fn state_kind_tag(s: &ModelState) -> u64 {
 pub(crate) fn encode_state_frame(opcode: u8, s: &ModelState, buf: &mut Vec<u8>) {
     // the header is sized from the element count, so a ragged state
     // would desynchronize the stream — reject it before any byte moves
-    let n = s.len();
-    match s {
-        ModelState::Stateless => {}
-        ModelState::Gravity { mass, pos, vel, .. } => {
-            assert!(pos.len() == n && vel.len() == n && mass.len() == n, "ragged gravity state");
-        }
-        ModelState::Hydro { mass, pos, vel, u, rho, h, .. } => {
-            assert!(
-                [mass.len(), pos.len(), vel.len(), u.len(), rho.len(), h.len()] == [n; 6],
-                "ragged hydro state"
-            );
-        }
-        ModelState::Stellar { initial_masses, exploded, .. } => {
-            assert!(initial_masses.len() == n && exploded.len() == n, "ragged stellar state");
-        }
+    if let Err(e) = s.check_columns() {
+        panic!("{e}");
     }
     begin_frame(buf, opcode, s.wire_body_size(), state_kind_tag(s), s.len() as u64);
     match s {

@@ -317,7 +317,7 @@ fn server_core_steady_state_allocates_nothing() {
     // `ServerCore` decodes into reused scratch, encodes each reply
     // straight into its reply buffer, and copies the mutating ones into
     // the dedup cache, all without touching the heap.
-    use jc_amuse::socket::{Next, ServerCore};
+    use jc_amuse::host::{Next, ServerCore};
     use jc_amuse::wire::{self, op};
     let mut seq = 0u16;
     // serve each frame under a fresh sequence number: answered, not

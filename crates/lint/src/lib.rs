@@ -228,13 +228,11 @@ pub fn run_all(root: &Path) -> Vec<Diagnostic> {
         }
     }
 
-    // Wire exhaustiveness runs over the protocol quartet specifically.
+    // Wire exhaustiveness runs over the protocol module and its legs.
     let wire = files.iter().find(|f| f.path == lints::wire::WIRE_PATH);
     let worker = files.iter().find(|f| f.path == lints::wire::WORKER_PATH);
-    let socket = files.iter().find(|f| f.path == lints::wire::SOCKET_PATH);
-    let reactor = files.iter().find(|f| f.path == lints::wire::REACTOR_PATH);
     match wire {
-        Some(w) => diags.extend(lints::wire::check(w, worker, socket, reactor)),
+        Some(w) => diags.extend(lints::wire::check(w, worker, &files)),
         None => diags.push(Diagnostic {
             path: lints::wire::WIRE_PATH.into(),
             line: 1,

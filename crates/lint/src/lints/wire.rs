@@ -19,20 +19,22 @@
 //! The pass also covers the sequence-number header field (offset 6,
 //! the idempotent-retry handle): `parse_header`, `set_seq` and
 //! `frame_seq` in `wire.rs` must all name `SEQ_OFFSET` (a hardcoded
-//! offset in any one of them is silent stamp/parse drift), and the
-//! three legs of the idempotent retry must exist: the server
-//! (`socket.rs`) must reference `frame_seq` (recognition) and
-//! `last_seq` (the dedup cache), the client (`reactor.rs`) `set_seq`
-//! (stamping) — losing any leg silently turns "safe to resend" back
-//! into "double-applies on retry". The server must also frame its
-//! requests through `FrameDecoder`, the one framer both ends share, so
-//! a second server-side framer cannot return unnoticed.
+//! offset in any one of them is silent stamp/parse drift). Each other
+//! leg of the protocol is checked in the module that holds it ([`LEGS`]):
 //!
-//! The client is also held to the codec surface: it must reference
-//! `encode_request` / `decode_response` (frames built or parsed
-//! anywhere else escape every exhaustiveness check above) and
-//! `parse_header` (the incremental decoder sizes its payload buffer
-//! from a *validated* header, never raw bytes).
+//! * the server core (`host.rs`) must reference `frame_seq`
+//!   (recognition) and `last_seq` (the dedup cache) — losing either
+//!   silently turns "safe to resend" back into "double-applies on
+//!   retry";
+//! * the client core (`channel.rs`) must build, parse and stamp frames
+//!   through `encode_request`, `decode_response` and `set_seq` — frames
+//!   built or parsed anywhere else escape every exhaustiveness check
+//!   above, and an unstamped frame double-applies on retry;
+//! * the frame decoder (`reactor.rs`) must size its payload buffer from
+//!   a header validated by `parse_header`, never raw bytes;
+//! * the worker server (`socket.rs`) must frame its requests through
+//!   `FrameDecoder`, the one framer both ends share, so a second
+//!   server-side framer cannot return unnoticed.
 
 use crate::lexer::Kind;
 use crate::{match_brace, Diagnostic, SourceFile};
@@ -44,10 +46,59 @@ const LINT: &str = "wire-exhaustiveness";
 pub const WIRE_PATH: &str = "crates/amuse/src/wire.rs";
 /// Where the `wire_size` traffic model lives.
 pub const WORKER_PATH: &str = "crates/amuse/src/worker.rs";
-/// Where the worker server (seq recognition + dedup) lives.
-pub const SOCKET_PATH: &str = "crates/amuse/src/socket.rs";
-/// Where the TCP client (the reactor channel: seq stamping) lives.
+/// Where the server core (seq recognition + dedup) lives.
+pub const HOST_PATH: &str = "crates/amuse/src/host.rs";
+/// Where the client core (codec legs + seq stamping) lives.
+pub const CHANNEL_PATH: &str = "crates/amuse/src/channel.rs";
+/// Where the incremental frame decoder lives.
 pub const REACTOR_PATH: &str = "crates/amuse/src/reactor.rs";
+/// Where the worker server's accept-and-read driver lives.
+pub const SOCKET_PATH: &str = "crates/amuse/src/socket.rs";
+
+/// One leg of the protocol outside `wire.rs`: its module, what it is,
+/// and the names it must reference (with what breaks without each).
+pub type Leg = (&'static str, &'static str, &'static [(&'static str, &'static str)]);
+
+/// Every leg, in the module that holds it.
+pub const LEGS: [Leg; 4] = [
+    (
+        HOST_PATH,
+        "the server core",
+        &[
+            ("frame_seq", "the server cannot recognize a resent frame as a duplicate"),
+            ("last_seq", "the dedup cache is gone — a replayed mutating request re-executes"),
+        ],
+    ),
+    (
+        CHANNEL_PATH,
+        "the client core",
+        &[
+            ("encode_request", "requests would be framed outside the encode exhaustiveness check"),
+            (
+                "decode_response",
+                "replies would be parsed outside the one decode surface the exhaustiveness \
+                 checks cover",
+            ),
+            ("set_seq", "requests go out unsequenced, so a resent mutating request double-applies"),
+        ],
+    ),
+    (
+        REACTOR_PATH,
+        "the frame decoder",
+        &[(
+            "parse_header",
+            "the incremental decoder would size its payload buffer from unvalidated header bytes",
+        )],
+    ),
+    (
+        SOCKET_PATH,
+        "the worker server",
+        &[(
+            "FrameDecoder",
+            "requests are framed by a second framer, outside the one both ends share",
+        )],
+    ),
+];
 
 /// One parsed `pub const NAME: u8 = 0x..;` opcode.
 struct Opcode {
@@ -56,17 +107,14 @@ struct Opcode {
     line: u32,
 }
 
-/// Check the protocol pair. `worker` carries the `wire_size` model; if
+/// Check the protocol. `worker` carries the `wire_size` model; if
 /// absent, the variant cross-check reports that instead of silently
-/// passing. `socket` carries the server's seq recognition/dedup call
-/// sites; when present, the sequence-number pass runs on both files.
-/// `reactor` carries the client; when present, its stamping and codec
-/// legs are checked.
+/// passing. `files` are searched for the [`LEGS`] by path; a leg whose
+/// module is missing is reported as moved.
 pub fn check(
     wire: &SourceFile,
     worker: Option<&SourceFile>,
-    socket: Option<&SourceFile>,
-    reactor: Option<&SourceFile>,
+    files: &[SourceFile],
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let code = wire.code();
@@ -162,86 +210,49 @@ pub fn check(
     }
 
     // Sequence-number field: stamp, parse and dedup must agree on one
-    // offset and the server's two legs must exist (the client's
-    // stamping leg is checked with the reactor below).
-    if let Some(s) = socket {
-        for func in ["parse_header", "set_seq", "frame_seq"] {
-            match fns.get(func) {
-                None => diags.push(diag(
-                    wire,
-                    1,
-                    format!(
-                        "no `fn {func}` found — the sequence-number surface the \
-                         idempotent retry stands on has drifted"
-                    ),
-                )),
-                Some(&(lo, hi)) => {
-                    if !code[lo..=hi].iter().any(|&ti| wire.tokens[ti].is_ident("SEQ_OFFSET")) {
-                        diags.push(diag(
-                            wire,
-                            wire.tokens[code[lo]].line,
-                            format!(
-                                "`{func}` does not name `SEQ_OFFSET` — the seq field's offset \
-                                 lives in one constant precisely so stamp and parse cannot \
-                                 disagree about which header bytes carry it"
-                            ),
-                        ));
-                    }
+    // offset.
+    for func in ["parse_header", "set_seq", "frame_seq"] {
+        match fns.get(func) {
+            None => diags.push(diag(
+                wire,
+                1,
+                format!(
+                    "no `fn {func}` found — the sequence-number surface the idempotent retry \
+                     stands on has drifted"
+                ),
+            )),
+            Some(&(lo, hi)) => {
+                if !code[lo..=hi].iter().any(|&ti| wire.tokens[ti].is_ident("SEQ_OFFSET")) {
+                    diags.push(diag(
+                        wire,
+                        wire.tokens[code[lo]].line,
+                        format!(
+                            "`{func}` does not name `SEQ_OFFSET` — the seq field's offset lives \
+                             in one constant precisely so stamp and parse cannot disagree about \
+                             which header bytes carry it"
+                        ),
+                    ));
                 }
-            }
-        }
-        let scode = s.code();
-        let referenced = |name: &str| scode.iter().any(|&ti| s.tokens[ti].is_ident(name));
-        for (name, why) in [
-            ("frame_seq", "the server cannot recognize a resent frame as a duplicate"),
-            ("last_seq", "the dedup cache is gone — a replayed mutating request re-executes"),
-            (
-                "FrameDecoder",
-                "requests are framed by a second framer, outside the one both ends share",
-            ),
-        ] {
-            if !referenced(name) {
-                diags.push(Diagnostic {
-                    path: s.path.clone(),
-                    line: 1,
-                    lint: LINT,
-                    message: format!("`{name}` is never referenced in the worker server — {why}"),
-                });
             }
         }
     }
 
-    // Client legs: the reactor channel must build, stamp and parse
-    // frames through the shared codec surface — a hand-rolled frame or
-    // header parse would sit outside every exhaustiveness check above.
-    if let Some(r) = reactor {
-        let rcode = r.code();
-        let referenced = |name: &str| rcode.iter().any(|&ti| r.tokens[ti].is_ident(name));
-        for (name, why) in [
-            (
-                "encode_request",
-                "pipelined submits would hand-roll frames outside the encode \
-                 exhaustiveness check",
-            ),
-            (
-                "decode_response",
-                "replies would be parsed outside the one decode surface the exhaustiveness \
-                 checks cover",
-            ),
-            ("set_seq", "requests go out unsequenced, so a resent mutating request double-applies"),
-            (
-                "parse_header",
-                "the incremental decoder would size its payload buffer from unvalidated \
-                 header bytes",
-            ),
-        ] {
-            if !referenced(name) {
-                diags.push(Diagnostic {
-                    path: r.path.clone(),
-                    line: 1,
-                    lint: LINT,
-                    message: format!("`{name}` is never referenced in the reactor channel — {why}"),
-                });
+    // The other legs: each must reach the codec, the seq field and the
+    // framer through the shared surface, in the module that holds it.
+    for (path, who, names) in LEGS {
+        let Some(f) = files.iter().find(|f| f.path == path) else {
+            diags.push(Diagnostic {
+                path: path.into(),
+                line: 1,
+                lint: LINT,
+                message: format!("{who} not found — did it move? update jc-lint"),
+            });
+            continue;
+        };
+        let fcode = f.code();
+        for (name, why) in names {
+            if !fcode.iter().any(|&ti| f.tokens[ti].is_ident(name)) {
+                diags.push(diag(f, 1, format!("`{name}` is never referenced in {who} — {why}")));
             }
         }
     }

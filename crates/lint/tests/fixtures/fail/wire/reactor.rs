@@ -1,17 +1,6 @@
-//! Fail fixture: the reactor channel builds frames through the shared
-//! encoder but parses replies by hand (no `decode_response`) and never
-//! stamps sequence numbers (no `set_seq`) — a pipelined retry would
-//! double-apply and the hand parse sits outside the exhaustiveness
-//! checks.
+//! Fail fixture: the frame decoder sizes its payload buffer from raw
+//! header bytes instead of a header validated by `parse_header`.
 
-pub fn submit(req: &crate::worker::Request, buf: &mut Vec<u8>) {
-    crate::wire::encode_request(req, buf);
-}
-
-pub fn feed(frame: &[u8]) -> bool {
-    crate::wire::parse_header(frame).is_ok()
-}
-
-pub fn collect(frame: &[u8]) -> u8 {
-    frame[5] // opcode byte, parsed by hand
+pub fn frame_len(header: &[u8]) -> usize {
+    32 + u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize
 }

@@ -1,18 +1,5 @@
-//! Pass fixture: the worker server references both of its legs of the
-//! sequence-number contract — recognition (`frame_seq`) and the dedup
-//! cache (`last_seq`) — and frames requests through the shared
-//! `FrameDecoder`. Stamping (`set_seq`) is the client's leg and lives in
-//! the reactor fixture.
-
-pub struct Dedup {
-    pub last_seq: u16,
-    pub cached: Vec<u8>,
-}
-
-pub fn serve(frame: &[u8], dedup: &mut Dedup) -> bool {
-    let seq = crate::wire::frame_seq(frame);
-    seq != 0 && seq == dedup.last_seq
-}
+//! Pass fixture: the worker server frames requests through the shared
+//! `FrameDecoder`.
 
 pub fn next_request(decoder: &mut crate::reactor::FrameDecoder) -> &[u8] {
     decoder.frame()

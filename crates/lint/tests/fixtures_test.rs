@@ -49,15 +49,26 @@ fn unsafe_audit_pass_fixture_is_quiet() {
     assert_eq!(sites.len(), 3, "all sites inventoried even when audited");
 }
 
+/// The wire fixtures under `dir`: the protocol module, the `wire_size`
+/// model, and every other leg under its workspace path.
+fn wire_fixtures(dir: &str) -> (SourceFile, SourceFile, Vec<SourceFile>) {
+    let legs = wire::LEGS.iter().map(|(path, _, _)| {
+        let name = path.rsplit('/').next().unwrap();
+        fixture(&format!("{dir}/wire/{name}"), path)
+    });
+    (
+        fixture(&format!("{dir}/wire/wire.rs"), wire::WIRE_PATH),
+        fixture(&format!("{dir}/wire/worker.rs"), wire::WORKER_PATH),
+        legs.collect(),
+    )
+}
+
 #[test]
 fn wire_fail_fixture_exact_diagnostics() {
-    let w = fixture("fail/wire/wire.rs", wire::WIRE_PATH);
-    let worker = fixture("fail/wire/worker.rs", wire::WORKER_PATH);
-    let socket = fixture("fail/wire/socket.rs", wire::SOCKET_PATH);
-    let reactor = fixture("fail/wire/reactor.rs", wire::REACTOR_PATH);
-    let d = wire::check(&w, Some(&worker), Some(&socket), Some(&reactor));
+    let (w, worker, legs) = wire_fixtures("fail");
+    let d = wire::check(&w, Some(&worker), &legs);
     let msgs: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
-    assert_eq!(d.len(), 10, "{d:#?}");
+    assert_eq!(d.len(), 11, "{d:#?}");
     // SHUTDOWN (declared at fixture line 8): missing version + decode arm
     assert!(d.iter().any(|x| x.line == 8
         && x.path == wire::WIRE_PATH
@@ -74,47 +85,34 @@ fn wire_fail_fixture_exact_diagnostics() {
             && x.message.contains("`set_seq` does not name `SEQ_OFFSET`")),
         "{msgs:?}"
     );
-    // the server fixture never recognizes or deduplicates a resend
-    assert!(
-        d.iter().any(|x| x.path == wire::SOCKET_PATH
-            && x.message.contains("`frame_seq` is never referenced")),
-        "{msgs:?}"
-    );
-    assert!(
-        d.iter()
-            .any(|x| x.path == wire::SOCKET_PATH
-                && x.message.contains("`last_seq` is never referenced")),
-        "{msgs:?}"
-    );
-    // ... and frames its requests with a reader of its own
-    assert!(
-        d.iter().any(|x| x.path == wire::SOCKET_PATH
-            && x.message.contains("`FrameDecoder` is never referenced")),
-        "{msgs:?}"
-    );
-    // the reactor fixture encodes through the shared surface but
-    // hand-parses replies and never stamps sequence numbers
-    assert!(
-        d.iter().any(|x| x.path == wire::REACTOR_PATH
-            && x.message.contains("`decode_response` is never referenced")),
-        "{msgs:?}"
-    );
-    assert!(
-        d.iter()
-            .any(|x| x.path == wire::REACTOR_PATH
-                && x.message.contains("`set_seq` is never referenced")),
-        "{msgs:?}"
-    );
+    // each missing name is reported against the module that must hold it
+    for (path, name) in [
+        // the server core never recognizes or deduplicates a resend
+        (wire::HOST_PATH, "frame_seq"),
+        (wire::HOST_PATH, "last_seq"),
+        // the client core encodes through the shared surface but
+        // hand-parses replies and never stamps sequence numbers
+        (wire::CHANNEL_PATH, "decode_response"),
+        (wire::CHANNEL_PATH, "set_seq"),
+        // the decoder sizes frames from unvalidated header bytes
+        (wire::REACTOR_PATH, "parse_header"),
+        // the server frames its requests with a reader of its own
+        (wire::SOCKET_PATH, "FrameDecoder"),
+    ] {
+        let said = format!("`{name}` is never referenced");
+        assert!(d.iter().any(|x| x.path == path && x.message.contains(&said)), "{msgs:?}");
+    }
 }
 
 #[test]
 fn wire_pass_fixture_is_quiet() {
-    let w = fixture("pass/wire/wire.rs", wire::WIRE_PATH);
-    let worker = fixture("pass/wire/worker.rs", wire::WORKER_PATH);
-    let socket = fixture("pass/wire/socket.rs", wire::SOCKET_PATH);
-    let reactor = fixture("pass/wire/reactor.rs", wire::REACTOR_PATH);
-    let d = wire::check(&w, Some(&worker), Some(&socket), Some(&reactor));
+    let (w, worker, legs) = wire_fixtures("pass");
+    let d = wire::check(&w, Some(&worker), &legs);
     assert!(d.is_empty(), "{d:#?}");
+    // and a leg whose module went missing is reported, not skipped
+    let d = wire::check(&w, Some(&worker), &legs[1..]);
+    assert_eq!(d.len(), 1, "{d:#?}");
+    assert!(d[0].path == wire::HOST_PATH && d[0].message.contains("did it move?"), "{d:#?}");
 }
 
 #[test]

@@ -16,6 +16,7 @@ use crate::kernel::w;
 use crate::particles::GasParticles;
 use jc_compute::par;
 use jc_compute::soa::{reduce_lanes, AlignedF64, Soa3, LANES};
+use std::sync::OnceLock;
 
 /// Desired neighbour count (Gadget's `DesNumNgb` is 64 in 3D by default;
 /// we use 32 because our test problems are small).
@@ -650,7 +651,7 @@ fn adapt_h(
             break;
         }
         // adapt towards the target count
-        h *= (N_NEIGHBORS as f64 / found as f64).cbrt().clamp(0.5, 2.0);
+        h *= growth_factor(found);
         h = h.clamp(h_mean * 0.05, h_mean * 8.0);
         if buf_h != h {
             if h < buf_h {
@@ -663,6 +664,29 @@ fn adapt_h(
         }
     }
     (h, inter)
+}
+
+/// Length of the h-growth table: every count up to `8 ·`
+/// [`N_NEIGHBORS`], where the factor reaches its lower clamp
+/// (`(1/8)^(1/3) = 1/2`). A set smaller than 0.8 · [`N_NEIGHBORS`] runs
+/// all [`H_ITERS`] growth steps on every particle, so a session-sized
+/// pass would otherwise make a libm `cbrt` call per particle per step.
+const GROWTH_TABLE_LEN: usize = 8 * N_NEIGHBORS + 1;
+
+/// The h-adaptation step's growth factor for `found` candidates,
+/// `(N_NEIGHBORS / found)^(1/3)` clamped to `[0.5, 2.0]`: read from a
+/// table filled once per process with that expression, computed as-is
+/// past the table's end — the same bits either way.
+#[inline]
+fn growth_factor(found: usize) -> f64 {
+    static TABLE: OnceLock<[f64; GROWTH_TABLE_LEN]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| std::array::from_fn(growth_factor_of));
+    table.get(found).copied().unwrap_or_else(|| growth_factor_of(found))
+}
+
+/// The expression [`growth_factor`] tabulates.
+fn growth_factor_of(found: usize) -> f64 {
+    (N_NEIGHBORS as f64 / found as f64).cbrt().clamp(0.5, 2.0)
 }
 
 /// The one seam every neighbour search goes through: fill `buf` with
@@ -802,6 +826,16 @@ mod tests {
             }
         }
         assert!(ok * 10 >= total * 7, "{ok}/{total} particles near target count");
+    }
+
+    #[test]
+    fn growth_table_matches_the_cbrt_expression_bitwise() {
+        // every tabulated count, and the first count computed past the end
+        for found in 1..=GROWTH_TABLE_LEN {
+            let want = (N_NEIGHBORS as f64 / found as f64).cbrt().clamp(0.5, 2.0);
+            assert_eq!(growth_factor(found).to_bits(), want.to_bits(), "found = {found}");
+        }
+        assert_eq!(growth_factor(GROWTH_TABLE_LEN - 1), 0.5, "the table ends on the clamp");
     }
 
     #[test]

@@ -43,8 +43,10 @@
 //! `hermite_evolve` times one gravity `EvolveTo(1/64)` at the two star
 //! counts workers run (`interactions_per_s` from the integrator's own
 //! flop count: a block step evaluates only the active stars).
-//! `sph_step_n512` / `sph_step_n24` time one whole `Gadget` step, and
-//! the `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
+//! `sph_step_n512` / `sph_step_n24` / `sph_step_n16` time one whole
+//! `Gadget` step at the gas counts workers run, `sph_density_simd` and
+//! `sph_forces_simd` also run at a session's n = 24, and the
+//! `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
 //! measurement behind `jc_sph`'s direct-sweep crossover.
 //! `tree_build` and `tree_walk` attribute an N-driven throughput drop to
 //! the octree build or to the walk; `tree_build_walk` /
@@ -144,11 +146,14 @@ fn main() {
         samples.push(bench_sph_forces(n, repeats, false));
         samples.push(bench_sph_forces(n, repeats, true));
     }
-    // one Gadget step as a worker runs it, at the two sizes workers run
-    // (the benchmark's 512-gas cluster, a 24-gas service session)
-    for n in [512, 24] {
+    // one Gadget step as a worker runs it, at the sizes workers run (the
+    // benchmark's 512-gas cluster, a 24-gas service session, the chatty
+    // workload's 16 gas), and the two SoA passes of a session's refresh
+    for n in [512, 24, 16] {
         samples.push(bench_sph_step(n, repeats));
     }
+    samples.push(bench_sph_density(24, repeats, true));
+    samples.push(bench_sph_forces(24, repeats, true));
     let crossover_ns: &[usize] = &[256, 512, 1024, 2048, 4096, 8192];
     for &n in crossover_ns {
         samples.extend(bench_sph_neighbors(n, repeats));
@@ -421,7 +426,7 @@ fn bench_sph_step(n: usize, repeats: usize) -> Sample {
     let ns = t0.elapsed().as_secs_f64() * 1e9;
     let per_step = ns / (g.steps - steps0).max(1) as f64;
     Sample {
-        kernel: if n == 512 { "sph_step_n512" } else { "sph_step_n24" },
+        kernel: Box::leak(format!("sph_step_n{n}").into_boxed_str()),
         n,
         ns_per_step: per_step,
         interactions_per_s: (g.flops - flops0) / ns * 1e9,

@@ -6,11 +6,20 @@
 //! caller and are reused across steps. Candidates come from a direct
 //! sweep of the SoA position columns below `DIRECT_BELOW` particles and
 //! from the CSR cell grid above it — the same candidate *sets* either
-//! way, chosen by the particle count alone. The scalar reference path
+//! way, chosen by the particle count alone. The h-adaptation reads its
+//! growth factor from a table filled once with the libm expression, so a
+//! set too small to reach the neighbour target (every session-sized one)
+//! makes no `cbrt` call per step. The scalar reference path
 //! (`simd = false`) stays bitwise-identical to the pre-refactor
 //! HashMap-grid pass (a naive oracle of it lives in `tests/golden.rs`): it
 //! re-sorts every final candidate set into that pass's accumulation order.
+//!
+//! The force pass's lists are built here from the staged candidate sets
+//! ([`SphScratch`]), each row's entries `j < i` first and `j > i` after:
+//! the SoA force pass stages only the second part, so that it evaluates
+//! every pair once.
 
+use crate::forces::{ForceBlock, ForceView, PairStage};
 use crate::grid::{sweep_within, CsrGrid};
 use crate::kernel::w;
 use crate::particles::GasParticles;
@@ -42,64 +51,11 @@ const DIRECT_BELOW: usize = 4096;
 /// Candidate buffer entry: (particle index, squared distance).
 pub(crate) type Candidate = (u32, f64);
 
-/// Per-worker staged active-pair columns for the force pass's SoA path:
-/// the filter phase writes each surviving pair's index and the values
-/// its predicate already computed (`dx, dy, dz, r², h_ij`) as parallel
-/// columns, so the interaction phase reads them back with sequential
-/// vector loads instead of re-gathering positions and re-deriving the
-/// separation — only the velocity/thermodynamic columns still need
-/// gathers. Reused across calls (allocation-free once warm).
-#[derive(Default)]
-pub(crate) struct PairCols {
-    /// Neighbour index of each active pair.
-    pub(crate) j: Vec<u32>,
-    /// Separation `pos[i] - pos[j]`, one column per component.
-    pub(crate) dx: Vec<f64>,
-    /// See [`PairCols::dx`].
-    pub(crate) dy: Vec<f64>,
-    /// See [`PairCols::dx`].
-    pub(crate) dz: Vec<f64>,
-    /// Squared pair distance (always `> 0`: staged pairs are
-    /// pre-filtered).
-    pub(crate) r2: Vec<f64>,
-    /// Symmetrized smoothing length `(h_i + h_j) / 2`.
-    pub(crate) h: Vec<f64>,
-}
-
-impl PairCols {
-    /// Staged pair count.
-    pub(crate) fn len(&self) -> usize {
-        self.j.len()
-    }
-
-    /// Drop all staged pairs, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.j.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        self.r2.clear();
-        self.h.clear();
-    }
-
-    /// Stage one accepted pair.
-    #[inline(always)]
-    pub(crate) fn push(&mut self, j: u32, dx: f64, dy: f64, dz: f64, r2: f64, h_ij: f64) {
-        self.j.push(j);
-        self.dx.push(dx);
-        self.dy.push(dy);
-        self.dz.push(dz);
-        self.r2.push(r2);
-        self.h.push(h_ij);
-    }
-}
-
 /// One packed filter row: everything the pair predicate reads for a
 /// candidate (`x, y, z, h`), 32-byte aligned so a random candidate
-/// probe touches exactly one cache line. The force pass's filter phase
-/// is bound by these probes — through the split SoA columns each
-/// candidate costs four lines, which made the "SIMD" path slower than
-/// the scalar AoS walk it replaces.
+/// probe touches exactly one cache line. The force pass's staging is
+/// bound by these probes — through split SoA columns each candidate
+/// costs four lines.
 #[derive(Clone, Copy, Default)]
 #[repr(C, align(32))]
 pub(crate) struct FiltRow {
@@ -110,37 +66,36 @@ pub(crate) struct FiltRow {
 }
 
 /// One packed interaction row: everything the pair evaluator reads for
-/// an accepted neighbour (`vx, vy, vz, rho, pres, cs, m`), padded to
-/// exactly one 64-byte cache line. Replaces seven per-column gathers
-/// (seven lines) with a single line per accepted pair.
+/// a particle, padded to exactly one 64-byte cache line, so staging a
+/// pair's neighbour values costs one line instead of seven. The
+/// per-particle terms are hoisted here: `rho` is already clamped and
+/// `p_rho2 = P / ρ²` already divided, with the arithmetic the pair loop
+/// used to repeat per pair.
 #[derive(Clone, Copy, Default)]
 #[repr(C, align(64))]
 pub(crate) struct EvalRow {
     pub(crate) vx: f64,
     pub(crate) vy: f64,
     pub(crate) vz: f64,
+    /// Density, floored at `1e-12`.
     pub(crate) rho: f64,
-    pub(crate) pres: f64,
+    /// Pressure over the floored density squared.
+    pub(crate) p_rho2: f64,
+    /// Sound speed.
     pub(crate) cs: f64,
     pub(crate) m: f64,
     pub(crate) _pad: f64,
 }
 
-/// SoA mirror of the gas columns the batched kernels gather through the
-/// cached neighbour lists: positions/velocities plus the per-particle
-/// scalars (mass, smoothing length, density, pressure, sound speed),
-/// and the packed per-particle [`FiltRow`]/[`EvalRow`] lines the force
-/// pass probes by neighbour index. Owned by [`SphScratch`] and refilled
-/// in place — allocation-free once capacity is warm.
+/// SoA mirror of what the batched kernels read: the position and mass
+/// columns of the density pass's sweep and sums, and the packed
+/// per-particle [`FiltRow`]/[`EvalRow`] lines the force pass probes by
+/// neighbour index. Owned by [`SphScratch`] and refilled in place —
+/// allocation-free once capacity is warm.
 #[derive(Default)]
 pub(crate) struct GasSoa {
     pub(crate) pos: Soa3,
-    pub(crate) vel: Soa3,
     pub(crate) m: AlignedF64,
-    pub(crate) h: AlignedF64,
-    pub(crate) rho: AlignedF64,
-    pub(crate) pres: AlignedF64,
-    pub(crate) cs: AlignedF64,
     /// Packed predicate inputs, indexed by particle.
     pub(crate) filt: Vec<FiltRow>,
     /// Packed evaluator inputs, indexed by particle.
@@ -153,40 +108,26 @@ impl GasSoa {
         self.m.copy_from(&gas.mass);
     }
 
-    /// Refill every column (the force pass gathers them all; densities
-    /// must be fresh so pressure/sound speed are current).
-    pub(crate) fn fill_all(&mut self, gas: &GasParticles) {
+    /// Refill the force pass's packed rows (densities must be fresh so
+    /// pressure and sound speed are current).
+    pub(crate) fn fill_force_rows(&mut self, gas: &GasParticles) {
         let n = gas.len();
-        self.pos.fill_from(&gas.pos);
-        self.vel.fill_from(&gas.vel);
-        self.m.copy_from(&gas.mass);
-        self.h.copy_from(&gas.h);
-        self.rho.copy_from(&gas.rho);
-        self.pres.resize(n);
-        self.cs.resize(n);
-        let (pres, cs) = (self.pres.as_mut_slice(), self.cs.as_mut_slice());
-        for i in 0..n {
-            pres[i] = gas.pressure(i);
-            cs[i] = gas.sound_speed(i);
-        }
         self.filt.clear();
         self.evalr.clear();
         self.filt.reserve(n);
         self.evalr.reserve(n);
         for i in 0..n {
-            self.filt.push(FiltRow {
-                x: gas.pos[i][0],
-                y: gas.pos[i][1],
-                z: gas.pos[i][2],
-                h: gas.h[i],
-            });
+            let [x, y, z] = gas.pos[i];
+            self.filt.push(FiltRow { x, y, z, h: gas.h[i] });
+            let [vx, vy, vz] = gas.vel[i];
+            let rho = gas.rho[i].max(1e-12);
             self.evalr.push(EvalRow {
-                vx: gas.vel[i][0],
-                vy: gas.vel[i][1],
-                vz: gas.vel[i][2],
-                rho: gas.rho[i],
-                pres: pres[i],
-                cs: cs[i],
+                vx,
+                vy,
+                vz,
+                rho,
+                p_rho2: gas.pressure(i) / (rho * rho),
+                cs: gas.sound_speed(i),
                 m: gas.mass[i],
                 _pad: 0.0,
             });
@@ -219,9 +160,10 @@ pub struct SphScratch {
     /// state; parallel runs allocate only thread-spawn bookkeeping.
     pub max_threads: usize,
     /// The SoA compute path every worker runs (`true`, the default):
-    /// density sums and force gathers run [`LANES`] wide over aligned SoA
-    /// gas columns with the fixed [`reduce_lanes`] reduction order, and
-    /// the density pass skips the legacy-order candidate re-sort. Results
+    /// density sums and pair evaluations run [`LANES`] wide with the
+    /// fixed [`reduce_lanes`] reduction order, the density pass skips the
+    /// legacy-order candidate re-sort, and the force pass evaluates each
+    /// interacting pair once ([`crate::forces`]). Results
     /// are bitwise stable from run to run (any thread count, any SIMD
     /// width). `false` names the scalar reference path, bitwise-pinned to
     /// the pre-refactor pass; the two agree to rounding.
@@ -236,6 +178,12 @@ pub struct SphScratch {
     /// Neighbour-list CSR offsets (`n + 1` entries) and indices.
     nbr_off: Vec<u32>,
     nbr_idx: Vec<u32>,
+    /// Where row `i`'s entries `j > i` begin in `nbr_idx` (`n`
+    /// entries): the SoA force pass stages `up_start[i]..nbr_off[i + 1]`,
+    /// and balances its blocks by those counts.
+    up_start: Vec<u32>,
+    /// One row's upper part while `symmetrize` sorts it (`2n` entries).
+    row_upper: Vec<u32>,
     /// Per worker thread: the candidate buffer and the staged ids of the
     /// worker's chunk (concatenated in chunk order into `cand_idx`).
     finders: Vec<(Vec<Candidate>, Vec<u32>)>,
@@ -251,9 +199,10 @@ pub struct SphScratch {
     staged_for: usize,
     /// SoA gas mirror for the SIMD gather paths and the direct sweep.
     pub(crate) soa: GasSoa,
-    /// Per-worker staged active-pair columns for the force pass's SoA
-    /// path (see [`PairCols`]).
-    pairs: Vec<PairCols>,
+    /// Per-worker staged pairs for the force pass's SoA path.
+    pairs: Vec<PairStage>,
+    /// The SoA force pass's row blocks and their partial rate columns.
+    blocks: Vec<ForceBlock>,
     /// [`DIRECT_BELOW`], except in the crossover tests.
     direct_below: usize,
 }
@@ -277,6 +226,8 @@ impl SphScratch {
             t_idx: Vec::new(),
             nbr_off: Vec::new(),
             nbr_idx: Vec::new(),
+            up_start: Vec::new(),
+            row_upper: Vec::new(),
             finders: Vec::new(),
             h_tmp: Vec::new(),
             sort_key: Vec::new(),
@@ -284,6 +235,7 @@ impl SphScratch {
             staged_for: usize::MAX,
             soa: GasSoa::default(),
             pairs: Vec::new(),
+            blocks: Vec::new(),
             direct_below: DIRECT_BELOW,
         }
     }
@@ -313,12 +265,19 @@ impl SphScratch {
         &self.nbr_idx[self.nbr_off[i] as usize..self.nbr_off[i + 1] as usize]
     }
 
-    /// Split-borrow view for the force pass: the SoA columns and the
-    /// cached-neighbour CSR arrays (shared) plus the per-worker staged
-    /// active-pair columns (exclusive — the density pass never touches
+    /// Split-borrow view for the force pass: the packed rows and the
+    /// cached lists (shared) plus the per-worker staged pairs and
+    /// the block partials (exclusive — the density pass never touches
     /// them; its own candidate buffers stay private to it).
-    pub(crate) fn force_view(&mut self) -> (&GasSoa, &[u32], &[u32], &mut Vec<PairCols>) {
-        (&self.soa, &self.nbr_off, &self.nbr_idx, &mut self.pairs)
+    pub(crate) fn force_view(&mut self) -> ForceView<'_> {
+        ForceView {
+            soa: &self.soa,
+            nbr_off: &self.nbr_off,
+            nbr_idx: &self.nbr_idx,
+            up_start: &self.up_start,
+            pairs: &mut self.pairs,
+            blocks: &mut self.blocks,
+        }
     }
 
     /// Particle count the neighbour cache is valid for (`None` if never
@@ -327,8 +286,9 @@ impl SphScratch {
         (self.cached_n != usize::MAX).then_some(self.cached_n)
     }
 
-    /// Total cached neighbour entries — once built, exactly the force
-    /// pass's interaction count.
+    /// Total cached neighbour entries: the directed pair count, and once
+    /// built exactly the force pass's interaction count (the SoA path
+    /// evaluates each unordered pair once and counts it twice).
     pub fn cached_neighbor_entries(&self) -> usize {
         self.nbr_idx.len()
     }
@@ -381,12 +341,15 @@ impl SphScratch {
     }
 
     /// Build `nbr_off`/`nbr_idx` from the staged candidate sets: transpose
-    /// them with a counting sort, then list `i` is `C(i)` followed by the
-    /// rest of its transposed row — the `j` with `i ∈ C(j)` that `C(i)`
-    /// missed, i.e. `r > h_i` — each filtered by the force pass's exact
-    /// pair predicate. No search, and an order that depends on the
-    /// particle set alone. Survivors are compacted without a branch (the
-    /// predicate passes about half the time, which no predictor learns).
+    /// them with a counting sort, then list `i` draws from `C(i)` and then
+    /// the rest of its transposed row — the `j` with `i ∈ C(j)` that
+    /// `C(i)` missed, i.e. `r > h_i` — each filtered by the force pass's
+    /// exact pair predicate. The survivors `j < i` come first and those
+    /// `j > i` after them (from `up_start[i]` on: the upper part the SoA
+    /// force pass stages), each part in that draw order. No search, and an order
+    /// that depends on the particle set alone. Survivors are compacted
+    /// without a branch (the predicate passes about half the time, and
+    /// `j > i` is as unpredictable).
     // jc-lint: no-alloc
     fn symmetrize(&mut self, pos: &[[f64; 3]], h: &[f64]) {
         let n = pos.len();
@@ -412,8 +375,12 @@ impl SphScratch {
         let out = &mut self.nbr_idx;
         out.clear();
         out.resize(c_idx.len() + t_idx.len(), 0);
+        // one row's upper part; a row draws at most n entries from each side
+        let upper = &mut self.row_upper;
+        upper.resize(2 * n, 0);
         self.nbr_off.clear();
         self.nbr_off.push(0);
+        self.up_start.clear();
         let (mut k, mut t_start) = (0usize, 0usize);
         for i in 0..n {
             let (p, hi) = (pos[i], h[i]);
@@ -424,17 +391,26 @@ impl SphScratch {
                 let h_ij = 0.5 * (hi + h[j as usize]);
                 (d[0] * d[0] + d[1] * d[1] + d[2] * d[2], h_ij * h_ij)
             };
+            let mut u = 0;
+            let mut sort = |j: u32, keep: bool| {
+                let above = j as usize > i;
+                out[k] = j;
+                k += (keep & !above) as usize;
+                upper[u] = j;
+                u += (keep & above) as usize;
+            };
             for &j in &c_idx[c_off[i] as usize..c_off[i + 1] as usize] {
                 let (r2, h2) = pair(j);
-                out[k] = j;
-                k += ((r2 < h2) & (r2 != 0.0)) as usize; // r² ≠ 0 also drops j = i
+                sort(j, (r2 < h2) & (r2 != 0.0)); // r² ≠ 0 also drops j = i
             }
             for &j in &t_idx[t_start..t_off[i] as usize] {
                 let (r2, h2) = pair(j);
-                out[k] = j;
-                k += ((r2 < h2) & (r2 > hi * hi)) as usize; // r ≤ h_i: already in C(i)
+                sort(j, (r2 < h2) & (r2 > hi * hi)); // r ≤ h_i: already in C(i)
             }
             t_start = t_off[i] as usize;
+            self.up_start.push(k as u32);
+            out[k..k + u].copy_from_slice(&upper[..u]);
+            k += u;
             self.nbr_off.push(k as u32);
         }
         out.truncate(k);
@@ -497,6 +473,7 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
         scratch.nbr_off.clear();
         scratch.nbr_off.push(0);
         scratch.nbr_idx.clear();
+        scratch.up_start.clear();
         scratch.cached_n = 0;
         return 0;
     }

@@ -5,17 +5,45 @@
 //! ([`crate::density::SphScratch`]) — it never searches itself — and
 //! writes into a caller-owned [`HydroRates`], allocation-free in steady
 //! state.
+//!
+//! The SoA path ([`SphScratch::simd`], what workers run) evaluates each
+//! interacting pair once, as `jc_compute::gravity::self_accelerations`
+//! does for gravity. Row `i` stages only the upper part of its cached
+//! list, the entries `j > i`, which the list build sorts last. The
+//! pair's shared factor `s = (P_i/ρ_i² + P_j/ρ_j² + Π_ij)·W'(r_ij)/r_ij`
+//! is symmetric, so row `i` gains `−m_j·s·d` and `½·m_j·s·v_r`, and row
+//! `j` gains `+m_i·s·d` and `½·m_i·s·v_r` (`d = x_i − x_j`, `v_r` the
+//! relative velocity along `d`). The rows are cut into at most 16 blocks
+//! balanced by staged pair count; each block scatters into its own
+//! partial columns, and the partials are folded in block order —
+//! sequential mode runs the same blocks — so the rates are bitwise the
+//! same under any thread count. The interaction count still
+//! counts directed pairs (two per evaluated pair), and `v_signal_max`
+//! equals the scalar path's bit for bit: a pair's signal speed has the
+//! same bits from either end. The scalar reference path (`simd = false`)
+//! gathers each row's whole list.
 
-use crate::density::{PairCols, SphScratch};
+use crate::density::{EvalRow, FiltRow, GasSoa, SphScratch};
 use crate::kernel::grad_w;
 use crate::particles::GasParticles;
 use jc_compute::par;
 use jc_compute::soa::{reduce_lanes, LANES};
+use std::hint::select_unpredictable;
+use std::ops::Range;
 
 /// Monaghan viscosity α.
 const ALPHA: f64 = 1.0;
 /// Monaghan viscosity β.
 const BETA: f64 = 2.0;
+
+/// Rows per block of the SoA force pass before the [`MAX_BLOCKS`] clamp:
+/// a session-sized set is one block, the benchmark's 512 gas four. The
+/// count is a function of the particle count alone.
+const BLOCK_ROWS: usize = 128;
+
+/// Most blocks one SoA force pass is cut into. Bounds the partial
+/// columns to `MAX_BLOCKS × n` rows and the fan-out to as many workers.
+const MAX_BLOCKS: usize = 16;
 
 /// Hydrodynamic accelerations and energy derivatives. Reused across steps
 /// by [`hydro_rates_into`]; the vectors keep their capacity.
@@ -25,7 +53,7 @@ pub struct HydroRates {
     pub acc: Vec<[f64; 3]>,
     /// du/dt per particle.
     pub du: Vec<f64>,
-    /// Pairwise interactions performed (cost model).
+    /// Pairwise interactions performed (cost model): directed pairs.
     pub interactions: u64,
     /// Maximum signal speed seen (for the Courant condition).
     pub v_signal_max: f64,
@@ -71,12 +99,33 @@ pub fn hydro_rates_into(gas: &GasParticles, scratch: &mut SphScratch, out: &mut 
         return;
     }
     scratch.ensure_cache(gas);
-    if scratch.simd {
-        scratch.soa.fill_all(gas);
-    }
-    let simd = scratch.simd;
-    let threads = scratch.threads_for(n);
-    let (soa, nbr_off, nbr_idx, scratch_pairs) = scratch.force_view();
+    let (inter, vsig) =
+        if scratch.simd { pair_pass(gas, scratch, out) } else { row_pass(gas, scratch, out) };
+    out.interactions = inter;
+    out.v_signal_max = vsig;
+}
+
+/// The force pass's split borrow of a [`SphScratch`]
+/// ([`SphScratch::force_view`]).
+pub(crate) struct ForceView<'a> {
+    pub(crate) soa: &'a GasSoa,
+    /// Neighbour-list CSR offsets and indices.
+    pub(crate) nbr_off: &'a [u32],
+    pub(crate) nbr_idx: &'a [u32],
+    /// Where each row's entries `j > i` begin in `nbr_idx`.
+    pub(crate) up_start: &'a [u32],
+    /// Per-worker staged pairs.
+    pub(crate) pairs: &'a mut Vec<PairStage>,
+    pub(crate) blocks: &'a mut Vec<ForceBlock>,
+}
+
+/// The scalar reference path: every row gathers its whole list in list
+/// order, on [`par::chunked`] row chunks.
+// jc-lint: no-alloc
+fn row_pass(gas: &GasParticles, scratch: &mut SphScratch, out: &mut HydroRates) -> (u64, f64) {
+    let threads = scratch.threads_for(gas.len());
+    let view = scratch.force_view();
+    let (nbr_off, nbr_idx) = (view.nbr_off, view.nbr_idx);
     let nbrs = |i: usize| &nbr_idx[nbr_off[i] as usize..nbr_off[i + 1] as usize];
     let one = |i: usize, acc: &mut [f64; 3], du: &mut f64| -> (u64, f64) {
         let pi = gas.pressure(i);
@@ -126,117 +175,302 @@ pub fn hydro_rates_into(gas: &GasParticles, scratch: &mut SphScratch, out: &mut 
         }
         (inter, vsig)
     };
-    // per-worker staged-pair columns for the SoA path (reused across
-    // calls; scalar workers carry them untouched)
-    // jc-lint: allow(no-alloc): PairCols::default is the resize_with element factory — empty columns don't allocate
-    scratch_pairs.resize_with(threads, PairCols::default);
-    let (inter, vsig) = par::chunked(
+    // the scalar workers carry no state: the pair stages stand in
+    if view.pairs.len() < threads {
+        view.pairs.resize_with(threads, PairStage::default);
+    }
+    par::chunked(
         threads,
         (out.acc.as_mut_slice(), out.du.as_mut_slice()),
-        scratch_pairs,
+        view.pairs.as_mut_slice(),
         (0u64, 0.0f64),
-        |s0, (ac, dc): (&mut [[f64; 3]], &mut [f64]), cols| {
+        |s0, (ac, dc): (&mut [[f64; 3]], &mut [f64]), _| {
             let mut inter = 0u64;
             let mut vsig = 0.0f64;
             for (k, (a, d)) in ac.iter_mut().zip(dc.iter_mut()).enumerate() {
-                let i = s0 + k;
-                let (it, vs) =
-                    if simd { hydro_one_simd(i, soa, nbrs(i), cols, a, d) } else { one(i, a, d) };
+                let (it, vs) = one(s0 + k, a, d);
                 inter += it;
                 vsig = vsig.max(vs);
             }
             (inter, vsig)
         },
         |(i1, v1), (i2, v2)| (i1 + i2, v1.max(v2)),
+    )
+}
+
+/// The SoA path: each interacting pair evaluated once, block by block
+/// (module docs). Returns the directed interaction count and the signal
+/// speed maximum.
+// jc-lint: no-alloc
+fn pair_pass(gas: &GasParticles, scratch: &mut SphScratch, out: &mut HydroRates) -> (u64, f64) {
+    let n = gas.len();
+    scratch.soa.fill_force_rows(gas);
+    let max_threads = scratch.max_threads;
+    let view = scratch.force_view();
+    let rows = Rows::new(&view);
+    plan_blocks(view.blocks, rows);
+    let threads = par::threads_for(view.blocks.len(), max_threads, 1);
+    if view.pairs.len() < threads {
+        view.pairs.resize_with(threads, PairStage::default);
+    }
+    for stage in &mut view.pairs[..threads] {
+        stage.resize(n);
+    }
+    let (inter, vsig) = par::chunked(
+        threads,
+        view.blocks.as_mut_slice(),
+        view.pairs.as_mut_slice(),
+        (0u64, 0.0f64),
+        |_, chunk: &mut [ForceBlock], stage| {
+            chunk.iter_mut().fold((0, 0.0), |(i0, v0), block| {
+                let (i1, v1) = pair_block(rows, block, stage);
+                (i0 + i1, v0.max(v1))
+            })
+        },
+        |(i1, v1), (i2, v2)| (i1 + i2, v1.max(v2)),
     );
-    out.interactions = inter;
-    out.v_signal_max = vsig;
+    fold_blocks(view.blocks, &mut out.acc, &mut out.du);
+    (inter, vsig)
 }
 
-/// Per-target scalars shared by the staged-pair evaluators.
-struct TargetCtx {
-    /// Velocity of particle `i`.
-    vi: [f64; 3],
-    /// Sound speed of particle `i`.
-    ci: f64,
-    /// Clamped density of particle `i`.
-    rhoi: f64,
-    /// `P_i / ρ_i²`, hoisted out of the pair loop.
-    pi_rho2: f64,
+/// What every block of [`pair_pass`] reads: the packed per-particle rows
+/// and the upper parts of the cached neighbour lists.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    filt: &'a [FiltRow],
+    evalr: &'a [EvalRow],
+    nbr_off: &'a [u32],
+    nbr_idx: &'a [u32],
+    up_start: &'a [u32],
 }
 
-/// One particle's rates on the SoA path
-/// ([`crate::density::SphScratch::simd`]).
-///
-/// Two phases. The *filter* pass ([`filter_stage`], one portable body,
-/// no dispatch) runs the pair predicate (`r² < h_ij²`, non-coincident)
-/// over the cached list — which holds exactly the active pairs when it
-/// comes from the density pass, so this is where the pair geometry is
-/// derived, not where pairs are found — and stages the survivors'
-/// `(j, dx, dy, dz, r², h_ij)`, values the predicate already computed,
-/// as parallel columns in the per-worker [`PairCols`]. The *interaction*
-/// pass ([`eval_pair_cols`]) then runs the expensive pair math over
-/// actives only: staged columns come back as sequential vector loads,
-/// per-neighbour values as single-line [`crate::density::EvalRow`] reads
-/// (prefetched at staging time), the viscosity branch becomes a select
-/// on `vr < 0`, and the spline gradient evaluates both pieces and
-/// selects by `q`. Accumulation is lane-wise with the fixed
-/// [`reduce_lanes`] reduction — bitwise stable run to run and on either
-/// side of `eval_pair_cols`'s dispatch, equal to the scalar path only to
-/// rounding. The interaction count and `v_signal_max` match the scalar
-/// path *exactly* (same predicate, same signal-speed values,
-/// order-independent max).
-fn hydro_one_simd(
-    i: usize,
-    soa: &crate::density::GasSoa,
-    nbr: &[u32],
-    cols: &mut PairCols,
-    acc: &mut [f64; 3],
-    du: &mut f64,
-) -> (u64, f64) {
-    let evalr = soa.evalr.as_slice();
-    cols.clear();
-    filter_stage(i, soa.filt.as_slice(), evalr, nbr, cols);
-    let ei = &evalr[i];
-    let rhoi = ei.rho.max(1e-12);
-    let ctx =
-        TargetCtx { vi: [ei.vx, ei.vy, ei.vz], ci: ei.cs, rhoi, pi_rho2: ei.pres / (rhoi * rhoi) };
-    let vsig = eval_pair_cols(cols, &ctx, soa, acc, du);
-    (cols.len() as u64, vsig)
+impl<'a> Rows<'a> {
+    fn new(view: &ForceView<'a>) -> Rows<'a> {
+        let (filt, evalr) = (&view.soa.filt, &view.soa.evalr);
+        let (nbr_off, nbr_idx, up_start) = (view.nbr_off, view.nbr_idx, view.up_start);
+        Rows { filt, evalr, nbr_off, nbr_idx, up_start }
+    }
+
+    /// Particle count.
+    fn len(&self) -> usize {
+        self.up_start.len()
+    }
+
+    /// Particle `i`'s neighbours `j > i`, in list order.
+    fn upper(&self, i: usize) -> &'a [u32] {
+        &self.nbr_idx[self.up_start[i] as usize..self.nbr_off[i + 1] as usize]
+    }
 }
 
-/// Filter phase of [`hydro_one_simd`]: one packed
-/// [`crate::density::FiltRow`] probe per candidate of `nbr` (the split
-/// SoA columns would cost four lines; prefetched `PF` candidates ahead),
-/// the survivors appended to `cols` in list order; each accepted pair
-/// prefetches its [`crate::density::EvalRow`] so the interaction pass
-/// finds the line resident. The `j != i` clause is redundant with
-/// `r2 != 0.0` (a self-pair has zero separation) but kept so the
-/// predicate reads exactly like the scalar path's.
-fn filter_stage(
-    i: usize,
-    filt: &[crate::density::FiltRow],
-    evalr: &[crate::density::EvalRow],
-    nbr: &[u32],
-    cols: &mut PairCols,
-) {
-    let crate::density::FiltRow { x: pix, y: piy, z: piz, h: hi } = filt[i];
-    const PF: usize = 16;
-    let last = nbr.len().saturating_sub(1);
-    for (k, &j32) in nbr.iter().enumerate() {
-        prefetch_row(filt, nbr[(k + PF).min(last)] as usize);
-        let j = j32 as usize;
-        let f = &filt[j];
-        let dx = pix - f.x;
-        let dy = piy - f.y;
-        let dz = piz - f.z;
-        let r2 = dx * dx + dy * dy + dz * dz;
-        let h_ij = 0.5 * (hi + f.h);
-        if r2 < h_ij * h_ij && r2 != 0.0 && j != i {
-            prefetch_row(evalr, j);
-            cols.push(j32, dx, dy, dz, r2, h_ij);
+/// One block of rows of [`pair_pass`] and the partial rates its pairs
+/// sum to: row `i`'s own terms, and the `j` scatter of every row of the
+/// block before `j`.
+#[derive(Default)]
+pub(crate) struct ForceBlock {
+    rows: Range<usize>,
+    /// Partial dv/dt (x, y, z) and du/dt columns, indexed by particle.
+    /// Sized to `n` so a plan that moves a boundary never reallocates;
+    /// only `rows.start..` is written.
+    part: [Vec<f64>; 4],
+}
+
+/// Cut the rows into blocks of about equal staged pair count — a
+/// function of the lists alone — their number a function of `n` alone.
+fn plan_blocks(blocks: &mut Vec<ForceBlock>, rows: Rows) {
+    let n = rows.len();
+    let pairs: usize = (0..n).map(|i| rows.upper(i).len()).sum();
+    let count = n.div_ceil(BLOCK_ROWS).clamp(1, MAX_BLOCKS);
+    blocks.resize_with(count, ForceBlock::default);
+    let (mut row, mut done) = (0, 0);
+    for (k, block) in blocks.iter_mut().enumerate() {
+        let start = row;
+        while row < n && (k + 1 == count || done * count < (k + 1) * pairs) {
+            done += rows.upper(row).len();
+            row += 1;
+        }
+        block.rows = start..row;
+        for c in &mut block.part {
+            c.resize(n, 0.0);
         }
     }
+}
+
+/// Fold the blocks' partial columns into `acc` and `du`, in block order.
+fn fold_blocks(blocks: &[ForceBlock], acc: &mut [[f64; 3]], du: &mut [f64]) {
+    let (first, rest) = blocks.split_first().expect("plan makes at least one block");
+    let [x, y, z, u] = &first.part;
+    for (i, (a, d)) in acc.iter_mut().zip(du.iter_mut()).enumerate() {
+        *a = [x[i], y[i], z[i]];
+        *d = u[i];
+    }
+    for block in rest {
+        let [x, y, z, u] = &block.part;
+        let s = block.rows.start;
+        for (i, (a, d)) in acc[s..].iter_mut().zip(&mut du[s..]).enumerate() {
+            a[0] += x[s + i];
+            a[1] += y[s + i];
+            a[2] += z[s + i];
+            *d += u[s + i];
+        }
+    }
+}
+
+/// Four staged pairs of one row: lane `l` of batch `b` holds staged pair
+/// `b · LANES + l`, each field one [`LANES`]-wide column. [`stage_row`]
+/// writes the inputs — the geometry the pair predicate already computed
+/// and the neighbour's [`EvalRow`] fields — and [`eval_pairs`] the
+/// outputs. Inputs and outputs share one base address, so the evaluator
+/// vectorizes without alias checks.
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct PairBatch {
+    /// Separation `x_i − x_j`, one column per component.
+    dx: [f64; LANES],
+    dy: [f64; LANES],
+    dz: [f64; LANES],
+    /// Squared distance (`> 0` for every staged pair).
+    r2: [f64; LANES],
+    /// Symmetrized smoothing length `(h_i + h_j) / 2`.
+    h: [f64; LANES],
+    /// The neighbour's [`EvalRow`] fields.
+    vx: [f64; LANES],
+    vy: [f64; LANES],
+    vz: [f64; LANES],
+    rho: [f64; LANES],
+    p_rho2: [f64; LANES],
+    cs: [f64; LANES],
+    m: [f64; LANES],
+    /// The pair's force vector `s·d`.
+    fx: [f64; LANES],
+    fy: [f64; LANES],
+    fz: [f64; LANES],
+    /// The pair's energy term `½·s·v_r`.
+    du: [f64; LANES],
+}
+
+/// One worker's staged pairs, one row at a time: the neighbour indices
+/// and the [`PairBatch`]es. Sized for `n` particles (a row stages at
+/// most `n − 1` pairs), so staging never grows them.
+#[derive(Default)]
+pub(crate) struct PairStage {
+    /// Neighbour index `j > i` of each staged pair.
+    j: Vec<u32>,
+    batches: Vec<PairBatch>,
+}
+
+impl PairStage {
+    /// Size for rows of up to `n` list entries.
+    fn resize(&mut self, n: usize) {
+        self.j.resize(n, 0);
+        self.batches.resize(n.div_ceil(LANES), PairBatch::default());
+    }
+}
+
+/// Run one block of [`pair_pass`] at the widest instruction set the CPU
+/// reports. Returns the block's directed interaction count and signal
+/// speed maximum.
+fn pair_block(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the avx2 instantiation is only reached when the CPU
+        // reports the feature at runtime.
+        return unsafe { pair_block_avx2(rows, block, stage) };
+    }
+    pair_block_body(rows, block, stage)
+}
+
+/// [`pair_block_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pair_block_avx2(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
+    pair_block_body(rows, block, stage)
+}
+
+/// The pair-symmetric body over one block, written over the block's
+/// partial columns, at whatever instruction set the caller was compiled
+/// for. Each row is staged ([`stage_row`]), evaluated element-wise with
+/// its own terms summed in the fixed [`LANES`] order ([`eval_pairs`]),
+/// and the far ends scattered. Both dispatch tiers execute the same IEEE
+/// operation sequence (Rust never contracts `a * b + c`), so the bits do
+/// not depend on the machine.
+#[inline(always)]
+fn pair_block_body(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
+    let start = block.rows.start;
+    let [ax, ay, az, du] = &mut block.part;
+    for c in [&mut *ax, &mut *ay, &mut *az, &mut *du] {
+        c[start..].fill(0.0);
+    }
+    let (mut staged, mut vsig) = (0usize, 0.0f64);
+    for i in block.rows.clone() {
+        let len = stage_row(i, rows.filt, rows.evalr, rows.upper(i), stage);
+        let ti = &rows.evalr[i];
+        let batches = &mut stage.batches[..len.div_ceil(LANES)];
+        let (f, v) = eval_pairs(batches, ti);
+        ax[i] -= f[0];
+        ay[i] -= f[1];
+        az[i] -= f[2];
+        du[i] += f[3];
+        vsig = vsig.max(v);
+        let mi = ti.m;
+        for (k, &j) in stage.j[..len].iter().enumerate() {
+            let (b, l, j) = (&batches[k / LANES], k % LANES, j as usize);
+            ax[j] += mi * b.fx[l];
+            ay[j] += mi * b.fy[l];
+            az[j] += mi * b.fz[l];
+            du[j] += mi * b.du[l];
+        }
+        staged += len;
+    }
+    (2 * staged as u64, vsig)
+}
+
+/// Stage row `i`'s pairs into `stage`: every entry `j > i` of `list`
+/// that passes the pair predicate (`r² < h_ij²`, non-coincident), with
+/// the values the predicate computed and `j`'s [`EvalRow`] fields, in
+/// list order. Returns the staged count. The pass hands it a list's
+/// upper part, whose entries all pass, so the predicate derives the geometry
+/// rather than finding pairs; the branch-free compaction keeps staging
+/// exact over any list. Rows are prefetched `PF` entries ahead. The last
+/// batch's idle lanes are padded with a massless pair at zero separation
+/// (every input finite), which adds exact zeros.
+#[inline(always)]
+fn stage_row(
+    i: usize,
+    filt: &[FiltRow],
+    evalr: &[EvalRow],
+    list: &[u32],
+    stage: &mut PairStage,
+) -> usize {
+    const PF: usize = 16;
+    let FiltRow { x: xi, y: yi, z: zi, h: hi } = filt[i];
+    let (js, batches) =
+        (&mut stage.j[..list.len()], &mut stage.batches[..list.len().div_ceil(LANES)]);
+    let last = list.len().saturating_sub(1);
+    let mut k = 0;
+    for (p, &j32) in list.iter().enumerate() {
+        let ahead = list[(p + PF).min(last)] as usize;
+        prefetch_row(filt, ahead);
+        prefetch_row(evalr, ahead);
+        let j = j32 as usize;
+        let f = &filt[j];
+        let (dx, dy, dz) = (xi - f.x, yi - f.y, zi - f.z);
+        let r2 = dx * dx + dy * dy + dz * dz;
+        let h_ij = 0.5 * (hi + f.h);
+        let e = &evalr[j];
+        let (b, l) = (&mut batches[k / LANES], k % LANES);
+        js[k] = j32;
+        (b.dx[l], b.dy[l], b.dz[l], b.r2[l], b.h[l]) = (dx, dy, dz, r2, h_ij);
+        (b.vx[l], b.vy[l], b.vz[l], b.rho[l]) = (e.vx, e.vy, e.vz, e.rho);
+        (b.p_rho2[l], b.cs[l], b.m[l]) = (e.p_rho2, e.cs, e.m);
+        k += ((r2 < h_ij * h_ij) & (r2 != 0.0) & (j > i)) as usize;
+    }
+    for t in k..k.next_multiple_of(LANES) {
+        let (b, l) = (&mut batches[t / LANES], t % LANES);
+        (b.dx[l], b.dy[l], b.dz[l], b.r2[l], b.h[l]) = (0.0, 0.0, 0.0, 1.0, 4.0);
+        (b.vx[l], b.vy[l], b.vz[l], b.rho[l]) = (0.0, 0.0, 0.0, 0.0);
+        (b.p_rho2[l], b.cs[l], b.m[l]) = (0.0, 0.0, 0.0);
+    }
+    k
 }
 
 /// Hint the cache to pull `rows[i]` (a pure hint: no-op off x86_64,
@@ -256,260 +490,55 @@ fn prefetch_row<T>(rows: &[T], i: usize) {
     let _ = (rows, i);
 }
 
-/// Evaluate the staged active pairs for one target (see
-/// [`hydro_one_simd`]): the hand-written AVX2 clone where the CPU reports
-/// AVX2 at runtime, the portable body otherwise. Both execute the
-/// identical IEEE operation sequence, so results are machine-independent.
-/// Returns the target's signal-speed maximum.
-fn eval_pair_cols(
-    cols: &PairCols,
-    ctx: &TargetCtx,
-    soa: &crate::density::GasSoa,
-    acc: &mut [f64; 3],
-    du: &mut f64,
-) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 clone is only reached when the CPU reports the
-        // feature at runtime.
-        return unsafe { eval_pair_cols_avx2(cols, ctx, soa, acc, du) };
-    }
-    eval_pair_cols_body(cols, ctx, soa, acc, du)
-}
-
-/// The [`LANES`]-wide accumulators of the staged-pair evaluators: staged
-/// pair `p` always folds into lane `p % LANES`.
-struct PairLanes {
-    ax: [f64; LANES],
-    ay: [f64; LANES],
-    az: [f64; LANES],
-    du: [f64; LANES],
-    vsig: [f64; LANES],
-}
-
-impl PairLanes {
-    /// Zeroed accumulators; every lane's signal speed starts at the
-    /// target's sound speed `ci`.
-    #[inline(always)]
-    fn new(ci: f64) -> PairLanes {
-        let zero = [0.0; LANES];
-        PairLanes { ax: zero, ay: zero, az: zero, du: zero, vsig: [ci; LANES] }
-    }
-
-    /// Reduce the lanes in the fixed [`reduce_lanes`] order into the
-    /// target's rates; returns its signal-speed maximum.
-    #[inline(always)]
-    fn finish(&self, acc: &mut [f64; 3], du: &mut f64) -> f64 {
-        *acc = [reduce_lanes(self.ax), reduce_lanes(self.ay), reduce_lanes(self.az)];
-        *du = reduce_lanes(self.du);
-        self.vsig[0].max(self.vsig[1]).max(self.vsig[2]).max(self.vsig[3])
-    }
-}
-
-/// Fold staged pair `p` into its lane — the per-pair arithmetic of the
-/// staged-pair evaluators, written once: the portable body runs it for
-/// every pair, the AVX2 clone for its fewer-than-[`LANES`] tail.
+/// The one element-wise pair body: for every lane of `batches` and the
+/// target `ti`, the pair's force vector `s·d` and energy term `½·s·v_r`
+/// (kept for the scatter), and the target's own terms `Σ m_j·s·d` and
+/// `Σ ½·m_j·s·v_r` — staged pair `p` summed in lane `p % LANES`, the
+/// lanes reduced in the fixed [`reduce_lanes`] order — with its signal
+/// speed maximum. The viscosity branch is a select on `v_r < 0`, and the
+/// spline gradient evaluates both pieces and selects by `q`, so each
+/// batch is one vector (`select_unpredictable` keeps LLVM from turning
+/// the selects on `v_r < 0` back into a branch around the viscosity's
+/// divide, which stops the vectorizer). The signal speed is computed in
+/// the scalar path's arithmetic and order, so it matches it bit for bit.
 #[inline(always)]
-fn pair_into(
-    lanes: &mut PairLanes,
-    cols: &PairCols,
-    p: usize,
-    ctx: &TargetCtx,
-    evalr: &[crate::density::EvalRow],
-) {
-    let l = p % LANES;
-    let [vix, viy, viz] = ctx.vi;
-    let (ci, rhoi, pi_rho2) = (ctx.ci, ctx.rhoi, ctx.pi_rho2);
-    let e = &evalr[cols.j[p] as usize];
-    let dx = cols.dx[p];
-    let dy = cols.dy[p];
-    let dz = cols.dz[p];
-    let r2 = cols.r2[p];
-    let h_ij = cols.h[p];
-    let r = r2.sqrt();
-    let dvx = vix - e.vx;
-    let dvy = viy - e.vy;
-    let dvz = viz - e.vz;
-    let vr = dvx * dx + dvy * dy + dvz * dz;
-    let rhoj = e.rho.max(1e-12);
-    // artificial viscosity as a select on approach
-    let cj = e.cs;
-    let mu = h_ij * vr / (r2 + 0.01 * h_ij * h_ij);
-    let c_mean = 0.5 * (ci + cj);
-    let rho_mean = 0.5 * (rhoi + rhoj);
-    let visc_full = (-ALPHA * c_mean * mu + BETA * mu * mu) / rho_mean;
-    let approaching = vr < 0.0;
-    let visc = if approaching { visc_full } else { 0.0 };
-    let vsig_cand = if approaching { c_mean - mu } else { ci };
-    // cubic-spline gradient, both pieces evaluated and selected
-    let sigma_h = 8.0 / (std::f64::consts::PI * h_ij * h_ij * h_ij) / h_ij;
-    let q = r / h_ij;
-    let t = 1.0 - q;
-    let near = -12.0 * q + 18.0 * q * q;
-    let far = -6.0 * t * t;
-    let piece = if q < 0.5 { near } else { far };
-    let dwr_over_r = sigma_h * piece / r;
-    let coeff = pi_rho2 + e.pres / (rhoj * rhoj) + visc;
-    let scale = e.m * coeff * dwr_over_r;
-    lanes.ax[l] -= scale * dx;
-    lanes.ay[l] -= scale * dy;
-    lanes.az[l] -= scale * dz;
-    lanes.du[l] += 0.5 * scale * vr;
-    lanes.vsig[l] = lanes.vsig[l].max(vsig_cand);
-}
-
-/// Portable staged-pair evaluation (the non-AVX2 side of
-/// [`eval_pair_cols`]): [`pair_into`] over every staged pair.
-fn eval_pair_cols_body(
-    cols: &PairCols,
-    ctx: &TargetCtx,
-    soa: &crate::density::GasSoa,
-    acc: &mut [f64; 3],
-    du: &mut f64,
-) -> f64 {
-    let evalr = soa.evalr.as_slice();
-    let mut lanes = PairLanes::new(ctx.ci);
-    for p in 0..cols.len() {
-        pair_into(&mut lanes, cols, p, ctx, evalr);
-    }
-    lanes.finish(acc, du)
-}
-
-/// AVX2 implementation of [`eval_pair_cols_body`]: four staged pairs per
-/// iteration — sequential column loads for the pre-staged geometry, and
-/// the per-neighbour values packed lane-wise from the single-line
-/// [`crate::density::EvalRow`]s (prefetched by the filter phase; four
-/// resident lines per batch, where per-column gathers cost 28),
-/// branches as blends; the tail goes through [`pair_into`]. Every
-/// operation is elementwise and in the portable body's exact order, so
-/// results are bitwise identical to it.
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on `is_x86_feature_detected!("avx2")`,
-// so the AVX2 instructions are never executed on a CPU without them.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn eval_pair_cols_avx2(
-    cols: &PairCols,
-    ctx: &TargetCtx,
-    soa: &crate::density::GasSoa,
-    acc: &mut [f64; 3],
-    du: &mut f64,
-) -> f64 {
-    use std::arch::x86_64::*;
-    let evalr = soa.evalr.as_slice();
-    let n = cols.len();
-    let batches = n / LANES;
-    let mut lanes = PairLanes::new(ctx.ci);
-    // SAFETY: column loads read indices `o .. o + 3` with
-    // `o = b * LANES` and `b < n / LANES`, in bounds of every column
-    // (all columns share length `n`); row indices come from `cols.j`,
-    // which stages only valid particle indices, so they index `evalr`
-    // in bounds (checked indexing regardless); the `storeu` spills
-    // target the `LANES`-long lane arrays. The AVX2 intrinsics are
-    // available per the `#[target_feature]` contract discharged at the
-    // detection-gated call site.
-    unsafe {
-        let zero = _mm256_setzero_pd();
-        let half = _mm256_set1_pd(0.5);
-        let onev = _mm256_set1_pd(1.0);
-        let c001 = _mm256_set1_pd(0.01);
-        let eight = _mm256_set1_pd(8.0);
-        let piv = _mm256_set1_pd(std::f64::consts::PI);
-        let neg_alpha = _mm256_set1_pd(-ALPHA);
-        let betav = _mm256_set1_pd(BETA);
-        let neg12 = _mm256_set1_pd(-12.0);
-        let p18 = _mm256_set1_pd(18.0);
-        let neg6 = _mm256_set1_pd(-6.0);
-        let rho_floor = _mm256_set1_pd(1e-12);
-        let civ = _mm256_set1_pd(ctx.ci);
-        let rhoiv = _mm256_set1_pd(ctx.rhoi);
-        let pi_rho2v = _mm256_set1_pd(ctx.pi_rho2);
-        let vixv = _mm256_set1_pd(ctx.vi[0]);
-        let viyv = _mm256_set1_pd(ctx.vi[1]);
-        let vizv = _mm256_set1_pd(ctx.vi[2]);
-        let mut axv = zero;
-        let mut ayv = zero;
-        let mut azv = zero;
-        let mut duv = zero;
-        let mut vsigv = civ;
-        for b in 0..batches {
-            let o = b * LANES;
-            let e0 = &evalr[cols.j[o] as usize];
-            let e1 = &evalr[cols.j[o + 1] as usize];
-            let e2 = &evalr[cols.j[o + 2] as usize];
-            let e3 = &evalr[cols.j[o + 3] as usize];
-            let dx = _mm256_loadu_pd(cols.dx.as_ptr().add(o));
-            let dy = _mm256_loadu_pd(cols.dy.as_ptr().add(o));
-            let dz = _mm256_loadu_pd(cols.dz.as_ptr().add(o));
-            let r2 = _mm256_loadu_pd(cols.r2.as_ptr().add(o));
-            let hv = _mm256_loadu_pd(cols.h.as_ptr().add(o));
-            let r = _mm256_sqrt_pd(r2);
-            let dvx = _mm256_sub_pd(vixv, _mm256_set_pd(e3.vx, e2.vx, e1.vx, e0.vx));
-            let dvy = _mm256_sub_pd(viyv, _mm256_set_pd(e3.vy, e2.vy, e1.vy, e0.vy));
-            let dvz = _mm256_sub_pd(vizv, _mm256_set_pd(e3.vz, e2.vz, e1.vz, e0.vz));
-            let vr = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dvx, dx), _mm256_mul_pd(dvy, dy)),
-                _mm256_mul_pd(dvz, dz),
-            );
-            let rhoj = _mm256_max_pd(_mm256_set_pd(e3.rho, e2.rho, e1.rho, e0.rho), rho_floor);
-            let cj = _mm256_set_pd(e3.cs, e2.cs, e1.cs, e0.cs);
-            let mu = _mm256_div_pd(
-                _mm256_mul_pd(hv, vr),
-                _mm256_add_pd(r2, _mm256_mul_pd(_mm256_mul_pd(c001, hv), hv)),
-            );
-            let c_mean = _mm256_mul_pd(half, _mm256_add_pd(civ, cj));
-            let rho_mean = _mm256_mul_pd(half, _mm256_add_pd(rhoiv, rhoj));
-            let visc_full = _mm256_div_pd(
-                _mm256_add_pd(
-                    _mm256_mul_pd(_mm256_mul_pd(neg_alpha, c_mean), mu),
-                    _mm256_mul_pd(_mm256_mul_pd(betav, mu), mu),
-                ),
-                rho_mean,
-            );
-            let approaching = _mm256_cmp_pd::<_CMP_LT_OQ>(vr, zero);
-            let visc = _mm256_blendv_pd(zero, visc_full, approaching);
-            let vsig_cand = _mm256_blendv_pd(civ, _mm256_sub_pd(c_mean, mu), approaching);
-            let sigma_h = _mm256_div_pd(
-                _mm256_div_pd(eight, _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(piv, hv), hv), hv)),
-                hv,
-            );
-            let q = _mm256_div_pd(r, hv);
-            let t = _mm256_sub_pd(onev, q);
-            let near =
-                _mm256_add_pd(_mm256_mul_pd(neg12, q), _mm256_mul_pd(_mm256_mul_pd(p18, q), q));
-            let far = _mm256_mul_pd(_mm256_mul_pd(neg6, t), t);
-            let piece = _mm256_blendv_pd(far, near, _mm256_cmp_pd::<_CMP_LT_OQ>(q, half));
-            let dwr_over_r = _mm256_div_pd(_mm256_mul_pd(sigma_h, piece), r);
-            let coeff = _mm256_add_pd(
-                _mm256_add_pd(
-                    pi_rho2v,
-                    _mm256_div_pd(
-                        _mm256_set_pd(e3.pres, e2.pres, e1.pres, e0.pres),
-                        _mm256_mul_pd(rhoj, rhoj),
-                    ),
-                ),
-                visc,
-            );
-            let scale = _mm256_mul_pd(
-                _mm256_mul_pd(_mm256_set_pd(e3.m, e2.m, e1.m, e0.m), coeff),
-                dwr_over_r,
-            );
-            axv = _mm256_sub_pd(axv, _mm256_mul_pd(scale, dx));
-            ayv = _mm256_sub_pd(ayv, _mm256_mul_pd(scale, dy));
-            azv = _mm256_sub_pd(azv, _mm256_mul_pd(scale, dz));
-            duv = _mm256_add_pd(duv, _mm256_mul_pd(_mm256_mul_pd(half, scale), vr));
-            vsigv = _mm256_max_pd(vsigv, vsig_cand);
+fn eval_pairs(batches: &mut [PairBatch], ti: &EvalRow) -> ([f64; 4], f64) {
+    let zero = [0.0f64; LANES];
+    let (mut ax, mut ay, mut az, mut au) = (zero, zero, zero, zero);
+    let mut vsig = [ti.cs; LANES];
+    for b in batches {
+        for l in 0..LANES {
+            let (dx, dy, dz, r2, h_ij) = (b.dx[l], b.dy[l], b.dz[l], b.r2[l], b.h[l]);
+            let r = r2.sqrt();
+            let vr = (ti.vx - b.vx[l]) * dx + (ti.vy - b.vy[l]) * dy + (ti.vz - b.vz[l]) * dz;
+            // artificial viscosity as a select on approach
+            let mu = h_ij * vr / (r2 + 0.01 * h_ij * h_ij);
+            let c_mean = 0.5 * (ti.cs + b.cs[l]);
+            let rho_mean = 0.5 * (ti.rho + b.rho[l]);
+            let visc_full = (-ALPHA * c_mean * mu + BETA * mu * mu) / rho_mean;
+            let approaching = vr < 0.0;
+            let visc = select_unpredictable(approaching, visc_full, 0.0);
+            let v = select_unpredictable(approaching, c_mean - mu, ti.cs);
+            // cubic-spline gradient, both pieces evaluated and selected
+            let sigma_h = 8.0 / (std::f64::consts::PI * h_ij * h_ij * h_ij) / h_ij;
+            let q = r / h_ij;
+            let t = 1.0 - q;
+            let near = -12.0 * q + 18.0 * q * q;
+            let far = -6.0 * t * t;
+            let piece = select_unpredictable(q < 0.5, near, far);
+            let s = (ti.p_rho2 + b.p_rho2[l] + visc) * (sigma_h * piece / r);
+            let (fx, fy, fz, du) = (s * dx, s * dy, s * dz, 0.5 * s * vr);
+            (b.fx[l], b.fy[l], b.fz[l], b.du[l]) = (fx, fy, fz, du);
+            let m = b.m[l];
+            ax[l] += m * fx;
+            ay[l] += m * fy;
+            az[l] += m * fz;
+            au[l] += m * du;
+            vsig[l] = vsig[l].max(v);
         }
-        _mm256_storeu_pd(lanes.ax.as_mut_ptr(), axv);
-        _mm256_storeu_pd(lanes.ay.as_mut_ptr(), ayv);
-        _mm256_storeu_pd(lanes.az.as_mut_ptr(), azv);
-        _mm256_storeu_pd(lanes.du.as_mut_ptr(), duv);
-        _mm256_storeu_pd(lanes.vsig.as_mut_ptr(), vsigv);
     }
-    for p in batches * LANES..n {
-        pair_into(&mut lanes, cols, p, ctx, evalr);
-    }
-    lanes.finish(acc, du)
+    let sums = [reduce_lanes(ax), reduce_lanes(ay), reduce_lanes(az), reduce_lanes(au)];
+    (sums, vsig[0].max(vsig[1]).max(vsig[2]).max(vsig[3]))
 }
 
 #[cfg(test)]
@@ -605,9 +634,19 @@ mod tests {
         hydro_rates_into(&gas, &mut scratch, &mut out);
     }
 
+    /// A Plummer gas with a swirling, partly converging velocity field,
+    /// so the viscosity select and the energy equation both do work.
+    fn stirred_gas(n: usize, seed: u64) -> GasParticles {
+        let mut gas = plummer_gas(n, 1.0, seed);
+        for (v, p) in gas.vel.iter_mut().zip(&gas.pos) {
+            *v = [-p[1] - 0.3 * p[0], p[0] - 0.3 * p[1], 0.2 * p[2] * p[0]];
+        }
+        gas
+    }
+
     #[test]
     fn simd_forces_match_scalar_within_tolerance() {
-        let mut gas = plummer_gas(900, 1.0, 13);
+        let mut gas = stirred_gas(900, 13);
         let mut scratch = crate::density::SphScratch::new();
         scratch.simd = false;
         compute_density_with(&mut gas, &mut scratch);
@@ -647,88 +686,147 @@ mod tests {
         }
     }
 
+    /// Density, cached lists, packed rows and a block plan for `gas`.
+    fn planned(gas: &mut GasParticles) -> SphScratch {
+        let mut scratch = crate::density::SphScratch::new();
+        compute_density_with(gas, &mut scratch);
+        scratch.ensure_cache(gas);
+        scratch.soa.fill_force_rows(gas);
+        let view = scratch.force_view();
+        plan_blocks(view.blocks, Rows::new(&view));
+        scratch
+    }
+
     #[test]
     fn staged_eval_dispatch_tiers_match_portable_body_bitwise() {
         // Per-particle neighbour lists give every length class (4-wide
-        // batches, scalar tails). The dispatched evaluator (the AVX2
-        // clone where the CPU has it) must be bitwise identical to the
-        // portable body on identical staged columns.
-        let mut gas = plummer_gas(700, 1.0, 11);
-        let mut scratch = crate::density::SphScratch::new();
-        compute_density_with(&mut gas, &mut scratch);
-        scratch.ensure_cache(&gas);
-        scratch.soa.fill_all(&gas);
-        let (soa, nbr_off, nbr_idx, _) = scratch.force_view();
-        let mut cols = PairCols::default();
-        for i in 0..gas.len() {
-            let nbr = &nbr_idx[nbr_off[i] as usize..nbr_off[i + 1] as usize];
-            let (mut a1, mut d1) = ([0.0f64; 3], 0.0f64);
-            let (_, vs1) = hydro_one_simd(i, soa, nbr, &mut cols, &mut a1, &mut d1);
-            let rhoi = soa.rho.as_slice()[i].max(1e-12);
-            let ctx = TargetCtx {
-                vi: [soa.vel.x.as_slice()[i], soa.vel.y.as_slice()[i], soa.vel.z.as_slice()[i]],
-                ci: soa.cs.as_slice()[i],
-                rhoi,
-                pi_rho2: soa.pres.as_slice()[i] / (rhoi * rhoi),
-            };
-            let (mut a2, mut d2) = ([0.0f64; 3], 0.0f64);
-            let vs2 = eval_pair_cols_body(&cols, &ctx, soa, &mut a2, &mut d2);
-            assert_eq!(a1, a2, "acc tier divergence at i={i} ({} pairs)", cols.len());
-            assert_eq!(d1.to_bits(), d2.to_bits(), "du tier divergence at i={i}");
-            assert_eq!(vs1.to_bits(), vs2.to_bits(), "vsig tier divergence at i={i}");
+        // batches, scalar tails), and 700 particles make six blocks. The
+        // dispatched block (the AVX2 instantiation where the CPU has it)
+        // must be bitwise identical to the portable body.
+        let mut gas = stirred_gas(700, 11);
+        let mut scratch = planned(&mut gas);
+        let view = scratch.force_view();
+        let rows = Rows::new(&view);
+        assert_eq!(view.blocks.len(), 6);
+        let mut stage = PairStage::default();
+        stage.resize(gas.len());
+        for block in view.blocks.iter_mut() {
+            let dispatched = pair_block(rows, block, &mut stage);
+            let part = block.part.clone();
+            let portable = pair_block_body(rows, block, &mut stage);
+            assert!(dispatched.0 > 0, "block {:?} staged nothing", block.rows);
+            assert_eq!(dispatched.0, portable.0);
+            assert_eq!(dispatched.1.to_bits(), portable.1.to_bits(), "vsig, rows {:?}", block.rows);
+            for (c, (a, b)) in part.iter().zip(&block.part).enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "column {c} diverged, rows {:?}", block.rows);
+            }
         }
     }
 
     #[test]
     fn force_lists_stage_exactly_the_active_pairs() {
-        // The filter must stage exactly the pairs the cached list holds,
-        // whether it runs over that list (all accepted) or over the
-        // whole set (mostly rejected, including the self-pair).
+        // Row i's cached list ends with its entries j > i, the upper
+        // part. Staging must keep exactly those, whether it runs over the
+        // upper part (all accepted), the whole list (the rest rejected by
+        // j > i) or the whole set (mostly rejected by the predicate,
+        // including the self-pair).
         let mut gas = plummer_gas(700, 1.0, 23);
-        let mut scratch = crate::density::SphScratch::new();
-        compute_density_with(&mut gas, &mut scratch);
-        scratch.ensure_cache(&gas);
-        scratch.soa.fill_all(&gas);
-        let (soa, nbr_off, nbr_idx, _) = scratch.force_view();
-        let filt = soa.filt.as_slice();
-        let evalr = soa.evalr.as_slice();
-        let everyone: Vec<u32> = (0..gas.len() as u32).collect();
-        let mut staged = PairCols::default();
-        for i in 0..gas.len() {
-            let list = &nbr_idx[nbr_off[i] as usize..nbr_off[i + 1] as usize];
-            for nbr in [list, &everyone[..]] {
-                staged.clear();
-                filter_stage(i, filt, evalr, nbr, &mut staged);
-                let (mut got, mut listed) = (staged.j.clone(), list.to_vec());
+        let mut scratch = planned(&mut gas);
+        let n = gas.len();
+        let view = scratch.force_view();
+        let rows = Rows::new(&view);
+        let everyone: Vec<u32> = (0..n as u32).collect();
+        let mut stage = PairStage::default();
+        stage.resize(n);
+        for i in 0..n {
+            let list = &view.nbr_idx[view.nbr_off[i] as usize..view.nbr_off[i + 1] as usize];
+            let upper: Vec<u32> = list.iter().copied().filter(|&j| j as usize > i).collect();
+            assert_eq!(rows.upper(i), upper, "upper part at i={i}");
+            assert!(list.ends_with(&upper), "list {i} does not end with its upper part");
+            for nbr in [rows.upper(i), list, &everyone[..]] {
+                let len = stage_row(i, rows.filt, rows.evalr, nbr, &mut stage);
+                let mut got = stage.j[..len].to_vec();
                 got.sort_unstable();
-                listed.sort_unstable();
-                assert_eq!(got, listed, "the lists hold exactly the active pairs at i={i}");
+                let mut want = upper.clone();
+                want.sort_unstable();
+                assert_eq!(got, want, "the lists hold exactly the active pairs at i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn force_blocks_cover_every_row_balanced_by_pairs() {
+        for n in [1usize, 2, 24, 128, 129, 512, 700, 2100] {
+            let mut gas = stirred_gas(n, n as u64);
+            let mut scratch = planned(&mut gas);
+            let view = scratch.force_view();
+            let rows = Rows::new(&view);
+            let blocks = &*view.blocks;
+            let count = n.div_ceil(BLOCK_ROWS).clamp(1, MAX_BLOCKS);
+            assert_eq!(blocks.len(), count, "n={n}");
+            assert_eq!(blocks[0].rows.start, 0);
+            assert_eq!(blocks[count - 1].rows.end, n);
+            assert!(blocks.windows(2).all(|w| w[0].rows.end == w[1].rows.start), "n={n}");
+            let staged = |r: Range<usize>| r.map(|i| rows.upper(i).len()).collect::<Vec<_>>();
+            let row_max = *staged(0..n).iter().max().unwrap();
+            let per_block = staged(0..n).iter().sum::<usize>().div_ceil(count);
+            for b in blocks {
+                let pairs: usize = staged(b.rows.clone()).iter().sum();
+                assert!(pairs <= per_block + row_max, "n={n}: block {:?} is lopsided", b.rows);
+                assert!(b.part.iter().all(|c| c.len() == n));
+            }
+        }
+    }
+
+    #[test]
+    fn pair_pass_is_bitwise_equal_at_any_thread_count() {
+        for n in [16usize, 24, 512] {
+            let run = |threads: usize| {
+                let mut gas = stirred_gas(n, 31);
+                let mut scratch = crate::density::SphScratch::new();
+                scratch.max_threads = threads;
+                compute_density_with(&mut gas, &mut scratch);
+                let mut rates = HydroRates::new();
+                hydro_rates_into(&gas, &mut scratch, &mut rates);
+                let bits = rates.acc.iter().flatten().chain(&rates.du).map(|x| x.to_bits());
+                (bits.collect::<Vec<_>>(), rates.interactions, rates.v_signal_max.to_bits())
+            };
+            let seq = run(1);
+            assert!(seq.1 > 0, "n={n}: no pairs");
+            for threads in [2, 7] {
+                assert_eq!(run(threads), seq, "n={n}, max_threads={threads}");
             }
         }
     }
 
     #[test]
     fn simd_forces_conserve_momentum() {
-        let mut gas = plummer_gas(400, 1.0, 7);
-        let mut scratch = crate::density::SphScratch::new();
-        scratch.simd = true;
-        compute_density_with(&mut gas, &mut scratch);
-        let mut rates = HydroRates::new();
-        hydro_rates_into(&gas, &mut scratch, &mut rates);
-        let mut ptot = [0.0f64; 3];
-        for (m, a) in gas.mass.iter().zip(&rates.acc) {
-            for k in 0..3 {
-                ptot[k] += m * a[k];
+        // each pair is evaluated once and lands on both ends, so Σ m a
+        // and Σ m (v·a + du) cancel to the last few bits
+        for n in [16usize, 24, 400, 512] {
+            let mut gas = stirred_gas(n, 7);
+            let mut scratch = crate::density::SphScratch::new();
+            scratch.simd = true;
+            compute_density_with(&mut gas, &mut scratch);
+            let mut rates = HydroRates::new();
+            hydro_rates_into(&gas, &mut scratch, &mut rates);
+            let (mut net, mut scale) = ([0.0f64; 3], 0.0f64);
+            let (mut power, mut power_scale) = (0.0f64, 0.0f64);
+            for i in 0..n {
+                let (m, a, v) = (gas.mass[i], rates.acc[i], gas.vel[i]);
+                for k in 0..3 {
+                    net[k] += m * a[k];
+                    scale += (m * a[k]).abs();
+                }
+                let terms = [m * v[0] * a[0], m * v[1] * a[1], m * v[2] * a[2], m * rates.du[i]];
+                power += terms.iter().sum::<f64>();
+                power_scale += terms.iter().map(|t| t.abs()).sum::<f64>();
             }
-        }
-        let scale: f64 = rates
-            .acc
-            .iter()
-            .zip(&gas.mass)
-            .map(|(a, m)| m * (a[0] * a[0] + a[1] * a[1] + a[2] * a[2]).sqrt())
-            .sum();
-        for k in 0..3 {
-            assert!(ptot[k].abs() < 1e-9 * scale.max(1.0), "momentum leak {ptot:?}");
+            for k in 0..3 {
+                assert!(net[k].abs() <= 1e-14 * scale, "n={n}: Σ m a = {net:?} of {scale}");
+            }
+            assert!(power.abs() <= 1e-13 * power_scale, "n={n}: energy {power} of {power_scale}");
         }
     }
 

@@ -29,6 +29,38 @@ fn lab_scenarios_reproduce_paper_shape() {
     assert!(results[3].mpi_bytes > 0, "8-rank Gadget models MPI traffic");
 }
 
+/// The ledger of every simulated run, exact: virtual seconds per
+/// iteration (as bits), WAN IPL bytes, modeled MPI bytes, calls per
+/// iteration and recoveries. The 5 % band above guards the calibration;
+/// this guards everything under it, so a refactor of the channel, the
+/// daemon or the proxy that shifts virtual time or traffic by any amount
+/// fails here.
+#[test]
+fn scenario_ledger_is_pinned_bitwise() {
+    // (run, seconds bits, IPL bytes, MPI bytes, calls/iteration, recoveries)
+    let pinned: [(&str, u64, u64, u64, f64, u32); 6] = [
+        ("CpuOnly", 0x4076_1177_2ed3_272f, 0, 0, 31.0, 0),
+        ("LocalGpu", 0x4056_3e63_aaae_58b2, 0, 0, 31.0, 0),
+        ("RemoteGpu", 0x4054_fd0d_596d_3744, 380_699_946, 0, 31.0, 0),
+        ("FullJungle", 0x4013_9387_f1d1_6914, 363_493_538, 10_293_328, 31.0, 0),
+        ("SC11", 0x401b_19ac_3c3c_23fb, 181_746_769, 5_146_664, 31.0, 0),
+        ("Failover", 0x4056_4d74_0fef_02cf, 402_262_428, 0, 40.5, 1),
+    ];
+    let mut runs: Vec<_> = Scenario::all().into_iter().map(|s| run_scenario(s, 2).result).collect();
+    runs.push(run_sc11(1).result);
+    runs.push(run_failover_demo(2).result);
+    for ((name, bits, ipl, mpi, calls, recoveries), r) in pinned.into_iter().zip(runs) {
+        let got = (
+            r.seconds_per_iteration.to_bits(),
+            r.wan_ipl_bytes,
+            r.mpi_bytes,
+            r.calls_per_iteration,
+            r.recoveries,
+        );
+        assert_eq!(got, (bits, ipl, mpi, calls, recoveries), "{name}: {r:?}");
+    }
+}
+
 #[test]
 fn sc11_transatlantic_run_completes() {
     let run = run_sc11(1);

@@ -17,8 +17,9 @@
 //! * [`ThreadChannel`] — worker runs on its own OS thread behind crossbeam
 //!   queues, carrying [`Request`] values, not frames: the codec-free
 //!   reference the frame path is tested against.
-//! * The Ibis channel is `jc_core::IbisChannel`, routing these same
-//!   requests through the simulated jungle.
+//! * The Ibis channel, `jc_core::IbisChannel`, is the same client core
+//!   over a simulated link: its frames cross `jc_netsim`'s jungle to a
+//!   proxy that serves them through the worker's [`ServerCore`].
 
 use crate::host::{self, owned_compute_kick, ServerCore};
 use crate::wire::{self, WireError};
@@ -261,8 +262,9 @@ pub(crate) fn stepped_into(resp: Response, out: &mut ParticleData) -> Response {
 /// What carries a [`ClientCore`]'s frames: each stamped request frame
 /// to the worker, the reply frame back. In process the worker's own
 /// [`ServerCore`] is the link; over TCP it is a
-/// [`crate::reactor::ReactorLink`]. The link only moves bytes: the codec,
-/// stamping, the one-outstanding rule and the accounting are the core's.
+/// [`crate::reactor::ReactorLink`]; across the simulated jungle it is
+/// `jc_core`'s `SimLink`. The link only moves bytes: the codec, stamping,
+/// the one-outstanding rule and the accounting are the core's.
 pub trait Link {
     /// Lend the link's frame buffer to `write`, which fills it with a
     /// whole stamped request, and start that frame toward the worker.
@@ -318,7 +320,7 @@ pub struct ClientCore<L> {
 
 impl<L: Link> ClientCore<L> {
     /// A client over `link`.
-    pub(crate) fn over(link: L) -> ClientCore<L> {
+    pub fn over(link: L) -> ClientCore<L> {
         ClientCore { link, stats: ChannelStats::default(), pending: None, seq: 0 }
     }
 

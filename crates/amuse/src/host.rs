@@ -2,10 +2,10 @@
 //!
 //! A [`ModelWorker`] is one kernel behind six methods. Whatever hosts
 //! it — a [`ServerCore`] (in the caller behind [`crate::LocalChannel`],
-//! behind TCP in [`crate::WorkerServer`]), [`crate::ThreadChannel`]'s
-//! thread, `jc_core`'s simulated proxy — hands it requests through this
-//! module, and the two composite requests of the bridge's substep are
-//! decomposed here, once, into those six methods:
+//! behind TCP in [`crate::WorkerServer`], behind `jc_core`'s simulated
+//! proxy), or [`crate::ThreadChannel`]'s thread — hands it requests
+//! through this module, and the two composite requests of the bridge's
+//! substep are decomposed here, once, into those six methods:
 //!
 //! * [`Request::Step`] = `n` × [`ModelWorker::kick_slice`], then
 //!   `handle(EvolveTo)`, then the particle columns
@@ -18,7 +18,8 @@
 //! order, same f64 results — and a worker that declines a borrowed
 //! method gets the owned request through `handle` instead, as the
 //! channels have always done. [`ServerCore`] is the host that speaks
-//! frames, in process (as a [`Link`]) and behind TCP alike.
+//! frames, in process (as a [`Link`]), behind TCP and in the simulated
+//! jungle alike.
 
 // `Err(Response)` throughout: the error *is* the frame the host answers
 // with, moved once on the cold path — boxing it would buy nothing.

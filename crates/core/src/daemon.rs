@@ -1,7 +1,6 @@
 //! The Ibis daemon: the coupler's gateway into the jungle (Fig 5).
 
 use crate::proxy::{CallEnvelope, ReplyEnvelope};
-use jc_amuse::worker::Response;
 use jc_netsim::metrics::TrafficClass;
 use jc_netsim::{Actor, ActorId, Ctx, Msg, Sim};
 use jc_smartsockets::{
@@ -19,8 +18,9 @@ pub struct WorkerId(pub u32);
 /// (outside) — standing in for the daemon's loopback socket endpoints.
 #[derive(Default)]
 pub struct DaemonShared {
-    /// Collected replies by sequence number.
-    pub replies: HashMap<u64, Response>,
+    /// The latest reply frame from each worker (its sequence stamp names
+    /// the request it answers).
+    pub replies: HashMap<WorkerId, Vec<u8>>,
     /// Worker registry: route established once the proxy is known.
     pub routes: HashMap<WorkerId, ActorId>,
 }
@@ -107,7 +107,7 @@ impl Actor for IbisDaemon {
         };
         // replies from proxies (possibly relayed through hubs)
         if let Ok((_, rep)) = unwrap_message::<ReplyEnvelope>(msg) {
-            self.shared.borrow_mut().replies.insert(rep.seq, rep.response);
+            self.shared.borrow_mut().replies.insert(rep.worker, rep.frame);
         }
     }
 

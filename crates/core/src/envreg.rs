@@ -9,9 +9,11 @@
 //! (dead knob) or not documented in the README.
 //!
 //! This table is data, not mechanism — call sites keep reading the
-//! environment directly (usually through a `OnceLock` so the knob is
-//! sampled once). The registry exists so the full set of knobs is one
-//! reviewable, documented list.
+//! environment directly, and none caches the value: `par::auto_threads`,
+//! `reactor::net_timeout` and `FaultPlan::from_env` read it on every
+//! call, so an in-process change takes effect on the next read. The
+//! registry exists so the full set of knobs is one reviewable,
+//! documented list.
 
 /// Every `JC_*` environment variable the workspace reads, with a
 /// one-line description. Keep alphabetized.

@@ -13,16 +13,21 @@
 //! * [`daemon::IbisDaemon`] — an actor on the user's machine. The coupler
 //!   (which runs *outside* the simulation, like the Python process outside
 //!   the JVM) reaches it over a modeled loopback socket. It starts workers
-//!   through JavaGAT ([`jc_gat`]), routes RPC envelopes to worker proxies
-//!   over SmartSockets-planned connections, and collects replies.
-//! * [`proxy::WorkerProxy`] — the per-worker proxy actor: executes the real
-//!   kernel *in place* (small-N physics), charges virtual time from the
-//!   calibrated performance model, models the intra-worker MPI traffic of
-//!   multi-node workers, and replies to the daemon.
-//! * [`channel::IbisChannel`] — implements [`jc_amuse::Channel`], so the
-//!   unmodified BRIDGE drives workers across the simulated jungle. `call`
-//!   injects an envelope and runs the event loop until the reply lands;
+//!   through JavaGAT ([`jc_gat`]), routes request frames to worker proxies
+//!   over SmartSockets-planned connections, and collects reply frames.
+//! * [`proxy::WorkerProxy`] — the per-worker proxy actor: serves each frame
+//!   through the worker's own [`jc_amuse::host::ServerCore`], executing
+//!   the real kernel *in place* (small-N physics), charges virtual time
+//!   from the calibrated performance model, models the intra-worker MPI
+//!   traffic of multi-node workers, and replies to the daemon.
+//! * [`channel::IbisChannel`] — `jc_amuse`'s client core over a
+//!   [`channel::SimLink`]: the protocol the TCP and in-process channels
+//!   speak, with only the transport simulated, so the unmodified BRIDGE
+//!   drives workers across the simulated jungle. A call posts the stamped
+//!   request frame and runs the event loop until the reply frame lands;
 //!   `submit`/`collect` on two channels gives genuinely parallel evolves.
+//!   Its [`jc_amuse::ChannelStats`] book real frame bytes; the
+//!   production-scaled bytes are the simulated `Ipl` link traffic.
 //! * [`perfmodel`] — the calibration: sustained device throughputs for the
 //!   paper's hardware and per-model work budgets chosen so the §6.2 lab
 //!   scenarios land near the published 353 / 89 / 84 / 62.4 s/iteration
@@ -52,7 +57,7 @@ pub mod perfmodel;
 pub mod proxy;
 pub mod scenarios;
 
-pub use channel::IbisChannel;
+pub use channel::{IbisChannel, SimLink};
 pub use daemon::{DaemonHandle, IbisDaemon, WorkerId};
 pub use discovery::{discover, Discovered, Requirements};
 pub use perfmodel::{ModelKind, PerfProfile};

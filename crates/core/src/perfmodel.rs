@@ -10,7 +10,7 @@
 //! slightly beats the slow local GPU (GeForce 9600GT); the fully
 //! distributed jungle wins overall.
 
-use jc_amuse::worker::Request;
+use jc_amuse::wire::op;
 
 /// Sustained double-precision GFLOP/s on the paper's kernels (calibrated,
 /// not peak).
@@ -77,35 +77,32 @@ pub struct PerfProfile {
 }
 
 impl PerfProfile {
-    /// Modeled work of one request, in GFLOP.
+    /// Modeled work of one request frame, in GFLOP, keyed on its opcode
+    /// byte ([`jc_amuse::wire::op`]): the proxy reads it off the frame it
+    /// serves, never decoding a request of its own.
     ///
     /// The budgets follow the bridge's protocol (see `jc_amuse::bridge`):
     ///
-    /// * `Step` carries the model's per-iteration budget divided by the
+    /// * `STEP` carries the model's per-iteration budget divided by the
     ///   substep count — gravity/hydro evolve once per substep, inside
-    ///   the step. A bare `EvolveTo` is the same evolve and carries the
+    ///   the step. A bare `EVOLVE_TO` is the same evolve and carries the
     ///   same budget.
-    /// * `ComputeField` is called `s+1` times per iteration — one
+    /// * `COMPUTE_FIELD` is called `s+1` times per iteration — one
     ///   coupling field (both directions) per position epoch, once to
     ///   open the iteration and once after every step — so it carries
-    ///   the coupling budget divided by `s+1`. A bare `ComputeKick` is
+    ///   the coupling budget divided by `s+1`. A bare `COMPUTE_KICK` is
     ///   one direction of a field: half of that.
     /// * Everything else (snapshots, kicks, bookkeeping) is minor.
-    pub fn work_gflop(&self, req: &Request) -> f64 {
+    pub fn work_gflop(&self, opcode: u8) -> f64 {
         let s = self.substeps as f64;
-        match (self.kind, req) {
-            (ModelKind::Gravity, Request::Step { .. } | Request::EvolveTo(_)) => {
-                work::GRAVITY_GFLOP / s
-            }
-            (ModelKind::Hydro, Request::Step { .. } | Request::EvolveTo(_)) => work::GAS_GFLOP / s,
-            (ModelKind::Coupling, Request::ComputeField { .. }) => work::COUPLING_GFLOP / (s + 1.0),
-            (ModelKind::Coupling, Request::ComputeKick { .. }) => {
-                work::COUPLING_GFLOP / (2.0 * (s + 1.0))
-            }
-            (ModelKind::Stellar, Request::EvolveStars(_)) => work::SSE_GFLOP,
+        match (self.kind, opcode) {
+            (ModelKind::Gravity, op::STEP | op::EVOLVE_TO) => work::GRAVITY_GFLOP / s,
+            (ModelKind::Hydro, op::STEP | op::EVOLVE_TO) => work::GAS_GFLOP / s,
+            (ModelKind::Coupling, op::COMPUTE_FIELD) => work::COUPLING_GFLOP / (s + 1.0),
+            (ModelKind::Coupling, op::COMPUTE_KICK) => work::COUPLING_GFLOP / (2.0 * (s + 1.0)),
+            (ModelKind::Stellar, op::EVOLVE_STARS) => work::SSE_GFLOP,
             // snapshot serialization cost etc.
-            (_, Request::GetParticles) => 0.001,
-            (_, Request::Kick(_)) | (_, Request::SetMasses(_)) => 0.001,
+            (_, op::GET_PARTICLES | op::KICK | op::SET_MASSES) => 0.001,
             _ => 0.0001,
         }
     }
@@ -151,28 +148,17 @@ mod tests {
     #[test]
     fn work_profile_splits_budgets_over_substeps() {
         let p = PerfProfile { kind: ModelKind::Coupling, substeps: 8 };
-        let field = Request::ComputeField {
-            star_pos: vec![],
-            star_mass: vec![],
-            gas_pos: vec![],
-            gas_mass: vec![],
-            star_range: (0, 0),
-            gas_range: (0, 0),
-        };
         // 8 substeps + 1 field evaluations = 9 calls per iteration
-        assert!((p.work_gflop(&field) * 9.0 - work::COUPLING_GFLOP).abs() < 1e-9);
+        assert!((p.work_gflop(op::COMPUTE_FIELD) * 9.0 - work::COUPLING_GFLOP).abs() < 1e-9);
         // one direction alone is half a field
-        let kick =
-            Request::ComputeKick { targets: vec![], source_pos: vec![], source_mass: vec![] };
-        assert_eq!(p.work_gflop(&kick) * 2.0, p.work_gflop(&field));
+        assert_eq!(p.work_gflop(op::COMPUTE_KICK) * 2.0, p.work_gflop(op::COMPUTE_FIELD));
         // one step per substep carries the evolve
-        let step = Request::Step { dv: vec![], n: 1, t: 0.0 };
         for (kind, budget) in
             [(ModelKind::Gravity, work::GRAVITY_GFLOP), (ModelKind::Hydro, work::GAS_GFLOP)]
         {
             let m = PerfProfile { kind, substeps: 8 };
-            assert!((m.work_gflop(&step) * 8.0 - budget).abs() < 1e-9);
-            assert_eq!(m.work_gflop(&step), m.work_gflop(&Request::EvolveTo(0.0)));
+            assert!((m.work_gflop(op::STEP) * 8.0 - budget).abs() < 1e-9);
+            assert_eq!(m.work_gflop(op::STEP), m.work_gflop(op::EVOLVE_TO));
         }
     }
 

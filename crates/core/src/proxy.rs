@@ -10,7 +10,9 @@
 
 use crate::daemon::WorkerId;
 use crate::perfmodel::PerfProfile;
-use jc_amuse::worker::{ModelWorker, Request, Response};
+use jc_amuse::host::ServerCore;
+use jc_amuse::wire::{self, op};
+use jc_amuse::worker::ModelWorker;
 use jc_netsim::metrics::TrafficClass;
 use jc_netsim::{Actor, ActorId, Ctx, Msg, SimDuration, SimTime};
 use jc_smartsockets::hub::unwrap_message;
@@ -28,10 +30,8 @@ pub type BusyLedger = Rc<RefCell<HashMap<(jc_netsim::HostId, u8), SimTime>>>;
 pub struct CallEnvelope {
     /// Target worker.
     pub worker: WorkerId,
-    /// Sequence number (matches the reply).
-    pub seq: u64,
-    /// The request.
-    pub request: Request,
+    /// The sequence-stamped request frame.
+    pub frame: Vec<u8>,
     /// Wire size (already scaled to production payloads).
     pub wire_bytes: u64,
     /// Where the reply goes (the daemon — carried explicitly because a
@@ -43,10 +43,8 @@ pub struct CallEnvelope {
 pub struct ReplyEnvelope {
     /// Source worker.
     pub worker: WorkerId,
-    /// Sequence number.
-    pub seq: u64,
-    /// The response.
-    pub response: Response,
+    /// The reply frame, stamped with its request's sequence number.
+    pub frame: Vec<u8>,
     /// Wire size (scaled).
     pub wire_bytes: u64,
 }
@@ -60,7 +58,8 @@ struct PendingReply {
 pub struct WorkerProxy {
     id: WorkerId,
     worker: Rc<RefCell<Option<Box<dyn ModelWorker>>>>,
-    taken: Option<Box<dyn ModelWorker>>,
+    /// The worker, served through its frame server once started.
+    server: Option<ServerCore<'static, Box<dyn ModelWorker>>>,
     /// Sustained GFLOP/s of the resource slice this worker got.
     gflops: f64,
     profile: PerfProfile,
@@ -94,7 +93,7 @@ impl WorkerProxy {
         WorkerProxy {
             id,
             worker,
-            taken: None,
+            server: None,
             gflops,
             profile,
             device_tag,
@@ -105,13 +104,13 @@ impl WorkerProxy {
         }
     }
 
-    fn model_mpi_traffic(&self, ctx: &mut Ctx<'_>, resp: &Response) {
+    fn model_mpi_traffic(&self, ctx: &mut Ctx<'_>, reply_len: usize) {
         if self.mpi_ranks <= 1 {
             return;
         }
         // Intra-worker ghost exchange: proportional to the (scaled)
         // snapshot size, once per evolve call, spread over the site link.
-        let bytes = ((resp.wire_size() as f64) * self.byte_scale * 0.2) as u64;
+        let bytes = ((reply_len as f64) * self.byte_scale * 0.2) as u64;
         let site = {
             let host = ctx.host();
             ctx.topo().host(host).site
@@ -125,8 +124,9 @@ impl WorkerProxy {
 
 impl Actor for WorkerProxy {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        self.taken = self.worker.borrow_mut().take();
-        assert!(self.taken.is_some(), "worker object already taken (two rank-0 proxies?)");
+        let worker = self.worker.borrow_mut().take();
+        let worker = worker.expect("worker object already taken (two rank-0 proxies?)");
+        self.server = Some(ServerCore::with_worker(worker, None));
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -143,12 +143,14 @@ impl Actor for WorkerProxy {
             return;
         };
         let daemon = env.reply_to;
-        let worker = self.taken.as_mut().expect("proxy started");
-        let is_evolve = matches!(env.request, Request::Step { .. } | Request::EvolveTo(_));
-        // real execution (loopback hop to the worker process); the proxy
-        // is the worker's host, so composites are decomposed here
-        let work_gflop = self.profile.work_gflop(&env.request);
-        let response = jc_amuse::host::serve(worker.as_mut(), env.request);
+        let opcode = wire::parse_header(&env.frame).map_or(0, |h| h.opcode);
+        let is_evolve = matches!(opcode, op::STEP | op::EVOLVE_TO);
+        let work_gflop = self.profile.work_gflop(opcode);
+        // real execution (loopback hop to the worker process): the frame
+        // server the TCP worker runs, with its fast paths and dedup cache
+        let server = self.server.as_mut().expect("proxy started");
+        let mut frame = server.handle(&env.frame).0.to_vec();
+        wire::set_seq(&mut frame, wire::frame_seq(&env.frame));
         // modeled duration on this worker's resource slice, serialized on
         // the shared (host, device) ledger
         let dur = SimDuration::from_secs_f64(work_gflop / self.gflops);
@@ -162,13 +164,13 @@ impl Actor for WorkerProxy {
         drop(ledger);
         ctx.metrics().add_host_busy(host, dur);
         if is_evolve {
-            self.model_mpi_traffic(ctx, &response);
+            self.model_mpi_traffic(ctx, frame.len());
         }
         // loopback worker↔proxy hop + compute completion, then reply
         let loopback = ctx.topo().loopback_latency;
         let delay = (end - now) + loopback * 2;
-        let wire_bytes = ((response.wire_size() as f64) * self.byte_scale) as u64;
-        let env = ReplyEnvelope { worker: self.id, seq: env.seq, response, wire_bytes };
+        let wire_bytes = ((frame.len() as f64) * self.byte_scale) as u64;
+        let env = ReplyEnvelope { worker: self.id, frame, wire_bytes };
         ctx.schedule_self(delay, PendingReply { daemon, env });
     }
 

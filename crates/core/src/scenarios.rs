@@ -1,7 +1,7 @@
 //! The §6 evaluation scenarios: lab conditions (Fig 12, Table 1 numbers)
 //! and the SC11 demonstration (Figs 9–11).
 
-use crate::channel::IbisChannel;
+use crate::channel::SimLink;
 use crate::daemon::{IbisDaemon, RegisterWorker, WorkerId};
 use crate::perfmodel::{byte_scale, devices, production, ModelKind, PerfProfile};
 use crate::proxy::{BusyLedger, WorkerProxy};
@@ -679,7 +679,7 @@ fn run_on_grid_inner(
 
     let sim = Rc::new(RefCell::new(deployment.sim));
     let mk_channel = |wid: u32, scale: f64, name: &str| {
-        IbisChannel::new(sim.clone(), daemon.clone(), WorkerId(wid), scale, name)
+        SimLink::open(sim.clone(), daemon.clone(), WorkerId(wid), scale, name)
     };
     let coupling = mk_channel(0, gas_scale, place[0].label);
     let gravity = mk_channel(1, star_scale, place[1].label);

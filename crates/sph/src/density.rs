@@ -157,7 +157,10 @@ pub struct SphScratch {
     /// Worker-thread cap: 0 = auto (one per core or the `JC_THREADS`
     /// override, subject to a minimum grain), 1 = strictly sequential.
     /// The sequential path performs zero heap allocations in steady
-    /// state; parallel runs allocate only thread-spawn bookkeeping.
+    /// state. Parallel runs hand chunks to the persistent worker pool
+    /// (nothing is spawned per call) and are allocation-free once the
+    /// pool is warm, plus one allocation per `JC_THREADS` read when the
+    /// cap is 0 and the variable is set (see `jc_compute::par`).
     pub max_threads: usize,
     /// The SoA compute path every worker runs (`true`, the default):
     /// density sums and pair evaluations run [`LANES`] wide with the

@@ -48,6 +48,16 @@
 //! `sph_forces_simd` also run at a session's n = 24, and the
 //! `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
 //! measurement behind `jc_sph`'s direct-sweep crossover.
+//! `sph_forces` / `sph_forces_simd` time `hydro_rates_into` alone on
+//! candidate sets staged once. The scalar row builds its neighbour lists
+//! in the first call and reuses them, so it never times the list build.
+//! Baselines recorded while the SoA pass still gathered from those lists
+//! (up to and including `BENCH_PR30.json`) left the list build out of
+//! `sph_forces_simd` in the same way; since the pass stages each pair
+//! straight from the candidate sets, that row pays for the staging in
+//! every call and so reads slower than before, although a step got
+//! cheaper. The rows that show what a step costs are `sph_step_n512` /
+//! `sph_step_n24` / `sph_step_n16`.
 //! `tree_build` and `tree_walk` attribute an N-driven throughput drop to
 //! the octree build or to the walk; `tree_build_walk` /
 //! `tree_build_walk_octgrav` (both halves, as one `accelerations_into`

@@ -226,10 +226,10 @@ fn hermite_step_on_the_worker_backend_allocates_nothing() {
 
 #[test]
 fn gadget_step_steady_state_allocates_nothing() {
-    // one `HydroWorker` step — density, neighbour lists, forces and the
-    // pair-symmetric self-gravity — at the sizes workers run: the benchmark's
-    // 512-gas cluster and a 24-gas service session (direct-sweep side
-    // of the neighbour-search crossover)
+    // one `HydroWorker` step — density, forces staged from its candidate
+    // sets and the pair-symmetric self-gravity — at the sizes workers
+    // run: the benchmark's 512-gas cluster and a 24-gas service session
+    // (direct-sweep side of the neighbour-search crossover)
     for n in [512, 24] {
         let gas = jc_sph::particles::plummer_gas(n, 1.0, 5);
         let mut g = jc_sph::Gadget::new(gas).with_max_threads(1);

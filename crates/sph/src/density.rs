@@ -1,9 +1,9 @@
 //! Adaptive density estimation, and the step's one neighbour search.
 //!
 //! The hot path is allocation-free in steady state: the search
-//! structure, the per-thread candidate buffers and the cached
-//! per-particle neighbour lists all live in a [`SphScratch`] owned by the
-//! caller and are reused across steps. Candidates come from a direct
+//! structure, the per-thread candidate buffers and the staged candidate
+//! sets all live in a [`SphScratch`] owned by the caller and are reused
+//! across steps. Candidates come from a direct
 //! sweep of the SoA position columns below `DIRECT_BELOW` particles and
 //! from the CSR cell grid above it — the same candidate *sets* either
 //! way, chosen by the particle count alone. The h-adaptation reads its
@@ -14,10 +14,10 @@
 //! HashMap-grid pass (a naive oracle of it lives in `tests/golden.rs`): it
 //! re-sorts every final candidate set into that pass's accumulation order.
 //!
-//! The force pass's lists are built here from the staged candidate sets
-//! ([`SphScratch`]), each row's entries `j < i` first and `j > i` after:
-//! the SoA force pass stages only the second part, so that it evaluates
-//! every pair once.
+//! The force pass reads the staged candidate sets ([`SphScratch`]): the
+//! SoA pass stages each pair from the one set that owns it, so it builds
+//! no list. Only the scalar reference path builds full per-particle
+//! lists here, from the sets and their transpose.
 
 use crate::forces::{ForceBlock, ForceView, PairStage};
 use crate::grid::{sweep_within, CsrGrid};
@@ -136,23 +136,26 @@ impl GasSoa {
 }
 
 /// Reusable scratch for the SPH kernels: the neighbour search structure,
-/// per-thread candidate buffers, and the cached per-particle neighbour
-/// lists that [`crate::forces::hydro_rates_into`] consumes.
+/// per-thread candidate buffers, the staged candidate sets that
+/// [`crate::forces::hydro_rates_into`] consumes, and the scalar path's
+/// per-particle neighbour lists.
 ///
 /// One neighbour search per step: while [`compute_density_with`] adapts
 /// the smoothing lengths it stages each particle's final candidate set
 /// `C(i) = { j : r_ij ≤ h_i }`. A pair interacts iff `r < (h_i + h_j)/2`,
-/// which implies `r ≤ max(h_i, h_j)`, i.e. `j ∈ C(i)` or `i ∈ C(j)` — so
-/// the force pass's lists are the staged sets merged with their
-/// transpose and filtered by the exact pair predicate, with no second
-/// search. List `i` holds exactly the partners particle `i` interacts
-/// with, in an order that is a function of the particle set alone.
+/// which implies `r ≤ max(h_i, h_j)`, i.e. `j ∈ C(i)` or `i ∈ C(j)`, so
+/// the force pass needs no second search. The SoA pass stages each pair
+/// from the set that owns it ([`crate::forces`]). The scalar path's list
+/// `i` is `C(i)` followed by the part of the transposed row that `C(i)`
+/// missed, filtered by the exact pair predicate: exactly the partners
+/// particle `i` interacts with, in an order that is a function of the
+/// particle set alone.
 ///
 /// Ownership contract: the caller owns the scratch and keeps it across
 /// steps; [`compute_density_with`] stages the candidate sets each call
-/// and marks the neighbour lists stale; `hydro_rates_into` rebuilds them
-/// lazily from the staged sets, validating once per call that those were
-/// staged for the current particle count.
+/// and marks the neighbour lists stale; `hydro_rates_into` validates once
+/// per call that the sets were staged for the current particle count,
+/// and the scalar path rebuilds its lists from them lazily.
 pub struct SphScratch {
     /// Worker-thread cap: 0 = auto (one per core or the `JC_THREADS`
     /// override, subject to a minimum grain), 1 = strictly sequential.
@@ -178,15 +181,10 @@ pub struct SphScratch {
     /// Transpose of the staged sets (counting-sort scratch).
     t_off: Vec<u32>,
     t_idx: Vec<u32>,
-    /// Neighbour-list CSR offsets (`n + 1` entries) and indices.
+    /// Neighbour-list CSR offsets (`n + 1` entries) and indices (scalar
+    /// path only).
     nbr_off: Vec<u32>,
     nbr_idx: Vec<u32>,
-    /// Where row `i`'s entries `j > i` begin in `nbr_idx` (`n`
-    /// entries): the SoA force pass stages `up_start[i]..nbr_off[i + 1]`,
-    /// and balances its blocks by those counts.
-    up_start: Vec<u32>,
-    /// One row's upper part while `symmetrize` sorts it (`2n` entries).
-    row_upper: Vec<u32>,
     /// Per worker thread: the candidate buffer and the staged ids of the
     /// worker's chunk (concatenated in chunk order into `cand_idx`).
     finders: Vec<(Vec<Candidate>, Vec<u32>)>,
@@ -229,8 +227,6 @@ impl SphScratch {
             t_idx: Vec::new(),
             nbr_off: Vec::new(),
             nbr_idx: Vec::new(),
-            up_start: Vec::new(),
-            row_upper: Vec::new(),
             finders: Vec::new(),
             h_tmp: Vec::new(),
             sort_key: Vec::new(),
@@ -261,44 +257,53 @@ impl SphScratch {
         par::threads_for(n, self.max_threads, PAR_GRAIN)
     }
 
-    /// Cached neighbour list of particle `i` (the force pass reads the
-    /// CSR arrays directly through [`SphScratch::force_view`]).
+    /// Particle `i`'s scalar-path neighbour list (built by
+    /// [`SphScratch::ensure_cache`]; the SoA force pass builds none).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn neighbors(&self, i: usize) -> &[u32] {
         &self.nbr_idx[self.nbr_off[i] as usize..self.nbr_off[i + 1] as usize]
     }
 
-    /// Split-borrow view for the force pass: the packed rows and the
-    /// cached lists (shared) plus the per-worker staged pairs and
-    /// the block partials (exclusive — the density pass never touches
-    /// them; its own candidate buffers stay private to it).
+    /// Split-borrow view for the force pass: the packed rows, staged sets
+    /// and lists (shared) plus the per-worker staged pairs and the block
+    /// partials (exclusive — the density pass never touches them; its own
+    /// candidate buffers stay private to it).
     pub(crate) fn force_view(&mut self) -> ForceView<'_> {
         ForceView {
             soa: &self.soa,
+            cand_off: &self.cand_off,
+            cand_idx: &self.cand_idx,
             nbr_off: &self.nbr_off,
             nbr_idx: &self.nbr_idx,
-            up_start: &self.up_start,
             pairs: &mut self.pairs,
             blocks: &mut self.blocks,
         }
     }
 
-    /// Particle count the neighbour cache is valid for (`None` if never
-    /// built).
+    /// Capacity held by the neighbour lists and their transpose scratch.
+    #[cfg(test)]
+    pub(crate) fn list_capacity(&self) -> usize {
+        [&self.t_off, &self.t_idx, &self.nbr_off, &self.nbr_idx].iter().map(|v| v.capacity()).sum()
+    }
+
+    /// Particle count the neighbour lists are valid for (`None` if none
+    /// were built since the last density pass: only the scalar force
+    /// path and [`SphScratch::cache_neighbors`] build them).
     pub fn cached_for(&self) -> Option<usize> {
         (self.cached_n != usize::MAX).then_some(self.cached_n)
     }
 
-    /// Total cached neighbour entries: the directed pair count, and once
-    /// built exactly the force pass's interaction count (the SoA path
-    /// evaluates each unordered pair once and counts it twice).
+    /// Total neighbour-list entries: once built, the directed pair count,
+    /// exactly the force pass's interaction count (the SoA path evaluates
+    /// each unordered pair once and counts it twice).
     pub fn cached_neighbor_entries(&self) -> usize {
         self.nbr_idx.len()
     }
 
-    /// Build the neighbour cache for `gas` without re-adapting smoothing
-    /// lengths (for callers that computed densities separately; the
-    /// Gadget path gets the cache for free from [`compute_density_with`]).
+    /// Stage the candidate sets for `gas` without re-adapting smoothing
+    /// lengths and build the neighbour lists from them (for callers that
+    /// computed densities separately; the Gadget path stages the sets in
+    /// [`compute_density_with`]).
     pub fn cache_neighbors(&mut self, gas: &GasParticles) {
         let n = gas.len();
         let direct = n < self.direct_below;
@@ -326,33 +331,34 @@ impl SphScratch {
         self.symmetrize(&gas.pos, &gas.h);
     }
 
-    /// Ensure the neighbour lists are current for `gas`, building them
-    /// from the candidate sets the density pass staged (the force pass's
-    /// entry point). Panics if the staged sets themselves are stale — the
+    /// Panic unless the candidate sets were staged for `n` particles: the
     /// caller must run [`compute_density_with`] (or
     /// [`SphScratch::cache_neighbors`]) for this particle set first.
-    pub(crate) fn ensure_cache(&mut self, gas: &GasParticles) {
-        let n = gas.len();
-        if self.cached_n == n {
-            return;
-        }
+    pub(crate) fn assert_staged(&self, n: usize) {
         assert_eq!(
             self.staged_for, n,
             "stale neighbour grid: run compute_density_with (or cache_neighbors) for this gas first"
         );
-        self.symmetrize(&gas.pos, &gas.h);
+    }
+
+    /// Ensure the scalar path's neighbour lists are current for `gas`,
+    /// building them from the staged candidate sets (which must be
+    /// current, see [`SphScratch::assert_staged`]).
+    pub(crate) fn ensure_cache(&mut self, gas: &GasParticles) {
+        let n = gas.len();
+        if self.cached_n != n {
+            self.assert_staged(n);
+            self.symmetrize(&gas.pos, &gas.h);
+        }
     }
 
     /// Build `nbr_off`/`nbr_idx` from the staged candidate sets: transpose
     /// them with a counting sort, then list `i` draws from `C(i)` and then
     /// the rest of its transposed row — the `j` with `i ∈ C(j)` that
     /// `C(i)` missed, i.e. `r > h_i` — each filtered by the force pass's
-    /// exact pair predicate. The survivors `j < i` come first and those
-    /// `j > i` after them (from `up_start[i]` on: the upper part the SoA
-    /// force pass stages), each part in that draw order. No search, and an order
+    /// exact pair predicate, in that draw order. No search, and an order
     /// that depends on the particle set alone. Survivors are compacted
-    /// without a branch (the predicate passes about half the time, and
-    /// `j > i` is as unpredictable).
+    /// without a branch (the predicate passes about half the time).
     // jc-lint: no-alloc
     fn symmetrize(&mut self, pos: &[[f64; 3]], h: &[f64]) {
         let n = pos.len();
@@ -378,12 +384,8 @@ impl SphScratch {
         let out = &mut self.nbr_idx;
         out.clear();
         out.resize(c_idx.len() + t_idx.len(), 0);
-        // one row's upper part; a row draws at most n entries from each side
-        let upper = &mut self.row_upper;
-        upper.resize(2 * n, 0);
         self.nbr_off.clear();
         self.nbr_off.push(0);
-        self.up_start.clear();
         let (mut k, mut t_start) = (0usize, 0usize);
         for i in 0..n {
             let (p, hi) = (pos[i], h[i]);
@@ -394,26 +396,19 @@ impl SphScratch {
                 let h_ij = 0.5 * (hi + h[j as usize]);
                 (d[0] * d[0] + d[1] * d[1] + d[2] * d[2], h_ij * h_ij)
             };
-            let mut u = 0;
-            let mut sort = |j: u32, keep: bool| {
-                let above = j as usize > i;
+            let mut put = |j: u32, keep: bool| {
                 out[k] = j;
-                k += (keep & !above) as usize;
-                upper[u] = j;
-                u += (keep & above) as usize;
+                k += keep as usize;
             };
             for &j in &c_idx[c_off[i] as usize..c_off[i + 1] as usize] {
                 let (r2, h2) = pair(j);
-                sort(j, (r2 < h2) & (r2 != 0.0)); // r² ≠ 0 also drops j = i
+                put(j, (r2 < h2) & (r2 != 0.0)); // r² ≠ 0 also drops j = i
             }
             for &j in &t_idx[t_start..t_off[i] as usize] {
                 let (r2, h2) = pair(j);
-                sort(j, (r2 < h2) & (r2 > hi * hi)); // r ≤ h_i: already in C(i)
+                put(j, (r2 < h2) & (r2 > hi * hi)); // r ≤ h_i: already in C(i)
             }
             t_start = t_off[i] as usize;
-            self.up_start.push(k as u32);
-            out[k..k + u].copy_from_slice(&upper[..u]);
-            k += u;
             self.nbr_off.push(k as u32);
         }
         out.truncate(k);
@@ -460,9 +455,9 @@ pub fn compute_density(gas: &mut GasParticles) -> u64 {
 /// Compute densities with adaptive smoothing lengths, reusing `scratch`.
 /// Each particle's `h` is adapted so roughly [`N_NEIGHBORS`] particles
 /// fall inside it. Stages every particle's final candidate set and marks
-/// the cached neighbour lists stale; the force pass
-/// ([`crate::forces::hydro_rates_into`]) rebuilds them lazily from the
-/// staged sets, without searching again. Returns the total number of
+/// the neighbour lists stale; the force pass
+/// ([`crate::forces::hydro_rates_into`]) reads the staged sets, without
+/// searching again. Returns the total number of
 /// neighbour interactions of the adaptation (for the cost model).
 // jc-lint: no-alloc
 pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) -> u64 {
@@ -476,7 +471,6 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
         scratch.nbr_off.clear();
         scratch.nbr_off.push(0);
         scratch.nbr_idx.clear();
-        scratch.up_start.clear();
         scratch.cached_n = 0;
         return 0;
     }

@@ -1,27 +1,30 @@
 //! SPH pressure forces, artificial viscosity and the energy equation.
 //!
-//! The force pass gathers from the per-particle neighbour lists built from
-//! what the density pass's search already found
-//! ([`crate::density::SphScratch`]) — it never searches itself — and
-//! writes into a caller-owned [`HydroRates`], allocation-free in steady
-//! state.
+//! The force pass reads the candidate sets `C(i) = { j : r_ij ≤ h_i }`
+//! the density pass's search staged ([`crate::density::SphScratch`]) —
+//! it never searches itself — and writes into a caller-owned
+//! [`HydroRates`], allocation-free in steady state.
 //!
 //! The SoA path ([`SphScratch::simd`], what workers run) evaluates each
 //! interacting pair once, as `jc_compute::gravity::self_accelerations`
-//! does for gravity. Row `i` stages only the upper part of its cached
-//! list, the entries `j > i`, which the list build sorts last. The
+//! does for gravity, and builds no neighbour list. A force pair has
+//! `r < ½(h_i + h_j) ≤ max(h_i, h_j)`, so it lies in `C(i)` or `C(j)`.
+//! Row `i` owns `j ∈ C(i)` when `j > i` or `r² > h_j²` (then `i ∉ C(j)`),
+//! and stages its owned pairs straight out of `C(i)`; both ends compute
+//! `r²` with the search's bits, so every pair has exactly one owner. The
 //! pair's shared factor `s = (P_i/ρ_i² + P_j/ρ_j² + Π_ij)·W'(r_ij)/r_ij`
 //! is symmetric, so row `i` gains `−m_j·s·d` and `½·m_j·s·v_r`, and row
 //! `j` gains `+m_i·s·d` and `½·m_i·s·v_r` (`d = x_i − x_j`, `v_r` the
 //! relative velocity along `d`). The rows are cut into at most 16 blocks
-//! balanced by staged pair count; each block scatters into its own
-//! partial columns, and the partials are folded in block order —
-//! sequential mode runs the same blocks — so the rates are bitwise the
-//! same under any thread count. The interaction count still
-//! counts directed pairs (two per evaluated pair), and `v_signal_max`
-//! equals the scalar path's bit for bit: a pair's signal speed has the
-//! same bits from either end. The scalar reference path (`simd = false`)
-//! gathers each row's whole list.
+//! balanced by candidate count; each block scatters into its own
+//! full-length partial columns (an owned `j` may lie on either side of
+//! `i`), and the partials are folded in block order — sequential mode
+//! runs the same blocks — so the rates are bitwise the same under any
+//! thread count. The interaction count still counts directed pairs (two
+//! per evaluated pair), and `v_signal_max` equals the scalar path's bit
+//! for bit: a pair's signal speed has the same bits from either end. The
+//! scalar reference path (`simd = false`) gathers each row's whole list,
+//! built from the sets and their transpose.
 
 use crate::density::{EvalRow, FiltRow, GasSoa, SphScratch};
 use crate::kernel::grad_w;
@@ -76,12 +79,11 @@ pub fn hydro_rates(gas: &GasParticles) -> HydroRates {
     out
 }
 
-/// Compute SPH rates into `out`, gathering from the per-particle
-/// neighbour lists cached in `scratch`. The lists are rebuilt lazily
-/// from the candidate sets the density pass staged (validated once per
-/// call: they must have been staged for this particle count by
-/// [`crate::density::compute_density_with`] or
-/// [`SphScratch::cache_neighbors`]).
+/// Compute SPH rates into `out` from the candidate sets staged in
+/// `scratch` (validated once per call: they must have been staged for
+/// this particle count by [`crate::density::compute_density_with`] or
+/// [`SphScratch::cache_neighbors`]). The scalar path builds its
+/// neighbour lists from them lazily.
 ///
 /// Symmetrized Monaghan form: both sides of a pair use the h-averaged
 /// kernel gradient, so momentum is conserved to round-off (property-tested
@@ -98,7 +100,7 @@ pub fn hydro_rates_into(gas: &GasParticles, scratch: &mut SphScratch, out: &mut 
     if n == 0 {
         return;
     }
-    scratch.ensure_cache(gas);
+    scratch.assert_staged(n);
     let (inter, vsig) =
         if scratch.simd { pair_pass(gas, scratch, out) } else { row_pass(gas, scratch, out) };
     out.interactions = inter;
@@ -109,11 +111,12 @@ pub fn hydro_rates_into(gas: &GasParticles, scratch: &mut SphScratch, out: &mut 
 /// ([`SphScratch::force_view`]).
 pub(crate) struct ForceView<'a> {
     pub(crate) soa: &'a GasSoa,
-    /// Neighbour-list CSR offsets and indices.
+    /// Staged candidate-set CSR offsets and indices.
+    pub(crate) cand_off: &'a [u32],
+    pub(crate) cand_idx: &'a [u32],
+    /// The scalar path's neighbour-list CSR offsets and indices.
     pub(crate) nbr_off: &'a [u32],
     pub(crate) nbr_idx: &'a [u32],
-    /// Where each row's entries `j > i` begin in `nbr_idx`.
-    pub(crate) up_start: &'a [u32],
     /// Per-worker staged pairs.
     pub(crate) pairs: &'a mut Vec<PairStage>,
     pub(crate) blocks: &'a mut Vec<ForceBlock>,
@@ -123,6 +126,7 @@ pub(crate) struct ForceView<'a> {
 /// order, on [`par::chunked`] row chunks.
 // jc-lint: no-alloc
 fn row_pass(gas: &GasParticles, scratch: &mut SphScratch, out: &mut HydroRates) -> (u64, f64) {
+    scratch.ensure_cache(gas);
     let threads = scratch.threads_for(gas.len());
     let view = scratch.force_view();
     let (nbr_off, nbr_idx) = (view.nbr_off, view.nbr_idx);
@@ -234,58 +238,54 @@ fn pair_pass(gas: &GasParticles, scratch: &mut SphScratch, out: &mut HydroRates)
 }
 
 /// What every block of [`pair_pass`] reads: the packed per-particle rows
-/// and the upper parts of the cached neighbour lists.
+/// and the staged candidate sets.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
     filt: &'a [FiltRow],
     evalr: &'a [EvalRow],
-    nbr_off: &'a [u32],
-    nbr_idx: &'a [u32],
-    up_start: &'a [u32],
+    cand_off: &'a [u32],
+    cand_idx: &'a [u32],
 }
 
 impl<'a> Rows<'a> {
     fn new(view: &ForceView<'a>) -> Rows<'a> {
         let (filt, evalr) = (&view.soa.filt, &view.soa.evalr);
-        let (nbr_off, nbr_idx, up_start) = (view.nbr_off, view.nbr_idx, view.up_start);
-        Rows { filt, evalr, nbr_off, nbr_idx, up_start }
+        Rows { filt, evalr, cand_off: view.cand_off, cand_idx: view.cand_idx }
     }
 
     /// Particle count.
     fn len(&self) -> usize {
-        self.up_start.len()
+        self.cand_off.len() - 1
     }
 
-    /// Particle `i`'s neighbours `j > i`, in list order.
-    fn upper(&self, i: usize) -> &'a [u32] {
-        &self.nbr_idx[self.up_start[i] as usize..self.nbr_off[i + 1] as usize]
+    /// Particle `i`'s candidate set `C(i)`, in search order.
+    fn cands(&self, i: usize) -> &'a [u32] {
+        &self.cand_idx[self.cand_off[i] as usize..self.cand_off[i + 1] as usize]
     }
 }
 
 /// One block of rows of [`pair_pass`] and the partial rates its pairs
-/// sum to: row `i`'s own terms, and the `j` scatter of every row of the
-/// block before `j`.
+/// sum to: each owned pair's terms on both of its ends.
 #[derive(Default)]
 pub(crate) struct ForceBlock {
     rows: Range<usize>,
-    /// Partial dv/dt (x, y, z) and du/dt columns, indexed by particle.
-    /// Sized to `n` so a plan that moves a boundary never reallocates;
-    /// only `rows.start..` is written.
+    /// Partial dv/dt (x, y, z) and du/dt columns, indexed by particle,
+    /// all `n` rows written: an owned pair's far end may lie anywhere.
     part: [Vec<f64>; 4],
 }
 
-/// Cut the rows into blocks of about equal staged pair count — a
-/// function of the lists alone — their number a function of `n` alone.
+/// Cut the rows into blocks of about equal candidate count — a function
+/// of the staged sets alone — their number a function of `n` alone.
 fn plan_blocks(blocks: &mut Vec<ForceBlock>, rows: Rows) {
     let n = rows.len();
-    let pairs: usize = (0..n).map(|i| rows.upper(i).len()).sum();
+    let cands = rows.cand_idx.len();
     let count = n.div_ceil(BLOCK_ROWS).clamp(1, MAX_BLOCKS);
     blocks.resize_with(count, ForceBlock::default);
     let (mut row, mut done) = (0, 0);
     for (k, block) in blocks.iter_mut().enumerate() {
         let start = row;
-        while row < n && (k + 1 == count || done * count < (k + 1) * pairs) {
-            done += rows.upper(row).len();
+        while row < n && (k + 1 == count || done * count < (k + 1) * cands) {
+            done += rows.cands(row).len();
             row += 1;
         }
         block.rows = start..row;
@@ -305,12 +305,11 @@ fn fold_blocks(blocks: &[ForceBlock], acc: &mut [[f64; 3]], du: &mut [f64]) {
     }
     for block in rest {
         let [x, y, z, u] = &block.part;
-        let s = block.rows.start;
-        for (i, (a, d)) in acc[s..].iter_mut().zip(&mut du[s..]).enumerate() {
-            a[0] += x[s + i];
-            a[1] += y[s + i];
-            a[2] += z[s + i];
-            *d += u[s + i];
+        for (i, (a, d)) in acc.iter_mut().zip(du.iter_mut()).enumerate() {
+            a[0] += x[i];
+            a[1] += y[i];
+            a[2] += z[i];
+            *d += u[i];
         }
     }
 }
@@ -349,11 +348,11 @@ struct PairBatch {
 }
 
 /// One worker's staged pairs, one row at a time: the neighbour indices
-/// and the [`PairBatch`]es. Sized for `n` particles (a row stages at
-/// most `n − 1` pairs), so staging never grows them.
+/// and the [`PairBatch`]es. Sized for `n` particles (a candidate set
+/// holds at most `n` entries), so staging never grows them.
 #[derive(Default)]
 pub(crate) struct PairStage {
-    /// Neighbour index `j > i` of each staged pair.
+    /// Neighbour index `j` of each staged pair.
     j: Vec<u32>,
     batches: Vec<PairBatch>,
 }
@@ -395,14 +394,13 @@ fn pair_block_avx2(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) ->
 /// not depend on the machine.
 #[inline(always)]
 fn pair_block_body(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
-    let start = block.rows.start;
     let [ax, ay, az, du] = &mut block.part;
     for c in [&mut *ax, &mut *ay, &mut *az, &mut *du] {
-        c[start..].fill(0.0);
+        c.fill(0.0);
     }
     let (mut staged, mut vsig) = (0usize, 0.0f64);
     for i in block.rows.clone() {
-        let len = stage_row(i, rows.filt, rows.evalr, rows.upper(i), stage);
+        let len = stage_row(i, rows.filt, rows.evalr, rows.cands(i), stage);
         let ti = &rows.evalr[i];
         let batches = &mut stage.batches[..len.div_ceil(LANES)];
         let (f, v) = eval_pairs(batches, ti);
@@ -424,15 +422,18 @@ fn pair_block_body(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) ->
     (2 * staged as u64, vsig)
 }
 
-/// Stage row `i`'s pairs into `stage`: every entry `j > i` of `list`
-/// that passes the pair predicate (`r² < h_ij²`, non-coincident), with
-/// the values the predicate computed and `j`'s [`EvalRow`] fields, in
-/// list order. Returns the staged count. The pass hands it a list's
-/// upper part, whose entries all pass, so the predicate derives the geometry
-/// rather than finding pairs; the branch-free compaction keeps staging
-/// exact over any list. Rows are prefetched `PF` entries ahead. The last
-/// batch's idle lanes are padded with a massless pair at zero separation
-/// (every input finite), which adds exact zeros.
+/// Stage the pairs row `i` owns into `stage`: every entry `j` of its
+/// candidate set `list` that passes the pair predicate (`r² < h_ij²`,
+/// non-coincident) and that row `i` owns (`j > i`, or `r² > h_j²`, so
+/// that `i ∉ C(j)`), with the values the predicate computed and `j`'s
+/// [`EvalRow`] fields, in list order. Returns the staged count. `r²` has
+/// the search's bits (negated differences square alike, the sum runs in
+/// x, y, z order, and nothing is contracted to FMA) and `h_j²` is the
+/// search's radius², so the two ends of a pair agree on its owner. The
+/// geometry pass compacts without a branch; only the pairs it kept read
+/// their [`EvalRow`] (about half of a candidate set is not owned). The
+/// last batch's idle lanes are padded with a massless pair at zero
+/// separation (every input finite), which adds exact zeros.
 #[inline(always)]
 fn stage_row(
     i: usize,
@@ -441,28 +442,25 @@ fn stage_row(
     list: &[u32],
     stage: &mut PairStage,
 ) -> usize {
-    const PF: usize = 16;
     let FiltRow { x: xi, y: yi, z: zi, h: hi } = filt[i];
     let (js, batches) =
         (&mut stage.j[..list.len()], &mut stage.batches[..list.len().div_ceil(LANES)]);
-    let last = list.len().saturating_sub(1);
     let mut k = 0;
-    for (p, &j32) in list.iter().enumerate() {
-        let ahead = list[(p + PF).min(last)] as usize;
-        prefetch_row(filt, ahead);
-        prefetch_row(evalr, ahead);
+    for &j32 in list {
         let j = j32 as usize;
         let f = &filt[j];
         let (dx, dy, dz) = (xi - f.x, yi - f.y, zi - f.z);
         let r2 = dx * dx + dy * dy + dz * dz;
         let h_ij = 0.5 * (hi + f.h);
-        let e = &evalr[j];
         let (b, l) = (&mut batches[k / LANES], k % LANES);
         js[k] = j32;
         (b.dx[l], b.dy[l], b.dz[l], b.r2[l], b.h[l]) = (dx, dy, dz, r2, h_ij);
+        k += ((r2 < h_ij * h_ij) & (r2 != 0.0) & ((j > i) | (r2 > f.h * f.h))) as usize;
+    }
+    for (t, &j) in js[..k].iter().enumerate() {
+        let (b, l, e) = (&mut batches[t / LANES], t % LANES, &evalr[j as usize]);
         (b.vx[l], b.vy[l], b.vz[l], b.rho[l]) = (e.vx, e.vy, e.vz, e.rho);
         (b.p_rho2[l], b.cs[l], b.m[l]) = (e.p_rho2, e.cs, e.m);
-        k += ((r2 < h_ij * h_ij) & (r2 != 0.0) & (j > i)) as usize;
     }
     for t in k..k.next_multiple_of(LANES) {
         let (b, l) = (&mut batches[t / LANES], t % LANES);
@@ -471,23 +469,6 @@ fn stage_row(
         (b.p_rho2[l], b.cs[l], b.m[l]) = (0.0, 0.0, 0.0);
     }
     k
-}
-
-/// Hint the cache to pull `rows[i]` (a pure hint: no-op off x86_64,
-/// never faults, `i` is always in bounds here).
-#[inline(always)]
-fn prefetch_row<T>(rows: &[T], i: usize) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `i` is in bounds of `rows`, so the address is valid to
-    // form; prefetch itself is a hint and cannot fault.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(
-            rows.as_ptr().add(i) as *const i8,
-            std::arch::x86_64::_MM_HINT_T0,
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (rows, i);
 }
 
 /// The one element-wise pair body: for every lane of `batches` and the
@@ -652,7 +633,7 @@ mod tests {
         compute_density_with(&mut gas, &mut scratch);
         let mut scalar = HydroRates::new();
         hydro_rates_into(&gas, &mut scratch, &mut scalar);
-        // same densities, same cached neighbour lists — only the gather
+        // same densities, same staged candidate sets — only the force
         // kernel changes
         scratch.simd = true;
         let mut simd = HydroRates::new();
@@ -686,11 +667,11 @@ mod tests {
         }
     }
 
-    /// Density, cached lists, packed rows and a block plan for `gas`.
+    /// Density, staged candidate sets, packed rows and a block plan for
+    /// `gas`.
     fn planned(gas: &mut GasParticles) -> SphScratch {
         let mut scratch = crate::density::SphScratch::new();
         compute_density_with(gas, &mut scratch);
-        scratch.ensure_cache(gas);
         scratch.soa.fill_force_rows(gas);
         let view = scratch.force_view();
         plan_blocks(view.blocks, Rows::new(&view));
@@ -699,7 +680,7 @@ mod tests {
 
     #[test]
     fn staged_eval_dispatch_tiers_match_portable_body_bitwise() {
-        // Per-particle neighbour lists give every length class (4-wide
+        // Per-particle candidate sets give every length class (4-wide
         // batches, scalar tails), and 700 particles make six blocks. The
         // dispatched block (the AVX2 instantiation where the CPU has it)
         // must be bitwise identical to the portable body.
@@ -724,34 +705,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn force_lists_stage_exactly_the_active_pairs() {
-        // Row i's cached list ends with its entries j > i, the upper
-        // part. Staging must keep exactly those, whether it runs over the
-        // upper part (all accepted), the whole list (the rest rejected by
-        // j > i) or the whole set (mostly rejected by the predicate,
-        // including the self-pair).
-        let mut gas = plummer_gas(700, 1.0, 23);
-        let mut scratch = planned(&mut gas);
+    /// The brute-force pair set `{(i, j) : i < j, 0 < r² < h_ij²}`.
+    fn brute_pairs(gas: &GasParticles) -> Vec<(u32, u32)> {
         let n = gas.len();
-        let view = scratch.force_view();
-        let rows = Rows::new(&view);
-        let everyone: Vec<u32> = (0..n as u32).collect();
-        let mut stage = PairStage::default();
-        stage.resize(n);
-        for i in 0..n {
-            let list = &view.nbr_idx[view.nbr_off[i] as usize..view.nbr_off[i + 1] as usize];
-            let upper: Vec<u32> = list.iter().copied().filter(|&j| j as usize > i).collect();
-            assert_eq!(rows.upper(i), upper, "upper part at i={i}");
-            assert!(list.ends_with(&upper), "list {i} does not end with its upper part");
-            for nbr in [rows.upper(i), list, &everyone[..]] {
-                let len = stage_row(i, rows.filt, rows.evalr, nbr, &mut stage);
-                let mut got = stage.j[..len].to_vec();
-                got.sort_unstable();
-                let mut want = upper.clone();
-                want.sort_unstable();
-                assert_eq!(got, want, "the lists hold exactly the active pairs at i={i}");
+        let (pos, h) = (&gas.pos, &gas.h);
+        let active = |i: usize, j: usize| {
+            let d = [pos[i][0] - pos[j][0], pos[i][1] - pos[j][1], pos[i][2] - pos[j][2]];
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            let h_ij = 0.5 * (h[i] + h[j]);
+            r2 < h_ij * h_ij && r2 != 0.0
+        };
+        let pairs_of = |i| (i + 1..n).filter(move |&j| active(i, j)).map(move |j| (i, j));
+        (0..n).flat_map(pairs_of).map(|(i, j)| (i as u32, j as u32)).collect()
+    }
+
+    /// The sets the ownership tests run on, each flagged if every
+    /// candidate set will be the whole set: a 700-gas Plummer set, a
+    /// session-sized 24-gas one as drawn and again with `h` seeded past
+    /// its diameter (the adaptation clamps it to `8·h_mean`, still past
+    /// it), and one with coincident copies and ±1e6 coordinates.
+    fn ownership_sets() -> [(GasParticles, bool); 4] {
+        let mut cloud = stirred_gas(24, 5);
+        cloud.h.fill(1e3);
+        let mut odd = plummer_gas(40, 1.0, 9);
+        odd.pos[7] = odd.pos[3];
+        odd.pos[8] = odd.pos[3];
+        odd.pos[11] = [1e6, -1e6, 1e6];
+        odd.pos[12] = [-1e6, 1e6, -1e6];
+        [(stirred_gas(700, 23), false), (stirred_gas(24, 5), false), (cloud, true), (odd, false)]
+    }
+
+    #[test]
+    fn each_force_pair_is_staged_once_by_its_owner() {
+        // Staging every row over its own candidate set must emit each
+        // interacting pair exactly once, on either search path.
+        for (gas, whole) in ownership_sets() {
+            let n = gas.len();
+            for direct_below in [0, usize::MAX] {
+                let mut g = gas.clone();
+                let mut scratch = SphScratch::with_crossover(direct_below);
+                compute_density_with(&mut g, &mut scratch);
+                scratch.soa.fill_force_rows(&g);
+                let view = scratch.force_view();
+                let rows = Rows::new(&view);
+                if whole {
+                    assert!((0..n).all(|i| rows.cands(i).len() == n), "every C(i) is the set");
+                }
+                let mut stage = PairStage::default();
+                stage.resize(n);
+                let mut staged = Vec::new();
+                for i in 0..n {
+                    let len = stage_row(i, rows.filt, rows.evalr, rows.cands(i), &mut stage);
+                    let i = i as u32;
+                    staged.extend(stage.j[..len].iter().map(|&j| (i.min(j), i.max(j))));
+                }
+                staged.sort_unstable();
+                let want = brute_pairs(&g);
+                assert!(!want.is_empty(), "n={n}: no pairs");
+                assert_eq!(staged, want, "n={n}, direct_below={direct_below}");
             }
+        }
+    }
+
+    #[test]
+    fn standalone_rates_count_exactly_the_interacting_pairs() {
+        // `hydro_rates` stages its sets through `cache_neighbors`, not the
+        // density pass, then runs the SoA pass over them
+        for (mut gas, _) in ownership_sets() {
+            compute_density(&mut gas);
+            let rates = hydro_rates(&gas);
+            assert_eq!(rates.interactions, 2 * brute_pairs(&gas).len() as u64, "n={}", gas.len());
         }
     }
 
@@ -768,7 +791,7 @@ mod tests {
             assert_eq!(blocks[0].rows.start, 0);
             assert_eq!(blocks[count - 1].rows.end, n);
             assert!(blocks.windows(2).all(|w| w[0].rows.end == w[1].rows.start), "n={n}");
-            let staged = |r: Range<usize>| r.map(|i| rows.upper(i).len()).collect::<Vec<_>>();
+            let staged = |r: Range<usize>| r.map(|i| rows.cands(i).len()).collect::<Vec<_>>();
             let row_max = *staged(0..n).iter().max().unwrap();
             let per_block = staged(0..n).iter().sum::<usize>().div_ceil(count);
             for b in blocks {

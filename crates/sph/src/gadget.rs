@@ -416,6 +416,21 @@ mod tests {
         assert!(fresh.flops > cached.flops, "no refresh reused the cached gravity");
     }
 
+    #[test]
+    fn soa_steps_build_no_neighbour_list() {
+        // the SoA force pass stages its pairs straight from the density
+        // pass's candidate sets: after warm steps at the benchmark's 512
+        // gas and a session's 24, no list was built and none ever sized
+        for n in [512, 24] {
+            let mut g = Gadget::new(plummer_gas(n, 1.0, 5)).with_max_threads(1);
+            g.evolve_model(0.02);
+            g.evolve_model(0.025);
+            assert!(g.steps > 1, "n={n}: sanity, steps ran");
+            assert_eq!(g.scratch.cached_for(), None, "n={n}: a neighbour list was built");
+            assert_eq!(g.scratch.list_capacity(), 0, "n={n}: list buffers were sized");
+        }
+    }
+
     fn mean_radius(gas: &GasParticles) -> f64 {
         gas.pos.iter().map(|p| (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt()).sum::<f64>()
             / gas.len() as f64

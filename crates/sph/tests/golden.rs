@@ -281,70 +281,70 @@ const GOLDEN_SOA_V_SIGNAL_MAX: u64 = 0x3ff0df4012785362;
 
 #[rustfmt::skip]
 const GOLDEN_SOA_ACC: [u64; 192] = [
-    0x3ffd7efe30964483, 0xc00ce73d87e7c5b0, 0x3fe6218254f7c0a8,
+    0x3ffd7efe30964481, 0xc00ce73d87e7c5b0, 0x3fe6218254f7c0a7,
     0x3fd84b9681e74ec5, 0x3fd45617baddc060, 0x3fb40489b9384227,
-    0xbffd13f80d7b02e1, 0xbfe9cd71869f6a57, 0x3ff5e0851e32779e,
+    0xbffd13f80d7b02e1, 0xbfe9cd71869f6a57, 0x3ff5e0851e32779d,
     0x3fd476f5b5bd556e, 0x3ff03622cb7b859d, 0x3ff9eb034e795f6d,
-    0x40014448cf06d7c7, 0x3faa1bb14620b4a4, 0xbfe81fb9569ceb14,
-    0x3fc8ebf1cd498ecc, 0xbff636f49ff56d47, 0xbfd933e35faa3aa6,
-    0xbfd429a12ecb5225, 0x3fd03c35039bd152, 0x3fc63ff0b3617bda,
-    0x40015a1ba98b04e9, 0xbfee0c4e37c30929, 0xbff25b911ca212ac,
-    0x3fdbbf429beebf46, 0xbfc06a098a924df8, 0x3fb33eeb3b39db9b,
-    0xbfda225b524adb5b, 0x3ff1dcd955aaeaa3, 0xbfe9cd5962c5322e,
+    0x40014448cf06d7c5, 0x3faa1bb14620b4a5, 0xbfe81fb9569ceb16,
+    0x3fc8ebf1cd498ecb, 0xbff636f49ff56d47, 0xbfd933e35faa3aa7,
+    0xbfd429a12ecb5225, 0x3fd03c35039bd152, 0x3fc63ff0b3617bdb,
+    0x40015a1ba98b04e9, 0xbfee0c4e37c30928, 0xbff25b911ca212ad,
+    0x3fdbbf429beebf46, 0xbfc06a098a924df7, 0x3fb33eeb3b39db99,
+    0xbfda225b524adb5b, 0x3ff1dcd955aaeaa2, 0xbfe9cd5962c5322e,
     0xbfbbb5b861210875, 0xbfa5307692cd4dc5, 0xbf91b123a2af0af8,
-    0x3fdeecfe95444d16, 0x3fd04cebed0de7ab, 0x3ffe0bcba9e6bb80,
-    0xbfecf24c20c408e6, 0x3ffc20ae2895661f, 0xbfebe32f06de5bf0,
-    0xbfbf34f4b7b341f0, 0x3facc72322110427, 0xbf6c75ce58a002eb,
-    0xbff24102cca66ae4, 0xbffd1f2cab251b2f, 0x3fe578c85ac25e41,
-    0xbfc253344caed893, 0xbfb831c5e2d44c3c, 0x3fc9d173fc5329ae,
-    0xbfc14193ce04146e, 0xbfd26cfd4ca72d7c, 0xbff71eb79f752a28,
-    0x3fe0f7736c437ec9, 0x3fe18e96cec019e0, 0xbfede6dcd4b778e3,
-    0x3fe05e49c377e4da, 0x3fdcd47bdb2dbc56, 0xbfdf835699bed34b,
+    0x3fdeecfe95444d14, 0x3fd04cebed0de7ab, 0x3ffe0bcba9e6bb80,
+    0xbfecf24c20c408e6, 0x3ffc20ae28956620, 0xbfebe32f06de5bf0,
+    0xbfbf34f4b7b341f0, 0x3facc72322110428, 0xbf6c75ce58a002f4,
+    0xbff24102cca66ae5, 0xbffd1f2cab251b2f, 0x3fe578c85ac25e41,
+    0xbfc253344caed894, 0xbfb831c5e2d44c3d, 0x3fc9d173fc5329ad,
+    0xbfc14193ce04146e, 0xbfd26cfd4ca72d78, 0xbff71eb79f752a28,
+    0x3fe0f7736c437eca, 0x3fe18e96cec019df, 0xbfede6dcd4b778e3,
+    0x3fe05e49c377e4db, 0x3fdcd47bdb2dbc53, 0xbfdf835699bed34c,
     0x3fbb6133514e22dc, 0xbf9d3eaf71fab467, 0x3f9a027d857113bc,
-    0x3fc16964b4662344, 0x3ff806d5339def24, 0xbfe44a454efd1010,
-    0x3ff77f616065114c, 0xbfce4b5876d9db98, 0x3ff49db3993127c2,
-    0x3fcfcf5a72fe7b1a, 0xbff261a8765a1fcc, 0xbfeb582c083f0f48,
-    0xbf9dde8c753ad6a5, 0x3fb4f9682177a50c, 0xbfc1e06ca5f491b4,
+    0x3fc16964b4662345, 0x3ff806d5339def24, 0xbfe44a454efd100e,
+    0x3ff77f616065114c, 0xbfce4b5876d9db9a, 0x3ff49db3993127c1,
+    0x3fcfcf5a72fe7b1a, 0xbff261a8765a1fca, 0xbfeb582c083f0f4a,
+    0xbf9dde8c753ad6a6, 0x3fb4f9682177a50c, 0xbfc1e06ca5f491b4,
     0xbfb71907083f75b0, 0xbfb7ae515eea2c54, 0xbfb67452f5737f06,
-    0xbfb6c3ca368f5904, 0xbfc5d8e5fcc08a1e, 0xbfcfe9360a25b608,
-    0x3fefad021af62158, 0x3fa96634ec5c7f9e, 0xbfe71da7835f59d4,
-    0xbffcc71cb622dc20, 0xbff88d276f09473e, 0x3fd95cc62f0e9d5e,
-    0xbfaa06155e387d04, 0x3fe4e8b7eea0e918, 0x3fe82911995eb904,
-    0xbfe88f92012f813e, 0xbfc8d7197db20053, 0xbff425c9a63611f7,
-    0x3fde44c257ca367c, 0x3fbfdfe49a12c504, 0x3fda8c1385c6430f,
-    0x3fea0e8905bdd740, 0x3fed0dfbe6511891, 0x3fd61a935f995a55,
-    0xbff70215effc783c, 0x3ff46fc228cab7cb, 0xbff7a23fe0fe5bd4,
-    0x3fe168b5abe9f3f3, 0xbfbfadface901d0a, 0xc0015afb42a5c0bd,
-    0x3fc1c8fd414ac574, 0xbfcc93706633e161, 0x3fb4b60f1e38e9f2,
-    0x3fb18bb0c962faa5, 0xbfce684c7f14a5da, 0xbf860139a88f13e4,
-    0x3ffcd637ccbdac30, 0x3ff380010441e686, 0xbfea2cd234f86924,
-    0xbff665329e769360, 0x3ff8c01d70b84b0c, 0x4005ab1104513fea,
+    0xbfb6c3ca368f5903, 0xbfc5d8e5fcc08a1e, 0xbfcfe9360a25b608,
+    0x3fefad021af62158, 0x3fa96634ec5c7f93, 0xbfe71da7835f59d4,
+    0xbffcc71cb622dc22, 0xbff88d276f09473e, 0x3fd95cc62f0e9d5e,
+    0xbfaa06155e387d01, 0x3fe4e8b7eea0e917, 0x3fe82911995eb904,
+    0xbfe88f92012f813f, 0xbfc8d7197db20053, 0xbff425c9a63611f7,
+    0x3fde44c257ca367c, 0x3fbfdfe49a12c505, 0x3fda8c1385c6430f,
+    0x3fea0e8905bdd741, 0x3fed0dfbe6511890, 0x3fd61a935f995a58,
+    0xbff70215effc783d, 0x3ff46fc228cab7cb, 0xbff7a23fe0fe5bd3,
+    0x3fe168b5abe9f3f4, 0xbfbfadface901d0c, 0xc0015afb42a5c0bd,
+    0x3fc1c8fd414ac575, 0xbfcc93706633e162, 0x3fb4b60f1e38e9f2,
+    0x3fb18bb0c962faa6, 0xbfce684c7f14a5da, 0xbf860139a88f13e4,
+    0x3ffcd637ccbdac31, 0x3ff380010441e686, 0xbfea2cd234f86923,
+    0xbff665329e769360, 0x3ff8c01d70b84b0c, 0x4005ab1104513feb,
     0xbfd9eb1c326133ff, 0xbff4365ed0bd018e, 0xbfa7c468a3284d58,
     0xbf80763f9537242c, 0x3fb4c3732e4fb3c8, 0x3f92ecd77b7baa77,
-    0x3fb73b1707adc48e, 0xbfc0480928327664, 0xbfd1c1663f7334a0,
-    0x3ff3c0f8f018e384, 0xbfef86b59e96778a, 0x3fd17045bca909dc,
-    0xbfdeceae0518b6b4, 0xbffb71d2fc6deaba, 0x400a0f644c12fd60,
-    0x3fd0dc26d5b41872, 0xbfd061ca288f4cc9, 0x3fd20b98582bb962,
-    0x3fdbe8b35c19c5f5, 0x3fb01c347212a9c0, 0xbfc36e6b3a131c47,
-    0x3fe34a3b8ab37c54, 0xbfd4a42ae4ed583d, 0x3ff17d91840cc14f,
-    0x3fccc7855fd8d704, 0xbfd6a83f0599dc6c, 0x3fe2f3aaf4e81cef,
+    0x3fb73b1707adc48d, 0xbfc0480928327664, 0xbfd1c1663f7334a0,
+    0x3ff3c0f8f018e384, 0xbfef86b59e96778b, 0x3fd17045bca909da,
+    0xbfdeceae0518b6b5, 0xbffb71d2fc6deabb, 0x400a0f644c12fd60,
+    0x3fd0dc26d5b41872, 0xbfd061ca288f4cc8, 0x3fd20b98582bb962,
+    0x3fdbe8b35c19c5f6, 0x3fb01c347212a9be, 0xbfc36e6b3a131c48,
+    0x3fe34a3b8ab37c54, 0xbfd4a42ae4ed583c, 0x3ff17d91840cc14f,
+    0x3fccc7855fd8d703, 0xbfd6a83f0599dc6c, 0x3fe2f3aaf4e81cee,
     0xbffd4674d604546b, 0x3ffcf31c41e63aec, 0x3fc408a8806639b2,
-    0x3fedc76e0f99940c, 0xbfba065433f18d68, 0x3ff2169d97dfb5d6,
-    0xbf7743488b1459ea, 0x3fb5c841e6218e7c, 0xbf78dbd582495ec8,
-    0x3fe976b8be59af96, 0xc0039520c75c6731, 0xbff69907cc93367a,
+    0x3fedc76e0f99940e, 0xbfba065433f18d66, 0x3ff2169d97dfb5d6,
+    0xbf7743488b1459f0, 0x3fb5c841e6218e7c, 0xbf78dbd582495ec4,
+    0x3fe976b8be59af96, 0xc0039520c75c6731, 0xbff69907cc93367b,
     0xbfd707a900bb28f0, 0x3ffa0e193f075d48, 0xbfecc794348d3fe6,
     0xbff1deb9202172b2, 0x3fc994185437e1f6, 0x3fe9c32218bb5df6,
-    0xc00048927b7b69a2, 0xbff36cd1b06cc28f, 0xc0035039c7027f17,
+    0xc00048927b7b69a2, 0xbff36cd1b06cc28e, 0xc0035039c7027f18,
     0xbfabcdc4f694da11, 0x3f8740a680d60387, 0x3fbaf5e24777a2c5,
-    0xbfe328752c617dac, 0x3fd047032614f322, 0xbfccb8c9d906ed3e,
-    0x3fe0213be7f9c864, 0x3fecece0bd0e0695, 0xbfbda37139321a6d,
-    0x3fe1f3676007e575, 0xbfc9b04165678387, 0xbff1e048669799e5,
+    0xbfe328752c617dac, 0x3fd047032614f322, 0xbfccb8c9d906ed3c,
+    0x3fe0213be7f9c863, 0x3fecece0bd0e0694, 0xbfbda37139321a6e,
+    0x3fe1f3676007e578, 0xbfc9b04165678388, 0xbff1e048669799e4,
     0x3fea4d8584726a80, 0x3ff49af38cb00d67, 0x3ff0b7d6c82ce998,
     0xc00abdf59df83597, 0x3fe0f1f00881d80f, 0x3fd0764dd0dfe7ec,
-    0xbfc5d996da9e8342, 0xbfdb6beda00dab86, 0xbfb0d1acf823763f,
+    0xbfc5d996da9e8342, 0xbfdb6beda00dab87, 0xbfb0d1acf823763f,
     0xbfcbaad52d107246, 0x400207c1466a1ad3, 0x3ff1a38c3ffd328f,
     0x3fbba6b4ffd5b96b, 0x3fede67c99c20bf0, 0xbfd436b31166485e,
-    0xbff01a3eadf03191, 0xbfe65b7ff216a8f0, 0xbfe1c322cdafd79d,
+    0xbff01a3eadf03192, 0xbfe65b7ff216a8f0, 0xbfe1c322cdafd79e,
 ];
 
 #[rustfmt::skip]
@@ -403,7 +403,7 @@ fn soa_density_and_forces_match_their_own_golden_vectors() {
 
 const GADGET_GAS: usize = 128;
 const GOLDEN_GADGET_STEPS: u64 = 3;
-const GOLDEN_GADGET_DIGEST: u64 = 0xd1c7417897dae8b3;
+const GOLDEN_GADGET_DIGEST: u64 = 0x7278e7b18bcc1c6e;
 
 fn gadget_state_digest(g: &jc_sph::Gadget) -> u64 {
     let gas = &g.gas;
@@ -436,7 +436,7 @@ fn gadget_with_self_gravity_matches_its_state_pin() {
 
 /// `(gas count, state digest)` after the same three steps.
 const GOLDEN_SESSION_DIGESTS: [(usize, u64); 2] =
-    [(16, 0x6599bd73fecd047a), (24, 0x204ac120a8700723)];
+    [(16, 0xdc349588af4b56bc), (24, 0x4e48c6b0b1189e43)];
 
 #[test]
 fn session_sized_gadgets_match_their_state_pins() {

@@ -21,7 +21,9 @@
 //!
 //! ```text
 //! open     GetParticles → gravity ‖ GetParticles → hydro     both in flight together
-//!          ComputeField → coupling (K shards in flight)      dv = field · dt/2
+//!   cold   ComputeField → coupling (K shards in flight)      dv = field · dt/2
+//! open     nothing sent                                       dv and (mass, pos) from the
+//!   warm                                                      previous iteration's last step
 //! substep  Step{dv, n, t} → gravity ‖ Step{dv, n, t} → hydro  kick n times, evolve,
 //!   1..s                                                      answer (mass, pos)
 //!          ComputeField → coupling                            field at the new positions
@@ -43,7 +45,7 @@
 //!   stays bitwise equal to it (the naive loop survives as a test
 //!   oracle, `tests/bridge_field_reuse.rs`).
 //!
-//! That is `4 + 2s + K(s+1)` calls per iteration over `K` coupling
+//! That is `4 + 2s + K(s+1)` calls per cold iteration over `K` coupling
 //! shards (`s+1` field evaluations, `s` steps per dynamics worker, two
 //! snapshots, two kicks) at a serial depth of `2s + 3` round trips; the
 //! six single-purpose round trips per phase it replaces cost `10s + 4`
@@ -54,14 +56,28 @@
 //! the difference. An empty particle set is not a special case — its
 //! field is the kernel's answer for no sources, as in the naive loop.
 //!
-//! Iteration boundaries stay cold on purpose: every iteration opens
-//! with fresh snapshots and a fresh evaluation even when the previous
-//! one ended without a stellar exchange. The bridge so keeps no hidden
-//! state across a checkpoint boundary (a restored run is determined by
-//! the checkpoint alone), the workers keep none at all (a field request
-//! is stateless), call and byte accounting stay a pure function of the
-//! iterations run, and [`Bridge::restore`], [`Bridge::replace_channel`]
-//! and [`Bridge::heal_channels`] need no invalidation logic.
+//! The epoch rule holds across iteration boundaries too. After the last
+//! step of an iteration only the closing `Kick` runs, and it moves and
+//! re-weights nothing, so unless a stellar exchange followed
+//! ([`Request::SetMasses`], [`Request::AddGas`]) the next iteration's
+//! positions and masses are the ones the bridge holds from that step,
+//! and its field is the `dv` it just applied. Such an iteration opens
+//! *warm*: it sends nothing and its first step applies that `dv`. After
+//! an exchange, and in the first iteration, it opens *cold* with both
+//! snapshots and a fresh evaluation. A warm iteration makes
+//! `2 + 2s + Ks` calls at a serial depth of `2s + 1`; every kick is the
+//! same vector either way, so no bit of state moves.
+//!
+//! Warm or cold is a pure function of the iteration index — iteration
+//! `k + 1` opens warm iff `k ≥ 1` and no exchange ran at `k` — so call
+//! and byte accounting stay a pure function of the iterations run. A
+//! failed iteration, [`Bridge::heal_channels`] and
+//! [`Bridge::replace_channel`] leave the bridge cold. [`Bridge::restore`]
+//! runs the open itself when a straight run would open the next
+//! iteration warm: the field is a pure function of the restored
+//! `(pos, mass)`, so the restored run makes the calls and bytes of the
+//! straight run and reaches its bits. The workers keep no state for the
+//! bridge: a field request is stateless.
 //!
 //! Beyond the paper: the bridge is *fault-tolerant*, removing the §5
 //! limitation ("if one worker crashes, the entire simulation crashes").
@@ -216,7 +232,9 @@ pub struct IterationReport {
     /// Wind mass-loss events applied.
     pub wind_events: u32,
     /// Coupling fields evaluated (one [`Request::ComputeField`] each):
-    /// `substeps + 1`.
+    /// `substeps + 1` when the iteration opens cold, `substeps` when it
+    /// opens warm on the field of the previous closing p-kick (see the
+    /// module docs).
     pub coupling_fields: u32,
     /// Opening p-kicks that re-applied the field of the closing p-kick
     /// before them — the [`Request::Step`]s sent with `n = 2`
@@ -253,6 +271,10 @@ pub struct Bridge {
     iterations: u64,
     total_supernovae: u32,
     scratch: KickScratch,
+    /// `scratch` holds the current position epoch: `(mass, pos)` from
+    /// the last step and `dv`, the field of the last closing p-kick, so
+    /// the next iteration opens warm.
+    warm: bool,
 }
 
 impl Bridge {
@@ -275,6 +297,7 @@ impl Bridge {
             iterations: 0,
             total_supernovae: 0,
             scratch: KickScratch::default(),
+            warm: false,
         }
     }
 
@@ -368,18 +391,12 @@ impl Bridge {
         let mut rep = IterationReport::default();
         let calls0 = self.total_calls();
         let half_dt = 0.5 * self.cfg.dt;
-        // open cold: where both systems are now, and the field there
-        self.gravity.submit_snapshot();
-        self.hydro.submit_snapshot();
-        let got_stars = self.gravity.collect_snapshot_into(&mut self.scratch.stars);
-        let got_gas = self.hydro.collect_snapshot_into(&mut self.scratch.gas);
-        if !got_stars {
-            return Err(worker_err(Role::Gravity, "snapshot", "no particles"));
+        // taken, so a failed iteration leaves the bridge cold
+        if std::mem::take(&mut self.warm) {
+            self.trace(&mut rep, || "open (warm: field of the previous closing p-kick)".into());
+        } else {
+            self.open(&mut rep)?;
         }
-        if !got_gas {
-            return Err(worker_err(Role::Hydro, "snapshot", "no particles"));
-        }
-        self.evaluate_field(&mut rep)?;
         for substep in 0..self.cfg.substeps {
             // nothing has moved since the previous substep's closing
             // p-kick: it and this substep's opening p-kick are the same
@@ -418,13 +435,21 @@ impl Bridge {
         expect_ok(Role::Gravity, "kick", rg)?;
         expect_ok(Role::Hydro, "kick", rh)?;
         self.iterations += 1;
-        if self.iterations.is_multiple_of(self.cfg.stellar_interval as u64) {
+        let exchange = self.exchange_due(self.iterations);
+        if exchange {
             self.stellar_exchange(&mut rep)?;
         }
+        // only the exchange moves or re-weights anything after the last step
+        self.warm = !exchange;
         rep.time = self.time;
         rep.calls = self.total_calls() - calls0;
         self.total_supernovae += rep.supernovae;
         Ok(rep)
+    }
+
+    /// Whether iteration `k` ends with a stellar exchange.
+    fn exchange_due(&self, k: u64) -> bool {
+        self.stellar.is_some() && k.is_multiple_of(self.cfg.stellar_interval as u64)
     }
 
     fn total_calls(&self) -> u64 {
@@ -440,6 +465,21 @@ impl Bridge {
         if self.cfg.trace && rep.trace.len() < 64 {
             rep.trace.push(line());
         }
+    }
+
+    /// Open cold: where both systems are now, and the field there.
+    fn open(&mut self, rep: &mut IterationReport) -> Result<(), BridgeError> {
+        self.gravity.submit_snapshot();
+        self.hydro.submit_snapshot();
+        let got_stars = self.gravity.collect_snapshot_into(&mut self.scratch.stars);
+        let got_gas = self.hydro.collect_snapshot_into(&mut self.scratch.gas);
+        if !got_stars {
+            return Err(worker_err(Role::Gravity, "snapshot", "no particles"));
+        }
+        if !got_gas {
+            return Err(worker_err(Role::Hydro, "snapshot", "no particles"));
+        }
+        self.evaluate_field(rep)
     }
 
     /// Evaluate the coupling field at the positions in the scratch —
@@ -569,9 +609,13 @@ impl Bridge {
 
     /// Overwrite the complete solver state from a checkpoint: one
     /// [`Request::LoadState`] per worker (a sharded pool re-scatters the
-    /// state over its live shards) plus the coupler's clock. After a
-    /// successful restore the run continues bitwise-identically to a run
-    /// that reached the checkpoint without interruption.
+    /// state over its live shards) plus the coupler's clock. When a run
+    /// that reached the checkpoint straight would open its next
+    /// iteration warm (no stellar exchange at `ck.iterations`), the
+    /// restore then runs that iteration's open itself — two snapshots
+    /// and one field — so the bridge is warm too. After a successful
+    /// restore the run continues bitwise-identically to the straight
+    /// run, with the same calls and bytes per iteration.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), BridgeError> {
         fn load(
             ch: &mut Box<dyn Channel>,
@@ -581,6 +625,7 @@ impl Bridge {
             let r = ch.call(Request::LoadState(state.clone()));
             expect_ok(role, "load-state", r)
         }
+        self.warm = false;
         load(&mut self.gravity, Role::Gravity, &ck.gravity)?;
         load(&mut self.hydro, Role::Hydro, &ck.hydro)?;
         load(&mut self.coupling, Role::Coupling, &ck.coupling)?;
@@ -598,6 +643,11 @@ impl Bridge {
         self.time = ck.time;
         self.iterations = ck.iterations;
         self.total_supernovae = ck.total_supernovae;
+        if ck.iterations > 0 && !self.exchange_due(ck.iterations) {
+            // the field is a pure function of the restored (pos, mass)
+            self.open(&mut IterationReport::default())?;
+            self.warm = true;
+        }
         Ok(())
     }
 
@@ -612,6 +662,7 @@ impl Bridge {
     /// after a host crash). The new worker's state is undefined until
     /// the next [`Bridge::restore`].
     pub fn replace_channel(&mut self, role: Role, ch: Box<dyn Channel>) {
+        self.warm = false;
         match role {
             Role::Gravity => self.gravity = ch,
             Role::Hydro => self.hydro = ch,
@@ -623,6 +674,7 @@ impl Bridge {
     /// Heal every channel (heartbeat + shard respawn/exclusion); `true`
     /// when all four ended up alive.
     pub fn heal_channels(&mut self) -> bool {
+        self.warm = false;
         // probe all of them even after a failure, so one heal pass
         // repairs as much as it can
         let g = self.gravity.heal();
@@ -735,6 +787,20 @@ mod tests {
         assert_eq!(b.iterations(), 1);
     }
 
+    /// What each line of an iteration's trace records.
+    fn trace_kinds(rep: &IterationReport) -> Vec<&'static str> {
+        rep.trace
+            .iter()
+            .map(|l| match l {
+                l if l.starts_with("open (warm") => "warm-open",
+                l if l.contains("field reused") => "reuse",
+                l if l.starts_with("p-kick") => "kick",
+                l if l.starts_with("evolve") => "evolve",
+                _ => "stellar",
+            })
+            .collect()
+    }
+
     #[test]
     fn trace_shows_fig7_sequence() {
         let mut b = small_bridge(true);
@@ -746,18 +812,29 @@ mod tests {
         assert!(joined.contains("stellar exchange"), "{joined}");
         // kick-evolve-kick within each of the two substeps; only the
         // second substep's opening kick reuses the field
-        let kinds: Vec<&str> = rep
-            .trace
-            .iter()
-            .map(|l| match l {
-                l if l.contains("field reused") => "reuse",
-                l if l.starts_with("p-kick") => "kick",
-                l if l.starts_with("evolve") => "evolve",
-                _ => "stellar",
-            })
-            .collect();
-        assert_eq!(kinds, ["kick", "evolve", "kick", "reuse", "evolve", "kick", "stellar"]);
+        assert_eq!(
+            trace_kinds(&rep),
+            ["kick", "evolve", "kick", "reuse", "evolve", "kick", "stellar"]
+        );
         assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (3, 1));
+    }
+
+    #[test]
+    fn trace_shows_a_warm_open_after_an_iteration_without_exchange() {
+        let mut b = small_bridge(true);
+        b.cfg.stellar_interval = 2;
+        // iteration 1 opens cold and ends without an exchange ...
+        let rep = b.iteration();
+        assert_eq!(trace_kinds(&rep), ["kick", "evolve", "kick", "reuse", "evolve", "kick"]);
+        assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (3, 1));
+        // ... so iteration 2 opens on its last field
+        let rep = b.iteration();
+        assert_eq!(rep.trace[0], "open (warm: field of the previous closing p-kick)");
+        assert_eq!(
+            trace_kinds(&rep),
+            ["warm-open", "kick", "evolve", "kick", "reuse", "evolve", "kick", "stellar"]
+        );
+        assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (2, 1));
     }
 
     #[test]

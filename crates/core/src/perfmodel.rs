@@ -90,8 +90,11 @@ impl PerfProfile {
     /// * `COMPUTE_FIELD` is called `s+1` times per iteration — one
     ///   coupling field (both directions) per position epoch, once to
     ///   open the iteration and once after every step — so it carries
-    ///   the coupling budget divided by `s+1`. A bare `COMPUTE_KICK` is
-    ///   one direction of a field: half of that.
+    ///   the coupling budget divided by `s+1`. That count holds because
+    ///   the scenarios exchange stellar state every iteration, so every
+    ///   iteration opens cold; one that follows an iteration without an
+    ///   exchange opens warm on the last field and makes `s`. A bare
+    ///   `COMPUTE_KICK` is one direction of a field: half of that.
     /// * Everything else (snapshots, kicks, bookkeeping) is minor.
     pub fn work_gflop(&self, opcode: u8) -> f64 {
         let s = self.substeps as f64;

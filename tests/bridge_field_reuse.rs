@@ -11,9 +11,14 @@
 //!   particles as [`Bridge::iteration`] — in process, over worker
 //!   threads and over loopback TCP, with K ∈ {1, 2, 3} coupling shards,
 //!   particle counts no K divides, and either set empty;
-//! * **counts** — `4 + 2s + K(s+1)` calls per iteration, of which
-//!   `K(s+1)` are `ComputeField`s, and the exact per-role sequence the
-//!   *workers* see, which is the naive loop's;
+//! * **counts** — `4 + 2s + K(s+1)` calls per cold iteration, of which
+//!   `K(s+1)` are `ComputeField`s, `2 + 2s + Ks` per warm one (no
+//!   stellar exchange before it: it opens on the field of the previous
+//!   closing p-kick), and the exact per-role sequence the *workers* see,
+//!   which is the naive loop's;
+//! * **restore** — a run restored from the checkpoint after any
+//!   iteration makes the calls and moves the bytes of the straight run
+//!   from there on, and reaches its bits;
 //! * **legs** — a channel that implements only the four required
 //!   `Channel` methods makes the same calls and moves the same bytes as
 //!   the channels' borrowed legs;
@@ -180,6 +185,13 @@ fn naive_run(channels: [Box<dyn Channel>; 4], cfg: &BridgeConfig, iterations: u3
 
 const GRID: [(u32, u32); 8] = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (8, 1), (8, 2)];
 
+/// Whether the iteration after `done` completed ones opens warm on a
+/// bridge with a stellar worker: it follows an iteration that ended
+/// without a stellar exchange.
+fn opens_warm(done: u32, interval: u32) -> bool {
+    done >= 1 && !done.is_multiple_of(interval)
+}
+
 #[test]
 fn bridge_matches_the_naive_loop_in_process() {
     let c = cluster();
@@ -187,9 +199,14 @@ fn bridge_matches_the_naive_loop_in_process() {
         let cfg = config(&c, substeps, interval);
         let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
         let mut bridge = bridge_over(local_channels(&c), cfg);
-        for _ in 0..ITERATIONS {
+        for done in 0..ITERATIONS {
             let rep = bridge.iteration();
-            assert_eq!(rep.coupling_fields, substeps + 1);
+            let warm = opens_warm(done, interval);
+            assert_eq!(
+                rep.coupling_fields,
+                substeps + 1 - warm as u32,
+                "s={substeps} n={interval}"
+            );
             assert_eq!(rep.kicks_reapplied, substeps - 1);
         }
         assert_same(&outcome_of(&mut bridge), &want, &format!("s={substeps} n={interval} local"));
@@ -208,12 +225,14 @@ fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
         // fleet first, so it outlives the bridge on every exit path
         let mut fleet = WorkerFleet::new();
         let mut bridge = bridge_over(channels_over(Transport::Tcp, 2, &c, &mut fleet), cfg);
-        for _ in 0..ITERATIONS {
+        for done in 0..ITERATIONS {
             let coupling0 = bridge.channel_stats().2.calls;
             bridge.iteration();
-            // each of the s+1 ComputeFields fans out to both shards
+            // each of the s+1 ComputeFields (s when the iteration opens
+            // warm) fans out to both shards
             let coupling = bridge.channel_stats().2.calls - coupling0;
-            assert_eq!(coupling, 2 * (substeps as u64 + 1), "s={substeps}");
+            let fields = substeps as u64 + 1 - opens_warm(done, interval) as u64;
+            assert_eq!(coupling, 2 * fields, "s={substeps} n={interval}");
         }
         let got = outcome_of(&mut bridge);
         drop(bridge); // Stop frames shut the servers down
@@ -484,8 +503,9 @@ fn probed_channels(
     (channels, logs)
 }
 
-/// What a dynamics worker is asked over one iteration of `s` substeps:
-/// the naive loop's kick–evolve–kick, whatever round trips carried it.
+/// What a dynamics worker is asked over one cold iteration of `s`
+/// substeps: the naive loop's kick–evolve–kick, whatever round trips
+/// carried it. A warm iteration is the same without the opening `get`.
 fn worker_sequence(s: usize) -> Vec<&'static str> {
     // open; then per substep the step's kick(s), evolve and snapshot —
     // from the second substep on the closing kick of the one before
@@ -499,39 +519,44 @@ fn worker_sequence(s: usize) -> Vec<&'static str> {
 }
 
 #[test]
-fn an_iteration_makes_4_plus_2s_plus_k_s_plus_1_calls_in_the_documented_order() {
+fn cold_and_warm_iterations_make_their_documented_calls_in_order() {
     let c = cluster();
     for substeps in [1u32, 2, 3, 8] {
         let (channels, logs) = probed_channels(&c, None);
         let mut bridge = bridge_over(channels, config(&c, substeps, 2));
         let s = substeps as usize;
-        // K = 1: two snapshots, s steps per dynamics worker, s+1 fields,
-        // two kicks
-        let calls = 4 + 2 * substeps as u64 + (substeps as u64 + 1);
 
-        // iteration 1: no stellar exchange
+        // iteration 1 opens cold, K = 1: two snapshots, s steps per
+        // dynamics worker, s+1 fields, two kicks; no stellar exchange
         let rep = bridge.iteration();
-        assert_eq!(rep.calls, calls, "s={substeps}");
+        assert_eq!(rep.calls, 4 + 2 * substeps as u64 + (substeps as u64 + 1), "s={substeps}");
         let (g, h, cp, _) = bridge.channel_stats();
         assert_eq!((g.calls, h.calls, cp.calls), (s as u64 + 2, s as u64 + 2, s as u64 + 1));
-        let mut per_model = worker_sequence(s);
-        assert_eq!(*logs[0].borrow(), per_model, "gravity, s={substeps}");
-        assert_eq!(*logs[1].borrow(), per_model, "hydro, s={substeps}");
+        let cold = worker_sequence(s);
+        assert_eq!(*logs[0].borrow(), cold, "gravity, s={substeps}");
+        assert_eq!(*logs[1].borrow(), cold, "hydro, s={substeps}");
         // each field is served as its two directions
         assert_eq!(*logs[2].borrow(), vec!["compute-kick"; 2 * (s + 1)], "s={substeps}");
         assert!(logs[3].borrow().is_empty());
 
-        // iteration 2: the exchange adds one stellar evolve, one
-        // set-masses and the feedback calls — and no snapshot of its own
+        // iteration 2 opens warm: no snapshot and no field before its
+        // first step, 2 + 2s + s calls. The exchange adds one stellar
+        // evolve, one set-masses and the feedback calls — and no
+        // snapshot of its own
         for log in &logs {
             log.borrow_mut().clear();
         }
         let rep = bridge.iteration();
         let feedback =
             logs[1].borrow().iter().filter(|&&o| o == "inject-energy" || o == "add-gas").count();
-        assert_eq!(rep.calls, calls + 2 + feedback as u64, "s={substeps}");
-        per_model.push("set-masses");
-        assert_eq!(*logs[0].borrow(), per_model, "gravity with exchange, s={substeps}");
+        let warm_calls = 2 + 2 * substeps as u64 + substeps as u64;
+        assert_eq!(rep.calls, warm_calls + 2 + feedback as u64, "s={substeps}");
+        assert_eq!((rep.coupling_fields, rep.kicks_reapplied), (substeps, substeps - 1));
+        let mut warm = cold[1..].to_vec();
+        assert_eq!(logs[1].borrow()[..warm.len()], warm[..], "hydro, s={substeps}");
+        warm.push("set-masses");
+        assert_eq!(*logs[0].borrow(), warm, "gravity with exchange, s={substeps}");
+        assert_eq!(*logs[2].borrow(), vec!["compute-kick"; 2 * s], "s={substeps}");
         assert_eq!(*logs[3].borrow(), ["evolve-stars"]);
     }
 }
@@ -678,5 +703,121 @@ fn recovery_replays_a_refused_feedback_call_to_the_same_digest() {
     }
     assert_eq!(recoveries, 1, "the refusal fires exactly once");
     assert!(log.borrow().iter().filter(|&&o| o == "add-gas").count() >= 2, "and was replayed");
+    assert_same(&outcome_of(&mut bridge), &want, "recovered run");
+}
+
+/// Per-role `(calls, bytes_out, bytes_in)`, in role order (gravity,
+/// hydro, coupling, stellar).
+type Books = [(u64, u64, u64); 4];
+
+fn books(bridge: &Bridge) -> Books {
+    let (g, h, c, s) = bridge.channel_stats();
+    [g, h, c, s.expect("a stellar worker")].map(|x| (x.calls, x.bytes_out, x.bytes_in))
+}
+
+/// Run `bridge` until it has completed `n` iterations and return what
+/// each of them booked.
+fn books_per_iteration(bridge: &mut Bridge, n: u64) -> Vec<Books> {
+    let mut out = Vec::new();
+    while bridge.iterations() < n {
+        let before = books(bridge);
+        bridge.iteration();
+        let after = books(bridge);
+        out.push(std::array::from_fn(|r| {
+            let ((c1, o1, i1), (c0, o0, i0)) = (after[r], before[r]);
+            (c1 - c0, o1 - o0, i1 - i0)
+        }));
+    }
+    out
+}
+
+#[test]
+fn restore_is_accounting_transparent() {
+    // enough iterations for a cold open after an exchange, then warm ones
+    const N: u64 = 4;
+    let c = cluster();
+    for interval in [1, 2, 3] {
+        for substeps in [1, 3] {
+            let cfg = config(&c, substeps, interval);
+            for (transport, k) in [(Transport::Local, 1), (Transport::Tcp, 2)] {
+                let what = format!("n={interval} s={substeps} {transport:?} K={k}");
+                let mut fleet = WorkerFleet::new();
+                let mut bridge =
+                    bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+                let mut checkpoints = Vec::new();
+                let mut straight = Vec::new();
+                for done in 0..N {
+                    checkpoints.push(bridge.snapshot().unwrap());
+                    straight.extend(books_per_iteration(&mut bridge, done + 1));
+                }
+                let want = outcome_of(&mut bridge);
+                drop(bridge);
+                fleet.join_all().expect("every server exits cleanly");
+
+                for (at, ck) in checkpoints.iter().enumerate() {
+                    let mut fleet = WorkerFleet::new();
+                    let mut bridge =
+                        bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+                    bridge.restore(ck).unwrap();
+                    let replayed = books_per_iteration(&mut bridge, N);
+                    assert_eq!(
+                        replayed,
+                        straight[at..],
+                        "{what}: accounting after restore at {at}"
+                    );
+                    let got = outcome_of(&mut bridge);
+                    drop(bridge);
+                    fleet.join_all().expect("every server exits cleanly");
+                    assert_same(&got, &want, &format!("{what}: restored at {at}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn recovery_replays_a_failed_warm_step_to_the_same_digest_and_calls() {
+    let c = cluster();
+    let substeps = 2;
+    let cfg = config(&c, substeps, 2);
+    let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
+    let mut straight = bridge_over(local_channels(&c), cfg.clone());
+    let straight: Vec<_> = (0..ITERATIONS)
+        .map(|_| {
+            let rep = straight.iteration();
+            (rep.calls, rep.coupling_fields, rep.kicks_reapplied)
+        })
+        .collect();
+
+    // iteration 1 kicks gravity 2s times, so its (2s+1)th kick is the
+    // first request of iteration 2, which opens warm
+    let fail_at = 2 * substeps as usize + 1;
+    let log = Log::default();
+    let [_, h, cp, s] = local_channels(&c);
+    let gravity = Box::new(LocalChannel::new(Box::new(Probe {
+        inner: Box::new(GravityWorker::new(c.stars.clone(), Backend::CpuParallel)),
+        log: log.clone(),
+        fail_at: Some(fail_at),
+        fail_op: Some("kick"),
+        counted: 0,
+    })));
+    let mut bridge = bridge_over([gravity, h, cp, s], cfg);
+    let policy = RecoveryPolicy::default();
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut recoveries = Vec::new();
+    let mut replayed = Vec::new();
+    for _ in 0..ITERATIONS {
+        let (rep, rec) = bridge.iteration_recovering(&mut checkpoint, &policy).expect("recovers");
+        recoveries.push(rec);
+        replayed.push((rep.calls, rep.coupling_fields, rep.kicks_reapplied));
+    }
+    assert_eq!(recoveries, [0, 1, 0], "the injected failure hits iteration 2 once");
+    // the failed step opened its iteration: the request before it is the
+    // checkpoint's save-state, not a snapshot
+    let log = log.take();
+    let failed = log.iter().enumerate().filter(|(_, &o)| o == "kick").nth(fail_at - 1).unwrap().0;
+    assert_eq!(log[failed - 1], "other", "{log:?}");
+    assert_eq!(replayed, straight, "the replay makes the straight run's calls");
+    assert_eq!(replayed[1].1, substeps, "and it opens warm");
     assert_same(&outcome_of(&mut bridge), &want, "recovered run");
 }

@@ -44,8 +44,9 @@
 //! counts workers run (`interactions_per_s` from the integrator's own
 //! flop count: a block step evaluates only the active stars).
 //! `sph_step_n512` / `sph_step_n24` / `sph_step_n16` time one whole
-//! `Gadget` step at the gas counts workers run, `sph_density_simd` and
-//! `sph_forces_simd` also run at a session's n = 24, and the
+//! `Gadget` step at the gas counts workers run, `sph_density_simd`,
+//! `sph_forces_simd` and `gravity_self` also run at a session's n = 24
+//! (`gravity_self` at the chatty workload's 16 as well), and the
 //! `sph_neighbors_direct` / `sph_neighbors_grid` rows are the
 //! measurement behind `jc_sph`'s direct-sweep crossover.
 //! `sph_forces` / `sph_forces_simd` time `hydro_rates_into` alone on
@@ -63,8 +64,8 @@
 //! `tree_build_walk_octgrav` (both halves, as one `accelerations_into`
 //! at or above the crossover costs at θ = 0.5 / 0.75) sit next to
 //! `gravity_direct` (mirror + exact sum, what it costs below) and
-//! `gravity_self` (mirror + pair-symmetric sum, what a `Gadget`
-//! refresh costs below) at every crossover N, and next to
+//! `gravity_self` (mirror + mixed-precision pair-symmetric sum, what a
+//! `Gadget` refresh costs below) at every crossover N, and next to
 //! `gravity_direct_128x512` at the coupling kick's shape — the
 //! measurement behind `jc_treegrav`'s direct-sum crossover.
 //!
@@ -164,6 +165,10 @@ fn main() {
     }
     samples.push(bench_sph_density(24, repeats, true));
     samples.push(bench_sph_forces(24, repeats, true));
+    // self-gravity at the session's and the chatty workload's gas counts
+    for n in [24, 16] {
+        samples.push(bench_gravity_self(n, repeats));
+    }
     let crossover_ns: &[usize] = &[256, 512, 1024, 2048, 4096, 8192];
     for &n in crossover_ns {
         samples.extend(bench_sph_neighbors(n, repeats));
@@ -506,9 +511,8 @@ fn report_neighbors_crossover(samples: &[Sample]) {
 /// cold inputs, on the calling thread: the exact direct sum (column
 /// mirror included) and the SoA Barnes–Hut walk (octree build included).
 /// `targets == n` is the self-gravity shape: `gravity_direct` and
-/// `gravity_self` — the pair-symmetric sum `self_accelerations_into`
-/// runs below the crossover, timed through its `jc_compute` body so the
-/// row exists at every N — against `tree_build_walk` (Fi, θ = 0.5) and
+/// `gravity_self` ([`bench_gravity_self`], what a `Gadget` refresh runs
+/// below the crossover) against `tree_build_walk` (Fi, θ = 0.5) and
 /// `tree_build_walk_octgrav` (θ = 0.75 — the widest angle any worker
 /// runs, so the cheapest tree the one θ-blind rule has to beat). The one
 /// cross-set shape gets the direct/Fi pair under `_128x512` names.
@@ -517,7 +521,7 @@ fn report_neighbors_crossover(samples: &[Sample]) {
 /// rows are the provenance of the crossover constant in
 /// `jc_treegrav::solver`.
 fn bench_gravity_structures(targets: usize, n: usize, repeats: usize) -> Vec<Sample> {
-    use jc_compute::gravity::{accelerations_direct, self_accelerations, PairScratch};
+    use jc_compute::gravity::accelerations_direct;
     use jc_compute::soa::SoaBodies;
 
     let ics = plummer_sphere(n, 11);
@@ -539,26 +543,49 @@ fn bench_gravity_structures(targets: usize, n: usize, repeats: usize) -> Vec<Sam
         row(kernel, ns, solver.last_interactions() as f64)
     };
     let mut cols = SoaBodies::new();
-    let mut exact = vec![[0.0; 3]; targets];
+    let mut acc = vec![[0.0; 3]; targets];
     let direct = best_ns(repeats, || {
         cols.fill_from_positions(&ics.mass, &ics.pos);
-        accelerations_direct(tpos, &cols, 1e-4, &mut exact);
+        accelerations_direct(tpos, &cols, 1e-4, &mut acc);
     });
     let pairs = (targets * n) as f64;
     if targets == n {
-        let mut scratch = PairScratch::new();
-        let symmetric = best_ns(repeats, || {
-            cols.fill_from_positions(&ics.mass, &ics.pos);
-            self_accelerations(&cols, 1e-4, 1, &mut scratch, &mut exact);
-        });
         vec![
             row("gravity_direct", direct, pairs),
-            row("gravity_self", symmetric, (n * (n - 1) / 2) as f64),
+            bench_gravity_self(n, repeats),
             tree("tree_build_walk", 0.5),
             tree("tree_build_walk_octgrav", 0.75),
         ]
     } else {
         vec![row("gravity_direct_128x512", direct, pairs), tree("tree_build_walk_128x512", 0.5)]
+    }
+}
+
+/// `gravity_self`: the mixed-precision pair-symmetric sum
+/// `TreeGravity::self_accelerations_into` runs below the crossover,
+/// column mirror included, on `n` Plummer positions on the calling
+/// thread — timed through its `jc_compute` body so the row exists at
+/// every N. Below n = 256 one timing covers `65536 / n²` calls (256 at
+/// n = 16), so the row reads well above the timer's resolution.
+fn bench_gravity_self(n: usize, repeats: usize) -> Sample {
+    use jc_compute::gravity::{self_accelerations, PairScratch};
+    use jc_compute::soa::SoaBodies;
+
+    let ics = plummer_sphere(n, 11);
+    let calls = (65536 / (n * n)).max(1);
+    let (mut cols, mut scratch, mut acc) =
+        (SoaBodies::new(), PairScratch::new(), vec![[0.0; 3]; n]);
+    let ns = best_ns(repeats, || {
+        for _ in 0..calls {
+            cols.fill_from_positions(&ics.mass, black_box(&ics.pos));
+            self_accelerations(&cols, 1e-4, 1, &mut scratch, &mut acc);
+        }
+    }) / calls as f64;
+    Sample {
+        kernel: "gravity_self",
+        n,
+        ns_per_step: ns,
+        interactions_per_s: (n * (n - 1) / 2) as f64 / ns * 1e9,
     }
 }
 

@@ -14,6 +14,11 @@ pub struct Gadget {
     /// The gas. Read freely; write only through the methods below, which
     /// keep the cached rates and self-gravity in step with it.
     pub gas: GasParticles,
+    /// The self-gravity solver. At every gas count a run holds (below
+    /// its 4096 crossover) it sums each pair once in mixed precision —
+    /// f32 pair math, as the paper's GPU kernels and Gadget-2's `float`
+    /// particle data do, with f64 sums — within the error budget of an
+    /// f64 direct sum stated in `jc_compute::gravity`.
     gravity: TreeGravity,
     self_gravity: bool,
     /// Configured worker cap (0 = auto); [`Gadget::evolve_model`]
@@ -31,12 +36,12 @@ pub struct Gadget {
     /// cache. Held across steps so the hot loop never allocates.
     scratch: SphScratch,
     rates: HydroRates,
-    /// Self-gravity of the gas on itself: a pure function of `(pos, mass)`,
-    /// so it is valid for a *position epoch* — `g_acc_valid` holds from
-    /// the refresh that filled it until positions, masses or the particle
-    /// count change (the drift, [`Gadget::restore_state`],
-    /// [`Gadget::add_mass`]). [`Gadget::kick`] and
-    /// [`Gadget::inject_energy`] move no particle and do not end it.
+    /// Self-gravity of the gas on itself: a pure function of `(pos, mass)`
+    /// (bitwise, for any thread count), so it is valid for a *position
+    /// epoch* — `g_acc_valid` holds from the refresh that filled it until
+    /// positions, masses or the particle count change (the drift,
+    /// [`Gadget::restore_state`], [`Gadget::add_mass`]). [`Gadget::kick`]
+    /// and [`Gadget::inject_energy`] move no particle and do not end it.
     g_acc: Vec<[f64; 3]>,
     g_acc_valid: bool,
     rates_valid: bool,
@@ -428,6 +433,48 @@ mod tests {
             assert!(g.steps > 1, "n={n}: sanity, steps ran");
             assert_eq!(g.scratch.cached_for(), None, "n={n}: a neighbour list was built");
             assert_eq!(g.scratch.list_capacity(), 0, "n={n}: list buffers were sized");
+        }
+    }
+
+    /// Kinetic, thermal and the gas's own Plummer-softened potential
+    /// energy, the potential summed over every pair in f64.
+    fn total_energy(g: &Gadget) -> f64 {
+        let (gas, eps2) = (&g.gas, g.gravity.eps2);
+        let mut potential = 0.0;
+        for i in 0..gas.len() {
+            for j in i + 1..gas.len() {
+                let d: [f64; 3] = std::array::from_fn(|k| gas.pos[j][k] - gas.pos[i][k]);
+                let r2s = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
+                potential -= gas.mass[i] * gas.mass[j] / r2s.sqrt();
+            }
+        }
+        gas.kinetic_energy() + gas.thermal_energy() + potential
+    }
+
+    #[test]
+    fn mixed_precision_self_gravity_keeps_the_f64_energy_drift() {
+        // `(gas, steps, relative energy drift)` of a self-gravitating
+        // Plummer ball (seed 7, no kicks, one capped 5e-3 step per call)
+        // while self-gravity still summed every pair in f64
+        const F64_DRIFT: [(usize, u64, f64); 2] =
+            [(512, 60, 0.024333272883873266), (24, 100, -0.0032226244463848318)];
+        for (n, steps, f64_drift) in F64_DRIFT {
+            let mut g = Gadget::new(plummer_gas(n, 1.0, 7)).with_max_threads(1);
+            let e0 = total_energy(&g);
+            for _ in 0..steps {
+                g.evolve_model(g.model_time() + 5e-3);
+            }
+            assert_eq!(g.steps, steps, "n={n}: every step sits on the cap");
+            let drift = (total_energy(&g) - e0) / e0.abs();
+            assert!((drift - f64_drift).abs() <= 1e-5, "n={n}: drift {drift:e}, f64 {f64_drift:e}");
+            let mut p = [0.0f64; 3];
+            for (m, v) in g.gas.mass.iter().zip(&g.gas.vel) {
+                for k in 0..3 {
+                    p[k] += m * v[k];
+                }
+            }
+            let p = (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt();
+            assert!(p <= 1e-8, "n={n}: total momentum {p:e}");
         }
     }
 

@@ -395,15 +395,15 @@ fn soa_density_and_forces_match_their_own_golden_vectors() {
 // --- Gadget with self-gravity: a state-bits pin ----------------------------
 //
 // A few KDK steps of a 128-gas Plummer ball with self-gravity on, as a
-// `HydroWorker` runs them: density, forces and the pair-symmetric
-// self-gravity sum in every refresh. Every bit of the end state — all six
-// particle columns and the clock — is folded into one FNV-1a digest, so
-// any kernel change that moves a bit (the vectors above pin density and
-// forces only) re-baselines this pin on purpose.
+// `HydroWorker` runs them: density, forces and the mixed-precision
+// pair-symmetric self-gravity sum in every refresh. Every bit of the end
+// state — all six particle columns and the clock — is folded into one
+// FNV-1a digest, so any kernel change that moves a bit (the vectors above
+// pin density and forces only) re-baselines this pin on purpose.
 
 const GADGET_GAS: usize = 128;
 const GOLDEN_GADGET_STEPS: u64 = 3;
-const GOLDEN_GADGET_DIGEST: u64 = 0x7278e7b18bcc1c6e;
+const GOLDEN_GADGET_DIGEST: u64 = 0x64adcb6ae5859a89;
 
 fn gadget_state_digest(g: &jc_sph::Gadget) -> u64 {
     let gas = &g.gas;
@@ -436,7 +436,7 @@ fn gadget_with_self_gravity_matches_its_state_pin() {
 
 /// `(gas count, state digest)` after the same three steps.
 const GOLDEN_SESSION_DIGESTS: [(usize, u64); 2] =
-    [(16, 0xdc349588af4b56bc), (24, 0x4e48c6b0b1189e43)];
+    [(16, 0x235210776711335b), (24, 0xa11912d8e600037c)];
 
 #[test]
 fn session_sized_gadgets_match_their_state_pins() {

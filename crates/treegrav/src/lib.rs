@@ -25,7 +25,9 @@
 //! the coupled runs here hold, 2–4× faster than build + walk. For a set
 //! on itself (SPH self-gravity)
 //! [`solver::TreeGravity::self_accelerations_into`] applies the same rule
-//! and below it evaluates each unordered pair once. The opening angle
+//! and below it evaluates each unordered pair once, with f32 pair math
+//! and f64 sums (the paper's GPU kernels run single precision). The
+//! opening angle
 //! then has no say, so both personalities give the same bits — §6.2's
 //! "which kernel is used has no influence in the result". The choice
 //! reads the source count only, never the target count (a sharded

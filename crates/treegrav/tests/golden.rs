@@ -178,9 +178,10 @@ fn direct_sum_matches_its_own_golden_vector() {
 // --- pair-symmetric self-gravity golden vector ------------------------------
 //
 // The 96-particle source cloud on itself through `self_accelerations_into`
-// at its defaults: each unordered pair is evaluated once, its `j` half
-// scattered into per-block partial columns folded in block order. Equal to
-// `accelerations_into(pos, pos, …)` to rounding (≈ 1e-14 here), not
+// at its defaults: each unordered pair is evaluated once in f32, its `j`
+// half scattered into per-block f32 partial columns, its `i` half folded
+// into f64, the blocks folded in f64 in block order. Within the
+// mixed-precision error budget of `accelerations_into(pos, pos, …)`, not
 // bitwise. The blocks are cut by the particle count alone and one portable
 // body is compiled per instruction set, so these bits hold on any machine,
 // thread count and opening angle. A kernel change that moves them
@@ -190,102 +191,102 @@ const NS: usize = 96;
 
 #[rustfmt::skip]
 const GOLDEN_SELF_ACC: [u64; NS * 3] = [
-    0x3ffbfad92f1c0728, 0x3fe7753e1146c455, 0xbfd51d067b3b3600,
-    0x3fcfb00266577107, 0x3fc26c42125cb9d9, 0x3ff8358048361945,
-    0x3fde48167db50518, 0x3ff80afa36ec87a6, 0x3fd5b56ec6640114,
-    0xbfeeea023fdb9bee, 0xc003f5f48ec0297c, 0xbff9419a2a7b011e,
-    0x3ff419a80b79865a, 0xbfea98e6bba0ff72, 0xbffbe0711fc1388a,
-    0xbffb332a723c27c1, 0x3febca4b268fb2f8, 0xbfed4974529c1396,
-    0xbfa79c67bd708983, 0xbfed1de53b5efdc8, 0x4000b7289ada7d00,
-    0xbfefe5583cfd683d, 0xc0047f02cd1a55aa, 0x3fc4d7418a45a890,
-    0x4000db4b0cdeb324, 0x3fee8f9a6c4345a5, 0x3fd9cc8a60f38611,
-    0x3fc4a912b03b006a, 0x3ffacb016713425d, 0x3ff9e4397f58af37,
-    0x3ff437a57e0ef897, 0xbffd911dd7888cde, 0xbffea3f26ce8b81e,
-    0x3ff32f514e5734cd, 0x3ff5386f5e9df8c2, 0xbfe3103e716174f9,
-    0x3ff8c51bbeabbc70, 0x3fdf1e979384b128, 0x4005359949f672d5,
-    0xbfff445cfddfdf7d, 0x3ff68fe5ad2a1971, 0xc001fa82443e5f49,
-    0xbfefb63310989470, 0xbff6bb732ce66747, 0xbff41710831c5829,
-    0xbfd9e663260e61a5, 0xc0069212b97ddc4c, 0xbff1746da0ee3993,
-    0xbfef9696b378de68, 0xbfb3548b399e1236, 0xbfe011b139cf00d9,
-    0xbfe7b42b3943b918, 0xbfed8c084e2e7f2e, 0x3ff7c24c7b0c2901,
-    0xbfe483f1e923d738, 0x3ffaed99248cf3a7, 0x3ff4b0b75a0fb857,
-    0x3fc6ed7cc37487be, 0x3fbb78f17e1e06d8, 0x3fe7f3fe8da25786,
-    0xbfeeec9aa6d3c064, 0x3fe58f482130225d, 0x3ff46f0ba04cd593,
-    0x3fe634303a841134, 0xbffbe116dda80e78, 0xbffddd2116cfb104,
-    0xc00a270bcecdadbc, 0xc0025dde59dd0709, 0x4009ec3fd844446d,
-    0x3fe5c22243cdbfaf, 0x3ffe990564c91238, 0x3fd8b2c3f2c2bff7,
-    0xbff36511fc201dd9, 0x3ffa276a47620e99, 0xbfe6a01b6f6bdb34,
-    0xbfe72dc393ebdbf2, 0xbfd4389ef2400934, 0x3ff9db9121a2a336,
-    0x3feb9605b208f0e6, 0x400e49204a6b7594, 0xbfe053ef489d7130,
-    0xc002d26e8d029d93, 0x3fce9a710c971aea, 0x40120e41ab410275,
-    0x3ff972da2c6c13c3, 0x3ff833139d0e5ccb, 0x3fd82debe35dd7ff,
-    0x3fea6342cc8c8a98, 0x3fe924d156483cb8, 0xbff52c91a5691aec,
-    0xc006ec4509ec760c, 0xbff9f9d5a62ea336, 0xbffb1895971751b0,
-    0x400b33662c7d9005, 0xbfead8a89869bf77, 0xbfe877cbec55e803,
-    0x3ff42ba5a5a103f7, 0x3ff3ebeeccdb58a2, 0x3fcd99f3105fe1a8,
-    0xbfd45ac869342b80, 0x3fff51bcc857de3b, 0xbfc95fadb3851358,
-    0x3ffc66dd565419b2, 0xbfdce02e4b38cbb0, 0x3ffa316f54d0b363,
-    0x400501f2010eec6c, 0x3fcb6ac06b31a806, 0xbfe14198a6b91ec8,
-    0xbfd512111f320e87, 0xbfefe4cc9cef7b92, 0x3ffb97b55da92955,
-    0x3ff0c292b4e1ffd3, 0x3ff44c585fc174e6, 0xbfe233bd4d13deee,
-    0xbfe1a9a57cc36cba, 0xbfe7879f42670c86, 0x4008dbcb077756c6,
-    0xc0001c115345fe01, 0xbfd2002a6908729e, 0xbff84a065c9c537f,
-    0xbffffe4fdab3dc8a, 0x3f9f3d0b0b0351c8, 0x3fe462854fe17366,
-    0x3fcf7397ec64f1da, 0x3ff448c19371abc5, 0xbffb1afb89641acb,
-    0x3ff402f78b8b2d91, 0xc00846ecd84af728, 0xbfaf3f20e2fdbeb0,
-    0xbff8204521d290bd, 0xbf93528364a16f78, 0x3ffe0310c3ba4bcc,
-    0x3fe5bf70a54299d6, 0xbfc977601770fe00, 0xbfeca1d5f31c63a6,
-    0xbfde7ce6393b5c92, 0x3fdef29d500ce3e7, 0xc001a7bc44d42b96,
-    0x400740ec4ad81b2d, 0xbff5280b767b5c96, 0xbfd970f7a738a8c0,
-    0xbff2c028e2664975, 0xbfa92444174a0d58, 0xbfee6b5b791e762c,
-    0xbfca4c0a4e62e648, 0xbff3e39d78fe09b7, 0xc001e5b4cc3b8a86,
-    0xbfea35d56587af26, 0xbfd9239e1c206922, 0xbff98cc8a77df86e,
-    0xc006aa7d7573a18d, 0xc006873f6ab78601, 0x3ffc24632d84091e,
-    0xbff654b184186255, 0x3fe4ef4bc2668548, 0x3fd74d4303794f66,
-    0xbfe2b2b8f8358a88, 0x400130370303c015, 0x3ff8b7a7c07a9cd4,
-    0xbff522dbe1816904, 0xbfe4fb4a13da2544, 0x3ff421a2a733dca2,
-    0x3ff94b612d8173e5, 0xbfc4a92d44f709a0, 0xbfef5c7342bd1094,
-    0x4009f37134f24861, 0xbfe34f654ff10d84, 0x3feda0c38b724054,
-    0x3ff464424cd0a843, 0x3ff007ff2a6f35fa, 0xbfd98ea7c3f0f02c,
-    0x3ff27fc8322e83a5, 0xc00aca09419b30fd, 0x400663dcd492d6bf,
-    0x4009f5f9ce496ec5, 0xc00efa6a0d95392a, 0x3fd363b0172dfed6,
-    0xbfe51b9461909294, 0xbfc11ac8019aae3c, 0xbfe0f49756c165fc,
-    0xbfe13298ff8b0a51, 0xbfa7b59eebb94708, 0x3ff0ed04939aa3e8,
-    0x3ff87f2c2e57c020, 0x3ff1a300d209a153, 0xbff4de764da862d2,
-    0x3ffc6918951ba306, 0xbfc22eb0436895f7, 0xbfe5b6cb5e39001a,
-    0xc0035b50f77e7f1c, 0x3fd048178df2b256, 0xbfd4bc7c72d64b5e,
-    0xbfcf28f5ff73364b, 0xbff4febe07b848f9, 0x3ffc753d23cf992d,
-    0xbfbe284416c87a56, 0x3fedc4423c7de891, 0xbfe6e8fa16336815,
-    0xbff7161c67bf30ab, 0x401713c19a1148d8, 0xbfbb91dc9ff035e0,
-    0xbffbd335507d1bb6, 0xbfc26658a0741a72, 0x3fe7abb15a3b4d73,
-    0xbf97cdafa4776d80, 0xbfce5673f22619b4, 0xc00d27b684d62f48,
-    0xbfe17f5fa12b6eb0, 0xbfa46f36c2534c48, 0xc001633f0dd63676,
-    0x3f9c90b75022b590, 0xbff61eb87a869c8c, 0x3ff9cca55bb999ce,
-    0xbfe9b77703a5db82, 0xbff57a480f342e42, 0x3ffe2eb8da0be24c,
-    0xbfacc7cc5de5fba0, 0xbfd6dec484cea2be, 0xc0027b6e93f6e6ac,
-    0x3fda5220dc198b4d, 0xbfeddabb3f77d4d4, 0xbff53855f9b8a919,
-    0x4002113cd4b389ca, 0xc001047426c69b6e, 0xbfe5a0f9478cd031,
-    0xbff00b8ae59b56b4, 0xbfcc84895331d996, 0x3ff48271c41ff8e2,
-    0x400661f5301548e2, 0x3ff30e4428a720e2, 0x3ffc66bffc9147ca,
-    0xbff946c94234cd8d, 0xbfec08fb76b6c932, 0x3fe16182b22d77d6,
-    0xbff0103d4cc1864f, 0x3ff7187858dc67c3, 0x3fe9052e792f77de,
-    0xbffec676639a986b, 0xbfd097c81a9e7757, 0xbff75f9bb9a62298,
-    0x3ffb30f324010fda, 0x3ff5de4e4c4be034, 0x3ffab9723fd913cc,
-    0x3feb6add23fd7500, 0x3ffd1b9c913b5df1, 0xbff6c62b1456e9d2,
-    0x3ffaffed27de42e5, 0xbff253d6d673cb5f, 0xc00791c5c60fe1f6,
-    0xbfe8ac21835e638d, 0x3fd349bb6308337f, 0x40008b8d4f9b4ece,
-    0x3ff5703166c5b48d, 0x3fe98e3d2e5ea1b6, 0xbfbd6a7ee5ba3460,
-    0x3ff0cd8da0397fb5, 0xbfbf843a931a00fc, 0xc0035795cb362114,
-    0xbff0d01419e8dcf3, 0xbfd2db9e5da60760, 0x400b46a25628aa45,
-    0xbfed8ab2d0b237cc, 0x3ffd16c818344f2a, 0xbfebc2f67aa5f551,
-    0xbff0d691c2536465, 0x40047ab676634a47, 0xbfe8c2c1a630d6f8,
-    0x3fe12afaf18335fe, 0xbfb7c1a96530c5e3, 0xbff2979f3e36c639,
-    0xbfd785aea82fc1c6, 0xbffed1ddc8eadeaa, 0x3fed16f9ba74501e,
-    0x3fdc4e35df1e0ee6, 0x3fe94d60cead00b3, 0xc002254b766561f2,
-    0x3ff258ca465f5097, 0x3ffe3771a85ec3be, 0xbfe0c10058171c1d,
-    0xbff2fa8d0cae777d, 0xbf63633df2c1ccf2, 0x3ff4fbd4a8855ea2,
-    0xbfc2dc0be2eaaee0, 0xbfd67ffb384ef1e0, 0xbff46181811b03ca,
-    0xc0012a45d4128db5, 0x3fe45fc2bde731a6, 0xbfd9d440320b1a66,
+    0x3ffbfad940d60000, 0x3fe7753e0c700000, 0xbfd51d065a300000,
+    0x3fcfb00246f96000, 0x3fc26c4216200000, 0x3ff8358036c40000,
+    0x3fde48173f000000, 0x3ff80afa48fc0000, 0x3fd5b56f11400000,
+    0xbfeeea0259700000, 0xc003f5f4a57e0000, 0xbff9419a39790000,
+    0x3ff419a820ea8000, 0xbfea98e69a500000, 0xbffbe071333e0000,
+    0xbffb332a79d00000, 0x3febca4b4a0c0000, 0xbfed497445b60c00,
+    0xbfa79c66e3e00000, 0xbfed1de57a280000, 0x4000b72899420000,
+    0xbfefe55880bc0000, 0xc0047f02d6b60000, 0x3fc4d7405c100000,
+    0x4000db4b13a80000, 0x3fee8f9a4b900000, 0x3fd9cc8a4f900000,
+    0x3fc4a91152600000, 0x3ffacb0270100000, 0x3ff9e4398c100000,
+    0x3ff437a5775c0000, 0xbffd911dfc240000, 0xbffea3f262990000,
+    0x3ff32f514f418000, 0x3ff5386f62e80000, 0xbfe3103e78900000,
+    0x3ff8c51ba49e0000, 0x3fdf1e97410c0000, 0x400535993d1b8000,
+    0xbfff445d07240000, 0x3ff68fe5af500000, 0xc001fa824b8a0000,
+    0xbfefb6337bd20000, 0xbff6bb7340c00000, 0xbff4171088a80000,
+    0xbfd9e66369e80000, 0xc0069212bce20000, 0xbff1746d7f3a0000,
+    0xbfef9696bc140000, 0xbfb3548c03c00000, 0xbfe011b14ea80000,
+    0xbfe7b42b5dcd0000, 0xbfed8c081f0b0000, 0x3ff7c24c98940000,
+    0xbfe483f200c00000, 0x3ffaed995b530000, 0x3ff4b0b75d680000,
+    0x3fc6ed7d0a140000, 0x3fbb78f09a000000, 0x3fe7f3fe73b00000,
+    0xbfeeec9abf1e0000, 0x3fe58f4835980000, 0x3ff46f0ba7e60000,
+    0x3fe634307a550000, 0xbffbe116e7b40000, 0xbffddd212dcc0000,
+    0xc00a270b84dc0000, 0xc0025dde0da40000, 0x4009ec406fad8000,
+    0x3fe5c2224efb8000, 0x3ffe990577530000, 0x3fd8b2c3c8910000,
+    0xbff365121bf20000, 0x3ffa276a7d380000, 0xbfe6a01b7d700000,
+    0xbfe72dc3b2140000, 0xbfd4389ef9ac0000, 0x3ff9db9112c80000,
+    0x3feb9604d24d0000, 0x400e49201de08000, 0xbfe053ef7a980000,
+    0xc002d26e2cd48000, 0x3fce9a6e45c00000, 0x40120e4224ae5800,
+    0x3ff972da374c0000, 0x3ff83313b1080000, 0x3fd82dec71540000,
+    0x3fea6342a1480000, 0x3fe924d1741c4000, 0xbff52c918ad94000,
+    0xc006ec44f89ec000, 0xbff9f9d58fee0000, 0xbffb189593160000,
+    0x400b336649010000, 0xbfead8a8f4300000, 0xbfe877cbf4ed0000,
+    0x3ff42ba606bc0000, 0x3ff3ebeefe340000, 0x3fcd99f31fe00000,
+    0xbfd45ac973600000, 0x3fff51bcec800000, 0xbfc95fab38a00000,
+    0x3ffc66dd73b40000, 0xbfdce02e58700000, 0x3ffa316f6f740000,
+    0x400501f20d680000, 0x3fcb6ac06b860000, 0xbfe14198c1d00000,
+    0xbfd51210d9280000, 0xbfefe4ccbd980000, 0x3ffb97b564b40000,
+    0x3ff0c292b90d0000, 0x3ff44c5836e80000, 0xbfe233bd6d300000,
+    0xbfe1a9a5912c0000, 0xbfe7879f03a00000, 0x4008dbcb09bd0000,
+    0xc0001c11628b0000, 0xbfd2002b17e00000, 0xbff84a06842e0000,
+    0xbffffe4ff2c00000, 0x3f9f3d0aad000000, 0x3fe4628563fc0000,
+    0x3fcf7397c0800000, 0x3ff448c190900000, 0xbffb1afbb99c0000,
+    0x3ff402f786100000, 0xc00846ecef320000, 0xbfaf3f2243a80000,
+    0xbff82044f3f80000, 0xbf9352835c000000, 0x3ffe0310d08e0000,
+    0x3fe5bf708b530000, 0xbfc9775c5f000000, 0xbfeca1d6d112e000,
+    0xbfde7ce618180000, 0x3fdef29d37680000, 0xc001a7bc6e050000,
+    0x400740ec3db50000, 0xbff5280bd6040000, 0xbfd970f867f00000,
+    0xbff2c028f3100000, 0xbfa9244d57800000, 0xbfee6b5b73800000,
+    0xbfca4c0a10600000, 0xbff3e39d83140000, 0xc001e5b4f0040000,
+    0xbfea35d599b80000, 0xbfd9239dfa380000, 0xbff98cc8afc60000,
+    0xc006aa7d4f0e0000, 0xc006873fa50f0000, 0x3ffc246378fc0000,
+    0xbff654b14a000000, 0x3fe4ef4c1fb00000, 0x3fd74d43369b0000,
+    0xbfe2b2b919650000, 0x4001303724a90000, 0x3ff8b7a7c9280000,
+    0xbff522dbbe880000, 0xbfe4fb4a031c0000, 0x3ff421a2ad0bc000,
+    0x3ff94b614a480000, 0xbfc4a92d7e100000, 0xbfef5c72f9e00000,
+    0x4009f371c5c18000, 0xbfe34f68ec540000, 0x3feda0c3a7c80000,
+    0x3ff464423c580000, 0x3ff007ff3d650000, 0xbfd98ea7d8300000,
+    0x3ff27fc841bed000, 0xc00aca0940680000, 0x400663dd51b94000,
+    0x4009f5f9a5763e00, 0xc00efa6973f00000, 0x3fd363ad21400000,
+    0xbfe51b93a2f00000, 0xbfc11ac44f000000, 0xbfe0f497677c0000,
+    0xbfe13298e3400000, 0xbfa7b59a38000000, 0x3ff0ed0461f00000,
+    0x3ff87f2c5c8a0000, 0x3ff1a30096860000, 0xbff4de7628bc0000,
+    0x3ffc69186dbc0000, 0xbfc22eb065500000, 0xbfe5b6c999a00000,
+    0xc0035b510f180000, 0x3fd048177f000000, 0xbfd4bc7cacc00000,
+    0xbfcf28f614000000, 0xbff4febddc460000, 0x3ffc753d0d800000,
+    0xbfbe284281500000, 0x3fedc44253600000, 0xbfe6e8f9c8000000,
+    0xbff7161cead80000, 0x401713c1e3940000, 0xbfbb920065200000,
+    0xbffbd33513400000, 0xbfc26658cb800000, 0x3fe7abb190a00000,
+    0xbf97cde690000000, 0xbfce567a5e000000, 0xc00d27b6b4542000,
+    0xbfe17f5f82140000, 0xbfa46f395d800000, 0xc001633f57340000,
+    0x3f9c90bb28000000, 0xbff61eb85c400000, 0x3ff9cca564a80000,
+    0xbfe9b77750b00000, 0xbff57a47f0e00000, 0x3ffe2eb925280000,
+    0xbfacc7d3b3000000, 0xbfd6dec5db100000, 0xc0027b6ebb700000,
+    0x3fda522206d00000, 0xbfeddabac1400000, 0xbff53855ac380000,
+    0x4002113cf1740000, 0xc00104747d980000, 0xbfe5a0f99e680000,
+    0xbff00b8aea700000, 0xbfcc848989800000, 0x3ff48271e1980000,
+    0x400661f4f73c0000, 0x3ff30e43b1400000, 0x3ffc66c017d80000,
+    0xbff946c945200000, 0xbfec08fbc6980000, 0x3fe16182af100000,
+    0xbff0103cf1ee0000, 0x3ff7187828080000, 0x3fe9052e94580000,
+    0xbffec6764fb00000, 0xbfd097c7dd100000, 0xbff75f9beb600000,
+    0x3ffb30f2e04c0000, 0x3ff5de4ee0ac0000, 0x3ffab971e6a20000,
+    0x3feb6add70c80000, 0x3ffd1b9cca280000, 0xbff6c62b6da00000,
+    0x3ffaffecf6000000, 0xbff253d6d29c0000, 0xc00791c62e500000,
+    0xbfe8ac21b5c60000, 0x3fd349ba4f000000, 0x40008b8cf3c80000,
+    0x3ff570315a638000, 0x3fe98e3dae600000, 0xbfbd6a7ed1000000,
+    0x3ff0cd8d8a2f0000, 0xbfbf843fa6600000, 0xc0035795b8a00000,
+    0xbff0d013a0180000, 0xbfd2db9d52400000, 0x400b46a26e370000,
+    0xbfed8ab2f6900000, 0x3ffd16c840a00000, 0xbfebc2f697b00000,
+    0xbff0d691c6600000, 0x40047ab64fb00000, 0xbfe8c2c1cae00000,
+    0x3fe12afaa1400000, 0xbfb7c19ff2800000, 0xbff2979f69b00000,
+    0xbfd785aebe800000, 0xbffed1ddf5000000, 0x3fed16f9ece00000,
+    0x3fdc4e3667400000, 0x3fe94d60a1100000, 0xc002254b3b300000,
+    0x3ff258ca42000000, 0x3ffe377132600000, 0xbfe0c1004cc00000,
+    0xbff2fa8d20c00000, 0xbf636333a0000000, 0x3ff4fbd4e1000000,
+    0xbfc2dc0e00000000, 0xbfd67ffb28000000, 0xbff4618162b00000,
+    0xc0012a45e0000000, 0x3fe45fc2c0000000, 0xbfd9d44060000000,
 ];
 
 #[test]

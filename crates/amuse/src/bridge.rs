@@ -21,22 +21,24 @@
 //!
 //! ```text
 //! open     GetParticles → gravity ‖ GetParticles → hydro     both in flight together
-//!   cold   ComputeField → coupling (K shards in flight)      dv = field · dt/2
-//! open     nothing sent                                       dv and (mass, pos) from the
-//!   warm                                                      previous iteration's last step
+//!   cold   ComputeField{pos, mass} → coupling (K shards)      dv = field · dt/2; primes
+//!                                                             the coupling hosts
+//! open     nothing sent                                       dv and pos from the previous
+//!   warm                                                      iteration's last step
 //! substep  Step{dv, n, t} → gravity ‖ Step{dv, n, t} → hydro  kick n times, evolve,
-//!   1..s                                                      answer (mass, pos)
-//!          ComputeField → coupling                            field at the new positions
+//!   1..s                                                      answer pos
+//!          ComputeField{pos} → coupling                       field at the new positions
 //! close    Kick(dv) → gravity ‖ Kick(dv) → hydro              the last closing half-kick
 //! ```
 //!
-//! * [`Request::ComputeField`] carries both `(pos, mass)` sets once and
-//!   is answered by both acceleration slices, so a field evaluation is
-//!   one call per coupling shard and no position travels as a target
-//!   beside itself as a source.
+//! * [`Request::ComputeField`] carries both sets once and is answered by
+//!   both acceleration slices, so a field evaluation is one call per
+//!   coupling shard and no position travels as a target beside itself
+//!   as a source.
 //! * [`Request::Step`] is the opening half-kick, the evolve and the
 //!   snapshot that opens the next field in one round trip; the answer
-//!   drops the velocities, which the bridge never reads. Substep 1 sends
+//!   carries positions only — the bridge never reads velocities, and
+//!   masses cannot change in a step (see the mass epoch below). Substep 1 sends
 //!   `n = 1`. From substep 2 on the closing half-kick of the previous
 //!   substep rides along as `n = 2`: the worker adds `dv` twice, *as two
 //!   separate additions* — `(v + dv) + dv`, not `v + 2·dv`, which rounds
@@ -76,8 +78,25 @@
 //! runs the open itself when a straight run would open the next
 //! iteration warm: the field is a pure function of the restored
 //! `(pos, mass)`, so the restored run makes the calls and bytes of the
-//! straight run and reaches its bits. The workers keep no state for the
-//! bridge: a field request is stateless.
+//! straight run and reaches its bits.
+//!
+//! # Masses travel once per mass epoch
+//!
+//! A *mass epoch* runs from a cold open to the next stellar exchange.
+//! Nothing inside it re-weights or adds a particle: [`Request::SetMasses`]
+//! and [`Request::AddGas`] come only from the exchange, an exchange
+//! always makes the next iteration open cold, and a step's evolve may
+//! not change masses ([`crate::worker::ModelWorker`]). So the policy is
+//! one line: *the open primes, substeps don't*. The cold open's
+//! snapshots give the bridge the epoch's masses, which it keeps; its
+//! field request is the only one that carries masses, and it primes
+//! every coupling host (each shard of a pool) to hold them. Every
+//! substep's field request carries positions only, and so does every
+//! step's answer. Failures and restores reset nothing by hand: a failed
+//! iteration, a heal and a restore all leave the bridge cold (a restore
+//! that opens does so through the same priming open), and a respawned
+//! or restored host that holds no masses refuses a mass-free request
+//! with a typed error instead of answering with another epoch's field.
 //!
 //! Beyond the paper: the bridge is *fault-tolerant*, removing the §5
 //! limitation ("if one worker crashes, the entire simulation crashes").
@@ -250,8 +269,9 @@ pub struct IterationReport {
 /// in a reused buffer that is then scaled to velocity kicks in place.
 #[derive(Default)]
 struct KickScratch {
-    /// Where the stars are in the current position epoch (after the
-    /// first step: masses and positions only).
+    /// Where the stars are in the current position epoch, with the
+    /// masses of the current mass epoch (after the first step: no
+    /// velocities).
     stars: ParticleData,
     /// Likewise the gas.
     gas: ParticleData,
@@ -271,9 +291,9 @@ pub struct Bridge {
     iterations: u64,
     total_supernovae: u32,
     scratch: KickScratch,
-    /// `scratch` holds the current position epoch: `(mass, pos)` from
-    /// the last step and `dv`, the field of the last closing p-kick, so
-    /// the next iteration opens warm.
+    /// `scratch` holds the current position epoch: `pos` from the last
+    /// step, the masses of the cold open, and `dv`, the field of the
+    /// last closing p-kick, so the next iteration opens warm.
     warm: bool,
 }
 
@@ -419,12 +439,12 @@ impl Bridge {
             self.hydro.submit_step(dv_gas, n, t_next);
             let rg = self.gravity.collect_step_into(&mut self.scratch.stars);
             let rh = self.hydro.collect_step_into(&mut self.scratch.gas);
-            expect_ok(Role::Gravity, "step", rg)?;
-            expect_ok(Role::Hydro, "step", rh)?;
+            expect_stepped(Role::Gravity, rg, &self.scratch.stars)?;
+            expect_stepped(Role::Hydro, rh, &self.scratch.gas)?;
             // the closing p-kick's field; it is applied by the next
             // substep's step, or below
             self.trace(&mut rep, || format!("p-kick (dt/2 = {half_dt:.5})"));
-            self.evaluate_field(&mut rep)?;
+            self.evaluate_field(&mut rep, false)?;
             self.time = t_next;
         }
         let (dv_stars, dv_gas) = self.scratch.dv.split_at(self.scratch.stars.mass.len());
@@ -467,7 +487,9 @@ impl Bridge {
         }
     }
 
-    /// Open cold: where both systems are now, and the field there.
+    /// Open cold: where both systems are now and what they weigh, and
+    /// the field there — the one field request of the mass epoch that
+    /// carries masses, priming the coupling hosts.
     fn open(&mut self, rep: &mut IterationReport) -> Result<(), BridgeError> {
         self.gravity.submit_snapshot();
         self.hydro.submit_snapshot();
@@ -479,18 +501,23 @@ impl Bridge {
         if !got_gas {
             return Err(worker_err(Role::Hydro, "snapshot", "no particles"));
         }
-        self.evaluate_field(rep)
+        self.evaluate_field(rep, true)
     }
 
     /// Evaluate the coupling field at the positions in the scratch —
     /// gas pulling on stars, stars pulling on gas — and scale it to this
-    /// epoch's half-kick (`dt/2`) in place. All buffers are the
-    /// bridge-held scratch, so over in-process channels this allocates
-    /// nothing once warm.
-    fn evaluate_field(&mut self, rep: &mut IterationReport) -> Result<(), BridgeError> {
+    /// epoch's half-kick (`dt/2`) in place. With `prime` the masses
+    /// travel too (the cold open). All buffers are the bridge-held
+    /// scratch, so over in-process channels this allocates nothing once
+    /// warm.
+    fn evaluate_field(
+        &mut self,
+        rep: &mut IterationReport,
+        prime: bool,
+    ) -> Result<(), BridgeError> {
         let KickScratch { stars, gas, dv } = &mut self.scratch;
-        let (n_stars, n_gas) = (stars.mass.len(), gas.mass.len());
-        self.coupling.submit_field(stars, gas, (0, n_stars), (0, n_gas));
+        let (n_stars, n_gas) = (stars.pos.len(), gas.pos.len());
+        self.coupling.submit_field(stars, gas, prime, (0, n_stars), (0, n_gas));
         self.coupling
             .collect_accelerations_into(dv)
             .ok_or_else(|| worker_err(Role::Coupling, "compute-field", "no accelerations"))?;
@@ -746,6 +773,25 @@ impl Bridge {
 
 fn worker_err(role: Role, op: &'static str, detail: impl Into<String>) -> BridgeError {
     BridgeError::Worker { role, op, detail: detail.into() }
+}
+
+/// Require an `Ok` step answer with one position per mass the bridge
+/// holds: a step that changed the particle count broke the worker
+/// contract the mass epoch relies on.
+fn expect_stepped(role: Role, resp: Response, set: &ParticleData) -> Result<(), BridgeError> {
+    expect_ok(role, "step", resp)?;
+    if set.pos.len() != set.mass.len() {
+        return Err(worker_err(
+            role,
+            "step",
+            format!(
+                "{} positions for the {} masses of the mass epoch",
+                set.pos.len(),
+                set.mass.len()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Require an `Ok` response; anything else becomes a [`BridgeError`].

@@ -192,29 +192,33 @@ pub trait Channel {
     }
 
     /// Finish a [`Channel::submit_step`]: `Ok` carries the flops of the
-    /// kicks and the evolve, and the stepped masses and positions are in
-    /// `out` (velocities are not sent: `out.vel` is left empty). Anything
-    /// else is what the worker answered instead.
+    /// kicks and the evolve, and the stepped positions are in `out.pos`.
+    /// Velocities and masses are not sent: `out.vel` is left empty and
+    /// `out.mass` as it was (the masses of the mass epoch). Anything else
+    /// is what the worker answered instead.
     fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
         stepped_into(self.collect(), out)
     }
 
     /// Start a [`Request::ComputeField`] round trip from borrowed sets
-    /// (their velocity columns are not looked at). It is finished by
-    /// [`Channel::collect_accelerations_into`]: the star range's
-    /// accelerations, then the gas range's.
+    /// (their velocity columns are not looked at). With `prime` the
+    /// sets' masses travel and prime the host for a new mass epoch;
+    /// without, only positions travel (the mass columns are not looked
+    /// at either) and the host evaluates against the masses it holds. It
+    /// is finished by [`Channel::collect_accelerations_into`]: the star
+    /// range's accelerations, then the gas range's.
     fn submit_field(
         &mut self,
         stars: &ParticleData,
         gas: &ParticleData,
+        prime: bool,
         star_range: (usize, usize),
         gas_range: (usize, usize),
     ) {
         self.submit(Request::ComputeField {
             star_pos: stars.pos.clone(),
-            star_mass: stars.mass.clone(),
             gas_pos: gas.pos.clone(),
-            gas_mass: gas.mass.clone(),
+            masses: prime.then(|| (stars.mass.clone(), gas.mass.clone())),
             star_range,
             gas_range,
         })
@@ -246,11 +250,10 @@ pub trait Channel {
 }
 
 /// What [`Channel::collect_step_into`] makes of an owned response: a
-/// [`Response::Stepped`] moves its columns into `out` and becomes `Ok`.
+/// [`Response::Stepped`] moves its positions into `out` and becomes `Ok`.
 pub(crate) fn stepped_into(resp: Response, out: &mut ParticleData) -> Response {
     match resp {
-        Response::Stepped { mass, pos, flops } => {
-            out.mass = mass;
+        Response::Stepped { pos, flops } => {
             out.pos = pos;
             out.vel.clear();
             Response::Ok { flops }
@@ -445,8 +448,15 @@ impl<L: Link> Channel for ClientCore<L> {
 
     // jc-lint: no-alloc
     fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
-        let answer = self.collect_with(|frame| wire::decode_stepped_into(frame, out), |&f| f);
-        answer.map_or_else(|other| other, |flops| Response::Ok { flops })
+        let answer =
+            self.collect_with(|frame| wire::decode_stepped_into(frame, &mut out.pos), |&f| f);
+        answer.map_or_else(
+            |other| other,
+            |flops| {
+                out.vel.clear();
+                Response::Ok { flops }
+            },
+        )
     }
 
     // jc-lint: no-alloc
@@ -454,16 +464,20 @@ impl<L: Link> Channel for ClientCore<L> {
         &mut self,
         stars: &ParticleData,
         gas: &ParticleData,
+        prime: bool,
         star_range: (usize, usize),
         gas_range: (usize, usize),
     ) {
-        let (stars, gas) = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
-        match host::check_sets(stars, gas) {
-            Ok(()) => self.submit_with(|buf| {
-                wire::encode_compute_field(stars, gas, star_range, gas_range, buf)
-            }),
-            Err(refusal) => self.refuse(refusal),
+        let (star_pos, gas_pos) = (&stars.pos[..], &gas.pos[..]);
+        let masses = prime.then_some((&stars.mass[..], &gas.mass[..]));
+        if let Some((star_mass, gas_mass)) = masses {
+            if let Err(refusal) = host::check_sets((star_pos, star_mass), (gas_pos, gas_mass)) {
+                return self.refuse(refusal);
+            }
         }
+        self.submit_with(|buf| {
+            wire::encode_compute_field(star_pos, gas_pos, masses, star_range, gas_range, buf)
+        });
     }
 
     // jc-lint: no-alloc
@@ -520,11 +534,12 @@ impl ThreadChannel {
             .name(format!("worker-{name}"))
             .spawn(move || {
                 let mut worker = factory();
+                let mut field = host::FieldSets::default();
                 while let Ok(msg) = rx_req.recv() {
                     match msg {
                         ThreadMsg::Call(req) => {
                             let stop = matches!(req, Request::Stop | Request::Shutdown);
-                            let resp = host::serve(&mut worker, req);
+                            let resp = host::serve(&mut worker, &mut field, req);
                             if tx_resp.send(resp).is_err() || stop {
                                 break;
                             }
@@ -650,9 +665,10 @@ mod tests {
         by_legs.submit_step(&dv, 2, 0.01);
         let got = by_legs.collect_step_into(&mut stepped);
         match (by_call.call(Request::Step { dv, n: 2, t: 0.01 }), got) {
-            (Response::Stepped { mass, pos, flops }, Response::Ok { flops: f }) => {
-                assert_eq!((mass, pos, flops), (stepped.mass, stepped.pos, f));
+            (Response::Stepped { pos, flops }, Response::Ok { flops: f }) => {
+                assert_eq!((pos, flops), (stepped.pos, f));
                 assert!(stepped.vel.is_empty(), "a step answers no velocities");
+                assert!(stepped.mass.is_empty(), "nor masses: the held ones stay");
             }
             (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
         }
@@ -666,24 +682,26 @@ mod tests {
         };
         let (stars, gas) = (set(&scene), set(&plummer_sphere(5, 6)));
         let (star_range, gas_range) = ((1, stars.mass.len()), (0, 4));
-        by_legs.submit_field(&stars, &gas, star_range, gas_range);
-        let got = by_legs.collect_accelerations_into(&mut acc);
-        match by_call.call(Request::ComputeField {
-            star_pos: stars.pos,
-            star_mass: stars.mass,
-            gas_pos: gas.pos,
-            gas_mass: gas.mass,
-            star_range,
-            gas_range,
-        }) {
-            Response::Accelerations { acc: expected, flops } => {
-                assert_eq!(got, Some(flops));
-                assert_eq!(acc, expected);
+        // the priming request, then a mass-free one
+        for prime in [true, false] {
+            by_legs.submit_field(&stars, &gas, prime, star_range, gas_range);
+            let got = by_legs.collect_accelerations_into(&mut acc);
+            match by_call.call(Request::ComputeField {
+                star_pos: stars.pos.clone(),
+                gas_pos: gas.pos.clone(),
+                masses: prime.then(|| (stars.mass.clone(), gas.mass.clone())),
+                star_range,
+                gas_range,
+            }) {
+                Response::Accelerations { acc: expected, flops } => {
+                    assert_eq!(got, Some(flops));
+                    assert_eq!(acc, expected);
+                }
+                _ => assert_eq!(got, None),
             }
-            _ => assert_eq!(got, None),
+            same_books(&by_call, &by_legs, "field");
         }
-        same_books(&by_call, &by_legs, "field");
-        assert_eq!(by_legs.stats().calls, 5);
+        assert_eq!(by_legs.stats().calls, 6);
     }
 
     #[test]
@@ -744,11 +762,17 @@ mod tests {
                     owned_compute_kick(&gas.pos, &stars.pos, &stars.mass),
                     Request::ComputeField {
                         star_pos: stars.pos.clone(),
-                        star_mass: stars.mass.clone(),
                         gas_pos: gas.pos.clone(),
-                        gas_mass: gas.mass.clone(),
+                        masses: Some((stars.mass.clone(), gas.mass.clone())),
                         star_range: (1, 5),
                         gas_range: (0, 6),
+                    },
+                    Request::ComputeField {
+                        star_pos: stars.pos.clone(),
+                        gas_pos: gas.pos.clone(),
+                        masses: None,
+                        star_range: (0, 5),
+                        gas_range: (2, 7),
                     },
                 ],
                 frames_and_values(CouplingWorker::fi),
@@ -790,9 +814,13 @@ mod tests {
                 let mut acc = Vec::new();
                 let f = ch.compute_kick_into(&gas.pos, &stars.pos, &stars.mass, &mut acc);
                 said.push(format!("{f:?} {acc:?}"));
-                ch.submit_field(&star_set, &gas_set, (0, 5), (2, 7));
-                let f = ch.collect_accelerations_into(&mut acc);
-                said.push(format!("{f:?} {acc:?}"));
+                // the load above began a new epoch: mass-free is refused
+                // until a priming request
+                for prime in [false, true, false] {
+                    ch.submit_field(&star_set, &gas_set, prime, (0, 5), (2, 7));
+                    let f = ch.collect_accelerations_into(&mut acc);
+                    said.push(format!("{f:?} {acc:?}"));
+                }
                 (said, ch.stats())
             });
             let [(frames, frame_books), (values, value_books)] = transcripts;
@@ -823,9 +851,8 @@ mod tests {
             [
                 Request::ComputeField {
                     star_pos: ragged.pos.clone(),
-                    star_mass: ragged.mass.clone(),
                     gas_pos: gas.pos.clone(),
-                    gas_mass: gas.mass.clone(),
+                    masses: Some((ragged.mass.clone(), gas.mass.clone())),
                     star_range: (0, 3),
                     gas_range: (0, 3),
                 },
@@ -853,7 +880,7 @@ mod tests {
                 assert!(matches!(&r, Response::Error(e) if e == answer), "{r:?}");
             }
             let mut acc = vec![[1.0; 3]];
-            ch.submit_field(&ragged, &gas, (0, 3), (0, 3));
+            ch.submit_field(&ragged, &gas, true, (0, 3), (0, 3));
             assert_eq!(ch.collect_accelerations_into(&mut acc), None);
             assert_eq!(ch.compute_kick_into(&gas.pos, &ragged.pos, &ragged.mass, &mut acc), None);
             assert_eq!(ch.stats(), ChannelStats::default(), "a refusal books nothing");
@@ -874,14 +901,14 @@ mod tests {
             pos: p.pos.clone(),
             vel: vec![],
         };
-        c.submit_field(&set(&scene), &set(&scene), (0, 5), (2, 5));
+        c.submit_field(&set(&scene), &set(&scene), true, (0, 5), (2, 5));
         assert!(matches!(c.collect(), Response::Accelerations { acc, .. } if acc.len() == 8));
         let mut g =
             LocalChannel::new(Box::new(GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar)));
         g.submit_snapshot();
         assert!(matches!(g.collect(), Response::Particles(p) if p.mass.len() == 8));
         g.submit_step(&[[1e-3; 3]; 8], 1, 0.01);
-        assert!(matches!(g.collect(), Response::Stepped { mass, .. } if mass.len() == 8));
+        assert!(matches!(g.collect(), Response::Stepped { pos, .. } if pos.len() == 8));
         // and the other way round: a typed collect finishes a generic submit
         g.submit(Request::Step { dv: vec![[1e-3; 3]; 8], n: 1, t: 0.02 });
         let mut out = ParticleData::default();

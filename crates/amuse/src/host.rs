@@ -20,6 +20,19 @@
 //! channels have always done. [`ServerCore`] is the host that speaks
 //! frames, in process (as a [`Link`]), behind TCP and in the simulated
 //! jungle alike.
+//!
+//! # What a host holds
+//!
+//! Besides its worker, a host holds one thing for the bridge: the masses
+//! of its last *priming* field request, in [`FieldSets`]. A
+//! [`Request::ComputeField`] that carries masses replaces them; one that
+//! carries positions only is evaluated against them. The host refuses a
+//! mass-free request with a typed [`Response::Error`] — never a field —
+//! when it holds no masses (a fresh or respawned host, or one that
+//! served a [`Request::LoadState`] since, which begins a new epoch) or
+//! masses of another shape than the request's positions. Which masses
+//! belong to which epoch is the bridge's business: it primes at every
+//! cold open ([`crate::bridge`]).
 
 // `Err(Response)` throughout: the error *is* the frame the host answers
 // with, moved once on the cold path — boxing it would buy nothing.
@@ -31,9 +44,10 @@ use crate::worker::{ModelWorker, ParticleColumns, ParticleData, Request, Respons
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Execute one request on `worker`: composites are decomposed, anything
-/// else is the worker's own business.
-pub fn serve(worker: &mut dyn ModelWorker, req: Request) -> Response {
+/// Execute one request on `worker`, whose host holds `field`:
+/// composites are decomposed, anything else is the worker's own
+/// business.
+pub fn serve(worker: &mut dyn ModelWorker, field: &mut FieldSets, req: Request) -> Response {
     match req {
         Request::Step { dv, n, t } => {
             let flops = match step(worker, &dv, n, t) {
@@ -41,21 +55,105 @@ pub fn serve(worker: &mut dyn ModelWorker, req: Request) -> Response {
                 Err(resp) => return resp,
             };
             match particles(worker, &mut ParticleData::default()) {
-                Ok((mass, pos, _)) => {
-                    Response::Stepped { mass: mass.to_vec(), pos: pos.to_vec(), flops }
-                }
+                Ok((_, pos, _)) => Response::Stepped { pos: pos.to_vec(), flops },
                 Err(resp) => resp,
             }
         }
-        Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, star_range, gas_range } => {
+        Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range } => {
+            // ragged masses are refused as a client refuses them, and
+            // prime nothing
+            if let Some((star_mass, gas_mass)) = &masses {
+                if let Err(refusal) = check_sets((&star_pos, star_mass), (&gas_pos, gas_mass)) {
+                    return refusal;
+                }
+            }
+            field.stars.pos = star_pos;
+            field.gas.pos = gas_pos;
+            if let Some((star_mass, gas_mass)) = masses {
+                field.prime(star_mass, gas_mass);
+            }
             let (mut acc, mut tmp) = (Vec::new(), Vec::new());
-            let (stars, gas) = ((&star_pos[..], &star_mass[..]), (&gas_pos[..], &gas_mass[..]));
-            match field_into(worker, stars, gas, star_range, gas_range, &mut acc, &mut tmp) {
+            match field.evaluate(worker, star_range, gas_range, &mut acc, &mut tmp) {
                 Ok(flops) => Response::Accelerations { acc, flops },
                 Err(resp) => resp,
             }
         }
+        Request::LoadState(state) => {
+            field.forget();
+            worker.handle(Request::LoadState(state))
+        }
         other => worker.handle(other),
+    }
+}
+
+/// A host's field state: the masses of its last priming
+/// [`Request::ComputeField`] and the positions of the field request
+/// being served (see the module docs).
+#[derive(Default)]
+pub struct FieldSets {
+    /// Star positions of the current request; star masses of the epoch.
+    stars: ParticleData,
+    /// Likewise the gas.
+    gas: ParticleData,
+    /// The mass columns hold a priming request's masses.
+    primed: bool,
+}
+
+impl FieldSets {
+    /// Hold the masses of a new mass epoch.
+    fn prime(&mut self, star_mass: Vec<f64>, gas_mass: Vec<f64>) {
+        self.stars.mass = star_mass;
+        self.gas.mass = gas_mass;
+        self.primed = true;
+    }
+
+    /// Drop the held masses: the next field request must prime.
+    fn forget(&mut self) {
+        self.primed = false;
+        self.stars.mass.clear();
+        self.gas.mass.clear();
+    }
+
+    /// Decode a field request frame into these sets: its positions, and
+    /// its masses when it primes.
+    // jc-lint: no-alloc
+    fn decode(&mut self, frame: &[u8]) -> Result<wire::FieldTargets, WireError> {
+        let at = wire::decode_compute_field_into(frame, &mut self.stars, &mut self.gas)?;
+        self.primed |= at.primes;
+        Ok(at)
+    }
+
+    /// [`field_into`] at the current positions with the held masses;
+    /// `Err` is the typed refusal of a host that holds no masses, or
+    /// masses of another shape, or what [`field_into`] refused.
+    // jc-lint: no-alloc
+    fn evaluate(
+        &self,
+        worker: &mut dyn ModelWorker,
+        star_range: (usize, usize),
+        gas_range: (usize, usize),
+        out: &mut Vec<[f64; 3]>,
+        tmp: &mut Vec<[f64; 3]>,
+    ) -> Result<f64, Response> {
+        let (stars, gas) = (&self.stars, &self.gas);
+        if !self.primed {
+            // jc-lint: allow(no-alloc): cold path — an unprimed host
+            return Err(Response::Error(
+                "mass-free field request, but this host holds no masses: prime it first".into(),
+            ));
+        }
+        if stars.pos.len() != stars.mass.len() || gas.pos.len() != gas.mass.len() {
+            // jc-lint: allow(no-alloc): cold path — masses of another epoch's shape
+            return Err(Response::Error(format!(
+                "field request for {} stars, {} gas, but this host holds masses for {} stars, {} gas",
+                stars.pos.len(),
+                gas.pos.len(),
+                stars.mass.len(),
+                gas.mass.len()
+            )));
+        }
+        let sets = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
+        field_into(worker, sets.0, sets.1, star_range, gas_range, out, tmp)
     }
 }
 
@@ -111,7 +209,8 @@ pub fn particles<'a>(
 /// Borrowed `(positions, masses)` of one particle set.
 pub type FieldSet<'a> = (&'a [[f64; 3]], &'a [f64]);
 
-/// [`Request::ComputeField`] on borrowed sets: the accelerations of
+/// The evaluation of a [`Request::ComputeField`] on borrowed sets (with
+/// their masses: those the host holds): the accelerations of
 /// `stars[star_range]` due to all gas land in `out`, followed by those
 /// of `gas[gas_range]` due to all stars (`tmp` stages the second
 /// evaluation). `Ok` carries the summed flops; `Err` a typed refusal of
@@ -127,7 +226,8 @@ pub fn field_into(
     out: &mut Vec<[f64; 3]>,
     tmp: &mut Vec<[f64; 3]>,
 ) -> Result<f64, Response> {
-    check_field(stars, gas, star_range, gas_range)?;
+    check_sets(stars, gas)?;
+    check_ranges(stars.0, gas.0, star_range, gas_range)?;
     // gas pulls on stars, then stars pull on gas
     let star_flops = kick_into(worker, &stars.0[star_range.0..star_range.1], gas, out)?;
     let gas_flops = kick_into(worker, &gas.0[gas_range.0..gas_range.1], stars, tmp)?;
@@ -146,15 +246,16 @@ pub(crate) fn check_columns(req: &Request) -> Result<(), Response> {
         {
             Err(Response::Error("source arrays length mismatch".into()))
         }
-        Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, .. } => {
-            check_sets((star_pos, star_mass), (gas_pos, gas_mass))
-        }
+        Request::ComputeField {
+            star_pos, gas_pos, masses: Some((star_mass, gas_mass)), ..
+        } => check_sets((star_pos, star_mass), (gas_pos, gas_mass)),
         Request::LoadState(state) => state.check_columns().map_err(Response::Error),
         _ => Ok(()),
     }
 }
 
-/// The typed refusal of a [`Request::ComputeField`] with ragged sets.
+/// The typed refusal of a priming [`Request::ComputeField`] with ragged
+/// sets.
 pub(crate) fn check_sets(stars: FieldSet<'_>, gas: FieldSet<'_>) -> Result<(), Response> {
     if stars.0.len() != stars.1.len() || gas.0.len() != gas.1.len() {
         return Err(Response::Error("field set arrays length mismatch".into()));
@@ -162,21 +263,20 @@ pub(crate) fn check_sets(stars: FieldSet<'_>, gas: FieldSet<'_>) -> Result<(), R
     Ok(())
 }
 
-/// The typed refusal of a malformed [`Request::ComputeField`]: ragged
-/// sets, or target ranges reversed or outside them.
-pub(crate) fn check_field(
-    stars: FieldSet<'_>,
-    gas: FieldSet<'_>,
+/// The typed refusal of [`Request::ComputeField`] target ranges reversed
+/// or outside the sets' positions.
+pub(crate) fn check_ranges(
+    star_pos: &[[f64; 3]],
+    gas_pos: &[[f64; 3]],
     star_range: (usize, usize),
     gas_range: (usize, usize),
 ) -> Result<(), Response> {
-    check_sets(stars, gas)?;
     let inside = |(a, b): (usize, usize), len: usize| a <= b && b <= len;
-    if !inside(star_range, stars.0.len()) || !inside(gas_range, gas.0.len()) {
+    if !inside(star_range, star_pos.len()) || !inside(gas_range, gas_pos.len()) {
         return Err(Response::Error(format!(
             "field target ranges {star_range:?}/{gas_range:?} outside sets of {} stars, {} gas",
-            stars.0.len(),
-            gas.0.len()
+            star_pos.len(),
+            gas_pos.len()
         )));
     }
     Ok(())
@@ -324,9 +424,8 @@ pub struct ServerCore<'a, W = &'a mut dyn ModelWorker> {
     inbox: Vec<u8>,
     snap: ParticleData,
     dv: Vec<[f64; 3]>,
-    /// The two sets of a field request (velocity columns unused).
-    stars: ParticleData,
-    gas: ParticleData,
+    /// The held masses and the positions of a field request.
+    field: FieldSets,
     acc: Vec<[f64; 3]>,
     /// Staging for the second half of a field (see [`field_into`]).
     tmp: Vec<[f64; 3]>,
@@ -351,8 +450,7 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
             inbox: Vec::new(),
             snap: ParticleData::default(),
             dv: Vec::new(),
-            stars: ParticleData::default(),
-            gas: ParticleData::default(),
+            field: FieldSets::default(),
             acc: Vec::new(),
             tmp: Vec::new(),
         }
@@ -390,15 +488,14 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
         // declines answers through the owned types with the exact same
         // frames — byte-for-byte — that a fast-path-less server would
         // produce.
-        type Range = (usize, usize);
         enum Decoded {
             Snapshot,
             /// Half-kick in `dv`.
             Kick,
             /// Half-kick in `dv`; kick count and target time.
             Step(u32, f64),
-            /// Sets in `stars` / `gas`; target ranges.
-            Field(Range, Range),
+            /// Positions (and a priming request's masses) in `field`.
+            Field(wire::FieldTargets),
             Other(Request),
         }
         let decoded = match frame.get(5).copied() {
@@ -411,10 +508,7 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
             Some(wire::op::STEP) => {
                 wire::decode_step_into(frame, &mut self.dv).map(|(n, t)| Decoded::Step(n, t))
             }
-            Some(wire::op::COMPUTE_FIELD) => {
-                wire::decode_compute_field_into(frame, &mut self.stars, &mut self.gas)
-                    .map(|(stars, gas)| Decoded::Field(stars, gas))
-            }
+            Some(wire::op::COMPUTE_FIELD) => self.field.decode(frame).map(Decoded::Field),
             _ => wire::decode_request(frame).map(Decoded::Other),
         };
         let decoded = match decoded {
@@ -455,8 +549,8 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
             Decoded::Step(n, t) => {
                 let owned = match step(worker, &self.dv, n, t) {
                     Ok(flops) => match particles(worker, &mut self.snap) {
-                        Ok((mass, pos, _)) => {
-                            wire::encode_stepped_frame(mass, pos, flops, &mut self.out);
+                        Ok((_, pos, _)) => {
+                            wire::encode_stepped_frame(pos, flops, &mut self.out);
                             None
                         }
                         Err(resp) => Some(resp),
@@ -465,17 +559,10 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
                 };
                 (Next::Continue, true, owned)
             }
-            Decoded::Field(star_range, gas_range) => {
-                let (stars, gas) = (&self.stars, &self.gas);
-                let owned = match field_into(
-                    worker,
-                    (&stars.pos, &stars.mass),
-                    (&gas.pos, &gas.mass),
-                    star_range,
-                    gas_range,
-                    &mut self.acc,
-                    &mut self.tmp,
-                ) {
+            Decoded::Field(at) => {
+                let (acc, tmp) = (&mut self.acc, &mut self.tmp);
+                let owned = match self.field.evaluate(worker, at.star_range, at.gas_range, acc, tmp)
+                {
                     Ok(flops) => {
                         wire::encode_accelerations_frame(&self.acc, flops, &mut self.out);
                         None
@@ -489,7 +576,7 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
                     Request::Stop | Request::Shutdown => Next::ShutDown,
                     _ => Next::Continue,
                 };
-                (next, req.mutating(), Some(serve(worker, req)))
+                (next, req.mutating(), Some(serve(worker, &mut self.field, req)))
             }
         };
         if let Some(resp) = owned {
@@ -579,9 +666,10 @@ pub(crate) mod tests {
             let with_legs: Box<dyn ModelWorker> = Box::new(grav());
             let without: Box<dyn ModelWorker> = Box::new(HandleOnly(grav()));
             for mut w in [with_legs, without] {
-                match serve(w.as_mut(), Request::Step { dv: dv.clone(), n, t: 0.03 }) {
-                    Response::Stepped { mass, pos, flops: f } => {
-                        assert_eq!((mass, pos), (want.mass.clone(), want.pos.clone()), "n={n}");
+                let step = Request::Step { dv: dv.clone(), n, t: 0.03 };
+                match serve(w.as_mut(), &mut FieldSets::default(), step) {
+                    Response::Stepped { pos, flops: f } => {
+                        assert_eq!(pos, want.pos, "n={n}");
                         assert_eq!(f.to_bits(), flops.to_bits(), "n={n}");
                     }
                     other => panic!("{other:?}"),
@@ -596,13 +684,14 @@ pub(crate) mod tests {
         let mut w = GravityWorker::new(plummer_sphere(4, 3), Backend::Scalar);
         let before = get(&mut w);
         for (dv, n) in [(vec![[1.0; 3]; 4], 0), (vec![[1.0; 3]; 4], 3), (vec![[1.0; 3]; 3], 1)] {
-            let r = serve(&mut w, Request::Step { dv, n, t: 0.5 });
+            let r = serve(&mut w, &mut FieldSets::default(), Request::Step { dv, n, t: 0.5 });
             assert!(matches!(r, Response::Error(_)), "{r:?}");
             let after = get(&mut w);
             assert_eq!((after.pos, after.vel), (before.pos.clone(), before.vel.clone()));
         }
         // a stateless worker has nothing to step
-        let r = serve(&mut CouplingWorker::fi(), Request::Step { dv: vec![], n: 1, t: 0.5 });
+        let step = Request::Step { dv: vec![], n: 1, t: 0.5 };
+        let r = serve(&mut CouplingWorker::fi(), &mut FieldSets::default(), step);
         assert!(matches!(r, Response::Unsupported), "{r:?}");
     }
 
@@ -616,14 +705,14 @@ pub(crate) mod tests {
                 .unwrap();
             (acc, f)
         };
-        let field = |w: &mut dyn ModelWorker, sr, gr| {
+        let field = |w: &mut dyn ModelWorker, held: &mut FieldSets, prime: bool, sr, gr| {
             serve(
                 w,
+                held,
                 Request::ComputeField {
                     star_pos: stars.pos.clone(),
-                    star_mass: stars.mass.clone(),
                     gas_pos: gas.pos.clone(),
-                    gas_mass: gas.mass.clone(),
+                    masses: prime.then(|| (stars.mass.clone(), gas.mass.clone())),
                     star_range: sr,
                     gas_range: gr,
                 },
@@ -636,20 +725,92 @@ pub(crate) mod tests {
             let with_legs: Box<dyn ModelWorker> = Box::new(CouplingWorker::fi());
             let without: Box<dyn ModelWorker> = Box::new(HandleOnly(CouplingWorker::fi()));
             for mut w in [with_legs, without] {
-                match field(w.as_mut(), sr, gr) {
-                    Response::Accelerations { acc, flops } => {
-                        assert_eq!(acc, want, "{sr:?} {gr:?}");
-                        assert_eq!(flops.to_bits(), (fa + fb).to_bits());
+                // primed, then against the held masses: the same answer
+                let mut held = FieldSets::default();
+                for prime in [true, false] {
+                    match field(w.as_mut(), &mut held, prime, sr, gr) {
+                        Response::Accelerations { acc, flops } => {
+                            assert_eq!(acc, want, "{sr:?} {gr:?}");
+                            assert_eq!(flops.to_bits(), (fa + fb).to_bits());
+                        }
+                        other => panic!("{other:?}"),
                     }
-                    other => panic!("{other:?}"),
                 }
             }
         }
         // ranges outside the sets and reversed ranges are refused, typed
-        let mut w = CouplingWorker::fi();
-        for (sr, gr) in [((0, 10), (0, 14)), ((0, 9), (13, 15)), ((5, 4), (0, 14))] {
-            let r = field(&mut w, sr, gr);
-            assert!(matches!(r, Response::Error(_)), "{sr:?} {gr:?}: {r:?}");
+        let (mut w, mut held) = (CouplingWorker::fi(), FieldSets::default());
+        for prime in [true, false] {
+            for (sr, gr) in [((0, 10), (0, 14)), ((0, 9), (13, 15)), ((5, 4), (0, 14))] {
+                let r = field(&mut w, &mut held, prime, sr, gr);
+                assert!(matches!(r, Response::Error(_)), "{sr:?} {gr:?}: {r:?}");
+            }
         }
+    }
+
+    /// A mass-free field request to a host that holds no masses — fresh,
+    /// or reloaded since its last priming request — or masses of another
+    /// shape is answered with a typed error, never a field: over frames
+    /// (`ServerCore`) and over values (`serve`) alike.
+    #[test]
+    fn a_host_without_the_epochs_masses_refuses_a_mass_free_field() {
+        use crate::checkpoint::ModelState;
+        let (stars, gas) = (plummer_sphere(6, 1), plummer_sphere(10, 2));
+        let request = |stars: &jc_nbody::ParticleSet, prime: bool| Request::ComputeField {
+            star_pos: stars.pos.clone(),
+            gas_pos: gas.pos.clone(),
+            masses: prime.then(|| (stars.mass.clone(), gas.mass.clone())),
+            star_range: (0, stars.pos.len()),
+            gas_range: (0, 10),
+        };
+        let fewer = plummer_sphere(5, 1);
+        // (request, held masses afterwards answer a field?)
+        let script = [
+            (request(&stars, false), false),                    // fresh host
+            (request(&stars, true), true),                      // primes
+            (request(&stars, false), true),                     // evaluated against the held masses
+            (request(&fewer, false), false), // another shape than the held masses
+            (request(&stars, false), true),  // the held masses survived the refusal
+            (Request::LoadState(ModelState::Stateless), false), // a new epoch
+            (request(&stars, false), false), // ... forgot them
+            (request(&stars, true), true),
+        ];
+        let mut by_frames = CouplingWorker::fi();
+        let mut core = ServerCore::new(&mut by_frames, None);
+        let (mut by_values, mut held) = (CouplingWorker::fi(), FieldSets::default());
+        let mut frame = Vec::new();
+        for (i, (req, answers)) in script.into_iter().enumerate() {
+            let field = matches!(req, Request::ComputeField { .. });
+            wire::encode_request(&req, &mut frame);
+            let framed = wire::decode_response(core.handle(&frame).0).unwrap();
+            let valued = serve(&mut by_values, &mut held, req);
+            assert_eq!(format!("{framed:?}"), format!("{valued:?}"), "step {i}");
+            match valued {
+                Response::Accelerations { .. } => assert!(field && answers, "step {i}"),
+                Response::Error(e) => {
+                    assert!(field && !answers, "step {i}: {e}");
+                    assert!(e.contains("holds"), "step {i}: {e}");
+                }
+                Response::Ok { .. } => assert!(!field, "step {i}"),
+                other => panic!("step {i}: {other:?}"),
+            }
+        }
+        // a ragged priming request (no frame can carry one) is refused
+        // as a client refuses it, and primes nothing
+        let mut held = FieldSets::default();
+        let ragged = Request::ComputeField {
+            star_pos: stars.pos.clone(),
+            gas_pos: gas.pos.clone(),
+            masses: Some((stars.mass[..5].to_vec(), gas.mass.clone())),
+            star_range: (0, 6),
+            gas_range: (0, 10),
+        };
+        let r = serve(&mut by_values, &mut held, ragged);
+        assert!(
+            matches!(&r, Response::Error(e) if e == "field set arrays length mismatch"),
+            "{r:?}"
+        );
+        let r = serve(&mut by_values, &mut held, request(&stars, false));
+        assert!(matches!(&r, Response::Error(e) if e.contains("holds no masses")), "{r:?}");
     }
 }

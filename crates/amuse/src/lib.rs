@@ -20,7 +20,8 @@
 //!   composite requests of the bridge's substep ([`worker::Request::Step`],
 //!   [`worker::Request::ComputeField`]) are decomposed there, once, into
 //!   the six [`worker::ModelWorker`] methods; [`host::ServerCore`] serves
-//!   request frames with them, socket-free, and keeps the dedup cache.
+//!   request frames with them, socket-free, and keeps the dedup cache and
+//!   the masses of the current mass epoch ([`host::FieldSets`]).
 //! * [`channel`] — the [`channel::Channel`] trait with synchronous `call`
 //!   and asynchronous `submit`/`collect`, and [`channel::ClientCore`], the
 //!   client protocol written once over any [`channel::Link`].

@@ -7,8 +7,8 @@
 //! |---|---|---|
 //! | `GetParticles` | broadcast | sub-snapshots concatenated in shard order |
 //! | `Kick`, `SetMasses` | each shard its range's slice | `Ok`s, flops summed |
-//! | `Step` | each shard its range's slice of `dv`; `n` and `t` broadcast | masses and positions concatenated in shard order, flops summed |
-//! | `ComputeField` | both sets broadcast; each of the two target ranges cut by the `partition` rule, shard *i* gets the *i*-th piece of each | every shard's star piece in shard order, then every shard's gas piece; flops summed |
+//! | `Step` | each shard its range's slice of `dv`; `n` and `t` broadcast | positions concatenated in shard order, flops summed |
+//! | `ComputeField` | both sets' positions (and a priming request's masses, so every shard holds the whole epoch's) broadcast; each of the two target ranges cut by the `partition` rule, shard *i* gets the *i*-th piece of each | every shard's star piece in shard order, then every shard's gas piece; flops summed |
 //! | `ComputeKick` | targets cut by the `partition` rule, sources broadcast | accelerations concatenated in shard order, flops summed |
 //!
 //! * **Range decomposition** — each shard owns one contiguous particle
@@ -132,8 +132,7 @@ enum Pending {
     /// Concatenate the star pieces of the shards' accelerations
     /// (`field_stars` each), then the gas pieces; sum flops.
     Field,
-    /// Concatenate stepped masses and positions in shard order; sum
-    /// flops.
+    /// Concatenate stepped positions in shard order; sum flops.
     Step,
     /// Append checkpoint states in shard order.
     State,
@@ -321,10 +320,11 @@ impl ShardedChannel {
     }
 
     /// Gather the sub-snapshots (or, with `stepped`, the step answers:
-    /// no velocities) through the per-shard scratch and concatenate
-    /// them into `out` in shard order, refreshing the observed layout.
-    /// `Ok` sums the flops; every shard is collected even after a
-    /// failure, and the first failure wins.
+    /// positions only, so `out.mass` is left as it is and `out.vel`
+    /// empty) through the per-shard scratch and concatenate them into
+    /// `out` in shard order, refreshing the observed layout. `Ok` sums
+    /// the flops; every shard is collected even after a failure, and
+    /// the first failure wins.
     fn gather_particles(&mut self, stepped: bool, out: &mut ParticleData) -> Response {
         let mut flops = 0.0;
         let mut failure: Option<Response> = None;
@@ -346,14 +346,18 @@ impl ShardedChannel {
         if let Some(failure) = failure {
             return failure;
         }
-        out.mass.clear();
+        if !stepped {
+            out.mass.clear();
+        }
         out.pos.clear();
         out.vel.clear();
         for (count, scratch) in self.counts.iter_mut().zip(&self.snap_scratch) {
-            *count = scratch.mass.len();
-            out.mass.extend_from_slice(&scratch.mass);
+            *count = scratch.pos.len();
+            if !stepped {
+                out.mass.extend_from_slice(&scratch.mass);
+                out.vel.extend_from_slice(&scratch.vel);
+            }
             out.pos.extend_from_slice(&scratch.pos);
-            out.vel.extend_from_slice(&scratch.vel);
         }
         Response::Ok { flops }
     }
@@ -457,17 +461,12 @@ impl Channel for ShardedChannel {
             Request::GetParticles => return self.submit_snapshot(),
             Request::Kick(dv) => return self.submit_kick_slice(&dv),
             Request::Step { dv, n, t } => return self.submit_step(&dv, n, t),
-            Request::ComputeField {
-                star_pos,
-                star_mass,
-                gas_pos,
-                gas_mass,
-                star_range,
-                gas_range,
-            } => {
+            Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range } => {
+                let prime = masses.is_some();
+                let (star_mass, gas_mass) = masses.unwrap_or_default();
                 let stars = ParticleData { mass: star_mass, pos: star_pos, vel: Vec::new() };
                 let gas = ParticleData { mass: gas_mass, pos: gas_pos, vel: Vec::new() };
-                return self.submit_field(&stars, &gas, star_range, gas_range);
+                return self.submit_field(&stars, &gas, prime, star_range, gas_range);
             }
             Request::ComputeKick { targets, source_pos, source_mass } => {
                 if !self.begin() {
@@ -537,9 +536,7 @@ impl Channel for ShardedChannel {
             Pending::Step => {
                 let mut all = ParticleData::default();
                 match self.gather_particles(true, &mut all) {
-                    Response::Ok { flops } => {
-                        Response::Stepped { mass: all.mass, pos: all.pos, flops }
-                    }
+                    Response::Ok { flops } => Response::Stepped { pos: all.pos, flops },
                     failure => failure,
                 }
             }
@@ -693,6 +690,7 @@ impl Channel for ShardedChannel {
         &mut self,
         stars: &ParticleData,
         gas: &ParticleData,
+        prime: bool,
         star_range: (usize, usize),
         gas_range: (usize, usize),
     ) {
@@ -700,7 +698,11 @@ impl Channel for ShardedChannel {
             return;
         }
         let sets = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
-        if let Err(refusal) = crate::host::check_field(sets.0, sets.1, star_range, gas_range) {
+        let ragged = prime.then(|| crate::host::check_sets(sets.0, sets.1).err()).flatten();
+        let refused = ragged.or_else(|| {
+            crate::host::check_ranges(&stars.pos, &gas.pos, star_range, gas_range).err()
+        });
+        if let Some(refusal) = refused {
             self.pending = Some(Pending::Failed(refusal));
             return;
         }
@@ -713,6 +715,7 @@ impl Channel for ShardedChannel {
             self.shards[i].submit_field(
                 stars,
                 gas,
+                prime,
                 (star_range.0 + sa, star_range.0 + sb),
                 (gas_range.0 + ga, gas_range.0 + gb),
             );
@@ -806,11 +809,17 @@ mod tests {
     fn sharded_field_matches_unsharded_bitwise() {
         // 23 stars, 31 gas: no pool below cuts either range evenly
         let [stars, gas] = field_of(&plummer_sphere(23, 5), &plummer_sphere(31, 6));
+        // primed, then mass-free against the held masses: both answers
         let field = |ch: &mut dyn Channel, star_range, gas_range| {
-            let mut acc = vec![[9.0; 3]; 2];
-            ch.submit_field(&stars, &gas, star_range, gas_range);
-            let flops = ch.collect_accelerations_into(&mut acc).expect("accelerations");
-            (acc, flops)
+            let mut acc = [vec![[9.0; 3]; 2], Vec::new()];
+            let mut flops = [0.0; 2];
+            for (i, prime) in [true, false].into_iter().enumerate() {
+                ch.submit_field(&stars, &gas, prime, star_range, gas_range);
+                flops[i] = ch.collect_accelerations_into(&mut acc[i]).expect("accelerations");
+            }
+            assert_eq!((&acc[0], flops[0]), (&acc[1], flops[1]), "held masses, same field");
+            let [acc, _] = acc;
+            (acc, flops[0])
         };
         let pool = |k: usize| -> Box<dyn Channel> {
             let shards = (0..k).map(|_| local(CouplingWorker::fi())).collect();
@@ -829,23 +838,26 @@ mod tests {
             let mut nested = ShardedChannel::with_counts(vec![pool(2), pool(3)], Vec::new());
             assert_eq!(field(&mut nested, star_range, gas_range).0, want, "nested");
             // and the owned request takes the same scatter
-            let owned = nested.call(Request::ComputeField {
-                star_pos: stars.pos.clone(),
-                star_mass: stars.mass.clone(),
-                gas_pos: gas.pos.clone(),
-                gas_mass: gas.mass.clone(),
-                star_range,
-                gas_range,
-            });
-            assert!(matches!(owned, Response::Accelerations { acc, .. } if acc == want));
+            for masses in [Some((stars.mass.clone(), gas.mass.clone())), None] {
+                let owned = nested.call(Request::ComputeField {
+                    star_pos: stars.pos.clone(),
+                    gas_pos: gas.pos.clone(),
+                    masses,
+                    star_range,
+                    gas_range,
+                });
+                assert!(matches!(owned, Response::Accelerations { acc, .. } if acc == want));
+            }
         }
         // reversed and outside ranges are refused, by the pool or its shards
         for (star_range, gas_range) in [((3, 2), (0, 31)), ((0, 24), (0, 31)), ((0, 23), (30, 32))]
         {
             let mut p = pool(2);
-            p.submit_field(&stars, &gas, star_range, gas_range);
-            assert_eq!(p.collect_accelerations_into(&mut Vec::new()), None);
-            assert!(matches!(p.call(Request::Ping), Response::Ok { .. }), "left drained");
+            for prime in [true, false] {
+                p.submit_field(&stars, &gas, prime, star_range, gas_range);
+                assert_eq!(p.collect_accelerations_into(&mut Vec::new()), None);
+                assert!(matches!(p.call(Request::Ping), Response::Ok { .. }), "left drained");
+            }
         }
     }
 
@@ -872,7 +884,6 @@ mod tests {
                     Response::Ok { flops: f } => flops += f,
                     other => panic!("{other:?}"),
                 }
-                reference.mass.extend(part.mass);
                 reference.pos.extend(part.pos);
                 let shard = local(sub());
                 off += c;
@@ -880,15 +891,17 @@ mod tests {
             })
             .collect();
         let mut sharded = ShardedChannel::new(shards);
-        let mut got = ParticleData { vel: vec![[1.0; 3]], ..ParticleData::default() };
+        let held = vec![0.5; 23];
+        let mut got = ParticleData { mass: held.clone(), vel: vec![[1.0; 3]], pos: Vec::new() };
         sharded.submit_step(&dv, 2, 0.01);
         let r = sharded.collect_step_into(&mut got);
         assert!(matches!(r, Response::Ok { flops: f } if f == flops), "{r:?}");
-        assert_eq!((&got.mass, &got.pos), (&reference.mass, &reference.pos));
+        assert_eq!(got.pos, reference.pos);
         assert!(got.vel.is_empty());
+        assert_eq!(got.mass, held, "a step answers no masses: the held ones stay");
         // the owned request, on the already stepped pool: same shape
         match sharded.call(Request::Step { dv: dv.clone(), n: 1, t: 0.02 }) {
-            Response::Stepped { mass, pos, .. } => assert_eq!((mass.len(), pos.len()), (23, 23)),
+            Response::Stepped { pos, .. } => assert_eq!(pos.len(), 23),
             other => panic!("{other:?}"),
         }
         // a ragged `dv` is refused before any shard is addressed
@@ -1042,7 +1055,7 @@ mod tests {
         // and each direction waits for the peer shard's
         let stars = ParticleData { mass: vec![1.0; 5], pos: targets.clone(), vel: Vec::new() };
         let gas = ParticleData { mass: vec![1.0; 3], pos: targets[..3].to_vec(), vel: Vec::new() };
-        pool.submit_field(&stars, &gas, (0, 5), (0, 3));
+        pool.submit_field(&stars, &gas, true, (0, 5), (0, 3));
         let flops = pool.collect_accelerations_into(&mut acc);
         assert_eq!(flops, Some(4.0), "both shards must be in flight at once");
         let star_then_gas: Vec<_> = targets.iter().chain(&targets[..3]).copied().collect();
@@ -1083,9 +1096,8 @@ mod tests {
             Request::Step { dv: Vec::new(), n: 1, t: 1.0 },
             Request::ComputeField {
                 star_pos: vec![[0.0; 3]],
-                star_mass: vec![1.0],
                 gas_pos: Vec::new(),
-                gas_mass: Vec::new(),
+                masses: Some((vec![1.0], Vec::new())),
                 star_range: (0, 1),
                 gas_range: (0, 0),
             },
@@ -1113,8 +1125,10 @@ mod tests {
         assert_eq!(pool.collect_accelerations_into(&mut acc), None);
         pool.submit_step(&[], 1, 1.0);
         err(pool.collect_step_into(&mut snap));
-        pool.submit_field(&snap, &snap, (0, 0), (0, 0));
-        assert_eq!(pool.collect_accelerations_into(&mut acc), None);
+        for prime in [true, false] {
+            pool.submit_field(&snap, &snap, prime, (0, 0), (0, 0));
+            assert_eq!(pool.collect_accelerations_into(&mut acc), None);
+        }
         assert_eq!(pool.stats(), ChannelStats::default());
     }
 

@@ -133,10 +133,11 @@ impl Channel for SocketChannel {
         &mut self,
         stars: &ParticleData,
         gas: &ParticleData,
+        prime: bool,
         star_range: (usize, usize),
         gas_range: (usize, usize),
     ) {
-        self.0.submit_field(stars, gas, star_range, gas_range);
+        self.0.submit_field(stars, gas, prime, star_range, gas_range);
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {

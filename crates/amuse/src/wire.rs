@@ -12,7 +12,7 @@
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic 0x4A43_5752 ("JCWR", little-endian u32)
 //!      4     1  version (the *lowest* protocol version defining the opcode)
-//!      5     1  opcode (request 0x01..=0x0F, response 0x81..=0x88)
+//!      5     1  opcode (request 0x01..=0x10, response 0x81..=0x89)
 //!      6     2  sequence number (u16, 0 = unsequenced; see below)
 //!      8     8  payload length in bytes (u64)
 //!     16     8  aux0 — opcode-specific count / bits (u64)
@@ -35,7 +35,15 @@
 //!   [`VERSION`]. Version 1 covers the original RPC surface; version 2
 //!   added the checkpoint/failover opcodes (`SaveState` / `LoadState` /
 //!   `Shutdown` / `State`); version 3 the bridge's composite substep
-//!   (`Step` / `ComputeField` / `Stepped`, laid out below).
+//!   (`Step` / `ComputeField` / `Stepped`, laid out below); version 4
+//!   moved the masses out of the substep: a positions-only `Stepped`
+//!   and a `ComputeField` whose masses ride only on the request that
+//!   primes a mass epoch.
+//! * An opcode whose layout changes is *retired*, not redefined: its
+//!   byte is never reused, and v4 decoders answer the retired v3
+//!   `ComputeField` (0x0F) and `Stepped` (0x88) with
+//!   [`WireError::UnknownOpcode`], so a v3 peer's frame is refused
+//!   cleanly instead of misparsed under the new layout.
 //! * A decoder accepts every version up to its own [`VERSION`] and
 //!   rejects newer frames with [`WireError::BadVersion`] *before*
 //!   trusting the length field. A frame whose version byte is older
@@ -72,20 +80,27 @@
 //! # Composite substep frames
 //!
 //! ```text
-//! opcode        aux0     aux1        payload                            length
-//! ------------  -------  ----------  ---------------------------------  ------------
-//! Step          n        kick count  t, dv[3n]                          8 + 24 n
-//! ComputeField  n_stars  n_gas       star_lo, star_hi, gas_lo, gas_hi
-//!                                    (u64), star_pos[3s], star_mass[s],
-//!                                    gas_pos[3g], gas_mass[g]           32 + 32 (s+g)
-//! Stepped       n        flops bits  mass[n], pos[3n]                   32 n
+//! opcode             aux0        aux1        payload                        length
+//! -----------------  ----------  ----------  -----------------------------  ----------------
+//! Step (v3)          n           kick count  t, dv[3n]                      8 + 24 n
+//! ComputeField (v4)  n_stars     n_gas       star_lo, star_hi, gas_lo,
+//!                    | M                     gas_hi (u64), star_pos[3s],
+//!                                            gas_pos[3g]                    32 + 24 (s+g)
+//!                                            … then, with M: star_mass[s],
+//!                                            gas_mass[g]                    32 + 32 (s+g)
+//! Stepped (v4)       n           flops bits  pos[3n]                        24 n
 //! ```
 //!
-//! A `ComputeField` is answered by an `Accelerations` frame holding the
-//! star range's accelerations followed by the gas range's. Decoding
-//! checks the length against the counts; whether the kick count is 1 or
-//! 2 and the ranges lie inside the sets is the serving host's check
-//! ([`crate::host`]), answered with a typed `Error` frame.
+//! `M` is the mass flag [`FIELD_MASSES`], the top bit of `aux0`: set on
+//! the request that primes a coupling host for a mass epoch (the
+//! bridge's cold open), clear on every substep's request, which the
+//! host evaluates against the masses it holds. A `ComputeField` is
+//! answered by an `Accelerations` frame holding the star range's
+//! accelerations followed by the gas range's. Decoding checks the
+//! length against the counts and the flag; whether the kick count is 1
+//! or 2, the ranges lie inside the sets and the host holds masses of the
+//! sets' shape is the serving host's check ([`crate::host`]), answered
+//! with a typed `Error` frame.
 //!
 //! The `decode_*_into` functions are the coupler-side fast paths: they
 //! parse a response frame straight into caller-owned buffers, so a warm
@@ -112,7 +127,6 @@
 //! `docs/ARCHITECTURE.md`.
 
 use crate::checkpoint::ModelState;
-use crate::host::FieldSet;
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
 use std::io::Read;
@@ -121,7 +135,7 @@ use std::io::Read;
 pub const MAGIC: u32 = 0x4A43_5752;
 /// Current protocol version (see the module docs for the negotiation
 /// rules; individual frames are stamped with [`opcode_version`]).
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 32;
 /// Maximum accepted payload size (256 MiB). A length prefix beyond this
@@ -135,6 +149,10 @@ pub const READ_CHUNK: usize = 1 << 16;
 /// constant so the stamp, dedup, and decode paths cannot drift apart
 /// (the `wire-exhaustiveness` lint checks each of them names it).
 pub const SEQ_OFFSET: usize = 6;
+/// The mass flag of a `ComputeField` frame: the top bit of `aux0`, set
+/// when the frame carries both sets' masses and primes the host (see
+/// the module docs).
+pub const FIELD_MASSES: u64 = 1 << 63;
 
 /// Request opcodes.
 pub mod op {
@@ -166,8 +184,9 @@ pub mod op {
     pub const SHUTDOWN: u8 = 0x0D;
     /// [`super::Request::Step`] (protocol v3)
     pub const STEP: u8 = 0x0E;
-    /// [`super::Request::ComputeField`] (protocol v3)
-    pub const COMPUTE_FIELD: u8 = 0x0F;
+    /// [`super::Request::ComputeField`] (protocol v4; its v3 layout,
+    /// 0x0F, is retired)
+    pub const COMPUTE_FIELD: u8 = 0x10;
     /// [`super::Response::Ok`]
     pub const RESP_OK: u8 = 0x81;
     /// [`super::Response::Particles`]
@@ -182,8 +201,9 @@ pub mod op {
     pub const RESP_ERROR: u8 = 0x86;
     /// [`super::Response::State`] (protocol v2)
     pub const RESP_STATE: u8 = 0x87;
-    /// [`super::Response::Stepped`] (protocol v3)
-    pub const RESP_STEPPED: u8 = 0x88;
+    /// [`super::Response::Stepped`] (protocol v4; its v3 layout, 0x88,
+    /// is retired)
+    pub const RESP_STEPPED: u8 = 0x89;
 }
 
 /// The lowest protocol version that defines `opcode` — what encoders
@@ -212,7 +232,8 @@ pub const fn opcode_version(opcode: u8) -> u8 {
         | op::RESP_UNSUPPORTED
         | op::RESP_ERROR => 1,
         op::SAVE_STATE | op::LOAD_STATE | op::SHUTDOWN | op::RESP_STATE => 2,
-        op::STEP | op::COMPUTE_FIELD | op::RESP_STEPPED => 3,
+        op::STEP => 3,
+        op::COMPUTE_FIELD | op::RESP_STEPPED => 4,
         _ => 1,
     }
 }
@@ -602,39 +623,47 @@ pub fn encode_step(dv: &[[f64; 3]], n: u32, t: f64, buf: &mut Vec<u8>) {
     put_v3s(buf, dv);
 }
 
-/// Encode `ComputeField` from borrowed sets. Each set's positions and
-/// masses must have equal length.
+/// Encode `ComputeField` from borrowed positions, with `masses` —
+/// `(star masses, gas masses)`, each as long as its set — on the
+/// request that primes the host, `None` on a mass-free one.
 pub fn encode_compute_field(
-    stars: FieldSet<'_>,
-    gas: FieldSet<'_>,
+    star_pos: &[[f64; 3]],
+    gas_pos: &[[f64; 3]],
+    masses: Option<(&[f64], &[f64])>,
     star_range: (usize, usize),
     gas_range: (usize, usize),
     buf: &mut Vec<u8>,
 ) {
-    assert!(
-        stars.0.len() == stars.1.len() && gas.0.len() == gas.1.len(),
-        "field set arrays length mismatch"
-    );
-    let (s, g) = (stars.0.len() as u64, gas.0.len() as u64);
-    begin_frame(buf, op::COMPUTE_FIELD, 32 + 32 * (s + g), s, g);
+    let (s, g) = (star_pos.len() as u64, gas_pos.len() as u64);
+    let (stride, flag) = match masses {
+        Some((sm, gm)) => {
+            assert!(
+                sm.len() == star_pos.len() && gm.len() == gas_pos.len(),
+                "field set arrays length mismatch"
+            );
+            (32, FIELD_MASSES)
+        }
+        None => (24, 0),
+    };
+    begin_frame(buf, op::COMPUTE_FIELD, 32 + stride * (s + g), s | flag, g);
     for bound in [star_range.0, star_range.1, gas_range.0, gas_range.1] {
         put_u64(buf, bound as u64);
     }
-    for (pos, mass) in [stars, gas] {
-        put_v3s(buf, pos);
-        put_f64s(buf, mass);
+    put_v3s(buf, star_pos);
+    put_v3s(buf, gas_pos);
+    if let Some((sm, gm)) = masses {
+        put_f64s(buf, sm);
+        put_f64s(buf, gm);
     }
 }
 
-/// Encode a `Stepped` response frame straight from borrowed columns
+/// Encode a `Stepped` response frame straight from borrowed positions
 /// (the server's `Step` fast path; flops ride in aux1 so the payload
-/// stays the modeled 32·n).
+/// stays the modeled 24·n).
 // jc-lint: no-alloc
-pub fn encode_stepped_frame(mass: &[f64], pos: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
-    let n = mass.len();
-    assert!(pos.len() == n, "ragged step answer");
-    begin_frame(buf, op::RESP_STEPPED, 32 * n as u64, n as u64, flops.to_bits());
-    put_f64s(buf, mass);
+pub fn encode_stepped_frame(pos: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
+    let n = pos.len() as u64;
+    begin_frame(buf, op::RESP_STEPPED, 24 * n, n, flops.to_bits());
     put_v3s(buf, pos);
 }
 
@@ -753,14 +782,9 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
             encode_compute_kick(targets, source_pos, source_mass, buf)
         }
         Request::Step { dv, n, t } => encode_step(dv, *n, *t, buf),
-        Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, star_range, gas_range } => {
-            encode_compute_field(
-                (star_pos, star_mass),
-                (gas_pos, gas_mass),
-                *star_range,
-                *gas_range,
-                buf,
-            )
+        Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range } => {
+            let masses = masses.as_ref().map(|(s, g)| (&s[..], &g[..]));
+            encode_compute_field(star_pos, gas_pos, masses, *star_range, *gas_range, buf)
         }
         Request::InjectEnergy { center, radius, energy } => {
             begin_frame(buf, op::INJECT_ENERGY, 40, 0, 0);
@@ -789,7 +813,7 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
         }
         Response::Particles(p) => encode_particles_frame(&p.mass, &p.pos, &p.vel, buf),
         Response::Accelerations { acc, flops } => encode_accelerations_frame(acc, *flops, buf),
-        Response::Stepped { mass, pos, flops } => encode_stepped_frame(mass, pos, *flops, buf),
+        Response::Stepped { pos, flops } => encode_stepped_frame(pos, *flops, buf),
         Response::StellarUpdate { masses, events } => {
             let len = 8 * masses.len() as u64 + 32 * events.len() as u64;
             begin_frame(
@@ -959,14 +983,13 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
         }
         op::COMPUTE_FIELD => {
             let (mut stars, mut gas) = (ParticleData::default(), ParticleData::default());
-            let (star_range, gas_range) = decode_compute_field_into(frame, &mut stars, &mut gas)?;
+            let at = decode_compute_field_into(frame, &mut stars, &mut gas)?;
             Ok(Request::ComputeField {
                 star_pos: stars.pos,
-                star_mass: stars.mass,
                 gas_pos: gas.pos,
-                gas_mass: gas.mass,
-                star_range,
-                gas_range,
+                masses: at.primes.then_some((stars.mass, gas.mass)),
+                star_range: at.star_range,
+                gas_range: at.gas_range,
             })
         }
         op::INJECT_ENERGY | op::ADD_GAS => {
@@ -1006,9 +1029,9 @@ pub fn decode_response(frame: &[u8]) -> Result<Response, WireError> {
             Ok(Response::Accelerations { acc, flops })
         }
         op::RESP_STEPPED => {
-            let mut out = ParticleData::default();
-            let flops = decode_stepped_into(frame, &mut out)?;
-            Ok(Response::Stepped { mass: out.mass, pos: out.pos, flops })
+            let mut pos = Vec::new();
+            let flops = decode_stepped_into(frame, &mut pos)?;
+            Ok(Response::Stepped { pos, flops })
         }
         op::RESP_STELLAR_UPDATE => {
             let m = h.aux0;
@@ -1125,51 +1148,65 @@ pub fn decode_step_into(frame: &[u8], dv: &mut Vec<[f64; 3]>) -> Result<(u32, f6
     Ok((u32::try_from(h.aux1).unwrap_or(u32::MAX), get_f64(p, 0)))
 }
 
+/// What a `ComputeField` frame asks for besides its columns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FieldTargets {
+    /// `[start, end)` of the star targets, as sent: a bound beyond
+    /// `usize` saturates, and the host refuses ranges outside the sets.
+    pub star_range: (usize, usize),
+    /// `[start, end)` of the gas targets, likewise.
+    pub gas_range: (usize, usize),
+    /// The frame carried masses (the [`FIELD_MASSES`] flag).
+    pub primes: bool,
+}
+
 /// Fast path: decode a `ComputeField` request's two sets into reusable
 /// scratch (the coupling server's hot path; the velocity columns are
-/// cleared), returning the star and gas target ranges as sent — a
-/// bound beyond `usize` saturates; the host refuses ranges outside the
-/// sets.
+/// cleared). The positions are overwritten; the mass columns only when
+/// the frame carries masses — a mass-free frame leaves them as they are,
+/// which is how a host keeps the masses it was primed with.
 // jc-lint: no-alloc
-#[allow(clippy::type_complexity)]
 pub fn decode_compute_field_into(
     frame: &[u8],
     stars: &mut ParticleData,
     gas: &mut ParticleData,
-) -> Result<((usize, usize), (usize, usize)), WireError> {
+) -> Result<FieldTargets, WireError> {
     let (h, p) = parse_frame(frame)?;
     if h.opcode != op::COMPUTE_FIELD {
         return Err(WireError::Unexpected(h.opcode));
     }
-    let (s, g) = (h.aux0, h.aux1);
-    let expect = s.checked_add(g).and_then(|n| n.checked_mul(32)).and_then(|b| b.checked_add(32));
+    let primes = h.aux0 & FIELD_MASSES != 0;
+    let (s, g) = (h.aux0 & !FIELD_MASSES, h.aux1);
+    let stride = if primes { 32 } else { 24 };
+    let expect =
+        s.checked_add(g).and_then(|n| n.checked_mul(stride)).and_then(|b| b.checked_add(32));
     if expect != Some(h.len) {
         return Err(bad_length(&h));
     }
     let bound = |i: usize| usize::try_from(get_u64(p, 8 * i)).unwrap_or(usize::MAX);
-    let mut off = 32;
-    for (set, n) in [(stars, s as usize), (gas, g as usize)] {
-        get_v3s_into(&mut set.pos, &p[off..off + 24 * n]);
-        get_f64s_into(&mut set.mass, &p[off + 24 * n..off + 32 * n]);
-        set.vel.clear();
-        off += 32 * n;
+    let (s, g) = (s as usize, g as usize);
+    let (off_gas, off_mass) = (32 + 24 * s, 32 + 24 * (s + g));
+    get_v3s_into(&mut stars.pos, &p[32..off_gas]);
+    get_v3s_into(&mut gas.pos, &p[off_gas..off_mass]);
+    if primes {
+        get_f64s_into(&mut stars.mass, &p[off_mass..off_mass + 8 * s]);
+        get_f64s_into(&mut gas.mass, &p[off_mass + 8 * s..off_mass + 8 * (s + g)]);
     }
-    Ok(((bound(0), bound(1)), (bound(2), bound(3))))
+    stars.vel.clear();
+    gas.vel.clear();
+    Ok(FieldTargets { star_range: (bound(0), bound(1)), gas_range: (bound(2), bound(3)), primes })
 }
 
-/// Fast path: decode a `Stepped` response's masses and positions into
-/// `out` (its velocity column is cleared: none are sent), returning the
-/// modeled flops carried in aux1.
+/// Fast path: decode a `Stepped` response's positions into `pos`
+/// (cleared and refilled), returning the modeled flops carried in aux1.
 // jc-lint: no-alloc
-pub fn decode_stepped_into(frame: &[u8], out: &mut ParticleData) -> Result<f64, WireError> {
+pub fn decode_stepped_into(frame: &[u8], pos: &mut Vec<[f64; 3]>) -> Result<f64, WireError> {
     let (h, p) = parse_frame(frame)?;
     if h.opcode != op::RESP_STEPPED {
         return Err(WireError::Unexpected(h.opcode));
     }
-    let n = checked_count(&h, h.aux0, 32, h.len)?;
-    get_f64s_into(&mut out.mass, &p[..8 * n]);
-    get_v3s_into(&mut out.pos, &p[8 * n..32 * n]);
-    out.vel.clear();
+    let n = checked_count(&h, h.aux0, 24, h.len)?;
+    get_v3s_into(pos, &p[..24 * n]);
     Ok(f64::from_bits(h.aux1))
 }
 
@@ -1393,6 +1430,10 @@ mod tests {
         assert_eq!(buf[4], 1, "v1 opcode keeps the v1 stamp");
         encode_request(&Request::SaveState, &mut buf);
         assert_eq!(buf[4], 2, "v2 opcode carries the v2 stamp");
+        encode_request(&Request::Step { dv: vec![], n: 1, t: 0.0 }, &mut buf);
+        assert_eq!(buf[4], 3, "the step kept its v3 layout and stamp");
+        encode_response(&Response::Stepped { pos: vec![], flops: 0.0 }, &mut buf);
+        assert_eq!(buf[4], 4, "the positions-only answer is v4");
 
         // a v2 opcode forged with a v1 stamp is rejected on the version
         encode_request(&Request::Shutdown, &mut buf);

@@ -64,9 +64,9 @@ pub enum Request {
     /// One bridge substep on a dynamics worker: apply the half-kick `dv`
     /// `n` times — as `n` separate additions, so velocities see the f64
     /// sequence of `n` [`Request::Kick`]s — then evolve to `t`, and
-    /// answer [`Response::Stepped`] with the masses and positions the
-    /// next coupling field is evaluated at. Served by the worker's host
-    /// (see [`crate::host`]), never by [`ModelWorker::handle`].
+    /// answer [`Response::Stepped`] with the positions the next coupling
+    /// field is evaluated at. Served by the worker's host (see
+    /// [`crate::host`]), never by [`ModelWorker::handle`].
     Step {
         /// The half-kick, one velocity increment per particle.
         dv: Vec<[f64; 3]>,
@@ -80,18 +80,24 @@ pub enum Request {
     /// The mutual coupling field of two particle sets, both shipped
     /// once: the accelerations of the stars in `star_range` due to all
     /// gas, followed by those of the gas in `gas_range` due to all
-    /// stars, in one [`Response::Accelerations`]. Stateless; served by
-    /// the worker's host (see [`crate::host`]) as two
+    /// stars, in one [`Response::Accelerations`]. Served by the worker's
+    /// host (see [`crate::host`]) as two
     /// [`ModelWorker::compute_kick_into`] evaluations.
+    ///
+    /// The masses travel once per *mass epoch*: the request that opens
+    /// the epoch carries them and *primes* the host, which keeps them;
+    /// every later request of the epoch carries positions only and is
+    /// evaluated against the masses the host holds. A host that holds
+    /// none, or masses of another shape, refuses a mass-free request
+    /// with a typed [`Response::Error`].
     ComputeField {
         /// Star positions.
         star_pos: Vec<[f64; 3]>,
-        /// Star masses.
-        star_mass: Vec<f64>,
         /// Gas positions.
         gas_pos: Vec<[f64; 3]>,
-        /// Gas masses.
-        gas_mass: Vec<f64>,
+        /// `(star masses, gas masses)` on the priming request of a mass
+        /// epoch; `None` on a mass-free one.
+        masses: Option<(Vec<f64>, Vec<f64>)>,
         /// `[start, end)` of the star targets to evaluate.
         star_range: (usize, usize),
         /// `[start, end)` of the gas targets to evaluate.
@@ -144,10 +150,11 @@ impl Request {
                 24 * (targets.len() + source_pos.len()) as u64 + 8 * source_mass.len() as u64
             }
             Request::Step { dv, .. } => 8 + 24 * dv.len() as u64,
-            // four range bounds, then both sets as (pos, mass)
-            Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, .. } => {
-                32 + 24 * (star_pos.len() + gas_pos.len()) as u64
-                    + 8 * (star_mass.len() + gas_mass.len()) as u64
+            // four range bounds, both sets' positions, then the masses of
+            // a priming request
+            Request::ComputeField { star_pos, gas_pos, masses, .. } => {
+                let mass = masses.as_ref().map_or(0, |(s, g)| s.len() + g.len());
+                32 + 24 * (star_pos.len() + gas_pos.len()) as u64 + 8 * mass as u64
             }
             Request::InjectEnergy { .. } => 40,
             Request::AddGas { .. } => 40,
@@ -166,7 +173,9 @@ impl Request {
     /// them yields bit-identical bytes, so they need no cache.
     /// `EvolveTo`/`EvolveStars` count as mutating even though the
     /// target time is absolute: a re-run would report different flops
-    /// (and `EvolveStars` drains the event queue exactly once).
+    /// (and `EvolveStars` drains the event queue exactly once). A
+    /// priming `ComputeField` sets the host's masses, but to the same
+    /// values however often it runs, so a re-run is as good as a replay.
     pub fn mutating(&self) -> bool {
         match self {
             Request::Ping
@@ -207,10 +216,10 @@ pub enum Response {
     },
     /// The answer to [`Request::Step`]: where the particles are after
     /// the evolve. Velocities are not sent — the coupling field does not
-    /// depend on them.
+    /// depend on them — and neither are masses: a step cannot change
+    /// them (see [`ModelWorker`]), so the bridge keeps those of its cold
+    /// open.
     Stepped {
-        /// Masses.
-        mass: Vec<f64>,
         /// Positions.
         pos: Vec<[f64; 3]>,
         /// Work performed by the kicks and the evolve.
@@ -238,7 +247,7 @@ impl Response {
             Response::Ok { .. } => 8,
             Response::Particles(p) => p.wire_size(),
             Response::Accelerations { acc, .. } => 24 * acc.len() as u64,
-            Response::Stepped { mass, pos, .. } => 8 * mass.len() as u64 + 24 * pos.len() as u64,
+            Response::Stepped { pos, .. } => 24 * pos.len() as u64,
             Response::StellarUpdate { masses, events } => {
                 8 * masses.len() as u64 + 32 * events.len() as u64
             }
@@ -270,6 +279,13 @@ pub type ParticleColumns<'a> = (&'a [f64], &'a [[f64; 3]], &'a [[f64; 3]]);
 /// decomposes the composite requests [`Request::Step`] and
 /// [`Request::ComputeField`] into the methods below: a worker never
 /// sees either, and implements neither.
+///
+/// [`Request::EvolveTo`] moves particles and must neither change their
+/// masses nor their number: only [`Request::SetMasses`],
+/// [`Request::AddGas`] and [`Request::LoadState`] may. The bridge relies
+/// on this — a [`Response::Stepped`] carries no masses, and the coupling
+/// hosts evaluate every substep's field against the masses of the cold
+/// open (see [`crate::bridge`]).
 ///
 /// The three `*_into`/`*_slice` methods are borrowing fast paths for
 /// in-process channels: same semantics as the corresponding [`Request`]s

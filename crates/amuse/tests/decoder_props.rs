@@ -74,12 +74,19 @@ fn valid_frame(n: usize, seq: u16, op: u8) -> Vec<u8> {
         2 => {
             wire::encode_request(&Request::SetMasses((0..n).map(|i| i as f64).collect()), &mut buf)
         }
-        _ => wire::encode_compute_kick(
+        3 => wire::encode_compute_kick(
             &vec![[1.0, 2.0, 3.0]; n],
             &vec![[0.5; 3]; n],
             &vec![1.0 / n.max(1) as f64; n],
             &mut buf,
         ),
+        // the v4 frames: a priming and a mass-free field, a step answer
+        4 | 5 => {
+            let (pos, mass) = (vec![[0.5, -1.0, 2.0]; n], vec![1.0 / n.max(1) as f64; n]);
+            let masses = (op == 4).then_some((&mass[..], &mass[..]));
+            wire::encode_compute_field(&pos, &pos, masses, (0, n), (0, n), &mut buf)
+        }
+        _ => wire::encode_stepped_frame(&vec![[0.25, 1.0, -3.0]; n], 1e3, &mut buf),
     }
     wire::set_seq(&mut buf, seq);
     buf
@@ -104,7 +111,7 @@ proptest! {
     fn any_split_decodes_identically_to_one_shot(
         n in 0usize..40,
         seq in any::<u16>(),
-        op in 0u8..4,
+        op in 0u8..7,
         cuts in proptest::collection::vec(any::<usize>(), 0..12),
     ) {
         let frame = valid_frame(n, seq, op);
@@ -115,6 +122,9 @@ proptest! {
         let a = format!("{:?}", wire::decode_request(&frame));
         let b = format!("{:?}", wire::decode_request(&reassembled));
         prop_assert_eq!(a, b);
+        let a = format!("{:?}", wire::decode_response(&frame));
+        let b = format!("{:?}", wire::decode_response(&reassembled));
+        prop_assert_eq!(a, b);
     }
 
     /// Concatenated frames split anywhere come out of one decoder in
@@ -123,7 +133,7 @@ proptest! {
     /// is taken.
     #[test]
     fn a_split_batch_decodes_in_order(
-        frames in proptest::collection::vec((0usize..24, 0u8..4), 1..5),
+        frames in proptest::collection::vec((0usize..24, 0u8..7), 1..5),
         cuts in proptest::collection::vec(any::<usize>(), 0..12),
     ) {
         let frames: Vec<Vec<u8>> = frames
@@ -148,7 +158,7 @@ proptest! {
     #[test]
     fn a_whole_frame_completes_in_one_read(
         n in 0usize..40,
-        op in 0u8..4,
+        op in 0u8..7,
     ) {
         let frame = valid_frame(n, 5, op);
         let mut d = FrameDecoder::new();
@@ -187,14 +197,15 @@ proptest! {
         );
     }
 
-    /// A truncated valid frame (cut anywhere before the end) is never
-    /// reported complete.
+    /// A truncated valid frame (cut anywhere before the end) — a kick,
+    /// or a v4 positions-only step answer — is never reported complete.
     #[test]
     fn truncated_frames_stay_incomplete(
         n in 1usize..24,
         cut_frac in 0.0f64..1.0,
+        op in prop_oneof![Just(1u8), Just(6u8)],
     ) {
-        let frame = valid_frame(n, 3, 1);
+        let frame = valid_frame(n, 3, op);
         let cut = ((frame.len() - 1) as f64 * cut_frac) as usize;
         let mut d = FrameDecoder::new();
         let pumped = Fragments::new(&frame[..cut], &[cut / 2]).pump(&mut d);

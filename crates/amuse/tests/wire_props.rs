@@ -53,22 +53,17 @@ fn any_request() -> BoxedStrategy<Request> {
         (
             vec((any_v3(), any_f64()), 0..20),
             vec((any_v3(), any_f64()), 0..20),
+            any::<bool>(),
             (any::<usize>(), any::<usize>()),
             (any::<usize>(), any::<usize>())
         )
-            .prop_map(|(stars, gas, star_range, gas_range)| {
+            .prop_map(|(stars, gas, primes, star_range, gas_range)| {
                 // any bounds travel: refusing ranges outside the sets is
                 // the serving host's job, not the codec's
-                let (star_pos, star_mass) = stars.into_iter().unzip();
-                let (gas_pos, gas_mass) = gas.into_iter().unzip();
-                Request::ComputeField {
-                    star_pos,
-                    star_mass,
-                    gas_pos,
-                    gas_mass,
-                    star_range,
-                    gas_range,
-                }
+                let (star_pos, star_mass): (Vec<_>, Vec<_>) = stars.into_iter().unzip();
+                let (gas_pos, gas_mass): (Vec<_>, Vec<_>) = gas.into_iter().unzip();
+                let masses = primes.then_some((star_mass, gas_mass));
+                Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range }
             }),
         (any_v3(), any_f64(), any_f64())
             .prop_map(|(center, radius, energy)| Request::InjectEnergy { center, radius, energy }),
@@ -104,11 +99,7 @@ fn any_response() -> BoxedStrategy<Response> {
         any_particles(30).prop_map(Response::Particles),
         (vec(any_v3(), 0..30), any_f64())
             .prop_map(|(acc, flops)| Response::Accelerations { acc, flops }),
-        (any_particles(30), any_f64()).prop_map(|(p, flops)| Response::Stepped {
-            mass: p.mass,
-            pos: p.pos,
-            flops
-        }),
+        (vec(any_v3(), 0..30), any_f64()).prop_map(|(pos, flops)| Response::Stepped { pos, flops }),
         (vec(any_f64(), 0..30), vec(any_event(), 0..10))
             .prop_map(|(masses, events)| Response::StellarUpdate { masses, events }),
         Just(Response::Unsupported),
@@ -173,26 +164,25 @@ fn request_eq(a: &Request, b: &Request) -> bool {
         (
             Request::ComputeField {
                 star_pos: sp1,
-                star_mass: sm1,
                 gas_pos: gp1,
-                gas_mass: gm1,
+                masses: m1,
                 star_range: sr1,
                 gas_range: gr1,
             },
             Request::ComputeField {
                 star_pos: sp2,
-                star_mass: sm2,
                 gas_pos: gp2,
-                gas_mass: gm2,
+                masses: m2,
                 star_range: sr2,
                 gas_range: gr2,
             },
         ) => {
-            vv3_eq(sp1, sp2)
-                && vf_eq(sm1, sm2)
-                && vv3_eq(gp1, gp2)
-                && vf_eq(gm1, gm2)
-                && (sr1, gr1) == (sr2, gr2)
+            let masses_eq = match (m1, m2) {
+                (Some((s1, g1)), Some((s2, g2))) => vf_eq(s1, s2) && vf_eq(g1, g2),
+                (None, None) => true,
+                _ => false,
+            };
+            vv3_eq(sp1, sp2) && vv3_eq(gp1, gp2) && masses_eq && (sr1, gr1) == (sr2, gr2)
         }
         (
             Request::InjectEnergy { center: c1, radius: r1, energy: e1 },
@@ -214,10 +204,9 @@ fn response_eq(a: &Response, b: &Response) -> bool {
             Response::Accelerations { acc: a1, flops: f1 },
             Response::Accelerations { acc: a2, flops: f2 },
         ) => vv3_eq(a1, a2) && f64_eq(*f1, *f2),
-        (
-            Response::Stepped { mass: m1, pos: p1, flops: f1 },
-            Response::Stepped { mass: m2, pos: p2, flops: f2 },
-        ) => vf_eq(m1, m2) && vv3_eq(p1, p2) && f64_eq(*f1, *f2),
+        (Response::Stepped { pos: p1, flops: f1 }, Response::Stepped { pos: p2, flops: f2 }) => {
+            vv3_eq(p1, p2) && f64_eq(*f1, *f2)
+        }
         (
             Response::StellarUpdate { masses: m1, events: e1 },
             Response::StellarUpdate { masses: m2, events: e2 },
@@ -268,34 +257,39 @@ proptest! {
                 let (n2, t2) = decode_step_into(&owned, &mut into).expect("valid frame");
                 prop_assert!(vv3_eq(dv, &into) && *n == n2 && f64_eq(*t, t2));
             }
-            Request::ComputeField { star_pos, star_mass, gas_pos, gas_mass, star_range, gas_range } => {
+            Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range } => {
+                let borrowed_masses = masses.as_ref().map(|(s, g)| (&s[..], &g[..]));
                 encode_compute_field(
-                    (star_pos, star_mass),
-                    (gas_pos, gas_mass),
+                    star_pos,
+                    gas_pos,
+                    borrowed_masses,
                     *star_range,
                     *gas_range,
                     &mut borrowed,
                 );
                 prop_assert!(owned == borrowed);
                 let (mut stars, mut gas) = (stale.clone(), stale.clone());
-                let ranges =
+                let at =
                     decode_compute_field_into(&owned, &mut stars, &mut gas).expect("valid frame");
-                prop_assert_eq!(ranges, (*star_range, *gas_range));
-                prop_assert!(vv3_eq(star_pos, &stars.pos) && vf_eq(star_mass, &stars.mass));
-                prop_assert!(vv3_eq(gas_pos, &gas.pos) && vf_eq(gas_mass, &gas.mass));
+                prop_assert_eq!((at.star_range, at.gas_range), (*star_range, *gas_range));
+                prop_assert_eq!(at.primes, masses.is_some());
+                prop_assert!(vv3_eq(star_pos, &stars.pos) && vv3_eq(gas_pos, &gas.pos));
+                // a priming frame overwrites the mass columns, a mass-free
+                // one leaves them as they were
+                let (want_sm, want_gm) = borrowed_masses.unwrap_or((&stale.mass, &stale.mass));
+                prop_assert!(vf_eq(want_sm, &stars.mass) && vf_eq(want_gm, &gas.mass));
                 prop_assert!(stars.vel.is_empty() && gas.vel.is_empty());
             }
             _ => {}
         }
         // the step's answer, whatever the request was
-        let resp = Response::Stepped { mass: stale.mass.clone(), pos: stale.pos.clone(), flops };
+        let resp = Response::Stepped { pos: stale.pos.clone(), flops };
         encode_response(&resp, &mut owned);
-        encode_stepped_frame(&stale.mass, &stale.pos, flops, &mut borrowed);
+        encode_stepped_frame(&stale.pos, flops, &mut borrowed);
         prop_assert!(owned == borrowed);
-        let mut into = stale.clone();
+        let mut into = stale.vel.clone();
         let got = decode_stepped_into(&owned, &mut into).expect("valid frame");
-        prop_assert!(f64_eq(got, flops) && vf_eq(&into.mass, &stale.mass));
-        prop_assert!(vv3_eq(&into.pos, &stale.pos) && into.vel.is_empty());
+        prop_assert!(f64_eq(got, flops) && vv3_eq(&into, &stale.pos));
     }
 
     #[test]
@@ -353,9 +347,18 @@ fn empty_payload_variants_round_trip() {
         (
             Request::ComputeField {
                 star_pos: Vec::new(),
-                star_mass: Vec::new(),
                 gas_pos: Vec::new(),
-                gas_mass: Vec::new(),
+                masses: Some((Vec::new(), Vec::new())),
+                star_range: (0, 0),
+                gas_range: (0, 0),
+            },
+            32 + 32,
+        ),
+        (
+            Request::ComputeField {
+                star_pos: Vec::new(),
+                gas_pos: Vec::new(),
+                masses: None,
                 star_range: (0, 0),
                 gas_range: (0, 0),
             },
@@ -370,7 +373,7 @@ fn empty_payload_variants_round_trip() {
     for resp in [
         Response::Particles(ParticleData::default()),
         Response::Accelerations { acc: Vec::new(), flops: 0.0 },
-        Response::Stepped { mass: Vec::new(), pos: Vec::new(), flops: 0.0 },
+        Response::Stepped { pos: Vec::new(), flops: 0.0 },
         Response::StellarUpdate { masses: Vec::new(), events: Vec::new() },
         Response::Error(String::new()),
     ] {

@@ -27,27 +27,27 @@ fn step_frame() -> Vec<u8> {
     buf
 }
 
-fn field_request(star_range: (usize, usize), gas_range: (usize, usize)) -> Request {
+/// A field request over 3 stars and 5 gas; `prime` carries the masses.
+fn field_request(prime: bool, star_range: (usize, usize), gas_range: (usize, usize)) -> Request {
     Request::ComputeField {
         star_pos: vec![[1.0, 0.0, 0.0]; 3],
-        star_mass: vec![0.5; 3],
         gas_pos: vec![[0.0, 1.0, 0.0]; 5],
-        gas_mass: vec![0.1; 5],
+        masses: prime.then(|| (vec![0.5; 3], vec![0.1; 5])),
         star_range,
         gas_range,
     }
 }
 
-fn field_frame() -> Vec<u8> {
+fn field_frame(prime: bool) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_request(&field_request((1, 3), (0, 4)), &mut buf);
+    encode_request(&field_request(prime, (1, 3), (0, 4)), &mut buf);
     buf
 }
 
+/// A positions-only step answer.
 fn stepped_frame() -> Vec<u8> {
     let mut buf = Vec::new();
-    let resp = Response::Stepped { mass: vec![1.0; 3], pos: vec![[0.5; 3]; 3], flops: 9.0 };
-    encode_response(&resp, &mut buf);
+    encode_response(&Response::Stepped { pos: vec![[0.5; 3]; 3], flops: 9.0 }, &mut buf);
     buf
 }
 
@@ -55,7 +55,7 @@ fn stepped_frame() -> Vec<u8> {
 fn every_truncation_of_a_valid_frame_errors_cleanly() {
     // the composite substep's frames cut at every byte, through the
     // owned decoders and the scratch ones the server and coupler run
-    for frame in [step_frame(), field_frame()] {
+    for frame in [step_frame(), field_frame(true), field_frame(false)] {
         for cut in 0..frame.len() {
             assert!(decode_request(&frame[..cut]).is_err(), "{cut}-byte prefix");
             assert!(wire::decode_step_into(&frame[..cut], &mut Vec::new()).is_err());
@@ -66,7 +66,7 @@ fn every_truncation_of_a_valid_frame_errors_cleanly() {
     let frame = stepped_frame();
     for cut in 0..frame.len() {
         assert!(decode_response(&frame[..cut]).is_err(), "{cut}-byte prefix");
-        assert!(wire::decode_stepped_into(&frame[..cut], &mut ParticleData::default()).is_err());
+        assert!(wire::decode_stepped_into(&frame[..cut], &mut Vec::new()).is_err());
     }
 
     let frame = valid_request_frame();
@@ -189,9 +189,12 @@ fn inconsistent_aux_counts_are_rejected() {
     // BadLength from the owned and from the scratch decoder — before
     // anything is sized from the count
     let huge = [u64::MAX, u64::MAX / 24, u64::MAX / 32, (u64::MAX - 32) / 32 + 1, 1 << 60];
-    for (frame, aux_offsets) in
-        [(step_frame(), &[16usize][..]), (field_frame(), &[16, 24]), (stepped_frame(), &[16])]
-    {
+    for (frame, aux_offsets) in [
+        (step_frame(), &[16usize][..]),
+        (field_frame(true), &[16, 24]),
+        (field_frame(false), &[16, 24]),
+        (stepped_frame(), &[16]),
+    ] {
         for &off in aux_offsets {
             let honest = u64::from_le_bytes(frame[off..off + 8].try_into().unwrap());
             for lie in huge.into_iter().chain([honest + 1, honest.wrapping_sub(1)]) {
@@ -203,14 +206,15 @@ fn inconsistent_aux_counts_are_rejected() {
                     decode_response(&buf).err(),
                     wire::decode_step_into(&buf, &mut a.pos).err(),
                     wire::decode_compute_field_into(&buf, &mut a, &mut b).err(),
-                    wire::decode_stepped_into(&buf, &mut a).err(),
+                    wire::decode_stepped_into(&buf, &mut a.vel).err(),
                 ];
                 assert!(errors.iter().all(Option::is_some), "aux at {off} = {lie}: {errors:?}");
                 assert!(
                     errors.iter().flatten().any(|e| matches!(e, WireError::BadLength { .. })),
                     "aux at {off} = {lie}: {errors:?}"
                 );
-                let sized = a.pos.capacity() + a.mass.capacity() + b.pos.capacity();
+                let sized =
+                    a.pos.capacity() + a.mass.capacity() + a.vel.capacity() + b.pos.capacity();
                 assert!(sized <= 64, "a decoder sized a buffer from a refused count: {sized}");
             }
         }
@@ -256,13 +260,81 @@ fn hosts_refuse_malformed_composites_with_a_typed_error() {
     ];
     for (star_range, gas_range) in outside {
         let what = format!("field over {star_range:?}/{gas_range:?} of 3 stars, 5 gas");
-        refused(fi.call(field_request(star_range, gas_range)), &what);
+        refused(fi.call(field_request(true, star_range, gas_range)), &what);
+        refused(fi.call(field_request(false, star_range, gas_range)), &what);
     }
-    match fi.call(field_request((1, 3), (0, 4))) {
-        Response::Accelerations { acc, .. } => assert_eq!(acc.len(), 2 + 4),
-        other => panic!("{other:?}"),
+    for prime in [true, false] {
+        match fi.call(field_request(prime, (1, 3), (0, 4))) {
+            Response::Accelerations { acc, .. } => assert_eq!(acc.len(), 2 + 4),
+            other => panic!("{other:?}"),
+        }
     }
     drop(fi);
+    handle.join().unwrap().unwrap();
+}
+
+/// The mass flag of a field frame must agree with its length: a priming
+/// frame with the flag cleared, or a mass-free one with the flag set, is
+/// a `BadLength` — never a frame read with the masses as positions or
+/// past its end.
+#[test]
+fn a_mass_flag_that_disagrees_with_the_length_is_refused() {
+    for mut buf in [field_frame(true), field_frame(false)] {
+        let lie = u64::from_le_bytes(buf[16..24].try_into().unwrap()) ^ wire::FIELD_MASSES;
+        buf[16..24].copy_from_slice(&lie.to_le_bytes());
+        assert!(matches!(decode_request(&buf), Err(WireError::BadLength { .. })), "{lie:#x}");
+        let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
+        let got = wire::decode_compute_field_into(&buf, &mut a, &mut b);
+        assert!(matches!(got, Err(WireError::BadLength { .. })), "{got:?}");
+        assert!(a.pos.is_empty() && a.mass.is_empty() && b.pos.is_empty(), "nothing decoded");
+    }
+}
+
+/// A v3 composite frame — the retired `ComputeField` (0x0F) and
+/// `Stepped` (0x88) layouts, with masses inline — is answered cleanly:
+/// the decoders name the opcode unknown instead of reading the v3 bytes
+/// under the v4 layout, and a server answers a protocol-error frame and
+/// keeps serving.
+#[test]
+fn a_v3_composite_frame_is_refused_not_misparsed() {
+    // hand-built v3 frames: 3 stars and 5 gas as (pos, mass) per set,
+    // and a 3-particle (mass, pos) step answer
+    let v3 = |opcode: u8, aux0: u64, aux1: u64, payload_len: usize| {
+        let mut f = Vec::new();
+        f.extend_from_slice(&wire::MAGIC.to_le_bytes());
+        f.extend_from_slice(&[3, opcode, 0, 0]);
+        for word in [payload_len as u64, aux0, aux1] {
+            f.extend_from_slice(&word.to_le_bytes());
+        }
+        f.resize(HEADER_LEN + payload_len, 0);
+        f
+    };
+    let field = v3(0x0F, 3, 5, 32 + 32 * 8);
+    let stepped = v3(0x88, 3, 9f64.to_bits(), 32 * 3);
+    assert_eq!(decode_request(&field).unwrap_err(), WireError::UnknownOpcode(0x0F));
+    assert_eq!(decode_response(&stepped).unwrap_err(), WireError::UnknownOpcode(0x88));
+    let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
+    assert!(wire::decode_compute_field_into(&field, &mut a, &mut b).is_err());
+    assert!(wire::decode_stepped_into(&stepped, &mut a.pos).is_err());
+    const { assert!(op::COMPUTE_FIELD != 0x0F && op::RESP_STEPPED != 0x88) };
+
+    let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", CouplingWorker::fi);
+    {
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.write_all(&field).unwrap();
+        let mut rbuf = Vec::new();
+        wire::read_frame(&mut raw, &mut rbuf).expect("server should reply before closing");
+        match wire::decode_response(&rbuf).unwrap() {
+            Response::Error(e) => assert!(e.contains("unknown opcode 0x0f"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+    let mut c = SocketChannel::connect(addr, "fi").unwrap();
+    match c.call(field_request(true, (0, 3), (0, 5))) {
+        Response::Accelerations { acc, .. } => assert_eq!(acc.len(), 3 + 5),
+        other => panic!("{other:?}"),
+    }
+    drop(c);
     handle.join().unwrap().unwrap();
 }
 
@@ -305,7 +377,13 @@ proptest! {
     /// flipped byte was payload data) or errors cleanly — never panics.
     #[test]
     fn single_byte_corruption_never_panics(pos in 0usize..400, flip in 1u8..255) {
-        for mut frame in [valid_request_frame(), step_frame(), field_frame(), stepped_frame()] {
+        for mut frame in [
+            valid_request_frame(),
+            step_frame(),
+            field_frame(true),
+            field_frame(false),
+            stepped_frame(),
+        ] {
             let pos = pos % frame.len();
             frame[pos] ^= flip;
             let _ = decode_request(&frame);
@@ -313,7 +391,7 @@ proptest! {
             let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
             let _ = wire::decode_step_into(&frame, &mut a.pos);
             let _ = wire::decode_compute_field_into(&frame, &mut a, &mut b);
-            let _ = wire::decode_stepped_into(&frame, &mut a);
+            let _ = wire::decode_stepped_into(&frame, &mut a.vel);
         }
     }
 }

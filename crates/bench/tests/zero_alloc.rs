@@ -297,14 +297,15 @@ fn socket_field_steady_state_allocates_nothing() {
     let mut ch = SocketChannel::connect(addr, "fi").unwrap();
     let [stars, gas] = field_sets(128, 512);
     let mut acc = Vec::new();
-    let field = |ch: &mut SocketChannel, acc: &mut Vec<[f64; 3]>| {
-        ch.submit_field(&stars, &gas, (0, 128), (0, 512));
+    // the first field primes the host, the steady state is mass-free
+    let field = |ch: &mut SocketChannel, acc: &mut Vec<[f64; 3]>, prime: bool| {
+        ch.submit_field(&stars, &gas, prime, (0, 128), (0, 512));
         ch.collect_accelerations_into(acc).expect("the field's accelerations");
     };
-    for _ in 0..2 {
-        field(&mut ch, &mut acc);
+    for prime in [true, false] {
+        field(&mut ch, &mut acc, prime);
     }
-    let allocs = count_allocs(|| field(&mut ch, &mut acc));
+    let allocs = count_allocs(|| field(&mut ch, &mut acc, false));
     assert_eq!(allocs, 0, "socket field made {allocs} heap allocations");
     assert_eq!(acc.len(), 128 + 512, "sanity: accelerations actually crossed the wire");
     drop(ch);
@@ -356,9 +357,11 @@ fn server_core_steady_state_allocates_nothing() {
     let mut fi = jc_amuse::CouplingWorker::fi();
     let mut core = ServerCore::new(&mut fi, None);
     let [stars, gas] = field_sets(128, 512);
-    let mut field = Vec::new();
-    let sets = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
-    wire::encode_compute_field(sets.0, sets.1, (0, 128), (0, 512), &mut field);
+    let (mut prime, mut field) = (Vec::new(), Vec::new());
+    let masses = Some((&stars.mass[..], &gas.mass[..]));
+    wire::encode_compute_field(&stars.pos, &gas.pos, masses, (0, 128), (0, 512), &mut prime);
+    wire::encode_compute_field(&stars.pos, &gas.pos, None, (0, 128), (0, 512), &mut field);
+    serve(&mut core, &mut prime, op::RESP_ACCELERATIONS);
     for _ in 0..2 {
         serve(&mut core, &mut field, op::RESP_ACCELERATIONS);
     }
@@ -413,14 +416,14 @@ fn sharded_local_pool_hot_path_allocates_nothing() {
     let mut pool = ShardedChannel::with_counts(shards, vec![0; 3]);
     let [stars, gas] = field_sets(50, 97);
     let mut acc = Vec::new();
-    let field = |pool: &mut ShardedChannel, acc: &mut Vec<[f64; 3]>| {
-        pool.submit_field(&stars, &gas, (0, 50), (0, 97));
+    let field = |pool: &mut ShardedChannel, acc: &mut Vec<[f64; 3]>, prime: bool| {
+        pool.submit_field(&stars, &gas, prime, (0, 50), (0, 97));
         pool.collect_accelerations_into(acc).expect("the field's accelerations");
     };
-    for _ in 0..2 {
-        field(&mut pool, &mut acc);
+    for prime in [true, false] {
+        field(&mut pool, &mut acc, prime);
     }
-    let allocs = count_allocs(|| field(&mut pool, &mut acc));
+    let allocs = count_allocs(|| field(&mut pool, &mut acc, false));
     assert_eq!(allocs, 0, "sharded field made {allocs} heap allocations");
     assert_eq!(acc.len(), 50 + 97);
 }

@@ -5,7 +5,7 @@ use crate::channel::SimLink;
 use crate::daemon::{IbisDaemon, RegisterWorker, WorkerId};
 use crate::perfmodel::{byte_scale, devices, production, ModelKind, PerfProfile};
 use crate::proxy::{BusyLedger, WorkerProxy};
-use jc_amuse::bridge::{Bridge, BridgeConfig};
+use jc_amuse::bridge::{Bridge, BridgeConfig, BridgeError};
 use jc_amuse::checkpoint::{Checkpoint, Role};
 use jc_amuse::cluster::EmbeddedCluster;
 use jc_amuse::worker::ModelWorker;
@@ -568,6 +568,16 @@ fn run_on_grid(grid: GridDescription, scenario: Scenario, iterations: u32) -> Sc
     run_on_grid_inner(grid, scenario, iterations, None, false)
 }
 
+/// The bridge slot a placed model kind serves.
+fn role_of(kind: ModelKind) -> Role {
+    match kind {
+        ModelKind::Coupling => Role::Coupling,
+        ModelKind::Gravity => Role::Gravity,
+        ModelKind::Hydro => Role::Hydro,
+        ModelKind::Stellar => Role::Stellar,
+    }
+}
+
 fn run_on_grid_inner(
     grid: GridDescription,
     scenario: Scenario,
@@ -713,11 +723,18 @@ fn run_on_grid_inner(
             match bridge.try_iteration() {
                 Ok(rep) => rep,
                 Err(e) => {
-                    // a worker died mid-iteration: restore its node,
+                    // a worker died mid-iteration: the failure names its
+                    // role, the seat table its host. Restore the node,
                     // re-place a fresh proxy, re-register the route,
                     // rewind to the checkpoint, replay
                     recoveries += 1;
-                    let w = crash_worker.expect("only the injected worker dies") as usize;
+                    let BridgeError::Worker { role, .. } = e else {
+                        panic!("not a worker failure, nothing to re-place: {e}")
+                    };
+                    let w = place
+                        .iter()
+                        .position(|p| role_of(p.kind) == role)
+                        .expect("every role has a placement");
                     let host = seats.borrow()[&(w as u64)][0].host;
                     sim.borrow_mut().restore_host_now(host);
                     let (g2, h2, c2, s2) = cluster.local_workers(use_gpu);
@@ -752,12 +769,6 @@ fn run_on_grid_inner(
                     while daemon.shared.borrow().routes.get(&WorkerId(w as u32)) != Some(&actor) {
                         assert!(sim.borrow_mut().step(), "sim idle before re-registration");
                     }
-                    let role = match p.kind {
-                        ModelKind::Coupling => Role::Coupling,
-                        ModelKind::Gravity => Role::Gravity,
-                        ModelKind::Hydro => Role::Hydro,
-                        ModelKind::Stellar => Role::Stellar,
-                    };
                     bridge.replace_channel(role, Box::new(mk_channel(w as u32, scale, p.label)));
                     bridge
                         .restore(checkpoint.as_ref().expect("checkpoint taken"))

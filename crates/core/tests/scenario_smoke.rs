@@ -39,12 +39,12 @@ fn lab_scenarios_reproduce_paper_shape() {
 fn scenario_ledger_is_pinned_bitwise() {
     // (run, seconds bits, IPL bytes, MPI bytes, calls/iteration, recoveries)
     let pinned: [(&str, u64, u64, u64, f64, u32); 6] = [
-        ("CpuOnly", 0x4076_1177_2ed3_272f, 0, 0, 31.0, 0),
-        ("LocalGpu", 0x4056_3e63_aaae_58b2, 0, 0, 31.0, 0),
-        ("RemoteGpu", 0x4054_fd0d_596d_3744, 380_699_946, 0, 31.0, 0),
-        ("FullJungle", 0x4013_9387_f1d1_6914, 363_493_538, 10_293_328, 31.0, 0),
-        ("SC11", 0x401b_19ac_3c3c_23fb, 181_746_769, 5_146_664, 31.0, 0),
-        ("Failover", 0x4056_4d74_0fef_02cf, 402_262_428, 0, 40.5, 1),
+        ("CpuOnly", 0x4076_1142_c10d_50f6, 0, 0, 31.0, 0),
+        ("LocalGpu", 0x4056_3d91_f396_ffd0, 0, 0, 31.0, 0),
+        ("RemoteGpu", 0x4054_f897_910b_8092, 332_699_946, 0, 31.0, 0),
+        ("FullJungle", 0x4013_1d90_f4af_69e5, 318_309_538, 7_733_328, 31.0, 0),
+        ("SC11", 0x401a_a3b5_3f1a_24cd, 159_154_769, 3_866_664, 31.0, 0),
+        ("Failover", 0x4056_48f8_743e_7c79, 354_262_428, 0, 40.5, 1),
     ];
     let mut runs: Vec<_> = Scenario::all().into_iter().map(|s| run_scenario(s, 2).result).collect();
     runs.push(run_sc11(1).result);

@@ -88,9 +88,12 @@ fn transcript(
     let f = ch.compute_kick_into(&gas.pos, &stars.pos, &stars.mass, &mut acc);
     said.push(format!("{f:?} {acc:?}"));
     let (n_stars, n_gas) = (stars.mass.len(), gas.mass.len());
-    ch.submit_field(&star_set, &gas_set, (1, n_stars), (2, n_gas));
-    let f = ch.collect_accelerations_into(&mut acc);
-    said.push(format!("{f:?} {acc:?}"));
+    // the priming field, then a mass-free one against the held masses
+    for prime in [true, false] {
+        ch.submit_field(&star_set, &gas_set, prime, (1, n_stars), (2, n_gas));
+        let f = ch.collect_accelerations_into(&mut acc);
+        said.push(format!("{f:?} {acc:?}"));
+    }
     said
 }
 
@@ -126,11 +129,17 @@ fn the_sim_link_answers_what_the_local_channel_does() {
             },
             Request::ComputeField {
                 star_pos: stars.pos.clone(),
-                star_mass: stars.mass.clone(),
                 gas_pos: gas.pos.clone(),
-                gas_mass: gas.mass.clone(),
+                masses: Some((stars.mass.clone(), gas.mass.clone())),
                 star_range: (1, 5),
                 gas_range: (0, 6),
+            },
+            Request::ComputeField {
+                star_pos: stars.pos.clone(),
+                gas_pos: gas.pos.clone(),
+                masses: None,
+                star_range: (0, 6),
+                gas_range: (3, 12),
             },
         ],
         // stellar

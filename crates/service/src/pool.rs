@@ -152,10 +152,11 @@ impl Channel for GuardedChannel {
         &mut self,
         stars: &ParticleData,
         gas: &ParticleData,
+        prime: bool,
         star_range: (usize, usize),
         gas_range: (usize, usize),
     ) {
-        self.gate_submit(|c| c.submit_field(stars, gas, star_range, gas_range))
+        self.gate_submit(|c| c.submit_field(stars, gas, prime, star_range, gas_range))
     }
 
     fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
@@ -354,6 +355,8 @@ impl WarmHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn local_guarded(dead: &Arc<AtomicBool>) -> GuardedChannel {
         let cluster = EmbeddedCluster::build(4, 8, 0.5, 1);
@@ -462,5 +465,109 @@ mod tests {
         host.warm_up().expect("re-warm");
         assert!(!host.is_killed(), "re-warm clears the kill switch");
         assert!(host.is_warm());
+    }
+
+    /// Records whether each field request it forwards primes the host.
+    struct FieldLog {
+        inner: Box<dyn Channel>,
+        primes: Rc<RefCell<Vec<bool>>>,
+    }
+
+    impl Channel for FieldLog {
+        fn submit(&mut self, req: Request) {
+            self.inner.submit(req)
+        }
+        fn collect(&mut self) -> Response {
+            self.inner.collect()
+        }
+        fn stats(&self) -> ChannelStats {
+            self.inner.stats()
+        }
+        fn worker_name(&self) -> String {
+            self.inner.worker_name()
+        }
+        fn submit_field(
+            &mut self,
+            stars: &ParticleData,
+            gas: &ParticleData,
+            prime: bool,
+            star_range: (usize, usize),
+            gas_range: (usize, usize),
+        ) {
+            self.primes.borrow_mut().push(prime);
+            self.inner.submit_field(stars, gas, prime, star_range, gas_range)
+        }
+        fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
+            self.inner.collect_accelerations_into(out)
+        }
+    }
+
+    /// A leased host's coupling worker holds the masses of the last
+    /// session it served. The next session's restore makes it forget
+    /// them — a mass-free field request is refused — and that session's
+    /// first field request primes it, so it runs the bits of a dedicated
+    /// bridge.
+    #[test]
+    fn a_reused_host_primes_before_its_first_mass_free_field() {
+        use jc_amuse::Bridge;
+        let mut host = WarmHost::new(
+            0,
+            HostKind::InProcess,
+            Arc::new(AtomicBool::new(false)),
+            jc_amuse::chaos::RetryPolicy::none(),
+        );
+        host.warm_up().expect("in-process warm-up is infallible");
+        let primes: Rc<RefCell<Vec<bool>>> = Rc::default();
+        let mut quad = host.lease().expect("warm host has channels");
+        quad.coupling = Box::new(FieldLog { inner: quad.coupling, primes: primes.clone() });
+        host.release(quad);
+        // two sessions of the same shape: held masses of the first would
+        // fit the second's positions
+        let session = |seed: u64| {
+            let cluster = EmbeddedCluster::build(12, 36, 0.5, seed);
+            let cfg = jc_amuse::BridgeConfig { substeps: 2, ..cluster.bridge_config() };
+            (cluster, cfg)
+        };
+        for seed in [31, 32] {
+            primes.borrow_mut().clear();
+            let (cluster, cfg) = session(seed);
+            let q = host.lease().expect("released after the last session");
+            let mut bridge = Bridge::new(q.gravity, q.hydro, q.coupling, q.stellar, cfg.clone());
+            bridge.restore(&cluster.initial_checkpoint()).expect("restore");
+            let (gravity, hydro, mut coupling, stellar) = bridge.into_channels();
+            let (stars, gas) = (cluster.stars.clone(), cluster.gas.clone());
+            let set = |mass: &[f64], pos: &[[f64; 3]]| ParticleData {
+                mass: mass.to_vec(),
+                pos: pos.to_vec(),
+                vel: Vec::new(),
+            };
+            let (stars, gas) = (set(&stars.mass, &stars.pos), set(&gas.mass, &gas.pos));
+            coupling.submit_field(&stars, &gas, false, (0, 12), (0, 36));
+            let refused = coupling.collect_accelerations_into(&mut Vec::new());
+            assert_eq!(refused, None, "seed {seed}: the restore began a new mass epoch");
+            primes.borrow_mut().clear();
+
+            let mut bridge = Bridge::new(gravity, hydro, coupling, stellar, cfg.clone());
+            for _ in 0..3 {
+                bridge.iteration();
+            }
+            // the cold open primes; its substeps and two warm
+            // iterations' substeps do not
+            assert_eq!(*primes.borrow(), [true, false, false, false, false, false, false]);
+            let (got_stars, got_gas) = bridge.snapshots();
+            let (g, h, c, s) = bridge.into_channels();
+            host.release(HostChannels { gravity: g, hydro: h, coupling: c, stellar: s });
+
+            let (g, h, c, s) = cluster.local_workers(false);
+            let local =
+                |w: Box<dyn ModelWorker>| -> Box<dyn Channel> { Box::new(LocalChannel::new(w)) };
+            let mut dedicated = Bridge::new(local(g), local(h), local(c), Some(local(s)), cfg);
+            for _ in 0..3 {
+                dedicated.iteration();
+            }
+            let (want_stars, want_gas) = dedicated.snapshots();
+            assert_eq!((got_stars.pos, got_stars.vel), (want_stars.pos, want_stars.vel));
+            assert_eq!((got_gas.pos, got_gas.vel), (want_gas.pos, want_gas.vel));
+        }
     }
 }

@@ -16,6 +16,10 @@
 //!   stellar exchange before it: it opens on the field of the previous
 //!   closing p-kick), and the exact per-role sequence the *workers* see,
 //!   which is the naive loop's;
+//! * **bytes** — each role's request and reply bytes per cold and warm
+//!   iteration are a closed form in `(n_stars, n_gas, s, K)`: masses
+//!   travel only in the cold open's snapshots and its priming field,
+//!   and local and TCP channels book the same frames;
 //! * **restore** — a run restored from the checkpoint after any
 //!   iteration makes the calls and moves the bytes of the straight run
 //!   from there on, and reaches its bits;
@@ -558,6 +562,76 @@ fn cold_and_warm_iterations_make_their_documented_calls_in_order() {
         assert_eq!(*logs[0].borrow(), warm, "gravity with exchange, s={substeps}");
         assert_eq!(*logs[2].borrow(), vec!["compute-kick"; 2 * s], "s={substeps}");
         assert_eq!(*logs[3].borrow(), ["evolve-stars"]);
+    }
+}
+
+/// Per-role `(calls, bytes_out, bytes_in)` of one iteration of `s`
+/// substeps over `n_stars` stars and `n_gas` gas with `k` coupling
+/// shards, in role order (gravity, hydro, coupling): the frame sizes of
+/// the wire protocol, in closed form. Every frame has a 32-byte header.
+/// A cold iteration adds each dynamics worker's snapshot and the
+/// priming field, the one field request of the mass epoch whose sets
+/// carry masses; steps answer positions only.
+fn closed_form_books(n_stars: u64, n_gas: u64, s: u64, k: u64, cold: bool) -> [(u64, u64, u64); 3] {
+    let dynamics = |n: u64| {
+        // s steps (t and dv out, positions in), one closing kick
+        let (calls, out, inn) = (s + 1, s * (40 + 24 * n) + 32 + 24 * n, s * (32 + 24 * n) + 40);
+        // the open: a header-only request, a full snapshot back
+        if cold {
+            (calls + 1, out + 32, inn + 32 + 56 * n)
+        } else {
+            (calls, out, inn)
+        }
+    };
+    // a field to each shard: four range bounds and both sets' positions
+    // out, every shard's piece of the n accelerations back
+    let n = n_stars + n_gas;
+    let (field_out, field_in) = (k * (64 + 24 * n), 32 * k + 24 * n);
+    let (fields, primes) = (s + cold as u64, cold as u64);
+    let coupling = (k * fields, fields * field_out + primes * k * 8 * n, fields * field_in);
+    [dynamics(n_stars), dynamics(n_gas), coupling]
+}
+
+#[test]
+fn frame_bytes_per_role_follow_their_closed_forms() {
+    // no stellar worker, so no exchange: iteration 1 opens cold and the
+    // rest warm; a heal between iterations leaves the bridge cold again
+    let c = uneven_cluster();
+    let (n_stars, n_gas) = (c.stars.mass.len() as u64, c.gas.mass.len() as u64);
+    let substeps = 3;
+    let cfg = config(&c, substeps, 1);
+    let cold_at = [true, false, true, false];
+    for k in [1usize, 2] {
+        let mut per_transport = Vec::new();
+        for transport in [Transport::Local, Transport::Tcp] {
+            let mut fleet = WorkerFleet::new();
+            let [g, h, cp, _] = channels_over(transport, k, &c, &mut fleet);
+            let mut bridge = Bridge::new(g, h, cp, None, cfg.clone());
+            let mut booked = Vec::new();
+            for (i, &cold) in cold_at.iter().enumerate() {
+                if cold && i > 0 {
+                    assert!(bridge.heal_channels());
+                }
+                let before = bridge.channel_stats();
+                bridge.iteration();
+                let after = bridge.channel_stats();
+                let delta = |a: &ChannelStats, b: &ChannelStats| {
+                    (a.calls - b.calls, a.bytes_out - b.bytes_out, a.bytes_in - b.bytes_in)
+                };
+                let got = [
+                    delta(&after.0, &before.0),
+                    delta(&after.1, &before.1),
+                    delta(&after.2, &before.2),
+                ];
+                let want = closed_form_books(n_stars, n_gas, substeps as u64, k as u64, cold);
+                assert_eq!(got, want, "{transport:?} K={k} iteration {} (cold: {cold})", i + 1);
+                booked.push(got);
+            }
+            drop(bridge);
+            fleet.join_all().expect("every server exits cleanly");
+            per_transport.push(booked);
+        }
+        assert_eq!(per_transport[0], per_transport[1], "K={k}: local and TCP book alike");
     }
 }
 

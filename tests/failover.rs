@@ -13,6 +13,10 @@
 //! * in-process `LocalChannel`s with a crashing worker wrapper and *no*
 //!   supervisor: the dead shard is excluded and the pool re-partitions
 //!   over the survivors.
+//!
+//! A respawned shard holds no masses (see `jc_amuse::host`): it refuses
+//! mass-free field requests until primed, and a shard killed mid-epoch
+//! recovers to the straight run's bits and per-block bytes.
 
 use jungle::amuse::channel::{Channel, LocalChannel};
 use jungle::amuse::shard::ShardedChannel;
@@ -82,6 +86,63 @@ fn baseline() -> (ParticleData, ParticleData, u32, f64) {
     (stars, gas, bridge.total_supernovae(), bridge.model_time())
 }
 
+/// A bridge over loopback TCP: healthy gravity, hydro and stellar
+/// servers, and a coupling pool of one flaky server per fuse whose
+/// supervisor respawns a dead shard as a fresh server. Every server is
+/// adopted into `fleet`.
+fn tcp_bridge(
+    c: &EmbeddedCluster,
+    fuses: &[Arc<AtomicI64>],
+    fleet: &Rc<RefCell<WorkerFleet>>,
+) -> Bridge {
+    let (stars_ics, gas_ics, imf) = (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
+    let (g_addr, g_h) =
+        spawn_tcp_worker("grav", move || GravityWorker::new(stars_ics, Backend::Scalar));
+    fleet.borrow_mut().adopt(g_addr, g_h);
+    let (h_addr, h_h) = spawn_tcp_worker("hydro", move || HydroWorker::new(gas_ics));
+    fleet.borrow_mut().adopt(h_addr, h_h);
+    let (s_addr, s_h) = spawn_tcp_worker("sse", move || StellarWorker::new(imf, 0.02));
+    fleet.borrow_mut().adopt(s_addr, s_h);
+    let pool = tcp_coupling_pool(fuses, fleet);
+    Bridge::new(
+        Box::new(SocketChannel::connect(g_addr, "grav").expect("connect gravity")),
+        Box::new(SocketChannel::connect(h_addr, "hydro").expect("connect hydro")),
+        Box::new(pool),
+        Some(Box::new(SocketChannel::connect(s_addr, "sse").expect("connect stellar"))),
+        config(c),
+    )
+}
+
+/// The coupling pool of [`tcp_bridge`]: K = `fuses.len()` flaky servers,
+/// and a supervisor that respawns a dead one as a fresh server.
+fn tcp_coupling_pool(fuses: &[Arc<AtomicI64>], fleet: &Rc<RefCell<WorkerFleet>>) -> ShardedChannel {
+    let shards: Vec<Box<dyn Channel>> = fuses
+        .iter()
+        .enumerate()
+        .map(|(i, fuse)| {
+            let (addr, h) =
+                spawn_flaky_tcp_worker(format!("fi-{i}"), CouplingWorker::fi, fuse.clone());
+            fleet.borrow_mut().adopt(addr, h);
+            Box::new(SocketChannel::connect(addr, format!("fi-{i}")).expect("connect shard"))
+                as Box<dyn Channel>
+        })
+        .collect();
+    let fleet_c = fleet.clone();
+    let supervisor = move |i: usize| -> Option<Box<dyn Channel>> {
+        let (addr, h) = spawn_tcp_worker(format!("fi-{i}-respawn"), CouplingWorker::fi);
+        fleet_c.borrow_mut().adopt(addr, h);
+        Some(Box::new(SocketChannel::connect(addr, format!("fi-{i}-respawn")).ok()?)
+            as Box<dyn Channel>)
+    };
+    let k = fuses.len();
+    ShardedChannel::with_counts(shards, vec![0; k]).with_supervisor(Box::new(supervisor))
+}
+
+/// Fuses that never fire, one per shard.
+fn unlit(k: usize) -> Vec<Arc<AtomicI64>> {
+    (0..k).map(|_| Arc::new(AtomicI64::new(i64::MAX))).collect()
+}
+
 #[test]
 fn tcp_shard_killed_mid_iteration_recovers_bitwise() {
     let (ref_stars, ref_gas, ref_sn, ref_time) = baseline();
@@ -94,50 +155,10 @@ fn tcp_shard_killed_mid_iteration_recovers_bitwise() {
         // whatever is left — including supervisor respawns — instead of
         // leaking server threads blocked in accept.
         let fleet = Rc::new(RefCell::new(WorkerFleet::new()));
-
-        // the healthy single workers
-        let (stars_ics, gas_ics, imf) =
-            (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
-        let (g_addr, g_h) =
-            spawn_tcp_worker("grav", move || GravityWorker::new(stars_ics, Backend::Scalar));
-        fleet.borrow_mut().adopt(g_addr, g_h);
-        let (h_addr, h_h) = spawn_tcp_worker("hydro", move || HydroWorker::new(gas_ics));
-        fleet.borrow_mut().adopt(h_addr, h_h);
-        let (s_addr, s_h) = spawn_tcp_worker("sse", move || StellarWorker::new(imf, 0.02));
-        fleet.borrow_mut().adopt(s_addr, s_h);
-
         // the coupling pool: K flaky servers, one of which will be shot
         let victim = (3 + 7 * k) % k;
-        let fuses: Vec<Arc<AtomicI64>> =
-            (0..k).map(|_| Arc::new(AtomicI64::new(i64::MAX))).collect();
-        let shards: Vec<Box<dyn Channel>> = (0..k)
-            .map(|i| {
-                let (addr, h) =
-                    spawn_flaky_tcp_worker(format!("fi-{i}"), CouplingWorker::fi, fuses[i].clone());
-                fleet.borrow_mut().adopt(addr, h);
-                Box::new(SocketChannel::connect(addr, format!("fi-{i}")).expect("connect shard"))
-                    as Box<dyn Channel>
-            })
-            .collect();
-
-        // supervisor: respawn a dead shard as a fresh (healthy) server
-        let fleet_c = fleet.clone();
-        let supervisor = move |i: usize| -> Option<Box<dyn Channel>> {
-            let (addr, h) = spawn_tcp_worker(format!("fi-{i}-respawn"), CouplingWorker::fi);
-            fleet_c.borrow_mut().adopt(addr, h);
-            Some(Box::new(SocketChannel::connect(addr, format!("fi-{i}-respawn")).ok()?)
-                as Box<dyn Channel>)
-        };
-        let pool =
-            ShardedChannel::with_counts(shards, vec![0; k]).with_supervisor(Box::new(supervisor));
-
-        let mut bridge = Bridge::new(
-            Box::new(SocketChannel::connect(g_addr, "grav").expect("connect gravity")),
-            Box::new(SocketChannel::connect(h_addr, "hydro").expect("connect hydro")),
-            Box::new(pool),
-            Some(Box::new(SocketChannel::connect(s_addr, "sse").expect("connect stellar"))),
-            config(&c),
-        );
+        let fuses = unlit(k);
+        let mut bridge = tcp_bridge(&c, &fuses, &fleet);
 
         let policy = RecoveryPolicy { max_retries: 2, checkpoint_interval: 1 };
         let mut checkpoint: Option<Checkpoint> = None;
@@ -164,6 +185,112 @@ fn tcp_shard_killed_mid_iteration_recovers_bitwise() {
         drop(bridge); // Stop frames shut the healthy servers down
         fleet.borrow_mut().join_all().expect("every server exits cleanly");
     }
+}
+
+/// Per-role `(calls, bytes_out, bytes_in)` booked by each
+/// `iteration_recovering` block of a K = 2 TCP run, the recoveries each
+/// needed, and the digest it ends with. With `kill_in`, one coupling
+/// shard is armed to die two requests into that block.
+#[allow(clippy::type_complexity)]
+fn blocks_of_a_tcp_run(
+    kill_in: Option<u32>,
+) -> (Vec<([(u64, u64, u64); 4], u32)>, (ParticleData, ParticleData, u64)) {
+    let c = cluster();
+    let fleet = Rc::new(RefCell::new(WorkerFleet::new()));
+    let fuses = unlit(2);
+    let mut bridge = tcp_bridge(&c, &fuses, &fleet);
+    let books = |b: &Bridge| {
+        let (g, h, cp, s) = b.channel_stats();
+        [g, h, cp, s.expect("a stellar worker")].map(|x| (x.calls, x.bytes_out, x.bytes_in))
+    };
+    let policy = RecoveryPolicy { max_retries: 2, checkpoint_interval: 1 };
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut blocks = Vec::new();
+    for i in 0..ITERATIONS {
+        if kill_in == Some(i) {
+            fuses[1].store(2, Ordering::SeqCst);
+        }
+        let before = books(&bridge);
+        let (_rep, rec) = bridge.iteration_recovering(&mut checkpoint, &policy).expect("recovers");
+        let after = books(&bridge);
+        let delta = std::array::from_fn(|r| {
+            let ((c1, o1, i1), (c0, o0, i0)) = (after[r], before[r]);
+            (c1.wrapping_sub(c0), o1.wrapping_sub(o0), i1.wrapping_sub(i0))
+        });
+        blocks.push((delta, rec));
+    }
+    let (stars, gas) = bridge.snapshots();
+    let digest = (stars, gas, bridge.model_time().to_bits());
+    drop(bridge);
+    fleet.borrow_mut().join_all().expect("every server exits cleanly");
+    (blocks, digest)
+}
+
+/// Killed *mid-epoch* — inside an iteration that opened warm, whose
+/// fields carry positions only — a coupling shard is respawned holding
+/// no masses. The recovery's restore re-opens through the priming field,
+/// so the replay reaches the straight run's bits, and every block after
+/// it books the straight run's calls and bytes: the respawned shard is
+/// primed once and then served mass-free like its peer.
+#[test]
+fn tcp_shard_killed_mid_epoch_recovers_the_straight_runs_bits_and_bytes() {
+    // iteration 2 opens warm: iteration 1 ended without an exchange
+    let kill_in = 1;
+    let (straight, want) = blocks_of_a_tcp_run(None);
+    let (recovered, got) = blocks_of_a_tcp_run(Some(kill_in));
+    let recoveries: Vec<u32> = recovered.iter().map(|&(_, rec)| rec).collect();
+    assert_eq!(recoveries, [0, 1, 0, 0], "the kill forces exactly one recovery");
+    for (i, (block, want_block)) in recovered.iter().zip(&straight).enumerate() {
+        if i != kill_in as usize {
+            assert_eq!(block, want_block, "block {}: calls and bytes", i + 1);
+        }
+    }
+    assert!(bitwise_eq(&got.0, &want.0), "star state diverged");
+    assert!(bitwise_eq(&got.1, &want.1), "gas state diverged");
+    assert_eq!(got.2, want.2, "clock diverged");
+}
+
+/// A respawned shard holds no masses: a mass-free field request to the
+/// pool is refused, typed, until a priming request reaches every shard
+/// — and from then on the pool answers what it answered before the kill.
+#[test]
+fn a_respawned_tcp_shard_refuses_mass_free_fields_until_primed() {
+    let fleet = Rc::new(RefCell::new(WorkerFleet::new()));
+    let fuses = unlit(2);
+    let mut pool = tcp_coupling_pool(&fuses, &fleet);
+    let c = cluster();
+    let set = |mass: &[f64], pos: &[[f64; 3]]| ParticleData {
+        mass: mass.to_vec(),
+        pos: pos.to_vec(),
+        vel: Vec::new(),
+    };
+    let (stars, gas) = (set(&c.stars.mass, &c.stars.pos), set(&c.gas.mass, &c.gas.pos));
+    let ranges = ((0, stars.pos.len()), (0, gas.pos.len()));
+    let field = |pool: &mut ShardedChannel, prime: bool| {
+        let mut acc = Vec::new();
+        pool.submit_field(&stars, &gas, prime, ranges.0, ranges.1);
+        pool.collect_accelerations_into(&mut acc).map(|flops| (acc, flops.to_bits()))
+    };
+    let want = field(&mut pool, true).expect("a primed pool answers");
+    assert_eq!(field(&mut pool, false).as_ref(), Some(&want), "mass-free, held masses");
+    // kill shard 1 at its next request, and let the supervisor respawn it
+    fuses[1].store(0, Ordering::SeqCst);
+    assert_eq!(field(&mut pool, false), None, "the kill surfaces");
+    assert!(pool.heal());
+    assert_eq!(pool.respawns(), 1);
+    assert_eq!(field(&mut pool, false), None, "the respawned shard holds no masses");
+    let owned = pool.call(Request::ComputeField {
+        star_pos: stars.pos.clone(),
+        gas_pos: gas.pos.clone(),
+        masses: None,
+        star_range: ranges.0,
+        gas_range: ranges.1,
+    });
+    assert!(matches!(owned, Response::Error(_)), "an unprimed shard must refuse: {owned:?}");
+    assert_eq!(field(&mut pool, true).as_ref(), Some(&want), "priming again");
+    assert_eq!(field(&mut pool, false), Some(want), "then mass-free again");
+    drop(pool);
+    fleet.borrow_mut().join_all().expect("every server exits cleanly");
 }
 
 /// A worker that serves `fuse` requests, then answers only errors — the

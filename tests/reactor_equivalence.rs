@@ -275,8 +275,8 @@ fn reactor_stats_match_modeled_wire_sizes() {
         st2.bytes_out - st.bytes_out,
         Request::GetParticles.wire_size() + Request::Kick(dv).wire_size() + step.wire_size()
     );
-    // a snapshot, an Ok, and a step's answer: masses and positions
-    assert_eq!(st2.bytes_in - st.bytes_in, (56 * n + 32) as u64 + 40 + (32 * n + 32) as u64);
+    // a snapshot, an Ok, and a step's answer: positions only
+    assert_eq!(st2.bytes_in - st.bytes_in, (56 * n + 32) as u64 + 40 + (24 * n + 32) as u64);
 
     drop(ch);
     handle.join().unwrap().unwrap();

@@ -123,9 +123,14 @@ impl FieldSets {
         Ok(at)
     }
 
-    /// [`field_into`] at the current positions with the held masses;
-    /// `Err` is the typed refusal of a host that holds no masses, or
-    /// masses of another shape, or what [`field_into`] refused.
+    /// The evaluation of a [`Request::ComputeField`] at the current
+    /// positions with the held masses: the accelerations of
+    /// `stars[star_range]` due to all gas land in `out`, followed by
+    /// those of `gas[gas_range]` due to all stars (`tmp` stages the
+    /// second evaluation). `Ok` carries the summed flops; `Err` is the
+    /// typed refusal of a host that holds no masses, or masses of
+    /// another shape, or of ranges outside the sets, or what the worker
+    /// answered instead of accelerations.
     // jc-lint: no-alloc
     fn evaluate(
         &self,
@@ -152,8 +157,13 @@ impl FieldSets {
                 gas.mass.len()
             )));
         }
-        let sets = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
-        field_into(worker, sets.0, sets.1, star_range, gas_range, out, tmp)
+        check_ranges(&stars.pos, &gas.pos, star_range, gas_range)?;
+        let (stars, gas) = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
+        // gas pulls on stars, then stars pull on gas
+        let star_flops = kick_into(worker, &stars.0[star_range.0..star_range.1], gas, out)?;
+        let gas_flops = kick_into(worker, &gas.0[gas_range.0..gas_range.1], stars, tmp)?;
+        out.extend_from_slice(tmp);
+        Ok(star_flops + gas_flops)
     }
 }
 
@@ -208,32 +218,6 @@ pub fn particles<'a>(
 
 /// Borrowed `(positions, masses)` of one particle set.
 pub type FieldSet<'a> = (&'a [[f64; 3]], &'a [f64]);
-
-/// The evaluation of a [`Request::ComputeField`] on borrowed sets (with
-/// their masses: those the host holds): the accelerations of
-/// `stars[star_range]` due to all gas land in `out`, followed by those
-/// of `gas[gas_range]` due to all stars (`tmp` stages the second
-/// evaluation). `Ok` carries the summed flops; `Err` a typed refusal of
-/// ragged sets or ranges outside them, or what the worker answered
-/// instead of accelerations.
-// jc-lint: no-alloc
-pub fn field_into(
-    worker: &mut dyn ModelWorker,
-    stars: FieldSet<'_>,
-    gas: FieldSet<'_>,
-    star_range: (usize, usize),
-    gas_range: (usize, usize),
-    out: &mut Vec<[f64; 3]>,
-    tmp: &mut Vec<[f64; 3]>,
-) -> Result<f64, Response> {
-    check_sets(stars, gas)?;
-    check_ranges(stars.0, gas.0, star_range, gas_range)?;
-    // gas pulls on stars, then stars pull on gas
-    let star_flops = kick_into(worker, &stars.0[star_range.0..star_range.1], gas, out)?;
-    let gas_flops = kick_into(worker, &gas.0[gas_range.0..gas_range.1], stars, tmp)?;
-    out.extend_from_slice(tmp);
-    Ok(star_flops + gas_flops)
-}
 
 /// The typed refusal of a request whose columns disagree in length, the
 /// one shape the wire cannot frame (a header counts one column, the
@@ -427,7 +411,7 @@ pub struct ServerCore<'a, W = &'a mut dyn ModelWorker> {
     /// The held masses and the positions of a field request.
     field: FieldSets,
     acc: Vec<[f64; 3]>,
-    /// Staging for the second half of a field (see [`field_into`]).
+    /// Staging for the second half of a field (see [`FieldSets::evaluate`]).
     tmp: Vec<[f64; 3]>,
 }
 

@@ -4,15 +4,12 @@
 //! ```text
 //! abpair --parent REV --change REV --workload W [--workload W2 …]
 //!        [--pairs 10] [--seconds 20] [--seed 1000] [--trace] [--work DIR] [--out FILE]
-//! abpair --parent-dir DIR --change-dir DIR --workload W …
 //! ```
 //!
-//! Each side is a checkout of the repository: by default the tool adds
-//! one detached `git worktree` per revision under `--work` (default
-//! `target/abpair`) and removes them when done; `--parent-dir` and
-//! `--change-dir` name checkouts that already exist instead. Each side
-//! builds into its own `CARGO_TARGET_DIR` under `--work`, before any
-//! measured run.
+//! Each side is a detached `git worktree` of its revision, added under
+//! `--work` (default `target/abpair`) and removed again when done. Each
+//! side builds into its own `CARGO_TARGET_DIR` under `--work`, before
+//! any measured run.
 //!
 //! Pair *i* of a workload runs `benchmark/run.sh --workload W --seed S
 //! --seconds T --trace 0` on both sides with the fresh seed `S = seed +
@@ -141,8 +138,6 @@ fn run_git(args: &[&str]) -> Result<(), String> {
 struct Opts {
     parent: Option<String>,
     change: Option<String>,
-    parent_dir: Option<PathBuf>,
-    change_dir: Option<PathBuf>,
     workloads: Vec<String>,
     pairs: u64,
     seconds: u64,
@@ -156,8 +151,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut o = Opts {
         parent: None,
         change: None,
-        parent_dir: None,
-        change_dir: None,
         workloads: Vec::new(),
         pairs: 10,
         seconds: 20,
@@ -177,8 +170,6 @@ fn parse_args() -> Result<Opts, String> {
         match flag.as_str() {
             "--parent" => o.parent = Some(value),
             "--change" => o.change = Some(value),
-            "--parent-dir" => o.parent_dir = Some(value.into()),
-            "--change-dir" => o.change_dir = Some(value.into()),
             "--workload" => o.workloads.push(value),
             "--pairs" => o.pairs = number()?,
             "--seconds" => o.seconds = number()?,
@@ -232,26 +223,19 @@ fn run() -> Result<(), String> {
     let o = parse_args()?;
     std::fs::create_dir_all(&o.work).map_err(|e| format!("{}: {e}", o.work.display()))?;
     let work = o.work.canonicalize().map_err(|e| format!("{}: {e}", o.work.display()))?;
-    // a side is an existing checkout, or a worktree added (and later
-    // removed) here
+    // a side is a worktree added (and later removed) here
     let mut added = Vec::new();
-    let mut side = |label: &'static str, dir: &Option<PathBuf>, rev: &Option<String>| {
-        let dir = match (dir, rev) {
-            (Some(d), _) => d.canonicalize().map_err(|e| format!("{}: {e}", d.display()))?,
-            (None, Some(rev)) => {
-                let d = work.join(label);
-                let path = d.to_string_lossy().into_owned();
-                run_git(&["worktree", "add", "--detach", "--force", &path, rev])?;
-                added.push(path);
-                d
-            }
-            (None, None) => return Err(format!("--{label} REV or --{label}-dir DIR")),
-        };
+    let mut side = |label: &'static str, rev: &Option<String>| {
+        let rev = rev.as_deref().ok_or_else(|| format!("--{label} REV"))?;
+        let dir = work.join(label);
+        let path = dir.to_string_lossy().into_owned();
+        run_git(&["worktree", "add", "--detach", "--force", &path, rev])?;
+        added.push(path);
         Ok::<Side, String>(Side { label, dir, target: work.join(format!("target-{label}")) })
     };
     // every worktree added is removed again, whatever failed
-    let result = side("parent", &o.parent_dir, &o.parent).and_then(|parent| {
-        let change = side("change", &o.change_dir, &o.change)?;
+    let result = side("parent", &o.parent).and_then(|parent| {
+        let change = side("change", &o.change)?;
         measure(&o, &[parent, change])
     });
     for path in added {

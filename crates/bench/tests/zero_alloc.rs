@@ -297,16 +297,21 @@ fn socket_field_steady_state_allocates_nothing() {
     let mut ch = SocketChannel::connect(addr, "fi").unwrap();
     let [stars, gas] = field_sets(128, 512);
     let mut acc = Vec::new();
-    // the first field primes the host, the steady state is mass-free
+    // a cold open primes the host, every substep after it is mass-free:
+    // both request forms must go quiet once warm
     let field = |ch: &mut SocketChannel, acc: &mut Vec<[f64; 3]>, prime: bool| {
         ch.submit_field(&stars, &gas, prime, (0, 128), (0, 512));
         ch.collect_accelerations_into(acc).expect("the field's accelerations");
     };
-    for prime in [true, false] {
-        field(&mut ch, &mut acc, prime);
+    for _ in 0..2 {
+        field(&mut ch, &mut acc, true);
+        field(&mut ch, &mut acc, false);
     }
-    let allocs = count_allocs(|| field(&mut ch, &mut acc, false));
-    assert_eq!(allocs, 0, "socket field made {allocs} heap allocations");
+    let allocs = count_allocs(|| {
+        field(&mut ch, &mut acc, true);
+        field(&mut ch, &mut acc, false);
+    });
+    assert_eq!(allocs, 0, "socket priming+mass-free field made {allocs} heap allocations");
     assert_eq!(acc.len(), 128 + 512, "sanity: accelerations actually crossed the wire");
     drop(ch);
     handle.join().unwrap().unwrap();
@@ -361,12 +366,17 @@ fn server_core_steady_state_allocates_nothing() {
     let masses = Some((&stars.mass[..], &gas.mass[..]));
     wire::encode_compute_field(&stars.pos, &gas.pos, masses, (0, 128), (0, 512), &mut prime);
     wire::encode_compute_field(&stars.pos, &gas.pos, None, (0, 128), (0, 512), &mut field);
-    serve(&mut core, &mut prime, op::RESP_ACCELERATIONS);
+    // a priming request (the cold open's) and a mass-free one (a
+    // substep's): both must go quiet once warm
+    let mut fields = |core: &mut ServerCore<'_>| {
+        serve(core, &mut prime, op::RESP_ACCELERATIONS);
+        serve(core, &mut field, op::RESP_ACCELERATIONS);
+    };
     for _ in 0..2 {
-        serve(&mut core, &mut field, op::RESP_ACCELERATIONS);
+        fields(&mut core);
     }
-    let allocs = count_allocs(|| serve(&mut core, &mut field, op::RESP_ACCELERATIONS));
-    assert_eq!(allocs, 0, "server field made {allocs} heap allocations");
+    let allocs = count_allocs(|| fields(&mut core));
+    assert_eq!(allocs, 0, "server priming+mass-free field made {allocs} heap allocations");
 }
 
 #[test]
@@ -420,11 +430,16 @@ fn sharded_local_pool_hot_path_allocates_nothing() {
         pool.submit_field(&stars, &gas, prime, (0, 50), (0, 97));
         pool.collect_accelerations_into(acc).expect("the field's accelerations");
     };
-    for prime in [true, false] {
-        field(&mut pool, &mut acc, prime);
+    // both request forms: the cold open's priming one and a substep's
+    for _ in 0..2 {
+        field(&mut pool, &mut acc, true);
+        field(&mut pool, &mut acc, false);
     }
-    let allocs = count_allocs(|| field(&mut pool, &mut acc, false));
-    assert_eq!(allocs, 0, "sharded field made {allocs} heap allocations");
+    let allocs = count_allocs(|| {
+        field(&mut pool, &mut acc, true);
+        field(&mut pool, &mut acc, false);
+    });
+    assert_eq!(allocs, 0, "sharded priming+mass-free field made {allocs} heap allocations");
     assert_eq!(acc.len(), 50 + 97);
 }
 

@@ -16,8 +16,9 @@
 //!   starts the hubs required by SmartSockets on each resource used"), and
 //!   one GAT middleware actor per resource.
 //! * [`monitor`] — text renditions of the IbisDeploy GUI panels shown in
-//!   Figs 10 and 11: the resource map, the job table, the hub overlay and
-//!   the per-link traffic visualization with load/memory bars.
+//!   Figs 10 and 11: the resource map, the job table and the per-link
+//!   traffic visualization with load/memory bars (the hub overlay is
+//!   `jc_smartsockets::OverlayView::render`).
 //! * [`supervise`] — worker-process supervision beyond the paper: launch
 //!   recipes for `jungle-worker` processes and a
 //!   [`supervise::ProcessSupervisor`] that respawns dead shards for the

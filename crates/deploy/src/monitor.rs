@@ -4,13 +4,13 @@
 //! a map of the Netherlands), the job list, the SmartSockets overlay, and a
 //! 3D traffic visualization with per-site load (red) and memory (blue) bars
 //! where "IPL traffic is shown in blue, while MPI traffic is shown in
-//! orange". This module renders all four as plain text so examples and
-//! the figure binaries can print them.
+//! orange". This module renders the map, the job list and the traffic
+//! view as plain text so examples and the figure binaries can print them;
+//! the overlay renders itself (`jc_smartsockets::OverlayView::render`).
 
 use jc_gat::{GatRealm, JobState};
 use jc_netsim::metrics::{Metrics, TrafficClass};
 use jc_netsim::{SimDuration, Topology};
-use jc_smartsockets::OverlayView;
 
 /// One row of the job table.
 #[derive(Clone, Debug)]
@@ -63,11 +63,6 @@ impl<'a> MonitorView<'a> {
             ));
         }
         out
-    }
-
-    /// Fig 10, top-right: the overlay (delegates to SmartSockets).
-    pub fn render_overlay(&self, view: &OverlayView) -> String {
-        view.render()
     }
 
     /// Fig 11: traffic per WAN link (IPL blue / MPI orange in the paper;

@@ -15,7 +15,8 @@ pub enum MiddlewareKind {
     Pbs,
     /// Globus GRAM (heavier handshake in front of a batch queue).
     Globus,
-    /// Zorilla peer-to-peer scheduling.
+    /// Zorilla peer-to-peer scheduling, modeled by its latency profile
+    /// alone (the P2P overlay itself is not simulated).
     Zorilla,
 }
 
@@ -109,6 +110,8 @@ mod tests {
     fn overheads_ordered_sanely() {
         assert!(MiddlewareKind::Ssh.submit_overhead() < MiddlewareKind::Sge.submit_overhead());
         assert!(MiddlewareKind::Pbs.submit_overhead() < MiddlewareKind::Globus.submit_overhead());
+        // the whole of Zorilla in this stack (docs/ARCHITECTURE.md, §3)
+        assert_eq!(MiddlewareKind::Zorilla.submit_overhead(), SimDuration::from_millis(300));
     }
 
     #[test]

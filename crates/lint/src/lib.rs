@@ -14,7 +14,7 @@
 //! | `no-alloc` | functions tagged `// jc-lint: no-alloc` never call `Vec::new` / `vec!` / `clone` / `format!` / friends |
 //! | `determinism` | kernel and checkpoint-replay crates never use `HashMap`/`HashSet` or wall-clock time |
 //! | `env-registry` | every `std::env::var("JC_*")` read is registered in `jc_core::envreg` and documented in the README |
-//! | `doc-refs` | every `BENCH_*.json` and back-ticked repo path that README.md, docs/ARCHITECTURE.md or CHANGES.md's newest entry names exists |
+//! | `doc-refs` | every `BENCH_*.json`, back-ticked repo path and back-ticked crate path (`jc_<x>::…`) that README.md, docs/ARCHITECTURE.md or CHANGES.md's newest entry names exists |
 //!
 //! Like the offline shims, the tool is dependency-free: a small
 //! hand-rolled lexer ([`lexer`]) over the workspace sources, plus one

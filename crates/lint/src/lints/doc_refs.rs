@@ -7,7 +7,11 @@
 //! moved files, and each time the references were repointed by hand.
 //! This lint closes that loop: a `BENCH_*.json` name anywhere in the
 //! text, or a back-ticked repo-relative path under one of [`PREFIXES`],
-//! must exist in the tree.
+//! must exist in the tree. Crates are named the same way: a back-ticked
+//! Rust path `jc_<x>::…`, or a bare `jc_<x>` followed by its
+//! `` (`crates/<x>`) `` directory, must name an existing
+//! `crates/<x>/Cargo.toml` (`jc_benchmark` lives in `benchmark/`). A
+//! bare `jc_<x>` elsewhere, such as a JSON field, is not a crate name.
 //!
 //! A back-ticked path may carry a `:line` suffix and one
 //! `{a,b}` alternation (each alternative is checked); spans with a glob,
@@ -42,17 +46,23 @@ pub fn check(
         if newest_only && n != newest {
             continue;
         }
-        let mut names = bench_names(line);
-        names.extend(line.split('`').skip(1).step_by(2).flat_map(path_names));
+        // (name in the text, file that must exist)
+        let spans: Vec<&str> = line.split('`').collect();
+        let mut names: Vec<(String, String)> =
+            bench_names(line).into_iter().map(|n| (n.clone(), n)).collect();
+        for at in (1..spans.len()).step_by(2) {
+            names.extend(path_names(spans[at]).into_iter().map(|n| (n.clone(), n)));
+            names.extend(crate_manifest(spans[at], &spans[at + 1..]));
+        }
         names.sort();
         names.dedup();
-        for name in names.into_iter().filter(|name| !exists(name)) {
-            diags.push(Diagnostic {
-                path: path.into(),
-                line: n as u32 + 1,
-                lint: LINT,
-                message: format!("`{name}` is named here but does not exist in the tree"),
-            });
+        for (name, file) in names.into_iter().filter(|(_, file)| !exists(file)) {
+            let message = if name == file {
+                format!("`{name}` is named here but does not exist in the tree")
+            } else {
+                format!("`{name}` is named here but `{file}` does not exist in the tree")
+            };
+            diags.push(Diagnostic { path: path.into(), line: n as u32 + 1, lint: LINT, message });
         }
     }
     diags
@@ -91,4 +101,23 @@ fn path_names(span: &str) -> Vec<String> {
             .collect(),
         _ => vec![span.to_string()],
     }
+}
+
+/// The crate a back-ticked `span` names, with the manifest that must
+/// exist for it; `after` is the rest of the line, split at backticks
+/// (text, span, text, …).
+fn crate_manifest(span: &str, after: &[&str]) -> Option<(String, String)> {
+    let rest = span.strip_prefix("jc_")?;
+    let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).unwrap_or(rest.len());
+    let (name, tail) = rest.split_at(end);
+    let dir_follows = matches!(after, [" (", dir, ..] if dir.starts_with("crates/"));
+    let named = tail.starts_with("::") || (tail.is_empty() && dir_follows);
+    if name.is_empty() || !named {
+        return None;
+    }
+    let manifest = match name {
+        "benchmark" => "benchmark/Cargo.toml".to_string(),
+        _ => format!("crates/{name}/Cargo.toml"),
+    };
+    Some((format!("jc_{name}"), manifest))
 }

@@ -206,8 +206,15 @@ fn env_registry_pass_fixture_is_quiet() {
 
 /// The tree the `doc_refs` fixtures are written against.
 fn fixture_tree(rel: &str) -> bool {
-    const TREE: [&str; 5] =
-        ["BENCH_PR8.json", "crates/a/", "crates/a/src/lib.rs", "crates/a/tests/golden.rs", "docs/"];
+    const TREE: [&str; 7] = [
+        "BENCH_PR8.json",
+        "benchmark/Cargo.toml",
+        "crates/a/",
+        "crates/a/Cargo.toml",
+        "crates/a/src/lib.rs",
+        "crates/a/tests/golden.rs",
+        "docs/",
+    ];
     TREE.contains(&rel)
 }
 
@@ -220,13 +227,14 @@ fn doc_refs_fail_fixture_exact_diagnostics() {
     let text = fixture_text("fail/doc_refs.md");
     let d = doc_refs::check("README.md", &text, false, &fixture_tree);
     let doc_refs = |lines: &[u32]| lines.iter().map(|&l| (l, "doc-refs")).collect::<Vec<_>>();
-    assert_eq!(lines(&d), doc_refs(&[3, 5, 7, 9, 10]), "{d:#?}");
+    assert_eq!(lines(&d), doc_refs(&[3, 5, 7, 8, 10, 11]), "{d:#?}");
     assert!(d[0].message.contains("`BENCH_PR7.json`"));
     assert!(d[1].message.contains("`crates/a/src/old_kernel.rs`"), "line suffix is stripped");
     assert!(d[2].message.contains("`crates/b/tests/golden.rs`"), "alternation is expanded");
+    assert!(d[3].message.contains("`crates/gone/Cargo.toml`"), "a crate path names its manifest");
     // an append-only log answers for its newest entry only
     let d = doc_refs::check("CHANGES.md", &text, true, &fixture_tree);
-    assert_eq!(lines(&d), doc_refs(&[10]), "{d:#?}");
+    assert_eq!(lines(&d), doc_refs(&[11]), "{d:#?}");
     assert!(d[0].message.contains("`docs/MISSING.md`"));
 }
 

@@ -1,7 +1,7 @@
 //! Actors: the unit of concurrency inside the simulated jungle.
 //!
-//! Every protocol participant — a SmartSockets hub, an IPL registry, a GAT
-//! broker, an Ibis daemon, a worker proxy — is an [`Actor`] pinned to a
+//! Every protocol participant — a SmartSockets hub, a GAT broker, an Ibis
+//! daemon, a worker proxy — is an [`Actor`] pinned to a
 //! simulated host. Actors communicate exclusively by messages scheduled
 //! through the engine, which is what makes runs deterministic.
 
@@ -72,9 +72,6 @@ pub enum EngineNotice {
     /// The host this actor is placed on has crashed; the actor will receive
     /// no further messages after this one.
     HostCrashed,
-    /// A host somewhere in the jungle crashed (delivered to actors that
-    /// subscribed via [`Ctx::watch_host`]).
-    WatchedHostCrashed(crate::topology::HostId),
     /// A previously sent reliable message could not be delivered because the
     /// destination host is down.
     DeliveryFailed {

@@ -74,7 +74,6 @@ struct Inner {
     actor_alive: Vec<bool>,
     actor_names: Vec<String>,
     host_down: Vec<bool>,
-    watchers: HashMap<HostId, Vec<ActorId>>,
     pending_actors: Vec<(ActorId, HostId, Box<dyn Actor>)>,
     link_busy_until: HashMap<crate::topology::LinkId, SimTime>,
     trace: Vec<String>,
@@ -170,7 +169,6 @@ impl Sim {
                 actor_alive: Vec::new(),
                 actor_names: Vec::new(),
                 host_down,
-                watchers: HashMap::new(),
                 pending_actors: Vec::new(),
                 link_busy_until: HashMap::new(),
                 trace: Vec::new(),
@@ -364,14 +362,6 @@ impl Sim {
             self.deliver(*id, Msg::new(None, EngineNotice::HostCrashed));
             self.inner.actor_alive[id.0 as usize] = false;
         }
-        // Notify watchers elsewhere.
-        if let Some(watchers) = self.inner.watchers.get(&host).cloned() {
-            for w in watchers {
-                if self.inner.actor_alive.get(w.0 as usize).copied().unwrap_or(false) {
-                    self.deliver(w, Msg::new(None, EngineNotice::WatchedHostCrashed(host)));
-                }
-            }
-        }
     }
 
     /// Bring a crashed host back up, empty: deliveries to it succeed
@@ -481,11 +471,6 @@ impl<'a> Ctx<'a> {
         d
     }
 
-    /// Subscribe to crash notifications for a host.
-    pub fn watch_host(&mut self, host: HostId) {
-        self.inner.watchers.entry(host).or_default().push(self.self_id);
-    }
-
     /// Spawn a new actor on a host. The actor is installed (and `on_start`
     /// runs) right after the current handler returns, at the same virtual
     /// time.
@@ -503,12 +488,6 @@ impl<'a> Ctx<'a> {
     /// Is an actor still alive?
     pub fn actor_alive(&self, a: ActorId) -> bool {
         self.inner.actor_alive.get(a.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// Crash a host now (failure injection from inside the simulation).
-    pub fn crash_host(&mut self, host: HostId, after: SimDuration) {
-        let t = self.inner.clock + after;
-        self.inner.push_event(t, EventKind::Crash { host });
     }
 
     /// Terminate an actor: it stops receiving deliveries. No-op for
@@ -600,24 +579,8 @@ mod tests {
     }
 
     #[test]
-    fn crash_drops_messages_and_notifies_watcher() {
-        struct Watcher {
-            saw_crash: bool,
-            target: HostId,
-        }
-        impl Actor for Watcher {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.watch_host(self.target);
-            }
-            fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-                if let Ok((_, EngineNotice::WatchedHostCrashed(_))) = msg.downcast::<EngineNotice>()
-                {
-                    self.saw_crash = true;
-                }
-            }
-        }
-        let (mut sim, ha, hb) = sim_with_two_hosts();
-        let _w = sim.add_actor(ha, Box::new(Watcher { saw_crash: false, target: hb }));
+    fn crash_drops_messages() {
+        let (mut sim, _, hb) = sim_with_two_hosts();
         let e = sim.add_actor(hb, Box::new(Echo { got: vec![], reply_to: None }));
         sim.crash_host_at(hb, SimTime(1));
         sim.post(e, 9u32, SimDuration::from_secs(1));

@@ -8,8 +8,8 @@
 //! *firewall/NAT policies*, and equipped with *compute devices* (CPU cores
 //! and GPUs) and *batch queues*.
 //!
-//! Everything above this crate — SmartSockets hubs, the IPL registry, GAT
-//! adapters, the Ibis daemon and worker proxies — runs as [`Actor`]s inside
+//! Everything above this crate — SmartSockets hubs, GAT adapters, the
+//! Ibis daemon and worker proxies — runs as [`Actor`]s inside
 //! the event loop, executing their real protocol logic over the simulated
 //! transport. A single-threaded engine plus seeded RNG makes every run
 //! bit-for-bit reproducible, which the test suite exploits.

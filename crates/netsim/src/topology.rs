@@ -229,11 +229,6 @@ impl Topology {
         self.hosts.len()
     }
 
-    /// Hosts of a site.
-    pub fn hosts_of(&self, site: SiteId) -> Vec<HostId> {
-        self.hosts().filter(|(_, h)| h.site == site).map(|(id, _)| id).collect()
-    }
-
     /// The front-end host of a site, if one is designated.
     pub fn front_end_of(&self, site: SiteId) -> Option<HostId> {
         self.hosts().find(|(_, h)| h.site == site && h.front_end).map(|(id, _)| id)

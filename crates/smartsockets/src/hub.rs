@@ -23,7 +23,7 @@ pub struct HubInfo {
 
 /// A data envelope relayed through the overlay.
 pub struct Relay {
-    /// Final destination actor (an IPL receive port, a worker proxy, ...).
+    /// Final destination actor (a worker proxy, the daemon, ...).
     pub to_actor: ActorId,
     /// Destination address (for routing decisions).
     pub to_addr: VirtualAddress,
@@ -115,11 +115,6 @@ impl HubActor {
         if let (Some(probe), Some(me)) = (&self.probe, self.me) {
             probe.borrow_mut().insert(me.actor, self.known.clone());
         }
-    }
-
-    /// Hubs this hub currently knows.
-    pub fn known_hubs(&self) -> &[HubInfo] {
-        &self.known
     }
 
     /// Envelopes forwarded so far.

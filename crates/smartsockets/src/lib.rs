@@ -24,9 +24,9 @@
 //! Connection *establishment* is planned analytically from the topology and
 //! charged its modeled setup latency ([`socket::ConnectionPlan`]); data
 //! *relay* genuinely flows through hub actors in the event loop. This split
-//! keeps the higher layers (IPL) free of handshake state machines while
-//! still exercising relay routing, gossip and failure behaviour in the
-//! simulator.
+//! keeps the higher layers (the daemon and proxies' IPL traffic) free of
+//! handshake state machines while still exercising relay routing, gossip
+//! and failure behaviour in the simulator.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

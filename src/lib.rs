@@ -1,6 +1,7 @@
 //! # jungle — umbrella crate for the Jungle Computing / distributed AMUSE reproduction
 //!
-//! Re-exports every workspace crate under one roof so the examples and
+//! Re-exports the workspace's library crates (all but the `jc_bench`
+//! binaries and the `jc-lint` tool) under one roof so the examples and
 //! integration tests can `use jungle::...`. See the README for the map of
 //! the system and docs/ARCHITECTURE.md for the full inventory.
 
@@ -12,7 +13,6 @@ pub use jc_compute as compute;
 pub use jc_core as core;
 pub use jc_deploy as deploy;
 pub use jc_gat as gat;
-pub use jc_ipl as ipl;
 pub use jc_nbody as nbody;
 pub use jc_netsim as netsim;
 pub use jc_service as service;
@@ -21,4 +21,3 @@ pub use jc_sph as sph;
 pub use jc_stellar as stellar;
 pub use jc_treegrav as treegrav;
 pub use jc_units as units;
-pub use jc_zorilla as zorilla;

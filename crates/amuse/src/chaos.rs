@@ -14,7 +14,7 @@
 //! * **worker crash after request #n** — the existing server fuse,
 //! * **checkpoint write truncation** — a lying disk drops the tail,
 //!
-//! and the same `JC_CHAOS_SEED` always yields the same fault sequence:
+//! and the same seed always yields the same fault sequence:
 //! the schedule is a pure function of the seed (a splitmix64 walk — no
 //! `SystemTime`, no `Instant`, no external RNG, so the `determinism`
 //! lint holds for the injected path too).
@@ -132,18 +132,6 @@ impl FaultPlan {
     /// The plan for `seed`.
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan { seed }
-    }
-
-    /// The plan named by the `JC_CHAOS_SEED` environment variable, or
-    /// `None` when unset/unparsable (chaos is strictly opt-in).
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("JC_CHAOS_SEED").ok()?;
-        raw.trim().parse::<u64>().ok().map(FaultPlan::seeded)
-    }
-
-    /// The seed (for reporting a diverging schedule).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The full schedule against a run with `streams` coupler-side

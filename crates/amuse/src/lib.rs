@@ -65,7 +65,7 @@
 //!   per bridge, and the framed binary container they serialize to,
 //!   CRC-guarded per section.
 //! * [`chaos`] — the deterministic fault-injection substrate
-//!   ([`chaos::FaultPlan`], seeded by `JC_CHAOS_SEED`) and the
+//!   ([`chaos::FaultPlan`], a pure function of its seed) and the
 //!   [`chaos::RetryPolicy`] that lets transient faults be absorbed by
 //!   an in-place, sequence-number-deduplicated resend instead of a
 //!   checkpoint restore.

@@ -1028,38 +1028,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn thread_channel_shards_overlap_on_the_typed_legs() {
-        use crate::channel::ThreadChannel;
+    /// The two halves of a [`Rendezvous`] pair.
+    fn rendezvous_pair() -> [Rendezvous; 2] {
         let (to_b, from_a) = std::sync::mpsc::channel();
         let (to_a, from_b) = std::sync::mpsc::channel();
-        let shards: Vec<Box<dyn Channel>> = vec![
-            Box::new(ThreadChannel::spawn("a", move || Rendezvous {
-                to_peer: to_b,
-                from_peer: from_b,
-            })),
-            Box::new(ThreadChannel::spawn("b", move || Rendezvous {
-                to_peer: to_a,
-                from_peer: from_a,
-            })),
-        ];
-        let mut pool = ShardedChannel::with_counts(shards, Vec::new());
-        assert!(!pool.pipelined(), "thread channels do not claim to pipeline");
-        let targets: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, 0.0, 0.0]).collect();
-        let mut acc = Vec::new();
-        let flops = pool.compute_kick_into(&targets, &[], &[], &mut acc);
-        assert_eq!(flops, Some(2.0), "both shards must be in flight at once");
-        assert_eq!(acc, targets, "gathered in shard order");
+        [
+            Rendezvous { to_peer: to_b, from_peer: from_b },
+            Rendezvous { to_peer: to_a, from_peer: from_a },
+        ]
+    }
 
-        // a field likewise: each shard's host asks for both directions,
-        // and each direction waits for the peer shard's
-        let stars = ParticleData { mass: vec![1.0; 5], pos: targets.clone(), vel: Vec::new() };
-        let gas = ParticleData { mass: vec![1.0; 3], pos: targets[..3].to_vec(), vel: Vec::new() };
-        pool.submit_field(&stars, &gas, true, (0, 5), (0, 3));
-        let flops = pool.collect_accelerations_into(&mut acc);
-        assert_eq!(flops, Some(4.0), "both shards must be in flight at once");
-        let star_then_gas: Vec<_> = targets.iter().chain(&targets[..3]).copied().collect();
-        assert_eq!(acc, star_then_gas, "star pieces in shard order, then gas pieces");
+    /// Over worker threads, over sockets on private reactors and over
+    /// one shared reactor: a socket pool completes only if every
+    /// `submit*` starts its frame on the wire before returning, since
+    /// nothing drives a private reactor until its own collect.
+    #[test]
+    fn shards_overlap_on_the_typed_legs() {
+        use crate::channel::ThreadChannel;
+        use crate::reactor::{Reactor, ReactorChannel};
+        use crate::socket::{SocketChannel, WorkerFleet};
+        let mut fleet = WorkerFleet::new();
+        let reactor = Reactor::new_shared().unwrap();
+        for transport in ["thread", "socket", "reactor"] {
+            let mut channel = |name: &str, worker: Rendezvous| -> Box<dyn Channel> {
+                match transport {
+                    "thread" => Box::new(ThreadChannel::spawn(name, move || worker)),
+                    "socket" => {
+                        let addr = fleet.spawn(name, move || worker);
+                        Box::new(SocketChannel::connect(addr, name).unwrap())
+                    }
+                    _ => {
+                        let addr = fleet.spawn(name, move || worker);
+                        Box::new(ReactorChannel::connect(&reactor, addr, name).unwrap())
+                    }
+                }
+            };
+            let [a, b] = rendezvous_pair();
+            let shards = vec![channel("a", a), channel("b", b)];
+            let mut pool = ShardedChannel::with_counts(shards, Vec::new());
+            assert_eq!(pool.pipelined(), transport != "thread", "only TCP shards pipeline");
+            let targets: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, 0.0, 0.0]).collect();
+            let mut acc = Vec::new();
+            let flops = pool.compute_kick_into(&targets, &[], &[], &mut acc);
+            assert_eq!(flops, Some(2.0), "{transport}: both shards must be in flight at once");
+            assert_eq!(acc, targets, "{transport}: gathered in shard order");
+
+            // a field likewise: each shard's host asks for both
+            // directions, and each direction waits for the peer shard's
+            let stars = ParticleData { mass: vec![1.0; 5], pos: targets.clone(), vel: Vec::new() };
+            let gas =
+                ParticleData { mass: vec![1.0; 3], pos: targets[..3].to_vec(), vel: Vec::new() };
+            pool.submit_field(&stars, &gas, true, (0, 5), (0, 3));
+            let flops = pool.collect_accelerations_into(&mut acc);
+            assert_eq!(flops, Some(4.0), "{transport}: both shards must be in flight at once");
+            let star_then_gas: Vec<_> = targets.iter().chain(&targets[..3]).copied().collect();
+            assert_eq!(acc, star_then_gas, "{transport}: star pieces in shard order, then gas");
+        }
+        fleet.join_all().unwrap();
     }
 
     #[test]

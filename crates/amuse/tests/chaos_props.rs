@@ -151,7 +151,9 @@ proptest! {
                 let chaotic = pooled_final_state(seed, k, n, true, reactor);
                 prop_assert!(
                     chaotic == reference,
-                    "JC_CHAOS_SEED={} diverged at k={} reactor={}", seed, k, reactor
+                    "seed {} diverged at k={} reactor={}; replay: \
+                     cargo run --release --example chaos_soak -- --start {} --seeds 1",
+                    seed, k, reactor, seed
                 );
             }
         }

@@ -9,20 +9,14 @@
 //! (dead knob) or not documented in the README.
 //!
 //! This table is data, not mechanism — call sites keep reading the
-//! environment directly, and none caches the value: `par::auto_threads`,
-//! `reactor::net_timeout` and `FaultPlan::from_env` read it on every
-//! call, so an in-process change takes effect on the next read. The
-//! registry exists so the full set of knobs is one reviewable,
-//! documented list.
+//! environment directly, and none caches the value: `par::auto_threads`
+//! and `reactor::net_timeout` read it on every call, so an in-process
+//! change takes effect on the next read. The registry exists so the
+//! full set of knobs is one reviewable, documented list.
 
 /// Every `JC_*` environment variable the workspace reads, with a
 /// one-line description. Keep alphabetized.
 pub const JC_ENV: &[(&str, &str)] = &[
-    (
-        "JC_CHAOS_SEED",
-        "Seed for the deterministic fault-injection plan (jc_amuse::chaos::FaultPlan::from_env); \
-         unset or unparsable means no faults.",
-    ),
     (
         "JC_NET_TIMEOUT_MS",
         "TCP client I/O timeout in milliseconds: bounds teardown drains and every wait of a \

@@ -2,9 +2,9 @@
 //! checkpoint crates.
 //!
 //! Shard failover replays a checkpoint and asserts the rerun is
-//! *bitwise identical* (`tests/failover.rs`), and the SoA kernels
-//! promise run-to-run stable reductions. Two things silently break that
-//! class of guarantee: hash-seeded iteration order (`HashMap` /
+//! *bitwise identical* (`tests/transport_contract.rs`), and the SoA
+//! kernels promise run-to-run stable reductions. Two things silently
+//! break that class of guarantee: hash-seeded iteration order (`HashMap` /
 //! `HashSet` — `RandomState` differs per process, so any iteration, or
 //! any float accumulation driven by one, diverges between original and
 //! replay) and wall-clock-derived values (`SystemTime` / `Instant`)

@@ -8,9 +8,12 @@
 //!   before and after every evolve, a fresh snapshot for the stellar
 //!   exchange) built from `GetParticles`/`ComputeKick`/`Kick`/`EvolveTo`
 //!   against the public [`Channel`] API produces bitwise the same
-//!   particles as [`Bridge::iteration`] — in process, over worker
-//!   threads and over loopback TCP, with K ∈ {1, 2, 3} coupling shards,
-//!   particle counts no K divides, and either set empty;
+//!   particles as [`Bridge::iteration`] — on every row of the harness's
+//!   transport table (in process, over worker threads, over loopback
+//!   TCP on private and on shared reactors, and across a simulated WAN),
+//!   with K ∈ {1, 2, 3} coupling shards, particle counts no K divides,
+//!   and either set empty. The oracle lives in `tests/common`, where the
+//!   transport-contract, failover and chaos suites check against it too;
 //! * **counts** — `4 + 2s + K(s+1)` calls per cold iteration, of which
 //!   `K(s+1)` are `ComputeField`s, `2 + 2s + Ks` per warm one (no
 //!   stellar exchange before it: it opens on the field of the previous
@@ -19,7 +22,7 @@
 //! * **bytes** — each role's request and reply bytes per cold and warm
 //!   iteration are a closed form in `(n_stars, n_gas, s, K)`: masses
 //!   travel only in the cold open's snapshots and its priming field,
-//!   and local and TCP channels book the same frames;
+//!   and every transport books the same frames;
 //! * **restore** — a run restored from the checkpoint after any
 //!   iteration makes the calls and moves the bytes of the straight run
 //!   from there on, and reaches its bits;
@@ -30,19 +33,19 @@
 //!   worker failure inside a step or a feedback call is reported and
 //!   recovered like any other.
 
-use jungle::amuse::channel::{Channel, ChannelStats, LocalChannel, ThreadChannel};
-use jungle::amuse::reactor::{Reactor, ReactorChannel};
-use jungle::amuse::shard::ShardedChannel;
-use jungle::amuse::socket::WorkerFleet;
+mod common;
+
+use common::{
+    assert_same, bridge_over, local_channels, naive_run, outcome_of, Hosts, Transport, TRANSPORTS,
+};
+use jungle::amuse::channel::{Channel, ChannelStats, LocalChannel};
 use jungle::amuse::worker::{
-    CouplingWorker, GravityWorker, HydroWorker, ModelWorker, ParticleData, Request, Response,
-    StellarWorker,
+    GravityWorker, HydroWorker, ModelWorker, ParticleData, Request, Response,
 };
 use jungle::amuse::{
     Bridge, BridgeConfig, BridgeError, Checkpoint, EmbeddedCluster, RecoveryPolicy, Role,
 };
 use jungle::nbody::Backend;
-use jungle::stellar::StellarEvent;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -54,137 +57,6 @@ fn cluster() -> EmbeddedCluster {
 
 fn config(c: &EmbeddedCluster, substeps: u32, stellar_interval: u32) -> BridgeConfig {
     BridgeConfig { substeps, stellar_interval, ..c.bridge_config() }
-}
-
-fn bitwise_eq(a: &ParticleData, b: &ParticleData) -> bool {
-    let f = |x: &[f64], y: &[f64]| {
-        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-    };
-    let v = |x: &[[f64; 3]], y: &[[f64; 3]]| {
-        x.len() == y.len()
-            && x.iter().zip(y).all(|(p, q)| (0..3).all(|k| p[k].to_bits() == q[k].to_bits()))
-    };
-    f(&a.mass, &b.mass) && v(&a.pos, &b.pos) && v(&a.vel, &b.vel)
-}
-
-fn local(w: impl ModelWorker + 'static) -> Box<dyn Channel> {
-    Box::new(LocalChannel::new(Box::new(w)))
-}
-
-/// The four in-process channels of a fresh cluster.
-fn local_channels(c: &EmbeddedCluster) -> [Box<dyn Channel>; 4] {
-    [
-        local(GravityWorker::new(c.stars.clone(), Backend::CpuParallel)),
-        local(HydroWorker::new(c.gas.clone())),
-        local(CouplingWorker::fi()),
-        local(StellarWorker::new(c.star_masses_msun.clone(), 0.02)),
-    ]
-}
-
-fn bridge_over(channels: [Box<dyn Channel>; 4], cfg: BridgeConfig) -> Bridge {
-    let [g, h, c, s] = channels;
-    Bridge::new(g, h, c, Some(s), cfg)
-}
-
-/// What a run ends with: particles, model time, supernova count.
-type Outcome = (ParticleData, ParticleData, u64, u32);
-
-fn outcome_of(bridge: &mut Bridge) -> Outcome {
-    let (stars, gas) = bridge.snapshots();
-    (stars, gas, bridge.model_time().to_bits(), bridge.total_supernovae())
-}
-
-fn assert_same(got: &Outcome, want: &Outcome, what: &str) {
-    assert!(bitwise_eq(&got.0, &want.0), "{what}: star state diverged from the naive loop");
-    assert!(bitwise_eq(&got.1, &want.1), "{what}: gas state diverged from the naive loop");
-    assert_eq!((got.2, got.3), (want.2, want.3), "{what}: clock or supernova count diverged");
-}
-
-fn particles(ch: &mut dyn Channel) -> ParticleData {
-    match ch.call(Request::GetParticles) {
-        Response::Particles(p) => p,
-        other => panic!("snapshot failed: {other:?}"),
-    }
-}
-
-fn accelerations(
-    ch: &mut dyn Channel,
-    targets: &[[f64; 3]],
-    source: &ParticleData,
-) -> Vec<[f64; 3]> {
-    match ch.call(Request::ComputeKick {
-        targets: targets.to_vec(),
-        source_pos: source.pos.clone(),
-        source_mass: source.mass.clone(),
-    }) {
-        Response::Accelerations { acc, .. } => acc,
-        other => panic!("compute-kick failed: {other:?}"),
-    }
-}
-
-fn ok(r: Response) {
-    assert!(matches!(r, Response::Ok { .. }), "{r:?}");
-}
-
-/// The oracle: the Fig 7 step as the paper draws it, with nothing
-/// carried from one phase to the next. Every p-kick phase snapshots
-/// both systems and evaluates the field afresh; the stellar exchange
-/// fetches its own snapshot.
-fn naive_run(channels: [Box<dyn Channel>; 4], cfg: &BridgeConfig, iterations: u32) -> Outcome {
-    let [mut g, mut h, mut c, mut s] = channels;
-    let half_dt = 0.5 * cfg.dt;
-    let mut full_phase = |g: &mut dyn Channel, h: &mut dyn Channel| {
-        let (stars, gas) = (particles(g), particles(h));
-        let scale = |acc: Vec<[f64; 3]>| acc.into_iter().map(|a| a.map(|k| k * half_dt)).collect();
-        let dv_stars: Vec<[f64; 3]> = scale(accelerations(c.as_mut(), &stars.pos, &gas));
-        let dv_gas: Vec<[f64; 3]> = scale(accelerations(c.as_mut(), &gas.pos, &stars));
-        ok(g.call(Request::Kick(dv_stars)));
-        ok(h.call(Request::Kick(dv_gas)));
-    };
-    let (mut time, mut supernovae) = (0.0f64, 0u32);
-    for iteration in 1..=iterations {
-        for _ in 0..cfg.substeps {
-            full_phase(g.as_mut(), h.as_mut());
-            time += cfg.dt;
-            ok(g.call(Request::EvolveTo(time)));
-            ok(h.call(Request::EvolveTo(time)));
-            full_phase(g.as_mut(), h.as_mut());
-        }
-        if iteration % cfg.stellar_interval != 0 {
-            continue;
-        }
-        let (masses, events) = match s.call(Request::EvolveStars(time * cfg.time_unit_myr)) {
-            Response::StellarUpdate { masses, events } => (masses, events),
-            other => panic!("stellar evolve failed: {other:?}"),
-        };
-        let stars = particles(g.as_mut());
-        let nbody = masses.iter().map(|m| m / cfg.mass_unit_msun).collect();
-        ok(g.call(Request::SetMasses(nbody)));
-        for ev in events {
-            match ev {
-                StellarEvent::Supernova { star, ejected_mass, .. } => {
-                    supernovae += 1;
-                    let (center, m) = (stars.pos[star], ejected_mass / cfg.mass_unit_msun);
-                    h.call(Request::InjectEnergy {
-                        center,
-                        radius: cfg.sn_radius,
-                        energy: cfg.sn_energy,
-                    });
-                    if m > 0.0 {
-                        let u = cfg.sn_energy / m.max(1e-9) * 0.1;
-                        h.call(Request::AddGas { pos: center, mass: m, u });
-                    }
-                }
-                StellarEvent::WindMassLoss { star, mass } => {
-                    let m = mass / cfg.mass_unit_msun;
-                    if m > 1e-12 {
-                        h.call(Request::AddGas { pos: stars.pos[star], mass: m, u: 1e-3 });
-                    }
-                }
-            }
-        }
-    }
-    (particles(g.as_mut()), particles(h.as_mut()), time.to_bits(), supernovae)
 }
 
 const GRID: [(u32, u32); 8] = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (8, 1), (8, 2)];
@@ -218,7 +90,7 @@ fn bridge_matches_the_naive_loop_in_process() {
 }
 
 /// The same grid over loopback TCP: every model behind a
-/// [`ReactorChannel`], the coupling model a K=2 pool.
+/// `ReactorChannel`, the coupling model a K=2 pool.
 #[test]
 fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
     let c = cluster();
@@ -226,9 +98,9 @@ fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
         let cfg = config(&c, substeps, interval);
         let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
 
-        // fleet first, so it outlives the bridge on every exit path
-        let mut fleet = WorkerFleet::new();
-        let mut bridge = bridge_over(channels_over(Transport::Tcp, 2, &c, &mut fleet), cfg);
+        // hosts first, so they outlive the bridge on every exit path
+        let mut hosts = Hosts::new(Transport::Reactor);
+        let mut bridge = bridge_over(hosts.channels_over(2, &c), cfg);
         for done in 0..ITERATIONS {
             let coupling0 = bridge.channel_stats().2.calls;
             bridge.iteration();
@@ -240,76 +112,9 @@ fn bridge_matches_the_naive_loop_over_the_reactor_with_a_sharded_pool() {
         }
         let got = outcome_of(&mut bridge);
         drop(bridge); // Stop frames shut the servers down
-        fleet.join_all().expect("every server exits cleanly");
+        hosts.join_all().expect("every server exits cleanly");
         assert_same(&got, &want, &format!("s={substeps} n={interval} reactor K=2"));
     }
-}
-
-/// How a bridge under test reaches its workers.
-#[derive(Clone, Copy, Debug)]
-enum Transport {
-    /// [`LocalChannel`]s: the channels' borrowed legs, in the caller.
-    Local,
-    /// [`ThreadChannel`]s: owned requests, served on worker threads.
-    Thread,
-    /// [`ReactorChannel`]s on one reactor, workers behind loopback TCP
-    /// servers spawned into the fleet.
-    Tcp,
-}
-
-/// Channels to fresh workers of `c` over `transport`, the coupling
-/// model a pool of `k` shards (a bare channel for `k == 1`).
-fn channels_over(
-    transport: Transport,
-    k: usize,
-    c: &EmbeddedCluster,
-    fleet: &mut WorkerFleet,
-) -> [Box<dyn Channel>; 4] {
-    channels_wrapped(transport, k, c, fleet, &|ch| ch)
-}
-
-/// [`channels_over`] with `wrap` around every channel: each worker's,
-/// and the pool over the wrapped shards.
-fn channels_wrapped(
-    transport: Transport,
-    k: usize,
-    c: &EmbeddedCluster,
-    fleet: &mut WorkerFleet,
-    wrap: &dyn Fn(Box<dyn Channel>) -> Box<dyn Channel>,
-) -> [Box<dyn Channel>; 4] {
-    let reactor = Reactor::new_shared().unwrap();
-    let (stars, gas, imf) = (c.stars.clone(), c.gas.clone(), c.star_masses_msun.clone());
-    fn over<W: ModelWorker + 'static>(
-        transport: Transport,
-        reactor: &Rc<RefCell<Reactor>>,
-        fleet: &mut WorkerFleet,
-        name: &str,
-        make: impl FnOnce() -> W + Send + 'static,
-    ) -> Box<dyn Channel> {
-        match transport {
-            Transport::Local => local(make()),
-            Transport::Thread => Box::new(ThreadChannel::spawn(name, make)),
-            Transport::Tcp => {
-                let addr = fleet.spawn(name, make);
-                Box::new(ReactorChannel::connect(reactor, addr, name).unwrap())
-            }
-        }
-    }
-    let gravity = wrap(over(transport, &reactor, fleet, "grav", move || {
-        GravityWorker::new(stars, Backend::CpuParallel)
-    }));
-    let hydro = wrap(over(transport, &reactor, fleet, "hydro", move || HydroWorker::new(gas)));
-    let stellar =
-        wrap(over(transport, &reactor, fleet, "sse", move || StellarWorker::new(imf, 0.02)));
-    let mut shards: Vec<Box<dyn Channel>> = (0..k)
-        .map(|i| wrap(over(transport, &reactor, fleet, &format!("fi-{i}"), CouplingWorker::fi)))
-        .collect();
-    let coupling = if k == 1 {
-        shards.pop().unwrap()
-    } else {
-        wrap(Box::new(ShardedChannel::with_counts(shards, vec![0; k])))
-    };
-    [gravity, hydro, coupling, stellar]
 }
 
 /// 17 stars and 65 gas particles: neither 2 nor 3 divides either count,
@@ -323,10 +128,10 @@ fn bridge_matches_the_naive_loop_on_every_transport_and_shard_count() {
     let c = uneven_cluster();
     let cfg = config(&c, 3, 1);
     let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
-    for transport in [Transport::Local, Transport::Thread, Transport::Tcp] {
+    for transport in TRANSPORTS {
         for k in 1..=3usize {
-            let mut fleet = WorkerFleet::new();
-            let mut bridge = bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+            let mut hosts = Hosts::new(transport);
+            let mut bridge = bridge_over(hosts.channels_over(k, &c), cfg.clone());
             for _ in 0..ITERATIONS {
                 let rep = bridge.iteration();
                 let feedback = rep.supernovae as u64 + rep.wind_events as u64;
@@ -341,7 +146,7 @@ fn bridge_matches_the_naive_loop_on_every_transport_and_shard_count() {
             }
             let got = outcome_of(&mut bridge);
             drop(bridge);
-            fleet.join_all().expect("every server exits cleanly");
+            hosts.join_all().expect("every server exits cleanly");
             assert_same(&got, &want, &format!("{transport:?} K={k}"));
         }
     }
@@ -359,15 +164,17 @@ fn bridge_matches_the_naive_loop_when_a_set_is_empty() {
     for (c, what) in [(no_stars, "no stars"), (no_gas, "no gas")] {
         let cfg = config(&c, 2, 1);
         let want = naive_run(local_channels(&c), &cfg, ITERATIONS);
-        for (transport, k) in [(Transport::Local, 1), (Transport::Local, 3), (Transport::Tcp, 2)] {
-            let mut fleet = WorkerFleet::new();
-            let mut bridge = bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+        for (transport, k) in
+            [(Transport::Local, 1), (Transport::Local, 3), (Transport::Reactor, 2)]
+        {
+            let mut hosts = Hosts::new(transport);
+            let mut bridge = bridge_over(hosts.channels_over(k, &c), cfg.clone());
             for _ in 0..ITERATIONS {
                 bridge.iteration();
             }
             let got = outcome_of(&mut bridge);
             drop(bridge);
-            fleet.join_all().expect("every server exits cleanly");
+            hosts.join_all().expect("every server exits cleanly");
             assert_same(&got, &want, &format!("{what}, {transport:?} K={k}"));
         }
     }
@@ -398,10 +205,10 @@ impl Channel for FourMethods {
 fn a_four_method_channel_makes_the_same_calls_and_bytes_as_the_borrowed_legs() {
     let c = uneven_cluster();
     let cfg = config(&c, 3, 1);
-    for transport in [Transport::Local, Transport::Tcp] {
+    for transport in [Transport::Local, Transport::Reactor] {
         let mut runs = Vec::new();
         for wrapped in [false, true] {
-            let mut fleet = WorkerFleet::new();
+            let mut hosts = Hosts::new(transport);
             let wrap = |ch: Box<dyn Channel>| -> Box<dyn Channel> {
                 if wrapped {
                     Box::new(FourMethods(ch))
@@ -410,7 +217,7 @@ fn a_four_method_channel_makes_the_same_calls_and_bytes_as_the_borrowed_legs() {
                 }
             };
             // K = 2: the generic path at both levels of the pool
-            let channels = channels_wrapped(transport, 2, &c, &mut fleet, &wrap);
+            let channels = hosts.channels_wrapped(2, &c, &wrap);
             let mut bridge = bridge_over(channels, cfg.clone());
             for _ in 0..ITERATIONS {
                 bridge.iteration();
@@ -418,7 +225,7 @@ fn a_four_method_channel_makes_the_same_calls_and_bytes_as_the_borrowed_legs() {
             let stats = bridge.channel_stats();
             runs.push((outcome_of(&mut bridge), stats));
             drop(bridge);
-            fleet.join_all().expect("every server exits cleanly");
+            hosts.join_all().expect("every server exits cleanly");
         }
         let [(plain, plain_stats), (generic, generic_stats)] = &runs[..] else { unreachable!() };
         assert_same(generic, plain, &format!("{transport:?}: four-method channels"));
@@ -602,12 +409,10 @@ fn frame_bytes_per_role_follow_their_closed_forms() {
     let cfg = config(&c, substeps, 1);
     let cold_at = [true, false, true, false];
     for k in [1usize, 2] {
-        let mut per_transport = Vec::new();
-        for transport in [Transport::Local, Transport::Tcp] {
-            let mut fleet = WorkerFleet::new();
-            let [g, h, cp, _] = channels_over(transport, k, &c, &mut fleet);
+        for transport in TRANSPORTS {
+            let mut hosts = Hosts::new(transport);
+            let [g, h, cp, _] = hosts.channels_over(k, &c);
             let mut bridge = Bridge::new(g, h, cp, None, cfg.clone());
-            let mut booked = Vec::new();
             for (i, &cold) in cold_at.iter().enumerate() {
                 if cold && i > 0 {
                     assert!(bridge.heal_channels());
@@ -625,13 +430,10 @@ fn frame_bytes_per_role_follow_their_closed_forms() {
                 ];
                 let want = closed_form_books(n_stars, n_gas, substeps as u64, k as u64, cold);
                 assert_eq!(got, want, "{transport:?} K={k} iteration {} (cold: {cold})", i + 1);
-                booked.push(got);
             }
             drop(bridge);
-            fleet.join_all().expect("every server exits cleanly");
-            per_transport.push(booked);
+            hosts.join_all().expect("every server exits cleanly");
         }
-        assert_eq!(per_transport[0], per_transport[1], "K={k}: local and TCP book alike");
     }
 }
 
@@ -813,11 +615,10 @@ fn restore_is_accounting_transparent() {
     for interval in [1, 2, 3] {
         for substeps in [1, 3] {
             let cfg = config(&c, substeps, interval);
-            for (transport, k) in [(Transport::Local, 1), (Transport::Tcp, 2)] {
+            for (transport, k) in [(Transport::Local, 1), (Transport::Reactor, 2)] {
                 let what = format!("n={interval} s={substeps} {transport:?} K={k}");
-                let mut fleet = WorkerFleet::new();
-                let mut bridge =
-                    bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+                let mut hosts = Hosts::new(transport);
+                let mut bridge = bridge_over(hosts.channels_over(k, &c), cfg.clone());
                 let mut checkpoints = Vec::new();
                 let mut straight = Vec::new();
                 for done in 0..N {
@@ -826,12 +627,11 @@ fn restore_is_accounting_transparent() {
                 }
                 let want = outcome_of(&mut bridge);
                 drop(bridge);
-                fleet.join_all().expect("every server exits cleanly");
+                hosts.join_all().expect("every server exits cleanly");
 
                 for (at, ck) in checkpoints.iter().enumerate() {
-                    let mut fleet = WorkerFleet::new();
-                    let mut bridge =
-                        bridge_over(channels_over(transport, k, &c, &mut fleet), cfg.clone());
+                    let mut hosts = Hosts::new(transport);
+                    let mut bridge = bridge_over(hosts.channels_over(k, &c), cfg.clone());
                     bridge.restore(ck).unwrap();
                     let replayed = books_per_iteration(&mut bridge, N);
                     assert_eq!(
@@ -841,7 +641,7 @@ fn restore_is_accounting_transparent() {
                     );
                     let got = outcome_of(&mut bridge);
                     drop(bridge);
-                    fleet.join_all().expect("every server exits cleanly");
+                    hosts.join_all().expect("every server exits cleanly");
                     assert_same(&got, &want, &format!("{what}: restored at {at}"));
                 }
             }

@@ -212,9 +212,9 @@ impl FaultPlan {
             .map(|sf| 17 * sf.op)
     }
 
-    /// Deterministic victim selection for process-level chaos: which of
-    /// `n` workers dies in round `round` (see
-    /// `jc_deploy::supervise::ProcessSupervisor::chaos_kill`).
+    /// Deterministic victim selection for host-level chaos: which of
+    /// `n` workers dies in round `round` (the `jc_service` pool's chaos
+    /// kills pick their host with it).
     pub fn victim(&self, round: u64, n: usize) -> usize {
         assert!(n > 0, "no workers to pick a victim from");
         ChaosRng::new(self.seed ^ round.wrapping_mul(0x000D_DB1A_50DD_B1A5)).below(n as u64)
@@ -274,12 +274,6 @@ impl StreamFaults {
             "{fault:?} is not a write fault"
         );
         self.write_faults.push((op, fault));
-        self
-    }
-
-    /// Builder: refuse the next `n` reconnect attempts.
-    pub fn with_connect_refusals(mut self, n: u32) -> StreamFaults {
-        self.connect_refusals += n;
         self
     }
 
@@ -375,8 +369,6 @@ pub struct RetryPolicy {
     pub backoff_max_ms: u64,
     /// Seed for the deterministic jitter term.
     pub jitter_seed: u64,
-    /// Timeout for reconnect attempts, in milliseconds.
-    pub connect_timeout_ms: u64,
     /// Wall-clock budget for one request, in milliseconds (0 = no
     /// deadline). `max_retries` caps *attempts*, but a schedule of
     /// repeated transient timeouts can still stretch one round trip far
@@ -404,7 +396,6 @@ impl RetryPolicy {
             backoff_base_ms: 0,
             backoff_max_ms: 0,
             jitter_seed: 0,
-            connect_timeout_ms: 5_000,
             deadline_ms: 0,
         }
     }
@@ -417,7 +408,6 @@ impl RetryPolicy {
             backoff_base_ms: 5,
             backoff_max_ms: 200,
             jitter_seed: seed,
-            connect_timeout_ms: 5_000,
             deadline_ms: 0,
         }
     }

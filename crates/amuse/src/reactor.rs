@@ -587,6 +587,9 @@ impl ReactorLink {
         }
     }
 
+    /// Timeout of one reconnect attempt.
+    const CONNECT_TIMEOUT: Duration = Duration::from_millis(5_000);
+
     /// Tear down the stream and dial the stored address again,
     /// clearing the poison on success (the new stream's framing is
     /// trusted from scratch). Chaos may deterministically refuse the
@@ -596,8 +599,7 @@ impl ReactorLink {
         if self.reactor.borrow_mut().connect_refused(self.token) {
             return false;
         }
-        let timeout = Duration::from_millis(self.retry.connect_timeout_ms.max(1));
-        let replaced = TcpStream::connect_timeout(&addr, timeout).and_then(|s| {
+        let replaced = TcpStream::connect_timeout(&addr, Self::CONNECT_TIMEOUT).and_then(|s| {
             s.set_nodelay(true)?;
             self.reactor.borrow_mut().replace_stream(self.token, s)
         });

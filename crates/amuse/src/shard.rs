@@ -236,11 +236,6 @@ impl ShardedChannel {
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Shards replaced by the supervisor so far.
     pub fn respawns(&self) -> u64 {
         self.respawns
@@ -1102,7 +1097,7 @@ mod tests {
         // no supervisor: heal can only exclude, and excludes them all
         let mut pool = ShardedChannel::with_counts(vec![local(Dead), local(Dead)], Vec::new());
         assert!(!pool.heal(), "nothing left to heal");
-        assert_eq!((pool.shard_count(), pool.exclusions()), (0, 2));
+        assert_eq!((pool.shards.len(), pool.exclusions()), (0, 2));
         assert_eq!(pool.worker_name(), "(empty pool)");
         assert!(pool.heartbeat().is_empty());
         assert!(!pool.heal());

@@ -16,22 +16,3 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unreachable_pub)]
-
-/// Render a simple two-column table.
-pub fn kv_table(title: &str, rows: &[(String, String)]) -> String {
-    let mut out = format!("{title}\n");
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(8);
-    for (k, v) in rows {
-        out.push_str(&format!("  {k:<w$}  {v}\n"));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn kv_table_formats() {
-        let t = super::kv_table("T", &[("a".into(), "1".into()), ("bb".into(), "2".into())]);
-        assert!(t.contains("a   1") || t.contains("a  1"), "{t}");
-    }
-}

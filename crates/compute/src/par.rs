@@ -29,10 +29,6 @@
 
 use std::sync::OnceLock;
 
-/// Default minimum targets per worker thread before a kernel fans out.
-/// (Each kernel may override; they all currently agree on 64.)
-pub const DEFAULT_GRAIN: usize = 64;
-
 /// Physical core count, detected once per process (detection allocates;
 /// the result cannot change, unlike the environment).
 fn cores() -> usize {

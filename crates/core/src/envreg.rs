@@ -16,6 +16,7 @@
 
 /// Every `JC_*` environment variable the workspace reads, with a
 /// one-line description. Keep alphabetized.
+// jc-lint: allow(pub-callers): the env-registry pass reads this table as data
 pub const JC_ENV: &[(&str, &str)] = &[
     (
         "JC_NET_TIMEOUT_MS",
@@ -40,11 +41,6 @@ pub const JC_ENV: &[(&str, &str)] = &[
     ),
 ];
 
-/// Look up the description for a registered variable.
-pub fn describe(name: &str) -> Option<&'static str> {
-    JC_ENV.iter().find(|(n, _)| *n == name).map(|(_, d)| *d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,11 +54,5 @@ mod tests {
             assert!(name.starts_with("JC_"), "{name} is not a JC_ knob");
             assert!(!desc.trim().is_empty(), "{name} lacks a description");
         }
-    }
-
-    #[test]
-    fn describe_finds_registered_knobs() {
-        assert!(describe("JC_THREADS").is_some());
-        assert!(describe("JC_NONEXISTENT").is_none());
     }
 }

@@ -50,7 +50,6 @@ pub use jc_compute::soa;
 
 pub mod channel;
 pub mod daemon;
-pub mod discovery;
 pub mod envreg;
 pub mod loopback;
 pub mod perfmodel;
@@ -59,7 +58,6 @@ pub mod scenarios;
 
 pub use channel::{IbisChannel, SimLink};
 pub use daemon::{DaemonHandle, IbisDaemon, WorkerId};
-pub use discovery::{discover, Discovered, Requirements};
 pub use perfmodel::{ModelKind, PerfProfile};
 pub use proxy::WorkerProxy;
 pub use scenarios::{run_scenario, Scenario, ScenarioResult};

@@ -1,4 +1,4 @@
-//! Grid, application and experiment description files.
+//! Grid description files.
 //!
 //! These are the "small number of simple configuration files" IbisDeploy is
 //! driven by. The JSON schema is kept close to what a user would actually
@@ -497,46 +497,6 @@ impl GridDescription {
     }
 }
 
-/// What to run: one model worker (the paper's step 4: "Add a property to
-/// each worker created in the simulation script to specify the channel
-/// used (ibis), as well as the name of the resource, and the number of
-/// nodes required for this worker").
-#[derive(Clone, Debug, PartialEq)]
-pub struct ApplicationDescription {
-    /// Worker name (e.g. `"gadget"`).
-    pub name: String,
-    /// Resource to run on.
-    pub resource: String,
-    /// Nodes required.
-    pub nodes: u32,
-    /// Processes per node.
-    pub processes_per_node: u32,
-    /// Input staging volume in bytes.
-    pub stage_in_bytes: u64,
-    /// Use the GPU kernel if the resource has one.
-    pub use_gpu: bool,
-}
-
-impl ApplicationDescription {
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<ApplicationDescription, DescriptorError> {
-        let v = json::parse(s).map_err(DescriptorError::Syntax)?;
-        ApplicationDescription::from_value(&v, "$")
-    }
-
-    fn from_value(v: &Value, path: &str) -> Result<ApplicationDescription, DescriptorError> {
-        as_object(v, path)?;
-        Ok(ApplicationDescription {
-            name: get_string(v, path, "name")?,
-            resource: get_string(v, path, "resource")?,
-            nodes: get_u32(v, path, "nodes")?,
-            processes_per_node: get_u32_or(v, path, "processes_per_node", 1)?,
-            stage_in_bytes: get_uint_or(v, path, "stage_in_bytes", 0)?,
-            use_gpu: get_bool_or(v, path, "use_gpu", false)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,16 +552,6 @@ mod tests {
         let g = GridDescription::from_json(SAMPLE).unwrap();
         let again = GridDescription::from_json(&g.to_json()).unwrap();
         assert_eq!(g, again);
-    }
-
-    #[test]
-    fn application_description_defaults() {
-        let a = ApplicationDescription::from_json(
-            r#"{"name": "sse", "resource": "DAS-4 (VU)", "nodes": 1}"#,
-        )
-        .unwrap();
-        assert_eq!(a.processes_per_node, 1);
-        assert!(!a.use_gpu);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! IbisDeploy can be configured using a small number of simple
 //! configuration files, or with an optional GUI."*
 //!
-//! * [`descriptor`] — the configuration files: a *grid description* (the
+//! * [`descriptor`] — the configuration file: a *grid description* (the
 //!   resources a user has access to, their locations, middlewares,
-//!   firewalls and the links between them) and *application/experiment
-//!   descriptions*. They serialize to JSON via the built-in [`json`]
-//!   module (no external dependencies), and malformed input is rejected
-//!   with a field path instead of a panic.
+//!   firewalls and the links between them). It serializes to JSON via the
+//!   built-in [`json`] module (no external dependencies), and malformed
+//!   input is rejected with a field path instead of a panic.
 //! * [`build`] — turns a grid description into a running simulated world:
 //!   topology, SmartSockets hub per resource ("IbisDeploy automatically
 //!   starts the hubs required by SmartSockets on each resource used"), and
@@ -35,8 +34,6 @@ pub mod monitor;
 pub mod supervise;
 
 pub use build::Deployment;
-pub use descriptor::{
-    ApplicationDescription, DescriptorError, GridDescription, LinkEntry, ResourceEntry,
-};
+pub use descriptor::{DescriptorError, GridDescription, LinkEntry, ResourceEntry};
 pub use monitor::{JobRow, MonitorView};
 pub use supervise::{ProcessSupervisor, WorkerSpec};

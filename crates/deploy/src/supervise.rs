@@ -232,21 +232,6 @@ impl ProcessSupervisor {
         self.slots[i].addr = None;
     }
 
-    /// Seeded failure injection: let a
-    /// [`jc_amuse::chaos::FaultPlan`] pick this round's victim (or
-    /// nobody) and [`ProcessSupervisor::kill`] it. Returns the slot
-    /// killed, so a soak harness can log which worker the plan took
-    /// down. The same `(seed, round)` always kills the same slot —
-    /// process-level chaos replays exactly like transport-level chaos.
-    pub fn chaos_kill(&mut self, plan: &jc_amuse::chaos::FaultPlan, round: u64) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let victim = plan.victim(round, self.slots.len());
-        self.kill(victim);
-        Some(victim)
-    }
-
     /// Ask every live worker to shut down cleanly
     /// ([`jc_amuse::worker::Request::Shutdown`] over a fresh
     /// connection), then wait for the processes — deterministic

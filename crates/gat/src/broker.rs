@@ -29,8 +29,8 @@ pub struct ResourceDesc {
 /// Submission request sent to a [`MiddlewareActor`]. The transfer of this
 /// message carries the pre-staged input bytes.
 pub struct SubmitRequest {
-    /// Job id chosen by the submitter (unique realm-wide by convention:
-    /// use [`GatRealm::next_job_id`]).
+    /// Job id chosen by the submitter; the broker keys the job by it, so
+    /// it must be unique among the jobs sent to one broker.
     pub job: GatJobId,
     /// What to run.
     pub desc: JobDescription,
@@ -342,7 +342,6 @@ impl Actor for MiddlewareActor {
 #[derive(Clone, Default)]
 pub struct GatRealm {
     resources: HashMap<String, Rc<ResourceDesc>>,
-    next_job: std::rc::Rc<std::cell::Cell<u64>>,
 }
 
 impl GatRealm {
@@ -380,12 +379,5 @@ impl GatRealm {
         let mut v: Vec<String> = self.resources.keys().cloned().collect();
         v.sort();
         v
-    }
-
-    /// Allocate a realm-unique job id.
-    pub fn next_job_id(&self) -> GatJobId {
-        let id = self.next_job.get();
-        self.next_job.set(id + 1);
-        GatJobId(id)
     }
 }

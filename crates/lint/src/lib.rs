@@ -15,6 +15,7 @@
 //! | `determinism` | kernel and checkpoint-replay crates never use `HashMap`/`HashSet` or wall-clock time |
 //! | `env-registry` | every `std::env::var("JC_*")` read is registered in `jc_core::envreg` and documented in the README |
 //! | `doc-refs` | every `BENCH_*.json`, back-ticked repo path and back-ticked crate path (`jc_<x>::…`) that README.md, docs/ARCHITECTURE.md or CHANGES.md's newest entry names exists |
+//! | `pub-callers` | every `pub` item defined in a library crate's `src` is named by some other workspace file, or by its own file outside its definition and its tests |
 //!
 //! Like the offline shims, the tool is dependency-free: a small
 //! hand-rolled lexer ([`lexer`]) over the workspace sources, plus one
@@ -174,12 +175,15 @@ pub fn match_brace(file: &SourceFile, code: &[usize], at: usize) -> usize {
 /// paths with forward slashes. Skips `target/`, VCS metadata, and the
 /// lint fixture tree (whose fail cases must trip lints by design).
 pub fn workspace_rs_files(root: &Path) -> Vec<String> {
+    rs_files(root, &["crates", "shims", "src", "tests", "examples"])
+}
+
+/// Recursively collect the `.rs` files under `dirs` (relative to
+/// `root`), with the same skips as [`workspace_rs_files`].
+fn rs_files(root: &Path, dirs: &[&str]) -> Vec<String> {
     let mut out = Vec::new();
-    let mut stack: Vec<PathBuf> = ["crates", "shims", "src", "tests", "examples"]
-        .iter()
-        .map(|d| root.join(d))
-        .filter(|d| d.is_dir())
-        .collect();
+    let mut stack: Vec<PathBuf> =
+        dirs.iter().map(|d| root.join(d)).filter(|d| d.is_dir()).collect();
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else { continue };
         for entry in entries.flatten() {
@@ -202,12 +206,10 @@ pub fn workspace_rs_files(root: &Path) -> Vec<String> {
     out
 }
 
-/// Run every lint over the workspace at `root`. Returns the sorted
-/// findings; an empty vector is a clean bill.
-pub fn run_all(root: &Path) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+/// Load and lex `rels`, reporting unreadable files into `diags`.
+fn load_all(root: &Path, rels: Vec<String>, diags: &mut Vec<Diagnostic>) -> Vec<SourceFile> {
     let mut files = Vec::new();
-    for rel in workspace_rs_files(root) {
+    for rel in rels {
         match SourceFile::load(root, &rel) {
             Ok(f) => files.push(f),
             Err(e) => diags.push(Diagnostic {
@@ -218,6 +220,14 @@ pub fn run_all(root: &Path) -> Vec<Diagnostic> {
             }),
         }
     }
+    files
+}
+
+/// Run every lint over the workspace at `root`. Returns the sorted
+/// findings; an empty vector is a clean bill.
+pub fn run_all(root: &Path) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    let files = load_all(root, workspace_rs_files(root), &mut diags);
 
     let mut sites = Vec::new();
     for f in &files {
@@ -254,6 +264,11 @@ pub fn run_all(root: &Path) -> Vec<Diagnostic> {
             diags.extend(lints::doc_refs::check(doc, &text, newest_only, &exists));
         }
     }
+
+    // Every pub item has a caller, the frozen benchmark rig included
+    // (read only as a caller: the other lints do not cover it).
+    let bench = load_all(root, rs_files(root, &["benchmark/src"]), &mut diags);
+    diags.extend(lints::pub_callers::check(&files.iter().chain(&bench).collect::<Vec<_>>()));
 
     // The unsafe ledger must match the committed inventory.
     diags.extend(ledger::verify(root, &sites));

@@ -1,4 +1,4 @@
-//! The six contract lints.
+//! The seven contract lints.
 //!
 //! Each submodule is one pass over a [`crate::SourceFile`] token stream
 //! (plus, for the cross-file contracts, the registry/README/worker
@@ -11,5 +11,6 @@ pub mod determinism;
 pub mod doc_refs;
 pub mod env_registry;
 pub mod no_alloc;
+pub mod pub_callers;
 pub mod unsafe_audit;
 pub mod wire;

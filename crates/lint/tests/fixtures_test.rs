@@ -2,7 +2,9 @@
 //! are pinned (file, line, lint), a pass fixture that stays quiet, and
 //! the real workspace itself must be clean.
 
-use jc_lint::lints::{determinism, doc_refs, env_registry, no_alloc, unsafe_audit, wire};
+use jc_lint::lints::{
+    determinism, doc_refs, env_registry, no_alloc, pub_callers, unsafe_audit, wire,
+};
 use jc_lint::{Diagnostic, SourceFile};
 use std::path::PathBuf;
 
@@ -201,6 +203,40 @@ fn env_registry_pass_fixture_is_quiet() {
     let readme = std::fs::read_to_string(crate_dir().join("tests/fixtures/pass/env/readme.md"))
         .expect("fixture readme");
     let d = env_registry::check(&[code], Some(&registry), &readme);
+    assert!(d.is_empty(), "{d:#?}");
+}
+
+#[test]
+fn pub_callers_fail_fixture_exact_diagnostics() {
+    let lib = fixture("fail/pub_callers/lib.rs", "crates/x/src/lib.rs");
+    let caller = fixture("fail/pub_callers/caller.rs", "examples/caller.rs");
+    // a shim naming every item is not a caller
+    let shim = fixture("fail/pub_callers/lib.rs", "shims/x/src/lib.rs");
+    let d = pub_callers::check(&[&lib, &caller, &shim]);
+    let pub_callers = |lines: &[u32]| lines.iter().map(|&l| (l, "pub-callers")).collect::<Vec<_>>();
+    assert_eq!(lines(&d), pub_callers(&[6, 11, 14, 22]), "{d:#?}");
+    for (d, item) in d.iter().zip([
+        "`pub fn countdown`",
+        "`pub const ONLY_TESTED`",
+        "`pub struct ReExported`",
+        "`pub enum Unreasoned`",
+    ]) {
+        assert!(d.path == "crates/x/src/lib.rs" && d.message.contains(item), "{d:#?}");
+    }
+}
+
+#[test]
+fn pub_callers_pass_fixture_is_quiet() {
+    let lib = fixture("pass/pub_callers/lib.rs", "crates/x/src/lib.rs");
+    let bin = fixture("pass/pub_callers/bin.rs", "crates/x/src/bin/tool.rs");
+    let caller = fixture("pass/pub_callers/caller.rs", "benchmark/src/probe.rs");
+    let d = pub_callers::check(&[&lib, &bin, &caller]);
+    assert!(d.is_empty(), "{d:#?}");
+    // without the rig, `called_elsewhere` and `show` lose their callers
+    let d = pub_callers::check(&[&lib, &bin]);
+    assert_eq!(lines(&d), vec![(5, "pub-callers"), (13, "pub-callers")], "{d:#?}");
+    // and the lint crate itself is out of scope
+    let d = pub_callers::check(&[&fixture("pass/pub_callers/lib.rs", "crates/lint/src/x.rs")]);
     assert!(d.is_empty(), "{d:#?}");
 }
 

@@ -125,13 +125,6 @@ impl ParticleSet {
             }
         }
     }
-
-    /// Remove a particle by swap-remove (order not preserved; O(1)).
-    pub fn swap_remove(&mut self, i: usize) {
-        self.mass.swap_remove(i);
-        self.pos.swap_remove(i);
-        self.vel.swap_remove(i);
-    }
 }
 
 #[cfg(test)]

@@ -53,11 +53,6 @@ impl Msg {
             Err(payload) => Err(Msg { from, payload }),
         }
     }
-
-    /// Peek at the payload type without consuming.
-    pub fn is<T: Any>(&self) -> bool {
-        self.payload.is::<T>()
-    }
 }
 
 impl fmt::Debug for Msg {

@@ -30,8 +30,6 @@ pub enum BatchJobState {
     Completed,
     /// Killed by the scheduler at reservation expiry.
     KilledByScheduler,
-    /// Cancelled by the user.
-    Cancelled,
 }
 
 #[derive(Clone, Debug)]
@@ -105,33 +103,12 @@ impl BatchQueue {
         self.jobs[id.0 as usize].state
     }
 
-    /// Queue position of a job (0 = head), if queued.
-    pub fn queue_position(&self, id: BatchJobId) -> Option<usize> {
-        self.queue.iter().position(|&j| j == id)
-    }
-
     /// Mark a running job as finished voluntarily, freeing its nodes.
     pub fn complete(&mut self, id: BatchJobId) {
         let job = &mut self.jobs[id.0 as usize];
         if let BatchJobState::Running { .. } = job.state {
             job.state = BatchJobState::Completed;
             self.free_nodes += job.nodes;
-        }
-    }
-
-    /// Cancel a job (queued or running).
-    pub fn cancel(&mut self, id: BatchJobId) {
-        let job = &mut self.jobs[id.0 as usize];
-        match job.state {
-            BatchJobState::Queued => {
-                job.state = BatchJobState::Cancelled;
-                self.queue.retain(|&j| j != id);
-            }
-            BatchJobState::Running { .. } => {
-                job.state = BatchJobState::Cancelled;
-                self.free_nodes += job.nodes;
-            }
-            _ => {}
         }
     }
 
@@ -192,7 +169,6 @@ mod tests {
         let ev = q.advance(SimTime::ZERO);
         assert_eq!(ev, vec![BatchEvent::Started(a), BatchEvent::Started(b)]);
         assert_eq!(q.state(c), BatchJobState::Queued);
-        assert_eq!(q.queue_position(c), Some(0));
         q.complete(a);
         let ev = q.advance(SimTime(1));
         assert_eq!(ev, vec![BatchEvent::Started(c)]);
@@ -227,19 +203,6 @@ mod tests {
         let ev = q.advance(SimTime(10_000_000_000));
         assert_eq!(ev, vec![BatchEvent::Killed(a)]);
         assert_eq!(q.state(a), BatchJobState::KilledByScheduler);
-        assert_eq!(q.free_nodes(), 2);
-    }
-
-    #[test]
-    fn cancel_queued_and_running() {
-        let mut q = BatchQueue::new(2);
-        let a = q.submit(2, None);
-        let b = q.submit(1, None);
-        q.advance(SimTime::ZERO);
-        q.cancel(b); // queued
-        assert_eq!(q.state(b), BatchJobState::Cancelled);
-        q.cancel(a); // running
-        assert_eq!(q.state(a), BatchJobState::Cancelled);
         assert_eq!(q.free_nodes(), 2);
     }
 

@@ -34,7 +34,6 @@ impl Default for SimConfig {
 enum EventKind {
     Deliver { to: ActorId, msg: Msg },
     Crash { host: HostId },
-    Restore { host: HostId },
 }
 
 struct Event {
@@ -227,13 +226,6 @@ impl Sim {
         self.inner.push_event(at, EventKind::Crash { host });
     }
 
-    /// Schedule a host restore at an absolute time: the node comes back
-    /// up *empty* — actors that died in the crash stay dead; a recovery
-    /// layer re-places fresh ones (see `jc_core`'s failover demo).
-    pub fn restore_host_at(&mut self, host: HostId, at: SimTime) {
-        self.inner.push_event(at, EventKind::Restore { host });
-    }
-
     /// Restore a host immediately (failure-recovery injection).
     pub fn restore_host_now(&mut self, host: HostId) {
         self.restore(host);
@@ -317,7 +309,6 @@ impl Sim {
         match ev.kind {
             EventKind::Deliver { to, msg } => self.deliver(to, msg),
             EventKind::Crash { host } => self.crash(host),
-            EventKind::Restore { host } => self.restore(host),
         }
         self.install_pending();
         true

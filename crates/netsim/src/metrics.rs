@@ -79,11 +79,6 @@ impl Metrics {
         self.link_bytes.get(&(link, class)).copied().unwrap_or(0)
     }
 
-    /// Total bytes over a link, all classes.
-    pub fn link_bytes_total(&self, link: LinkId) -> u64 {
-        self.link_bytes.iter().filter(|((l, _), _)| *l == link).map(|(_, b)| *b).sum()
-    }
-
     /// Message count over a link for a class.
     pub fn link_messages(&self, link: LinkId, class: TrafficClass) -> u64 {
         self.link_messages.get(&(link, class)).copied().unwrap_or(0)
@@ -138,7 +133,7 @@ mod tests {
         m.record_link(l, TrafficClass::Mpi, 25);
         assert_eq!(m.link_bytes(l, TrafficClass::Ipl), 150);
         assert_eq!(m.link_messages(l, TrafficClass::Ipl), 2);
-        assert_eq!(m.link_bytes_total(l), 175);
+        assert_eq!(m.link_bytes(l, TrafficClass::Mpi), 25);
     }
 
     #[test]

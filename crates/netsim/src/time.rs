@@ -24,11 +24,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Duration elapsed since `earlier`; saturates at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -171,7 +166,7 @@ mod tests {
     fn arithmetic_round_trips() {
         let t = SimTime::ZERO + SimDuration::from_millis(5);
         assert_eq!(t.as_nanos(), 5_000_000);
-        assert_eq!((t + SimDuration::from_secs(1)).since(t), SimDuration::from_secs(1));
+        assert_eq!((t + SimDuration::from_secs(1)) - t, SimDuration::from_secs(1));
     }
 
     #[test]

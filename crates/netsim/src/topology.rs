@@ -229,11 +229,6 @@ impl Topology {
         self.hosts.len()
     }
 
-    /// The front-end host of a site, if one is designated.
-    pub fn front_end_of(&self, site: SiteId) -> Option<HostId> {
-        self.hosts().find(|(_, h)| h.site == site && h.front_end).map(|(id, _)| id)
-    }
-
     /// Latency-weighted shortest route between two sites, as a list of link
     /// ids. `None` if unreachable. Same-site routes are the empty list.
     pub fn route(&mut self, from: SiteId, to: SiteId) -> Option<Vec<LinkId>> {
@@ -407,7 +402,6 @@ mod tests {
         let node = t.add_host(HostSpec::node("b1", b, CpuSpec::generic()));
         assert_eq!(t.connectivity(ha, fe), Connectivity::Direct);
         assert_eq!(t.connectivity(ha, node), Connectivity::ReverseOnly);
-        assert_eq!(t.front_end_of(b), Some(fe));
     }
 
     #[test]

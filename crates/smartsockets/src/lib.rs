@@ -35,10 +35,8 @@ pub mod addr;
 pub mod hub;
 pub mod overlay;
 pub mod socket;
-pub mod stats;
 
 pub use addr::VirtualAddress;
 pub use hub::{HubActor, HubInfo, HubMsg, Relay};
 pub use overlay::{EdgeKind, Overlay, OverlayView};
 pub use socket::{ConnectionPlan, PathKind, VirtualSocket};
-pub use stats::ConnectionStats;

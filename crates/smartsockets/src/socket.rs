@@ -9,7 +9,6 @@
 use crate::addr::VirtualAddress;
 use crate::hub::{HubMsg, Relay};
 use crate::overlay::Overlay;
-use crate::stats::ConnectionStats;
 use jc_netsim::metrics::TrafficClass;
 use jc_netsim::{ActorId, Connectivity, Ctx, SimDuration, Topology};
 use std::any::Any;
@@ -113,16 +112,6 @@ impl ConnectionPlan {
                 kind: PathKind::Failed,
                 setup_latency: SimDuration::ZERO,
             },
-        }
-    }
-
-    /// Record this plan's outcome into connection statistics.
-    pub fn record(&self, stats: &mut ConnectionStats) {
-        match &self.kind {
-            PathKind::Direct => stats.direct += 1,
-            PathKind::Reverse => stats.reverse += 1,
-            PathKind::Relayed { .. } => stats.relayed += 1,
-            PathKind::Failed => stats.failed += 1,
         }
     }
 
@@ -283,18 +272,5 @@ mod tests {
         assert_eq!(plan.kind, PathKind::Reverse);
         // 4 one-way latencies of 5ms
         assert_eq!(plan.setup_latency, SimDuration::from_millis(20));
-    }
-
-    #[test]
-    fn stats_record_plan_kinds() {
-        let (mut t, h, _) = topo3();
-        let mut stats = ConnectionStats::default();
-        let a = VirtualAddress::new(h[0], 1);
-        let b = VirtualAddress::new(h[1], 1);
-        ConnectionPlan::plan(&mut t, None, b, a).record(&mut stats);
-        ConnectionPlan::plan(&mut t, None, a, b).record(&mut stats);
-        assert_eq!(stats.direct, 1);
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.total(), 2);
     }
 }

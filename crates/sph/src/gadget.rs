@@ -20,6 +20,7 @@ pub struct Gadget {
     /// particle data do, with f64 sums — within the error budget of an
     /// f64 direct sum stated in `jc_compute::gravity`.
     gravity: TreeGravity,
+    /// Gas self-gravity; only the pure-hydro unit tests turn it off.
     self_gravity: bool,
     /// Configured worker cap (0 = auto); [`Gadget::evolve_model`]
     /// resolves it once per call and hands the result to `scratch` and
@@ -70,12 +71,6 @@ impl Gadget {
     /// steady-state step then performs zero heap allocations).
     pub fn with_max_threads(mut self, threads: usize) -> Gadget {
         self.max_threads = threads;
-        self
-    }
-
-    /// Toggle gas self-gravity (off for pure hydro tests).
-    pub fn with_self_gravity(mut self, on: bool) -> Gadget {
-        self.self_gravity = on;
         self
     }
 
@@ -248,12 +243,6 @@ impl Gadget {
         self.rates_valid = false;
         self.g_acc_valid = false;
     }
-
-    /// Total energy (kinetic + thermal; gravitational PE omitted — used
-    /// for *relative* drift checks in pure-hydro mode).
-    pub fn energy_kt(&self) -> f64 {
-        self.gas.kinetic_energy() + self.gas.thermal_energy()
-    }
 }
 
 #[cfg(test)]
@@ -261,12 +250,17 @@ mod tests {
     use super::*;
     use crate::particles::plummer_gas;
 
+    /// A model with gas self-gravity off, for pure hydro tests.
+    fn hydro_only(gas: GasParticles) -> Gadget {
+        Gadget { self_gravity: false, ..Gadget::new(gas) }
+    }
+
     #[test]
     fn static_uniform_gas_stays_put_briefly() {
         // A pressure-supported ball without gravity expands; with only a
         // short evolution the center of mass must not move.
         let gas = plummer_gas(200, 1.0, 11);
-        let mut g = Gadget::new(gas).with_self_gravity(false);
+        let mut g = hydro_only(gas);
         g.evolve_model(0.01);
         let mut com = [0.0; 3];
         for (m, p) in g.gas.mass.iter().zip(&g.gas.pos) {
@@ -288,7 +282,7 @@ mod tests {
             *u *= 50.0;
         }
         let r0 = mean_radius(&gas);
-        let mut g = Gadget::new(gas).with_self_gravity(false);
+        let mut g = hydro_only(gas);
         g.evolve_model(0.05);
         let r1 = mean_radius(&g.gas);
         assert!(r1 > r0 * 1.02, "expansion: {r0} -> {r1}");
@@ -352,7 +346,7 @@ mod tests {
             for (u, p) in gas.u.iter_mut().zip(&gas.pos) {
                 *u *= 1.0 + 200.0 * (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]);
             }
-            Gadget::new(gas).with_self_gravity(false)
+            hydro_only(gas)
         };
         let mut split = hot_ball();
         let v0 = split.refresh_rates();

@@ -16,13 +16,10 @@
 //! * kick–drift–kick leapfrog with a global Courant-limited timestep
 //!   ([`gadget::Gadget::evolve_model`]).
 //!
-//! [`mpi`] reproduces Gadget's *communication structure*: a slab domain
-//! decomposition whose ranks exchange ghost particles and reduce the global
-//! timestep every step. Ranks execute deterministically in-process; the
-//! bytes they would push through MPI are counted exactly and handed to the
-//! jungle performance model (the paper treats MPI as an opaque intra-worker
-//! transport, so fidelity lives in the message pattern and volume, not in
-//! wire-level concurrency).
+//! The kernel runs as one in-process rank. The paper treats MPI as an
+//! opaque intra-worker transport; the MPI bytes a multi-node worker would
+//! exchange are modelled by `jc_core::proxy`, per evolve call, from the
+//! size of the worker's reply.
 //!
 //! Supernova feedback for the embedded-cluster scenario enters through
 //! [`gadget::Gadget::inject_energy`] — thermal energy dumped into the
@@ -38,7 +35,6 @@ pub mod forces;
 pub mod gadget;
 pub mod grid;
 pub mod kernel;
-pub mod mpi;
 pub mod particles;
 
 pub use density::SphScratch;

@@ -209,11 +209,6 @@ impl SseModel {
         self.time_myr = t_myr;
         events
     }
-
-    /// Modeled cost of the last `evolve_to` in floating-point operations.
-    pub fn step_flops(&self) -> f64 {
-        self.states.len() as f64 * EvolutionTable::LOOKUP_FLOPS
-    }
 }
 
 #[cfg(test)]
@@ -289,6 +284,5 @@ mod tests {
         let mut m = SseModel::new(vec![1.0; 100], 0.02);
         m.evolve_to(1.0);
         assert_eq!(m.lookups, 100);
-        assert_eq!(m.step_flops(), 100.0 * EvolutionTable::LOOKUP_FLOPS);
     }
 }

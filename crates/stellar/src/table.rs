@@ -104,10 +104,6 @@ impl EvolutionTable {
             luminosity: bilerp(&self.lum).max(0.0),
         }
     }
-
-    /// The approximate cost of one lookup in floating-point operations
-    /// (used by the performance model): a handful of interpolations.
-    pub const LOOKUP_FLOPS: f64 = 100.0;
 }
 
 /// Convenience: does the phase transition between two ages include a

@@ -4,32 +4,14 @@ use crate::dimension::Dim;
 use crate::quantity::Quantity;
 use crate::unit::Unit;
 
-/// Astronomical unit (mean Earth–Sun distance).
-pub const AU: Unit = Unit::new("AU", Dim::LENGTH, 1.495_978_707e11);
 /// Parsec.
 pub const PARSEC: Unit = Unit::new("pc", Dim::LENGTH, 3.085_677_581_49e16);
-/// Kiloparsec.
-pub const KPC: Unit = Unit::new("kpc", Dim::LENGTH, 3.085_677_581_49e19);
-/// Light-year.
-pub const LIGHTYEAR: Unit = Unit::new("ly", Dim::LENGTH, 9.460_730_472_58e15);
-/// Solar radius.
-pub const RSUN: Unit = Unit::new("RSun", Dim::LENGTH, 6.957e8);
 
 /// Solar mass.
 pub const MSUN: Unit = Unit::new("MSun", Dim::MASS, 1.988_47e30);
 
-/// Julian year.
-pub const YEAR: Unit = Unit::new("yr", Dim::TIME, 3.155_76e7);
 /// Megayear.
 pub const MYR: Unit = Unit::new("Myr", Dim::TIME, 3.155_76e13);
-/// Gigayear.
-pub const GYR: Unit = Unit::new("Gyr", Dim::TIME, 3.155_76e16);
-
-/// Kilometres per second (the customary stellar-velocity unit).
-pub const KMS: Unit = Unit::new("km/s", Dim::lmt(1, 0, -1), 1.0e3);
-
-/// Solar luminosity.
-pub const LSUN: Unit = Unit::new("LSun", Dim::lmt(2, 1, -3), 3.828e26);
 
 /// Dimension of the gravitational constant: L^3 M^-1 T^-2.
 pub const G_DIM: Dim = Dim::lmt(3, -1, -2);
@@ -49,13 +31,15 @@ mod tests {
 
     #[test]
     fn parsec_in_lightyears() {
-        let f = PARSEC.conversion_factor_to(LIGHTYEAR).unwrap();
+        let lightyear = Unit::new("ly", Dim::LENGTH, 9.460_730_472_58e15);
+        let f = PARSEC.conversion_factor_to(lightyear).unwrap();
         assert!((f - 3.2616).abs() < 1e-3, "1 pc = {f} ly");
     }
 
     #[test]
     fn kms_is_1000_m_per_s() {
-        assert_eq!(KMS.conversion_factor_to(si::METER_PER_SECOND).unwrap(), 1000.0);
+        let kms = si::KILOMETER.div(si::SECOND);
+        assert_eq!(kms.conversion_factor_to(si::METER_PER_SECOND).unwrap(), 1000.0);
     }
 
     #[test]
@@ -66,6 +50,7 @@ mod tests {
 
     #[test]
     fn myr_in_years() {
-        assert!((MYR.conversion_factor_to(YEAR).unwrap() - 1.0e6).abs() < 1.0);
+        let year = Unit::new("yr", Dim::TIME, 3.155_76e7);
+        assert!((MYR.conversion_factor_to(year).unwrap() - 1.0e6).abs() < 1.0);
     }
 }

@@ -28,14 +28,8 @@ impl Dim {
     pub const MASS: Dim = Dim::base(1);
     /// Time (second).
     pub const TIME: Dim = Dim::base(2);
-    /// Electric current (ampere).
-    pub const CURRENT: Dim = Dim::base(3);
     /// Thermodynamic temperature (kelvin).
     pub const TEMPERATURE: Dim = Dim::base(4);
-    /// Amount of substance (mole).
-    pub const AMOUNT: Dim = Dim::base(5);
-    /// Luminous intensity (candela).
-    pub const LUMINOUS: Dim = Dim::base(6);
 
     /// A base dimension with exponent 1 at position `i`.
     const fn base(i: usize) -> Dim {
@@ -150,10 +144,10 @@ mod tests {
             Dim::LENGTH,
             Dim::MASS,
             Dim::TIME,
-            Dim::CURRENT,
+            Dim::base(3),
             Dim::TEMPERATURE,
-            Dim::AMOUNT,
-            Dim::LUMINOUS,
+            Dim::base(5),
+            Dim::base(6),
         ];
         for (i, a) in dims.iter().enumerate() {
             for (j, b) in dims.iter().enumerate() {

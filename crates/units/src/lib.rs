@@ -23,7 +23,7 @@
 //! use jc_units::{Quantity, astro, si};
 //!
 //! let m = Quantity::new(1.0, astro::MSUN);
-//! let v = Quantity::new(10.0, astro::KMS);
+//! let v = Quantity::new(10.0, si::KILOMETER.div(si::SECOND));
 //! let e = m * v * v; // mass * velocity^2 is an energy
 //! assert!(e.value_in(si::JOULE).unwrap() > 0.0);
 //! assert!(e.value_in(si::METER).is_err()); // checked conversion
@@ -41,5 +41,5 @@ pub mod unit;
 
 pub use dimension::Dim;
 pub use nbody::NBodyConverter;
-pub use quantity::{Quantity, VectorQuantity};
+pub use quantity::Quantity;
 pub use unit::{Unit, UnitError};

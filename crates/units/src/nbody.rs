@@ -42,26 +42,6 @@ impl NBodyConverter {
         self.time_si
     }
 
-    /// Metres per N-body length unit.
-    pub fn length_unit_si(&self) -> f64 {
-        self.length_si
-    }
-
-    /// Kilograms per N-body mass unit.
-    pub fn mass_unit_si(&self) -> f64 {
-        self.mass_si
-    }
-
-    /// Metres/second per N-body velocity unit.
-    pub fn velocity_unit_si(&self) -> f64 {
-        self.length_si / self.time_si
-    }
-
-    /// Joules per N-body energy unit.
-    pub fn energy_unit_si(&self) -> f64 {
-        self.mass_si * (self.length_si / self.time_si).powi(2)
-    }
-
     /// Convert a physical quantity to a dimensionless code value.
     ///
     /// The quantity's dimension determines the conversion: each base
@@ -126,9 +106,9 @@ mod tests {
     #[test]
     fn velocity_scale_consistent() {
         let c = converter();
-        // v* = L*/t*
-        let v = c.velocity_unit_si();
-        assert!((v - c.length_unit_si() / c.time_unit_si()).abs() < 1e-9);
+        // v* = L*/t*: one code velocity unit converts to 1
+        let v = Quantity::from_si(c.length_si / c.time_si, Dim::lmt(1, 0, -1));
+        assert!((c.to_nbody(v).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Dimension-checked scalar and 3-vector quantities.
+//! Dimension-checked scalar quantities.
 
 use crate::dimension::Dim;
 use crate::unit::{Unit, UnitError};
@@ -9,7 +9,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// dimension.
 ///
 /// All arithmetic is dimension-checked. Multiplication and division always
-/// succeed (dimensions compose); addition, subtraction and comparison return
+/// succeed (dimensions compose); addition and subtraction return
 /// `Err(UnitError::Incompatible)` when the dimensions differ. To keep call
 /// sites readable, `*` and `/` are also offered on `Result<Quantity, _>` so
 /// checked expressions chain: `(m * v * v)` is a `Result`.
@@ -88,26 +88,6 @@ impl Quantity {
             *o = e / 2;
         }
         Ok(Quantity { value_si: self.value_si.sqrt(), dim: Dim { exps } })
-    }
-
-    /// Validate the value is finite — the coupler's "checking for illegal
-    /// values" (§4.1) applied at model boundaries.
-    pub fn validated(self) -> Result<Quantity, UnitError> {
-        if self.value_si.is_finite() {
-            Ok(self)
-        } else {
-            Err(UnitError::IllegalValue { what: format!("non-finite value {}", self.value_si) })
-        }
-    }
-
-    /// Checked comparison.
-    pub fn partial_cmp_checked(&self, rhs: &Quantity) -> Result<std::cmp::Ordering, UnitError> {
-        if self.dim != rhs.dim {
-            return Err(UnitError::Incompatible { left: self.dim, right: rhs.dim });
-        }
-        self.value_si
-            .partial_cmp(&rhs.value_si)
-            .ok_or_else(|| UnitError::IllegalValue { what: "NaN in comparison".into() })
     }
 }
 
@@ -188,84 +168,6 @@ impl Div<Quantity> for Result<Quantity, UnitError> {
     }
 }
 
-/// A 3-vector quantity (position, velocity, acceleration, …) with a single
-/// shared dimension.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct VectorQuantity {
-    /// SI components.
-    pub value_si: [f64; 3],
-    dim: Dim,
-}
-
-impl VectorQuantity {
-    /// Create from components expressed in `unit`.
-    pub fn new(value: [f64; 3], unit: Unit) -> VectorQuantity {
-        VectorQuantity {
-            value_si: [
-                value[0] * unit.si_factor,
-                value[1] * unit.si_factor,
-                value[2] * unit.si_factor,
-            ],
-            dim: unit.dim,
-        }
-    }
-
-    /// Create from SI components.
-    pub fn from_si(value_si: [f64; 3], dim: Dim) -> VectorQuantity {
-        VectorQuantity { value_si, dim }
-    }
-
-    /// The dimension of the vector.
-    pub fn dim(&self) -> Dim {
-        self.dim
-    }
-
-    /// Convert components into `unit`, checking dimensions.
-    pub fn value_in(&self, unit: Unit) -> Result<[f64; 3], UnitError> {
-        if self.dim != unit.dim {
-            return Err(UnitError::Incompatible { left: self.dim, right: unit.dim });
-        }
-        Ok([
-            self.value_si[0] / unit.si_factor,
-            self.value_si[1] / unit.si_factor,
-            self.value_si[2] / unit.si_factor,
-        ])
-    }
-
-    /// Euclidean norm as a scalar quantity.
-    pub fn norm(&self) -> Quantity {
-        let [x, y, z] = self.value_si;
-        Quantity::from_si((x * x + y * y + z * z).sqrt(), self.dim)
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, rhs: VectorQuantity) -> Result<VectorQuantity, UnitError> {
-        if self.dim != rhs.dim {
-            return Err(UnitError::Incompatible { left: self.dim, right: rhs.dim });
-        }
-        Ok(VectorQuantity {
-            value_si: [
-                self.value_si[0] + rhs.value_si[0],
-                self.value_si[1] + rhs.value_si[1],
-                self.value_si[2] + rhs.value_si[2],
-            ],
-            dim: self.dim,
-        })
-    }
-
-    /// Scale by a scalar quantity (e.g. velocity * time -> displacement).
-    pub fn scale(self, s: Quantity) -> VectorQuantity {
-        VectorQuantity {
-            value_si: [
-                self.value_si[0] * s.si_value(),
-                self.value_si[1] * s.si_value(),
-                self.value_si[2] * s.si_value(),
-            ],
-            dim: self.dim + s.dim(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,27 +204,5 @@ mod tests {
     fn sqrt_odd_exponent_fails() {
         let a = Quantity::new(9.0, si::METER);
         assert!(a.sqrt().is_err());
-    }
-
-    #[test]
-    fn validated_rejects_nan() {
-        assert!(Quantity::scalar(f64::NAN).validated().is_err());
-        assert!(Quantity::scalar(1.0).validated().is_ok());
-    }
-
-    #[test]
-    fn vector_norm_and_conversion() {
-        let v = VectorQuantity::new([3.0, 4.0, 0.0], astro::KMS);
-        assert_eq!(v.norm().value_in(astro::KMS).unwrap(), 5.0);
-        assert_eq!(v.value_in(si::METER_PER_SECOND).unwrap(), [3000.0, 4000.0, 0.0]);
-        assert!(v.value_in(si::METER).is_err());
-    }
-
-    #[test]
-    fn vector_scale_changes_dimension() {
-        let v = VectorQuantity::new([1.0, 0.0, 0.0], si::METER_PER_SECOND);
-        let dt = Quantity::new(10.0, si::SECOND);
-        let dx = v.scale(dt);
-        assert_eq!(dx.value_in(si::METER).unwrap(), [10.0, 0.0, 0.0]);
     }
 }

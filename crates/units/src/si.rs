@@ -14,46 +14,22 @@ pub const METER: Unit = Unit::new("m", Dim::LENGTH, 1.0);
 pub const KILOGRAM: Unit = Unit::new("kg", Dim::MASS, 1.0);
 /// Second.
 pub const SECOND: Unit = Unit::new("s", Dim::TIME, 1.0);
-/// Ampere.
-pub const AMPERE: Unit = Unit::new("A", Dim::CURRENT, 1.0);
 /// Kelvin.
 pub const KELVIN: Unit = Unit::new("K", Dim::TEMPERATURE, 1.0);
-/// Mole.
-pub const MOLE: Unit = Unit::new("mol", Dim::AMOUNT, 1.0);
-/// Candela.
-pub const CANDELA: Unit = Unit::new("cd", Dim::LUMINOUS, 1.0);
 
-// --- scaled length/mass/time ----------------------------------------------
+// --- scaled lengths --------------------------------------------------------
 
 /// Kilometre.
 pub const KILOMETER: Unit = Unit::new("km", Dim::LENGTH, 1.0e3);
 /// Centimetre.
 pub const CENTIMETER: Unit = Unit::new("cm", Dim::LENGTH, 1.0e-2);
-/// Gram.
-pub const GRAM: Unit = Unit::new("g", Dim::MASS, 1.0e-3);
-/// Minute.
-pub const MINUTE: Unit = Unit::new("min", Dim::TIME, 60.0);
-/// Hour.
-pub const HOUR: Unit = Unit::new("hour", Dim::TIME, 3600.0);
-/// Day.
-pub const DAY: Unit = Unit::new("day", Dim::TIME, 86_400.0);
 
 // --- derived units ----------------------------------------------------------
 
-/// Hertz (1/s).
-pub const HERTZ: Unit = Unit::new("Hz", Dim::lmt(0, 0, -1), 1.0);
-/// Newton (kg m / s^2).
-pub const NEWTON: Unit = Unit::new("N", Dim::lmt(1, 1, -2), 1.0);
 /// Joule (kg m^2 / s^2).
 pub const JOULE: Unit = Unit::new("J", Dim::lmt(2, 1, -2), 1.0);
-/// Watt (J/s).
-pub const WATT: Unit = Unit::new("W", Dim::lmt(2, 1, -3), 1.0);
-/// Pascal (N/m^2).
-pub const PASCAL: Unit = Unit::new("Pa", Dim::lmt(-1, 1, -2), 1.0);
 /// Metres per second.
 pub const METER_PER_SECOND: Unit = Unit::new("m/s", Dim::lmt(1, 0, -1), 1.0);
-/// Kilograms per cubic metre.
-pub const KG_PER_M3: Unit = Unit::new("kg/m^3", Dim::lmt(-3, 1, 0), 1.0);
 
 #[cfg(test)]
 mod tests {
@@ -62,18 +38,20 @@ mod tests {
     #[test]
     fn newton_is_kg_m_per_s2() {
         let derived = KILOGRAM.mul(METER).div(SECOND.pow(2));
-        assert_eq!(derived.dim, NEWTON.dim);
-        assert_eq!(derived.si_factor, NEWTON.si_factor);
+        assert_eq!(derived.dim, Dim::lmt(1, 1, -2));
+        assert_eq!(derived.si_factor, 1.0);
     }
 
     #[test]
     fn joule_is_newton_meter() {
-        let derived = NEWTON.mul(METER);
+        let newton = KILOGRAM.mul(METER).div(SECOND.pow(2));
+        let derived = newton.mul(METER);
         assert_eq!(derived.dim, JOULE.dim);
     }
 
     #[test]
     fn day_in_seconds() {
-        assert_eq!(DAY.conversion_factor_to(SECOND).unwrap(), 86_400.0);
+        let day = Unit::new("day", Dim::TIME, 86_400.0);
+        assert_eq!(day.conversion_factor_to(SECOND).unwrap(), 86_400.0);
     }
 }

@@ -16,8 +16,8 @@ pub enum UnitError {
         /// Dimension of the right-hand side / target unit.
         right: Dim,
     },
-    /// A value failed a validity check (NaN or infinite) when crossing a
-    /// model boundary. The coupler checks for "illegal values" (§4.1).
+    /// An operation the unit algebra cannot represent, such as the square
+    /// root of a dimension with an odd exponent.
     IllegalValue {
         /// Human-readable description of the offending value.
         what: String,
@@ -94,11 +94,6 @@ impl Unit {
             return Err(UnitError::Incompatible { left: self.dim, right: other.dim });
         }
         Ok(self.si_factor / other.si_factor)
-    }
-
-    /// True if the two units measure the same dimension.
-    pub fn compatible(self, other: Unit) -> bool {
-        self.dim == other.dim
     }
 }
 

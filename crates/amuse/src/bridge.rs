@@ -124,6 +124,11 @@ use crate::checkpoint::{Checkpoint, CheckpointError, ModelState, Role};
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
 
+/// Supernova thermal energy deposited per event (N-body energy units).
+const SN_ENERGY: f64 = 0.2;
+/// Supernova deposition radius (N-body length units).
+const SN_RADIUS: f64 = 0.2;
+
 /// Bridge configuration.
 #[derive(Clone, Debug)]
 pub struct BridgeConfig {
@@ -140,10 +145,6 @@ pub struct BridgeConfig {
     pub time_unit_myr: f64,
     /// MSun per N-body mass unit.
     pub mass_unit_msun: f64,
-    /// Supernova thermal energy deposited per event (N-body energy units).
-    pub sn_energy: f64,
-    /// Supernova deposition radius (N-body length units).
-    pub sn_radius: f64,
     /// Record the call sequence of the next iteration (Fig 7 trace).
     pub trace: bool,
 }
@@ -156,8 +157,6 @@ impl Default for BridgeConfig {
             stellar_interval: 4,
             time_unit_myr: 1.0,
             mass_unit_msun: 1000.0,
-            sn_energy: 0.2,
-            sn_radius: 0.2,
             trace: false,
         }
     }
@@ -577,15 +576,15 @@ impl Bridge {
                     let pos = stars.pos[star];
                     feedback(Request::InjectEnergy {
                         center: pos,
-                        radius: self.cfg.sn_radius,
-                        energy: self.cfg.sn_energy,
+                        radius: SN_RADIUS,
+                        energy: SN_ENERGY,
                     })?;
                     let m_nb = ejected_mass / self.cfg.mass_unit_msun;
                     if m_nb > 0.0 {
                         feedback(Request::AddGas {
                             pos,
                             mass: m_nb,
-                            u: self.cfg.sn_energy / m_nb.max(1e-9) * 0.1,
+                            u: SN_ENERGY / m_nb.max(1e-9) * 0.1,
                         })?;
                     }
                 }

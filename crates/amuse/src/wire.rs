@@ -957,24 +957,15 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
             Ok(Request::SetMasses(get_f64s(&p[..8 * n])))
         }
         op::KICK => {
-            let n = checked_count(&h, h.aux0, 24, h.len)?;
-            Ok(Request::Kick(get_v3s(&p[..24 * n])))
+            let mut dv = Vec::new();
+            decode_kick_into(frame, &mut dv)?;
+            Ok(Request::Kick(dv))
         }
         op::COMPUTE_KICK => {
-            let (t, s) = (h.aux0, h.aux1);
-            let expect =
-                t.checked_mul(24).and_then(|a| s.checked_mul(32).and_then(|b| a.checked_add(b)));
-            if expect != Some(h.len) {
-                return Err(bad_length(&h));
-            }
-            let (t, s) = (t as usize, s as usize);
-            let off_sp = 24 * t;
-            let off_sm = off_sp + 24 * s;
-            Ok(Request::ComputeKick {
-                targets: get_v3s(&p[..off_sp]),
-                source_pos: get_v3s(&p[off_sp..off_sm]),
-                source_mass: get_f64s(&p[off_sm..off_sm + 8 * s]),
-            })
+            let (mut targets, mut source_pos, mut source_mass) =
+                (Vec::new(), Vec::new(), Vec::new());
+            decode_compute_kick_into(frame, &mut targets, &mut source_pos, &mut source_mass)?;
+            Ok(Request::ComputeKick { targets, source_pos, source_mass })
         }
         op::STEP => {
             let mut dv = Vec::new();
@@ -1012,12 +1003,7 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
 pub fn decode_response(frame: &[u8]) -> Result<Response, WireError> {
     let (h, p) = parse_frame(frame)?;
     match h.opcode {
-        op::RESP_OK => {
-            if h.len != 8 {
-                return Err(bad_length(&h));
-            }
-            Ok(Response::Ok { flops: get_f64(p, 0) })
-        }
+        op::RESP_OK => Ok(Response::Ok { flops: decode_ok(frame)? }),
         op::RESP_PARTICLES => {
             let mut out = ParticleData::default();
             decode_particles_into(frame, &mut out)?;

@@ -110,8 +110,4 @@ impl Actor for IbisDaemon {
             self.shared.borrow_mut().replies.insert(rep.worker, rep.frame);
         }
     }
-
-    fn name(&self) -> String {
-        "ibis-daemon".into()
-    }
 }

@@ -71,7 +71,6 @@ pub struct WorkerProxy {
     /// MPI ranks inside this worker (Gadget's internal parallelism);
     /// > 1 adds modeled intra-site MPI traffic per evolve.
     mpi_ranks: u32,
-    label: String,
 }
 
 impl WorkerProxy {
@@ -87,7 +86,6 @@ impl WorkerProxy {
         ledger: BusyLedger,
         byte_scale: f64,
         mpi_ranks: u32,
-        label: impl Into<String>,
     ) -> WorkerProxy {
         assert!(gflops > 0.0 && byte_scale > 0.0 && mpi_ranks >= 1);
         WorkerProxy {
@@ -100,7 +98,6 @@ impl WorkerProxy {
             ledger,
             byte_scale,
             mpi_ranks,
-            label: label.into(),
         }
     }
 
@@ -172,9 +169,5 @@ impl Actor for WorkerProxy {
         let wire_bytes = ((frame.len() as f64) * self.byte_scale) as u64;
         let env = ReplyEnvelope { worker: self.id, frame, wire_bytes };
         ctx.schedule_self(delay, PendingReply { daemon, env });
-    }
-
-    fn name(&self) -> String {
-        format!("proxy:{}", self.label)
     }
 }

@@ -439,9 +439,6 @@ fn placements(s: Scenario) -> [Placement; 4] {
 struct IdleRank;
 impl Actor for IdleRank {
     fn handle(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {}
-    fn name(&self) -> String {
-        "mpi-rank".into()
-    }
 }
 
 /// Submits the worker jobs and records their seats.
@@ -482,9 +479,6 @@ impl Actor for Starter {
                 _ => {}
             }
         }
-    }
-    fn name(&self) -> String {
-        "starter".into()
     }
 }
 
@@ -586,8 +580,7 @@ fn run_on_grid_inner(
     recover: bool,
 ) -> ScenarioRun {
     assert!(iterations > 0);
-    let mut deployment =
-        Deployment::build(grid, SimConfig { seed: 7, ..Default::default() }).expect("valid grid");
+    let mut deployment = Deployment::build(grid, SimConfig { seed: 7 }).expect("valid grid");
     assert!(deployment.converge_overlay(10_000_000), "overlay converged");
     let client_host = deployment.client_host;
     let overlay = deployment.overlay.clone();
@@ -626,8 +619,7 @@ fn run_on_grid_inner(
             ModelKind::Hydro | ModelKind::Coupling => gas_scale,
             _ => star_scale,
         };
-        let (gflops, tag, ranks, label, ledger_c) =
-            (p.gflops, p.device_tag, p.mpi_ranks, p.label, ledger.clone());
+        let (gflops, tag, ranks, ledger_c) = (p.gflops, p.device_tag, p.mpi_ranks, ledger.clone());
         let factory = move |rank: u32, _total: u32, _host| -> Box<dyn Actor> {
             if rank == 0 {
                 Box::new(WorkerProxy::new(
@@ -639,7 +631,6 @@ fn run_on_grid_inner(
                     ledger_c.clone(),
                     scale,
                     ranks,
-                    label,
                 ))
             } else {
                 Box::new(IdleRank)
@@ -758,7 +749,6 @@ fn run_on_grid_inner(
                         ledger.clone(),
                         scale,
                         p.mpi_ranks,
-                        p.label,
                     );
                     let actor = sim.borrow_mut().add_actor(host, Box::new(proxy));
                     sim.borrow_mut().post(

@@ -42,7 +42,6 @@ fn across_the_jungle(worker: Box<dyn ModelWorker>) -> (IbisChannel, Rc<RefCell<S
         BusyLedger::default(),
         SCALE,
         1,
-        "worker",
     );
     let proxy = sim.add_actor(remote, Box::new(proxy));
     sim.post(daemon.actor, RegisterWorker { id: WorkerId(0), proxy }, SimDuration::ZERO);

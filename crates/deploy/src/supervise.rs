@@ -28,41 +28,24 @@ use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// The launch recipe for one worker process — everything
-/// `jungle-worker` needs to rebuild the same initial conditions.
+/// The launch recipe for one worker process. The worker builds its
+/// placeholder initial conditions from `jungle-worker`'s own defaults
+/// (the one place that recipe is written down); the coupler restores
+/// the real model state from a checkpoint.
 #[derive(Clone, Debug)]
 pub struct WorkerSpec {
     /// Path to the `jungle-worker` binary.
     pub binary: PathBuf,
     /// `--model` value (gravity / hydro / coupling / octgrav / stellar).
     pub model: String,
-    /// `--stars` (cluster initial conditions; must match the coupler).
-    pub stars: usize,
-    /// `--gas`.
-    pub gas: usize,
-    /// `--gas-fraction`.
-    pub gas_fraction: f64,
-    /// `--seed`.
-    pub seed: u64,
     /// `--shard I/K`, if the worker serves one slice of a pool.
     pub shard: Option<(usize, usize)>,
-    /// `--gpu`.
-    pub gpu: bool,
 }
 
 impl WorkerSpec {
-    /// A spec with the `jungle-worker` defaults for the cluster knobs.
+    /// A spec serving the whole model.
     pub fn new(binary: impl Into<PathBuf>, model: impl Into<String>) -> WorkerSpec {
-        WorkerSpec {
-            binary: binary.into(),
-            model: model.into(),
-            stars: 48,
-            gas: 192,
-            gas_fraction: 0.5,
-            seed: 42,
-            shard: None,
-            gpu: false,
-        }
+        WorkerSpec { binary: binary.into(), model: model.into(), shard: None }
     }
 
     /// Serve shard `i` of `k`.
@@ -78,20 +61,9 @@ impl WorkerSpec {
             .arg("--bind")
             .arg("127.0.0.1:0")
             .arg("--port-file")
-            .arg(port_file)
-            .arg("--stars")
-            .arg(self.stars.to_string())
-            .arg("--gas")
-            .arg(self.gas.to_string())
-            .arg("--gas-fraction")
-            .arg(self.gas_fraction.to_string())
-            .arg("--seed")
-            .arg(self.seed.to_string());
+            .arg(port_file);
         if let Some((i, k)) = self.shard {
             c.arg("--shard").arg(format!("{i}/{k}"));
-        }
-        if self.gpu {
-            c.arg("--gpu");
         }
         c.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::inherit());
         c

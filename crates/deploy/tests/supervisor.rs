@@ -6,11 +6,22 @@
 use jc_amuse::channel::Channel;
 use jc_amuse::shard::{ShardSupervisor, ShardedChannel};
 use jc_amuse::worker::{Request, Response};
-use jc_amuse::ModelState;
+use jc_amuse::{EmbeddedCluster, ModelState};
 use jc_deploy::supervise::{ProcessSupervisor, WorkerSpec};
 
 fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_jungle-worker")
+}
+
+/// The bit patterns of a gravity section: time and column lengths,
+/// then every mass, position and velocity component.
+fn gravity_bits(state: &ModelState) -> Vec<u64> {
+    let ModelState::Gravity { time, mass, pos, vel } = state else {
+        panic!("not a gravity section: {state:?}");
+    };
+    let mut bits = vec![time.to_bits(), mass.len() as u64, pos.len() as u64, vel.len() as u64];
+    bits.extend(mass.iter().chain(pos.iter().chain(vel).flatten()).map(|x| x.to_bits()));
+    bits
 }
 
 #[test]
@@ -50,7 +61,11 @@ fn killed_worker_process_is_respawned_and_reloads_state() {
         Response::State(s) => s,
         other => panic!("{other:?}"),
     };
-    assert!(matches!(state, ModelState::Gravity { .. }));
+    // the worker's placeholder initial conditions are jungle-worker's
+    // defaults (48 stars, 192 gas, gas fraction 0.5, seed 42): the spec
+    // passes no cluster flags, so the recipe lives in one place
+    let recipe = EmbeddedCluster::build(48, 192, 0.5, 42).initial_checkpoint();
+    assert_eq!(gravity_bits(&state), gravity_bits(&recipe.gravity));
     let addr = sup.addr(0).expect("address recorded");
     sup.kill(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);

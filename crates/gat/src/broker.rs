@@ -332,10 +332,6 @@ impl Actor for MiddlewareActor {
             self.pump_queue(ctx);
         }
     }
-
-    fn name(&self) -> String {
-        format!("gat:{}", self.name)
-    }
 }
 
 /// The realm: all resources a user has access to (their "grid file").

@@ -37,9 +37,6 @@ impl Actor for Worker {
             }
         }
     }
-    fn name(&self) -> String {
-        "worker".into()
-    }
 }
 
 /// A never-exiting worker (like an AMUSE model worker).
@@ -90,9 +87,6 @@ impl Actor for Client {
         if let Ok((_, c)) = msg.downcast::<CancelRequest>() {
             ctx.send_net(self.broker, 64, jc_netsim::metrics::TrafficClass::Control, c);
         }
-    }
-    fn name(&self) -> String {
-        "client".into()
     }
 }
 

@@ -83,9 +83,4 @@ pub trait Actor {
 
     /// Called once when the actor is installed; default does nothing.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
-
-    /// Human-readable name for traces and the monitoring views.
-    fn name(&self) -> String {
-        "<actor>".to_string()
-    }
 }

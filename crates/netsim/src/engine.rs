@@ -17,17 +17,11 @@ use std::collections::{BinaryHeap, HashMap};
 pub struct SimConfig {
     /// RNG seed; every run with the same seed and inputs is identical.
     pub seed: u64,
-    /// Relative latency jitter in [0, 1): each transfer's latency is scaled
-    /// by `1 + U(-jitter, jitter)`. Zero (the default) keeps tests exact.
-    pub latency_jitter: f64,
-    /// Record a human-readable dispatch trace (for call-sequence tests and
-    /// the Fig 7 bridge trace).
-    pub trace: bool,
 }
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
-        SimConfig { seed: 42, latency_jitter: 0.0, trace: false }
+        SimConfig { seed: 42 }
     }
 }
 
@@ -68,14 +62,11 @@ struct Inner {
     seq: u64,
     metrics: Metrics,
     rng: StdRng,
-    cfg: SimConfig,
     actor_host: Vec<HostId>,
     actor_alive: Vec<bool>,
-    actor_names: Vec<String>,
     host_down: Vec<bool>,
     pending_actors: Vec<(ActorId, HostId, Box<dyn Actor>)>,
     link_busy_until: HashMap<crate::topology::LinkId, SimTime>,
-    trace: Vec<String>,
 }
 
 impl Inner {
@@ -135,13 +126,7 @@ impl Inner {
             let entry = self.link_busy_until.entry(*l).or_insert(now);
             *entry = start + occupied;
         }
-        let mut total = queue_delay + latency + serialize;
-        if self.cfg.latency_jitter > 0.0 {
-            use rand::Rng;
-            let j = self.rng.gen_range(-self.cfg.latency_jitter..self.cfg.latency_jitter);
-            total = SimDuration::from_secs_f64(total.as_secs_f64() * (1.0 + j));
-        }
-        total
+        queue_delay + latency + serialize
     }
 }
 
@@ -163,14 +148,11 @@ impl Sim {
                 seq: 0,
                 metrics: Metrics::default(),
                 rng: StdRng::seed_from_u64(cfg.seed),
-                cfg,
                 actor_host: Vec::new(),
                 actor_alive: Vec::new(),
-                actor_names: Vec::new(),
                 host_down,
                 pending_actors: Vec::new(),
                 link_busy_until: HashMap::new(),
-                trace: Vec::new(),
             },
             actors: Vec::new(),
         }
@@ -189,7 +171,6 @@ impl Sim {
         let id = ActorId(self.actors.len() as u32);
         self.inner.actor_host.push(host);
         self.inner.actor_alive.push(true);
-        self.inner.actor_names.push(actor.name());
         self.actors.push(Some(actor));
         id
     }
@@ -257,11 +238,6 @@ impl Sim {
         (&mut self.inner.topo, &self.inner.metrics)
     }
 
-    /// Dispatch trace (empty unless `cfg.trace`).
-    pub fn trace(&self) -> &[String] {
-        &self.inner.trace
-    }
-
     /// Is the queue empty?
     pub fn is_idle(&self) -> bool {
         self.inner.queue.is_empty()
@@ -319,17 +295,6 @@ impl Sim {
         if idx >= self.actors.len() || !self.inner.actor_alive[idx] {
             self.inner.metrics.record_drop();
             return;
-        }
-        if self.inner.cfg.trace {
-            let entry = format!(
-                "{} -> {} [{}]",
-                self.inner.clock,
-                self.inner.actor_names[idx],
-                msg.from
-                    .map(|f| self.inner.actor_names[f.0 as usize].clone())
-                    .unwrap_or_else(|| "timer".into())
-            );
-            self.inner.trace.push(entry);
         }
         let mut a = self.actors[idx].take().expect("re-entrant dispatch");
         {
@@ -510,9 +475,6 @@ mod tests {
                     ctx.send_net(peer, 100, TrafficClass::Other, v + 1);
                 }
             }
-        }
-        fn name(&self) -> String {
-            "echo".into()
         }
     }
 

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Exits nonzero if any session failed, the accounting does not add up
-//! (`submitted == completed + failed`, sheds counted apart), or a
+//! (`submitted == completed + failed`, and the service's shed counters
+//! equal the client's tally of each rejection kind), or a
 //! panic escaped anywhere. `--allow-failures` relaxes the first check
 //! for deliberately chaotic soaks. `--json` writes a machine-readable
 //! summary to stdout (the nightly soak uploads it as an artifact).
@@ -223,7 +224,9 @@ fn main() {
     let accounted = served + failed + shed_overloaded + shed_quota == submitted_total
         && counters.submitted == served + failed
         && counters.completed == served
-        && counters.failed == failed;
+        && counters.failed == failed
+        && counters.shed_overloaded == shed_overloaded
+        && counters.shed_quota == shed_quota;
 
     if args.json {
         println!(

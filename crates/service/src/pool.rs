@@ -186,8 +186,10 @@ pub enum HostHealth {
 /// audit that the fault plan actually bit.
 pub(crate) struct HealthBoard {
     slots: Mutex<Vec<SlotHealth>>,
-    strikes_to_dead: u32,
 }
+
+/// Session failures on one host before the board declares it dead.
+const STRIKES_TO_DEAD: u32 = 2;
 
 struct SlotHealth {
     health: HostHealth,
@@ -197,11 +199,11 @@ struct SlotHealth {
 }
 
 impl HealthBoard {
-    pub(crate) fn new(size: usize, strikes_to_dead: u32) -> HealthBoard {
+    pub(crate) fn new(size: usize) -> HealthBoard {
         let slots = (0..size)
             .map(|_| SlotHealth { health: HostHealth::Healthy, generation: 0, chaos_kills: 0 })
             .collect();
-        HealthBoard { slots: Mutex::new(slots), strikes_to_dead: strikes_to_dead.max(1) }
+        HealthBoard { slots: Mutex::new(slots) }
     }
 
     /// A session failed on host `i`: escalate Healthy → Suspect → Dead.
@@ -209,8 +211,8 @@ impl HealthBoard {
         let mut slots = self.slots.lock().unwrap();
         let h = &mut slots[i].health;
         *h = match *h {
-            HostHealth::Healthy if self.strikes_to_dead > 1 => HostHealth::Suspect { strikes: 1 },
-            HostHealth::Suspect { strikes } if strikes + 1 < self.strikes_to_dead => {
+            HostHealth::Healthy => HostHealth::Suspect { strikes: 1 },
+            HostHealth::Suspect { strikes } if strikes + 1 < STRIKES_TO_DEAD => {
                 HostHealth::Suspect { strikes: strikes + 1 }
             }
             _ => HostHealth::Dead,
@@ -435,7 +437,7 @@ mod tests {
 
     #[test]
     fn health_board_escalates_and_recovers() {
-        let board = HealthBoard::new(2, 2);
+        let board = HealthBoard::new(2);
         assert_eq!(board.record_failure(0), HostHealth::Suspect { strikes: 1 });
         assert_eq!(board.record_failure(0), HostHealth::Dead);
         assert_eq!(board.snapshot()[1], HostHealth::Healthy);

@@ -39,6 +39,15 @@ pub struct ChaosKillPolicy {
     pub every_iterations: u64,
 }
 
+/// Checkpoint migrations a session may spend before it fails typed
+/// (ladder rung 4).
+const MAX_MIGRATIONS: u32 = 3;
+
+/// Jitter seed of the retry policy armed on every process-host channel
+/// (ladder rung 1: [`RetryPolicy::standard`]). The session deadline is
+/// propagated into its `deadline_ms` at lease time.
+const CHANNEL_RETRY_SEED: u64 = 42;
+
 /// Everything a [`Service`] is configured with.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -51,16 +60,6 @@ pub struct ServiceConfig {
     /// Session deadline applied when a spec leaves its own at 0, in
     /// milliseconds (0 = unbounded). Env default: `JC_SESSION_DEADLINE_MS`.
     pub default_deadline_ms: u64,
-    /// In-place recovery policy per iteration (ladder rung 2).
-    pub recovery: RecoveryPolicy,
-    /// Checkpoint migrations a session may spend before it fails typed.
-    pub max_migrations: u32,
-    /// Session failures on one host before the board declares it dead.
-    pub strikes_to_dead: u32,
-    /// Retry policy armed on every process-host channel (rung 1). The
-    /// session deadline is propagated into its `deadline_ms` at lease
-    /// time.
-    pub channel_retry: RetryPolicy,
     /// Optional seeded chaos kills.
     pub chaos: Option<ChaosKillPolicy>,
 }
@@ -72,10 +71,6 @@ impl Default for ServiceConfig {
             host_kind: HostKind::InProcess,
             quota: QuotaPolicy::default(),
             default_deadline_ms: 0,
-            recovery: RecoveryPolicy::default(),
-            max_migrations: 3,
-            strikes_to_dead: 2,
-            channel_retry: RetryPolicy::standard(42),
             chaos: None,
         }
     }
@@ -196,7 +191,7 @@ impl Service {
         let kill_switches: Vec<Arc<AtomicBool>> =
             (0..cfg.pool_size).map(|_| Arc::new(AtomicBool::new(false))).collect();
         let shared = Arc::new(Shared {
-            health: HealthBoard::new(cfg.pool_size, cfg.strikes_to_dead),
+            health: HealthBoard::new(cfg.pool_size),
             state: Mutex::new(SchedState {
                 next_id: 1,
                 queue: VecDeque::new(),
@@ -432,8 +427,8 @@ fn fail_stranded(shared: &Shared, st: &mut SchedState) {
 }
 
 fn executor_main(shared: Arc<Shared>, index: usize, kill: Arc<AtomicBool>) {
-    let mut host =
-        WarmHost::new(index, shared.cfg.host_kind.clone(), kill, shared.cfg.channel_retry);
+    let retry = RetryPolicy::standard(CHANNEL_RETRY_SEED);
+    let mut host = WarmHost::new(index, shared.cfg.host_kind.clone(), kill, retry);
     if let Err(e) = host.warm_up() {
         // stay in the loop: re-warm is retried per dequeued session
         eprintln!("jungle-service: host {index} failed to warm up: {e}");
@@ -516,6 +511,8 @@ fn drive(
     // boundary it resumes from — only boundaries crossed on THIS host
     // count, or a migrated session could die on arrival forever
     let start = bridge.iterations();
+    // in-place recovery per iteration (ladder rung 2)
+    let recovery = RecoveryPolicy::default();
     let over_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
     while bridge.iterations() < spec.iterations {
         if over_deadline() {
@@ -532,7 +529,7 @@ fn drive(
                 }
             }
         }
-        bridge.iteration_recovering(ck_opt, &shared.cfg.recovery).map_err(|e| e.to_string())?;
+        bridge.iteration_recovering(ck_opt, &recovery).map_err(|e| e.to_string())?;
     }
     // final state via the checkpoint path (never panics on a dead host —
     // errors escalate to migration like any other failure)
@@ -647,10 +644,10 @@ fn migrate_or_fail(shared: &Shared, index: usize, mut work: Work, detail: String
         work.exclude.push(index);
     }
     let mut st = shared.state.lock().unwrap();
-    if work.migrations > shared.cfg.max_migrations {
+    if work.migrations > MAX_MIGRATIONS {
         let status = SessionStatus::Failed {
             failure: SessionFailure::Unrecoverable {
-                detail: format!("migration budget spent ({}): {detail}", shared.cfg.max_migrations),
+                detail: format!("migration budget spent ({MAX_MIGRATIONS}): {detail}"),
             },
             migrations: work.migrations,
         };

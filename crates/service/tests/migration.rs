@@ -9,7 +9,7 @@
 //! the supervisor).
 
 use jc_amuse::FaultPlan;
-use jc_service::{ChaosKillPolicy, Service, ServiceConfig, SessionSpec, SessionStatus};
+use jc_service::{ChaosKillPolicy, HostHealth, Service, ServiceConfig, SessionSpec, SessionStatus};
 
 /// Long enough that a kill lands mid-flight, small enough to stay fast.
 fn long_spec(seed: u64) -> SessionSpec {
@@ -50,6 +50,11 @@ fn directed_kill_migrates_session_bitwise_identically() {
         }
     };
     service.kill_host(host);
+    // the kill lands on the health board at once; the other slot is
+    // untouched
+    let health = service.health();
+    assert_eq!(health[host], HostHealth::Dead, "a killed slot reads Dead");
+    assert_eq!(health[1 - host], HostHealth::Healthy);
     let (digest, migrations) = finish(service.wait(id));
     assert_eq!(digest, want, "migrated session must be bitwise identical to fault-free run");
     // the kill may land after the final iteration, in which case the
@@ -65,6 +70,12 @@ fn directed_kill_migrates_session_bitwise_identically() {
     finish(service.wait(a));
     finish(service.wait(b));
     assert_eq!(service.counters().completed, 3);
+    assert_eq!(service.counters().rewarms, 1, "the killed slot re-warmed exactly once");
+    assert_eq!(
+        service.health(),
+        vec![HostHealth::Healthy; 2],
+        "a re-warmed slot that served again reads Healthy"
+    );
     service.shutdown();
 }
 

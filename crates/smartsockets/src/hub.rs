@@ -66,7 +66,6 @@ pub struct HubActor {
     max_rounds: u64,
     /// Seed hubs to contact on start.
     seeds: Vec<HubInfo>,
-    label: String,
     /// Optional shared probe the hub publishes its membership view into,
     /// so tests and the monitoring views can observe convergence without
     /// reaching inside boxed actors. Single-threaded sim ⇒ `Rc<RefCell>`.
@@ -79,12 +78,7 @@ pub type MembershipProbe = std::rc::Rc<std::cell::RefCell<HashMap<ActorId, Vec<H
 impl HubActor {
     /// Create a hub that bootstraps from `seeds` and gossips every
     /// `interval` for at most `max_rounds` rounds (0 = forever).
-    pub fn new(
-        label: impl Into<String>,
-        seeds: Vec<HubInfo>,
-        interval: SimDuration,
-        max_rounds: u64,
-    ) -> HubActor {
+    pub fn new(seeds: Vec<HubInfo>, interval: SimDuration, max_rounds: u64) -> HubActor {
         HubActor {
             me: None,
             known: Vec::new(),
@@ -94,7 +88,6 @@ impl HubActor {
             rounds: 0,
             max_rounds,
             seeds,
-            label: label.into(),
             probe: None,
         }
     }
@@ -213,10 +206,6 @@ impl Actor for HubActor {
             }
         }
     }
-
-    fn name(&self) -> String {
-        format!("hub:{}", self.label)
-    }
 }
 
 #[cfg(test)]
@@ -253,22 +242,16 @@ mod tests {
         let seed = sim.add_actor(
             seed_host,
             Box::new(
-                HubActor::new("seed", vec![], SimDuration::from_millis(50), 40)
-                    .with_probe(probe.clone()),
+                HubActor::new(vec![], SimDuration::from_millis(50), 40).with_probe(probe.clone()),
             ),
         );
         let seed_info = HubInfo { actor: seed, host: seed_host };
-        for (i, &h) in hosts.iter().enumerate().skip(1) {
+        for &h in hosts.iter().skip(1) {
             sim.add_actor(
                 h,
                 Box::new(
-                    HubActor::new(
-                        format!("hub{i}"),
-                        vec![seed_info],
-                        SimDuration::from_millis(50),
-                        40,
-                    )
-                    .with_probe(probe.clone()),
+                    HubActor::new(vec![seed_info], SimDuration::from_millis(50), 40)
+                        .with_probe(probe.clone()),
                 ),
             );
         }
@@ -299,14 +282,10 @@ mod tests {
         let mut sim = Sim::new(topo, SimConfig::default());
         let got = std::rc::Rc::new(std::cell::Cell::new(0));
         let sink = sim.add_actor(hosts[2], Box::new(Sink { got: got.clone() }));
-        let hub_b = sim.add_actor(
-            hosts[1],
-            Box::new(HubActor::new("b", vec![], SimDuration::from_millis(50), 0)),
-        );
-        let hub_a = sim.add_actor(
-            hosts[0],
-            Box::new(HubActor::new("a", vec![], SimDuration::from_millis(50), 0)),
-        );
+        let hub_b = sim
+            .add_actor(hosts[1], Box::new(HubActor::new(vec![], SimDuration::from_millis(50), 0)));
+        let hub_a = sim
+            .add_actor(hosts[0], Box::new(HubActor::new(vec![], SimDuration::from_millis(50), 0)));
         // Inject an envelope at hub_a routed via hub_b to the sink.
         sim.post(
             hub_a,

@@ -49,13 +49,11 @@ impl Overlay {
         let mut by_site = HashMap::new();
         let mut seed: Option<HubInfo> = None;
         for (site, host) in placements {
-            let name = format!("s{}", site.0);
             let seeds = seed.into_iter().collect();
             let actor = sim.add_actor(
                 *host,
                 Box::new(
-                    HubActor::new(name, seeds, gossip_interval, gossip_rounds)
-                        .with_probe(probe.clone()),
+                    HubActor::new(seeds, gossip_interval, gossip_rounds).with_probe(probe.clone()),
                 ),
             );
             let info = HubInfo { actor, host: *host };

@@ -1,7 +1,7 @@
 //! # jungle — umbrella crate for the Jungle Computing / distributed AMUSE reproduction
 //!
-//! Re-exports the workspace's library crates (all but the `jc_bench`
-//! binaries and the `jc-lint` tool) under one roof so the examples and
+//! Re-exports every library crate of the workspace (`jc_bench` and
+//! `jc-lint` hold only binaries) under one roof so the examples and
 //! integration tests can `use jungle::...`. See the README for the map of
 //! the system and docs/ARCHITECTURE.md for the full inventory.
 

@@ -126,6 +126,11 @@ fn ok(r: Response) {
     assert!(matches!(r, Response::Ok { .. }), "{r:?}");
 }
 
+/// The bridge's supernova feedback: thermal energy deposited per event
+/// and its deposition radius (N-body units).
+const SN_ENERGY: f64 = 0.2;
+const SN_RADIUS: f64 = 0.2;
+
 /// The oracle: the Fig 7 step as the paper draws it, with nothing
 /// carried from one phase to the next. Every p-kick phase snapshots
 /// both systems and evaluates the field afresh; the stellar exchange
@@ -165,13 +170,9 @@ pub fn naive_run(channels: [Box<dyn Channel>; 4], cfg: &BridgeConfig, iterations
                 StellarEvent::Supernova { star, ejected_mass, .. } => {
                     supernovae += 1;
                     let (center, m) = (stars.pos[star], ejected_mass / cfg.mass_unit_msun);
-                    h.call(Request::InjectEnergy {
-                        center,
-                        radius: cfg.sn_radius,
-                        energy: cfg.sn_energy,
-                    });
+                    h.call(Request::InjectEnergy { center, radius: SN_RADIUS, energy: SN_ENERGY });
                     if m > 0.0 {
-                        let u = cfg.sn_energy / m.max(1e-9) * 0.1;
+                        let u = SN_ENERGY / m.max(1e-9) * 0.1;
                         h.call(Request::AddGas { pos: center, mass: m, u });
                     }
                 }
@@ -588,7 +589,6 @@ impl SimWorld {
             BusyLedger::default(),
             1.0,
             1,
-            name,
         );
         let mut sim = self.sim.borrow_mut();
         let proxy = sim.add_actor(self.remote, Box::new(proxy));

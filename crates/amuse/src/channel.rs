@@ -262,16 +262,32 @@ pub(crate) fn stepped_into(resp: Response, out: &mut ParticleData) -> Response {
     }
 }
 
-/// What carries a [`ClientCore`]'s frames: each stamped request frame
-/// to the worker, the reply frame back. In process the worker's own
+/// What carries a [`ClientCore`]'s frames: each request frame to the
+/// worker, the reply frame back. In process the worker's own
 /// [`ServerCore`] is the link; over TCP it is a
 /// [`crate::reactor::ReactorLink`]; across the simulated jungle it is
 /// `jc_core`'s `SimLink`. The link only moves bytes: the codec, stamping,
 /// the one-outstanding rule and the accounting are the core's.
 pub trait Link {
     /// Lend the link's frame buffer to `write`, which fills it with a
-    /// whole stamped request, and start that frame toward the worker.
+    /// whole request, and start that frame toward the worker.
     fn send(&mut self, write: impl FnOnce(&mut Vec<u8>));
+
+    /// Start a request frame given in parts toward the worker. The
+    /// default encodes it into the link's frame buffer through
+    /// [`Link::send`]; a link that can write the parts where they lie
+    /// overrides it.
+    fn send_frame(&mut self, frame: &wire::Frame<'_>) {
+        self.send(|buf| frame.encode(buf));
+    }
+
+    /// Does this link need its requests stamped with sequence numbers? A
+    /// link that may resend a frame does (the server deduplicates by the
+    /// stamp), and so does one that matches replies by it; the default
+    /// says yes. An unstamped request carries seq 0.
+    fn stamps(&self) -> bool {
+        true
+    }
 
     /// Finish the round trip [`Link::send`] started and hand the reply
     /// frame to `read`. Each transient fault absorbed in place on the way
@@ -298,14 +314,15 @@ pub trait Link {
 
 /// The client half of the protocol, written once for every [`Link`].
 ///
-/// Each request — an owned [`Request`], or the typed legs' borrowed
-/// slices — is encoded straight into the link's frame buffer and
-/// stamped with the next sequence number; its reply is decoded out of the
-/// link's buffer (into the caller's buffers on the typed legs), and a
-/// reply of another kind than a typed leg expects is surfaced as what
-/// the worker said. [`ChannelStats`] are booked from the frames' actual
-/// lengths, so a warm round trip through the typed legs allocates
-/// nothing client-side.
+/// An owned [`Request`] is encoded straight into the link's frame
+/// buffer; the step, kick and field legs hand the link their frame in
+/// parts, borrowing the caller's columns ([`Link::send_frame`]). On a
+/// link that [`Link::stamps`], each request carries the next sequence
+/// number. A reply is decoded out of the link's buffer (into the
+/// caller's buffers on the typed legs), and a reply of another kind than
+/// a typed leg expects is surfaced as what the worker said.
+/// [`ChannelStats`] are booked from the frames' actual lengths, so a
+/// warm round trip through the typed legs allocates nothing client-side.
 ///
 /// A request the wire cannot frame — columns of different lengths — is
 /// refused before it is encoded, with the answer its host or worker
@@ -315,9 +332,9 @@ pub struct ClientCore<L> {
     stats: ChannelStats,
     /// The outstanding call: its request frame's length, or its refusal.
     pending: Option<Result<u64, Response>>,
-    /// Sequence stamp of the most recent frame (wraps past `u16::MAX`,
-    /// skipping the unsequenced 0). A resend reuses it, which is what
-    /// lets the server deduplicate.
+    /// Sequence stamp of the most recent stamped frame (wraps past
+    /// `u16::MAX`, skipping the unsequenced 0). A resend reuses it, which
+    /// is what lets the server deduplicate.
     pub(crate) seq: u16,
 }
 
@@ -327,18 +344,36 @@ impl<L: Link> ClientCore<L> {
         ClientCore { link, stats: ChannelStats::default(), pending: None, seq: 0 }
     }
 
+    /// The next request's stamp: the next nonzero sequence number on a
+    /// link that needs stamps, the unsequenced 0 on one that does not.
+    fn next_seq(&mut self) -> u16 {
+        if !self.link.stamps() {
+            return 0;
+        }
+        self.seq = if self.seq == u16::MAX { 1 } else { self.seq + 1 };
+        self.seq
+    }
+
     /// Encode a request with `encode`, stamp it and send it.
     // jc-lint: no-alloc
     fn submit_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         assert!(self.pending.is_none(), "one outstanding call per channel");
-        self.seq = if self.seq == u16::MAX { 1 } else { self.seq + 1 };
-        let (seq, mut len) = (self.seq, 0);
+        let (seq, mut len) = (self.next_seq(), 0);
         self.link.send(|frame| {
             encode(frame);
             wire::set_seq(frame, seq);
             len = frame.len() as u64;
         });
         self.pending = Some(Ok(len));
+    }
+
+    /// Stamp a request given in parts and send it.
+    // jc-lint: no-alloc
+    fn submit_frame(&mut self, mut frame: wire::Frame<'_>) {
+        assert!(self.pending.is_none(), "one outstanding call per channel");
+        frame.stamp(self.next_seq());
+        self.link.send_frame(&frame);
+        self.pending = Some(Ok(frame.wire_len() as u64));
     }
 
     /// Submit a refusal instead of a request: nothing is sent, and the
@@ -432,7 +467,7 @@ impl<L: Link> Channel for ClientCore<L> {
 
     // jc-lint: no-alloc
     fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
-        self.submit_with(|buf| wire::encode_kick(dv, buf));
+        self.submit_frame(wire::kick_frame(dv));
     }
 
     // jc-lint: no-alloc
@@ -443,7 +478,7 @@ impl<L: Link> Channel for ClientCore<L> {
 
     // jc-lint: no-alloc
     fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
-        self.submit_with(|buf| wire::encode_step(dv, n, t, buf));
+        self.submit_frame(wire::step_frame(dv, n, t));
     }
 
     // jc-lint: no-alloc
@@ -475,9 +510,9 @@ impl<L: Link> Channel for ClientCore<L> {
                 return self.refuse(refusal);
             }
         }
-        self.submit_with(|buf| {
-            wire::encode_compute_field(star_pos, gas_pos, masses, star_range, gas_range, buf)
-        });
+        self.submit_frame(wire::compute_field_frame(
+            star_pos, gas_pos, masses, star_range, gas_range,
+        ));
     }
 
     // jc-lint: no-alloc

@@ -67,13 +67,14 @@ pub fn serve(worker: &mut dyn ModelWorker, field: &mut FieldSets, req: Request) 
                     return refusal;
                 }
             }
-            field.stars.pos = star_pos;
-            field.gas.pos = gas_pos;
+            let primes = masses.is_some();
             if let Some((star_mass, gas_mass)) = masses {
                 field.prime(star_mass, gas_mass);
             }
+            let at = wire::FieldTargets { star_range, gas_range, primes };
+            let request = wire::FieldView { star_pos: &star_pos, gas_pos: &gas_pos, at };
             let (mut acc, mut tmp) = (Vec::new(), Vec::new());
-            match field.evaluate(worker, star_range, gas_range, &mut acc, &mut tmp) {
+            match field.evaluate(worker, &request, &mut acc, &mut tmp) {
                 Ok(flops) => Response::Accelerations { acc, flops },
                 Err(resp) => resp,
             }
@@ -87,14 +88,14 @@ pub fn serve(worker: &mut dyn ModelWorker, field: &mut FieldSets, req: Request) 
 }
 
 /// A host's field state: the masses of its last priming
-/// [`Request::ComputeField`] and the positions of the field request
-/// being served (see the module docs).
+/// [`Request::ComputeField`] (see the module docs). The positions of a
+/// field request are read where the request holds them.
 #[derive(Default)]
 pub struct FieldSets {
-    /// Star positions of the current request; star masses of the epoch.
-    stars: ParticleData,
+    /// Star masses of the epoch.
+    star_mass: Vec<f64>,
     /// Likewise the gas.
-    gas: ParticleData,
+    gas_mass: Vec<f64>,
     /// The mass columns hold a priming request's masses.
     primed: bool,
 }
@@ -102,63 +103,69 @@ pub struct FieldSets {
 impl FieldSets {
     /// Hold the masses of a new mass epoch.
     fn prime(&mut self, star_mass: Vec<f64>, gas_mass: Vec<f64>) {
-        self.stars.mass = star_mass;
-        self.gas.mass = gas_mass;
+        self.star_mass = star_mass;
+        self.gas_mass = gas_mass;
         self.primed = true;
     }
 
     /// Drop the held masses: the next field request must prime.
     fn forget(&mut self) {
         self.primed = false;
-        self.stars.mass.clear();
-        self.gas.mass.clear();
+        self.star_mass.clear();
+        self.gas_mass.clear();
     }
 
-    /// Decode a field request frame into these sets: its positions, and
-    /// its masses when it primes.
+    /// Read a field request frame: its positions in place (see
+    /// [`wire::view_compute_field`]), and its masses into these sets when
+    /// it primes.
     // jc-lint: no-alloc
-    fn decode(&mut self, frame: &[u8]) -> Result<wire::FieldTargets, WireError> {
-        let at = wire::decode_compute_field_into(frame, &mut self.stars, &mut self.gas)?;
-        self.primed |= at.primes;
-        Ok(at)
+    fn view<'a>(
+        &mut self,
+        frame: &'a [u8],
+        scratch: &'a mut [Vec<[f64; 3]>; 2],
+    ) -> Result<wire::FieldView<'a>, WireError> {
+        let view =
+            wire::view_compute_field(frame, scratch, (&mut self.star_mass, &mut self.gas_mass))?;
+        self.primed |= view.at.primes;
+        Ok(view)
     }
 
-    /// The evaluation of a [`Request::ComputeField`] at the current
-    /// positions with the held masses: the accelerations of
-    /// `stars[star_range]` due to all gas land in `out`, followed by
-    /// those of `gas[gas_range]` due to all stars (`tmp` stages the
-    /// second evaluation). `Ok` carries the summed flops; `Err` is the
-    /// typed refusal of a host that holds no masses, or masses of
-    /// another shape, or of ranges outside the sets, or what the worker
-    /// answered instead of accelerations.
+    /// The evaluation of a [`Request::ComputeField`] at its positions
+    /// with the held masses: the accelerations of `stars[star_range]`
+    /// due to all gas land in `out`, followed by those of
+    /// `gas[gas_range]` due to all stars (`tmp` stages the second
+    /// evaluation). `Ok` carries the summed flops; `Err` is the typed
+    /// refusal of a host that holds no masses, or masses of another
+    /// shape, or of ranges outside the sets, or what the worker answered
+    /// instead of accelerations.
     // jc-lint: no-alloc
     fn evaluate(
         &self,
         worker: &mut dyn ModelWorker,
-        star_range: (usize, usize),
-        gas_range: (usize, usize),
+        request: &wire::FieldView<'_>,
         out: &mut Vec<[f64; 3]>,
         tmp: &mut Vec<[f64; 3]>,
     ) -> Result<f64, Response> {
-        let (stars, gas) = (&self.stars, &self.gas);
+        let (star_pos, gas_pos) = (request.star_pos, request.gas_pos);
+        let (star_range, gas_range) = (request.at.star_range, request.at.gas_range);
         if !self.primed {
             // jc-lint: allow(no-alloc): cold path — an unprimed host
             return Err(Response::Error(
                 "mass-free field request, but this host holds no masses: prime it first".into(),
             ));
         }
-        if stars.pos.len() != stars.mass.len() || gas.pos.len() != gas.mass.len() {
+        if star_pos.len() != self.star_mass.len() || gas_pos.len() != self.gas_mass.len() {
             // jc-lint: allow(no-alloc): cold path — masses of another epoch's shape
             return Err(Response::Error(format!(
                 "field request for {} stars, {} gas, but this host holds masses for {} stars, {} gas",
-                stars.pos.len(),
-                gas.pos.len(),
-                stars.mass.len(),
-                gas.mass.len()
+                star_pos.len(),
+                gas_pos.len(),
+                self.star_mass.len(),
+                self.gas_mass.len()
             )));
         }
-        check_ranges(&stars.pos, &gas.pos, star_range, gas_range)?;
-        let (stars, gas) = ((&stars.pos[..], &stars.mass[..]), (&gas.pos[..], &gas.mass[..]));
+        check_ranges(star_pos, gas_pos, star_range, gas_range)?;
+        let (stars, gas) = ((star_pos, &self.star_mass[..]), (gas_pos, &self.gas_mass[..]));
         // gas pulls on stars, then stars pull on gas
         let star_flops = kick_into(worker, &stars.0[star_range.0..star_range.1], gas, out)?;
         let gas_flops = kick_into(worker, &gas.0[gas_range.0..gas_range.1], stars, tmp)?;
@@ -304,10 +311,12 @@ pub(crate) fn owned_compute_kick(
 /// Per-worker idempotency state: the last applied nonzero sequence
 /// number, a fingerprint of the exact request frame it was applied
 /// for, and, when that request was mutating, the encoded response to
-/// replay on a duplicate. Non-mutating requests are not recorded —
+/// replay on a duplicate. Only stamped frames — those of a client that
+/// may resend — are recorded. Non-mutating requests are not either:
 /// re-executing a pure read of deterministic state yields bit-identical
 /// bytes anyway, so caching (possibly megabytes of) snapshot frames
-/// would buy nothing.
+/// would buy nothing. An unstamped mutating request empties the cache:
+/// after it changed the state, no earlier frame may be replayed.
 ///
 /// The fingerprint is what makes seq matching sound: this state
 /// intentionally outlives connections (a retried frame arrives on a
@@ -326,6 +335,14 @@ struct Dedup {
     last_seq: u16,
     req_fp: u64,
     cached: Vec<u8>,
+}
+
+impl Dedup {
+    /// Hold no reply to replay.
+    fn forget(&mut self) {
+        self.last_seq = 0;
+        self.cached.clear();
+    }
 }
 
 /// FNV-1a (64-bit) over a whole request frame — the frame identity the
@@ -388,9 +405,12 @@ pub enum Next {
 ///
 /// Per frame, in order: the dedup replay of a resent mutating request,
 /// decode, the crash fuse, the worker (per-step fast paths or
-/// [`serve`]), then the dedup cache. Decode and encode scratch, the
-/// reply buffer and the dedup state all live here and are reused, so a
-/// warm snapshot/step/field/kick request allocates nothing.
+/// [`serve`]), then the dedup cache. The bulk columns of `Step`, `Kick`
+/// and `ComputeField` requests are read in place in the frame when it
+/// sits 8-aligned (a frame at the start of a heap buffer does) and
+/// copied into scratch otherwise. Scratch, the reply buffer and the dedup state
+/// all live here and are reused, so a warm snapshot/step/field/kick
+/// request allocates nothing.
 ///
 /// `W` is how the core holds its worker: borrowed for a
 /// [`crate::WorkerServer`]'s serve loop ([`ServerCore::new`]), boxed
@@ -407,8 +427,9 @@ pub struct ServerCore<'a, W = &'a mut dyn ModelWorker> {
     /// Where an in-process client writes its request (see [`Link`]).
     inbox: Vec<u8>,
     snap: ParticleData,
-    dv: Vec<[f64; 3]>,
-    /// The held masses and the positions of a field request.
+    /// The columns of a request frame that cannot be read in place.
+    scratch: [Vec<[f64; 3]>; 2],
+    /// The held masses.
     field: FieldSets,
     acc: Vec<[f64; 3]>,
     /// Staging for the second half of a field (see [`FieldSets::evaluate`]).
@@ -433,7 +454,7 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
             out: Vec::new(),
             inbox: Vec::new(),
             snap: ParticleData::default(),
-            dv: Vec::new(),
+            scratch: [Vec::new(), Vec::new()],
             field: FieldSets::default(),
             acc: Vec::new(),
             tmp: Vec::new(),
@@ -467,32 +488,31 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
         }
         // Per-step fast paths: snapshot, kick, step and the coupling
         // field bypass `decode_request`'s owned `Request` and the owned
-        // `Response` of `serve`: they decode into reused scratch and
-        // encode the reply straight into `out`. A leg the worker
-        // declines answers through the owned types with the exact same
-        // frames — byte-for-byte — that a fast-path-less server would
-        // produce.
-        enum Decoded {
+        // `Response` of `serve`: they read their columns where the frame
+        // holds them and encode the reply straight into `out`. A leg the
+        // worker declines answers through the owned types with the exact
+        // same frames — byte-for-byte — that a fast-path-less server
+        // would produce.
+        enum Decoded<'f> {
             Snapshot,
-            /// Half-kick in `dv`.
-            Kick,
-            /// Half-kick in `dv`; kick count and target time.
-            Step(u32, f64),
-            /// Positions (and a priming request's masses) in `field`.
-            Field(wire::FieldTargets),
+            /// The half-kick.
+            Kick(&'f [[f64; 3]]),
+            /// The half-kick, its kick count and the target time.
+            Step(&'f [[f64; 3]], u32, f64),
+            /// The positions (a priming request's masses are in `field`).
+            Field(wire::FieldView<'f>),
             Other(Request),
         }
+        let scratch = &mut self.scratch;
         let decoded = match frame.get(5).copied() {
             Some(wire::op::GET_PARTICLES) if frame.len() == wire::HEADER_LEN => {
                 Ok(Decoded::Snapshot)
             }
-            Some(wire::op::KICK) => {
-                wire::decode_kick_into(frame, &mut self.dv).map(|()| Decoded::Kick)
-            }
+            Some(wire::op::KICK) => wire::view_kick(frame, &mut scratch[0]).map(Decoded::Kick),
             Some(wire::op::STEP) => {
-                wire::decode_step_into(frame, &mut self.dv).map(|(n, t)| Decoded::Step(n, t))
+                wire::view_step(frame, &mut scratch[0]).map(|(dv, n, t)| Decoded::Step(dv, n, t))
             }
-            Some(wire::op::COMPUTE_FIELD) => self.field.decode(frame).map(Decoded::Field),
+            Some(wire::op::COMPUTE_FIELD) => self.field.view(frame, scratch).map(Decoded::Field),
             _ => wire::decode_request(frame).map(Decoded::Other),
         };
         let decoded = match decoded {
@@ -520,18 +540,18 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
                 };
                 (Next::Continue, false, owned)
             }
-            Decoded::Kick => {
-                let owned = match worker.kick_slice(&self.dv) {
+            Decoded::Kick(dv) => {
+                let owned = match worker.kick_slice(dv) {
                     Some(flops) => {
                         wire::encode_ok_frame(flops, &mut self.out);
                         None
                     }
-                    None => Some(worker.handle(Request::Kick(std::mem::take(&mut self.dv)))),
+                    None => Some(worker.handle(Request::Kick(dv.to_vec()))),
                 };
                 (Next::Continue, true, owned)
             }
-            Decoded::Step(n, t) => {
-                let owned = match step(worker, &self.dv, n, t) {
+            Decoded::Step(dv, n, t) => {
+                let owned = match step(worker, dv, n, t) {
                     Ok(flops) => match particles(worker, &mut self.snap) {
                         Ok((_, pos, _)) => {
                             wire::encode_stepped_frame(pos, flops, &mut self.out);
@@ -543,10 +563,9 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
                 };
                 (Next::Continue, true, owned)
             }
-            Decoded::Field(at) => {
+            Decoded::Field(request) => {
                 let (acc, tmp) = (&mut self.acc, &mut self.tmp);
-                let owned = match self.field.evaluate(worker, at.star_range, at.gas_range, acc, tmp)
-                {
+                let owned = match self.field.evaluate(worker, &request, acc, tmp) {
                     Ok(flops) => {
                         wire::encode_accelerations_frame(&self.acc, flops, &mut self.out);
                         None
@@ -567,12 +586,16 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
             wire::encode_response(&resp, &mut self.out);
         }
         // Cache before the reply leaves: if the write (or the coupler's
-        // read of it) fails, the retried frame must find the cache.
+        // read of it) fails, the retried frame must find the cache. An
+        // unstamped mutating frame empties it: no earlier frame may be
+        // replayed over the state it changed.
         if seq != 0 && mutating {
             self.dedup.last_seq = seq;
             self.dedup.req_fp = frame_fingerprint(frame);
             self.dedup.cached.clear();
             self.dedup.cached.extend_from_slice(&self.out);
+        } else if mutating {
+            self.dedup.forget();
         }
         (&self.out, next)
     }
@@ -581,7 +604,7 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
 /// In process the core is the link: a request is written into its
 /// inbox and served as it is sent, and the reply is read straight out of
 /// the reply buffer. No byte can be lost on the way, so nothing is ever
-/// retried.
+/// retried, and no frame is stamped.
 impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> Link for ServerCore<'a, W> {
     fn send(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         let mut frame = std::mem::take(&mut self.inbox);
@@ -600,6 +623,11 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> Link for ServerCore<'a, W> 
 
     fn name(&self) -> String {
         self.worker.name()
+    }
+
+    /// Nothing is resent in process, so no frame needs a stamp.
+    fn stamps(&self) -> bool {
+        false
     }
 }
 
@@ -728,6 +756,184 @@ pub(crate) mod tests {
             for (sr, gr) in [((0, 10), (0, 14)), ((0, 9), (13, 15)), ((5, 4), (0, 14))] {
                 let r = field(&mut w, &mut held, prime, sr, gr);
                 assert!(matches!(r, Response::Error(_)), "{sr:?} {gr:?}: {r:?}");
+            }
+        }
+    }
+
+    /// A request frame's stamp and the dedup state it left behind:
+    /// `(seq, last_seq, cached reply bytes)`.
+    type Stamped = (u16, u16, usize);
+
+    /// One connection served by a `ServerCore` on its own thread, which
+    /// reports what each request frame left ([`Stamped`]).
+    fn recording_server() -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<Stamped>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            use std::io::Write;
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut grav = GravityWorker::new(plummer_sphere(6, 4), Backend::Scalar);
+            let mut core = ServerCore::new(&mut grav, None);
+            let mut decoder = crate::FrameDecoder::new();
+            let mut seen = Vec::new();
+            while let Ok(Some(_)) = decoder.read_from(&mut stream) {
+                let seq = wire::frame_seq(decoder.frame());
+                let (reply, next) = core.handle(decoder.frame());
+                stream.write_all(reply).unwrap();
+                seen.push((seq, core.dedup.last_seq, core.dedup.cached.len()));
+                if next != Next::Continue {
+                    break;
+                }
+                decoder.advance();
+            }
+            seen
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn only_a_retrying_channel_stamps_and_fills_the_dedup_cache() {
+        use crate::channel::Channel;
+        use crate::chaos::RetryPolicy;
+        let dv = vec![[1e-3, -2e-3, 5e-4]; 6];
+        // the same mutating calls, typed legs and owned requests alike
+        let calls = |ch: &mut crate::ReactorChannel| {
+            assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
+            ch.submit_step(&dv, 2, 0.01);
+            assert!(matches!(
+                ch.collect_step_into(&mut ParticleData::default()),
+                Response::Ok { .. }
+            ));
+            assert!(matches!(ch.call(Request::EvolveTo(0.02)), Response::Ok { .. }));
+            assert!(matches!(ch.call(Request::GetParticles), Response::Particles(_)));
+        };
+        let reactor = crate::Reactor::new_shared().unwrap();
+
+        let (addr, server) = recording_server();
+        let mut plain = crate::ReactorChannel::connect(&reactor, addr, "plain").unwrap();
+        calls(&mut plain);
+        drop(plain);
+        let seen = server.join().unwrap();
+        assert_eq!(seen.len(), 5, "four calls and the Stop: {seen:?}");
+        for (i, &(seq, last_seq, cached)) in seen.iter().enumerate() {
+            assert_eq!((seq, last_seq, cached), (0, 0, 0), "frame {i}: unstamped, nothing cached");
+        }
+
+        let (addr, server) = recording_server();
+        let retry = RetryPolicy { backoff_base_ms: 1, ..RetryPolicy::standard(7) };
+        let mut retrying =
+            crate::ReactorChannel::connect(&reactor, addr, "retrying").unwrap().with_retry(retry);
+        calls(&mut retrying);
+        drop(retrying);
+        let seen = server.join().unwrap();
+        let seqs: Vec<u16> = seen.iter().map(|s| s.0).collect();
+        assert_eq!(seqs, [1, 2, 3, 4, 0], "each call stamped in turn; the drop's Stop is not");
+        for &(seq, last_seq, cached) in &seen[..3] {
+            assert_eq!(last_seq, seq, "a stamped mutating frame is cached");
+            assert!(cached > 0);
+        }
+        assert_eq!(seen[3].1, 3, "a read leaves the cache as it was");
+    }
+
+    #[test]
+    fn an_unstamped_mutating_frame_empties_the_dedup_cache() {
+        // kick A stamped 1, kick B unstamped, then A's exact bytes again:
+        // B changed the state the cached reply to A answered, so the
+        // second A is applied, not replayed
+        let (mut a, mut b, mut snapshot) = (Vec::new(), Vec::new(), Vec::new());
+        wire::encode_kick(&[[1e-3, -2e-3, 5e-4]; 6], &mut a);
+        wire::encode_kick(&[[-4e-4, 1e-3, 2e-3]; 6], &mut b);
+        wire::encode_simple_request(wire::op::GET_PARTICLES, &mut snapshot);
+        let grav = || GravityWorker::new(plummer_sphere(6, 4), Backend::Scalar);
+        let serve_all = |frames: &[&[u8]]| {
+            let mut w = grav();
+            let mut core = ServerCore::new(&mut w, None);
+            let mut cached = Vec::new();
+            for frame in frames {
+                assert_eq!(core.handle(frame).1, Next::Continue);
+                cached.push((core.dedup.last_seq, core.dedup.cached.len()));
+            }
+            (core.handle(&snapshot).0.to_vec(), cached)
+        };
+        let mut stamped = a.clone();
+        wire::set_seq(&mut stamped, 1);
+        let (got, cached) = serve_all(&[&stamped, &b, &stamped]);
+        assert_eq!(cached[1], (0, 0), "the unstamped kick emptied the cache");
+        let (all_applied, _) = serve_all(&[&a, &b, &a]);
+        assert_eq!(got, all_applied, "the second A was applied");
+    }
+
+    /// `frame` copied into `store` at `offset` bytes past an 8-aligned
+    /// address; the range it occupies there.
+    fn placed(frame: &[u8], offset: usize, store: &mut Vec<u8>) -> std::ops::Range<usize> {
+        store.clear();
+        store.resize(frame.len() + 16, 0);
+        let start = store.as_ptr().align_offset(8) + offset;
+        store[start..start + frame.len()].copy_from_slice(frame);
+        start..start + frame.len()
+    }
+
+    /// Serve `frames` (stamped 1, 2, …, so mutating replies go through
+    /// the dedup cache), each placed `offset` bytes past an 8-aligned
+    /// address, then a snapshot: every reply, and how much column
+    /// scratch the core grew.
+    fn serve_placed(
+        worker: &mut dyn ModelWorker,
+        frames: &[Vec<u8>],
+        offset: usize,
+    ) -> (Vec<Vec<u8>>, usize) {
+        let mut core = ServerCore::new(worker, None);
+        let (mut store, mut replies) = (Vec::new(), Vec::new());
+        let mut snapshot = Vec::new();
+        wire::encode_simple_request(wire::op::GET_PARTICLES, &mut snapshot);
+        for (seq, frame) in frames.iter().chain([&snapshot]).enumerate() {
+            let mut frame = frame.clone();
+            wire::set_seq(&mut frame, seq as u16 + 1);
+            let at = placed(&frame, offset, &mut store);
+            assert_eq!(store[at.clone()].as_ptr().cast::<u64>().is_aligned(), offset == 0);
+            let (reply, next) = core.handle(&store[at]);
+            assert_eq!(next, Next::Continue);
+            replies.push(reply.to_vec());
+        }
+        (replies, core.scratch.iter().map(Vec::capacity).sum())
+    }
+
+    #[test]
+    fn a_misaligned_frame_is_answered_as_the_aligned_one_read_in_place() {
+        let dv: Vec<[f64; 3]> = (0..7).map(|i| [1e-3 * i as f64, -2e-4, 5e-4]).collect();
+        let mut frame = Vec::new();
+        let mut dynamics = Vec::new();
+        wire::encode_kick(&dv, &mut frame);
+        dynamics.push(frame.clone());
+        for (k, t) in [(2, 0.01), (1, 0.02)] {
+            wire::encode_step(&dv, k, t, &mut frame);
+            dynamics.push(frame.clone());
+        }
+        let (stars, gas) = (plummer_sphere(5, 1), plummer_sphere(6, 2));
+        let masses = Some((&stars.mass[..], &gas.mass[..]));
+        let mut fields = Vec::new();
+        for (masses, sr, gr) in [(masses, (0, 5), (0, 6)), (None, (1, 4), (2, 6))] {
+            wire::encode_compute_field(&stars.pos, &gas.pos, masses, sr, gr, &mut frame);
+            fields.push(frame.clone());
+        }
+        fn grav() -> GravityWorker {
+            GravityWorker::new(plummer_sphere(7, 3), Backend::Scalar)
+        }
+        // with the borrowed legs, and through `handle` alone
+        type Make = fn() -> Box<dyn ModelWorker>;
+        let cases: [(Make, &[Vec<u8>]); 4] = [
+            (|| Box::new(grav()), &dynamics),
+            (|| Box::new(HandleOnly(grav())), &dynamics),
+            (|| Box::new(CouplingWorker::fi()), &fields),
+            (|| Box::new(HandleOnly(CouplingWorker::fi())), &fields),
+        ];
+        for (i, (make, frames)) in cases.into_iter().enumerate() {
+            let (in_place, scratch) = serve_placed(make().as_mut(), frames, 0);
+            assert_eq!(scratch, 0, "case {i}: an aligned frame is read where it landed");
+            for offset in [1, 4] {
+                let (copied, scratch) = serve_placed(make().as_mut(), frames, offset);
+                assert!(scratch > 0, "case {i}: a frame at +{offset} cannot be viewed");
+                assert_eq!(copied, in_place, "case {i}: the same replies and state at +{offset}");
             }
         }
     }

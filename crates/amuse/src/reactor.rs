@@ -37,9 +37,12 @@
 //! resend the identical sequence-stamped frame; the server's dedup
 //! cache (see [`crate::host::ServerCore`]) replays its cached response to a
 //! duplicate, so even mutating requests like `Kick` are applied exactly
-//! once. [`crate::chaos::StreamFaults`] are consumed at frame-op
-//! boundaries: one write draw per submitted frame, one read draw per
-//! receive attempt, one refusal draw per reconnect.
+//! once. Only such a channel stamps its frames and keeps each whole for
+//! a resend; a plain one writes its step, kick and field frames with one
+//! vectored write from the caller's columns and copies only what the
+//! socket does not take at once. [`crate::chaos::StreamFaults`] are
+//! consumed at frame-op boundaries: one write draw per submitted frame,
+//! one read draw per receive attempt, one refusal draw per reconnect.
 //!
 //! `JC_NET_TIMEOUT_MS` (default 5000) bounds the poller waits of a
 //! retry-enabled channel only (`max_retries > 0`): a silent peer
@@ -64,7 +67,7 @@ use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
 use crate::wire::{self, WireError, HEADER_LEN, READ_CHUNK};
 use polling::{Event, Events, Poller};
 use std::cell::RefCell;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::rc::Rc;
 use std::time::Duration;
@@ -102,6 +105,11 @@ pub(crate) fn net_timeout() -> Duration {
 /// the scratch then grows toward the frame's end one chunk at a time as
 /// bytes arrive, so a hostile length prefix pins at most one chunk
 /// beyond what the peer really sent.
+///
+/// Every frame starts at offset 0 of the scratch, so on a heap that
+/// hands out 8-aligned blocks (the system allocators do) each column of
+/// it is 8-aligned too: header and aux fields are all 8-byte units. A
+/// server then reads the columns in place ([`crate::host::ServerCore`]).
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -243,8 +251,10 @@ impl FrameDecoder {
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// The current request frame, kept whole so a retry can resend the
-    /// identical bytes; `out[sent..]` is still to be written.
+    /// The current request frame: whole when it may be resent, else
+    /// what the socket did not take of it at once (see
+    /// [`ReactorLink::send_frame`]); `out[sent..]` is still to be
+    /// written.
     out: Vec<u8>,
     sent: usize,
     /// First write failure (sticky until reconnect).
@@ -643,6 +653,44 @@ impl Link for ReactorLink {
         reactor.try_flush(self.token);
     }
 
+    /// Write the frame's parts where they lie, with one vectored write:
+    /// only what the socket does not take at once is copied into the
+    /// connection's frame buffer, and the reactor's waits flush it. A
+    /// frame that may be resent, may meet an injected fault or goes
+    /// nowhere (a poisoned link) is kept whole instead, through
+    /// [`Link::send`].
+    fn send_frame(&mut self, frame: &wire::Frame<'_>) {
+        #[cfg(target_endian = "little")]
+        if !self.stamps() && self.poisoned.is_none() {
+            let mut reactor = self.reactor.borrow_mut();
+            let conn = reactor.conn(self.token);
+            if conn.faults.is_none() {
+                self.owed = true;
+                let slices = frame.parts().map(IoSlice::new);
+                let written = loop {
+                    match conn.stream.write_vectored(&slices) {
+                        Ok(0) => {
+                            conn.write_err = Some(WireError::Io(std::io::ErrorKind::WriteZero));
+                            break 0;
+                        }
+                        Ok(n) => break n,
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break 0,
+                        Err(e) => {
+                            conn.write_err = Some(WireError::Io(e.kind()));
+                            break 0;
+                        }
+                    }
+                };
+                conn.out.clear();
+                conn.sent = 0;
+                frame.append_tail(written, &mut conn.out);
+                return;
+            }
+        }
+        self.send(|buf| frame.encode(buf));
+    }
+
     /// Complete the round trip and hand `read` the reply straight out
     /// of the connection's decoder. Transient failures (send *or*
     /// receive) are retried in place per the [`RetryPolicy`]: back off,
@@ -706,6 +754,11 @@ impl Link for ReactorLink {
 
     fn pipelines(&self) -> bool {
         true
+    }
+
+    /// Only a link that retries resends a frame, so only it stamps.
+    fn stamps(&self) -> bool {
+        self.retry.max_retries > 0
     }
 }
 
@@ -833,6 +886,29 @@ mod tests {
     }
 
     #[test]
+    fn a_decoded_frame_starts_8_aligned_as_it_grows() {
+        // the server views a frame's columns in place only when the
+        // frame starts 8-aligned; each starts at the head of the heap
+        // scratch, also after that has grown for a larger frame
+        let mut frames = Vec::new();
+        for n in [1, 900, 3, 20_000, 2] {
+            let mut frame = Vec::new();
+            wire::encode_kick(&vec![[0.5, -0.25, 1e-3]; n], &mut frame);
+            frames.push(frame);
+        }
+        let batch = frames.concat();
+        for split in [7, 4096, batch.len()] {
+            let mut reader = Pieces::every(&batch, split);
+            let mut d = FrameDecoder::new();
+            for f in &frames {
+                assert_eq!(reader.pump(&mut d), Ok(Some(f.len())), "split {split}");
+                assert!(d.frame().as_ptr().cast::<u64>().is_aligned(), "split {split}");
+                d.advance();
+            }
+        }
+    }
+
+    #[test]
     fn decoder_rejects_hostile_bytes_without_overallocation() {
         // bad magic
         let mut d = FrameDecoder::new();
@@ -947,6 +1023,62 @@ mod tests {
         }
         drop(live);
         handle.join().unwrap().unwrap();
+    }
+
+    /// Answers each kick with a digest of every half-kick it was given
+    /// (a 52-bit FNV fold, exact in the `flops` field).
+    #[derive(Default)]
+    struct Digest(u64);
+
+    impl crate::ModelWorker for Digest {
+        fn handle(&mut self, req: Request) -> Response {
+            match req {
+                Request::Kick(dv) => Response::Ok { flops: self.kick_slice(&dv).unwrap() },
+                _ => Response::Ok { flops: 0.0 },
+            }
+        }
+        fn name(&self) -> String {
+            "digest".into()
+        }
+        fn kick_slice(&mut self, dv: &[[f64; 3]]) -> Option<f64> {
+            for x in dv.iter().flatten() {
+                self.0 = (self.0 ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Some((self.0 >> 12) as f64)
+        }
+    }
+
+    #[test]
+    fn a_frame_the_socket_takes_in_part_is_finished_by_the_reactor() {
+        // a 6 MiB kick, more than loopback's socket buffers hold, to a
+        // server that starts reading only after the submit: the vectored
+        // write takes part of the frame, the rest is copied and flushed
+        // by the reactor's waits
+        let dv: Vec<[f64; 3]> = (0..1 << 18).map(|i| [i as f64, -0.5 * i as f64, 0.25]).collect();
+        let server = crate::WorkerServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let served = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            server.serve(&mut Digest::default())
+        });
+        let reactor = Reactor::new_shared().unwrap();
+        let mut ch = ReactorChannel::connect(&reactor, addr, "late").unwrap();
+        ch.link.wait = Some(Duration::from_secs(10)); // a lost tail fails, not hangs
+        ch.submit_kick_slice(&dv);
+        let frame_len = HEADER_LEN + 24 * dv.len();
+        let unsent = reactor.borrow_mut().conn(ch.link.token).out.len();
+        assert!(0 < unsent && unsent < frame_len, "{unsent} of {frame_len} bytes left unsent");
+        go.send(()).unwrap();
+        let got = ch.collect_kick();
+        // the same call in process: the same digest, the same books
+        let mut local = crate::LocalChannel::new(Box::new(Digest::default()));
+        let want = local.kick_slice(&dv);
+        assert!(matches!(want, Response::Ok { flops } if flops > 0.0));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(ch.stats(), local.stats());
+        drop(ch);
+        served.join().unwrap().unwrap();
     }
 
     #[test]

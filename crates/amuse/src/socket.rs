@@ -9,8 +9,9 @@
 //!   wraps. It is a thin accept-and-read driver: requests are framed by
 //!   the same [`FrameDecoder`] the client uses, and each frame goes to
 //!   the socket-free [`ServerCore`] (in [`crate::host`], with its
-//!   per-worker dedup cache) whose reply is written before the next
-//!   frame is read.
+//!   per-worker dedup cache), which reads the frame's bulk columns in
+//!   place in the decoder's buffer; its reply is written
+//!   before the next frame is read.
 //! * [`SocketChannel`] is the stand-alone client: a facade over one
 //!   [`ReactorChannel`] on a private [`Reactor`]. The client protocol
 //!   is implemented once — the codec, stamping and accounting in
@@ -555,14 +556,20 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
+    /// A channel that retries, and so stamps its requests.
+    fn retrying(addr: SocketAddr, name: &str) -> SocketChannel {
+        let retry = RetryPolicy { backoff_base_ms: 1, ..RetryPolicy::standard(7) };
+        SocketChannel::connect(addr, name).unwrap().with_retry(retry)
+    }
+
     #[test]
     fn stale_dedup_does_not_swallow_a_new_connections_request() {
         // The dedup cache outlives connections on purpose. A fresh
-        // channel restarts its numbering at 1, so when the previous
-        // connection's first request was mutating, the new channel's
-        // first mutating request lands exactly on the stale last_seq —
-        // it must still be applied (different bytes: not a resend), not
-        // answered from the cache.
+        // retrying channel restarts its numbering at 1, so when the
+        // previous connection's first request was mutating, the new
+        // channel's first mutating request lands exactly on the stale
+        // last_seq — it must still be applied (different bytes: not a
+        // resend), not answered from the cache.
         let (addr, handle) =
             spawn_tcp_worker("ctrl", || GravityWorker::new(plummer_sphere(4, 11), Backend::Scalar));
         let mut ctrl = SocketChannel::connect(addr, "ctrl").unwrap();
@@ -578,12 +585,12 @@ mod tests {
         let (addr, handle) =
             spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 11), Backend::Scalar));
         {
-            let mut a = SocketChannel::connect(addr, "first").unwrap();
+            let mut a = retrying(addr, "first");
             // first request mutating: seq 1 lands in the dedup cache
             assert!(matches!(a.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
             a.0.link.stop_on_drop = false; // vanish without Stop, server keeps listening
         }
-        let mut b = SocketChannel::connect(addr, "second").unwrap();
+        let mut b = retrying(addr, "second");
         // b's first request is also seq 1, also mutating, different bytes
         assert!(matches!(b.call(Request::Kick(vec![[0.0, 0.25, 0.0]; 4])), Response::Ok { .. }));
         match b.call(Request::GetParticles) {
@@ -602,30 +609,34 @@ mod tests {
 
     #[test]
     fn shutdown_reaps_a_server_whose_stale_dedup_holds_seq_one() {
-        // A coupler whose *first* request was mutating dies without
-        // Stop; shutdown_worker's fresh channel stamps its Shutdown
-        // with seq 1, colliding with the stale cache. The Shutdown must
-        // be executed (server exits, join returns), not answered with
-        // the cached Kick reply.
+        // A retrying coupler whose *first* request was mutating dies
+        // without Stop, leaving seq 1 in the dedup cache. A fresh
+        // retrying channel stamps its Shutdown with seq 1, colliding with
+        // the stale cache. The Shutdown must be executed (server exits,
+        // join returns), not answered with the cached Kick reply.
         let (addr, handle) =
             spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 12), Backend::Scalar));
         {
-            let mut a = SocketChannel::connect(addr, "doomed").unwrap();
+            let mut a = retrying(addr, "doomed");
             assert!(matches!(a.call(Request::Kick(vec![[0.1, 0.0, 0.0]; 4])), Response::Ok { .. }));
             a.0.link.stop_on_drop = false;
         }
-        assert!(SocketChannel::shutdown_worker(addr), "worker acknowledges the shutdown");
+        let mut reaper = retrying(addr, "reaper");
+        reaper.0.link.stop_on_drop = false;
+        let ack = reaper.call(Request::Shutdown);
+        assert!(matches!(ack, Response::Ok { .. }), "worker acknowledges the shutdown");
         handle.join().unwrap().unwrap(); // server actually exited
     }
 
     #[test]
     fn seq_wrap_collision_applies_the_new_request() {
-        // A long-lived channel reuses a sequence number after 65535
-        // frames. Simulate the wrap by rewinding the client's counter:
-        // the second (different) Kick reuses seq 1 and must be applied.
+        // A long-lived retrying channel reuses a sequence number after
+        // 65535 frames. Simulate the wrap by rewinding the client's
+        // counter: the second (different) Kick reuses seq 1 and must be
+        // applied.
         let (addr, handle) =
             spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 13), Backend::Scalar));
-        let mut c = SocketChannel::connect(addr, "wrap").unwrap();
+        let mut c = retrying(addr, "wrap");
         assert!(matches!(c.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
         let before = match c.call(Request::GetParticles) {
             Response::Particles(p) => p,

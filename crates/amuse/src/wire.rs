@@ -106,25 +106,47 @@
 //! parse a response frame straight into caller-owned buffers, so a warm
 //! [`crate::SocketChannel`] round trip performs no heap allocation.
 //!
+//! # Bulk request columns are not copied
+//!
+//! The bulk columns of a step, kick or field request cross a TCP
+//! connection with no user-space copy; only the kernel copies them. The
+//! request is built as a [`Frame`] that borrows the caller's columns:
+//! [`Frame::encode`] writes it into a buffer, and a transport that can
+//! lends [`Frame::parts`] to one vectored write instead. On the server,
+//! [`view_kick`], [`view_step`] and [`view_compute_field`] validate a
+//! frame exactly as their `decode_*_into` twins do and then read its
+//! columns *in place*. Every header and aux field is an 8-byte unit, so
+//! on a little-endian host a frame that starts 8-aligned (as one at the
+//! start of a heap buffer does, like each [`crate::FrameDecoder`]
+//! frame) holds 8-aligned columns; any frame that cannot be viewed is
+//! decoded into scratch instead, with the same result. Replies are still encoded
+//! from the worker's columns and decoded into the caller's.
+//!
 //! # Sequence numbers and idempotent retry
 //!
 //! Bytes 6–7 of the header carry a per-request **sequence number**
 //! (little-endian u16, written by [`set_seq`], read back by
 //! [`frame_seq`]). `begin_frame` stamps 0 — "unsequenced" — so encoders
 //! that never retry are unchanged, and pre-seq peers (which wrote and
-//! ignored zeros here) stay wire-compatible. A [`crate::ReactorChannel`]
-//! stamps each fresh request with the next nonzero sequence number and
-//! *reuses* it when it resends the same frame after a transient
-//! transport fault; the server ([`crate::WorkerServer`]) remembers the
-//! last applied nonzero sequence number per worker — together with a
-//! fingerprint of the applied frame's bytes, because its dedup state
-//! outlives connections and the 16-bit space wraps, so seq equality
-//! alone does not prove a resend — and answers a duplicate (same seq,
-//! same bytes) by replaying the cached response instead of re-applying
-//! the request. That is what makes mutating requests (`Kick`,
-//! `SetMasses`, …) safe to retry in place — see
-//! [`crate::worker::Request::mutating`] and the failure-model table in
-//! `docs/ARCHITECTURE.md`.
+//! ignored zeros here) stay wire-compatible. Only a link that needs
+//! stamps gets them ([`crate::channel::Link::stamps`]): a
+//! [`crate::ReactorChannel`] built [`crate::ReactorChannel::with_retry`]
+//! (`max_retries > 0`), which may resend a frame, and `jc_core`'s
+//! simulated link, which matches replies by stamp. A plain TCP channel
+//! and the in-process [`crate::LocalChannel`] never resend, so their
+//! frames carry 0. A stamping client gives each fresh request the next
+//! nonzero sequence number and *reuses* it when it resends the same
+//! frame after a transient transport fault; the server
+//! ([`crate::WorkerServer`]) remembers the last applied nonzero sequence
+//! number per worker — together with a fingerprint of the applied
+//! frame's bytes, because its dedup state outlives connections and the
+//! 16-bit space wraps, so seq equality alone does not prove a resend —
+//! and answers a duplicate (same seq, same bytes) by replaying the
+//! cached response instead of re-applying the request. That is what
+//! makes mutating requests (`Kick`, `SetMasses`, …) safe to retry in
+//! place — see [`crate::worker::Request::mutating`] and the
+//! failure-model table in `docs/ARCHITECTURE.md`. An unsequenced frame
+//! is neither fingerprinted nor cached; a mutating one empties the cache.
 
 use crate::checkpoint::ModelState;
 use crate::worker::{ParticleData, Request, Response};
@@ -404,25 +426,38 @@ fn put_v3(buf: &mut Vec<u8>, v: &[f64; 3]) {
     put_f64(buf, v[2]);
 }
 
+/// The wire image of a float column on a little-endian target: its
+/// memory bytes, borrowed in place.
+#[cfg(target_endian = "little")]
+fn f64_bytes(xs: &[f64]) -> &[u8] {
+    // SAFETY: `f64` is plain old data (size 8, no padding, every byte
+    // initialized), and on a little-endian target its memory bytes equal
+    // `to_le_bytes`; viewing the column as `8 * len` bytes is exact. u8
+    // has no alignment requirement.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), 8 * xs.len()) }
+}
+
+/// The wire image of a 3-vector column on a little-endian target (see
+/// [`f64_bytes`]).
+#[cfg(target_endian = "little")]
+fn v3_bytes(xs: &[[f64; 3]]) -> &[u8] {
+    // SAFETY: `[f64; 3]` is size 24 with no padding and arrays are
+    // contiguous, so the column is exactly `24 * len` initialized bytes;
+    // on a little-endian target those bytes are the wire encoding. u8 has
+    // no alignment requirement.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), 24 * xs.len()) }
+}
+
 /// Bulk little-endian append of a float column.
 ///
 /// On a little-endian target the wire encoding of an `f64` column *is*
-/// its in-memory byte image, so the whole column appends as one
-/// `memcpy`; this is the dominant cost of encoding the multi-KB
-/// kick/snapshot frames of a coupled step. Other targets take the
-/// portable per-element conversion through a fixed stack block (which
-/// keeps the inner loop free of `Vec` capacity checks so it
-/// vectorizes).
+/// its in-memory byte image ([`f64_bytes`]), so the whole column appends
+/// as one `memcpy`. Other targets take the portable per-element
+/// conversion through a fixed stack block (which keeps the inner loop
+/// free of `Vec` capacity checks so it vectorizes).
 fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
     #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `f64` is plain old data (size 8, no padding, every
-        // byte initialized), and on a little-endian target its memory
-        // bytes equal `to_le_bytes`; viewing the column as `8 * len`
-        // bytes is exact. u8 has no alignment requirement.
-        let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), 8 * xs.len()) };
-        buf.extend_from_slice(bytes);
-    }
+    buf.extend_from_slice(f64_bytes(xs));
     #[cfg(not(target_endian = "little"))]
     {
         let mut tmp = [0u8; 8 * 64];
@@ -438,14 +473,7 @@ fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
 /// Bulk little-endian append of a 3-vector column (see [`put_f64s`]).
 fn put_v3s(buf: &mut Vec<u8>, xs: &[[f64; 3]]) {
     #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `[f64; 3]` is size 24 with no padding and arrays are
-        // contiguous, so the column is exactly `24 * len` initialized
-        // bytes; on a little-endian target those bytes are the wire
-        // encoding. u8 has no alignment requirement.
-        let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), 24 * xs.len()) };
-        buf.extend_from_slice(bytes);
-    }
+    buf.extend_from_slice(v3_bytes(xs));
     #[cfg(not(target_endian = "little"))]
     {
         let mut tmp = [0u8; 24 * 32];
@@ -513,6 +541,42 @@ fn get_v3s_into(out: &mut Vec<[f64; 3]>, p: &[u8]) {
     }));
 }
 
+/// A validated 3-vector column's payload bytes read in place as the
+/// column itself: possible on a little-endian target when the bytes sit
+/// at an address aligned for `f64`. `None` when they cannot be viewed.
+#[cfg(target_endian = "little")]
+fn v3s_view(p: &[u8]) -> Option<&[[f64; 3]]> {
+    if !p.len().is_multiple_of(24) || !p.as_ptr().cast::<[f64; 3]>().is_aligned() {
+        return None;
+    }
+    // SAFETY: `p` is `24 * n` initialized bytes at an address aligned for
+    // `[f64; 3]` (align 8, checked above); `[f64; 3]` is 24 padding-free
+    // bytes, every bit pattern is a valid `f64`, and on a little-endian
+    // target the bytes read back as the wire's values. The view borrows
+    // `p` immutably for its whole life, so nothing can write the frame
+    // under it.
+    Some(unsafe { std::slice::from_raw_parts(p.as_ptr().cast::<[f64; 3]>(), p.len() / 24) })
+}
+
+/// See the little-endian [`v3s_view`]: elsewhere no column can be read
+/// in place.
+#[cfg(not(target_endian = "little"))]
+fn v3s_view(_p: &[u8]) -> Option<&[[f64; 3]]> {
+    None
+}
+
+/// A validated 3-vector column: read in place where it landed
+/// ([`v3s_view`]), or decoded into `scratch` when it cannot be.
+fn v3s_in<'a>(p: &'a [u8], scratch: &'a mut Vec<[f64; 3]>) -> &'a [[f64; 3]] {
+    match v3s_view(p) {
+        Some(column) => column,
+        None => {
+            get_v3s_into(scratch, p);
+            scratch
+        }
+    }
+}
+
 /// [`get_f64s_into`] allocating a fresh column.
 fn get_f64s(p: &[u8]) -> Vec<f64> {
     let mut v = Vec::new();
@@ -527,18 +591,25 @@ fn get_v3s(p: &[u8]) -> Vec<[f64; 3]> {
     v
 }
 
+/// The header of an unsequenced `opcode` frame with the given payload
+/// length and aux fields.
+fn header(opcode: u8, payload_len: u64, aux0: u64, aux1: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    h[4] = opcode_version(opcode);
+    h[5] = opcode;
+    h[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    h[16..24].copy_from_slice(&aux0.to_le_bytes());
+    h[24..32].copy_from_slice(&aux1.to_le_bytes());
+    h
+}
+
 /// Clear `buf` and write a frame header for `opcode` with the given
 /// payload length and aux fields; the payload follows.
 fn begin_frame(buf: &mut Vec<u8>, opcode: u8, payload_len: u64, aux0: u64, aux1: u64) {
     buf.clear();
     buf.reserve(HEADER_LEN + payload_len as usize);
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.push(opcode_version(opcode));
-    buf.push(opcode);
-    buf.extend_from_slice(&[0u8; 2]);
-    put_u64(buf, payload_len);
-    put_u64(buf, aux0);
-    put_u64(buf, aux1);
+    buf.extend_from_slice(&header(opcode, payload_len, aux0, aux1));
 }
 
 /// Encode a header-only request (`Ping`/`GetParticles`/`Stop`).
@@ -595,8 +666,7 @@ pub fn encode_set_masses(masses: &[f64], buf: &mut Vec<u8>) {
 
 /// Encode `Kick` from a borrowed slice (the coupler's per-step fast path).
 pub fn encode_kick(dv: &[[f64; 3]], buf: &mut Vec<u8>) {
-    begin_frame(buf, op::KICK, 24 * dv.len() as u64, dv.len() as u64, 0);
-    put_v3s(buf, dv);
+    kick_frame(dv).encode(buf);
 }
 
 /// Encode `ComputeKick` from borrowed slices. `source_pos` and
@@ -618,9 +688,7 @@ pub fn encode_compute_kick(
 /// Encode `Step` from a borrowed half-kick (the coupler's per-substep
 /// fast path).
 pub fn encode_step(dv: &[[f64; 3]], n: u32, t: f64, buf: &mut Vec<u8>) {
-    begin_frame(buf, op::STEP, 8 + 24 * dv.len() as u64, dv.len() as u64, n as u64);
-    put_f64(buf, t);
-    put_v3s(buf, dv);
+    step_frame(dv, n, t).encode(buf);
 }
 
 /// Encode `ComputeField` from borrowed positions, with `masses` —
@@ -634,6 +702,140 @@ pub fn encode_compute_field(
     gas_range: (usize, usize),
     buf: &mut Vec<u8>,
 ) {
+    compute_field_frame(star_pos, gas_pos, masses, star_range, gas_range).encode(buf);
+}
+
+/// The longest prefix a [`Frame`] carries: the header and a
+/// `ComputeField`'s four range bounds.
+const PREFIX_MAX: usize = HEADER_LEN + 32;
+
+/// One borrowed column of a request payload.
+#[derive(Clone, Copy)]
+enum Column<'a> {
+    V3(&'a [[f64; 3]]),
+    F64(&'a [f64]),
+}
+
+impl Column<'_> {
+    fn byte_len(&self) -> usize {
+        match self {
+            Column::V3(c) => 24 * c.len(),
+            Column::F64(c) => 8 * c.len(),
+        }
+    }
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Column::V3(c) => put_v3s(buf, c),
+            Column::F64(c) => put_f64s(buf, c),
+        }
+    }
+}
+
+/// A bulk request frame in parts, its columns borrowed from the caller:
+/// a prefix of at most 64 bytes (the header and any scalars) followed
+/// by up to four columns. [`Frame::encode`] writes the frame into a
+/// buffer — it is what [`encode_kick`], [`encode_step`] and
+/// [`encode_compute_field`] do — and, on a little-endian target,
+/// [`Frame::parts`] lends the very same bytes where they lie, so a
+/// transport can write the frame with no user-space copy.
+pub struct Frame<'a> {
+    prefix: [u8; PREFIX_MAX],
+    prefix_len: usize,
+    columns: [Column<'a>; 4],
+    n_columns: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// A frame of `opcode` whose header is written; scalars and columns
+    /// follow.
+    fn new(opcode: u8, payload_len: u64, aux0: u64, aux1: u64) -> Frame<'a> {
+        let mut prefix = [0u8; PREFIX_MAX];
+        prefix[..HEADER_LEN].copy_from_slice(&header(opcode, payload_len, aux0, aux1));
+        Frame { prefix, prefix_len: HEADER_LEN, columns: [Column::F64(&[]); 4], n_columns: 0 }
+    }
+
+    fn scalar(mut self, v: u64) -> Frame<'a> {
+        self.prefix[self.prefix_len..self.prefix_len + 8].copy_from_slice(&v.to_le_bytes());
+        self.prefix_len += 8;
+        self
+    }
+
+    fn column(mut self, c: Column<'a>) -> Frame<'a> {
+        self.columns[self.n_columns] = c;
+        self.n_columns += 1;
+        self
+    }
+
+    /// The whole frame's length in bytes.
+    pub fn wire_len(&self) -> usize {
+        self.prefix_len + self.columns.iter().map(Column::byte_len).sum::<usize>()
+    }
+
+    /// Stamp a sequence number (see [`set_seq`]).
+    pub fn stamp(&mut self, seq: u16) {
+        set_seq(&mut self.prefix, seq);
+    }
+
+    /// Write the frame into `buf` (cleared first).
+    // jc-lint: no-alloc
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.reserve(self.wire_len());
+        buf.extend_from_slice(&self.prefix[..self.prefix_len]);
+        for c in &self.columns[..self.n_columns] {
+            c.put(buf);
+        }
+        debug_assert_eq!(buf.len(), self.wire_len());
+    }
+
+    /// The frame's bytes in order, borrowed where they lie: the prefix,
+    /// then each column's wire image (unused slots are empty).
+    #[cfg(target_endian = "little")]
+    pub fn parts(&self) -> [&[u8]; 5] {
+        let bytes = |c: &Column<'a>| match *c {
+            Column::V3(c) => v3_bytes(c),
+            Column::F64(c) => f64_bytes(c),
+        };
+        let [c0, c1, c2, c3] = &self.columns;
+        [&self.prefix[..self.prefix_len], bytes(c0), bytes(c1), bytes(c2), bytes(c3)]
+    }
+
+    /// Append the frame's bytes from offset `from` on to `buf`: what is
+    /// left of it after a transport took the first `from`.
+    // jc-lint: no-alloc
+    #[cfg(target_endian = "little")]
+    pub fn append_tail(&self, mut from: usize, buf: &mut Vec<u8>) {
+        for part in self.parts() {
+            let skip = from.min(part.len());
+            buf.extend_from_slice(&part[skip..]);
+            from -= skip;
+        }
+    }
+}
+
+/// The `Kick` frame of a borrowed half-kick.
+pub fn kick_frame(dv: &[[f64; 3]]) -> Frame<'_> {
+    Frame::new(op::KICK, 24 * dv.len() as u64, dv.len() as u64, 0).column(Column::V3(dv))
+}
+
+/// The `Step` frame of a borrowed half-kick applied `n` times before
+/// the evolve to `t`.
+pub fn step_frame(dv: &[[f64; 3]], n: u32, t: f64) -> Frame<'_> {
+    Frame::new(op::STEP, 8 + 24 * dv.len() as u64, dv.len() as u64, n as u64)
+        .scalar(t.to_bits())
+        .column(Column::V3(dv))
+}
+
+/// The `ComputeField` frame of borrowed positions, with `masses` on the
+/// request that primes the host (see [`encode_compute_field`]).
+pub fn compute_field_frame<'a>(
+    star_pos: &'a [[f64; 3]],
+    gas_pos: &'a [[f64; 3]],
+    masses: Option<(&'a [f64], &'a [f64])>,
+    star_range: (usize, usize),
+    gas_range: (usize, usize),
+) -> Frame<'a> {
     let (s, g) = (star_pos.len() as u64, gas_pos.len() as u64);
     let (stride, flag) = match masses {
         Some((sm, gm)) => {
@@ -645,15 +847,14 @@ pub fn encode_compute_field(
         }
         None => (24, 0),
     };
-    begin_frame(buf, op::COMPUTE_FIELD, 32 + stride * (s + g), s | flag, g);
+    let mut frame = Frame::new(op::COMPUTE_FIELD, 32 + stride * (s + g), s | flag, g);
     for bound in [star_range.0, star_range.1, gas_range.0, gas_range.1] {
-        put_u64(buf, bound as u64);
+        frame = frame.scalar(bound as u64);
     }
-    put_v3s(buf, star_pos);
-    put_v3s(buf, gas_pos);
-    if let Some((sm, gm)) = masses {
-        put_f64s(buf, sm);
-        put_f64s(buf, gm);
+    frame = frame.column(Column::V3(star_pos)).column(Column::V3(gas_pos));
+    match masses {
+        Some((sm, gm)) => frame.column(Column::F64(sm)).column(Column::F64(gm)),
+        None => frame,
     }
 }
 
@@ -1077,18 +1278,35 @@ pub fn decode_particles_into(frame: &[u8], out: &mut ParticleData) -> Result<(),
     Ok(())
 }
 
-/// Fast path: decode a `Kick` request's payload into a reusable scratch
-/// column (the server's per-step hot path — no `Request` allocation).
-/// Any other valid opcode yields [`WireError::Unexpected`].
-// jc-lint: no-alloc
-pub fn decode_kick_into(frame: &[u8], out: &mut Vec<[f64; 3]>) -> Result<(), WireError> {
+/// A `Kick` request's validated `dv` bytes.
+fn kick_payload(frame: &[u8]) -> Result<&[u8], WireError> {
     let (h, p) = parse_frame(frame)?;
     if h.opcode != op::KICK {
         return Err(WireError::Unexpected(h.opcode));
     }
     let n = checked_count(&h, h.aux0, 24, h.len)?;
-    get_v3s_into(out, &p[..24 * n]);
+    Ok(&p[..24 * n])
+}
+
+/// Fast path: decode a `Kick` request's payload into a reusable scratch
+/// column (no `Request` allocation). Any other valid opcode yields
+/// [`WireError::Unexpected`].
+// jc-lint: no-alloc
+pub fn decode_kick_into(frame: &[u8], out: &mut Vec<[f64; 3]>) -> Result<(), WireError> {
+    get_v3s_into(out, kick_payload(frame)?);
     Ok(())
+}
+
+/// Fast path: a `Kick` request's half-kick read in place in the frame
+/// (the server's per-step hot path), or decoded into `scratch` when the
+/// frame cannot be viewed (see the module docs). Validated exactly as
+/// [`decode_kick_into`] validates.
+// jc-lint: no-alloc
+pub fn view_kick<'a>(
+    frame: &'a [u8],
+    scratch: &'a mut Vec<[f64; 3]>,
+) -> Result<&'a [[f64; 3]], WireError> {
+    Ok(v3s_in(kick_payload(frame)?, scratch))
 }
 
 /// Fast path: decode a `ComputeKick` request's three columns into
@@ -1118,11 +1336,9 @@ pub fn decode_compute_kick_into(
     Ok(())
 }
 
-/// Fast path: decode a `Step` request's half-kick into reusable scratch
-/// (the server's per-substep hot path), returning its kick count and
-/// target time. A count beyond `u32` saturates; the host refuses it.
-// jc-lint: no-alloc
-pub fn decode_step_into(frame: &[u8], dv: &mut Vec<[f64; 3]>) -> Result<(u32, f64), WireError> {
+/// A `Step` request's validated `dv` bytes, kick count and target time.
+/// A count beyond `u32` saturates; the host refuses it.
+fn step_payload(frame: &[u8]) -> Result<(&[u8], u32, f64), WireError> {
     let (h, p) = parse_frame(frame)?;
     if h.opcode != op::STEP {
         return Err(WireError::Unexpected(h.opcode));
@@ -1130,8 +1346,30 @@ pub fn decode_step_into(frame: &[u8], dv: &mut Vec<[f64; 3]>) -> Result<(u32, f6
     if h.aux0.checked_mul(24).and_then(|b| b.checked_add(8)) != Some(h.len) {
         return Err(bad_length(&h));
     }
-    get_v3s_into(dv, &p[8..8 + 24 * h.aux0 as usize]);
-    Ok((u32::try_from(h.aux1).unwrap_or(u32::MAX), get_f64(p, 0)))
+    let n = u32::try_from(h.aux1).unwrap_or(u32::MAX);
+    Ok((&p[8..8 + 24 * h.aux0 as usize], n, get_f64(p, 0)))
+}
+
+/// Fast path: decode a `Step` request's half-kick into reusable scratch,
+/// returning its kick count and target time.
+// jc-lint: no-alloc
+pub fn decode_step_into(frame: &[u8], dv: &mut Vec<[f64; 3]>) -> Result<(u32, f64), WireError> {
+    let (p, n, t) = step_payload(frame)?;
+    get_v3s_into(dv, p);
+    Ok((n, t))
+}
+
+/// Fast path: a `Step` request's half-kick read in place in the frame
+/// (the server's per-substep hot path), or decoded into `scratch` when
+/// the frame cannot be viewed; with its kick count and target time.
+/// Validated exactly as [`decode_step_into`] validates.
+// jc-lint: no-alloc
+pub fn view_step<'a>(
+    frame: &'a [u8],
+    scratch: &'a mut Vec<[f64; 3]>,
+) -> Result<(&'a [[f64; 3]], u32, f64), WireError> {
+    let (p, n, t) = step_payload(frame)?;
+    Ok((v3s_in(p, scratch), n, t))
 }
 
 /// What a `ComputeField` frame asks for besides its columns.
@@ -1146,17 +1384,16 @@ pub struct FieldTargets {
     pub primes: bool,
 }
 
-/// Fast path: decode a `ComputeField` request's two sets into reusable
-/// scratch (the coupling server's hot path; the velocity columns are
-/// cleared). The positions are overwritten; the mass columns only when
-/// the frame carries masses — a mass-free frame leaves them as they are,
-/// which is how a host keeps the masses it was primed with.
-// jc-lint: no-alloc
-pub fn decode_compute_field_into(
-    frame: &[u8],
-    stars: &mut ParticleData,
-    gas: &mut ParticleData,
-) -> Result<FieldTargets, WireError> {
+/// A `ComputeField` request's validated column bytes: star and gas
+/// positions, then the masses of a priming frame.
+struct FieldPayload<'a> {
+    star_pos: &'a [u8],
+    gas_pos: &'a [u8],
+    masses: Option<(&'a [u8], &'a [u8])>,
+    at: FieldTargets,
+}
+
+fn compute_field_payload(frame: &[u8]) -> Result<FieldPayload<'_>, WireError> {
     let (h, p) = parse_frame(frame)?;
     if h.opcode != op::COMPUTE_FIELD {
         return Err(WireError::Unexpected(h.opcode));
@@ -1172,15 +1409,75 @@ pub fn decode_compute_field_into(
     let bound = |i: usize| usize::try_from(get_u64(p, 8 * i)).unwrap_or(usize::MAX);
     let (s, g) = (s as usize, g as usize);
     let (off_gas, off_mass) = (32 + 24 * s, 32 + 24 * (s + g));
-    get_v3s_into(&mut stars.pos, &p[32..off_gas]);
-    get_v3s_into(&mut gas.pos, &p[off_gas..off_mass]);
-    if primes {
-        get_f64s_into(&mut stars.mass, &p[off_mass..off_mass + 8 * s]);
-        get_f64s_into(&mut gas.mass, &p[off_mass + 8 * s..off_mass + 8 * (s + g)]);
+    let mid = off_mass + 8 * s;
+    Ok(FieldPayload {
+        star_pos: &p[32..off_gas],
+        gas_pos: &p[off_gas..off_mass],
+        masses: primes.then(|| (&p[off_mass..mid], &p[mid..mid + 8 * g])),
+        at: FieldTargets {
+            star_range: (bound(0), bound(1)),
+            gas_range: (bound(2), bound(3)),
+            primes,
+        },
+    })
+}
+
+/// Fast path: decode a `ComputeField` request's two sets into reusable
+/// scratch (the velocity columns are cleared). The positions are
+/// overwritten; the mass columns only when the frame carries masses — a
+/// mass-free frame leaves them as they are.
+// jc-lint: no-alloc
+pub fn decode_compute_field_into(
+    frame: &[u8],
+    stars: &mut ParticleData,
+    gas: &mut ParticleData,
+) -> Result<FieldTargets, WireError> {
+    let f = compute_field_payload(frame)?;
+    get_v3s_into(&mut stars.pos, f.star_pos);
+    get_v3s_into(&mut gas.pos, f.gas_pos);
+    if let Some((star_mass, gas_mass)) = f.masses {
+        get_f64s_into(&mut stars.mass, star_mass);
+        get_f64s_into(&mut gas.mass, gas_mass);
     }
     stars.vel.clear();
     gas.vel.clear();
-    Ok(FieldTargets { star_range: (bound(0), bound(1)), gas_range: (bound(2), bound(3)), primes })
+    Ok(f.at)
+}
+
+/// A `ComputeField` request as the host reads it: both position columns
+/// in place in the frame (or in scratch, when it cannot be viewed).
+pub struct FieldView<'a> {
+    /// The star positions.
+    pub star_pos: &'a [[f64; 3]],
+    /// The gas positions.
+    pub gas_pos: &'a [[f64; 3]],
+    /// The target ranges and the mass flag.
+    pub at: FieldTargets,
+}
+
+/// Fast path: a `ComputeField` request's positions read in place in the
+/// frame (the coupling host's hot path), each decoded into its `scratch`
+/// column instead when the frame cannot be viewed. A priming frame's
+/// masses are copied into `masses` — the host keeps them for the epoch —
+/// and a mass-free frame leaves `masses` as they are. Validated exactly
+/// as [`decode_compute_field_into`] validates.
+// jc-lint: no-alloc
+pub fn view_compute_field<'a>(
+    frame: &'a [u8],
+    scratch: &'a mut [Vec<[f64; 3]>; 2],
+    masses: (&mut Vec<f64>, &mut Vec<f64>),
+) -> Result<FieldView<'a>, WireError> {
+    let f = compute_field_payload(frame)?;
+    if let Some((star_mass, gas_mass)) = f.masses {
+        get_f64s_into(masses.0, star_mass);
+        get_f64s_into(masses.1, gas_mass);
+    }
+    let [star_scratch, gas_scratch] = scratch;
+    Ok(FieldView {
+        star_pos: v3s_in(f.star_pos, star_scratch),
+        gas_pos: v3s_in(f.gas_pos, gas_scratch),
+        at: f.at,
+    })
 }
 
 /// Fast path: decode a `Stepped` response's positions into `pos`
@@ -1470,6 +1767,87 @@ mod tests {
             WireError::DeadlineExceeded { budget_ms: 250 },
         ] {
             assert!(!e.is_transient(), "{e:?} should escalate, not retry");
+        }
+    }
+
+    /// Step, kick and field frames of columns of `n` particles, each
+    /// with the columns it borrows.
+    fn bulk_frames<'a>(dv: &'a [[f64; 3]], m: &'a [f64]) -> Vec<Frame<'a>> {
+        vec![
+            kick_frame(dv),
+            step_frame(dv, 2, 0.125),
+            compute_field_frame(dv, &dv[1..], Some((m, &m[1..])), (0, 2), (1, 3)),
+            compute_field_frame(&dv[2..], dv, None, (0, 1), (0, dv.len())),
+        ]
+    }
+
+    #[test]
+    fn frame_parts_are_the_encoded_frame() {
+        let dv: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, -0.5, f64::NAN]).collect();
+        let m = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let mut encoded = Vec::new();
+        for mut frame in bulk_frames(&dv, &m) {
+            frame.stamp(0xBEEF);
+            frame.encode(&mut encoded);
+            assert_eq!(encoded.len(), frame.wire_len());
+            assert_eq!(frame_seq(&encoded), 0xBEEF);
+            let req = decode_request(&encoded).expect("a valid frame");
+            assert_eq!(encoded.len() as u64, req.wire_size());
+            #[cfg(target_endian = "little")]
+            {
+                assert_eq!(frame.parts().concat(), encoded);
+                for from in [0, 1, HEADER_LEN, HEADER_LEN + 7, encoded.len() - 1, encoded.len()] {
+                    let mut tail = vec![7u8; 3];
+                    frame.append_tail(from, &mut tail);
+                    assert_eq!(tail[3..], encoded[from..], "the tail from {from}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn views_validate_exactly_as_the_decoders_do() {
+        let dv: Vec<[f64; 3]> = (0..4).map(|i| [i as f64, 1.5, -2.0]).collect();
+        let m = [0.5; 4];
+        let mut frames = Vec::new();
+        for frame in bulk_frames(&dv, &m) {
+            let mut buf = Vec::new();
+            frame.encode(&mut buf);
+            frames.push(buf);
+        }
+        let mut ping = Vec::new();
+        encode_simple_request(op::PING, &mut ping);
+        frames.push(ping);
+        // every frame whole and cut short, with each aux field and the
+        // length bumped: the view and the decoder agree on each verdict
+        let mut cases = Vec::new();
+        for f in &frames {
+            cases.push(f.clone());
+            cases.push(f[..f.len() - 1].to_vec());
+            for off in [8, 16, 24] {
+                let mut g = f.clone();
+                g[off] = g[off].wrapping_add(1);
+                cases.push(g);
+            }
+        }
+        let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
+        for (i, f) in cases.iter().enumerate() {
+            let (mut scratch, mut cols) = (Vec::new(), [Vec::new(), Vec::new()]);
+            let (mut sm, mut gm) = (Vec::new(), Vec::new());
+            let kick = view_kick(f, &mut scratch).map(<[_]>::to_vec);
+            assert_eq!(kick, decode_kick_into(f, &mut a.pos).map(|()| a.pos.clone()), "case {i}");
+            let step = view_step(f, &mut scratch).map(|(dv, n, t)| (dv.to_vec(), n, t.to_bits()));
+            let want =
+                decode_step_into(f, &mut a.pos).map(|(n, t)| (a.pos.clone(), n, t.to_bits()));
+            assert_eq!(step, want, "case {i}");
+            let field = view_compute_field(f, &mut cols, (&mut sm, &mut gm))
+                .map(|v| (v.star_pos.to_vec(), v.gas_pos.to_vec(), v.at));
+            let want = decode_compute_field_into(f, &mut a, &mut b)
+                .map(|at| (a.pos.clone(), b.pos.clone(), at));
+            assert_eq!(field, want, "case {i}");
+            if field.is_ok_and(|(.., at)| at.primes) {
+                assert_eq!((sm, gm), (a.mass.clone(), b.mass.clone()), "case {i}: the masses");
+            }
         }
     }
 

@@ -169,12 +169,9 @@ impl Channel for GuardedChannel {
 pub enum HostHealth {
     /// Serving normally.
     Healthy,
-    /// Failed a session recently; still schedulable, but `strikes` more
-    /// failures away from being declared dead.
-    Suspect {
-        /// Consecutive session failures recorded.
-        strikes: u32,
-    },
+    /// Failed its last session; still schedulable, and declared dead
+    /// at the next failure.
+    Suspect,
     /// Declared dead (kill switch or strike-out). Its executor re-warms
     /// a fresh worker quad before serving again.
     Dead,
@@ -187,9 +184,6 @@ pub enum HostHealth {
 pub(crate) struct HealthBoard {
     slots: Mutex<Vec<SlotHealth>>,
 }
-
-/// Session failures on one host before the board declares it dead.
-const STRIKES_TO_DEAD: u32 = 2;
 
 struct SlotHealth {
     health: HostHealth,
@@ -211,11 +205,8 @@ impl HealthBoard {
         let mut slots = self.slots.lock().unwrap();
         let h = &mut slots[i].health;
         *h = match *h {
-            HostHealth::Healthy => HostHealth::Suspect { strikes: 1 },
-            HostHealth::Suspect { strikes } if strikes + 1 < STRIKES_TO_DEAD => {
-                HostHealth::Suspect { strikes: strikes + 1 }
-            }
-            _ => HostHealth::Dead,
+            HostHealth::Healthy => HostHealth::Suspect,
+            HostHealth::Suspect | HostHealth::Dead => HostHealth::Dead,
         };
         *h
     }
@@ -228,9 +219,14 @@ impl HealthBoard {
         slots[i].chaos_kills += 1;
     }
 
-    /// Host `i` completed a session cleanly.
+    /// Host `i` completed a session cleanly. A Dead slot stays Dead: a
+    /// kill that lands while its last session finishes stands until the
+    /// slot re-warms ([`HealthBoard::record_rewarm`]).
     pub(crate) fn record_success(&self, i: usize) {
-        self.slots.lock().unwrap()[i].health = HostHealth::Healthy;
+        let h = &mut self.slots.lock().unwrap()[i].health;
+        if *h != HostHealth::Dead {
+            *h = HostHealth::Healthy;
+        }
     }
 
     /// Host `i` re-warmed a fresh worker quad.
@@ -438,8 +434,9 @@ mod tests {
     #[test]
     fn health_board_escalates_and_recovers() {
         let board = HealthBoard::new(2);
-        assert_eq!(board.record_failure(0), HostHealth::Suspect { strikes: 1 });
+        assert_eq!(board.record_failure(0), HostHealth::Suspect);
         assert_eq!(board.record_failure(0), HostHealth::Dead);
+        assert_eq!(board.record_failure(0), HostHealth::Dead, "dead stays dead");
         assert_eq!(board.snapshot()[1], HostHealth::Healthy);
         board.record_rewarm(0);
         assert_eq!(board.snapshot()[0], HostHealth::Healthy);
@@ -447,6 +444,19 @@ mod tests {
         board.record_kill(1);
         assert_eq!(board.snapshot()[1], HostHealth::Dead);
         assert_eq!(board.chaos_kills(), 1);
+    }
+
+    #[test]
+    fn a_success_after_a_kill_leaves_the_slot_dead_until_it_rewarms() {
+        let board = HealthBoard::new(1);
+        board.record_failure(0);
+        board.record_success(0);
+        assert_eq!(board.snapshot()[0], HostHealth::Healthy, "a success clears a strike");
+        board.record_kill(0);
+        board.record_success(0);
+        assert_eq!(board.snapshot()[0], HostHealth::Dead, "a kill stands");
+        board.record_rewarm(0);
+        assert_eq!(board.snapshot()[0], HostHealth::Healthy);
     }
 
     #[test]

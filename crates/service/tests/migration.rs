@@ -63,6 +63,10 @@ fn directed_kill_migrates_session_bitwise_identically() {
     let counters = service.counters();
     assert_eq!(counters.chaos_kills, 1, "the directed kill is recorded");
     assert_eq!(counters.migrations as u32, migrations);
+    // either way the killed slot reads Dead until it re-warms: a session
+    // that completes on it after the kill does not revive it
+    assert_eq!(service.health()[host], HostHealth::Dead, "a kill stands until the re-warm");
+    assert_eq!(counters.rewarms, 0);
 
     // the killed host re-warms and serves again: saturate both hosts
     let a = service.submit("after", long_spec(7)).expect("admitted");

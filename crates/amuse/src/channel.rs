@@ -102,7 +102,7 @@ pub trait Channel {
     /// Liveness check and best-effort repair (the failover hook). The
     /// default is a heartbeat: one [`Request::Ping`] round trip, `true`
     /// iff the worker answers `Ok`. In-process channels are always
-    /// alive; a poisoned [`crate::SocketChannel`] reports `false`
+    /// alive; a poisoned [`crate::ReactorChannel`] reports `false`
     /// (reconnection is a supervisor's job); a
     /// [`crate::ShardedChannel`] additionally respawns or excludes dead
     /// shards. After a successful heal the worker's *state* is not

@@ -191,17 +191,25 @@ pub fn step(
     }
     let mut flops = 0.0;
     for _ in 0..n {
-        flops += match worker.kick_slice(dv) {
-            Some(f) => f,
-            // jc-lint: allow(no-alloc): cold path — the worker declined the borrowed leg
-            None => match worker.handle(Request::Kick(dv.to_vec())) {
-                Response::Ok { flops } => flops,
-                other => return Err(other),
-            },
-        };
+        flops += kick(worker, dv)?;
     }
     match worker.handle(Request::EvolveTo(t)) {
         Response::Ok { flops: f } => Ok(flops + f),
+        other => Err(other),
+    }
+}
+
+/// One [`Request::Kick`]: [`ModelWorker::kick_slice`], or the owned
+/// request for a worker without it. `Err` is what the worker answered
+/// instead of `Ok`.
+// jc-lint: no-alloc
+fn kick(worker: &mut dyn ModelWorker, dv: &[[f64; 3]]) -> Result<f64, Response> {
+    if let Some(flops) = worker.kick_slice(dv) {
+        return Ok(flops);
+    }
+    // jc-lint: allow(no-alloc): cold path — the worker declined the borrowed leg
+    match worker.handle(Request::Kick(dv.to_vec())) {
+        Response::Ok { flops } => Ok(flops),
         other => Err(other),
     }
 }
@@ -541,12 +549,12 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
                 (Next::Continue, false, owned)
             }
             Decoded::Kick(dv) => {
-                let owned = match worker.kick_slice(dv) {
-                    Some(flops) => {
+                let owned = match kick(worker, dv) {
+                    Ok(flops) => {
                         wire::encode_ok_frame(flops, &mut self.out);
                         None
                     }
-                    None => Some(worker.handle(Request::Kick(dv.to_vec()))),
+                    Err(resp) => Some(resp),
                 };
                 (Next::Continue, true, owned)
             }
@@ -841,8 +849,8 @@ pub(crate) mod tests {
         // B changed the state the cached reply to A answered, so the
         // second A is applied, not replayed
         let (mut a, mut b, mut snapshot) = (Vec::new(), Vec::new(), Vec::new());
-        wire::encode_kick(&[[1e-3, -2e-3, 5e-4]; 6], &mut a);
-        wire::encode_kick(&[[-4e-4, 1e-3, 2e-3]; 6], &mut b);
+        wire::kick_frame(&[[1e-3, -2e-3, 5e-4]; 6]).encode(&mut a);
+        wire::kick_frame(&[[-4e-4, 1e-3, 2e-3]; 6]).encode(&mut b);
         wire::encode_simple_request(wire::op::GET_PARTICLES, &mut snapshot);
         let grav = || GravityWorker::new(plummer_sphere(6, 4), Backend::Scalar);
         let serve_all = |frames: &[&[u8]]| {
@@ -903,17 +911,17 @@ pub(crate) mod tests {
         let dv: Vec<[f64; 3]> = (0..7).map(|i| [1e-3 * i as f64, -2e-4, 5e-4]).collect();
         let mut frame = Vec::new();
         let mut dynamics = Vec::new();
-        wire::encode_kick(&dv, &mut frame);
+        wire::kick_frame(&dv).encode(&mut frame);
         dynamics.push(frame.clone());
         for (k, t) in [(2, 0.01), (1, 0.02)] {
-            wire::encode_step(&dv, k, t, &mut frame);
+            wire::step_frame(&dv, k, t).encode(&mut frame);
             dynamics.push(frame.clone());
         }
         let (stars, gas) = (plummer_sphere(5, 1), plummer_sphere(6, 2));
         let masses = Some((&stars.mass[..], &gas.mass[..]));
         let mut fields = Vec::new();
         for (masses, sr, gr) in [(masses, (0, 5), (0, 6)), (None, (1, 4), (2, 6))] {
-            wire::encode_compute_field(&stars.pos, &gas.pos, masses, sr, gr, &mut frame);
+            wire::compute_field_frame(&stars.pos, &gas.pos, masses, sr, gr).encode(&mut frame);
             fields.push(frame.clone());
         }
         fn grav() -> GravityWorker {

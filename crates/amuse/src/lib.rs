@@ -40,9 +40,9 @@
 //!   [`socket::WorkerServer`] serves any [`worker::ModelWorker`] behind
 //!   a `TcpListener` (the `jungle-worker` binary in `jc-deploy` wraps
 //!   it) as a thin driver over a `ServerCore`;
-//!   [`socket::SocketChannel`] is the stand-alone client, a facade over
-//!   one [`reactor::ReactorChannel`].
-//! * [`reactor`] — the TCP client: a single-threaded readiness
+//!   [`socket::SocketChannel::connect`] opens the stand-alone client,
+//!   one [`reactor::ReactorChannel`] on a private reactor.
+//! * [`reactor`] — the one TCP client type: a single-threaded readiness
 //!   [`reactor::Reactor`] owning every worker socket in non-blocking
 //!   mode, with incremental frame decoding ([`reactor::FrameDecoder`],
 //!   the framer the server uses too). [`reactor::ReactorChannel`] is the

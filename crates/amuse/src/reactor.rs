@@ -5,13 +5,13 @@
 //! shim) reports readiness, and per-connection state machines make
 //! incremental progress — partial writes resume where they stopped,
 //! partial reads accumulate in an incremental [`FrameDecoder`] until a
-//! full v2 wire frame is available. A [`ReactorChannel`] is the
+//! full wire frame is available. A [`ReactorChannel`] is the
 //! [`ClientCore`] — codec, sequence stamping and byte accounting,
 //! written once for the in-process and TCP channels alike — over a
 //! [`ReactorLink`], which holds what only a real connection needs: the
 //! poison rule, reconnect, the retry/backoff/deadline loop, fault
-//! injection and the teardown drain. [`crate::SocketChannel`] is a
-//! facade over one `ReactorChannel` on a private reactor.
+//! injection and the teardown drain. It is the one TCP client type:
+//! [`crate::SocketChannel::connect`] returns one on a private reactor.
 //!
 //! # Overlap and flushing
 //!
@@ -87,13 +87,14 @@ pub(crate) fn net_timeout() -> Duration {
 // --------------------------------------------------------------------------
 // incremental frame decoder
 
-/// Incremental decoder for a stream of v2 wire frames — the one framer
-/// both halves of a connection use (the client's non-blocking sockets
-/// here, the server's blocking ones in [`crate::socket`]). Pump it from
-/// a reader ([`FrameDecoder::read_from`]) in whatever pieces the
-/// transport delivers (1-byte reads, header/payload straddles, several
-/// frames per read) and get exactly the frames [`wire::read_frame`]
-/// would have produced, in order.
+/// Incremental decoder for a stream of wire frames of any version up to
+/// [`wire::VERSION`] — the one framer both halves of a connection use
+/// (the client's non-blocking sockets here, the server's blocking ones
+/// in [`crate::socket`]). Pump it from a reader
+/// ([`FrameDecoder::read_from`]) in whatever pieces the transport
+/// delivers (1-byte reads, header/payload straddles, several frames per
+/// read) and get exactly the frames [`wire::read_frame`] would have
+/// produced, in order.
 ///
 /// Each `read` fills the free scratch — one [`READ_CHUNK`], more once
 /// it has grown for a larger frame — so a small frame costs one
@@ -530,6 +531,11 @@ impl ReactorChannel {
         self.link.reactor.borrow_mut().conn(self.link.token).faults = Some(faults);
         self
     }
+
+    /// The peer address.
+    pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
+        self.link.addr.ok_or_else(|| std::io::ErrorKind::NotConnected.into())
+    }
 }
 
 impl ReactorLink {
@@ -805,7 +811,7 @@ mod tests {
         let mut b = Vec::new();
         wire::encode_simple_request(wire::op::PING, &mut b);
         frames.push(b.clone());
-        wire::encode_kick(&[[0.25, -1.5, 3.0]; 17], &mut b);
+        wire::kick_frame(&[[0.25, -1.5, 3.0]; 17]).encode(&mut b);
         frames.push(b.clone());
         wire::encode_response(&Response::Ok { flops: 12.5 }, &mut b);
         frames.push(b.clone());
@@ -893,7 +899,7 @@ mod tests {
         let mut frames = Vec::new();
         for n in [1, 900, 3, 20_000, 2] {
             let mut frame = Vec::new();
-            wire::encode_kick(&vec![[0.5, -0.25, 1e-3]; n], &mut frame);
+            wire::kick_frame(&vec![[0.5, -0.25, 1e-3]; n]).encode(&mut frame);
             frames.push(frame);
         }
         let batch = frames.concat();

@@ -12,48 +12,38 @@
 //!   per-worker dedup cache), which reads the frame's bulk columns in
 //!   place in the decoder's buffer; its reply is written
 //!   before the next frame is read.
-//! * [`SocketChannel`] is the stand-alone client: a facade over one
-//!   [`ReactorChannel`] on a private [`Reactor`]. The client protocol
-//!   is implemented once — the codec, stamping and accounting in
-//!   [`crate::channel::ClientCore`], retry, faults, timeouts and
+//! * [`SocketChannel`] names the stand-alone client: its `connect`
+//!   puts one [`ReactorChannel`] on a private [`Reactor`]. The client
+//!   protocol is implemented once — the codec, stamping and accounting
+//!   in [`crate::channel::ClientCore`], retry, faults, timeouts and
 //!   teardown in [`crate::reactor`]; pools that want their round trips
 //!   to overlap put `ReactorChannel`s on one shared reactor instead.
 
-use crate::channel::{Channel, ChannelStats};
-use crate::chaos::{RetryPolicy, StreamFaults};
+use crate::channel::Channel;
 use crate::host::{Next, ServerCore};
 use crate::reactor::{net_timeout, FrameDecoder, Reactor, ReactorChannel};
 use crate::wire::WireError;
-use crate::worker::{ModelWorker, ParticleData, Request, Response};
+use crate::worker::{ModelWorker, Request, Response};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
 
-/// An RPC channel to a worker behind a TCP socket: one
-/// [`ReactorChannel`] on a reactor of its own. Every `submit*` starts
-/// its frame on the wire before returning, so independent
-/// `SocketChannel`s still overlap their workers' compute.
-pub struct SocketChannel(pub(crate) ReactorChannel);
+/// The stand-alone TCP client, a namespace with no values: a channel to
+/// a worker behind a socket is a [`ReactorChannel`] on a reactor of its
+/// own. Every `submit*` starts its frame on the wire before returning,
+/// so independent channels still overlap their workers' compute.
+pub enum SocketChannel {}
 
 impl SocketChannel {
-    /// Connect to a worker server. `name` is the local display name for
-    /// monitoring (the wire protocol has no name exchange).
+    /// Connect to a worker server on a private reactor. `name` is the
+    /// local display name for monitoring (the wire protocol has no name
+    /// exchange).
     pub fn connect(
         addr: impl ToSocketAddrs,
         name: impl Into<String>,
-    ) -> std::io::Result<SocketChannel> {
-        Ok(SocketChannel(ReactorChannel::connect(&Reactor::new_shared()?, addr, name)?))
-    }
-
-    /// See [`ReactorChannel::with_retry`].
-    pub fn with_retry(self, retry: RetryPolicy) -> SocketChannel {
-        SocketChannel(self.0.with_retry(retry))
-    }
-
-    /// See [`ReactorChannel::with_chaos`].
-    pub fn with_chaos(self, faults: StreamFaults) -> SocketChannel {
-        SocketChannel(self.0.with_chaos(faults))
+    ) -> std::io::Result<ReactorChannel> {
+        ReactorChannel::connect(&Reactor::new_shared()?, addr, name)
     }
 
     /// Ask the server behind `addr` to terminate cleanly: one
@@ -70,79 +60,9 @@ impl SocketChannel {
         // sequentially, so if another coupler still holds its current
         // session this request waits in the backlog — a supervisor's
         // teardown must not block forever on it.
-        c.0.link.wait = Some(net_timeout());
-        c.0.link.stop_on_drop = false;
+        c.link.wait = Some(net_timeout());
+        c.link.stop_on_drop = false;
         matches!(c.call(Request::Shutdown), Response::Ok { .. })
-    }
-
-    /// The peer address.
-    pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.0.link.addr.ok_or_else(|| std::io::ErrorKind::NotConnected.into())
-    }
-}
-
-impl Channel for SocketChannel {
-    fn submit(&mut self, req: Request) {
-        self.0.submit(req);
-    }
-
-    fn collect(&mut self) -> Response {
-        self.0.collect()
-    }
-
-    fn stats(&self) -> ChannelStats {
-        self.0.stats()
-    }
-
-    fn worker_name(&self) -> String {
-        self.0.worker_name()
-    }
-
-    fn set_deadline(&mut self, deadline_ms: u64) {
-        self.0.set_deadline(deadline_ms);
-    }
-
-    fn pipelines(&self) -> bool {
-        self.0.pipelines()
-    }
-
-    fn submit_snapshot(&mut self) {
-        self.0.submit_snapshot();
-    }
-
-    fn collect_snapshot_into(&mut self, out: &mut ParticleData) -> bool {
-        self.0.collect_snapshot_into(out)
-    }
-
-    fn submit_kick_slice(&mut self, dv: &[[f64; 3]]) {
-        self.0.submit_kick_slice(dv);
-    }
-
-    fn collect_kick(&mut self) -> Response {
-        self.0.collect_kick()
-    }
-
-    fn submit_step(&mut self, dv: &[[f64; 3]], n: u32, t: f64) {
-        self.0.submit_step(dv, n, t);
-    }
-
-    fn collect_step_into(&mut self, out: &mut ParticleData) -> Response {
-        self.0.collect_step_into(out)
-    }
-
-    fn submit_field(
-        &mut self,
-        stars: &ParticleData,
-        gas: &ParticleData,
-        prime: bool,
-        star_range: (usize, usize),
-        gas_range: (usize, usize),
-    ) {
-        self.0.submit_field(stars, gas, prime, star_range, gas_range);
-    }
-
-    fn collect_accelerations_into(&mut self, out: &mut Vec<[f64; 3]>) -> Option<f64> {
-        self.0.collect_accelerations_into(out)
     }
 }
 
@@ -228,8 +148,8 @@ impl WorkerServer {
 /// to an ephemeral port. The factory runs on the server thread (so
 /// non-`Send` kernels still work); returns the address to
 /// [`SocketChannel::connect`] to and the server thread's handle. The
-/// server exits when a `Stop` request arrives — which
-/// [`SocketChannel`]'s `Drop` sends automatically.
+/// server exits when a `Stop` request arrives — which a dropped
+/// [`ReactorChannel`] sends automatically.
 pub fn spawn_tcp_worker<F, W>(
     name: impl Into<String>,
     factory: F,
@@ -357,6 +277,8 @@ impl Drop for WorkerFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::RetryPolicy;
+    use crate::worker::ParticleData;
     use crate::worker::{GravityWorker, StellarWorker};
     use jc_nbody::plummer::plummer_sphere;
     use jc_nbody::Backend;
@@ -445,7 +367,7 @@ mod tests {
             let mut c = SocketChannel::connect(addr, "grav").unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
             // break the stream from underneath the channel
-            c.0.link.with_stream(|s| s.shutdown(std::net::Shutdown::Both)).unwrap();
+            c.link.with_stream(|s| s.shutdown(std::net::Shutdown::Both)).unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Error(_)));
             drop(c); // poisoned: sends nothing
         }
@@ -516,7 +438,7 @@ mod tests {
         use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
         let grav = || GravityWorker::new(plummer_sphere(6, 9), Backend::CpuParallel);
         let dv = vec![[0.5, -0.25, 0.125]; 6];
-        let state = |c: &mut SocketChannel| match c.call(Request::GetParticles) {
+        let state = |c: &mut ReactorChannel| match c.call(Request::GetParticles) {
             Response::Particles(p) => (p.mass, p.pos, p.vel),
             other => panic!("{other:?}"),
         };
@@ -557,7 +479,7 @@ mod tests {
     }
 
     /// A channel that retries, and so stamps its requests.
-    fn retrying(addr: SocketAddr, name: &str) -> SocketChannel {
+    fn retrying(addr: SocketAddr, name: &str) -> ReactorChannel {
         let retry = RetryPolicy { backoff_base_ms: 1, ..RetryPolicy::standard(7) };
         SocketChannel::connect(addr, name).unwrap().with_retry(retry)
     }
@@ -588,7 +510,7 @@ mod tests {
             let mut a = retrying(addr, "first");
             // first request mutating: seq 1 lands in the dedup cache
             assert!(matches!(a.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
-            a.0.link.stop_on_drop = false; // vanish without Stop, server keeps listening
+            a.link.stop_on_drop = false; // vanish without Stop, server keeps listening
         }
         let mut b = retrying(addr, "second");
         // b's first request is also seq 1, also mutating, different bytes
@@ -619,10 +541,10 @@ mod tests {
         {
             let mut a = retrying(addr, "doomed");
             assert!(matches!(a.call(Request::Kick(vec![[0.1, 0.0, 0.0]; 4])), Response::Ok { .. }));
-            a.0.link.stop_on_drop = false;
+            a.link.stop_on_drop = false;
         }
         let mut reaper = retrying(addr, "reaper");
-        reaper.0.link.stop_on_drop = false;
+        reaper.link.stop_on_drop = false;
         let ack = reaper.call(Request::Shutdown);
         assert!(matches!(ack, Response::Ok { .. }), "worker acknowledges the shutdown");
         handle.join().unwrap().unwrap(); // server actually exited
@@ -642,7 +564,7 @@ mod tests {
             Response::Particles(p) => p,
             other => panic!("{other:?}"),
         };
-        c.0.seq = 0; // next stamp is 1 again, as after a full wrap
+        c.seq = 0; // next stamp is 1 again, as after a full wrap
         assert!(matches!(c.call(Request::Kick(vec![[0.0, 0.25, 0.0]; 4])), Response::Ok { .. }));
         match c.call(Request::GetParticles) {
             Response::Particles(p) => {

@@ -5,7 +5,7 @@
 //! chosen so that the physical frame size of every message equals the
 //! modeled [`Request::wire_size`]/[`Response::wire_size`] exactly — the
 //! traffic accounting the in-process channels simulate is what a
-//! [`crate::SocketChannel`] actually puts on the wire.
+//! [`crate::ReactorChannel`] actually puts on the wire.
 //!
 //! ```text
 //! offset  size  field
@@ -104,7 +104,7 @@
 //!
 //! The `decode_*_into` functions are the coupler-side fast paths: they
 //! parse a response frame straight into caller-owned buffers, so a warm
-//! [`crate::SocketChannel`] round trip performs no heap allocation.
+//! [`crate::ReactorChannel`] round trip performs no heap allocation.
 //!
 //! # Bulk request columns are not copied
 //!
@@ -114,13 +114,15 @@
 //! [`Frame::encode`] writes it into a buffer, and a transport that can
 //! lends [`Frame::parts`] to one vectored write instead. On the server,
 //! [`view_kick`], [`view_step`] and [`view_compute_field`] validate a
-//! frame exactly as their `decode_*_into` twins do and then read its
-//! columns *in place*. Every header and aux field is an 8-byte unit, so
-//! on a little-endian host a frame that starts 8-aligned (as one at the
-//! start of a heap buffer does, like each [`crate::FrameDecoder`]
-//! frame) holds 8-aligned columns; any frame that cannot be viewed is
-//! decoded into scratch instead, with the same result. Replies are still encoded
-//! from the worker's columns and decoded into the caller's.
+//! frame and then read its columns *in place*. Every header and aux
+//! field is an 8-byte unit, so on a little-endian host a frame that
+//! starts 8-aligned (as one at the start of a heap buffer does, like
+//! each [`crate::FrameDecoder`] frame) holds 8-aligned columns; any
+//! frame that cannot be viewed is decoded into scratch instead, with the
+//! same result. Each bulk request has this one reader and one builder:
+//! [`decode_request`] copies a view into an owned [`Request`], and
+//! [`encode_request`] encodes through the builders. Replies are still
+//! encoded from the worker's columns and decoded into the caller's.
 //!
 //! # Sequence numbers and idempotent retry
 //!
@@ -664,11 +666,6 @@ pub fn encode_set_masses(masses: &[f64], buf: &mut Vec<u8>) {
     put_f64s(buf, masses);
 }
 
-/// Encode `Kick` from a borrowed slice (the coupler's per-step fast path).
-pub fn encode_kick(dv: &[[f64; 3]], buf: &mut Vec<u8>) {
-    kick_frame(dv).encode(buf);
-}
-
 /// Encode `ComputeKick` from borrowed slices. `source_pos` and
 /// `source_mass` must have equal length.
 pub fn encode_compute_kick(
@@ -683,26 +680,6 @@ pub fn encode_compute_kick(
     put_v3s(buf, targets);
     put_v3s(buf, source_pos);
     put_f64s(buf, source_mass);
-}
-
-/// Encode `Step` from a borrowed half-kick (the coupler's per-substep
-/// fast path).
-pub fn encode_step(dv: &[[f64; 3]], n: u32, t: f64, buf: &mut Vec<u8>) {
-    step_frame(dv, n, t).encode(buf);
-}
-
-/// Encode `ComputeField` from borrowed positions, with `masses` —
-/// `(star masses, gas masses)`, each as long as its set — on the
-/// request that primes the host, `None` on a mass-free one.
-pub fn encode_compute_field(
-    star_pos: &[[f64; 3]],
-    gas_pos: &[[f64; 3]],
-    masses: Option<(&[f64], &[f64])>,
-    star_range: (usize, usize),
-    gas_range: (usize, usize),
-    buf: &mut Vec<u8>,
-) {
-    compute_field_frame(star_pos, gas_pos, masses, star_range, gas_range).encode(buf);
 }
 
 /// The longest prefix a [`Frame`] carries: the header and a
@@ -735,10 +712,10 @@ impl Column<'_> {
 /// A bulk request frame in parts, its columns borrowed from the caller:
 /// a prefix of at most 64 bytes (the header and any scalars) followed
 /// by up to four columns. [`Frame::encode`] writes the frame into a
-/// buffer — it is what [`encode_kick`], [`encode_step`] and
-/// [`encode_compute_field`] do — and, on a little-endian target,
-/// [`Frame::parts`] lends the very same bytes where they lie, so a
-/// transport can write the frame with no user-space copy.
+/// buffer — [`encode_request`] writes every bulk request so — and, on
+/// a little-endian target, [`Frame::parts`] lends the very same bytes
+/// where they lie, so a transport can write the frame with no
+/// user-space copy.
 pub struct Frame<'a> {
     prefix: [u8; PREFIX_MAX],
     prefix_len: usize,
@@ -827,8 +804,9 @@ pub fn step_frame(dv: &[[f64; 3]], n: u32, t: f64) -> Frame<'_> {
         .column(Column::V3(dv))
 }
 
-/// The `ComputeField` frame of borrowed positions, with `masses` on the
-/// request that primes the host (see [`encode_compute_field`]).
+/// The `ComputeField` frame of borrowed positions, with `masses` —
+/// `(star masses, gas masses)`, each as long as its set — on the
+/// request that primes the host, `None` on a mass-free one.
 pub fn compute_field_frame<'a>(
     star_pos: &'a [[f64; 3]],
     gas_pos: &'a [[f64; 3]],
@@ -978,14 +956,14 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
         Request::EvolveTo(t) => encode_evolve(op::EVOLVE_TO, *t, buf),
         Request::EvolveStars(t) => encode_evolve(op::EVOLVE_STARS, *t, buf),
         Request::SetMasses(m) => encode_set_masses(m, buf),
-        Request::Kick(dv) => encode_kick(dv, buf),
+        Request::Kick(dv) => kick_frame(dv).encode(buf),
         Request::ComputeKick { targets, source_pos, source_mass } => {
             encode_compute_kick(targets, source_pos, source_mass, buf)
         }
-        Request::Step { dv, n, t } => encode_step(dv, *n, *t, buf),
+        Request::Step { dv, n, t } => step_frame(dv, *n, *t).encode(buf),
         Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range } => {
             let masses = masses.as_ref().map(|(s, g)| (&s[..], &g[..]));
-            encode_compute_field(star_pos, gas_pos, masses, *star_range, *gas_range, buf)
+            compute_field_frame(star_pos, gas_pos, masses, *star_range, *gas_range).encode(buf)
         }
         Request::InjectEnergy { center, radius, energy } => {
             begin_frame(buf, op::INJECT_ENERGY, 40, 0, 0);
@@ -1157,11 +1135,7 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
             let n = checked_count(&h, h.aux0, 8, h.len)?;
             Ok(Request::SetMasses(get_f64s(&p[..8 * n])))
         }
-        op::KICK => {
-            let mut dv = Vec::new();
-            decode_kick_into(frame, &mut dv)?;
-            Ok(Request::Kick(dv))
-        }
+        op::KICK => Ok(Request::Kick(view_kick(frame, &mut Vec::new())?.to_vec())),
         op::COMPUTE_KICK => {
             let (mut targets, mut source_pos, mut source_mass) =
                 (Vec::new(), Vec::new(), Vec::new());
@@ -1169,19 +1143,19 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
             Ok(Request::ComputeKick { targets, source_pos, source_mass })
         }
         op::STEP => {
-            let mut dv = Vec::new();
-            let (n, t) = decode_step_into(frame, &mut dv)?;
-            Ok(Request::Step { dv, n, t })
+            let mut scratch = Vec::new();
+            let (dv, n, t) = view_step(frame, &mut scratch)?;
+            Ok(Request::Step { dv: dv.to_vec(), n, t })
         }
         op::COMPUTE_FIELD => {
-            let (mut stars, mut gas) = (ParticleData::default(), ParticleData::default());
-            let at = decode_compute_field_into(frame, &mut stars, &mut gas)?;
+            let (mut scratch, mut star_mass, mut gas_mass) = Default::default();
+            let f = view_compute_field(frame, &mut scratch, (&mut star_mass, &mut gas_mass))?;
             Ok(Request::ComputeField {
-                star_pos: stars.pos,
-                gas_pos: gas.pos,
-                masses: at.primes.then_some((stars.mass, gas.mass)),
-                star_range: at.star_range,
-                gas_range: at.gas_range,
+                star_pos: f.star_pos.to_vec(),
+                gas_pos: f.gas_pos.to_vec(),
+                masses: f.at.primes.then_some((star_mass, gas_mass)),
+                star_range: f.at.star_range,
+                gas_range: f.at.gas_range,
             })
         }
         op::INJECT_ENERGY | op::ADD_GAS => {
@@ -1278,35 +1252,21 @@ pub fn decode_particles_into(frame: &[u8], out: &mut ParticleData) -> Result<(),
     Ok(())
 }
 
-/// A `Kick` request's validated `dv` bytes.
-fn kick_payload(frame: &[u8]) -> Result<&[u8], WireError> {
-    let (h, p) = parse_frame(frame)?;
-    if h.opcode != op::KICK {
-        return Err(WireError::Unexpected(h.opcode));
-    }
-    let n = checked_count(&h, h.aux0, 24, h.len)?;
-    Ok(&p[..24 * n])
-}
-
-/// Fast path: decode a `Kick` request's payload into a reusable scratch
-/// column (no `Request` allocation). Any other valid opcode yields
-/// [`WireError::Unexpected`].
-// jc-lint: no-alloc
-pub fn decode_kick_into(frame: &[u8], out: &mut Vec<[f64; 3]>) -> Result<(), WireError> {
-    get_v3s_into(out, kick_payload(frame)?);
-    Ok(())
-}
-
 /// Fast path: a `Kick` request's half-kick read in place in the frame
 /// (the server's per-step hot path), or decoded into `scratch` when the
-/// frame cannot be viewed (see the module docs). Validated exactly as
-/// [`decode_kick_into`] validates.
+/// frame cannot be viewed (see the module docs). Any other valid opcode
+/// yields [`WireError::Unexpected`].
 // jc-lint: no-alloc
 pub fn view_kick<'a>(
     frame: &'a [u8],
     scratch: &'a mut Vec<[f64; 3]>,
 ) -> Result<&'a [[f64; 3]], WireError> {
-    Ok(v3s_in(kick_payload(frame)?, scratch))
+    let (h, p) = parse_frame(frame)?;
+    if h.opcode != op::KICK {
+        return Err(WireError::Unexpected(h.opcode));
+    }
+    let n = checked_count(&h, h.aux0, 24, h.len)?;
+    Ok(v3s_in(&p[..24 * n], scratch))
 }
 
 /// Fast path: decode a `ComputeKick` request's three columns into
@@ -1336,9 +1296,15 @@ pub fn decode_compute_kick_into(
     Ok(())
 }
 
-/// A `Step` request's validated `dv` bytes, kick count and target time.
-/// A count beyond `u32` saturates; the host refuses it.
-fn step_payload(frame: &[u8]) -> Result<(&[u8], u32, f64), WireError> {
+/// Fast path: a `Step` request's half-kick read in place in the frame
+/// (the server's per-substep hot path), or decoded into `scratch` when
+/// the frame cannot be viewed; with its kick count and target time. A
+/// count beyond `u32` saturates; the host refuses it.
+// jc-lint: no-alloc
+pub fn view_step<'a>(
+    frame: &'a [u8],
+    scratch: &'a mut Vec<[f64; 3]>,
+) -> Result<(&'a [[f64; 3]], u32, f64), WireError> {
     let (h, p) = parse_frame(frame)?;
     if h.opcode != op::STEP {
         return Err(WireError::Unexpected(h.opcode));
@@ -1347,29 +1313,7 @@ fn step_payload(frame: &[u8]) -> Result<(&[u8], u32, f64), WireError> {
         return Err(bad_length(&h));
     }
     let n = u32::try_from(h.aux1).unwrap_or(u32::MAX);
-    Ok((&p[8..8 + 24 * h.aux0 as usize], n, get_f64(p, 0)))
-}
-
-/// Fast path: decode a `Step` request's half-kick into reusable scratch,
-/// returning its kick count and target time.
-// jc-lint: no-alloc
-pub fn decode_step_into(frame: &[u8], dv: &mut Vec<[f64; 3]>) -> Result<(u32, f64), WireError> {
-    let (p, n, t) = step_payload(frame)?;
-    get_v3s_into(dv, p);
-    Ok((n, t))
-}
-
-/// Fast path: a `Step` request's half-kick read in place in the frame
-/// (the server's per-substep hot path), or decoded into `scratch` when
-/// the frame cannot be viewed; with its kick count and target time.
-/// Validated exactly as [`decode_step_into`] validates.
-// jc-lint: no-alloc
-pub fn view_step<'a>(
-    frame: &'a [u8],
-    scratch: &'a mut Vec<[f64; 3]>,
-) -> Result<(&'a [[f64; 3]], u32, f64), WireError> {
-    let (p, n, t) = step_payload(frame)?;
-    Ok((v3s_in(p, scratch), n, t))
+    Ok((v3s_in(&p[8..8 + 24 * h.aux0 as usize], scratch), n, get_f64(p, 0)))
 }
 
 /// What a `ComputeField` frame asks for besides its columns.
@@ -1382,66 +1326,6 @@ pub struct FieldTargets {
     pub gas_range: (usize, usize),
     /// The frame carried masses (the [`FIELD_MASSES`] flag).
     pub primes: bool,
-}
-
-/// A `ComputeField` request's validated column bytes: star and gas
-/// positions, then the masses of a priming frame.
-struct FieldPayload<'a> {
-    star_pos: &'a [u8],
-    gas_pos: &'a [u8],
-    masses: Option<(&'a [u8], &'a [u8])>,
-    at: FieldTargets,
-}
-
-fn compute_field_payload(frame: &[u8]) -> Result<FieldPayload<'_>, WireError> {
-    let (h, p) = parse_frame(frame)?;
-    if h.opcode != op::COMPUTE_FIELD {
-        return Err(WireError::Unexpected(h.opcode));
-    }
-    let primes = h.aux0 & FIELD_MASSES != 0;
-    let (s, g) = (h.aux0 & !FIELD_MASSES, h.aux1);
-    let stride = if primes { 32 } else { 24 };
-    let expect =
-        s.checked_add(g).and_then(|n| n.checked_mul(stride)).and_then(|b| b.checked_add(32));
-    if expect != Some(h.len) {
-        return Err(bad_length(&h));
-    }
-    let bound = |i: usize| usize::try_from(get_u64(p, 8 * i)).unwrap_or(usize::MAX);
-    let (s, g) = (s as usize, g as usize);
-    let (off_gas, off_mass) = (32 + 24 * s, 32 + 24 * (s + g));
-    let mid = off_mass + 8 * s;
-    Ok(FieldPayload {
-        star_pos: &p[32..off_gas],
-        gas_pos: &p[off_gas..off_mass],
-        masses: primes.then(|| (&p[off_mass..mid], &p[mid..mid + 8 * g])),
-        at: FieldTargets {
-            star_range: (bound(0), bound(1)),
-            gas_range: (bound(2), bound(3)),
-            primes,
-        },
-    })
-}
-
-/// Fast path: decode a `ComputeField` request's two sets into reusable
-/// scratch (the velocity columns are cleared). The positions are
-/// overwritten; the mass columns only when the frame carries masses — a
-/// mass-free frame leaves them as they are.
-// jc-lint: no-alloc
-pub fn decode_compute_field_into(
-    frame: &[u8],
-    stars: &mut ParticleData,
-    gas: &mut ParticleData,
-) -> Result<FieldTargets, WireError> {
-    let f = compute_field_payload(frame)?;
-    get_v3s_into(&mut stars.pos, f.star_pos);
-    get_v3s_into(&mut gas.pos, f.gas_pos);
-    if let Some((star_mass, gas_mass)) = f.masses {
-        get_f64s_into(&mut stars.mass, star_mass);
-        get_f64s_into(&mut gas.mass, gas_mass);
-    }
-    stars.vel.clear();
-    gas.vel.clear();
-    Ok(f.at)
 }
 
 /// A `ComputeField` request as the host reads it: both position columns
@@ -1459,24 +1343,43 @@ pub struct FieldView<'a> {
 /// frame (the coupling host's hot path), each decoded into its `scratch`
 /// column instead when the frame cannot be viewed. A priming frame's
 /// masses are copied into `masses` — the host keeps them for the epoch —
-/// and a mass-free frame leaves `masses` as they are. Validated exactly
-/// as [`decode_compute_field_into`] validates.
+/// and a mass-free frame leaves `masses` as they are. The length must
+/// agree with the counts and the mass flag.
 // jc-lint: no-alloc
 pub fn view_compute_field<'a>(
     frame: &'a [u8],
     scratch: &'a mut [Vec<[f64; 3]>; 2],
     masses: (&mut Vec<f64>, &mut Vec<f64>),
 ) -> Result<FieldView<'a>, WireError> {
-    let f = compute_field_payload(frame)?;
-    if let Some((star_mass, gas_mass)) = f.masses {
-        get_f64s_into(masses.0, star_mass);
-        get_f64s_into(masses.1, gas_mass);
+    let (h, p) = parse_frame(frame)?;
+    if h.opcode != op::COMPUTE_FIELD {
+        return Err(WireError::Unexpected(h.opcode));
+    }
+    let primes = h.aux0 & FIELD_MASSES != 0;
+    let (s, g) = (h.aux0 & !FIELD_MASSES, h.aux1);
+    let stride = if primes { 32 } else { 24 };
+    let expect =
+        s.checked_add(g).and_then(|n| n.checked_mul(stride)).and_then(|b| b.checked_add(32));
+    if expect != Some(h.len) {
+        return Err(bad_length(&h));
+    }
+    let bound = |i: usize| usize::try_from(get_u64(p, 8 * i)).unwrap_or(usize::MAX);
+    let (s, g) = (s as usize, g as usize);
+    let (off_gas, off_mass) = (32 + 24 * s, 32 + 24 * (s + g));
+    if primes {
+        let mid = off_mass + 8 * s;
+        get_f64s_into(masses.0, &p[off_mass..mid]);
+        get_f64s_into(masses.1, &p[mid..mid + 8 * g]);
     }
     let [star_scratch, gas_scratch] = scratch;
     Ok(FieldView {
-        star_pos: v3s_in(f.star_pos, star_scratch),
-        gas_pos: v3s_in(f.gas_pos, gas_scratch),
-        at: f.at,
+        star_pos: v3s_in(&p[32..off_gas], star_scratch),
+        gas_pos: v3s_in(&p[off_gas..off_mass], gas_scratch),
+        at: FieldTargets {
+            star_range: (bound(0), bound(1)),
+            gas_range: (bound(2), bound(3)),
+            primes,
+        },
     })
 }
 
@@ -1801,52 +1704,6 @@ mod tests {
                     frame.append_tail(from, &mut tail);
                     assert_eq!(tail[3..], encoded[from..], "the tail from {from}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn views_validate_exactly_as_the_decoders_do() {
-        let dv: Vec<[f64; 3]> = (0..4).map(|i| [i as f64, 1.5, -2.0]).collect();
-        let m = [0.5; 4];
-        let mut frames = Vec::new();
-        for frame in bulk_frames(&dv, &m) {
-            let mut buf = Vec::new();
-            frame.encode(&mut buf);
-            frames.push(buf);
-        }
-        let mut ping = Vec::new();
-        encode_simple_request(op::PING, &mut ping);
-        frames.push(ping);
-        // every frame whole and cut short, with each aux field and the
-        // length bumped: the view and the decoder agree on each verdict
-        let mut cases = Vec::new();
-        for f in &frames {
-            cases.push(f.clone());
-            cases.push(f[..f.len() - 1].to_vec());
-            for off in [8, 16, 24] {
-                let mut g = f.clone();
-                g[off] = g[off].wrapping_add(1);
-                cases.push(g);
-            }
-        }
-        let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
-        for (i, f) in cases.iter().enumerate() {
-            let (mut scratch, mut cols) = (Vec::new(), [Vec::new(), Vec::new()]);
-            let (mut sm, mut gm) = (Vec::new(), Vec::new());
-            let kick = view_kick(f, &mut scratch).map(<[_]>::to_vec);
-            assert_eq!(kick, decode_kick_into(f, &mut a.pos).map(|()| a.pos.clone()), "case {i}");
-            let step = view_step(f, &mut scratch).map(|(dv, n, t)| (dv.to_vec(), n, t.to_bits()));
-            let want =
-                decode_step_into(f, &mut a.pos).map(|(n, t)| (a.pos.clone(), n, t.to_bits()));
-            assert_eq!(step, want, "case {i}");
-            let field = view_compute_field(f, &mut cols, (&mut sm, &mut gm))
-                .map(|v| (v.star_pos.to_vec(), v.gas_pos.to_vec(), v.at));
-            let want = decode_compute_field_into(f, &mut a, &mut b)
-                .map(|at| (a.pos.clone(), b.pos.clone(), at));
-            assert_eq!(field, want, "case {i}");
-            if field.is_ok_and(|(.., at)| at.primes) {
-                assert_eq!((sm, gm), (a.mass.clone(), b.mass.clone()), "case {i}: the masses");
             }
         }
     }

@@ -287,12 +287,16 @@ pub type ParticleColumns<'a> = (&'a [f64], &'a [[f64; 3]], &'a [[f64; 3]]);
 /// hosts evaluate every substep's field against the masses of the cold
 /// open (see [`crate::bridge`]).
 ///
-/// The three `*_into`/`*_slice` methods are borrowing fast paths for
-/// in-process channels: same semantics as the corresponding [`Request`]s
-/// but without constructing request/response payload `Vec`s, so the
-/// bridge's per-step kick phases stay allocation-free. Workers that don't
-/// implement a fast path return `false`/`None` and the channel falls back
-/// to the RPC.
+/// The four borrowed methods — [`ModelWorker::snapshot_into`],
+/// [`ModelWorker::particles`], [`ModelWorker::kick_slice`] and
+/// [`ModelWorker::compute_kick_into`] — are fast paths every host calls,
+/// over every transport: same semantics as the corresponding
+/// [`Request`]s but without constructing request/response payload
+/// `Vec`s, so the bridge's per-step phases stay allocation-free. A
+/// worker that doesn't implement one returns `false`/`None`, and the
+/// host falls back to [`ModelWorker::handle`] with the owned request
+/// ([`crate::host::step`], [`crate::host::particles`] and the field's
+/// kicks).
 pub trait ModelWorker {
     /// Execute one request.
     fn handle(&mut self, req: Request) -> Response;

@@ -76,7 +76,7 @@ fn state_bits(s: &ModelState) -> Vec<u64> {
 /// channel (crash fuses are out of scope here — this pool has no
 /// supervisor, so only the in-place retry tier may fire). With
 /// `reactor`, the pool runs over [`ReactorChannel`]s on one shared
-/// [`Reactor`] instead of [`SocketChannel`]s on private ones — the
+/// [`Reactor`] instead of each on a private one ([`SocketChannel::connect`]) — the
 /// same seeded schedule must be absorbed identically on both.
 fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool, reactor: bool) -> Vec<u64> {
     let plan = FaultPlan::seeded(seed);

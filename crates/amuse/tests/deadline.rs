@@ -5,8 +5,9 @@
 //! Before the deadline existed, `max_retries` only capped *attempts*:
 //! a policy generous enough to ride out a flaky link (say 100 000
 //! retries) would let one request spin through backoff for minutes.
-//! These tests pin the bound in both topologies — a `SocketChannel` on
-//! its private reactor and a `ReactorChannel` on a shared one — with
+//! These tests pin the bound in both topologies — a `ReactorChannel` on
+//! its private reactor (`SocketChannel::connect`) and one on a shared
+//! reactor — with
 //! the same deterministic seeded schedule, and pin that the failure
 //! surfaces as the *typed*, non-transient `DeadlineExceeded` (so the
 //! bridge escalates to heal/restore instead of retrying in place).

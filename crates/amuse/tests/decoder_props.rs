@@ -70,7 +70,7 @@ fn valid_frame(n: usize, seq: u16, op: u8) -> Vec<u8> {
     let mut buf = Vec::new();
     match op {
         0 => wire::encode_simple_request(wire::op::PING, &mut buf),
-        1 => wire::encode_kick(&vec![[1.5, -2.5, 3.25]; n], &mut buf),
+        1 => wire::kick_frame(&vec![[1.5, -2.5, 3.25]; n]).encode(&mut buf),
         2 => {
             wire::encode_request(&Request::SetMasses((0..n).map(|i| i as f64).collect()), &mut buf)
         }
@@ -84,7 +84,7 @@ fn valid_frame(n: usize, seq: u16, op: u8) -> Vec<u8> {
         4 | 5 => {
             let (pos, mass) = (vec![[0.5, -1.0, 2.0]; n], vec![1.0 / n.max(1) as f64; n]);
             let masses = (op == 4).then_some((&mass[..], &mass[..]));
-            wire::encode_compute_field(&pos, &pos, masses, (0, n), (0, n), &mut buf)
+            wire::compute_field_frame(&pos, &pos, masses, (0, n), (0, n)).encode(&mut buf)
         }
         _ => wire::encode_stepped_frame(&vec![[0.25, 1.0, -3.0]; n], 1e3, &mut buf),
     }

@@ -33,7 +33,7 @@ fn drain_after(kicks: usize, shutdown_op: u8) {
     let mut burst = Vec::new();
     let mut frame = Vec::new();
     for i in 0..kicks {
-        wire::encode_kick(&dv, &mut frame);
+        wire::kick_frame(&dv).encode(&mut frame);
         wire::set_seq(&mut frame, (i + 1) as u16);
         burst.extend_from_slice(&frame);
     }

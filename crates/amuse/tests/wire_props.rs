@@ -4,9 +4,8 @@
 //! exactly its modeled `wire_size()` long.
 
 use jc_amuse::wire::{
-    decode_compute_field_into, decode_request, decode_response, decode_step_into,
-    decode_stepped_into, encode_compute_field, encode_request, encode_response, encode_step,
-    encode_stepped_frame,
+    compute_field_frame, decode_request, decode_response, decode_stepped_into, encode_request,
+    encode_response, encode_stepped_frame, step_frame, view_compute_field, view_step,
 };
 use jc_amuse::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
@@ -196,6 +195,16 @@ fn request_eq(a: &Request, b: &Request) -> bool {
     }
 }
 
+/// `frame` copied into `store` at `offset` bytes past an 8-aligned
+/// address: the copy, which a view reads in place only at offset 0.
+fn placed<'s>(frame: &[u8], offset: usize, store: &'s mut Vec<u8>) -> &'s [u8] {
+    store.clear();
+    store.resize(frame.len() + 16, 0);
+    let start = store.as_ptr().align_offset(8) + offset;
+    store[start..start + frame.len()].copy_from_slice(frame);
+    &store[start..start + frame.len()]
+}
+
 fn response_eq(a: &Response, b: &Response) -> bool {
     match (a, b) {
         (Response::Ok { flops: x }, Response::Ok { flops: y }) => f64_eq(*x, *y),
@@ -238,47 +247,58 @@ proptest! {
         prop_assert!(response_eq(&resp, &back), "round trip changed {:?}", resp);
     }
 
-    /// The borrowed encoders and the scratch decoders of the composite
-    /// substep write and read the frames of the owned codec, into
-    /// buffers that held something else before.
+    /// The builders of the composite substep write the frames of the
+    /// owned codec — into a buffer that held something else before, and
+    /// as the parts a vectored write sends — and the server's views read
+    /// them back alike in place at an 8-aligned address and through the
+    /// scratch copy at +1 byte.
     #[test]
     fn borrowed_composite_codecs_agree_with_the_owned_ones(
         req in any_request(),
         stale in any_particles(30),
         flops in any_f64(),
     ) {
-        let (mut owned, mut borrowed) = (Vec::new(), vec![0xAAu8; 7]);
+        let (mut owned, mut borrowed, mut store) = (Vec::new(), vec![0xAAu8; 7], Vec::new());
         encode_request(&req, &mut owned);
         match &req {
             Request::Step { dv, n, t } => {
-                encode_step(dv, *n, *t, &mut borrowed);
+                let frame = step_frame(dv, *n, *t);
+                frame.encode(&mut borrowed);
                 prop_assert!(owned == borrowed);
-                let mut into = stale.pos.clone();
-                let (n2, t2) = decode_step_into(&owned, &mut into).expect("valid frame");
-                prop_assert!(vv3_eq(dv, &into) && *n == n2 && f64_eq(*t, t2));
+                #[cfg(target_endian = "little")]
+                prop_assert!(frame.parts().concat() == owned);
+                for offset in [0, 1] {
+                    let mut scratch = stale.pos.clone();
+                    let (dv2, n2, t2) = view_step(placed(&owned, offset, &mut store), &mut scratch)
+                        .expect("valid frame");
+                    prop_assert!(vv3_eq(dv, dv2) && *n == n2 && f64_eq(*t, t2), "at +{}", offset);
+                }
             }
             Request::ComputeField { star_pos, gas_pos, masses, star_range, gas_range } => {
                 let borrowed_masses = masses.as_ref().map(|(s, g)| (&s[..], &g[..]));
-                encode_compute_field(
-                    star_pos,
-                    gas_pos,
-                    borrowed_masses,
-                    *star_range,
-                    *gas_range,
-                    &mut borrowed,
-                );
+                let frame =
+                    compute_field_frame(star_pos, gas_pos, borrowed_masses, *star_range, *gas_range);
+                frame.encode(&mut borrowed);
                 prop_assert!(owned == borrowed);
-                let (mut stars, mut gas) = (stale.clone(), stale.clone());
-                let at =
-                    decode_compute_field_into(&owned, &mut stars, &mut gas).expect("valid frame");
-                prop_assert_eq!((at.star_range, at.gas_range), (*star_range, *gas_range));
-                prop_assert_eq!(at.primes, masses.is_some());
-                prop_assert!(vv3_eq(star_pos, &stars.pos) && vv3_eq(gas_pos, &gas.pos));
-                // a priming frame overwrites the mass columns, a mass-free
-                // one leaves them as they were
-                let (want_sm, want_gm) = borrowed_masses.unwrap_or((&stale.mass, &stale.mass));
-                prop_assert!(vf_eq(want_sm, &stars.mass) && vf_eq(want_gm, &gas.mass));
-                prop_assert!(stars.vel.is_empty() && gas.vel.is_empty());
+                #[cfg(target_endian = "little")]
+                prop_assert!(frame.parts().concat() == owned);
+                for offset in [0, 1] {
+                    let mut scratch = [stale.pos.clone(), stale.vel.clone()];
+                    let (mut star_mass, mut gas_mass) = (stale.mass.clone(), stale.mass.clone());
+                    let f = view_compute_field(
+                        placed(&owned, offset, &mut store),
+                        &mut scratch,
+                        (&mut star_mass, &mut gas_mass),
+                    )
+                    .expect("valid frame");
+                    prop_assert_eq!((f.at.star_range, f.at.gas_range), (*star_range, *gas_range));
+                    prop_assert_eq!(f.at.primes, masses.is_some());
+                    prop_assert!(vv3_eq(star_pos, f.star_pos) && vv3_eq(gas_pos, f.gas_pos));
+                    // a priming frame overwrites the mass columns, a
+                    // mass-free one leaves them as they were
+                    let (want_sm, want_gm) = borrowed_masses.unwrap_or((&stale.mass, &stale.mass));
+                    prop_assert!(vf_eq(want_sm, &star_mass) && vf_eq(want_gm, &gas_mass));
+                }
             }
             _ => {}
         }

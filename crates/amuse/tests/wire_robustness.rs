@@ -44,6 +44,21 @@ fn field_frame(prime: bool) -> Vec<u8> {
     buf
 }
 
+/// The server's readers of the bulk request frames — the kick, step
+/// and field views — run over `frame`: each one's error, if any, and
+/// how many column elements they sized.
+fn view_errors(frame: &[u8]) -> ([Option<WireError>; 3], usize) {
+    let (mut dv, mut cols) = (Vec::new(), [Vec::new(), Vec::new()]);
+    let (mut star_mass, mut gas_mass) = (Vec::new(), Vec::new());
+    let errors = [
+        wire::view_kick(frame, &mut dv).err(),
+        wire::view_step(frame, &mut dv).err(),
+        wire::view_compute_field(frame, &mut cols, (&mut star_mass, &mut gas_mass)).err(),
+    ];
+    let columns: usize = cols.iter().map(Vec::capacity).sum();
+    (errors, dv.capacity() + columns + star_mass.capacity() + gas_mass.capacity())
+}
+
 /// A positions-only step answer.
 fn stepped_frame() -> Vec<u8> {
     let mut buf = Vec::new();
@@ -53,14 +68,13 @@ fn stepped_frame() -> Vec<u8> {
 
 #[test]
 fn every_truncation_of_a_valid_frame_errors_cleanly() {
-    // the composite substep's frames cut at every byte, through the
-    // owned decoders and the scratch ones the server and coupler run
-    for frame in [step_frame(), field_frame(true), field_frame(false)] {
+    // the bulk request frames cut at every byte, through the owned
+    // decoder and the views the server runs
+    for frame in [valid_request_frame(), step_frame(), field_frame(true), field_frame(false)] {
         for cut in 0..frame.len() {
             assert!(decode_request(&frame[..cut]).is_err(), "{cut}-byte prefix");
-            assert!(wire::decode_step_into(&frame[..cut], &mut Vec::new()).is_err());
-            let (mut stars, mut gas) = (ParticleData::default(), ParticleData::default());
-            assert!(wire::decode_compute_field_into(&frame[..cut], &mut stars, &mut gas).is_err());
+            let (errors, _) = view_errors(&frame[..cut]);
+            assert!(errors.iter().all(Option::is_some), "{cut}-byte prefix: {errors:?}");
         }
     }
     let frame = stepped_frame();
@@ -184,13 +198,14 @@ fn inconsistent_aux_counts_are_rejected() {
     buf[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(matches!(decode_request(&buf), Err(WireError::BadLength { .. })));
 
-    // the composite substep's counts: a lie in either aux field, and
-    // every overflow of count × stride (+ the fixed part), is a
-    // BadLength from the owned and from the scratch decoder — before
-    // anything is sized from the count
+    // the bulk frames' counts: a lie in either aux field, and every
+    // overflow of count × stride (+ the fixed part), is a BadLength from
+    // the owned decoder and from the views — before anything is sized
+    // from the count
     let huge = [u64::MAX, u64::MAX / 24, u64::MAX / 32, (u64::MAX - 32) / 32 + 1, 1 << 60];
     for (frame, aux_offsets) in [
-        (step_frame(), &[16usize][..]),
+        (valid_request_frame(), &[16usize][..]),
+        (step_frame(), &[16]),
         (field_frame(true), &[16, 24]),
         (field_frame(false), &[16, 24]),
         (stepped_frame(), &[16]),
@@ -200,21 +215,20 @@ fn inconsistent_aux_counts_are_rejected() {
             for lie in huge.into_iter().chain([honest + 1, honest.wrapping_sub(1)]) {
                 let mut buf = frame.clone();
                 buf[off..off + 8].copy_from_slice(&lie.to_le_bytes());
-                let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
-                let errors = [
+                let mut pos = Vec::new();
+                let (views, sized) = view_errors(&buf);
+                let mut errors = vec![
                     decode_request(&buf).err(),
                     decode_response(&buf).err(),
-                    wire::decode_step_into(&buf, &mut a.pos).err(),
-                    wire::decode_compute_field_into(&buf, &mut a, &mut b).err(),
-                    wire::decode_stepped_into(&buf, &mut a.vel).err(),
+                    wire::decode_stepped_into(&buf, &mut pos).err(),
                 ];
+                errors.extend(views);
                 assert!(errors.iter().all(Option::is_some), "aux at {off} = {lie}: {errors:?}");
                 assert!(
                     errors.iter().flatten().any(|e| matches!(e, WireError::BadLength { .. })),
                     "aux at {off} = {lie}: {errors:?}"
                 );
-                let sized =
-                    a.pos.capacity() + a.mass.capacity() + a.vel.capacity() + b.pos.capacity();
+                let sized = sized + pos.capacity();
                 assert!(sized <= 64, "a decoder sized a buffer from a refused count: {sized}");
             }
         }
@@ -283,10 +297,9 @@ fn a_mass_flag_that_disagrees_with_the_length_is_refused() {
         let lie = u64::from_le_bytes(buf[16..24].try_into().unwrap()) ^ wire::FIELD_MASSES;
         buf[16..24].copy_from_slice(&lie.to_le_bytes());
         assert!(matches!(decode_request(&buf), Err(WireError::BadLength { .. })), "{lie:#x}");
-        let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
-        let got = wire::decode_compute_field_into(&buf, &mut a, &mut b);
-        assert!(matches!(got, Err(WireError::BadLength { .. })), "{got:?}");
-        assert!(a.pos.is_empty() && a.mass.is_empty() && b.pos.is_empty(), "nothing decoded");
+        let (errors, sized) = view_errors(&buf);
+        assert!(matches!(errors[2], Some(WireError::BadLength { .. })), "{errors:?}");
+        assert_eq!(sized, 0, "nothing decoded");
     }
 }
 
@@ -313,9 +326,8 @@ fn a_v3_composite_frame_is_refused_not_misparsed() {
     let stepped = v3(0x88, 3, 9f64.to_bits(), 32 * 3);
     assert_eq!(decode_request(&field).unwrap_err(), WireError::UnknownOpcode(0x0F));
     assert_eq!(decode_response(&stepped).unwrap_err(), WireError::UnknownOpcode(0x88));
-    let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
-    assert!(wire::decode_compute_field_into(&field, &mut a, &mut b).is_err());
-    assert!(wire::decode_stepped_into(&stepped, &mut a.pos).is_err());
+    assert!(view_errors(&field).0[2].is_some());
+    assert!(wire::decode_stepped_into(&stepped, &mut Vec::new()).is_err());
     const { assert!(op::COMPUTE_FIELD != 0x0F && op::RESP_STEPPED != 0x88) };
 
     let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", CouplingWorker::fi);
@@ -388,10 +400,8 @@ proptest! {
             frame[pos] ^= flip;
             let _ = decode_request(&frame);
             let _ = decode_response(&frame);
-            let (mut a, mut b) = (ParticleData::default(), ParticleData::default());
-            let _ = wire::decode_step_into(&frame, &mut a.pos);
-            let _ = wire::decode_compute_field_into(&frame, &mut a, &mut b);
-            let _ = wire::decode_stepped_into(&frame, &mut a.vel);
+            let _ = view_errors(&frame);
+            let _ = wire::decode_stepped_into(&frame, &mut Vec::new());
         }
     }
 }

@@ -245,12 +245,13 @@ fn gadget_step_steady_state_allocates_nothing() {
 
 #[test]
 fn socket_channel_coupler_hot_path_allocates_nothing() {
-    // A real TCP round trip: the coupler-side fast paths must encode
-    // straight from borrowed slices into the channel's reused write
-    // buffer and decode straight into caller-owned buffers. The server
-    // runs on its own thread, so its work is invisible to this thread's
-    // allocation counter — exactly the boundary we are proving.
-    use jc_amuse::{Channel, Response, SocketChannel};
+    // A real TCP round trip: the coupler-side fast paths must send
+    // straight from borrowed slices (one vectored write, the rest into
+    // the connection's reused frame buffer) and decode straight into
+    // caller-owned buffers. The server runs on its own thread, so its
+    // work is invisible to this thread's allocation counter — exactly
+    // the boundary we are proving.
+    use jc_amuse::{Channel, ReactorChannel, Response, SocketChannel};
     let n = 256usize;
     let (addr, handle) = jc_amuse::spawn_tcp_worker("grav", move || {
         jc_amuse::GravityWorker::new(
@@ -263,7 +264,7 @@ fn socket_channel_coupler_hot_path_allocates_nothing() {
     let dv = vec![[1e-9; 3]; n];
     // the bridge's three round trips to a dynamics worker
     let mut t = 0.0;
-    let mut round = |ch: &mut SocketChannel, snap: &mut jc_amuse::worker::ParticleData| {
+    let mut round = |ch: &mut ReactorChannel, snap: &mut jc_amuse::worker::ParticleData| {
         t += 1e-4;
         assert!(ch.snapshot_into(snap));
         ch.submit_step(&dv, 2, t);
@@ -292,14 +293,14 @@ fn field_sets(n_stars: usize, n_gas: usize) -> [jc_amuse::worker::ParticleData; 
 
 #[test]
 fn socket_field_steady_state_allocates_nothing() {
-    use jc_amuse::{Channel, SocketChannel};
+    use jc_amuse::{Channel, ReactorChannel, SocketChannel};
     let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", jc_amuse::CouplingWorker::fi);
     let mut ch = SocketChannel::connect(addr, "fi").unwrap();
     let [stars, gas] = field_sets(128, 512);
     let mut acc = Vec::new();
     // a cold open primes the host, every substep after it is mass-free:
     // both request forms must go quiet once warm
-    let field = |ch: &mut SocketChannel, acc: &mut Vec<[f64; 3]>, prime: bool| {
+    let field = |ch: &mut ReactorChannel, acc: &mut Vec<[f64; 3]>, prime: bool| {
         ch.submit_field(&stars, &gas, prime, (0, 128), (0, 512));
         ch.collect_accelerations_into(acc).expect("the field's accelerations");
     };
@@ -344,11 +345,11 @@ fn server_core_steady_state_allocates_nothing() {
     let dv = vec![[1e-9; 3]; n];
     let (mut snap, mut step, mut kick) = (Vec::new(), Vec::new(), Vec::new());
     wire::encode_simple_request(op::GET_PARTICLES, &mut snap);
-    wire::encode_kick(&dv, &mut kick);
+    wire::kick_frame(&dv).encode(&mut kick);
     let mut t = 0.0;
     let mut round = |core: &mut ServerCore<'_>| {
         t += 1e-4;
-        wire::encode_step(&dv, 2, t, &mut step);
+        wire::step_frame(&dv, 2, t).encode(&mut step);
         serve(core, &mut snap, op::RESP_PARTICLES);
         serve(core, &mut step, op::RESP_STEPPED);
         serve(core, &mut kick, op::RESP_OK);
@@ -364,8 +365,8 @@ fn server_core_steady_state_allocates_nothing() {
     let [stars, gas] = field_sets(128, 512);
     let (mut prime, mut field) = (Vec::new(), Vec::new());
     let masses = Some((&stars.mass[..], &gas.mass[..]));
-    wire::encode_compute_field(&stars.pos, &gas.pos, masses, (0, 128), (0, 512), &mut prime);
-    wire::encode_compute_field(&stars.pos, &gas.pos, None, (0, 128), (0, 512), &mut field);
+    wire::compute_field_frame(&stars.pos, &gas.pos, masses, (0, 128), (0, 512)).encode(&mut prime);
+    wire::compute_field_frame(&stars.pos, &gas.pos, None, (0, 128), (0, 512)).encode(&mut field);
     // a priming request (the cold open's) and a mass-free one (a
     // substep's): both must go quiet once warm
     let mut fields = |core: &mut ServerCore<'_>| {

@@ -1,8 +1,9 @@
 //! jungle-worker — serve one model kernel over TCP.
 //!
 //! The standalone worker process of the AMUSE deployment story: a
-//! coupler (the Bridge) connects with a `SocketChannel` and drives the
-//! kernel over the binary wire protocol. One process serves one worker;
+//! coupler (the Bridge) connects a `ReactorChannel` to it (alone, with
+//! `SocketChannel::connect`, or on a reactor shared with its other
+//! workers) and drives the kernel over the binary wire protocol. One process serves one worker;
 //! a sharded pool is K processes plus `--shard i/K` so each holds its
 //! contiguous slice of the particle range (the same split rule
 //! `ShardedChannel` scatters with).

@@ -16,7 +16,7 @@ use crate::session::{
 };
 use jc_amuse::channel::ChannelStats;
 use jc_amuse::chaos::{FaultPlan, RetryPolicy};
-use jc_amuse::worker::{ParticleData, Response};
+use jc_amuse::worker::ParticleData;
 use jc_amuse::{
     wire, Bridge, BridgeConfig, Checkpoint, EmbeddedCluster, ModelState, RecoveryPolicy,
 };
@@ -302,22 +302,19 @@ impl Service {
     /// not completed, or the spec did not set
     /// [`SessionSpec::keep_snapshot`]).
     pub fn write_snapshot(&self, id: SessionId, w: &mut impl io::Write) -> io::Result<bool> {
-        let frames = {
+        let (mut star_frame, mut gas_frame) = (Vec::new(), Vec::new());
+        {
+            // encoded straight from the kept columns: the lock covers
+            // the encodes, not a clone of either set
             let st = self.shared.state.lock().unwrap();
-            match st.sessions.get(&id).and_then(|r| r.snapshot.as_ref()) {
-                None => return Ok(false),
-                Some((stars, gas)) => {
-                    let mut buf = Vec::new();
-                    let mut out = Vec::new();
-                    wire::encode_response(&Response::Particles(stars.clone()), &mut buf);
-                    out.extend_from_slice(&buf);
-                    wire::encode_response(&Response::Particles(gas.clone()), &mut buf);
-                    out.extend_from_slice(&buf);
-                    out
-                }
-            }
-        };
-        w.write_all(&frames)?;
+            let Some((stars, gas)) = st.sessions.get(&id).and_then(|r| r.snapshot.as_ref()) else {
+                return Ok(false);
+            };
+            wire::encode_particles_frame(&stars.mass, &stars.pos, &stars.vel, &mut star_frame);
+            wire::encode_particles_frame(&gas.mass, &gas.pos, &gas.vel, &mut gas_frame);
+        }
+        w.write_all(&star_frame)?;
+        w.write_all(&gas_frame)?;
         Ok(true)
     }
 

@@ -3,7 +3,8 @@
 //!
 //! Four kernels run behind loopback `WorkerServer`s (what the
 //! `jungle-worker` binary hosts across machines), the coupler drives
-//! them with `SocketChannel`s, and the coupling kick fans out over a
+//! them with `ReactorChannel`s from `SocketChannel::connect`, and the
+//! coupling kick fans out over a
 //! 3-worker `ShardedChannel` pool. At the end the run is compared —
 //! bitwise — against the same bridge over in-process channels: the
 //! transport is physically real but numerically invisible.

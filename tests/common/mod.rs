@@ -196,8 +196,8 @@ pub enum Transport {
     /// [`ThreadChannel`]s: owned requests, served on worker threads —
     /// the codec-free value reference.
     Thread,
-    /// [`SocketChannel`]s: each channel alone on a private reactor,
-    /// every worker behind a loopback TCP server.
+    /// Channels from [`SocketChannel::connect`]: each alone on a private
+    /// reactor, every worker behind a loopback TCP server.
     Socket,
     /// [`ReactorChannel`]s on one shared reactor, every worker behind a
     /// loopback TCP server.

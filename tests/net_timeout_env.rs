@@ -4,8 +4,8 @@
 //! A channel without retry has nothing to do with a timeout but poison
 //! itself, and a paper-scale `EvolveTo` legitimately outlasts any fixed
 //! bound — so a plain channel waits for its reply indefinitely, in both
-//! topologies (a `SocketChannel` on its private reactor, a
-//! `ReactorChannel` on a shared one). The shared-reactor client used to
+//! topologies (a `ReactorChannel` on its private reactor, from
+//! `SocketChannel::connect`, and one on a shared reactor). The shared-reactor client used to
 //! give up after `JC_NET_TIMEOUT_MS` regardless. With retry enabled the
 //! same slow reply takes the transient `TimedOut` path: reconnect,
 //! resend, and the server's dedup keeps the evolve applied once. One
@@ -62,14 +62,14 @@ fn slow_round_trip(connect: impl FnOnce(std::net::SocketAddr) -> Box<dyn Channel
 fn net_timeout_bounds_only_retry_enabled_channels() {
     std::env::set_var("JC_NET_TIMEOUT_MS", "50");
 
-    let plain = slow_round_trip(|addr| Box::new(SocketChannel::connect(addr, "facade").unwrap()));
-    assert_eq!(plain, (0, 1), "plain SocketChannel must simply wait");
+    let plain = slow_round_trip(|addr| Box::new(SocketChannel::connect(addr, "private").unwrap()));
+    assert_eq!(plain, (0, 1), "a plain channel on a private reactor must simply wait");
 
     let reactor = Reactor::new_shared().unwrap();
     let plain = slow_round_trip(|addr| {
         Box::new(ReactorChannel::connect(&reactor, addr, "shared").unwrap())
     });
-    assert_eq!(plain, (0, 1), "plain ReactorChannel must simply wait");
+    assert_eq!(plain, (0, 1), "a plain channel on a shared reactor must simply wait");
 
     let retry = RetryPolicy { max_retries: 12, backoff_base_ms: 1, ..RetryPolicy::standard(1) };
     let (retries, evolves) = slow_round_trip(|addr| {

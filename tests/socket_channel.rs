@@ -1,11 +1,12 @@
-//! The transport contract on its `Socket` row: each [`SocketChannel`]
-//! alone on a private reactor, every worker behind a loopback TCP
+//! The transport contract on its `Socket` row: each channel opened by
+//! [`SocketChannel::connect`], alone on a private reactor, every worker
+//! behind a loopback TCP
 //! server. A whole bridge over it is bitwise equal to the naive oracle,
 //! and its byte counters, measured from real traffic, equal the modeled
 //! `wire_size()` sums. The bodies live in the shared harness
 //! (`tests/common/mod.rs`), which runs them on every TCP row.
 //!
-//! [`SocketChannel`]: jungle::amuse::SocketChannel
+//! [`SocketChannel::connect`]: jungle::amuse::SocketChannel::connect
 
 mod common;
 

@@ -16,6 +16,7 @@
 //! | `env-registry` | every `std::env::var("JC_*")` read is registered in `jc_core::envreg` and documented in the README |
 //! | `doc-refs` | every `BENCH_*.json`, back-ticked repo path and back-ticked crate path (`jc_<x>::…`) that README.md, docs/ARCHITECTURE.md or CHANGES.md's newest entry names exists |
 //! | `pub-callers` | every `pub` item defined in a library crate's `src` is named by some other workspace file, or by its own file outside its definition and its tests |
+//! | `wide-simd` | no crate source names a 256- or 512-bit x86 intrinsic: a SIMD kernel is one portable body instantiated under `#[target_feature]` |
 //!
 //! Like the offline shims, the tool is dependency-free: a small
 //! hand-rolled lexer ([`lexer`]) over the workspace sources, plus one
@@ -235,6 +236,9 @@ pub fn run_all(root: &Path) -> Vec<Diagnostic> {
         diags.extend(lints::no_alloc::check(f));
         if lints::determinism::in_scope(&f.path) {
             diags.extend(lints::determinism::check(f));
+        }
+        if lints::wide_simd::in_scope(&f.path) {
+            diags.extend(lints::wide_simd::check(f));
         }
     }
 

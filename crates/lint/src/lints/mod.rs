@@ -1,4 +1,4 @@
-//! The seven contract lints.
+//! The eight contract lints.
 //!
 //! Each submodule is one pass over a [`crate::SourceFile`] token stream
 //! (plus, for the cross-file contracts, the registry/README/worker
@@ -13,4 +13,5 @@ pub mod env_registry;
 pub mod no_alloc;
 pub mod pub_callers;
 pub mod unsafe_audit;
+pub mod wide_simd;
 pub mod wire;

@@ -28,7 +28,7 @@ fn main() -> ExitCode {
                     "jc-lint: workspace invariant checker\n\n\
                      USAGE: jc-lint [--root DIR] [--write-ledger]\n\n\
                      Lints: unsafe-audit, wire-exhaustiveness, no-alloc, determinism, env-registry,\n\
-                     doc-refs, pub-callers.\n\
+                     doc-refs, pub-callers, wide-simd.\n\
                      Waive a line with `// jc-lint: allow(<lint>): <reason>`;\n\
                      the reason is mandatory."
                 );
@@ -71,7 +71,7 @@ fn main() -> ExitCode {
 
     let diags = jc_lint::run_all(&root);
     if diags.is_empty() {
-        println!("jc-lint: workspace clean (7 lints, 0 findings)");
+        println!("jc-lint: workspace clean (8 lints, 0 findings)");
         return ExitCode::SUCCESS;
     }
     for d in &diags {

@@ -3,7 +3,7 @@
 //! the real workspace itself must be clean.
 
 use jc_lint::lints::{
-    determinism, doc_refs, env_registry, no_alloc, pub_callers, unsafe_audit, wire,
+    determinism, doc_refs, env_registry, no_alloc, pub_callers, unsafe_audit, wide_simd, wire,
 };
 use jc_lint::{Diagnostic, SourceFile};
 use std::path::PathBuf;
@@ -174,6 +174,23 @@ fn determinism_pool_fail_fixture_exact_diagnostics() {
 fn determinism_pool_pass_fixture_is_quiet() {
     let f = fixture("pass/determinism_pool.rs", "crates/compute/src/pool.rs");
     let d = determinism::check(&f);
+    assert!(d.is_empty(), "{d:#?}");
+}
+
+#[test]
+fn wide_simd_fail_fixture_exact_diagnostics() {
+    let path = "crates/nbody/src/fixture.rs";
+    assert!(wide_simd::in_scope(path), "fixture path must be a crate source");
+    let f = fixture("fail/wide_simd.rs", path);
+    let d = wide_simd::check(&f);
+    assert_eq!(lines(&d), vec![(11, "wide-simd"), (12, "wide-simd"), (18, "wide-simd")], "{d:#?}");
+    assert!(d[1].message.contains("add_pd"), "{d:#?}");
+}
+
+#[test]
+fn wide_simd_pass_fixture_is_quiet() {
+    let f = fixture("pass/wide_simd.rs", "crates/nbody/src/fixture.rs");
+    let d = wide_simd::check(&f);
     assert!(d.is_empty(), "{d:#?}");
 }
 

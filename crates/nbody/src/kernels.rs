@@ -3,6 +3,7 @@
 use jc_compute::par;
 use jc_compute::soa::{reduce_lanes, SoaBodies, LANES};
 use std::cell::RefCell;
+use std::hint::select_unpredictable;
 
 /// Floating-point operations per pairwise force+jerk interaction, used by
 /// the jungle performance model (counted from the inner loop below:
@@ -118,7 +119,8 @@ impl Targets<'_> {
 }
 
 /// [`acc_jerk`] writing into caller-provided slices (`acc.len() ==
-/// jerk.len() == t_pos.len()`, validated once per call) — the
+/// jerk.len() == t_pos.len()`, and the three source columns one length,
+/// validated once per call for every backend) — the
 /// zero-allocation steady-state path for [`Backend::Scalar`] and, once
 /// their thread-local SoA mirror is warm, for the SoA backends (pooled
 /// workers write each target's row in place).
@@ -148,6 +150,8 @@ pub fn acc_jerk_into(
     acc: &mut [[f64; 3]],
     jerk: &mut [[f64; 3]],
 ) {
+    assert_eq!(s_pos.len(), s_mass.len(), "source column length mismatch");
+    assert_eq!(s_vel.len(), s_mass.len(), "source column length mismatch");
     let targets = Targets::Rows { pos: t_pos, vel: t_vel, same_set };
     match backend {
         Backend::Scalar => acc_jerk_scalar(targets, s_mass, s_pos, s_vel, eps2, acc, jerk),
@@ -226,14 +230,16 @@ pub(crate) fn acc_jerk_soa(
 }
 
 /// One worker chunk of SoA targets, dispatched once per chunk to the
-/// widest available instruction set.
+/// widest available instruction set: one body
+/// ([`acc_jerk_simd_chunk_body`]), instantiated for the baseline and
+/// inside an AVX2 wrapper, as in `jc_compute::gravity`.
 ///
 /// rustc compiles for baseline x86-64 (SSE2) by default, which caps the
-/// packed `sqrt`/`div` the lane loop turns into at 2 doubles; the AVX2
-/// clone of the same body runs them 4 wide. Both clones execute the
-/// *identical* sequence of IEEE operations (no fast-math, no fused
-/// multiply-add contraction), so results are bitwise identical across
-/// the dispatch — the golden vectors hold on any machine.
+/// packed `sqrt`/`div` at 2 doubles; the AVX2 instantiation runs them 4
+/// wide. Both execute the *identical* sequence of IEEE operations (no
+/// fast-math, no fused multiply-add contraction), so results are bitwise
+/// identical across the dispatch — the golden vectors hold on any
+/// machine.
 fn acc_jerk_simd_chunk(
     s0: usize,
     targets: Targets,
@@ -244,27 +250,17 @@ fn acc_jerk_simd_chunk(
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 clone is only reached when the CPU reports
-        // the feature at runtime.
+        // SAFETY: the avx2 instantiation is only reached when the CPU
+        // reports the feature at runtime.
         return unsafe { acc_jerk_simd_chunk_avx2(s0, targets, src, eps2, ac, jc) };
     }
     acc_jerk_simd_chunk_body(s0, targets, src, eps2, ac, jc);
 }
 
-/// AVX2 implementation of [`acc_jerk_simd_chunk_body`]: the identical
-/// sequence of IEEE operations, written as explicit 4-wide packed
-/// intrinsics (the auto-vectorizer settles for 128-bit SLP on this
-/// body, leaving half the `sqrt`/`div` throughput on the table). The
-/// self-interaction mask compares an exact-integer f64 index vector
-/// against the target's source index — lanes that match get mass 0 and
-/// divisor 1, exactly like the scalar select — so results stay bitwise
-/// equal to the portable body.
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on `is_x86_feature_detected!("avx2")`,
-// so the AVX2 instructions are never executed on a CPU without them.
+/// [`acc_jerk_simd_chunk_body`] compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn acc_jerk_simd_chunk_avx2(
+fn acc_jerk_simd_chunk_avx2(
     s0: usize,
     targets: Targets,
     src: &SoaBodies,
@@ -272,132 +268,23 @@ unsafe fn acc_jerk_simd_chunk_avx2(
     ac: &mut [[f64; 3]],
     jc: &mut [[f64; 3]],
 ) {
-    use std::arch::x86_64::*;
-    let (sx, sy, sz) = (src.pos.x.as_slice(), src.pos.y.as_slice(), src.pos.z.as_slice());
-    let (svx, svy, svz) = (src.vel.x.as_slice(), src.vel.y.as_slice(), src.vel.z.as_slice());
-    let sm = src.mass.as_slice();
-    let n = sm.len();
-    let batches = n / LANES;
-    // SAFETY: every `_mm256_load_pd(ptr.add(o))` reads LANES f64s at
-    // offset `o = b * LANES` with `b < n / LANES`, so `o + LANES <= n`
-    // stays in bounds of each SoA slice (`SoaBodies` keeps all columns
-    // equal length). The aligned load's 32-byte requirement holds
-    // because `AlignedF64` storage is 64-byte (cache-line) aligned and
-    // `o` is a multiple of LANES = 4 (4 × 8 bytes = 32). The `storeu`
-    // spills target local stack arrays, and the AVX2 intrinsics
-    // themselves are available per the `#[target_feature]` contract
-    // discharged at the call site.
-    unsafe {
-        let eps2v = _mm256_set1_pd(eps2);
-        let ones = _mm256_set1_pd(1.0);
-        let three = _mm256_set1_pd(3.0);
-        let step = _mm256_set1_pd(LANES as f64);
-        for (k, (a, j)) in ac.iter_mut().zip(jc.iter_mut()).enumerate() {
-            let (i, [pix, piy, piz], [vix, viy, viz]) =
-                targets.get(s0 + k, |i| ([sx[i], sy[i], sz[i]], [svx[i], svy[i], svz[i]]));
-            let (pxv, pyv, pzv) = (_mm256_set1_pd(pix), _mm256_set1_pd(piy), _mm256_set1_pd(piz));
-            let (vxv, vyv, vzv) = (_mm256_set1_pd(vix), _mm256_set1_pd(viy), _mm256_set1_pd(viz));
-            // lane indices as exact-integer f64s; a never-matching
-            // sentinel turns the self-mask off for cross-set sums
-            let iv = _mm256_set1_pd(if i == NO_SELF { -1.0 } else { i as f64 });
-            let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-            let mut axv = _mm256_setzero_pd();
-            let mut ayv = _mm256_setzero_pd();
-            let mut azv = _mm256_setzero_pd();
-            let mut jxv = _mm256_setzero_pd();
-            let mut jyv = _mm256_setzero_pd();
-            let mut jzv = _mm256_setzero_pd();
-            for b in 0..batches {
-                let o = b * LANES;
-                let dx = _mm256_sub_pd(_mm256_load_pd(sx.as_ptr().add(o)), pxv);
-                let dy = _mm256_sub_pd(_mm256_load_pd(sy.as_ptr().add(o)), pyv);
-                let dz = _mm256_sub_pd(_mm256_load_pd(sz.as_ptr().add(o)), pzv);
-                let dvx = _mm256_sub_pd(_mm256_load_pd(svx.as_ptr().add(o)), vxv);
-                let dvy = _mm256_sub_pd(_mm256_load_pd(svy.as_ptr().add(o)), vyv);
-                let dvz = _mm256_sub_pd(_mm256_load_pd(svz.as_ptr().add(o)), vzv);
-                let r2 = _mm256_add_pd(
-                    _mm256_add_pd(
-                        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                        _mm256_mul_pd(dz, dz),
-                    ),
-                    eps2v,
-                );
-                let mask = _mm256_cmp_pd::<_CMP_EQ_OQ>(idx, iv);
-                idx = _mm256_add_pd(idx, step);
-                let m = _mm256_andnot_pd(mask, _mm256_load_pd(sm.as_ptr().add(o)));
-                let r2g = _mm256_blendv_pd(r2, ones, mask);
-                let inv_r = _mm256_div_pd(ones, _mm256_sqrt_pd(r2g));
-                let inv_r2 = _mm256_mul_pd(inv_r, inv_r);
-                let inv_r3 = _mm256_mul_pd(inv_r2, inv_r);
-                let rv = _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(dx, dvx), _mm256_mul_pd(dy, dvy)),
-                    _mm256_mul_pd(dz, dvz),
-                );
-                let alpha = _mm256_mul_pd(_mm256_mul_pd(three, rv), inv_r2);
-                let mir3 = _mm256_mul_pd(m, inv_r3);
-                axv = _mm256_add_pd(axv, _mm256_mul_pd(mir3, dx));
-                ayv = _mm256_add_pd(ayv, _mm256_mul_pd(mir3, dy));
-                azv = _mm256_add_pd(azv, _mm256_mul_pd(mir3, dz));
-                jxv = _mm256_add_pd(
-                    jxv,
-                    _mm256_mul_pd(mir3, _mm256_sub_pd(dvx, _mm256_mul_pd(alpha, dx))),
-                );
-                jyv = _mm256_add_pd(
-                    jyv,
-                    _mm256_mul_pd(mir3, _mm256_sub_pd(dvy, _mm256_mul_pd(alpha, dy))),
-                );
-                jzv = _mm256_add_pd(
-                    jzv,
-                    _mm256_mul_pd(mir3, _mm256_sub_pd(dvz, _mm256_mul_pd(alpha, dz))),
-                );
-            }
-            let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-            let (mut jxl, mut jyl, mut jzl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-            _mm256_storeu_pd(axl.as_mut_ptr(), axv);
-            _mm256_storeu_pd(ayl.as_mut_ptr(), ayv);
-            _mm256_storeu_pd(azl.as_mut_ptr(), azv);
-            _mm256_storeu_pd(jxl.as_mut_ptr(), jxv);
-            _mm256_storeu_pd(jyl.as_mut_ptr(), jyv);
-            _mm256_storeu_pd(jzl.as_mut_ptr(), jzv);
-            let o = batches * LANES;
-            for jj in o..n {
-                let l = jj - o;
-                let dx = sx[jj] - pix;
-                let dy = sy[jj] - piy;
-                let dz = sz[jj] - piz;
-                let dvx = svx[jj] - vix;
-                let dvy = svy[jj] - viy;
-                let dvz = svz[jj] - viz;
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let (m, r2g) = if jj == i { (0.0, 1.0) } else { (sm[jj], r2) };
-                let inv_r = 1.0 / r2g.sqrt();
-                let inv_r2 = inv_r * inv_r;
-                let inv_r3 = inv_r2 * inv_r;
-                let rv = dx * dvx + dy * dvy + dz * dvz;
-                let alpha = 3.0 * rv * inv_r2;
-                let mir3 = m * inv_r3;
-                axl[l] += mir3 * dx;
-                ayl[l] += mir3 * dy;
-                azl[l] += mir3 * dz;
-                jxl[l] += mir3 * (dvx - alpha * dx);
-                jyl[l] += mir3 * (dvy - alpha * dy);
-                jzl[l] += mir3 * (dvz - alpha * dz);
-            }
-            *a = [reduce_lanes(axl), reduce_lanes(ayl), reduce_lanes(azl)];
-            *j = [reduce_lanes(jxl), reduce_lanes(jyl), reduce_lanes(jzl)];
-        }
-    }
+    acc_jerk_simd_chunk_body(s0, targets, src, eps2, ac, jc);
 }
 
 /// The SoA inner loops: for each target in the chunk (targets
 /// `s0..s0 + ac.len()` of the call), scan the source columns in batches
 /// of [`LANES`], lane `l` of a batch accumulating source `o + l`; the
 /// `< LANES` tail lands in lanes `0..tail`, and the accumulators are
-/// reduced with [`reduce_lanes`]. The batch body is branch-free (the
-/// self-interaction is masked by zeroing the mass and guarding the
-/// divisor, so an unsoftened pair never divides by zero) and reads the
-/// columns through fixed-size array refs, so the compiler lowers it to
-/// packed loads, `sqrt`s and `div`s over the aligned columns.
+/// reduced with [`reduce_lanes`] ([`reduce_target`]). A batch is
+/// straight-line arithmetic on `[f64; LANES]` arrays, one array per
+/// quantity, which the compiler turns into one packed operation per step
+/// at the width of the instantiation. Every batch masks the
+/// self-interaction the same way: a per-lane `select_unpredictable`
+/// zeroes the mass and guards the divisor (so an unsoftened pair never
+/// divides by zero). The select keeps the batch branch-free; a branch to
+/// a masked variant only in the batch that holds the target, or a store
+/// through a runtime lane index, loses the packed form (both measured
+/// ≈ 2.5× slower at AVX2).
 #[inline(always)]
 fn acc_jerk_simd_chunk_body(
     s0: usize,
@@ -417,74 +304,80 @@ fn acc_jerk_simd_chunk_body(
             targets.get(s0 + k, |i| ([sx[i], sy[i], sz[i]], [svx[i], svy[i], svz[i]]));
         let (mut axl, mut ayl, mut azl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
         let (mut jxl, mut jyl, mut jzl) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
-        // One lane of the whole scan is the self-interaction (at most):
-        // keep the hot batch body select-free and route only the batch
-        // containing source `i` through the masked variant.
-        macro_rules! lane {
-            ($l:expr, $o:expr, $xs:expr, $ys:expr, $zs:expr, $vxs:expr, $vys:expr, $vzs:expr,
-             $ms:expr, $masked:expr) => {{
-                let l = $l;
-                let dx = $xs[l] - pix;
-                let dy = $ys[l] - piy;
-                let dz = $zs[l] - piz;
-                let dvx = $vxs[l] - vix;
-                let dvy = $vys[l] - viy;
-                let dvz = $vzs[l] - viz;
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let (m, r2g) = if $masked && $o + l == i { (0.0, 1.0) } else { ($ms[l], r2) };
-                let inv_r = 1.0 / r2g.sqrt();
-                let inv_r2 = inv_r * inv_r;
-                let inv_r3 = inv_r2 * inv_r;
-                let rv = dx * dvx + dy * dvy + dz * dvz;
-                let alpha = 3.0 * rv * inv_r2;
-                let mir3 = m * inv_r3;
-                axl[l] += mir3 * dx;
-                ayl[l] += mir3 * dy;
-                azl[l] += mir3 * dz;
-                jxl[l] += mir3 * (dvx - alpha * dx);
-                jyl[l] += mir3 * (dvy - alpha * dy);
-                jzl[l] += mir3 * (dvz - alpha * dz);
-            }};
-        }
         for b in 0..batches {
             let o = b * LANES;
-            let xs: &[f64; LANES] = sx[o..o + LANES].try_into().unwrap();
-            let ys: &[f64; LANES] = sy[o..o + LANES].try_into().unwrap();
-            let zs: &[f64; LANES] = sz[o..o + LANES].try_into().unwrap();
-            let vxs: &[f64; LANES] = svx[o..o + LANES].try_into().unwrap();
-            let vys: &[f64; LANES] = svy[o..o + LANES].try_into().unwrap();
-            let vzs: &[f64; LANES] = svz[o..o + LANES].try_into().unwrap();
-            let ms: &[f64; LANES] = sm[o..o + LANES].try_into().unwrap();
-            if i.wrapping_sub(o) < LANES {
-                for l in 0..LANES {
-                    lane!(l, o, xs, ys, zs, vxs, vys, vzs, ms, true);
-                }
-            } else {
-                for l in 0..LANES {
-                    lane!(l, o, xs, ys, zs, vxs, vys, vzs, ms, false);
-                }
-            }
+            let col = |c: &[f64]| -> [f64; LANES] { c[o..o + LANES].try_into().unwrap() };
+            let (xs, ys, zs, ms) = (col(sx), col(sy), col(sz), col(sm));
+            let (vxs, vys, vzs) = (col(svx), col(svy), col(svz));
+            let dx = lanes(|l| xs[l] - pix);
+            let dy = lanes(|l| ys[l] - piy);
+            let dz = lanes(|l| zs[l] - piz);
+            let dvx = lanes(|l| vxs[l] - vix);
+            let dvy = lanes(|l| vys[l] - viy);
+            let dvz = lanes(|l| vzs[l] - viz);
+            let r2 = lanes(|l| dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l] + eps2);
+            let own = lanes(|l| o + l == i);
+            let m = lanes(|l| select_unpredictable(own[l], 0.0, ms[l]));
+            let r2g = lanes(|l| select_unpredictable(own[l], 1.0, r2[l]));
+            let inv_r = lanes(|l| 1.0 / r2g[l].sqrt());
+            let inv_r2 = lanes(|l| inv_r[l] * inv_r[l]);
+            let inv_r3 = lanes(|l| inv_r2[l] * inv_r[l]);
+            let rv = lanes(|l| dx[l] * dvx[l] + dy[l] * dvy[l] + dz[l] * dvz[l]);
+            let alpha = lanes(|l| 3.0 * rv[l] * inv_r2[l]);
+            let mir3 = lanes(|l| m[l] * inv_r3[l]);
+            axl = lanes(|l| axl[l] + mir3[l] * dx[l]);
+            ayl = lanes(|l| ayl[l] + mir3[l] * dy[l]);
+            azl = lanes(|l| azl[l] + mir3[l] * dz[l]);
+            jxl = lanes(|l| jxl[l] + mir3[l] * (dvx[l] - alpha[l] * dx[l]));
+            jyl = lanes(|l| jyl[l] + mir3[l] * (dvy[l] - alpha[l] * dy[l]));
+            jzl = lanes(|l| jzl[l] + mir3[l] * (dvz[l] - alpha[l] * dz[l]));
         }
-        {
-            let o = batches * LANES;
-            for jj in o..n {
-                lane!(
-                    jj - o,
-                    o,
-                    &sx[o..],
-                    &sy[o..],
-                    &sz[o..],
-                    &svx[o..],
-                    &svy[o..],
-                    &svz[o..],
-                    &sm[o..],
-                    true
-                );
-            }
+        let o = batches * LANES;
+        for jj in o..n {
+            let l = jj - o;
+            let dx = sx[jj] - pix;
+            let dy = sy[jj] - piy;
+            let dz = sz[jj] - piz;
+            let dvx = svx[jj] - vix;
+            let dvy = svy[jj] - viy;
+            let dvz = svz[jj] - viz;
+            let r2 = dx * dx + dy * dy + dz * dz + eps2;
+            let (m, r2g) = if jj == i { (0.0, 1.0) } else { (sm[jj], r2) };
+            let inv_r = 1.0 / r2g.sqrt();
+            let inv_r2 = inv_r * inv_r;
+            let inv_r3 = inv_r2 * inv_r;
+            let rv = dx * dvx + dy * dvy + dz * dvz;
+            let alpha = 3.0 * rv * inv_r2;
+            let mir3 = m * inv_r3;
+            axl[l] += mir3 * dx;
+            ayl[l] += mir3 * dy;
+            azl[l] += mir3 * dz;
+            jxl[l] += mir3 * (dvx - alpha * dx);
+            jyl[l] += mir3 * (dvy - alpha * dy);
+            jzl[l] += mir3 * (dvz - alpha * dz);
         }
-        *a = [reduce_lanes(axl), reduce_lanes(ayl), reduce_lanes(azl)];
-        *j = [reduce_lanes(jxl), reduce_lanes(jyl), reduce_lanes(jzl)];
+        reduce_target(&[axl, ayl, azl, jxl, jyl, jzl], a, j);
     }
+}
+
+/// Fold one target's lane accumulators (`x/y/z` acceleration, then
+/// `x/y/z` jerk) into its rows with [`reduce_lanes`]. Out of line on
+/// purpose: inlined, the six reductions feed adjacent output stores,
+/// LLVM's SLP vectorizer grows those stores' x/y pairs back through the
+/// accumulators into the batch loop, and the loop then runs two
+/// quantities per vector instead of [`LANES`] sources (≈ 2× slower at
+/// AVX2). Behind the call the accumulators reach memory lane by lane.
+#[inline(never)]
+fn reduce_target(acc: &[[f64; LANES]; 6], a: &mut [f64; 3], j: &mut [f64; 3]) {
+    let [ax, ay, az, jx, jy, jz] = acc.map(reduce_lanes);
+    *a = [ax, ay, az];
+    *j = [jx, jy, jz];
+}
+
+/// One value per lane: `f(l)` for every lane `l` of a batch.
+#[inline(always)]
+fn lanes<T>(f: impl FnMut(usize) -> T) -> [T; LANES] {
+    std::array::from_fn(f)
 }
 
 /// Gravitational potential of each target due to the sources (for energy
@@ -503,7 +396,8 @@ pub fn potential(
 }
 
 /// Gravitational potential of each target written into `phi`
-/// (`phi.len() == t_pos.len()`). [`Backend::Scalar`] accumulates
+/// (`phi.len() == t_pos.len()`, and `s_pos` as long as `s_mass`, for
+/// every backend). [`Backend::Scalar`] accumulates
 /// sequentially over sources; every other backend uses the
 /// [`LANES`]-wide lane accumulators with the fixed [`reduce_lanes`]
 /// order (bitwise identical to each other, any worker count).
@@ -519,6 +413,7 @@ pub fn potential_into(
 ) {
     let n = t_pos.len();
     assert_eq!(phi.len(), n, "phi buffer length mismatch");
+    assert_eq!(s_pos.len(), s_mass.len(), "source column length mismatch");
     let one = |i: usize, out: &mut f64| {
         let pi = t_pos[i];
         let mut phi = 0.0;
@@ -580,12 +475,9 @@ fn potential_simd_chunk(
 }
 
 /// [`potential_simd_chunk_body`] compiled for AVX2.
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on runtime detection of the
-// feature. The body is safe code.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn potential_simd_chunk_avx2(
+fn potential_simd_chunk_avx2(
     s0: usize,
     t_pos: &[[f64; 3]],
     src: &SoaBodies,
@@ -792,21 +684,34 @@ mod tests {
     fn simd_portable_body_matches_dispatched_path_bitwise() {
         // the golden vectors must hold on machines without AVX2: the
         // portable fallback body and whatever the runtime dispatch
-        // picked execute the identical IEEE operation sequence
-        let (m, p, v) = lcg_cloud(77, 21);
-        let (a0, j0) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
+        // picked execute the identical IEEE operation sequence. Swept
+        // over every batch shape — whole batches, 1–3 tail lanes, none —
+        // so the self-pair of a same-set sum lands in every lane of a
+        // full batch and of the tail; cross-set targets have none; and
+        // the unsoftened self-pair must be masked, not divided by.
         let mut soa = SoaBodies::new();
-        soa.fill_from(&m, &p, &v);
-        let mut a1 = vec![[0.0; 3]; 77];
-        let mut j1 = vec![[0.0; 3]; 77];
-        let rows = Targets::Rows { pos: &p, vel: &v, same_set: true };
-        acc_jerk_simd_chunk_body(0, rows, &soa, 1e-4, &mut a1, &mut j1);
-        assert_eq!(a0, a1, "portable SimdSoa body diverges from dispatched acc");
-        assert_eq!(j0, j1, "portable SimdSoa body diverges from dispatched jerk");
-        // potential, on every batch shape: whole batches, 1–3 tail lanes
-        // (the self-pair in the masked batch or in the tail), none; and
-        // the unsoftened self-pair
-        let (_, others, _) = lcg_cloud(9, 4);
+        let (_, others, other_vel) = lcg_cloud(9, 4);
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 31, 64, 97, 130] {
+            let (m, p, v) = lcg_cloud(n, 21);
+            soa.fill_from(&m, &p, &v);
+            for (tp, tv, same_set) in [(&p, &v, true), (&others, &other_vel, false)] {
+                for eps2 in [1e-4, 0.0] {
+                    let case = format!("n={n}, same_set={same_set}, eps2={eps2}");
+                    let (a0, j0) = acc_jerk(Backend::SimdSoa, tp, tv, &m, &p, &v, eps2, same_set);
+                    let mut a1 = vec![[f64::NAN; 3]; tp.len()];
+                    let mut j1 = vec![[f64::NAN; 3]; tp.len()];
+                    let rows = Targets::Rows { pos: tp, vel: tv, same_set };
+                    acc_jerk_simd_chunk_body(0, rows, &soa, eps2, &mut a1, &mut j1);
+                    assert_eq!(a0, a1, "acc: {case}");
+                    assert_eq!(j0, j1, "jerk: {case}");
+                    // and the one body sums the right pairs
+                    let (a2, j2) = acc_jerk(Backend::Scalar, tp, tv, &m, &p, &v, eps2, same_set);
+                    assert_close(&a1, &a2, 1e-12, &format!("acc vs scalar: {case}"));
+                    assert_close(&j1, &j2, 1e-12, &format!("jerk vs scalar: {case}"));
+                }
+            }
+        }
+        // potential, on the same shapes
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 31, 64, 97, 130] {
             let (m, p, _) = lcg_cloud(n, 21);
             soa.fill_from_positions(&m, &p);
@@ -871,6 +776,31 @@ mod tests {
         assert!(a1.iter().flatten().all(|x| x.is_finite()), "{a1:?}");
         assert_close(&a1, &a0, 1e-12, "acc");
         assert_close(&j1, &j0, 1e-12, "jerk");
+    }
+
+    // Ragged source columns are refused at entry by every backend; the
+    // scalar loops would otherwise zip them down to the shortest.
+    #[test]
+    #[should_panic(expected = "source column length mismatch")]
+    fn acc_jerk_rejects_ragged_source_columns() {
+        let (m, p, v) = lcg_cloud(5, 2);
+        acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v[..4], 1e-4, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "source column length mismatch")]
+    fn acc_jerk_into_rejects_ragged_source_columns() {
+        let (m, p, v) = lcg_cloud(5, 2);
+        let (mut a, mut j) = (vec![[0.0; 3]; 5], vec![[0.0; 3]; 5]);
+        acc_jerk_into(Backend::Scalar, &p, &v, &m, &p[..4], &v, 1e-4, false, &mut a, &mut j);
+    }
+
+    #[test]
+    #[should_panic(expected = "source column length mismatch")]
+    fn potential_into_rejects_ragged_source_columns() {
+        let (m, p, _) = lcg_cloud(5, 2);
+        let mut phi = vec![0.0; 5];
+        potential_into(Backend::Scalar, &p, &m[..4], &p, 1e-4, false, &mut phi);
     }
 
     #[test]

@@ -135,10 +135,10 @@ fn acc_jerk_into_matches_pre_refactor_golden() {
 // The SoA compute path sums sources lane-by-lane (fixed 4-wide batches,
 // pairwise lane reduction), so its results differ from the scalar
 // reference by rounding — it gets its *own* golden vectors, captured from
-// the same 24-particle cloud. The AVX2 intrinsics clone and the portable
-// fallback body execute the identical IEEE operation sequence, so these
-// bits hold on any machine (pinned by a unit test comparing the two
-// bodies directly in `jc_nbody::kernels`).
+// the same 24-particle cloud. The baseline and AVX2 instantiations of the
+// one portable body execute the identical IEEE operation sequence, so
+// these bits hold on any machine (pinned by a unit test comparing the two
+// instantiations directly in `jc_nbody::kernels`).
 
 #[rustfmt::skip]
 const GOLDEN_SIMD_ACC: [u64; N * 3] = [

@@ -400,12 +400,9 @@ pub fn sweep_within(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u
 }
 
 /// [`sweep_body`] compiled for AVX2.
-// SAFETY: `#[target_feature(enable = "avx2")]` makes this fn unsafe to
-// call; the only call site is gated on runtime detection of the
-// feature. The body is safe code.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn sweep_within_avx2(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64)) {
+fn sweep_within_avx2(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64)) {
     sweep_body(cols, center, radius, f);
 }
 

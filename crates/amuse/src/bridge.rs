@@ -123,6 +123,7 @@ use crate::channel::Channel;
 use crate::checkpoint::{Checkpoint, CheckpointError, ModelState, Role};
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
+use std::time::{Duration, Instant};
 
 /// Supernova thermal energy deposited per event (N-body energy units).
 const SN_ENERGY: f64 = 0.2;
@@ -260,6 +261,37 @@ pub struct IterationReport {
     pub kicks_reapplied: u32,
     /// Call-sequence trace (only when `cfg.trace`).
     pub trace: Vec<String>,
+    /// Per-role wall time, indexed by role tag ([`IterationReport::wall`]).
+    role_wall: [Duration; 4],
+}
+
+impl IterationReport {
+    /// Wall time the iteration spent on `role`'s requests: for each
+    /// request, the time inside its submit plus the time from the end of
+    /// its phase's submits to its collect. Over a pipelined channel the
+    /// second part is the model's turnaround; over an in-process one,
+    /// which serves a request inside its submit, the first part is the
+    /// model's compute. Gravity and hydro are outstanding together over a
+    /// pipelined channel, so the roles can sum to more than the
+    /// iteration's wall time. Booked at the channel boundaries only: no
+    /// clock is read inside a model.
+    pub fn wall(&self, role: Role) -> Duration {
+        self.role_wall[role.tag() as usize]
+    }
+
+    /// Book one request of `role`: `submit` spent in its submit, and the
+    /// wait from `submitted` (the end of its phase's submits) to now.
+    fn book(&mut self, role: Role, submit: Duration, submitted: Instant) {
+        self.role_wall[role.tag() as usize] += submit + submitted.elapsed();
+    }
+
+    /// Run one whole request of `role`, submit to collect, and book it.
+    fn timed<T>(&mut self, role: Role, request: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let answer = request();
+        self.book(role, Duration::ZERO, t0);
+        answer
+    }
 }
 
 /// Reusable buffers for the substeps, held across steps so an iteration
@@ -434,10 +466,15 @@ impl Bridge {
             // parallel"); both responses are collected before either is
             // judged so the pipelines stay clean even when one worker died
             let (dv_stars, dv_gas) = self.scratch.dv.split_at(self.scratch.stars.mass.len());
+            let t0 = Instant::now();
             self.gravity.submit_step(dv_stars, n, t_next);
+            let t1 = Instant::now();
             self.hydro.submit_step(dv_gas, n, t_next);
+            let t2 = Instant::now();
             let rg = self.gravity.collect_step_into(&mut self.scratch.stars);
+            rep.book(Role::Gravity, t1 - t0, t2);
             let rh = self.hydro.collect_step_into(&mut self.scratch.gas);
+            rep.book(Role::Hydro, t2 - t1, t2);
             expect_stepped(Role::Gravity, rg, &self.scratch.stars)?;
             expect_stepped(Role::Hydro, rh, &self.scratch.gas)?;
             // the closing p-kick's field; it is applied by the next
@@ -447,10 +484,15 @@ impl Bridge {
             self.time = t_next;
         }
         let (dv_stars, dv_gas) = self.scratch.dv.split_at(self.scratch.stars.mass.len());
+        let t0 = Instant::now();
         self.gravity.submit_kick_slice(dv_stars);
+        let t1 = Instant::now();
         self.hydro.submit_kick_slice(dv_gas);
+        let t2 = Instant::now();
         let rg = self.gravity.collect_kick();
+        rep.book(Role::Gravity, t1 - t0, t2);
         let rh = self.hydro.collect_kick();
+        rep.book(Role::Hydro, t2 - t1, t2);
         expect_ok(Role::Gravity, "kick", rg)?;
         expect_ok(Role::Hydro, "kick", rh)?;
         self.iterations += 1;
@@ -490,10 +532,15 @@ impl Bridge {
     /// the field there — the one field request of the mass epoch that
     /// carries masses, priming the coupling hosts.
     fn open(&mut self, rep: &mut IterationReport) -> Result<(), BridgeError> {
+        let t0 = Instant::now();
         self.gravity.submit_snapshot();
+        let t1 = Instant::now();
         self.hydro.submit_snapshot();
+        let t2 = Instant::now();
         let got_stars = self.gravity.collect_snapshot_into(&mut self.scratch.stars);
+        rep.book(Role::Gravity, t1 - t0, t2);
         let got_gas = self.hydro.collect_snapshot_into(&mut self.scratch.gas);
+        rep.book(Role::Hydro, t2 - t1, t2);
         if !got_stars {
             return Err(worker_err(Role::Gravity, "snapshot", "no particles"));
         }
@@ -516,10 +563,11 @@ impl Bridge {
     ) -> Result<(), BridgeError> {
         let KickScratch { stars, gas, dv } = &mut self.scratch;
         let (n_stars, n_gas) = (stars.pos.len(), gas.pos.len());
-        self.coupling.submit_field(stars, gas, prime, (0, n_stars), (0, n_gas));
-        self.coupling
-            .collect_accelerations_into(dv)
-            .ok_or_else(|| worker_err(Role::Coupling, "compute-field", "no accelerations"))?;
+        rep.timed(Role::Coupling, || {
+            self.coupling.submit_field(stars, gas, prime, (0, n_stars), (0, n_gas));
+            self.coupling.collect_accelerations_into(dv)
+        })
+        .ok_or_else(|| worker_err(Role::Coupling, "compute-field", "no accelerations"))?;
         if dv.len() != n_stars + n_gas {
             return Err(worker_err(
                 Role::Coupling,
@@ -544,7 +592,7 @@ impl Bridge {
             rep.trace.push("stellar exchange (every n-th step)".into());
         }
         let t_myr = self.time * self.cfg.time_unit_myr;
-        let update = stellar.call(Request::EvolveStars(t_myr));
+        let update = rep.timed(Role::Stellar, || stellar.call(Request::EvolveStars(t_myr)));
         let (masses_msun, events) = match update {
             Response::StellarUpdate { masses, events } => (masses, events),
             other => return Err(worker_err(Role::Stellar, "evolve", format!("{other:?}"))),
@@ -561,12 +609,12 @@ impl Bridge {
         }
         // push updated masses into the dynamics (MSun -> N-body units)
         let masses_nb: Vec<f64> = masses_msun.iter().map(|m| m / self.cfg.mass_unit_msun).collect();
-        let r = self.gravity.call(Request::SetMasses(masses_nb));
+        let r = rep.timed(Role::Gravity, || self.gravity.call(Request::SetMasses(masses_nb)));
         expect_ok(Role::Gravity, "set-masses", r)?;
         // feedback into the gas; a lost supernova or wind particle is a
         // failed iteration, not a quieter one
-        let mut feedback = |req: Request| {
-            let r = self.hydro.call(req);
+        let mut feedback = |rep: &mut IterationReport, req: Request| {
+            let r = rep.timed(Role::Hydro, || self.hydro.call(req));
             expect_ok(Role::Hydro, "feedback", r)
         };
         for ev in events {
@@ -574,25 +622,30 @@ impl Bridge {
                 StellarEvent::Supernova { star, ejected_mass, energy_foe: _ } => {
                     rep.supernovae += 1;
                     let pos = stars.pos[star];
-                    feedback(Request::InjectEnergy {
-                        center: pos,
-                        radius: SN_RADIUS,
-                        energy: SN_ENERGY,
-                    })?;
+                    feedback(
+                        rep,
+                        Request::InjectEnergy { center: pos, radius: SN_RADIUS, energy: SN_ENERGY },
+                    )?;
                     let m_nb = ejected_mass / self.cfg.mass_unit_msun;
                     if m_nb > 0.0 {
-                        feedback(Request::AddGas {
-                            pos,
-                            mass: m_nb,
-                            u: SN_ENERGY / m_nb.max(1e-9) * 0.1,
-                        })?;
+                        feedback(
+                            rep,
+                            Request::AddGas {
+                                pos,
+                                mass: m_nb,
+                                u: SN_ENERGY / m_nb.max(1e-9) * 0.1,
+                            },
+                        )?;
                     }
                 }
                 StellarEvent::WindMassLoss { star, mass } => {
                     rep.wind_events += 1;
                     let m_nb = mass / self.cfg.mass_unit_msun;
                     if m_nb > 1e-12 {
-                        feedback(Request::AddGas { pos: stars.pos[star], mass: m_nb, u: 1e-3 })?;
+                        feedback(
+                            rep,
+                            Request::AddGas { pos: stars.pos[star], mass: m_nb, u: 1e-3 },
+                        )?;
                     }
                 }
             }
@@ -830,6 +883,17 @@ mod tests {
         assert!(rep.time > 0.0);
         assert!(rep.calls > 10, "calls = {}", rep.calls);
         assert_eq!(b.iterations(), 1);
+    }
+
+    #[test]
+    fn every_role_books_wall_time_in_process() {
+        let mut b = small_bridge(false);
+        for _ in 0..2 {
+            let rep = b.iteration();
+            for role in [Role::Gravity, Role::Hydro, Role::Coupling, Role::Stellar] {
+                assert!(rep.wall(role) > Duration::ZERO, "{}: {:?}", role.label(), rep);
+            }
+        }
     }
 
     /// What each line of an iteration's trace records.

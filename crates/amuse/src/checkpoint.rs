@@ -426,7 +426,7 @@ pub enum Role {
 }
 
 impl Role {
-    fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Role::Gravity => 0,
             Role::Hydro => 1,

@@ -2,7 +2,7 @@
 
 use jc_amuse::channel::LocalChannel;
 use jc_amuse::cluster::{bound_gas_fraction, half_mass_radius, EmbeddedCluster};
-use jc_amuse::Bridge;
+use jc_amuse::{Bridge, Role};
 
 fn main() {
     let cluster = EmbeddedCluster::build(48, 192, 0.5, 39);
@@ -17,9 +17,21 @@ fn main() {
         Some(Box::new(LocalChannel::new(s))),
         cfg,
     );
+    // wall time per role: each request's submit plus its wait for the
+    // answer (`IterationReport::wall`)
+    let roles = [Role::Gravity, Role::Hydro, Role::Coupling, Role::Stellar];
     println!(
-        "{:>6} {:>9} {:>11} {:>10} {:>10} {:>5}",
-        "iter", "t [Myr]", "bound gas", "r_h stars", "r_h gas", "SNe"
+        "{:>6} {:>9} {:>11} {:>10} {:>10} {:>5} {:>8} {:>8} {:>8} {:>8}",
+        "iter",
+        "t [Myr]",
+        "bound gas",
+        "r_h stars",
+        "r_h gas",
+        "SNe",
+        "grav ms",
+        "hydro ms",
+        "coup ms",
+        "stel ms"
     );
     let mut sne = 0;
     for i in 0..24 {
@@ -33,14 +45,19 @@ fn main() {
             23 => "  <- (d) gas removed, cluster expanded",
             _ => "",
         };
+        let ms = roles.map(|r| rep.wall(r).as_secs_f64() * 1e3);
         println!(
-            "{:>6} {:>9.2} {:>10.1}% {:>10.3} {:>10.3} {:>5}{}",
+            "{:>6} {:>9.2} {:>10.1}% {:>10.3} {:>10.3} {:>5} {:>8.3} {:>8.3} {:>8.3} {:>8.3}{}",
             i + 1,
             rep.time * cluster.time_unit_myr,
             bound_gas_fraction(&stars, &gas) * 100.0,
             half_mass_radius(&stars),
             half_mass_radius(&gas),
             sne,
+            ms[0],
+            ms[1],
+            ms[2],
+            ms[3],
             stage
         );
     }

@@ -452,7 +452,7 @@ fn warm_in_process_iteration_allocates_nothing() {
     // so no worker-count resolution reads the environment; the stellar
     // exchange (which returns owned vectors) stays out, so the measured
     // iteration opens warm on the field of the one before.
-    use jc_amuse::{Bridge, EmbeddedCluster, LocalChannel};
+    use jc_amuse::{Bridge, EmbeddedCluster, LocalChannel, Role};
     let c = EmbeddedCluster::build(24, 48, 0.5, 31);
     let (g, h, cp, _) = c.local_workers(false);
     let mut cfg = c.bridge_config();
@@ -467,10 +467,15 @@ fn warm_in_process_iteration_allocates_nothing() {
     for _ in 0..2 {
         bridge.iteration();
     }
-    let mut calls = 0;
-    let allocs = count_allocs(|| calls = bridge.try_iteration().expect("iteration").calls);
+    let (mut calls, mut walls) = (0, [std::time::Duration::ZERO; 3]);
+    let allocs = count_allocs(|| {
+        let rep = bridge.try_iteration().expect("iteration");
+        calls = rep.calls;
+        walls = [Role::Gravity, Role::Hydro, Role::Coupling].map(|r| rep.wall(r));
+    });
     assert_eq!(allocs, 0, "a warm in-process iteration made {allocs} heap allocations");
     assert_eq!(calls, 2 + 2 * 3 + 3, "sanity: the whole iteration ran");
+    assert!(walls.iter().all(|w| !w.is_zero()), "per-role wall time was booked: {walls:?}");
 }
 
 #[test]

@@ -17,13 +17,9 @@
 //!   `i` in f64 in a fixed 8-lane order. The partial columns are folded
 //!   into the f64 result in block order.
 //!
-//! Both follow one rule. The body is `#[inline(always)]` and
-//! instantiated once for the baseline and once inside a thin
-//! `#[target_feature(enable = "avx2")]` wrapper, so the compiler writes
-//! the wide code and both dispatch tiers execute the same IEEE operation
-//! sequence — results are bitwise identical on every machine by
-//! construction (Rust never contracts `a * b + c` into a fused
-//! multiply-add). The loops are bound by the divider: one packed `sqrt`
+//! Both follow the one dispatch rule of [`crate::simd`]: one portable
+//! body, instantiated for the baseline and for AVX2, with the same bits
+//! on every machine. The loops are bound by the divider: one packed `sqrt`
 //! and one packed `div` per vector of pairs. That is why there is no
 //! AVX-512 tier (an `avx512f` instantiation of the direct body ran at
 //! the AVX2 instantiation's rate to within 0.2 % when the kernel was
@@ -56,44 +52,25 @@ use crate::par;
 use crate::soa::{reduce_lanes, SoaBodies, LANES};
 use std::ops::Range;
 
-/// Accelerations (G = 1) on every target of one worker chunk due to all
-/// of `src` (position and mass columns; velocities are not read),
-/// written over `out` (`out.len() == targets.len()`). Plummer-softened
-/// by `eps2`; sources are summed lane-by-lane in column order, so the
-/// result for a target depends on the source set alone — not on which
-/// chunk, thread or shard the target landed in.
+crate::simd::dispatch! {
+    /// Accelerations (G = 1) on every target of one worker chunk due to all
+    /// of `src` (position and mass columns; velocities are not read),
+    /// written over `out` (`out.len() == targets.len()`). Plummer-softened
+    /// by `eps2`; sources are summed lane-by-lane in column order, so the
+    /// result for a target depends on the source set alone — not on which
+    /// chunk, thread or shard the target landed in.
+    pub fn accelerations_direct(
+        targets: &[[f64; 3]],
+        src: &SoaBodies,
+        eps2: f64,
+        out: &mut [[f64; 3]],
+    ) => accelerations_direct_portable, avx2: accelerations_direct_avx2;
+}
+
+/// The body of [`accelerations_direct`] at whatever instruction set the
+/// caller was compiled for: the `eps2 == 0` selector over
+/// [`accelerations_direct_body`].
 // jc-lint: no-alloc
-pub fn accelerations_direct(
-    targets: &[[f64; 3]],
-    src: &SoaBodies,
-    eps2: f64,
-    out: &mut [[f64; 3]],
-) {
-    assert_eq!(out.len(), targets.len(), "acc buffer length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 instantiation is only reached when the CPU
-        // reports the feature at runtime.
-        return unsafe { accelerations_direct_avx2(targets, src, eps2, out) };
-    }
-    accelerations_direct_portable(targets, src, eps2, out);
-}
-
-/// [`accelerations_direct_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn accelerations_direct_avx2(
-    targets: &[[f64; 3]],
-    src: &SoaBodies,
-    eps2: f64,
-    out: &mut [[f64; 3]],
-) {
-    accelerations_direct_portable(targets, src, eps2, out);
-}
-
-/// The body at whatever instruction set the caller was compiled for —
-/// the baseline fallback of [`accelerations_direct`], and what the
-/// feature wrappers inline.
 #[inline(always)]
 fn accelerations_direct_portable(
     targets: &[[f64; 3]],
@@ -101,6 +78,7 @@ fn accelerations_direct_portable(
     eps2: f64,
     out: &mut [[f64; 3]],
 ) {
+    assert_eq!(out.len(), targets.len(), "acc buffer length mismatch");
     if eps2 == 0.0 {
         accelerations_direct_body::<true>(targets, src, eps2, out);
     } else {
@@ -147,8 +125,20 @@ fn accelerations_direct_body<const GUARD: bool>(
         for l in 0..n - full {
             lane!(l, sx[full + l], sy[full + l], sz[full + l], sm[full + l]);
         }
-        *a = [reduce_lanes(axl), reduce_lanes(ayl), reduce_lanes(azl)];
+        reduce_target(&[axl, ayl, azl], a);
     }
+}
+
+/// Fold one target's lane accumulators into its row with
+/// [`reduce_lanes`]. Out of line on purpose: inlined, the three
+/// reductions feed adjacent output stores, LLVM's SLP vectorizer grows
+/// those stores' x/y pairs back through the accumulators into the batch
+/// loop, and the loop then runs two axes per vector with shuffles
+/// instead of [`LANES`] sources (≈ 18 % slower at AVX2). Behind the call
+/// the accumulators reach memory lane by lane.
+#[inline(never)]
+fn reduce_target(acc: &[[f64; LANES]; 3], a: &mut [f64; 3]) {
+    *a = acc.map(reduce_lanes);
 }
 
 /// Pairs per block of [`self_accelerations`]: the rows are cut into
@@ -309,23 +299,11 @@ fn fold_blocks(blocks: &[PairBlock], out: &mut [[f64; 3]]) {
     }
 }
 
-/// Run one block of [`self_accelerations`] at the widest instruction set
-/// the CPU reports.
-fn pair_rows(cols: &[Vec<f32>; 4], eps2: f32, block: &mut PairBlock, stage: &mut RowStage) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 instantiation is only reached when the CPU
-        // reports the feature at runtime.
-        return unsafe { pair_rows_avx2(cols, eps2, block, stage) };
-    }
-    pair_rows_portable(cols, eps2, block, stage);
-}
-
-/// [`pair_rows_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn pair_rows_avx2(cols: &[Vec<f32>; 4], eps2: f32, block: &mut PairBlock, stage: &mut RowStage) {
-    pair_rows_portable(cols, eps2, block, stage);
+crate::simd::dispatch! {
+    /// Run one block of [`self_accelerations`] at the widest instruction
+    /// set the CPU reports.
+    fn pair_rows(cols: &[Vec<f32>; 4], eps2: f32, block: &mut PairBlock, stage: &mut RowStage)
+        => pair_rows_portable, avx2: pair_rows_avx2;
 }
 
 /// The pair-symmetric body at whatever instruction set the caller was

@@ -14,7 +14,9 @@
 //!   over those columns (one set on another, and a set on itself with
 //!   each pair evaluated once), shared here because `jc_treegrav` (which
 //!   sums directly below its crossover) does not depend on `jc_nbody`;
-//!   and
+//! * [`simd`] — the one rule that picks an instruction-set tier:
+//!   [`simd::dispatch!`] instantiates a kernel's portable body for the
+//!   baseline and for AVX2 and checks the CPU once per call; and
 //! * [`par`] — the unified parallel chunking core ([`par::chunked`])
 //!   that replaces the hand-rolled `std::thread::scope` +
 //!   `split_at_mut` splitting loops previously duplicated across
@@ -38,6 +40,7 @@
 pub mod gravity;
 pub mod par;
 mod pool;
+pub mod simd;
 pub mod soa;
 
 pub use par::{chunked, chunked_scoped, threads_for};

@@ -16,7 +16,7 @@
 //! | `env-registry` | every `std::env::var("JC_*")` read is registered in `jc_core::envreg` and documented in the README |
 //! | `doc-refs` | every `BENCH_*.json`, back-ticked repo path and back-ticked crate path (`jc_<x>::…`) that README.md, docs/ARCHITECTURE.md or CHANGES.md's newest entry names exists |
 //! | `pub-callers` | every `pub` item defined in a library crate's `src` is named by some other workspace file, or by its own file outside its definition and its tests |
-//! | `wide-simd` | no crate source names a 256- or 512-bit x86 intrinsic: a SIMD kernel is one portable body instantiated under `#[target_feature]` |
+//! | `wide-simd` | no crate source names a 256- or 512-bit x86 intrinsic: a SIMD kernel is one portable body instantiated under `#[target_feature]`; and only `crates/compute/src/simd.rs` checks for or enables an AVX2-or-wider tier, so one module picks the tier |
 //!
 //! Like the offline shims, the tool is dependency-free: a small
 //! hand-rolled lexer ([`lexer`]) over the workspace sources, plus one

@@ -1,8 +1,8 @@
 //! Fail fixture: a hand-written AVX2 clone beside a portable body.
-//! Expected findings: line 11 (a 256-bit load), line 12 (a 256-bit
-//! packed add, twice on the line: one finding), line 18 (a 512-bit
-//! type conversion). The prefetch on line 13 and the waived line 20 are
-//! quiet.
+//! Expected findings: line 9 (its hand-picked tier), line 11 (a 256-bit
+//! load), line 12 (a 256-bit packed add, twice on the line: one finding),
+//! line 18 (a 512-bit type conversion). The prefetch on line 13 and the
+//! waived line 20 are quiet.
 
 use std::arch::x86_64::*;
 

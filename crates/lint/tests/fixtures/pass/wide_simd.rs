@@ -1,5 +1,5 @@
 //! Pass fixture: one portable body, instantiated for the baseline and
-//! under an AVX2 wrapper, plus the 128-bit intrinsics that stay
+//! for AVX2 by the dispatch macro, plus the 128-bit intrinsics that stay
 //! allowed. No findings.
 
 /// The one body.
@@ -8,9 +8,9 @@ fn sum4_body(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
     std::array::from_fn(|l| a[l] + b[l])
 }
 
-#[target_feature(enable = "avx2")]
-fn sum4_avx2(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
-    sum4_body(a, b)
+jc_compute::simd::dispatch! {
+    /// `sum4_body` at the widest tier the CPU has.
+    fn sum4(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] => sum4_body, avx2: sum4_avx2;
 }
 
 /// A 128-bit prefetch.

@@ -183,13 +183,48 @@ fn wide_simd_fail_fixture_exact_diagnostics() {
     assert!(wide_simd::in_scope(path), "fixture path must be a crate source");
     let f = fixture("fail/wide_simd.rs", path);
     let d = wide_simd::check(&f);
-    assert_eq!(lines(&d), vec![(11, "wide-simd"), (12, "wide-simd"), (18, "wide-simd")], "{d:#?}");
-    assert!(d[1].message.contains("add_pd"), "{d:#?}");
+    assert_eq!(
+        lines(&d),
+        vec![(9, "wide-simd"), (11, "wide-simd"), (12, "wide-simd"), (18, "wide-simd")],
+        "{d:#?}"
+    );
+    assert!(d[0].message.contains("`avx2` tier by hand"), "{d:#?}");
+    assert!(d[2].message.contains("add_pd"), "{d:#?}");
 }
 
 #[test]
 fn wide_simd_pass_fixture_is_quiet() {
     let f = fixture("pass/wide_simd.rs", "crates/nbody/src/fixture.rs");
+    let d = wide_simd::check(&f);
+    assert!(d.is_empty(), "{d:#?}");
+}
+
+#[test]
+fn simd_tier_fail_fixture_exact_diagnostics() {
+    let f = fixture("fail/simd_tier.rs", "crates/sph/src/grid.rs");
+    let d = wide_simd::check(&f);
+    assert_eq!(
+        lines(&d),
+        vec![(8, "wide-simd"), (14, "wide-simd"), (19, "wide-simd"), (23, "wide-simd")],
+        "{d:#?}"
+    );
+    let tiers: Vec<_> = d.iter().map(|x| x.message.split('`').nth(3).unwrap_or("")).collect();
+    assert_eq!(tiers, ["avx2", "avx2", "avx512f", "avx512vl"], "{d:#?}");
+    assert!(d[0].message.starts_with("`is_x86_feature_detected` picks"), "{d:#?}");
+    assert!(d[1].message.starts_with("`target_feature` picks"), "{d:#?}");
+    assert!(d.iter().all(|x| x.message.contains("jc_compute::simd::dispatch!")), "{d:#?}");
+}
+
+#[test]
+fn simd_tier_pass_fixture_is_quiet() {
+    let f = fixture("pass/simd_tier.rs", "crates/amuse/src/checkpoint.rs");
+    let d = wide_simd::check(&f);
+    assert!(d.is_empty(), "{d:#?}");
+}
+
+#[test]
+fn simd_tier_is_picked_only_in_the_simd_module() {
+    let f = fixture("fail/simd_tier.rs", wide_simd::SIMD_PATH);
     let d = wide_simd::check(&f);
     assert!(d.is_empty(), "{d:#?}");
 }

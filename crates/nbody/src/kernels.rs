@@ -229,46 +229,22 @@ pub(crate) fn acc_jerk_soa(
     );
 }
 
-/// One worker chunk of SoA targets, dispatched once per chunk to the
-/// widest available instruction set: one body
-/// ([`acc_jerk_simd_chunk_body`]), instantiated for the baseline and
-/// inside an AVX2 wrapper, as in `jc_compute::gravity`.
-///
-/// rustc compiles for baseline x86-64 (SSE2) by default, which caps the
-/// packed `sqrt`/`div` at 2 doubles; the AVX2 instantiation runs them 4
-/// wide. Both execute the *identical* sequence of IEEE operations (no
-/// fast-math, no fused multiply-add contraction), so results are bitwise
-/// identical across the dispatch — the golden vectors hold on any
-/// machine.
-fn acc_jerk_simd_chunk(
-    s0: usize,
-    targets: Targets,
-    src: &SoaBodies,
-    eps2: f64,
-    ac: &mut [[f64; 3]],
-    jc: &mut [[f64; 3]],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 instantiation is only reached when the CPU
-        // reports the feature at runtime.
-        return unsafe { acc_jerk_simd_chunk_avx2(s0, targets, src, eps2, ac, jc) };
-    }
-    acc_jerk_simd_chunk_body(s0, targets, src, eps2, ac, jc);
-}
-
-/// [`acc_jerk_simd_chunk_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn acc_jerk_simd_chunk_avx2(
-    s0: usize,
-    targets: Targets,
-    src: &SoaBodies,
-    eps2: f64,
-    ac: &mut [[f64; 3]],
-    jc: &mut [[f64; 3]],
-) {
-    acc_jerk_simd_chunk_body(s0, targets, src, eps2, ac, jc);
+jc_compute::simd::dispatch! {
+    /// One worker chunk of SoA targets, dispatched once per chunk to the
+    /// widest available instruction set by the one rule of
+    /// [`jc_compute::simd`]: the body ([`acc_jerk_simd_chunk_body`])
+    /// instantiated for the baseline and for AVX2, with the same bits
+    /// either way, so the golden vectors hold on any machine. (Baseline
+    /// x86-64 caps the packed `sqrt`/`div` at 2 doubles; AVX2 runs them
+    /// 4 wide.)
+    fn acc_jerk_simd_chunk(
+        s0: usize,
+        targets: Targets,
+        src: &SoaBodies,
+        eps2: f64,
+        ac: &mut [[f64; 3]],
+        jc: &mut [[f64; 3]],
+    ) => acc_jerk_simd_chunk_body, avx2: acc_jerk_simd_chunk_avx2;
 }
 
 /// The SoA inner loops: for each target in the chunk (targets
@@ -454,38 +430,17 @@ pub fn potential_into(
     }
 }
 
-/// One worker chunk of [`Backend::SimdSoa`] potential targets: the one
-/// body, at AVX2 width when the CPU has it (bitwise identical results
-/// across the dispatch, as in `jc_compute::gravity`).
-fn potential_simd_chunk(
-    s0: usize,
-    t_pos: &[[f64; 3]],
-    src: &SoaBodies,
-    eps2: f64,
-    same_set: bool,
-    phi: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 instantiation is only reached when the CPU
-        // reports the feature at runtime.
-        return unsafe { potential_simd_chunk_avx2(s0, t_pos, src, eps2, same_set, phi) };
-    }
-    potential_simd_chunk_body(s0, t_pos, src, eps2, same_set, phi);
-}
-
-/// [`potential_simd_chunk_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn potential_simd_chunk_avx2(
-    s0: usize,
-    t_pos: &[[f64; 3]],
-    src: &SoaBodies,
-    eps2: f64,
-    same_set: bool,
-    phi: &mut [f64],
-) {
-    potential_simd_chunk_body(s0, t_pos, src, eps2, same_set, phi);
+jc_compute::simd::dispatch! {
+    /// One worker chunk of [`Backend::SimdSoa`] potential targets: the
+    /// one body at the widest tier the CPU has ([`jc_compute::simd`]).
+    fn potential_simd_chunk(
+        s0: usize,
+        t_pos: &[[f64; 3]],
+        src: &SoaBodies,
+        eps2: f64,
+        same_set: bool,
+        phi: &mut [f64],
+    ) => potential_simd_chunk_body, avx2: potential_simd_chunk_avx2;
 }
 
 /// The [`LANES`]-wide potential sum over the SoA source columns,

@@ -365,33 +365,20 @@ impl PairStage {
     }
 }
 
-/// Run one block of [`pair_pass`] at the widest instruction set the CPU
-/// reports. Returns the block's directed interaction count and signal
-/// speed maximum.
-fn pair_block(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 instantiation is only reached when the CPU
-        // reports the feature at runtime.
-        return unsafe { pair_block_avx2(rows, block, stage) };
-    }
-    pair_block_body(rows, block, stage)
-}
-
-/// [`pair_block_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn pair_block_avx2(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
-    pair_block_body(rows, block, stage)
+jc_compute::simd::dispatch! {
+    /// Run one block of [`pair_pass`] at the widest instruction set the
+    /// CPU reports. Returns the block's directed interaction count and
+    /// signal speed maximum.
+    fn pair_block(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64)
+        => pair_block_body, avx2: pair_block_avx2;
 }
 
 /// The pair-symmetric body over one block, written over the block's
 /// partial columns, at whatever instruction set the caller was compiled
 /// for. Each row is staged ([`stage_row`]), evaluated element-wise with
 /// its own terms summed in the fixed [`LANES`] order ([`eval_pairs`]),
-/// and the far ends scattered. Both dispatch tiers execute the same IEEE
-/// operation sequence (Rust never contracts `a * b + c`), so the bits do
-/// not depend on the machine.
+/// and the far ends scattered. The bits do not depend on the dispatch
+/// tier ([`jc_compute::simd`]).
 #[inline(always)]
 fn pair_block_body(rows: Rows, block: &mut ForceBlock, stage: &mut PairStage) -> (u64, f64) {
     let [ax, ay, az, du] = &mut block.part;

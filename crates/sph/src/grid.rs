@@ -375,35 +375,20 @@ impl CsrGrid {
 /// block's `u64` hit mask, and a `d²` row (512 B) that stays on the stack.
 const BLOCK: usize = 64;
 
-/// The direct counterpart of [`CsrGrid::for_each_within`]: visit every
-/// particle within `radius` of `center` by sweeping the SoA position
-/// columns in index order — no structure to build, which is what wins
-/// while the set is small (see the crossover in [`crate::density`]).
-/// Same `d² ≤ r²` arithmetic as the grid's scan, so the visited set and
-/// every squared distance are bit-identical to it; only the order
-/// (ascending index) differs.
-///
-/// There is one body (`sweep_body`), instantiated for the baseline and
-/// inside a thin `avx2` wrapper behind runtime detection — the
-/// [`jc_compute::gravity`] pattern: the compiler writes the wide code and
-/// both tiers execute the same IEEE operations.
-// jc-lint: no-alloc
-#[inline]
-pub fn sweep_within(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64)) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 instantiation is only reached when the CPU
-        // reports the feature at runtime.
-        return unsafe { sweep_within_avx2(cols, center, radius, f) };
-    }
-    sweep_body(cols, center, radius, f);
-}
-
-/// [`sweep_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sweep_within_avx2(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64)) {
-    sweep_body(cols, center, radius, f);
+jc_compute::simd::dispatch! {
+    /// The direct counterpart of [`CsrGrid::for_each_within`]: visit every
+    /// particle within `radius` of `center` by sweeping the SoA position
+    /// columns in index order — no structure to build, which is what wins
+    /// while the set is small (see the crossover in [`crate::density`]).
+    /// Same `d² ≤ r²` arithmetic as the grid's scan, so the visited set and
+    /// every squared distance are bit-identical to it; only the order
+    /// (ascending index) differs.
+    ///
+    /// There is one body (`sweep_body`), instantiated for the baseline and
+    /// for AVX2 by the one dispatch rule of [`jc_compute::simd`].
+    #[inline]
+    pub fn sweep_within(cols: &Soa3, center: &[f64; 3], radius: f64, f: impl FnMut(u32, f64))
+        => sweep_body, avx2: sweep_within_avx2;
 }
 
 /// The one sweep body, at whatever instruction set the caller was

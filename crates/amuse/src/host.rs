@@ -408,7 +408,22 @@ pub enum Next {
     Crash,
 }
 
-/// A socket-free worker server: one request frame in, the reply bytes
+/// Where the reply to the last frame a [`ServerCore`] served lies.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// Encoded in the reply buffer.
+    Out,
+    /// Encoded in the dedup cache.
+    Cached,
+    /// A `Particles` frame of the worker's columns.
+    Particles,
+    /// A `Stepped` frame of the worker's positions, with its flops.
+    Stepped(f64),
+    /// An `Accelerations` frame of the field scratch, with its flops.
+    Accelerations(f64),
+}
+
+/// A socket-free worker server: one request frame in, the reply frame
 /// and the connection's [`Next`] step out.
 ///
 /// Per frame, in order: the dedup replay of a resent mutating request,
@@ -416,9 +431,15 @@ pub enum Next {
 /// [`serve`]), then the dedup cache. The bulk columns of `Step`, `Kick`
 /// and `ComputeField` requests are read in place in the frame when it
 /// sits 8-aligned (a frame at the start of a heap buffer does) and
-/// copied into scratch otherwise. Scratch, the reply buffer and the dedup state
-/// all live here and are reused, so a warm snapshot/step/field/kick
-/// request allocates nothing.
+/// copied into scratch otherwise. The bulk replies — `Particles`,
+/// `Stepped` and `Accelerations` — go back as a [`wire::Frame`] of
+/// columns borrowed where they lie: the worker's
+/// ([`ModelWorker::particles`], or a snapshot for a worker that does not
+/// lend), or the field's scratch. Every other reply is encoded into the
+/// reply buffer, and the reply to a stamped mutating request straight
+/// into the dedup cache, to be written from there. Scratch, the reply
+/// buffer and the dedup state all live here and are reused, so a warm
+/// snapshot/step/field/kick request allocates nothing.
 ///
 /// `W` is how the core holds its worker: borrowed for a
 /// [`crate::WorkerServer`]'s serve loop ([`ServerCore::new`]), boxed
@@ -430,10 +451,12 @@ pub struct ServerCore<'a, W = &'a mut dyn ModelWorker> {
     /// a transient fault resends the same sequence number on the *new*
     /// connection and must still hit the cache.
     dedup: Dedup,
-    /// The reply to the last frame handled (empty after a crash).
+    /// The reply to the last frame handled, when it is encoded here
+    /// (empty after a crash).
     out: Vec<u8>,
     /// Where an in-process client writes its request (see [`Link`]).
     inbox: Vec<u8>,
+    /// The columns of a worker that does not lend them.
     snap: ParticleData,
     /// The columns of a request frame that cannot be read in place.
     scratch: [Vec<[f64; 3]>; 2],
@@ -469,15 +492,44 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
         }
     }
 
-    /// The reply to a request that could not be framed or decoded;
-    /// the connection then hangs up.
-    pub fn protocol_error(&mut self, e: &WireError) -> &[u8] {
-        wire::encode_response(&Response::Error(format!("protocol error: {e}")), &mut self.out);
-        &self.out
+    /// The reply the dedup cache holds for a resend.
+    #[cfg(test)]
+    pub(crate) fn cached_reply(&self) -> &[u8] {
+        &self.dedup.cached
     }
 
-    /// Serve one whole request frame.
-    pub fn handle(&mut self, frame: &[u8]) -> (&[u8], Next) {
+    /// The reply to a request that could not be framed or decoded;
+    /// the connection then hangs up.
+    pub fn protocol_error(&mut self, e: &WireError) -> wire::Frame<'_> {
+        wire::encode_response(&Response::Error(format!("protocol error: {e}")), &mut self.out);
+        wire::Frame::encoded(&self.out)
+    }
+
+    /// Serve one whole request frame: the reply, its bulk columns lent
+    /// where they lie, and what the connection does next.
+    pub fn handle(&mut self, frame: &[u8]) -> (wire::Frame<'_>, Next) {
+        let (answer, next) = self.answer(frame);
+        (self.reply(answer), next)
+    }
+
+    /// The reply `answer` locates, as a frame.
+    fn reply(&self, answer: Answer) -> wire::Frame<'_> {
+        let snap = &self.snap;
+        let columns = || self.worker.particles().unwrap_or((&snap.mass, &snap.pos, &snap.vel));
+        match answer {
+            Answer::Out => wire::Frame::encoded(&self.out),
+            Answer::Cached => wire::Frame::encoded(&self.dedup.cached),
+            Answer::Particles => {
+                let (mass, pos, vel) = columns();
+                wire::particles_frame(mass, pos, vel)
+            }
+            Answer::Stepped(flops) => wire::stepped_frame(columns().1, flops),
+            Answer::Accelerations(flops) => wire::accelerations_frame(&self.acc, flops),
+        }
+    }
+
+    /// Serve one whole request frame; where its reply lies.
+    fn answer(&mut self, frame: &[u8]) -> (Answer, Next) {
         // Idempotent retry: a duplicate of the last applied mutating
         // request — same nonzero sequence number AND the same frame
         // bytes, i.e. the coupler resent a frame whose response it lost
@@ -491,13 +543,12 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
             && !self.dedup.cached.is_empty()
             && frame_fingerprint(frame) == self.dedup.req_fp
         {
-            self.out.clone_from(&self.dedup.cached);
-            return (&self.out, Next::Continue);
+            return (Answer::Cached, Next::Continue);
         }
         // Per-step fast paths: snapshot, kick, step and the coupling
         // field bypass `decode_request`'s owned `Request` and the owned
         // `Response` of `serve`: they read their columns where the frame
-        // holds them and encode the reply straight into `out`. A leg the
+        // holds them and answer from the worker's columns. A leg the
         // worker declines answers through the owned types with the exact
         // same frames — byte-for-byte — that a fast-path-less server
         // would produce.
@@ -525,100 +576,100 @@ impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> ServerCore<'a, W> {
         };
         let decoded = match decoded {
             Ok(d) => d,
-            Err(e) => return (self.protocol_error(&e), Next::Hangup),
+            Err(e) => {
+                self.protocol_error(&e);
+                return (Answer::Out, Next::Hangup);
+            }
         };
         if let Some(f) = self.fuse {
             if f.fetch_sub(1, Ordering::SeqCst) <= 0 {
                 self.out.clear();
-                return (&self.out, Next::Crash);
+                return (Answer::Out, Next::Crash);
             }
         }
+        let mutating = match &decoded {
+            Decoded::Kick(_) | Decoded::Step(..) => true,
+            Decoded::Snapshot | Decoded::Field(_) => false,
+            Decoded::Other(req) => req.mutating(),
+        };
+        // Cache before the reply leaves: if the write (or the coupler's
+        // read of it) fails, the retried frame must find the cache. So a
+        // stamped mutating frame's reply is encoded straight into the
+        // cache, and written from there. An unstamped mutating frame
+        // empties it: no earlier frame may be replayed over the state it
+        // changed.
+        let cache = seq != 0 && mutating;
+        if cache {
+            self.dedup.last_seq = seq;
+            self.dedup.req_fp = frame_fingerprint(frame);
+        } else if mutating {
+            self.dedup.forget();
+        }
+        let (buf, encoded) = if cache {
+            (&mut self.dedup.cached, Answer::Cached)
+        } else {
+            (&mut self.out, Answer::Out)
+        };
         let worker: &mut dyn ModelWorker = &mut *self.worker;
-        // `owned` is an answer no borrowed encoder has written yet
-        let (next, mutating, owned) = match decoded {
+        // `Err` is an owned answer, still to be encoded
+        let (answer, next) = match decoded {
             Decoded::Snapshot => {
-                // zero-copy when the worker lends its columns: straight
-                // from its arrays into the reply
-                let owned = match particles(worker, &mut self.snap) {
-                    Ok((mass, pos, vel)) => {
-                        wire::encode_particles_frame(mass, pos, vel, &mut self.out);
-                        None
-                    }
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, false, owned)
+                (particles(worker, &mut self.snap).map(|_| Answer::Particles), Next::Continue)
             }
             Decoded::Kick(dv) => {
-                let owned = match kick(worker, dv) {
-                    Ok(flops) => {
-                        wire::encode_ok_frame(flops, &mut self.out);
-                        None
-                    }
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, true, owned)
+                let answer = kick(worker, dv).map(|flops| {
+                    wire::encode_ok_frame(flops, buf);
+                    encoded
+                });
+                (answer, Next::Continue)
             }
             Decoded::Step(dv, n, t) => {
-                let owned = match step(worker, dv, n, t) {
-                    Ok(flops) => match particles(worker, &mut self.snap) {
-                        Ok((_, pos, _)) => {
-                            wire::encode_stepped_frame(pos, flops, &mut self.out);
-                            None
-                        }
-                        Err(resp) => Some(resp),
-                    },
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, true, owned)
+                let answer = step(worker, dv, n, t).and_then(|flops| {
+                    let (_, pos, _) = particles(worker, &mut self.snap)?;
+                    if cache {
+                        wire::stepped_frame(pos, flops).encode(buf);
+                        return Ok(encoded);
+                    }
+                    Ok(Answer::Stepped(flops))
+                });
+                (answer, Next::Continue)
             }
             Decoded::Field(request) => {
                 let (acc, tmp) = (&mut self.acc, &mut self.tmp);
-                let owned = match self.field.evaluate(worker, &request, acc, tmp) {
-                    Ok(flops) => {
-                        wire::encode_accelerations_frame(&self.acc, flops, &mut self.out);
-                        None
-                    }
-                    Err(resp) => Some(resp),
-                };
-                (Next::Continue, false, owned)
+                let answer = self.field.evaluate(worker, &request, acc, tmp);
+                (answer.map(Answer::Accelerations), Next::Continue)
             }
             Decoded::Other(req) => {
                 let next = match req {
                     Request::Stop | Request::Shutdown => Next::ShutDown,
                     _ => Next::Continue,
                 };
-                (next, req.mutating(), Some(serve(worker, &mut self.field, req)))
+                (Err(serve(worker, &mut self.field, req)), next)
             }
         };
-        if let Some(resp) = owned {
-            wire::encode_response(&resp, &mut self.out);
-        }
-        // Cache before the reply leaves: if the write (or the coupler's
-        // read of it) fails, the retried frame must find the cache. An
-        // unstamped mutating frame empties it: no earlier frame may be
-        // replayed over the state it changed.
-        if seq != 0 && mutating {
-            self.dedup.last_seq = seq;
-            self.dedup.req_fp = frame_fingerprint(frame);
-            self.dedup.cached.clear();
-            self.dedup.cached.extend_from_slice(&self.out);
-        } else if mutating {
-            self.dedup.forget();
-        }
-        (&self.out, next)
+        let answer = answer.unwrap_or_else(|resp| {
+            wire::encode_response(&resp, buf);
+            encoded
+        });
+        (answer, next)
     }
 }
 
 /// In process the core is the link: a request is written into its
-/// inbox and served as it is sent, and the reply is read straight out of
-/// the reply buffer. No byte can be lost on the way, so nothing is ever
-/// retried, and no frame is stamped.
+/// inbox and served as it is sent, and the reply is encoded into the
+/// reply buffer and read straight out of it. No byte can be lost on the
+/// way, so nothing is ever retried, and no frame is stamped.
 impl<'a, W: DerefMut<Target = dyn ModelWorker + 'a>> Link for ServerCore<'a, W> {
     fn send(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         let mut frame = std::mem::take(&mut self.inbox);
         write(&mut frame);
-        self.handle(&frame);
+        let (answer, _) = self.answer(&frame);
         self.inbox = frame;
+        if !matches!(answer, Answer::Out) {
+            let mut out = std::mem::take(&mut self.out);
+            self.reply(answer).encode(&mut out);
+            self.out = out;
+        }
     }
 
     fn recv<T>(
@@ -657,6 +708,13 @@ pub(crate) mod tests {
         fn name(&self) -> String {
             self.0.name()
         }
+    }
+
+    /// The bytes of a reply frame.
+    fn bytes(reply: &wire::Frame<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        reply.encode(&mut out);
+        out
     }
 
     fn get(w: &mut dyn ModelWorker) -> ParticleData {
@@ -778,7 +836,6 @@ pub(crate) mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            use std::io::Write;
             let (mut stream, _) = listener.accept().unwrap();
             let mut grav = GravityWorker::new(plummer_sphere(6, 4), Backend::Scalar);
             let mut core = ServerCore::new(&mut grav, None);
@@ -787,7 +844,7 @@ pub(crate) mod tests {
             while let Ok(Some(_)) = decoder.read_from(&mut stream) {
                 let seq = wire::frame_seq(decoder.frame());
                 let (reply, next) = core.handle(decoder.frame());
-                stream.write_all(reply).unwrap();
+                reply.write_to(&mut stream).unwrap();
                 seen.push((seq, core.dedup.last_seq, core.dedup.cached.len()));
                 if next != Next::Continue {
                     break;
@@ -861,7 +918,7 @@ pub(crate) mod tests {
                 assert_eq!(core.handle(frame).1, Next::Continue);
                 cached.push((core.dedup.last_seq, core.dedup.cached.len()));
             }
-            (core.handle(&snapshot).0.to_vec(), cached)
+            (bytes(&core.handle(&snapshot).0), cached)
         };
         let mut stamped = a.clone();
         wire::set_seq(&mut stamped, 1);
@@ -901,7 +958,7 @@ pub(crate) mod tests {
             assert_eq!(store[at.clone()].as_ptr().cast::<u64>().is_aligned(), offset == 0);
             let (reply, next) = core.handle(&store[at]);
             assert_eq!(next, Next::Continue);
-            replies.push(reply.to_vec());
+            replies.push(bytes(&reply));
         }
         (replies, core.scratch.iter().map(Vec::capacity).sum())
     }
@@ -980,7 +1037,7 @@ pub(crate) mod tests {
         for (i, (req, answers)) in script.into_iter().enumerate() {
             let field = matches!(req, Request::ComputeField { .. });
             wire::encode_request(&req, &mut frame);
-            let framed = wire::decode_response(core.handle(&frame).0).unwrap();
+            let framed = wire::decode_response(&bytes(&core.handle(&frame).0)).unwrap();
             let valued = serve(&mut by_values, &mut held, req);
             assert_eq!(format!("{framed:?}"), format!("{valued:?}"), "step {i}");
             match valued {
@@ -1010,5 +1067,71 @@ pub(crate) mod tests {
         );
         let r = serve(&mut by_values, &mut held, request(&stars, false));
         assert!(matches!(&r, Response::Error(e) if e.contains("holds no masses")), "{r:?}");
+    }
+
+    /// Every bulk reply — `Stepped`, `Particles`, `Accelerations` — is
+    /// the owned reply's frame byte for byte, in parts and encoded,
+    /// whether the worker lends its columns or answers through `handle`
+    /// (the snapshot path). Unstamped, the core copies no column: its
+    /// reply buffer and dedup cache stay empty. Stamped, the mutating
+    /// step's reply is encoded once, into the cache.
+    #[test]
+    fn bulk_replies_are_the_owned_replies_frames() {
+        let dv: Vec<[f64; 3]> = (0..7).map(|i| [1e-3 * i as f64, -2e-4, 5e-4]).collect();
+        let (stars, gas) = (plummer_sphere(5, 1), plummer_sphere(6, 2));
+        let requests = [
+            Request::Step { dv: dv.clone(), n: 2, t: 0.01 },
+            Request::GetParticles,
+            Request::ComputeField {
+                star_pos: stars.pos.clone(),
+                gas_pos: gas.pos.clone(),
+                masses: Some((stars.mass.clone(), gas.mass.clone())),
+                star_range: (1, 5),
+                gas_range: (0, 4),
+            },
+        ];
+        fn grav() -> GravityWorker {
+            GravityWorker::new(plummer_sphere(7, 3), Backend::Scalar)
+        }
+        type Make = fn() -> Box<dyn ModelWorker>;
+        let cases: [(Make, &Request, u8); 6] = [
+            (|| Box::new(grav()), &requests[0], wire::op::RESP_STEPPED),
+            (|| Box::new(HandleOnly(grav())), &requests[0], wire::op::RESP_STEPPED),
+            (|| Box::new(grav()), &requests[1], wire::op::RESP_PARTICLES),
+            (|| Box::new(HandleOnly(grav())), &requests[1], wire::op::RESP_PARTICLES),
+            (|| Box::new(CouplingWorker::fi()), &requests[2], wire::op::RESP_ACCELERATIONS),
+            (
+                || Box::new(HandleOnly(CouplingWorker::fi())),
+                &requests[2],
+                wire::op::RESP_ACCELERATIONS,
+            ),
+        ];
+        let mut frame = Vec::new();
+        for (i, (make, req, opcode)) in cases.into_iter().enumerate() {
+            let mut want = Vec::new();
+            wire::encode_response(
+                &serve(make().as_mut(), &mut FieldSets::default(), req.clone()),
+                &mut want,
+            );
+            assert_eq!(want[5], opcode, "case {i}: the owned reply is the bulk one");
+            for seq in [0, 1] {
+                let mut worker = make();
+                let mut core = ServerCore::new(worker.as_mut(), None);
+                wire::encode_request(req, &mut frame);
+                wire::set_seq(&mut frame, seq);
+                let (reply, next) = core.handle(&frame);
+                assert_eq!(next, Next::Continue);
+                #[cfg(target_endian = "little")]
+                assert_eq!(reply.parts().concat(), want, "case {i}, seq {seq}: the parts");
+                assert_eq!(bytes(&reply), want, "case {i}, seq {seq}: encoded");
+                let cached = if seq != 0 && req.mutating() { &want[..] } else { &[] };
+                assert_eq!(core.dedup.cached, cached, "case {i}, seq {seq}: the cache");
+                assert_eq!(
+                    core.out.capacity(),
+                    0,
+                    "case {i}, seq {seq}: no copy into the reply buffer"
+                );
+            }
+        }
     }
 }

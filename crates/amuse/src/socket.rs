@@ -10,8 +10,9 @@
 //!   the same [`FrameDecoder`] the client uses, and each frame goes to
 //!   the socket-free [`ServerCore`] (in [`crate::host`], with its
 //!   per-worker dedup cache), which reads the frame's bulk columns in
-//!   place in the decoder's buffer; its reply is written
-//!   before the next frame is read.
+//!   place in the decoder's buffer. Its reply frame is written whole,
+//!   bulk columns from where the worker holds them, before the next
+//!   frame is read.
 //! * [`SocketChannel`] names the stand-alone client: its `connect`
 //!   puts one [`ReactorChannel`] on a private [`Reactor`]. The client
 //!   protocol is implemented once — the codec, stamping and accounting
@@ -24,7 +25,7 @@ use crate::host::{Next, ServerCore};
 use crate::reactor::{net_timeout, FrameDecoder, Reactor, ReactorChannel};
 use crate::wire::WireError;
 use crate::worker::{ModelWorker, Request, Response};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
@@ -121,18 +122,7 @@ impl WorkerServer {
             let (mut stream, _peer) = self.listener.accept()?;
             stream.set_nodelay(true)?;
             decoder.reset();
-            let next = loop {
-                let (reply, next) = match decoder.read_from(&mut stream) {
-                    Ok(Some(_)) => core.handle(decoder.frame()),
-                    Ok(None) | Err(WireError::Closed) => break Next::Hangup,
-                    Err(e) => (core.protocol_error(&e), Next::Hangup),
-                };
-                if stream.write_all(reply).is_err() || next != Next::Continue {
-                    break next;
-                }
-                decoder.advance();
-            };
-            match next {
+            match serve_connection(&mut core, &mut decoder, &mut stream) {
                 Next::Continue | Next::Hangup => {}
                 Next::ShutDown => return Ok(()),
                 Next::Crash => {
@@ -141,6 +131,27 @@ impl WorkerServer {
                 }
             }
         }
+    }
+}
+
+/// Serve one connection's request frames in turn: each reply is written
+/// whole ([`crate::wire::Frame::write_to`]) before the next frame is
+/// read. What ended the connection.
+fn serve_connection(
+    core: &mut ServerCore<'_>,
+    decoder: &mut FrameDecoder,
+    stream: &mut (impl Read + Write),
+) -> Next {
+    loop {
+        let (reply, next) = match decoder.read_from(stream) {
+            Ok(Some(_)) => core.handle(decoder.frame()),
+            Ok(None) | Err(WireError::Closed) => return Next::Hangup,
+            Err(e) => (core.protocol_error(&e), Next::Hangup),
+        };
+        if reply.write_to(stream).is_err() || next != Next::Continue {
+            return next;
+        }
+        decoder.advance();
     }
 }
 
@@ -476,6 +487,69 @@ mod tests {
         assert_eq!(state(&mut c), expected_state, "kicked twice and evolved exactly once");
         drop(c);
         handle.join().unwrap().unwrap();
+    }
+
+    /// One in-memory connection: the request bytes the server reads, and
+    /// the bytes it puts on the wire.
+    struct Duplex {
+        requests: std::io::Cursor<Vec<u8>>,
+        wire: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.requests.read(buf)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.wire.write(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.wire.write_vectored(bufs)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serve `requests` as one connection to a fresh worker: what went
+    /// on the wire, the reply the dedup cache holds after, and the
+    /// worker's state.
+    fn serve_bytes(requests: Vec<u8>) -> (Vec<u8>, Vec<u8>, ParticleData) {
+        let mut grav = GravityWorker::new(plummer_sphere(6, 9), Backend::Scalar);
+        let mut core = ServerCore::new(&mut grav, None);
+        let mut conn = Duplex { requests: std::io::Cursor::new(requests), wire: Vec::new() };
+        let next = serve_connection(&mut core, &mut FrameDecoder::new(), &mut conn);
+        assert_eq!(next, Next::Hangup, "the connection ends at the last request");
+        let cached = core.cached_reply().to_vec();
+        drop(core);
+        let mut state = ParticleData::default();
+        assert!(grav.snapshot_into(&mut state));
+        (conn.wire, cached, state)
+    }
+
+    #[test]
+    fn a_stamped_step_reply_leaves_from_the_dedup_cache_and_replays_unchanged() {
+        let dv = vec![[0.5, -0.25, 0.125]; 6];
+        let mut frame = Vec::new();
+        crate::wire::step_frame(&dv, 2, 0.01).encode(&mut frame);
+        // control: the step unstamped, its reply lent from the worker
+        let (unstamped, nothing, stepped_once) = serve_bytes(frame.clone());
+        assert!(nothing.is_empty(), "an unstamped step caches nothing");
+        assert!(matches!(
+            crate::wire::decode_response(&unstamped),
+            Ok(Response::Stepped { pos, .. }) if pos.len() == 6
+        ));
+        // the step stamped, then resent as after a lost reply
+        crate::wire::set_seq(&mut frame, 1);
+        let (wire, cached, state) = serve_bytes([&frame[..], &frame[..]].concat());
+        assert_eq!(cached, unstamped, "the cache holds the reply an unstamped step gets");
+        assert_eq!(wire, [&cached[..], &cached[..]].concat(), "the reply and its replay");
+        assert_eq!((state.pos, state.vel), (stepped_once.pos, stepped_once.vel), "applied once");
     }
 
     /// A channel that retries, and so stamps its requests.

@@ -106,23 +106,30 @@
 //! parse a response frame straight into caller-owned buffers, so a warm
 //! [`crate::ReactorChannel`] round trip performs no heap allocation.
 //!
-//! # Bulk request columns are not copied
+//! # Bulk columns are not copied on the way out
 //!
-//! The bulk columns of a step, kick or field request cross a TCP
-//! connection with no user-space copy; only the kernel copies them. The
-//! request is built as a [`Frame`] that borrows the caller's columns:
-//! [`Frame::encode`] writes it into a buffer, and a transport that can
-//! lends [`Frame::parts`] to one vectored write instead. On the server,
-//! [`view_kick`], [`view_step`] and [`view_compute_field`] validate a
-//! frame and then read its columns *in place*. Every header and aux
-//! field is an 8-byte unit, so on a little-endian host a frame that
-//! starts 8-aligned (as one at the start of a heap buffer does, like
-//! each [`crate::FrameDecoder`] frame) holds 8-aligned columns; any
-//! frame that cannot be viewed is decoded into scratch instead, with the
-//! same result. Each bulk request has this one reader and one builder:
-//! [`decode_request`] copies a view into an owned [`Request`], and
-//! [`encode_request`] encodes through the builders. Replies are still
-//! encoded from the worker's columns and decoded into the caller's.
+//! A bulk frame is one of either direction: a step, kick or field
+//! request, or a `Stepped`, `Accelerations` or `Particles` reply. Unless
+//! the frame must be kept for a resend, its columns leave the sender
+//! with no user-space copy; only the kernel copies them. The frame is built as a [`Frame`] that borrows its
+//! columns where they lie (the caller's columns for a request, the
+//! worker's or the host's scratch for a reply): [`Frame::encode`] writes
+//! it into a buffer, and a transport that can lends [`Frame::parts`] to
+//! vectored writes instead ([`Frame::write_to`] on a blocking stream).
+//! On the server, [`view_kick`], [`view_step`] and [`view_compute_field`]
+//! validate a request frame and then read its columns *in place*. Every
+//! header and aux field is an 8-byte unit, so on a little-endian host a
+//! frame that starts 8-aligned (as one at the start of a heap buffer
+//! does, like each [`crate::FrameDecoder`] frame) holds 8-aligned
+//! columns; any frame that cannot be viewed is decoded into scratch
+//! instead, with the same result. Each bulk frame has one builder
+//! ([`kick_frame`], [`step_frame`], [`compute_field_frame`],
+//! [`stepped_frame`], [`accelerations_frame`], [`particles_frame`]), and
+//! [`encode_request`] and [`encode_response`] encode through them; each
+//! bulk request has one reader, and [`decode_request`] copies a view
+//! into an owned [`Request`]. A reply is decoded into the caller's
+//! columns, its one copy on the way in: the reply of a pipelined
+//! request can arrive before the caller names where it goes.
 //!
 //! # Sequence numbers and idempotent retry
 //!
@@ -153,7 +160,9 @@
 use crate::checkpoint::ModelState;
 use crate::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
-use std::io::Read;
+#[cfg(target_endian = "little")]
+use std::io::IoSlice;
+use std::io::{Read, Write};
 
 /// Frame magic ("JCWR" as a little-endian u32).
 pub const MAGIC: u32 = 0x4A43_5752;
@@ -619,32 +628,12 @@ pub fn encode_simple_request(opcode: u8, buf: &mut Vec<u8>) {
     begin_frame(buf, opcode, 0, 0, 0);
 }
 
-/// Encode a `Particles` response frame straight from borrowed columns —
-/// the server's `GetParticles` fast path, skipping the owned
-/// [`Response`] a `worker.handle` round would allocate.
+/// Encode a `Particles` response frame of borrowed columns into `buf`
+/// (cleared first): [`particles_frame`] encoded. `benchmark/src/probes.rs`
+/// times the codec through it.
 // jc-lint: no-alloc
 pub fn encode_particles_frame(mass: &[f64], pos: &[[f64; 3]], vel: &[[f64; 3]], buf: &mut Vec<u8>) {
-    let n = mass.len();
-    assert!(pos.len() == n && vel.len() == n, "ragged particle snapshot");
-    begin_frame(buf, op::RESP_PARTICLES, 56 * n as u64, n as u64, 0);
-    put_f64s(buf, mass);
-    put_v3s(buf, pos);
-    put_v3s(buf, vel);
-}
-
-/// Encode an `Accelerations` response frame from a borrowed slice (the
-/// server's `ComputeKick` fast path; flops ride in aux1 so the payload
-/// stays the modeled 24·n).
-// jc-lint: no-alloc
-pub fn encode_accelerations_frame(acc: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
-    begin_frame(
-        buf,
-        op::RESP_ACCELERATIONS,
-        24 * acc.len() as u64,
-        acc.len() as u64,
-        flops.to_bits(),
-    );
-    put_v3s(buf, acc);
+    particles_frame(mass, pos, vel).encode(buf);
 }
 
 /// Encode an `Ok` response frame (the server's mutating fast paths).
@@ -686,11 +675,13 @@ pub fn encode_compute_kick(
 /// `ComputeField`'s four range bounds.
 const PREFIX_MAX: usize = HEADER_LEN + 32;
 
-/// One borrowed column of a request payload.
+/// One borrowed column of a frame's payload.
 #[derive(Clone, Copy)]
 enum Column<'a> {
     V3(&'a [[f64; 3]]),
     F64(&'a [f64]),
+    /// Bytes already in wire order: the rest of an encoded frame.
+    Bytes(&'a [u8]),
 }
 
 impl Column<'_> {
@@ -698,6 +689,7 @@ impl Column<'_> {
         match self {
             Column::V3(c) => 24 * c.len(),
             Column::F64(c) => 8 * c.len(),
+            Column::Bytes(c) => c.len(),
         }
     }
 
@@ -705,17 +697,22 @@ impl Column<'_> {
         match self {
             Column::V3(c) => put_v3s(buf, c),
             Column::F64(c) => put_f64s(buf, c),
+            Column::Bytes(c) => buf.extend_from_slice(c),
         }
     }
 }
 
-/// A bulk request frame in parts, its columns borrowed from the caller:
-/// a prefix of at most 64 bytes (the header and any scalars) followed
-/// by up to four columns. [`Frame::encode`] writes the frame into a
-/// buffer — [`encode_request`] writes every bulk request so — and, on
-/// a little-endian target, [`Frame::parts`] lends the very same bytes
-/// where they lie, so a transport can write the frame with no
-/// user-space copy.
+/// A bulk frame in parts, in either direction, its columns borrowed
+/// where they lie: a request's from the caller, a reply's from the
+/// worker or the host's scratch. A prefix of at most 64 bytes (the
+/// header and any scalars) is followed by up to four columns.
+/// [`Frame::encode`] writes the frame into a buffer —
+/// [`encode_request`] and [`encode_response`] write every bulk frame
+/// so — and, on a little-endian target, [`Frame::parts`] lends the very
+/// same bytes where they lie, so a transport can write the frame with
+/// no user-space copy. [`Frame::encoded`] lends a frame that is already
+/// encoded the same way, so a server hands back every reply as a
+/// `Frame`.
 pub struct Frame<'a> {
     prefix: [u8; PREFIX_MAX],
     prefix_len: usize,
@@ -742,6 +739,26 @@ impl<'a> Frame<'a> {
         self.columns[self.n_columns] = c;
         self.n_columns += 1;
         self
+    }
+
+    /// A frame already encoded into `bytes`, lent as it lies: its header
+    /// is the prefix (every part 0 starts with the header), the rest one
+    /// column.
+    pub fn encoded(bytes: &'a [u8]) -> Frame<'a> {
+        let head = bytes.len().min(HEADER_LEN);
+        let mut prefix = [0u8; PREFIX_MAX];
+        prefix[..head].copy_from_slice(&bytes[..head]);
+        Frame {
+            prefix,
+            prefix_len: head,
+            columns: [
+                Column::Bytes(&bytes[head..]),
+                Column::F64(&[]),
+                Column::F64(&[]),
+                Column::F64(&[]),
+            ],
+            n_columns: 1,
+        }
     }
 
     /// The whole frame's length in bytes.
@@ -773,6 +790,7 @@ impl<'a> Frame<'a> {
         let bytes = |c: &Column<'a>| match *c {
             Column::V3(c) => v3_bytes(c),
             Column::F64(c) => f64_bytes(c),
+            Column::Bytes(c) => c,
         };
         let [c0, c1, c2, c3] = &self.columns;
         [&self.prefix[..self.prefix_len], bytes(c0), bytes(c1), bytes(c2), bytes(c3)]
@@ -787,6 +805,37 @@ impl<'a> Frame<'a> {
             let skip = from.min(part.len());
             buf.extend_from_slice(&part[skip..]);
             from -= skip;
+        }
+    }
+
+    /// Write the whole frame to `w`, a blocking stream. On a
+    /// little-endian target its parts go where they lie, through
+    /// vectored writes that go on from wherever a short write stopped;
+    /// an interrupted write is retried. Elsewhere the frame is encoded
+    /// first.
+    // jc-lint: no-alloc
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        #[cfg(target_endian = "little")]
+        {
+            let mut parts = self.parts().map(IoSlice::new);
+            let mut unsent = &mut parts[..];
+            IoSlice::advance_slices(&mut unsent, 0);
+            while !unsent.is_empty() {
+                match w.write_vectored(unsent) {
+                    Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                    Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            // jc-lint: allow(no-alloc): a big-endian target encodes the frame to write it
+            let mut buf = Vec::with_capacity(self.wire_len());
+            self.encode(&mut buf);
+            w.write_all(&buf)
         }
     }
 }
@@ -836,14 +885,35 @@ pub fn compute_field_frame<'a>(
     }
 }
 
-/// Encode a `Stepped` response frame straight from borrowed positions
-/// (the server's `Step` fast path; flops ride in aux1 so the payload
-/// stays the modeled 24·n).
+/// The `Stepped` reply of borrowed positions (the server's `Step` fast
+/// path; flops ride in aux1 so the payload stays the modeled 24·n).
 // jc-lint: no-alloc
-pub fn encode_stepped_frame(pos: &[[f64; 3]], flops: f64, buf: &mut Vec<u8>) {
+pub fn stepped_frame(pos: &[[f64; 3]], flops: f64) -> Frame<'_> {
     let n = pos.len() as u64;
-    begin_frame(buf, op::RESP_STEPPED, 24 * n, n, flops.to_bits());
-    put_v3s(buf, pos);
+    Frame::new(op::RESP_STEPPED, 24 * n, n, flops.to_bits()).column(Column::V3(pos))
+}
+
+/// The `Accelerations` reply of a borrowed column (the server's field
+/// and `ComputeKick` answers; flops ride in aux1 so the payload stays
+/// the modeled 24·n).
+// jc-lint: no-alloc
+pub fn accelerations_frame(acc: &[[f64; 3]], flops: f64) -> Frame<'_> {
+    let n = acc.len() as u64;
+    Frame::new(op::RESP_ACCELERATIONS, 24 * n, n, flops.to_bits()).column(Column::V3(acc))
+}
+
+/// The `Particles` reply of borrowed columns (the server's
+/// `GetParticles` fast path, skipping the owned [`Response`] a
+/// `worker.handle` round would allocate). The columns must have equal
+/// length.
+// jc-lint: no-alloc
+pub fn particles_frame<'a>(mass: &'a [f64], pos: &'a [[f64; 3]], vel: &'a [[f64; 3]]) -> Frame<'a> {
+    let n = mass.len();
+    assert!(pos.len() == n && vel.len() == n, "ragged particle snapshot");
+    Frame::new(op::RESP_PARTICLES, 56 * n as u64, n as u64, 0)
+        .column(Column::F64(mass))
+        .column(Column::V3(pos))
+        .column(Column::V3(vel))
 }
 
 /// The `aux0` kind tag of a state body (see the module docs).
@@ -990,9 +1060,9 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
             begin_frame(buf, op::RESP_OK, 8, 0, 0);
             put_f64(buf, *flops);
         }
-        Response::Particles(p) => encode_particles_frame(&p.mass, &p.pos, &p.vel, buf),
-        Response::Accelerations { acc, flops } => encode_accelerations_frame(acc, *flops, buf),
-        Response::Stepped { pos, flops } => encode_stepped_frame(pos, *flops, buf),
+        Response::Particles(p) => particles_frame(&p.mass, &p.pos, &p.vel).encode(buf),
+        Response::Accelerations { acc, flops } => accelerations_frame(acc, *flops).encode(buf),
+        Response::Stepped { pos, flops } => stepped_frame(pos, *flops).encode(buf),
         Response::StellarUpdate { masses, events } => {
             let len = 8 * masses.len() as u64 + 32 * events.len() as u64;
             begin_frame(
@@ -1704,6 +1774,74 @@ mod tests {
                     frame.append_tail(from, &mut tail);
                     assert_eq!(tail[3..], encoded[from..], "the tail from {from}");
                 }
+            }
+        }
+    }
+
+    /// A stream that takes at most 7 bytes a call, across the slices it
+    /// is lent, fails its first call with `Interrupted`, and refuses to
+    /// take more than `room` bytes.
+    struct Trickle {
+        got: Vec<u8>,
+        room: usize,
+        interrupted: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[std::io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let before = self.got.len();
+            for b in bufs {
+                let take = b.len().min(before + 7 - self.got.len());
+                self.got.extend_from_slice(&b[..take]);
+            }
+            assert!(
+                self.got.len() <= self.room,
+                "wrote {} bytes of a {}-byte frame",
+                self.got.len(),
+                self.room
+            );
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_written_whole_through_short_and_interrupted_writes() {
+        let dv: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, -0.5, f64::NAN]).collect();
+        let m = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let mut frames = bulk_frames(&dv, &m);
+        frames.extend([
+            stepped_frame(&dv, 3.5),
+            accelerations_frame(&dv[1..], -1.0),
+            particles_frame(&m, &dv, &dv),
+            stepped_frame(&[], 0.0),
+        ]);
+        let mut ok = Vec::new();
+        encode_ok_frame(2.5, &mut ok);
+        frames.extend([Frame::encoded(&ok), Frame::encoded(&[])]);
+        let mut encoded = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            frame.encode(&mut encoded);
+            let mut w = Trickle { got: Vec::new(), room: encoded.len(), interrupted: false };
+            frame.write_to(&mut w).expect("a short write is not an error");
+            assert_eq!(w.got, encoded, "frame {i}");
+            // every frame lends its header at the start of part 0
+            #[cfg(target_endian = "little")]
+            {
+                let head = encoded.len().min(HEADER_LEN);
+                assert_eq!(Frame::encoded(&encoded).parts()[0], &encoded[..head], "frame {i}");
+                assert_eq!(frame.parts()[0][..head], encoded[..head], "frame {i}");
             }
         }
     }

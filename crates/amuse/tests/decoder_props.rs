@@ -86,7 +86,7 @@ fn valid_frame(n: usize, seq: u16, op: u8) -> Vec<u8> {
             let masses = (op == 4).then_some((&mass[..], &mass[..]));
             wire::compute_field_frame(&pos, &pos, masses, (0, n), (0, n)).encode(&mut buf)
         }
-        _ => wire::encode_stepped_frame(&vec![[0.25, 1.0, -3.0]; n], 1e3, &mut buf),
+        _ => wire::stepped_frame(&vec![[0.25, 1.0, -3.0]; n], 1e3).encode(&mut buf),
     }
     wire::set_seq(&mut buf, seq);
     buf

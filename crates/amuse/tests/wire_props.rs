@@ -4,8 +4,9 @@
 //! exactly its modeled `wire_size()` long.
 
 use jc_amuse::wire::{
-    compute_field_frame, decode_request, decode_response, decode_stepped_into, encode_request,
-    encode_response, encode_stepped_frame, step_frame, view_compute_field, view_step,
+    accelerations_frame, compute_field_frame, decode_request, decode_response, decode_stepped_into,
+    encode_request, encode_response, particles_frame, step_frame, stepped_frame,
+    view_compute_field, view_step,
 };
 use jc_amuse::worker::{ParticleData, Request, Response};
 use jc_stellar::StellarEvent;
@@ -302,11 +303,27 @@ proptest! {
             }
             _ => {}
         }
-        // the step's answer, whatever the request was
-        let resp = Response::Stepped { pos: stale.pos.clone(), flops };
-        encode_response(&resp, &mut owned);
-        encode_stepped_frame(&stale.pos, flops, &mut borrowed);
-        prop_assert!(owned == borrowed);
+        // the bulk answers, whatever the request was: each builder's
+        // frame, encoded and in parts, is the owned reply's
+        let replies = [
+            (Response::Stepped { pos: stale.pos.clone(), flops }, stepped_frame(&stale.pos, flops)),
+            (
+                Response::Accelerations { acc: stale.vel.clone(), flops },
+                accelerations_frame(&stale.vel, flops),
+            ),
+            (
+                Response::Particles(stale.clone()),
+                particles_frame(&stale.mass, &stale.pos, &stale.vel),
+            ),
+        ];
+        for (resp, frame) in &replies {
+            encode_response(resp, &mut owned);
+            frame.encode(&mut borrowed);
+            prop_assert!(owned == borrowed);
+            #[cfg(target_endian = "little")]
+            prop_assert!(frame.parts().concat() == owned);
+        }
+        encode_response(&replies[0].0, &mut owned);
         let mut into = stale.vel.clone();
         let got = decode_stepped_into(&owned, &mut into).expect("valid frame");
         prop_assert!(f64_eq(got, flops) && vv3_eq(&into, &stale.pos));

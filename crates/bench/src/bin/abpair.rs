@@ -14,8 +14,11 @@
 //! Pair *i* of a workload runs `benchmark/run.sh --workload W --seed S
 //! --seconds T --trace 0` on both sides with the fresh seed `S = seed +
 //! i`, parent first on even pairs and change first on odd ones. With
-//! `--trace`, one more pair per workload runs with `--trace 1`, and the
-//! per-layer metrics of the two sides are printed side by side.
+//! `--trace`, three more pairs per workload run with `--trace 1`, in the
+//! same alternating order, and each per-layer metric is printed with
+//! each side's median and min–max over its traced runs. A row whose two
+//! ranges overlap is marked "within noise": three runs a side cannot
+//! tell its difference from the box's drift.
 //!
 //! For every end-to-end metric `BENCHMARK.json` names, the summary holds
 //! each side's quartiles, the pairs the change won (in the metric's
@@ -126,6 +129,18 @@ fn quartiles(xs: &[f64]) -> [f64; 3] {
     [0.25, 0.5, 0.75].map(|q| quantile(&s, q))
 }
 
+/// Traced pairs per workload with `--trace`.
+const TRACED_PAIRS: u64 = 3;
+
+/// The order pair `i` runs its sides in: parent first on even pairs.
+fn order(i: u64) -> [usize; 2] {
+    if i.is_multiple_of(2) {
+        [0, 1]
+    } else {
+        [1, 0]
+    }
+}
+
 /// Run git, its stdout kept off ours (which carries only the JSON).
 fn run_git(args: &[&str]) -> Result<(), String> {
     let mut git = Command::new("git");
@@ -209,6 +224,11 @@ fn num(x: f64) -> String {
     }
 }
 
+/// `xs` as the items of a JSON list.
+fn json_list(xs: &[f64]) -> String {
+    xs.iter().map(|&x| num(x)).collect::<Vec<_>>().join(", ")
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -266,8 +286,7 @@ fn measure(o: &Opts, sides: &[Side; 2]) -> Result<String, String> {
         let mut runs: [Vec<RunResult>; 2] = [Vec::new(), Vec::new()];
         for i in 0..o.pairs {
             let seed = o.seed + i;
-            let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
-            for k in order {
+            for k in order(i) {
                 let r = sides[k].run(workload, seed, o.seconds, false)?;
                 eprintln!(
                     "abpair: {workload} pair {i} seed {seed} {}: p50 {:?} correct {} failed {}",
@@ -311,17 +330,16 @@ fn measure(o: &Opts, sides: &[Side; 2]) -> Result<String, String> {
             if mi > 0 {
                 doc.push_str(", ");
             }
-            let list = |xs: &[f64]| xs.iter().map(|&x| num(x)).collect::<Vec<_>>().join(", ");
             write!(
                 doc,
                 "\"{name}\": {{\"better\": \"{}\", \"parent\": [{}], \"change\": [{}], \
                  \"parent_quartiles\": [{}], \"change_quartiles\": [{}], \"wins\": {wins}, \
                  \"gap\": {}, \"gap_over_iqr\": {}}}",
                 if *lower { "lower" } else { "higher" },
-                list(&p),
-                list(&c),
-                list(&qp),
-                list(&qc),
+                json_list(&p),
+                json_list(&c),
+                json_list(&qp),
+                json_list(&qc),
                 num(gap),
                 num(ratio)
             )
@@ -329,22 +347,50 @@ fn measure(o: &Opts, sides: &[Side; 2]) -> Result<String, String> {
         }
         doc.push('}');
         if o.trace {
-            let seed = o.seed + o.pairs;
-            let traced = [
-                sides[0].run(workload, seed, o.seconds, true)?,
-                sides[1].run(workload, seed, o.seconds, true)?,
-            ];
-            eprintln!("\n{workload} traced, seed {seed}:");
-            eprintln!("{:<34} {:>16} {:>16} {:>9}", "layer", "parent", "change", "change%");
+            let mut traced: [Vec<RunResult>; 2] = [Vec::new(), Vec::new()];
+            for i in 0..TRACED_PAIRS {
+                for k in order(i) {
+                    traced[k].push(sides[k].run(
+                        workload,
+                        o.seed + o.pairs + i,
+                        o.seconds,
+                        true,
+                    )?);
+                }
+            }
+            eprintln!("\n{workload} traced, {TRACED_PAIRS} pairs (median [min–max]):");
+            eprintln!("{:<34} {:>30} {:>30} {:>9}", "layer", "parent", "change", "change%");
             doc.push_str(", \"traced\": {");
-            for (li, (name, pv)) in traced[0].metrics.iter().enumerate() {
-                let cv = traced[1].metric(name).unwrap_or(f64::NAN);
-                let pct = 100.0 * (cv - pv) / pv.abs();
-                eprintln!("{name:<34} {pv:>16.4} {cv:>16.4} {pct:>+8.1}%");
+            let names = traced[0][0].metrics.iter().map(|(name, _)| name);
+            for (li, name) in names.enumerate() {
+                let col = |k: usize| -> Vec<f64> {
+                    traced[k].iter().map(|r| r.metric(name).unwrap_or(f64::NAN)).collect()
+                };
+                let (p, c) = (col(0), col(1));
+                let range = |xs: &[f64]| {
+                    let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+                    (lo, xs.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+                };
+                let ((p_lo, p_hi), (c_lo, c_hi)) = (range(&p), range(&c));
+                let (pm, cm) = (quartiles(&p)[1], quartiles(&c)[1]);
+                let noise = p_lo <= c_hi && c_lo <= p_hi;
+                eprintln!(
+                    "{name:<34} {:>30} {:>30} {:>+8.1}%{}",
+                    format!("{pm:.4} [{p_lo:.4}–{p_hi:.4}]"),
+                    format!("{cm:.4} [{c_lo:.4}–{c_hi:.4}]"),
+                    if cm == pm { 0.0 } else { 100.0 * (cm - pm) / pm.abs() },
+                    if noise { "  within noise" } else { "" }
+                );
                 if li > 0 {
                     doc.push_str(", ");
                 }
-                write!(doc, "\"{name}\": [{}, {}]", num(*pv), num(cv)).unwrap();
+                write!(
+                    doc,
+                    "\"{name}\": {{\"parent\": [{}], \"change\": [{}], \"within_noise\": {noise}}}",
+                    json_list(&p),
+                    json_list(&c)
+                )
+                .unwrap();
             }
             doc.push('}');
         }

@@ -146,7 +146,8 @@ impl Actor for WorkerProxy {
         // real execution (loopback hop to the worker process): the frame
         // server the TCP worker runs, with its fast paths and dedup cache
         let server = self.server.as_mut().expect("proxy started");
-        let mut frame = server.handle(&env.frame).0.to_vec();
+        let mut frame = Vec::new();
+        server.handle(&env.frame).0.encode(&mut frame);
         wire::set_seq(&mut frame, wire::frame_seq(&env.frame));
         // modeled duration on this worker's resource slice, serialized on
         // the shared (host, device) ledger

@@ -310,8 +310,8 @@ impl Service {
             let Some((stars, gas)) = st.sessions.get(&id).and_then(|r| r.snapshot.as_ref()) else {
                 return Ok(false);
             };
-            wire::encode_particles_frame(&stars.mass, &stars.pos, &stars.vel, &mut star_frame);
-            wire::encode_particles_frame(&gas.mass, &gas.pos, &gas.vel, &mut gas_frame);
+            wire::particles_frame(&stars.mass, &stars.pos, &stars.vel).encode(&mut star_frame);
+            wire::particles_frame(&gas.mass, &gas.pos, &gas.vel).encode(&mut gas_frame);
         }
         w.write_all(&star_frame)?;
         w.write_all(&gas_frame)?;

@@ -6,14 +6,20 @@
 //!        [--pairs 10] [--seconds 20] [--seed 1000] [--trace] [--work DIR] [--out FILE]
 //! ```
 //!
-//! Each side is a detached `git worktree` of its revision, added under
-//! `--work` (default `target/abpair`) and removed again when done. Each
-//! side builds into its own `CARGO_TARGET_DIR` under `--work`, before
-//! any measured run.
+//! Both sides build at one path: a detached `git worktree` added under
+//! `--work` (default `target/abpair`) as `src`, and removed again when
+//! done. The parent is checked out there and built into
+//! `target-parent`, then the change is checked out at the same path and
+//! built into `target-change`, before any measured run. The source path
+//! enters the package ids that partition codegen units, so two paths
+//! can give one commit two codegens; one path gives one. Each side's
+//! `jc-benchmark` binaries are copied out of its target directory.
 //!
-//! Pair *i* of a workload runs `benchmark/run.sh --workload W --seed S
-//! --seconds T --trace 0` on both sides with the fresh seed `S = seed +
-//! i`, parent first on even pairs and change first on odd ones. With
+//! Pair *i* of a workload runs the side's `jc-benchmark --workload W
+//! --seed S --seconds T --trace 0` in the worktree, with the environment
+//! `benchmark/run.sh` sets (`JC_THREADS=1`), on both sides with the
+//! fresh seed `S = seed + i`, parent first on even pairs and change
+//! first on odd ones. With
 //! `--trace`, three more pairs per workload run with `--trace 1`, in the
 //! same alternating order, and each per-layer metric is printed with
 //! each side's median and min–max over its traced runs. A row whose two
@@ -46,29 +52,51 @@ impl RunResult {
     }
 }
 
-/// One side of the comparison: a checkout and its build directory.
+/// One side of the comparison: its `jc-benchmark` binaries (plain, and
+/// built with the traced runs' `count-alloc` feature) and the checkout
+/// they run in.
 struct Side {
     label: &'static str,
     dir: PathBuf,
-    target: PathBuf,
+    bins: [PathBuf; 2],
 }
 
 impl Side {
-    /// Build what `benchmark/run.sh` runs (with the traced runs'
-    /// `count-alloc` feature when `trace`), so no measured run pays for a
-    /// compile.
-    fn build(&self, trace: bool) -> Result<(), String> {
-        let manifest = self.dir.join("benchmark/Cargo.toml");
-        let mut cmd = Command::new("cargo");
-        cmd.args(["build", "--release", "--offline", "--quiet", "--manifest-path"]).arg(manifest);
-        if trace {
-            cmd.args(["--features", "count-alloc"]);
+    /// Check `rev` out in the worktree `dir` and build what
+    /// `benchmark/run.sh` runs into `work/target-<label>` (with the
+    /// traced runs' `count-alloc` feature too when `trace`), so no
+    /// measured run pays for a compile. Each binary is copied out before
+    /// the next build overwrites it.
+    fn build(
+        label: &'static str,
+        rev: &str,
+        dir: &Path,
+        work: &Path,
+        trace: bool,
+    ) -> Result<Side, String> {
+        let path = dir.to_string_lossy();
+        run_git(&["-C", &path, "checkout", "--quiet", "--detach", "--force", rev])?;
+        eprintln!("abpair: building {label} ({rev}) in {path}");
+        let target = work.join(format!("target-{label}"));
+        let bins = ["", "-traced"].map(|t| work.join(format!("{label}{t}.jc-benchmark")));
+        for (traced, bin) in bins.iter().enumerate().take(1 + trace as usize) {
+            let mut cmd = Command::new("cargo");
+            cmd.args(["build", "--release", "--offline", "--quiet", "--manifest-path"])
+                .arg(dir.join("benchmark/Cargo.toml"));
+            if traced == 1 {
+                cmd.args(["--features", "count-alloc"]);
+            }
+            let st = cmd
+                .env("CARGO_TARGET_DIR", &target)
+                .status()
+                .map_err(|e| format!("{label}: cargo: {e}"))?;
+            if !st.success() {
+                return Err(format!("{label}: build failed: {st}"));
+            }
+            std::fs::copy(target.join("release/jc-benchmark"), bin)
+                .map_err(|e| format!("{label}: {}: {e}", bin.display()))?;
         }
-        let st = cmd
-            .env("CARGO_TARGET_DIR", &self.target)
-            .status()
-            .map_err(|e| format!("{}: cargo: {e}", self.label))?;
-        st.success().then_some(()).ok_or_else(|| format!("{}: build failed: {st}", self.label))
+        Ok(Side { label, dir: dir.to_path_buf(), bins })
     }
 
     /// One benchmark run on this side; the parsed last line of stdout.
@@ -79,14 +107,13 @@ impl Side {
         seconds: u64,
         trace: bool,
     ) -> Result<RunResult, String> {
-        let out = Command::new("bash")
-            .arg(self.dir.join("benchmark/run.sh"))
+        let out = Command::new(&self.bins[trace as usize])
             .args(["--workload", workload, "--seed", &seed.to_string()])
             .args(["--seconds", &seconds.to_string(), "--trace", if trace { "1" } else { "0" }])
-            .env("CARGO_TARGET_DIR", &self.target)
+            .env("JC_THREADS", "1")
             .current_dir(&self.dir)
             .output()
-            .map_err(|e| format!("{}: cannot run benchmark/run.sh: {e}", self.label))?;
+            .map_err(|e| format!("{}: cannot run jc-benchmark: {e}", self.label))?;
         let stdout = String::from_utf8_lossy(&out.stdout);
         let line = stdout.lines().rev().find(|l| l.trim_start().starts_with('{'));
         let Some(line) = line.filter(|_| out.status.success()) else {
@@ -147,6 +174,17 @@ fn run_git(args: &[&str]) -> Result<(), String> {
     git.args(args).stdout(Stdio::null());
     let st = git.status().map_err(|e| format!("git: {e}"))?;
     st.success().then_some(()).ok_or_else(|| format!("git {} failed: {st}", args.join(" ")))
+}
+
+/// `rev` as a commit hash, resolved here: inside the worktree a name
+/// like `HEAD` would name the worktree's own checkout.
+fn commit_of(rev: &str) -> Result<String, String> {
+    let out = Command::new("git")
+        .args(["rev-parse", "--verify", "--quiet", &format!("{rev}^{{commit}}")])
+        .output()
+        .map_err(|e| format!("git: {e}"))?;
+    let hash = String::from_utf8_lossy(&out.stdout).trim().to_string();
+    (out.status.success() && !hash.is_empty()).then_some(hash).ok_or(format!("{rev}: not a commit"))
 }
 
 /// Options from the command line.
@@ -243,24 +281,20 @@ fn run() -> Result<(), String> {
     let o = parse_args()?;
     std::fs::create_dir_all(&o.work).map_err(|e| format!("{}: {e}", o.work.display()))?;
     let work = o.work.canonicalize().map_err(|e| format!("{}: {e}", o.work.display()))?;
-    // a side is a worktree added (and later removed) here
-    let mut added = Vec::new();
-    let mut side = |label: &'static str, rev: &Option<String>| {
-        let rev = rev.as_deref().ok_or_else(|| format!("--{label} REV"))?;
-        let dir = work.join(label);
-        let path = dir.to_string_lossy().into_owned();
-        run_git(&["worktree", "add", "--detach", "--force", &path, rev])?;
-        added.push(path);
-        Ok::<Side, String>(Side { label, dir, target: work.join(format!("target-{label}")) })
+    let rev = |label: &str, rev: &Option<String>| {
+        commit_of(rev.as_deref().ok_or_else(|| format!("--{label} REV"))?)
     };
-    // every worktree added is removed again, whatever failed
-    let result = side("parent", &o.parent).and_then(|parent| {
-        let change = side("change", &o.change)?;
-        measure(&o, &[parent, change])
+    let (parent, change) = (rev("parent", &o.parent)?, rev("change", &o.change)?);
+    // both sides build and run in this one worktree, removed again
+    // whatever failed
+    let dir = work.join("src");
+    let path = dir.to_string_lossy().into_owned();
+    run_git(&["worktree", "add", "--detach", "--force", &path, &parent])?;
+    let result = Side::build("parent", &parent, &dir, &work, o.trace).and_then(|p| {
+        let c = Side::build("change", &change, &dir, &work, o.trace)?;
+        measure(&o, &[p, c])
     });
-    for path in added {
-        let _ = run_git(&["worktree", "remove", "--force", &path]);
-    }
+    let _ = run_git(&["worktree", "remove", "--force", &path]);
     let json = result?;
     println!("{json}");
     if let Some(path) = &o.out {
@@ -272,14 +306,8 @@ fn run() -> Result<(), String> {
 
 /// Run every pair and summarize; the JSON document.
 fn measure(o: &Opts, sides: &[Side; 2]) -> Result<String, String> {
+    // the worktree holds the change now
     let metrics = end_to_end(&sides[1].dir)?;
-    for s in sides {
-        eprintln!("abpair: building {} in {}", s.label, s.dir.display());
-        s.build(false)?;
-        if o.trace {
-            s.build(true)?;
-        }
-    }
     let mut doc = String::from("{\"pairs\": ");
     write!(doc, "{}, \"seconds\": {}, \"workloads\": {{", o.pairs, o.seconds).unwrap();
     for (wi, workload) in o.workloads.iter().enumerate() {

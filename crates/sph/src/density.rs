@@ -18,6 +18,28 @@
 //! SoA pass stages each pair from the one set that owns it, so it builds
 //! no list. Only the scalar reference path builds full per-particle
 //! lists here, from the sets and their transpose.
+//!
+//! Within a position epoch — a kick moves no particle — a second pass
+//! need not re-adapt every particle. Each pass records which particles
+//! ended at a **fixed point** of the h-adaptation, i.e. where a pass
+//! from their new `h` at the same positions and masses would run the
+//! same iterations over the same candidate set:
+//!
+//! * (a) the loop left by the in-range `break`: the next pass breaks at
+//!   iteration 0 with the same set, so it charges `1 × |C(i)|`;
+//! * (b) the last adaptation step left `h` unchanged (it sits at a
+//!   clamp): every later iteration repeats, so the next pass charges
+//!   `H_ITERS × |C(i)|`. Every particle of a 24-gas session ends
+//!   here.
+//!
+//! Running out of `H_ITERS` alone is not a fixed point: `h` moved in
+//! that last step. The crate's `replay_density_with` keeps the fixed
+//! points' ρ, `h` and staged candidate set, charges their interactions
+//! as above and re-adapts only the others — the same bits as a full
+//! pass. `Gadget` calls it after a kick. It replays
+//! on the direct-sweep side of the crossover only: the grid's visit
+//! order follows its cell, which a pass picks from the incoming `h`, so
+//! a kept set there need not be in the order a fresh search returns.
 
 use crate::forces::{ForceBlock, ForceView, PairStage};
 use crate::grid::{sweep_within, CsrGrid};
@@ -178,6 +200,17 @@ pub struct SphScratch {
     /// Staged candidate sets `C(i)` in CSR form (`n + 1` offsets).
     cand_off: Vec<u32>,
     cand_idx: Vec<u32>,
+    /// The previous pass's `cand_off`, swapped out while a pass stages
+    /// the new counts: a replay copies kept sets out of `cand_idx`
+    /// through it before the per-worker stages replace `cand_idx`.
+    prev_off: Vec<u32>,
+    /// The replay record, per particle: 0 if the last pass left it off a
+    /// fixed point, else the iterations a pass from its `h` charges its
+    /// set (1 in range, [`H_ITERS`] at a clamp; see the module docs).
+    fixed: Vec<u8>,
+    /// `(particle count, simd)` of the pass that made the replay record,
+    /// `None` if there is none a replay may use.
+    fixed_for: Option<(usize, bool)>,
     /// Transpose of the staged sets (counting-sort scratch).
     t_off: Vec<u32>,
     t_idx: Vec<u32>,
@@ -223,6 +256,9 @@ impl SphScratch {
             grid: CsrGrid::new(),
             cand_off: Vec::new(),
             cand_idx: Vec::new(),
+            prev_off: Vec::new(),
+            fixed: Vec::new(),
+            fixed_for: None,
             t_off: Vec::new(),
             t_idx: Vec::new(),
             nbr_off: Vec::new(),
@@ -300,11 +336,28 @@ impl SphScratch {
         self.nbr_idx.len()
     }
 
+    /// Counts of the replay record's fixed points: `(in range, at a
+    /// clamp)`, or `(0, 0)` with no record a replay may use.
+    #[cfg(test)]
+    pub(crate) fn fixed_points(&self) -> (usize, usize) {
+        if self.fixed_for.is_none() {
+            return (0, 0);
+        }
+        let count = |c: usize| self.fixed.iter().filter(|&&f| f as usize == c).count();
+        (count(1), count(H_ITERS))
+    }
+
+    /// Drop the replay record: the next pass re-adapts every particle.
+    pub(crate) fn forget_fixed_points(&mut self) {
+        self.fixed_for = None;
+    }
+
     /// Stage the candidate sets for `gas` without re-adapting smoothing
     /// lengths and build the neighbour lists from them (for callers that
     /// computed densities separately; the Gadget path stages the sets in
-    /// [`compute_density_with`]).
+    /// [`compute_density_with`]). Drops the replay record.
     pub fn cache_neighbors(&mut self, gas: &GasParticles) {
+        self.forget_fixed_points();
         let n = gas.len();
         let direct = n < self.direct_below;
         if direct {
@@ -459,15 +512,42 @@ pub fn compute_density(gas: &mut GasParticles) -> u64 {
 /// ([`crate::forces::hydro_rates_into`]) reads the staged sets, without
 /// searching again. Returns the total number of
 /// neighbour interactions of the adaptation (for the cost model).
+/// Always a full pass; it records the fixed points a following
+/// `replay_density_with` keeps.
 // jc-lint: no-alloc
 pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) -> u64 {
+    density_pass(gas, scratch, false)
+}
+
+/// [`compute_density_with`] for a caller that vouches that no position
+/// or mass of `gas` changed since the last pass on `scratch`, and no
+/// `h` or ρ either: the particles that pass left at a fixed point keep
+/// their ρ, `h` and staged set, and only the others are re-adapted
+/// (module docs). Without a usable record it is a full pass. Same
+/// results and interaction count as a full pass, bit for bit.
+// jc-lint: no-alloc
+pub(crate) fn replay_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) -> u64 {
+    density_pass(gas, scratch, true)
+}
+
+/// The density pass; `replay` keeps the recorded fixed points where the
+/// record is this gas's and the pass sweeps.
+// jc-lint: no-alloc
+fn density_pass(gas: &mut GasParticles, scratch: &mut SphScratch, replay: bool) -> u64 {
     let n = gas.len();
+    let direct = n < scratch.direct_below;
+    let replay = replay && direct && scratch.fixed_for == Some((n, scratch.simd));
+    scratch.fixed_for = None;
     scratch.cached_n = usize::MAX;
     scratch.staged_for = n;
+    // the previous offsets stay readable for the replay; `cand_idx` is
+    // replaced once the pass has staged the new sets
+    std::mem::swap(&mut scratch.cand_off, &mut scratch.prev_off);
     scratch.cand_off.clear();
     scratch.cand_off.resize(n + 1, 0);
-    scratch.cand_idx.clear();
+    scratch.fixed.resize(n, 0);
     if n == 0 {
+        scratch.cand_idx.clear();
         scratch.nbr_off.clear();
         scratch.nbr_off.push(0);
         scratch.nbr_idx.clear();
@@ -522,21 +602,36 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
     let search = Search { pos, grid: &scratch.grid, cols: direct.then_some(&scratch.soa.pos) };
     let sort_key = &*scratch.sort_key;
     let soa_m = scratch.soa.m.as_slice();
+    let (prev_off, prev_idx) = (&*scratch.prev_off, &*scratch.cand_idx);
     let inter = par::chunked(
         threads,
-        (rho.as_mut_slice(), h.as_mut_slice(), &mut scratch.cand_off[1..]),
+        (
+            (rho.as_mut_slice(), h.as_mut_slice()),
+            &mut scratch.cand_off[1..],
+            &mut scratch.fixed[..],
+        ),
         &mut scratch.finders,
         0u64,
-        |s0, (rc, hc, cc): (&mut [f64], &mut [f64], &mut [u32]), (buf, ids)| {
+        |s0, ((rc, hc), cc, fc): Rows, (buf, ids)| {
             let mut inter = 0u64;
-            for (k, ((r, hh), cnt)) in rc.iter_mut().zip(hc.iter_mut()).zip(cc).enumerate() {
-                let (rv, hv, it) = if simd {
-                    adapt_one_simd(s0 + k, soa_m, &search, *hh, h_mean, buf)
+            let rows = rc.iter_mut().zip(hc.iter_mut()).zip(cc).zip(fc);
+            for (k, (((r, hh), cnt), fix)) in rows.enumerate() {
+                let i = s0 + k;
+                if replay && *fix != 0 {
+                    let kept = &prev_idx[prev_off[i] as usize..prev_off[i + 1] as usize];
+                    *cnt = kept.len() as u32;
+                    inter += *fix as u64 * kept.len() as u64;
+                    ids.extend_from_slice(kept);
+                    continue;
+                }
+                let (rv, hv, it, fv) = if simd {
+                    adapt_one_simd(i, soa_m, &search, *hh, h_mean, buf)
                 } else {
-                    adapt_one(s0 + k, mass, &search, sort_key, *hh, h_mean, buf)
+                    adapt_one(i, mass, &search, sort_key, *hh, h_mean, buf)
                 };
                 *r = rv;
                 *hh = hv;
+                *fix = fv;
                 inter += it;
                 *cnt = buf.len() as u32;
                 ids.extend(buf.iter().map(|&(j, _)| j));
@@ -550,12 +645,18 @@ pub fn compute_density_with(gas: &mut GasParticles, scratch: &mut SphScratch) ->
     for i in 0..n {
         scratch.cand_off[i + 1] += scratch.cand_off[i];
     }
+    scratch.cand_idx.clear();
     for (_, ids) in &scratch.finders {
         scratch.cand_idx.extend_from_slice(ids);
     }
     debug_assert_eq!(scratch.cand_idx.len(), scratch.cand_off[n] as usize);
+    scratch.fixed_for = direct.then_some((n, simd));
     inter
 }
+
+/// One worker's chunk of the density pass's outputs: `(ρ, h)`, the
+/// staged-set counts and the replay record.
+type Rows<'a> = ((&'a mut [f64], &'a mut [f64]), &'a mut [u32], &'a mut [u8]);
 
 /// One particle's h-adaptation. Four departures from the legacy loop,
 /// none observable in the results:
@@ -585,15 +686,15 @@ fn adapt_one(
     h_in: f64,
     h_mean: f64,
     buf: &mut Vec<Candidate>,
-) -> (f64, f64, u64) {
-    let (h, inter) = adapt_h(i, search, h_in, h_mean, buf);
+) -> (f64, f64, u64, u8) {
+    let (h, inter, fixed) = adapt_h(i, search, h_in, h_mean, buf);
     buf.sort_unstable_by_key(|&(j, _)| (sort_key[j as usize], j));
     let mut rho = sum_density(buf, mass, h);
     if rho <= 0.0 {
         // lone particle: density of itself
         rho = mass[i] * w(0.0, h);
     }
-    (rho, h, inter)
+    (rho, h, inter, fixed)
 }
 
 /// The shared h-adaptation trajectory: iterate `h` towards
@@ -602,17 +703,20 @@ fn adapt_one(
 /// density paths run exactly this loop —
 /// the "identical adaptation trajectory" invariant the SoA tests pin is
 /// this one function, not two synchronized copies. Returns the final
-/// `h` and the interaction total.
+/// `h`, the interaction total and the replay record's entry: 1 if the
+/// loop left in range, [`H_ITERS`] if its last step left `h` in place,
+/// else 0 (module docs).
 fn adapt_h(
     i: usize,
     search: &Search,
     h_in: f64,
     h_mean: f64,
     buf: &mut Vec<Candidate>,
-) -> (f64, u64) {
+) -> (f64, u64, u8) {
     let c = search.pos[i];
     let mut h = h_in.min(h_mean * 8.0).max(h_mean * 0.05);
     let mut inter = 0u64;
+    let mut fixed = 0u8;
     let mut buf_h = f64::NAN; // the h the buffer currently holds
     for _ in 0..H_ITERS {
         if buf_h != h {
@@ -622,11 +726,13 @@ fn adapt_h(
         inter += buf.len() as u64;
         let found = buf.len().max(1);
         if found as f64 > 0.8 * N_NEIGHBORS as f64 && (found as f64) < 1.3 * N_NEIGHBORS as f64 {
+            fixed = 1;
             break;
         }
         // adapt towards the target count
         h *= growth_factor(found);
         h = h.clamp(h_mean * 0.05, h_mean * 8.0);
+        fixed = if buf_h == h { H_ITERS as u8 } else { 0 };
         if buf_h != h {
             if h < buf_h {
                 let r2 = h * h;
@@ -637,7 +743,7 @@ fn adapt_h(
             buf_h = h;
         }
     }
-    (h, inter)
+    (h, inter, fixed)
 }
 
 /// Length of the h-growth table: every count up to `8 ·`
@@ -695,13 +801,13 @@ fn adapt_one_simd(
     h_in: f64,
     h_mean: f64,
     buf: &mut Vec<Candidate>,
-) -> (f64, f64, u64) {
-    let (h, inter) = adapt_h(i, search, h_in, h_mean, buf);
+) -> (f64, f64, u64, u8) {
+    let (h, inter, fixed) = adapt_h(i, search, h_in, h_mean, buf);
     let mut rho = sum_density_lanes(buf, mass, h);
     if rho <= 0.0 {
         rho = mass[i] * w(0.0, h);
     }
-    (rho, h, inter)
+    (rho, h, inter, fixed)
 }
 
 /// The [`LANES`]-wide cubic-spline density sum: candidates are consumed
@@ -897,6 +1003,66 @@ mod tests {
         par.ensure_cache(&b);
         assert_eq!(seq.cached_neighbor_entries(), par.cached_neighbor_entries());
         assert_eq!(seq.nbr_idx, par.nbr_idx, "cached lists diverge");
+    }
+
+    #[test]
+    fn a_replay_pass_is_a_full_pass_from_the_same_h() {
+        // 512 gas one pass from its seed h (in-range and moving particles
+        // mixed), and 24 gas warmed until every h sits at the
+        // clamp; twice in a row, so a replay's own record is checked too
+        for (n, warm) in [(512, 1), (24, 12)] {
+            for simd in [true, false] {
+                let mut gas = crate::particles::plummer_gas(n, 1.0, 7);
+                let mut scratch = SphScratch::new();
+                scratch.simd = simd;
+                for _ in 0..warm {
+                    compute_density_with(&mut gas, &mut scratch);
+                }
+                for pass in 0..2 {
+                    let (in_range, clamped) = scratch.fixed_points();
+                    let mut want_gas = gas.clone();
+                    let mut full = SphScratch::new();
+                    full.simd = simd;
+                    let want = compute_density_with(&mut want_gas, &mut full);
+                    let got = replay_density_with(&mut gas, &mut scratch);
+                    let at = format!("n={n} simd={simd} pass {pass}");
+                    assert_eq!(got, want, "{at}: interaction count");
+                    for i in 0..n {
+                        assert_eq!(gas.h[i].to_bits(), want_gas.h[i].to_bits(), "{at}: h[{i}]");
+                        assert_eq!(
+                            gas.rho[i].to_bits(),
+                            want_gas.rho[i].to_bits(),
+                            "{at}: rho[{i}]"
+                        );
+                    }
+                    assert_eq!(scratch.cand_off, full.cand_off, "{at}: staged offsets");
+                    assert_eq!(scratch.cand_idx, full.cand_idx, "{at}: staged sets");
+                    assert_eq!(scratch.fixed, full.fixed, "{at}: replay record");
+                    // what the replay kept
+                    if n == 24 {
+                        assert_eq!(clamped, n, "{at}: every session particle is clamped");
+                    } else {
+                        assert!(in_range > 0, "{at}: nothing to replay");
+                        assert!(in_range + clamped < n, "{at}: nothing to re-adapt");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_falls_back_to_a_full_pass_without_a_record() {
+        // the public pass records; `cache_neighbors` and the grid side of
+        // the crossover leave nothing a replay may keep
+        let mut gas = crate::particles::plummer_gas(300, 1.0, 3);
+        let mut scratch = SphScratch::new();
+        compute_density_with(&mut gas, &mut scratch);
+        assert_ne!(scratch.fixed_points(), (0, 0));
+        scratch.cache_neighbors(&gas);
+        assert_eq!(scratch.fixed_points(), (0, 0));
+        let mut grid = SphScratch::with_crossover(0);
+        compute_density_with(&mut gas, &mut grid);
+        assert_eq!(grid.fixed_points(), (0, 0));
     }
 
     #[test]

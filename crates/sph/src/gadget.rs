@@ -1,6 +1,6 @@
 //! The Gadget model: leapfrog KDK over hydro + self-gravity.
 
-use crate::density::{compute_density_with, SphScratch, PAR_GRAIN};
+use crate::density::{compute_density_with, replay_density_with, SphScratch, PAR_GRAIN};
 use crate::forces::{hydro_rates_into, HydroRates};
 use crate::particles::GasParticles;
 use jc_compute::par;
@@ -29,22 +29,27 @@ pub struct Gadget {
     time: f64,
     /// Accumulated modeled flops (density + forces + every self-gravity
     /// evaluation actually made — a refresh that reuses `g_acc` charges
-    /// none).
+    /// none; a replayed density fixed point charges what a full pass
+    /// would, so the density charge does not depend on the replay).
     pub flops: f64,
     /// Steps taken.
     pub steps: u64,
     /// Reusable kernel scratch: CSR grid, candidate buffers, neighbour
-    /// cache. Held across steps so the hot loop never allocates.
+    /// cache, and the density pass's replay record (see `epoch_valid`).
+    /// Held across steps so the hot loop never allocates.
     scratch: SphScratch,
     rates: HydroRates,
     /// Self-gravity of the gas on itself: a pure function of `(pos, mass)`
-    /// (bitwise, for any thread count), so it is valid for a *position
-    /// epoch* — `g_acc_valid` holds from the refresh that filled it until
-    /// positions, masses or the particle count change (the drift,
-    /// [`Gadget::restore_state`], [`Gadget::add_mass`]). [`Gadget::kick`]
-    /// and [`Gadget::inject_energy`] move no particle and do not end it.
+    /// (bitwise, for any thread count), kept for the position epoch.
     g_acc: Vec<[f64; 3]>,
-    g_acc_valid: bool,
+    /// One *position epoch*, two caches: set by the refresh that filled
+    /// `g_acc` and the density pass's replay record, cleared where
+    /// positions, masses or the particle count change (the drift,
+    /// [`Gadget::restore_state`], [`Gadget::add_mass`]). While it holds,
+    /// a refresh reuses `g_acc` and replays the density pass's fixed
+    /// points. [`Gadget::kick`] and [`Gadget::inject_energy`] move no
+    /// particle (and `u` does not enter the density), so they keep it.
+    epoch_valid: bool,
     rates_valid: bool,
 }
 
@@ -62,7 +67,7 @@ impl Gadget {
             scratch: SphScratch::new(),
             rates: HydroRates::new(),
             g_acc: Vec::new(),
-            g_acc_valid: false,
+            epoch_valid: false,
             rates_valid: false,
         }
     }
@@ -81,18 +86,21 @@ impl Gadget {
 
     fn refresh_rates(&mut self) -> f64 {
         let n = self.gas.len();
-        let inter_d = compute_density_with(&mut self.gas, &mut self.scratch);
+        let inter_d = if self.epoch_valid {
+            replay_density_with(&mut self.gas, &mut self.scratch)
+        } else {
+            compute_density_with(&mut self.gas, &mut self.scratch)
+        };
         hydro_rates_into(&self.gas, &mut self.scratch, &mut self.rates);
         self.flops += inter_d as f64 * 30.0 + self.rates.interactions as f64 * 60.0;
         if self.self_gravity && n > 1 {
-            if !self.g_acc_valid {
+            if !self.epoch_valid {
                 self.gravity.self_accelerations_into(
                     &self.gas.pos,
                     &self.gas.mass,
                     &mut self.g_acc,
                 );
                 self.flops += self.gravity.last_flops();
-                self.g_acc_valid = true;
             }
             for (a, ga) in self.rates.acc.iter_mut().zip(&self.g_acc) {
                 for k in 0..3 {
@@ -100,6 +108,7 @@ impl Gadget {
                 }
             }
         }
+        self.epoch_valid = true;
         self.rates_valid = true;
         self.rates.v_signal_max
     }
@@ -147,7 +156,7 @@ impl Gadget {
                 }
                 self.gas.u[i] = (self.gas.u[i] + 0.5 * dt * self.rates.du[i]).max(1e-10);
             }
-            self.g_acc_valid = false;
+            self.epoch_valid = false;
             // re-evaluate at the drifted state
             vsig = self.refresh_rates();
             // kick (half)
@@ -168,24 +177,24 @@ impl Gadget {
     /// Overwrite the gas state from a checkpoint: replace every particle
     /// column (including the adapted smoothing lengths `h`, which seed
     /// the next density iteration) and set the model clock, which may
-    /// move backwards. Cached rates and the cached self-gravity are
+    /// move backwards. Cached rates and the position epoch are
     /// discarded, so the next [`Gadget::evolve_model`] re-derives
     /// density/forces/gravity from the restored columns —
     /// bitwise-identical to an uninterrupted run at any point where the
     /// rates cache is already invalid (after a kick or feedback, i.e.
     /// every bridge iteration boundary): self-gravity is a pure function
-    /// of the restored `(pos, mass)`, so re-evaluating it reproduces what
-    /// the uninterrupted run still holds.
+    /// of the restored `(pos, mass)`, and a full density pass from the
+    /// restored `h` gives what the uninterrupted run's replay keeps.
     pub fn restore_state(&mut self, gas: GasParticles, time: f64) {
         self.gas = gas;
         self.time = time;
         self.rates_valid = false;
-        self.g_acc_valid = false;
+        self.epoch_valid = false;
     }
 
     /// Apply external velocity kicks (BRIDGE coupling). Invalidates the
     /// cached rates (viscosity reads velocities) but moves no particle, so
-    /// the cached self-gravity stays valid.
+    /// the position epoch holds.
     pub fn kick(&mut self, dv: &[[f64; 3]]) {
         assert_eq!(dv.len(), self.gas.len());
         for (v, d) in self.gas.vel.iter_mut().zip(dv) {
@@ -241,7 +250,7 @@ impl Gadget {
     pub fn add_mass(&mut self, pos: [f64; 3], mass: f64, u: f64) {
         self.gas.push(mass, pos, [0.0; 3], u.max(1e-10));
         self.rates_valid = false;
-        self.g_acc_valid = false;
+        self.epoch_valid = false;
     }
 }
 
@@ -367,6 +376,29 @@ mod tests {
         assert_eq!(state_bits(&split), state_bits(&whole));
     }
 
+    /// A seeded stream of uniform draws in `[0, 1)`.
+    fn uniform(mut s: u64) -> impl FnMut() -> f64 {
+        move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// One of the ops that leave positions alone or end the epoch
+    /// without an evolve: 0 kick, 1 inject, 2 add mass, 3 restore.
+    fn apply_op(g: &mut Gadget, op: usize) {
+        match op {
+            0 => {
+                let dv: Vec<[f64; 3]> =
+                    (0..g.gas.len()).map(|i| [1e-3 * i as f64, -2e-3, 5e-4]).collect();
+                g.kick(&dv);
+            }
+            1 => assert!(g.inject_energy([0.1, -0.2, 0.0], 0.4, 0.5) > 0),
+            2 => g.add_mass([0.3, 0.1, -0.2], 1e-3, 0.8),
+            _ => g.restore_state(g.gas.clone(), g.model_time()),
+        }
+    }
+
     #[test]
     fn gravity_epoch_is_transparent() {
         // One op sequence through three models: `cached` reuses `g_acc`
@@ -375,11 +407,7 @@ mod tests {
         // first follow a drift, which ends the epoch anyway); `restored`
         // is `cached` rebuilt from a checkpoint at every point where the
         // rates are invalid.
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let mut rnd = || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rnd = uniform(0x9e3779b97f4a7c15);
         let mut cached = Gadget::new(plummer_gas(96, 1.0, 29));
         let mut fresh = Gadget::new(plummer_gas(96, 1.0, 29));
         let mut restored = Gadget::new(GasParticles::new());
@@ -387,20 +415,12 @@ mod tests {
         let mut t = 0.0;
         for _ in 0..40 {
             let op = (rnd() * 5.0) as usize;
-            fresh.g_acc_valid = false;
+            fresh.epoch_valid = false;
             for g in [&mut cached, &mut fresh, &mut restored] {
-                match op {
-                    0 => {
-                        let dv: Vec<[f64; 3]> =
-                            (0..g.gas.len()).map(|i| [1e-3 * i as f64, -2e-3, 5e-4]).collect();
-                        g.kick(&dv);
-                    }
-                    1 => assert!(g.inject_energy([0.1, -0.2, 0.0], 0.4, 0.5) > 0),
-                    2 => g.add_mass([0.3, 0.1, -0.2], 1e-3, 0.8),
-                    3 => g.restore_state(g.gas.clone(), g.model_time()),
-                    _ => {
-                        g.evolve_model(t + 7e-3);
-                    }
+                if op < 4 {
+                    apply_op(g, op);
+                } else {
+                    g.evolve_model(t + 7e-3);
                 }
             }
             if op >= 4 {
@@ -413,6 +433,62 @@ mod tests {
         }
         // flops charge the gravity evaluations made, so the gap is the reuse
         assert!(fresh.flops > cached.flops, "no refresh reused the cached gravity");
+    }
+
+    #[test]
+    fn density_replay_is_transparent() {
+        // One op sequence through two models: `replayed` keeps the density
+        // pass's fixed points within a position epoch; `full` drops its
+        // replay record before every op, so each of its refreshes runs a
+        // full density pass (and still reuses self-gravity, so the flops
+        // compare bit for bit). Each round applies one random op and then
+        // mostly an evolve, whose first refresh replays after a kick or an
+        // injection. At 512 gas the record mixes in-range and re-adapted
+        // particles; the 24-gas session, warmed first, has every particle
+        // at the clamp.
+        for (n, warm) in [(512, 0.0), (24, 0.06)] {
+            let mut rnd = uniform(0x2545f4914f6cdd1d);
+            let mut replayed = Gadget::new(plummer_gas(n, 1.0, 31)).with_max_threads(1);
+            let mut full = Gadget::new(plummer_gas(n, 1.0, 31)).with_max_threads(1);
+            let (mut t, mut replays) = (warm, 0);
+            for g in [&mut replayed, &mut full] {
+                g.evolve_model(t);
+            }
+            for _ in 0..24 {
+                let op = (rnd() * 4.0) as usize;
+                let evolve = rnd() < 0.7;
+                full.scratch.forget_fixed_points();
+                for g in [&mut replayed, &mut full] {
+                    apply_op(g, op);
+                }
+                // the evolve opens on a replaying refresh: what it keeps
+                let (m, kept) = (replayed.gas.len(), replayed.scratch.fixed_points());
+                let replays_here = evolve && replayed.epoch_valid && !replayed.rates_valid;
+                if evolve {
+                    t += 7e-3;
+                    for g in [&mut replayed, &mut full] {
+                        g.evolve_model(t);
+                    }
+                }
+                let at = format!("n={n} op {op} evolve {evolve}");
+                assert_eq!(
+                    state_bits(&replayed),
+                    state_bits(&full),
+                    "{at}: replay changed a result"
+                );
+                assert_eq!(replayed.flops.to_bits(), full.flops.to_bits(), "{at}: flops");
+                if replays_here {
+                    let (in_range, clamped) = kept;
+                    if n == 512 {
+                        assert!(in_range > 0 && in_range + clamped < m, "{at}: {kept:?}");
+                    } else if m == n {
+                        assert_eq!(clamped, m, "{at}: every session particle sits at the clamp");
+                    }
+                    replays += 1;
+                }
+            }
+            assert!(replays >= 4, "n={n}: only {replays} refreshes replayed");
+        }
     }
 
     #[test]

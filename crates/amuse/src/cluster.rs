@@ -239,6 +239,25 @@ mod tests {
         assert!(c.mass_unit_msun > 50.0, "{}", c.mass_unit_msun);
     }
 
+    /// The physical scales of the Fig 6 cluster (48/192) and the
+    /// benchmark's coupler clusters, bit for bit: `time_unit_myr` scales
+    /// stellar-evolution time in the bridge, so a moved bit would move
+    /// every digest that runs SSE.
+    #[test]
+    fn units_are_pinned_bitwise() {
+        for (n_stars, n_gas, t_bits, m_bits) in [
+            (48, 192, 0x3ff7_b3ba_ced9_258d_u64, 0x4059_52db_0a57_1b79_u64),
+            (128, 512, 0x3fee_e4fe_5933_3ff1, 0x406d_cf70_06c7_86d3),
+            (8, 16, 0x4013_eea9_67b5_19e4, 0x4021_e77a_a2a6_9a28),
+            (1024, 4096, 0x3fd6_c8d7_09fd_e01b, 0x409b_6780_340a_d2f5),
+        ] {
+            let c = EmbeddedCluster::build(n_stars, n_gas, 0.5, 39);
+            let (t, m) = (c.time_unit_myr, c.mass_unit_msun);
+            assert_eq!(t.to_bits(), t_bits, "{n_stars}/{n_gas}: time unit {t} Myr");
+            assert_eq!(m.to_bits(), m_bits, "{n_stars}/{n_gas}: mass unit {m} MSun");
+        }
+    }
+
     #[test]
     fn initial_gas_is_mostly_bound() {
         let c = EmbeddedCluster::build(64, 256, 0.5, 7);

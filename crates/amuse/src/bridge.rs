@@ -142,7 +142,7 @@ pub struct BridgeConfig {
     /// ("it is performed at a slower rate, only exchanging state every
     /// n-th time step").
     pub stellar_interval: u32,
-    /// Myr per N-body time unit (from the cluster's unit converter).
+    /// Myr per N-body time unit (`EmbeddedCluster::time_unit_myr`).
     pub time_unit_myr: f64,
     /// MSun per N-body mass unit.
     pub mass_unit_msun: f64,

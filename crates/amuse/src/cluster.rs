@@ -15,9 +15,8 @@ use jc_nbody::plummer::{plummer_sphere, salpeter_imf, virialize};
 use jc_nbody::{Backend, ParticleSet};
 use jc_sph::particles::plummer_gas;
 use jc_sph::GasParticles;
-use jc_units::{astro, NBodyConverter, Quantity};
 
-/// The assembled initial conditions plus unit bookkeeping.
+/// The assembled initial conditions plus their physical scales.
 pub struct EmbeddedCluster {
     /// Star dynamics initial conditions (N-body units).
     pub stars: ParticleSet,
@@ -25,9 +24,6 @@ pub struct EmbeddedCluster {
     pub star_masses_msun: Vec<f64>,
     /// Gas initial conditions (N-body units).
     pub gas: GasParticles,
-    /// Physical units converter (mass scale = total cluster mass, length
-    /// scale = 1 pc).
-    pub converter: NBodyConverter,
     /// MSun per N-body mass unit.
     pub mass_unit_msun: f64,
     /// Myr per N-body time unit.
@@ -64,19 +60,12 @@ impl EmbeddedCluster {
         // gas: Plummer sphere of total mass f
         let gas = plummer_gas(n_gas, gas_total_msun / total_msun, seed.wrapping_add(1));
 
-        let converter = NBodyConverter::new(
-            Quantity::new(total_msun, astro::MSUN),
-            Quantity::new(1.0, astro::PARSEC),
-        )
-        .expect("scales have the right dimensions");
-        let time_unit_myr = converter.time_unit_si() / astro::MYR.si_factor;
         EmbeddedCluster {
             stars,
             star_masses_msun,
             gas,
-            converter,
             mass_unit_msun: total_msun,
-            time_unit_myr,
+            time_unit_myr: nbody_time_unit_myr(total_msun),
         }
     }
 
@@ -145,6 +134,18 @@ impl EmbeddedCluster {
             }),
         }
     }
+}
+
+/// Myr per N-body (Hénon) time unit for a mass unit of `mass_msun` MSun
+/// and a length unit of 1 pc: G = 1 in code units fixes
+/// `t = sqrt(L³ / (G·M))`. The cluster's coupler carries N-body units, so
+/// this one scale (for stellar-evolution time) is all it converts.
+fn nbody_time_unit_myr(mass_msun: f64) -> f64 {
+    const PC_M: f64 = 3.085_677_581_49e16;
+    const MSUN_KG: f64 = 1.988_47e30;
+    const MYR_S: f64 = 3.155_76e13;
+    const G_SI: f64 = 6.674_30e-11; // m³ kg⁻¹ s⁻²
+    (PC_M.powi(3) / (G_SI * (mass_msun * MSUN_KG))).sqrt() / MYR_S
 }
 
 /// Fraction of the gas mass that is energetically bound to the combined

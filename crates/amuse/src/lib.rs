@@ -71,8 +71,8 @@
 //!   checkpoint restore.
 //! * [`cluster`] — the embedded-star-cluster experiment of §6: initial
 //!   conditions (Plummer stars with a Salpeter IMF inside a Plummer gas
-//!   sphere), the unit converter, and the Fig 6 diagnostics (bound-gas
-//!   fraction, radii).
+//!   sphere), its physical scales (MSun and Myr per N-body unit), and the
+//!   Fig 6 diagnostics (bound-gas fraction, radii).
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

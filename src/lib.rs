@@ -20,4 +20,3 @@ pub use jc_smartsockets as smartsockets;
 pub use jc_sph as sph;
 pub use jc_stellar as stellar;
 pub use jc_treegrav as treegrav;
-pub use jc_units as units;

@@ -101,8 +101,10 @@ fn simd_soa_acc_jerk_steady_state_allocates_nothing() {
 
 #[test]
 fn simd_sph_density_and_forces_steady_state_allocates_nothing() {
-    // both sides of the neighbour-search crossover: direct sweep, grid
-    for n_gas in [800, 2200] {
+    // both sides of the neighbour-search crossover (`DIRECT_BELOW` = 4 096
+    // in `jc_sph::density`): 800 and 2 200 take the direct sweep, 5 000
+    // the CSR grid
+    for n_gas in [800, 2200, 5000] {
         let mut gas = jc_sph::particles::plummer_gas(n_gas, 1.0, 5);
         let mut scratch = jc_sph::SphScratch::new();
         scratch.max_threads = 1;

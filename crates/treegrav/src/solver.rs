@@ -714,24 +714,34 @@ mod tests {
         assert!(max <= 1e-5 && rms <= 1e-6, "{what}: relative error max {max:e}, RMS {rms:e}");
     }
 
+    /// The scalar reference walk, which `simd = false` names at every
+    /// source count.
+    fn scalar_walk(
+        solver: &mut TreeGravity,
+        targets: &[[f64; 3]],
+        s_pos: &[[f64; 3]],
+        s_mass: &[f64],
+    ) -> Vec<[f64; 3]> {
+        solver.simd = false;
+        let mut out = Vec::new();
+        solver.accelerations_into(targets, s_pos, s_mass, &mut out);
+        out
+    }
+
     #[test]
-    fn into_path_matches_allocating_path_bitwise() {
+    fn scalar_walk_is_bitwise_independent_of_threads() {
         let (pos, mass) = cloud(800, 17);
         let (tpos, _) = cloud(128, 4);
         let mut solver = TreeGravity::new(0.5, 0.01);
-        solver.simd = false; // the allocating path is the scalar walk
-        let a = solver.accelerations(&tpos, &pos, &mass);
+        let a = scalar_walk(&mut solver, &tpos, &pos, &mass);
         let n_a = solver.last_interactions();
-        let mut b = Vec::new();
-        solver.accelerations_into(&tpos, &pos, &mass, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(n_a, solver.last_interactions());
-        // sequential mode agrees too, and reuses the arena across calls
+        // sequential mode agrees, and reuses the arena across calls
         solver.max_threads = 1;
         let mut c = Vec::new();
         solver.accelerations_into(&tpos, &pos, &mass, &mut c);
         solver.accelerations_into(&tpos, &pos, &mass, &mut c);
         assert_eq!(a, c);
+        assert_eq!(n_a, solver.last_interactions());
     }
 
     #[test]
@@ -780,8 +790,8 @@ mod tests {
     fn fi_is_accurate_to_percent_level() {
         let (pos, mass) = cloud(500, 3);
         let (tpos, _) = cloud(64, 9);
-        let fi = Fi::new();
-        let approx = fi.solver.accelerations(&tpos, &pos, &mass);
+        let mut fi = Fi::new();
+        let approx = scalar_walk(&mut fi.solver, &tpos, &pos, &mass);
         let exact = direct(&tpos, &pos, &mass, fi.solver.eps2);
         let err = rel_err(&approx, &exact);
         assert!(err < 0.05, "Fi error {err}");
@@ -791,11 +801,11 @@ mod tests {
     fn octgrav_is_coarser_but_cheaper_than_fi() {
         let (pos, mass) = cloud(2000, 5);
         let (tpos, _) = cloud(128, 8);
-        let fi = Fi::new();
-        let oct = Octgrav::new();
-        let a_fi = fi.solver.accelerations(&tpos, &pos, &mass);
+        let mut fi = Fi::new();
+        let mut oct = Octgrav::new();
+        let a_fi = scalar_walk(&mut fi.solver, &tpos, &pos, &mass);
         let n_fi = fi.solver.last_interactions();
-        let a_oct = oct.solver.accelerations(&tpos, &pos, &mass);
+        let a_oct = scalar_walk(&mut oct.solver, &tpos, &pos, &mass);
         let n_oct = oct.solver.last_interactions();
         assert!(n_oct < n_fi, "octgrav does fewer interactions: {n_oct} vs {n_fi}");
         let exact = direct(&tpos, &pos, &mass, fi.solver.eps2);
@@ -806,8 +816,8 @@ mod tests {
     #[test]
     fn tree_beats_direct_asymptotically_in_interactions() {
         let (pos, mass) = cloud(4000, 1);
-        let fi = Fi::new();
-        let _ = fi.solver.accelerations(&pos, &pos, &mass);
+        let mut fi = Fi::new();
+        scalar_walk(&mut fi.solver, &pos, &pos, &mass);
         let inter = fi.solver.last_interactions();
         let direct_pairs = 4000u64 * 4000;
         assert!(inter * 4 < direct_pairs, "tree {inter} vs direct {direct_pairs} interactions");
@@ -815,23 +825,23 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let fi = Fi::new();
-        assert!(fi.solver.accelerations(&[], &[], &[]).is_empty());
-        let a = fi.solver.accelerations(&[[0.0; 3]], &[], &[]);
+        let mut fi = Fi::new();
+        assert!(scalar_walk(&mut fi.solver, &[], &[], &[]).is_empty());
+        let a = scalar_walk(&mut fi.solver, &[[0.0; 3]], &[], &[]);
         assert_eq!(a, vec![[0.0; 3]]);
     }
 
     #[test]
     fn single_source_matches_pointmass() {
-        let fi = TreeGravity::new(0.5, 0.0);
-        let a = fi.accelerations(&[[0.0, 0.0, 0.0]], &[[0.0, 0.0, 2.0]], &[4.0]);
+        let mut fi = TreeGravity::new(0.5, 0.0);
+        let a = scalar_walk(&mut fi, &[[0.0, 0.0, 0.0]], &[[0.0, 0.0, 2.0]], &[4.0]);
         assert!((a[0][2] - 1.0).abs() < 1e-12, "{:?}", a[0]);
     }
 
     #[test]
     fn target_on_source_with_softening_is_finite() {
-        let fi = TreeGravity::new(0.5, 0.01);
-        let a = fi.accelerations(&[[0.0; 3]], &[[0.0; 3]], &[1.0]);
+        let mut fi = TreeGravity::new(0.5, 0.01);
+        let a = scalar_walk(&mut fi, &[[0.0; 3]], &[[0.0; 3]], &[1.0]);
         assert!(a[0].iter().all(|x| x.is_finite()));
     }
 
@@ -882,7 +892,10 @@ mod tests {
         scalar.simd = false;
         let mut got = Vec::new();
         scalar.accelerations_into(&all[..9], &pos, &mass, &mut got);
-        assert_eq!(got, scalar.accelerations(&all[..9], &pos, &mass));
+        let mut walked = Vec::new();
+        scalar.rebuild(&pos, &mass);
+        scalar.walk_targets(&all[..9], &mut walked);
+        assert_eq!(got, walked);
     }
 
     #[test]
@@ -940,7 +953,10 @@ mod tests {
         scalar.simd = false;
         let mut got = Vec::new();
         scalar.self_accelerations_into(&pos, &mass, &mut got);
-        assert_eq!(got, scalar.accelerations(&pos, &pos, &mass));
+        let mut walked = Vec::new();
+        scalar.rebuild(&pos, &mass);
+        scalar.walk_targets(&pos, &mut walked);
+        assert_eq!(got, walked);
     }
 
     #[test]

@@ -62,16 +62,6 @@ fn assert_bits_of(got: &[[f64; 3]], want: &[u64; NT * 3]) {
 }
 
 #[test]
-fn tree_walk_matches_pre_refactor_golden() {
-    let (pos, mass) = cloud(96, 3);
-    let (tpos, _) = cloud(NT, 9);
-    let fi = TreeGravity::new(0.5, 0.01);
-    let acc = fi.accelerations(&tpos, &pos, &mass);
-    assert_bits(&acc);
-    assert_eq!(fi.last_interactions(), GOLDEN_INTERACTIONS);
-}
-
-#[test]
 fn reused_arena_walk_matches_pre_refactor_golden() {
     let (pos, mass) = cloud(96, 3);
     let (tpos, _) = cloud(NT, 9);

@@ -327,11 +327,6 @@ impl<W: Write> ChaosWriter<W> {
     pub fn new(inner: W, keep: u64) -> ChaosWriter<W> {
         ChaosWriter { inner, remaining: keep }
     }
-
-    /// Unwrap the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
 }
 
 impl<W: Write> Write for ChaosWriter<W> {
@@ -476,11 +471,13 @@ mod tests {
 
     #[test]
     fn chaos_writer_keeps_the_head_and_lies_about_the_tail() {
-        let mut w = ChaosWriter::new(Vec::new(), 10);
-        w.write_all(&[1u8; 7]).unwrap();
-        w.write_all(&[2u8; 7]).unwrap(); // 3 pass, 4 silently dropped
-        w.write_all(&[3u8; 7]).unwrap(); // all dropped, still "ok"
-        let kept = w.into_inner();
+        let mut kept = Vec::new();
+        {
+            let mut w = ChaosWriter::new(&mut kept, 10);
+            w.write_all(&[1u8; 7]).unwrap();
+            w.write_all(&[2u8; 7]).unwrap(); // 3 pass, 4 silently dropped
+            w.write_all(&[3u8; 7]).unwrap(); // all dropped, still "ok"
+        }
         assert_eq!(kept.len(), 10);
         assert_eq!(&kept[..7], &[1u8; 7]);
         assert_eq!(&kept[7..], &[2u8; 3]);

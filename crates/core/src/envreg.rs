@@ -36,7 +36,7 @@ pub const JC_ENV: &[(&str, &str)] = &[
     ),
     (
         "JC_THREADS",
-        "Worker-thread count for the parallel chunking core (and the rayon shim); \
+        "Worker-thread count for the parallel chunking core; \
          defaults to the number of available CPUs.",
     ),
 ];

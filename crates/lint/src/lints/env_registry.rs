@@ -204,7 +204,7 @@ mod tests {
         let registry =
             reg("pub const JC_ENV: &[(&str, &str)] = &[(\"JC_THREADS\", \"threads\")];\n");
         let user = SourceFile::parse(
-            "shims/rayon/src/lib.rs",
+            "crates/compute/src/par.rs",
             "fn t() { let _ = std::env::var(\"JC_THREADS\"); }\n",
         );
         let d = check(&[user], Some(&registry), "Set JC_THREADS to pin workers.");

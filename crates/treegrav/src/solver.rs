@@ -7,8 +7,6 @@ use crate::FLOPS_PER_INTERACTION;
 use jc_compute::gravity::{accelerations_direct, self_accelerations, PairScratch};
 use jc_compute::par;
 use jc_compute::soa::{reduce_lanes, SoaBodies, LANES};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A tree-gravity solver: builds an octree over the sources, then walks it
 /// for each target with the offset-aware (Salmon–Warren) multipole
@@ -25,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// lane kernel, which is both faster and free of the θ-error at those
 /// sizes. `theta` then has no influence, so the [`Fi`] and [`Octgrav`]
 /// personalities answer bitwise alike. [`TreeGravity::rebuild`],
-/// [`TreeGravity::walk_targets`] and the allocating
-/// [`TreeGravity::accelerations`] always mean the tree.
+/// [`TreeGravity::walk_targets`] and `simd = false` always mean the
+/// tree.
 pub struct TreeGravity {
     /// Opening angle (tree walk only).
     pub theta: f64,
@@ -49,12 +47,10 @@ pub struct TreeGravity {
     /// [`reduce_lanes`] reduction order. Results are bitwise stable from
     /// run to run and machine to machine (any worker count, any
     /// instruction set). `false` names the scalar reference walk at
-    /// every source count — what the allocating
-    /// [`TreeGravity::accelerations`] always runs: same acceptance
-    /// decisions (same interaction counts), results equal to the SoA
-    /// walk only to rounding.
+    /// every source count: same acceptance decisions (same interaction
+    /// counts), results equal to the SoA walk only to rounding.
     pub simd: bool,
-    interactions: AtomicU64,
+    interactions: u64,
     /// Reused octree arena (rebuilt in place every call).
     tree: Octree,
     /// Per-node squared opening radius, precomputed once per
@@ -227,7 +223,7 @@ impl TreeGravity {
             eps2: eps * eps,
             max_threads: 0,
             simd: true,
-            interactions: AtomicU64::new(0),
+            interactions: 0,
             tree: Octree::new(),
             open2: Vec::new(),
             walk: WalkTree::default(),
@@ -246,46 +242,15 @@ impl TreeGravity {
         TreeGravity { direct_below, ..TreeGravity::new(theta, eps) }
     }
 
-    /// Accelerations on `targets` due to `(s_pos, s_mass)`. G = 1.
-    /// Allocating scalar reference walk (ignores [`TreeGravity::simd`]);
-    /// workers and hot callers use [`TreeGravity::accelerations_into`].
-    pub fn accelerations(
-        &self,
-        targets: &[[f64; 3]],
-        s_pos: &[[f64; 3]],
-        s_mass: &[f64],
-    ) -> Vec<[f64; 3]> {
-        if s_pos.is_empty() || targets.is_empty() {
-            return vec![[0.0; 3]; targets.len()];
-        }
-        let tree = Octree::build(s_pos, s_mass);
-        let mut open2 = Vec::new();
-        precompute_open2(&tree, self.theta, &mut open2);
-        let open2 = &open2;
-        let count = AtomicU64::new(0);
-        let out: Vec<[f64; 3]> = targets
-            .par_iter()
-            .map(|t| {
-                let mut stack: Vec<u32> = Vec::with_capacity(64);
-                let mut acc = [0.0f64; 3];
-                let n = walk_into(&tree, open2, self.eps2, t, &mut acc, &mut stack);
-                count.fetch_add(n, Ordering::Relaxed);
-                acc
-            })
-            .collect();
-        self.interactions.store(count.into_inner(), Ordering::Relaxed);
-        out
-    }
-
     /// Accelerations on `targets` written into `out` (cleared and
     /// resized), reusing the solver's buffers — the zero-allocation
     /// steady-state path every worker calls. The structure is picked by
     /// the source count alone: below `DIRECT_BELOW` (4096) sources (with
     /// [`TreeGravity::simd`] on) every pair is summed exactly; otherwise
     /// this is [`TreeGravity::rebuild`] followed by
-    /// [`TreeGravity::walk_targets`]. With `simd = false` results are
-    /// bitwise identical to [`TreeGravity::accelerations`]; the SoA walk
-    /// equals it to rounding, the direct sum to rounding plus the walk's
+    /// [`TreeGravity::walk_targets`]. With `simd = false` this is the
+    /// scalar reference walk at every source count; the SoA walk equals
+    /// it to rounding, the direct sum to rounding plus the walk's
     /// θ-error.
     // jc-lint: no-alloc
     pub fn accelerations_into(
@@ -333,7 +298,7 @@ impl TreeGravity {
             },
             |(), ()| (),
         );
-        self.interactions.store((targets.len() * s_pos.len()) as u64, Ordering::Relaxed);
+        self.interactions = (targets.len() * s_pos.len()) as u64;
     }
 
     /// Accelerations of the set `(pos, mass)` on itself written into
@@ -374,7 +339,7 @@ impl TreeGravity {
         out.resize(n, [0.0; 3]);
         self.sources.fill_from_positions(mass, pos);
         self_accelerations(&self.sources, self.eps2, self.max_threads, &mut self.pairs, out);
-        self.interactions.store((n * n.saturating_sub(1) / 2) as u64, Ordering::Relaxed);
+        self.interactions = (n * n.saturating_sub(1) / 2) as u64;
     }
 
     /// Rebuild the octree over the sources, reusing the node arena —
@@ -396,7 +361,7 @@ impl TreeGravity {
         out.clear();
         out.resize(targets.len(), [0.0; 3]);
         if self.tree.is_empty() || targets.is_empty() {
-            self.interactions.store(0, Ordering::Relaxed);
+            self.interactions = 0;
             return;
         }
         let n = targets.len();
@@ -424,7 +389,7 @@ impl TreeGravity {
             },
             |a, b| a + b,
         );
-        self.interactions.store(total, Ordering::Relaxed);
+        self.interactions = total;
     }
 
     /// Interactions performed by the last call: accepted particle–node
@@ -439,7 +404,7 @@ impl TreeGravity {
     /// the crossover. That is the work actually done, not a regression to
     /// "fix".
     pub fn last_interactions(&self) -> u64 {
-        self.interactions.load(Ordering::Relaxed)
+        self.interactions
     }
 
     /// Modeled flop count of the last call.

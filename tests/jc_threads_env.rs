@@ -1,22 +1,35 @@
 //! Regression test: `JC_THREADS` is read per resolution, not pinned by
 //! the first kernel call.
 //!
-//! Both `jc_compute::par::threads_for` and the rayon shim used to cache
-//! the `JC_THREADS` environment read in a `OnceLock`, so the first
-//! resolution pinned the value process-wide — an in-process sweep over
-//! thread counts (perfsuite's `_t2`/`_tN` rows) silently measured one
-//! setting under three labels. Both must now honor a mid-process env
-//! change. One `#[test]` on purpose: `set_var` is process-global, so
-//! the sequence must not interleave with another test's reads.
+//! `jc_compute::par::threads_for` used to cache the `JC_THREADS`
+//! environment read in a `OnceLock`, so the first resolution pinned the
+//! value process-wide — an in-process sweep over thread counts
+//! (perfsuite's `_t2`/`_tN` rows) silently measured one setting under
+//! three labels. Both the resolved count and the fan-out of
+//! `jc_compute::chunked`, the one parallel driver, must now honor a
+//! mid-process env change. One `#[test]` on purpose: `set_var` is
+//! process-global, so the sequence must not interleave with another
+//! test's reads.
 
-use rayon::prelude::*;
 use std::thread::ThreadId;
 
-/// Number of distinct threads a rayon-shim pipeline over `len` elements
-/// ran on (each worker tags its elements with its own id).
-fn rayon_distinct_threads(len: usize) -> usize {
-    let ids: Vec<ThreadId> =
-        (0..len).into_par_iter().map(|_| std::thread::current().id()).collect();
+/// Number of distinct threads `jc_compute::chunked` ran the chunks of a
+/// `len`-element problem on, at the worker count the environment picks
+/// (each chunk reports the id of the thread it ran on).
+fn chunked_distinct_threads(len: usize) -> usize {
+    let threads = jc_compute::threads_for(len, 0, 1);
+    let data = vec![0u8; len];
+    let ids: Vec<ThreadId> = jc_compute::chunked(
+        threads,
+        data.as_slice(),
+        &mut vec![(); threads],
+        Vec::new(),
+        |_, _: &[u8], _| vec![std::thread::current().id()],
+        |mut a, b| {
+            a.extend(b);
+            a
+        },
+    );
     let mut distinct: Vec<ThreadId> = Vec::new();
     for id in ids {
         if !distinct.contains(&id) {
@@ -32,7 +45,7 @@ fn jc_threads_is_read_per_resolution_not_pinned_at_first_use() {
     // touches JC_THREADS, and it runs its steps sequentially.
     std::env::set_var("JC_THREADS", "3");
 
-    // --- jc_compute::par: the cap follows the environment ---
+    // --- the cap follows the environment ---
     assert_eq!(jc_compute::threads_for(10_000, 0, 1), 3, "initial JC_THREADS ignored");
     std::env::set_var("JC_THREADS", "5");
     assert_eq!(
@@ -46,13 +59,13 @@ fn jc_threads_is_read_per_resolution_not_pinned_at_first_use() {
     // the environment.
     assert_eq!(jc_compute::threads_for(10, 0, 64), 1);
 
-    // --- rayon shim: worker fan-out follows the environment ---
+    // --- chunked: the worker fan-out follows the environment ---
     std::env::set_var("JC_THREADS", "1");
-    assert_eq!(rayon_distinct_threads(4096), 1, "JC_THREADS=1 must stay on the caller");
+    assert_eq!(chunked_distinct_threads(4096), 1, "JC_THREADS=1 must stay on the caller");
     std::env::set_var("JC_THREADS", "4");
     assert!(
-        rayon_distinct_threads(4096) > 1,
-        "raising JC_THREADS mid-process must widen the rayon shim's fan-out"
+        chunked_distinct_threads(4096) > 1,
+        "raising JC_THREADS mid-process must widen chunked's fan-out"
     );
 
     std::env::remove_var("JC_THREADS");

@@ -14,9 +14,9 @@
 //!   as over TCP, with no socket and no thread.
 //! * [`crate::ReactorChannel`] — the same client core over a TCP
 //!   connection of a [`crate::Reactor`] (the socket channel).
-//! * [`ThreadChannel`] — worker runs on its own OS thread behind crossbeam
-//!   queues, carrying [`Request`] values, not frames: the codec-free
-//!   reference the frame path is tested against.
+//! * [`ThreadChannel`] — worker runs on its own OS thread behind
+//!   `std::sync::mpsc` queues, carrying [`Request`] values, not frames:
+//!   the codec-free reference the frame path is tested against.
 //! * The Ibis channel, `jc_core::IbisChannel`, is the same client core
 //!   over a simulated link: its frames cross `jc_netsim`'s jungle to a
 //!   proxy that serves them through the worker's [`ServerCore`].
@@ -24,7 +24,7 @@
 use crate::host::{self, owned_compute_kick, ServerCore};
 use crate::wire::{self, WireError};
 use crate::worker::{ModelWorker, ParticleData, Request, Response};
-use crossbeam::channel as xchan;
+use std::sync::mpsc;
 
 /// Cumulative per-channel accounting (the coupler-side view of traffic).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -540,14 +540,14 @@ enum ThreadMsg {
     Shutdown,
 }
 
-/// A worker on its own OS thread. Requests travel over crossbeam channels
+/// A worker on its own OS thread. Requests travel over `mpsc` channels
 /// as values, never encoded, and are booked at their modeled
 /// `wire_size` — the codec-free reference [`LocalChannel`]'s frames are
 /// tested against. `submit`/`collect` give true overlap (the paper's
 /// parallel evolve of gas and gravity on different resources).
 pub struct ThreadChannel {
-    tx: xchan::Sender<ThreadMsg>,
-    rx: xchan::Receiver<Response>,
+    tx: mpsc::Sender<ThreadMsg>,
+    rx: mpsc::Receiver<Response>,
     stats: ChannelStats,
     pending_bytes: Option<u64>,
     name: String,
@@ -562,8 +562,8 @@ impl ThreadChannel {
         F: FnOnce() -> W + Send + 'static,
         W: ModelWorker + 'static,
     {
-        let (tx, rx_req) = xchan::unbounded::<ThreadMsg>();
-        let (tx_resp, rx) = xchan::unbounded::<Response>();
+        let (tx, rx_req) = mpsc::channel::<ThreadMsg>();
+        let (tx_resp, rx) = mpsc::channel::<Response>();
         let name = name.into();
         let handle = std::thread::Builder::new()
             .name(format!("worker-{name}"))

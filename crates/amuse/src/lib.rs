@@ -27,7 +27,7 @@
 //!   client protocol written once over any [`channel::Link`].
 //!   [`channel::LocalChannel`] (the default MPI-like same-process
 //!   channel) is that core over the worker's own `ServerCore`;
-//!   [`channel::ThreadChannel`] (a real worker thread fed over crossbeam
+//!   [`channel::ThreadChannel`] (a real worker thread fed over `mpsc`
 //!   queues) carries `Request` values, the codec-free reference. The
 //!   *Ibis* channel that sends these same requests across the simulated
 //!   jungle lives in `jc-core`, exactly as the paper adds its Ibis

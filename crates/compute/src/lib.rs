@@ -28,8 +28,8 @@
 //!
 //! It is a leaf crate on purpose: every kernel crate (and, through
 //! them, the whole jungle runtime) layers on top of it, so it depends
-//! on nothing but `std` and the offline `crossbeam` channel shim the
-//! pool hands chunks over. `jc_core` re-exports it as `jc_core::soa` /
+//! on nothing but `std`, whose `mpsc` channels the pool hands chunks
+//! over. `jc_core` re-exports it as `jc_core::soa` /
 //! `jc_core::par` for runtime-level callers.
 
 #![warn(missing_docs)]

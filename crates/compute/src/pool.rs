@@ -4,8 +4,8 @@
 //! `clone`/`mmap`/`futex` round per worker per kernel invocation, paid
 //! hundreds of times per simulated step once several kernels fan out.
 //! This module replaces that with a process-global pool of parked
-//! threads: each worker owns a bounded channel (the `crossbeam` shim,
-//! array-backed, so a warm send performs no allocation) and blocks in
+//! threads: each worker owns a bounded `std::sync::mpsc` channel
+//! (array-backed, so a warm send performs no allocation) and blocks in
 //! `recv()` until a chunk of work is handed over.
 //!
 //! ## Handoff protocol
@@ -45,6 +45,7 @@
 use crate::par::Split;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, SendError, SyncSender};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Most chunks a single `chunked` call may fan out to through the pool
@@ -156,7 +157,7 @@ where
 
 /// A parked worker: the sending half of its private bounded channel.
 struct Worker {
-    tx: crossbeam::channel::Sender<Job>,
+    tx: SyncSender<Job>,
 }
 
 /// The process-global pool. Workers are spawned lazily (up to the
@@ -195,7 +196,7 @@ impl Pool {
             // Capacity 1: each worker holds at most one in-flight chunk
             // per caller; a second concurrent caller blocks in `send`
             // until the worker drains — backpressure, not growth.
-            let (tx, rx) = crossbeam::channel::bounded::<Job>(1);
+            let (tx, rx) = sync_channel::<Job>(1);
             std::thread::Builder::new()
                 .name(format!("jc-pool-{idx}"))
                 .spawn(move || {
@@ -220,7 +221,7 @@ impl Pool {
         let workers = self.workers.lock().expect("pool poisoned");
         let send = workers[k].tx.send(job);
         drop(workers);
-        if let Err(crossbeam::channel::SendError(job)) = send {
+        if let Err(SendError(job)) = send {
             // SAFETY: same single-run contract as the worker-side call.
             unsafe { ((*job.0).run)(job.0) };
         }

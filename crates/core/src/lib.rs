@@ -34,8 +34,9 @@
 //!   (`tests/scenario_smoke.rs` pins paper-vs-modeled to 5%).
 //! * [`scenarios`] — the Fig 12 lab topology, the Fig 9 SC11 topology, and
 //!   the four-scenario runner behind Table 1.
-//! * [`loopback`] — a real (wall-clock) in-memory loopback channel
-//!   benchmark backing the §5 ">8 Gbit/s even on a modest laptop" claim.
+//! * [`loopback`] — a real (wall-clock) benchmark of `wire` frames over
+//!   one 127.0.0.1 TCP connection, backing the §5 ">8 Gbit/s even on a
+//!   modest laptop" claim.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

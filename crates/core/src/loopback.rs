@@ -1,12 +1,15 @@
-//! Real (wall-clock) loopback-channel measurement.
+//! Real (wall-clock) loopback-socket measurement.
 //!
 //! §5: "The connection is created using a local loopback socket.
 //! Benchmarks show that this connection is over 8 Gbit/second even on a
 //! modest laptop, has an extremely small latency". This module measures
-//! the equivalent coupler↔daemon byte pipe of this reproduction: an
-//! in-memory channel between two OS threads.
+//! that pipe as this reproduction builds it: one 127.0.0.1 TCP
+//! connection with Nagle's algorithm off, carrying [`jc_amuse::wire`]
+//! frames, the codec every socket channel speaks.
 
-use crossbeam::channel as xchan;
+use jc_amuse::wire::{self, op};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
 
 /// Loopback measurement results.
@@ -20,52 +23,64 @@ pub struct LoopbackReport {
     pub bytes: u64,
 }
 
-/// Pump `count` messages of `msg_bytes` through a thread-to-thread pipe
-/// and ping-pong `pings` minimal messages, reporting throughput and
-/// latency.
+/// Stream `count` `SetMasses` frames of `msg_bytes` payload each (a
+/// multiple of 8) over a loopback socket until the peer acknowledges
+/// them, then ping-pong `pings` header-only `Ping` frames, reporting
+/// throughput and latency. `bytes` is the payload the peer counted.
 pub fn measure(msg_bytes: usize, count: usize, pings: usize) -> LoopbackReport {
-    assert!(msg_bytes > 0 && count > 0 && pings > 0);
-    // throughput: one-way stream, receiver drains and acknowledges the end
-    let (tx, rx) = xchan::bounded::<Vec<u8>>(16);
-    let (done_tx, done_rx) = xchan::bounded::<u64>(1);
-    let sink = std::thread::spawn(move || {
-        let mut total = 0u64;
-        while let Ok(buf) = rx.recv() {
-            total += buf.len() as u64;
-        }
-        let _ = done_tx.send(total);
+    assert!(msg_bytes > 0 && msg_bytes.is_multiple_of(8) && count > 0 && pings > 0);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("loopback address");
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept loopback");
+        s.set_nodelay(true).expect("set nodelay");
+        serve(&mut s, count);
     });
-    let payload = vec![0u8; msg_bytes];
+    let mut s = TcpStream::connect(addr).expect("connect loopback");
+    s.set_nodelay(true).expect("set nodelay");
+    let (mut frame, mut buf) = (Vec::new(), Vec::new());
+
+    // throughput: one-way stream, the peer acknowledges the bytes it read
+    wire::encode_set_masses(&vec![0.0; msg_bytes / 8], &mut frame);
     let t0 = Instant::now();
     for _ in 0..count {
-        tx.send(payload.clone()).expect("sink alive");
+        s.write_all(&frame).expect("peer reads");
     }
-    drop(tx);
-    let total = done_rx.recv().expect("sink reports");
+    let n = wire::read_frame(&mut s, &mut buf).expect("peer acknowledges");
     let dt = t0.elapsed().as_secs_f64();
-    sink.join().expect("sink joins");
+    let total = wire::decode_ok(&buf[..n]).expect("an Ok acknowledgement") as u64;
     let gbit = total as f64 * 8.0 / dt / 1e9;
 
-    // latency: ping-pong minimal messages
-    let (ptx, prx) = xchan::bounded::<u8>(1);
-    let (qtx, qrx) = xchan::bounded::<u8>(1);
-    let echo = std::thread::spawn(move || {
-        while let Ok(b) = prx.recv() {
-            if qtx.send(b).is_err() {
-                break;
-            }
-        }
-    });
+    // latency: ping-pong minimal frames
+    wire::encode_simple_request(op::PING, &mut frame);
     let t0 = Instant::now();
     for _ in 0..pings {
-        ptx.send(1).expect("echo alive");
-        let _ = qrx.recv().expect("echo answers");
+        s.write_all(&frame).expect("peer reads");
+        wire::read_frame(&mut s, &mut buf).expect("peer echoes");
     }
     let rtt = t0.elapsed().as_secs_f64() / pings as f64 * 1e6;
-    drop(ptx);
-    echo.join().expect("echo joins");
+    drop(s);
+    peer.join().expect("peer joins");
 
     LoopbackReport { gbit_per_s: gbit, rtt_us: rtt, bytes: total }
+}
+
+/// The peer's side of [`measure`]: read `count` frames, acknowledge
+/// their payload bytes in the flops field of one `Ok` frame, then echo
+/// every frame back until the sender hangs up.
+fn serve(s: &mut TcpStream, count: usize) {
+    let mut buf = Vec::new();
+    let mut total = 0u64;
+    for _ in 0..count {
+        let n = wire::read_frame(s, &mut buf).expect("sender writes");
+        total += (n - wire::HEADER_LEN) as u64;
+    }
+    let mut ack = Vec::new();
+    wire::encode_ok_frame(total as f64, &mut ack);
+    s.write_all(&ack).expect("sender reads");
+    while let Ok(n) = wire::read_frame(s, &mut buf) {
+        s.write_all(&buf[..n]).expect("sender reads");
+    }
 }
 
 #[cfg(test)]

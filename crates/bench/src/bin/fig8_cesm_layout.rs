@@ -3,11 +3,11 @@
 //! exploration the paper says CESM users must do by hand.
 //!
 //! ```text
-//! cargo run --release --example cesm_coupling
+//! cargo run --release -p jc_bench --bin fig8_cesm_layout
 //! ```
 
-use jungle::cesm::models::{ActiveComponent, DataComponent};
-use jungle::cesm::{Component, ComponentKind, Coupler, GridField, Layout};
+use jc_cesm::models::{ActiveComponent, DataComponent};
+use jc_cesm::{Component, ComponentKind, Coupler, GridField, Layout};
 
 fn main() {
     // Fully active configuration.

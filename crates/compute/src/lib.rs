@@ -29,8 +29,8 @@
 //! It is a leaf crate on purpose: every kernel crate (and, through
 //! them, the whole jungle runtime) layers on top of it, so it depends
 //! on nothing but `std`, whose `mpsc` channels the pool hands chunks
-//! over. `jc_core` re-exports it as `jc_core::soa` /
-//! `jc_core::par` for runtime-level callers.
+//! over. `jc_core` re-exports it as `jc_core::soa` / `jc_core::par`
+//! for runtime-level callers.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

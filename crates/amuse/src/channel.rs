@@ -640,8 +640,10 @@ mod tests {
 
     #[test]
     fn local_channel_sync_and_async() {
-        let mut c =
-            LocalChannel::new(Box::new(GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar)));
+        let mut c = LocalChannel::new(Box::new(GravityWorker::new(
+            plummer_sphere(8, 1),
+            Backend::CpuParallel,
+        )));
         assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
         c.submit(Request::GetParticles);
         match c.collect() {
@@ -743,7 +745,7 @@ mod tests {
     fn local_two_phase_legs_match_call_in_data_and_accounting() {
         use crate::worker::CouplingWorker;
         let local = |w: Box<dyn ModelWorker>| LocalChannel::new(w);
-        let grav = || GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar);
+        let grav = || GravityWorker::new(plummer_sphere(8, 1), Backend::CpuParallel);
         // borrowed legs, the same workers without them, and mixed
         legs_match_call(local(Box::new(grav())), local(Box::new(grav())), 8);
         legs_match_call(
@@ -766,7 +768,7 @@ mod tests {
     #[test]
     fn local_frames_match_the_thread_reference_bitwise() {
         use crate::worker::{CouplingWorker, HydroWorker};
-        let grav = || GravityWorker::new(plummer_sphere(6, 3), Backend::Scalar);
+        let grav = || GravityWorker::new(plummer_sphere(6, 3), Backend::CpuParallel);
         let dv: Vec<[f64; 3]> = (0..6).map(|i| [1e-3 * i as f64, -2e-4, 5e-4]).collect();
         let (stars, gas) = (plummer_sphere(5, 4), plummer_sphere(7, 5));
         let set = |p: &jc_nbody::ParticleSet| ParticleData {
@@ -938,8 +940,10 @@ mod tests {
         };
         c.submit_field(&set(&scene), &set(&scene), true, (0, 5), (2, 5));
         assert!(matches!(c.collect(), Response::Accelerations { acc, .. } if acc.len() == 8));
-        let mut g =
-            LocalChannel::new(Box::new(GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar)));
+        let mut g = LocalChannel::new(Box::new(GravityWorker::new(
+            plummer_sphere(8, 1),
+            Backend::CpuParallel,
+        )));
         g.submit_snapshot();
         assert!(matches!(g.collect(), Response::Particles(p) if p.mass.len() == 8));
         g.submit_step(&[[1e-3; 3]; 8], 1, 0.01);
@@ -989,8 +993,10 @@ mod tests {
     #[test]
     #[should_panic]
     fn double_submit_panics() {
-        let mut c =
-            LocalChannel::new(Box::new(GravityWorker::new(plummer_sphere(4, 2), Backend::Scalar)));
+        let mut c = LocalChannel::new(Box::new(GravityWorker::new(
+            plummer_sphere(4, 2),
+            Backend::CpuParallel,
+        )));
         c.submit(Request::Ping);
         c.submit(Request::Ping);
     }

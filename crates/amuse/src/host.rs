@@ -759,7 +759,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_refused_step_applies_nothing() {
-        let mut w = GravityWorker::new(plummer_sphere(4, 3), Backend::Scalar);
+        let mut w = GravityWorker::new(plummer_sphere(4, 3), Backend::CpuParallel);
         let before = get(&mut w);
         for (dv, n) in [(vec![[1.0; 3]; 4], 0), (vec![[1.0; 3]; 4], 3), (vec![[1.0; 3]; 3], 1)] {
             let r = serve(&mut w, &mut FieldSets::default(), Request::Step { dv, n, t: 0.5 });
@@ -837,7 +837,7 @@ pub(crate) mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let mut grav = GravityWorker::new(plummer_sphere(6, 4), Backend::Scalar);
+            let mut grav = GravityWorker::new(plummer_sphere(6, 4), Backend::CpuParallel);
             let mut core = ServerCore::new(&mut grav, None);
             let mut decoder = crate::FrameDecoder::new();
             let mut seen = Vec::new();
@@ -909,7 +909,7 @@ pub(crate) mod tests {
         wire::kick_frame(&[[1e-3, -2e-3, 5e-4]; 6]).encode(&mut a);
         wire::kick_frame(&[[-4e-4, 1e-3, 2e-3]; 6]).encode(&mut b);
         wire::encode_simple_request(wire::op::GET_PARTICLES, &mut snapshot);
-        let grav = || GravityWorker::new(plummer_sphere(6, 4), Backend::Scalar);
+        let grav = || GravityWorker::new(plummer_sphere(6, 4), Backend::CpuParallel);
         let serve_all = |frames: &[&[u8]]| {
             let mut w = grav();
             let mut core = ServerCore::new(&mut w, None);
@@ -982,7 +982,7 @@ pub(crate) mod tests {
             fields.push(frame.clone());
         }
         fn grav() -> GravityWorker {
-            GravityWorker::new(plummer_sphere(7, 3), Backend::Scalar)
+            GravityWorker::new(plummer_sphere(7, 3), Backend::CpuParallel)
         }
         // with the borrowed legs, and through `handle` alone
         type Make = fn() -> Box<dyn ModelWorker>;
@@ -1091,7 +1091,7 @@ pub(crate) mod tests {
             },
         ];
         fn grav() -> GravityWorker {
-            GravityWorker::new(plummer_sphere(7, 3), Backend::Scalar)
+            GravityWorker::new(plummer_sphere(7, 3), Backend::CpuParallel)
         }
         type Make = fn() -> Box<dyn ModelWorker>;
         let cases: [(Make, &Request, u8); 6] = [

@@ -951,7 +951,7 @@ mod tests {
     fn reactor_channel_roundtrips_against_a_real_worker() {
         let ics = plummer_sphere(32, 5);
         let (addr, handle) =
-            spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
+            spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::CpuParallel));
         let reactor = Reactor::new_shared().unwrap();
         let mut ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
         assert!(matches!(ch.call(Request::Ping), Response::Ok { .. }));
@@ -1014,8 +1014,9 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let dead_addr = listener.local_addr().unwrap();
         let killer = std::thread::spawn(move || drop(listener.accept().unwrap()));
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 3), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(4, 3), Backend::CpuParallel)
+        });
         let reactor = Reactor::new_shared().unwrap();
         let mut dead = ReactorChannel::connect(&reactor, dead_addr, "dead").unwrap();
         let mut live = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
@@ -1091,7 +1092,7 @@ mod tests {
     fn idle_reactor_wait_times_out() {
         let ics = plummer_sphere(4, 3);
         let (addr, handle) =
-            spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
+            spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::CpuParallel));
         let reactor = Reactor::new_shared().unwrap();
         let ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
         // nothing queued, nothing owed: a bounded wait elapses quietly

@@ -870,7 +870,7 @@ mod tests {
         let shards: Vec<Box<dyn Channel>> = counts
             .iter()
             .map(|&c| {
-                let sub = || GravityWorker::new(ics.slice(off, off + c), Backend::Scalar);
+                let sub = || GravityWorker::new(ics.slice(off, off + c), Backend::CpuParallel);
                 // what each shard answers on its own
                 let mut alone = local(sub());
                 let mut part = ParticleData::default();
@@ -940,7 +940,7 @@ mod tests {
         let ics = plummer_sphere(23, 8);
         let dv: Vec<[f64; 3]> = (0..23).map(|i| [i as f64 * 1e-4, -1e-5, 2e-5]).collect();
 
-        let mut single = local(GravityWorker::new(ics.clone(), Backend::Scalar));
+        let mut single = local(GravityWorker::new(ics.clone(), Backend::CpuParallel));
         let _ = single.call(Request::Kick(dv.clone()));
         let reference = match single.call(Request::GetParticles) {
             Response::Particles(p) => p,
@@ -954,7 +954,7 @@ mod tests {
             .map(|&c| {
                 let sub = ics.slice(off, off + c);
                 off += c;
-                local(GravityWorker::new(sub, Backend::Scalar))
+                local(GravityWorker::new(sub, Backend::CpuParallel))
             })
             .collect();
         let mut sharded = ShardedChannel::new(shards);
@@ -987,7 +987,7 @@ mod tests {
         // discovers its layout from the first snapshot instead of
         // panicking on the counts refresh
         let shards: Vec<Box<dyn Channel>> = (0..2)
-            .map(|i| local(GravityWorker::new(plummer_sphere(4, i), Backend::Scalar)))
+            .map(|i| local(GravityWorker::new(plummer_sphere(4, i), Backend::CpuParallel)))
             .collect();
         let mut pool = ShardedChannel::with_counts(shards, Vec::new());
         match pool.call(Request::GetParticles) {
@@ -1155,7 +1155,7 @@ mod tests {
     #[test]
     fn mismatched_scatter_is_an_error() {
         let shards: Vec<Box<dyn Channel>> = (0..2)
-            .map(|i| local(GravityWorker::new(plummer_sphere(4, i), Backend::Scalar)))
+            .map(|i| local(GravityWorker::new(plummer_sphere(4, i), Backend::CpuParallel)))
             .collect();
         let mut sharded = ShardedChannel::new(shards);
         let r = sharded.kick_slice(&[[0.0; 3]; 3]);

@@ -297,8 +297,9 @@ mod tests {
 
     #[test]
     fn socket_channel_round_trips_over_real_tcp() {
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(8, 1), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(8, 1), Backend::CpuParallel)
+        });
         let mut c = SocketChannel::connect(addr, "grav").unwrap();
         assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
         match c.call(Request::GetParticles) {
@@ -359,8 +360,9 @@ mod tests {
 
     #[test]
     fn dropping_mid_submit_still_stops_the_server() {
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(8, 3), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(8, 3), Backend::CpuParallel)
+        });
         let mut c = SocketChannel::connect(addr, "grav").unwrap();
         c.submit(Request::EvolveTo(1e-3));
         drop(c); // drains the outstanding response, then sends Stop
@@ -372,8 +374,9 @@ mod tests {
         // poison the coupler's channel with a hostile frame so its Drop
         // cannot deliver Stop — the old leak scenario — then reap the
         // server with an explicit Shutdown on a fresh connection
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 5), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(4, 5), Backend::CpuParallel)
+        });
         {
             let mut c = SocketChannel::connect(addr, "grav").unwrap();
             assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
@@ -391,7 +394,7 @@ mod tests {
         let fuse = Arc::new(AtomicI64::new(2));
         let (addr, handle) = spawn_flaky_tcp_worker(
             "doomed",
-            || GravityWorker::new(plummer_sphere(4, 6), Backend::Scalar),
+            || GravityWorker::new(plummer_sphere(4, 6), Backend::CpuParallel),
             fuse.clone(),
         );
         let mut c = SocketChannel::connect(addr, "doomed").unwrap();
@@ -408,8 +411,9 @@ mod tests {
     fn lost_response_to_a_mutating_request_is_not_double_applied() {
         use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
         // control: one clean kick
-        let (addr, handle) =
-            spawn_tcp_worker("ctrl", || GravityWorker::new(plummer_sphere(4, 9), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("ctrl", || {
+            GravityWorker::new(plummer_sphere(4, 9), Backend::CpuParallel)
+        });
         let mut ctrl = SocketChannel::connect(addr, "ctrl").unwrap();
         assert!(matches!(ctrl.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
         let expected = match ctrl.call(Request::GetParticles) {
@@ -422,8 +426,9 @@ mod tests {
         // chaos: the kick's response is lost to an injected read
         // timeout; the retry resends the same sequence number and the
         // server must replay, not re-apply
-        let (addr, handle) =
-            spawn_tcp_worker("flaky", || GravityWorker::new(plummer_sphere(4, 9), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("flaky", || {
+            GravityWorker::new(plummer_sphere(4, 9), Backend::CpuParallel)
+        });
         let mut c = SocketChannel::connect(addr, "flaky")
             .unwrap()
             .with_retry(RetryPolicy { backoff_base_ms: 1, ..RetryPolicy::standard(7) })
@@ -520,7 +525,7 @@ mod tests {
     /// on the wire, the reply the dedup cache holds after, and the
     /// worker's state.
     fn serve_bytes(requests: Vec<u8>) -> (Vec<u8>, Vec<u8>, ParticleData) {
-        let mut grav = GravityWorker::new(plummer_sphere(6, 9), Backend::Scalar);
+        let mut grav = GravityWorker::new(plummer_sphere(6, 9), Backend::CpuParallel);
         let mut core = ServerCore::new(&mut grav, None);
         let mut conn = Duplex { requests: std::io::Cursor::new(requests), wire: Vec::new() };
         let next = serve_connection(&mut core, &mut FrameDecoder::new(), &mut conn);
@@ -566,8 +571,9 @@ mod tests {
         // channel's first mutating request lands exactly on the stale
         // last_seq — it must still be applied (different bytes: not a
         // resend), not answered from the cache.
-        let (addr, handle) =
-            spawn_tcp_worker("ctrl", || GravityWorker::new(plummer_sphere(4, 11), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("ctrl", || {
+            GravityWorker::new(plummer_sphere(4, 11), Backend::CpuParallel)
+        });
         let mut ctrl = SocketChannel::connect(addr, "ctrl").unwrap();
         assert!(matches!(ctrl.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
         assert!(matches!(ctrl.call(Request::Kick(vec![[0.0, 0.25, 0.0]; 4])), Response::Ok { .. }));
@@ -578,8 +584,9 @@ mod tests {
         drop(ctrl);
         handle.join().unwrap().unwrap();
 
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 11), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(4, 11), Backend::CpuParallel)
+        });
         {
             let mut a = retrying(addr, "first");
             // first request mutating: seq 1 lands in the dedup cache
@@ -610,8 +617,9 @@ mod tests {
         // retrying channel stamps its Shutdown with seq 1, colliding with
         // the stale cache. The Shutdown must be executed (server exits,
         // join returns), not answered with the cached Kick reply.
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 12), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(4, 12), Backend::CpuParallel)
+        });
         {
             let mut a = retrying(addr, "doomed");
             assert!(matches!(a.call(Request::Kick(vec![[0.1, 0.0, 0.0]; 4])), Response::Ok { .. }));
@@ -630,8 +638,9 @@ mod tests {
         // 65535 frames. Simulate the wrap by rewinding the client's
         // counter: the second (different) Kick reuses seq 1 and must be
         // applied.
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 13), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(4, 13), Backend::CpuParallel)
+        });
         let mut c = retrying(addr, "wrap");
         assert!(matches!(c.call(Request::Kick(vec![[0.5, 0.0, 0.0]; 4])), Response::Ok { .. }));
         let before = match c.call(Request::GetParticles) {
@@ -661,7 +670,7 @@ mod tests {
         let fuse = Arc::new(AtomicI64::new(1));
         let (addr, handle) = spawn_flaky_tcp_worker(
             "doomed",
-            || GravityWorker::new(plummer_sphere(4, 14), Backend::Scalar),
+            || GravityWorker::new(plummer_sphere(4, 14), Backend::CpuParallel),
             fuse,
         );
         let mut c = SocketChannel::connect(addr, "doomed").unwrap();
@@ -702,8 +711,9 @@ mod tests {
 
     #[test]
     fn server_survives_a_dirty_connection() {
-        let (addr, handle) =
-            spawn_tcp_worker("grav", || GravityWorker::new(plummer_sphere(4, 2), Backend::Scalar));
+        let (addr, handle) = spawn_tcp_worker("grav", || {
+            GravityWorker::new(plummer_sphere(4, 2), Backend::CpuParallel)
+        });
         // hostile client: garbage bytes, then hang up
         {
             let mut raw = TcpStream::connect(addr).unwrap();

@@ -343,14 +343,16 @@ pub struct GravityWorker {
 }
 
 impl GravityWorker {
-    /// Wrap a particle set with the given backend.
+    /// Wrap a particle set. Every backend runs the same force kernel;
+    /// `backend` only names the worker (`phigrape-cpu` or
+    /// `phigrape-gpu`).
     pub fn new(particles: ParticleSet, backend: Backend) -> GravityWorker {
         let label = match backend {
             Backend::GpuModel => "phigrape-gpu",
             _ => "phigrape-cpu",
         };
         GravityWorker {
-            model: PhiGrape::new(particles, backend).with_softening(0.01),
+            model: PhiGrape::new(particles).with_softening(0.01),
             label: label.to_string(),
         }
     }
@@ -668,7 +670,7 @@ mod tests {
 
     #[test]
     fn gravity_worker_round_trip() {
-        let mut w = GravityWorker::new(plummer_sphere(16, 1), Backend::Scalar);
+        let mut w = GravityWorker::new(plummer_sphere(16, 1), Backend::CpuParallel);
         match w.handle(Request::GetParticles) {
             Response::Particles(p) => assert_eq!(p.mass.len(), 16),
             other => panic!("{other:?}"),
@@ -767,7 +769,7 @@ mod tests {
 
     #[test]
     fn mismatched_kick_is_error() {
-        let mut w = GravityWorker::new(plummer_sphere(4, 3), Backend::Scalar);
+        let mut w = GravityWorker::new(plummer_sphere(4, 3), Backend::CpuParallel);
         assert!(matches!(w.handle(Request::Kick(vec![[0.0; 3]; 2])), Response::Error(_)));
     }
 

@@ -87,7 +87,7 @@ fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool, reactor: bool)
     let shards: Vec<Box<dyn Channel>> = (0..k)
         .map(|i| {
             let (addr, h) = spawn_tcp_worker(format!("g{i}"), || {
-                GravityWorker::new(plummer_sphere(1, 99), Backend::Scalar)
+                GravityWorker::new(plummer_sphere(1, 99), Backend::CpuParallel)
             });
             handles.push(h);
             if reactor {

@@ -47,7 +47,7 @@ fn deadline_policy(seed: u64) -> RetryPolicy {
 fn blocking_channel_honors_request_deadline_under_chaos() {
     let ics = plummer_sphere(8, 3);
     let (addr, handle) =
-        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
+        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::CpuParallel));
     let mut ch = SocketChannel::connect(addr, "grav")
         .expect("connect")
         .with_retry(deadline_policy(11))
@@ -75,7 +75,7 @@ fn blocking_channel_honors_request_deadline_under_chaos() {
 fn reactor_channel_honors_request_deadline_under_chaos() {
     let ics = plummer_sphere(8, 3);
     let (addr, handle) =
-        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
+        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::CpuParallel));
     let reactor = Reactor::new_shared().expect("reactor");
     let mut ch = ReactorChannel::connect(&reactor, addr, "grav")
         .expect("connect")
@@ -106,7 +106,7 @@ fn deadline_is_inert_on_a_healthy_channel_and_under_absorbable_chaos() {
     // absorbed in place — the deadline only trims the tail.
     let ics = plummer_sphere(8, 3);
     let reference = {
-        let mut w = GravityWorker::new(ics.clone(), Backend::Scalar);
+        let mut w = GravityWorker::new(ics.clone(), Backend::CpuParallel);
         use jc_amuse::worker::ModelWorker;
         match w.handle(Request::GetParticles) {
             Response::Particles(p) => p,
@@ -114,7 +114,7 @@ fn deadline_is_inert_on_a_healthy_channel_and_under_absorbable_chaos() {
         }
     };
     let (addr, handle) =
-        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
+        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::CpuParallel));
     let faults = StreamFaults::default()
         .with_read(1, IoFault::ReadTimeout)
         .with_read(2, IoFault::ReadTimeout);

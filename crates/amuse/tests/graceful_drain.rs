@@ -24,7 +24,7 @@ use std::net::TcpStream;
 fn drain_after(kicks: usize, shutdown_op: u8) {
     let ics = plummer_sphere(16, 7);
     let (addr, handle) =
-        jc_amuse::spawn_tcp_worker("drain", move || GravityWorker::new(ics, Backend::Scalar));
+        jc_amuse::spawn_tcp_worker("drain", move || GravityWorker::new(ics, Backend::CpuParallel));
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 

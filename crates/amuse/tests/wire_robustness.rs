@@ -246,7 +246,7 @@ fn hosts_refuse_malformed_composites_with_a_typed_error() {
         other => panic!("{what}: {other:?}"),
     };
     let (addr, handle) = jc_amuse::spawn_tcp_worker("grav", || {
-        GravityWorker::new(plummer_sphere(4, 1), Backend::Scalar)
+        GravityWorker::new(plummer_sphere(4, 1), Backend::CpuParallel)
     });
     let mut grav = SocketChannel::connect(addr, "grav").unwrap();
     let before = grav.call(Request::GetParticles);
@@ -411,7 +411,7 @@ proptest! {
 #[test]
 fn server_rejects_hostile_frames_and_keeps_serving() {
     let (addr, handle) = jc_amuse::spawn_tcp_worker("grav", || {
-        GravityWorker::new(plummer_sphere(4, 1), Backend::Scalar)
+        GravityWorker::new(plummer_sphere(4, 1), Backend::CpuParallel)
     });
 
     // 1: truncated header, then hang up

@@ -35,11 +35,12 @@
 //!
 //! Worker-thread counts honor the `JC_THREADS` environment override, so
 //! perfsuite numbers are reproducible on shared machines (CI pins it).
-//! Backend coverage: the scalar reference kernels keep their historical
-//! row names (`nbody_acc_jerk`, `sph_density_csr`, `sph_forces`,
-//! `tree_walk`); the SoA compute paths — what workers run — get `*_simd`
-//! rows next to them, and every row built on `PhiGrape` uses
-//! `Backend::CpuParallel` like the workers do.
+//! Backend coverage: the SPH and tree scalar reference kernels keep their
+//! historical row names (`sph_density_csr`, `sph_forces`, `tree_walk`);
+//! the SoA compute paths — what workers run — get `*_simd` rows next to
+//! them. The n-body force kernel has only its SoA path, timed as
+//! `nbody_acc_jerk_simd`; its in-order reference lives in `jc_nbody`'s
+//! tests and has no row.
 //! `hermite_evolve` times one gravity `EvolveTo(1/64)` at the two star
 //! counts workers run (`interactions_per_s` from the integrator's own
 //! flop count: a block step evaluates only the active stars).
@@ -138,8 +139,7 @@ fn main() {
     let sph_ns: &[usize] = if quick { &[1024] } else { &[1024, 8192] };
 
     for &n in gravity_ns {
-        samples.push(bench_acc_jerk(n, repeats, Backend::Scalar));
-        samples.push(bench_acc_jerk(n, repeats, Backend::SimdSoa));
+        samples.push(bench_acc_jerk(n, repeats));
     }
     // one gravity `EvolveTo` as a worker runs it, at the two sizes
     // workers run (the benchmark's 128-star cluster, an 8-star session)
@@ -198,7 +198,7 @@ fn main() {
         std::env::set_var("JC_THREADS", t.to_string());
         let tag =
             |kernel: &str| -> &'static str { Box::leak(format!("{kernel}_t{t}").into_boxed_str()) };
-        let s = bench_acc_jerk(n_grav, repeats, Backend::SimdSoa);
+        let s = bench_acc_jerk(n_grav, repeats);
         samples.push(Sample { kernel: tag("nbody_acc_jerk_simd"), ..s });
         let s = bench_tree_walk(n_tree, repeats, true);
         samples.push(Sample { kernel: tag("tree_walk_simd"), ..s });
@@ -257,7 +257,6 @@ fn report_scaling(sweep_rows: &[Sample], sweep: &[usize]) {
 /// Print the SoA-vs-scalar speedup of every kernel that has both rows.
 fn report_speedup(samples: &[Sample]) {
     for (simd, scalar) in [
-        ("nbody_acc_jerk_simd", "nbody_acc_jerk"),
         ("sph_density_simd", "sph_density_csr"),
         ("sph_forces_simd", "sph_forces"),
         ("tree_walk_simd", "tree_walk"),
@@ -316,22 +315,31 @@ fn bench_calibration(repeats: usize) -> Sample {
     Sample { kernel: CALIBRATION, n: N, ns_per_step: ns, interactions_per_s: pairs / ns * 1e9 }
 }
 
-fn bench_acc_jerk(n: usize, repeats: usize, backend: Backend) -> Sample {
+fn bench_acc_jerk(n: usize, repeats: usize) -> Sample {
     let ics = plummer_sphere(n, 42);
     let mut acc = vec![[0.0; 3]; n];
     let mut jerk = vec![[0.0; 3]; n];
     let ns = best_ns(repeats, || {
         acc_jerk_into(
-            backend, &ics.pos, &ics.vel, &ics.mass, &ics.pos, &ics.vel, 1e-4, true, &mut acc,
+            Backend::CpuParallel,
+            &ics.pos,
+            &ics.vel,
+            &ics.mass,
+            &ics.pos,
+            &ics.vel,
+            1e-4,
+            true,
+            &mut acc,
             &mut jerk,
         );
     });
     let inter = (n * n) as f64;
-    let kernel = match backend {
-        Backend::SimdSoa => "nbody_acc_jerk_simd",
-        _ => "nbody_acc_jerk",
-    };
-    Sample { kernel, n, ns_per_step: ns, interactions_per_s: inter / ns * 1e9 }
+    Sample {
+        kernel: "nbody_acc_jerk_simd",
+        n,
+        ns_per_step: ns,
+        interactions_per_s: inter / ns * 1e9,
+    }
 }
 
 /// One `EvolveTo(1/64)` exactly as a `GravityWorker` runs it, on a
@@ -339,9 +347,7 @@ fn bench_acc_jerk(n: usize, repeats: usize, backend: Backend) -> Sample {
 /// their block-step levels: mean ns per `evolve_model` call, and the
 /// pair interactions the integrator itself counted per second.
 fn bench_hermite_evolve(n: usize, repeats: usize) -> Sample {
-    let mut g = PhiGrape::new(plummer_sphere(n, 7), Backend::CpuParallel)
-        .with_softening(0.01)
-        .with_eta(0.01);
+    let mut g = PhiGrape::new(plummer_sphere(n, 7)).with_softening(0.01).with_eta(0.01);
     let mut t_end = 0.25;
     g.evolve_model(t_end); // warm: forces + scratch
     let calls = repeats.max(1);

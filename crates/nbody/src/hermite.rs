@@ -1,7 +1,7 @@
 //! The 4th-order Hermite predictor–corrector integrator (PhiGRAPE), on
 //! block time steps.
 
-use crate::kernels::{acc_jerk_scalar, acc_jerk_soa, eval_flops, Backend, Targets, PAR_GRAIN};
+use crate::kernels::{acc_jerk_soa, eval_flops, Targets, PAR_GRAIN};
 use crate::particle::ParticleSet;
 use jc_compute::par;
 use jc_compute::soa::SoaBodies;
@@ -68,16 +68,12 @@ impl Blocks {
 }
 
 /// Reusable per-integrator buffers, held across calls so the
-/// steady-state block loop performs no heap allocation on any backend.
+/// steady-state block loop performs no heap allocation.
 #[derive(Default)]
 struct HermiteScratch {
-    /// Every star predicted to the current block time, in the layout the
-    /// backend's kernel scans: SoA columns (with the masses) for the SoA
-    /// backends, …
+    /// Every star predicted to the current block time, as the SoA
+    /// columns (with the masses) the force kernel scans.
     soa: SoaBodies,
-    /// … rows for [`Backend::Scalar`].
-    pos: Vec<[f64; 3]>,
-    vel: Vec<[f64; 3]>,
     /// The tick each star's `particles`/`acc`/`jerk` rows are valid at.
     tick: Vec<u64>,
     /// Each star's current step, in ticks (a power of two).
@@ -92,21 +88,13 @@ struct HermiteScratch {
 impl HermiteScratch {
     /// Size every buffer for the particle set — once per call, not per
     /// sub-step.
-    fn ensure(&mut self, backend: Backend, mass: &[f64]) {
+    fn ensure(&mut self, mass: &[f64]) {
         let n = mass.len();
         assert!(u32::try_from(n).is_ok(), "active list indexes stars by u32");
-        match backend {
-            Backend::Scalar => {
-                self.pos.resize(n, [0.0; 3]);
-                self.vel.resize(n, [0.0; 3]);
-            }
-            _ => {
-                self.soa.mass.copy_from(mass);
-                let (p, v) = (&mut self.soa.pos, &mut self.soa.vel);
-                for column in [&mut p.x, &mut p.y, &mut p.z, &mut v.x, &mut v.y, &mut v.z] {
-                    column.resize(n);
-                }
-            }
+        self.soa.mass.copy_from(mass);
+        let (p, v) = (&mut self.soa.pos, &mut self.soa.vel);
+        for column in [&mut p.x, &mut p.y, &mut p.z, &mut v.x, &mut v.y, &mut v.z] {
+            column.resize(n);
         }
         self.tick.resize(n, 0);
         self.step.resize(n, 0);
@@ -150,8 +138,6 @@ pub struct PhiGrape {
     /// The particles. Between calls every star is at
     /// [`PhiGrape::model_time`].
     pub particles: ParticleSet,
-    /// Which force backend runs the pair loop.
-    pub backend: Backend,
     /// Softening length squared.
     pub eps2: f64,
     /// Timestep accuracy parameter (0.01–0.02 typical).
@@ -172,10 +158,9 @@ pub struct PhiGrape {
 
 impl PhiGrape {
     /// Create an integrator over a particle set.
-    pub fn new(particles: ParticleSet, backend: Backend) -> PhiGrape {
+    pub fn new(particles: ParticleSet) -> PhiGrape {
         PhiGrape {
             particles,
-            backend,
             eps2: 1e-4,
             eta: 0.01,
             time: 0.0,
@@ -214,13 +199,7 @@ impl PhiGrape {
         let targets = Targets::Sources(&s.active);
         let na = s.active.len();
         let (acc1, jerk1) = (&mut s.acc1[..na], &mut s.jerk1[..na]);
-        match self.backend {
-            Backend::Scalar => {
-                let mass = &self.particles.mass;
-                acc_jerk_scalar(targets, mass, &s.pos, &s.vel, self.eps2, acc1, jerk1)
-            }
-            _ => acc_jerk_soa(targets, &s.soa, self.eps2, acc1, jerk1, threads),
-        }
+        acc_jerk_soa(targets, &s.soa, self.eps2, acc1, jerk1, threads);
         self.force_evals += 1;
         self.flops += eval_flops(na, self.particles.len());
     }
@@ -230,16 +209,8 @@ impl PhiGrape {
     /// itself and every star is active.
     fn refresh_forces(&mut self, threads: usize) {
         let (n, s) = (self.particles.len(), &mut self.scratch);
-        match self.backend {
-            Backend::Scalar => {
-                s.pos.copy_from_slice(&self.particles.pos);
-                s.vel.copy_from_slice(&self.particles.vel);
-            }
-            _ => {
-                s.soa.pos.fill_from(&self.particles.pos);
-                s.soa.vel.fill_from(&self.particles.vel);
-            }
-        }
+        s.soa.pos.fill_from(&self.particles.pos);
+        s.soa.vel.fill_from(&self.particles.vel);
         s.active.clear();
         s.active.extend(0..n as u32);
         self.evaluate(threads);
@@ -251,7 +222,7 @@ impl PhiGrape {
     /// Start the block clock over `span`: size the scratch, make the
     /// forces valid, and put every star on the level its forces ask for.
     fn begin(&mut self, span: f64, threads: usize) -> Blocks {
-        self.scratch.ensure(self.backend, &self.particles.mass);
+        self.scratch.ensure(&self.particles.mass);
         if !self.forces_valid {
             self.refresh_forces(threads);
         }
@@ -278,26 +249,16 @@ impl PhiGrape {
         s.active.clear();
         let p = &self.particles;
         let state = p.pos.iter().zip(&p.vel).zip(self.acc.iter().zip(&self.jerk));
-        let mut soa = match self.backend {
-            Backend::Scalar => None,
-            _ => {
-                let (sp, sv) = (&mut s.soa.pos, &mut s.soa.vel);
-                let pos = [sp.x.as_mut_slice(), sp.y.as_mut_slice(), sp.z.as_mut_slice()];
-                Some((pos, [sv.x.as_mut_slice(), sv.y.as_mut_slice(), sv.z.as_mut_slice()]))
-            }
-        };
+        let (sp, sv) = (&mut s.soa.pos, &mut s.soa.vel);
+        let pos = [sp.x.as_mut_slice(), sp.y.as_mut_slice(), sp.z.as_mut_slice()];
+        let vel = [sv.x.as_mut_slice(), sv.y.as_mut_slice(), sv.z.as_mut_slice()];
         for (i, ((p0, v0), (a0, j0))) in state.enumerate() {
             if s.tick[i] + s.step[i] == now {
                 s.active.push(i as u32);
             }
             let (pp, pv) = predict(p0, v0, a0, j0, (now - s.tick[i]) as f64 * blocks.tick_len);
-            match &mut soa {
-                None => (s.pos[i], s.vel[i]) = (pp, pv),
-                Some((pos, vel)) => {
-                    for k in 0..3 {
-                        (pos[k][i], vel[k][i]) = (pp[k], pv[k]);
-                    }
-                }
+            for k in 0..3 {
+                (pos[k][i], vel[k][i]) = (pp[k], pv[k]);
             }
         }
         self.evaluate(threads);
@@ -335,11 +296,8 @@ impl PhiGrape {
         // The worker count is resolved once per request, not once per
         // force evaluation: with `JC_THREADS` set the resolution is an
         // allocating environment read, and the particle count cannot
-        // change under an evolve. (`Scalar` never fans out.)
-        let threads = match self.backend {
-            Backend::Scalar => 1,
-            _ => par::threads_for(self.particles.len(), 0, PAR_GRAIN),
-        };
+        // change under an evolve.
+        let threads = par::threads_for(self.particles.len(), 0, PAR_GRAIN);
         let mut blocks = self.begin(span, threads);
         let mut steps = 0;
         while blocks.now < blocks.end {
@@ -441,9 +399,13 @@ mod tests {
 
     #[test]
     fn binary_orbit_closes_after_a_period() {
-        let mut g = PhiGrape::new(binary(), Backend::Scalar).with_softening(0.0).with_eta(0.005);
+        // unsoftened: the SoA kernel reads its targets out of the source
+        // columns by index, and the self-pair of a star has zero
+        // separation, so it must be masked by that index
+        let mut g = PhiGrape::new(binary()).with_softening(0.0).with_eta(0.005);
         let period = 2.0 * std::f64::consts::PI;
         g.evolve_model(period);
+        assert!(state_bits(&g).iter().all(|&b| f64::from_bits(b).is_finite()));
         // back near the start
         let p = &g.particles.pos;
         assert!((p[0][0] + 0.5).abs() < 2e-3, "x0 = {}", p[0][0]);
@@ -453,7 +415,7 @@ mod tests {
     #[test]
     fn energy_conserved_for_plummer_sphere() {
         let ics = plummer_sphere(64, 42);
-        let mut g = PhiGrape::new(ics, Backend::CpuParallel).with_softening(0.01).with_eta(0.01);
+        let mut g = PhiGrape::new(ics).with_softening(0.01).with_eta(0.01);
         let e0 = total_energy(&g.particles, g.eps2);
         g.evolve_model(1.0);
         let e1 = total_energy(&g.particles, g.eps2);
@@ -462,25 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn evolve_is_deterministic_across_backends() {
-        let run = |b: Backend| {
-            let ics = plummer_sphere(32, 7);
-            let mut g = PhiGrape::new(ics, b).with_softening(0.01);
-            g.evolve_model(0.25);
-            g.particles.pos.clone()
-        };
-        assert_eq!(run(Backend::CpuParallel), run(Backend::GpuModel));
-        assert_eq!(run(Backend::CpuParallel), run(Backend::SimdSoa));
-        // the in-order reference agrees to rounding, not bitwise
-        let (scalar, soa) = (run(Backend::Scalar), run(Backend::CpuParallel));
-        for (a, b) in scalar.iter().flatten().zip(soa.iter().flatten()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn kick_changes_momentum_and_invalidates_forces() {
-        let mut g = PhiGrape::new(binary(), Backend::Scalar);
+        let mut g = PhiGrape::new(binary());
         g.evolve_model(0.1);
         let before = g.particles.vel[0];
         g.kick(&[[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]);
@@ -490,14 +435,14 @@ mod tests {
 
     #[test]
     fn empty_set_fast_forwards() {
-        let mut g = PhiGrape::new(ParticleSet::new(), Backend::Scalar);
+        let mut g = PhiGrape::new(ParticleSet::new());
         assert_eq!(g.evolve_model(5.0), 0);
         assert_eq!(g.model_time(), 5.0);
     }
 
     #[test]
     fn flops_accumulate_with_steps() {
-        let mut g = PhiGrape::new(binary(), Backend::Scalar);
+        let mut g = PhiGrape::new(binary());
         g.evolve_model(0.5);
         assert!(g.force_evals > 0);
         assert!(g.flops > 0.0);
@@ -505,7 +450,7 @@ mod tests {
 
     #[test]
     fn every_call_ends_synchronised_on_t_end() {
-        let mut g = PhiGrape::new(plummer_sphere(16, 5), Backend::CpuParallel).with_softening(0.01);
+        let mut g = PhiGrape::new(plummer_sphere(16, 5)).with_softening(0.01);
         let mut t_end = 0.0;
         for span in [1.0 / 64.0, 1.0 / 3.0, 2.0 * std::f64::consts::PI, 5e-9] {
             t_end += span;
@@ -527,48 +472,31 @@ mod tests {
         // the same level, so every sub-step is a shared step — and fed
         // the scheduler's own `dt` sequence, the old integrator lands on
         // the same bits
-        for backend in [Backend::Scalar, Backend::CpuParallel] {
-            let mut block = PhiGrape::new(binary(), backend);
-            let mut shared = PhiGrape::new(binary(), backend);
-            shared.scratch.ensure(backend, &shared.particles.mass);
-            shared.refresh_forces(1);
-            let mut blocks = block.begin(0.5, 1);
-            while blocks.now < blocks.end {
-                let from = blocks.now;
-                block.sub_step(&mut blocks, 1);
-                assert_eq!(block.scratch.active, [0, 1], "the stars left their shared level");
-                shared.step((blocks.now - from) as f64 * blocks.tick_len);
-                assert_eq!(state_bits(&block), state_bits(&shared), "{backend:?} at {from}");
-            }
-            assert!(block.force_evals > 32, "{backend:?} took {} steps", block.force_evals);
+        let mut block = PhiGrape::new(binary());
+        let mut shared = PhiGrape::new(binary());
+        shared.scratch.ensure(&shared.particles.mass);
+        shared.refresh_forces(1);
+        let mut blocks = block.begin(0.5, 1);
+        while blocks.now < blocks.end {
+            let from = blocks.now;
+            block.sub_step(&mut blocks, 1);
+            assert_eq!(block.scratch.active, [0, 1], "the stars left their shared level");
+            shared.step((blocks.now - from) as f64 * blocks.tick_len);
+            assert_eq!(state_bits(&block), state_bits(&shared), "at {from}");
         }
-    }
-
-    #[test]
-    fn unsoftened_binary_closes_its_orbit_on_the_worker_backend() {
-        // the SoA kernel reads its targets out of the source columns by
-        // index: the self-pair of an unsoftened star has zero separation
-        // and must be masked by that index
-        let mut g =
-            PhiGrape::new(binary(), Backend::CpuParallel).with_softening(0.0).with_eta(0.005);
-        g.evolve_model(2.0 * std::f64::consts::PI);
-        assert!(state_bits(&g).iter().all(|&b| f64::from_bits(b).is_finite()));
-        let p = &g.particles.pos;
-        assert!((p[0][0] + 0.5).abs() < 2e-3, "x0 = {}", p[0][0]);
-        assert!(p[0][1].abs() < 2e-3, "y0 = {}", p[0][1]);
+        assert!(block.force_evals > 32, "took {} steps", block.force_evals);
     }
 
     #[test]
     fn restore_at_a_kick_boundary_replays_bitwise() {
         let dv: Vec<[f64; 3]> = (0..48).map(|i| [1e-3 * i as f64, -2e-3, 5e-4]).collect();
-        let mut g = PhiGrape::new(plummer_sphere(48, 9), Backend::CpuParallel).with_softening(0.01);
+        let mut g = PhiGrape::new(plummer_sphere(48, 9)).with_softening(0.01);
         g.evolve_model(0.05);
         g.kick(&dv);
         let (saved, t) = (g.particles.clone(), g.model_time());
         let steps = g.evolve_model(0.1);
         // a fresh integrator restored at the boundary ...
-        let mut fresh =
-            PhiGrape::new(ParticleSet::new(), Backend::CpuParallel).with_softening(0.01);
+        let mut fresh = PhiGrape::new(ParticleSet::new()).with_softening(0.01);
         fresh.restore_state(saved.clone(), t);
         assert_eq!(fresh.evolve_model(0.1), steps, "the schedule is a function of the state");
         assert_eq!(state_bits(&fresh), state_bits(&g));
@@ -583,7 +511,7 @@ mod tests {
         // a regression to "everyone is always active" fails here, not
         // only in a benchmark
         let n = 128;
-        let mut g = PhiGrape::new(plummer_sphere(n, 3), Backend::CpuParallel).with_softening(0.01);
+        let mut g = PhiGrape::new(plummer_sphere(n, 3)).with_softening(0.01);
         let e0 = total_energy(&g.particles, g.eps2);
         let steps: u64 = (1..=64).map(|i| g.evolve_model(i as f64 / 64.0)).sum();
         let everyone = eval_flops(n, n) * steps as f64;
@@ -604,7 +532,7 @@ mod tests {
             n in 2usize..40,
             span in 1e-3f64..0.1,
         ) {
-            let mut g = PhiGrape::new(plummer_sphere(n, seed), Backend::Scalar).with_softening(0.01);
+            let mut g = PhiGrape::new(plummer_sphere(n, seed)).with_softening(0.01);
             let mut blocks = g.begin(span, 1);
             proptest::prop_assert!(blocks.top as f64 * blocks.tick_len <= DT_MAX);
             proptest::prop_assert!(blocks.tick_len >= DT_MIN);
@@ -633,7 +561,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn backwards_evolution_panics() {
-        let mut g = PhiGrape::new(binary(), Backend::Scalar);
+        let mut g = PhiGrape::new(binary());
         g.evolve_model(1.0);
         g.evolve_model(0.5);
     }

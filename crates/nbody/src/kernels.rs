@@ -10,21 +10,19 @@ use std::hint::select_unpredictable;
 /// ~60 flops including the rsqrt).
 pub const FLOPS_PER_PAIR: f64 = 60.0;
 
-/// Which implementation computes the forces.
+/// Where the force kernel runs. Every backend runs the one SoA body
+/// below, with the same bits; they differ in where the jungle simulator
+/// charges the cost, never in the physics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Backend {
-    /// Single-core reference loop: sources summed strictly in order. The
-    /// SoA backends below are bound to it by tolerance-bounded property
-    /// tests, not bitwise.
-    Scalar,
     /// The CPU kernel every worker runs: thread-parallel over targets on
     /// the structure-of-arrays compute path — sources mirrored into
     /// aligned `x/y/z/m` columns ([`jc_compute::soa`]) and accumulated
     /// in [`LANES`]-wide lane arrays with a fixed pairwise reduction
     /// order. Bitwise run-to-run stable and independent of the
-    /// worker-thread count and SIMD width, but equal to
-    /// [`Backend::Scalar`] only to rounding (sources are summed
-    /// lane-by-lane instead of strictly in order).
+    /// worker-thread count and SIMD width. An in-order sum of the same
+    /// pairs agrees with it to rounding, not bitwise (sources are summed
+    /// lane-by-lane); the tests keep that reference loop as an oracle.
     CpuParallel,
     /// Same arithmetic as `CpuParallel` (bitwise); the jungle simulator
     /// charges its cost to a GPU device model instead of CPU cores.
@@ -35,7 +33,7 @@ pub enum Backend {
 }
 
 thread_local! {
-    /// Reusable SoA mirror of the source set for the SoA backends
+    /// Reusable SoA mirror of the source set for the public entry points
     /// (thread-local: the coupler may drive several models from
     /// different threads at once). Steady-state refills allocate
     /// nothing once capacity is warm.
@@ -48,9 +46,7 @@ thread_local! {
 ///
 /// Returns `(acc, jerk)`. Allocating convenience wrapper over
 /// [`acc_jerk_into`]; hot callers hold the output buffers across steps.
-#[allow(clippy::too_many_arguments)]
 pub fn acc_jerk(
-    backend: Backend,
     t_pos: &[[f64; 3]],
     t_vel: &[[f64; 3]],
     s_mass: &[f64],
@@ -62,12 +58,23 @@ pub fn acc_jerk(
     let n = t_pos.len();
     let mut acc = vec![[0.0; 3]; n];
     let mut jerk = vec![[0.0; 3]; n];
-    acc_jerk_into(backend, t_pos, t_vel, s_mass, s_pos, s_vel, eps2, same_set, &mut acc, &mut jerk);
+    acc_jerk_into(
+        Backend::CpuParallel,
+        t_pos,
+        t_vel,
+        s_mass,
+        s_pos,
+        s_vel,
+        eps2,
+        same_set,
+        &mut acc,
+        &mut jerk,
+    );
     (acc, jerk)
 }
 
-/// Minimum targets per worker thread before the SoA backends fan out
-/// to pool workers.
+/// Minimum targets per worker thread before the SoA kernel fans out to
+/// pool workers.
 pub(crate) const PAR_GRAIN: usize = 64;
 
 /// The targets of one force evaluation.
@@ -120,16 +127,13 @@ impl Targets<'_> {
 
 /// [`acc_jerk`] writing into caller-provided slices (`acc.len() ==
 /// jerk.len() == t_pos.len()`, and the three source columns one length,
-/// validated once per call for every backend) — the
-/// zero-allocation steady-state path for [`Backend::Scalar`] and, once
-/// their thread-local SoA mirror is warm, for the SoA backends (pooled
-/// workers write each target's row in place).
+/// validated once per call) — the zero-allocation steady-state path once
+/// the thread-local SoA mirror is warm (pooled workers write each
+/// target's row in place).
 ///
-/// Determinism: `Scalar` accumulates sequentially over sources within
-/// each target. `CpuParallel`/`GpuModel`/`SimdSoa` run one body — bitwise
-/// identical to each other, run-to-run and across worker counts — and
-/// match `Scalar` only to rounding (lane-wise summation); see
-/// [`Backend::CpuParallel`].
+/// `_backend` selects nothing: every [`Backend`] runs the one SoA body,
+/// bitwise identical run to run and across worker counts. The parameter
+/// stays only for callers that still name a backend here.
 ///
 /// The worker cap is resolved here, per call (`JC_THREADS` is an
 /// allocating environment read once the grain allows fanning out); an
@@ -139,7 +143,7 @@ impl Targets<'_> {
 // jc-lint: no-alloc
 #[allow(clippy::too_many_arguments)]
 pub fn acc_jerk_into(
-    backend: Backend,
+    _backend: Backend,
     t_pos: &[[f64; 3]],
     t_vel: &[[f64; 3]],
     s_mass: &[f64],
@@ -153,57 +157,16 @@ pub fn acc_jerk_into(
     assert_eq!(s_pos.len(), s_mass.len(), "source column length mismatch");
     assert_eq!(s_vel.len(), s_mass.len(), "source column length mismatch");
     let targets = Targets::Rows { pos: t_pos, vel: t_vel, same_set };
-    match backend {
-        Backend::Scalar => acc_jerk_scalar(targets, s_mass, s_pos, s_vel, eps2, acc, jerk),
-        Backend::CpuParallel | Backend::GpuModel | Backend::SimdSoa => SOA_SOURCES.with(|cell| {
-            let mut soa = cell.borrow_mut();
-            soa.fill_from(s_mass, s_pos, s_vel);
-            acc_jerk_soa(targets, &soa, eps2, acc, jerk, 0);
-        }),
-    }
+    SOA_SOURCES.with(|cell| {
+        let mut soa = cell.borrow_mut();
+        soa.fill_from(s_mass, s_pos, s_vel);
+        acc_jerk_soa(targets, &soa, eps2, acc, jerk, 0);
+    });
 }
 
-/// The [`Backend::Scalar`] kernel: each target sums its sources strictly
-/// in order on the calling thread.
-// jc-lint: no-alloc
-pub(crate) fn acc_jerk_scalar(
-    targets: Targets,
-    s_mass: &[f64],
-    s_pos: &[[f64; 3]],
-    s_vel: &[[f64; 3]],
-    eps2: f64,
-    acc: &mut [[f64; 3]],
-    jerk: &mut [[f64; 3]],
-) {
-    assert_eq!(acc.len(), targets.len(), "acc buffer length mismatch");
-    assert_eq!(jerk.len(), targets.len(), "jerk buffer length mismatch");
-    for (k, (a, j)) in acc.iter_mut().zip(jerk.iter_mut()).enumerate() {
-        let (i, pi, vi) = targets.get(k, |i| (s_pos[i], s_vel[i]));
-        *a = [0.0f64; 3];
-        *j = [0.0f64; 3];
-        for (jj, (&mj, (pj, vj))) in s_mass.iter().zip(s_pos.iter().zip(s_vel)).enumerate() {
-            if jj == i {
-                continue;
-            }
-            let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
-            let dv = [vj[0] - vi[0], vj[1] - vi[1], vj[2] - vi[2]];
-            let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + eps2;
-            let r = r2.sqrt();
-            let inv_r3 = 1.0 / (r2 * r);
-            let rv = dx[0] * dv[0] + dx[1] * dv[1] + dx[2] * dv[2];
-            let alpha = 3.0 * rv / r2;
-            for k in 0..3 {
-                a[k] += mj * dx[k] * inv_r3;
-                j[k] += mj * (dv[k] - alpha * dx[k]) * inv_r3;
-            }
-        }
-    }
-}
-
-/// The SoA kernel every other backend runs, over source columns the
-/// caller already holds: chunked over targets on at most `max_threads`
-/// workers (as in [`par::threads_for`]: 0 = resolve `JC_THREADS` / the
-/// core count now).
+/// The SoA kernel, over source columns the caller already holds:
+/// chunked over targets on at most `max_threads` workers (as in
+/// [`par::threads_for`]: 0 = resolve `JC_THREADS` / the core count now).
 // jc-lint: no-alloc
 pub(crate) fn acc_jerk_soa(
     targets: Targets,
@@ -358,7 +321,7 @@ fn lanes<T>(f: impl FnMut(usize) -> T) -> [T; LANES] {
 
 /// Gravitational potential of each target due to the sources (for energy
 /// diagnostics). G = 1. Allocating convenience wrapper over
-/// [`potential_into`] with the [`Backend::CpuParallel`] backend.
+/// [`potential_into`].
 pub fn potential(
     t_pos: &[[f64; 3]],
     s_mass: &[f64],
@@ -367,19 +330,16 @@ pub fn potential(
     same_set: bool,
 ) -> Vec<f64> {
     let mut phi = vec![0.0; t_pos.len()];
-    potential_into(Backend::CpuParallel, t_pos, s_mass, s_pos, eps2, same_set, &mut phi);
+    potential_into(t_pos, s_mass, s_pos, eps2, same_set, &mut phi);
     phi
 }
 
 /// Gravitational potential of each target written into `phi`
-/// (`phi.len() == t_pos.len()`, and `s_pos` as long as `s_mass`, for
-/// every backend). [`Backend::Scalar`] accumulates
-/// sequentially over sources; every other backend uses the
+/// (`phi.len() == t_pos.len()`, and `s_pos` as long as `s_mass`): the
 /// [`LANES`]-wide lane accumulators with the fixed [`reduce_lanes`]
-/// order (bitwise identical to each other, any worker count).
+/// order, bitwise identical for any worker count.
 // jc-lint: no-alloc
 pub fn potential_into(
-    backend: Backend,
     t_pos: &[[f64; 3]],
     s_mass: &[f64],
     s_pos: &[[f64; 3]],
@@ -390,49 +350,28 @@ pub fn potential_into(
     let n = t_pos.len();
     assert_eq!(phi.len(), n, "phi buffer length mismatch");
     assert_eq!(s_pos.len(), s_mass.len(), "source column length mismatch");
-    let one = |i: usize, out: &mut f64| {
-        let pi = t_pos[i];
-        let mut phi = 0.0;
-        for (jj, (&mj, pj)) in s_mass.iter().zip(s_pos).enumerate() {
-            if same_set && jj == i {
-                continue;
-            }
-            let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
-            let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + eps2;
-            phi -= mj / r2.sqrt();
-        }
-        *out = phi;
-    };
-    match backend {
-        Backend::Scalar => {
-            for (i, out) in phi.iter_mut().enumerate() {
-                one(i, out);
-            }
-        }
-        Backend::CpuParallel | Backend::GpuModel | Backend::SimdSoa => SOA_SOURCES.with(|cell| {
-            let mut soa = cell.borrow_mut();
-            soa.fill_from_positions(s_mass, s_pos);
-            let soa = &*soa;
-            let workers = par::threads_for(n, 0, PAR_GRAIN);
-            // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
-            let mut units = vec![(); workers];
-            par::chunked(
-                workers,
-                &mut *phi,
-                &mut units,
-                (),
-                |s0, chunk: &mut [f64], _| {
-                    potential_simd_chunk(s0, t_pos, soa, eps2, same_set, chunk);
-                },
-                |(), ()| (),
-            );
-        }),
-    }
+    SOA_SOURCES.with(|cell| {
+        let mut soa = cell.borrow_mut();
+        soa.fill_from_positions(s_mass, s_pos);
+        let soa = &*soa;
+        let workers = par::threads_for(n, 0, PAR_GRAIN);
+        // jc-lint: allow(no-alloc): Vec of ZSTs — capacity math never touches the heap
+        let mut units = vec![(); workers];
+        par::chunked(
+            workers,
+            &mut *phi,
+            &mut units,
+            (),
+            |s0, chunk: &mut [f64], _| {
+                potential_simd_chunk(s0, t_pos, soa, eps2, same_set, chunk);
+            },
+            |(), ()| (),
+        );
+    });
 }
 
 jc_compute::simd::dispatch! {
-    /// One worker chunk of [`Backend::SimdSoa`] potential targets: the
-    /// one body at the widest tier the CPU has ([`jc_compute::simd`]).
+    /// One worker chunk of potential targets: the one body at the widest tier the CPU has ([`jc_compute::simd`]).
     fn potential_simd_chunk(
         s0: usize,
         t_pos: &[[f64; 3]],
@@ -507,6 +446,12 @@ pub fn eval_flops(n_targets: usize, n_sources: usize) -> f64 {
     n_targets as f64 * n_sources as f64 * FLOPS_PER_PAIR
 }
 
+/// The in-order reference loop the unit tests bind the SoA body to (one
+/// copy, shared with the integration tests).
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,37 +467,10 @@ mod tests {
     #[test]
     fn two_body_acceleration_points_inwards() {
         let (m, p, v) = two_body();
-        let (a, _) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 0.0, true);
+        let (a, _) = acc_jerk(&p, &v, &m, &p, &v, 0.0, true);
         // |a| = m / r^2 = 1 / 1 = 1
         assert!((a[0][0] - 1.0).abs() < 1e-12);
         assert!((a[1][0] + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backends_agree_bitwise() {
-        let mut m = Vec::new();
-        let mut p = Vec::new();
-        let mut v = Vec::new();
-        // deterministic pseudo-random cloud
-        let mut x = 1u64;
-        let mut rnd = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        for _ in 0..64 {
-            m.push(1.0 / 64.0);
-            p.push([rnd(), rnd(), rnd()]);
-            v.push([rnd(), rnd(), rnd()]);
-        }
-        // one SoA body behind three names; `Scalar` is bound to it by
-        // `simd_soa_matches_scalar_within_tolerance`
-        let (a0, j0) = acc_jerk(Backend::CpuParallel, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a1, j1) = acc_jerk(Backend::GpuModel, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a2, j2) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
-        assert_eq!(a0, a1);
-        assert_eq!(a0, a2);
-        assert_eq!(j0, j1);
-        assert_eq!(j0, j2);
     }
 
     fn lcg_cloud(n: usize, seed: u64) -> (Vec<f64>, Vec<[f64; 3]>, Vec<[f64; 3]>) {
@@ -590,8 +508,8 @@ mod tests {
     fn simd_soa_matches_scalar_within_tolerance() {
         // odd N exercises the remainder lanes
         let (m, p, v) = lcg_cloud(157, 5);
-        let (a0, j0) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a1, j1) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
+        let (a0, j0) = reference::acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
+        let (a1, j1) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
         assert_close(&a1, &a0, 1e-12, "acc");
         assert_close(&j1, &j0, 1e-12, "jerk");
     }
@@ -599,10 +517,10 @@ mod tests {
     #[test]
     fn simd_soa_is_bitwise_stable_run_to_run() {
         let (m, p, v) = lcg_cloud(130, 9);
-        let (a0, j0) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a1, j1) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
-        assert_eq!(a0, a1, "SimdSoa acc not run-to-run stable");
-        assert_eq!(j0, j1, "SimdSoa jerk not run-to-run stable");
+        let (a0, j0) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
+        let (a1, j1) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
+        assert_eq!(a0, a1, "SoA acc not run-to-run stable");
+        assert_eq!(j0, j1, "SoA jerk not run-to-run stable");
     }
 
     #[test]
@@ -610,10 +528,9 @@ mod tests {
         // 5 sources: one full batch + 1 remainder lane; cross-set (no
         // self skip)
         let (m, p, v) = lcg_cloud(5, 3);
-        let (tm, tp, tv) = lcg_cloud(3, 8);
-        let _ = tm;
-        let (a0, j0) = acc_jerk(Backend::Scalar, &tp, &tv, &m, &p, &v, 1e-3, false);
-        let (a1, j1) = acc_jerk(Backend::SimdSoa, &tp, &tv, &m, &p, &v, 1e-3, false);
+        let (_, tp, tv) = lcg_cloud(3, 8);
+        let (a0, j0) = reference::acc_jerk(&tp, &tv, &m, &p, &v, 1e-3, false);
+        let (a1, j1) = acc_jerk(&tp, &tv, &m, &p, &v, 1e-3, false);
         assert_close(&a1, &a0, 1e-13, "acc");
         assert_close(&j1, &j0, 1e-13, "jerk");
     }
@@ -621,18 +538,14 @@ mod tests {
     #[test]
     fn simd_soa_potential_matches_scalar() {
         let (m, p, _) = lcg_cloud(101, 11);
-        let mut phi_scalar = vec![0.0; 101];
+        let phi_scalar = reference::potential(&p, &m, &p, 1e-4, true);
         let mut phi_simd = vec![f64::NAN; 101];
-        potential_into(Backend::Scalar, &p, &m, &p, 1e-4, true, &mut phi_scalar);
-        potential_into(Backend::SimdSoa, &p, &m, &p, 1e-4, true, &mut phi_simd);
+        potential_into(&p, &m, &p, 1e-4, true, &mut phi_simd);
         for (i, (a, b)) in phi_simd.iter().zip(&phi_scalar).enumerate() {
             assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "phi[{i}]: {a} vs {b}");
         }
-        // the allocating wrapper matches the parallel backend bitwise
-        let phi = potential(&p, &m, &p, 1e-4, true);
-        let mut phi_cpu = vec![0.0; 101];
-        potential_into(Backend::CpuParallel, &p, &m, &p, 1e-4, true, &mut phi_cpu);
-        assert_eq!(phi, phi_cpu);
+        // the allocating wrapper matches `potential_into` bitwise
+        assert_eq!(potential(&p, &m, &p, 1e-4, true), phi_simd);
     }
 
     #[test]
@@ -652,7 +565,7 @@ mod tests {
             for (tp, tv, same_set) in [(&p, &v, true), (&others, &other_vel, false)] {
                 for eps2 in [1e-4, 0.0] {
                     let case = format!("n={n}, same_set={same_set}, eps2={eps2}");
-                    let (a0, j0) = acc_jerk(Backend::SimdSoa, tp, tv, &m, &p, &v, eps2, same_set);
+                    let (a0, j0) = acc_jerk(tp, tv, &m, &p, &v, eps2, same_set);
                     let mut a1 = vec![[f64::NAN; 3]; tp.len()];
                     let mut j1 = vec![[f64::NAN; 3]; tp.len()];
                     let rows = Targets::Rows { pos: tp, vel: tv, same_set };
@@ -660,7 +573,7 @@ mod tests {
                     assert_eq!(a0, a1, "acc: {case}");
                     assert_eq!(j0, j1, "jerk: {case}");
                     // and the one body sums the right pairs
-                    let (a2, j2) = acc_jerk(Backend::Scalar, tp, tv, &m, &p, &v, eps2, same_set);
+                    let (a2, j2) = reference::acc_jerk(tp, tv, &m, &p, &v, eps2, same_set);
                     assert_close(&a1, &a2, 1e-12, &format!("acc vs scalar: {case}"));
                     assert_close(&j1, &j2, 1e-12, &format!("jerk vs scalar: {case}"));
                 }
@@ -674,7 +587,7 @@ mod tests {
                 for eps2 in [1e-4, 0.0] {
                     let mut phi0 = vec![f64::NAN; targets.len()];
                     let mut phi1 = vec![f64::NAN; targets.len()];
-                    potential_into(Backend::SimdSoa, targets, &m, &p, eps2, same_set, &mut phi0);
+                    potential_into(targets, &m, &p, eps2, same_set, &mut phi0);
                     potential_simd_chunk_body(0, targets, &soa, eps2, same_set, &mut phi1);
                     assert_eq!(phi0, phi1, "phi: n={n}, same_set={same_set}, eps2={eps2}");
                 }
@@ -693,19 +606,14 @@ mod tests {
         let targets = Targets::Sources(&ids);
         let mut soa = SoaBodies::new();
         soa.fill_from(&m, &p, &v);
+        let (a0, j0) = acc_jerk(&p, &v, &m, &p, &v, 0.0, true);
         let mut a1 = vec![[f64::NAN; 3]; ids.len()];
         let mut j1 = vec![[f64::NAN; 3]; ids.len()];
-        for backend in [Backend::Scalar, Backend::CpuParallel] {
-            let (a0, j0) = acc_jerk(backend, &p, &v, &m, &p, &v, 0.0, true);
-            match backend {
-                Backend::Scalar => acc_jerk_scalar(targets, &m, &p, &v, 0.0, &mut a1, &mut j1),
-                _ => acc_jerk_soa(targets, &soa, 0.0, &mut a1, &mut j1, 1),
-            }
-            for (k, &i) in ids.iter().enumerate() {
-                assert!(a1[k].iter().chain(&j1[k]).all(|x| x.is_finite()), "{backend:?} row {k}");
-                assert_eq!(a1[k], a0[i as usize], "{backend:?} acc of star {i}");
-                assert_eq!(j1[k], j0[i as usize], "{backend:?} jerk of star {i}");
-            }
+        acc_jerk_soa(targets, &soa, 0.0, &mut a1, &mut j1, 1);
+        for (k, &i) in ids.iter().enumerate() {
+            assert!(a1[k].iter().chain(&j1[k]).all(|x| x.is_finite()), "row {k}");
+            assert_eq!(a1[k], a0[i as usize], "acc of star {i}");
+            assert_eq!(j1[k], j0[i as usize], "jerk of star {i}");
         }
         // the portable body and the dispatched clone agree on index lists too
         let mut a2 = vec![[0.0; 3]; ids.len()];
@@ -726,20 +634,20 @@ mod tests {
             [1.0, 0.0, 0.0], // coincident massive pair (softened)
         ];
         let v = vec![[0.0; 3]; 5];
-        let (a0, j0) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 1e-4, true);
-        let (a1, j1) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
+        let (a0, j0) = reference::acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
+        let (a1, j1) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
         assert!(a1.iter().flatten().all(|x| x.is_finite()), "{a1:?}");
         assert_close(&a1, &a0, 1e-12, "acc");
         assert_close(&j1, &j0, 1e-12, "jerk");
     }
 
-    // Ragged source columns are refused at entry by every backend; the
-    // scalar loops would otherwise zip them down to the shortest.
+    // Ragged source columns are refused at entry: the SoA mirror would
+    // otherwise be filled from columns of different lengths.
     #[test]
     #[should_panic(expected = "source column length mismatch")]
     fn acc_jerk_rejects_ragged_source_columns() {
         let (m, p, v) = lcg_cloud(5, 2);
-        acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v[..4], 1e-4, false);
+        acc_jerk(&p, &v, &m, &p, &v[..4], 1e-4, false);
     }
 
     #[test]
@@ -747,7 +655,7 @@ mod tests {
     fn acc_jerk_into_rejects_ragged_source_columns() {
         let (m, p, v) = lcg_cloud(5, 2);
         let (mut a, mut j) = (vec![[0.0; 3]; 5], vec![[0.0; 3]; 5]);
-        acc_jerk_into(Backend::Scalar, &p, &v, &m, &p[..4], &v, 1e-4, false, &mut a, &mut j);
+        acc_jerk_into(Backend::CpuParallel, &p, &v, &m, &p[..4], &v, 1e-4, false, &mut a, &mut j);
     }
 
     #[test]
@@ -755,7 +663,7 @@ mod tests {
     fn potential_into_rejects_ragged_source_columns() {
         let (m, p, _) = lcg_cloud(5, 2);
         let mut phi = vec![0.0; 5];
-        potential_into(Backend::Scalar, &p, &m[..4], &p, 1e-4, false, &mut phi);
+        potential_into(&p, &m[..4], &p, 1e-4, false, &mut phi);
     }
 
     #[test]
@@ -773,7 +681,7 @@ mod tests {
         let m = vec![1.0, 1.0];
         let p = vec![[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]];
         let v = vec![[0.0; 3]; 2];
-        let (a, _) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 1e-4, true);
+        let (a, _) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
         assert!(a[0][0].abs() < 1e7, "softened: {}", a[0][0]);
     }
 
@@ -784,7 +692,7 @@ mod tests {
         let sv = vec![[0.0; 3]];
         let tp = vec![[0.0, 0.0, 0.0]];
         let tv = vec![[0.0; 3]];
-        let (a, _) = acc_jerk(Backend::Scalar, &tp, &tv, &m, &sp, &sv, 0.0, false);
+        let (a, _) = acc_jerk(&tp, &tv, &m, &sp, &sv, 0.0, false);
         assert!((a[0][2] - 2.0).abs() < 1e-12);
     }
 

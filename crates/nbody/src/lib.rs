@@ -11,15 +11,16 @@
 //! and corrects only those whose step ends there, and every
 //! [`PhiGrape::evolve_model`] returns with all stars synchronised on
 //! `t_end`. The schedule is a function of the particle set alone. Plummer
-//! softening, dimensionless N-body units (G = 1). The force backends
-//! exercise the paper's multi-kernel point:
+//! softening, dimensionless N-body units (G = 1). The integrator has one
+//! force path: thread-parallel over targets on the structure-of-arrays
+//! compute path — sources mirrored into aligned `x/y/z/m` columns
+//! ([`jc_compute::soa`]) and accumulated 4 lanes wide with a fixed
+//! reduction order. Bitwise stable run to run, for any worker count and
+//! SIMD width. The backends name where that path runs, which is the
+//! paper's multi-kernel point:
 //!
 //! * [`kernels::Backend::CpuParallel`] — the "CPU variant" and what every
-//!   worker runs: thread-parallel over targets on the structure-of-arrays
-//!   compute path — sources mirrored into aligned `x/y/z/m` columns
-//!   ([`jc_compute::soa`]) and accumulated 4 lanes wide with a fixed
-//!   reduction order. Bitwise stable run to run, for any worker count
-//!   and SIMD width.
+//!   worker runs.
 //! * [`kernels::Backend::GpuModel`] — the same force loop (bitwise),
 //!   *plus* a device cost model (GFLOP/s + transfer) used by the jungle
 //!   simulator to account virtual time — the backends differ in *where*
@@ -27,9 +28,11 @@
 //!   definition of a multi-kernel model.
 //! * [`kernels::Backend::SimdSoa`] — a second name for the `CpuParallel`
 //!   path, from when it was opt-in.
-//! * [`kernels::Backend::Scalar`] — one core, sources summed strictly in
-//!   order: the named reference the SoA path is bound to by
-//!   tolerance-bounded property tests (equal to rounding, not bitwise).
+//!
+//! An in-order reference loop (one core, sources summed strictly in
+//! order) lives with the tests, not here: the tolerance-bounded property
+//! tests bind the SoA path to it (equal to rounding, not bitwise), and
+//! golden vectors pin its bits.
 //!
 //! [`plummer`] generates the paper's initial conditions (Plummer spheres
 //! with a Salpeter IMF); [`diagnostics`] provides the energy/virial checks

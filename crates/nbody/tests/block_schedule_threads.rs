@@ -7,7 +7,7 @@
 //! resolves it.
 
 use jc_nbody::plummer::plummer_sphere;
-use jc_nbody::{Backend, PhiGrape};
+use jc_nbody::PhiGrape;
 
 /// Enough stars that the full evaluations — the refresh after the kick
 /// and every level-0 boundary — really fan out (the grain is 64 targets
@@ -17,7 +17,7 @@ const STARS: usize = 256;
 /// Sub-steps per call, force evaluations, flops (the targets evaluated,
 /// summed) and every coordinate, as bits.
 fn run() -> (Vec<u64>, u64, u64, Vec<u64>) {
-    let mut g = PhiGrape::new(plummer_sphere(STARS, 11), Backend::CpuParallel).with_softening(0.01);
+    let mut g = PhiGrape::new(plummer_sphere(STARS, 11)).with_softening(0.01);
     let mut steps = vec![g.evolve_model(1.0 / 64.0)];
     g.kick(&vec![[1e-3, -2e-3, 5e-4]; STARS]);
     steps.push(g.evolve_model(1.0 / 16.0));

@@ -1,9 +1,11 @@
-//! Golden-vector determinism tests. `Backend::Scalar` — the in-order
-//! reference — must reproduce the pre-refactor kernel bitwise (vectors
+//! Golden-vector determinism tests. The in-order reference loop
+//! (`reference`) must reproduce the pre-refactor kernel bitwise (vectors
 //! captured from the original allocating implementation: 24-particle LCG
 //! cloud, seed 42, eps² = 1e-4, before the scratch-buffer refactor). The
-//! backends workers run (`CpuParallel`, `GpuModel`, and their second name
-//! `SimdSoa`) share one SoA body and are pinned to its own vectors below.
+//! one SoA body every backend name runs (`CpuParallel`, `GpuModel`, and
+//! the second name `SimdSoa`) is pinned to its own vectors below.
+
+mod reference;
 
 use jc_nbody::kernels::{acc_jerk, acc_jerk_into, potential_into, Backend};
 
@@ -95,38 +97,32 @@ fn assert_bits(label: &str, got: &[[f64; 3]], want: &[u64]) {
     }
 }
 
-/// The backends that run the SoA body, under every name it has.
-const SOA_BACKENDS: [Backend; 3] = [Backend::CpuParallel, Backend::GpuModel, Backend::SimdSoa];
-
 #[test]
 fn acc_jerk_matches_pre_refactor_golden_on_all_backends() {
+    // the in-order reference keeps the pre-refactor bits; the SoA body
+    // keeps its own
     let (m, p, v) = cloud(N, 42);
-    let (a, j) = acc_jerk(Backend::Scalar, &p, &v, &m, &p, &v, 1e-4, true);
+    let (a, j) = reference::acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
     assert_bits("acc", &a, &GOLDEN_ACC);
     assert_bits("jerk", &j, &GOLDEN_JERK);
-    for backend in SOA_BACKENDS {
-        let (a, j) = acc_jerk(backend, &p, &v, &m, &p, &v, 1e-4, true);
-        assert_bits("simd acc", &a, &GOLDEN_SIMD_ACC);
-        assert_bits("simd jerk", &j, &GOLDEN_SIMD_JERK);
-    }
+    let (a, j) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
+    assert_bits("simd acc", &a, &GOLDEN_SIMD_ACC);
+    assert_bits("simd jerk", &j, &GOLDEN_SIMD_JERK);
 }
 
 #[test]
 fn acc_jerk_into_matches_pre_refactor_golden() {
+    // every backend name selects the one SoA body
     let (m, p, v) = cloud(N, 42);
     let mut a = vec![[0.0; 3]; N];
     let mut j = vec![[0.0; 3]; N];
-    for (backend, acc, jerk) in [
-        (Backend::Scalar, &GOLDEN_ACC, &GOLDEN_JERK),
-        (Backend::CpuParallel, &GOLDEN_SIMD_ACC, &GOLDEN_SIMD_JERK),
-        (Backend::GpuModel, &GOLDEN_SIMD_ACC, &GOLDEN_SIMD_JERK),
-    ] {
+    for backend in [Backend::CpuParallel, Backend::GpuModel, Backend::SimdSoa] {
         // dirty the buffers: the kernel must fully overwrite them
         a.iter_mut().for_each(|x| *x = [f64::NAN; 3]);
         j.iter_mut().for_each(|x| *x = [f64::NAN; 3]);
         acc_jerk_into(backend, &p, &v, &m, &p, &v, 1e-4, true, &mut a, &mut j);
-        assert_bits("acc", &a, acc);
-        assert_bits("jerk", &j, jerk);
+        assert_bits("acc", &a, &GOLDEN_SIMD_ACC);
+        assert_bits("jerk", &j, &GOLDEN_SIMD_JERK);
     }
 }
 
@@ -211,7 +207,7 @@ const GOLDEN_SIMD_PHI: [u64; N] = [
 #[test]
 fn simd_soa_matches_its_own_golden_vectors() {
     let (m, p, v) = cloud(N, 42);
-    let (a, j) = acc_jerk(Backend::SimdSoa, &p, &v, &m, &p, &v, 1e-4, true);
+    let (a, j) = acc_jerk(&p, &v, &m, &p, &v, 1e-4, true);
     assert_bits("simd acc", &a, &GOLDEN_SIMD_ACC);
     assert_bits("simd jerk", &j, &GOLDEN_SIMD_JERK);
 }
@@ -220,14 +216,8 @@ fn simd_soa_matches_its_own_golden_vectors() {
 fn simd_soa_potential_matches_its_own_golden_vector() {
     let (m, p, _) = cloud(N, 42);
     let mut phi = vec![0.0; N];
-    for backend in SOA_BACKENDS {
-        potential_into(backend, &p, &m, &p, 1e-4, true, &mut phi);
-        for (i, (got, want)) in phi.iter().zip(&GOLDEN_SIMD_PHI).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                *want,
-                "phi[{i}] = {got} diverges from the SoA golden vector"
-            );
-        }
+    potential_into(&p, &m, &p, 1e-4, true, &mut phi);
+    for (i, (got, want)) in phi.iter().zip(&GOLDEN_SIMD_PHI).enumerate() {
+        assert_eq!(got.to_bits(), *want, "phi[{i}] = {got} diverges from the SoA golden vector");
     }
 }

@@ -406,7 +406,7 @@ pub fn stats_match_modeled_wire_sizes(transport: Transport) {
     let n = c.stars.len();
     let mut hosts = Hosts::new(transport);
     let stars = c.stars.clone();
-    let mut ch = hosts.spawn("grav", move || GravityWorker::new(stars, Backend::Scalar));
+    let mut ch = hosts.spawn("grav", move || GravityWorker::new(stars, Backend::CpuParallel));
 
     let requests = vec![
         Request::Ping,
@@ -516,7 +516,8 @@ pub fn state_ops_pools_match_the_unsharded_worker(transport: Transport) {
     let dv: Vec<[f64; 3]> = (0..40).map(|i| [1e-4 * i as f64, -2e-5, 3e-5 * i as f64]).collect();
     let masses: Vec<f64> = (0..40).map(|i| 0.02 + 1e-4 * i as f64).collect();
 
-    let mut single = LocalChannel::new(Box::new(GravityWorker::new(ics.clone(), Backend::Scalar)));
+    let mut single =
+        LocalChannel::new(Box::new(GravityWorker::new(ics.clone(), Backend::CpuParallel)));
     assert!(matches!(single.call(Request::Kick(dv.clone())), Response::Ok { .. }));
     assert!(matches!(single.call(Request::SetMasses(masses.clone())), Response::Ok { .. }));
     let mut expected = ParticleData::default();
@@ -529,7 +530,7 @@ pub fn state_ops_pools_match_the_unsharded_worker(transport: Transport) {
         let shards = partition(40, k).into_iter().enumerate().map(|(i, c)| {
             let sub = ics.slice(off, off + c);
             off += c;
-            hosts.spawn(&format!("grav-{i}"), move || GravityWorker::new(sub, Backend::Scalar))
+            hosts.spawn(&format!("grav-{i}"), move || GravityWorker::new(sub, Backend::CpuParallel))
         });
         let mut pool = ShardedChannel::new(shards.collect());
         assert!(pool.pipelined(), "{what}");

@@ -56,9 +56,9 @@ fn nested_reactor_pool_matches_flat_pool() {
         for (i, c) in partition(42, 4).into_iter().enumerate() {
             let sub = ics.slice(off, off + c);
             off += c;
-            grav.push(
-                hosts.spawn(&format!("grav-{i}"), move || GravityWorker::new(sub, Backend::Scalar)),
-            );
+            grav.push(hosts.spawn(&format!("grav-{i}"), move || {
+                GravityWorker::new(sub, Backend::CpuParallel)
+            }));
             fi.push(hosts.spawn(&format!("fi-{i}"), CouplingWorker::fi));
         }
         let pool = |mut shards: Vec<Box<dyn Channel>>| {

@@ -16,6 +16,21 @@
 
 mod common;
 use common::{count_alloc_bytes, count_allocs};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held for its whole run by every test whose code, on its own thread or
+/// a server thread it starts, fans out over the process-global worker
+/// pool. Two callers that meet at the pool block in a channel `send`,
+/// and a thread's first blocking send allocates its wait context (and a
+/// channel's first waiter grows its waiter list). Each happens once, so
+/// a long-lived caller's steady state stays quiet; but every test runs
+/// on a fresh thread, and would count that one-time allocation whenever
+/// another test's fan-out overlapped its measured call.
+static POOL: Mutex<()> = Mutex::new(());
+
+fn pool_to_myself() -> MutexGuard<'static, ()> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn same_metallicity_stellar_load_state_keeps_the_table() {
@@ -201,6 +216,7 @@ fn pair_symmetric_self_gravity_steady_state_allocates_nothing() {
 
 #[test]
 fn hermite_step_steady_state_allocates_nothing() {
+    let _pool = pool_to_myself();
     // what `GravityWorker`s run: at the parallel grain (64) the step
     // stays on the calling thread; at the benchmark cluster's 128 stars
     // an evaluation of more than 64 active stars fans out over the pool
@@ -240,6 +256,7 @@ fn gadget_step_steady_state_allocates_nothing() {
 
 #[test]
 fn socket_channel_coupler_hot_path_allocates_nothing() {
+    let _pool = pool_to_myself();
     // A real TCP round trip: the coupler-side fast paths must send
     // straight from borrowed slices (one vectored write, the rest into
     // the connection's reused frame buffer) and decode straight into
@@ -288,6 +305,7 @@ fn field_sets(n_stars: usize, n_gas: usize) -> [jc_amuse::worker::ParticleData; 
 
 #[test]
 fn socket_field_steady_state_allocates_nothing() {
+    let _pool = pool_to_myself();
     use jc_amuse::{Channel, ReactorChannel, SocketChannel};
     let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", jc_amuse::CouplingWorker::fi);
     let mut ch = SocketChannel::connect(addr, "fi").unwrap();
@@ -315,6 +333,7 @@ fn socket_field_steady_state_allocates_nothing() {
 
 #[test]
 fn server_core_steady_state_allocates_nothing() {
+    let _pool = pool_to_myself();
     // The server half of those round trips, run on this thread: a warm
     // `ServerCore` decodes into reused scratch, lends each bulk reply's
     // columns where they lie, and encodes the mutating replies straight
@@ -475,6 +494,7 @@ fn warm_in_process_iteration_allocates_nothing() {
 
 #[test]
 fn pooled_parallel_chunked_steady_state_allocates_nothing() {
+    let _pool = pool_to_myself();
     // The parallel mode's caller side must go quiet too: the first
     // fanning-out call spawns the pool threads and fills the bounded
     // channel buffers; after that, tasks live in a fixed stack array,
